@@ -2,7 +2,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: build test vet ci bench benchdiff tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak
+.PHONY: build test vet ci bench bench-test benchdiff tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak
 
 build:
 	$(GO) build ./...
@@ -13,7 +13,14 @@ test:
 vet:
 	$(GO) vet ./...
 
-ci: build vet test
+ci: build vet test bench-test
+
+# bench-test compiles and tests the nested bench/ module (own go.mod, so
+# `go build ./... && go test ./...` at the root never see it): a change to
+# the shard/datalog/serve surface the end-to-end benchmark imports fails
+# here instead of at the next benchmark run.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # bench runs every benchmark (root experiment wrappers + datalog micro
 # benchmarks) and records the parsed results in BENCH_1.json so the perf

@@ -270,16 +270,21 @@ func newAugOverlay(plans []*rulePlan) *augOverlay {
 	o := &augOverlay{rels: map[string]*augRel{}}
 	for _, pl := range plans {
 		for _, order := range pl.orders {
-			for i := range order {
-				lp := &order[i]
-				if lp.negated || len(lp.probePos) == 0 {
-					continue // negation ignores the overlay; full scans read rows directly
-				}
-				o.register(lp.pred, lp.probePos)
-			}
+			o.registerOrder(order)
 		}
 	}
 	return o
+}
+
+// registerOrder registers the probe-column sets one join order can use.
+func (o *augOverlay) registerOrder(order []litPlan) {
+	for i := range order {
+		lp := &order[i]
+		if lp.negated || len(lp.probePos) == 0 {
+			continue // negation ignores the overlay; full scans read rows directly
+		}
+		o.register(lp.pred, lp.probePos)
+	}
 }
 
 func (o *augOverlay) register(pred string, pos []int) {

@@ -5,9 +5,9 @@ package datalog
 // evaluation-component structure in topological order, per-predicate
 // partition-column hints derived from the compiled plans' partition keys
 // (the same keys the intra-process partitioned drives shard on, see
-// partition.go), the tuple→shard hash, and the filter comparison
-// semantics — so a remote evaluator derives byte-identical results
-// without reaching into unexported plan state.
+// partition.go), the tuple→shard hash, and Drive — the one entry point
+// through which a replica runs a rule on the plans Prepare compiled, so a
+// remote evaluator is the single-node kernel, not a copy of it.
 
 // Component describes one evaluation component (an SCC-refined stratum,
 // see plan.go) for external schedulers. Components returns them in
@@ -129,16 +129,38 @@ func ShardOf(t Tuple, col, n int) int {
 	return int(h % uint64(n))
 }
 
-// ShardOfValue maps a single partition-key value to a shard in [0, n).
-// ShardOf(t, col, n) == ShardOfValue(t[col], n) for in-range col.
-func ShardOfValue(v any, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return int(hashValue(fnvOffset, v) % uint64(n))
+// Overlay is a DRed pre-deletion view for Drive: tuples already removed
+// from the database that the non-driven body literals must still see while
+// over-deletion propagates (dred.go, phase 1). The zero value is empty and
+// ready to use; Drive indexes it for the probe columns of the plans it runs.
+type Overlay struct {
+	aug augOverlay
 }
 
-// Compare applies a filter comparison with the engine's coercion rules
-// (numeric across int/int64/uint64/float64, string ordering otherwise) —
-// exported so external evaluators reproduce filter semantics exactly.
-func Compare(op CmpOp, l, r any) bool { return compareValues(op, l, r) }
+// Add makes t visible under pred. Callers add a tuple at most once and only
+// between Drive calls.
+func (o *Overlay) Add(pred string, t Tuple) {
+	if o.aug.rels == nil {
+		o.aug.rels = map[string]*augRel{}
+	}
+	o.aug.add(pred, t)
+}
+
+// Drive runs rule ri of component comp (Components order) with body literal
+// pos reading exactly the frontier tuples, in order, and every other literal
+// reading db — plus ov's tuples when ov is non-nil — on the delta-first join
+// order Prepare compiled for that position, and passes each derived head
+// tuple to emit. It is one serial semi-naive drive: the step Incremental's
+// insert, over-delete and re-derive rounds are made of, with the frontier
+// supplied by the caller. The program must be compiled (NewProgram, or a
+// successful Components call) and pos must name a positive literal of a
+// non-aggregate rule; frontier tuples have that literal's arity.
+func (p *Program) Drive(db *Database, comp, ri, pos int, frontier []Tuple, ov *Overlay, emit func(Tuple)) {
+	pl := p.prep.strata[comp][ri]
+	var aug *augOverlay
+	if ov != nil && ov.aug.rels != nil { // nothing added: same as no overlay
+		aug = &ov.aug
+		aug.registerOrder(pl.orders[1+pos])
+	}
+	pl.runSegmented(db, pos, frontier, aug, func(_ int, t Tuple) { emit(t) })
+}

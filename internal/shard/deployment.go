@@ -44,6 +44,7 @@ type Deployment struct {
 	name         string
 	net          *simnet.Network
 	place        *Placement
+	prog         *datalog.Program // replicas drive its compiled plans (datalog.Program.Drive)
 	comps        []*compMeta
 	arities      map[string]int
 	edb          map[string]int
@@ -108,6 +109,7 @@ func Deploy(cl *cluster.Cluster, name string, prog *datalog.Program, edb map[str
 		name:         name,
 		net:          cl.Net,
 		place:        place,
+		prog:         prog,
 		comps:        metas,
 		arities:      arities,
 		edb:          edb,
@@ -274,13 +276,13 @@ func (d *Deployment) Dump() map[string][]datalog.Tuple {
 			out[pred] = d.replicas[0].db.Get(pred).Tuples()
 			continue
 		}
-		set := newTset()
+		union := datalog.NewRelation(pred, d.arities[pred])
 		for _, r := range d.replicas {
 			for _, t := range r.db.Get(pred).Tuples() {
-				set.add(t)
+				union.Insert(t)
 			}
 		}
-		out[pred] = sortTuples(set.ts)
+		out[pred] = union.Tuples()
 	}
 	return out
 }
@@ -323,18 +325,21 @@ func DumpDatabase(db *datalog.Database, preds []string) string {
 	return renderDump(out)
 }
 
+// canonTuples is the canonical text form of a tuple set, the one place a
+// tuple is rendered to a string: each value with its type tag, so int64(1)
+// and "1" never collide, and the lines sorted.
 func canonTuples(ts []datalog.Tuple) []string {
 	out := make([]string, len(ts))
+	var b strings.Builder
 	for i, t := range ts {
-		out[i] = tkey(t)
+		b.Reset()
+		for _, v := range t {
+			fmt.Fprintf(&b, "%T:%v|", v, v)
+		}
+		out[i] = b.String()
 	}
 	sort.Strings(out)
 	return out
-}
-
-func sortTuples(ts []datalog.Tuple) []datalog.Tuple {
-	sort.Slice(ts, func(i, j int) bool { return tkey(ts[i]) < tkey(ts[j]) })
-	return ts
 }
 
 func renderDump(m map[string][]datalog.Tuple) string {

@@ -2,103 +2,34 @@ package shard
 
 import (
 	"fmt"
-	"strings"
 
 	"hydro/internal/datalog"
 )
 
-// tset is an insertion-ordered tuple set keyed by content — the engine's
-// per-predicate bookkeeping for net tick changes (which doubles as the
-// DRed deletion overlay). Iteration over ts is deterministic.
-type tset struct {
-	m  map[string]int // key → index into ts
-	ts []datalog.Tuple
-}
-
-func newTset() *tset { return &tset{m: map[string]int{}} }
-
-// tkey renders a tuple with type tags so int64(1) and "1" never collide.
-func tkey(t datalog.Tuple) string {
-	var b strings.Builder
-	for _, v := range t {
-		fmt.Fprintf(&b, "%T:%v|", v, v)
-	}
-	return b.String()
-}
-
-func (s *tset) has(t datalog.Tuple) bool {
-	_, ok := s.m[tkey(t)]
-	return ok
-}
-
-func (s *tset) add(t datalog.Tuple) {
-	k := tkey(t)
-	if _, ok := s.m[k]; !ok {
-		s.m[k] = len(s.ts)
-		s.ts = append(s.ts, t)
-	}
-}
-
-// remove drops t, preserving the order of the survivors.
-func (s *tset) remove(t datalog.Tuple) {
-	k := tkey(t)
-	i, ok := s.m[k]
-	if !ok {
-		return
-	}
-	delete(s.m, k)
-	copy(s.ts[i:], s.ts[i+1:])
-	s.ts = s.ts[:len(s.ts)-1]
-	for j := i; j < len(s.ts); j++ {
-		s.m[tkey(s.ts[j])] = j
-	}
-}
-
-func (s *tset) len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.ts)
-}
-
-// driveInfo is the precomputed shipping decision for one (rule, body
-// position) drive.
-type driveInfo struct {
-	// designatedOnly: the driven predicate and every positive co-literal
-	// are mirrored, so all replicas would derive identical emissions —
-	// only the tuple's designated driver (whole-tuple hash) drives it.
-	designatedOnly bool
-}
-
 // compMeta is the immutable per-component evaluation metadata shared by
-// every replica of a deployment.
+// every replica of a deployment. The component's position in
+// Deployment.comps is its datalog.Components index — the one Program.Drive
+// takes.
 type compMeta struct {
-	idx       int
-	rules     []datalog.Rule
-	heads     []string
-	inputs    []string
-	recursive bool
-	nonMono   bool
+	rules   []datalog.Rule
+	heads   []string
+	inputs  []string
+	nonMono bool
 	// sub re-evaluates a non-monotone component locally: its inputs are
 	// fully mirrored, so clearing the heads and running the component's
 	// own fixpoint on the replica database reproduces single-node
 	// semantics (negation, aggregates) exactly.
 	sub *datalog.Program
-	// drives[ri][pos] describes driving rule ri's body position pos.
-	drives [][]driveInfo
+	// designated[ri]: every body literal of rule ri is mirrored, so all
+	// replicas would derive identical emissions from any drive of it — only
+	// the frontier tuple's designated driver (whole-tuple hash) drives it.
+	designated []bool
 }
 
 func buildCompMeta(comps []datalog.Component, place *Placement) ([]*compMeta, error) {
 	var out []*compMeta
 	for ci, c := range comps {
-		m := &compMeta{
-			idx:       ci,
-			rules:     c.Rules,
-			heads:     c.Heads,
-			inputs:    c.Inputs,
-			recursive: c.Recursive,
-			nonMono:   c.NonMono,
-		}
+		m := &compMeta{rules: c.Rules, heads: c.Heads, inputs: c.Inputs, nonMono: c.NonMono}
 		if c.NonMono {
 			sub, err := datalog.NewProgram(c.Rules...)
 			if err != nil {
@@ -107,161 +38,17 @@ func buildCompMeta(comps []datalog.Component, place *Placement) ([]*compMeta, er
 			sub.SetParallelism(1) // replicas evaluate inside a deterministic event loop
 			m.sub = sub
 		} else {
-			m.drives = make([][]driveInfo, len(c.Rules))
+			m.designated = make([]bool, len(c.Rules))
 			for ri, r := range c.Rules {
-				m.drives[ri] = make([]driveInfo, len(r.Body))
-				for i := range r.Body {
-					allMirrored := place.Specs[r.Body[i].Pred].Mirrored
-					for j, co := range r.Body {
-						if j != i && !place.Specs[co.Pred].Mirrored {
-							allMirrored = false
-						}
+				m.designated[ri] = true
+				for _, l := range r.Body {
+					if !place.Specs[l.Pred].Mirrored {
+						m.designated[ri] = false
 					}
-					m.drives[ri][i] = driveInfo{designatedOnly: allMirrored}
 				}
 			}
 		}
 		out = append(out, m)
 	}
 	return out, nil
-}
-
-// driveRule enumerates the body bindings of rule r in which position di is
-// one of the frontier tuples, joining every other (positive, monotone
-// components have no negation) literal against the local database —
-// augmented with the per-predicate deletion overlay when overlay is
-// non-nil (DRed over-deletion joins against the pre-deletion view) — and
-// emits the resulting head tuples in deterministic frontier order.
-func driveRule(db *datalog.Database, r datalog.Rule, di int, frontier []datalog.Tuple,
-	overlay map[string]*tset, emit func(datalog.Tuple)) {
-	lit := r.Body[di]
-	for _, dt := range frontier {
-		if len(lit.Args) != len(dt) {
-			continue
-		}
-		b := map[string]any{}
-		ok := true
-		for j, a := range lit.Args {
-			if !a.IsVar() {
-				if a.Const != dt[j] {
-					ok = false
-					break
-				}
-				continue
-			}
-			if v, bound := b[a.Var]; bound {
-				if v != dt[j] {
-					ok = false
-					break
-				}
-				continue
-			}
-			b[a.Var] = dt[j]
-		}
-		if ok {
-			walkRule(db, r, di, 0, b, overlay, emit)
-		}
-	}
-}
-
-func walkRule(db *datalog.Database, r datalog.Rule, di, j int, b map[string]any,
-	overlay map[string]*tset, emit func(datalog.Tuple)) {
-	if j == len(r.Body) {
-		for _, f := range r.Filters {
-			l, okL := resolveTerm(f.L, b)
-			rv, okR := resolveTerm(f.R, b)
-			if !okL || !okR || !datalog.Compare(f.Op, l, rv) {
-				return
-			}
-		}
-		head := make(datalog.Tuple, len(r.Head.Args))
-		for k, t := range r.Head.Args {
-			v, ok := resolveTerm(t, b)
-			if !ok {
-				return
-			}
-			head[k] = v
-		}
-		emit(head)
-		return
-	}
-	if j == di {
-		walkRule(db, r, di, j+1, b, overlay, emit)
-		return
-	}
-	l := r.Body[j]
-	var pos []int
-	var vals []any
-	for k, a := range l.Args {
-		if v, ok := resolveTerm(a, b); ok {
-			pos = append(pos, k)
-			vals = append(vals, v)
-		}
-	}
-	match := func(t datalog.Tuple) {
-		if len(t) != len(l.Args) {
-			return
-		}
-		nb := b
-		cloned := false
-		for k, a := range l.Args {
-			if !a.IsVar() {
-				if t[k] != a.Const {
-					return
-				}
-				continue
-			}
-			if v, bound := nb[a.Var]; bound {
-				if v != t[k] {
-					return
-				}
-				continue
-			}
-			if !cloned {
-				nb = cloneBinding(b)
-				cloned = true
-			}
-			nb[a.Var] = t[k]
-		}
-		walkRule(db, r, di, j+1, nb, overlay, emit)
-	}
-	if rel := db.Get(l.Pred); rel != nil {
-		for _, t := range rel.Lookup(pos, vals) {
-			match(t)
-		}
-	}
-	if overlay != nil {
-		if ov := overlay[l.Pred]; ov != nil {
-			for _, t := range ov.ts {
-				if projMatches(t, pos, vals) {
-					match(t)
-				}
-			}
-		}
-	}
-}
-
-func resolveTerm(t datalog.Term, b map[string]any) (any, bool) {
-	if !t.IsVar() {
-		return t.Const, true
-	}
-	v, ok := b[t.Var]
-	return v, ok
-}
-
-func cloneBinding(b map[string]any) map[string]any {
-	c := make(map[string]any, len(b)+2)
-	for k, v := range b {
-		c[k] = v
-	}
-	return c
-}
-
-func projMatches(t datalog.Tuple, pos []int, vals []any) bool {
-	for i, p := range pos {
-		if p >= len(t) || t[p] != vals[i] {
-			return false
-		}
-	}
-	return true
 }

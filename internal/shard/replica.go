@@ -8,10 +8,13 @@ import (
 )
 
 // replica is one shard server: it owns one hash-shard of every sharded
-// relation (plus a full copy of every mirrored one), evaluates its share
-// of each monotone component's drives, ships non-local emissions to the
+// relation (plus a full copy of every mirrored one), runs its share of
+// each monotone component's drives through datalog.Program.Drive (the
+// single-node kernel's compiled plans), ships non-local emissions to the
 // owning replica, and recomputes mirrored non-monotone components
-// locally. All tick-attempt work is staged against an undo log; a
+// locally. What lives here is only what is distributed: routing,
+// designated-driver filtering, barriers, epoch/attempt fencing and the
+// undo log. All tick-attempt work is staged against that log; a
 // restarted attempt rolls the log back, so redelivered or retried
 // protocol traffic can never double-apply.
 type replica struct {
@@ -26,7 +29,8 @@ type replica struct {
 
 	// Staging for the current attempt.
 	undo       []datalog.DeltaOp // realized changes in application order
-	adds, dels map[string]*tset  // net realized changes this tick, per pred
+	adds, dels *datalog.Database // net realized changes this tick, per pred
+	overlay    *datalog.Overlay  // dels as the running delete phase's pre-deletion view; nil outside one
 	pend       map[string][]datalog.Tuple
 	inbox      map[rkey][]xchMsg
 	await      map[rkey]int // apply barriers waiting on more xch traffic
@@ -37,11 +41,12 @@ func newReplica(dep *Deployment, self int) *replica {
 	for pred, arity := range dep.arities {
 		r.db.Ensure(pred, arity)
 	}
-	r.resetStaging()
+	r.clearStaging()
 	return r
 }
 
-func (r *replica) resetStaging() {
+// rollback undoes the current attempt's realized changes, newest first.
+func (r *replica) rollback() {
 	for i := len(r.undo) - 1; i >= 0; i-- {
 		op := r.undo[i]
 		if op.Del {
@@ -50,42 +55,54 @@ func (r *replica) resetStaging() {
 			r.db.Get(op.Pred).Delete(op.T)
 		}
 	}
+}
+
+// clearStaging forgets the current attempt's staging — after a rollback,
+// or at commit, when the staged changes become the committed state.
+func (r *replica) clearStaging() {
 	r.undo = nil
-	r.adds = map[string]*tset{}
-	r.dels = map[string]*tset{}
+	r.adds = datalog.NewDatabase()
+	r.dels = datalog.NewDatabase()
+	r.overlay = nil
 	r.pend = map[string][]datalog.Tuple{}
 	r.inbox = map[rkey][]xchMsg{}
 	r.await = map[rkey]int{}
 }
 
 // record books one realized change: the undo log gets the exact op, and
-// the net per-pred change sets absorb churn (delete of a tick-added tuple
-// cancels instead of accumulating).
+// the net per-pred change sets absorb churn (a delete of a tick-added
+// tuple, or an insert of a tick-deleted one, cancels instead of
+// accumulating).
 func (r *replica) record(del bool, pred string, t datalog.Tuple) {
 	r.undo = append(r.undo, datalog.DeltaOp{Del: del, Pred: pred, T: t})
+	gain, cancel := r.adds, r.dels
 	if del {
-		if a := r.adds[pred]; a != nil && a.has(t) {
-			a.remove(t)
-			return
-		}
-		d := r.dels[pred]
-		if d == nil {
-			d = newTset()
-			r.dels[pred] = d
-		}
-		d.add(t)
+		gain, cancel = r.dels, r.adds
+	}
+	if c := cancel.Get(pred); c != nil && c.Delete(t) {
 		return
 	}
-	if d := r.dels[pred]; d != nil && d.has(t) {
-		d.remove(t)
-		return
+	gain.Ensure(pred, len(t)).Insert(t)
+	if del && r.overlay != nil {
+		r.overlay.Add(pred, t)
 	}
-	a := r.adds[pred]
-	if a == nil {
-		a = newTset()
-		r.adds[pred] = a
+}
+
+// nonEmpty reports whether net holds any tuple of pred.
+func nonEmpty(net *datalog.Database, pred string) bool {
+	rel := net.Get(pred)
+	return rel != nil && rel.Len() > 0
+}
+
+// seedFrontier is a round-0 frontier: the tick's net changes to inputs.
+func seedFrontier(net *datalog.Database, inputs []string) map[string][]datalog.Tuple {
+	pend := map[string][]datalog.Tuple{}
+	for _, in := range inputs {
+		if nonEmpty(net, in) {
+			pend[in] = net.Get(in).Tuples()
+		}
 	}
-	a.add(t)
+	return pend
 }
 
 func (r *replica) name() string { return r.dep.replicaNames[r.self] }
@@ -124,7 +141,8 @@ func (r *replica) handleReq(from string, m req) {
 			r.reply(rsp{Tick: m.Tick, Att: m.Att, Kind: reqPrepare})
 			return
 		}
-		r.resetStaging()
+		r.rollback()
+		r.clearStaging()
 		r.curTick, r.curAtt = m.Tick, m.Att
 		r.reply(rsp{Tick: m.Tick, Att: m.Att, Kind: reqPrepare})
 	case reqCommit:
@@ -140,12 +158,7 @@ func (r *replica) handleReq(from string, m req) {
 		// staging.
 		if r.committed < m.Tick && r.curTick == m.Tick && r.curAtt == m.Att {
 			r.committed = m.Tick
-			r.undo = nil
-			r.adds = map[string]*tset{}
-			r.dels = map[string]*tset{}
-			r.pend = map[string][]datalog.Tuple{}
-			r.inbox = map[rkey][]xchMsg{}
-			r.await = map[rkey]int{}
+			r.clearStaging()
 		}
 		r.reply(rsp{Tick: m.Tick, Att: m.Att, Kind: reqCommit})
 	default:
@@ -166,12 +179,8 @@ func (r *replica) handleReq(from string, m req) {
 			c := r.dep.comps[m.Comp]
 			var hasAdd, hasDel bool
 			for _, in := range c.inputs {
-				if r.adds[in].len() > 0 {
-					hasAdd = true
-				}
-				if r.dels[in].len() > 0 {
-					hasDel = true
-				}
+				hasAdd = hasAdd || nonEmpty(r.adds, in)
+				hasDel = hasDel || nonEmpty(r.dels, in)
 			}
 			r.reply(rsp{Tick: m.Tick, Att: m.Att, Kind: reqCompBegin, Comp: m.Comp, HasAdd: hasAdd, HasDel: hasDel})
 		case reqRound:
@@ -204,44 +213,40 @@ func (r *replica) applyBase(ops []datalog.DeltaOp) {
 
 // runRound drives one exchange round of a monotone component phase: the
 // current frontier (seeded from the tick's net input changes on round 0)
-// is pushed through every rule position, emissions are grouped by owning
-// replica, remote batches go out as xch messages, and the local batch is
-// stashed in the inbox so apply-time ordering treats self like any peer.
+// is pushed through every rule position by the datalog drive (over-delete
+// rounds against the overlay of this tick's net deletions), emissions are
+// grouped by owning replica, remote batches go out as xch messages, and the
+// local batch is stashed in the inbox so apply-time ordering treats self
+// like any peer.
 func (r *replica) runRound(m req) {
 	c := r.dep.comps[m.Comp]
 	if m.Round == 0 {
+		r.overlay = nil
 		switch {
 		case m.Phase == phaseDelete:
-			r.pend = map[string][]datalog.Tuple{}
-			for _, in := range c.inputs {
-				if d := r.dels[in]; d.len() > 0 {
-					r.pend[in] = append([]datalog.Tuple(nil), d.ts...)
+			// Over-deletion joins against the pre-deletion view: the input
+			// deletions seed the overlay here and record grows it with every
+			// head the phase's apply barriers delete.
+			r.pend = seedFrontier(r.dels, c.inputs)
+			r.overlay = new(datalog.Overlay)
+			for pred, ts := range r.pend {
+				for _, t := range ts {
+					r.overlay.Add(pred, t)
 				}
 			}
 		case m.Phase == phaseInsert && m.SeedInputs:
-			r.pend = map[string][]datalog.Tuple{}
-			for _, in := range c.inputs {
-				if a := r.adds[in]; a.len() > 0 {
-					r.pend[in] = append([]datalog.Tuple(nil), a.ts...)
-				}
-			}
+			r.pend = seedFrontier(r.adds, c.inputs)
 		}
 		// phaseInsert without SeedInputs keeps the pend the rederive
 		// apply left behind; phaseRederive ignores pend entirely.
 	}
 
 	batches := make([][]xchItem, r.dep.place.N)
-	emitted := map[string]*tset{} // per-pred dedup of this round's emissions
+	emitted := datalog.NewDatabase() // per-pred dedup of this round's emissions
 	emit := func(pred string, del bool, t datalog.Tuple) {
-		e := emitted[pred]
-		if e == nil {
-			e = newTset()
-			emitted[pred] = e
-		}
-		if e.has(t) {
+		if !emitted.Ensure(pred, len(t)).Insert(t) {
 			return
 		}
-		e.add(t)
 		spec := r.dep.place.Specs[pred]
 		if spec.Mirrored {
 			// Local membership is authoritative for mirrored preds (all
@@ -260,20 +265,15 @@ func (r *replica) runRound(m req) {
 	}
 
 	del := m.Phase == phaseDelete
-	var overlay map[string]*tset
-	if del {
-		overlay = r.dels // pre-deletion view: net deletions so far this tick
-	}
 	for ri, rule := range c.rules {
+		emitHead := func(h datalog.Tuple) { emit(rule.Head.Pred, del, h) }
 		if m.Phase == phaseRederive {
 			// One full immediate-consequence pass over the post-deletion
 			// state, driven through body position 0's local extent.
 			lit := rule.Body[0]
 			frontier := r.db.Get(lit.Pred).Tuples()
 			frontier = r.filterDriven(c, ri, 0, frontier)
-			driveRule(r.db, rule, 0, frontier, nil, func(h datalog.Tuple) {
-				emit(rule.Head.Pred, false, h)
-			})
+			r.dep.prog.Drive(r.db, m.Comp, ri, 0, frontier, nil, emitHead)
 			continue
 		}
 		for i := range rule.Body {
@@ -282,9 +282,7 @@ func (r *replica) runRound(m req) {
 				continue
 			}
 			frontier = r.filterDriven(c, ri, i, frontier)
-			driveRule(r.db, rule, i, frontier, overlay, func(h datalog.Tuple) {
-				emit(rule.Head.Pred, del, h)
-			})
+			r.dep.prog.Drive(r.db, m.Comp, ri, i, frontier, r.overlay, emitHead)
 		}
 	}
 
@@ -305,11 +303,11 @@ func (r *replica) runRound(m req) {
 	r.reply(rsp{Tick: m.Tick, Att: m.Att, Kind: reqRound, Comp: m.Comp, Phase: m.Phase, Round: m.Round, SentTo: sentTo})
 }
 
-// filterDriven drops frontier tuples this replica must not drive: when the
-// driven predicate and all co-literals are mirrored, every replica holds
-// identical state and only the tuple's designated driver acts.
+// filterDriven drops frontier tuples this replica must not drive: when
+// every body literal of the rule is mirrored, every replica holds identical
+// state and only the tuple's designated driver acts.
 func (r *replica) filterDriven(c *compMeta, ri, pos int, frontier []datalog.Tuple) []datalog.Tuple {
-	if !c.drives[ri][pos].designatedOnly {
+	if !c.designated[ri] {
 		return frontier
 	}
 	var out []datalog.Tuple
@@ -396,16 +394,10 @@ func (r *replica) maybeApply(k rkey) {
 // can roll the attempt back.
 func (r *replica) recompute(m req) {
 	c := r.dep.comps[m.Comp]
-	old := map[string][]datalog.Tuple{}
-	oldSet := map[string]*tset{}
+	old := map[string]*datalog.Relation{}
 	for _, h := range c.heads {
 		rel := r.db.Get(h)
-		old[h] = rel.Tuples()
-		s := newTset()
-		for _, t := range old[h] {
-			s.add(t)
-		}
-		oldSet[h] = s
+		old[h] = rel.Clone()
 		rel.Clear()
 	}
 	if _, err := c.sub.Eval(r.db); err != nil {
@@ -416,13 +408,13 @@ func (r *replica) recompute(m req) {
 	}
 	for _, h := range c.heads {
 		rel := r.db.Get(h)
-		for _, t := range old[h] {
+		for _, t := range old[h].Tuples() {
 			if !rel.Contains(t) {
 				r.record(true, h, t)
 			}
 		}
 		for _, t := range rel.Tuples() {
-			if !oldSet[h].has(t) {
+			if !old[h].Contains(t) {
 				r.record(false, h, t)
 			}
 		}
