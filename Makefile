@@ -2,7 +2,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: build test vet ci bench bench-test benchdiff tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak
+.PHONY: build test vet ci orphans bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak
 
 build:
 	$(GO) build ./...
@@ -13,7 +13,7 @@ test:
 vet:
 	$(GO) vet ./...
 
-ci: build vet test bench-test
+ci: build vet orphans test bench-test
 
 # bench-test compiles and tests the nested bench/ module (own go.mod, so
 # `go build ./... && go test ./...` at the root never see it): a change to
@@ -22,18 +22,13 @@ ci: build vet test bench-test
 bench-test:
 	cd bench && $(GO) test ./...
 
-# bench runs every benchmark (root experiment wrappers + datalog micro
-# benchmarks) and records the parsed results in BENCH_1.json so the perf
-# trajectory is tracked PR over PR.
-bench:
-	$(GO) test -run '^$$' -bench . -benchmem ./... | tee /dev/stderr | $(GO) run ./cmd/benchtab -benchjson BENCH_1.json
-
-# benchdiff guards the perf trajectory: it re-runs every benchmark and
-# fails if any shared benchmark slowed down more than BENCHDIFF_THRESHOLD×
-# against the committed BENCH_1.json (see ROADMAP.md for the workflow).
-BENCHDIFF_THRESHOLD ?= 1.5
-benchdiff:
-	$(GO) test -run '^$$' -bench . -benchmem ./... | $(GO) run ./cmd/benchtab -benchdiff BENCH_1.json -threshold $(BENCHDIFF_THRESHOLD)
+# orphans fails if an internal/ package is on no path from a cmd/, an
+# example, the public hydro API or the bench/ module (ROADMAP aim 2):
+# code that only its own tests import gets wired in or deleted.
+orphans:
+	@comm -23 <($(GO) list ./internal/... | sort) \
+		<({ $(GO) list -deps ./cmd/... ./examples/... . ; cd bench && $(GO) list -deps ./... ; } | sort -u) \
+		| sed 's/^/orphan package: /' | (! grep .)
 
 tables:
 	$(GO) run ./cmd/benchtab -quick
@@ -86,11 +81,11 @@ soak: test-failover
 # serve-bench is the serving-path perf snapshot, now an A/B across the
 # pipelined and single-loop serving modes: the ingestion benchmarks
 # (per-message vs batched, BenchmarkServeSubmitPipeline vs
-# BenchmarkServeSubmitSingleLoop — both land in benchtab via `make bench`)
-# followed by two hydroload zipfian open-loop runs, pipelined and
-# -single-loop, each printing the enqueue→flush→eval→respond latency
-# breakdown plus the overlap metrics (eval busy / collect-wait /
-# handoff-block) and writing its per-request timing CSV.
+# BenchmarkServeSubmitSingleLoop) followed by two hydroload zipfian
+# open-loop runs, pipelined and -single-loop, each printing the
+# enqueue→flush→eval→respond latency breakdown plus the overlap metrics
+# (eval busy / collect-wait / handoff-block) and writing its per-request
+# timing CSV.
 HYDROLOAD_N ?= 20000
 HYDROLOAD_RATE ?= 50000
 HYDROLOAD_CSV ?= .testbin/hydroload-timings.csv

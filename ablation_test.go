@@ -9,8 +9,6 @@ import (
 
 	"hydro/internal/chestnut"
 	"hydro/internal/datalog"
-	"hydro/internal/flow"
-	"hydro/internal/lattice"
 	"hydro/internal/storage"
 )
 
@@ -62,71 +60,5 @@ func BenchmarkAblationDatalogScan(b *testing.B) {
 		for range r.Tuples() {
 			break
 		}
-	}
-}
-
-// Ablation: static (incremental) vs per-tick join state — Hydroflow's
-// 'static vs 'tick persistence choice (§8.1).
-func BenchmarkAblationJoinStatic(b *testing.B) {
-	benchJoin(b, flow.Static)
-}
-
-func BenchmarkAblationJoinPerTick(b *testing.B) {
-	benchJoin(b, flow.PerTick)
-}
-
-func benchJoin(b *testing.B, p flow.Persistence) {
-	g := flow.NewGraph()
-	l := g.NewSource("l")
-	r := g.NewSource("r")
-	j := g.Join(l.Handle, r.Handle, "j",
-		func(v flow.Row) any { return v.(int) % 64 },
-		func(v flow.Row) any { return v.(int) % 64 },
-		p)
-	g.ForEach(j, "sink", func(v flow.Row) {})
-	// Build side preloaded for the static case.
-	for i := 0; i < 512; i++ {
-		r.Push(i)
-	}
-	g.RunTick()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Push(i)
-		g.RunTick()
-	}
-}
-
-// Ablation: lattice-cell change suppression — emitting only on growth vs a
-// plain map stage that forwards every input (§8.1 lattice pipelining).
-func BenchmarkAblationLatticeCellSuppression(b *testing.B) {
-	g := flow.NewGraph()
-	src := g.NewSource("s")
-	m := flow.MergeFn{
-		Merge: func(a, c flow.Row) flow.Row { return a.(lattice.Max[int]).Merge(c.(lattice.Max[int])) },
-		Equal: func(a, c flow.Row) bool { return a.(lattice.Max[int]).Equal(c.(lattice.Max[int])) },
-	}
-	cell := g.NewLatticeCell(src.Handle, "max", lattice.NewMax(0), m, flow.Static)
-	downstream := 0
-	g.ForEach(cell.Handle, "sink", func(v flow.Row) { downstream++ })
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Dominated inputs: the cell suppresses all but the first.
-		src.Push(lattice.NewMax(0))
-		g.RunTick()
-	}
-	if downstream > 1 {
-		b.Fatalf("suppression failed: %d emissions", downstream)
-	}
-}
-
-func BenchmarkAblationNoSuppression(b *testing.B) {
-	g := flow.NewGraph()
-	src := g.NewSource("s")
-	forwarded := g.Map(src.Handle, "fwd", func(v flow.Row) flow.Row { return v })
-	g.ForEach(forwarded, "sink", func(v flow.Row) {})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src.Push(lattice.NewMax(0))
-		g.RunTick()
 	}
 }

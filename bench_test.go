@@ -286,8 +286,7 @@ func tickSmallDelta(b *testing.B, incremental bool) {
 }
 
 // BenchmarkTickSmallDeltaFullEval / BenchmarkTickSmallDeltaIncremental:
-// the headline pair of this PR (ISSUE 2); BENCH_1.json records both so the
-// perf trajectory tracks full vs incremental tick costs.
+// full vs incremental tick cost on a small delta over a large database.
 func BenchmarkTickSmallDeltaFullEval(b *testing.B)    { tickSmallDelta(b, false) }
 func BenchmarkTickSmallDeltaIncremental(b *testing.B) { tickSmallDelta(b, true) }
 

@@ -1,6 +1,4 @@
-// Command benchtab regenerates every experiment table from DESIGN.md §4,
-// and converts `go test -bench` output into the JSON benchmark record the
-// perf trajectory is tracked with.
+// Command benchtab regenerates every experiment table from DESIGN.md §4.
 //
 // Usage:
 //
@@ -8,108 +6,18 @@
 //	benchtab -exp=E3    # run one
 //	benchtab -quick     # smaller parameters (CI-friendly)
 //
-//	go test -run '^$' -bench . -benchmem ./... | benchtab -benchjson BENCH_1.json
-//	go test -run '^$' -bench . -benchmem ./... | benchtab -benchdiff BENCH_1.json -threshold 1.5
-//
 //	hydroload -csv timings.csv && benchtab -timings timings.csv
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"hydro/internal/experiments"
 	"hydro/internal/serve"
 )
-
-// benchResult is one parsed benchmark line.
-type benchResult struct {
-	Name        string             `json:"name"`
-	Pkg         string             `json:"pkg,omitempty"`
-	Iterations  int64              `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op,omitempty"`
-	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
-	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"`
-}
-
-// parseBench reads `go test -bench` output and extracts benchmark lines.
-// Lines look like:
-//
-//	BenchmarkFoo-8   123   456 ns/op   789 B/op   12 allocs/op   3.4 custom/metric
-func parseBench(r *bufio.Scanner) ([]benchResult, error) {
-	var out []benchResult
-	pkg := ""
-	for r.Scan() {
-		line := strings.TrimSpace(r.Text())
-		if rest, ok := strings.CutPrefix(line, "pkg: "); ok {
-			pkg = rest
-			continue
-		}
-		if !strings.HasPrefix(line, "Benchmark") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 3 {
-			continue
-		}
-		iters, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			continue // e.g. a "Benchmark...: output" log line
-		}
-		res := benchResult{Name: fields[0], Pkg: pkg, Iterations: iters}
-		if i := strings.LastIndexByte(res.Name, '-'); i > 0 {
-			// Strip the -GOMAXPROCS suffix.
-			if _, err := strconv.Atoi(res.Name[i+1:]); err == nil {
-				res.Name = res.Name[:i]
-			}
-		}
-		// Remaining fields come in (value, unit) pairs.
-		for i := 2; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad value %q in %q", fields[i], line)
-			}
-			switch unit := fields[i+1]; unit {
-			case "ns/op":
-				res.NsPerOp = v
-			case "B/op":
-				res.BytesPerOp = v
-			case "allocs/op":
-				res.AllocsPerOp = v
-			default:
-				if res.Metrics == nil {
-					res.Metrics = map[string]float64{}
-				}
-				res.Metrics[unit] = v
-			}
-		}
-		out = append(out, res)
-	}
-	return out, r.Err()
-}
-
-func writeBenchJSON(path string) error {
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	results, err := parseBench(sc)
-	if err != nil {
-		return err
-	}
-	if len(results) == 0 {
-		return fmt.Errorf("no benchmark lines on stdin")
-	}
-	data, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
 
 // summarizeTimings re-renders the summary table for a per-request timing
 // CSV written by `hydroload -csv` — the offline half of the serving
@@ -128,103 +36,14 @@ func summarizeTimings(path string) error {
 	return nil
 }
 
-// diffBench compares a fresh bench run (stdin) against the committed
-// baseline JSON and fails when any shared benchmark slowed down by more
-// than the threshold factor. Allocation deltas (allocs/op) are reported
-// alongside the timings for visibility — allocation-rate changes predict
-// GC-bound regressions before wall-clock shows them on noisy runners —
-// but only ns/op gates the run. Benchmarks present on only one side are
-// reported but never fail the run (they are new or retired, not
-// regressed).
-func diffBench(baselinePath string, threshold float64) error {
-	data, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return err
-	}
-	var baseline []benchResult
-	if err := json.Unmarshal(data, &baseline); err != nil {
-		return fmt.Errorf("parsing %s: %w", baselinePath, err)
-	}
-	base := map[string]benchResult{}
-	for _, r := range baseline {
-		base[r.Pkg+"."+r.Name] = r
-	}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	fresh, err := parseBench(sc)
-	if err != nil {
-		return err
-	}
-	if len(fresh) == 0 {
-		return fmt.Errorf("no benchmark lines on stdin")
-	}
-	var regressions []string
-	seen := map[string]bool{}
-	for _, r := range fresh {
-		key := r.Pkg + "." + r.Name
-		seen[key] = true
-		b, ok := base[key]
-		if !ok {
-			fmt.Printf("NEW   %-50s %12.0f ns/op\n", key, r.NsPerOp)
-			continue
-		}
-		if b.NsPerOp <= 0 || r.NsPerOp <= 0 {
-			continue // metric-only benchmarks carry no timing to compare
-		}
-		ratio := r.NsPerOp / b.NsPerOp
-		status := "ok"
-		if ratio > threshold {
-			status = "SLOW"
-			regressions = append(regressions, fmt.Sprintf("%s: %.0f → %.0f ns/op (%.2f× > %.2f×)",
-				key, b.NsPerOp, r.NsPerOp, ratio, threshold))
-		}
-		allocs := ""
-		if b.AllocsPerOp > 0 && r.AllocsPerOp > 0 {
-			allocs = fmt.Sprintf("  %.0f → %.0f allocs/op (%.2f×)",
-				b.AllocsPerOp, r.AllocsPerOp, r.AllocsPerOp/b.AllocsPerOp)
-		}
-		fmt.Printf("%-5s %-50s %12.0f → %12.0f ns/op  (%.2f×)%s\n", status, key, b.NsPerOp, r.NsPerOp, ratio, allocs)
-	}
-	for key := range base {
-		if !seen[key] {
-			fmt.Printf("GONE  %s\n", key)
-		}
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed past %.2f×:\n  %s",
-			len(regressions), threshold, strings.Join(regressions, "\n  "))
-	}
-	fmt.Printf("benchdiff: no regression past %.2f× against %s\n", threshold, baselinePath)
-	return nil
-}
-
 func main() {
 	exp := flag.String("exp", "", "experiment ID to run (default: all)")
 	quick := flag.Bool("quick", false, "smaller parameters")
-	benchjson := flag.String("benchjson", "", "write benchmarks parsed from 'go test -bench' stdin to this JSON `file`")
-	benchdiff := flag.String("benchdiff", "", "compare benchmarks parsed from 'go test -bench' stdin against this baseline JSON `file`; exit non-zero on regression")
-	threshold := flag.Float64("threshold", 1.5, "slowdown factor tolerated by -benchdiff before failing")
 	timings := flag.String("timings", "", "summarize a hydroload per-request timing CSV `file` (p50/p90/p99 per phase)")
 	flag.Parse()
 
 	if *timings != "" {
 		if err := summarizeTimings(*timings); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *benchjson != "" {
-		if err := writeBenchJSON(*benchjson); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *benchjson)
-		return
-	}
-	if *benchdiff != "" {
-		if err := diffBench(*benchdiff, *threshold); err != nil {
 			fmt.Fprintln(os.Stderr, "benchtab:", err)
 			os.Exit(1)
 		}

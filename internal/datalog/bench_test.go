@@ -330,7 +330,7 @@ func BenchmarkEvalParallelSerial(b *testing.B) { evalParallel(b, 1) }
 
 // Auto follows GOMAXPROCS (on a single-CPU host it degrades to the serial
 // path); Workers8 forces the scheduled path so its overhead stays visible
-// in BENCH_1.json even where no parallel speedup is available.
+// even where no parallel speedup is available.
 func BenchmarkEvalParallelAuto(b *testing.B)     { evalParallel(b, 0) }
 func BenchmarkEvalParallelWorkers8(b *testing.B) { evalParallel(b, 8) }
 

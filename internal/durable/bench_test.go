@@ -159,8 +159,8 @@ func BenchmarkRecoveryColdRecompute(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotWrite: cost of one full snapshot (state capture, B-tree
-// staging, encode, write, rotate) at the bench database size.
+// BenchmarkSnapshotWrite: cost of one full snapshot (state capture, encode,
+// write, rotate) at the bench database size.
 func BenchmarkSnapshotWrite(b *testing.B) {
 	fs := NewFaultFS()
 	s, err := Open(Options{FS: fs, SnapshotEveryRecords: 1 << 30})

@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"hydro/internal/datalog"
-	"hydro/internal/storage"
 )
 
 // SyncPolicy picks the durability/throughput trade-off for changelog
@@ -380,8 +379,8 @@ func (s *Store) Committed(inc *datalog.Incremental) error {
 // Snapshot persists inc's full state (covering every tick appended so far)
 // and rotates the changelog:
 //
-//  1. stage the fixpoint state into the Storage backend and stream it to a
-//     temp file, fsync, close;
+//  1. encode the fixpoint state and write the image to a temp file, fsync,
+//     close;
 //  2. rename it over the live snapshot and fsync the directory — the
 //     commit point;
 //  3. rotate: write a fresh changelog (header only, base = snapshot seq) to
@@ -400,15 +399,15 @@ func (s *Store) Snapshot(inc *datalog.Incremental) error {
 		return err
 	}
 	seq := s.lastSeq
-	st := storage.NewBTree()
-	if err := stageState(st, seq, fx); err != nil {
+	img, err := encodeSnapshot(seq, fx)
+	if err != nil {
 		return err
 	}
 	f, err := s.fs.Create(snapTmpName)
 	if err != nil {
 		return s.fail(err)
 	}
-	if _, err := f.Write(encodeSnapshot(st)); err != nil {
+	if _, err := f.Write(img); err != nil {
 		f.Close()
 		return s.fail(err)
 	}
@@ -492,16 +491,15 @@ type Info struct {
 func Inspect(fs FS) (*Info, error) {
 	info := &Info{}
 	if data, err := fs.ReadFile(snapName); err == nil {
-		st, derr := decodeSnapshot(data)
-		if derr != nil {
+		var derr error
+		if info.SnapshotSeq, _, derr = unstageBytes(data); derr != nil {
 			return nil, derr
 		}
-		if info.SnapshotSeq, _, derr = unstageState(st); derr != nil {
+		if derr = forEachSnapEntry(data, func(_, _ []byte) error { info.SnapshotEntries++; return nil }); derr != nil {
 			return nil, derr
 		}
 		info.HasSnapshot = true
 		info.SnapshotBytes = int64(len(data))
-		info.SnapshotEntries = st.Len()
 	} else if !os.IsNotExist(err) {
 		return nil, err
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"hydro/internal/datalog"
-	"hydro/internal/storage"
 )
 
 // testProgram is the persistence-relevant program pair: a recursive closure
@@ -80,11 +79,11 @@ func stateImage(t testing.TB, inc *datalog.Incremental, seq uint64) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := storage.NewBTree()
-	if err := stageState(st, seq, fx); err != nil {
+	img, err := encodeSnapshot(seq, fx)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return encodeSnapshot(st)
+	return img
 }
 
 func ins(pred string, vals ...any) datalog.DeltaOp {

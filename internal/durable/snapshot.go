@@ -5,20 +5,15 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"hydro/internal/datalog"
-	"hydro/internal/storage"
 )
 
-// Snapshots are staged through the Storage interface — an ordered key-value
-// container — before touching the file system, and decoded back through one
-// on recovery. internal/storage's B+-tree is the first backend (its ordered
-// Scan is what streams the file deterministically); a paged or
-// larger-than-memory backend can slot in behind the same five methods.
-//
-// Keyspace (lexicographic order is the file order):
+// A snapshot is an ordered run of key-value entries; lexicographic key
+// order is the file order:
 //
 //	c/<pred>/<index %010d>  → tuple ‖ uvarint count   (derivation counts)
 //	m/seq                   → uvarint seq              (last seq covered)
@@ -32,160 +27,90 @@ import (
 // snapshot or the new one, never a hybrid; the CRC rejects any torn temp
 // file that was renamed by a buggy layer anyway.
 
-// Storage is the ordered key-value staging area a snapshot is built in and
-// decoded from. *storage.BTree satisfies it.
-type Storage interface {
-	Put(key string, val any)
-	Get(key string) (any, bool)
-	Delete(key string) bool
-	Scan(startKey, endKey string, f func(key string, val any) bool)
-	Len() int
-}
-
-var _ Storage = (*storage.BTree)(nil)
-
 const (
 	snapName    = "snapshot.snap"
 	snapTmpName = "snapshot.snap.tmp"
 	snapMagic   = "HYSNAP1\n"
 )
 
-// stageState lays a fixpoint state (plus the seq it covers) into st.
-func stageState(st Storage, seq uint64, fx *datalog.FixpointState) error {
-	st.Put("m/seq", binary.AppendUvarint(nil, seq))
-	for _, rs := range fx.Relations {
+// snapGroup is a run of entries adjacent in key order: the indexed entries
+// under one "c/<pred>/" or "t/<name>/" prefix, or a single whole key.
+type snapGroup struct {
+	prefix  string
+	indexed bool
+	n       int
+	value   func(b []byte, i int) ([]byte, error) // appends entry i's value to b
+}
+
+// encodeSnapshot serializes a fixpoint state (plus the seq it covers) to
+// the on-disk image (CRC-trailed). No prefix is a prefix of another (names
+// hold no '/'), so each group's keys are contiguous in key order and sorting
+// the prefixes, then emitting each group by index, writes the file in key
+// order. That is not State() order: "t/a.b/" sorts before "t/a/" although
+// "r/a" sorts before "r/a.b" ('.' < '/').
+func encodeSnapshot(seq uint64, fx *datalog.FixpointState) ([]byte, error) {
+	uvarint := func(x uint64) func([]byte, int) ([]byte, error) {
+		return func(b []byte, _ int) ([]byte, error) { return binary.AppendUvarint(b, x), nil }
+	}
+	groups := []snapGroup{{prefix: "m/seq", n: 1, value: uvarint(seq)}}
+	for i := range fx.Relations {
+		rs := &fx.Relations[i]
 		if strings.ContainsRune(rs.Name, '/') {
-			return fmt.Errorf("durable: relation name %q contains '/'", rs.Name)
+			return nil, fmt.Errorf("durable: relation name %q contains '/'", rs.Name)
 		}
-		st.Put("r/"+rs.Name, binary.AppendUvarint(nil, uint64(rs.Arity)))
-		for i, t := range rs.Tuples {
-			b, err := appendTuple(nil, t)
-			if err != nil {
-				return err
-			}
-			st.Put(fmt.Sprintf("t/%s/%010d", rs.Name, i), b)
-		}
+		groups = append(groups,
+			snapGroup{prefix: "r/" + rs.Name, n: 1, value: uvarint(uint64(rs.Arity))},
+			snapGroup{prefix: "t/" + rs.Name + "/", indexed: true, n: len(rs.Tuples),
+				value: func(b []byte, i int) ([]byte, error) { return appendTuple(b, rs.Tuples[i]) }})
 	}
-	for _, cs := range fx.Counts {
-		for i, e := range cs.Entries {
-			b, err := appendTuple(nil, e.Tuple)
-			if err != nil {
-				return err
-			}
-			b = binary.AppendUvarint(b, uint64(e.Count))
-			st.Put(fmt.Sprintf("c/%s/%010d", cs.Pred, i), b)
-		}
+	for i := range fx.Counts {
+		cs := &fx.Counts[i]
+		groups = append(groups, snapGroup{prefix: "c/" + cs.Pred + "/", indexed: true, n: len(cs.Entries),
+			value: func(b []byte, i int) ([]byte, error) {
+				b, err := appendTuple(b, cs.Entries[i].Tuple)
+				if err != nil {
+					return nil, err
+				}
+				return binary.AppendUvarint(b, uint64(cs.Entries[i].Count)), nil
+			}})
 	}
-	return nil
-}
+	slices.SortFunc(groups, func(a, b snapGroup) int { return strings.Compare(a.prefix, b.prefix) })
 
-// unstageState rebuilds a fixpoint state from a staged snapshot.
-func unstageState(st Storage) (seq uint64, fx *datalog.FixpointState, err error) {
-	fx = &datalog.FixpointState{}
-	rels := map[string]*datalog.RelationState{}
-	counts := map[string]*datalog.CountsState{}
-	var names, countPreds []string
-	st.Scan("", "", func(key string, val any) bool {
-		b, ok := val.([]byte)
-		if !ok {
-			err = fmt.Errorf("durable: snapshot key %q holds %T, not bytes", key, val)
-			return false
-		}
-		switch {
-		case key == "m/seq":
-			seq, _ = binary.Uvarint(b)
-		case strings.HasPrefix(key, "r/"):
-			name := key[2:]
-			arity, _ := binary.Uvarint(b)
-			rels[name] = &datalog.RelationState{Name: name, Arity: int(arity)}
-			names = append(names, name)
-		case strings.HasPrefix(key, "t/"):
-			name, _, ok := splitIndexedKey(key[2:])
-			if !ok || rels[name] == nil {
-				err = fmt.Errorf("durable: tuple key %q has no relation header", key)
-				return false
-			}
-			t, rest, terr := readTuple(b)
-			if terr != nil || len(rest) != 0 {
-				err = fmt.Errorf("durable: snapshot tuple %q: %v", key, terr)
-				return false
-			}
-			// Scan order is key order, and the zero-padded index makes key
-			// order insertion order.
-			rels[name].Tuples = append(rels[name].Tuples, t)
-		case strings.HasPrefix(key, "c/"):
-			pred, _, ok := splitIndexedKey(key[2:])
-			if !ok {
-				err = fmt.Errorf("durable: malformed count key %q", key)
-				return false
-			}
-			t, rest, terr := readTuple(b)
-			if terr != nil {
-				err = fmt.Errorf("durable: snapshot count %q: %v", key, terr)
-				return false
-			}
-			n, sz := binary.Uvarint(rest)
-			if sz <= 0 || sz != len(rest) {
-				err = fmt.Errorf("durable: malformed count value for %q", key)
-				return false
-			}
-			if counts[pred] == nil {
-				counts[pred] = &datalog.CountsState{Pred: pred}
-				countPreds = append(countPreds, pred)
-			}
-			counts[pred].Entries = append(counts[pred].Entries, datalog.CountEntry{Tuple: t, Count: int(n)})
-		default:
-			err = fmt.Errorf("durable: unknown snapshot key %q", key)
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return 0, nil, err
-	}
-	sort.Strings(names) // datalog.State() order: sorted relation names
-	for _, n := range names {
-		rs := rels[n]
-		if len(rs.Tuples) == 0 {
-			rs.Tuples = nil
-		}
-		fx.Relations = append(fx.Relations, *rs)
-	}
-	sort.Strings(countPreds)
-	for _, p := range countPreds {
-		fx.Counts = append(fx.Counts, *counts[p])
-	}
-	return seq, fx, nil
-}
-
-// splitIndexedKey splits "<name>/<index>" on the LAST slash (relation names
-// never contain one; stageState enforces that).
-func splitIndexedKey(s string) (name, idx string, ok bool) {
-	i := strings.LastIndexByte(s, '/')
-	if i < 0 {
-		return "", "", false
-	}
-	return s[:i], s[i+1:], true
-}
-
-// encodeSnapshot serializes a staged Storage to the on-disk image
-// (CRC-trailed).
-func encodeSnapshot(st Storage) []byte {
 	b := []byte(snapMagic)
-	st.Scan("", "", func(key string, val any) bool {
-		b = appendString(b, key)
-		vb := val.([]byte)
-		b = binary.AppendUvarint(b, uint64(len(vb)))
-		b = append(b, vb...)
-		return true
-	})
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
+	var key, val []byte
+	var err error
+	for _, g := range groups {
+		for i := 0; i < g.n; i++ {
+			key = append(key[:0], g.prefix...)
+			if g.indexed {
+				key = appendIndex(key, i)
+			}
+			if val, err = g.value(val[:0], i); err != nil {
+				return nil, err
+			}
+			b = binary.AppendUvarint(b, uint64(len(key)))
+			b = append(b, key...)
+			b = binary.AppendUvarint(b, uint64(len(val)))
+			b = append(b, val...)
+		}
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable)), nil
+}
+
+// appendIndex appends i zero-padded to ten digits (fmt's %010d), which
+// makes key order within a group insertion order.
+func appendIndex(b []byte, i int) []byte {
+	var d [20]byte
+	digits := strconv.AppendInt(d[:0], int64(i), 10)
+	for n := len(digits); n < 10; n++ {
+		b = append(b, '0')
+	}
+	return append(b, digits...)
 }
 
 // forEachSnapEntry verifies a snapshot image (magic + CRC) and streams its
-// entries in file order — the recovery fast path, which must not pay for
-// staging 10k+ entries through a B-tree it will immediately tear back down.
-// key and val alias data; the callback must not retain them.
+// entries in file order. key and val alias data; the callback must not
+// retain them.
 func forEachSnapEntry(data []byte, f func(key, val []byte) error) error {
 	if len(data) < len(snapMagic)+4 {
 		return fmt.Errorf("durable: snapshot too short (%d bytes)", len(data))
@@ -241,14 +166,13 @@ func snapSeqOf(data []byte) (uint64, error) {
 	return seq, nil
 }
 
-// unstageBytes rebuilds a FixpointState straight from a snapshot image.
-// Entries arrive in key order, which the zero-padded indexes make exactly
-// the order State() emits: relations sorted by name, tuples in insertion
-// order, count entries first-seen. So the state is assembled append-only,
-// no sorting, no intermediate Storage.
+// unstageBytes rebuilds a FixpointState from a snapshot image, append-only:
+// every 'r/' header precedes every 't/' entry, headers arrive sorted by
+// name (State()'s relation order), and the zero-padded indexes deliver each
+// group's tuples in insertion order and its count entries first-seen.
 func unstageBytes(data []byte) (seq uint64, fx *datalog.FixpointState, err error) {
 	fx = &datalog.FixpointState{}
-	relIdx := -1 // cursor into fx.Relations for the open 't/' group
+	relIdx := -1 // fx.Relations index of the open 't/' group
 	var arena tupleArena
 	err = forEachSnapEntry(data, func(key, val []byte) error {
 		if len(key) < 2 || key[1] != '/' {
@@ -269,14 +193,12 @@ func unstageBytes(data []byte) (seq uint64, fx *datalog.FixpointState, err error
 				return fmt.Errorf("durable: malformed tuple key %q", key)
 			}
 			name := key[2 : 2+i]
-			// Every 'r/' header sorts before every 't/' entry, and tuple
-			// groups arrive in the headers' name order, so the group's
-			// relation is found by advancing the cursor (string(name) in a
-			// comparison does not allocate).
+			// Tuple groups do not arrive in header order ("t/a.b/" sorts
+			// before "t/a/"), so a new group finds its relation by name
+			// (string(name) in a comparison does not allocate).
 			if relIdx < 0 || fx.Relations[relIdx].Name != string(name) {
-				for relIdx++; relIdx < len(fx.Relations) && fx.Relations[relIdx].Name != string(name); relIdx++ {
-				}
-				if relIdx >= len(fx.Relations) {
+				relIdx = slices.IndexFunc(fx.Relations, func(rs datalog.RelationState) bool { return rs.Name == string(name) })
+				if relIdx < 0 {
 					return fmt.Errorf("durable: tuple key %q has no relation header", key)
 				}
 			}
@@ -313,34 +235,4 @@ func unstageBytes(data []byte) (seq uint64, fx *datalog.FixpointState, err error
 		return 0, nil, err
 	}
 	return seq, fx, nil
-}
-
-// decodeSnapshot verifies a snapshot image and loads it into a fresh
-// B-tree-backed Storage.
-func decodeSnapshot(data []byte) (Storage, error) {
-	if len(data) < len(snapMagic)+4 {
-		return nil, fmt.Errorf("durable: snapshot too short (%d bytes)", len(data))
-	}
-	if string(data[:len(snapMagic)]) != snapMagic {
-		return nil, fmt.Errorf("durable: bad snapshot magic")
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(tail) {
-		return nil, fmt.Errorf("durable: snapshot CRC mismatch")
-	}
-	st := storage.NewBTree()
-	b := body[len(snapMagic):]
-	for len(b) > 0 {
-		key, rest, err := readString(b)
-		if err != nil {
-			return nil, fmt.Errorf("durable: snapshot entry: %w", err)
-		}
-		n, sz := binary.Uvarint(rest)
-		if sz <= 0 || uint64(len(rest)-sz) < n {
-			return nil, fmt.Errorf("durable: snapshot entry %q: truncated value", key)
-		}
-		st.Put(key, append([]byte(nil), rest[sz:sz+int(n)]...))
-		b = rest[sz+int(n):]
-	}
-	return st, nil
 }

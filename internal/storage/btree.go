@@ -7,10 +7,7 @@ package storage
 
 import "sort"
 
-const (
-	btreeOrder = 32             // max keys per node
-	btMinKeys  = btreeOrder / 2 // min keys per non-root node after rebalancing
-)
+const btreeOrder = 32 // max keys per node
 
 // BTree is an in-memory B+-tree keyed by string with opaque values. Leaves
 // are linked for range scans.
@@ -126,110 +123,6 @@ func (n *btNode) splitInternal() (string, *btNode) {
 	n.keys = n.keys[:mid]
 	n.children = n.children[:mid+1]
 	return sep, right
-}
-
-// Delete removes key, returning whether it was present. Underflowing nodes
-// are rebalanced on the way back up — borrow from a sibling that can spare
-// a key, else merge with one (splicing the leaf chain) — and an internal
-// root left with a single child drops a level, so occupancy stays ≥
-// btMinKeys per non-root node and depth tracks size in both directions.
-func (t *BTree) Delete(key string) bool {
-	if !t.root.delete(key, t) {
-		return false
-	}
-	for !t.root.leaf && len(t.root.children) == 1 {
-		t.root = t.root.children[0] // root collapse
-	}
-	return true
-}
-
-func (n *btNode) delete(key string, t *BTree) bool {
-	if n.leaf {
-		i := sort.SearchStrings(n.keys, key)
-		if i >= len(n.keys) || n.keys[i] != key {
-			return false
-		}
-		n.keys = append(n.keys[:i], n.keys[i+1:]...)
-		n.values = append(n.values[:i], n.values[i+1:]...)
-		t.size--
-		return true
-	}
-	ci := childIndex(n.keys, key)
-	if !n.children[ci].delete(key, t) {
-		return false
-	}
-	n.rebalanceChild(ci)
-	return true
-}
-
-// rebalanceChild restores the occupancy invariant for children[ci] after a
-// deletion below it. Separators above a deleted key may go stale; that is
-// harmless — they remain valid navigation bounds (the deleted key's former
-// subtree still holds exactly the keys ≥ the separator).
-func (n *btNode) rebalanceChild(ci int) {
-	c := n.children[ci]
-	if len(c.keys) >= btMinKeys {
-		return
-	}
-	if ci > 0 && len(n.children[ci-1].keys) > btMinKeys {
-		// Borrow from the left sibling: its last key moves over; internal
-		// nodes rotate through the separator.
-		l := n.children[ci-1]
-		last := len(l.keys) - 1
-		if c.leaf {
-			c.keys = append([]string{l.keys[last]}, c.keys...)
-			c.values = append([]any{l.values[last]}, c.values...)
-			l.keys, l.values = l.keys[:last], l.values[:last]
-			n.keys[ci-1] = c.keys[0]
-		} else {
-			c.keys = append([]string{n.keys[ci-1]}, c.keys...)
-			c.children = append([]*btNode{l.children[last+1]}, c.children...)
-			n.keys[ci-1] = l.keys[last]
-			l.keys, l.children = l.keys[:last], l.children[:last+1]
-		}
-		return
-	}
-	if ci < len(n.children)-1 && len(n.children[ci+1].keys) > btMinKeys {
-		// Borrow from the right sibling: its first key moves over.
-		r := n.children[ci+1]
-		if c.leaf {
-			c.keys = append(c.keys, r.keys[0])
-			c.values = append(c.values, r.values[0])
-			r.keys = append(r.keys[:0], r.keys[1:]...)
-			r.values = append(r.values[:0], r.values[1:]...)
-			n.keys[ci] = r.keys[0]
-		} else {
-			c.keys = append(c.keys, n.keys[ci])
-			c.children = append(c.children, r.children[0])
-			n.keys[ci] = r.keys[0]
-			r.keys = append(r.keys[:0], r.keys[1:]...)
-			r.children = append(r.children[:0], r.children[1:]...)
-		}
-		return
-	}
-	// No sibling can spare a key: merge with one (left-preferring). Both
-	// nodes are at or below minimum, so the result never overflows (leaf:
-	// ≤ 2·min-1; internal: ≤ 2·min keys including the pulled-down
-	// separator).
-	li := ci
-	if li > 0 {
-		li--
-	}
-	if li == len(n.children)-1 {
-		return // single child: only legal at the root, which collapses
-	}
-	l, r := n.children[li], n.children[li+1]
-	if l.leaf {
-		l.keys = append(l.keys, r.keys...)
-		l.values = append(l.values, r.values...)
-		l.next = r.next
-	} else {
-		l.keys = append(l.keys, n.keys[li])
-		l.keys = append(l.keys, r.keys...)
-		l.children = append(l.children, r.children...)
-	}
-	n.keys = append(n.keys[:li], n.keys[li+1:]...)
-	n.children = append(n.children[:li+1], n.children[li+2:]...)
 }
 
 // Scan visits all (key, value) pairs with startKey <= key < endKey in key
