@@ -2,7 +2,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: build test vet ci orphans bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak
+.PHONY: build test vet ci orphans datalog-serial bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak
 
 build:
 	$(GO) build ./...
@@ -13,7 +13,7 @@ test:
 vet:
 	$(GO) vet ./...
 
-ci: build vet orphans test bench-test
+ci: build vet orphans datalog-serial test bench-test
 
 # bench-test compiles and tests the nested bench/ module (own go.mod, so
 # `go build ./... && go test ./...` at the root never see it): a change to
@@ -29,6 +29,12 @@ orphans:
 	@comm -23 <($(GO) list ./internal/... | sort) \
 		<({ $(GO) list -deps ./cmd/... ./examples/... . ; cd bench && $(GO) list -deps ./... ; } | sort -u) \
 		| sed 's/^/orphan package: /' | (! grep .)
+
+# datalog-serial fails if internal/datalog stops being single-threaded by
+# construction: a go statement, or a runtime / sync/atomic import, in a
+# non-test file (DESIGN.md §8, "One evaluator thread").
+datalog-serial:
+	@! grep -nE --exclude='*_test.go' '^[[:space:]]*go[[:space:]]|"runtime"|"sync/atomic"' internal/datalog/*.go
 
 tables:
 	$(GO) run ./cmd/benchtab -quick

@@ -83,6 +83,11 @@ func main() {
 		ran = true
 	}
 	if !ran {
-		fmt.Printf("unknown experiment %q; known: E1..E14, E5b\n", *exp)
+		known := make([]string, len(runs))
+		for i, r := range runs {
+			known[i] = r.id
+		}
+		fmt.Fprintf(os.Stderr, "benchtab: unknown experiment %q; known: %s\n", *exp, strings.Join(known, ", "))
+		os.Exit(2)
 	}
 }

@@ -10,8 +10,8 @@ import (
 // the pieces this package optimizes: hash-native insert/probe, incremental
 // index maintenance under deletes, compiled plans vs interpretive walks.
 
-func tcProgram(b *testing.B) *Program {
-	b.Helper()
+func tcProgram(tb testing.TB) *Program {
+	tb.Helper()
 	p, err := NewProgram(
 		Rule{
 			Head: Atom{Pred: "path", Args: []Term{V("x"), V("y")}},
@@ -26,7 +26,7 @@ func tcProgram(b *testing.B) *Program {
 		},
 	)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return p
 }
@@ -282,57 +282,54 @@ func tickDeleteCascade(b *testing.B, n int) {
 func BenchmarkTickDeleteCascadeSmall(b *testing.B) { tickDeleteCascade(b, 64) }
 func BenchmarkTickDeleteCascadeLarge(b *testing.B) { tickDeleteCascade(b, 384) }
 
-// evalParallel evaluates a program of 8 independent transitive closures
-// (disjoint edge relations) — a component DAG with a wide level — under
-// the given scheduler parallelism. Serial vs Auto is the component
-// scheduler's speedup on embarrassingly parallel programs.
-func evalParallel(b *testing.B, workers int) {
-	const comps = 8
-	var rules []Rule
-	for c := 0; c < comps; c++ {
-		e, pth := fmt.Sprintf("edge%d", c), fmt.Sprintf("path%d", c)
-		rules = append(rules,
-			Rule{
-				Head: Atom{Pred: pth, Args: []Term{V("x"), V("y")}},
-				Body: []Literal{{Atom: Atom{Pred: e, Args: []Term{V("x"), V("y")}}}},
-			},
-			Rule{
-				Head: Atom{Pred: pth, Args: []Term{V("x"), V("z")}},
-				Body: []Literal{
-					{Atom: Atom{Pred: pth, Args: []Term{V("x"), V("y")}}},
-					{Atom: Atom{Pred: e, Args: []Term{V("y"), V("z")}}},
-				},
-			},
-		)
-	}
-	p, err := NewProgram(rules...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p.SetParallelism(workers)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		db := NewDatabase()
-		for c := 0; c < comps; c++ {
-			e := db.Ensure(fmt.Sprintf("edge%d", c), 2)
-			for j := int64(0); j < 64; j++ {
-				e.Insert(Tuple{j, j + 1})
-			}
-		}
+// TestDeleteCascadeMatchesEval checks what tickDeleteCascade only times:
+// after the mid-chain retract, and again after the restore, the maintained
+// database equals a from-scratch Eval and the realized change count is the
+// closure difference — the (n/2+1)·(n-n/2) paths that cross the edge.
+func TestDeleteCascadeMatchesEval(t *testing.T) {
+	const n = 64
+	p := tcProgram(t)
+	mid := Tuple{int64(n / 2), int64(n/2 + 1)}
+	full, cut := chainDB(n), chainDB(n)
+	cut.Get("edge").Delete(mid)
+	for _, db := range []*Database{full, cut} {
 		if _, err := p.Eval(db); err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
+		}
+	}
+	crossing := full.Get("path").Len() - cut.Get("path").Len()
+	if want := (n/2 + 1) * (n - n/2); crossing != want {
+		t.Fatalf("closure difference = %d, want %d", crossing, want)
+	}
+	inc, err := NewIncremental(p, chainDB(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge := inc.DB().Get("edge")
+	for _, step := range []struct {
+		label string
+		want  *Database
+	}{{"retract", cut}, {"restore", full}} {
+		d := NewDelta()
+		if step.want == cut {
+			edge.Delete(mid)
+			d.Delete("edge", mid)
+		} else {
+			edge.Insert(mid)
+			d.Insert("edge", mid)
+		}
+		got, err := inc.Apply(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != crossing {
+			t.Fatalf("%s realized %d changes, want %d", step.label, got, crossing)
+		}
+		if err := diffDatabases(step.label+": incremental vs eval", inc.DB(), step.want); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkEvalParallelSerial(b *testing.B) { evalParallel(b, 1) }
-
-// Auto follows GOMAXPROCS (on a single-CPU host it degrades to the serial
-// path); Workers8 forces the scheduled path so its overhead stays visible
-// even where no parallel speedup is available.
-func BenchmarkEvalParallelAuto(b *testing.B)     { evalParallel(b, 0) }
-func BenchmarkEvalParallelWorkers8(b *testing.B) { evalParallel(b, 8) }
 
 // BenchmarkDeriveAdHoc vs BenchmarkDerivePrepared: the cost of per-call
 // rule compilation against the pre-compiled path handlers use.

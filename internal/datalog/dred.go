@@ -13,9 +13,8 @@ package datalog
 //     one is still visible — so the plans run against an augmentation
 //     overlay (augOverlay) holding the batch's removed inputs plus the
 //     tuples over-deleted so far: tuples only ever move from the relation
-//     into the overlay, keeping the joined view constant without mutating
-//     relations shared with concurrently evaluating components. The
-//     overlay is indexed per probe-column set (the same colIndex machinery
+//     into the overlay, keeping the joined view constant. The overlay is
+//     indexed per probe-column set (the same colIndex machinery
 //     relations use), so probing it is O(1) per join step — the previous
 //     linear scan made the phase quadratic in the cascade size.
 //  2. Re-derive: a tentatively deleted tuple survives if it has any
@@ -33,11 +32,6 @@ package datalog
 //  3. Insert: the batch's additions propagate with the ordinary semi-naive
 //     insert path against the post-deletion state.
 //
-// Phase 1 and the two propagation fixpoints of phase 2/3 shard their large
-// per-round deltas across the partition budget (driveDelta), with
-// emissions stitched back into serial order before the serial accept steps
-// mutate relations and the overlay.
-//
 // The emitted delta is exact and net: a tuple over-deleted but re-derived
 // (or re-inserted by phase 3) produces no record, so downstream counting
 // components keep their one-signed-change-per-tuple precondition.
@@ -49,10 +43,9 @@ type headTuple struct {
 }
 
 // applyDRed folds a batch with deletions into a recursive monotone
-// component, reading input changes from in and recording net realized head
-// changes into out. parts is the intra-component partition budget for the
-// phase fixpoints. It returns the number of realized set-level changes.
-func (inc *Incremental) applyDRed(c *incComponent, in, out *Delta, parts int) int {
+// component, reading input changes from d and recording net realized head
+// changes into it. It returns the number of realized set-level changes.
+func (inc *Incremental) applyDRed(c *incComponent, d *Delta) int {
 	ensureHeadsPlanned(inc.db, c.plans)
 
 	// Phase 1: over-delete to fixpoint. aug is the "still visible" overlay:
@@ -60,7 +53,7 @@ func (inc *Incremental) applyDRed(c *incComponent, in, out *Delta, parts int) in
 	// discovers more, indexed up front for every probe set the plans use.
 	aug := newAugOverlay(c.plans)
 	for _, input := range c.inputs {
-		for _, t := range in.removed[input] {
+		for _, t := range d.removed[input] {
 			aug.add(input, t)
 		}
 	}
@@ -70,8 +63,8 @@ func (inc *Incremental) applyDRed(c *incComponent, in, out *Delta, parts int) in
 		overDel[h] = newTupleSet()
 	}
 	driveRounds(inc.db, c.plans,
-		deltaRelations(c.inputs, func(pred string) []Tuple { return in.removed[pred] }),
-		aug, parts,
+		deltaRelations(c.inputs, func(pred string) []Tuple { return d.removed[pred] }),
+		aug,
 		func(h string, rel *Relation, t Tuple) bool {
 			// Delete doubles as the dedup check: a tuple already tentative
 			// (or never part of the fixpoint) is absent from the relation,
@@ -113,7 +106,7 @@ func (inc *Incremental) applyDRed(c *incComponent, in, out *Delta, parts int) in
 			fr.appendRaw(ht.t)
 		}
 	}
-	driveRounds(inc.db, c.plans, frontier, nil, parts,
+	driveRounds(inc.db, c.plans, frontier, nil,
 		func(h string, rel *Relation, t Tuple) bool {
 			if !overDel[h].has(t) || !reinstated[h].addNew(t) {
 				return false // live already, or not a dead candidate
@@ -126,7 +119,7 @@ func (inc *Incremental) applyDRed(c *incComponent, in, out *Delta, parts int) in
 	// final emission can net them against the deletions.
 	inserted := map[string][]Tuple{}
 	insertedSet := map[string]*tupleSet{}
-	inc.propagateInserts(c, in, parts, func(pred string, t Tuple) {
+	inc.propagateInserts(c, d, func(pred string, t Tuple) {
 		s := insertedSet[pred]
 		if s == nil {
 			s = newTupleSet()
@@ -147,7 +140,7 @@ func (inc *Incremental) applyDRed(c *incComponent, in, out *Delta, parts int) in
 		if reinstated[ht.h].has(ht.t) || (ins != nil && ins.has(ht.t)) {
 			continue
 		}
-		out.Delete(ht.h, ht.t)
+		d.Delete(ht.h, ht.t)
 		changes++
 	}
 	for _, h := range c.heads {
@@ -155,7 +148,7 @@ func (inc *Incremental) applyDRed(c *incComponent, in, out *Delta, parts int) in
 			if overDel[h].has(t) && !reinstated[h].has(t) {
 				continue // present before the batch and present after: net zero
 			}
-			out.Insert(h, t)
+			d.Insert(h, t)
 			changes++
 		}
 	}

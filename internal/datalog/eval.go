@@ -3,7 +3,6 @@ package datalog
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // Program is a set of rules over a database. Evaluation computes the least
@@ -16,12 +15,6 @@ type Program struct {
 	prepOnce sync.Once
 	prep     *prepared
 	prepErr  error
-
-	// parallel is the evaluation parallelism knob: 0 = GOMAXPROCS default,
-	// 1 = serial, n > 1 = cap (SetParallelism). Atomic so the knob may be
-	// set while another goroutine evaluates; each Eval/Apply snapshots it
-	// exactly once at entry, so one fixpoint never spans two settings.
-	parallel atomic.Int32
 }
 
 // NewProgram validates, bundles and compiles rules.
@@ -106,82 +99,21 @@ func (p *Program) Stratify() ([][]Rule, error) {
 // Eval runs the program to fixpoint over db using semi-naive (differential)
 // evaluation per stratum, executing compiled plans. It mutates db in place,
 // creating IDB relations as needed, and returns the number of derived
-// tuples. Evaluation components on the same topological level of the
-// component DAG are independent and run concurrently when the program's
-// parallelism allows it (SetParallelism); serial and parallel runs produce
-// byte-identical relations.
+// tuples. Evaluation components run one after another in strata order,
+// which is topological: a component only reads heads of earlier ones.
 func (p *Program) Eval(db *Database) (int, error) {
 	if err := p.Prepare(); err != nil {
 		return 0, err
 	}
-	// One snapshot of the parallelism knob governs this whole evaluation —
-	// the component fan-out width and the intra-component partition count
-	// both derive from it, so a concurrent SetParallelism cannot split one
-	// fixpoint across two settings.
-	workers := p.workers()
-	if workers <= 1 || p.prep.maxWidth <= 1 {
-		// Component-serial path. A chain-shaped DAG with workers > 1 is
-		// exactly the giant-single-component case the intra-component
-		// partitioning exists for, so the parallelism budget goes to
-		// sharding the semi-naive rounds instead.
-		derived := 0
-		for _, plans := range p.prep.strata {
-			n, err := evalStratumSemiNaive(db, plans, workers)
-			if err != nil {
-				return derived, err
-			}
-			derived += n
-		}
-		return derived, nil
-	}
-	// Parallel path: pre-create every head relation (no database-map writes
-	// inside goroutines), then fan each level out with a barrier between
-	// levels. Per-component derived counts and errors land in
-	// index-addressed slots, so the summary is independent of completion
-	// order; errors surface in component order.
+	derived := 0
 	for _, plans := range p.prep.strata {
-		ensureHeadsPlanned(db, plans)
+		n, err := evalStratumSemiNaive(db, plans)
+		if err != nil {
+			return derived, err
+		}
+		derived += n
 	}
-	derived := make([]int, len(p.prep.strata))
-	errs := make([]error, len(p.prep.strata))
-	sum := func() int {
-		total := 0
-		for _, n := range derived {
-			total += n
-		}
-		return total
-	}
-	for _, level := range p.prep.levels {
-		if len(level) == 1 || levelInputSize(db, p.prep.strata, level) < parallelMinInputTuples {
-			// Singleton level, or too little data to amortize the fan-out:
-			// run inline, in component order, with the worker budget spent
-			// on intra-component partitioning instead.
-			for _, ci := range level {
-				n, err := evalStratumSemiNaive(db, p.prep.strata[ci], workers)
-				derived[ci] = n
-				if err != nil {
-					return sum(), err
-				}
-			}
-			continue
-		}
-		for _, ci := range level {
-			warmForPlans(db, p.prep.strata[ci], false)
-		}
-		// Components fanned out in parallel evaluate unpartitioned (parts
-		// 1): the level already saturates the worker budget, and nesting
-		// the two axes would oversubscribe it quadratically.
-		runWorkers(len(level), workers, func(k int) {
-			ci := level[k]
-			derived[ci], errs[ci] = evalStratumSemiNaive(db, p.prep.strata[ci], 1)
-		})
-		for _, ci := range level {
-			if errs[ci] != nil {
-				return sum(), errs[ci]
-			}
-		}
-	}
-	return sum(), nil
+	return derived, nil
 }
 
 // EvalNaive runs the program with naive (all-at-once) iteration: every rule
@@ -243,12 +175,8 @@ func ensureHeadsPlanned(db *Database, plans []*rulePlan) {
 
 // evalStratumSemiNaive computes the fixpoint of one stratum off compiled
 // plans. Aggregate rules run once after the non-aggregate fixpoint (they
-// depend only on lower strata plus this stratum's final relations). parts
-// is the intra-component partition budget: rounds whose deltas are large
-// enough shard each drive across that many workers (driveDelta), with
-// emissions stitched back into serial order — parts 1 is the fully serial
-// mode and produces byte-identical results by construction.
-func evalStratumSemiNaive(db *Database, plans []*rulePlan, parts int) (int, error) {
+// depend only on lower strata plus this stratum's final relations).
+func evalStratumSemiNaive(db *Database, plans []*rulePlan) (int, error) {
 	ensureHeadsPlanned(db, plans)
 	derived := 0
 
@@ -301,7 +229,7 @@ func evalStratumSemiNaive(db *Database, plans []*rulePlan, parts int) (int, erro
 					continue
 				}
 				out = out[:0]
-				driveDelta(db, pl, i, d, nil, parts, collect)
+				pl.run(db, i, d, nil, collect)
 				for _, t := range out {
 					if rel.Insert(t) {
 						nd := next[pl.r.Head.Pred]

@@ -47,16 +47,6 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatalf("randRules produced an invalid program: %v", err)
 		}
-		// The seed also picks the evaluation parallelism (partition counts
-		// 1/2/8, with the sharding cutoff dropped so tiny fuzz deltas still
-		// take the partitioned path): maintenance must be byte-equivalent
-		// across all of them, so the oracle fuzzes the partitioned drives
-		// and the DRed phases together.
-		pc := []int{1, 2, 8}[int(uint64(seed)%3)]
-		p.SetParallelism(pc)
-		oldPart := partitionMinDeltaTuples
-		partitionMinDeltaTuples = 0
-		defer func() { partitionMinDeltaTuples = oldPart }()
 		edb := randEDB(r) // reference base data, never evaluated in place
 		inc, err := NewIncremental(p, edb.Clone())
 		if err != nil {

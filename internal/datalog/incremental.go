@@ -106,20 +106,6 @@ func (d *Delta) Delete(rel string, t Tuple) {
 	}
 }
 
-// merge folds another batch's records into d, preserving o's deterministic
-// first-touch order — the level barrier merges per-component output deltas
-// this way in component order.
-func (d *Delta) merge(o *Delta) {
-	for _, pred := range o.preds {
-		for _, t := range o.added[pred] {
-			d.Insert(pred, t)
-		}
-		for _, t := range o.removed[pred] {
-			d.Delete(pred, t)
-		}
-	}
-}
-
 // Empty reports whether the batch contains no changes.
 func (d *Delta) Empty() bool {
 	for _, ts := range d.added {
@@ -289,9 +275,8 @@ func NewIncremental(p *Program, db *Database) (*Incremental, error) {
 			preExisting[pred] = true
 		}
 	}
-	parts := p.workers() // one snapshot governs the whole seeding pass
 	for i := range inc.comps {
-		if err := inc.seed(&inc.comps[i], parts); err != nil {
+		if err := inc.seed(&inc.comps[i]); err != nil {
 			// Roll the partial materialization back: earlier components
 			// already seeded their fixpoints into db, and leaving them
 			// behind would serve the caller stale derived tuples as base
@@ -335,10 +320,10 @@ func (inc *Incremental) countsFor(pred string) *tupleCounts {
 // seed computes a component's initial fixpoint. Counting components
 // enumerate every derivation exactly once (the full join order emits one
 // head per body binding); the rest run the normal component fixpoint.
-func (inc *Incremental) seed(c *incComponent, parts int) error {
+func (inc *Incremental) seed(c *incComponent) error {
 	ensureHeadsPlanned(inc.db, c.plans)
 	if c.recursive || c.nonMono {
-		_, err := evalStratumSemiNaive(inc.db, c.plans, parts)
+		_, err := evalStratumSemiNaive(inc.db, c.plans)
 		return err
 	}
 	for _, pl := range c.plans {
@@ -358,13 +343,10 @@ func (inc *Incremental) seed(c *incComponent, parts int) error {
 // number of derived-relation set changes realized. On error the evaluator
 // is marked broken (its state may be inconsistent) and refuses further use.
 //
-// Components are processed level by level along the component DAG
-// (prepared.levels). Within a level, the touched components are independent
-// and run concurrently when the program's parallelism allows it: each
-// component reads the shared input delta and writes its realized changes to
-// a private output delta, merged into the batch in component order at the
-// level barrier — so parallel and serial application realize identical
-// deltas and identical relation contents.
+// Touched components are processed in strata order (topological: a
+// component only reads heads of earlier ones); each reads its input changes
+// from the batch and appends its realized head changes to it, so later
+// components see the cascade.
 func (inc *Incremental) Apply(d *Delta) (int, error) {
 	if inc.broken {
 		return 0, fmt.Errorf("datalog: incremental evaluator unusable after earlier error")
@@ -380,74 +362,27 @@ func (inc *Incremental) Apply(d *Delta) (int, error) {
 	if err := inc.validateDelta(d); err != nil {
 		return 0, err // pre-mutation: prior fixpoint intact, evaluator usable
 	}
-	// One snapshot of the parallelism knob governs the whole batch: both
-	// the per-level component fan-out and the partition count of
-	// intra-component drives (semi-naive rounds, DRed phases).
-	workers := inc.prog.workers()
 	changes := 0
-	for _, level := range inc.prog.prep.levels {
-		var active []int
-		for _, ci := range level {
-			c := &inc.comps[ci]
-			if add, del := c.touchedBy(d); add || del {
-				active = append(active, ci)
-			}
-		}
-		if len(active) == 0 {
+	for i := range inc.comps {
+		c := &inc.comps[i]
+		add, del := c.touchedBy(d)
+		if !add && !del {
 			continue
 		}
-		// Tiny batches run inline: a typical transducer tick realizes a
-		// handful of changes, and goroutine + warming overhead would dwarf
-		// the O(delta) maintenance work.
-		deltaSize := 0
-		for _, ci := range active {
-			for _, in := range inc.comps[ci].inputs {
-				deltaSize += len(d.added[in]) + len(d.removed[in])
+		n, err := inc.applyComponent(c, d, del)
+		if err != nil {
+			// A consistency error raised before any component realized
+			// a change is pre-mutation by construction (each strategy
+			// validates before committing): the fixpoint is intact and
+			// the evaluator stays usable. Past that point the batch is
+			// half-applied and the evaluator must refuse further use.
+			if errors.Is(err, ErrInconsistentDelta) && changes == 0 {
+				return 0, err
 			}
+			inc.broken = true
+			return changes, err
 		}
-		if workers <= 1 || len(active) == 1 || deltaSize < parallelMinDeltaTuples {
-			// Inline component order: the worker budget goes to partitioning
-			// inside each component instead — a tiny input delta can still
-			// cascade into huge per-round deltas (one retracted edge of a
-			// large closure), which is exactly when sharding pays.
-			for _, ci := range active {
-				n, err := inc.applyComponent(&inc.comps[ci], d, d, workers)
-				if err != nil {
-					// A consistency error raised before any component realized
-					// a change is pre-mutation by construction (each strategy
-					// validates before committing): the fixpoint is intact and
-					// the evaluator stays usable. Past that point the batch is
-					// half-applied and the evaluator must refuse further use.
-					if errors.Is(err, ErrInconsistentDelta) && changes == 0 {
-						return 0, err
-					}
-					inc.broken = true
-					return changes, err
-				}
-				changes += n
-			}
-			continue
-		}
-		for _, ci := range active {
-			inc.warmComponent(&inc.comps[ci], d)
-		}
-		outs := make([]*Delta, len(active))
-		ns := make([]int, len(active))
-		errs := make([]error, len(active))
-		// Fanned-out components run unpartitioned (parts 1): the level
-		// already saturates the worker budget.
-		runWorkers(len(active), workers, func(k int) {
-			outs[k] = NewDelta()
-			ns[k], errs[k] = inc.applyComponent(&inc.comps[active[k]], d, outs[k], 1)
-		})
-		for k := range active {
-			if errs[k] != nil {
-				inc.broken = true
-				return changes, errs[k]
-			}
-			d.merge(outs[k])
-			changes += ns[k]
-		}
+		changes += n
 	}
 	return changes, nil
 }
@@ -502,42 +437,23 @@ func (c *incComponent) dredReady() bool {
 }
 
 // applyComponent folds the batch into one component with the maintenance
-// strategy its class calls for, reading input changes from in and recording
-// realized head changes into out (serial callers pass the same Delta for
-// both). parts is the intra-component partition budget for the strategies
-// built on semi-naive drives (insert propagation, DRed, recompute).
-func (inc *Incremental) applyComponent(c *incComponent, in, out *Delta, parts int) (int, error) {
-	_, hasDel := c.touchedBy(in)
+// strategy its class calls for, reading input changes from d and recording
+// realized head changes into it. hasDel says whether d deletes from any of
+// the component's inputs.
+func (inc *Incremental) applyComponent(c *incComponent, d *Delta, hasDel bool) (int, error) {
 	switch {
 	case c.nonMono:
-		return inc.recompute(c, out, parts)
+		return inc.recompute(c, d)
 	case !c.recursive:
-		return inc.applyCounting(c, in, out)
+		return inc.applyCounting(c, d)
 	case hasDel:
 		if inc.forceRecompute || !c.dredReady() {
-			return inc.recompute(c, out, parts)
+			return inc.recompute(c, d)
 		}
-		return inc.applyDRed(c, in, out, parts), nil
+		return inc.applyDRed(c, d), nil
 	default:
-		return inc.propagateInserts(c, in, parts, func(pred string, t Tuple) {
-			out.Insert(pred, t)
-		}), nil
+		return inc.propagateInserts(c, d, d.Insert), nil
 	}
-}
-
-// warmComponent pre-builds, before a parallel fan-out, every shared access
-// path the maintenance strategy this component will take for batch d can
-// lazily construct. Support plans are warmed only when the DRed path will
-// actually run — their indexes, once built, are maintained by every future
-// mutation of the probed relations.
-func (inc *Incremental) warmComponent(c *incComponent, d *Delta) {
-	if !c.recursive && !c.nonMono {
-		warmForCounting(inc.db, c.plans)
-		return
-	}
-	_, hasDel := c.touchedBy(d)
-	dred := !c.nonMono && hasDel && !inc.forceRecompute && c.dredReady()
-	warmForPlans(inc.db, c.plans, dred)
 }
 
 // applyCounting maintains a non-recursive monotone component exactly: the
@@ -548,14 +464,14 @@ func (inc *Incremental) warmComponent(c *incComponent, d *Delta) {
 // counts first (a crossing below zero means the batch contradicts retained
 // state), so an inconsistent tick surfaces as ErrInconsistentDelta before
 // the component mutates anything.
-func (inc *Incremental) applyCounting(c *incComponent, in, out *Delta) (int, error) {
+func (inc *Incremental) applyCounting(c *incComponent, d *Delta) (int, error) {
 	acc := map[string]*tupleCounts{}
 	oldViews := map[string]relView{}
 	oldOf := func(pred string) relView {
 		v, ok := oldViews[pred]
 		if !ok {
-			v = relView{rel: inc.db.Get(pred), extra: in.removed[pred]}
-			if add := in.added[pred]; len(add) > 0 {
+			v = relView{rel: inc.db.Get(pred), extra: d.removed[pred]}
+			if add := d.added[pred]; len(add) > 0 {
 				v.hide = newTupleSet()
 				for _, t := range add {
 					v.hide.add(t)
@@ -569,10 +485,10 @@ func (inc *Incremental) applyCounting(c *incComponent, in, out *Delta) (int, err
 		r := pl.r
 		for i := range r.Body {
 			pred := r.Body[i].Pred
-			for _, t := range in.added[pred] {
+			for _, t := range d.added[pred] {
 				inc.deltaJoin(r, i, t, 1, oldOf, acc)
 			}
-			for _, t := range in.removed[pred] {
+			for _, t := range d.removed[pred] {
 				inc.deltaJoin(r, i, t, -1, oldOf, acc)
 			}
 		}
@@ -609,12 +525,12 @@ func (inc *Incremental) applyCounting(c *incComponent, in, out *Delta) (int, err
 			switch {
 			case old == 0 && now > 0:
 				rel.Insert(e.t)
-				out.Insert(h, e.t)
+				d.Insert(h, e.t)
 				changes++
 			case old > 0 && now == 0:
 				cnt.drop(e.t) // keep maintained counts bounded by the live fixpoint
 				rel.Delete(e.t)
-				out.Delete(h, e.t)
+				d.Delete(h, e.t)
 				changes++
 			}
 		}
@@ -727,15 +643,13 @@ func (inc *Incremental) deltaJoin(r Rule, di int, dt Tuple, sign int, oldOf func
 // driveRounds is the shared semi-naive round skeleton behind insert
 // propagation and both DRed phases: each round drives every plan's
 // positive body literals from the per-predicate delta relations (augmented
-// with the pre-batch overlay when aug is non-nil, and sharded across parts
-// workers when a delta is large enough) and accept decides, per emitted
-// head tuple, whether the tuple's consequence was realized and should
-// drive the next round. Emissions reach accept serially in deterministic
-// (serial-execution) order, so accept may freely mutate relations and the
-// overlay between drives. Rounds repeat until no tuple is accepted.
+// with the pre-batch overlay when aug is non-nil) and accept decides, per
+// emitted head tuple, whether the tuple's consequence was realized and
+// should drive the next round. A drive's emissions are buffered and reach
+// accept after it returns, so accept may freely mutate relations and the
+// overlay. Rounds repeat until no tuple is accepted.
 func driveRounds(db *Database, plans []*rulePlan, delta map[string]*Relation,
-	aug *augOverlay, parts int,
-	accept func(h string, rel *Relation, t Tuple) bool) {
+	aug *augOverlay, accept func(h string, rel *Relation, t Tuple) bool) {
 	var buf []Tuple
 	collect := func(t Tuple) { buf = append(buf, t) }
 	for len(delta) > 0 {
@@ -752,7 +666,7 @@ func driveRounds(db *Database, plans []*rulePlan, delta map[string]*Relation,
 					continue
 				}
 				buf = buf[:0]
-				driveDelta(db, pl, i, dr, aug, parts, collect)
+				pl.runAug(db, i, dr, aug, nil, collect)
 				for _, t := range buf {
 					if accept(h, rel, t) {
 						nd := next[h]
@@ -791,16 +705,15 @@ func deltaRelations(preds []string, pick func(pred string) []Tuple) map[string]*
 // propagateInserts folds an insert-only delta into a recursive monotone
 // component with the compiled semi-naive plans: the incoming additions seed
 // the delta relations, and newly realized head tuples keep driving the
-// delta-first join orders until quiescence, sharded across parts workers
-// when rounds grow large. Every realized insert is handed to record (the
-// pure-insert path records straight into the output delta; DRed defers
-// recording to net insertions against its over-deletions).
-func (inc *Incremental) propagateInserts(c *incComponent, in *Delta, parts int, record func(pred string, t Tuple)) int {
+// delta-first join orders until quiescence. Every realized insert is
+// handed to record (the pure-insert path records straight into the batch;
+// DRed defers recording to net insertions against its over-deletions).
+func (inc *Incremental) propagateInserts(c *incComponent, in *Delta, record func(pred string, t Tuple)) int {
 	ensureHeadsPlanned(inc.db, c.plans)
 	changes := 0
 	driveRounds(inc.db, c.plans,
 		deltaRelations(c.inputs, func(pred string) []Tuple { return in.added[pred] }),
-		nil, parts,
+		nil,
 		func(h string, rel *Relation, t Tuple) bool {
 			if !rel.Insert(t) {
 				return false
@@ -818,15 +731,15 @@ func (inc *Incremental) propagateInserts(c *incComponent, in *Delta, parts int, 
 // downstream components still receive a precise delta. (It was also the
 // pre-DRed fallback for recursive deletions, retained behind
 // forceRecompute as the benchmark baseline.)
-func (inc *Incremental) recompute(c *incComponent, out *Delta, parts int) (int, error) {
+func (inc *Incremental) recompute(c *incComponent, out *Delta) (int, error) {
 	ensureHeadsPlanned(inc.db, c.plans)
 	old := map[string][]Tuple{}
 	for _, h := range c.heads {
 		rel := inc.db.Get(h)
 		old[h] = rel.Tuples()
-		rel.Clear() // in place: the *Relation stays valid for concurrent readers of the db map
+		rel.Clear() // in place: the *Relation stays valid for holders of the pointer
 	}
-	if _, err := evalStratumSemiNaive(inc.db, c.plans, parts); err != nil {
+	if _, err := evalStratumSemiNaive(inc.db, c.plans); err != nil {
 		return 0, err
 	}
 	changes := 0

@@ -249,9 +249,8 @@ func (s *valueSet) len() int { return s.n }
 // registered up front and indexed with the same colIndex machinery the
 // relations use, so join probes against the overlay are hash lookups —
 // the previous per-probe linear scan made large deletion cascades
-// quadratic in the cascade size. Appends maintain every registered index
-// and reads never build anything, which is what lets partitioned drives
-// share the overlay read-only across worker goroutines.
+// quadratic in the cascade size. Appends maintain every built index; the
+// first probe of a registered set builds it.
 type augOverlay struct {
 	rels map[string]*augRel
 }
@@ -307,8 +306,7 @@ func (o *augOverlay) register(pred string, pos []int) {
 
 // add appends t to pred's overlay and maintains every built index (unbuilt
 // ones index all rows if and when a probe builds them). Appends happen
-// only between drives (the serial accept step), never while worker
-// goroutines read the overlay.
+// only between drives (driveRounds' accept step), never during a walk.
 func (o *augOverlay) add(pred string, t Tuple) {
 	r := o.rels[pred]
 	if r == nil {
@@ -324,32 +322,6 @@ func (o *augOverlay) add(pred string, t Tuple) {
 	}
 }
 
-// warmOrder builds the registered-but-unbuilt indexes for exactly the
-// probe sets one join order can use. Partitioned drives call it before
-// fanning out so concurrent matches never build lazily — and only the
-// driven order's sets get built, so indexes no drive probes stay
-// unmaintained across the cascade.
-func (o *augOverlay) warmOrder(order []litPlan) {
-	for i := range order {
-		lp := &order[i]
-		if lp.negated || len(lp.probePos) == 0 {
-			continue
-		}
-		r := o.rels[lp.pred]
-		if r == nil {
-			continue
-		}
-		for _, ci := range r.idx {
-			if sameCols(ci.pos, lp.probePos) {
-				if ci.m == nil {
-					r.build(ci)
-				}
-				break
-			}
-		}
-	}
-}
-
 func (r *augRel) build(ci *colIndex) {
 	ci.m = make(map[uint64][]int32, nextPow2(len(r.rows)))
 	for i, t := range r.rows {
@@ -360,10 +332,9 @@ func (r *augRel) build(ci *colIndex) {
 // matches enumerates, in append order, the overlay tuples whose columns at
 // pos equal vals, calling each for every match until it returns false. It
 // reports whether any match existed. The first probe of a registered set
-// builds its index (serial drives only — partitioned drives pre-warm); an
-// unregistered probe set falls back to the linear scan (defensive —
-// newAugOverlay registers every set the plans can produce), preserving
-// semantics either way.
+// builds its index; an unregistered probe set falls back to the linear
+// scan (defensive — newAugOverlay registers every set the plans can
+// produce), preserving semantics either way.
 func (r *augRel) matches(pos []int, vals []any, each func(Tuple) bool) bool {
 	for _, ci := range r.idx {
 		if !sameCols(ci.pos, pos) {

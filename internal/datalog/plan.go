@@ -100,13 +100,12 @@ type rulePlan struct {
 	supportConsts  []int
 	supportChecks  [][2]int
 
-	// partCol[i] is the partition key for sharding a delta driven through
-	// body literal i across workers (intra-component partitioned
-	// evaluation): the first column of literal i whose variable a later
+	// partCol[i] is the partition key of a delta driven through body
+	// literal i: the first column of literal i whose variable a later
 	// literal in the delta-first order probes on — the first bound join
-	// column, so tuples probing the same index buckets land on the same
-	// worker. -1 falls back to hashing the whole delta tuple (no join
-	// column: cross products, single-literal bodies).
+	// column, so tuples probing the same index buckets share a key. -1
+	// means no join column (cross products, single-literal bodies): hash
+	// the whole tuple. PartitionHints derives shard placement from it.
 	partCol []int
 }
 
@@ -408,9 +407,8 @@ func (p *rulePlan) run(db *Database, deltaIdx int, delta *Relation, preset []any
 // non-delta literal on predicate P also matches the overlay's tuples for P,
 // as if they were still present in the relation. The DRed over-deletion
 // phase reads the pre-batch view this way — the database plus the batch's
-// removed tuples — without mutating relations shared with concurrently
-// evaluating components. Augmentation is defined for positive literals only
-// (DRed runs on monotone components); negated probes ignore it.
+// removed tuples. Augmentation is defined for positive literals only (DRed
+// runs on monotone components); negated probes ignore it.
 func (p *rulePlan) runAug(db *Database, deltaIdx int, delta *Relation, aug *augOverlay, preset []any, emit func(Tuple)) {
 	p.runAugUntil(db, deltaIdx, delta, aug, preset, func(t Tuple) bool {
 		emit(t)
@@ -437,18 +435,14 @@ func (p *rulePlan) runAugUntil(db *Database, deltaIdx int, delta *Relation, aug 
 }
 
 // runSegmented drives the delta-first order for body literal deltaIdx over
-// an explicit slice of delta tuples, tagging every emission with the index
-// of the driving tuple. Segment indexes are non-decreasing and one
-// segment's emissions are exactly what a serial whole-delta run would emit
-// while processing that tuple — the invariant the partitioned scheduler
-// relies on to stitch per-shard outputs back into serial emission order.
-// deltaIdx must name a non-negated body literal (those have a delta-first
-// order); env and scratch are allocated once and reused across tuples.
-func (p *rulePlan) runSegmented(db *Database, deltaIdx int, tuples []Tuple, aug *augOverlay, emit func(seg int, t Tuple)) {
+// an explicit slice of delta tuples: for each tuple in order, it emits what
+// a whole-delta run would emit while processing that tuple. deltaIdx must
+// name a non-negated body literal (those have a delta-first order); env
+// and scratch are allocated once and reused across tuples.
+func (p *rulePlan) runSegmented(db *Database, deltaIdx int, tuples []Tuple, aug *augOverlay, emit func(Tuple)) {
 	order := p.orders[1+deltaIdx]
-	cur := 0
 	e := p.newExec(db, order, deltaIdx, nil, aug, nil, func(t Tuple) bool {
-		emit(cur, t)
+		emit(t)
 		return true
 	})
 	if !e.preFiltersPass() {
@@ -459,12 +453,11 @@ func (p *rulePlan) runSegmented(db *Database, deltaIdx int, tuples []Tuple, aug 
 	for k, st := range first.probeArgs {
 		vals[k] = st.value(e.env) // constants only: no slot is bound yet
 	}
-	for j, t := range tuples {
-		cur = j
+	for _, t := range tuples {
 		// Inline litPlan matching for the delta literal: constant columns
 		// must agree, free columns bind slots, repeated variables check,
-		// then the literal's filters — the same acceptance test the serial
-		// path applies via index lookup + step.
+		// then the literal's filters — the same acceptance test a
+		// relation-driven run applies via index lookup + step.
 		if !projEqual(t, first.probePos, vals) {
 			continue
 		}
@@ -492,8 +485,8 @@ func (p *rulePlan) runSegmented(db *Database, deltaIdx int, tuples []Tuple, aug 
 
 // planExec is one execution of a compiled join order: the flat binding
 // environment, per-position probe scratch, and the recursive join walk.
-// It is built once per run — or once per shard in partitioned evaluation,
-// where it is reused across every delta tuple the shard drives.
+// It is built once per run and reused across every delta tuple the run
+// drives.
 type planExec struct {
 	p        *rulePlan
 	db       *Database
@@ -664,70 +657,6 @@ type prepared struct {
 	// topologically ordered, so independent rule groups evaluate (and are
 	// incrementally maintained) separately.
 	strata [][]*rulePlan
-	// levels groups component indexes by topological depth in the component
-	// DAG: a component's level is one past the deepest component whose head
-	// it reads (positively, negatively, or under aggregation). Components
-	// sharing a level are pairwise independent — they neither read nor write
-	// each other's heads — which is what licenses evaluating them
-	// concurrently with a barrier between levels. Indexes within a level
-	// stay in component (topological) order for deterministic serial runs.
-	levels [][]int
-	// maxWidth is the widest level: 1 means the DAG is a chain and parallel
-	// scheduling can never help.
-	maxWidth int
-}
-
-// componentLevels builds the level partition of the component DAG. Component
-// i depends on component j < i when any rule body in i mentions a head of j;
-// strata and Tarjan ordering guarantee dependencies only point backwards.
-func componentLevels(strata [][]*rulePlan) ([][]int, int) {
-	heads := make([]map[string]bool, len(strata))
-	for i, plans := range strata {
-		heads[i] = map[string]bool{}
-		for _, pl := range plans {
-			heads[i][pl.r.Head.Pred] = true
-		}
-	}
-	level := make([]int, len(strata))
-	maxLevel := 0
-	for i, plans := range strata {
-		lv := 0
-		for j := 0; j < i; j++ {
-			if level[j] < lv {
-				continue // cannot raise i's level even if it depends on j
-			}
-			depends := false
-			for _, pl := range plans {
-				for _, l := range pl.r.Body {
-					if heads[j][l.Pred] {
-						depends = true
-						break
-					}
-				}
-				if depends {
-					break
-				}
-			}
-			if depends {
-				lv = level[j] + 1
-			}
-		}
-		level[i] = lv
-		if lv > maxLevel {
-			maxLevel = lv
-		}
-	}
-	levels := make([][]int, maxLevel+1)
-	for i, lv := range level {
-		levels[lv] = append(levels[lv], i)
-	}
-	maxWidth := 1
-	for _, l := range levels {
-		if len(l) > maxWidth {
-			maxWidth = len(l)
-		}
-	}
-	return levels, maxWidth
 }
 
 // refineComponents splits one stratum's rules into the strongly-connected
@@ -883,7 +812,6 @@ func (p *Program) Prepare() error {
 				pr.strata = append(pr.strata, plans)
 			}
 		}
-		pr.levels, pr.maxWidth = componentLevels(pr.strata)
 		p.prep = pr
 	})
 	return p.prepErr

@@ -4,8 +4,7 @@ package datalog
 // needs to shard a program across replicas (internal/shard): the
 // evaluation-component structure in topological order, per-predicate
 // partition-column hints derived from the compiled plans' partition keys
-// (the same keys the intra-process partitioned drives shard on, see
-// partition.go), the tuple→shard hash, and Drive — the one entry point
+// (rulePlan.partCol), the tuple→shard hash, and Drive — the one entry point
 // through which a replica runs a rule on the plans Prepare compiled, so a
 // remote evaluator is the single-node kernel, not a copy of it.
 
@@ -114,8 +113,7 @@ func (p *Program) PartitionHints() (map[string]int, error) {
 }
 
 // ShardOf maps a tuple to a shard in [0, n) by hashing column col (or the
-// whole tuple when col is out of range) — the same hash the intra-process
-// partitioned drives use, so intra- and inter-node placement agree.
+// whole tuple when col is out of range).
 func ShardOf(t Tuple, col, n int) int {
 	if n <= 1 {
 		return 0
@@ -162,5 +160,5 @@ func (p *Program) Drive(db *Database, comp, ri, pos int, frontier []Tuple, ov *O
 		aug = &ov.aug
 		aug.registerOrder(pl.orders[1+pos])
 	}
-	pl.runSegmented(db, pos, frontier, aug, func(_ int, t Tuple) { emit(t) })
+	pl.runSegmented(db, pos, frontier, aug, emit)
 }

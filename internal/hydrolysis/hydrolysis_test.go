@@ -128,6 +128,46 @@ on vaccinate(pid: int) consistency(serializable) require(vaccine_count > 0) {
 	}
 }
 
+// TestAbortedInvocationRepliesNothing pins the abort contract: a refused
+// require and a failing statement both discard the whole invocation — no
+// effect, no reply in the response mailbox — and count in Stats().Aborted.
+func TestAbortedInvocationRepliesNothing(t *testing.T) {
+	c, err := Compile(`
+table people(pid: int, dosed: bool) key(pid)
+var share: int = 0
+on dose(pid: int, n: int) require(n >= 0) {
+    merge people(pid, true)
+    share := 10 / n
+    reply "OK"
+}
+`, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := c.Instantiate("n1", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.SetDelay(func(r *rand.Rand) int { return 1 })
+	ok := rt.Inject("dose", datalog.Tuple{int64(1), int64(5)})
+	rt.Inject("dose", datalog.Tuple{int64(2), int64(-1)}) // require refuses
+	rt.Inject("dose", datalog.Tuple{int64(3), int64(0)})  // 10 / 0 fails
+	rt.RunUntilIdle(10)
+	replies := rt.Peek("dose<response>")
+	if len(replies) != 1 || replies[0].Payload[0] != ok || replies[0].Payload[1] != "OK" {
+		t.Fatalf("replies = %v, want only OK for message %d", replies, ok)
+	}
+	if got := rt.Stats().Aborted; got != 2 {
+		t.Fatalf("aborted = %d, want 2 (refused require + failing statement)", got)
+	}
+	if got := rt.Table("people").Tuples(); len(got) != 1 || !got[0].Equal(datalog.Tuple{int64(1), true}) {
+		t.Fatalf("people = %v, want only the successful dose", got)
+	}
+	if got := rt.Var("share").(int64); got != 2 {
+		t.Fatalf("share = %d, want 2 (only the successful dose assigns)", got)
+	}
+}
+
 func TestUDFCalledThroughReply(t *testing.T) {
 	rt := newCovidRuntime(t, 2)
 	rt.Inject("add_person", datalog.Tuple{int64(42), "us"})

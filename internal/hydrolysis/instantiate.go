@@ -38,13 +38,6 @@ const (
 // predicate) falls back to per-tick full evaluation; InstantiateFullEval
 // forces that mode explicitly.
 //
-// Evaluation parallelism is tuned on the compiled query program itself:
-// c.Queries.SetParallelism(n) caps both the component-scheduler worker
-// pool and the intra-component partition count (0 restores the
-// GOMAXPROCS default, 1 forces fully serial evaluation); the runtime's
-// ticks respect whatever the program is set to, snapshotting it once per
-// evaluation.
-//
 // Trade-off: incremental mode maintains every derived relation eagerly,
 // whereas full-eval mode computes the fixpoint lazily only on ticks whose
 // handlers actually read a query. The compiler resolves this automatically:
@@ -377,19 +370,21 @@ func (c *Compiled) compileHandler(h *hlang.HandlerDecl) (transducer.Handler, err
 			}
 		}
 		e := &env{c: c, tx: tx, params: params, sendPlans: sendPlans}
-		// require(...) invariants abort the whole invocation when false.
+		// require(...) invariants abort the whole invocation when false, and
+		// so does a statement that fails. An aborted invocation sends no
+		// reply: the runtime truncates everything it staged, replies
+		// included (transducer.Runtime.Tick), so the requester's response
+		// resolves nil and the refusal shows only in Stats().Aborted.
 		for _, r := range h.Requires {
 			v, err := e.eval(r)
 			if err != nil || v != true {
 				tx.Abort()
-				tx.Reply("ABORT")
 				return
 			}
 		}
 		for _, s := range h.Body {
 			if err := e.exec(s, fieldMetaLookup(fieldMeta, s)); err != nil {
 				tx.Abort()
-				tx.Reply("ERROR: " + err.Error())
 				return
 			}
 		}

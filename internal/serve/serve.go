@@ -154,8 +154,8 @@ type Config struct {
 	FanoutPump func()
 	// NoPipeline collapses the two pipeline stages onto one goroutine
 	// (collect, then eval, strictly alternating) — the A/B baseline for
-	// `make serve-bench` and a debugging mode, like SetParallelism(1) for
-	// the evaluator. Semantics are identical; only the overlap is lost.
+	// `make serve-bench` and a debugging mode. Semantics are identical;
+	// only the overlap is lost.
 	NoPipeline bool
 	// DrainMailboxes are observation mailboxes (alert fan-outs, send-rule
 	// targets) drained after every batch so they cannot grow without

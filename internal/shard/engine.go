@@ -35,7 +35,6 @@ func buildCompMeta(comps []datalog.Component, place *Placement) ([]*compMeta, er
 			if err != nil {
 				return nil, fmt.Errorf("shard: compiling component %d: %w", ci, err)
 			}
-			sub.SetParallelism(1) // replicas evaluate inside a deterministic event loop
 			m.sub = sub
 		} else {
 			m.designated = make([]bool, len(c.Rules))
