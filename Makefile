@@ -2,7 +2,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: build test vet ci orphans datalog-serial bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak
+.PHONY: build test vet ci orphans datalog-serial datalog-one-store bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak
 
 build:
 	$(GO) build ./...
@@ -13,7 +13,7 @@ test:
 vet:
 	$(GO) vet ./...
 
-ci: build vet orphans datalog-serial test bench-test
+ci: build vet orphans datalog-serial datalog-one-store test bench-test
 
 # bench-test compiles and tests the nested bench/ module (own go.mod, so
 # `go build ./... && go test ./...` at the root never see it): a change to
@@ -35,6 +35,25 @@ orphans:
 # non-test file (DESIGN.md §8, "One evaluator thread").
 datalog-serial:
 	@! grep -nE --exclude='*_test.go' '^[[:space:]]*go[[:space:]]|"runtime"|"sync/atomic"' internal/datalog/*.go
+
+# datalog-one-store fails if internal/datalog grows a second hashed tuple
+# container or a second rule walker (DESIGN.md §6). In its non-test files the
+# only map[uint64] declarations are Relation.byHash, colIndex.m and
+# groupTable.m (three declarations, and no map[uint64] of any other element
+# type anywhere), and the interpretive binding / evalFilter walk is referenced
+# only where it is defined (rule.go) and by eval.go's deriveRule, the oracle
+# the differential tests compare the compiled plans against. Comments are
+# stripped first: the check reads declarations and call sites, not prose.
+DATALOG_SRC = $(filter-out %_test.go,$(wildcard internal/datalog/*.go))
+datalog-one-store:
+	@! grep -nE 'map\[uint64\]' $(DATALOG_SRC) | sed 's,//.*,,' | grep -F 'map[uint64]' \
+		| grep -vE 'map\[uint64\](int32|\[\]int32|\[\]int)([^[:alnum:]]|$$)'
+	@test "$$(sed 's,//.*,,' $(DATALOG_SRC) | grep -cE '^[[:space:]]*[[:alnum:]_]+[[:space:]]+map\[uint64\]')" -eq 3 \
+		|| { echo "internal/datalog: expected exactly 3 map[uint64] declarations (byHash, colIndex.m, groupTable.m)"; exit 1; }
+	@awk '/^func /{fn=$$2} \
+		{code=$$0; sub(/\/\/.*/,"",code)} \
+		code ~ /(^|[^[:alnum:]_"])binding([{(),]|$$)|evalFilter\(/ && !(FILENAME ~ /eval\.go$$/ && fn ~ /^deriveRule\(/) \
+		{print FILENAME":"FNR": "$$0; bad=1} END{exit bad}' $(filter-out %/rule.go,$(DATALOG_SRC))
 
 tables:
 	$(GO) run ./cmd/benchtab -quick

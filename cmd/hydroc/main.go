@@ -83,9 +83,7 @@ func main() {
 	}
 
 	fmt.Println("\n— data model: synthesized layouts (§5) —")
-	for table, d := range c.Layouts {
-		fmt.Printf("  %-14s %s\n", table, d)
-	}
+	fmt.Print(indent(c.LayoutReport()))
 
 	fmt.Println("\n— T: optimization targets (§9) —")
 	for _, h := range prog.Handlers {

@@ -28,9 +28,7 @@ func main() {
 	fmt.Print(consistency.Report(c.Choices))
 
 	fmt.Println("\n=== Physical layouts (§5, Chestnut) ===")
-	for table, design := range c.Layouts {
-		fmt.Printf("  %-10s -> %s\n", table, design)
-	}
+	fmt.Print(c.LayoutReport())
 
 	rt, err := c.Instantiate("node1", 42)
 	if err != nil {

@@ -7,7 +7,9 @@
 // Storage is hash-native: tuples live in an insertion-ordered slot array
 // keyed by a 64-bit typed FNV-1a hash with collision buckets, and column
 // indexes (the access paths of §5.1) are maintained incrementally on both
-// Insert and Delete. Rules execute as compiled plans (see plan.go).
+// Insert and Delete. Relation is the package's only hashed tuple store:
+// delta batches, pre-batch overlays, dedup sets and derivation counts are
+// all relations. Rules execute as compiled plans (see plan.go).
 package datalog
 
 import (
@@ -49,7 +51,9 @@ func (t Tuple) String() string {
 // entry per hash, no per-bucket slice allocations — chain order is
 // unobservable because a tuple's slot is unique); column indexes over any
 // column subset are built on first use and maintained incrementally
-// afterwards.
+// afterwards. A relation may also carry one signed count per tuple
+// (addCount): the derivation multiplicities of a counting component's head,
+// or a batch's accumulated signed changes on a scratch relation.
 type Relation struct {
 	Name  string
 	Arity int
@@ -59,6 +63,7 @@ type Relation struct {
 	byHash map[uint64]int32 // full-tuple hash → head of live-slot chain; nil after Clone (lazily rebuilt)
 	next   []int32          // collision chain links, parallel to slots; -1 terminates
 	idx    []*colIndex
+	counts []int // per-tuple counts, parallel to slots; nil until the first addCount
 }
 
 // NewRelation returns an empty relation.
@@ -115,6 +120,12 @@ func (r *Relation) Insert(t Tuple) bool {
 	if r.findSlot(h, t) >= 0 {
 		return false
 	}
+	r.insertNew(h, t)
+	return true
+}
+
+// insertNew appends t, known to be absent and to hash to h.
+func (r *Relation) insertNew(h uint64, t Tuple) {
 	slot := int32(len(r.slots))
 	r.slots = append(r.slots, t)
 	link := int32(-1)
@@ -123,10 +134,57 @@ func (r *Relation) Insert(t Tuple) bool {
 	}
 	r.next = append(r.next, link)
 	r.byHash[h] = slot
+	if r.counts != nil {
+		r.counts = append(r.counts, 0)
+	}
 	for _, ci := range r.idx {
 		ci.add(t, slot)
 	}
-	return true
+}
+
+// addCount adjusts t's count by d, inserting t at count zero first, and
+// returns the count before and after. A maintained count that returns to
+// zero is dropped by deleting the tuple, so counts stay bounded by the live
+// relation and tombstone compaction carries them along.
+func (r *Relation) addCount(t Tuple, d int) (old, now int) {
+	r.ensureByHash()
+	if r.counts == nil {
+		r.counts = make([]int, len(r.slots), cap(r.slots))
+	}
+	h := hashTuple(t)
+	slot := r.findSlot(h, t)
+	if slot < 0 {
+		slot = int32(len(r.slots))
+		r.insertNew(h, t)
+	}
+	old = r.counts[slot]
+	r.counts[slot] = old + d
+	return old, old + d
+}
+
+// count returns t's count: zero when t is absent or was never counted.
+func (r *Relation) count(t Tuple) int {
+	if r.counts == nil {
+		return 0
+	}
+	r.ensureByHash()
+	if slot := r.findSlot(hashTuple(t), t); slot >= 0 {
+		return r.counts[slot]
+	}
+	return 0
+}
+
+// scanCounts calls fn for every live tuple and its count, in insertion
+// order; a relation that was never counted has none to report.
+func (r *Relation) scanCounts(fn func(t Tuple, n int)) {
+	if r.counts == nil {
+		return
+	}
+	for i, t := range r.slots {
+		if t != nil {
+			fn(t, r.counts[i])
+		}
+	}
 }
 
 // Delete removes a tuple, returning true if it was present. Deletion is
@@ -170,10 +228,16 @@ func (r *Relation) maybeCompact() {
 		return
 	}
 	live := make([]Tuple, 0, len(r.slots)-r.dead)
-	for _, t := range r.slots {
+	for i, t := range r.slots {
 		if t != nil {
+			if r.counts != nil {
+				r.counts[len(live)] = r.counts[i]
+			}
 			live = append(live, t)
 		}
+	}
+	if r.counts != nil {
+		r.counts = r.counts[:len(live)]
 	}
 	r.slots = live
 	r.dead = 0
@@ -199,6 +263,7 @@ func (r *Relation) Clear() {
 	r.byHash = map[uint64]int32{}
 	r.next = nil
 	r.idx = nil
+	r.counts = nil
 }
 
 // Contains reports membership of t.
@@ -228,6 +293,7 @@ func (r *Relation) appendRaw(t Tuple) {
 	r.byHash = nil
 	r.next = nil
 	r.idx = nil
+	r.counts = nil
 	r.slots = append(r.slots, t)
 }
 
@@ -244,6 +310,7 @@ func (r *Relation) bulkLoad(ts []Tuple) error {
 	r.byHash = nil
 	r.next = nil
 	r.idx = nil
+	r.counts = nil
 	r.slots = append(r.slots, ts...)
 	r.ensureByHash()
 	return nil

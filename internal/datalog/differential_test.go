@@ -301,6 +301,58 @@ func diffDatabases(label string, a, b *Database) error {
 	return nil
 }
 
+// checkCountingState pins where derivation counts live: for every head of
+// a counting (non-recursive monotone) component, State().Counts lists the
+// head relation's tuples in scan order, each with exactly the number of
+// interpretive deriveRule bindings that produce it.
+func checkCountingState(p *Program, inc *Incremental) error {
+	st, err := inc.State()
+	if err != nil {
+		return err
+	}
+	entries := map[string][]CountEntry{}
+	for _, cs := range st.Counts {
+		entries[cs.Pred] = cs.Entries
+	}
+	comps, err := p.Components()
+	if err != nil {
+		return err
+	}
+	for _, c := range comps {
+		if c.Recursive || c.NonMono {
+			continue
+		}
+		want := map[string]int{}
+		for _, r := range c.Rules {
+			for _, t := range deriveRule(inc.DB(), r) {
+				want[fmt.Sprintf("%s%#v", r.Head.Pred, t)]++
+			}
+		}
+		for _, h := range c.Heads {
+			got, i := entries[h], 0
+			inc.DB().Get(h).scan(func(t Tuple) bool {
+				switch n := want[fmt.Sprintf("%s%#v", h, t)]; {
+				case i >= len(got):
+					err = fmt.Errorf("%s%v carries no derivation count", h, t)
+				case !got[i].Tuple.Equal(t):
+					err = fmt.Errorf("count entry %d of %s is %v, scan order has %v", i, h, got[i].Tuple, t)
+				case got[i].Count != n:
+					err = fmt.Errorf("%s%v counted %d times, derived %d times", h, t, got[i].Count, n)
+				}
+				i++
+				return err == nil
+			})
+			if err == nil && i < len(got) {
+				err = fmt.Errorf("%s has %d tuples but %d derivation counts", h, i, len(got))
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // edbPreds are the base relations the random tick sequences mutate.
 var edbPreds = []string{"edge", "attr", "node"}
 
@@ -384,6 +436,10 @@ func TestDifferentialThreeWayIncremental(t *testing.T) {
 				return false
 			}
 			if err := diffDatabases("incremental vs naive", inc.DB(), refN); err != nil {
+				t.Logf("seed %d tick %d: %v", seed, tick, err)
+				return false
+			}
+			if err := checkCountingState(p, inc); err != nil {
 				t.Logf("seed %d tick %d: %v", seed, tick, err)
 				return false
 			}
@@ -528,12 +584,17 @@ func TestIncrementalCountsStayBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cnt := inc.counts["view"]
-	if live := len(cnt.ents) - cnt.dead; live != 16 {
+	view, live := inc.DB().Get("view"), 0
+	view.scanCounts(func(_ Tuple, n int) {
+		if n > 0 {
+			live++
+		}
+	})
+	if live != 16 {
 		t.Fatalf("live count entries = %d, want 16", live)
 	}
-	if len(cnt.ents) > 128 {
-		t.Fatalf("count entries grew to %d after churn (tombstones not compacted)", len(cnt.ents))
+	if len(view.counts) > 128 {
+		t.Fatalf("count entries grew to %d after churn (tombstones not compacted)", len(view.counts))
 	}
 	if got := inc.DB().Get("view").Len(); got != 16 {
 		t.Fatalf("view has %d rows, want 16", got)
@@ -574,6 +635,22 @@ func TestDeleteKeepsIndexesConsistent(t *testing.T) {
 			if len(got) != want {
 				t.Logf("seed %d step %d: lookup=%d scan=%d", seed, step, len(got), want)
 				return false
+			}
+			// A second index, built by its first probe mid-sequence (how
+			// DRed's overlay relations get theirs), stays correct across the
+			// later inserts and enumerates matches in insertion order.
+			if step >= 100 {
+				val := int64(r.Intn(4))
+				var inOrder []Tuple
+				for _, tu := range live {
+					if tu[1] == val {
+						inOrder = append(inOrder, tu)
+					}
+				}
+				if got := rel.Lookup([]int{1}, []any{val}); fmt.Sprint(got) != fmt.Sprint(inOrder) {
+					t.Logf("seed %d step %d: late index lookup=%v, insertion order=%v", seed, step, got, inOrder)
+					return false
+				}
 			}
 		}
 		return rel.Len() == len(live)

@@ -10,13 +10,13 @@ package datalog
 //     tuple with at least one derivation that used a deleted tuple. The
 //     non-delta body positions must read the PRE-batch view — a derivation
 //     both of whose body tuples were deleted is only found if the other
-//     one is still visible — so the plans run against an augmentation
-//     overlay (augOverlay) holding the batch's removed inputs plus the
+//     one is still visible — so the plans run against an overlay database
+//     (preBatch in plan.go) holding the batch's removed inputs plus the
 //     tuples over-deleted so far: tuples only ever move from the relation
 //     into the overlay, keeping the joined view constant. The overlay is
-//     indexed per probe-column set (the same colIndex machinery
-//     relations use), so probing it is O(1) per join step — the previous
-//     linear scan made the phase quadratic in the cascade size.
+//     made of plain relations, so probing it is an index lookup per join
+//     step (a linear scan would make the phase quadratic in the cascade),
+//     and its membership hash is the record of what was over-deleted.
 //  2. Re-derive: a tentatively deleted tuple survives if it has any
 //     derivation from tuples still alive. Candidates queue in discovery
 //     order, which is support-dependency order — a tuple over-deleted in
@@ -48,23 +48,15 @@ type headTuple struct {
 func (inc *Incremental) applyDRed(c *incComponent, d *Delta) int {
 	ensureHeadsPlanned(inc.db, c.plans)
 
-	// Phase 1: over-delete to fixpoint. aug is the "still visible" overlay:
+	// Phase 1: over-delete to fixpoint. over is the "still visible" overlay:
 	// removed base inputs plus over-deleted heads, growing as the phase
-	// discovers more, indexed up front for every probe set the plans use.
-	aug := newAugOverlay(c.plans)
-	for _, input := range c.inputs {
-		for _, t := range d.removed[input] {
-			aug.add(input, t)
-		}
-	}
-	overDel := map[string]*tupleSet{}
-	var deletedSeq []headTuple // global discovery order = support-dependency order
+	// discovers more.
+	over := &Database{rels: deltaRelations(c.inputs, d.removed)}
 	for _, h := range c.heads {
-		overDel[h] = newTupleSet()
+		over.Ensure(h, inc.db.Get(h).Arity)
 	}
-	driveRounds(inc.db, c.plans,
-		deltaRelations(c.inputs, func(pred string) []Tuple { return d.removed[pred] }),
-		aug,
+	var deletedSeq []headTuple // global discovery order = support-dependency order
+	driveRounds(inc.db, c.plans, deltaRelations(c.inputs, d.removed), over,
 		func(h string, rel *Relation, t Tuple) bool {
 			// Delete doubles as the dedup check: a tuple already tentative
 			// (or never part of the fixpoint) is absent from the relation,
@@ -72,9 +64,8 @@ func (inc *Incremental) applyDRed(c *incComponent, d *Delta) int {
 			if !rel.Delete(t) {
 				return false
 			}
-			overDel[h].add(t)
 			deletedSeq = append(deletedSeq, headTuple{h: h, t: t})
-			aug.add(h, t)
+			over.Get(h).Insert(t)
 			return true
 		})
 
@@ -85,19 +76,15 @@ func (inc *Incremental) applyDRed(c *incComponent, d *Delta) int {
 	// After that, a candidate can only become derivable through a tuple
 	// reinstated later in the queue, so reinstatements propagate
 	// semi-naively: each one drives the delta-first plans once, and emitted
-	// heads that are still-dead candidates are themselves reinstated.
+	// heads that are still-dead candidates (over-deleted, and absent from
+	// the relation until this Insert) are themselves reinstated.
 	// Near-linear in the cascade, with no full-candidate rescans.
-	reinstated := map[string]*tupleSet{}
 	frontier := map[string]*Relation{}
-	for _, h := range c.heads {
-		reinstated[h] = newTupleSet()
-	}
 	checker := newSupportChecker(inc.db, c)
 	for _, ht := range deletedSeq {
 		if checker.rederivable(ht.h, ht.t) {
 			rel := inc.db.Get(ht.h)
 			rel.Insert(ht.t)
-			reinstated[ht.h].add(ht.t)
 			fr := frontier[ht.h]
 			if fr == nil {
 				fr = NewRelation(ht.h, rel.Arity)
@@ -108,44 +95,29 @@ func (inc *Incremental) applyDRed(c *incComponent, d *Delta) int {
 	}
 	driveRounds(inc.db, c.plans, frontier, nil,
 		func(h string, rel *Relation, t Tuple) bool {
-			if !overDel[h].has(t) || !reinstated[h].addNew(t) {
-				return false // live already, or not a dead candidate
-			}
-			rel.Insert(t)
-			return true
+			return over.Get(h).Contains(t) && rel.Insert(t)
 		})
 
 	// Phase 3: propagate the batch's inserts, recording locally so the
 	// final emission can net them against the deletions.
-	inserted := map[string][]Tuple{}
-	insertedSet := map[string]*tupleSet{}
-	inc.propagateInserts(c, d, func(pred string, t Tuple) {
-		s := insertedSet[pred]
-		if s == nil {
-			s = newTupleSet()
-			insertedSet[pred] = s
-		}
-		s.add(t)
-		inserted[pred] = append(inserted[pred], t)
-	})
+	inserted := NewDelta()
+	inc.propagateInserts(c, d, inserted.Insert)
 
-	// Net emission: a tuple deleted and not re-derived nor re-inserted is a
-	// realized deletion; an inserted tuple that does not merely undo a
-	// tentative deletion is a realized insertion. Deletions replay the
-	// discovery queue (per-predicate order inside the output delta is the
-	// per-head discovery order, as before).
+	// Net emission: an over-deleted tuple that neither phase 2 nor phase 3
+	// put back is a realized deletion; an inserted tuple that does not
+	// merely undo a tentative deletion is a realized insertion. Deletions
+	// replay the discovery queue (per-predicate order inside the output
+	// delta is the per-head discovery order).
 	changes := 0
 	for _, ht := range deletedSeq {
-		ins := insertedSet[ht.h]
-		if reinstated[ht.h].has(ht.t) || (ins != nil && ins.has(ht.t)) {
-			continue
+		if !inc.db.Get(ht.h).Contains(ht.t) {
+			d.Delete(ht.h, ht.t)
+			changes++
 		}
-		d.Delete(ht.h, ht.t)
-		changes++
 	}
 	for _, h := range c.heads {
-		for _, t := range inserted[h] {
-			if overDel[h].has(t) && !reinstated[h].has(t) {
+		for _, t := range inserted.added[h] {
+			if over.Get(h).Contains(t) {
 				continue // present before the batch and present after: net zero
 			}
 			d.Insert(h, t)
@@ -180,7 +152,7 @@ func newSupportChecker(db *Database, c *incComponent) *supportChecker {
 		if pl.support == nil {
 			continue
 		}
-		sc.execs[i] = pl.support.newExec(db, pl.support.orders[0], -1, nil, nil, nil, stop)
+		sc.execs[i] = pl.support.newExec(db, pl.support.orders[0], -1, nil, preBatch{}, nil, stop)
 		sc.presets[i] = make([]any, len(pl.supportVars))
 	}
 	return sc

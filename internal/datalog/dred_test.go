@@ -166,67 +166,6 @@ func TestDRedDeltaExactness(t *testing.T) {
 	}
 }
 
-// TestAugOverlayIndexedLookup pins the indexed augmentation overlay: probe
-// sets registered from the component's plans answer by hash (hit and miss),
-// the all-columns set doubles as the membership probe, and an unregistered
-// probe set falls back to the linear scan with identical semantics.
-func TestAugOverlayIndexedLookup(t *testing.T) {
-	p, err := NewProgram(tcRules()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var plans []*rulePlan
-	for _, ps := range p.prep.strata {
-		plans = append(plans, ps...)
-	}
-	o := newAugOverlay(plans)
-	// The TC plans probe edge on [0] and [1] and path on [0] and [1]
-	// across their orders; both predicates must be registered.
-	for _, pred := range []string{"edge", "path"} {
-		if o.rels[pred] == nil {
-			t.Fatalf("overlay did not register %s", pred)
-		}
-	}
-	o.add("path", Tuple{"a", "b"})
-	o.add("path", Tuple{"a", "c"})
-	o.add("path", Tuple{"b", "c"})
-
-	collect := func(pos []int, vals []any) []Tuple {
-		var got []Tuple
-		o.rels["path"].matches(pos, vals, func(t Tuple) bool {
-			got = append(got, t)
-			return true
-		})
-		return got
-	}
-	// Probe-column hit: two tuples start at "a", in append order.
-	if got := collect([]int{0}, []any{"a"}); len(got) != 2 || !got[0].Equal(Tuple{"a", "b"}) || !got[1].Equal(Tuple{"a", "c"}) {
-		t.Fatalf("hit lookup = %v, want [(a,b) (a,c)]", got)
-	}
-	// Probe-column miss.
-	if got := collect([]int{0}, []any{"z"}); len(got) != 0 {
-		t.Fatalf("miss lookup = %v, want empty", got)
-	}
-	// All-columns membership (the allBound existence probe).
-	if !o.rels["path"].matches([]int{0, 1}, []any{"b", "c"}, func(Tuple) bool { return false }) {
-		t.Fatal("membership probe missed a present tuple")
-	}
-	if o.rels["path"].matches([]int{0, 1}, []any{"b", "z"}, func(Tuple) bool { return false }) {
-		t.Fatal("membership probe matched an absent tuple")
-	}
-	// Registered indexes must be maintained across interleaved add/lookup
-	// (the phase-1 pattern: accept appends, next drive probes).
-	o.add("path", Tuple{"a", "d"})
-	if got := collect([]int{0}, []any{"a"}); len(got) != 3 {
-		t.Fatalf("post-append hit lookup = %v, want 3 tuples", got)
-	}
-	// Unregistered probe set: the defensive linear fallback answers the
-	// same question.
-	if got := collect([]int{1}, []any{"c"}); len(got) != 2 {
-		t.Fatalf("fallback lookup = %v, want [(a,c) (b,c)]", got)
-	}
-}
-
 // TestDRedDependencyOrderedRederivation: phase 2 walks candidates in
 // discovery order, which is support-dependency order — a candidate whose
 // only surviving support runs through another candidate reinstated earlier

@@ -43,7 +43,7 @@ func headRel(out map[string]*Relation, r Rule) *Relation {
 // driveStep unions Drive over every (rule, position) of component ci into
 // one relation per head. db is what the non-driven literals read (plus ov);
 // each driven literal's frontier is its full extent in whole.
-func driveStep(p *Program, c Component, ci int, db, whole *Database, ov *Overlay) map[string]*Relation {
+func driveStep(p *Program, c Component, ci int, db, whole, ov *Database) map[string]*Relation {
 	out := map[string]*Relation{}
 	for ri, r := range c.Rules {
 		head := headRel(out, r)
@@ -68,13 +68,13 @@ func naiveStep(c Component, db *Database) map[string]*Relation {
 
 // splitState moves a random part of every relation the component reads
 // out of a clone of db and into an overlay.
-func splitState(r *rand.Rand, c Component, db *Database) (*Database, *Overlay) {
-	cut, ov := db.Clone(), new(Overlay)
+func splitState(r *rand.Rand, c Component, db *Database) (*Database, *Database) {
+	cut, ov := db.Clone(), NewDatabase()
 	for _, pred := range append(append([]string{}, c.Inputs...), c.Heads...) {
 		for _, t := range db.Get(pred).Tuples() {
 			if r.Intn(3) == 0 {
 				cut.Get(pred).Delete(t)
-				ov.Add(pred, t)
+				ov.Ensure(pred, len(t)).Insert(t)
 			}
 		}
 	}

@@ -478,11 +478,11 @@ func aggregate(kind AggKind, rows []Tuple) (any, error) {
 	last := func(t Tuple) any { return t[len(t)-1] }
 	switch kind {
 	case AggCount:
-		seen := newValueSet()
+		seen := NewRelation("", 1) // count distinct: the value column as a relation
 		for _, t := range rows {
-			seen.add(last(t))
+			seen.Insert(t[len(t)-1:])
 		}
-		return int64(seen.len()), nil
+		return int64(seen.Len()), nil
 	case AggSum:
 		var s float64
 		allInt := true

@@ -20,12 +20,14 @@ var ErrInconsistentDelta = errors.New("datalog: delta inconsistent with retained
 // SCC-refined stratum, see plan.go):
 //
 //   - Non-recursive monotone components maintain a derivation count per
-//     head tuple (the classic counting algorithm): an insert or delete on
-//     an input enumerates exactly the derivations gained or lost, and a
-//     head tuple appears or disappears when its count crosses zero.
-//     Exactness comes from the positional old/new discipline — driving the
-//     delta through body position i joins positions before i against the
-//     post-batch state and positions after i against the pre-batch view.
+//     head tuple (the classic counting algorithm), stored on the head
+//     relation itself (Relation.addCount): an insert or delete on an input
+//     enumerates exactly the derivations gained or lost, and a head tuple
+//     appears or disappears when its count crosses zero. Exactness comes
+//     from the positional old/new discipline — driving the delta through
+//     body position i joins positions before i against the post-batch
+//     state and positions after i against the pre-batch view (preBatch's
+//     counting policy in plan.go).
 //   - Recursive monotone components (e.g. transitive closure) propagate
 //     insert-only deltas with the compiled semi-naive plans. Counting is
 //     unsound under recursion (cyclic self-support), so a delta that
@@ -130,61 +132,24 @@ func (d *Delta) normalize() {
 		if len(add) == 0 || len(rem) == 0 {
 			continue // realized changes on one side cannot repeat a tuple
 		}
-		net := newTupleCounts()
+		net := NewRelation(pred, len(add[0]))
 		for _, t := range add {
-			net.add(t, 1)
+			net.addCount(t, 1)
 		}
 		for _, t := range rem {
-			net.add(t, -1)
+			net.addCount(t, -1)
 		}
 		var na, nr []Tuple
-		for _, e := range net.ents {
+		net.scanCounts(func(t Tuple, n int) {
 			switch {
-			case e.n > 0:
-				na = append(na, e.t)
-			case e.n < 0:
-				nr = append(nr, e.t)
+			case n > 0:
+				na = append(na, t)
+			case n < 0:
+				nr = append(nr, t)
 			}
-		}
+		})
 		d.added[pred], d.removed[pred] = na, nr
 	}
-}
-
-// relView is a relation as of a point in the batch: the current relation
-// minus tuples added by the batch plus tuples it removed (the pre-batch
-// "old" view), or just the current relation (the "new" view).
-type relView struct {
-	rel   *Relation
-	hide  *tupleSet // batch-added tuples, excluded from the old view
-	extra []Tuple   // batch-removed tuples, re-included in the old view
-}
-
-func (v relView) lookup(pos []int, vals []any) []Tuple {
-	var out []Tuple
-	if v.rel != nil {
-		if len(pos) == 0 {
-			// Unconstrained enumeration: scan insertion order directly
-			// (Lookup(nil) would copy and sort the whole relation).
-			v.rel.scan(func(t Tuple) bool {
-				if v.hide == nil || !v.hide.has(t) {
-					out = append(out, t)
-				}
-				return true
-			})
-		} else {
-			for _, t := range v.rel.Lookup(pos, vals) {
-				if v.hide == nil || !v.hide.has(t) {
-					out = append(out, t)
-				}
-			}
-		}
-	}
-	for _, t := range v.extra {
-		if projEqual(t, pos, vals) {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 // incComponent classifies one evaluation component for maintenance.
@@ -206,7 +171,6 @@ type Incremental struct {
 	prog   *Program
 	db     *Database
 	comps  []incComponent
-	counts map[string]*tupleCounts // derivation counts for counting comps
 	idb    map[string]bool
 	broken bool
 	// forceRecompute disables the DRed path, restoring the historical
@@ -222,7 +186,7 @@ func newIncrementalCore(p *Program, db *Database) (*Incremental, error) {
 	if err := p.Prepare(); err != nil {
 		return nil, err
 	}
-	inc := &Incremental{prog: p, db: db, counts: map[string]*tupleCounts{}, idb: p.idbPreds()}
+	inc := &Incremental{prog: p, db: db, idb: p.idbPreds()}
 	for _, plans := range p.prep.strata {
 		c := incComponent{plans: plans, headSet: map[string]bool{}, inputSet: map[string]bool{}}
 		for _, pl := range plans {
@@ -308,15 +272,6 @@ func (inc *Incremental) DB() *Database { return inc.db }
 // poisoned evaluator with this.
 func (inc *Incremental) Broken() bool { return inc.broken }
 
-func (inc *Incremental) countsFor(pred string) *tupleCounts {
-	c := inc.counts[pred]
-	if c == nil {
-		c = newTupleCounts()
-		inc.counts[pred] = c
-	}
-	return c
-}
-
 // seed computes a component's initial fixpoint. Counting components
 // enumerate every derivation exactly once (the full join order emits one
 // head per body binding); the rest run the normal component fixpoint.
@@ -328,12 +283,7 @@ func (inc *Incremental) seed(c *incComponent) error {
 	}
 	for _, pl := range c.plans {
 		rel := inc.db.Get(pl.r.Head.Pred)
-		cnt := inc.countsFor(pl.r.Head.Pred)
-		pl.run(inc.db, -1, nil, nil, func(t Tuple) {
-			if _, now := cnt.add(t, 1); now == 1 {
-				rel.Insert(t)
-			}
-		})
+		pl.run(inc.db, -1, nil, nil, func(t Tuple) { rel.addCount(t, 1) })
 	}
 	return nil
 }
@@ -456,200 +406,78 @@ func (inc *Incremental) applyComponent(c *incComponent, d *Delta, hasDel bool) (
 	}
 }
 
-// applyCounting maintains a non-recursive monotone component exactly: the
-// batch's input changes enumerate the derivations gained and lost, signed
-// counts accumulate per head tuple, and zero crossings realize set-level
-// changes (which extend the delta for downstream components). The commit is
-// two-phase: the accumulated deltas are validated against the maintained
-// counts first (a crossing below zero means the batch contradicts retained
-// state), so an inconsistent tick surfaces as ErrInconsistentDelta before
-// the component mutates anything.
+// applyCounting maintains a non-recursive monotone component exactly: each
+// (rule, body position) drives the batch's additions (+1) and removals (−1)
+// on that literal through the delta-first plan under the counting view, the
+// signed derivation counts accumulate per head tuple, and zero crossings
+// realize set-level changes (which extend the delta for downstream
+// components). The commit is two-phase: the accumulated deltas are
+// validated against the maintained counts first (a crossing below zero means
+// the batch contradicts retained state), so an inconsistent tick surfaces as
+// ErrInconsistentDelta before the component mutates anything.
 func (inc *Incremental) applyCounting(c *incComponent, d *Delta) (int, error) {
-	acc := map[string]*tupleCounts{}
-	oldViews := map[string]relView{}
-	oldOf := func(pred string) relView {
-		v, ok := oldViews[pred]
-		if !ok {
-			v = relView{rel: inc.db.Get(pred), extra: d.removed[pred]}
-			if add := d.added[pred]; len(add) > 0 {
-				v.hide = newTupleSet()
-				for _, t := range add {
-					v.hide.add(t)
-				}
-			}
-			oldViews[pred] = v
-		}
-		return v
+	view := preBatch{
+		over:       &Database{rels: deltaRelations(c.inputs, d.removed)},
+		hide:       &Database{rels: deltaRelations(c.inputs, d.added)},
+		positional: true,
 	}
+	acc := NewDatabase() // per head, the batch's signed count changes in first-derived order
 	for _, pl := range c.plans {
-		r := pl.r
-		for i := range r.Body {
-			pred := r.Body[i].Pred
-			for _, t := range d.added[pred] {
-				inc.deltaJoin(r, i, t, 1, oldOf, acc)
-			}
-			for _, t := range d.removed[pred] {
-				inc.deltaJoin(r, i, t, -1, oldOf, acc)
-			}
+		a := acc.Ensure(pl.r.Head.Pred, len(pl.r.Head.Args))
+		gained := func(t Tuple) { a.addCount(t, 1) }
+		lost := func(t Tuple) { a.addCount(t, -1) }
+		for i, l := range pl.r.Body {
+			pl.runSegmented(inc.db, i, d.added[l.Pred], view, gained)
+			pl.runSegmented(inc.db, i, d.removed[l.Pred], view, lost)
 		}
 	}
 	// Phase 1: validate every prospective count against the maintained
 	// state without mutating — a crossing below zero means the delta claims
 	// to retract derivations the component never recorded.
+	var err error
 	for _, h := range c.heads {
-		a := acc[h]
-		if a == nil {
-			continue
-		}
-		cnt := inc.countsFor(h)
-		for _, e := range a.ents {
-			if e.n != 0 && cnt.get(e.t)+e.n < 0 {
-				return 0, fmt.Errorf("%w: derivation count for %s%v would fall below zero", ErrInconsistentDelta, h, e.t)
+		rel := inc.db.Get(h)
+		acc.Get(h).scanCounts(func(t Tuple, n int) {
+			if err == nil && rel.count(t)+n < 0 {
+				err = fmt.Errorf("%w: derivation count for %s%v would fall below zero", ErrInconsistentDelta, h, t)
 			}
-		}
+		})
+	}
+	if err != nil {
+		return 0, err
 	}
 	// Phase 2: commit.
 	changes := 0
 	for _, h := range c.heads {
-		a := acc[h]
-		if a == nil {
-			continue
-		}
 		rel := inc.db.Get(h)
-		cnt := inc.countsFor(h)
-		for _, e := range a.ents {
-			if e.n == 0 {
-				continue
+		acc.Get(h).scanCounts(func(t Tuple, n int) {
+			if n == 0 {
+				return
 			}
-			old, now := cnt.add(e.t, e.n)
-			switch {
-			case old == 0 && now > 0:
-				rel.Insert(e.t)
-				d.Insert(h, e.t)
+			switch old, now := rel.addCount(t, n); {
+			case old == 0:
+				d.Insert(h, t)
 				changes++
-			case old > 0 && now == 0:
-				cnt.drop(e.t) // keep maintained counts bounded by the live fixpoint
-				rel.Delete(e.t)
-				d.Delete(h, e.t)
+			case now == 0:
+				rel.Delete(t) // keeps maintained counts bounded by the live fixpoint
+				d.Delete(h, t)
 				changes++
 			}
-		}
+		})
 	}
 	return changes, nil
 }
 
-// deltaJoin enumerates the body bindings of r in which position di is the
-// changed tuple dt, with positions before di reading the post-batch state
-// and positions after di reading the pre-batch view, and accumulates the
-// signed head contributions. Summed over every position of every changed
-// tuple, this counts each gained or lost derivation exactly once.
-func (inc *Incremental) deltaJoin(r Rule, di int, dt Tuple, sign int, oldOf func(string) relView, acc map[string]*tupleCounts) {
-	lit := r.Body[di]
-	if len(lit.Args) != len(dt) {
-		return
-	}
-	b := binding{}
-	for j, a := range lit.Args {
-		if !a.IsVar() {
-			if a.Const != dt[j] {
-				return
-			}
-			continue
-		}
-		if v, ok := b[a.Var]; ok {
-			if v != dt[j] {
-				return
-			}
-			continue
-		}
-		b[a.Var] = dt[j]
-	}
-	var walk func(j int, b binding)
-	walk = func(j int, b binding) {
-		if j == len(r.Body) {
-			for _, f := range r.Filters {
-				if !evalFilter(f, b) {
-					return
-				}
-			}
-			head := make(Tuple, len(r.Head.Args))
-			for k, t := range r.Head.Args {
-				v, ok := b.resolve(t)
-				if !ok {
-					return
-				}
-				head[k] = v
-			}
-			a := acc[r.Head.Pred]
-			if a == nil {
-				a = newTupleCounts()
-				acc[r.Head.Pred] = a
-			}
-			a.add(head, sign)
-			return
-		}
-		if j == di {
-			walk(j+1, b)
-			return
-		}
-		l := r.Body[j]
-		var view relView
-		if j < di {
-			view = relView{rel: inc.db.Get(l.Pred)}
-		} else {
-			view = oldOf(l.Pred)
-		}
-		var pos []int
-		var vals []any
-		for k, a := range l.Args {
-			if v, ok := b.resolve(a); ok {
-				pos = append(pos, k)
-				vals = append(vals, v)
-			}
-		}
-		for _, t := range view.lookup(pos, vals) {
-			nb := b
-			cloned := false
-			ok := true
-			for k, a := range l.Args {
-				if !a.IsVar() {
-					if t[k] != a.Const {
-						ok = false
-						break
-					}
-					continue
-				}
-				if v, bound := nb[a.Var]; bound {
-					if v != t[k] {
-						ok = false
-						break
-					}
-					continue
-				}
-				if !cloned {
-					nb = b.clone()
-					cloned = true
-				}
-				nb[a.Var] = t[k]
-			}
-			if ok {
-				walk(j+1, nb)
-			}
-		}
-	}
-	walk(0, b)
-}
-
 // driveRounds is the shared semi-naive round skeleton behind insert
 // propagation and both DRed phases: each round drives every plan's
-// positive body literals from the per-predicate delta relations (augmented
-// with the pre-batch overlay when aug is non-nil) and accept decides, per
-// emitted head tuple, whether the tuple's consequence was realized and
-// should drive the next round. A drive's emissions are buffered and reach
-// accept after it returns, so accept may freely mutate relations and the
-// overlay. Rounds repeat until no tuple is accepted.
+// positive body literals from the per-predicate delta relations (the other
+// literals also reading the pre-batch overlay when over is non-nil) and
+// accept decides, per emitted head tuple, whether the tuple's consequence
+// was realized and should drive the next round. A drive's emissions are
+// buffered and reach accept after it returns, so accept may freely mutate
+// relations and the overlay. Rounds repeat until no tuple is accepted.
 func driveRounds(db *Database, plans []*rulePlan, delta map[string]*Relation,
-	aug *augOverlay, accept func(h string, rel *Relation, t Tuple) bool) {
+	over *Database, accept func(h string, rel *Relation, t Tuple) bool) {
 	var buf []Tuple
 	collect := func(t Tuple) { buf = append(buf, t) }
 	for len(delta) > 0 {
@@ -666,7 +494,7 @@ func driveRounds(db *Database, plans []*rulePlan, delta map[string]*Relation,
 					continue
 				}
 				buf = buf[:0]
-				pl.runAug(db, i, dr, aug, nil, collect)
+				pl.runOver(db, i, dr, over, nil, collect)
 				for _, t := range buf {
 					if accept(h, rel, t) {
 						nd := next[h]
@@ -683,13 +511,14 @@ func driveRounds(db *Database, plans []*rulePlan, delta map[string]*Relation,
 	}
 }
 
-// deltaRelations materializes a Delta's per-predicate tuple lists (added
-// or removed, selected by pick) for the given predicates as scan-only
-// relations seeding a driveRounds loop.
-func deltaRelations(preds []string, pick func(pred string) []Tuple) map[string]*Relation {
+// deltaRelations materializes a Delta's per-predicate tuple lists (its
+// added or its removed map) for the given predicates as relations that hash
+// and index themselves only if probed: a driveRounds seed is just scanned,
+// a pre-batch view (preBatch) is joined against.
+func deltaRelations(preds []string, lists map[string][]Tuple) map[string]*Relation {
 	delta := map[string]*Relation{}
 	for _, pred := range preds {
-		list := pick(pred)
+		list := lists[pred]
 		if len(list) == 0 {
 			continue
 		}
@@ -712,7 +541,7 @@ func (inc *Incremental) propagateInserts(c *incComponent, in *Delta, record func
 	ensureHeadsPlanned(inc.db, c.plans)
 	changes := 0
 	driveRounds(inc.db, c.plans,
-		deltaRelations(c.inputs, func(pred string) []Tuple { return in.added[pred] }),
+		deltaRelations(c.inputs, in.added),
 		nil,
 		func(h string, rel *Relation, t Tuple) bool {
 			if !rel.Insert(t) {

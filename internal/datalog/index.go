@@ -7,10 +7,10 @@ import (
 	"sort"
 )
 
-// This file is the hash-native storage core: 64-bit typed FNV-1a hashing of
-// tuple values (replacing the old string key encoding on the hot path),
-// collision-bucketed hash sets, and incrementally maintained column indexes
-// — the "access path" machinery of §5.1 in compiled form.
+// This file is the hashing and ordering half of the storage core: 64-bit
+// typed FNV-1a hashing of tuple values, the incrementally maintained column
+// indexes Relation builds on first probe — the "access path" machinery of
+// §5.1 in compiled form — and the deterministic tuple order.
 
 const (
 	fnvOffset uint64 = 14695981039346656037
@@ -218,275 +218,6 @@ func tupleLess(a, b Tuple) bool {
 // sortTuples sorts in place under the deterministic order.
 func sortTuples(ts []Tuple) {
 	sort.Slice(ts, func(i, j int) bool { return tupleLess(ts[i], ts[j]) })
-}
-
-// valueSet is a hash set of single values with collision buckets — used by
-// count-distinct aggregation in place of the old string-key set.
-type valueSet struct {
-	m map[uint64][]any
-	n int
-}
-
-func newValueSet() *valueSet { return &valueSet{m: map[uint64][]any{}} }
-
-func (s *valueSet) add(v any) {
-	h := hashValue(fnvOffset, v)
-	for _, x := range s.m[h] {
-		if x == v {
-			return
-		}
-	}
-	s.m[h] = append(s.m[h], v)
-	s.n++
-}
-
-func (s *valueSet) len() int { return s.n }
-
-// augOverlay is the DRed over-deletion phase's pre-batch augmentation
-// view: per predicate, the tuples the batch removed plus the tuples
-// over-deleted so far, visible to the delta plans as if still present.
-// Every probe-column set the component's compiled plans can use is
-// registered up front and indexed with the same colIndex machinery the
-// relations use, so join probes against the overlay are hash lookups —
-// the previous per-probe linear scan made large deletion cascades
-// quadratic in the cascade size. Appends maintain every built index; the
-// first probe of a registered set builds it.
-type augOverlay struct {
-	rels map[string]*augRel
-}
-
-// augRel is one predicate's overlay: rows in append (discovery) order plus
-// one maintained index per registered probe-column set.
-type augRel struct {
-	rows []Tuple
-	idx  []*colIndex
-}
-
-// newAugOverlay builds an empty overlay with the probe-column sets of
-// every positive literal in the given plans' join orders pre-registered
-// (all-bound existence probes register the full column set).
-func newAugOverlay(plans []*rulePlan) *augOverlay {
-	o := &augOverlay{rels: map[string]*augRel{}}
-	for _, pl := range plans {
-		for _, order := range pl.orders {
-			o.registerOrder(order)
-		}
-	}
-	return o
-}
-
-// registerOrder registers the probe-column sets one join order can use.
-func (o *augOverlay) registerOrder(order []litPlan) {
-	for i := range order {
-		lp := &order[i]
-		if lp.negated || len(lp.probePos) == 0 {
-			continue // negation ignores the overlay; full scans read rows directly
-		}
-		o.register(lp.pred, lp.probePos)
-	}
-}
-
-func (o *augOverlay) register(pred string, pos []int) {
-	r := o.rels[pred]
-	if r == nil {
-		r = &augRel{}
-		o.rels[pred] = r
-	}
-	for _, ci := range r.idx {
-		if sameCols(ci.pos, pos) {
-			return
-		}
-	}
-	// m stays nil until the probe set is actually used: many registered
-	// sets are never probed while their overlay is non-empty (a head's
-	// overlay is only ever probed by round-1 input-delta drives), and
-	// maintaining dead indexes across a large cascade is pure overhead.
-	r.idx = append(r.idx, &colIndex{pos: append([]int(nil), pos...)})
-}
-
-// add appends t to pred's overlay and maintains every built index (unbuilt
-// ones index all rows if and when a probe builds them). Appends happen
-// only between drives (driveRounds' accept step), never during a walk.
-func (o *augOverlay) add(pred string, t Tuple) {
-	r := o.rels[pred]
-	if r == nil {
-		r = &augRel{}
-		o.rels[pred] = r
-	}
-	slot := int32(len(r.rows))
-	r.rows = append(r.rows, t)
-	for _, ci := range r.idx {
-		if ci.m != nil {
-			ci.add(t, slot)
-		}
-	}
-}
-
-func (r *augRel) build(ci *colIndex) {
-	ci.m = make(map[uint64][]int32, nextPow2(len(r.rows)))
-	for i, t := range r.rows {
-		ci.add(t, int32(i))
-	}
-}
-
-// matches enumerates, in append order, the overlay tuples whose columns at
-// pos equal vals, calling each for every match until it returns false. It
-// reports whether any match existed. The first probe of a registered set
-// builds its index; an unregistered probe set falls back to the linear
-// scan (defensive — newAugOverlay registers every set the plans can
-// produce), preserving semantics either way.
-func (r *augRel) matches(pos []int, vals []any, each func(Tuple) bool) bool {
-	for _, ci := range r.idx {
-		if !sameCols(ci.pos, pos) {
-			continue
-		}
-		if ci.m == nil {
-			r.build(ci)
-		}
-		found := false
-		for _, s := range ci.m[hashVals(vals)] {
-			t := r.rows[s]
-			if !projEqual(t, pos, vals) {
-				continue // projection-hash collision
-			}
-			found = true
-			if !each(t) {
-				return true
-			}
-		}
-		return found
-	}
-	found := false
-	for _, t := range r.rows {
-		if projEqual(t, pos, vals) {
-			found = true
-			if !each(t) {
-				return true
-			}
-		}
-	}
-	return found
-}
-
-// tupleSet is a hash set of tuples with collision buckets — the incremental
-// evaluator's membership filter for batch views.
-type tupleSet struct {
-	m map[uint64][]Tuple
-}
-
-func newTupleSet() *tupleSet { return &tupleSet{m: map[uint64][]Tuple{}} }
-
-func (s *tupleSet) add(t Tuple) { s.addNew(t) }
-
-// addNew inserts t and reports whether it was absent — membership check
-// and insertion in one hash, for accept paths that do both.
-func (s *tupleSet) addNew(t Tuple) bool {
-	h := hashTuple(t)
-	for _, x := range s.m[h] {
-		if x.Equal(t) {
-			return false
-		}
-	}
-	s.m[h] = append(s.m[h], t)
-	return true
-}
-
-func (s *tupleSet) has(t Tuple) bool {
-	if len(s.m) == 0 {
-		return false // skip the tuple hash entirely on empty sets
-	}
-	for _, x := range s.m[hashTuple(t)] {
-		if x.Equal(t) {
-			return true
-		}
-	}
-	return false
-}
-
-// tupleCounts maps tuples to signed counts (derivation multiplicities and
-// batch-delta accumulation), preserving first-seen order for deterministic
-// realization. Dropped entries leave tombstones (nil tuple) compacted once
-// they dominate, so long-lived maintained counts track the live fixpoint
-// rather than every tuple ever derived.
-type tupleCounts struct {
-	m    map[uint64][]int
-	ents []tcEntry
-	dead int
-}
-
-type tcEntry struct {
-	t Tuple
-	n int
-}
-
-func newTupleCounts() *tupleCounts { return &tupleCounts{m: map[uint64][]int{}} }
-
-// add adjusts t's count by d, creating the entry at zero first, and returns
-// the count before and after.
-func (c *tupleCounts) add(t Tuple, d int) (old, now int) {
-	h := hashTuple(t)
-	for _, i := range c.m[h] {
-		if c.ents[i].t.Equal(t) {
-			old = c.ents[i].n
-			c.ents[i].n = old + d
-			return old, old + d
-		}
-	}
-	c.m[h] = append(c.m[h], len(c.ents))
-	c.ents = append(c.ents, tcEntry{t: t, n: d})
-	return 0, d
-}
-
-// get returns t's current count without creating an entry.
-func (c *tupleCounts) get(t Tuple) int {
-	if len(c.m) == 0 {
-		return 0
-	}
-	for _, i := range c.m[hashTuple(t)] {
-		if c.ents[i].t.Equal(t) {
-			return c.ents[i].n
-		}
-	}
-	return 0
-}
-
-// drop removes t's entry entirely (callers drop maintained counts that
-// returned to zero).
-func (c *tupleCounts) drop(t Tuple) {
-	h := hashTuple(t)
-	bucket := c.m[h]
-	for i, idx := range bucket {
-		if c.ents[idx].t.Equal(t) {
-			c.ents[idx] = tcEntry{}
-			c.m[h] = append(bucket[:i], bucket[i+1:]...)
-			if len(c.m[h]) == 0 {
-				delete(c.m, h)
-			}
-			c.dead++
-			c.maybeCompact()
-			return
-		}
-	}
-}
-
-// maybeCompact squeezes out tombstones (preserving first-seen order) once
-// they dominate, rebuilding the index.
-func (c *tupleCounts) maybeCompact() {
-	if c.dead <= 32 || c.dead*2 <= len(c.ents) {
-		return
-	}
-	live := make([]tcEntry, 0, len(c.ents)-c.dead)
-	for _, e := range c.ents {
-		if e.t != nil {
-			live = append(live, e)
-		}
-	}
-	c.ents = live
-	c.dead = 0
-	c.m = make(map[uint64][]int, nextPow2(len(live)))
-	for i, e := range live {
-		c.m[hashTuple(e.t)] = append(c.m[hashTuple(e.t)], i)
-	}
 }
 
 // nextPow2 rounds up to a power of two (initial sizing hints).

@@ -7,7 +7,10 @@ import "fmt"
 // program — the database (base relations plus the materialized fixpoint, in
 // insertion order) and the counted-derivation multiplicities of the
 // non-recursive monotone components — and RestoreIncremental rebuilds a
-// working evaluator from one without re-deriving anything. The durable
+// working evaluator from one without re-deriving anything. In the live
+// evaluator a count sits beside its tuple, in the head relation's slot
+// (Relation.addCount); CountsState is read off that relation in scan order
+// and restored onto it. The durable
 // layer (internal/durable) encodes FixpointStates into snapshot files and
 // replays changelog suffixes through Apply; keeping the state shape here
 // means the encoding never reaches into evaluator internals.
@@ -64,19 +67,13 @@ func (inc *Incremental) State() (*FixpointState, error) {
 		})
 		st.Relations = append(st.Relations, rs)
 	}
-	// Count tables in sorted-pred order; entries in first-seen order
-	// (live entries only — drop tombstones are compaction artifacts).
+	// Count tables in sorted-pred order; entries in the head relation's scan
+	// order, which is the order the counted tuples were first derived in.
 	for _, name := range inc.db.Names() {
-		c := inc.counts[name]
-		if c == nil {
-			continue
-		}
 		cs := CountsState{Pred: name}
-		for _, e := range c.ents {
-			if e.t != nil {
-				cs.Entries = append(cs.Entries, CountEntry{Tuple: e.t, Count: e.n})
-			}
-		}
+		inc.db.Get(name).scanCounts(func(t Tuple, n int) {
+			cs.Entries = append(cs.Entries, CountEntry{Tuple: t, Count: n})
+		})
 		if len(cs.Entries) > 0 {
 			st.Counts = append(st.Counts, cs)
 		}
@@ -119,7 +116,6 @@ func RestoreIncremental(p *Program, db *Database, st *FixpointState) (*Increment
 		if !counting[cs.Pred] {
 			return nil, fmt.Errorf("datalog: restore: %s carries derivation counts but is not a counting component head", cs.Pred)
 		}
-		c := inc.countsFor(cs.Pred)
 		rel := inc.db.Get(cs.Pred)
 		for _, e := range cs.Entries {
 			if e.Count <= 0 {
@@ -128,19 +124,24 @@ func RestoreIncremental(p *Program, db *Database, st *FixpointState) (*Increment
 			if rel == nil || !rel.Contains(e.Tuple) {
 				return nil, fmt.Errorf("datalog: restore: counted tuple %s%v is not in the restored fixpoint", cs.Pred, e.Tuple)
 			}
-			c.add(e.Tuple, e.Count)
+			rel.addCount(e.Tuple, e.Count)
 		}
 	}
-	// Every counting head's count table must cover its relation exactly:
-	// an uncounted tuple (or a count without a tuple, caught above) would
+	// Every counting head's counts must cover its relation exactly: an
+	// uncounted tuple (or a count without a tuple, caught above) would
 	// corrupt every future zero-crossing decision.
 	for h := range counting {
 		rel := inc.db.Get(h)
-		n := 0
-		if c := inc.counts[h]; c != nil {
-			n = len(c.ents)
+		if rel == nil {
+			continue
 		}
-		if rel != nil && rel.Len() != n {
+		n := 0
+		rel.scanCounts(func(_ Tuple, c int) {
+			if c > 0 {
+				n++
+			}
+		})
+		if rel.Len() != n {
 			return nil, fmt.Errorf("datalog: restore: %s has %d tuples but %d derivation counts", h, rel.Len(), n)
 		}
 	}

@@ -9,10 +9,13 @@ import (
 // variables into slots so bindings are a flat []any instead of cloned maps,
 // caches stratification, splits every literal's columns into bound (probe)
 // and free (bind) sets, greedily reorders body literals by boundness, and
-// pushes filters to the earliest point they are evaluable. Eval, Derive and
-// the aggregate path all execute these plans; EvalNaive keeps the
-// interpretive walk in eval.go as the E8 baseline and as a reference
-// implementation for differential testing.
+// pushes filters to the earliest point they are evaluable. Eval, Derive,
+// the aggregate path, every Incremental maintenance strategy (counting
+// included — the derivation counts it keeps ride the head relation's slots,
+// Relation.addCount) and the shard replicas' Drive all execute these plans.
+// The interpretive binding-map walk (deriveRule in eval.go, behind
+// EvalNaive) is the oracle only: the E8 baseline and the reference the
+// differential tests compare every plan-driven path against.
 
 // slotTerm is a compiled term: a slot in the flat binding environment, or
 // an inline constant when slot < 0.
@@ -396,38 +399,46 @@ func compileRule(r Rule, preBound []string, supportMode bool) (*rulePlan, error)
 	return p, nil
 }
 
+// preBatch is what a run's positive non-delta literals read besides db —
+// tuples a batch already moved, put back (over) or taken out (hide) so the
+// literal joins against the state before the batch. Two policies share it:
+//
+//   - DRed over-deletion: every such literal reads db ∪ over (the batch's
+//     removed inputs plus the heads over-deleted so far).
+//   - Counting (positional): literals before the delta position read db as
+//     is, literals after it read db − hide ∪ over (hide = the batch's added
+//     tuples, over = its removed ones), so that summed over every position
+//     of every changed tuple each gained or lost derivation is enumerated
+//     exactly once.
+//
+// The delta position reads the delta verbatim and negated probes read db
+// (both policies run on monotone components only). The zero value reads db.
+type preBatch struct {
+	over, hide *Database
+	positional bool
+}
+
 // run executes the plan: deltaIdx < 0 selects the standard order; otherwise
 // body literal deltaIdx reads from delta instead of its full relation and
 // the delta-first order is used. emit receives each derived head row.
 func (p *rulePlan) run(db *Database, deltaIdx int, delta *Relation, preset []any, emit func(Tuple)) {
-	p.runAug(db, deltaIdx, delta, nil, preset, emit)
+	p.runOver(db, deltaIdx, delta, nil, preset, emit)
 }
 
-// runAug is run with an optional augmentation overlay: every positive
-// non-delta literal on predicate P also matches the overlay's tuples for P,
-// as if they were still present in the relation. The DRed over-deletion
-// phase reads the pre-batch view this way — the database plus the batch's
-// removed tuples. Augmentation is defined for positive literals only (DRed
-// runs on monotone components); negated probes ignore it.
-func (p *rulePlan) runAug(db *Database, deltaIdx int, delta *Relation, aug *augOverlay, preset []any, emit func(Tuple)) {
-	p.runAugUntil(db, deltaIdx, delta, aug, preset, func(t Tuple) bool {
-		emit(t)
-		return true
-	})
-}
-
-// runAugUntil is runAug with early termination: emit returning false
-// abandons the walk immediately. Existence queries (the DRed re-derivation
-// check) stop at the first surviving derivation instead of enumerating
-// them all.
-func (p *rulePlan) runAugUntil(db *Database, deltaIdx int, delta *Relation, aug *augOverlay, preset []any, emit func(Tuple) bool) {
+// runOver is run with every positive non-delta literal also reading over's
+// tuples for its predicate, as if they were still present in the relation
+// (preBatch's DRed policy; nil reads db alone).
+func (p *rulePlan) runOver(db *Database, deltaIdx int, delta *Relation, over *Database, preset []any, emit func(Tuple)) {
 	order := p.orders[0]
 	if deltaIdx >= 0 {
 		if o := p.orders[1+deltaIdx]; o != nil {
 			order = o
 		}
 	}
-	e := p.newExec(db, order, deltaIdx, delta, aug, preset, emit)
+	e := p.newExec(db, order, deltaIdx, delta, preBatch{over: over}, preset, func(t Tuple) bool {
+		emit(t)
+		return true
+	})
 	if !e.preFiltersPass() {
 		return
 	}
@@ -439,9 +450,12 @@ func (p *rulePlan) runAugUntil(db *Database, deltaIdx int, delta *Relation, aug 
 // a whole-delta run would emit while processing that tuple. deltaIdx must
 // name a non-negated body literal (those have a delta-first order); env
 // and scratch are allocated once and reused across tuples.
-func (p *rulePlan) runSegmented(db *Database, deltaIdx int, tuples []Tuple, aug *augOverlay, emit func(Tuple)) {
+func (p *rulePlan) runSegmented(db *Database, deltaIdx int, tuples []Tuple, view preBatch, emit func(Tuple)) {
+	if len(tuples) == 0 {
+		return
+	}
 	order := p.orders[1+deltaIdx]
-	e := p.newExec(db, order, deltaIdx, nil, aug, nil, func(t Tuple) bool {
+	e := p.newExec(db, order, deltaIdx, nil, view, nil, func(t Tuple) bool {
 		emit(t)
 		return true
 	})
@@ -454,31 +468,10 @@ func (p *rulePlan) runSegmented(db *Database, deltaIdx int, tuples []Tuple, aug 
 		vals[k] = st.value(e.env) // constants only: no slot is bound yet
 	}
 	for _, t := range tuples {
-		// Inline litPlan matching for the delta literal: constant columns
-		// must agree, free columns bind slots, repeated variables check,
-		// then the literal's filters — the same acceptance test a
-		// relation-driven run applies via index lookup + step.
-		if !projEqual(t, first.probePos, vals) {
-			continue
-		}
-		for k, pos := range first.freePos {
-			e.env[first.freeSlots[k]] = t[pos]
-		}
-		ok := true
-		for k, pos := range first.checkPos {
-			if t[pos] != e.env[first.checkSlots[k]] {
-				ok = false
-				break
-			}
-		}
-		for _, f := range first.filters {
-			if !ok || !f.eval(e.env) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			e.walk(1)
+		// The delta literal's constant columns must agree; step then binds
+		// and checks it exactly as it would a tuple found by index lookup.
+		if projEqual(t, first.probePos, vals) {
+			e.step(0, t, nil)
 		}
 	}
 }
@@ -493,15 +486,15 @@ type planExec struct {
 	order    []litPlan
 	deltaIdx int
 	delta    *Relation
-	aug      *augOverlay
+	view     preBatch
 	env      []any
 	scratch  [][]any
 	stopped  bool
 	emit     func(Tuple) bool
 }
 
-func (p *rulePlan) newExec(db *Database, order []litPlan, deltaIdx int, delta *Relation, aug *augOverlay, preset []any, emit func(Tuple) bool) *planExec {
-	e := &planExec{p: p, db: db, order: order, deltaIdx: deltaIdx, delta: delta, aug: aug, emit: emit}
+func (p *rulePlan) newExec(db *Database, order []litPlan, deltaIdx int, delta *Relation, view preBatch, preset []any, emit func(Tuple) bool) *planExec {
+	e := &planExec{p: p, db: db, order: order, deltaIdx: deltaIdx, delta: delta, view: view, emit: emit}
 	e.env = make([]any, p.nslots)
 	copy(e.env, preset)
 	// Per-position scratch for probe values and negation probes, allocated
@@ -538,6 +531,38 @@ func (e *planExec) preFiltersPass() bool {
 	return true
 }
 
+func (e *planExec) filtersPass(lp *litPlan) bool {
+	for _, f := range lp.filters {
+		if !f.eval(e.env) {
+			return false
+		}
+	}
+	return true
+}
+
+// step accepts one candidate tuple for the positive literal at position i —
+// hidden tuples are skipped, free columns bind their slots, repeated
+// variables and the literal's filters must agree — and walks on. It reports
+// whether the enumeration that produced t should continue.
+func (e *planExec) step(i int, t Tuple, hide *Relation) bool {
+	lp := &e.order[i]
+	if hide != nil && hide.Contains(t) {
+		return true
+	}
+	for k, pos := range lp.freePos {
+		e.env[lp.freeSlots[k]] = t[pos]
+	}
+	for k, pos := range lp.checkPos {
+		if t[pos] != e.env[lp.checkSlots[k]] {
+			return true
+		}
+	}
+	if e.filtersPass(lp) {
+		e.walk(i + 1)
+	}
+	return !e.stopped
+}
+
 // walk recurses through the join order from position i, emitting head
 // tuples at the leaves.
 func (e *planExec) walk(i int) {
@@ -555,97 +580,70 @@ func (e *planExec) walk(i int) {
 		return
 	}
 	lp := &e.order[i]
-	rel := e.db.Get(lp.pred)
-	var augRel *augRel
-	if e.aug != nil && !lp.negated {
-		augRel = e.aug.rels[lp.pred]
-	}
-	if e.deltaIdx >= 0 && lp.origIdx == e.deltaIdx {
-		rel = e.delta
-		augRel = nil // the delta position reads the delta verbatim
-	}
-	if rel == nil && augRel == nil {
-		if lp.negated {
-			e.walk(i + 1) // absent relation: negation trivially holds
-		}
-		return
-	}
 	if lp.negated {
-		probe := e.scratch[i]
-		for j, st := range lp.negArgs {
-			probe[j] = st.value(e.env)
+		if rel := e.db.Get(lp.pred); rel != nil {
+			probe := e.scratch[i]
+			for j, st := range lp.negArgs {
+				probe[j] = st.value(e.env)
+			}
+			if rel.Contains(Tuple(probe)) {
+				return
+			}
 		}
-		if !rel.Contains(Tuple(probe)) {
-			e.walk(i + 1)
-		}
+		e.walk(i + 1) // an absent relation holds nothing: negation holds
 		return
 	}
-	step := func(t Tuple) bool {
-		for k, pos := range lp.freePos {
-			e.env[lp.freeSlots[k]] = t[pos]
+	// The literal's sources in enumeration order, by e.view's policy.
+	var srcs [2]*Relation
+	var hide *Relation
+	n := 0
+	if e.deltaIdx >= 0 && lp.origIdx == e.deltaIdx {
+		srcs[0], n = e.delta, 1
+	} else {
+		if rel := e.db.Get(lp.pred); rel != nil {
+			srcs[0], n = rel, 1
 		}
-		for k, pos := range lp.checkPos {
-			if t[pos] != e.env[lp.checkSlots[k]] {
-				return true
+		if v := &e.view; v.over != nil && (!v.positional || lp.origIdx > e.deltaIdx) {
+			// An empty overlay is skipped, so its index is first built (and
+			// from then on maintained) only once a probe can hit it.
+			if o := v.over.Get(lp.pred); o != nil && o.Len() > 0 {
+				srcs[n] = o
+				n++
+			}
+			if v.hide != nil {
+				hide = v.hide.Get(lp.pred)
 			}
 		}
-		for _, f := range lp.filters {
-			if !f.eval(e.env) {
-				return true
-			}
-		}
-		e.walk(i + 1)
-		return !e.stopped
-	}
-	if len(lp.probePos) == 0 {
-		if rel != nil {
-			rel.scan(step)
-		}
-		if augRel != nil {
-			for _, t := range augRel.rows {
-				if e.stopped || !step(t) {
-					return
-				}
-			}
-		}
-		return
 	}
 	vals := e.scratch[i]
 	for k, st := range lp.probeArgs {
 		vals[k] = st.value(e.env)
 	}
-	if lp.allBound {
-		// Existence check: probePos covers every column in order, so
-		// vals is the full tuple; the membership hash answers directly.
-		present := rel != nil && rel.Contains(Tuple(vals))
-		if !present && augRel != nil {
-			present = augRel.matches(lp.probePos, vals, func(Tuple) bool { return false })
-		}
-		if present {
-			for _, f := range lp.filters {
-				if !f.eval(e.env) {
+	for _, src := range srcs[:n] {
+		switch {
+		case len(lp.probePos) == 0:
+			for _, t := range src.slots {
+				if t != nil && !e.step(i, t, hide) {
 					return
 				}
 			}
-			e.walk(i + 1)
-		}
-		return
-	}
-	if rel != nil {
-		for _, s := range rel.lookupSlots(lp.probePos, vals) {
-			t := rel.slots[s]
-			if !projEqual(t, lp.probePos, vals) {
-				continue // projection-hash collision
-			}
-			if !step(t) {
+		case lp.allBound:
+			// Existence check: probePos covers every column in order, so
+			// vals is the full tuple; the membership hash answers directly.
+			if src.Contains(Tuple(vals)) && (hide == nil || !hide.Contains(Tuple(vals))) {
+				if e.filtersPass(lp) {
+					e.walk(i + 1)
+				}
 				return
 			}
+		default:
+			for _, s := range src.lookupSlots(lp.probePos, vals) {
+				// A projection-hash collision fails projEqual.
+				if t := src.slots[s]; projEqual(t, lp.probePos, vals) && !e.step(i, t, hide) {
+					return
+				}
+			}
 		}
-	}
-	if augRel != nil {
-		augRel.matches(lp.probePos, vals, func(t Tuple) bool {
-			return !e.stopped && step(t)
-		})
 	}
 }
 

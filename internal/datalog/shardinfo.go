@@ -127,38 +127,19 @@ func ShardOf(t Tuple, col, n int) int {
 	return int(h % uint64(n))
 }
 
-// Overlay is a DRed pre-deletion view for Drive: tuples already removed
-// from the database that the non-driven body literals must still see while
-// over-deletion propagates (dred.go, phase 1). The zero value is empty and
-// ready to use; Drive indexes it for the probe columns of the plans it runs.
-type Overlay struct {
-	aug augOverlay
-}
-
-// Add makes t visible under pred. Callers add a tuple at most once and only
-// between Drive calls.
-func (o *Overlay) Add(pred string, t Tuple) {
-	if o.aug.rels == nil {
-		o.aug.rels = map[string]*augRel{}
-	}
-	o.aug.add(pred, t)
-}
-
 // Drive runs rule ri of component comp (Components order) with body literal
 // pos reading exactly the frontier tuples, in order, and every other literal
-// reading db — plus ov's tuples when ov is non-nil — on the delta-first join
-// order Prepare compiled for that position, and passes each derived head
-// tuple to emit. It is one serial semi-naive drive: the step Incremental's
-// insert, over-delete and re-derive rounds are made of, with the frontier
-// supplied by the caller. The program must be compiled (NewProgram, or a
-// successful Components call) and pos must name a positive literal of a
-// non-aggregate rule; frontier tuples have that literal's arity.
-func (p *Program) Drive(db *Database, comp, ri, pos int, frontier []Tuple, ov *Overlay, emit func(Tuple)) {
-	pl := p.prep.strata[comp][ri]
-	var aug *augOverlay
-	if ov != nil && ov.aug.rels != nil { // nothing added: same as no overlay
-		aug = &ov.aug
-		aug.registerOrder(pl.orders[1+pos])
-	}
-	pl.runSegmented(db, pos, frontier, aug, emit)
+// reading db — plus over's tuples for its predicate when over is non-nil:
+// the DRed pre-deletion view, tuples already removed from db that the
+// non-driven literals must still see while over-deletion propagates
+// (dred.go, phase 1) — on the delta-first join order Prepare compiled for
+// that position, and passes each derived head tuple to emit. It is one
+// serial semi-naive drive: the step Incremental's insert, over-delete and
+// re-derive rounds are made of, with the frontier supplied by the caller.
+// The program must be compiled (NewProgram, or a successful Components
+// call) and pos must name a positive literal of a non-aggregate rule;
+// frontier tuples have that literal's arity. over is only read, and indexed
+// on the columns the drive probes; callers change it between drives only.
+func (p *Program) Drive(db *Database, comp, ri, pos int, frontier []Tuple, over *Database, emit func(Tuple)) {
+	p.prep.strata[comp][ri].runSegmented(db, pos, frontier, preBatch{over: over}, emit)
 }

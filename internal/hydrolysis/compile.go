@@ -93,6 +93,17 @@ func CompileProgram(prog *hlang.Program, opts Options) (*Compiled, error) {
 	return c, nil
 }
 
+// LayoutReport renders the synthesized layouts one table a line, in the
+// program's declaration order (Layouts is a map: ranging over it would
+// reorder the report from run to run).
+func (c *Compiled) LayoutReport() string {
+	s := ""
+	for _, t := range c.Program.Tables {
+		s += fmt.Sprintf("%-14s %s\n", t.Name, c.Layouts[t.Name])
+	}
+	return s
+}
+
 // PartitionEntry describes how one table scatters across shards (§5's
 // "declarations for data placement across nodes").
 type PartitionEntry struct {

@@ -30,7 +30,6 @@ type replica struct {
 	// Staging for the current attempt.
 	undo       []datalog.DeltaOp // realized changes in application order
 	adds, dels *datalog.Database // net realized changes this tick, per pred
-	overlay    *datalog.Overlay  // dels as the running delete phase's pre-deletion view; nil outside one
 	pend       map[string][]datalog.Tuple
 	inbox      map[rkey][]xchMsg
 	await      map[rkey]int // apply barriers waiting on more xch traffic
@@ -63,7 +62,6 @@ func (r *replica) clearStaging() {
 	r.undo = nil
 	r.adds = datalog.NewDatabase()
 	r.dels = datalog.NewDatabase()
-	r.overlay = nil
 	r.pend = map[string][]datalog.Tuple{}
 	r.inbox = map[rkey][]xchMsg{}
 	r.await = map[rkey]int{}
@@ -83,9 +81,6 @@ func (r *replica) record(del bool, pred string, t datalog.Tuple) {
 		return
 	}
 	gain.Ensure(pred, len(t)).Insert(t)
-	if del && r.overlay != nil {
-		r.overlay.Add(pred, t)
-	}
 }
 
 // nonEmpty reports whether net holds any tuple of pred.
@@ -214,26 +209,16 @@ func (r *replica) applyBase(ops []datalog.DeltaOp) {
 // runRound drives one exchange round of a monotone component phase: the
 // current frontier (seeded from the tick's net input changes on round 0)
 // is pushed through every rule position by the datalog drive (over-delete
-// rounds against the overlay of this tick's net deletions), emissions are
+// rounds with this tick's net deletions, r.dels, as the overlay), emissions are
 // grouped by owning replica, remote batches go out as xch messages, and the
 // local batch is stashed in the inbox so apply-time ordering treats self
 // like any peer.
 func (r *replica) runRound(m req) {
 	c := r.dep.comps[m.Comp]
 	if m.Round == 0 {
-		r.overlay = nil
 		switch {
 		case m.Phase == phaseDelete:
-			// Over-deletion joins against the pre-deletion view: the input
-			// deletions seed the overlay here and record grows it with every
-			// head the phase's apply barriers delete.
 			r.pend = seedFrontier(r.dels, c.inputs)
-			r.overlay = new(datalog.Overlay)
-			for pred, ts := range r.pend {
-				for _, t := range ts {
-					r.overlay.Add(pred, t)
-				}
-			}
 		case m.Phase == phaseInsert && m.SeedInputs:
 			r.pend = seedFrontier(r.adds, c.inputs)
 		}
@@ -264,7 +249,14 @@ func (r *replica) runRound(m req) {
 		batches[d] = append(batches[d], xchItem{Pred: pred, Del: del, T: t})
 	}
 
+	// Over-deletion joins against the pre-deletion view: r.dels holds the
+	// input deletions that seeded the phase, and record grows it with every
+	// head the phase's apply barriers delete.
 	del := m.Phase == phaseDelete
+	var over *datalog.Database
+	if del {
+		over = r.dels
+	}
 	for ri, rule := range c.rules {
 		emitHead := func(h datalog.Tuple) { emit(rule.Head.Pred, del, h) }
 		if m.Phase == phaseRederive {
@@ -282,7 +274,7 @@ func (r *replica) runRound(m req) {
 				continue
 			}
 			frontier = r.filterDriven(c, ri, i, frontier)
-			r.dep.prog.Drive(r.db, m.Comp, ri, i, frontier, r.overlay, emitHead)
+			r.dep.prog.Drive(r.db, m.Comp, ri, i, frontier, over, emitHead)
 		}
 	}
 
