@@ -2,7 +2,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: build test vet ci orphans datalog-serial datalog-one-store bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak
+.PHONY: build test vet ci orphans datalog-serial datalog-one-store one-tick-path bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak
 
 build:
 	$(GO) build ./...
@@ -13,7 +13,7 @@ test:
 vet:
 	$(GO) vet ./...
 
-ci: build vet orphans datalog-serial datalog-one-store test bench-test
+ci: build vet orphans datalog-serial datalog-one-store one-tick-path test bench-test
 
 # bench-test compiles and tests the nested bench/ module (own go.mod, so
 # `go build ./... && go test ./...` at the root never see it): a change to
@@ -54,6 +54,17 @@ datalog-one-store:
 		{code=$$0; sub(/\/\/.*/,"",code)} \
 		code ~ /(^|[^[:alnum:]_"])binding([{(),]|$$)|evalFilter\(/ && !(FILENAME ~ /eval\.go$$/ && fn ~ /^deriveRule\(/) \
 		{print FILENAME":"FNR": "$$0; bad=1} END{exit bad}' $(filter-out %/rule.go,$(DATALOG_SRC))
+
+# one-tick-path fails if a non-test file of internal/transducer or
+# internal/hydrolysis copies state or evaluates from scratch: .Clone(),
+# .Eval(, .EvalNaive( or datalog.Derive( (comments stripped, as above).
+# Handlers read the runtime database through compiled plans and the
+# fixpoint is maintained from deltas (DESIGN.md §8); copies and from-scratch
+# evaluation belong to oracles and experiments, not to the tick.
+TICK_SRC = $(filter-out %_test.go,$(wildcard internal/transducer/*.go internal/hydrolysis/*.go))
+TICK_BANNED = \.Clone\(\)|\.Eval\(|\.EvalNaive\(|datalog\.Derive\(
+one-tick-path:
+	@! grep -nE '$(TICK_BANNED)' $(TICK_SRC) | sed 's,//.*,,' | grep -E '$(TICK_BANNED)'
 
 tables:
 	$(GO) run ./cmd/benchtab -quick

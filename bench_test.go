@@ -229,7 +229,7 @@ func BenchmarkDatalogTC(b *testing.B) {
 // tickBenchRuntime builds a transducer with a transitive-closure query
 // over an edge table, prebuilt with 8 disjoint 64-node chains — the
 // small-delta/large-DB tick workload of E13.
-func tickBenchRuntime(b *testing.B, incremental bool) *transducer.Runtime {
+func tickBenchRuntime(b *testing.B) *transducer.Runtime {
 	b.Helper()
 	rt := transducer.New("bench", 1)
 	rt.SetDelay(func(r *rand.Rand) int { return 1 })
@@ -250,12 +250,8 @@ func tickBenchRuntime(b *testing.B, incremental bool) *transducer.Runtime {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if incremental {
-		if err := rt.RegisterQueriesIncremental(prog); err != nil {
-			b.Fatal(err)
-		}
-	} else {
-		rt.RegisterQueries(prog)
+	if err := rt.RegisterQueriesIncremental(prog); err != nil {
+		b.Fatal(err)
 	}
 	rt.RegisterHandler("add_edge", func(tx *transducer.Tx, msg transducer.Message) { tx.MergeTuple("edge", msg.Payload) })
 	var sink int
@@ -271,11 +267,12 @@ func tickBenchRuntime(b *testing.B, incremental bool) *transducer.Runtime {
 	return rt
 }
 
-// tickSmallDelta measures the amortized cost of one tick that merges one
-// fresh edge and reads the path query — O(database) per tick under full
-// re-evaluation, O(delta) under cross-tick incremental maintenance.
-func tickSmallDelta(b *testing.B, incremental bool) {
-	rt := tickBenchRuntime(b, incremental)
+// BenchmarkTickSmallDeltaIncremental measures the amortized cost of one
+// tick that merges one fresh edge and reads the path query: O(delta) under
+// cross-tick maintenance (internal/datalog's BenchmarkFullEvalSmallDeltaTC /
+// BenchmarkIncrementalSmallDeltaTC pair holds the ratio to re-evaluation).
+func BenchmarkTickSmallDeltaIncremental(b *testing.B) {
+	rt := tickBenchRuntime(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u := int64(1_000_000 + 2*i)
@@ -284,11 +281,6 @@ func tickSmallDelta(b *testing.B, incremental bool) {
 		rt.Tick()
 	}
 }
-
-// BenchmarkTickSmallDeltaFullEval / BenchmarkTickSmallDeltaIncremental:
-// full vs incremental tick cost on a small delta over a large database.
-func BenchmarkTickSmallDeltaFullEval(b *testing.B)    { tickSmallDelta(b, false) }
-func BenchmarkTickSmallDeltaIncremental(b *testing.B) { tickSmallDelta(b, true) }
 
 // BenchmarkE13IncrementalTicks reports the amortized full/incremental tick
 // cost ratio from the E13 experiment table.

@@ -154,9 +154,9 @@ func main() {
 	m := s.Metrics()
 	fmt.Printf("hydroload: offered %d requests at %.0f/s (zipf s=%.2f over %d keys, seed %d), %d admitted, %d shed\n",
 		*n, *rate, *zipfS, *keys, *seed, m.Submitted, shed)
-	fmt.Printf("served in %v (offer window %v): %.0f responses/s, %d alerts fanned out, incremental=%v\n",
+	fmt.Printf("served in %v (offer window %v): %.0f responses/s, %d alerts fanned out\n",
 		wall.Round(time.Millisecond), offerWall.Round(time.Millisecond),
-		float64(m.Responded)/wall.Seconds(), alerts, rt.IncrementalQueries())
+		float64(m.Responded)/wall.Seconds(), alerts)
 	fmt.Printf("batches=%d (size=%d deadline=%d serial=%d) rejected=%d retried=%d unsettled=%d queue high-water=%d\n",
 		m.Batches, m.SizeFlushes, m.DeadlineFlushes, m.SerialFlushes,
 		m.RejectedBatches, m.Retried, m.Unsettled, m.QueueHighWater)

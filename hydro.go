@@ -4,7 +4,8 @@
 //
 //   - Compile / MustCompile: HydroLogic source → compiled program
 //     (queries, handler closures, facet choices, physical layouts).
-//   - Compiled.Instantiate: a runnable single-node transducer.
+//   - Compiled.Instantiate: a runnable single-node transducer, its
+//     queries maintained across ticks and ready for a durability sink.
 //   - Analyze: the monotonicity/CALM typechecker on its own.
 //   - The lattice and CRDT algebra, for building monotone state directly.
 //

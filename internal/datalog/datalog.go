@@ -428,12 +428,3 @@ func (db *Database) Names() []string {
 	}
 	return db.names
 }
-
-// Clone deep-copies the database — the transducer's state snapshot.
-func (db *Database) Clone() *Database {
-	c := &Database{rels: make(map[string]*Relation, len(db.rels))}
-	for n, r := range db.rels {
-		c.rels[n] = r.Clone()
-	}
-	return c
-}

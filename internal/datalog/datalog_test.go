@@ -312,6 +312,16 @@ func TestLookupIndex(t *testing.T) {
 	}
 }
 
+// Clone deep-copies the database. Nothing on the tick path copies state, so
+// it lives here, with the oracles that evaluate from scratch over a copy.
+func (db *Database) Clone() *Database {
+	c := &Database{rels: make(map[string]*Relation, len(db.rels))}
+	for n, r := range db.rels {
+		c.rels[n] = r.Clone()
+	}
+	return c
+}
+
 func TestDatabaseCloneIsolated(t *testing.T) {
 	db := edgeDB([2]string{"a", "b"})
 	snap := db.Clone()

@@ -214,6 +214,22 @@ func TestDifferentialCompiledVsNaive(t *testing.T) {
 	}
 }
 
+// Derive compiles r on the spot, with its constants in place, and runs it
+// once over db without fixpoint iteration: the dynamic reference the
+// prepared (pre-bound parameter) plans are compared against.
+func Derive(db *Database, r Rule) ([]Tuple, error) {
+	if r.Agg != "" {
+		return nil, fmt.Errorf("datalog: Derive does not support aggregates")
+	}
+	pl, err := compileRule(r, nil, false)
+	if err != nil {
+		return nil, err
+	}
+	var out []Tuple
+	pl.run(db, -1, nil, nil, func(t Tuple) { out = append(out, t) })
+	return out, nil
+}
+
 // TestDifferentialPreparedDerive checks that the prepared (pre-bound
 // parameter) derivation path agrees with per-call Derive on the same rule
 // with constants substituted.

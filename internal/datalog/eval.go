@@ -254,24 +254,6 @@ func evalStratumSemiNaive(db *Database, plans []*rulePlan) (int, error) {
 	return derived + n, err
 }
 
-// Derive evaluates one rule's body against the database and returns the
-// head tuples, without fixpoint iteration. The Hydrolysis compiler uses it
-// for send-rules inside handlers (`send alert(p) :- transitive(pid, p)`),
-// which run against an already-fixpointed snapshot. Callers that derive the
-// same rule repeatedly should compile it once with PrepareRule instead.
-func Derive(db *Database, r Rule) ([]Tuple, error) {
-	if r.Agg != "" {
-		return nil, fmt.Errorf("datalog: Derive does not support aggregates")
-	}
-	pl, err := compileRule(r, nil, false)
-	if err != nil {
-		return nil, err
-	}
-	var out []Tuple
-	pl.run(db, -1, nil, nil, func(t Tuple) { out = append(out, t) })
-	return out, nil
-}
-
 // deriveRule is the interpretive evaluator kept as the naive baseline: it
 // enumerates all bindings satisfying the body with a cloned-map environment
 // and returns head tuples. (Semi-naive delta substitution lives entirely in

@@ -68,9 +68,8 @@ func NewDelta() *Delta {
 }
 
 // SetRecording toggles exact-order op capture (see Ops). The transducer
-// enables it in incremental mode so ticks can be journaled to a durable
-// changelog and rolled back when rejected; plain evaluator callers leave it
-// off and pay nothing.
+// enables it so ticks can be journaled to a durable changelog and rolled
+// back when rejected; plain evaluator callers leave it off and pay nothing.
 func (d *Delta) SetRecording(on bool) { d.record = on }
 
 // Ops returns the recorded changes in exact application order. The slice is

@@ -9,8 +9,8 @@ import (
 // variables into slots so bindings are a flat []any instead of cloned maps,
 // caches stratification, splits every literal's columns into bound (probe)
 // and free (bind) sets, greedily reorders body literals by boundness, and
-// pushes filters to the earliest point they are evaluable. Eval, Derive,
-// the aggregate path, every Incremental maintenance strategy (counting
+// pushes filters to the earliest point they are evaluable. Eval,
+// PreparedRule.Derive, the aggregate path, every Incremental maintenance strategy (counting
 // included — the derivation counts it keeps ride the head relation's slots,
 // Relation.addCount) and the shard replicas' Drive all execute these plans.
 // The interpretive binding-map walk (deriveRule in eval.go, behind

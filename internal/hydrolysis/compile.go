@@ -23,7 +23,7 @@ type UDF func(args []any) any
 type Compiled struct {
 	Program  *hlang.Program
 	Analysis *hlang.Analysis
-	// Queries is the datalog program evaluated to fixpoint each tick.
+	// Queries is the datalog program the runtime keeps at fixpoint.
 	Queries *datalog.Program
 	// Choices maps handler → consistency mechanism choice (§7.2).
 	Choices map[string]consistency.Choice
@@ -150,14 +150,14 @@ func QueriesToDatalog(p *hlang.Program) (*datalog.Program, error) {
 	return datalog.NewProgram(rules...)
 }
 
-var wildcardCounter int
-
-func argToTerm(a hlang.QueryArg) (datalog.Term, error) {
+// argToTerm lowers one rule argument. wildcards counts the wildcards of the
+// rule being lowered: each gets a fresh variable, numbered within its rule,
+// so the emitted rules are the same whatever was compiled before.
+func argToTerm(a hlang.QueryArg, wildcards *int) (datalog.Term, error) {
 	switch {
 	case a.Wildcard:
-		// Fresh variable per wildcard keeps them independent.
-		wildcardCounter++
-		return datalog.V(fmt.Sprintf("_w%d", wildcardCounter)), nil
+		*wildcards++
+		return datalog.V(fmt.Sprintf("_w%d", *wildcards)), nil
 	case a.Var != "":
 		return datalog.V(a.Var), nil
 	default:
@@ -185,8 +185,9 @@ func constExpr(e hlang.Expr) (any, error) {
 
 func queryToRule(q *hlang.QueryRule) (datalog.Rule, error) {
 	r := datalog.Rule{Head: datalog.Atom{Pred: q.Name}}
+	wildcards := 0
 	for _, a := range q.Head {
-		t, err := argToTerm(a)
+		t, err := argToTerm(a, &wildcards)
 		if err != nil {
 			return r, err
 		}
@@ -195,7 +196,7 @@ func queryToRule(q *hlang.QueryRule) (datalog.Rule, error) {
 	for _, b := range q.Body {
 		lit := datalog.Literal{Atom: datalog.Atom{Pred: b.Pred}, Negated: b.Negated}
 		for _, a := range b.Args {
-			t, err := argToTerm(a)
+			t, err := argToTerm(a, &wildcards)
 			if err != nil {
 				return r, err
 			}

@@ -9,134 +9,23 @@ import (
 	"hydro/internal/transducer"
 )
 
-// evalMode selects how the compiled query program is registered with the
-// runtime.
-type evalMode int
-
-const (
-	// modeAuto prefers cross-tick incremental maintenance, falling back to
-	// per-tick full evaluation when the program does not qualify.
-	modeAuto evalMode = iota
-	// modeIncremental requires incremental maintenance (error otherwise).
-	modeIncremental
-	// modeFullEval forces per-tick snapshot re-evaluation.
-	modeFullEval
-)
-
 // Instantiate builds a runnable transducer for the compiled program: it
 // registers table schemas (with lattice merges for lattice-typed columns),
 // scalar variables, the query program, and one handler closure per `on`
 // declaration. The returned runtime is the "single node" of §3.1;
 // distributed deployments host several of these via the cluster package.
 //
-// The query program defaults to cross-tick incremental maintenance — the
-// fixpoint is kept inside the runtime database and folded forward from each
-// tick's realized effects (inserts through counted derivations or
-// semi-naive propagation, deletions through DRed or per-component
-// recompute) instead of being re-derived from a snapshot every tick. A
-// program that does not qualify (a registered table collides with a derived
-// predicate) falls back to per-tick full evaluation; InstantiateFullEval
-// forces that mode explicitly.
-//
-// Trade-off: incremental mode maintains every derived relation eagerly,
-// whereas full-eval mode computes the fixpoint lazily only on ticks whose
-// handlers actually read a query. The compiler resolves this automatically:
-// a probe-free program — no handler construct ever reads the tick snapshot,
-// so the lazy fixpoint is never triggered — stays on full evaluation (its
-// fixpoint would otherwise be maintained but never consulted), and
-// everything else defaults to incremental. A program whose handlers read
-// queries only rarely is still better served by an explicit
-// InstantiateFullEval.
+// The query program is maintained across ticks: the fixpoint is kept inside
+// the runtime database and folded forward from each tick's realized effects
+// (inserts through counted derivations or semi-naive propagation, deletions
+// through DRed or per-component recompute). That holds for every query,
+// read by a handler or not — an unread one costs O(delta) per tick and is
+// visible through Runtime.Table — and for a program with no query at all,
+// whose empty rule set is still a maintained program, so any instantiated
+// runtime can be made durable or fanned out to shards. Everything a handler
+// needs planned (a rule-driven send) is planned here: a send the planner
+// refuses fails Instantiate, not the first message.
 func (c *Compiled) Instantiate(name string, seed int64) (*transducer.Runtime, error) {
-	return c.instantiate(name, seed, modeAuto)
-}
-
-// probeFree reports whether no handler can ever trigger the per-tick
-// query fixpoint. Full-eval laziness is all-or-nothing — every snapshot
-// read (Tx.Query/QueryWhere/Derive) evaluates the whole query program, no
-// matter which relation it targets — so the detection must be
-// conservative: a handler counts as probing if it contains any construct
-// that reads the snapshot at all (a rule-driven send, a keyed delete, a
-// table-field read anywhere in an expression), not just ones naming a
-// query head. Only then does lazy full-eval mean the fixpoint is truly
-// never computed; anything else stays on incremental maintenance, where
-// eager upkeep is O(delta) instead of O(fixpoint) per reading tick.
-func (c *Compiled) probeFree() bool {
-	if len(c.Program.Queries) == 0 {
-		return true
-	}
-	for _, h := range c.Program.Handlers {
-		for _, r := range h.Requires {
-			if exprReadsSnapshot(r) {
-				return false
-			}
-		}
-		for _, s := range h.Body {
-			switch st := s.(type) {
-			case *hlang.SendStmt:
-				if len(st.Body) > 0 {
-					return false // rule-driven send derives against the snapshot
-				}
-			case *hlang.DeleteStmt:
-				return false // delete-by-key looks the victim rows up in the snapshot
-			case *hlang.MergeTupleStmt:
-				for _, a := range st.Args {
-					if exprReadsSnapshot(a) {
-						return false
-					}
-				}
-			case *hlang.MergeFieldStmt:
-				if exprReadsSnapshot(st.Key) || exprReadsSnapshot(st.Value) {
-					return false
-				}
-			case *hlang.AssignStmt:
-				if exprReadsSnapshot(st.Value) {
-					return false
-				}
-			case *hlang.ReplyStmt:
-				if exprReadsSnapshot(st.Value) {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// exprReadsSnapshot reports whether evaluating the expression consults the
-// tick snapshot: table-field reads do; literals, parameters, scalar vars
-// and operators over them don't.
-func exprReadsSnapshot(x hlang.Expr) bool {
-	switch v := x.(type) {
-	case *hlang.FieldRef:
-		return true
-	case *hlang.BinExpr:
-		return exprReadsSnapshot(v.L) || exprReadsSnapshot(v.R)
-	case *hlang.CallExpr:
-		for _, a := range v.Args {
-			if exprReadsSnapshot(a) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// InstantiateIncremental builds the runtime with the query program in
-// cross-tick incremental mode, and errors if the program does not qualify
-// (transducer.RegisterQueriesIncremental).
-func (c *Compiled) InstantiateIncremental(name string, seed int64) (*transducer.Runtime, error) {
-	return c.instantiate(name, seed, modeIncremental)
-}
-
-// InstantiateFullEval builds the runtime with per-tick snapshot
-// re-evaluation — the pre-incremental execution model, kept for
-// differential testing and as the fallback semantics reference.
-func (c *Compiled) InstantiateFullEval(name string, seed int64) (*transducer.Runtime, error) {
-	return c.instantiate(name, seed, modeFullEval)
-}
-
-func (c *Compiled) instantiate(name string, seed int64, mode evalMode) (*transducer.Runtime, error) {
 	rt := transducer.New(name, seed)
 	for _, t := range c.Program.Tables {
 		schema, err := tableSchema(t)
@@ -158,21 +47,8 @@ func (c *Compiled) instantiate(name string, seed int64, mode evalMode) (*transdu
 		}
 		rt.RegisterVar(v.Name, init)
 	}
-	switch mode {
-	case modeIncremental:
-		if err := rt.RegisterQueriesIncremental(c.Queries); err != nil {
-			return nil, err
-		}
-	case modeAuto:
-		if c.probeFree() {
-			// No handler ever reads a query head: lazy full eval skips the
-			// fixpoint entirely instead of maintaining it for nobody.
-			rt.RegisterQueries(c.Queries)
-		} else if err := rt.RegisterQueriesIncremental(c.Queries); err != nil {
-			rt.RegisterQueries(c.Queries) // program doesn't qualify: full eval
-		}
-	default:
-		rt.RegisterQueries(c.Queries)
+	if err := rt.RegisterQueriesIncremental(c.Queries); err != nil {
+		return nil, err
 	}
 	for _, h := range c.Program.Handlers {
 		handler, err := c.compileHandler(h)
@@ -254,31 +130,22 @@ type env struct {
 	c         *Compiled
 	tx        *transducer.Tx
 	params    map[string]any
-	sendPlans map[*hlang.SendStmt]*sendPlan
+	sendPlans map[*hlang.SendStmt]*datalog.PreparedRule
 }
 
-// sendPlan is a rule-driven send compiled once per handler: the datalog
-// rule is planned at compile time with the handler's parameters declared as
-// pre-bound variables, so per-message work is pure plan execution.
-type sendPlan struct {
-	pr     *datalog.PreparedRule
-	params []string // parameter names the rule binds at message time
-}
-
-// prepareSend compiles a rule-driven send statement. Parameters stay
-// variables (pre-bound at Derive time) instead of being substituted as
-// constants per message, which is what lets the plan be reused.
-func prepareSend(st *hlang.SendStmt, paramSet map[string]bool) (*sendPlan, error) {
+// prepareSend compiles a rule-driven send statement once per handler: the
+// datalog rule is planned with the handler's parameters declared as
+// pre-bound variables (bound at Derive time, not substituted as constants
+// per message), so per-message work is pure plan execution.
+func prepareSend(st *hlang.SendStmt, paramSet map[string]bool) (*datalog.PreparedRule, error) {
 	rule := datalog.Rule{Head: datalog.Atom{Pred: "__send"}}
 	usedParams := map[string]bool{}
+	wildcards := 0
 	bindArg := func(a hlang.QueryArg) (datalog.Term, error) {
-		if a.Var != "" {
-			if paramSet[a.Var] {
-				usedParams[a.Var] = true
-			}
-			return datalog.V(a.Var), nil
+		if a.Var != "" && paramSet[a.Var] {
+			usedParams[a.Var] = true
 		}
-		return argToTerm(a)
+		return argToTerm(a, &wildcards)
 	}
 	for _, a := range st.Args {
 		t, err := bindArg(a)
@@ -315,11 +182,7 @@ func prepareSend(st *hlang.SendStmt, paramSet map[string]bool) (*sendPlan, error
 		bound = append(bound, p)
 	}
 	sort.Strings(bound)
-	pr, err := datalog.PrepareRule(rule, bound...)
-	if err != nil {
-		return nil, err
-	}
-	return &sendPlan{pr: pr, params: bound}, nil
+	return datalog.PrepareRule(rule, bound...)
 }
 
 func (c *Compiled) compileHandler(h *hlang.HandlerDecl) (transducer.Handler, error) {
@@ -346,28 +209,32 @@ func (c *Compiled) compileHandler(h *hlang.HandlerDecl) (transducer.Handler, err
 	if preErr != nil {
 		return nil, preErr
 	}
-	// Compile rule-driven sends once per handler. On compile failure the
-	// statement falls back to per-message rule construction, which surfaces
-	// the same error at run time (matching the uncompiled behavior).
+	// Compile rule-driven sends once per handler.
 	paramSet := map[string]bool{}
 	for _, p := range h.Params {
 		paramSet[p.Name] = true
 	}
-	sendPlans := map[*hlang.SendStmt]*sendPlan{}
+	sendPlans := map[*hlang.SendStmt]*datalog.PreparedRule{}
 	for _, s := range h.Body {
 		if st, ok := s.(*hlang.SendStmt); ok && len(st.Body) > 0 {
-			if sp, err := prepareSend(st, paramSet); err == nil {
-				sendPlans[st] = sp
+			pr, err := prepareSend(st, paramSet)
+			if err != nil {
+				return nil, fmt.Errorf("hydrolysis: handler %s: send %s: %w", h.Name, st.Mailbox, err)
 			}
+			sendPlans[st] = pr
 		}
 	}
 
 	return func(tx *transducer.Tx, msg transducer.Message) {
+		// A payload shorter than the parameter list aborts before any
+		// statement runs: a missing parameter is not a free variable.
+		if len(msg.Payload) < len(h.Params) {
+			tx.Abort()
+			return
+		}
 		params := map[string]any{}
 		for i, p := range h.Params {
-			if i < len(msg.Payload) {
-				params[p.Name] = msg.Payload[i]
-			}
+			params[p.Name] = msg.Payload[i]
 		}
 		e := &env{c: c, tx: tx, params: params, sendPlans: sendPlans}
 		// require(...) invariants abort the whole invocation when false, and
@@ -467,7 +334,8 @@ func (e *env) exec(s hlang.Stmt, meta any) error {
 	return nil
 }
 
-// execSend handles both plain sends and rule-driven sends.
+// execSend handles both plain sends and rule-driven sends; the latter run
+// the plan compileHandler prepared.
 func (e *env) execSend(st *hlang.SendStmt) error {
 	if len(st.Body) == 0 {
 		row := make(datalog.Tuple, len(st.Args))
@@ -481,73 +349,7 @@ func (e *env) execSend(st *hlang.SendStmt) error {
 		e.tx.Send(st.Mailbox, row)
 		return nil
 	}
-	// Fast path: the rule was compiled at handler-compile time; bind the
-	// parameters and execute the plan.
-	if sp := e.sendPlans[st]; sp != nil {
-		complete := true
-		for _, p := range sp.params {
-			if _, ok := e.params[p]; !ok {
-				complete = false // short payload; fall back
-				break
-			}
-		}
-		if complete {
-			rows, err := e.tx.DerivePrepared(sp.pr, e.params)
-			if err != nil {
-				return err
-			}
-			for _, row := range rows {
-				e.tx.Send(st.Mailbox, row)
-			}
-			return nil
-		}
-	}
-	// Fallback: build a one-off datalog rule with handler params bound
-	// as constants, then derive against the snapshot.
-	rule := datalog.Rule{Head: datalog.Atom{Pred: "__send"}}
-	bindArg := func(a hlang.QueryArg) (datalog.Term, error) {
-		if a.Var != "" {
-			if v, ok := e.params[a.Var]; ok {
-				return datalog.C(v), nil
-			}
-			return datalog.V(a.Var), nil
-		}
-		return argToTerm(a)
-	}
-	for _, a := range st.Args {
-		t, err := bindArg(a)
-		if err != nil {
-			return err
-		}
-		rule.Head.Args = append(rule.Head.Args, t)
-	}
-	for _, b := range st.Body {
-		lit := datalog.Literal{Atom: datalog.Atom{Pred: b.Pred}, Negated: b.Negated}
-		for _, a := range b.Args {
-			t, err := bindArg(a)
-			if err != nil {
-				return err
-			}
-			lit.Args = append(lit.Args, t)
-		}
-		rule.Body = append(rule.Body, lit)
-	}
-	for _, f := range st.Filters {
-		df, err := filterToDatalog(f)
-		if err != nil {
-			return err
-		}
-		// Bind param vars in filters too.
-		for _, term := range []*datalog.Term{&df.L, &df.R} {
-			if term.IsVar() {
-				if v, ok := e.params[term.Var]; ok {
-					*term = datalog.C(v)
-				}
-			}
-		}
-		rule.Filters = append(rule.Filters, df)
-	}
-	rows, err := e.tx.Derive(rule)
+	rows, err := e.tx.DerivePrepared(e.sendPlans[st], e.params)
 	if err != nil {
 		return err
 	}

@@ -1,15 +1,29 @@
 package hydrolysis
 
 import (
+	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"hydro/internal/datalog"
+	"hydro/internal/durable"
 	"hydro/internal/hlang"
+	"hydro/internal/serve"
 )
 
-// probeFreeSource declares a recursive query that no handler ever reads:
-// handlers only merge and reply. Eagerly maintaining `reach` would be pure
-// overhead, so auto-instantiation must keep this program on lazy full eval.
+// noQuerySource declares no query at all; probeFreeSource declares a
+// recursive one that no handler ever reads. Both are maintained programs
+// like any other (the first with an empty rule set).
+const noQuerySource = `
+table links(a: int, b: int) key(a, b)
+
+on add_link(a: int, b: int) {
+    merge links(a, b)
+    reply "OK"
+}
+`
+
 const probeFreeSource = `
 table links(a: int, b: int) key(a, b)
 
@@ -22,60 +36,161 @@ on add_link(a: int, b: int) {
 }
 `
 
-// TestProbeFreeProgramStaysFullEval is the regression gate for the
-// compiler's probe-free detection: a program whose handlers never read a
-// declared query head auto-instantiates in full-eval mode (lazy fixpoint,
-// never computed), while a program that sends from a query head (the COVID
-// example's trace/diagnosed handlers) still defaults to incremental
-// maintenance. The explicit modes keep overriding the detection.
-func TestProbeFreeProgramStaysFullEval(t *testing.T) {
-	free, err := Compile(probeFreeSource, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !free.probeFree() {
-		t.Fatal("probeFree() = false for a program with no query-reading handler")
-	}
-	rt, err := free.Instantiate("n1", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.IncrementalQueries() {
-		t.Fatal("probe-free program was instantiated with eager incremental maintenance")
-	}
-	// The program still runs, and the derived relation is simply never
-	// materialized outside tick snapshots.
-	rt.Inject("add_link", datalog.Tuple{int64(1), int64(2)})
-	rt.RunUntilIdle(10)
-	if got := rt.Table("links").Len(); got != 1 {
-		t.Fatalf("links = %d rows, want 1", got)
-	}
+// opSink is a durability sink that counts the base-table ops journaled.
+type opSink struct{ ops int }
 
-	// Explicit incremental mode overrides the detection.
-	rtInc, err := free.InstantiateIncremental("n2", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rtInc.IncrementalQueries() {
-		t.Fatal("InstantiateIncremental did not force incremental mode")
-	}
+func (s *opSink) Append(d *datalog.Delta) error        { s.ops += len(d.Ops()); return nil }
+func (s *opSink) AbortLast() error                     { return nil }
+func (s *opSink) Committed(*datalog.Incremental) error { return nil }
 
-	// The COVID program probes `transitive` from its trace/diagnosed
-	// handlers: auto mode must keep it incremental.
-	covid, err := Compile(hlang.CovidSource, Options{UDFs: map[string]UDF{
-		"covid_predict": func(args []any) any { return 0.5 },
-	}})
+// TestInstantiatedRuntimeTakesDurability: whether a program can be journaled
+// or fanned out does not depend on what its handlers read. A program with
+// no query, and one whose query no handler reads, both attach a sink, a
+// durable.Store and a serve Fanout, and the unread query is maintained and
+// visible through Runtime.Table.
+func TestInstantiatedRuntimeTakesDurability(t *testing.T) {
+	for name, src := range map[string]string{"no query": noQuerySource, "unread query": probeFreeSource} {
+		c, err := Compile(src, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := c.Instantiate("n1", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := &opSink{}
+		if err := rt.SetDurability(sink); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rt.Inject("add_link", datalog.Tuple{int64(1), int64(2)})
+		rt.Inject("add_link", datalog.Tuple{int64(2), int64(3)})
+		rt.RunUntilIdle(10)
+		if sink.ops != 2 || rt.Table("links").Len() != 2 {
+			t.Fatalf("%s: %d ops journaled, links = %v; want 2 and 2 rows", name, sink.ops, rt.Table("links").Tuples())
+		}
+		if len(c.Queries.Rules) > 0 && rt.Table("reach").Len() != 3 {
+			t.Fatalf("%s: reach = %v, want the 3-row closure", name, rt.Table("reach").Tuples())
+		}
+
+		store, err := durable.Open(durable.Options{Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rt, err = c.Instantiate("n2", 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.RecoverQueriesIncremental(c.Queries, store.Recover); err != nil {
+			t.Fatalf("%s: recover: %v", name, err)
+		}
+		if err := rt.SetDurability(store); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rt.Inject("add_link", datalog.Tuple{int64(1), int64(2)})
+		rt.RunUntilIdle(10)
+		if rt.LastRejection() != nil || rt.Table("links").Len() != 1 {
+			t.Fatalf("%s: durable tick did not commit: %v", name, rt.LastRejection())
+		}
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		if rt, err = c.Instantiate("n3", 1); err != nil {
+			t.Fatal(err)
+		}
+		rt.SetDelay(func(*rand.Rand) int { return 1 })
+		fan := &opSink{}
+		srv := serve.New(rt, serve.Config{Fanout: fan})
+		p, err := srv.Submit(serve.Request{Mailbox: "add_link", Payload: datalog.Tuple{int64(1), int64(2)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp := p.Wait(); resp.Err != nil {
+			t.Fatalf("%s: served request failed: %v", name, resp.Err)
+		}
+		srv.Close()
+		if fan.ops != 1 {
+			t.Fatalf("%s: fan-out saw %d ops, want 1", name, fan.ops)
+		}
+	}
+}
+
+// TestShortPayloadAborts: an invocation whose payload is shorter than the
+// handler's parameter list is aborted before any statement runs — no send,
+// no reply, no effect, Stats().Aborted +1 — instead of treating the missing
+// parameter as a free variable and enumerating the whole closure.
+func TestShortPayloadAborts(t *testing.T) {
+	rt := newCovidRuntime(t, 1)
+	for i := int64(0); i < 20; i++ {
+		rt.Inject("add_contact", datalog.Tuple{i, i + 1})
+	}
+	rt.RunUntilIdle(20)
+	rt.Drain("add_contact<response>")
+	before := fmt.Sprint(rt.Table("people").Tuples(), rt.Table("contacts").Tuples(), rt.Table("transitive").Len())
+	for n, box := range []string{"trace", "diagnosed"} {
+		rt.Inject(box, datalog.Tuple{})
+		rt.RunUntilIdle(20)
+		if got := rt.Stats().Aborted; got != uint64(n+1) {
+			t.Fatalf("%s with an empty payload: Aborted = %d, want %d", box, got, n+1)
+		}
+	}
+	for _, box := range []string{"trace_response", "alert", "diagnosed<response>"} {
+		if got := len(rt.Peek(box)); got != 0 {
+			t.Fatalf("aborted invocations left %d messages in %s", got, box)
+		}
+	}
+	if after := fmt.Sprint(rt.Table("people").Tuples(), rt.Table("contacts").Tuples(), rt.Table("transitive").Len()); after != before {
+		t.Fatalf("aborted invocations changed the tables\nbefore: %s\nafter:  %s", before, after)
+	}
+}
+
+// TestUnplannableSendFailsInstantiate: hlang.Check rejects a send argument
+// nothing binds, so only an unchecked AST reaches the planner with one; the
+// planner's refusal is an Instantiate error, not a per-message abort.
+func TestUnplannableSendFailsInstantiate(t *testing.T) {
+	prog, err := hlang.ParseOnly(`
+table links(a: int, b: int) key(a, b)
+on fan(a: int) { send out(q) :- links(a, b) }
+`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if covid.probeFree() {
-		t.Fatal("probeFree() = true for a program whose handlers send from a query head")
-	}
-	rtCovid, err := covid.Instantiate("n3", 1)
+	c, err := CompileProgram(prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rtCovid.IncrementalQueries() {
-		t.Fatal("query-probing program lost incremental maintenance")
+	if _, err := c.Instantiate("n1", 1); err == nil {
+		t.Fatal("Instantiate accepted a send whose head variable no literal binds")
+	}
+}
+
+// TestCompileIsReproducible: wildcards are numbered within their rule, so
+// the emitted rules do not depend on what the process compiled before, and
+// concurrent compiles share nothing (run under -race).
+func TestCompileIsReproducible(t *testing.T) {
+	const src = `
+table links(a: int, b: int, w: int) key(a, b)
+query sources(x) :- links(x, _, _)
+query sinks(y) :- links(_, y, _)
+on add_link(a: int, b: int, w: int) { merge links(a, b, w) }
+`
+	rules := make([]string, 8)
+	var wg sync.WaitGroup
+	for i := range rules {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c, err := Compile(src, Options{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			rules[i] = fmt.Sprint(c.Queries.Rules)
+		}(i)
+	}
+	wg.Wait()
+	for i, r := range rules {
+		if r != rules[0] {
+			t.Fatalf("compile %d emitted different rules\nfirst: %s\nthis:  %s", i, rules[0], r)
+		}
 	}
 }

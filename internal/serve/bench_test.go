@@ -33,7 +33,7 @@ func benchEdge(i int) datalog.Tuple {
 }
 
 // ingest drives n messages at the given batch size: one tick per batch,
-// which in incremental mode is one Incremental.Apply per batch. batch=1 is
+// which is one Incremental.Apply per batch. batch=1 is
 // the pre-serving one-message-per-tick delivery model.
 func ingest(rt *transducer.Runtime, start, n, batch int) {
 	inj := make([]transducer.Injection, 0, batch)

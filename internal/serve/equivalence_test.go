@@ -29,8 +29,8 @@ var (
 
 // covidRuntime instantiates the paper's COVID pipeline plus a hand-written
 // poison handler that writes the derived `transitive` relation — the
-// evaluator rejects any tick carrying it, in both execution modes.
-func covidRuntime(t testing.TB, seed int64, fullEval, churn bool) *transducer.Runtime {
+// evaluator rejects any tick carrying it.
+func covidRuntime(t testing.TB, seed int64, churn bool) *transducer.Runtime {
 	t.Helper()
 	c, err := hydrolysis.Compile(hlang.CovidSource, hydrolysis.Options{
 		UDFs: map[string]hydrolysis.UDF{
@@ -40,17 +40,9 @@ func covidRuntime(t testing.TB, seed int64, fullEval, churn bool) *transducer.Ru
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rt *transducer.Runtime
-	if fullEval {
-		rt, err = c.InstantiateFullEval("srv", seed)
-	} else {
-		rt, err = c.Instantiate("srv", seed)
-	}
+	rt, err := c.Instantiate("srv", seed)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !fullEval && !rt.IncrementalQueries() {
-		t.Fatal("covid pipeline must select incremental mode")
 	}
 	if !churn {
 		rt.SetDelay(func(r *rand.Rand) int { return 1 })
@@ -122,46 +114,44 @@ func TestBatchedEqualsSerialSweep(t *testing.T) {
 	covidVars := []string{"vaccine_count"}
 	rejectedBatches := uint64(0)
 	for seed := 0; seed < *serveSeeds; seed++ {
-		for _, fullEval := range []bool{false, true} {
-			for _, churn := range []bool{false, true} {
-				r := rand.New(rand.NewSource(int64(seed)*4 + b2i(fullEval)*2 + b2i(churn)))
-				reqs, poison := genCovidRequests(r, *serveReqs)
+		for _, churn := range []bool{false, true} {
+			r := rand.New(rand.NewSource(int64(seed)*4 + b2i(churn)))
+			reqs, poison := genCovidRequests(r, *serveReqs)
 
-				ref := covidRuntime(t, int64(seed), fullEval, churn)
-				driveSerial(ref, reqs)
-				want := canonicalState(ref, covidVars)
+			ref := covidRuntime(t, int64(seed), churn)
+			driveSerial(ref, reqs)
+			want := canonicalState(ref, covidVars)
 
-				rt := covidRuntime(t, int64(seed), fullEval, churn)
-				s := New(rt, Config{
-					MaxBatch:        1 + r.Intn(16),
-					MaxWait:         time.Duration(100+r.Intn(400)) * time.Microsecond,
-					QueueDepth:      64,
-					SerialMailboxes: []string{"vaccinate"},
-					DrainMailboxes:  []string{"alert", "trace_response"},
-				})
-				ps := make([]*Pending, len(reqs))
-				for i, req := range reqs {
-					p, err := s.Submit(req)
-					if err != nil {
-						t.Fatalf("seed %d fullEval=%v churn=%v: submit: %v", seed, fullEval, churn, err)
-					}
-					ps[i] = p
+			rt := covidRuntime(t, int64(seed), churn)
+			s := New(rt, Config{
+				MaxBatch:        1 + r.Intn(16),
+				MaxWait:         time.Duration(100+r.Intn(400)) * time.Microsecond,
+				QueueDepth:      64,
+				SerialMailboxes: []string{"vaccinate"},
+				DrainMailboxes:  []string{"alert", "trace_response"},
+			})
+			ps := make([]*Pending, len(reqs))
+			for i, req := range reqs {
+				p, err := s.Submit(req)
+				if err != nil {
+					t.Fatalf("seed %d churn=%v: submit: %v", seed, churn, err)
 				}
-				for i, p := range ps {
-					resp := p.Wait()
-					if poison[i] && resp.Err == nil {
-						t.Fatalf("seed %d fullEval=%v churn=%v: poison request %d served without rejection", seed, fullEval, churn, i)
-					}
-					if !poison[i] && resp.Err != nil {
-						t.Fatalf("seed %d fullEval=%v churn=%v: request %d (%s) failed: %v", seed, fullEval, churn, i, reqs[i].Mailbox, resp.Err)
-					}
+				ps[i] = p
+			}
+			for i, p := range ps {
+				resp := p.Wait()
+				if poison[i] && resp.Err == nil {
+					t.Fatalf("seed %d churn=%v: poison request %d served without rejection", seed, churn, i)
 				}
-				rejectedBatches += s.Metrics().RejectedBatches
-				s.Close()
-				if got := canonicalState(s.Runtime(), covidVars); got != want {
-					t.Fatalf("seed %d fullEval=%v churn=%v: batched state diverged from serial\nserial:\n%s\nbatched:\n%s",
-						seed, fullEval, churn, want, got)
+				if !poison[i] && resp.Err != nil {
+					t.Fatalf("seed %d churn=%v: request %d (%s) failed: %v", seed, churn, i, reqs[i].Mailbox, resp.Err)
 				}
+			}
+			rejectedBatches += s.Metrics().RejectedBatches
+			s.Close()
+			if got := canonicalState(s.Runtime(), covidVars); got != want {
+				t.Fatalf("seed %d churn=%v: batched state diverged from serial\nserial:\n%s\nbatched:\n%s",
+					seed, churn, want, got)
 			}
 		}
 	}

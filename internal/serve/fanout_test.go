@@ -45,7 +45,7 @@ func TestPipelinedEqualsSerialSweep(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(seed)*2 + b2i(churn) + 7777))
 			reqs, _ := genCovidRequests(r, *serveReqs)
 
-			rt := covidRuntime(t, int64(seed), false, churn)
+			rt := covidRuntime(t, int64(seed), churn)
 			s := New(rt, Config{
 				MaxBatch:        1 + r.Intn(16),
 				MaxWait:         time.Duration(100+r.Intn(400)) * time.Microsecond,
@@ -85,7 +85,7 @@ func TestPipelinedEqualsSerialSweep(t *testing.T) {
 					order[j], order[j-1] = order[j-1], order[j]
 				}
 			}
-			ref := covidRuntime(t, int64(seed), false, churn)
+			ref := covidRuntime(t, int64(seed), churn)
 			for _, i := range order {
 				ref.Inject(reqs[i].Mailbox, reqs[i].Payload)
 				ref.Tick()

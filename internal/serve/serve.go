@@ -3,8 +3,8 @@
 // HydroLogic program runs on.
 //
 // The transducer commits effects atomically per tick, and every tick pays
-// fixed costs — a snapshot (or, in incremental mode, one Incremental.Apply
-// maintenance pass), effect application, durability appends. Delivering
+// fixed costs — effect application, one Incremental.Apply maintenance
+// pass, durability appends. Delivering
 // one injected message per tick pays those costs per message; the server
 // instead groups admitted requests into size-or-deadline batches and feeds
 // each batch to a single tick, so the fixed per-tick costs amortize across
@@ -144,9 +144,10 @@ type Config struct {
 	// Fanout, when set, is attached as the runtime's durability sink at
 	// New: every committed batch tick tees through it, which is how a
 	// serving node drives a replicated shard.Deployment
-	// (shard.NewSink(dep)). Requires incremental query mode — New panics
-	// otherwise, matching the runtime's SetDurability contract. A Fanout
-	// occupies the runtime's single durability seam.
+	// (shard.NewSink(dep)). Any runtime Compiled.Instantiate returns takes
+	// one; a hand-built runtime must have registered a query program
+	// (Runtime.SetDurability). A Fanout occupies the runtime's single
+	// durability seam.
 	Fanout transducer.DurabilitySink
 	// FanoutPump, when set, runs on the eval goroutine after every batch
 	// — shard deployments pass a dep.Settle closure here so the simulated
@@ -271,9 +272,8 @@ type quotaSlot struct {
 
 // New wraps a runtime in a serving shell and starts its pipeline. The
 // server owns the runtime exclusively until Close; register tables,
-// handlers and queries before calling New. New panics if Config.Fanout is
-// set on a runtime not in incremental query mode (the durability seam the
-// fan-out rides requires it).
+// handlers and queries before calling New. New panics if the runtime
+// refuses Config.Fanout as its durability sink.
 func New(rt *transducer.Runtime, cfg Config) *Server {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 64

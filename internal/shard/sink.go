@@ -7,8 +7,8 @@ import (
 )
 
 // Sink adapts a Deployment to the transducer's DurabilitySink seam: a
-// runtime in incremental mode journals every committed tick's base ops
-// through Append/Committed, and the sink forwards each committed tick to
+// runtime journals every committed tick's base ops through
+// Append/Committed, and the sink forwards each committed tick to
 // the sharded deployment as a Submit. The runtime's local fixpoint and
 // the deployment's distributed one then converge to the same relations —
 // a single-node transducer teeing its ticks into a replicated cluster.

@@ -2,9 +2,8 @@
 // applications' final fixpoints must be independent of message delivery
 // order. Each seed draws different network latencies (and transducer send
 // delays), scrambling arrival order; the observable end state must match
-// the seed-0 baseline exactly. Runs cover both the full per-tick
-// re-evaluation runtime and the cross-tick incremental runtime, so the
-// soak also exercises incremental maintenance under adversarial delivery.
+// the seed-0 baseline exactly, so the soak also exercises incremental
+// maintenance under adversarial delivery.
 package simnet_test
 
 import (
@@ -49,7 +48,7 @@ func covidOpSet() []covidOp {
 // covidFinalState delivers the op set over a simulated network with
 // seed-dependent latencies and returns a rendering of the quiesced
 // observable state: tables plus post-quiescence trace probes.
-func covidFinalState(t *testing.T, seed int64, incremental bool) string {
+func covidFinalState(t *testing.T, seed int64) string {
 	t.Helper()
 	c, err := hydrolysis.Compile(hlang.CovidSource, hydrolysis.Options{
 		UDFs: map[string]hydrolysis.UDF{
@@ -59,12 +58,7 @@ func covidFinalState(t *testing.T, seed int64, incremental bool) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rt *transducer.Runtime
-	if incremental {
-		rt, err = c.InstantiateIncremental("n1", seed)
-	} else {
-		rt, err = c.InstantiateFullEval("n1", seed)
-	}
+	rt, err := c.Instantiate("n1", seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,21 +96,19 @@ func covidFinalState(t *testing.T, seed int64, incremental bool) string {
 	)
 }
 
-// TestCovidConfluenceUnderRandomDelays: for many seeds (and both
-// evaluation modes), scrambled delivery must converge to the seed-0
-// baseline state — the paper's CALM claim for the monotone COVID ops.
+// TestCovidConfluenceUnderRandomDelays: for many seeds, scrambled delivery
+// must converge to the seed-0 baseline state — the paper's CALM claim for
+// the monotone COVID ops.
 func TestCovidConfluenceUnderRandomDelays(t *testing.T) {
 	seeds := int64(10)
 	if testing.Short() {
 		seeds = 3
 	}
-	baseline := covidFinalState(t, 0, false)
+	baseline := covidFinalState(t, 0)
 	for seed := int64(1); seed < seeds; seed++ {
-		for _, incremental := range []bool{false, true} {
-			if got := covidFinalState(t, seed, incremental); got != baseline {
-				t.Fatalf("seed %d (incremental=%v): final state depends on delivery order\nbaseline: %s\ngot:      %s",
-					seed, incremental, baseline, got)
-			}
+		if got := covidFinalState(t, seed); got != baseline {
+			t.Fatalf("seed %d: final state depends on delivery order\nbaseline: %s\ngot:      %s",
+				seed, baseline, got)
 		}
 	}
 }

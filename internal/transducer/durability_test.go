@@ -263,15 +263,15 @@ func (s *stubSink) Committed(inc *datalog.Incremental) error {
 }
 
 // TestDurabilityProtocolOrder pins the sink contract: append before apply,
-// committed after, nothing for no-effect ticks, and incremental mode
-// required to attach at all.
+// committed after, nothing for no-effect ticks, and a registered query
+// program required to attach at all.
 func TestDurabilityProtocolOrder(t *testing.T) {
 	rt := New("n1", 1)
 	rt.SetDelay(fixedDelay)
 	rt.RegisterTable(TableSchema{Name: "edge", Arity: 2})
 	sink := &stubSink{}
 	if err := rt.SetDurability(sink); err == nil {
-		t.Fatal("SetDurability must require incremental query mode")
+		t.Fatal("SetDurability must require a registered query program")
 	}
 	if err := rt.RegisterQueriesIncremental(tcQueries(t)); err != nil {
 		t.Fatal(err)

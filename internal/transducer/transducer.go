@@ -1,7 +1,12 @@
 // Package transducer implements HydroLogic's event-loop semantics (§3.1):
-// each tick takes a snapshot of program state (including newly arrived
-// mailbox messages), computes to fixpoint against that snapshot, and applies
-// all mutations atomically at end of tick. Sends are asynchronous merges
+// each tick's handlers read program state as it stood when the tick began
+// (newly arrived mailbox messages and the query fixpoint included) and all
+// mutations apply atomically at end of tick. The runtime database is that
+// snapshot: effects are staged, never written mid-tick, and the query
+// fixpoint is maintained inside it from each tick's realized delta
+// (datalog.Incremental), so nothing is copied or re-derived per tick. A
+// runtime with no query program (the lifts, cluster, kvs) has nothing
+// derived and nothing to maintain. Sends are asynchronous merges
 // into mailboxes that may be delayed an unbounded (simulated) number of
 // ticks, capturing network non-determinism while keeping handler logic
 // deterministic within a tick.
@@ -87,11 +92,10 @@ type Runtime struct {
 	vars     map[string]any
 	schemas  map[string]TableSchema
 	handlers map[string]Handler
-	queries  *datalog.Program
-	// inc, when set, maintains the query fixpoint across ticks inside db:
-	// ticks skip the snapshot clone and full re-evaluation, and end-of-tick
-	// effects propagate as deltas (RegisterQueriesIncremental). derived
-	// caches the query head predicates while incremental mode is active.
+	// inc, when a query program is registered, maintains its fixpoint
+	// across ticks inside db: end-of-tick effects propagate as deltas
+	// (RegisterQueriesIncremental). derived holds the program's head
+	// predicates.
 	inc     *datalog.Incremental
 	derived map[string]bool
 	// sink, when set, journals every effectful tick's delta before it is
@@ -146,22 +150,11 @@ func (rt *Runtime) Stats() Stats { return rt.stats }
 
 // RegisterTable declares a table.
 func (rt *Runtime) RegisterTable(s TableSchema) {
-	if rt.inc != nil && rt.derived[s.Name] {
+	if rt.derived[s.Name] {
 		panic(fmt.Sprintf("transducer %s: table %q collides with a derived query relation", rt.Name, s.Name))
 	}
 	rt.schemas[s.Name] = s
 	rt.db.Ensure(s.Name, s.Arity)
-}
-
-// derivedPreds returns the predicates derived by the registered queries.
-func (rt *Runtime) derivedPreds() map[string]bool {
-	heads := map[string]bool{}
-	if rt.queries != nil {
-		for _, r := range rt.queries.Rules {
-			heads[r.Head.Pred] = true
-		}
-	}
-	return heads
 }
 
 // RegisterVar declares a scalar variable with an initial value.
@@ -170,81 +163,20 @@ func (rt *Runtime) RegisterVar(name string, initial any) { rt.vars[name] = initi
 // RegisterHandler binds a mailbox to a handler.
 func (rt *Runtime) RegisterHandler(mailbox string, h Handler) { rt.handlers[mailbox] = h }
 
-// RegisterQueries installs the datalog program evaluated to fixpoint each
-// tick (the compiled `query` declarations). The program is compiled to
-// plans here, once, so no tick ever pays stratification or rule-planning
-// costs (any compile error resurfaces from Eval inside Tick). Derived
-// heads are tracked in full-eval mode too: a handler write into a query
-// head would land in the base database and re-enter every future snapshot
-// as if it were a base fact, so applyEffects rejects such ticks in both
-// execution modes.
-func (rt *Runtime) RegisterQueries(p *datalog.Program) {
-	rt.leaveIncremental()
-	if p != nil {
-		_ = p.Prepare()
-	}
-	rt.queries = p
-	rt.derived = rt.derivedPreds()
-}
-
-// leaveIncremental tears incremental mode down completely: the maintained
-// fixpoint materialized the old program's derived relations directly into
-// the runtime database, and leaving them behind would feed stale derived
-// tuples to whatever program is registered next (they would re-enter every
-// future snapshot as if they were base facts — the stale-fixpoint bug) or
-// make a subsequent RegisterQueriesIncremental reject the relation as
-// "derived but already holds base tuples". Relations are cleared in place
-// so handles returned by Table stay valid.
-func (rt *Runtime) leaveIncremental() {
-	if rt.inc != nil {
-		for pred := range rt.derived {
-			if rel := rt.db.Get(pred); rel != nil {
-				rel.Clear()
-			}
-		}
-	}
-	rt.inc = nil
-	rt.derived = nil
-	rt.sink = nil // the sink journaled the old evaluator's history
-}
-
-// RegisterQueriesIncremental installs the query program in cross-tick
-// incremental mode: the fixpoint is materialized into the runtime database
-// once, then maintained from each tick's applied effects as deltas
-// (counted derivations for retractions, semi-naive propagation for
-// monotone inserts, per-component recompute fallbacks — see
-// datalog.Incremental). Ticks skip both the snapshot clone and the full
-// re-evaluation, making amortized tick cost O(delta) on monotone
-// workloads. Registered tables must not collide with derived predicates,
-// and handler effects must never write a derived relation.
+// RegisterQueriesIncremental installs the query program: the fixpoint is
+// materialized into the runtime database once, then maintained from each
+// tick's applied effects as deltas (counted derivations for retractions,
+// semi-naive propagation for monotone inserts, per-component recompute
+// fallbacks — see datalog.Incremental), making amortized tick cost O(delta)
+// on monotone workloads. Registered tables must not collide with derived
+// predicates, and handler effects must never write a derived relation.
 func (rt *Runtime) RegisterQueriesIncremental(p *datalog.Program) error {
-	rt.leaveIncremental() // clear any previous program's materialized fixpoint first
-	rt.queries = nil
-	if p == nil {
-		return nil
-	}
-	rt.queries = p
-	heads := rt.derivedPreds()
-	for name := range rt.schemas {
-		if heads[name] {
-			rt.queries = nil
-			return fmt.Errorf("transducer %s: table %q collides with a derived query relation", rt.Name, name)
-		}
-	}
-	inc, err := datalog.NewIncremental(p, rt.db)
-	if err != nil {
-		rt.queries = nil
-		return err
-	}
-	rt.inc = inc
-	rt.derived = heads
-	return nil
+	return rt.RecoverQueriesIncremental(p, datalog.NewIncremental)
 }
 
-// RecoverQueriesIncremental installs the query program in incremental mode
-// with state supplied by a recovery function instead of a freshly computed
-// fixpoint — the boot path for a runtime resuming from a durability
-// directory:
+// RecoverQueriesIncremental installs the query program with state supplied
+// by a recovery function instead of a freshly computed fixpoint — the boot
+// path for a runtime resuming from a durability directory:
 //
 //	store, _ := durable.Open(durable.Options{Dir: dir})
 //	err := rt.RecoverQueriesIncremental(p, store.Recover)
@@ -252,42 +184,50 @@ func (rt *Runtime) RegisterQueriesIncremental(p *datalog.Program) error {
 //
 // The function receives the runtime database (registered tables already
 // exist, empty) and must return an evaluator maintaining p over that same
-// database — handles returned by Table stay valid across recovery.
+// database. A previously registered program is torn down first, whether or
+// not the new one installs: its evaluator materialized derived relations
+// directly into the runtime database, and the successor would reject them
+// as "derived but already holds base tuples". They are cleared in place, so
+// handles returned by Table stay valid, and the sink detaches (it journaled
+// the old evaluator's history).
 func (rt *Runtime) RecoverQueriesIncremental(p *datalog.Program, restore func(*datalog.Program, *datalog.Database) (*datalog.Incremental, error)) error {
-	rt.leaveIncremental()
-	rt.queries = nil
-	if p == nil {
-		return fmt.Errorf("transducer %s: recovery requires a query program", rt.Name)
+	for pred := range rt.derived {
+		if rel := rt.db.Get(pred); rel != nil {
+			rel.Clear()
+		}
 	}
-	rt.queries = p
-	heads := rt.derivedPreds()
+	rt.inc, rt.derived, rt.sink = nil, nil, nil
+	if p == nil {
+		return fmt.Errorf("transducer %s: no query program to register", rt.Name)
+	}
+	heads := map[string]bool{}
+	for _, r := range p.Rules {
+		heads[r.Head.Pred] = true
+	}
 	for name := range rt.schemas {
 		if heads[name] {
-			rt.queries = nil
 			return fmt.Errorf("transducer %s: table %q collides with a derived query relation", rt.Name, name)
 		}
 	}
 	inc, err := restore(p, rt.db)
 	if err != nil {
-		rt.queries = nil
 		return err
 	}
 	if inc.DB() != rt.db {
-		rt.queries = nil
 		return fmt.Errorf("transducer %s: recovered evaluator maintains a different database", rt.Name)
 	}
-	rt.inc = inc
-	rt.derived = heads
+	rt.inc, rt.derived = inc, heads
 	return nil
 }
 
 // SetDurability attaches (or, with nil, detaches) the durability sink.
-// Durability journals the incremental fixpoint's input deltas, so it
-// requires incremental query mode; re-registering queries detaches the
-// sink, since its log describes the previous evaluator's history.
+// Durability journals the maintained fixpoint's input deltas, so it
+// requires a registered query program (an empty one will do);
+// re-registering queries detaches the sink, since its log describes the
+// previous evaluator's history.
 func (rt *Runtime) SetDurability(sink DurabilitySink) error {
 	if sink != nil && rt.inc == nil {
-		return fmt.Errorf("transducer %s: durability requires incremental query mode", rt.Name)
+		return fmt.Errorf("transducer %s: durability requires a registered query program", rt.Name)
 	}
 	rt.sink = sink
 	return nil
@@ -301,12 +241,6 @@ func (rt *Runtime) LastRejection() error { return rt.lastRejection }
 
 // Table exposes a table's current contents (between ticks).
 func (rt *Runtime) Table(name string) *datalog.Relation { return rt.db.Get(name) }
-
-// IncrementalQueries reports whether the registered query program is
-// maintained incrementally across ticks (as opposed to lazy per-tick full
-// evaluation) — an observability hook for tests and operators checking
-// which execution model the compiler selected.
-func (rt *Runtime) IncrementalQueries() bool { return rt.inc != nil }
 
 // Var reads a scalar variable's current value (between ticks).
 func (rt *Runtime) Var(name string) any { return rt.vars[name] }
@@ -328,9 +262,8 @@ type Injection struct {
 // InjectBatch places a group of external messages into their mailboxes for
 // the next tick, assigning IDs in batch order. The whole batch becomes part
 // of one tick's snapshot, so a single tick — one snapshot, one atomic
-// end-of-tick apply, and in incremental mode one Incremental.Apply
-// maintenance pass — ingests every message, instead of paying the per-tick
-// fixed costs once per message. This is the admission path the serving
+// end-of-tick apply, one Incremental.Apply maintenance pass — ingests every
+// message, instead of paying the per-tick fixed costs once per message. This is the admission path the serving
 // front-end (internal/serve) batches requests through.
 func (rt *Runtime) InjectBatch(batch []Injection) []uint64 {
 	ids := make([]uint64, len(batch))
@@ -399,11 +332,10 @@ func (rt *Runtime) Idle() bool {
 }
 
 // TickTimings is one tick's per-phase wall-clock breakdown, recorded when
-// EnableTickTimings is on: delivering matured sends, building the snapshot,
-// running handlers (including any lazy query fixpoint they force), and
-// applying end-of-tick effects (which in incremental mode is the
-// Incremental.Apply maintenance pass — the "eval" cost a serving front-end
-// amortizes across a batch).
+// EnableTickTimings is on: delivering matured sends, copying the scalar
+// variables (the database needs no copy), running handlers, and applying
+// end-of-tick effects (which includes the Incremental.Apply maintenance
+// pass — the "eval" cost a serving front-end amortizes across a batch).
 type TickTimings struct {
 	Deliver  time.Duration
 	Snapshot time.Duration
@@ -444,33 +376,9 @@ func (rt *Runtime) Tick() int {
 		t1 = time.Now()
 	}
 
-	// 2. Snapshot: handlers read a frozen copy of state; queries run to
-	//    fixpoint against the snapshot — lazily, on the first read, so
-	//    ticks that never consult a derived query skip the fixpoint
-	//    entirely (a Hydrolysis optimization: most monotone handlers only
-	//    merge). In incremental mode the database already holds the
-	//    maintained fixpoint and is never mutated mid-tick (effects are
-	//    staged), so it doubles as the snapshot with no clone and no
-	//    re-evaluation.
-	snapDB := rt.db
-	ensureQueries := func() {}
-	if rt.inc == nil {
-		snapDB = rt.db.Clone()
-		queriesEvaled := false
-		ensureQueries = func() {
-			if queriesEvaled || rt.queries == nil {
-				return
-			}
-			queriesEvaled = true
-			n, err := rt.queries.Eval(snapDB)
-			if err != nil {
-				// Programs are validated at compile time; a failure here
-				// is a compiler bug.
-				panic(fmt.Sprintf("transducer %s: query evaluation failed: %v", rt.Name, err))
-			}
-			rt.stats.Derived += uint64(n)
-		}
-	}
+	// 2. Snapshot: the database already holds the maintained fixpoint and
+	//    is never mutated mid-tick (effects are staged), so handlers read
+	//    it in place; only the scalar variables are copied.
 	snapVars := make(map[string]any, len(rt.vars))
 	for k, v := range rt.vars {
 		snapVars[k] = v
@@ -496,8 +404,7 @@ func (rt *Runtime) Tick() int {
 		delete(rt.mailboxes, box)
 		h := rt.handlers[box]
 		for _, msg := range msgs {
-			tx := rt.newTx(snapDB, snapVars, eff, msg)
-			tx.ensureQueries = ensureQueries
+			tx := rt.newTx(snapVars, eff, msg)
 			h(tx, msg)
 			if tx.aborted {
 				rt.stats.Aborted++
@@ -531,8 +438,7 @@ func (rt *Runtime) Tick() int {
 // RunUntilIdle ticks until no work remains or maxTicks elapses; it returns
 // the number of ticks executed. A runtime that is already idle executes no
 // tick at all — serving shells call this after every batch, and burning an
-// empty tick per call both skews the per-tick stats and costs a snapshot
-// clone in full-eval mode.
+// empty tick per call skews the per-tick stats.
 func (rt *Runtime) RunUntilIdle(maxTicks int) int {
 	for i := 0; i < maxTicks; i++ {
 		if rt.Idle() {
@@ -564,8 +470,9 @@ func splitAddr(addr string) (node, mailbox string, ok bool) {
 }
 
 // applyEffects commits the tick's staged mutations: table inserts, field
-// merges, and deletes first, then — in incremental mode — the durability
-// append and the fixpoint maintenance pass, then assigns and sends. The
+// merges, and deletes first, then — with a query program registered — the
+// durability append and the fixpoint maintenance pass, then assigns and
+// sends. The
 // realized table changes are collected as a recorded delta: the sink
 // journals exactly those ops, and a rejected tick is undone by replaying
 // them in reverse. A tick the evaluator or the sink refuses is rolled back
@@ -573,11 +480,9 @@ func splitAddr(addr string) (node, mailbox string, ok bool) {
 // serving — a bad tick costs that tick, not the node.
 func (rt *Runtime) applyEffects(eff *effects) {
 	// Admission check before any mutation lands: a write into a derived
-	// relation would corrupt the maintained fixpoint in incremental mode
-	// and would re-enter every future snapshot as a phantom base fact in
-	// full-eval mode (the compiler never emits either). Rejecting here,
-	// with the database still untouched, keeps the tick atomic in both
-	// modes — full-eval rejections have no recorded delta to roll back.
+	// relation would corrupt the maintained fixpoint (the compiler never
+	// emits one). Rejecting here, with the database still untouched, keeps
+	// the tick atomic with nothing to roll back.
 	for _, ins := range eff.inserts {
 		if rt.derived[ins.table] {
 			rt.rejectTick(nil, fmt.Errorf("transducer %s: insert into derived relation %q", rt.Name, ins.table))
@@ -606,8 +511,7 @@ func (rt *Runtime) applyEffects(eff *effects) {
 	}
 	for _, del := range eff.deletes {
 		if rt.derived[del.table] {
-			// Full-eval mode never holds derived relations in the base
-			// database, so such deletes are no-ops there; match that.
+			// Derived rows belong to the evaluator: deleting one is a no-op.
 			muts++
 			continue
 		}
@@ -622,8 +526,7 @@ func (rt *Runtime) applyEffects(eff *effects) {
 		// Append-before-apply: the journaled record is the tick's commit
 		// point; the maintenance pass folds the realized changes into the
 		// fixpoint (ticks that realized no table changes skip both).
-		// Derived counts the realized fixpoint changes here (the full-eval
-		// path counts per-tick re-derivations instead).
+		// Derived counts the realized fixpoint changes.
 		if rt.sink != nil {
 			if err := rt.sink.Append(delta); err != nil {
 				rt.rejectTick(delta, fmt.Errorf("transducer %s: durability append: %w", rt.Name, err))
@@ -692,9 +595,8 @@ func (rt *Runtime) applyEffects(eff *effects) {
 // The runtime keeps serving; the rejection is visible in Stats.Rejected and
 // LastRejection.
 func (rt *Runtime) rejectTick(delta *datalog.Delta, err error) {
-	// Full-eval rejection paths carry no recorded delta (delta stays nil
-	// when rt.inc is nil): nothing reached the base database yet, so there
-	// is nothing to undo.
+	// An admission rejection carries no delta: nothing reached the
+	// database yet, so there is nothing to undo.
 	var ops []datalog.DeltaOp
 	if delta != nil {
 		ops = delta.Ops()

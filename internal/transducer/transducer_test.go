@@ -1,7 +1,9 @@
 package transducer
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"hydro/internal/datalog"
@@ -153,7 +155,9 @@ func TestQueriesRunToFixpointPerTick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.RegisterQueries(prog)
+	if err := rt.RegisterQueriesIncremental(prog); err != nil {
+		t.Fatal(err)
+	}
 	rt.RegisterHandler("add_edge", func(tx *Tx, msg Message) {
 		tx.MergeTuple("edge", msg.Payload)
 	})
@@ -313,201 +317,165 @@ func tcQueries(t testing.TB) *datalog.Program {
 	return prog
 }
 
-// TestIncrementalTickMatchesFullEval runs the same randomized op stream —
-// edge merges, edge deletes, keyed upserts, and query probes — through a
-// full-eval runtime and an incremental runtime, and requires every probe
-// result and final table to agree. This is the transducer-level leg of the
-// three-way differential property.
+// sortedRows renders tuples as sorted strings: the oracle below derives from
+// scratch, so it agrees with the maintained relation as a set, not slot by
+// slot.
+func sortedRows(rows []datalog.Tuple) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = r.String()
+	}
+	sort.Strings(out)
+	return out
+}
+
+// evalPath is the oracle of TestIncrementalTickMatchesFullEval: `path`
+// re-derived by a from-scratch datalog Eval over a copy of the runtime's
+// base tables.
+func evalPath(t *testing.T, rt *Runtime) []string {
+	t.Helper()
+	ref := datalog.NewDatabase()
+	for _, name := range []string{"edge", "people"} {
+		src := rt.Table(name)
+		dst := ref.Ensure(name, src.Arity)
+		for _, row := range src.Tuples() {
+			dst.Insert(row)
+		}
+	}
+	if _, err := tcQueries(t).Eval(ref); err != nil {
+		t.Fatal(err)
+	}
+	if rel := ref.Get("path"); rel != nil {
+		return sortedRows(rel.Tuples())
+	}
+	return []string{}
+}
+
+// TestIncrementalTickMatchesFullEval runs a randomized op stream — edge
+// merges, edge deletes, keyed upserts, and query probes — through the
+// runtime and requires every probe result, and the maintained `path` at the
+// end, to equal a from-scratch Eval over the base tables as they stood when
+// the probing tick began (handlers read the start-of-tick state), and the
+// final base tables to equal a plain model of the op stream. The reference
+// is datalog.Eval, which the three-way differential test ties to EvalNaive:
+// this is the transducer-level leg of that property.
 func TestIncrementalTickMatchesFullEval(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		mk := func(incremental bool) (*Runtime, *[][]datalog.Tuple) {
-			rt := New("n1", seed)
-			rt.SetDelay(fixedDelay)
-			rt.RegisterTable(TableSchema{Name: "edge", Arity: 2})
-			rt.RegisterTable(TableSchema{
-				Name: "people", Arity: 3, Key: []int{0},
-				LatticeMerge: map[int]func(a, b any) any{1: orMerge, 2: orMerge},
-				Zero:         func(key []any) datalog.Tuple { return datalog.Tuple{key[0], false, false} },
-			})
-			if incremental {
-				if err := rt.RegisterQueriesIncremental(tcQueries(t)); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				rt.RegisterQueries(tcQueries(t))
-			}
-			probes := &[][]datalog.Tuple{}
-			rt.RegisterHandler("add_edge", func(tx *Tx, msg Message) { tx.MergeTuple("edge", msg.Payload) })
-			rt.RegisterHandler("del_edge", func(tx *Tx, msg Message) { tx.Delete("edge", msg.Payload) })
-			rt.RegisterHandler("diagnose", func(tx *Tx, msg Message) {
-				tx.MergeField("people", []any{msg.Payload[0]}, 1, true)
-			})
-			rt.RegisterHandler("probe", func(tx *Tx, msg Message) {
-				*probes = append(*probes, tx.Query("path"))
-			})
-			return rt, probes
+		rt := New("n1", seed)
+		rt.SetDelay(fixedDelay)
+		rt.RegisterTable(TableSchema{Name: "edge", Arity: 2})
+		rt.RegisterTable(TableSchema{
+			Name: "people", Arity: 3, Key: []int{0},
+			LatticeMerge: map[int]func(a, b any) any{1: orMerge, 2: orMerge},
+			Zero:         func(key []any) datalog.Tuple { return datalog.Tuple{key[0], false, false} },
+		})
+		if err := rt.RegisterQueriesIncremental(tcQueries(t)); err != nil {
+			t.Fatal(err)
 		}
-		full, fullProbes := mk(false)
-		incr, incrProbes := mk(true)
+		var probes, want [][]string
+		rt.RegisterHandler("add_edge", func(tx *Tx, msg Message) { tx.MergeTuple("edge", msg.Payload) })
+		rt.RegisterHandler("del_edge", func(tx *Tx, msg Message) { tx.Delete("edge", msg.Payload) })
+		rt.RegisterHandler("diagnose", func(tx *Tx, msg Message) {
+			tx.MergeField("people", []any{msg.Payload[0]}, 1, true)
+		})
+		rt.RegisterHandler("probe", func(tx *Tx, msg Message) {
+			probes = append(probes, sortedRows(tx.Query("path")))
+		})
+		probe := func() {
+			want = append(want, evalPath(t, rt))
+			rt.Inject("probe", datalog.Tuple{})
+		}
+		edges, people := map[string]bool{}, map[string]bool{}
 		r := rand.New(rand.NewSource(seed))
 		for op := 0; op < 60; op++ {
-			var box string
-			var payload datalog.Tuple
 			switch r.Intn(4) {
 			case 0, 1:
-				box, payload = "add_edge", datalog.Tuple{int64(r.Intn(8)), int64(r.Intn(8))}
+				row := datalog.Tuple{int64(r.Intn(8)), int64(r.Intn(8))}
+				edges[row.String()] = true
+				rt.Inject("add_edge", row)
 			case 2:
-				box, payload = "del_edge", datalog.Tuple{int64(r.Intn(8)), int64(r.Intn(8))}
+				row := datalog.Tuple{int64(r.Intn(8)), int64(r.Intn(8))}
+				delete(edges, row.String())
+				rt.Inject("del_edge", row)
 			default:
-				box, payload = "diagnose", datalog.Tuple{int64(r.Intn(8))}
+				pid := int64(r.Intn(8))
+				people[datalog.Tuple{pid, true, false}.String()] = true
+				rt.Inject("diagnose", datalog.Tuple{pid})
 			}
-			full.Inject(box, payload)
-			incr.Inject(box, payload)
 			if r.Intn(3) == 0 {
-				full.Inject("probe", datalog.Tuple{})
-				incr.Inject("probe", datalog.Tuple{})
+				probe()
 			}
-			full.Tick()
-			incr.Tick()
+			rt.Tick()
 		}
-		full.Inject("probe", datalog.Tuple{})
-		incr.Inject("probe", datalog.Tuple{})
-		full.Tick()
-		incr.Tick()
-		if len(*fullProbes) != len(*incrProbes) {
-			t.Fatalf("seed %d: probe counts diverge: %d vs %d", seed, len(*fullProbes), len(*incrProbes))
+		probe()
+		rt.Tick()
+		if len(probes) != len(want) {
+			t.Fatalf("seed %d: %d probes handled, want %d", seed, len(probes), len(want))
 		}
-		for i := range *fullProbes {
-			f, n := (*fullProbes)[i], (*incrProbes)[i]
-			if len(f) != len(n) {
-				t.Fatalf("seed %d probe %d: path has %d vs %d rows\nfull: %v\nincr: %v", seed, i, len(f), len(n), f, n)
-			}
-			for j := range f {
-				if !f[j].Equal(n[j]) {
-					t.Fatalf("seed %d probe %d row %d: %v vs %v", seed, i, j, f[j], n[j])
-				}
+		for i := range want {
+			if fmt.Sprint(probes[i]) != fmt.Sprint(want[i]) {
+				t.Fatalf("seed %d probe %d: path diverges from Eval\neval: %v\nincr: %v", seed, i, want[i], probes[i])
 			}
 		}
-		for _, table := range []string{"edge", "people"} {
-			f, n := full.Table(table).Tuples(), incr.Table(table).Tuples()
-			if len(f) != len(n) {
-				t.Fatalf("seed %d: table %s: %d vs %d rows", seed, table, len(f), len(n))
+		if got, ref := sortedRows(rt.Table("path").Tuples()), evalPath(t, rt); fmt.Sprint(got) != fmt.Sprint(ref) {
+			t.Fatalf("seed %d: final path diverges from Eval\neval: %v\nincr: %v", seed, ref, got)
+		}
+		for table, model := range map[string]map[string]bool{"edge": edges, "people": people} {
+			got := sortedRows(rt.Table(table).Tuples())
+			if len(got) != len(model) {
+				t.Fatalf("seed %d: table %s: %d rows, model has %d: %v", seed, table, len(got), len(model), got)
 			}
-			for j := range f {
-				if !f[j].Equal(n[j]) {
-					t.Fatalf("seed %d: table %s row %d: %v vs %v", seed, table, j, f[j], n[j])
+			for _, row := range got {
+				if !model[row] {
+					t.Fatalf("seed %d: table %s holds %s, the model does not", seed, table, row)
 				}
 			}
 		}
 	}
 }
 
-// TestRegisterQueriesLeavesIncrementalMode: re-registering queries with
-// the plain API must drop the old incremental evaluator, not keep serving
-// the previous program's maintained fixpoint.
-func TestRegisterQueriesLeavesIncrementalMode(t *testing.T) {
+// TestRegisterQueriesReplacementPurgesStaleFixpoint is the regression test
+// for the stale-fixpoint case: the evaluator materializes its derived
+// relations directly into the runtime database, so replacing the program
+// mid-stream — after ticks have populated the fixpoint — must purge those
+// tuples, or the successor is rejected outright ("derived ... already holds
+// base tuples") instead of rebuilding the correct fixpoint.
+func TestRegisterQueriesReplacementPurgesStaleFixpoint(t *testing.T) {
 	rt := New("n1", 1)
 	rt.SetDelay(fixedDelay)
 	rt.RegisterTable(TableSchema{Name: "edge", Arity: 2})
 	if err := rt.RegisterQueriesIncremental(tcQueries(t)); err != nil {
 		t.Fatal(err)
 	}
-	p2, err := datalog.NewProgram(datalog.Rule{
-		Head: datalog.Atom{Pred: "rev", Args: []datalog.Term{datalog.V("y"), datalog.V("x")}},
+	rt.RegisterHandler("add_edge", func(tx *Tx, msg Message) { tx.MergeTuple("edge", msg.Payload) })
+	rt.Inject("add_edge", datalog.Tuple{"a", "b"})
+	rt.Inject("add_edge", datalog.Tuple{"b", "c"})
+	rt.Tick()
+	if rt.Table("path").Len() != 3 {
+		t.Fatalf("incremental fixpoint not materialized: path = %v", rt.Table("path").Tuples())
+	}
+	// Reverse-only program reusing the same head predicate: path(a,c) etc.
+	// must be gone.
+	revRules, err := datalog.NewProgram(datalog.Rule{
+		Head: datalog.Atom{Pred: "path", Args: []datalog.Term{datalog.V("y"), datalog.V("x")}},
 		Body: []datalog.Literal{{Atom: datalog.Atom{Pred: "edge", Args: []datalog.Term{datalog.V("x"), datalog.V("y")}}}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.RegisterQueries(p2)
-	var rev, path []datalog.Tuple
-	rt.RegisterHandler("add_probe", func(tx *Tx, msg Message) {
-		tx.MergeTuple("edge", msg.Payload)
-		rev = tx.Query("rev")
-		path = tx.Query("path")
-	})
-	rt.Inject("add_probe", datalog.Tuple{"a", "b"})
-	rt.Tick()
-	rt.Inject("add_probe", datalog.Tuple{"b", "c"})
-	rt.Tick()
-	if len(rev) != 1 || !rev[0].Equal(datalog.Tuple{"b", "a"}) {
-		t.Fatalf("new program not evaluated after re-registration: rev = %v", rev)
+	if err := rt.RegisterQueriesIncremental(revRules); err != nil {
+		t.Fatalf("re-registration failed on predecessor's fixpoint: %v", err)
 	}
-	if len(path) != 0 {
-		t.Fatalf("old incremental fixpoint still served: path = %v", path)
-	}
-}
-
-// TestRegisterQueriesReplacementPurgesStaleFixpoint is the regression test
-// for the stale-fixpoint case: an incremental program materializes its
-// derived relations directly into the runtime database, so replacing it
-// mid-stream — after ticks have populated the fixpoint — must purge those
-// tuples. Before the purge, a successor full-eval program reusing the same
-// head predicate would fold the old fixpoint into every snapshot as if it
-// were base data, and a successor incremental program would be rejected
-// outright ("derived ... already holds base tuples").
-func TestRegisterQueriesReplacementPurgesStaleFixpoint(t *testing.T) {
-	mk := func() *Runtime {
-		rt := New("n1", 1)
-		rt.SetDelay(fixedDelay)
-		rt.RegisterTable(TableSchema{Name: "edge", Arity: 2})
-		if err := rt.RegisterQueriesIncremental(tcQueries(t)); err != nil {
-			t.Fatal(err)
-		}
-		rt.RegisterHandler("add_edge", func(tx *Tx, msg Message) { tx.MergeTuple("edge", msg.Payload) })
-		rt.Inject("add_edge", datalog.Tuple{"a", "b"})
-		rt.Inject("add_edge", datalog.Tuple{"b", "c"})
-		rt.Tick()
-		if rt.Table("path").Len() != 3 {
-			t.Fatalf("incremental fixpoint not materialized: path = %v", rt.Table("path").Tuples())
-		}
-		return rt
-	}
-	// Reverse-only program reusing the same head predicate: under the new
-	// semantics path(a,c) etc. must be gone everywhere.
-	revRules := func() *datalog.Program {
-		p, err := datalog.NewProgram(datalog.Rule{
-			Head: datalog.Atom{Pred: "path", Args: []datalog.Term{datalog.V("y"), datalog.V("x")}},
-			Body: []datalog.Literal{{Atom: datalog.Atom{Pred: "edge", Args: []datalog.Term{datalog.V("x"), datalog.V("y")}}}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-
-	// Case 1: replacement with a full-eval program.
-	rt := mk()
-	rt.RegisterQueries(revRules())
-	if got := rt.Table("path").Len(); got != 0 {
-		t.Fatalf("stale fixpoint left in live database after RegisterQueries: path = %v", rt.Table("path").Tuples())
-	}
-	var seen []datalog.Tuple
-	rt.RegisterHandler("probe", func(tx *Tx, msg Message) { seen = tx.Query("path") })
-	rt.Inject("probe", datalog.Tuple{int64(0)})
-	rt.Tick()
 	want := map[string]bool{`(b, a)`: true, `(c, b)`: true}
-	if len(seen) != 2 || !want[seen[0].String()] || !want[seen[1].String()] {
-		t.Fatalf("stale tuples polluted the successor program's fixpoint: path = %v", seen)
-	}
-
-	// Case 2: replacement with another incremental program must not be
-	// rejected for the predecessor's materialized tuples, and must rebuild
-	// the correct fixpoint.
-	rt = mk()
-	if err := rt.RegisterQueriesIncremental(revRules()); err != nil {
-		t.Fatalf("incremental re-registration failed on predecessor's fixpoint: %v", err)
-	}
 	got := rt.Table("path").Tuples()
 	if len(got) != 2 || !want[got[0].String()] || !want[got[1].String()] {
-		t.Fatalf("successor incremental fixpoint wrong: path = %v", got)
+		t.Fatalf("successor fixpoint wrong: path = %v", got)
 	}
 }
 
-// TestIncrementalDeleteOfDerivedIsNoOp: tx.Delete on a derived relation is
-// a silent no-op in full-eval mode (the base database never holds derived
-// tuples); incremental mode must match instead of corrupting the
-// maintained fixpoint or crashing.
+// TestIncrementalDeleteOfDerivedIsNoOp: derived relations belong to the
+// evaluator, so tx.Delete on one is a silent no-op instead of corrupting
+// the maintained fixpoint or crashing.
 func TestIncrementalDeleteOfDerivedIsNoOp(t *testing.T) {
 	rt := New("n1", 1)
 	rt.SetDelay(fixedDelay)
@@ -527,8 +495,7 @@ func TestIncrementalDeleteOfDerivedIsNoOp(t *testing.T) {
 }
 
 // TestIncrementalRejectsTableCollision: a registered table that a query
-// derives must be rejected in incremental mode, in either registration
-// order.
+// derives must be rejected, in either registration order.
 func TestIncrementalRejectsTableCollision(t *testing.T) {
 	rt := New("n1", 1)
 	rt.RegisterTable(TableSchema{Name: "path", Arity: 2})
@@ -573,48 +540,6 @@ func TestIdleToleratesEmptyMailboxSlice(t *testing.T) {
 	rt.Inject("box", datalog.Tuple{int64(1)})
 	if rt.Idle() {
 		t.Fatal("pending handled message must read as busy")
-	}
-}
-
-// TestRejectTickFullEval pins the full-eval rejection path: a handler write
-// into a derived query head is rejected without a recorded delta
-// (rejectTick used to dereference the nil delta and panic), the whole tick
-// rolls back atomically, and the runtime keeps serving.
-func TestRejectTickFullEval(t *testing.T) {
-	rt := New("n1", 1)
-	rt.SetDelay(fixedDelay)
-	rt.RegisterTable(TableSchema{Name: "edge", Arity: 2})
-	rt.RegisterQueries(tcQueries(t))
-	if rt.IncrementalQueries() {
-		t.Fatal("test requires full-eval mode")
-	}
-	rt.RegisterHandler("add", func(tx *Tx, msg Message) {
-		tx.MergeTuple("edge", msg.Payload)
-	})
-	rt.RegisterHandler("poison", func(tx *Tx, msg Message) {
-		tx.MergeTuple("edge", datalog.Tuple{"x", "y"}) // innocent effect in the same tick
-		tx.MergeTuple("path", msg.Payload)             // write into a derived head
-		tx.Send("out", datalog.Tuple{"never"})
-	})
-	rt.Inject("poison", datalog.Tuple{"a", "b"})
-	rt.Tick()
-	if got := rt.Stats().Rejected; got != 1 {
-		t.Fatalf("Rejected = %d, want 1", got)
-	}
-	if rt.LastRejection() == nil {
-		t.Fatal("LastRejection must report the rejected tick")
-	}
-	if got := rt.Table("edge").Tuples(); len(got) != 0 {
-		t.Fatalf("rejected tick must roll back atomically, edge = %v", got)
-	}
-	if len(rt.Peek("out")) != 0 || rt.Peek("path") != nil {
-		t.Fatal("rejected tick must drop its sends")
-	}
-	// The node keeps serving: a clean tick after the rejection commits.
-	rt.Inject("add", datalog.Tuple{"a", "b"})
-	rt.Tick()
-	if got := rt.Table("edge").Tuples(); len(got) != 1 {
-		t.Fatalf("post-rejection tick must commit, edge = %v", got)
 	}
 }
 

@@ -2,20 +2,17 @@ package transducer
 
 import "hydro/internal/datalog"
 
-// Tx is a handler's view of one tick: reads come from the immutable
-// snapshot, writes are staged and applied at end of tick. This is what
-// makes handler bodies order-independent within a tick.
+// Tx is a handler's view of one tick: reads come from the runtime database
+// (which no tick mutates before its end) and the variable snapshot, writes
+// are staged and applied at end of tick. This is what makes handler bodies
+// order-independent within a tick.
 type Tx struct {
 	rt       *Runtime
-	snapDB   *datalog.Database
 	snapVars map[string]any
 	eff      *effects
 	msg      Message
 	aborted  bool
 	mark     effectMark
-	// ensureQueries runs the registered query program against the
-	// snapshot on first use (lazy per-tick fixpoint).
-	ensureQueries func()
 }
 
 type tableRow struct {
@@ -63,8 +60,8 @@ func (e *effects) truncate(m effectMark) {
 }
 
 // newTx is created per message by the runtime; handlers never construct one.
-func (rt *Runtime) newTx(snapDB *datalog.Database, snapVars map[string]any, eff *effects, msg Message) *Tx {
-	return &Tx{rt: rt, snapDB: snapDB, snapVars: snapVars, eff: eff, msg: msg, mark: eff.mark()}
+func (rt *Runtime) newTx(snapVars map[string]any, eff *effects, msg Message) *Tx {
+	return &Tx{rt: rt, snapVars: snapVars, eff: eff, msg: msg, mark: eff.mark()}
 }
 
 // Msg returns the message being handled.
@@ -73,8 +70,7 @@ func (tx *Tx) Msg() Message { return tx.msg }
 // Query returns the snapshot contents of a relation (table or compiled
 // query) as of the start of the tick, fixpoint included.
 func (tx *Tx) Query(name string) []datalog.Tuple {
-	tx.lazyQueries()
-	rel := tx.snapDB.Get(name)
+	rel := tx.rt.db.Get(name)
 	if rel == nil {
 		return nil
 	}
@@ -83,8 +79,7 @@ func (tx *Tx) Query(name string) []datalog.Tuple {
 
 // QueryWhere returns snapshot tuples whose columns at pos equal vals.
 func (tx *Tx) QueryWhere(name string, pos []int, vals []any) []datalog.Tuple {
-	tx.lazyQueries()
-	rel := tx.snapDB.Get(name)
+	rel := tx.rt.db.Get(name)
 	if rel == nil {
 		return nil
 	}
@@ -94,27 +89,11 @@ func (tx *Tx) QueryWhere(name string, pos []int, vals []any) []datalog.Tuple {
 // ReadVar reads a scalar variable from the snapshot.
 func (tx *Tx) ReadVar(name string) any { return tx.snapVars[name] }
 
-// Derive evaluates one datalog rule against the tick snapshot (which
-// contains the fixpoint of the registered queries, computed on demand).
-// The rule is compiled on the fly; handlers that fire the same rule on
-// every message should compile it once and use DerivePrepared.
-func (tx *Tx) Derive(rule datalog.Rule) ([]datalog.Tuple, error) {
-	tx.lazyQueries()
-	return datalog.Derive(tx.snapDB, rule)
-}
-
 // DerivePrepared evaluates a rule compiled once with datalog.PrepareRule
 // against the tick snapshot, binding the rule's declared variables from
-// bound — the zero-recompilation path compiled rule-driven sends use.
+// bound — how compiled rule-driven sends read.
 func (tx *Tx) DerivePrepared(pr *datalog.PreparedRule, bound map[string]any) ([]datalog.Tuple, error) {
-	tx.lazyQueries()
-	return pr.Derive(tx.snapDB, bound)
-}
-
-func (tx *Tx) lazyQueries() {
-	if tx.ensureQueries != nil {
-		tx.ensureQueries()
-	}
+	return pr.Derive(tx.rt.db, bound)
 }
 
 // MergeTuple stages a (monotonic) tuple insertion.
