@@ -4,16 +4,18 @@
 // transitive-closure `trace` in the COVID example compile to rules here, and
 // the evaluator is what runs "to fixpoint" inside each transducer tick.
 //
-// Storage is hash-native: tuples live in an insertion-ordered slot array
-// keyed by a 64-bit typed FNV-1a hash with collision buckets, and column
-// indexes (the access paths of §5.1) are maintained incrementally on both
-// Insert and Delete. Relation is the package's only hashed tuple store:
-// delta batches, pre-batch overlays, dedup sets and derivation counts are
-// all relations. Rules execute as compiled plans (see plan.go).
+// Storage is flat and pointer-free: a value is a 64-bit word (value.go), a
+// relation's rows sit in one insertion-ordered slab, and membership and the
+// column indexes (the access paths of §5.1) are open-addressed tables
+// maintained incrementally on both Insert and Delete. Relation is the
+// package's only hashed tuple store: delta batches, pre-batch overlays,
+// dedup sets and derivation counts are all relations. Rules execute as
+// compiled plans over words (see plan.go); Tuple is the boundary type.
 package datalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -44,210 +46,225 @@ func (t Tuple) String() string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
-// Relation is a named set of tuples of fixed arity. Rows are stored in an
-// insertion-ordered slot array (deleted rows leave tombstones that are
-// compacted once they dominate); membership is a typed-hash table whose
-// collision chains thread through a parallel next-slot array (one map
-// entry per hash, no per-bucket slice allocations — chain order is
-// unobservable because a tuple's slot is unique); column indexes over any
-// column subset are built on first use and maintained incrementally
-// afterwards. A relation may also carry one signed count per tuple
-// (addCount): the derivation multiplicities of a counting component's head,
-// or a batch's accumulated signed changes on a scratch relation.
+// Relation is a named set of tuples of fixed arity. Rows are encoded words
+// (value.go) in one pointer-free slab in insertion order, stride words per
+// slot; a deleted row leaves a tombstone that is compacted once tombstones
+// dominate. Membership is an open-addressed table over all columns, and
+// column indexes over any column subset are built on first use and
+// maintained incrementally afterwards (index.go) — both enumerate in
+// insertion order, never hash order. A relation may also carry one signed
+// count per tuple (addCount): the derivation multiplicities of a counting
+// component's head, or a batch's accumulated signed changes on a scratch
+// relation. Tuple is the boundary type: Insert, Delete, Contains, Lookup and
+// Tuples encode on the way in and decode on the way out.
 type Relation struct {
 	Name  string
 	Arity int
 
-	slots  []Tuple // insertion order; nil = tombstone
+	dict   *dict
+	stride int      // words per slot: Arity, or 1 for arity 0 so a tombstone has a word to sit in
+	rows   []uint64 // the slab; slot s is rows[s*stride:][:Arity]
 	dead   int
-	byHash map[uint64]int32 // full-tuple hash → head of live-slot chain; nil after Clone (lazily rebuilt)
-	next   []int32          // collision chain links, parallel to slots; -1 terminates
+	set    colIndex // membership: every column; cells nil after Clone/adopt (lazily rebuilt)
 	idx    []*colIndex
 	counts []int // per-tuple counts, parallel to slots; nil until the first addCount
 }
 
-// NewRelation returns an empty relation.
-func NewRelation(name string, arity int) *Relation {
-	return &Relation{Name: name, Arity: arity, byHash: map[uint64]int32{}}
+// NewRelation returns an empty relation with a dictionary of its own. A
+// relation that is to be joined against a database's comes from that
+// database (Ensure, or a Scratch of it) instead.
+func NewRelation(name string, arity int) *Relation { return newRelation(newDict(), name, arity) }
+
+func newRelation(d *dict, name string, arity int) *Relation {
+	r := &Relation{Name: name, Arity: arity, dict: d, stride: max(arity, 1)}
+	r.set.pos = allCols(arity)
+	return r
 }
+
+// adoptRows returns a relation over rows — distinct encoded rows of d, which
+// the relation only reads. Membership and indexes are built if ever probed:
+// a pre-batch view (preBatch) is joined against, a seed is just scanned.
+func adoptRows(d *dict, name string, arity int, rows []uint64) *Relation {
+	r := newRelation(d, name, arity)
+	r.rows = rows[:len(rows):len(rows)]
+	return r
+}
+
+// slots returns the number of slots in use, tombstones included.
+func (r *Relation) slots() int { return len(r.rows) / r.stride }
+
+// row returns slot s's words.
+func (r *Relation) row(s int) []uint64 { return r.rows[s*r.stride:][:r.Arity] }
+
+// live reports whether slot s holds a tuple.
+func (r *Relation) live(s int) bool { return r.rows[s*r.stride] != tombWord }
 
 // Len returns the number of live tuples.
-func (r *Relation) Len() int { return len(r.slots) - r.dead }
+func (r *Relation) Len() int { return r.slots() - r.dead }
 
-// ensureByHash rebuilds the membership hash after a lazy Clone.
-func (r *Relation) ensureByHash() {
-	if r.byHash != nil {
-		return
-	}
-	r.byHash = make(map[uint64]int32, nextPow2(len(r.slots)))
-	r.next = make([]int32, len(r.slots))
-	for i, t := range r.slots {
-		r.next[i] = -1
-		if t == nil {
-			continue
-		}
-		h := hashTuple(t)
-		if head, ok := r.byHash[h]; ok {
-			r.next[i] = head
-		}
-		r.byHash[h] = int32(i)
+// ensureSet builds the membership table on first use (a new, cleared,
+// cloned or adopted relation has none).
+func (r *Relation) ensureSet() {
+	if r.set.cells == nil {
+		r.set.build(r)
 	}
 }
 
-// findSlot returns the slot of t, or -1. Chains hold live slots only.
-func (r *Relation) findSlot(h uint64, t Tuple) int32 {
-	s, ok := r.byHash[h]
-	if !ok {
-		return -1
+// findRow returns the slot of the encoded row w, or -1.
+func (r *Relation) findRow(w []uint64) int {
+	r.ensureSet()
+	_, s := r.set.find(r, w)
+	return s
+}
+
+func (r *Relation) checkArity(t Tuple) {
+	if len(t) != r.Arity {
+		panic(fmt.Sprintf("datalog: arity mismatch inserting %v into %s/%d", t, r.Name, r.Arity))
 	}
-	for s >= 0 {
-		if r.slots[s].Equal(t) {
-			return s
-		}
-		s = r.next[s]
-	}
-	return -1
 }
 
 // Insert adds a tuple, returning true if it was new. Panics on arity
 // mismatch: that is a compiler bug, not a data error.
 func (r *Relation) Insert(t Tuple) bool {
-	if len(t) != r.Arity {
-		panic(fmt.Sprintf("datalog: arity mismatch inserting %v into %s/%d", t, r.Name, r.Arity))
-	}
-	r.ensureByHash()
-	h := hashTuple(t)
-	if r.findSlot(h, t) >= 0 {
+	r.checkArity(t)
+	var buf [8]uint64
+	return r.insertRow(r.dict.encodeRow(buf[:0], t))
+}
+
+// insertRow adds the encoded row w (copied), returning true if it was new.
+func (r *Relation) insertRow(w []uint64) bool {
+	r.ensureSet()
+	cell, s := r.set.find(r, w)
+	if s >= 0 {
 		return false
 	}
-	r.insertNew(h, t)
+	r.appendRow(cell, w)
 	return true
 }
 
-// insertNew appends t, known to be absent and to hash to h.
-func (r *Relation) insertNew(h uint64, t Tuple) {
-	slot := int32(len(r.slots))
-	r.slots = append(r.slots, t)
-	link := int32(-1)
-	if head, ok := r.byHash[h]; ok {
-		link = head
+// appendRow appends w, known to be absent, whose membership cell is cell.
+func (r *Relation) appendRow(cell int, w []uint64) int {
+	slot := r.slots()
+	if r.Arity == 0 {
+		r.rows = append(r.rows, 0)
+	} else {
+		r.rows = append(r.rows, w...)
 	}
-	r.next = append(r.next, link)
-	r.byHash[h] = slot
+	r.set.put(r, cell, slot)
 	if r.counts != nil {
 		r.counts = append(r.counts, 0)
 	}
 	for _, ci := range r.idx {
-		ci.add(t, slot)
+		ci.add(r, slot)
 	}
+	return slot
 }
 
-// addCount adjusts t's count by d, inserting t at count zero first, and
-// returns the count before and after. A maintained count that returns to
-// zero is dropped by deleting the tuple, so counts stay bounded by the live
-// relation and tombstone compaction carries them along.
-func (r *Relation) addCount(t Tuple, d int) (old, now int) {
-	r.ensureByHash()
+// addCount adjusts the encoded row w's count by d, inserting it at count
+// zero first, and returns the count before and after. A maintained count
+// that returns to zero is dropped by deleting the tuple, so counts stay
+// bounded by the live relation and tombstone compaction carries them along.
+func (r *Relation) addCount(w []uint64, d int) (old, now int) {
+	r.ensureSet()
 	if r.counts == nil {
-		r.counts = make([]int, len(r.slots), cap(r.slots))
+		r.counts = make([]int, r.slots(), cap(r.rows)/r.stride)
 	}
-	h := hashTuple(t)
-	slot := r.findSlot(h, t)
+	cell, slot := r.set.find(r, w)
 	if slot < 0 {
-		slot = int32(len(r.slots))
-		r.insertNew(h, t)
+		slot = r.appendRow(cell, w)
 	}
 	old = r.counts[slot]
 	r.counts[slot] = old + d
 	return old, old + d
 }
 
-// count returns t's count: zero when t is absent or was never counted.
-func (r *Relation) count(t Tuple) int {
+// count returns the encoded row's count: zero when it is absent or was
+// never counted.
+func (r *Relation) count(w []uint64) int {
 	if r.counts == nil {
 		return 0
 	}
-	r.ensureByHash()
-	if slot := r.findSlot(hashTuple(t), t); slot >= 0 {
+	if slot := r.findRow(w); slot >= 0 {
 		return r.counts[slot]
 	}
 	return 0
 }
 
-// scanCounts calls fn for every live tuple and its count, in insertion
+// scanCountRows calls fn for every live row and its count, in insertion
 // order; a relation that was never counted has none to report.
-func (r *Relation) scanCounts(fn func(t Tuple, n int)) {
+func (r *Relation) scanCountRows(fn func(w []uint64, n int)) {
 	if r.counts == nil {
 		return
 	}
-	for i, t := range r.slots {
-		if t != nil {
-			fn(t, r.counts[i])
+	for s, n := 0, r.slots(); s < n; s++ {
+		if r.live(s) {
+			fn(r.row(s), r.counts[s])
 		}
 	}
+}
+
+// scanCounts is scanCountRows with each row decoded.
+func (r *Relation) scanCounts(fn func(t Tuple, n int)) {
+	r.scanCountRows(func(w []uint64, n int) { fn(r.decode(w), n) })
+}
+
+// decode returns a fresh Tuple of the encoded row w.
+func (r *Relation) decode(w []uint64) Tuple {
+	return r.dict.decodeRow(make([]any, len(w)), w)
 }
 
 // Delete removes a tuple, returning true if it was present. Deletion is
 // non-monotonic; the transducer only applies it atomically between ticks.
 // Indexes are maintained incrementally — no rebuild.
 func (r *Relation) Delete(t Tuple) bool {
-	r.ensureByHash()
-	h := hashTuple(t)
-	slot := r.findSlot(h, t)
+	var buf [8]uint64
+	w, ok := r.dict.lookupRow(buf[:0], t)
+	return ok && len(t) == r.Arity && r.deleteRow(w)
+}
+
+// deleteRow removes the encoded row w, returning true if it was present.
+func (r *Relation) deleteRow(w []uint64) bool {
+	r.ensureSet()
+	cell, slot := r.set.find(r, w)
 	if slot < 0 {
 		return false
 	}
-	// Unlink from the collision chain.
-	if head := r.byHash[h]; head == slot {
-		if r.next[slot] >= 0 {
-			r.byHash[h] = r.next[slot]
-		} else {
-			delete(r.byHash, h)
-		}
-	} else {
-		p := head
-		for r.next[p] != slot {
-			p = r.next[p]
-		}
-		r.next[p] = r.next[slot]
-	}
-	r.next[slot] = -1
+	r.set.removeCell(r, cell)
 	for _, ci := range r.idx {
-		ci.remove(r.slots[slot], slot)
+		ci.remove(r, slot)
 	}
-	r.slots[slot] = nil
+	r.rows[slot*r.stride] = tombWord
 	r.dead++
 	r.maybeCompact()
 	return true
 }
 
 // maybeCompact squeezes out tombstones (preserving insertion order) once
-// they dominate the slot array, rebuilding hash and indexes.
+// they dominate the slab, rebuilding membership and indexes.
 func (r *Relation) maybeCompact() {
-	if r.dead <= 32 || r.dead*2 <= len(r.slots) {
+	n := r.slots()
+	if r.dead <= 32 || r.dead*2 <= n {
 		return
 	}
-	live := make([]Tuple, 0, len(r.slots)-r.dead)
-	for i, t := range r.slots {
-		if t != nil {
-			if r.counts != nil {
-				r.counts[len(live)] = r.counts[i]
-			}
-			live = append(live, t)
+	live := 0
+	for s := 0; s < n; s++ {
+		if !r.live(s) {
+			continue
 		}
+		if r.counts != nil {
+			r.counts[live] = r.counts[s]
+		}
+		copy(r.rows[live*r.stride:], r.rows[s*r.stride:][:r.stride])
+		live++
 	}
 	if r.counts != nil {
-		r.counts = r.counts[:len(live)]
+		r.counts = r.counts[:live]
 	}
-	r.slots = live
+	r.rows = r.rows[:live*r.stride]
 	r.dead = 0
-	r.byHash = nil
-	r.ensureByHash()
+	r.set.build(r)
 	for _, ci := range r.idx {
-		ci.m = make(map[uint64][]int32, nextPow2(len(live)))
-		for i, t := range live {
-			ci.add(t, int32(i))
-		}
+		ci.build(r)
 	}
 }
 
@@ -256,49 +273,46 @@ func (r *Relation) maybeCompact() {
 // pointer observe the emptied state). Indexes are dropped and rebuilt on
 // demand. The incremental evaluator's recompute path and the transducer's
 // query re-registration both clear derived relations this way so that no
-// concurrent reader of the database map is ever invalidated.
+// reader of the database map is ever invalidated.
 func (r *Relation) Clear() {
-	r.slots = nil
+	r.rows = nil
 	r.dead = 0
-	r.byHash = map[uint64]int32{}
-	r.next = nil
+	r.set.cells = nil
 	r.idx = nil
 	r.counts = nil
 }
 
 // Contains reports membership of t.
 func (r *Relation) Contains(t Tuple) bool {
-	r.ensureByHash()
-	return r.findSlot(hashTuple(t), t) >= 0
+	var buf [8]uint64
+	w, ok := r.dict.lookupRow(buf[:0], t)
+	return ok && len(t) == r.Arity && r.findRow(w) >= 0
 }
 
 // Tuples returns all tuples in a deterministic (sorted) order. Evaluation
 // never calls this on the hot path — it scans insertion order directly.
 func (r *Relation) Tuples() []Tuple {
-	out := make([]Tuple, 0, r.Len())
-	for _, t := range r.slots {
-		if t != nil {
-			out = append(out, t)
-		}
-	}
+	out := r.appendTuples(nil)
 	sortTuples(out)
 	return out
 }
 
-// appendRaw appends a tuple without the duplicate check or hash/index
-// maintenance (byHash is rebuilt lazily if ever consulted). The evaluator
-// uses it for delta relations, whose tuples are pre-deduplicated and only
-// ever scanned.
-func (r *Relation) appendRaw(t Tuple) {
-	r.byHash = nil
-	r.next = nil
-	r.idx = nil
-	r.counts = nil
-	r.slots = append(r.slots, t)
+// appendTuples appends the live tuples in insertion order, decoded over one
+// backing array.
+func (r *Relation) appendTuples(out []Tuple) []Tuple {
+	vals := make([]any, r.Len()*r.Arity)
+	out = slices.Grow(out, r.Len())
+	for s, n := 0, r.slots(); s < n; s++ {
+		if r.live(s) {
+			out = append(out, r.dict.decodeRow(vals[:r.Arity:r.Arity], r.row(s)))
+			vals = vals[r.Arity:]
+		}
+	}
+	return out
 }
 
 // bulkLoad appends pre-deduplicated tuples in order and builds the
-// membership hash once — the snapshot-restore fast path. Callers guarantee
+// membership table once — the snapshot-restore fast path. Callers guarantee
 // the tuples are distinct (snapshot contents are checksummed); arity is
 // still verified per tuple.
 func (r *Relation) bulkLoad(ts []Tuple) error {
@@ -307,38 +321,40 @@ func (r *Relation) bulkLoad(ts []Tuple) error {
 			return fmt.Errorf("datalog: arity mismatch loading %v into %s/%d", t, r.Name, r.Arity)
 		}
 	}
-	r.byHash = nil
-	r.next = nil
+	r.rows = slices.Grow(r.rows, len(ts)*r.stride)
+	for _, t := range ts {
+		if r.Arity == 0 {
+			r.rows = append(r.rows, 0)
+		}
+		r.rows = r.dict.encodeRow(r.rows, t)
+	}
 	r.idx = nil
 	r.counts = nil
-	r.slots = append(r.slots, ts...)
-	r.ensureByHash()
+	r.set.build(r)
 	return nil
 }
 
 // scan calls fn for every live tuple in insertion order; fn returning
 // false stops the scan.
 func (r *Relation) scan(fn func(t Tuple) bool) {
-	for _, t := range r.slots {
-		if t != nil && !fn(t) {
+	for s, n := 0, r.slots(); s < n; s++ {
+		if r.live(s) && !fn(r.decode(r.row(s))) {
 			return
 		}
 	}
 }
 
-// Clone returns a deep copy sharing no mutable state. The membership hash
-// and indexes are rebuilt lazily on first use, so cloning (the transducer's
-// per-tick snapshot) is a single slice copy for relations the tick never
-// touches.
+// Clone returns a copy sharing no mutable state but the (append-only)
+// dictionary, so a clone joins against its source's database. The
+// membership table and indexes are rebuilt lazily on first use.
 func (r *Relation) Clone() *Relation {
-	c := &Relation{Name: r.Name, Arity: r.Arity}
-	c.slots = make([]Tuple, 0, r.Len())
-	for _, t := range r.slots {
-		if t != nil {
-			c.slots = append(c.slots, t)
+	rows := make([]uint64, 0, r.Len()*r.stride)
+	for s, n := 0, r.slots(); s < n; s++ {
+		if r.live(s) {
+			rows = append(rows, r.rows[s*r.stride:][:r.stride]...)
 		}
 	}
-	return c
+	return adoptRows(r.dict, r.Name, r.Arity, rows)
 }
 
 // index returns (building on first use) the incrementally-maintained index
@@ -349,57 +365,109 @@ func (r *Relation) index(pos []int) *colIndex {
 			return ci
 		}
 	}
-	ci := &colIndex{pos: append([]int(nil), pos...), m: make(map[uint64][]int32, nextPow2(r.Len()))}
-	for i, t := range r.slots {
-		if t != nil {
-			ci.add(t, int32(i))
-		}
-	}
+	ci := &colIndex{pos: append([]int(nil), pos...), chained: true}
+	ci.build(r)
 	r.idx = append(r.idx, ci)
 	return ci
 }
 
-// lookupSlots returns candidate slot numbers whose projection hash matches;
-// callers must verify equality (hash collisions are possible).
-func (r *Relation) lookupSlots(pos []int, vals []any) []int32 {
-	return r.index(pos).m[hashVals(vals)]
-}
-
 // Lookup returns the tuples whose columns at pos equal vals, using (and
-// building if needed) a hash index on those columns. With no columns it
-// returns the full relation in deterministic sorted order.
+// building if needed) a hash index on those columns; the rows are decoded
+// over one backing array. With no columns it returns the full relation in
+// deterministic sorted order.
 func (r *Relation) Lookup(pos []int, vals []any) []Tuple {
 	if len(pos) == 0 {
 		return r.Tuples()
 	}
-	var out []Tuple
-	for _, s := range r.lookupSlots(pos, vals) {
-		if t := r.slots[s]; projEqual(t, pos, vals) {
-			out = append(out, t)
-		}
+	var buf [8]uint64
+	key, ok := r.dict.lookupRow(buf[:0], vals)
+	if !ok {
+		return nil
+	}
+	ci := r.index(pos)
+	n := 0
+	for s, last := ci.bucket(r, key); s >= 0; s = ci.after(s, last) {
+		n++
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Tuple, 0, n)
+	backing := make([]any, n*r.Arity)
+	for s, last := ci.bucket(r, key); s >= 0; s = ci.after(s, last) {
+		out = append(out, r.dict.decodeRow(backing[:r.Arity:r.Arity], r.row(s)))
+		backing = backing[r.Arity:]
 	}
 	return out
 }
 
-// Database is a set of named relations.
+// Database is a set of named relations encoded through one dictionary, so
+// any two of them join word against word.
 type Database struct {
 	rels map[string]*Relation
 	// names caches sorted relation names; invalidated by Ensure.
 	names []string
+	dict  *dict
 }
 
-// NewDatabase returns an empty database.
-func NewDatabase() *Database { return &Database{rels: map[string]*Relation{}} }
+// NewDatabase returns an empty database with a dictionary of its own.
+func NewDatabase() *Database { return &Database{rels: map[string]*Relation{}, dict: newDict()} }
+
+// Scratch returns an empty database sharing db's dictionary: the place for
+// delta, overlay and dedup relations that are joined or compared against
+// db's (Program.Drive's over) without re-encoding. Like everything in this
+// package it belongs to db's evaluator thread.
+func (db *Database) Scratch() *Database {
+	return &Database{rels: map[string]*Relation{}, dict: db.dictionary()}
+}
+
+// dictionary returns db's dictionary. A Database assembled from existing
+// relations (clones of one database's) adopts theirs.
+func (db *Database) dictionary() *dict {
+	if db.dict == nil {
+		for _, r := range db.rels {
+			db.dict = r.dict
+			break
+		}
+		if db.dict == nil {
+			db.dict = newDict()
+		}
+	}
+	return db.dict
+}
 
 // Ensure returns the relation, creating it with the given arity if missing.
 func (db *Database) Ensure(name string, arity int) *Relation {
 	if r, ok := db.rels[name]; ok {
 		return r
 	}
-	r := NewRelation(name, arity)
+	r := newRelation(db.dictionary(), name, arity)
 	db.rels[name] = r
 	db.names = nil
 	return r
+}
+
+// decode returns a fresh Tuple of the encoded row w.
+func (db *Database) decode(w []uint64) Tuple {
+	return db.dictionary().decodeRow(make([]any, len(w)), w)
+}
+
+// rehome returns o — a database whose relations are to be joined against
+// db's — encoded in db's dictionary: o itself when it already is (a Scratch
+// of db, or nil), else a re-encoded copy.
+func (db *Database) rehome(o *Database) *Database {
+	if o == nil || o.dictionary() == db.dictionary() {
+		return o
+	}
+	c := db.Scratch()
+	for name, rel := range o.rels {
+		cr := c.Ensure(name, rel.Arity)
+		rel.scan(func(t Tuple) bool {
+			cr.Insert(t)
+			return true
+		})
+	}
+	return c
 }
 
 // Get returns the named relation, or nil.

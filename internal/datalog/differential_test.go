@@ -226,7 +226,7 @@ func Derive(db *Database, r Rule) ([]Tuple, error) {
 		return nil, err
 	}
 	var out []Tuple
-	pl.run(db, -1, nil, nil, func(t Tuple) { out = append(out, t) })
+	pl.run(db, nil, func(w []uint64) { out = append(out, db.decode(w)) })
 	return out, nil
 }
 

@@ -36,10 +36,12 @@ package datalog
 // (or re-inserted by phase 3) produces no record, so downstream counting
 // components keep their one-signed-change-per-tuple precondition.
 
-// headTuple is one over-deleted candidate in discovery order.
-type headTuple struct {
-	h string
-	t Tuple
+// headRows is a sequence of encoded head rows of mixed predicates — the
+// over-deleted candidates in discovery order: pred[k] indexes the
+// component's heads, and row k's words follow row k-1's in w.
+type headRows struct {
+	pred []int32
+	w    []uint64
 }
 
 // applyDRed folds a batch with deletions into a recursive monotone
@@ -47,61 +49,68 @@ type headTuple struct {
 // changes into it. It returns the number of realized set-level changes.
 func (inc *Incremental) applyDRed(c *incComponent, d *Delta) int {
 	ensureHeadsPlanned(inc.db, c.plans)
+	headIdx := map[string]int32{}
+	rels := make([]*Relation, len(c.heads))
+	for k, h := range c.heads {
+		headIdx[h] = int32(k)
+		rels[k] = inc.db.Get(h)
+	}
 
 	// Phase 1: over-delete to fixpoint. over is the "still visible" overlay:
 	// removed base inputs plus over-deleted heads, growing as the phase
 	// discovers more.
-	over := &Database{rels: deltaRelations(c.inputs, d.removed)}
-	for _, h := range c.heads {
-		over.Ensure(h, inc.db.Get(h).Arity)
+	over := inc.deltaRelations(c.inputs, d.del)
+	overHeads := make([]*Relation, len(c.heads))
+	for k, h := range c.heads {
+		overHeads[k] = over.Ensure(h, rels[k].Arity)
 	}
-	var deletedSeq []headTuple // global discovery order = support-dependency order
-	driveRounds(inc.db, c.plans, deltaRelations(c.inputs, d.removed), over,
-		func(h string, rel *Relation, t Tuple) bool {
-			// Delete doubles as the dedup check: a tuple already tentative
+	var deleted headRows // global discovery order = support-dependency order
+	inc.rounds.driveRounds(inc.db, c.plans, seedRows(c.inputs, d.del), over,
+		func(h string, rel *Relation, w []uint64) bool {
+			// deleteRow doubles as the dedup check: a row already tentative
 			// (or never part of the fixpoint) is absent from the relation,
 			// since nothing re-inserts heads during this phase.
-			if !rel.Delete(t) {
+			if !rel.deleteRow(w) {
 				return false
 			}
-			deletedSeq = append(deletedSeq, headTuple{h: h, t: t})
-			over.Get(h).Insert(t)
+			k := headIdx[h]
+			deleted.pred = append(deleted.pred, k)
+			deleted.w = append(deleted.w, w...)
+			overHeads[k].insertRow(w)
 			return true
 		})
 
 	// Phase 2: re-derive survivors from live support, in dependency order.
-	// Walking deletedSeq means every candidate's support check already sees
-	// the candidates reinstated before it — including other heads of the
-	// same component — so direct support resolves in one ordered pass.
-	// After that, a candidate can only become derivable through a tuple
-	// reinstated later in the queue, so reinstatements propagate
-	// semi-naively: each one drives the delta-first plans once, and emitted
-	// heads that are still-dead candidates (over-deleted, and absent from
-	// the relation until this Insert) are themselves reinstated.
-	// Near-linear in the cascade, with no full-candidate rescans.
-	frontier := map[string]*Relation{}
+	// Walking the deleted sequence means every candidate's support check
+	// already sees the candidates reinstated before it — including other
+	// heads of the same component — so direct support resolves in one
+	// ordered pass. After that, a candidate can only become derivable
+	// through a tuple reinstated later in the queue, so reinstatements
+	// propagate semi-naively: each one drives the delta-first plans once,
+	// and emitted heads that are still-dead candidates (over-deleted, and
+	// absent from the relation until this insert) are themselves
+	// reinstated. Near-linear in the cascade, with no full-candidate rescans.
+	frontier := map[string]*rowList{}
 	checker := newSupportChecker(inc.db, c)
-	for _, ht := range deletedSeq {
-		if checker.rederivable(ht.h, ht.t) {
-			rel := inc.db.Get(ht.h)
-			rel.Insert(ht.t)
-			fr := frontier[ht.h]
-			if fr == nil {
-				fr = NewRelation(ht.h, rel.Arity)
-				frontier[ht.h] = fr
-			}
-			fr.appendRaw(ht.t)
+	off := 0
+	for _, k := range deleted.pred {
+		rel := rels[k]
+		w := deleted.w[off:][:rel.Arity]
+		off += rel.Arity
+		if checker.rederivable(rel.Name, w) {
+			rel.insertRow(w)
+			rowsOf(frontier, rel.Name, rel.Arity).add(w)
 		}
 	}
-	driveRounds(inc.db, c.plans, frontier, nil,
-		func(h string, rel *Relation, t Tuple) bool {
-			return over.Get(h).Contains(t) && rel.Insert(t)
+	inc.rounds.driveRounds(inc.db, c.plans, frontier, nil,
+		func(h string, rel *Relation, w []uint64) bool {
+			return overHeads[headIdx[h]].findRow(w) >= 0 && rel.insertRow(w)
 		})
 
 	// Phase 3: propagate the batch's inserts, recording locally so the
 	// final emission can net them against the deletions.
-	inserted := NewDelta()
-	inc.propagateInserts(c, d, inserted.Insert)
+	inserted := map[string]*rowList{}
+	inc.propagateInserts(c, d, func(h string, w []uint64) { rowsOf(inserted, h, len(w)).add(w) })
 
 	// Net emission: an over-deleted tuple that neither phase 2 nor phase 3
 	// put back is a realized deletion; an inserted tuple that does not
@@ -109,18 +118,22 @@ func (inc *Incremental) applyDRed(c *incComponent, d *Delta) int {
 	// replay the discovery queue (per-predicate order inside the output
 	// delta is the per-head discovery order).
 	changes := 0
-	for _, ht := range deletedSeq {
-		if !inc.db.Get(ht.h).Contains(ht.t) {
-			d.Delete(ht.h, ht.t)
+	off = 0
+	for _, k := range deleted.pred {
+		rel := rels[k]
+		w := deleted.w[off:][:rel.Arity]
+		off += rel.Arity
+		if rel.findRow(w) < 0 {
+			d.deleteRow(rel.Name, w)
 			changes++
 		}
 	}
-	for _, h := range c.heads {
-		for _, t := range inserted.added[h] {
-			if over.Get(h).Contains(t) {
+	for k, h := range c.heads {
+		for l, i := inserted[h], 0; i < l.len(); i++ {
+			if overHeads[k].findRow(l.row(i)) >= 0 {
 				continue // present before the batch and present after: net zero
 			}
-			d.Insert(h, t)
+			d.insertRow(h, l.row(i))
 			changes++
 		}
 	}
@@ -134,49 +147,45 @@ func (inc *Incremental) applyDRed(c *incComponent, d *Delta) int {
 // precomputed — no per-candidate maps, closures or scratch allocation,
 // which matters when a cascade queues tens of thousands of candidates.
 type supportChecker struct {
-	plans   []*rulePlan
-	execs   []*planExec
-	presets [][]any
-	found   bool
+	plans []*rulePlan
+	execs []*planExec
+	found bool
 }
 
 func newSupportChecker(db *Database, c *incComponent) *supportChecker {
 	sc := &supportChecker{plans: c.plans}
 	sc.execs = make([]*planExec, len(c.plans))
-	sc.presets = make([][]any, len(c.plans))
-	stop := func(Tuple) bool {
+	stop := func([]uint64) bool {
 		sc.found = true
 		return false // existence established: abandon the walk
 	}
 	for i, pl := range c.plans {
-		if pl.support == nil {
-			continue
+		if pl.support != nil {
+			sc.execs[i] = pl.support.newExec(db, pl.support.orders[0], -1, preBatch{}, stop)
 		}
-		sc.execs[i] = pl.support.newExec(db, pl.support.orders[0], -1, nil, preBatch{}, nil, stop)
-		sc.presets[i] = make([]any, len(pl.supportVars))
 	}
 	return sc
 }
 
-// rederivable binds t onto each of h's support plans and asks for any
-// surviving body instantiation (over-deleted tuples absent, reinstated
-// ones present).
-func (sc *supportChecker) rederivable(h string, t Tuple) bool {
+// rederivable binds the encoded row w onto each of h's support plans and
+// asks for any surviving body instantiation (over-deleted tuples absent,
+// reinstated ones present).
+func (sc *supportChecker) rederivable(h string, w []uint64) bool {
 	for i, pl := range sc.plans {
-		r := pl.r
-		if r.Head.Pred != h || sc.execs[i] == nil || len(r.Head.Args) != len(t) {
+		e := sc.execs[i]
+		if pl.r.Head.Pred != h || e == nil || len(pl.r.Head.Args) != len(w) {
 			continue
 		}
 		// Bind the head: constants must match, repeated variables must agree.
 		ok := true
 		for _, j := range pl.supportConsts {
-			if r.Head.Args[j].Const != t[j] {
+			if w[j] != e.env[pl.support.head[j]] {
 				ok = false
 				break
 			}
 		}
 		for _, ch := range pl.supportChecks {
-			if !ok || t[ch[0]] != t[ch[1]] {
+			if !ok || w[ch[0]] != w[ch[1]] {
 				ok = false
 				break
 			}
@@ -184,12 +193,10 @@ func (sc *supportChecker) rederivable(h string, t Tuple) bool {
 		if !ok {
 			continue
 		}
-		preset := sc.presets[i]
 		for k, j := range pl.supportBindPos {
-			preset[k] = t[j]
+			e.env[k] = w[j]
 		}
-		e := sc.execs[i]
-		e.rerun(preset)
+		e.rerun()
 		sc.found = false
 		if !e.preFiltersPass() {
 			continue

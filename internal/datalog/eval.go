@@ -106,8 +106,9 @@ func (p *Program) Eval(db *Database) (int, error) {
 		return 0, err
 	}
 	derived := 0
+	var rounds roundBufs
 	for _, plans := range p.prep.strata {
-		n, err := evalStratumSemiNaive(db, plans)
+		n, err := evalStratumSemiNaive(db, plans, &rounds)
 		if err != nil {
 			return derived, err
 		}
@@ -174,82 +175,38 @@ func ensureHeadsPlanned(db *Database, plans []*rulePlan) {
 }
 
 // evalStratumSemiNaive computes the fixpoint of one stratum off compiled
-// plans. Aggregate rules run once after the non-aggregate fixpoint (they
-// depend only on lower strata plus this stratum's final relations).
-func evalStratumSemiNaive(db *Database, plans []*rulePlan) (int, error) {
+// plans: a full derivation per rule seeds the semi-naive rounds
+// (driveRounds), which re-derive each positive body literal from the
+// previous round's new rows until none is new. Aggregate rules run once
+// after the non-aggregate fixpoint (they depend only on lower strata plus
+// this stratum's final relations).
+func evalStratumSemiNaive(db *Database, plans []*rulePlan, rounds *roundBufs) (int, error) {
 	ensureHeadsPlanned(db, plans)
 	derived := 0
-
-	// delta holds tuples derived in the previous round, per predicate.
-	// Delta relations are append-only scan targets: tuples enter them
-	// already deduplicated (guarded by the head relation's Insert), so
-	// they skip hash/index maintenance entirely.
-	delta := map[string]*Relation{}
-	var out []Tuple // reused derivation buffer
-	collect := func(t Tuple) { out = append(out, t) }
-	// Round 0: full derivation to seed deltas.
+	seed := map[string]*rowList{}
+	var out rowList // reused derivation buffer
 	for _, pl := range plans {
 		if pl.r.Agg != "" {
 			continue
 		}
 		rel := db.Get(pl.r.Head.Pred)
-		d := delta[pl.r.Head.Pred]
-		if d == nil {
-			d = NewRelation(pl.r.Head.Pred, rel.Arity)
-			delta[pl.r.Head.Pred] = d
-		}
-		out = out[:0]
-		pl.run(db, -1, nil, nil, collect)
-		for _, t := range out {
-			if rel.Insert(t) {
-				d.appendRaw(t)
+		d := rowsOf(seed, pl.r.Head.Pred, rel.Arity)
+		out.reset(rel.Arity)
+		pl.run(db, nil, out.add)
+		for k, n := 0, out.len(); k < n; k++ {
+			if w := out.row(k); rel.insertRow(w) {
+				d.add(w)
 				derived++
 			}
 		}
 	}
-
-	for {
-		next := map[string]*Relation{}
-		any := false
-		for _, pl := range plans {
-			if pl.r.Agg != "" {
-				continue
-			}
-			rel := db.Get(pl.r.Head.Pred)
-			// Differential step: for each positive body literal with a
-			// non-empty delta, re-derive driving that literal from the
-			// delta (delta-first join order) and the rest from full
-			// relations.
-			for i, l := range pl.r.Body {
-				if l.Negated {
-					continue
-				}
-				d, ok := delta[l.Pred]
-				if !ok || d.Len() == 0 {
-					continue
-				}
-				out = out[:0]
-				pl.run(db, i, d, nil, collect)
-				for _, t := range out {
-					if rel.Insert(t) {
-						nd := next[pl.r.Head.Pred]
-						if nd == nil {
-							nd = NewRelation(pl.r.Head.Pred, rel.Arity)
-							next[pl.r.Head.Pred] = nd
-						}
-						nd.appendRaw(t)
-						derived++
-						any = true
-					}
-				}
-			}
+	rounds.driveRounds(db, plans, seed, nil, func(_ string, rel *Relation, w []uint64) bool {
+		if !rel.insertRow(w) {
+			return false
 		}
-		if !any {
-			break
-		}
-		delta = next
-	}
-
+		derived++
+		return true
+	})
 	n, err := evalAggregatesPlanned(db, plans)
 	return derived + n, err
 }
@@ -348,58 +305,43 @@ func deriveRule(db *Database, r Rule) []Tuple {
 	return out
 }
 
-// groupTable accumulates (group..., value) rows by the typed hash of the
-// group prefix, with collision buckets and first-seen ordering — the
-// aggregate path's replacement for string group keys.
+// groupTable accumulates encoded (group..., value) rows by group prefix: the
+// distinct prefixes are a relation — its slot number is the group, its
+// insertion order the first-seen order — and vals keeps each group's value
+// words in arrival order.
 type groupTable struct {
-	m    map[uint64][]int
-	accs []*groupAcc // first-seen order
+	groups *Relation
+	vals   []rowList
 }
 
-type groupAcc struct {
-	prefix []any
-	rows   []Tuple
+func newGroupTable(d *dict, arity int) *groupTable {
+	return &groupTable{groups: newRelation(d, "", arity-1)}
 }
 
-func newGroupTable() *groupTable { return &groupTable{m: map[uint64][]int{}} }
-
-func (g *groupTable) add(row Tuple) {
-	prefix := row[:len(row)-1]
-	h := hashVals(prefix)
-	for _, i := range g.m[h] {
-		if projEqualVals(g.accs[i].prefix, prefix) {
-			g.accs[i].rows = append(g.accs[i].rows, row)
-			return
-		}
+func (g *groupTable) add(w []uint64) {
+	prefix := w[:len(w)-1]
+	g.groups.ensureSet()
+	cell, slot := g.groups.set.find(g.groups, prefix)
+	if slot < 0 {
+		slot = g.groups.appendRow(cell, prefix)
+		g.vals = append(g.vals, rowList{arity: 1})
 	}
-	g.m[h] = append(g.m[h], len(g.accs))
-	g.accs = append(g.accs, &groupAcc{prefix: prefix, rows: []Tuple{row}})
-}
-
-func projEqualVals(a []any, b Tuple) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	g.vals[slot].add(w[len(w)-1:])
 }
 
 // foldGroups folds each group with the aggregate and inserts head rows.
 func foldGroups(rel *Relation, kind AggKind, headPred string, g *groupTable) (int, error) {
 	derived := 0
-	for _, acc := range g.accs {
-		val, err := aggregate(kind, acc.rows)
+	head := make([]uint64, rel.Arity)
+	for slot := range g.vals {
+		vals := rel.dict.decodeRow(make([]any, g.vals[slot].len()), g.vals[slot].w)
+		val, err := aggregate(kind, vals)
 		if err != nil {
 			return derived, fmt.Errorf("rule %s: %w", headPred, err)
 		}
-		head := make(Tuple, len(acc.prefix)+1)
-		copy(head, acc.prefix)
-		head[len(acc.prefix)] = val
-		if rel.Insert(head) {
+		copy(head, g.groups.row(slot))
+		head[rel.Arity-1] = rel.dict.encode(val)
+		if rel.insertRow(head) {
 			derived++
 		}
 	}
@@ -407,8 +349,7 @@ func foldGroups(rel *Relation, kind AggKind, headPred string, g *groupTable) (in
 }
 
 // evalAggregatesPlanned runs a stratum's aggregate rules once off compiled
-// plans, grouping by the non-aggregate head arguments via the hash
-// machinery.
+// plans, grouping by the non-aggregate head arguments.
 func evalAggregatesPlanned(db *Database, plans []*rulePlan) (int, error) {
 	derived := 0
 	for _, pl := range plans {
@@ -416,8 +357,8 @@ func evalAggregatesPlanned(db *Database, plans []*rulePlan) (int, error) {
 			continue
 		}
 		rel := db.Ensure(pl.r.Head.Pred, len(pl.r.Head.Args))
-		g := newGroupTable()
-		pl.run(db, -1, nil, nil, g.add)
+		g := newGroupTable(rel.dict, rel.Arity)
+		pl.run(db, nil, g.add)
 		n, err := foldGroups(rel, pl.r.Agg, pl.r.Head.Pred, g)
 		derived += n
 		if err != nil {
@@ -443,9 +384,10 @@ func evalAggregatesNaive(db *Database, rules []Rule) (int, error) {
 			Body:    r.Body,
 			Filters: r.Filters,
 		}
-		g := newGroupTable()
+		g := newGroupTable(rel.dict, rel.Arity)
+		var buf [8]uint64
 		for _, row := range deriveRule(db, probe) {
-			g.add(row)
+			g.add(rel.dict.encodeRow(buf[:0], row))
 		}
 		n, err := foldGroups(rel, r.Agg, r.Head.Pred, g)
 		derived += n
@@ -456,24 +398,24 @@ func evalAggregatesNaive(db *Database, rules []Rule) (int, error) {
 	return derived, nil
 }
 
-func aggregate(kind AggKind, rows []Tuple) (any, error) {
-	last := func(t Tuple) any { return t[len(t)-1] }
+// aggregate folds one group's values, in arrival order.
+func aggregate(kind AggKind, vals []any) (any, error) {
 	switch kind {
 	case AggCount:
 		seen := NewRelation("", 1) // count distinct: the value column as a relation
-		for _, t := range rows {
-			seen.Insert(t[len(t)-1:])
+		for i := range vals {
+			seen.Insert(vals[i : i+1])
 		}
 		return int64(seen.Len()), nil
 	case AggSum:
 		var s float64
 		allInt := true
-		for _, t := range rows {
-			f, ok := toFloat(last(t))
+		for _, v := range vals {
+			f, ok := toFloat(v)
 			if !ok {
-				return nil, fmt.Errorf("sum over non-numeric value %v", last(t))
+				return nil, fmt.Errorf("sum over non-numeric value %v", v)
 			}
-			if _, isF := last(t).(float64); isF {
+			if _, isF := v.(float64); isF {
 				allInt = false
 			}
 			s += f
@@ -483,12 +425,11 @@ func aggregate(kind AggKind, rows []Tuple) (any, error) {
 		}
 		return s, nil
 	case AggMax, AggMin:
-		if len(rows) == 0 {
+		if len(vals) == 0 {
 			return nil, fmt.Errorf("%s over empty group", kind)
 		}
-		best := last(rows[0])
-		for _, t := range rows[1:] {
-			v := last(t)
+		best := vals[0]
+		for _, v := range vals[1:] {
 			if kind == AggMax && compareValues(OpGt, v, best) {
 				best = v
 			}

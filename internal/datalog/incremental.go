@@ -38,20 +38,26 @@ var ErrInconsistentDelta = errors.New("datalog: delta inconsistent with retained
 
 // Delta is a batch of realized set-level changes to base relations: every
 // recorded insert/delete must have actually changed membership, in the
-// order it was applied. Apply normalizes away insert/delete churn on the
-// same tuple, and extends the delta with the derived-relation changes it
-// realizes so downstream components (and the caller, if interested) see
-// the full cascade.
+// order it was applied. Apply encodes the batch, nets out insert/delete
+// churn on the same tuple, and extends the encoded form with the
+// derived-relation changes it realizes, so downstream components see the
+// full cascade.
 type Delta struct {
 	added   map[string][]Tuple
 	removed map[string][]Tuple
 	preds   []string // first-touch order, for deterministic iteration
-	// ops, when recording is enabled, preserves every change in exact
+	// ops, when recording is enabled, preserves every base change in exact
 	// application order — the per-pred added/removed lists lose the
 	// interleaving across predicates and across inserts vs deletes, which a
 	// write-ahead changelog (and a rollback) needs to replay faithfully.
 	ops    []DeltaOp
 	record bool
+
+	// add and del are Apply's working form, per predicate, in the maintained
+	// database's dictionary: the normalized base changes, then each
+	// component's realized head changes in realization order. Only later
+	// components read them.
+	add, del map[string]*rowList
 }
 
 // DeltaOp is one realized change in exact application order. Del selects
@@ -72,11 +78,9 @@ func NewDelta() *Delta {
 // back when rejected; plain evaluator callers leave it off and pay nothing.
 func (d *Delta) SetRecording(on bool) { d.record = on }
 
-// Ops returns the recorded changes in exact application order. The slice is
-// owned by the Delta: callers must not mutate it. Note that once Apply has
-// folded the batch in, the ops also include the realized derived-relation
-// cascade (appended after the base changes) — changelog writers serialize
-// before Apply, so they see base changes only.
+// Ops returns the recorded base changes in exact application order. The
+// slice is owned by the Delta: callers must not mutate it. The derived
+// cascade Apply realizes is not among them.
 func (d *Delta) Ops() []DeltaOp { return d.ops }
 
 func (d *Delta) touch(pred string) {
@@ -122,33 +126,72 @@ func (d *Delta) Empty() bool {
 	return true
 }
 
-// normalize nets out same-tuple churn (insert→delete→insert within one
-// batch), leaving at most one signed change per tuple — the precondition
-// for the counting algebra and for old-view reconstruction.
-func (d *Delta) normalize() {
+// rowsOf returns (creating on first use) pred's list in m.
+func rowsOf(m map[string]*rowList, pred string, arity int) *rowList {
+	l := m[pred]
+	if l == nil {
+		l = &rowList{arity: arity}
+		m[pred] = l
+	}
+	return l
+}
+
+// insertRow and deleteRow record one realized derived-relation change.
+func (d *Delta) insertRow(pred string, w []uint64) { rowsOf(d.add, pred, len(w)).add(w) }
+func (d *Delta) deleteRow(pred string, w []uint64) { rowsOf(d.del, pred, len(w)).add(w) }
+
+// encode builds the working form from the reported base changes in db's
+// dictionary, netting out same-tuple churn (insert→delete→insert within
+// one batch) so that at most one signed change per tuple is left — the
+// precondition for the counting algebra and for old-view reconstruction.
+func (d *Delta) encode(db *Database) error {
+	dict := db.dictionary()
+	d.add, d.del = map[string]*rowList{}, map[string]*rowList{}
 	for _, pred := range d.preds {
 		add, rem := d.added[pred], d.removed[pred]
-		if len(add) == 0 || len(rem) == 0 {
-			continue // realized changes on one side cannot repeat a tuple
+		first := add
+		if len(first) == 0 {
+			first = rem
 		}
-		net := NewRelation(pred, len(add[0]))
+		arity := len(first[0])
+		if rel := db.Get(pred); rel != nil {
+			arity = rel.Arity
+		}
+		for _, ts := range [2][]Tuple{add, rem} {
+			for _, t := range ts {
+				if len(t) != arity {
+					return fmt.Errorf("%w: %s%v does not have the relation's arity %d", ErrInconsistentDelta, pred, t, arity)
+				}
+			}
+		}
+		if len(add) == 0 || len(rem) == 0 {
+			// Realized changes on one side cannot repeat a tuple.
+			for _, t := range add {
+				rowsOf(d.add, pred, arity).addTuple(dict, t)
+			}
+			for _, t := range rem {
+				rowsOf(d.del, pred, arity).addTuple(dict, t)
+			}
+			continue
+		}
+		net := newRelation(dict, pred, arity)
+		var buf [8]uint64
 		for _, t := range add {
-			net.addCount(t, 1)
+			net.addCount(dict.encodeRow(buf[:0], t), 1)
 		}
 		for _, t := range rem {
-			net.addCount(t, -1)
+			net.addCount(dict.encodeRow(buf[:0], t), -1)
 		}
-		var na, nr []Tuple
-		net.scanCounts(func(t Tuple, n int) {
+		net.scanCountRows(func(w []uint64, n int) {
 			switch {
 			case n > 0:
-				na = append(na, t)
+				d.insertRow(pred, w)
 			case n < 0:
-				nr = append(nr, t)
+				d.deleteRow(pred, w)
 			}
 		})
-		d.added[pred], d.removed[pred] = na, nr
 	}
+	return nil
 }
 
 // incComponent classifies one evaluation component for maintenance.
@@ -172,6 +215,7 @@ type Incremental struct {
 	comps  []incComponent
 	idb    map[string]bool
 	broken bool
+	rounds roundBufs
 	// forceRecompute disables the DRed path, restoring the historical
 	// recompute-and-diff fallback for recursive deletions — kept as the
 	// baseline the delete-heavy benchmarks and tests compare against.
@@ -277,12 +321,12 @@ func (inc *Incremental) Broken() bool { return inc.broken }
 func (inc *Incremental) seed(c *incComponent) error {
 	ensureHeadsPlanned(inc.db, c.plans)
 	if c.recursive || c.nonMono {
-		_, err := evalStratumSemiNaive(inc.db, c.plans)
+		_, err := evalStratumSemiNaive(inc.db, c.plans, &inc.rounds)
 		return err
 	}
 	for _, pl := range c.plans {
 		rel := inc.db.Get(pl.r.Head.Pred)
-		pl.run(inc.db, -1, nil, nil, func(t Tuple) { rel.addCount(t, 1) })
+		pl.run(inc.db, nil, func(w []uint64) { rel.addCount(w, 1) })
 	}
 	return nil
 }
@@ -300,9 +344,11 @@ func (inc *Incremental) Apply(d *Delta) (int, error) {
 	if inc.broken {
 		return 0, fmt.Errorf("datalog: incremental evaluator unusable after earlier error")
 	}
-	d.normalize()
+	if err := d.encode(inc.db); err != nil {
+		return 0, err // pre-mutation, like every rejection below
+	}
 	for _, pred := range d.preds {
-		if inc.idb[pred] && (len(d.added[pred]) > 0 || len(d.removed[pred]) > 0) {
+		if inc.idb[pred] && (d.add[pred].len() > 0 || d.del[pred].len() > 0) {
 			// Nothing has been mutated yet: the prior fixpoint is intact, so
 			// the evaluator stays usable and the caller can drop the tick.
 			return 0, fmt.Errorf("%w: derived relation %s was mutated as a base relation", ErrInconsistentDelta, pred)
@@ -347,14 +393,14 @@ func (inc *Incremental) Apply(d *Delta) (int, error) {
 func (inc *Incremental) validateDelta(d *Delta) error {
 	for _, pred := range d.preds {
 		rel := inc.db.Get(pred)
-		for _, t := range d.added[pred] {
-			if rel == nil || !rel.Contains(t) {
-				return fmt.Errorf("%w: recorded insert %s%v is not present in the base relation", ErrInconsistentDelta, pred, t)
+		for l, i := d.add[pred], 0; i < l.len(); i++ {
+			if rel == nil || rel.findRow(l.row(i)) < 0 {
+				return fmt.Errorf("%w: recorded insert %s%v is not present in the base relation", ErrInconsistentDelta, pred, inc.db.decode(l.row(i)))
 			}
 		}
-		for _, t := range d.removed[pred] {
-			if rel != nil && rel.Contains(t) {
-				return fmt.Errorf("%w: recorded delete %s%v is still present in the base relation", ErrInconsistentDelta, pred, t)
+		for l, i := d.del[pred], 0; i < l.len(); i++ {
+			if rel != nil && rel.findRow(l.row(i)) >= 0 {
+				return fmt.Errorf("%w: recorded delete %s%v is still present in the base relation", ErrInconsistentDelta, pred, inc.db.decode(l.row(i)))
 			}
 		}
 	}
@@ -364,10 +410,10 @@ func (inc *Incremental) validateDelta(d *Delta) error {
 // touchedBy reports whether the batch changes any of the component's inputs.
 func (c *incComponent) touchedBy(d *Delta) (hasAdd, hasDel bool) {
 	for _, in := range c.inputs {
-		if len(d.added[in]) > 0 {
+		if d.add[in].len() > 0 {
 			hasAdd = true
 		}
-		if len(d.removed[in]) > 0 {
+		if d.del[in].len() > 0 {
 			hasDel = true
 		}
 	}
@@ -401,7 +447,7 @@ func (inc *Incremental) applyComponent(c *incComponent, d *Delta, hasDel bool) (
 		}
 		return inc.applyDRed(c, d), nil
 	default:
-		return inc.propagateInserts(c, d, d.Insert), nil
+		return inc.propagateInserts(c, d, d.insertRow), nil
 	}
 }
 
@@ -416,18 +462,18 @@ func (inc *Incremental) applyComponent(c *incComponent, d *Delta, hasDel bool) (
 // ErrInconsistentDelta before the component mutates anything.
 func (inc *Incremental) applyCounting(c *incComponent, d *Delta) (int, error) {
 	view := preBatch{
-		over:       &Database{rels: deltaRelations(c.inputs, d.removed)},
-		hide:       &Database{rels: deltaRelations(c.inputs, d.added)},
+		over:       inc.deltaRelations(c.inputs, d.del),
+		hide:       inc.deltaRelations(c.inputs, d.add),
 		positional: true,
 	}
-	acc := NewDatabase() // per head, the batch's signed count changes in first-derived order
+	acc := inc.db.Scratch() // per head, the batch's signed count changes in first-derived order
 	for _, pl := range c.plans {
 		a := acc.Ensure(pl.r.Head.Pred, len(pl.r.Head.Args))
-		gained := func(t Tuple) { a.addCount(t, 1) }
-		lost := func(t Tuple) { a.addCount(t, -1) }
+		gained := func(w []uint64) { a.addCount(w, 1) }
+		lost := func(w []uint64) { a.addCount(w, -1) }
 		for i, l := range pl.r.Body {
-			pl.runSegmented(inc.db, i, d.added[l.Pred], view, gained)
-			pl.runSegmented(inc.db, i, d.removed[l.Pred], view, lost)
+			pl.runSegmented(inc.db, i, d.add[l.Pred], view, gained)
+			pl.runSegmented(inc.db, i, d.del[l.Pred], view, lost)
 		}
 	}
 	// Phase 1: validate every prospective count against the maintained
@@ -436,9 +482,9 @@ func (inc *Incremental) applyCounting(c *incComponent, d *Delta) (int, error) {
 	var err error
 	for _, h := range c.heads {
 		rel := inc.db.Get(h)
-		acc.Get(h).scanCounts(func(t Tuple, n int) {
-			if err == nil && rel.count(t)+n < 0 {
-				err = fmt.Errorf("%w: derivation count for %s%v would fall below zero", ErrInconsistentDelta, h, t)
+		acc.Get(h).scanCountRows(func(w []uint64, n int) {
+			if err == nil && rel.count(w)+n < 0 {
+				err = fmt.Errorf("%w: derivation count for %s%v would fall below zero", ErrInconsistentDelta, h, rel.decode(w))
 			}
 		})
 	}
@@ -449,17 +495,17 @@ func (inc *Incremental) applyCounting(c *incComponent, d *Delta) (int, error) {
 	changes := 0
 	for _, h := range c.heads {
 		rel := inc.db.Get(h)
-		acc.Get(h).scanCounts(func(t Tuple, n int) {
+		acc.Get(h).scanCountRows(func(w []uint64, n int) {
 			if n == 0 {
 				return
 			}
-			switch old, now := rel.addCount(t, n); {
+			switch old, now := rel.addCount(w, n); {
 			case old == 0:
-				d.Insert(h, t)
+				d.insertRow(h, w)
 				changes++
 			case now == 0:
-				rel.Delete(t) // keeps maintained counts bounded by the live fixpoint
-				d.Delete(h, t)
+				rel.deleteRow(w) // keeps maintained counts bounded by the live fixpoint
+				d.deleteRow(h, w)
 				changes++
 			}
 		})
@@ -467,86 +513,103 @@ func (inc *Incremental) applyCounting(c *incComponent, d *Delta) (int, error) {
 	return changes, nil
 }
 
-// driveRounds is the shared semi-naive round skeleton behind insert
-// propagation and both DRed phases: each round drives every plan's
-// positive body literals from the per-predicate delta relations (the other
-// literals also reading the pre-batch overlay when over is non-nil) and
-// accept decides, per emitted head tuple, whether the tuple's consequence
-// was realized and should drive the next round. A drive's emissions are
-// buffered and reach accept after it returns, so accept may freely mutate
-// relations and the overlay. Rounds repeat until no tuple is accepted.
-func driveRounds(db *Database, plans []*rulePlan, delta map[string]*Relation,
-	over *Database, accept func(h string, rel *Relation, t Tuple) bool) {
-	var buf []Tuple
-	collect := func(t Tuple) { buf = append(buf, t) }
-	for len(delta) > 0 {
-		next := map[string]*Relation{}
+// roundBufs is the word storage a sequence of semi-naive rounds reuses —
+// across rounds and, on an Incremental, across ticks: one drive's emitted
+// head rows, and per head predicate the rows accepted in the previous and
+// in the current round.
+type roundBufs struct {
+	emitted   rowList
+	cur, next map[string]*rowList
+}
+
+// driveRounds is the shared semi-naive round skeleton behind evaluation,
+// insert propagation and both DRed phases: each round drives every
+// non-aggregate plan's positive body literals from the per-predicate delta
+// rows — seed in the first round, the rows accepted in the previous round
+// after it — the other literals also reading the pre-batch overlay when
+// over is non-nil, and accept decides, per emitted head row, whether the
+// row's consequence was realized and should drive the next round. A drive's
+// emissions are buffered and reach accept after it returns, so accept may
+// freely mutate relations and the overlay. Rounds repeat until no row is
+// accepted.
+func (b *roundBufs) driveRounds(db *Database, plans []*rulePlan, seed map[string]*rowList,
+	over *Database, accept func(h string, rel *Relation, w []uint64) bool) {
+	if b.cur == nil {
+		b.cur, b.next = map[string]*rowList{}, map[string]*rowList{}
+	}
+	view := preBatch{over: over}
+	for delta := seed; ; delta = b.cur {
+		accepted := false
 		for _, pl := range plans {
+			if pl.r.Agg != "" {
+				continue
+			}
 			h := pl.r.Head.Pred
 			rel := db.Get(h)
+			nd := rowsOf(b.next, h, rel.Arity)
 			for i, l := range pl.r.Body {
-				if l.Negated {
+				if l.Negated || delta[l.Pred].len() == 0 {
 					continue
 				}
-				dr, ok := delta[l.Pred]
-				if !ok || dr.Len() == 0 {
-					continue
-				}
-				buf = buf[:0]
-				pl.runOver(db, i, dr, over, nil, collect)
-				for _, t := range buf {
-					if accept(h, rel, t) {
-						nd := next[h]
-						if nd == nil {
-							nd = NewRelation(h, rel.Arity)
-							next[h] = nd
-						}
-						nd.appendRaw(t)
+				b.emitted.reset(rel.Arity)
+				pl.runSegmented(db, i, delta[l.Pred], view, b.emitted.add)
+				for k, n := 0, b.emitted.len(); k < n; k++ {
+					if w := b.emitted.row(k); accept(h, rel, w) {
+						nd.add(w)
+						accepted = true
 					}
 				}
 			}
 		}
-		delta = next
+		b.cur, b.next = b.next, b.cur
+		for _, l := range b.next {
+			l.w = l.w[:0]
+		}
+		if !accepted {
+			return
+		}
 	}
 }
 
-// deltaRelations materializes a Delta's per-predicate tuple lists (its
-// added or its removed map) for the given predicates as relations that hash
-// and index themselves only if probed: a driveRounds seed is just scanned,
-// a pre-batch view (preBatch) is joined against.
-func deltaRelations(preds []string, lists map[string][]Tuple) map[string]*Relation {
-	delta := map[string]*Relation{}
+// seedRows selects the given predicates' non-empty lists: a driveRounds
+// seed is restricted to a component's inputs, so that a recursive literal
+// does not also read the head changes the rounds themselves record.
+func seedRows(preds []string, lists map[string]*rowList) map[string]*rowList {
+	seed := map[string]*rowList{}
 	for _, pred := range preds {
-		list := lists[pred]
-		if len(list) == 0 {
-			continue
+		if l := lists[pred]; l.len() > 0 {
+			seed[pred] = l
 		}
-		dr := NewRelation(pred, len(list[0]))
-		for _, t := range list {
-			dr.appendRaw(t)
-		}
-		delta[pred] = dr
 	}
-	return delta
+	return seed
+}
+
+// deltaRelations wraps the given predicates' non-empty lists as a scratch
+// database of relations that hash and index themselves only if probed — a
+// pre-batch view (preBatch) is joined against.
+func (inc *Incremental) deltaRelations(preds []string, lists map[string]*rowList) *Database {
+	view := inc.db.Scratch()
+	for pred, l := range seedRows(preds, lists) {
+		view.rels[pred] = adoptRows(view.dict, pred, l.arity, l.w)
+	}
+	return view
 }
 
 // propagateInserts folds an insert-only delta into a recursive monotone
 // component with the compiled semi-naive plans: the incoming additions seed
-// the delta relations, and newly realized head tuples keep driving the
-// delta-first join orders until quiescence. Every realized insert is
-// handed to record (the pure-insert path records straight into the batch;
-// DRed defers recording to net insertions against its over-deletions).
-func (inc *Incremental) propagateInserts(c *incComponent, in *Delta, record func(pred string, t Tuple)) int {
+// the rounds, and newly realized head rows keep driving the delta-first
+// join orders until quiescence. Every realized insert is handed to record
+// (the pure-insert path records straight into the batch; DRed defers
+// recording to net insertions against its over-deletions).
+func (inc *Incremental) propagateInserts(c *incComponent, in *Delta, record func(pred string, w []uint64)) int {
 	ensureHeadsPlanned(inc.db, c.plans)
 	changes := 0
-	driveRounds(inc.db, c.plans,
-		deltaRelations(c.inputs, in.added),
-		nil,
-		func(h string, rel *Relation, t Tuple) bool {
-			if !rel.Insert(t) {
+	inc.rounds.driveRounds(inc.db, c.plans, seedRows(c.inputs, in.add), nil,
+		func(h string, rel *Relation, w []uint64) bool {
+			if !rel.insertRow(w) {
 				return false
 			}
-			record(h, t)
+			record(h, w)
 			changes++
 			return true
 		})
@@ -567,33 +630,27 @@ func (inc *Incremental) recompute(c *incComponent, out *Delta) (int, error) {
 		old[h] = rel.Tuples()
 		rel.Clear() // in place: the *Relation stays valid for holders of the pointer
 	}
-	if _, err := evalStratumSemiNaive(inc.db, c.plans); err != nil {
+	if _, err := evalStratumSemiNaive(inc.db, c.plans, &inc.rounds); err != nil {
 		return 0, err
 	}
 	changes := 0
+	dict := inc.db.dictionary()
+	var buf [8]uint64
 	for _, h := range c.heads {
 		newT := inc.db.Get(h).Tuples() // sorted, as is old[h]
 		oldT := old[h]
 		i, j := 0, 0
 		for i < len(oldT) || j < len(newT) {
 			switch {
-			case i >= len(oldT):
-				out.Insert(h, newT[j])
-				changes++
-				j++
-			case j >= len(newT):
-				out.Delete(h, oldT[i])
-				changes++
-				i++
-			case oldT[i].Equal(newT[j]):
+			case i < len(oldT) && j < len(newT) && oldT[i].Equal(newT[j]):
 				i++
 				j++
-			case tupleLess(oldT[i], newT[j]):
-				out.Delete(h, oldT[i])
+			case j >= len(newT) || (i < len(oldT) && tupleLess(oldT[i], newT[j])):
+				out.deleteRow(h, dict.encodeRow(buf[:0], oldT[i]))
 				changes++
 				i++
 			default:
-				out.Insert(h, newT[j])
+				out.insertRow(h, dict.encodeRow(buf[:0], newT[j]))
 				changes++
 				j++
 			}

@@ -58,25 +58,24 @@ func (inc *Incremental) State() (*FixpointState, error) {
 		return nil, fmt.Errorf("datalog: incremental evaluator unusable after earlier error")
 	}
 	st := &FixpointState{}
+	// Relations in sorted-name order, each decoded once over one backing
+	// array; a counted relation's entries reuse those tuples, in the head
+	// relation's scan order — the order the counted tuples were first
+	// derived in.
 	for _, name := range inc.db.Names() {
 		rel := inc.db.Get(name)
-		rs := RelationState{Name: name, Arity: rel.Arity, Tuples: make([]Tuple, 0, rel.Len())}
-		rel.scan(func(t Tuple) bool {
-			rs.Tuples = append(rs.Tuples, t)
-			return true
-		})
+		rs := RelationState{Name: name, Arity: rel.Arity, Tuples: rel.appendTuples(make([]Tuple, 0, rel.Len()))}
 		st.Relations = append(st.Relations, rs)
-	}
-	// Count tables in sorted-pred order; entries in the head relation's scan
-	// order, which is the order the counted tuples were first derived in.
-	for _, name := range inc.db.Names() {
-		cs := CountsState{Pred: name}
-		inc.db.Get(name).scanCounts(func(t Tuple, n int) {
-			cs.Entries = append(cs.Entries, CountEntry{Tuple: t, Count: n})
-		})
-		if len(cs.Entries) > 0 {
-			st.Counts = append(st.Counts, cs)
+		if rel.counts == nil || len(rs.Tuples) == 0 {
+			continue
 		}
+		cs := CountsState{Pred: name, Entries: make([]CountEntry, 0, len(rs.Tuples))}
+		for s, n := 0, rel.slots(); s < n; s++ {
+			if rel.live(s) {
+				cs.Entries = append(cs.Entries, CountEntry{Tuple: rs.Tuples[len(cs.Entries)], Count: rel.counts[s]})
+			}
+		}
+		st.Counts = append(st.Counts, cs)
 	}
 	return st, nil
 }
@@ -121,10 +120,12 @@ func RestoreIncremental(p *Program, db *Database, st *FixpointState) (*Increment
 			if e.Count <= 0 {
 				return nil, fmt.Errorf("datalog: restore: non-positive derivation count %d for %s%v", e.Count, cs.Pred, e.Tuple)
 			}
-			if rel == nil || !rel.Contains(e.Tuple) {
+			var buf [8]uint64
+			w, ok := inc.db.dictionary().lookupRow(buf[:0], e.Tuple)
+			if rel == nil || !ok || len(w) != rel.Arity || rel.findRow(w) < 0 {
 				return nil, fmt.Errorf("datalog: restore: counted tuple %s%v is not in the restored fixpoint", cs.Pred, e.Tuple)
 			}
-			rel.addCount(e.Tuple, e.Count)
+			rel.addCount(w, e.Count)
 		}
 	}
 	// Every counting head's counts must cover its relation exactly: an
@@ -136,7 +137,7 @@ func RestoreIncremental(p *Program, db *Database, st *FixpointState) (*Increment
 			continue
 		}
 		n := 0
-		rel.scanCounts(func(_ Tuple, c int) {
+		rel.scanCountRows(func(_ []uint64, c int) {
 			if c > 0 {
 				n++
 			}

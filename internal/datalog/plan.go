@@ -6,8 +6,8 @@ import (
 
 // This file is the rule-compilation layer (the Hydrolysis access-path story
 // of §5.1 applied to the evaluator itself): a one-time Prepare step numbers
-// variables into slots so bindings are a flat []any instead of cloned maps,
-// caches stratification, splits every literal's columns into bound (probe)
+// variables (and constants) into slots so bindings are a flat []uint64 of
+// encoded words instead of cloned maps, caches stratification, splits every literal's columns into bound (probe)
 // and free (bind) sets, greedily reorders body literals by boundness, and
 // pushes filters to the earliest point they are evaluable. Eval,
 // PreparedRule.Derive, the aggregate path, every Incremental maintenance strategy (counting
@@ -17,29 +17,16 @@ import (
 // EvalNaive) is the oracle only: the E8 baseline and the reference the
 // differential tests compare every plan-driven path against.
 
-// slotTerm is a compiled term: a slot in the flat binding environment, or
-// an inline constant when slot < 0.
-type slotTerm struct {
-	slot int
-	c    any
-}
-
-func (st slotTerm) value(env []any) any {
-	if st.slot >= 0 {
-		return env[st.slot]
-	}
-	return st.c
-}
+// A compiled term is a slot in the flat binding environment: variables
+// first, then one slot per constant, which newExec fills with the constant's
+// word in the dictionary of the database the plan is about to run on (a plan
+// is compiled once and runs on many).
 
 // filterPlan is a comparison compiled onto slots, scheduled at the earliest
 // plan position where both sides are bound.
 type filterPlan struct {
 	op   CmpOp
-	l, r slotTerm
-}
-
-func (fp filterPlan) eval(env []any) bool {
-	return compareValues(fp.op, fp.l.value(env), fp.r.value(env))
+	l, r int
 }
 
 // litPlan is one body literal compiled against the binding state at its
@@ -53,7 +40,7 @@ type litPlan struct {
 	// columns (bound by this literal). checkPos/checkSlots handle a
 	// variable repeated within the same literal.
 	probePos   []int
-	probeArgs  []slotTerm
+	probeArgs  []int
 	freePos    []int
 	freeSlots  []int
 	checkPos   []int
@@ -65,7 +52,7 @@ type litPlan struct {
 
 	// Negated literals probe the full tuple (range restriction guarantees
 	// every column is bound here).
-	negArgs []slotTerm
+	negArgs []int
 
 	// Filters that become fully bound once this literal binds its slots.
 	filters []filterPlan
@@ -74,7 +61,8 @@ type litPlan struct {
 // rulePlan is a fully compiled rule: slot count, join orders, head builder.
 type rulePlan struct {
 	r      Rule
-	nslots int
+	nslots int   // variables and constants
+	consts []any // values of the slots past the variables, in slot order
 
 	// preFilters involve only constants and pre-bound slots; checked once.
 	preFilters []filterPlan
@@ -84,7 +72,7 @@ type rulePlan struct {
 	orders [][]litPlan
 	// head builds the emitted tuple. For aggregate rules the last entry is
 	// the aggregation variable's slot and grouping happens in the caller.
-	head []slotTerm
+	head []int
 
 	// support is the rule's body compiled with the distinct head variables
 	// pre-bound (supportVars, in first-appearance order): binding a concrete
@@ -93,7 +81,8 @@ type rulePlan struct {
 	// Compiled in Prepare for every non-aggregate rule; nil otherwise.
 	// supportBindPos[k] is the head-arg position whose value binds
 	// supportVars[k]; supportConsts lists head positions holding constants
-	// (a candidate must match them) and supportChecks lists (pos, firstPos)
+	// (a candidate must match support.head's slot there) and supportChecks
+	// lists (pos, firstPos)
 	// pairs where a head variable repeats (the candidate's columns must
 	// agree) — precomputed so binding a candidate is straight array work,
 	// with no per-candidate map.
@@ -212,11 +201,18 @@ func compileRule(r Rule, preBound []string, supportMode bool) (*rulePlan, error)
 
 	p := &rulePlan{r: r, nslots: len(slotOf)}
 
-	term := func(t Term) slotTerm {
+	term := func(t Term) int {
 		if t.IsVar() {
-			return slotTerm{slot: slotOf[t.Var]}
+			return slotOf[t.Var]
 		}
-		return slotTerm{slot: -1, c: t.Const}
+		for k, c := range p.consts {
+			if c == t.Const {
+				return len(slotOf) + k
+			}
+		}
+		p.consts = append(p.consts, t.Const)
+		p.nslots++
+		return p.nslots - 1
 	}
 
 	// Filters whose variables are all pre-bound run before any literal.
@@ -255,7 +251,7 @@ func compileRule(r Rule, preBound []string, supportMode bool) (*rulePlan, error)
 			l := r.Body[bi]
 			lp := litPlan{pred: l.Pred, origIdx: bi, negated: l.Negated}
 			if l.Negated {
-				lp.negArgs = make([]slotTerm, len(l.Args))
+				lp.negArgs = make([]int, len(l.Args))
 				for j, t := range l.Args {
 					lp.negArgs[j] = term(t)
 				}
@@ -374,11 +370,8 @@ func compileRule(r Rule, preBound []string, supportMode bool) (*rulePlan, error)
 			if lp.negated {
 				probes = lp.negArgs
 			}
-			for _, st := range probes {
-				if st.slot < 0 {
-					continue
-				}
-				if c, ok := colOf[st.slot]; ok {
+			for _, slot := range probes {
+				if c, ok := colOf[slot]; ok {
 					p.partCol[bi] = c
 					break
 				}
@@ -392,7 +385,7 @@ func compileRule(r Rule, preBound []string, supportMode bool) (*rulePlan, error)
 		// folding happen in the caller over these rows.
 		headArgs = append(append([]Term{}, headArgs[:len(headArgs)-1]...), V(r.AggVar))
 	}
-	p.head = make([]slotTerm, len(headArgs))
+	p.head = make([]int, len(headArgs))
 	for i, t := range headArgs {
 		p.head[i] = term(t)
 	}
@@ -418,228 +411,242 @@ type preBatch struct {
 	positional bool
 }
 
-// run executes the plan: deltaIdx < 0 selects the standard order; otherwise
-// body literal deltaIdx reads from delta instead of its full relation and
-// the delta-first order is used. emit receives each derived head row.
-func (p *rulePlan) run(db *Database, deltaIdx int, delta *Relation, preset []any, emit func(Tuple)) {
-	p.runOver(db, deltaIdx, delta, nil, preset, emit)
-}
-
-// runOver is run with every positive non-delta literal also reading over's
-// tuples for its predicate, as if they were still present in the relation
-// (preBatch's DRed policy; nil reads db alone).
-func (p *rulePlan) runOver(db *Database, deltaIdx int, delta *Relation, over *Database, preset []any, emit func(Tuple)) {
-	order := p.orders[0]
-	if deltaIdx >= 0 {
-		if o := p.orders[1+deltaIdx]; o != nil {
-			order = o
-		}
-	}
-	e := p.newExec(db, order, deltaIdx, delta, preBatch{over: over}, preset, func(t Tuple) bool {
-		emit(t)
+// run executes the standard join order against db with the leading slots
+// preset; emit receives each derived head row — a view into the executor's
+// row buffer, valid until it returns.
+func (p *rulePlan) run(db *Database, preset []uint64, emit func([]uint64)) {
+	e := p.newExec(db, p.orders[0], -1, preBatch{}, func(w []uint64) bool {
+		emit(w)
 		return true
 	})
-	if !e.preFiltersPass() {
-		return
+	copy(e.env, preset)
+	if e.preFiltersPass() {
+		e.walk(0)
 	}
-	e.walk(0)
 }
 
 // runSegmented drives the delta-first order for body literal deltaIdx over
-// an explicit slice of delta tuples: for each tuple in order, it emits what
-// a whole-delta run would emit while processing that tuple. deltaIdx must
-// name a non-negated body literal (those have a delta-first order); env
-// and scratch are allocated once and reused across tuples.
-func (p *rulePlan) runSegmented(db *Database, deltaIdx int, tuples []Tuple, view preBatch, emit func(Tuple)) {
-	if len(tuples) == 0 {
+// an explicit list of delta rows: for each row in order, it emits what the
+// rule derives with that literal bound to it and every other literal read
+// under view. deltaIdx must name a non-negated body literal (those have a
+// delta-first order); env and scratch are allocated once and reused across
+// rows.
+func (p *rulePlan) runSegmented(db *Database, deltaIdx int, delta *rowList, view preBatch, emit func([]uint64)) {
+	if delta.len() == 0 {
 		return
 	}
 	order := p.orders[1+deltaIdx]
-	e := p.newExec(db, order, deltaIdx, nil, view, nil, func(t Tuple) bool {
-		emit(t)
+	e := p.newExec(db, order, deltaIdx, view, func(w []uint64) bool {
+		emit(w)
 		return true
 	})
 	if !e.preFiltersPass() {
 		return
 	}
 	first := &order[0]
-	vals := e.scratch[0]
-	for k, st := range first.probeArgs {
-		vals[k] = st.value(e.env) // constants only: no slot is bound yet
+	key := e.scratch[0]
+	for k, slot := range first.probeArgs {
+		key[k] = e.env[slot] // constants only: no variable is bound yet
 	}
-	for _, t := range tuples {
+	for i, n := 0, delta.len(); i < n; i++ {
 		// The delta literal's constant columns must agree; step then binds
-		// and checks it exactly as it would a tuple found by index lookup.
-		if projEqual(t, first.probePos, vals) {
-			e.step(0, t, nil)
+		// and checks it exactly as it would a row found by index lookup.
+		if row := delta.row(i); projEqual(row, first.probePos, key) {
+			e.step(0, row, nil)
 		}
 	}
+}
+
+// rowList is a pointer-free list of encoded rows of one arity: a delta
+// batch, a drive's emissions, a round's frontier. Like a relation's slab it
+// spends one word on a row of arity 0.
+type rowList struct {
+	arity int
+	w     []uint64
+}
+
+func (l *rowList) len() int {
+	if l == nil {
+		return 0
+	}
+	return len(l.w) / max(l.arity, 1)
+}
+
+func (l *rowList) row(i int) []uint64 { return l.w[i*max(l.arity, 1):][:l.arity] }
+
+func (l *rowList) add(row []uint64) {
+	if l.arity == 0 {
+		l.w = append(l.w, 0)
+	}
+	l.w = append(l.w, row...)
+}
+
+func (l *rowList) addTuple(d *dict, t Tuple) {
+	if l.arity == 0 {
+		l.w = append(l.w, 0)
+	}
+	l.w = d.encodeRow(l.w, t)
+}
+
+func (l *rowList) reset(arity int) {
+	l.arity = arity
+	l.w = l.w[:0]
 }
 
 // planExec is one execution of a compiled join order: the flat binding
-// environment, per-position probe scratch, and the recursive join walk.
-// It is built once per run and reused across every delta tuple the run
-// drives.
+// environment, per-position probe scratch, the head row buffer and the
+// recursive join walk. It is built once per run and reused across every
+// delta row the run drives.
 type planExec struct {
 	p        *rulePlan
 	db       *Database
+	dict     *dict
 	order    []litPlan
 	deltaIdx int
-	delta    *Relation
 	view     preBatch
-	env      []any
-	scratch  [][]any
+	env      []uint64
+	scratch  [][]uint64
+	head     []uint64
 	stopped  bool
-	emit     func(Tuple) bool
+	emit     func([]uint64) bool
 }
 
-func (p *rulePlan) newExec(db *Database, order []litPlan, deltaIdx int, delta *Relation, view preBatch, preset []any, emit func(Tuple) bool) *planExec {
-	e := &planExec{p: p, db: db, order: order, deltaIdx: deltaIdx, delta: delta, view: view, emit: emit}
-	e.env = make([]any, p.nslots)
-	copy(e.env, preset)
-	// Per-position scratch for probe values and negation probes, allocated
-	// once per execution.
-	e.scratch = make([][]any, len(order))
+func (p *rulePlan) newExec(db *Database, order []litPlan, deltaIdx int, view preBatch, emit func([]uint64) bool) *planExec {
+	e := &planExec{p: p, db: db, dict: db.dictionary(), order: order, deltaIdx: deltaIdx, view: view, emit: emit}
+	// One allocation holds env, the head row and the per-position scratch
+	// for probe keys and negation probes.
+	n := p.nslots + len(p.head)
 	for i := range order {
-		lp := &order[i]
-		if lp.negated {
-			e.scratch[i] = make([]any, len(lp.negArgs))
-		} else {
-			e.scratch[i] = make([]any, len(lp.probeArgs))
-		}
+		n += len(order[i].probeArgs) + len(order[i].negArgs)
+	}
+	buf := make([]uint64, n)
+	e.env, buf = buf[:p.nslots:p.nslots], buf[p.nslots:]
+	for k, c := range p.consts {
+		e.env[p.nslots-len(p.consts)+k] = e.dict.encode(c)
+	}
+	e.head, buf = buf[:len(p.head):len(p.head)], buf[len(p.head):]
+	e.scratch = make([][]uint64, len(order))
+	for i := range order {
+		k := len(order[i].probeArgs) + len(order[i].negArgs)
+		e.scratch[i], buf = buf[:k:k], buf[k:]
 	}
 	return e
 }
 
-// rerun re-arms a finished executor for another run with fresh preset
-// values — the DRed support checker amortizes one executor across every
-// candidate of a phase-2 pass this way. Only the preset prefix and the
-// stop flag need resetting: a slot beyond the preset is always written by
-// the literal that binds it before any deeper position reads it, so stale
-// values from the previous run are never observed.
-func (e *planExec) rerun(preset []any) {
-	copy(e.env, preset)
-	e.stopped = false
-}
+// rerun re-arms a finished executor for another run, the caller having
+// written fresh preset values into env — the DRed support checker amortizes
+// one executor across every candidate of a phase-2 pass this way. Only the
+// preset prefix and the stop flag need resetting: a slot beyond the preset
+// is always written by the literal that binds it before any deeper position
+// reads it, so stale values from the previous run are never observed.
+func (e *planExec) rerun() { e.stopped = false }
 
-func (e *planExec) preFiltersPass() bool {
-	for _, f := range e.p.preFilters {
-		if !f.eval(e.env) {
+func (e *planExec) filtersPass(fs []filterPlan) bool {
+	for _, f := range fs {
+		if !e.dict.compareWords(f.op, e.env[f.l], e.env[f.r]) {
 			return false
 		}
 	}
 	return true
 }
 
-func (e *planExec) filtersPass(lp *litPlan) bool {
-	for _, f := range lp.filters {
-		if !f.eval(e.env) {
-			return false
-		}
-	}
-	return true
-}
+func (e *planExec) preFiltersPass() bool { return e.filtersPass(e.p.preFilters) }
 
-// step accepts one candidate tuple for the positive literal at position i —
-// hidden tuples are skipped, free columns bind their slots, repeated
+// step accepts one candidate row for the positive literal at position i —
+// hidden rows are skipped, free columns bind their slots, repeated
 // variables and the literal's filters must agree — and walks on. It reports
-// whether the enumeration that produced t should continue.
-func (e *planExec) step(i int, t Tuple, hide *Relation) bool {
+// whether the enumeration that produced row should continue.
+func (e *planExec) step(i int, row []uint64, hide *Relation) bool {
 	lp := &e.order[i]
-	if hide != nil && hide.Contains(t) {
+	if hide != nil && hide.findRow(row) >= 0 {
 		return true
 	}
 	for k, pos := range lp.freePos {
-		e.env[lp.freeSlots[k]] = t[pos]
+		e.env[lp.freeSlots[k]] = row[pos]
 	}
 	for k, pos := range lp.checkPos {
-		if t[pos] != e.env[lp.checkSlots[k]] {
+		if row[pos] != e.env[lp.checkSlots[k]] {
 			return true
 		}
 	}
-	if e.filtersPass(lp) {
+	if e.filtersPass(lp.filters) {
 		e.walk(i + 1)
 	}
 	return !e.stopped
 }
 
 // walk recurses through the join order from position i, emitting head
-// tuples at the leaves.
+// rows at the leaves.
 func (e *planExec) walk(i int) {
 	if e.stopped {
 		return
 	}
 	if i == len(e.order) {
-		head := make(Tuple, len(e.p.head))
-		for j, st := range e.p.head {
-			head[j] = st.value(e.env)
+		for j, slot := range e.p.head {
+			e.head[j] = e.env[slot]
 		}
-		if !e.emit(head) {
+		if !e.emit(e.head) {
 			e.stopped = true
 		}
 		return
 	}
 	lp := &e.order[i]
+	key := e.scratch[i]
 	if lp.negated {
 		if rel := e.db.Get(lp.pred); rel != nil {
-			probe := e.scratch[i]
-			for j, st := range lp.negArgs {
-				probe[j] = st.value(e.env)
+			for j, slot := range lp.negArgs {
+				key[j] = e.env[slot]
 			}
-			if rel.Contains(Tuple(probe)) {
+			if rel.findRow(key) >= 0 {
 				return
 			}
 		}
 		e.walk(i + 1) // an absent relation holds nothing: negation holds
 		return
 	}
-	// The literal's sources in enumeration order, by e.view's policy.
+	// The literal's sources in enumeration order, by e.view's policy. The
+	// delta literal never gets here: runSegmented steps it directly.
 	var srcs [2]*Relation
 	var hide *Relation
 	n := 0
-	if e.deltaIdx >= 0 && lp.origIdx == e.deltaIdx {
-		srcs[0], n = e.delta, 1
-	} else {
-		if rel := e.db.Get(lp.pred); rel != nil {
-			srcs[0], n = rel, 1
+	if rel := e.db.Get(lp.pred); rel != nil {
+		srcs[0], n = rel, 1
+	}
+	if v := &e.view; v.over != nil && (!v.positional || lp.origIdx > e.deltaIdx) {
+		// An empty overlay is skipped, so its index is first built (and
+		// from then on maintained) only once a probe can hit it.
+		if o := v.over.Get(lp.pred); o != nil && o.Len() > 0 {
+			srcs[n] = o
+			n++
 		}
-		if v := &e.view; v.over != nil && (!v.positional || lp.origIdx > e.deltaIdx) {
-			// An empty overlay is skipped, so its index is first built (and
-			// from then on maintained) only once a probe can hit it.
-			if o := v.over.Get(lp.pred); o != nil && o.Len() > 0 {
-				srcs[n] = o
-				n++
-			}
-			if v.hide != nil {
-				hide = v.hide.Get(lp.pred)
-			}
+		if v.hide != nil {
+			hide = v.hide.Get(lp.pred)
 		}
 	}
-	vals := e.scratch[i]
-	for k, st := range lp.probeArgs {
-		vals[k] = st.value(e.env)
+	for k, slot := range lp.probeArgs {
+		key[k] = e.env[slot]
 	}
 	for _, src := range srcs[:n] {
 		switch {
 		case len(lp.probePos) == 0:
-			for _, t := range src.slots {
-				if t != nil && !e.step(i, t, hide) {
+			for s, end := 0, src.slots(); s < end; s++ {
+				if src.live(s) && !e.step(i, src.row(s), hide) {
 					return
 				}
 			}
 		case lp.allBound:
 			// Existence check: probePos covers every column in order, so
-			// vals is the full tuple; the membership hash answers directly.
-			if src.Contains(Tuple(vals)) && (hide == nil || !hide.Contains(Tuple(vals))) {
-				if e.filtersPass(lp) {
+			// key is the full row; the membership table answers directly.
+			if src.findRow(key) >= 0 && (hide == nil || hide.findRow(key) < 0) {
+				if e.filtersPass(lp.filters) {
 					e.walk(i + 1)
 				}
 				return
 			}
 		default:
-			for _, s := range src.lookupSlots(lp.probePos, vals) {
-				// A projection-hash collision fails projEqual.
-				if t := src.slots[s]; projEqual(t, lp.probePos, vals) && !e.step(i, t, hide) {
+			ci := src.index(lp.probePos)
+			for s, last := ci.bucket(src, key); s >= 0; s = ci.after(s, last) {
+				if !e.step(i, src.row(s), hide) {
 					return
 				}
 			}
@@ -838,17 +845,33 @@ func PrepareRule(r Rule, boundVars ...string) (*PreparedRule, error) {
 }
 
 // Derive evaluates the compiled rule against db. bound supplies values for
-// the declared boundVars (missing entries are an error).
+// the declared boundVars (missing entries are an error). The result's rows
+// are decoded over one backing array; a bound value the database has never
+// stored is compared and handed back without being interned.
 func (pr *PreparedRule) Derive(db *Database, bound map[string]any) ([]Tuple, error) {
-	preset := make([]any, len(pr.boundVars))
-	for i, v := range pr.boundVars {
+	d := db.dictionary()
+	d.resetTemps()
+	var buf [8]uint64
+	preset := buf[:0]
+	for _, v := range pr.boundVars {
 		val, ok := bound[v]
 		if !ok {
 			return nil, fmt.Errorf("datalog: prepared rule %s: no binding for ?%s", pr.plan.r.Head.Pred, v)
 		}
-		preset[i] = val
+		preset = append(preset, d.probe(val))
 	}
-	var out []Tuple
-	pr.plan.run(db, -1, nil, preset, func(t Tuple) { out = append(out, t) })
+	var rows rowList
+	rows.arity = len(pr.plan.head)
+	pr.plan.run(db, preset, rows.add)
+	n := rows.len()
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]Tuple, n)
+	vals := make([]any, n*rows.arity)
+	for i := range out {
+		out[i] = d.decodeRow(vals[:rows.arity:rows.arity], rows.row(i))
+		vals = vals[rows.arity:]
+	}
 	return out, nil
 }

@@ -140,6 +140,16 @@ func ShardOf(t Tuple, col, n int) int {
 // call) and pos must name a positive literal of a non-aggregate rule;
 // frontier tuples have that literal's arity. over is only read, and indexed
 // on the columns the drive probes; callers change it between drives only.
+// An over made by db.Scratch() is joined in place; any other is re-encoded
+// into db's dictionary first, on every call.
 func (p *Program) Drive(db *Database, comp, ri, pos int, frontier []Tuple, over *Database, emit func(Tuple)) {
-	p.prep.strata[comp][ri].runSegmented(db, pos, frontier, preBatch{over: over}, emit)
+	if len(frontier) == 0 {
+		return
+	}
+	delta := rowList{arity: len(frontier[0])}
+	for _, t := range frontier {
+		delta.addTuple(db.dictionary(), t)
+	}
+	p.prep.strata[comp][ri].runSegmented(db, pos, &delta, preBatch{over: db.rehome(over)},
+		func(w []uint64) { emit(db.decode(w)) })
 }

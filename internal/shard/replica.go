@@ -60,8 +60,8 @@ func (r *replica) rollback() {
 // or at commit, when the staged changes become the committed state.
 func (r *replica) clearStaging() {
 	r.undo = nil
-	r.adds = datalog.NewDatabase()
-	r.dels = datalog.NewDatabase()
+	r.adds = r.db.Scratch()
+	r.dels = r.db.Scratch() // the delete phase's overlay: joined against r.db in place
 	r.pend = map[string][]datalog.Tuple{}
 	r.inbox = map[rkey][]xchMsg{}
 	r.await = map[rkey]int{}
@@ -227,7 +227,7 @@ func (r *replica) runRound(m req) {
 	}
 
 	batches := make([][]xchItem, r.dep.place.N)
-	emitted := datalog.NewDatabase() // per-pred dedup of this round's emissions
+	emitted := r.db.Scratch() // per-pred dedup of this round's emissions
 	emit := func(pred string, del bool, t datalog.Tuple) {
 		if !emitted.Ensure(pred, len(t)).Insert(t) {
 			return
