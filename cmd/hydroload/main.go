@@ -10,6 +10,8 @@
 //
 //	hydroload -n 20000 -rate 50000 -zipf-s 1.2 -keys 5000 -csv timings.csv
 //	benchtab -timings timings.csv   # re-render the summary table offline
+//	hydroload -rate 3000 -keys 1000 -policy block -cpuprofile cpu.prof -memprofile mem.prof
+//	go tool pprof -top cpu.prof     # mem.prof: add -sample_index=alloc_space
 package main
 
 import (
@@ -18,6 +20,8 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -31,12 +35,12 @@ import (
 
 func main() {
 	var (
-		n      = flag.Int("n", 20000, "requests to offer")
-		rate   = flag.Float64("rate", 50000, "offered arrival rate (requests/second, open loop)")
-		seed   = flag.Int64("seed", 1, "workload and runtime seed")
-		keys   = flag.Int("keys", 5000, "person-ID universe")
-		zipfS  = flag.Float64("zipf-s", 1.2, "zipf skew exponent (>1)")
-		zipfV  = flag.Float64("zipf-v", 1.0, "zipf value offset (>=1)")
+		n          = flag.Int("n", 20000, "requests to offer")
+		rate       = flag.Float64("rate", 50000, "offered arrival rate (requests/second, open loop)")
+		seed       = flag.Int64("seed", 1, "workload and runtime seed")
+		keys       = flag.Int("keys", 5000, "person-ID universe")
+		zipfS      = flag.Float64("zipf-s", 1.2, "zipf skew exponent (>1)")
+		zipfV      = flag.Float64("zipf-v", 1.0, "zipf value offset (>=1)")
 		batch      = flag.Int("batch", 128, "serve batch size (MaxBatch)")
 		wait       = flag.Duration("wait", 500*time.Microsecond, "serve flush deadline (MaxWait)")
 		queue      = flag.Int("queue", 1024, "admission queue depth")
@@ -46,6 +50,8 @@ func main() {
 		quota      = flag.String("quota", "", "per-mailbox admission quotas, e.g. 'vaccinate=8,diagnosed=64'")
 		singleLoop = flag.Bool("single-loop", false, "collapse the collect/eval pipeline onto one goroutine (A/B baseline)")
 		csvOut     = flag.String("csv", "", "write the per-request timing CSV to this file")
+		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the serving window to this file")
+		memProf    = flag.String("memprofile", "", "write a heap profile (live and allocated) taken after the run to this file")
 	)
 	flag.Parse()
 	if *zipfS <= 1 || *zipfV < 1 || *keys < 2 {
@@ -127,6 +133,16 @@ func main() {
 		}
 	}
 
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			fatal(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatal(err)
+		}
+		defer f.Close() // StopCPUProfile below has flushed it; fatal paths lose the profile with the run
+	}
 	start := time.Now()
 	interval := float64(time.Second) / *rate
 	shed := 0
@@ -150,6 +166,20 @@ func main() {
 	// below) — open loop: the measurement window is the offered load.
 	s.Close()
 	wall := time.Since(start)
+	pprof.StopCPUProfile()
+	if *memProf != "" {
+		f, err := os.Create(*memProf)
+		if err != nil {
+			fatal(err)
+		}
+		runtime.GC() // so the live-heap samples are what the finished run retains
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			fatal(err)
+		}
+	}
 
 	m := s.Metrics()
 	fmt.Printf("hydroload: offered %d requests at %.0f/s (zipf s=%.2f over %d keys, seed %d), %d admitted, %d shed\n",
