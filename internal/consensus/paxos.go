@@ -23,13 +23,17 @@ import (
 // index: ballot = round*len(peers) + nodeIndex.
 type Ballot int64
 
+// prepareMsg opens phase 1. Decided is the proposer's contiguous decided
+// prefix (Node.applied): it holds every slot below in its log and ignores
+// whatever a promise says about them, so the acceptor leaves them out.
 type prepareMsg struct {
-	Ballot Ballot
+	Ballot  Ballot
+	Decided int
 }
 
 type promiseMsg struct {
 	Ballot   Ballot
-	Accepted map[int]acceptedVal // slot → highest accepted
+	Accepted map[int]acceptedVal // slot → highest accepted, slots at or above the prepare's Decided
 }
 
 type acceptMsg struct {
@@ -300,7 +304,7 @@ func (n *Node) startPhase1() {
 	n.ballot = Ballot(round*int64(len(n.peers)) + int64(n.index))
 	n.phase1Votes = map[string]promiseMsg{}
 	n.leader = false
-	n.bcast(prepareMsg{Ballot: n.ballot})
+	n.bcast(prepareMsg{Ballot: n.ballot, Decided: n.applied})
 	n.armTimeout()
 }
 
@@ -346,9 +350,14 @@ func (n *Node) handle(now simnet.Time, msg simnet.Message) {
 			if m.Ballot != n.ballot {
 				n.leader = false
 			}
-			acc := make(map[int]acceptedVal, len(n.accepted))
+			// A fresh map (a promise in flight must not see later accepts)
+			// of what the proposer does not hold decided: the log grows
+			// without bound, the undecided tail does not.
+			acc := map[int]acceptedVal{}
 			for s, av := range n.accepted {
-				acc[s] = av
+				if s >= m.Decided {
+					acc[s] = av
+				}
 			}
 			n.net.Send(n.name, msg.From, promiseMsg{Ballot: m.Ballot, Accepted: acc})
 		} else {

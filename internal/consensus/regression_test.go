@@ -142,3 +142,51 @@ func TestAcceptedVoteWithWrongIDNotCounted(t *testing.T) {
 		t.Fatalf("matching votes did not decide the slot: %v", n.log)
 	}
 }
+
+// TestPromiseCarriesOnlyUndecidedSlots pins the size of a promise: an
+// acceptor answers a prepare with the accepted values at or above the
+// proposer's contiguous decided prefix, not with its whole accepted map —
+// which grows with the log (every coordinator of a sharded deployment runs
+// phase 1 per tick, so whole-map promises were 41 % of covid-sharded's
+// allocation).
+func TestPromiseCarriesOnlyUndecidedSlots(t *testing.T) {
+	net := newNet(41)
+	g := NewGroup(net, 3, 41)
+	const decided = 50
+	for i := 0; i < decided; i++ {
+		g.Propose("p0", i)
+	}
+	net.Drain(100000)
+	p0, p1 := g.Nodes["p0"], g.Nodes["p1"]
+	if p0.applied != decided || len(p1.accepted) < decided {
+		t.Fatalf("setup: p0 applied %d slots, p1 accepted %d; want %d", p0.applied, len(p1.accepted), decided)
+	}
+	// One more value p1 accepted that nobody has decided yet.
+	open := entry{ID: "p2#1", Value: "open"}
+	p1.accepted[decided] = acceptedVal{Ballot: p1.promised, Value: open}
+
+	var got []promiseMsg
+	net.SetHandler("p0", func(_ simnet.Time, msg simnet.Message) {
+		if pm, ok := msg.Payload.(promiseMsg); ok {
+			got = append(got, pm)
+		}
+	})
+	prepare := func(decidedPrefix int) promiseMsg {
+		got = nil
+		p1.handle(0, simnet.Message{From: "p0", To: "p1", Payload: prepareMsg{Ballot: p1.promised + 3, Decided: decidedPrefix}})
+		net.Drain(1000)
+		if len(got) != 1 {
+			t.Fatalf("prepare answered with %d promises, want 1", len(got))
+		}
+		return got[0]
+	}
+	pm := prepare(p0.applied)
+	if av, ok := pm.Accepted[decided]; len(pm.Accepted) != 1 || !ok || av.Value.ID != open.ID {
+		t.Fatalf("promise to a proposer holding %d decided slots carries %d entries (%v), want only the open slot %d",
+			p0.applied, len(pm.Accepted), pm.Accepted, decided)
+	}
+	// A proposer that holds nothing decided still gets everything.
+	if pm := prepare(0); len(pm.Accepted) != len(p1.accepted) {
+		t.Fatalf("promise to an empty proposer carries %d of %d accepted slots", len(pm.Accepted), len(p1.accepted))
+	}
+}
