@@ -19,6 +19,7 @@ package transducer
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -363,7 +364,9 @@ func (rt *Runtime) Tick() int {
 	rt.stats.Ticks++
 	// 1. Deliver matured in-flight sends into mailboxes (they become part
 	//    of this tick's snapshot).
-	var still []pendingSend
+	//    The sends still in flight are kept in place, so the backing array
+	//    serves every tick; the vacated tail is cleared to drop its payloads.
+	still := rt.inflight[:0]
 	for _, ps := range rt.inflight {
 		if ps.deliverAt <= rt.stats.Ticks {
 			rt.deliverLocalOrRemote(ps.msg)
@@ -371,6 +374,7 @@ func (rt *Runtime) Tick() int {
 			still = append(still, ps)
 		}
 	}
+	clear(rt.inflight[len(still):])
 	rt.inflight = still
 	if rt.timings {
 		t1 = time.Now()
@@ -575,6 +579,7 @@ func (rt *Runtime) applyEffects(eff *effects) {
 		rt.vars[name] = eff.assigns[name]
 		rt.stats.Mutations++
 	}
+	rt.inflight = slices.Grow(rt.inflight, len(eff.sends))
 	for _, msg := range eff.sends {
 		rt.nextID++
 		msg.ID = rt.nextID
