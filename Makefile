@@ -36,20 +36,23 @@ orphans:
 datalog-serial:
 	@! grep -nE --exclude='*_test.go' '^[[:space:]]*go[[:space:]]|"runtime"|"sync/atomic"' internal/datalog/*.go
 
-# datalog-one-store fails if internal/datalog grows a second hashed tuple
-# container or a second rule walker (DESIGN.md §6). In its non-test files the
-# only map[uint64] declarations are Relation.byHash, colIndex.m and
-# groupTable.m (three declarations, and no map[uint64] of any other element
-# type anywhere), and the interpretive binding / evalFilter walk is referenced
-# only where it is defined (rule.go) and by eval.go's deriveRule, the oracle
-# the differential tests compare the compiled plans against. Comments are
+# datalog-one-store fails if internal/datalog grows a second tuple store or a
+# second rule walker (DESIGN.md §6). In its non-test files there is no
+# map[uint64] at all (membership, column indexes and group tables are the
+# open-addressed tables of index.go, not Go maps), no []Tuple or []any field
+# in Relation, colIndex, planExec or the round buffers (roundBufs, rowList,
+# headRows) — so boxed rows cannot come back as a cache beside the slabs —
+# and the interpretive binding / evalFilter walk is referenced only where it
+# is defined (rule.go) and by eval.go's deriveRule, the oracle the
+# differential tests compare the compiled plans against. Comments are
 # stripped first: the check reads declarations and call sites, not prose.
 DATALOG_SRC = $(filter-out %_test.go,$(wildcard internal/datalog/*.go))
 datalog-one-store:
-	@! grep -nE 'map\[uint64\]' $(DATALOG_SRC) | sed 's,//.*,,' | grep -F 'map[uint64]' \
-		| grep -vE 'map\[uint64\](int32|\[\]int32|\[\]int)([^[:alnum:]]|$$)'
-	@test "$$(sed 's,//.*,,' $(DATALOG_SRC) | grep -cE '^[[:space:]]*[[:alnum:]_]+[[:space:]]+map\[uint64\]')" -eq 3 \
-		|| { echo "internal/datalog: expected exactly 3 map[uint64] declarations (byHash, colIndex.m, groupTable.m)"; exit 1; }
+	@! grep -nE 'map\[uint64\]' $(DATALOG_SRC) | sed 's,//.*,,' | grep -F 'map[uint64]'
+	@awk '{code=$$0; sub(/\/\/.*/,"",code)} \
+		code ~ /^type (Relation|colIndex|planExec|roundBufs|rowList|headRows) struct/ {in_store=1} \
+		in_store && code ~ /\[\](Tuple|any)/ {print FILENAME":"FNR": boxed rows in a flat store: "$$0; bad=1} \
+		code ~ /^}/ {in_store=0} END{exit bad}' $(DATALOG_SRC)
 	@awk '/^func /{fn=$$2} \
 		{code=$$0; sub(/\/\/.*/,"",code)} \
 		code ~ /(^|[^[:alnum:]_"])binding([{(),]|$$)|evalFilter\(/ && !(FILENAME ~ /eval\.go$$/ && fn ~ /^deriveRule\(/) \

@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -423,6 +424,62 @@ func BenchmarkDerivePrepared(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := pr.Derive(db, bound); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkClosureGrow replays the stream the flat tuple storage was sized
+// on — covid-grow's contacts: 1000 ids, 9 200 symmetric contacts drawn by
+// zipf with every id named once along the way, 7 contacts a tick — through
+// Incremental.Apply until the all-pairs closure holds 1 000 000 rows. A
+// layer number (run with -benchtime 1x -benchmem), not a claim.
+func BenchmarkClosureGrow(b *testing.B) {
+	const ids, contacts, perTick = 1000, 9200, 7
+	p, err := NewProgram(
+		Rule{
+			Head: Atom{Pred: "transitive", Args: []Term{V("x"), V("y")}},
+			Body: []Literal{{Atom: Atom{Pred: "contacts", Args: []Term{V("x"), V("y")}}}},
+		},
+		Rule{
+			Head: Atom{Pred: "transitive", Args: []Term{V("x"), V("z")}},
+			Body: []Literal{
+				{Atom: Atom{Pred: "transitive", Args: []Term{V("x"), V("y")}}},
+				{Atom: Atom{Pred: "contacts", Args: []Term{V("y"), V("z")}}},
+			},
+		},
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		db := NewDatabase()
+		rel := db.Ensure("contacts", 2)
+		inc, err := NewIncremental(p, db)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		zipf := rand.NewZipf(rng, 1.2, 1.0, ids-1)
+		for c := 0; c < contacts; {
+			d := NewDelta()
+			for k := 0; k < perTick && c < contacts; k, c = k+1, c+1 {
+				a, bb := int64(zipf.Uint64()), int64(zipf.Uint64())
+				if c%(contacts/ids) == 0 && c/(contacts/ids) < ids {
+					a = int64(c / (contacts / ids))
+				}
+				for _, t := range []Tuple{{a, bb}, {bb, a}} {
+					if rel.Insert(t) {
+						d.Insert("contacts", t)
+					}
+				}
+			}
+			if _, err := inc.Apply(d); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if got := db.Get("transitive").Len(); got != ids*ids {
+			b.Fatalf("closure has %d rows, want %d", got, ids*ids)
 		}
 	}
 }

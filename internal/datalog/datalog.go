@@ -110,6 +110,23 @@ func (r *Relation) ensureSet() {
 	}
 }
 
+// touch loads the membership cell and the row each of l's rows will probe
+// first, and returns their xor (uninlined) so that the loads are not dead
+// code. They are independent of one another, so the processor overlaps
+// their cache misses; the probes that follow (one dependent miss after
+// another, on a relation that has outgrown the cache) then find them cached.
+//
+//go:noinline
+func (r *Relation) touch(l *rowList) (sink uint64) {
+	r.ensureSet()
+	for k, n := 0, l.len(); k < n; k++ {
+		if c := r.set.cells[hashWords(l.row(k))>>r.set.shift]; c != 0 {
+			sink ^= r.rows[int(c-1)*r.stride]
+		}
+	}
+	return sink
+}
+
 // findRow returns the slot of the encoded row w, or -1.
 func (r *Relation) findRow(w []uint64) int {
 	r.ensureSet()

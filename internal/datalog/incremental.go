@@ -553,6 +553,7 @@ func (b *roundBufs) driveRounds(db *Database, plans []*rulePlan, seed map[string
 				}
 				b.emitted.reset(rel.Arity)
 				pl.runSegmented(db, i, delta[l.Pred], view, b.emitted.add)
+				_ = rel.touch(&b.emitted)
 				for k, n := 0, b.emitted.len(); k < n; k++ {
 					if w := b.emitted.row(k); accept(h, rel, w) {
 						nd.add(w)
