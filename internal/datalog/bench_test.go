@@ -8,7 +8,7 @@ import (
 
 // Micro-benchmarks for the storage and plan layers. The end-to-end numbers
 // live in the repository root (BenchmarkDatalogTC et al.); these isolate
-// the pieces this package optimizes: hash-native insert/probe, incremental
+// the pieces this package optimizes: flat-slab insert/probe, incremental
 // index maintenance under deletes, compiled plans vs interpretive walks.
 
 func tcProgram(tb testing.TB) *Program {

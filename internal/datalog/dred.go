@@ -16,7 +16,7 @@ package datalog
 //     into the overlay, keeping the joined view constant. The overlay is
 //     made of plain relations, so probing it is an index lookup per join
 //     step (a linear scan would make the phase quadratic in the cascade),
-//     and its membership hash is the record of what was over-deleted.
+//     and its membership table is the record of what was over-deleted.
 //  2. Re-derive: a tentatively deleted tuple survives if it has any
 //     derivation from tuples still alive. Candidates queue in discovery
 //     order, which is support-dependency order — a tuple over-deleted in

@@ -6,12 +6,13 @@ import (
 
 // This file is the rule-compilation layer (the Hydrolysis access-path story
 // of §5.1 applied to the evaluator itself): a one-time Prepare step numbers
-// variables (and constants) into slots so bindings are a flat []uint64 of
-// encoded words instead of cloned maps, caches stratification, splits every literal's columns into bound (probe)
-// and free (bind) sets, greedily reorders body literals by boundness, and
-// pushes filters to the earliest point they are evaluable. Eval,
-// PreparedRule.Derive, the aggregate path, every Incremental maintenance strategy (counting
-// included — the derivation counts it keeps ride the head relation's slots,
+// variables and constants into slots so bindings are a flat []uint64 of
+// encoded words instead of cloned maps, caches stratification, splits every
+// literal's columns into bound (probe) and free (bind) sets, greedily
+// reorders body literals by boundness, and pushes filters to the earliest
+// point they are evaluable. Eval, PreparedRule.Derive, the aggregate path,
+// every Incremental maintenance strategy (counting included — the
+// derivation counts it keeps ride the head relation's slots,
 // Relation.addCount) and the shard replicas' Drive all execute these plans.
 // The interpretive binding-map walk (deriveRule in eval.go, behind
 // EvalNaive) is the oracle only: the E8 baseline and the reference the
@@ -46,7 +47,7 @@ type litPlan struct {
 	checkPos   []int
 	checkSlots []int
 	// allBound marks a positive literal with every column bound: a pure
-	// existence check answered by the relation's membership hash, with no
+	// existence check answered by the relation's membership table, with no
 	// column index needed.
 	allBound bool
 
