@@ -174,10 +174,21 @@ func (ci *colIndex) build(r *Relation) {
 		case ci.chained:
 			ci.add(r, s)
 		default:
-			cell, _ := ci.find(r, r.row(s))
-			ci.put(r, cell, s)
+			ci.place(r, int32(s+1)) // rows are distinct: no probe for an equal one
+			ci.used++
 		}
 	}
+}
+
+// place puts cell value c (naming a row no cell names yet) in the first
+// empty cell from its home.
+func (ci *colIndex) place(r *Relation, c int32) {
+	mask := len(ci.cells) - 1
+	i := ci.home(r, c)
+	for ci.cells[i] != 0 {
+		i = (i + 1) & mask
+	}
+	ci.cells[i] = c
 }
 
 // find probes for key (the words of ci.pos, in order): the cell where the
@@ -214,16 +225,10 @@ func (ci *colIndex) grow(r *Relation) {
 	used := ci.used
 	ci.alloc(2 * len(old))
 	ci.used = used
-	mask := len(ci.cells) - 1
 	for _, c := range old {
-		if c == 0 {
-			continue
+		if c != 0 {
+			ci.place(r, c)
 		}
-		i := ci.home(r, c)
-		for ci.cells[i] != 0 {
-			i = (i + 1) & mask
-		}
-		ci.cells[i] = c
 	}
 }
 

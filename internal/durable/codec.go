@@ -124,6 +124,15 @@ func readTupleAlloc(b []byte, arena *tupleArena) (datalog.Tuple, []byte, error) 
 	}
 	var err error
 	for i := range t {
+		if arena != nil && len(b) > 0 && b[0] == tagInt64 {
+			// Recovery's commonest value, boxed once per distinct integer.
+			v, sz := binary.Varint(b[1:])
+			if sz <= 0 {
+				return nil, nil, fmt.Errorf("durable: truncated integer value")
+			}
+			t[i], b = arena.box(v), b[1+sz:]
+			continue
+		}
 		if t[i], b, err = readValue(b); err != nil {
 			return nil, nil, err
 		}
@@ -131,9 +140,24 @@ func readTupleAlloc(b []byte, arena *tupleArena) (datalog.Tuple, []byte, error) 
 	return t, b, nil
 }
 
-// tupleArena hands out tuple backing storage from large slabs.
+// tupleArena hands out tuple backing storage from large slabs, and boxed
+// int64s from a small direct-mapped cache: a snapshot names the same few
+// thousand ids in every relation, and boxing each occurrence afresh was a
+// third of the decode's allocations.
 type tupleArena struct {
 	slab []any
+	ints [1024]struct {
+		v     int64
+		boxed any
+	}
+}
+
+func (a *tupleArena) box(v int64) any {
+	e := &a.ints[uint64(v)%uint64(len(a.ints))]
+	if e.boxed == nil || e.v != v {
+		e.v, e.boxed = v, v
+	}
+	return e.boxed
 }
 
 func (a *tupleArena) take(n int) datalog.Tuple {

@@ -172,6 +172,27 @@ func snapSeqOf(data []byte) (uint64, error) {
 // group's tuples in insertion order and its count entries first-seen.
 func unstageBytes(data []byte) (seq uint64, fx *datalog.FixpointState, err error) {
 	fx = &datalog.FixpointState{}
+	// A first pass sizes each relation's tuple list: append-growing a list of
+	// tens of thousands of tuples costs more than decoding them.
+	sizes := map[string]int{}
+	var group []byte // name of the tuple group being counted (aliases data)
+	n := 0
+	err = forEachSnapEntry(data, func(key, _ []byte) error {
+		if len(key) > 2 && key[0] == 't' {
+			if i := bytes.LastIndexByte(key[2:], '/'); i >= 0 {
+				if name := key[2 : 2+i]; !bytes.Equal(name, group) {
+					sizes[string(group)] += n
+					group, n = name, 0
+				}
+				n++
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, nil, err
+	}
+	sizes[string(group)] += n
 	relIdx := -1 // fx.Relations index of the open 't/' group
 	var arena tupleArena
 	err = forEachSnapEntry(data, func(key, val []byte) error {
@@ -186,7 +207,8 @@ func unstageBytes(data []byte) (seq uint64, fx *datalog.FixpointState, err error
 			seq, _ = binary.Uvarint(val)
 		case 'r':
 			arity, _ := binary.Uvarint(val)
-			fx.Relations = append(fx.Relations, datalog.RelationState{Name: string(key[2:]), Arity: int(arity)})
+			name := string(key[2:])
+			fx.Relations = append(fx.Relations, datalog.RelationState{Name: name, Arity: int(arity), Tuples: make([]datalog.Tuple, 0, sizes[name])})
 		case 't':
 			i := bytes.LastIndexByte(key[2:], '/')
 			if i < 0 {
