@@ -134,16 +134,12 @@ func (r *Relation) findRow(w []uint64) int {
 	return s
 }
 
-func (r *Relation) checkArity(t Tuple) {
-	if len(t) != r.Arity {
-		panic(fmt.Sprintf("datalog: arity mismatch inserting %v into %s/%d", t, r.Name, r.Arity))
-	}
-}
-
 // Insert adds a tuple, returning true if it was new. Panics on arity
 // mismatch: that is a compiler bug, not a data error.
 func (r *Relation) Insert(t Tuple) bool {
-	r.checkArity(t)
+	if len(t) != r.Arity {
+		panic(fmt.Sprintf("datalog: arity mismatch inserting %v into %s/%d", t, r.Name, r.Arity))
+	}
 	var buf [8]uint64
 	return r.insertRow(r.dict.encodeRow(buf[:0], t))
 }
@@ -222,12 +218,7 @@ func (r *Relation) scanCountRows(fn func(w []uint64, n int)) {
 
 // scanCounts is scanCountRows with each row decoded.
 func (r *Relation) scanCounts(fn func(t Tuple, n int)) {
-	r.scanCountRows(func(w []uint64, n int) { fn(r.decode(w), n) })
-}
-
-// decode returns a fresh Tuple of the encoded row w.
-func (r *Relation) decode(w []uint64) Tuple {
-	return r.dict.decodeRow(make([]any, len(w)), w)
+	r.scanCountRows(func(w []uint64, n int) { fn(r.dict.tuple(w), n) })
 }
 
 // Delete removes a tuple, returning true if it was present. Deletion is
@@ -321,8 +312,7 @@ func (r *Relation) appendTuples(out []Tuple) []Tuple {
 	out = slices.Grow(out, r.Len())
 	for s, n := 0, r.slots(); s < n; s++ {
 		if r.live(s) {
-			out = append(out, r.dict.decodeRow(vals[:r.Arity:r.Arity], r.row(s)))
-			vals = vals[r.Arity:]
+			out = append(out, r.dict.nextTuple(&vals, r.row(s)))
 		}
 	}
 	return out
@@ -355,7 +345,7 @@ func (r *Relation) bulkLoad(ts []Tuple) error {
 // false stops the scan.
 func (r *Relation) scan(fn func(t Tuple) bool) {
 	for s, n := 0, r.slots(); s < n; s++ {
-		if r.live(s) && !fn(r.decode(r.row(s))) {
+		if r.live(s) && !fn(r.dict.tuple(r.row(s))) {
 			return
 		}
 	}
@@ -412,8 +402,7 @@ func (r *Relation) Lookup(pos []int, vals []any) []Tuple {
 	out := make([]Tuple, 0, n)
 	backing := make([]any, n*r.Arity)
 	for s, last := ci.bucket(r, key); s >= 0; s = ci.after(s, last) {
-		out = append(out, r.dict.decodeRow(backing[:r.Arity:r.Arity], r.row(s)))
-		backing = backing[r.Arity:]
+		out = append(out, r.dict.nextTuple(&backing, r.row(s)))
 	}
 	return out
 }
@@ -462,11 +451,6 @@ func (db *Database) Ensure(name string, arity int) *Relation {
 	db.rels[name] = r
 	db.names = nil
 	return r
-}
-
-// decode returns a fresh Tuple of the encoded row w.
-func (db *Database) decode(w []uint64) Tuple {
-	return db.dictionary().decodeRow(make([]any, len(w)), w)
 }
 
 // rehome returns o — a database whose relations are to be joined against

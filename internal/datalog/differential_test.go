@@ -226,7 +226,7 @@ func Derive(db *Database, r Rule) ([]Tuple, error) {
 		return nil, err
 	}
 	var out []Tuple
-	pl.run(db, nil, func(w []uint64) { out = append(out, db.decode(w)) })
+	pl.run(db, nil, func(w []uint64) { out = append(out, db.dictionary().tuple(w)) })
 	return out, nil
 }
 

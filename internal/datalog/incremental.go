@@ -395,12 +395,12 @@ func (inc *Incremental) validateDelta(d *Delta) error {
 		rel := inc.db.Get(pred)
 		for l, i := d.add[pred], 0; i < l.len(); i++ {
 			if rel == nil || rel.findRow(l.row(i)) < 0 {
-				return fmt.Errorf("%w: recorded insert %s%v is not present in the base relation", ErrInconsistentDelta, pred, inc.db.decode(l.row(i)))
+				return fmt.Errorf("%w: recorded insert %s%v is not present in the base relation", ErrInconsistentDelta, pred, inc.db.dictionary().tuple(l.row(i)))
 			}
 		}
 		for l, i := d.del[pred], 0; i < l.len(); i++ {
 			if rel != nil && rel.findRow(l.row(i)) >= 0 {
-				return fmt.Errorf("%w: recorded delete %s%v is still present in the base relation", ErrInconsistentDelta, pred, inc.db.decode(l.row(i)))
+				return fmt.Errorf("%w: recorded delete %s%v is still present in the base relation", ErrInconsistentDelta, pred, inc.db.dictionary().tuple(l.row(i)))
 			}
 		}
 	}
@@ -484,7 +484,7 @@ func (inc *Incremental) applyCounting(c *incComponent, d *Delta) (int, error) {
 		rel := inc.db.Get(h)
 		acc.Get(h).scanCountRows(func(w []uint64, n int) {
 			if err == nil && rel.count(w)+n < 0 {
-				err = fmt.Errorf("%w: derivation count for %s%v would fall below zero", ErrInconsistentDelta, h, rel.decode(w))
+				err = fmt.Errorf("%w: derivation count for %s%v would fall below zero", ErrInconsistentDelta, h, rel.dict.tuple(w))
 			}
 		})
 	}

@@ -861,8 +861,7 @@ func (pr *PreparedRule) Derive(db *Database, bound map[string]any) ([]Tuple, err
 		}
 		preset = append(preset, d.probe(val))
 	}
-	var rows rowList
-	rows.arity = len(pr.plan.head)
+	rows := rowList{arity: len(pr.plan.head)}
 	pr.plan.run(db, preset, rows.add)
 	n := rows.len()
 	if n == 0 {
@@ -871,8 +870,7 @@ func (pr *PreparedRule) Derive(db *Database, bound map[string]any) ([]Tuple, err
 	out := make([]Tuple, n)
 	vals := make([]any, n*rows.arity)
 	for i := range out {
-		out[i] = d.decodeRow(vals[:rows.arity:rows.arity], rows.row(i))
-		vals = vals[rows.arity:]
+		out[i] = d.nextTuple(&vals, rows.row(i))
 	}
 	return out, nil
 }

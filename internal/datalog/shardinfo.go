@@ -146,10 +146,11 @@ func (p *Program) Drive(db *Database, comp, ri, pos int, frontier []Tuple, over 
 	if len(frontier) == 0 {
 		return
 	}
+	d := db.dictionary()
 	delta := rowList{arity: len(frontier[0])}
 	for _, t := range frontier {
-		delta.addTuple(db.dictionary(), t)
+		delta.addTuple(d, t)
 	}
 	p.prep.strata[comp][ri].runSegmented(db, pos, &delta, preBatch{over: db.rehome(over)},
-		func(w []uint64) { emit(db.decode(w)) })
+		func(w []uint64) { emit(d.tuple(w)) })
 }

@@ -155,6 +155,18 @@ func (d *dict) decodeRow(dst []any, row []uint64) Tuple {
 	return dst
 }
 
+// tuple returns a fresh Tuple of the encoded row.
+func (d *dict) tuple(row []uint64) Tuple { return d.decodeRow(make([]any, len(row)), row) }
+
+// nextTuple decodes row into the front of *backing and advances it, so that
+// a result's tuples share one allocation.
+func (d *dict) nextTuple(backing *[]any, row []uint64) Tuple {
+	n := len(row)
+	t := d.decodeRow((*backing)[:n:n], row)
+	*backing = (*backing)[n:]
+	return t
+}
+
 // smallInt reports whether w is an inline integer that float64 represents
 // exactly, returning it: for two of those, integer comparison and
 // compareValues' float comparison agree.
