@@ -204,20 +204,7 @@ func compareValues(op CmpOp, l, r any) bool {
 	lf, lNum := toFloat(l)
 	rf, rNum := toFloat(r)
 	if lNum && rNum {
-		switch op {
-		case OpEq:
-			return lf == rf
-		case OpNe:
-			return lf != rf
-		case OpLt:
-			return lf < rf
-		case OpLe:
-			return lf <= rf
-		case OpGt:
-			return lf > rf
-		case OpGe:
-			return lf >= rf
-		}
+		return compareOrdered(op, lf, rf)
 	}
 	switch op {
 	case OpEq:
@@ -225,16 +212,24 @@ func compareValues(op CmpOp, l, r any) bool {
 	case OpNe:
 		return l != r
 	}
-	ls, rs := fmt.Sprint(l), fmt.Sprint(r)
+	return compareOrdered(op, fmt.Sprint(l), fmt.Sprint(r))
+}
+
+// compareOrdered applies op to two operands of one ordered type.
+func compareOrdered[T int64 | float64 | string](op CmpOp, l, r T) bool {
 	switch op {
+	case OpEq:
+		return l == r
+	case OpNe:
+		return l != r
 	case OpLt:
-		return ls < rs
+		return l < r
 	case OpLe:
-		return ls <= rs
+		return l <= r
 	case OpGt:
-		return ls > rs
+		return l > r
 	case OpGe:
-		return ls >= rs
+		return l >= r
 	}
 	return false
 }

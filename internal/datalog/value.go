@@ -183,22 +183,8 @@ func smallInt(w uint64) (int64, bool) {
 func (d *dict) compareWords(op CmpOp, l, r uint64) bool {
 	a, okA := smallInt(l)
 	b, okB := smallInt(r)
-	if !okA || !okB {
-		return compareValues(op, d.decode(l), d.decode(r))
+	if okA && okB {
+		return compareOrdered(op, a, b)
 	}
-	switch op {
-	case OpEq:
-		return a == b
-	case OpNe:
-		return a != b
-	case OpLt:
-		return a < b
-	case OpLe:
-		return a <= b
-	case OpGt:
-		return a > b
-	case OpGe:
-		return a >= b
-	}
-	return false
+	return compareValues(op, d.decode(l), d.decode(r))
 }
