@@ -37,7 +37,13 @@ type dict struct {
 	vals  []any
 	ids   map[any]uint64
 	temps []any // see probe
+	// boxed memoizes the boxed form of the int64s in [0, maxBoxed) that have
+	// been decoded, by value: ids are small integers, and a result set would
+	// otherwise allocate once per decoded occurrence.
+	boxed []any
 }
+
+const maxBoxed = 1 << 16
 
 func newDict() *dict { return &dict{ids: map[any]uint64{}} }
 
@@ -115,7 +121,17 @@ func (d *dict) resetTemps() { d.temps = d.temps[:0] }
 func (d *dict) decode(w uint64) any {
 	switch w & tagMask {
 	case tagInt64:
-		return int64(w) >> tagBits
+		x := int64(w) >> tagBits
+		if uint64(x) >= maxBoxed {
+			return x
+		}
+		if int(x) >= len(d.boxed) {
+			d.boxed = append(d.boxed, make([]any, int(x)+1-len(d.boxed))...)
+		}
+		if d.boxed[x] == nil {
+			d.boxed[x] = x
+		}
+		return d.boxed[x]
 	case tagInt:
 		return int(int64(w) >> tagBits)
 	case tagBool:

@@ -13,6 +13,7 @@ type otherKind struct{ a, b int }
 // and bit equality part ways.
 var codecValues = []any{
 	int64(0), int64(1), int64(-1), int64(1)<<60 - 1, int64(-1) << 60, // inline extremes
+	int64(maxBoxed - 1), int64(maxBoxed), // either side of the boxed-value memo
 	int64(1) << 60, int64(-1)<<60 - 1, int64(math.MaxInt64), int64(math.MinInt64), // past them: dictionary
 	int(0), int(1), int(-1), int(1)<<60 - 1, int(-1) << 60, int(1) << 60, int(math.MaxInt64), int(math.MinInt64),
 	uint64(0), uint64(1), uint64(math.MaxUint64),
