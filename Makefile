@@ -117,34 +117,27 @@ SOAK_TICKS ?= 60
 soak: test-failover
 	$(GO) test -race -run '^TestCrashRecovery$$' ./internal/durable -crash-seeds $(SOAK_SEEDS) -crash-ticks $(SOAK_TICKS) -crash-rand
 
-# serve-bench is the serving-path perf snapshot, now an A/B across the
-# pipelined and single-loop serving modes: the ingestion benchmarks
-# (per-message vs batched, BenchmarkServeSubmitPipeline vs
-# BenchmarkServeSubmitSingleLoop) followed by two hydroload zipfian
-# open-loop runs, pipelined and -single-loop, each printing the
-# enqueue→flush→eval→respond latency breakdown plus the overlap metrics
-# (eval busy / collect-wait / handoff-block) and writing its per-request
+# serve-bench is the serving-path perf snapshot: the ingestion benchmarks
+# (per-message vs batched, and the full serving shell) followed by one
+# hydroload zipfian open-loop run that prints the
+# enqueue→flush→eval→respond latency breakdown and writes its per-request
 # timing CSV.
 HYDROLOAD_N ?= 20000
 HYDROLOAD_RATE ?= 50000
 HYDROLOAD_CSV ?= .testbin/hydroload-timings.csv
-HYDROLOAD_CSV_1LOOP ?= .testbin/hydroload-timings-singleloop.csv
 serve-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkServe' -benchmem ./internal/serve
 	@mkdir -p $(dir $(HYDROLOAD_CSV))
-	@echo "== hydroload: pipelined =="
 	$(GO) run ./cmd/hydroload -n $(HYDROLOAD_N) -rate $(HYDROLOAD_RATE) -csv $(HYDROLOAD_CSV)
 	$(GO) run ./cmd/benchtab -timings $(HYDROLOAD_CSV)
-	@echo "== hydroload: single-loop baseline =="
-	$(GO) run ./cmd/hydroload -n $(HYDROLOAD_N) -rate $(HYDROLOAD_RATE) -single-loop -csv $(HYDROLOAD_CSV_1LOOP)
-	$(GO) run ./cmd/benchtab -timings $(HYDROLOAD_CSV_1LOOP)
 
 # serve-soak is the serving-path correctness gate, scaled past the default
-# suite: the batched≡serial equivalence sweep, the pipelined-lanes
-# (executed-order oracle) and fan-out-into-shard-deployment sweeps, every
-# server-shell test (quota/deadline/close/gauge regressions included) and
-# the batched-beats-per-message throughput gate, all under -race.
+# suite: the batched≡serial equivalence sweep (admission order pinned), its
+# concurrent-submitter executed-order twin, the
+# fan-out-into-shard-deployment sweep, every server-shell test
+# (quota/deadline/close/gauge regressions included) and the
+# batched-beats-per-message throughput gate, all under -race.
 SERVE_SEEDS ?= 60
 SERVE_REQS ?= 150
 serve-soak:
-	$(GO) test -race -run 'TestServe|TestBatched|TestPipelined|TestPipeline' ./internal/serve -serve-seeds $(SERVE_SEEDS) -serve-reqs $(SERVE_REQS)
+	$(GO) test -race -run 'TestServe|TestBatched|TestPipelined|TestFanout' ./internal/serve -serve-seeds $(SERVE_SEEDS) -serve-reqs $(SERVE_REQS)

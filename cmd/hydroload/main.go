@@ -35,23 +35,21 @@ import (
 
 func main() {
 	var (
-		n          = flag.Int("n", 20000, "requests to offer")
-		rate       = flag.Float64("rate", 50000, "offered arrival rate (requests/second, open loop)")
-		seed       = flag.Int64("seed", 1, "workload and runtime seed")
-		keys       = flag.Int("keys", 5000, "person-ID universe")
-		zipfS      = flag.Float64("zipf-s", 1.2, "zipf skew exponent (>1)")
-		zipfV      = flag.Float64("zipf-v", 1.0, "zipf value offset (>=1)")
-		batch      = flag.Int("batch", 128, "serve batch size (MaxBatch)")
-		wait       = flag.Duration("wait", 500*time.Microsecond, "serve flush deadline (MaxWait)")
-		queue      = flag.Int("queue", 1024, "admission queue depth")
-		policy     = flag.String("policy", "shed", "backpressure policy when the queue fills: shed|block")
-		lanes      = flag.Bool("lanes", true, "route serializable mailboxes through their own admission lane")
-		deadline   = flag.Duration("deadline", 0, "per-request deadline (0 = none): older queued requests are shed")
-		quota      = flag.String("quota", "", "per-mailbox admission quotas, e.g. 'vaccinate=8,diagnosed=64'")
-		singleLoop = flag.Bool("single-loop", false, "collapse the collect/eval pipeline onto one goroutine (A/B baseline)")
-		csvOut     = flag.String("csv", "", "write the per-request timing CSV to this file")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the serving window to this file")
-		memProf    = flag.String("memprofile", "", "write a heap profile (live and allocated) taken after the run to this file")
+		n        = flag.Int("n", 20000, "requests to offer")
+		rate     = flag.Float64("rate", 50000, "offered arrival rate (requests/second, open loop)")
+		seed     = flag.Int64("seed", 1, "workload and runtime seed")
+		keys     = flag.Int("keys", 5000, "person-ID universe")
+		zipfS    = flag.Float64("zipf-s", 1.2, "zipf skew exponent (>1)")
+		zipfV    = flag.Float64("zipf-v", 1.0, "zipf value offset (>=1)")
+		batch    = flag.Int("batch", 128, "serve batch size (MaxBatch)")
+		wait     = flag.Duration("wait", 500*time.Microsecond, "serve flush deadline (MaxWait)")
+		queue    = flag.Int("queue", 1024, "admission queue depth")
+		policy   = flag.String("policy", "shed", "backpressure policy when the queue fills: shed|block")
+		deadline = flag.Duration("deadline", 0, "per-request deadline (0 = none): older queued requests are shed")
+		quota    = flag.String("quota", "", "per-mailbox admission quotas, e.g. 'vaccinate=8,diagnosed=64'")
+		csvOut   = flag.String("csv", "", "write the per-request timing CSV to this file")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the serving window to this file")
+		memProf  = flag.String("memprofile", "", "write a heap profile (live and allocated) taken after the run to this file")
 	)
 	flag.Parse()
 	if *zipfS <= 1 || *zipfV < 1 || *keys < 2 {
@@ -101,10 +99,8 @@ func main() {
 		// vaccinate is the pipeline's serializable handler: it must tick
 		// alone or concurrent decrements collapse into one.
 		SerialMailboxes: []string{"vaccinate"},
-		Lanes:           *lanes,
 		MailboxQuota:    quotas,
 		DefaultDeadline: *deadline,
-		NoPipeline:      *singleLoop,
 		DrainMailboxes:  []string{"alert", "trace_response"},
 		OnDrain: func(mailbox string, msgs []transducer.Message) {
 			if mailbox == "alert" {
@@ -190,21 +186,8 @@ func main() {
 	fmt.Printf("batches=%d (size=%d deadline=%d serial=%d) rejected=%d retried=%d unsettled=%d queue high-water=%d\n",
 		m.Batches, m.SizeFlushes, m.DeadlineFlushes, m.SerialFlushes,
 		m.RejectedBatches, m.Retried, m.Unsettled, m.QueueHighWater)
-	fmt.Printf("admission: lanes=%v over-quota=%d deadline-shed=%d closed-unserved=%d\n",
-		*lanes, m.OverQuota, m.DeadlineShed, m.ClosedUnserved)
-	if *singleLoop {
-		fmt.Printf("pipeline: single-loop baseline (no overlap), eval busy %v\n",
-			time.Duration(m.EvalBusyNs).Round(time.Millisecond))
-	} else {
-		// Overlap health: collect-wait is eval stalled on the collector;
-		// handoff-block is the collector stalled on eval (the backpressure
-		// path). At saturation collect-wait should be well under eval busy.
-		fmt.Printf("pipeline: eval busy %v, collect-wait %v, handoff-block %v (overlap engaged: %v)\n",
-			time.Duration(m.EvalBusyNs).Round(time.Millisecond),
-			time.Duration(m.CollectWaitNs).Round(time.Millisecond),
-			time.Duration(m.HandoffBlockNs).Round(time.Millisecond),
-			m.CollectWaitNs < m.EvalBusyNs)
-	}
+	fmt.Printf("admission: over-quota=%d deadline-shed=%d closed-unserved=%d; eval busy %v\n",
+		m.OverQuota, m.DeadlineShed, m.ClosedUnserved, time.Duration(m.EvalBusyNs).Round(time.Millisecond))
 	if m.Ticks > 0 {
 		perTick := func(ns int64) time.Duration { return time.Duration(ns / int64(m.Ticks)) }
 		fmt.Printf("tick phases (mean over %d ticks): deliver=%v snapshot=%v handlers=%v apply=%v\n",

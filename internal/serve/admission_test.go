@@ -2,7 +2,6 @@ package serve
 
 import (
 	"errors"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -11,84 +10,55 @@ import (
 	"hydro/internal/transducer"
 )
 
-// TestServeLanes: with Config.Lanes a serializable burst cannot convoy
-// monotone traffic — interleaved serializable requests drain through their
-// own lane while the monotone batch keeps filling, instead of cutting it
-// into fragments the way in-place (lanes-off) serialization does.
-func TestServeLanes(t *testing.T) {
-	submitMix := func(s *Server) []*Pending {
-		var ps []*Pending
-		// a, i, a, i, a, a: two serializable incrs interleaved into four adds.
-		ps = append(ps, mustSubmit(t, s, "add_edge", datalog.Tuple{int64(1), int64(2)}))
-		ps = append(ps, mustSubmit(t, s, "incr", datalog.Tuple{}))
-		ps = append(ps, mustSubmit(t, s, "add_edge", datalog.Tuple{int64(2), int64(3)}))
-		ps = append(ps, mustSubmit(t, s, "incr", datalog.Tuple{}))
-		ps = append(ps, mustSubmit(t, s, "add_edge", datalog.Tuple{int64(3), int64(4)}))
-		ps = append(ps, mustSubmit(t, s, "add_edge", datalog.Tuple{int64(4), int64(5)}))
-		return ps
-	}
-
-	// Lanes off (the default): each serializable request cuts the monotone
-	// batch in place, fragmenting the adds.
-	sOff := New(newGraphRuntime(t, 1), Config{
+// TestServeSerialCutsBatch: a serializable request cuts the pending batch
+// in place — the prefix ticks first, then the request ticks alone — so
+// interleaved serializable traffic fragments the monotone batches, and
+// only the singletons count as serial flushes.
+func TestServeSerialCutsBatch(t *testing.T) {
+	s := New(newGraphRuntime(t, 1), Config{
 		MaxBatch: 4, MaxWait: 50 * time.Millisecond, QueueDepth: 16,
 		SerialMailboxes: []string{"incr"},
 	})
-	releaseOff := holdLoop(t, sOff)
-	psOff := submitMix(sOff)
-	releaseOff()
+	defer s.Close()
+	release := holdLoop(t, s)
+	// a, i, a, i, a, a: two serializable incrs interleaved into four adds.
+	var ps []*Pending
+	ps = append(ps, mustSubmit(t, s, "add_edge", datalog.Tuple{int64(1), int64(2)}))
+	ps = append(ps, mustSubmit(t, s, "incr", datalog.Tuple{}))
+	ps = append(ps, mustSubmit(t, s, "add_edge", datalog.Tuple{int64(2), int64(3)}))
+	ps = append(ps, mustSubmit(t, s, "incr", datalog.Tuple{}))
+	ps = append(ps, mustSubmit(t, s, "add_edge", datalog.Tuple{int64(3), int64(4)}))
+	ps = append(ps, mustSubmit(t, s, "add_edge", datalog.Tuple{int64(4), int64(5)}))
+	release()
 	maxAddBatch := 0
-	for _, p := range psOff {
-		r := p.Wait()
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		if r.Timing.Mailbox == "add_edge" && r.Timing.BatchSize > maxAddBatch {
-			maxAddBatch = r.Timing.BatchSize
-		}
-	}
-	if maxAddBatch >= 4 {
-		t.Fatalf("lanes-off: serial cuts should fragment the adds, got a batch of %d", maxAddBatch)
-	}
-	sOff.Close()
-
-	// Lanes on: the four adds ride one full batch despite the interleaved
-	// serializable traffic, and the incrs still tick alone (exact counter).
-	sOn := New(newGraphRuntime(t, 1), Config{
-		MaxBatch: 4, MaxWait: 50 * time.Millisecond, QueueDepth: 16,
-		SerialMailboxes: []string{"incr"}, Lanes: true,
-	})
-	releaseOn := holdLoop(t, sOn)
-	psOn := submitMix(sOn)
-	releaseOn()
-	for _, p := range psOn {
+	for _, p := range ps {
 		r := p.Wait()
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
 		switch r.Timing.Mailbox {
 		case "add_edge":
-			if r.Timing.BatchSize != 4 {
-				t.Fatalf("lanes-on add batch size = %d, want the un-convoyed 4", r.Timing.BatchSize)
-			}
+			maxAddBatch = max(maxAddBatch, r.Timing.BatchSize)
 		case "incr":
 			if r.Timing.BatchSize != 1 {
 				t.Fatalf("serializable request batched at size %d", r.Timing.BatchSize)
 			}
 		}
 	}
-	m := sOn.Metrics()
-	if m.SizeFlushes != 1 || m.SerialFlushes != 2 {
-		t.Fatalf("lanes-on: size=%d serial=%d flushes, want 1/2", m.SizeFlushes, m.SerialFlushes)
+	if maxAddBatch >= 4 {
+		t.Fatalf("serial cuts should fragment the adds, got a batch of %d", maxAddBatch)
+	}
+	// [a] [i] [a] [i] [a a]: five batches, two of them serial singletons.
+	if m := s.Metrics(); m.Batches != 5 || m.SerialFlushes != 2 {
+		t.Fatalf("batches=%d serial=%d, want 5/2", m.Batches, m.SerialFlushes)
 	}
 	var count int64
-	if err := sOn.Sync(func(rt *transducer.Runtime) { count = rt.Var("count").(int64) }); err != nil {
+	if err := s.Sync(func(rt *transducer.Runtime) { count = rt.Var("count").(int64) }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 2 {
 		t.Fatalf("serializable counter = %d, want 2 (one tick per incr)", count)
 	}
-	sOn.Close()
 }
 
 // TestServeQuota: a mailbox at its admission quota fails fast with
@@ -168,13 +138,14 @@ func TestServeDefaultDeadline(t *testing.T) {
 }
 
 // TestServeGaugeNeverNegative is the regression for the queue-depth gauge
-// race: Submit used to increment after the channel send, so the
-// collector's decrement could land first and QueueDepth() could read
-// negative. Hammer concurrent submitters against the dequeuing collector
-// and sample the gauge throughout (run under -race in CI).
+// race: Submit used to increment after the channel send, so the loop's
+// decrement could land first and QueueDepth() could read negative. Hammer
+// concurrent submitters against the dequeuing loop and sample the gauge
+// throughout (run under -race in CI).
 func TestServeGaugeNeverNegative(t *testing.T) {
+	const queueDepth, submitters, perSubmitter = 8, 4, 500
 	s := New(newGraphRuntime(t, 1), Config{
-		MaxBatch: 8, MaxWait: 50 * time.Microsecond, QueueDepth: 8, Policy: Shed,
+		MaxBatch: 8, MaxWait: 50 * time.Microsecond, QueueDepth: queueDepth, Policy: Shed,
 	})
 	defer s.Close()
 
@@ -196,7 +167,6 @@ func TestServeGaugeNeverNegative(t *testing.T) {
 		}
 	}()
 
-	const submitters, perSubmitter = 4, 500
 	var wg sync.WaitGroup
 	pending := make(chan *Pending, submitters*perSubmitter)
 	for g := 0; g < submitters; g++ {
@@ -224,26 +194,25 @@ func TestServeGaugeNeverNegative(t *testing.T) {
 	if d := s.QueueDepth(); d != 0 {
 		t.Fatalf("drained gauge = %d, want 0", d)
 	}
-	if hw := s.Metrics().QueueHighWater; hw < 1 || hw > 8+1 {
-		// QueueDepth slots + at most simultaneous refused attempts; a value
-		// past QueueDepth+submitters would mean lost decrements.
-		if hw > 8+submitters {
-			t.Fatalf("QueueHighWater = %d, beyond QueueDepth+submitters", hw)
-		}
+	// The gauge must have moved, and can exceed QueueDepth only by the
+	// submitters' momentary refused attempts; more would mean lost
+	// decrements.
+	if hw := s.Metrics().QueueHighWater; hw < 1 || hw > queueDepth+submitters {
+		t.Fatalf("QueueHighWater = %d, want within [1, QueueDepth+submitters=%d]", hw, queueDepth+submitters)
 	}
 }
 
 // TestServeCloseDuringInflightBatch: Close while a batch is mid-tick. The
-// in-flight batch (and anything already handed off) always completes;
-// the queued backlog is served under Block and resolved with ErrClosed
-// under Shed. Either way no goroutine is left blocked in Pending.Wait.
+// in-flight batch always completes; the queued backlog is then served
+// under Block and answered with ErrClosed under Shed. Either way no
+// goroutine is left blocked in Pending.Wait.
 func TestServeCloseDuringInflightBatch(t *testing.T) {
 	for _, policy := range []Policy{Block, Shed} {
 		name := map[Policy]string{Block: "Block", Shed: "Shed"}[policy]
 		t.Run(name, func(t *testing.T) {
 			rt := newGraphRuntime(t, 1)
 			entered := make(chan struct{})
-			resume := make(chan struct{}, 16)
+			resume := make(chan struct{})
 			var once sync.Once
 			rt.RegisterHandler("slow", func(tx *transducer.Tx, msg transducer.Message) {
 				once.Do(func() { close(entered) })
@@ -251,69 +220,45 @@ func TestServeCloseDuringInflightBatch(t *testing.T) {
 			})
 			s := New(rt, Config{MaxBatch: 1, MaxWait: time.Hour, QueueDepth: 16, Policy: policy})
 
-			pSlow1 := mustSubmit(t, s, "slow", datalog.Tuple{})
-			<-entered // eval is now blocked mid-tick on batch 1
-			pSlow2 := mustSubmit(t, s, "slow", datalog.Tuple{})
-			var tail []*Pending
+			inflight := mustSubmit(t, s, "slow", datalog.Tuple{})
+			<-entered // the loop is now blocked mid-tick, so nothing below is dequeued
+			queued := []*Pending{mustSubmit(t, s, "slow", datalog.Tuple{})}
 			for i := 0; i < 3; i++ {
-				tail = append(tail, mustSubmit(t, s, "add_edge", datalog.Tuple{int64(i), int64(i + 1)}))
-			}
-			// Wait for the collector to wedge: slow2 fills the handoff, the
-			// first add blocks in emit, the rest sit in the queue.
-			deadline := time.Now().Add(2 * time.Second)
-			for s.QueueDepth() > 2 && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
+				queued = append(queued, mustSubmit(t, s, "add_edge", datalog.Tuple{int64(i), int64(i + 1)}))
 			}
 
 			closed := make(chan struct{})
 			go func() { s.Close(); close(closed) }()
-			// Close latches admission and fires stop even though the
-			// pipeline is still wedged mid-tick; only then release the
-			// handler so the shutdown drain is what serves the backlog.
-			select {
-			case <-s.stop:
-			case <-time.After(2 * time.Second):
-				t.Fatal("Close did not fire stop while a batch was in flight")
-			}
-			for i := 0; i < 16; i++ {
-				resume <- struct{}{}
-			}
+			// Close latches admission and fires stop while the tick is still
+			// in flight; only then release the handler, so the shutdown drain
+			// is what settles the backlog.
+			<-s.stop
+			close(resume)
 			<-closed
 			if _, err := s.Submit(Request{Mailbox: "add_edge", Payload: datalog.Tuple{int64(99), int64(100)}}); !errors.Is(err, ErrClosed) {
 				t.Fatalf("submit after Close = %v, want ErrClosed", err)
 			}
 
-			// The mid-tick batch and everything handed off complete under
-			// both policies.
-			if r := pSlow1.Wait(); r.Err != nil {
+			if r := inflight.Wait(); r.Err != nil {
 				t.Fatalf("in-flight batch failed at Close: %v", r.Err)
 			}
-			if r := pSlow2.Wait(); r.Err != nil {
-				t.Fatalf("handed-off batch failed at Close: %v", r.Err)
-			}
 			served, closedOut := 0, 0
-			for _, p := range tail {
+			for _, p := range queued {
 				switch r := p.Wait(); {
 				case r.Err == nil:
 					served++
 				case errors.Is(r.Err, ErrClosed):
 					closedOut++
 				default:
-					t.Fatalf("tail request: %v", r.Err)
+					t.Fatalf("queued request: %v", r.Err)
 				}
 			}
-			if policy == Block && (served != 3 || closedOut != 0) {
-				t.Fatalf("Block close: served=%d closed=%d, want the whole backlog served", served, closedOut)
+			want := map[Policy][2]int{Block: {4, 0}, Shed: {0, 4}}[policy]
+			if served != want[0] || closedOut != want[1] {
+				t.Fatalf("served=%d closed=%d, want %d/%d", served, closedOut, want[0], want[1])
 			}
-			if policy == Shed {
-				// The add that was mid-emit when Close hit is served; the
-				// two still queued are abandoned by the shutdown drain.
-				if served != 1 || closedOut != 2 {
-					t.Fatalf("Shed close: served=%d closed=%d, want 1/2", served, closedOut)
-				}
-				if got := int(s.Metrics().ClosedUnserved); got != closedOut {
-					t.Fatalf("ClosedUnserved = %d, want %d", got, closedOut)
-				}
+			if got := int(s.Metrics().ClosedUnserved); got != closedOut {
+				t.Fatalf("ClosedUnserved = %d, want %d", got, closedOut)
 			}
 		})
 	}
@@ -392,63 +337,4 @@ func TestServeRetrySingletonTimingsAndDrainOnce(t *testing.T) {
 			t.Fatalf("rejection flag wrong: %+v", tt)
 		}
 	}
-}
-
-// TestPipelineOverlap is the tentpole's acceptance gate: at saturation the
-// eval stage must not wait on the collector — batch assembly hides behind
-// tick evaluation (CollectWaitNs << EvalBusyNs), and the collector spends
-// time blocked on the full handoff (eval is the bottleneck, as it should
-// be).
-func TestPipelineOverlap(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("pipeline overlap needs two runnable goroutines")
-	}
-	rt := benchRuntime(t)
-	s := New(rt, Config{MaxBatch: 64, MaxWait: 100 * time.Microsecond, QueueDepth: 4096})
-	const n = 4096
-	release := holdLoop(t, s)
-	ps := make([]*Pending, n)
-	for i := range ps {
-		ps[i] = mustSubmit(t, s, "add_edge", benchEdge(i))
-	}
-	release()
-	for _, p := range ps {
-		if r := p.Wait(); r.Err != nil {
-			t.Fatal(r.Err)
-		}
-	}
-	m := s.Metrics() // snapshot before Close: the final idle handoff wait never lands
-	s.Close()
-	t.Logf("collectWait=%v handoffBlock=%v evalBusy=%v batches=%d",
-		time.Duration(m.CollectWaitNs), time.Duration(m.HandoffBlockNs), time.Duration(m.EvalBusyNs), m.Batches)
-	if m.EvalBusyNs <= 0 || m.Batches == 0 {
-		t.Fatalf("pipeline did not run: %+v", m)
-	}
-	if m.CollectWaitNs >= m.EvalBusyNs {
-		t.Fatalf("eval waited on the collector (%v) as long as it worked (%v): no overlap",
-			time.Duration(m.CollectWaitNs), time.Duration(m.EvalBusyNs))
-	}
-}
-
-// TestServeNoPipelineMode: the A/B baseline collapses both stages onto one
-// goroutine with identical semantics.
-func TestServeNoPipelineMode(t *testing.T) {
-	s := New(newGraphRuntime(t, 1), Config{
-		MaxBatch: 4, MaxWait: time.Millisecond, QueueDepth: 16, NoPipeline: true,
-		SerialMailboxes: []string{"incr"},
-	})
-	var ps []*Pending
-	for i := 0; i < 8; i++ {
-		ps = append(ps, mustSubmit(t, s, "add_edge", datalog.Tuple{int64(i), int64(i + 1)}))
-	}
-	ps = append(ps, mustSubmit(t, s, "incr", datalog.Tuple{}))
-	for _, p := range ps {
-		if r := p.Wait(); r.Err != nil {
-			t.Fatal(r.Err)
-		}
-	}
-	if got := len(rt0Tuples(t, s, "edge")); got != 8 {
-		t.Fatalf("edge has %d rows, want 8", got)
-	}
-	s.Close()
 }

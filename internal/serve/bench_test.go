@@ -100,32 +100,6 @@ func BenchmarkServeSubmitPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkServeSubmitSingleLoop is the A/B baseline for the two-stage
-// pipeline: the same serving shell with NoPipeline collapsing collection
-// and evaluation onto one goroutine, so batch assembly is serving dead
-// time again. Compare per-request ns/op against
-// BenchmarkServeSubmitPipeline (make serve-bench runs both).
-func BenchmarkServeSubmitSingleLoop(b *testing.B) {
-	rt := benchRuntime(b)
-	s := New(rt, Config{MaxBatch: 256, MaxWait: 200 * time.Microsecond, QueueDepth: 1024, NoPipeline: true})
-	defer s.Close()
-	ps := make([]*Pending, b.N)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := s.Submit(Request{Mailbox: "add_edge", Payload: benchEdge(i)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ps[i] = p
-	}
-	for _, p := range ps {
-		if r := p.Wait(); r.Err != nil {
-			b.Fatal(r.Err)
-		}
-	}
-}
-
 // TestBatchedIngestionBeatsPerMessage is the acceptance gate for the
 // serving front-end: batching must amortize the per-tick fixed costs. What
 // it buys is deterministic — one tick, and so one Incremental.Apply pass,

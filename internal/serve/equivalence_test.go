@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,8 +21,11 @@ import (
 // exactly the state one-message-per-tick delivery leaves it in, across
 // random request streams that include rejected ticks (poison requests
 // writing a derived head), serializable handlers (vaccinate), and
-// randomized send-delivery delays (the same churn simnet injects).
-// `make serve-soak` scales it up via these flags.
+// randomized send-delivery delays (the same churn simnet injects). The
+// serve loop executes requests in admission order, so the serial reference
+// replays them in submission order, and every response's
+// (Timing.Batch, Timing.Index) must strictly increase with its submission
+// index. `make serve-soak` scales it up via these flags.
 var (
 	serveSeeds = flag.Int("serve-seeds", 20, "seeds for the batched≡serial equivalence sweep")
 	serveReqs  = flag.Int("serve-reqs", 100, "requests per seed in the equivalence sweep")
@@ -138,6 +142,7 @@ func TestBatchedEqualsSerialSweep(t *testing.T) {
 				}
 				ps[i] = p
 			}
+			var prev RequestTiming
 			for i, p := range ps {
 				resp := p.Wait()
 				if poison[i] && resp.Err == nil {
@@ -146,6 +151,13 @@ func TestBatchedEqualsSerialSweep(t *testing.T) {
 				if !poison[i] && resp.Err != nil {
 					t.Fatalf("seed %d churn=%v: request %d (%s) failed: %v", seed, churn, i, reqs[i].Mailbox, resp.Err)
 				}
+				// Admission order is the executed order, retried singletons
+				// included.
+				if tm := resp.Timing; tm.Batch < prev.Batch || tm.Batch == prev.Batch && tm.Index <= prev.Index {
+					t.Fatalf("seed %d churn=%v: request %d ran at (batch %d, index %d), not after request %d at (%d, %d)",
+						seed, churn, i, tm.Batch, tm.Index, i-1, prev.Batch, prev.Index)
+				}
+				prev = resp.Timing
 			}
 			rejectedBatches += s.Metrics().RejectedBatches
 			s.Close()
@@ -156,6 +168,100 @@ func TestBatchedEqualsSerialSweep(t *testing.T) {
 		}
 	}
 	if rejectedBatches == 0 {
+		t.Fatal("sweep never exercised a rejected batch tick")
+	}
+}
+
+// TestPipelinedEqualsSerialSweep keeps several submitters' requests in
+// flight at once, so no single submission order exists to replay. The
+// oracle is the executed order instead, recovered from each response's
+// (Timing.Batch, Timing.Index): no two requests may claim the same
+// position, and the schedule the server reports must be one the serial
+// semantics accept, byte for byte.
+func TestPipelinedEqualsSerialSweep(t *testing.T) {
+	const submitters = 4
+	covidVars := []string{"vaccine_count"}
+	rejected := uint64(0)
+	seeds := *serveSeeds
+	if seeds > 10 {
+		seeds = 10 // the recorded-order replay doubles the serial work per seed
+	}
+	for seed := 0; seed < seeds; seed++ {
+		for _, churn := range []bool{false, true} {
+			r := rand.New(rand.NewSource(int64(seed)*2 + b2i(churn) + 7777))
+			reqs, poison := genCovidRequests(r, *serveReqs)
+
+			rt := covidRuntime(t, int64(seed), churn)
+			s := New(rt, Config{
+				MaxBatch:        1 + r.Intn(16),
+				MaxWait:         time.Duration(100+r.Intn(400)) * time.Microsecond,
+				QueueDepth:      64,
+				SerialMailboxes: []string{"vaccinate"},
+				DrainMailboxes:  []string{"alert", "trace_response"},
+			})
+			submitErrs := make([]error, len(reqs))
+			resps := make([]Response, len(reqs))
+			var wg sync.WaitGroup
+			for g := 0; g < submitters; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					var idx []int
+					var ps []*Pending
+					for i := g; i < len(reqs); i += submitters {
+						p, err := s.Submit(reqs[i])
+						if err != nil {
+							submitErrs[i] = err
+							continue
+						}
+						idx, ps = append(idx, i), append(ps, p)
+					}
+					for k, p := range ps {
+						resps[idx[k]] = p.Wait()
+					}
+				}(g)
+			}
+			wg.Wait()
+			for i, resp := range resps {
+				if submitErrs[i] != nil {
+					t.Fatalf("seed %d churn=%v: submit %d: %v", seed, churn, i, submitErrs[i])
+				}
+				if poison[i] != (resp.Err != nil) {
+					t.Fatalf("seed %d churn=%v: request %d (%s) err=%v", seed, churn, i, reqs[i].Mailbox, resp.Err)
+				}
+			}
+			rejected += s.Metrics().RejectedBatches
+			s.Close()
+
+			order := make([]int, len(reqs))
+			for i := range order {
+				order[i] = i
+			}
+			sort.Slice(order, func(a, b int) bool {
+				ta, tb := resps[order[a]].Timing, resps[order[b]].Timing
+				return ta.Batch < tb.Batch || ta.Batch == tb.Batch && ta.Index < tb.Index
+			})
+			for k := 1; k < len(order); k++ {
+				prev, cur := resps[order[k-1]].Timing, resps[order[k]].Timing
+				if prev.Batch == cur.Batch && prev.Index == cur.Index {
+					t.Fatalf("seed %d churn=%v: requests %d and %d both ran at (batch %d, index %d)",
+						seed, churn, order[k-1], order[k], cur.Batch, cur.Index)
+				}
+			}
+			ref := covidRuntime(t, int64(seed), churn)
+			for _, i := range order {
+				ref.Inject(reqs[i].Mailbox, reqs[i].Payload)
+				ref.Tick()
+				ref.RunUntilIdle(256)
+			}
+			want := canonicalState(ref, covidVars)
+			if got := canonicalState(rt, covidVars); got != want {
+				t.Fatalf("seed %d churn=%v: served state diverged from executed-order serial\nserial:\n%s\nserved:\n%s",
+					seed, churn, want, got)
+			}
+		}
+	}
+	if rejected == 0 {
 		t.Fatal("sweep never exercised a rejected batch tick")
 	}
 }

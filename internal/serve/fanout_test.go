@@ -14,94 +14,9 @@ import (
 	"hydro/internal/transducer"
 )
 
-// The pipelined sweeps extend the PR 8 batched≡serial gate to the new
-// serving configurations:
-//
-//   - TestPipelinedEqualsSerialSweep turns Config.Lanes on. Lanes reorder
-//     requests across the serial/monotone boundary, so the submission-order
-//     oracle no longer applies; the gate replays the serial reference in
-//     the *executed* order instead, recovered from each response's
-//     (Timing.Batch, Timing.Index) — the schedule the server actually ran
-//     must be a schedule the serial semantics accept, byte for byte.
-//   - TestPipelinedFanoutEqualsSerial adds the fan-out path: the server
-//     tees every committed tick into a sharded deployment through
-//     shard.Sink, and after the cluster settles the distributed fixpoint
-//     must match both the serving runtime and a never-batched serial
-//     reference.
-
 // fanSettleBudget bounds one Settle call on the teed deployment (same
 // order as the shard package's own settle budget).
 const fanSettleBudget = 400_000
-
-func TestPipelinedEqualsSerialSweep(t *testing.T) {
-	covidVars := []string{"vaccine_count"}
-	rejected := uint64(0)
-	seeds := *serveSeeds
-	if seeds > 10 {
-		seeds = 10 // the recorded-order replay doubles the serial work per seed
-	}
-	for seed := 0; seed < seeds; seed++ {
-		for _, churn := range []bool{false, true} {
-			r := rand.New(rand.NewSource(int64(seed)*2 + b2i(churn) + 7777))
-			reqs, _ := genCovidRequests(r, *serveReqs)
-
-			rt := covidRuntime(t, int64(seed), churn)
-			s := New(rt, Config{
-				MaxBatch:        1 + r.Intn(16),
-				MaxWait:         time.Duration(100+r.Intn(400)) * time.Microsecond,
-				QueueDepth:      64,
-				SerialMailboxes: []string{"vaccinate"},
-				Lanes:           true,
-				DrainMailboxes:  []string{"alert", "trace_response"},
-			})
-			ps := make([]*Pending, len(reqs))
-			for i, req := range reqs {
-				p, err := s.Submit(req)
-				if err != nil {
-					t.Fatalf("seed %d churn=%v: submit: %v", seed, churn, err)
-				}
-				ps[i] = p
-			}
-			timings := make([]RequestTiming, len(reqs))
-			for i, p := range ps {
-				resp := p.Wait()
-				if (reqs[i].Mailbox == "poison") != (resp.Err != nil) {
-					t.Fatalf("seed %d churn=%v: request %d (%s) err=%v", seed, churn, i, reqs[i].Mailbox, resp.Err)
-				}
-				timings[i] = resp.Timing
-			}
-			rejected += s.Metrics().RejectedBatches
-			s.Close()
-
-			// Replay the serial reference in the order the pipeline actually
-			// executed: lanes reorder across lanes, so the executed schedule —
-			// not the submission order — is what serial semantics must match.
-			order := make([]int, len(reqs))
-			for i := range order {
-				order[i] = i
-			}
-			for i := 1; i < len(order); i++ {
-				for j := i; j > 0 && ExecOrder(timings[order[j]], timings[order[j-1]]); j-- {
-					order[j], order[j-1] = order[j-1], order[j]
-				}
-			}
-			ref := covidRuntime(t, int64(seed), churn)
-			for _, i := range order {
-				ref.Inject(reqs[i].Mailbox, reqs[i].Payload)
-				ref.Tick()
-				ref.RunUntilIdle(256)
-			}
-			want := canonicalState(ref, covidVars)
-			if got := canonicalState(rt, covidVars); got != want {
-				t.Fatalf("seed %d churn=%v: pipelined+lanes state diverged from executed-order serial\nserial:\n%s\npipelined:\n%s",
-					seed, churn, want, got)
-			}
-		}
-	}
-	if rejected == 0 {
-		t.Fatal("sweep never exercised a rejected batch tick")
-	}
-}
 
 // fanRuntime is the fan-out fixture: the TC program served locally with
 // handlers for inserts, deletes, and a poison write to the derived head.
@@ -144,13 +59,13 @@ func genFanRequests(r *rand.Rand, n int) []Request {
 	return reqs
 }
 
-// TestPipelinedFanoutEqualsSerial drives the pipelined server with
+// TestFanoutEqualsSerial drives the server with
 // Config.Fanout teeing committed ticks into a 2-replica sharded
 // deployment, across seeds × churn × rejected ticks. Three-way gate: the
 // serving runtime must match the serial reference (canonical state), and
 // the deployment's distributed fixpoint must match the serving runtime's
 // tables byte for byte — rejected ticks never reach the cluster.
-func TestPipelinedFanoutEqualsSerial(t *testing.T) {
+func TestFanoutEqualsSerial(t *testing.T) {
 	seeds := *serveSeeds
 	if seeds > 6 {
 		seeds = 6 // each seed spins up a simulated cluster

@@ -7,7 +7,7 @@ import "sync/atomic"
 // loop update them without locks.
 type metrics struct {
 	// queueDepth counts admission attempts holding or seeking a queue
-	// slot: Submit increments before the channel send (so the collector's
+	// slot: Submit increments before the channel send (so the loop's
 	// decrement can never outrun it and the gauge never reads negative)
 	// and decrements on the shed path. The high-water mark therefore
 	// includes momentary refused attempts.
@@ -28,16 +28,7 @@ type metrics struct {
 	unsettled       atomic.Uint64 // batches whose cascade did not quiesce within SettleTicks
 	deadlineShed    atomic.Uint64 // admitted requests shed past their deadline before a tick slot
 	closedUnserved  atomic.Uint64 // admitted requests abandoned with ErrClosed at Shed-policy Close
-
-	// Pipeline overlap instrumentation: collectWaitNs is time the eval
-	// stage spent waiting on the handoff (the collector was the
-	// bottleneck), handoffBlockNs is time the collector spent blocked on
-	// the full handoff (eval was the bottleneck), evalBusyNs is total
-	// eval-stage work time. At saturation a healthy pipeline shows
-	// collectWaitNs << evalBusyNs: collection fully hides behind eval.
-	collectWaitNs  atomic.Int64
-	handoffBlockNs atomic.Int64
-	evalBusyNs     atomic.Int64
+	evalBusyNs      atomic.Int64  // serve-loop time inside batch work (runWork)
 
 	// Cumulative per-phase tick time across all batch ticks (from the
 	// runtime's TickTimings), for the tick-level breakdown underneath the
@@ -50,6 +41,9 @@ type metrics struct {
 }
 
 // Metrics is a point-in-time snapshot of the server's gauges and counters.
+// Every batch counts in Batches; SerialFlushes counts only the singletons
+// of SerialMailboxes requests, so the pending prefix such a request cuts
+// counts in Batches alone.
 type Metrics struct {
 	QueueDepth     int64 // current admission-queue gauge (attempts holding/seeking a slot)
 	QueueHighWater int64
@@ -69,11 +63,15 @@ type Metrics struct {
 	DeadlineShed    uint64 // admitted requests shed past their deadline
 	ClosedUnserved  uint64 // admitted requests abandoned at Shed-policy Close
 
-	// Pipeline overlap: eval-stage wait on the collector vs collector
-	// block on the full handoff vs total eval-stage busy time.
-	CollectWaitNs  int64
+	// Deprecated: CollectWaitNs measured a two-stage serving pipeline that
+	// no longer exists; it always reads 0.
+	CollectWaitNs int64
+	// Deprecated: HandoffBlockNs measured a two-stage serving pipeline that
+	// no longer exists; it always reads 0.
 	HandoffBlockNs int64
-	EvalBusyNs     int64
+	// EvalBusyNs is the serve loop's time inside batch work: ticks,
+	// settling, responses and the fan-out pump.
+	EvalBusyNs int64
 
 	// Cumulative runtime tick-phase time across batch and settle ticks.
 	TickDeliverNs  int64
@@ -101,8 +99,6 @@ func (m *metrics) snapshot() Metrics {
 		Unsettled:       m.unsettled.Load(),
 		DeadlineShed:    m.deadlineShed.Load(),
 		ClosedUnserved:  m.closedUnserved.Load(),
-		CollectWaitNs:   m.collectWaitNs.Load(),
-		HandoffBlockNs:  m.handoffBlockNs.Load(),
 		EvalBusyNs:      m.evalBusyNs.Load(),
 		TickDeliverNs:   m.tickDeliverNs.Load(),
 		TickSnapshotNs:  m.tickSnapshotNs.Load(),

@@ -10,18 +10,13 @@
 // each batch to a single tick, so the fixed per-tick costs amortize across
 // the batch.
 //
-// Serving is a two-stage pipeline: a collector goroutine dequeues admitted
-// requests and assembles batch N+1 while the eval goroutine runs batch N's
-// tick, with a one-batch handoff channel between them — so batch assembly
-// (dequeues, lane routing, timestamping) overlaps tick evaluation instead
-// of being serving dead time. Backpressure still propagates end to end:
-// the eval stage bounds the handoff, the handoff bounds the collector, and
-// the bounded admission queue bounds the submitter, who either blocks
-// (Block) or fails fast (Shed). The collector also shapes admission:
-// serializable mailboxes run in a separate lane so neither kind of traffic
-// convoys the other, per-mailbox quotas stop one hot mailbox from filling
-// the queue, and requests whose enqueue age already exceeds their deadline
-// are shed before wasting a tick slot. Every admitted request carries a
+// Serving is one loop: a single goroutine dequeues admitted requests in
+// admission order, sheds those whose enqueue age already exceeds their
+// deadline, cuts batches and runs each batch's tick inline, so the
+// executed order is the admission order, end to end. Backpressure runs
+// from the loop through the bounded admission queue to the submitter, who
+// either blocks (Block) or fails fast (Shed); per-mailbox quotas stop one
+// hot mailbox from filling the queue. Every admitted request carries a
 // flat, CSV-friendly timing record across the four serving phases
 // (enqueue → flush → eval → respond).
 //
@@ -33,20 +28,17 @@
 // carve-outs keep that true at the edges:
 //
 //   - Serializable handlers (snapshot-read/assign cycles like the paper's
-//     vaccinate) are order-sensitive across messages, so mailboxes listed
-//     in Config.SerialMailboxes flush as singleton batches: one message,
-//     one tick, exactly the serial schedule. Without Config.Lanes they cut
-//     the batch in place (admission order preserved end to end); with
-//     Lanes they run in their own admission lane (order preserved within
-//     each lane, the cross-lane interleaving is scheduled — the serving
-//     analogue of the send reordering the runtime already absorbs).
+//     vaccinate) are order-sensitive across messages, so a request to a
+//     mailbox listed in Config.SerialMailboxes cuts the batch in place:
+//     the pending prefix ticks first, then the request ticks alone — one
+//     message, one tick, exactly the serial schedule.
 //   - A rejected batch tick (the evaluator or durability sink refused it)
 //     rolls the whole batch back; the server then re-injects the batch's
 //     messages one per tick, so a poison request costs its own tick and
 //     its batchmates commit exactly as they would have serially.
 //
-// The runtime is single-threaded by design; exactly one server goroutine
-// (the eval stage) touches it from New until Close. Register tables,
+// The runtime is single-threaded by design; the serve loop is the only
+// goroutine that touches it from New until Close. Register tables,
 // handlers and queries before wrapping the runtime, and use Sync (or
 // Close, then the runtime directly) for out-of-band access.
 package serve
@@ -110,25 +102,19 @@ type Config struct {
 	// Policy picks Block or Shed when the queue is full (default Block).
 	// The policy also decides what Close does with the backlog: Block
 	// drains every admitted request before returning, Shed resolves the
-	// not-yet-handed-off backlog with ErrClosed (fail-fast shutdown).
+	// backlog not yet in a tick with ErrClosed (fail-fast shutdown).
 	Policy Policy
 	// SettleTicks caps the post-batch ticks run to quiesce handler
 	// cascades before responding (default 256). A batch that fails to
 	// settle is counted in Metrics.Unsettled.
 	SettleTicks int
 	// SerialMailboxes lists mailboxes whose handlers are order-sensitive
-	// across messages (serializable handlers): their requests flush as
-	// singleton batches.
+	// across messages (serializable handlers): each of their requests cuts
+	// the pending batch and ticks alone.
 	SerialMailboxes []string
-	// Lanes routes serializable requests through a separate admission
-	// lane instead of cutting the monotone batch in place. With lanes on,
-	// a serializable burst cannot convoy monotone traffic (batches keep
-	// filling while singletons interleave) and vice versa (a full monotone
-	// batch preempts the serial lane, a deadline-expired one always
-	// flushes). FIFO order holds within each lane; cross-lane order is
-	// scheduled, so equivalence is gated against the executed schedule
-	// (see equivalence_test.go). Off by default: admission order is then
-	// preserved end to end.
+	// Deprecated: Lanes is ignored. Serializable requests always cut the
+	// batch in place, so the executed order is the admission order. The
+	// field stays until the benchmark module stops setting it.
 	Lanes bool
 	// MailboxQuota caps, per mailbox, how many requests may be in flight
 	// (admitted and not yet responded). Submit fails fast with
@@ -149,25 +135,19 @@ type Config struct {
 	// (Runtime.SetDurability). A Fanout occupies the runtime's single
 	// durability seam.
 	Fanout transducer.DurabilitySink
-	// FanoutPump, when set, runs on the eval goroutine after every batch
-	// — shard deployments pass a dep.Settle closure here so the simulated
+	// FanoutPump, when set, runs on the serve loop after every batch —
+	// shard deployments pass a dep.Settle closure here so the simulated
 	// cluster network drains as the serving node drives it.
 	FanoutPump func()
-	// NoPipeline collapses the two pipeline stages onto one goroutine
-	// (collect, then eval, strictly alternating) — the A/B baseline for
-	// `make serve-bench` and a debugging mode. Semantics are identical;
-	// only the overlap is lost.
-	NoPipeline bool
 	// DrainMailboxes are observation mailboxes (alert fan-outs, send-rule
 	// targets) drained after every batch so they cannot grow without
 	// bound; drained messages go to OnDrain when set, else are dropped.
 	DrainMailboxes []string
 	// OnDrain receives messages drained from DrainMailboxes (called from
-	// the eval goroutine; keep it fast).
+	// the serve loop; keep it fast).
 	OnDrain func(mailbox string, msgs []transducer.Message)
 	// OnTiming receives every admitted request's timing record as its
-	// response is delivered (called from the eval goroutine; keep it
-	// fast).
+	// response is delivered (called from the serve loop; keep it fast).
 	OnTiming func(RequestTiming)
 }
 
@@ -225,25 +205,15 @@ type flushReason int
 const (
 	flushSize flushReason = iota
 	flushDeadline
-	flushSerial
+	flushSerial // a serializable request's singleton
+	flushCut    // the pending prefix a serializable request cuts
 	flushClose
-	// flushExpired and flushAbandoned are respond-only work units: the
-	// batch never reaches the runtime, every member resolves with an
-	// error (ErrDeadlineExceeded / ErrClosed). They flow through the
-	// handoff like real batches so all response delivery — and the
-	// OnTiming callback — stays on the eval goroutine.
+	// flushExpired and flushAbandoned are respond-only: the batch never
+	// reaches the runtime, every member resolves with an error
+	// (ErrDeadlineExceeded / ErrClosed).
 	flushExpired
 	flushAbandoned
 )
-
-// work is one unit handed from the collector stage to the eval stage:
-// either a batch to flush or a Sync barrier (ctrl set).
-type work struct {
-	batch  []*pendingReq
-	reason flushReason
-	ctrl   func()
-	ran    chan struct{}
-}
 
 // Server is the serving shell around one transducer runtime.
 type Server struct {
@@ -254,7 +224,6 @@ type Server struct {
 
 	queue chan *pendingReq
 	ctrl  chan func()
-	hand  chan *work // the one-batch pipeline handoff
 	stop  chan struct{}
 	done  chan struct{}
 
@@ -262,7 +231,7 @@ type Server struct {
 	closed bool
 
 	m        metrics
-	batchSeq uint64 // owned by the eval stage (the collector in NoPipeline mode)
+	batchSeq uint64 // owned by the serve loop
 }
 
 type quotaSlot struct {
@@ -270,7 +239,7 @@ type quotaSlot struct {
 	max  int64
 }
 
-// New wraps a runtime in a serving shell and starts its pipeline. The
+// New wraps a runtime in a serving shell and starts its serve loop. The
 // server owns the runtime exclusively until Close; register tables,
 // handlers and queries before calling New. New panics if the runtime
 // refuses Config.Fanout as its durability sink.
@@ -294,7 +263,6 @@ func New(rt *transducer.Runtime, cfg Config) *Server {
 		quota:  map[string]*quotaSlot{},
 		queue:  make(chan *pendingReq, cfg.QueueDepth),
 		ctrl:   make(chan func()),
-		hand:   make(chan *work, 1),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -312,8 +280,7 @@ func New(rt *transducer.Runtime, cfg Config) *Server {
 		}
 	}
 	rt.EnableTickTimings(true)
-	go s.collector()
-	go s.evalLoop()
+	go s.loop()
 	return s
 }
 
@@ -344,7 +311,7 @@ func (s *Server) Submit(req Request) (*Pending, error) {
 		p.deadAt = p.enq.Add(s.cfg.DefaultDeadline)
 	}
 	// The gauge increments before the send so a dequeue can never outrun
-	// it (the old after-send order let the collector's decrement land
+	// it (the old after-send order let the loop's decrement land
 	// first, and QueueDepth could transiently read negative). The cost is
 	// that a Shed refusal occupies the gauge for an instant, so the
 	// high-water mark counts admission *attempts* holding or seeking a
@@ -374,19 +341,15 @@ func (s *Server) quotaRelease(mailbox string) {
 	}
 }
 
-// Sync runs fn on the eval goroutine with the whole pipeline quiescent —
-// the collector parks until fn returns, so no batch is assembled or
-// flushed around it. The safe way to read (or drain) the runtime while
+// Sync runs fn on the serve loop between batches: the loop neither
+// dequeues nor ticks until fn returns (a batch still being assembled stays
+// pending across it). The safe way to read (or drain) the runtime while
 // the server owns it.
 func (s *Server) Sync(fn func(rt *transducer.Runtime)) error {
 	ran := make(chan struct{})
 	select {
 	case s.ctrl <- func() { fn(s.rt); close(ran) }:
-	case <-s.done:
-		return ErrClosed
-	}
-	select {
-	case <-ran:
+		<-ran
 		return nil
 	case <-s.done:
 		return ErrClosed
@@ -403,12 +366,12 @@ func (s *Server) QueueDepth() int { return int(s.m.queueDepth.Load()) }
 // Close has returned (use Sync while the server is live).
 func (s *Server) Runtime() *transducer.Runtime { return s.rt }
 
-// Close stops admission and shuts the pipeline down: the batch already in
-// the handoff always completes, and the queued backlog is drained (Block
-// policy: every admitted request is served) or abandoned with ErrClosed
-// (Shed policy: fail-fast shutdown). Every admitted request receives a
-// response either way — no goroutine is left blocked in Pending.Wait.
-// Idempotent.
+// Close stops admission and shuts the serve loop down: the batch in flight
+// always completes, then the backlog — the batch still being assembled and
+// the admission queue — is served in admission order (Block policy) or
+// answered with ErrClosed (Shed policy: fail-fast shutdown). Every admitted
+// request receives a response either way — no goroutine is left blocked in
+// Pending.Wait. Idempotent.
 func (s *Server) Close() {
 	s.mu.Lock()
 	already := s.closed
@@ -419,158 +382,89 @@ func (s *Server) Close() {
 		return
 	}
 	// No Submit holds the RLock now, so everything admitted is in the
-	// queue; the collector drains it before exiting.
+	// queue; the loop drains it before exiting.
 	close(s.stop)
 	<-s.done
 }
 
-// collectState is the collector stage's lane buffers: mono accumulates
-// the current monotone batch (never past MaxBatch), serialQ is the
-// serializable lane's FIFO (only occupied with Config.Lanes — without
-// lanes serializable requests emit in place to preserve admission order).
-type collectState struct {
-	mono    []*pendingReq
-	serialQ []*pendingReq
-}
-
-// collector is the pipeline's first stage: it dequeues admitted requests,
-// routes them into lanes, sheds the expired, and hands assembled batches
-// to the eval stage. Closing the handoff is its exit signal to eval.
-func (s *Server) collector() {
-	defer close(s.hand)
-	c := &collectState{}
+// loop is the serve loop, the one goroutine that owns the runtime. It
+// dequeues admitted requests in admission order and runs every batch it
+// cuts inline; Sync callbacks run between batches. Closing done is its
+// exit signal.
+func (s *Server) loop() {
+	defer close(s.done)
+	var batch []*pendingReq // dequeued, not yet cut (always below MaxBatch)
 	for {
-		// Shutdown takes priority over further collection: once stop fires,
-		// everything admitted is already in the queue, and drainCollect —
-		// not the normal batching path — decides its fate per policy.
+		// Shutdown takes priority over further batching: once stop fires,
+		// everything admitted is already in the queue, and drain — not the
+		// normal batching path — decides its fate per policy.
 		select {
 		case <-s.stop:
-			s.drainCollect(c)
+			s.drain(batch)
 			return
 		default:
 		}
-		if s.schedule(c) {
+		if len(batch) > 0 && time.Since(batch[0].deq) >= s.cfg.MaxWait {
+			s.cut(batch, flushDeadline)
+			batch = batch[:0]
 			continue
 		}
-		// Fast path: work is already waiting — route it without arming the
-		// deadline timer (a per-request Timer would dominate the collector's
+		// Fast path: work is already waiting — take it without arming the
+		// deadline timer (a per-request Timer would dominate the loop's
 		// cost at saturation; the timer only matters when we'd block).
 		select {
 		case fn := <-s.ctrl:
-			s.barrier(fn)
+			fn()
 			continue
 		case p := <-s.queue:
-			s.route(c, p)
+			batch = s.admit(batch, p)
 			continue
 		default:
 		}
-		if len(c.mono) > 0 {
-			// A partial batch is waiting on its flush deadline.
-			timer := time.NewTimer(time.Until(c.mono[0].deq.Add(s.cfg.MaxWait)))
-			select {
-			case fn := <-s.ctrl:
-				timer.Stop()
-				s.barrier(fn)
-			case p := <-s.queue:
-				timer.Stop()
-				s.route(c, p)
-			case <-timer.C:
-				s.emitMono(c, len(c.mono), flushDeadline)
-			case <-s.stop:
-				timer.Stop()
-				s.drainCollect(c)
-				return
-			}
-		} else {
-			select {
-			case fn := <-s.ctrl:
-				s.barrier(fn)
-			case p := <-s.queue:
-				s.route(c, p)
-			case <-s.stop:
-				s.drainCollect(c)
-				return
-			}
+		var expire <-chan time.Time // nil (never ready) while no batch is pending
+		if len(batch) > 0 {
+			expire = time.After(time.Until(batch[0].deq.Add(s.cfg.MaxWait)))
+		}
+		select {
+		case fn := <-s.ctrl:
+			fn()
+		case p := <-s.queue:
+			batch = s.admit(batch, p)
+		case <-expire: // the deadline check above cuts the batch
+		case <-s.stop: // the shutdown check above drains
 		}
 	}
 }
 
-// schedule emits at most one work unit from the lane buffers; it reports
-// whether it emitted (the caller then re-runs it before blocking). Lane
-// starvation rules: a deadline-expired monotone batch always flushes
-// first (MaxWait bounds monotone latency through any serializable burst),
-// a full monotone batch preempts the serial lane but tows one serial
-// singleton behind it (bounded serial wait under monotone floods), and
-// otherwise serial singletons drain while the partial monotone batch
-// waits — they fill pipeline slots the batch isn't using yet.
-func (s *Server) schedule(c *collectState) bool {
-	if len(c.mono) > 0 && time.Since(c.mono[0].deq) >= s.cfg.MaxWait {
-		s.emitMono(c, len(c.mono), flushDeadline)
-		return true
-	}
-	if len(c.mono) >= s.cfg.MaxBatch {
-		s.emitMono(c, s.cfg.MaxBatch, flushSize)
-		if len(c.serialQ) > 0 {
-			s.emitSerial(c)
-		}
-		return true
-	}
-	if len(c.serialQ) > 0 {
-		s.emitSerial(c)
-		return true
-	}
-	return false
-}
-
-// route files one dequeued request into its lane. Without Config.Lanes,
-// a serializable request cuts the monotone batch in place and emits
-// immediately, preserving admission order end to end (the strict-FIFO
-// schedule the submission-order equivalence sweep pins).
-func (s *Server) route(c *collectState, p *pendingReq) {
+// admit takes one dequeued request and returns the batch left pending. An
+// expired request is shed on the spot, a full batch is cut, and a
+// serializable request cuts the batch in place: the pending prefix ticks
+// first, then the request ticks alone — admission order is the executed
+// order.
+func (s *Server) admit(batch []*pendingReq, p *pendingReq) []*pendingReq {
 	s.m.gaugeDec()
 	p.deq = time.Now()
 	if p.expired(p.deq) {
-		s.emit([]*pendingReq{p}, flushExpired)
-		return
+		s.runWork([]*pendingReq{p}, flushExpired)
+		return batch
 	}
 	if s.serial[p.req.Mailbox] {
-		c.serialQ = append(c.serialQ, p)
-		if !s.cfg.Lanes {
-			if len(c.mono) > 0 {
-				s.emitMono(c, len(c.mono), flushSerial)
-			}
-			s.emitSerial(c)
-		}
-		return
+		s.cut(batch, flushCut)
+		s.runWork([]*pendingReq{p}, flushSerial)
+		return batch[:0]
 	}
-	c.mono = append(c.mono, p)
+	batch = append(batch, p)
+	if len(batch) >= s.cfg.MaxBatch {
+		s.cut(batch, flushSize)
+		return batch[:0]
+	}
+	return batch
 }
 
-// emitMono pops the first n monotone requests and hands them off,
-// shedding members whose deadline lapsed while the batch assembled.
-func (s *Server) emitMono(c *collectState, n int, reason flushReason) {
-	batch := c.mono[:n:n]
-	c.mono = c.mono[n:]
-	if len(c.mono) == 0 {
-		c.mono = nil
-	}
-	s.emitFresh(batch, reason)
-}
-
-// emitSerial pops one serializable request and hands it off alone.
-func (s *Server) emitSerial(c *collectState) {
-	p := c.serialQ[0]
-	c.serialQ = c.serialQ[1:]
-	if len(c.serialQ) == 0 {
-		c.serialQ = nil
-	}
-	s.emitFresh([]*pendingReq{p}, flushSerial)
-}
-
-// emitFresh splits the deadline-expired members out of a batch (they
-// resolve with ErrDeadlineExceeded instead of occupying tick slots) and
-// hands the rest off.
-func (s *Server) emitFresh(batch []*pendingReq, reason flushReason) {
+// cut runs a batch, first shedding the members whose deadline lapsed while
+// it was pending: they resolve with ErrDeadlineExceeded instead of
+// occupying tick slots.
+func (s *Server) cut(batch []*pendingReq, reason flushReason) {
 	now := time.Now()
 	live, dead := batch, []*pendingReq(nil)
 	for i, p := range batch {
@@ -587,120 +481,53 @@ func (s *Server) emitFresh(batch []*pendingReq, reason flushReason) {
 			break
 		}
 	}
-	if len(dead) > 0 {
-		s.emit(dead, flushExpired)
-	}
-	s.emit(live, reason)
+	s.runWork(dead, flushExpired)
+	s.runWork(live, reason)
 }
 
-// emit hands one work unit to the eval stage (or runs it in place in
-// NoPipeline mode). The handoff holds one batch: a second emit blocks
-// until eval takes the first, which is how eval-stage backpressure
-// reaches the collector and, through the bounded queue, the submitter.
-func (s *Server) emit(batch []*pendingReq, reason flushReason) {
+// drain settles the backlog after Close: the pending batch plus whatever
+// is still queued. Block serves all of it in admission order (cut as
+// usual, the remainder as one last batch); Shed answers all of it with
+// ErrClosed, honoring fail-fast semantics at shutdown too. Either way no
+// admitted request is left without a response.
+func (s *Server) drain(batch []*pendingReq) {
+	// Close holds admission shut, so the queue only shrinks from here.
+	for len(s.queue) > 0 {
+		p := <-s.queue
+		if s.cfg.Policy == Block {
+			batch = s.admit(batch, p)
+			continue
+		}
+		s.m.gaugeDec()
+		batch = append(batch, p)
+	}
+	if s.cfg.Policy == Block {
+		s.cut(batch, flushClose)
+		return
+	}
+	s.runWork(batch, flushAbandoned)
+}
+
+// runWork runs one cut batch on the serve loop: a tick for a real batch,
+// an error response per member for a shed or abandoned one.
+func (s *Server) runWork(batch []*pendingReq, reason flushReason) {
 	if len(batch) == 0 {
 		return
 	}
-	w := &work{batch: batch, reason: reason}
-	if s.cfg.NoPipeline {
-		s.runWork(w)
-		return
-	}
 	t0 := time.Now()
-	s.hand <- w
-	s.m.handoffBlockNs.Add(time.Since(t0).Nanoseconds())
-}
-
-// barrier forwards a Sync callback through the handoff (keeping it
-// ordered after every batch emitted before it) and parks the collector
-// until the eval stage has run it — Sync's contract is a quiescent
-// pipeline, not just a quiescent runtime.
-func (s *Server) barrier(fn func()) {
-	if s.cfg.NoPipeline {
-		fn()
-		return
-	}
-	w := &work{ctrl: fn, ran: make(chan struct{})}
-	s.hand <- w
-	<-w.ran
-}
-
-// drainCollect sweeps the admission queue after Close. The Block policy
-// serves the whole backlog (in MaxBatch chunks, serializable requests
-// still alone); Shed abandons it — every leftover request resolves with
-// ErrClosed, honoring fail-fast semantics at shutdown too. Either way no
-// admitted request is left without a response.
-func (s *Server) drainCollect(c *collectState) {
-	for {
-		select {
-		case p := <-s.queue:
-			s.route(c, p)
-			continue
-		default:
-		}
-		break
-	}
-	if s.cfg.Policy == Shed {
-		abandoned := append(c.mono, c.serialQ...)
-		c.mono, c.serialQ = nil, nil
-		s.emit(abandoned, flushAbandoned)
-		return
-	}
-	for len(c.mono) > 0 {
-		n := len(c.mono)
-		if n > s.cfg.MaxBatch {
-			n = s.cfg.MaxBatch
-		}
-		s.emitMono(c, n, flushClose)
-	}
-	for len(c.serialQ) > 0 {
-		s.emitSerial(c)
-	}
-}
-
-// evalLoop is the pipeline's second stage: it owns the runtime, flushing
-// each handed-off batch through one tick while the collector assembles
-// the next. It exits when the collector closes the handoff (Close path)
-// and resolves outstanding work first — nothing the collector emitted is
-// dropped.
-func (s *Server) evalLoop() {
-	defer close(s.done)
-	for {
-		t0 := time.Now()
-		w, ok := <-s.hand
-		if !s.cfg.NoPipeline {
-			// In NoPipeline mode work runs inline on the collector and this
-			// goroutine only waits for close — that idle is not collect wait.
-			s.m.collectWaitNs.Add(time.Since(t0).Nanoseconds())
-		}
-		if !ok {
-			return
-		}
-		if w.ctrl != nil {
-			w.ctrl()
-			close(w.ran)
-			continue
-		}
-		s.runWork(w)
-	}
-}
-
-// runWork executes one work unit on the runtime-owning goroutine.
-func (s *Server) runWork(w *work) {
-	t0 := time.Now()
-	switch w.reason {
+	switch reason {
 	case flushExpired:
-		for _, p := range w.batch {
+		for _, p := range batch {
 			s.m.deadlineShed.Add(1)
 			s.respondShed(p, ErrDeadlineExceeded)
 		}
 	case flushAbandoned:
-		for _, p := range w.batch {
+		for _, p := range batch {
 			s.m.closedUnserved.Add(1)
 			s.respondShed(p, ErrClosed)
 		}
 	default:
-		s.flush(w.batch, w.reason)
+		s.flush(batch, reason)
 		if s.cfg.FanoutPump != nil {
 			s.cfg.FanoutPump()
 		}
@@ -736,9 +563,6 @@ func (s *Server) deliver(p *pendingReq, r Response, t RequestTiming) {
 // flush feeds one batch to a single tick, settles the cascade, and
 // responds to every request with its reply and timing breakdown.
 func (s *Server) flush(batch []*pendingReq, reason flushReason) {
-	if len(batch) == 0 {
-		return
-	}
 	s.batchSeq++
 	seq := s.batchSeq
 	s.m.batches.Add(1)

@@ -32,17 +32,6 @@ type RequestTiming struct {
 	Retried       bool // re-injected as a singleton after its batch tick was rejected
 }
 
-// ExecOrder orders timings by executed schedule — batch sequence, then
-// position within the batch. With Config.Lanes on, admission order and
-// executed order differ across lanes; this is the order the recorded-order
-// equivalence oracle replays serially.
-func ExecOrder(a, b RequestTiming) bool {
-	if a.Batch != b.Batch {
-		return a.Batch < b.Batch
-	}
-	return a.Index < b.Index
-}
-
 // csvHeader is the column order every timing CSV uses.
 var csvHeader = []string{
 	"id", "mailbox", "batch", "index", "batch_size", "enqueue_unix_ns",
