@@ -118,26 +118,19 @@ soak: test-failover
 	$(GO) test -race -run '^TestCrashRecovery$$' ./internal/durable -crash-seeds $(SOAK_SEEDS) -crash-ticks $(SOAK_TICKS) -crash-rand
 
 # serve-bench is the serving-path perf snapshot: the ingestion benchmarks
-# (per-message vs batched, and the full serving shell) followed by one
-# hydroload zipfian open-loop run that prints the
-# enqueue→flush→eval→respond latency breakdown and writes its per-request
-# timing CSV.
-HYDROLOAD_N ?= 20000
-HYDROLOAD_RATE ?= 50000
-HYDROLOAD_CSV ?= .testbin/hydroload-timings.csv
+# (per-message vs batched), the serving shell alone, and the COVID program
+# served with the end-to-end benchmark's configuration (BenchmarkServeCovid;
+# add -cpuprofile/-memprofile to profile it).
 serve-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkServe' -benchmem ./internal/serve
-	@mkdir -p $(dir $(HYDROLOAD_CSV))
-	$(GO) run ./cmd/hydroload -n $(HYDROLOAD_N) -rate $(HYDROLOAD_RATE) -csv $(HYDROLOAD_CSV)
-	$(GO) run ./cmd/benchtab -timings $(HYDROLOAD_CSV)
 
 # serve-soak is the serving-path correctness gate, scaled past the default
 # suite: the batched≡serial equivalence sweep (admission order pinned), its
 # concurrent-submitter executed-order twin, the
 # fan-out-into-shard-deployment sweep, every server-shell test
-# (quota/deadline/close/gauge regressions included) and the
+# (deadline/close/gauge regressions included) and the
 # batched-beats-per-message throughput gate, all under -race.
 SERVE_SEEDS ?= 60
 SERVE_REQS ?= 150
 serve-soak:
-	$(GO) test -race -run 'TestServe|TestBatched|TestPipelined|TestFanout' ./internal/serve -serve-seeds $(SERVE_SEEDS) -serve-reqs $(SERVE_REQS)
+	$(GO) test -race -run 'TestServe|TestBatched|TestConcurrentSubmitters|TestFanout' ./internal/serve -serve-seeds $(SERVE_SEEDS) -serve-reqs $(SERVE_REQS)

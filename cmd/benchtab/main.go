@@ -5,8 +5,6 @@
 //	benchtab            # run all experiments
 //	benchtab -exp=E3    # run one
 //	benchtab -quick     # smaller parameters (CI-friendly)
-//
-//	hydroload -csv timings.csv && benchtab -timings timings.csv
 package main
 
 import (
@@ -16,39 +14,12 @@ import (
 	"strings"
 
 	"hydro/internal/experiments"
-	"hydro/internal/serve"
 )
-
-// summarizeTimings re-renders the summary table for a per-request timing
-// CSV written by `hydroload -csv` — the offline half of the serving
-// latency-breakdown loop (capture under load once, slice afterwards).
-func summarizeTimings(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	rows, err := serve.ReadCSV(f)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	fmt.Print(serve.Summarize(rows).Render())
-	return nil
-}
 
 func main() {
 	exp := flag.String("exp", "", "experiment ID to run (default: all)")
 	quick := flag.Bool("quick", false, "smaller parameters")
-	timings := flag.String("timings", "", "summarize a hydroload per-request timing CSV `file` (p50/p90/p99 per phase)")
 	flag.Parse()
-
-	if *timings != "" {
-		if err := summarizeTimings(*timings); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	scale := 1
 	if *quick {

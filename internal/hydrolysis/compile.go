@@ -119,8 +119,8 @@ type PartitionEntry struct {
 }
 
 // PartitionPlan derives the sharding plan for every table. Shard routing is
-// hash(column value) mod nShards; the cluster substrate and the flow
-// Exchange operator both consume this.
+// hash(column value) mod nShards; InstantiateSharded places the sharded
+// deployment's relations by it.
 func (c *Compiled) PartitionPlan() map[string]PartitionEntry {
 	out := map[string]PartitionEntry{}
 	for _, t := range c.Program.Tables {

@@ -1,6 +1,7 @@
 package hydrolysis
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -186,29 +187,6 @@ func prepareSend(st *hlang.SendStmt, paramSet map[string]bool) (*datalog.Prepare
 }
 
 func (c *Compiled) compileHandler(h *hlang.HandlerDecl) (transducer.Handler, error) {
-	prog := c.Program
-	// Pre-resolve statement metadata so per-message work is evaluation
-	// only.
-	type fieldMergeMeta struct {
-		stmt   *hlang.MergeFieldStmt
-		keyIdx []int
-		colIdx int
-	}
-	var preErr error
-	fieldMeta := map[*hlang.MergeFieldStmt]fieldMergeMeta{}
-	for _, s := range h.Body {
-		if fm, ok := s.(*hlang.MergeFieldStmt); ok {
-			t := prog.Table(fm.Table)
-			meta := fieldMergeMeta{stmt: fm, colIdx: t.FieldIndex(fm.Field)}
-			for _, k := range t.Key {
-				meta.keyIdx = append(meta.keyIdx, t.FieldIndex(k))
-			}
-			fieldMeta[fm] = meta
-		}
-	}
-	if preErr != nil {
-		return nil, preErr
-	}
 	// Compile rule-driven sends once per handler.
 	paramSet := map[string]bool{}
 	for _, p := range h.Params {
@@ -250,7 +228,7 @@ func (c *Compiled) compileHandler(h *hlang.HandlerDecl) (transducer.Handler, err
 			}
 		}
 		for _, s := range h.Body {
-			if err := e.exec(s, fieldMetaLookup(fieldMeta, s)); err != nil {
+			if err := e.exec(s); err != nil {
 				tx.Abort()
 				return
 			}
@@ -258,16 +236,7 @@ func (c *Compiled) compileHandler(h *hlang.HandlerDecl) (transducer.Handler, err
 	}, nil
 }
 
-func fieldMetaLookup[M any](m map[*hlang.MergeFieldStmt]M, s hlang.Stmt) *M {
-	if fm, ok := s.(*hlang.MergeFieldStmt); ok {
-		if meta, ok := m[fm]; ok {
-			return &meta
-		}
-	}
-	return nil
-}
-
-func (e *env) exec(s hlang.Stmt, meta any) error {
+func (e *env) exec(s hlang.Stmt) error {
 	switch st := s.(type) {
 	case *hlang.MergeTupleStmt:
 		row := make(datalog.Tuple, len(st.Args))
@@ -463,21 +432,48 @@ func (e *env) evalBin(b *hlang.BinExpr) (any, error) {
 	return nil, fmt.Errorf("unknown operator %q", b.Op)
 }
 
-func numeric(v any) (float64, bool, bool) { // value, isFloat, ok
+// integer reads v as an int64 when it is one of the integer kinds handler
+// values take. Two integer operands are computed and compared in int64: a
+// float64 holds integers exactly only up to 2^53.
+func integer(v any) (int64, bool) {
 	switch x := v.(type) {
 	case int64:
-		return float64(x), false, true
+		return x, true
 	case int:
-		return float64(x), false, true
-	case float64:
-		return x, true, true
+		return int64(x), true
 	}
-	return 0, false, false
+	return 0, false
+}
+
+// numeric reads v as a float64 when it is any numeric kind: the path for
+// mixed integer/float operands.
+func numeric(v any) (float64, bool) {
+	if x, ok := v.(float64); ok {
+		return x, true
+	}
+	i, ok := integer(v)
+	return float64(i), ok
 }
 
 func arith(op string, l, r any) (any, error) {
-	lf, lIsF, lok := numeric(l)
-	rf, rIsF, rok := numeric(r)
+	li, lok := integer(l)
+	ri, rok := integer(r)
+	if lok && rok {
+		switch op {
+		case "+":
+			return li + ri, nil
+		case "-":
+			return li - ri, nil
+		case "*":
+			return li * ri, nil
+		}
+		if ri == 0 {
+			return nil, fmt.Errorf("division by zero")
+		}
+		return li / ri, nil // truncates toward zero
+	}
+	lf, lok := numeric(l)
+	rf, rok := numeric(r)
 	if !lok || !rok {
 		if op == "+" {
 			ls, lok := l.(string)
@@ -488,54 +484,48 @@ func arith(op string, l, r any) (any, error) {
 		}
 		return nil, fmt.Errorf("non-numeric operands for %s: %T, %T", op, l, r)
 	}
-	var out float64
 	switch op {
 	case "+":
-		out = lf + rf
+		return lf + rf, nil
 	case "-":
-		out = lf - rf
+		return lf - rf, nil
 	case "*":
-		out = lf * rf
-	case "/":
-		if rf == 0 {
-			return nil, fmt.Errorf("division by zero")
-		}
-		out = lf / rf
+		return lf * rf, nil
 	}
-	if lIsF || rIsF {
-		return out, nil
+	if rf == 0 {
+		return nil, fmt.Errorf("division by zero")
 	}
-	return int64(out), nil
+	return lf / rf, nil
 }
 
 func compare(op string, l, r any) (any, error) {
-	lf, _, lok := numeric(l)
-	rf, _, rok := numeric(r)
-	if lok && rok {
-		switch op {
-		case "<":
-			return lf < rf, nil
-		case "<=":
-			return lf <= rf, nil
-		case ">":
-			return lf > rf, nil
-		case ">=":
-			return lf >= rf, nil
+	if li, ok := integer(l); ok {
+		if ri, ok := integer(r); ok {
+			return ordered(op, li, ri), nil
 		}
 	}
-	ls, lok2 := l.(string)
-	rs, rok2 := r.(string)
-	if lok2 && rok2 {
-		switch op {
-		case "<":
-			return ls < rs, nil
-		case "<=":
-			return ls <= rs, nil
-		case ">":
-			return ls > rs, nil
-		case ">=":
-			return ls >= rs, nil
+	if lf, ok := numeric(l); ok {
+		if rf, ok := numeric(r); ok {
+			return ordered(op, lf, rf), nil
+		}
+	}
+	if ls, ok := l.(string); ok {
+		if rs, ok := r.(string); ok {
+			return ordered(op, ls, rs), nil
 		}
 	}
 	return nil, fmt.Errorf("incomparable operands for %s: %T, %T", op, l, r)
+}
+
+// ordered applies one of the comparison operators <, <=, > and >=.
+func ordered[T cmp.Ordered](op string, l, r T) bool {
+	switch op {
+	case "<":
+		return l < r
+	case "<=":
+		return l <= r
+	case ">":
+		return l > r
+	}
+	return l >= r
 }

@@ -46,8 +46,8 @@ func (s *opSink) Committed(*datalog.Incremental) error { return nil }
 // TestInstantiatedRuntimeTakesDurability: whether a program can be journaled
 // or fanned out does not depend on what its handlers read. A program with
 // no query, and one whose query no handler reads, both attach a sink, a
-// durable.Store and a serve Fanout, and the unread query is maintained and
-// visible through Runtime.Table.
+// durable.Store and a sink under a serve.Server, and the unread query is
+// maintained and visible through Runtime.Table.
 func TestInstantiatedRuntimeTakesDurability(t *testing.T) {
 	for name, src := range map[string]string{"no query": noQuerySource, "unread query": probeFreeSource} {
 		c, err := Compile(src, Options{})
@@ -99,7 +99,10 @@ func TestInstantiatedRuntimeTakesDurability(t *testing.T) {
 		}
 		rt.SetDelay(func(*rand.Rand) int { return 1 })
 		fan := &opSink{}
-		srv := serve.New(rt, serve.Config{Fanout: fan})
+		if err := rt.SetDurability(fan); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		srv := serve.New(rt, serve.Config{})
 		p, err := srv.Submit(serve.Request{Mailbox: "add_link", Payload: datalog.Tuple{int64(1), int64(2)}})
 		if err != nil {
 			t.Fatal(err)
@@ -191,6 +194,38 @@ on add_link(a: int, b: int, w: int) { merge links(a, b, w) }
 	for i, r := range rules {
 		if r != rules[0] {
 			t.Fatalf("compile %d emitted different rules\nfirst: %s\nthis:  %s", i, rules[0], r)
+		}
+	}
+}
+
+// TestHandlerArithmetic: two integer operands are computed and compared in
+// int64, exactly past 2^53, with truncating division; a mixed int/float
+// pair takes the float path. A nil want is a division-by-zero error.
+func TestHandlerArithmetic(t *testing.T) {
+	const p53 = int64(1) << 53
+	for _, c := range []struct {
+		op   string
+		l, r any
+		want any
+	}{
+		{"+", p53 + 1, int64(0), p53 + 1},
+		{"-", -(p53 + 1), int64(0), -(p53 + 1)},
+		{"*", p53 + 1, int64(1), p53 + 1},
+		{"/", p53 + 1, int64(1), p53 + 1},
+		{"/", int64(-7), int64(2), int64(-3)},
+		{"/", int64(1), int64(0), nil},
+		{"/", int64(1), 0.0, nil},
+		{"/", int64(3), 2.0, 1.5},
+		{"<", p53, p53 + 1, true},
+		{">", -p53, -(p53 + 1), true},
+		{">=", p53, p53 + 1, false},
+	} {
+		eval := arith
+		if c.op[0] == '<' || c.op[0] == '>' {
+			eval = compare
+		}
+		if got, err := eval(c.op, c.l, c.r); got != c.want || (err != nil) != (c.want == nil) {
+			t.Errorf("%v %s %v = %v (%T), %v; want %v (%T)", c.l, c.op, c.r, got, got, err, c.want, c.want)
 		}
 	}
 }

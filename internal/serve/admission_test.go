@@ -61,37 +61,6 @@ func TestServeSerialCutsBatch(t *testing.T) {
 	}
 }
 
-// TestServeQuota: a mailbox at its admission quota fails fast with
-// ErrOverQuota, and the slot frees when the request is responded to.
-func TestServeQuota(t *testing.T) {
-	s := New(newGraphRuntime(t, 1), Config{
-		MaxBatch: 4, MaxWait: time.Millisecond, QueueDepth: 16,
-		MailboxQuota: map[string]int{"add_edge": 2},
-	})
-	defer s.Close()
-	release := holdLoop(t, s)
-	p1 := mustSubmit(t, s, "add_edge", datalog.Tuple{int64(1), int64(2)})
-	p2 := mustSubmit(t, s, "add_edge", datalog.Tuple{int64(2), int64(3)})
-	if _, err := s.Submit(Request{Mailbox: "add_edge", Payload: datalog.Tuple{int64(3), int64(4)}}); !errors.Is(err, ErrOverQuota) {
-		t.Fatalf("third in-flight add_edge must trip the quota, got %v", err)
-	}
-	// The quota is per mailbox: other traffic is unaffected.
-	p3 := mustSubmit(t, s, "count_paths", datalog.Tuple{})
-	release()
-	for _, p := range []*Pending{p1, p2, p3} {
-		if r := p.Wait(); r.Err != nil {
-			t.Fatal(r.Err)
-		}
-	}
-	// Responded → slots free → admission works again.
-	if r := mustSubmit(t, s, "add_edge", datalog.Tuple{int64(3), int64(4)}).Wait(); r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	if m := s.Metrics(); m.OverQuota != 1 {
-		t.Fatalf("OverQuota = %d, want 1", m.OverQuota)
-	}
-}
-
 // TestServeDeadlineShed: a request whose enqueue age exceeds its deadline
 // is shed with ErrDeadlineExceeded before occupying a tick slot; fresh
 // batchmates are unaffected.
@@ -117,23 +86,6 @@ func TestServeDeadlineShed(t *testing.T) {
 	}
 	if got := len(rt0Tuples(t, s, "edge")); got != 1 {
 		t.Fatalf("edge has %d rows, want only the fresh request's 1", got)
-	}
-}
-
-// TestServeDefaultDeadline: Config.DefaultDeadline applies to requests
-// that don't carry their own.
-func TestServeDefaultDeadline(t *testing.T) {
-	s := New(newGraphRuntime(t, 1), Config{
-		MaxBatch: 4, MaxWait: time.Millisecond, QueueDepth: 16,
-		DefaultDeadline: time.Millisecond,
-	})
-	defer s.Close()
-	release := holdLoop(t, s)
-	p := mustSubmit(t, s, "add_edge", datalog.Tuple{int64(1), int64(2)})
-	time.Sleep(5 * time.Millisecond)
-	release()
-	if r := p.Wait(); !errors.Is(r.Err, ErrDeadlineExceeded) {
-		t.Fatalf("resp = %+v, want the default deadline to shed it", r)
 	}
 }
 
@@ -265,7 +217,7 @@ func TestServeCloseDuringInflightBatch(t *testing.T) {
 }
 
 // TestServeRetrySingletonTimingsAndDrainOnce covers the rejected-batch
-// retry path crossing DrainMailboxes and OnTiming: each re-injected
+// retry path crossing DrainMailboxes and Response.Timing: each re-injected
 // singleton is its own batch (fresh sequence number, size 1, Retried
 // set), and observation messages drained after the flush are delivered
 // exactly once — the rejected batch tick's rolled-back sends must not
@@ -278,7 +230,6 @@ func TestServeRetrySingletonTimingsAndDrainOnce(t *testing.T) {
 		tx.Send("obs", msg.Payload)
 	})
 	var obs []datalog.Tuple
-	var timings []RequestTiming
 	s := New(rt, Config{
 		MaxBatch: 8, MaxWait: 10 * time.Millisecond, QueueDepth: 16,
 		DrainMailboxes: []string{"obs"},
@@ -287,42 +238,22 @@ func TestServeRetrySingletonTimingsAndDrainOnce(t *testing.T) {
 				obs = append(obs, m.Payload)
 			}
 		},
-		OnTiming: func(tt RequestTiming) { timings = append(timings, tt) },
 	})
 	defer s.Close()
 	release := holdLoop(t, s)
-	pG1 := mustSubmit(t, s, "noisy_add", datalog.Tuple{int64(1), int64(2)})
-	pPoison := mustSubmit(t, s, "poison", datalog.Tuple{int64(9), int64(9)})
-	pG2 := mustSubmit(t, s, "noisy_add", datalog.Tuple{int64(2), int64(3)})
+	ps := []*Pending{
+		mustSubmit(t, s, "noisy_add", datalog.Tuple{int64(1), int64(2)}),
+		mustSubmit(t, s, "poison", datalog.Tuple{int64(9), int64(9)}),
+		mustSubmit(t, s, "noisy_add", datalog.Tuple{int64(2), int64(3)}),
+	}
 	release()
-	if r := pG1.Wait(); r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	if r := pPoison.Wait(); r.Err == nil {
-		t.Fatal("poison must fail")
-	}
-	if r := pG2.Wait(); r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	// Synchronize with the eval goroutine before reading the callbacks.
-	var gotObs []datalog.Tuple
-	var gotTimings []RequestTiming
-	s.Sync(func(*transducer.Runtime) { gotObs, gotTimings = obs, timings })
-
-	// Exactly one observation per committed edge: the rejected batch
-	// tick's sends rolled back with it.
-	if len(gotObs) != 2 {
-		t.Fatalf("obs = %v, want exactly the two retry ticks' observations", gotObs)
-	}
-	if gotObs[0][0] == gotObs[1][0] {
-		t.Fatalf("obs double-delivered: %v", gotObs)
-	}
-
-	if len(gotTimings) != 3 {
-		t.Fatalf("recorded %d timings, want 3", len(gotTimings))
-	}
 	batches := map[uint64]bool{}
-	for _, tt := range gotTimings {
+	for i, p := range ps {
+		r := p.Wait()
+		if poison := i == 1; poison != (r.Err != nil) {
+			t.Fatalf("request %d: err = %v, want an error only for the poison", i, r.Err)
+		}
+		tt := r.Timing
 		if !tt.Retried {
 			t.Fatalf("retried singleton not flagged: %+v", tt)
 		}
@@ -336,5 +267,17 @@ func TestServeRetrySingletonTimingsAndDrainOnce(t *testing.T) {
 		if (tt.Mailbox == "poison") != tt.Rejected {
 			t.Fatalf("rejection flag wrong: %+v", tt)
 		}
+	}
+	// OnDrain runs on the serve loop; synchronize before reading.
+	var gotObs []datalog.Tuple
+	s.Sync(func(*transducer.Runtime) { gotObs = obs })
+
+	// Exactly one observation per committed edge: the rejected batch
+	// tick's sends rolled back with it.
+	if len(gotObs) != 2 {
+		t.Fatalf("obs = %v, want exactly the two retry ticks' observations", gotObs)
+	}
+	if gotObs[0][0] == gotObs[1][0] {
+		t.Fatalf("obs double-delivered: %v", gotObs)
 	}
 }

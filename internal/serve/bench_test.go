@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -88,6 +89,59 @@ func BenchmarkServeSubmitPipeline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p, err := s.Submit(Request{Mailbox: "add_edge", Payload: benchEdge(i)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ps[i] = p
+	}
+	for _, p := range ps {
+		if r := p.Wait(); r.Err != nil {
+			b.Fatal(r.Err)
+		}
+	}
+}
+
+// BenchmarkServeCovid serves covid-grow's mix (20 % add_person, 50 %
+// add_contact, 15 % diagnosed, 10 % likelihood, 5 % vaccinate; ids by zipf
+// s=1.2 over 1000), poison-free, through the COVID program with the
+// end-to-end benchmark's serving configuration, so its profiles are
+// profiles of the whole serving stack:
+//
+//	go test -run '^$' -bench BenchmarkServeCovid -cpuprofile cpu.prof -memprofile mem.prof ./internal/serve
+//
+// Submit blocks instead of shedding, so every request is served. ns/op is
+// per request.
+func BenchmarkServeCovid(b *testing.B) {
+	s := New(covidRuntime(b, 1, false), Config{
+		MaxBatch: 128, MaxWait: 500 * time.Microsecond, QueueDepth: 1024,
+		SerialMailboxes: []string{"vaccinate"},
+		DrainMailboxes:  []string{"alert", "trace_response"},
+	})
+	defer s.Close()
+	r := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(r, 1.2, 1, 999)
+	countries := []string{"us", "fr", "in", "br", "jp"}
+	reqs := make([]Request, b.N)
+	for i := range reqs {
+		pid := int64(zipf.Uint64())
+		switch k := r.Intn(100); {
+		case k < 20:
+			reqs[i] = Request{Mailbox: "add_person", Payload: datalog.Tuple{pid, countries[r.Intn(len(countries))]}}
+		case k < 70:
+			reqs[i] = Request{Mailbox: "add_contact", Payload: datalog.Tuple{pid, int64(zipf.Uint64())}}
+		case k < 85:
+			reqs[i] = Request{Mailbox: "diagnosed", Payload: datalog.Tuple{pid}}
+		case k < 95:
+			reqs[i] = Request{Mailbox: "likelihood", Payload: datalog.Tuple{pid}}
+		default:
+			reqs[i] = Request{Mailbox: "vaccinate", Payload: datalog.Tuple{pid}}
+		}
+	}
+	ps := make([]*Pending, b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i, req := range reqs {
+		p, err := s.Submit(req)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -172,13 +172,13 @@ func TestBatchedEqualsSerialSweep(t *testing.T) {
 	}
 }
 
-// TestPipelinedEqualsSerialSweep keeps several submitters' requests in
-// flight at once, so no single submission order exists to replay. The
-// oracle is the executed order instead, recovered from each response's
-// (Timing.Batch, Timing.Index): no two requests may claim the same
-// position, and the schedule the server reports must be one the serial
-// semantics accept, byte for byte.
-func TestPipelinedEqualsSerialSweep(t *testing.T) {
+// TestConcurrentSubmittersEqualSerialSweep keeps several submitters'
+// requests in flight at once, so no single submission order exists to
+// replay. The oracle is the executed order instead, recovered from each
+// response's (Timing.Batch, Timing.Index): no two requests may claim the
+// same position, and the schedule the server reports must be one the
+// serial semantics accept, byte for byte.
+func TestConcurrentSubmittersEqualSerialSweep(t *testing.T) {
 	const submitters = 4
 	covidVars := []string{"vaccine_count"}
 	rejected := uint64(0)

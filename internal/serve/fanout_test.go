@@ -59,8 +59,8 @@ func genFanRequests(r *rand.Rand, n int) []Request {
 	return reqs
 }
 
-// TestFanoutEqualsSerial drives the server with
-// Config.Fanout teeing committed ticks into a 2-replica sharded
+// TestFanoutEqualsSerial drives the server with a shard.Sink on the
+// runtime's durability seam teeing committed ticks into a 2-replica sharded
 // deployment, across seeds × churn × rejected ticks. Three-way gate: the
 // serving runtime must match the serial reference (canonical state), and
 // the deployment's distributed fixpoint must match the serving runtime's
@@ -88,11 +88,13 @@ func TestFanoutEqualsSerial(t *testing.T) {
 			}
 
 			rt := fanRuntime(t, int64(seed), churn)
+			if err := rt.SetDurability(shard.NewSink(dep)); err != nil {
+				t.Fatal(err)
+			}
 			s := New(rt, Config{
 				MaxBatch:   1 + r.Intn(8),
 				MaxWait:    time.Duration(100+r.Intn(400)) * time.Microsecond,
 				QueueDepth: 64,
-				Fanout:     shard.NewSink(dep),
 				FanoutPump: func() { dep.Settle(fanSettleBudget) },
 			})
 			ps := make([]*Pending, len(reqs))

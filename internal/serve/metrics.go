@@ -16,7 +16,6 @@ type metrics struct {
 
 	submitted       atomic.Uint64
 	shed            atomic.Uint64 // submissions refused by the Shed policy (queue full)
-	overQuota       atomic.Uint64 // submissions refused by a mailbox admission quota
 	responded       atomic.Uint64
 	batches         atomic.Uint64
 	sizeFlushes     atomic.Uint64 // batches flushed because they hit MaxBatch
@@ -25,7 +24,7 @@ type metrics struct {
 	rejectedBatches atomic.Uint64 // batch ticks the evaluator/sink refused
 	retried         atomic.Uint64 // messages re-injected one-per-tick after a rejected batch
 	failed          atomic.Uint64 // requests answered with a rejection error
-	unsettled       atomic.Uint64 // batches whose cascade did not quiesce within SettleTicks
+	unsettled       atomic.Uint64 // batches whose cascade did not quiesce within settleTicks
 	deadlineShed    atomic.Uint64 // admitted requests shed past their deadline before a tick slot
 	closedUnserved  atomic.Uint64 // admitted requests abandoned with ErrClosed at Shed-policy Close
 	evalBusyNs      atomic.Int64  // serve-loop time inside batch work (runWork)
@@ -48,9 +47,11 @@ type Metrics struct {
 	QueueDepth     int64 // current admission-queue gauge (attempts holding/seeking a slot)
 	QueueHighWater int64
 
-	Submitted       uint64
-	Shed            uint64 // submissions refused by the Shed policy
-	OverQuota       uint64 // submissions refused by a mailbox admission quota
+	Submitted uint64
+	Shed      uint64 // submissions refused by the Shed policy
+	// Deprecated: OverQuota counted refusals by per-mailbox admission
+	// quotas, which no longer exist; it always reads 0.
+	OverQuota       uint64
 	Responded       uint64
 	Batches         uint64
 	SizeFlushes     uint64
@@ -87,7 +88,6 @@ func (m *metrics) snapshot() Metrics {
 		QueueHighWater:  m.queueHighWater.Load(),
 		Submitted:       m.submitted.Load(),
 		Shed:            m.shed.Load(),
-		OverQuota:       m.overQuota.Load(),
 		Responded:       m.responded.Load(),
 		Batches:         m.batches.Load(),
 		SizeFlushes:     m.sizeFlushes.Load(),

@@ -15,10 +15,9 @@
 // deadline, cuts batches and runs each batch's tick inline, so the
 // executed order is the admission order, end to end. Backpressure runs
 // from the loop through the bounded admission queue to the submitter, who
-// either blocks (Block) or fails fast (Shed); per-mailbox quotas stop one
-// hot mailbox from filling the queue. Every admitted request carries a
-// flat, CSV-friendly timing record across the four serving phases
-// (enqueue → flush → eval → respond).
+// either blocks (Block) or fails fast (Shed). Every response carries the
+// request's timing across the four serving phases (enqueue → flush → eval
+// → respond) in Response.Timing.
 //
 // Batching is transparent for the monotone, payload-driven handlers the
 // compiler emits: the committed fixpoint after a batch is identical (as a
@@ -45,9 +44,7 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hydro/internal/datalog"
@@ -65,10 +62,6 @@ var (
 	// ErrNoHandler rejects requests addressed to a mailbox no handler
 	// consumes; admitting them would queue work no tick ever drains.
 	ErrNoHandler = errors.New("serve: no handler for mailbox")
-	// ErrOverQuota is returned by Submit when the request's mailbox is at
-	// its admission quota (Config.MailboxQuota) — the per-mailbox
-	// fail-fast analogue of ErrOverload.
-	ErrOverQuota = errors.New("serve: mailbox admission quota exceeded")
 	// ErrDeadlineExceeded resolves a request shed because its enqueue age
 	// exceeded its deadline before it reached a tick slot.
 	ErrDeadlineExceeded = errors.New("serve: request deadline exceeded before service")
@@ -104,10 +97,6 @@ type Config struct {
 	// drains every admitted request before returning, Shed resolves the
 	// backlog not yet in a tick with ErrClosed (fail-fast shutdown).
 	Policy Policy
-	// SettleTicks caps the post-batch ticks run to quiesce handler
-	// cascades before responding (default 256). A batch that fails to
-	// settle is counted in Metrics.Unsettled.
-	SettleTicks int
 	// SerialMailboxes lists mailboxes whose handlers are order-sensitive
 	// across messages (serializable handlers): each of their requests cuts
 	// the pending batch and ticks alone.
@@ -116,28 +105,11 @@ type Config struct {
 	// batch in place, so the executed order is the admission order. The
 	// field stays until the benchmark module stops setting it.
 	Lanes bool
-	// MailboxQuota caps, per mailbox, how many requests may be in flight
-	// (admitted and not yet responded). Submit fails fast with
-	// ErrOverQuota at the cap, under either policy — quotas exist so one
-	// hot mailbox cannot fill the shared queue. Mailboxes absent from the
-	// map are unlimited.
-	MailboxQuota map[string]int
-	// DefaultDeadline bounds every request's enqueue age unless the
-	// request carries its own Deadline: a request older than this when it
-	// would enter a batch is shed with ErrDeadlineExceeded instead of
-	// wasting a tick slot. Zero disables the default.
-	DefaultDeadline time.Duration
-	// Fanout, when set, is attached as the runtime's durability sink at
-	// New: every committed batch tick tees through it, which is how a
-	// serving node drives a replicated shard.Deployment
-	// (shard.NewSink(dep)). Any runtime Compiled.Instantiate returns takes
-	// one; a hand-built runtime must have registered a query program
-	// (Runtime.SetDurability). A Fanout occupies the runtime's single
-	// durability seam.
-	Fanout transducer.DurabilitySink
-	// FanoutPump, when set, runs on the serve loop after every batch —
-	// shard deployments pass a dep.Settle closure here so the simulated
-	// cluster network drains as the serving node drives it.
+	// FanoutPump, when set, runs on the serve loop after every batch. A
+	// serving node that tees its ticks into a replicated shard.Deployment
+	// (rt.SetDurability(shard.NewSink(dep)) before New) passes a
+	// dep.Settle closure here, so the simulated cluster network drains as
+	// the serving node drives it.
 	FanoutPump func()
 	// DrainMailboxes are observation mailboxes (alert fan-outs, send-rule
 	// targets) drained after every batch so they cannot grow without
@@ -146,10 +118,12 @@ type Config struct {
 	// OnDrain receives messages drained from DrainMailboxes (called from
 	// the serve loop; keep it fast).
 	OnDrain func(mailbox string, msgs []transducer.Message)
-	// OnTiming receives every admitted request's timing record as its
-	// response is delivered (called from the serve loop; keep it fast).
-	OnTiming func(RequestTiming)
 }
+
+// settleTicks caps the post-batch ticks run to quiesce handler cascades
+// before responding. A batch that fails to settle is counted in
+// Metrics.Unsettled.
+const settleTicks = 256
 
 // Request is one external fact or command addressed to a handler mailbox.
 // The payload must not be mutated after Submit.
@@ -158,8 +132,7 @@ type Request struct {
 	Payload datalog.Tuple
 	// Deadline, when positive, bounds this request's enqueue age: if it
 	// has not reached a tick slot within Deadline of Submit it is shed
-	// with ErrDeadlineExceeded. Zero falls back to
-	// Config.DefaultDeadline.
+	// with ErrDeadlineExceeded. Zero means no deadline.
 	Deadline time.Duration
 }
 
@@ -220,7 +193,6 @@ type Server struct {
 	rt     *transducer.Runtime
 	cfg    Config
 	serial map[string]bool
-	quota  map[string]*quotaSlot
 
 	queue chan *pendingReq
 	ctrl  chan func()
@@ -234,15 +206,10 @@ type Server struct {
 	batchSeq uint64 // owned by the serve loop
 }
 
-type quotaSlot struct {
-	used atomic.Int64
-	max  int64
-}
-
 // New wraps a runtime in a serving shell and starts its serve loop. The
 // server owns the runtime exclusively until Close; register tables,
-// handlers and queries before calling New. New panics if the runtime
-// refuses Config.Fanout as its durability sink.
+// handlers and queries, and attach any durability sink, before calling
+// New.
 func New(rt *transducer.Runtime, cfg Config) *Server {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 64
@@ -253,14 +220,10 @@ func New(rt *transducer.Runtime, cfg Config) *Server {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 4 * cfg.MaxBatch
 	}
-	if cfg.SettleTicks <= 0 {
-		cfg.SettleTicks = 256
-	}
 	s := &Server{
 		rt:     rt,
 		cfg:    cfg,
 		serial: map[string]bool{},
-		quota:  map[string]*quotaSlot{},
 		queue:  make(chan *pendingReq, cfg.QueueDepth),
 		ctrl:   make(chan func()),
 		stop:   make(chan struct{}),
@@ -269,25 +232,13 @@ func New(rt *transducer.Runtime, cfg Config) *Server {
 	for _, mb := range cfg.SerialMailboxes {
 		s.serial[mb] = true
 	}
-	for mb, n := range cfg.MailboxQuota {
-		if n > 0 {
-			s.quota[mb] = &quotaSlot{max: int64(n)}
-		}
-	}
-	if cfg.Fanout != nil {
-		if err := rt.SetDurability(cfg.Fanout); err != nil {
-			panic(fmt.Sprintf("serve: Fanout: %v", err))
-		}
-	}
-	rt.EnableTickTimings(true)
 	go s.loop()
 	return s
 }
 
 // Submit admits one request. Under Block it waits for queue space (the
 // backpressure path); under Shed it returns ErrOverload immediately when
-// the queue is full. A mailbox at its admission quota fails fast with
-// ErrOverQuota under either policy.
+// the queue is full.
 func (s *Server) Submit(req Request) (*Pending, error) {
 	if !s.rt.Handles(req.Mailbox) {
 		return nil, ErrNoHandler
@@ -297,18 +248,9 @@ func (s *Server) Submit(req Request) (*Pending, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	if q := s.quota[req.Mailbox]; q != nil {
-		if q.used.Add(1) > q.max {
-			q.used.Add(-1)
-			s.m.overQuota.Add(1)
-			return nil, ErrOverQuota
-		}
-	}
 	p := &pendingReq{req: req, enq: time.Now(), resp: make(chan Response, 1)}
 	if d := req.Deadline; d > 0 {
 		p.deadAt = p.enq.Add(d)
-	} else if s.cfg.DefaultDeadline > 0 {
-		p.deadAt = p.enq.Add(s.cfg.DefaultDeadline)
 	}
 	// The gauge increments before the send so a dequeue can never outrun
 	// it (the old after-send order let the loop's decrement land
@@ -322,7 +264,6 @@ func (s *Server) Submit(req Request) (*Pending, error) {
 		case s.queue <- p:
 		default:
 			s.m.gaugeDec()
-			s.quotaRelease(req.Mailbox)
 			s.m.shed.Add(1)
 			return nil, ErrOverload
 		}
@@ -331,14 +272,6 @@ func (s *Server) Submit(req Request) (*Pending, error) {
 	}
 	s.m.submitted.Add(1)
 	return &Pending{ch: p.resp}, nil
-}
-
-// quotaRelease returns the mailbox's quota slot (no-op for unquota'd
-// mailboxes).
-func (s *Server) quotaRelease(mailbox string) {
-	if q := s.quota[mailbox]; q != nil {
-		q.used.Add(-1)
-	}
 }
 
 // Sync runs fn on the serve loop between batches: the loop neither
@@ -545,19 +478,14 @@ func (s *Server) respondShed(p *pendingReq, err error) {
 		Rejected:      true,
 	}
 	t.TotalNs = t.QueueNs
-	s.deliver(p, Response{Err: err, Timing: t}, t)
+	s.deliver(p, Response{Err: err, Timing: t})
 }
 
-// deliver resolves one request: response out, quota slot back, timing
-// record to OnTiming. Every admitted request passes through here exactly
-// once.
-func (s *Server) deliver(p *pendingReq, r Response, t RequestTiming) {
+// deliver resolves one request. Every admitted request passes through here
+// exactly once.
+func (s *Server) deliver(p *pendingReq, r Response) {
 	p.resp <- r
 	s.m.responded.Add(1)
-	s.quotaRelease(p.req.Mailbox)
-	if s.cfg.OnTiming != nil {
-		s.cfg.OnTiming(t)
-	}
 }
 
 // flush feeds one batch to a single tick, settles the cascade, and
@@ -609,7 +537,7 @@ func (s *Server) flush(batch []*pendingReq, reason flushReason) {
 	// Settle handler cascades to idle: at idle there are no in-flight
 	// sends, so every reply this batch provoked has been delivered.
 	settled := 0
-	for settled < s.cfg.SettleTicks && !s.rt.Idle() {
+	for settled < settleTicks && !s.rt.Idle() {
 		s.tick()
 		settled++
 	}
@@ -673,7 +601,7 @@ func (s *Server) flush(batch []*pendingReq, reason flushReason) {
 		if errs[i] != nil {
 			s.m.failed.Add(1)
 		}
-		s.deliver(p, Response{ID: ids[i], Reply: replies[ids[i]], Err: errs[i], Timing: t}, t)
+		s.deliver(p, Response{ID: ids[i], Reply: replies[ids[i]], Err: errs[i], Timing: t})
 	}
 }
 

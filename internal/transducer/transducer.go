@@ -116,11 +116,9 @@ type Runtime struct {
 	Remote func(node string, msg Message)
 
 	stats Stats
-	// timings, when enabled, makes every Tick record a per-phase wall-clock
-	// breakdown into lastTimings. Observability only: clocks are read
-	// around phases, never fed into control flow, so enabling timings
-	// cannot perturb determinism.
-	timings     bool
+	// lastTimings is the most recent Tick's per-phase wall-clock breakdown.
+	// Observability only: clocks are read around phases, never fed into
+	// control flow, so recording them cannot perturb determinism.
 	lastTimings TickTimings
 }
 
@@ -332,9 +330,9 @@ func (rt *Runtime) Idle() bool {
 	return len(rt.inflight) == 0
 }
 
-// TickTimings is one tick's per-phase wall-clock breakdown, recorded when
-// EnableTickTimings is on: delivering matured sends, copying the scalar
-// variables (the database needs no copy), running handlers, and applying
+// TickTimings is one tick's per-phase wall-clock breakdown, recorded by
+// every Tick: delivering matured sends, copying the scalar variables (the
+// database needs no copy), running handlers, and applying
 // end-of-tick effects (which includes the Incremental.Apply maintenance
 // pass — the "eval" cost a serving front-end amortizes across a batch).
 type TickTimings struct {
@@ -345,22 +343,14 @@ type TickTimings struct {
 	Handled  int
 }
 
-// EnableTickTimings toggles per-tick phase timing capture. Purely
-// observational: clocks are read between phases and never influence
-// control flow, so enabling it cannot perturb determinism.
-func (rt *Runtime) EnableTickTimings(on bool) { rt.timings = on }
-
 // LastTickTimings returns the phase breakdown of the most recent Tick
-// (zero value if timings are disabled or no tick has run since enabling).
+// (zero value before the first tick).
 func (rt *Runtime) LastTickTimings() TickTimings { return rt.lastTimings }
 
 // Tick runs one iteration of the event loop and returns the number of
 // messages handled.
 func (rt *Runtime) Tick() int {
-	var t0, t1, t2, t3 time.Time
-	if rt.timings {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	rt.stats.Ticks++
 	// 1. Deliver matured in-flight sends into mailboxes (they become part
 	//    of this tick's snapshot).
@@ -376,9 +366,7 @@ func (rt *Runtime) Tick() int {
 	}
 	clear(rt.inflight[len(still):])
 	rt.inflight = still
-	if rt.timings {
-		t1 = time.Now()
-	}
+	t1 := time.Now()
 
 	// 2. Snapshot: the database already holds the maintained fixpoint and
 	//    is never mutated mid-tick (effects are staged), so handlers read
@@ -387,9 +375,7 @@ func (rt *Runtime) Tick() int {
 	for k, v := range rt.vars {
 		snapVars[k] = v
 	}
-	if rt.timings {
-		t2 = time.Now()
-	}
+	t2 := time.Now()
 
 	// 3. Handle every message in every handled mailbox against the
 	//    snapshot, accumulating deferred effects. Mailboxes are processed
@@ -419,22 +405,16 @@ func (rt *Runtime) Tick() int {
 			rt.stats.Handled++
 		}
 	}
-
-	if rt.timings {
-		t3 = time.Now()
-	}
+	t3 := time.Now()
 
 	// 4. Apply effects atomically.
 	rt.applyEffects(eff)
-	if rt.timings {
-		t4 := time.Now()
-		rt.lastTimings = TickTimings{
-			Deliver:  t1.Sub(t0),
-			Snapshot: t2.Sub(t1),
-			Handlers: t3.Sub(t2),
-			Apply:    t4.Sub(t3),
-			Handled:  handled,
-		}
+	rt.lastTimings = TickTimings{
+		Deliver:  t1.Sub(t0),
+		Snapshot: t2.Sub(t1),
+		Handlers: t3.Sub(t2),
+		Apply:    time.Since(t3),
+		Handled:  handled,
 	}
 	return handled
 }

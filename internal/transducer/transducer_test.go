@@ -589,13 +589,11 @@ func TestInjectBatchSingleTick(t *testing.T) {
 	}
 }
 
-// TestTickTimings: enabling timings records a per-phase breakdown without
-// changing behavior.
+// TestTickTimings: every tick records a per-phase breakdown.
 func TestTickTimings(t *testing.T) {
 	rt := newTestRuntime()
 	rt.RegisterTable(TableSchema{Name: "facts", Arity: 1})
 	rt.RegisterHandler("a", func(tx *Tx, msg Message) { tx.MergeTuple("facts", msg.Payload) })
-	rt.EnableTickTimings(true)
 	rt.Inject("a", datalog.Tuple{int64(1)})
 	rt.Tick()
 	tt := rt.LastTickTimings()
