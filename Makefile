@@ -2,7 +2,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: build test vet ci orphans datalog-serial datalog-one-store one-tick-path bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak
+.PHONY: build test vet ci orphans datalog-serial datalog-one-store one-tick-path bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak tick-allocs
 
 build:
 	$(GO) build ./...
@@ -134,3 +134,10 @@ SERVE_SEEDS ?= 60
 SERVE_REQS ?= 150
 serve-soak:
 	$(GO) test -race -run 'TestServe|TestBatched|TestConcurrentSubmitters|TestFanout' ./internal/serve -serve-seeds $(SERVE_SEEDS) -serve-reqs $(SERVE_REQS)
+
+# tick-allocs is the allocation budget of a warm fan-out tick: 64 messages
+# each sending 256 derived rows to an observation mailbox may allocate per
+# message beyond the derivations, never per row. Without -race, which
+# inflates allocation counts (the test skips itself under it).
+tick-allocs:
+	$(GO) test -count=1 -run '^TestWarmFanoutTickAllocs$$' -v ./internal/transducer

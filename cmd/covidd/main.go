@@ -85,7 +85,8 @@ func main() {
 	c.RunRounds(8, 500)
 	for i, rt := range rts {
 		if topo.Get(ids[i]).Up() {
-			fmt.Printf("  %s still serving: alerts pending = %d\n", ids[i], len(rt.Peek("alert")))
+			fmt.Printf("  %s still serving: alerts pending = %d, diagnosed replies = %d\n",
+				ids[i], len(rt.Peek("alert")), len(rt.Drain(transducer.ResponseMailbox("diagnosed"))))
 		}
 	}
 	fmt.Println("\nservice remained available through 1 AZ failure (spec tolerates 2)")

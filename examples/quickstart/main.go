@@ -9,6 +9,7 @@ import (
 
 	"hydro"
 	"hydro/internal/consistency"
+	"hydro/internal/transducer"
 )
 
 func main() {
@@ -66,7 +67,7 @@ func main() {
 	// Ask the ML stub for person 3's likelihood.
 	id := rt.Inject("likelihood", hydro.Tuple{int64(3)})
 	rt.RunUntilIdle(50)
-	for _, m := range rt.Drain("likelihood<response>") {
+	for _, m := range rt.Drain(transducer.ResponseMailbox("likelihood")) {
 		if m.Payload[0] == id {
 			fmt.Printf("likelihood(3) = %v\n", m.Payload[1])
 		}

@@ -322,9 +322,7 @@ func (e *env) execSend(st *hlang.SendStmt) error {
 	if err != nil {
 		return err
 	}
-	for _, row := range rows {
-		e.tx.Send(st.Mailbox, row)
-	}
+	e.tx.SendAll(st.Mailbox, rows)
 	return nil
 }
 

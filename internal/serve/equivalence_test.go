@@ -31,9 +31,12 @@ var (
 	serveReqs  = flag.Int("serve-reqs", 100, "requests per seed in the equivalence sweep")
 )
 
-// covidRuntime instantiates the paper's COVID pipeline plus a hand-written
-// poison handler that writes the derived `transitive` relation — the
-// evaluator rejects any tick carrying it.
+// covidRuntime instantiates the paper's COVID pipeline plus two
+// hand-written handlers. A poison handler writes the derived `transitive`
+// relation, so the evaluator rejects any tick carrying it. A relay handler
+// sends to a *handled* mailbox, whose handler merges into a test table:
+// COVID's own sends all go to observation mailboxes, which commit in their
+// tick, so the relay is what the churn arm's randomized delays act on.
 func covidRuntime(t testing.TB, seed int64, churn bool) *transducer.Runtime {
 	t.Helper()
 	c, err := hydrolysis.Compile(hlang.CovidSource, hydrolysis.Options{
@@ -54,7 +57,27 @@ func covidRuntime(t testing.TB, seed int64, churn bool) *transducer.Runtime {
 	rt.RegisterHandler("poison", func(tx *transducer.Tx, msg transducer.Message) {
 		tx.MergeTuple("transitive", datalog.Tuple{msg.Payload[0], msg.Payload[0]})
 	})
+	rt.RegisterTable(transducer.TableSchema{Name: "relayed", Arity: 1})
+	rt.RegisterHandler("relay", func(tx *transducer.Tx, msg transducer.Message) {
+		tx.Send("relay_hop", msg.Payload)
+	})
+	rt.RegisterHandler("relay_hop", func(tx *transducer.Tx, msg transducer.Message) {
+		tx.MergeTuple("relayed", msg.Payload)
+	})
 	return rt
+}
+
+// countLate draws transducer.DefaultDelay, counting in *late the draws
+// that deliver a send later than the next tick: the churn arm asserts it
+// delayed something.
+func countLate(late *int) transducer.DelayFn {
+	return func(r *rand.Rand) int {
+		d := transducer.DefaultDelay(r)
+		if d > 1 {
+			*late++
+		}
+		return d
+	}
 }
 
 // canonicalState renders the runtime's committed state order-insensitively:
@@ -92,8 +115,10 @@ func genCovidRequests(r *rand.Rand, n int) (reqs []Request, poison []bool) {
 			reqs = append(reqs, Request{Mailbox: "add_contact", Payload: datalog.Tuple{pid, int64(r.Intn(people))}})
 		case k < 75:
 			reqs = append(reqs, Request{Mailbox: "diagnosed", Payload: datalog.Tuple{pid}})
-		case k < 85:
+		case k < 80:
 			reqs = append(reqs, Request{Mailbox: "likelihood", Payload: datalog.Tuple{pid}})
+		case k < 85:
+			reqs = append(reqs, Request{Mailbox: "relay", Payload: datalog.Tuple{pid}})
 		case k < 93:
 			reqs = append(reqs, Request{Mailbox: "vaccinate", Payload: datalog.Tuple{pid}})
 		default:
@@ -117,6 +142,7 @@ func driveSerial(rt *transducer.Runtime, reqs []Request) {
 func TestBatchedEqualsSerialSweep(t *testing.T) {
 	covidVars := []string{"vaccine_count"}
 	rejectedBatches := uint64(0)
+	late := 0
 	for seed := 0; seed < *serveSeeds; seed++ {
 		for _, churn := range []bool{false, true} {
 			r := rand.New(rand.NewSource(int64(seed)*4 + b2i(churn)))
@@ -127,6 +153,9 @@ func TestBatchedEqualsSerialSweep(t *testing.T) {
 			want := canonicalState(ref, covidVars)
 
 			rt := covidRuntime(t, int64(seed), churn)
+			if churn {
+				rt.SetDelay(countLate(&late))
+			}
 			s := New(rt, Config{
 				MaxBatch:        1 + r.Intn(16),
 				MaxWait:         time.Duration(100+r.Intn(400)) * time.Microsecond,
@@ -170,6 +199,9 @@ func TestBatchedEqualsSerialSweep(t *testing.T) {
 	if rejectedBatches == 0 {
 		t.Fatal("sweep never exercised a rejected batch tick")
 	}
+	if late == 0 {
+		t.Fatal("churn arm never delivered a send late")
+	}
 }
 
 // TestConcurrentSubmittersEqualSerialSweep keeps several submitters'
@@ -182,6 +214,7 @@ func TestConcurrentSubmittersEqualSerialSweep(t *testing.T) {
 	const submitters = 4
 	covidVars := []string{"vaccine_count"}
 	rejected := uint64(0)
+	late := 0
 	seeds := *serveSeeds
 	if seeds > 10 {
 		seeds = 10 // the recorded-order replay doubles the serial work per seed
@@ -192,6 +225,9 @@ func TestConcurrentSubmittersEqualSerialSweep(t *testing.T) {
 			reqs, poison := genCovidRequests(r, *serveReqs)
 
 			rt := covidRuntime(t, int64(seed), churn)
+			if churn {
+				rt.SetDelay(countLate(&late))
+			}
 			s := New(rt, Config{
 				MaxBatch:        1 + r.Intn(16),
 				MaxWait:         time.Duration(100+r.Intn(400)) * time.Microsecond,
@@ -263,6 +299,9 @@ func TestConcurrentSubmittersEqualSerialSweep(t *testing.T) {
 	}
 	if rejected == 0 {
 		t.Fatal("sweep never exercised a rejected batch tick")
+	}
+	if late == 0 {
+		t.Fatal("churn arm never delivered a send late")
 	}
 }
 

@@ -19,6 +19,14 @@
 // request's timing across the four serving phases (enqueue → flush → eval
 // → respond) in Response.Timing.
 //
+// Replies and outputs wait for no later tick. From New until the loop
+// exits the server is the runtime's observation sink
+// (transducer.Runtime.SetObservationSink): a reply lands in its batch's
+// reply table, and a DrainMailboxes output reaches OnDrain in a slice
+// borrowed for the call, at the end of the tick that sent it. A batch whose
+// handlers only reply and emit outputs costs exactly one tick; the loop
+// settles further ticks only for handler cascades.
+//
 // Batching is transparent for the monotone, payload-driven handlers the
 // compiler emits: the committed fixpoint after a batch is identical (as a
 // set of tuples per relation) to delivering the same requests one per
@@ -112,11 +120,14 @@ type Config struct {
 	// the serving node drives it.
 	FanoutPump func()
 	// DrainMailboxes are observation mailboxes (alert fan-outs, send-rule
-	// targets) drained after every batch so they cannot grow without
-	// bound; drained messages go to OnDrain when set, else are dropped.
+	// targets: local, no handler) taken as their sends commit, so they
+	// cannot grow without bound; their messages go to OnDrain when set,
+	// else are dropped.
 	DrainMailboxes []string
-	// OnDrain receives messages drained from DrainMailboxes (called from
-	// the serve loop; keep it fast).
+	// OnDrain receives the messages one staged send committed to a
+	// DrainMailboxes mailbox, at the end of the tick that sent them (called
+	// from the serve loop; keep it fast). msgs is borrowed for the call:
+	// copy what must outlive it. The payload tuples are the receiver's.
 	OnDrain func(mailbox string, msgs []transducer.Message)
 }
 
@@ -204,6 +215,13 @@ type Server struct {
 
 	m        metrics
 	batchSeq uint64 // owned by the serve loop
+
+	// The observation sink's routes, owned by the serve loop: the response
+	// mailbox of every mailbox a batch has carried, and DrainMailboxes.
+	// replies is the batch being served's reply table, by message ID.
+	replyBoxes map[string]bool
+	drainBoxes map[string]bool
+	replies    map[uint64]datalog.Tuple
 }
 
 // New wraps a runtime in a serving shell and starts its serve loop. The
@@ -228,12 +246,45 @@ func New(rt *transducer.Runtime, cfg Config) *Server {
 		ctrl:   make(chan func()),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
+
+		replyBoxes: map[string]bool{},
+		drainBoxes: map[string]bool{},
+		replies:    map[uint64]datalog.Tuple{},
 	}
 	for _, mb := range cfg.SerialMailboxes {
 		s.serial[mb] = true
 	}
+	for _, mb := range cfg.DrainMailboxes {
+		s.drainBoxes[mb] = true
+	}
+	rt.SetObservationSink(s.observe)
 	go s.loop()
 	return s
+}
+
+// observe is the runtime's observation sink while the server owns it. A
+// reply lands in the batch's reply table, a DrainMailboxes message goes to
+// OnDrain, and any other observation to its mailbox.
+func (s *Server) observe(box string, msgs []transducer.Message) {
+	switch {
+	case s.replyBoxes[box]:
+		for _, m := range msgs {
+			if len(m.Payload) == 0 {
+				continue
+			}
+			if id, ok := m.Payload[0].(uint64); ok {
+				s.replies[id] = m.Payload[1:]
+			}
+		}
+	case s.drainBoxes[box]:
+		if s.cfg.OnDrain != nil {
+			s.cfg.OnDrain(box, msgs)
+		}
+	default:
+		for _, m := range msgs {
+			s.rt.Deliver(m)
+		}
+	}
 }
 
 // Submit admits one request. Under Block it waits for queue space (the
@@ -323,9 +374,11 @@ func (s *Server) Close() {
 // loop is the serve loop, the one goroutine that owns the runtime. It
 // dequeues admitted requests in admission order and runs every batch it
 // cuts inline; Sync callbacks run between batches. Closing done is its
-// exit signal.
+// exit signal, and the runtime gets its default observation sink back
+// first.
 func (s *Server) loop() {
 	defer close(s.done)
+	defer s.rt.SetObservationSink(nil)
 	var batch []*pendingReq // dequeued, not yet cut (always below MaxBatch)
 	for {
 		// Shutdown takes priority over further batching: once stop fires,
@@ -507,6 +560,7 @@ func (s *Server) flush(batch []*pendingReq, reason flushReason) {
 	inj := make([]transducer.Injection, len(batch))
 	for i, p := range batch {
 		inj[i] = transducer.Injection{Mailbox: p.req.Mailbox, Payload: p.req.Payload}
+		s.replyBoxes[transducer.ResponseMailbox(p.req.Mailbox)] = true
 	}
 	ids := s.rt.InjectBatch(inj)
 	evalStart := time.Now()
@@ -523,53 +577,31 @@ func (s *Server) flush(batch []*pendingReq, reason flushReason) {
 			// every effect. Re-inject one message per tick: the poison
 			// request is isolated to its own rejected tick, and its
 			// batchmates commit exactly as they would have serially. Each
-			// singleton tick is its own batch for accounting — it gets a
-			// fresh batch sequence number and its own timing record.
+			// singleton settles before the next ticks, as in the serial
+			// schedule: a cascade still in flight would otherwise be
+			// delivered into the next singleton's tick and lost with it if
+			// that tick is rejected. Each singleton tick is its own batch
+			// for accounting — it gets a fresh batch sequence number and
+			// its own timing record.
 			for i, p := range batch {
 				ids[i] = s.rt.Inject(p.req.Mailbox, p.req.Payload)
 				s.m.retried.Add(1)
 				s.batchSeq++
 				retrySeq[i] = s.batchSeq
 				errs[i] = s.tick()
+				s.settle()
 			}
 		}
 	}
-	// Settle handler cascades to idle: at idle there are no in-flight
-	// sends, so every reply this batch provoked has been delivered.
-	settled := 0
-	for settled < settleTicks && !s.rt.Idle() {
-		s.tick()
-		settled++
-	}
-	if !s.rt.Idle() {
+	// Replies and drained outputs reached the observation sink as their
+	// ticks committed. Only handler cascades (sends to handled mailboxes)
+	// can still be in flight: settle them to idle, so every reply the
+	// batch provoked is in the reply table. A batch that only replies is
+	// idle already and ticks no further.
+	if !s.settle() {
 		s.m.unsettled.Add(1)
 	}
 	evalEnd := time.Now()
-
-	// Correlate replies: each handler Reply lands in "<mailbox><response>"
-	// with the request's message ID as payload[0].
-	replies := map[uint64]datalog.Tuple{}
-	drained := map[string]bool{}
-	for _, p := range batch {
-		box := p.req.Mailbox + "<response>"
-		if drained[box] {
-			continue
-		}
-		drained[box] = true
-		for _, m := range s.rt.Drain(box) {
-			if len(m.Payload) == 0 {
-				continue
-			}
-			if id, ok := m.Payload[0].(uint64); ok {
-				replies[id] = m.Payload[1:]
-			}
-		}
-	}
-	for _, box := range s.cfg.DrainMailboxes {
-		if msgs := s.rt.Drain(box); len(msgs) > 0 && s.cfg.OnDrain != nil {
-			s.cfg.OnDrain(box, msgs)
-		}
-	}
 
 	queueNs := make([]int64, len(batch))
 	for i, p := range batch {
@@ -601,8 +633,18 @@ func (s *Server) flush(batch []*pendingReq, reason flushReason) {
 		if errs[i] != nil {
 			s.m.failed.Add(1)
 		}
-		s.deliver(p, Response{ID: ids[i], Reply: replies[ids[i]], Err: errs[i], Timing: t})
+		s.deliver(p, Response{ID: ids[i], Reply: s.replies[ids[i]], Err: errs[i], Timing: t})
 	}
+	clear(s.replies)
+}
+
+// settle ticks until the runtime is idle, at most settleTicks times, and
+// reports whether it got there.
+func (s *Server) settle() bool {
+	for i := 0; i < settleTicks && !s.rt.Idle(); i++ {
+		s.tick()
+	}
+	return s.rt.Idle()
 }
 
 // tick runs one runtime tick, folds its phase timings into the metrics,

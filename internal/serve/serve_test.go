@@ -330,6 +330,71 @@ func TestServeDrainMailboxes(t *testing.T) {
 	}
 }
 
+// TestServeReplyOnlyBatchOneTick: replies and observation outputs commit
+// in the tick that sent them, so a batch whose handlers only reply, read
+// and emit outputs costs exactly one tick — no settle tick delivers them.
+func TestServeReplyOnlyBatchOneTick(t *testing.T) {
+	s := New(newGraphRuntime(t, 1), Config{
+		MaxBatch: 4, MaxWait: time.Millisecond, QueueDepth: 16,
+		DrainMailboxes: []string{"alert"},
+	})
+	defer s.Close()
+	release := holdLoop(t, s)
+	var ps []*Pending
+	for i := int64(0); i < 3; i++ {
+		ps = append(ps,
+			mustSubmit(t, s, "add_edge", datalog.Tuple{i, i + 1}),
+			mustSubmit(t, s, "count_paths", datalog.Tuple{}),
+			mustSubmit(t, s, "fanout", datalog.Tuple{i}))
+	}
+	release()
+	for i, p := range ps {
+		r := p.Wait()
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		if i%3 == 0 && (len(r.Reply) != 1 || r.Reply[0] != "ok") {
+			t.Fatalf("add_edge reply = %v, want [ok]", r.Reply)
+		}
+	}
+	if m := s.Metrics(); m.Ticks != m.Batches || m.Batches == 0 {
+		t.Fatalf("ticks=%d batches=%d: a reply-only batch must cost exactly one tick", m.Ticks, m.Batches)
+	}
+}
+
+// TestServeOnDrainPayloadsOutliveCall: OnDrain's slice is borrowed for the
+// call, but the payload tuples are the receiver's to keep — they hold their
+// values through every later batch.
+func TestServeOnDrainPayloadsOutliveCall(t *testing.T) {
+	var kept []datalog.Tuple
+	s := New(newGraphRuntime(t, 1), Config{
+		MaxBatch: 2, MaxWait: time.Millisecond, QueueDepth: 16,
+		DrainMailboxes: []string{"alert"},
+		OnDrain: func(_ string, msgs []transducer.Message) {
+			for _, m := range msgs {
+				kept = append(kept, m.Payload)
+			}
+		},
+	})
+	defer s.Close()
+	const n = 10
+	for i := int64(0); i < n; i++ {
+		if r := mustSubmit(t, s, "fanout", datalog.Tuple{i}).Wait(); r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	var got []datalog.Tuple
+	s.Sync(func(*transducer.Runtime) { got = kept })
+	if len(got) != n {
+		t.Fatalf("kept %d alerts, want %d", len(got), n)
+	}
+	for i, p := range got {
+		if len(p) != 1 || p[0] != int64(i) {
+			t.Fatalf("alert %d = %v after later batches, want [%d]", i, p, i)
+		}
+	}
+}
+
 func TestServeNoHandlerAndClosed(t *testing.T) {
 	rt := newGraphRuntime(t, 1)
 	s := New(rt, Config{})

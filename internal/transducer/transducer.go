@@ -7,9 +7,14 @@
 // (datalog.Incremental), so nothing is copied or re-derived per tick. A
 // runtime with no query program (the lifts, cluster, kvs) has nothing
 // derived and nothing to maintain. Sends are asynchronous merges
-// into mailboxes that may be delayed an unbounded (simulated) number of
-// ticks, capturing network non-determinism while keeping handler logic
-// deterministic within a tick.
+// into mailboxes. A send to a handled or a remote ("node/mailbox") mailbox
+// may be delayed an unbounded (simulated) number of ticks, capturing
+// network non-determinism while keeping handler logic deterministic within
+// a tick. A send to a local mailbox no handler reads (a reply, an alert
+// fan-out) is an output nothing in the program can observe the timing of:
+// it commits at the end of the tick that staged it, with no delay and no
+// later delivery, to the runtime's observation sink (SetObservationSink),
+// which by default appends it to the mailbox.
 //
 // The runtime is deliberately agnostic to how handlers were produced: the
 // Hydrolysis compiler registers closures compiled from HydroLogic, and the
@@ -20,7 +25,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
+	"strings"
 	"time"
 
 	"hydro/internal/datalog"
@@ -54,8 +59,18 @@ type TableSchema struct {
 // runtime applies them atomically after the tick's fixpoint.
 type Handler func(tx *Tx, msg Message)
 
-// DelayFn decides, per send, how many ticks delivery is delayed (≥1 keeps
-// "sends are not visible during the current tick" true).
+// ResponseMailbox names the mailbox a handler of box replies into
+// (Tx.Reply): every reply's payload leads with the request's message ID.
+func ResponseMailbox(box string) string { return box + "<response>" }
+
+// ObservationSink receives the messages one staged send committed to an
+// observation mailbox: a local one with no handler. msgs is borrowed and
+// valid only during the call; its payload tuples are the receiver's to
+// keep.
+type ObservationSink func(mailbox string, msgs []Message)
+
+// DelayFn decides, per delayed send, how many ticks delivery is delayed
+// (≥1 keeps "sends are not visible during the current tick" true).
 type DelayFn func(r *rand.Rand) int
 
 // DefaultDelay delays 1-3 ticks uniformly.
@@ -67,7 +82,7 @@ type Stats struct {
 	Handled   uint64 // messages processed
 	Derived   uint64 // datalog facts derived across ticks
 	Mutations uint64 // applied end-of-tick mutations
-	Sent      uint64 // messages enqueued
+	Sent      uint64 // messages committed by ticks, delayed or observed
 	Aborted   uint64 // handler invocations aborted by invariants
 	Rejected  uint64 // ticks rolled back after the evaluator or sink refused them
 }
@@ -110,6 +125,16 @@ type Runtime struct {
 	nextID    uint64
 	rng       *rand.Rand
 	delay     DelayFn
+	// observe, when set, receives committed observation sends in place of
+	// their mailboxes (SetObservationSink).
+	observe ObservationSink
+
+	// Per-tick buffers, reused across ticks and emptied as each ends: the
+	// staged effects, the sorted handled mailboxes, and one observation
+	// entry's messages on their way to observe.
+	eff    effects
+	boxes  []string
+	obsBuf []Message
 
 	// Remote, when set, receives sends addressed to mailboxes with an
 	// explicit node ("node/mailbox"); the cluster substrate plugs in here.
@@ -138,11 +163,18 @@ func New(name string, seed int64) *Runtime {
 		mailboxes: map[string][]Message{},
 		rng:       rand.New(rand.NewSource(seed)),
 		delay:     DefaultDelay,
+		eff:       effects{assigns: map[string]any{}},
 	}
 }
 
 // SetDelay overrides the send-delay distribution (tests use a fixed 1).
 func (rt *Runtime) SetDelay(d DelayFn) { rt.delay = d }
+
+// SetObservationSink routes sends committed to observation mailboxes to
+// sink, one call per staged send, instead of appending them to the
+// mailbox; nil restores the mailbox. A serving shell installs one to take
+// replies and drained outputs as they commit.
+func (rt *Runtime) SetObservationSink(sink ObservationSink) { rt.observe = sink }
 
 // Stats returns a copy of the counters.
 func (rt *Runtime) Stats() Stats { return rt.stats }
@@ -291,7 +323,9 @@ func (rt *Runtime) Deliver(msg Message) {
 }
 
 // Drain removes and returns the contents of a mailbox (used to observe
-// response mailboxes and by lifting runtimes).
+// response mailboxes and by lifting runtimes). Observation sends are in
+// their mailbox from the end of the tick that sent them, unless an
+// observation sink takes them (SetObservationSink).
 func (rt *Runtime) Drain(mailbox string) []Message {
 	msgs := rt.mailboxes[mailbox]
 	delete(rt.mailboxes, mailbox)
@@ -331,12 +365,15 @@ func (rt *Runtime) Idle() bool {
 }
 
 // TickTimings is one tick's per-phase wall-clock breakdown, recorded by
-// every Tick: delivering matured sends, copying the scalar variables (the
-// database needs no copy), running handlers, and applying
+// every Tick: delivering matured sends, running handlers, and applying
 // end-of-tick effects (which includes the Incremental.Apply maintenance
-// pass — the "eval" cost a serving front-end amortizes across a batch).
+// pass — the "eval" cost a serving front-end amortizes across a batch —
+// and committing sends).
 type TickTimings struct {
-	Deliver  time.Duration
+	Deliver time.Duration
+	// Snapshot is always zero: handlers read the database and the scalar
+	// variables in place, so a tick copies nothing. It stays for readers
+	// of the phase breakdown.
 	Snapshot time.Duration
 	Handlers time.Duration
 	Apply    time.Duration
@@ -368,33 +405,27 @@ func (rt *Runtime) Tick() int {
 	rt.inflight = still
 	t1 := time.Now()
 
-	// 2. Snapshot: the database already holds the maintained fixpoint and
-	//    is never mutated mid-tick (effects are staged), so handlers read
-	//    it in place; only the scalar variables are copied.
-	snapVars := make(map[string]any, len(rt.vars))
-	for k, v := range rt.vars {
-		snapVars[k] = v
-	}
-	t2 := time.Now()
-
-	// 3. Handle every message in every handled mailbox against the
-	//    snapshot, accumulating deferred effects. Mailboxes are processed
-	//    in sorted order for determinism.
-	var boxes []string
+	// 2. Handle every message in every handled mailbox, accumulating
+	//    deferred effects. The snapshot is the runtime itself: the database
+	//    (maintained fixpoint included) and the scalar variables change only
+	//    at end of tick, so handlers read both in place. Mailboxes are
+	//    processed in sorted order for determinism.
+	boxes := rt.boxes[:0]
 	for name := range rt.mailboxes {
 		if _, ok := rt.handlers[name]; ok {
 			boxes = append(boxes, name)
 		}
 	}
-	sort.Strings(boxes)
-	eff := &effects{assigns: map[string]any{}}
+	slices.Sort(boxes)
+	rt.boxes = boxes
+	eff := &rt.eff
 	handled := 0
 	for _, box := range boxes {
 		msgs := rt.mailboxes[box]
 		delete(rt.mailboxes, box)
 		h := rt.handlers[box]
 		for _, msg := range msgs {
-			tx := rt.newTx(snapVars, eff, msg)
+			tx := &Tx{rt: rt, msg: msg, mark: eff.mark()}
 			h(tx, msg)
 			if tx.aborted {
 				rt.stats.Aborted++
@@ -405,15 +436,15 @@ func (rt *Runtime) Tick() int {
 			rt.stats.Handled++
 		}
 	}
-	t3 := time.Now()
+	t2 := time.Now()
 
-	// 4. Apply effects atomically.
+	// 3. Apply effects atomically, then empty the buffers for the next tick.
 	rt.applyEffects(eff)
+	eff.reset()
 	rt.lastTimings = TickTimings{
 		Deliver:  t1.Sub(t0),
-		Snapshot: t2.Sub(t1),
-		Handlers: t3.Sub(t2),
-		Apply:    time.Since(t3),
+		Handlers: t2.Sub(t1),
+		Apply:    time.Since(t2),
 		Handled:  handled,
 	}
 	return handled
@@ -456,12 +487,13 @@ func splitAddr(addr string) (node, mailbox string, ok bool) {
 // applyEffects commits the tick's staged mutations: table inserts, field
 // merges, and deletes first, then — with a query program registered — the
 // durability append and the fixpoint maintenance pass, then assigns and
-// sends. The
-// realized table changes are collected as a recorded delta: the sink
+// sends (observation sends reach their sink here, the rest go in flight).
+// The realized table changes are collected as a recorded delta: the sink
 // journals exactly those ops, and a rejected tick is undone by replaying
 // them in reverse. A tick the evaluator or the sink refuses is rolled back
-// whole (mutations, assigns, and sends all dropped) and the runtime keeps
-// serving — a bad tick costs that tick, not the node.
+// whole (mutations, assigns, and sends all dropped, so no observation sink
+// ever sees them) and the runtime keeps serving — a bad tick costs that
+// tick, not the node.
 func (rt *Runtime) applyEffects(eff *effects) {
 	// Admission check before any mutation lands: a write into a derived
 	// relation would corrupt the maintained fixpoint (the compiler never
@@ -479,8 +511,10 @@ func (rt *Runtime) applyEffects(eff *effects) {
 			return
 		}
 	}
+	// A tick that staged no table mutation records no delta: it has nothing
+	// to journal or maintain.
 	var delta *datalog.Delta
-	if rt.inc != nil {
+	if rt.inc != nil && len(eff.inserts)+len(eff.fieldMerges)+len(eff.deletes) > 0 {
 		delta = datalog.NewDelta()
 		delta.SetRecording(true)
 	}
@@ -506,7 +540,7 @@ func (rt *Runtime) applyEffects(eff *effects) {
 		}
 		muts++
 	}
-	if rt.inc != nil && !delta.Empty() {
+	if delta != nil && !delta.Empty() {
 		// Append-before-apply: the journaled record is the tick's commit
 		// point; the maintenance pass folds the realized changes into the
 		// fixpoint (ticks that realized no table changes skip both).
@@ -554,22 +588,69 @@ func (rt *Runtime) applyEffects(eff *effects) {
 	for name := range eff.assigns {
 		names = append(names, name)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	for _, name := range names {
 		rt.vars[name] = eff.assigns[name]
 		rt.stats.Mutations++
 	}
-	rt.inflight = slices.Grow(rt.inflight, len(eff.sends))
-	for _, msg := range eff.sends {
-		rt.nextID++
-		msg.ID = rt.nextID
-		msg.From = rt.Name
-		rt.inflight = append(rt.inflight, pendingSend{
-			msg:       msg,
-			deliverAt: rt.stats.Ticks + uint64(rt.delay(rt.rng)),
-		})
-		rt.stats.Sent++
+	// Sends take IDs in staging order, row by row. The observation test is
+	// made once per staged entry: an observed entry commits now, any other
+	// row draws its delay and goes in flight.
+	for i := range eff.sends {
+		s := &eff.sends[i]
+		rows := s.rows
+		if rows == nil {
+			rows = []datalog.Tuple{s.row}
+		}
+		if rt.observed(s.mailbox) {
+			rt.commitObservation(s.mailbox, rows)
+			continue
+		}
+		for _, row := range rows {
+			rt.inflight = append(rt.inflight, pendingSend{
+				msg:       rt.stamp(s.mailbox, row),
+				deliverAt: rt.stats.Ticks + uint64(rt.delay(rt.rng)),
+			})
+		}
 	}
+}
+
+// observed reports whether mailbox is an observation mailbox: local (no
+// "node/" prefix) and read by no handler.
+func (rt *Runtime) observed(mailbox string) bool {
+	if strings.IndexByte(mailbox, '/') >= 0 {
+		return false
+	}
+	_, handled := rt.handlers[mailbox]
+	return !handled
+}
+
+// stamp makes a committed send's message: the next ID, this node as the
+// sender, counted in Stats.Sent.
+func (rt *Runtime) stamp(mailbox string, payload datalog.Tuple) Message {
+	rt.nextID++
+	rt.stats.Sent++
+	return Message{Mailbox: mailbox, Payload: payload, ID: rt.nextID, From: rt.Name}
+}
+
+// commitObservation hands one staged entry's rows to the observation sink,
+// or, with none installed, appends them to the mailbox, grown once.
+func (rt *Runtime) commitObservation(mailbox string, rows []datalog.Tuple) {
+	if rt.observe == nil {
+		box := slices.Grow(rt.mailboxes[mailbox], len(rows))
+		for _, row := range rows {
+			box = append(box, rt.stamp(mailbox, row))
+		}
+		rt.mailboxes[mailbox] = box
+		return
+	}
+	buf := rt.obsBuf[:0]
+	for _, row := range rows {
+		buf = append(buf, rt.stamp(mailbox, row))
+	}
+	rt.observe(mailbox, buf)
+	clear(buf)
+	rt.obsBuf = buf[:0]
 }
 
 // rejectTick rolls back a tick whose effects the evaluator or the

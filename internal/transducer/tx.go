@@ -3,16 +3,14 @@ package transducer
 import "hydro/internal/datalog"
 
 // Tx is a handler's view of one tick: reads come from the runtime database
-// (which no tick mutates before its end) and the variable snapshot, writes
-// are staged and applied at end of tick. This is what makes handler bodies
+// and scalar variables (which no tick mutates before its end), writes are
+// staged and applied at end of tick. This is what makes handler bodies
 // order-independent within a tick.
 type Tx struct {
-	rt       *Runtime
-	snapVars map[string]any
-	eff      *effects
-	msg      Message
-	aborted  bool
-	mark     effectMark
+	rt      *Runtime
+	msg     Message
+	aborted bool
+	mark    effectMark
 }
 
 type tableRow struct {
@@ -27,15 +25,24 @@ type fieldMerge struct {
 	value any
 }
 
+// sendEntry is one staged send: a single row (Send, Reply) or, when rows
+// is non-nil, one derived set (SendAll). Each row becomes one message at
+// commit.
+type sendEntry struct {
+	mailbox string
+	row     datalog.Tuple
+	rows    []datalog.Tuple
+}
+
 // effects accumulates a tick's staged mutations across all handler
-// invocations.
+// invocations. The runtime owns one and reuses it every tick (reset).
 type effects struct {
 	inserts     []tableRow
 	fieldMerges []fieldMerge
 	assigns     map[string]any
 	assignKeys  []string // insertion order, for truncate
 	deletes     []tableRow
-	sends       []Message
+	sends       []sendEntry
 }
 
 // effectMark snapshots effect counts so an aborted handler's staged effects
@@ -48,20 +55,27 @@ func (e *effects) mark() effectMark {
 	return effectMark{len(e.inserts), len(e.fieldMerges), len(e.assignKeys), len(e.deletes), len(e.sends)}
 }
 
+// truncate discards everything staged after m. The discarded tails are
+// cleared so the reused buffers retain no payload.
 func (e *effects) truncate(m effectMark) {
-	e.inserts = e.inserts[:m.inserts]
-	e.fieldMerges = e.fieldMerges[:m.merges]
+	e.inserts = truncated(e.inserts, m.inserts)
+	e.fieldMerges = truncated(e.fieldMerges, m.merges)
 	for _, k := range e.assignKeys[m.assigns:] {
 		delete(e.assigns, k)
 	}
-	e.assignKeys = e.assignKeys[:m.assigns]
-	e.deletes = e.deletes[:m.deletes]
-	e.sends = e.sends[:m.sends]
+	e.assignKeys = truncated(e.assignKeys, m.assigns)
+	e.deletes = truncated(e.deletes, m.deletes)
+	e.sends = truncated(e.sends, m.sends)
 }
 
-// newTx is created per message by the runtime; handlers never construct one.
-func (rt *Runtime) newTx(snapVars map[string]any, eff *effects, msg Message) *Tx {
-	return &Tx{rt: rt, snapVars: snapVars, eff: eff, msg: msg, mark: eff.mark()}
+// reset empties the buffers for the next tick, keeping their capacity.
+func (e *effects) reset() {
+	e.truncate(effectMark{})
+}
+
+func truncated[T any](s []T, n int) []T {
+	clear(s[n:])
+	return s[:n]
 }
 
 // Msg returns the message being handled.
@@ -86,8 +100,9 @@ func (tx *Tx) QueryWhere(name string, pos []int, vals []any) []datalog.Tuple {
 	return rel.Lookup(pos, vals)
 }
 
-// ReadVar reads a scalar variable from the snapshot.
-func (tx *Tx) ReadVar(name string) any { return tx.snapVars[name] }
+// ReadVar reads a scalar variable as of the start of the tick: assigns are
+// staged, so the runtime's variables are read in place.
+func (tx *Tx) ReadVar(name string) any { return tx.rt.vars[name] }
 
 // DerivePrepared evaluates a rule compiled once with datalog.PrepareRule
 // against the tick snapshot, binding the rule's declared variables from
@@ -98,44 +113,56 @@ func (tx *Tx) DerivePrepared(pr *datalog.PreparedRule, bound map[string]any) ([]
 
 // MergeTuple stages a (monotonic) tuple insertion.
 func (tx *Tx) MergeTuple(table string, row datalog.Tuple) {
-	tx.eff.inserts = append(tx.eff.inserts, tableRow{table: table, row: row})
+	tx.rt.eff.inserts = append(tx.rt.eff.inserts, tableRow{table: table, row: row})
 }
 
 // MergeField stages a (monotonic) lattice merge into one column of the row
 // identified by key.
 func (tx *Tx) MergeField(table string, key []any, col int, value any) {
-	tx.eff.fieldMerges = append(tx.eff.fieldMerges, fieldMerge{table: table, key: key, col: col, value: value})
+	tx.rt.eff.fieldMerges = append(tx.rt.eff.fieldMerges, fieldMerge{table: table, key: key, col: col, value: value})
 }
 
 // Assign stages a (non-monotonic) scalar overwrite.
 func (tx *Tx) Assign(name string, value any) {
-	if _, ok := tx.eff.assigns[name]; !ok {
-		tx.eff.assignKeys = append(tx.eff.assignKeys, name)
+	eff := &tx.rt.eff
+	if _, ok := eff.assigns[name]; !ok {
+		eff.assignKeys = append(eff.assignKeys, name)
 	}
-	tx.eff.assigns[name] = value
+	eff.assigns[name] = value
 }
 
 // Delete stages a (non-monotonic) tuple removal.
 func (tx *Tx) Delete(table string, row datalog.Tuple) {
-	tx.eff.deletes = append(tx.eff.deletes, tableRow{table: table, row: row})
+	tx.rt.eff.deletes = append(tx.rt.eff.deletes, tableRow{table: table, row: row})
 }
 
 // Send stages an asynchronous message. Mailbox may be "node/mailbox" to
 // address another transducer through the cluster transport.
 func (tx *Tx) Send(mailbox string, payload datalog.Tuple) {
-	tx.eff.sends = append(tx.eff.sends, Message{Mailbox: mailbox, Payload: payload})
+	tx.rt.eff.sends = append(tx.rt.eff.sends, sendEntry{mailbox: mailbox, row: payload})
+}
+
+// SendAll stages one message per row to mailbox, in row order: how a
+// rule-driven send stages its derived set, as one entry rather than one
+// per row. The runtime keeps rows until the tick ends; the tuples travel
+// on as the messages' payloads.
+func (tx *Tx) SendAll(mailbox string, rows []datalog.Tuple) {
+	if len(rows) == 0 {
+		return
+	}
+	tx.rt.eff.sends = append(tx.rt.eff.sends, sendEntry{mailbox: mailbox, rows: rows})
 }
 
 // Reply stages a response to the current message's implicit response
-// mailbox (mailbox + "<response>"), correlated by message ID — the sugar
+// mailbox (ResponseMailbox), correlated by message ID — the sugar
 // described under "Handlers" in §3.1.
 func (tx *Tx) Reply(values ...any) {
 	payload := append(datalog.Tuple{tx.msg.ID}, values...)
-	box := tx.msg.Mailbox + "<response>"
+	box := ResponseMailbox(tx.msg.Mailbox)
 	if tx.msg.From != "" && tx.msg.From != "external" && tx.msg.From != tx.rt.Name {
 		box = tx.msg.From + "/" + box
 	}
-	tx.eff.sends = append(tx.eff.sends, Message{Mailbox: box, Payload: payload})
+	tx.Send(box, payload)
 }
 
 // Abort discards every effect this handler invocation has staged — used by
