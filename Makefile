@@ -24,11 +24,18 @@ bench-test:
 
 # orphans fails if an internal/ package is on no path from a cmd/, an
 # example, the public hydro API or the bench/ module (ROADMAP aim 2):
-# code that only its own tests import gets wired in or deleted.
+# code that only its own tests import gets wired in or deleted. Its second
+# check fails if cmd/benchtab is a package's only path: an experiment
+# measures the system that serves requests, not a toy beside it, so only
+# internal/experiments itself may hang off benchtab alone.
 orphans:
 	@comm -23 <($(GO) list ./internal/... | sort) \
 		<({ $(GO) list -deps ./cmd/... ./examples/... . ; cd bench && $(GO) list -deps ./... ; } | sort -u) \
 		| sed 's/^/orphan package: /' | (! grep .)
+	@comm -23 <($(GO) list ./internal/... | grep -vx hydro/internal/experiments | sort) \
+		<({ $(GO) list -deps $$($(GO) list ./cmd/... ./examples/... . | grep -vx hydro/cmd/benchtab) ; \
+			cd bench && $(GO) list -deps ./... ; } | sort -u) \
+		| sed 's/^/reached only through cmd\/benchtab: /' | (! grep .)
 
 # datalog-serial fails if internal/datalog stops being single-threaded by
 # construction: a go statement, or a runtime / sync/atomic import, in a

@@ -3,7 +3,7 @@
 // Usage:
 //
 //	benchtab            # run all experiments
-//	benchtab -exp=E3    # run one
+//	benchtab -exp=E2    # run one
 //	benchtab -quick     # smaller parameters (CI-friendly)
 package main
 
@@ -30,15 +30,14 @@ func main() {
 		run func() experiments.Table
 	}{
 		{"E1", func() experiments.Table { return experiments.RunE1(2000 / scale) }},
-		{"E2", func() experiments.Table { return experiments.RunE2([]int{1, 3, 5}, 20/scale+1) }},
-		{"E3", func() experiments.Table { return experiments.RunE3([]int{1000, 10000, 50000 / scale}, 200) }},
+		{"E2", func() experiments.Table { return experiments.RunE2(80 / scale) }},
 		{"E4", func() experiments.Table { return experiments.RunE4(40 / scale) }},
 		{"E5", func() experiments.Table { return experiments.RunE5(20/scale + 1) }},
 		{"E5b", func() experiments.Table { return experiments.RunE5Mechanisms() }},
 		{"E6", func() experiments.Table { return experiments.RunE6() }},
 		{"E7", func() experiments.Table { return experiments.RunE7([]int{4, 16, 64}) }},
 		{"E8", func() experiments.Table { return experiments.RunE8([]int{32, 64, 128}) }},
-		{"E9", func() experiments.Table { return experiments.RunE9([]int{1, 2, 4, 8}, 20000/scale) }},
+		{"E9", func() experiments.Table { return experiments.RunE9([]int{1, 2, 3, 5}, 80/scale) }},
 		{"E10", func() experiments.Table { return experiments.RunE10(20 / scale) }},
 		{"E11", func() experiments.Table { return experiments.RunE11() }},
 		{"E12", func() experiments.Table { return experiments.RunE12(1000 / scale) }},

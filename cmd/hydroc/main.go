@@ -82,9 +82,6 @@ func main() {
 		fmt.Printf("  %-14s tolerate %d failures across %s domains\n", h.Name, s.Failures, s.Domain)
 	}
 
-	fmt.Println("\n— data model: synthesized layouts (§5) —")
-	fmt.Print(indent(c.LayoutReport()))
-
 	fmt.Println("\n— T: optimization targets (§9) —")
 	for _, h := range prog.Handlers {
 		s := prog.TargetFor(h.Name)

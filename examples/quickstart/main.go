@@ -28,9 +28,6 @@ func main() {
 	fmt.Println("\n=== Consistency mechanism choices (§7.2) ===")
 	fmt.Print(consistency.Report(c.Choices))
 
-	fmt.Println("\n=== Physical layouts (§5, Chestnut) ===")
-	fmt.Print(c.LayoutReport())
-
 	rt, err := c.Instantiate("node1", 42)
 	if err != nil {
 		panic(err)

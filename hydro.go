@@ -3,7 +3,7 @@
 // surface of the internal packages:
 //
 //   - Compile / MustCompile: HydroLogic source → compiled program
-//     (queries, handler closures, facet choices, physical layouts).
+//     (queries, handler closures, facet choices).
 //   - Compiled.Instantiate: a runnable single-node transducer, its
 //     queries maintained across ticks and ready for a durability sink.
 //   - Analyze: the monotonicity/CALM typechecker on its own.
@@ -29,7 +29,7 @@ import (
 // Compiled is a compiled HydroLogic program: see hydrolysis.Compiled.
 type Compiled = hydrolysis.Compiled
 
-// Options configures compilation (UDF implementations, workload hints).
+// Options configures compilation (UDF implementations).
 type Options = hydrolysis.Options
 
 // UDF is a black-box function implementation supplied at compile time.

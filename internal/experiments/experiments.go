@@ -7,12 +7,10 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
 
-	"hydro/internal/chestnut"
 	"hydro/internal/cluster"
 	"hydro/internal/consensus"
 	"hydro/internal/consistency"
@@ -20,14 +18,11 @@ import (
 	"hydro/internal/datalog"
 	"hydro/internal/hlang"
 	"hydro/internal/hydrolysis"
-	"hydro/internal/kvs"
 	"hydro/internal/lift/actor"
 	"hydro/internal/lift/future"
 	"hydro/internal/lift/mpi"
-	"hydro/internal/replica"
 	"hydro/internal/shard"
 	"hydro/internal/simnet"
-	"hydro/internal/storage"
 	"hydro/internal/target"
 	"hydro/internal/transducer"
 )
@@ -78,6 +73,14 @@ func covidUDFs() map[string]hydrolysis.UDF {
 	}
 }
 
+func compileCovid() *hydrolysis.Compiled {
+	c, err := hydrolysis.Compile(hlang.CovidSource, hydrolysis.Options{UDFs: covidUDFs()})
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 func fixedDelay(r *rand.Rand) int { return 1 }
 
 // --- E1: Fig 2 ≡ Fig 3 — sequential vs compiled HydroLogic ---
@@ -85,11 +88,10 @@ func fixedDelay(r *rand.Rand) int { return 1 }
 // RunE1 drives identical random workloads through the compiled HydroLogic
 // COVID app and reports equivalence plus throughput.
 func RunE1(ops int) Table {
-	c, err := hydrolysis.Compile(hlang.CovidSource, hydrolysis.Options{UDFs: covidUDFs()})
+	rt, err := compileCovid().Instantiate("n1", 1)
 	if err != nil {
 		panic(err)
 	}
-	rt, _ := c.Instantiate("n1", 1)
 	rt.SetDelay(fixedDelay)
 	r := rand.New(rand.NewSource(1))
 	start := time.Now()
@@ -122,190 +124,208 @@ func RunE1(ops int) Table {
 	}
 }
 
-// --- E2: CALM — monotone ops coordination-free vs coordinated ---
+// --- The compiled COVID program on the sharded deployment (E2, E9) ---
 
-// RunE2 compares per-operation completion latency (virtual µs) of a
-// monotone merge replicated by gossip against a non-monotone op serialized
-// through Paxos, across replica counts.
-func RunE2(replicaCounts []int, opsPer int) Table {
+// contactsPerTick is the load of one committed tick (per shard, in E9):
+// this many mirrored add_contact merges, two base rows each.
+const contactsPerTick = 4
+
+// tickCost is what committed ticks of the sharded COVID deployment cost,
+// averaged over the measured ticks.
+type tickCost struct {
+	decrees   float64 // submit + attempt + commit decrees per tick
+	msgs      float64 // simnet messages sent per tick
+	virtualMs float64 // virtual ms from Submit until Settle returns, per tick
+	// rowsPerVSec is base rows committed per virtual second.
+	rowsPerVSec float64
+}
+
+// shardedTickCost deploys the compiled COVID program on shards replicas
+// (hydrolysis.InstantiateSharded), commits ticks unmeasured warm-up ticks
+// and then ticks measured ones, and settles after each. A tick merges
+// perTick contacts, always mirrored as (a,b) and (b,a) like add_contact:
+// each attaches a new leaf to the hub of an 8-person star, so the closure
+// grows by whole small components. With deletes, every tick also deletes
+// the mirrored first contact of the tick before and restores the one it
+// deleted itself — the rows a mirrored remove_contact handler would commit.
+func shardedTickCost(shards, perTick, ticks int, deletes bool) tickCost {
+	const star = 8
+	cl := cluster.New(cluster.NewTopology(3, 2, 2, cluster.ClassSmall), simnet.DefaultConfig(int64(shards)))
+	dep, err := compileCovid().InstantiateSharded(cl, fmt.Sprintf("covid%d", shards), shards, shard.Options{})
+	if err != nil {
+		panic(err)
+	}
+	contact := func(k int, del bool) []datalog.DeltaOp {
+		hub, leaf := int64(k/(star-1)*star), int64(k/(star-1)*star+1+k%(star-1))
+		return []datalog.DeltaOp{
+			{Del: del, Pred: "contacts", T: datalog.Tuple{hub, leaf}},
+			{Del: del, Pred: "contacts", T: datalog.Tuple{leaf, hub}},
+		}
+	}
+	var c tickCost
+	var rows, elapsed float64
+	next, victim := 0, -1
+	for i := 0; i < 2*ticks; i++ {
+		var ops []datalog.DeltaOp
+		if deletes && i > 0 {
+			if victim >= 0 {
+				ops = append(ops, contact(victim, false)...)
+			}
+			victim = next - perTick
+			ops = append(ops, contact(victim, true)...)
+		}
+		for j := 0; j < perTick; j++ {
+			ops = append(ops, contact(next, false)...)
+			next++
+		}
+		m0, sent0, start := dep.Metrics(), cl.Net.Stats().Sent, cl.Net.Now()
+		if err := dep.Submit(ops); err != nil {
+			panic(err)
+		}
+		if !dep.Settle(2_000_000) {
+			panic(fmt.Sprintf("sharded COVID tick %d on %d shards did not settle", i, shards))
+		}
+		if i < ticks {
+			continue
+		}
+		m := dep.Metrics()
+		c.decrees += float64(m.SubmitDecrees + m.AttemptDecrees + m.CommitDecrees -
+			m0.SubmitDecrees - m0.AttemptDecrees - m0.CommitDecrees)
+		c.msgs += float64(cl.Net.Stats().Sent - sent0)
+		elapsed += float64(cl.Net.Now() - start)
+		rows += float64(len(ops))
+	}
+	n := float64(ticks)
+	c.decrees /= n
+	c.msgs /= n
+	c.virtualMs = elapsed / 1000 / n
+	c.rowsPerVSec = rows / (elapsed / 1e6)
+	return c
+}
+
+// --- E2: CALM — what coordination costs a tick, monotone vs not ---
+
+// RunE2 commits the COVID program's contact merges on a 3-shard deployment
+// in two mixes — insert-only ticks, and ticks that also delete a mirrored
+// contact — and reports decrees, messages and virtual time per tick.
+func RunE2(ticks int) Table {
+	const shards = 3
 	t := Table{
 		ID:     "E2",
-		Title:  "CALM: monotone (gossip) vs non-monotone (Paxos) per-op completion, virtual µs",
-		Header: []string{"replicas", "monotone-lat", "paxos-lat", "paxos/monotone"},
+		Title:  "CALM: price of coordination per committed tick, compiled COVID on 3 shards",
+		Header: []string{"mix", "contacts/tick", "decrees/tick", "msgs/tick", "virtual-ms/tick"},
 	}
-	for _, n := range replicaCounts {
-		mono := gossipLatency(n, opsPer)
-		coord := paxosLatency(n, opsPer)
-		ratio := float64(coord) / float64(mono)
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(n), fmt.Sprint(mono), fmt.Sprint(coord), fmt.Sprintf("%.1f×", ratio),
-		})
+	for _, mix := range []struct {
+		name    string
+		deletes bool
+	}{{"monotone (inserts)", false}, {"non-monotone (mirrored deletes)", true}} {
+		c := shardedTickCost(shards, contactsPerTick, ticks, mix.deletes)
+		t.Rows = append(t.Rows, []string{mix.name, fmt.Sprint(contactsPerTick),
+			fmt.Sprintf("%.2f", c.decrees), fmt.Sprintf("%.1f", c.msgs), fmt.Sprintf("%.2f", c.virtualMs)})
 	}
-	t.Notes = "monotone merges ack locally and gossip in the background; Paxos pays quorum round trips"
+	t.Notes = "both mixes pay the same barrier protocol today (submit/attempt/commit decrees, a barrier per exchange round); " +
+		"deletes add DRed's rounds. CALM says the insert-only ticks need neither decrees nor barriers: this gap is what a coordination-free monotone path closes"
 	return t
-}
-
-// gossipLatency: a monotone op completes locally (one local apply), with
-// anti-entropy in the background — client-visible latency is the local
-// apply plus one hop to the nearest replica.
-func gossipLatency(n, ops int) simnet.Time {
-	net := simnet.New(simnet.Config{Seed: 7, MinLatency: 100, MaxLatency: 100})
-	names := make([]string, n)
-	var gs []*replica.Gossiper
-	for i := range names {
-		names[i] = fmt.Sprintf("g%d", i)
-	}
-	for _, name := range names {
-		gs = append(gs, replica.NewGossiper(net, name, names, &setState{s: map[string]bool{}}, 500))
-	}
-	// Background anti-entropy is off the latency path; the client-visible
-	// cost of a monotone op is one hop to any replica.
-	_ = gs
-	net.AddNode("client", func(now simnet.Time, msg simnet.Message) {})
-	start := net.Now()
-	for i := 0; i < ops; i++ {
-		// Client sends to one replica; op is durable-enough on arrival
-		// (merge is monotone), so latency is one hop.
-		net.Send("client", names[i%n], replica.GossipPayload(map[string]bool{fmt.Sprintf("op%d", i): true}))
-		net.Drain(50)
-	}
-	total := net.Now() - start
-	return total / simnet.Time(ops)
-}
-
-type setState struct{ s map[string]bool }
-
-func (ss *setState) MergeAny(other any) {
-	for k := range other.(map[string]bool) {
-		ss.s[k] = true
-	}
-}
-func (ss *setState) SnapshotAny() any {
-	out := map[string]bool{}
-	for k := range ss.s {
-		out[k] = true
-	}
-	return out
-}
-func (ss *setState) EqualAny(other any) bool {
-	o := other.(map[string]bool)
-	if len(o) != len(ss.s) {
-		return false
-	}
-	for k := range o {
-		if !ss.s[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// paxosLatency: each op must be decided by the consensus group before the
-// client proceeds.
-func paxosLatency(n, ops int) simnet.Time {
-	net := simnet.New(simnet.Config{Seed: 7, MinLatency: 100, MaxLatency: 100})
-	g := consensus.NewGroup(net, n, 7)
-	start := net.Now()
-	for i := 0; i < ops; i++ {
-		g.Propose("p0", fmt.Sprintf("op%d", i))
-		// Drive until this op is decided everywhere reachable.
-		for steps := 0; g.DecidedCount("p0") <= i && steps < 100000; steps++ {
-			if !net.Step() {
-				break
-			}
-		}
-	}
-	total := net.Now() - start
-	return total / simnet.Time(ops)
-}
-
-// --- E3: Chestnut layout synthesis speedup ---
-
-// RunE3 measures the ORM-style lookup workload of §5.2 on the naive heap
-// layout vs the synthesized design, reporting rows touched and wall-clock
-// speedup (the paper claims "up to 42×"; shape: large and growing with
-// table size).
-func RunE3(tableSizes []int, lookups int) Table {
-	t := Table{
-		ID:     "E3",
-		Title:  "Chestnut data-layout synthesis vs naive heap (§5.2, \"up to 42×\")",
-		Header: []string{"rows", "design", "rows-touched", "wall-time", "speedup"},
-	}
-	for _, n := range tableSizes {
-		w := chestnut.Workload{TableRows: n, PointLookups: map[string]float64{"id": float64(lookups)}, Inserts: 10}
-		best := chestnut.Best("id", nil, w)
-		naive := chestnut.Build("t", "id", chestnut.Design{Layout: storage.LayoutHeap})
-		smart := chestnut.Build("t", "id", best)
-		for i := 0; i < n; i++ {
-			r := storage.Row{"id": fmt.Sprintf("u%07d", i)}
-			naive.Insert(r)
-			smart.Insert(r)
-		}
-		run := func(tbl *storage.Table) time.Duration {
-			start := time.Now()
-			for i := 0; i < lookups; i++ {
-				tbl.Lookup("id", fmt.Sprintf("u%07d", (i*7919)%n))
-			}
-			return time.Since(start)
-		}
-		naiveT := run(naive)
-		smartT := run(smart)
-		speedup := float64(naiveT) / float64(max64(1, int64(smartT)))
-		t.Rows = append(t.Rows,
-			[]string{fmt.Sprint(n), "heap(naive)", fmt.Sprint(naive.Stats.RowsTouched), naiveT.Round(time.Microsecond).String(), "1.0×"},
-			[]string{fmt.Sprint(n), best.Layout.String() + "(synth)", fmt.Sprint(smart.Stats.RowsTouched), smartT.Round(time.Microsecond).String(), fmt.Sprintf("%.0f×", speedup)},
-		)
-	}
-	return t
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // --- E4: availability under f failures across domains ---
 
-// RunE4 deploys a proxied endpoint across 3 AZs with f=2 tolerance and
-// reports request availability as AZs fail.
-func RunE4(requests int) Table {
-	t := Table{
-		ID:     "E4",
-		Title:  "Availability facet: endpoint availability vs failed AZs (f=2 spec, §6)",
-		Header: []string{"failed-AZs", "live-replicas", "answered", "availability"},
+// roundSlice is the virtual time between two ticks of the hosted runtimes;
+// a reply's latency is resolved to within one slice.
+const roundSlice simnet.Time = 10
+
+// hostedCovid is cmd/covidd's placement of the compiled COVID program: one
+// runtime on each of the f+1 machines that add_contact's availability spec
+// asks for, each in its own failure domain, hosted on a cluster whose links
+// take a fixed 100 µs. A client simnet node records when the first reply to
+// each request arrives.
+type hostedCovid struct {
+	cl       *cluster.Cluster
+	replicas []string
+	replied  map[uint64]simnet.Time // request ID → first reply's arrival
+	nextID   uint64
+}
+
+func newHostedCovid(seed int64) *hostedCovid {
+	c := compileCovid()
+	spec := c.Program.AvailabilityFor("add_contact")
+	topo := cluster.NewTopology(3, 1, 1, cluster.ClassSmall)
+	h := &hostedCovid{
+		cl:      cluster.New(topo, simnet.Config{Seed: seed, MinLatency: 100, MaxLatency: 100}),
+		replied: map[uint64]simnet.Time{},
 	}
-	for failed := 0; failed <= 3; failed++ {
-		net := simnet.New(simnet.Config{Seed: int64(40 + failed), MinLatency: 50, MaxLatency: 200})
-		topo := cluster.NewTopology(3, 1, 1, cluster.ClassSmall)
-		var reps []string
-		ms, err := topo.SpreadAcross(cluster.AZ, 3)
+	machines, err := topo.SpreadAcross(cluster.Domain(spec.Domain), spec.Failures+1)
+	if err != nil {
+		panic(err)
+	}
+	for i, m := range machines {
+		rt, err := c.Instantiate(m.ID, int64(i+1))
 		if err != nil {
 			panic(err)
 		}
-		for _, m := range ms {
-			reps = append(reps, m.ID)
-			replica.HandleAtReplica(net, m.ID, nil)
+		rt.SetDelay(fixedDelay)
+		h.cl.Host(m.ID, rt)
+		h.replicas = append(h.replicas, m.ID)
+	}
+	// Tx.Reply routes a reply to client/add_contact<response>, with the
+	// request ID as its first value.
+	h.cl.Net.AddNode("client", func(now simnet.Time, msg simnet.Message) {
+		if tm, ok := msg.Payload.(transducer.Message); ok {
+			if id, ok := tm.Payload[0].(uint64); ok {
+				if _, seen := h.replied[id]; !seen {
+					h.replied[id] = now
+				}
+			}
 		}
-		p := replica.NewProxy(net, "proxy", reps, 2)
-		for i := 0; i < failed; i++ {
-			net.SetDown(reps[i], true)
+	})
+	return h
+}
+
+// addContact sends one add_contact request from the client to each of the
+// named replicas and runs the cluster until the first reply arrives, for
+// at most 100 rounds. It returns the virtual time from send to that reply
+// and whether one came.
+func (h *hostedCovid) addContact(to []string, a, b int64) (simnet.Time, bool) {
+	h.nextID++
+	id, start := h.nextID, h.cl.Net.Now()
+	for _, r := range to {
+		h.cl.Net.Send("client", r, transducer.Message{Mailbox: "add_contact", Payload: datalog.Tuple{a, b}, ID: id, From: "client"})
+	}
+	for i := 0; i < 100; i++ {
+		if at, ok := h.replied[id]; ok {
+			return at - start, true
+		}
+		h.cl.Round(roundSlice)
+	}
+	return 0, false
+}
+
+// RunE4 hosts the compiled COVID program on the f+1 machines its
+// availability spec asks for (f=2 across AZs), fails 0–3 AZs, and reports
+// how many add_contact requests, each sent to every replica, get a reply.
+func RunE4(requests int) Table {
+	t := Table{
+		ID:     "E4",
+		Title:  "Availability facet: compiled COVID replicas vs failed AZs (f=2 spec, §6)",
+		Header: []string{"failed-AZs", "live-replicas", "answered", "availability"},
+	}
+	for failed := 0; failed <= 3; failed++ {
+		h := newHostedCovid(int64(40 + failed))
+		for _, r := range h.replicas[:failed] {
+			h.cl.FailDomain(cluster.AZ, h.cl.Topo.Get(r).AZ)
 		}
 		answered := 0
 		for i := 0; i < requests; i++ {
-			id := p.Send(i)
-			net.Drain(100)
-			if p.Answered(id) {
+			if _, ok := h.addContact(h.replicas, int64(i), int64(i+1)); ok {
 				answered++
 			}
 		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(failed), fmt.Sprint(3 - failed), fmt.Sprintf("%d/%d", answered, requests),
+			fmt.Sprint(failed), fmt.Sprint(h.cl.UpCount()), fmt.Sprintf("%d/%d", answered, requests),
 			fmt.Sprintf("%.0f%%", 100*float64(answered)/float64(requests)),
 		})
 	}
-	t.Notes = "f=2 across AZ: available through 2 AZ failures, unavailable at 3 (by design)"
+	t.Notes = "f=2 across AZ: available through 2 AZ failures, unavailable at 3 (by design); a request is answered by its first reply over simnet"
 	return t
 }
 
@@ -319,25 +339,21 @@ func RunE5(ops int) Table {
 		Title:  "Consistency spectrum: mechanism cost per op (3 replicas, virtual µs)",
 		Header: []string{"level", "mechanism", "latency/op", "msgs/op"},
 	}
-	// Eventual: local apply + background gossip.
+	// Eventual: a monotone add_contact committed and acknowledged by one
+	// hosted compiled runtime of E4's replica set, round-robin.
 	{
-		net := simnet.New(simnet.Config{Seed: 51, MinLatency: 100, MaxLatency: 100})
-		names := []string{"g0", "g1", "g2"}
-		var gs []*replica.Gossiper
-		for _, nm := range names {
-			gs = append(gs, replica.NewGossiper(net, nm, names, &setState{s: map[string]bool{}}, 300))
-		}
-		_ = gs // anti-entropy runs off the latency path
-		net.AddNode("client", func(now simnet.Time, msg simnet.Message) {})
-		before := net.Stats().Sent
-		start := net.Now()
+		h := newHostedCovid(51)
+		before := h.cl.Net.Stats().Sent
+		var total simnet.Time
 		for i := 0; i < ops; i++ {
-			net.Send("client", names[i%3], replica.GossipPayload(map[string]bool{fmt.Sprintf("w%d", i): true}))
-			net.Drain(30)
+			lat, ok := h.addContact(h.replicas[i%len(h.replicas):][:1], int64(i), int64(i+1))
+			if !ok {
+				panic("E5: eventual add_contact got no reply")
+			}
+			total += lat
 		}
-		lat := (net.Now() - start) / simnet.Time(ops)
-		msgs := float64(net.Stats().Sent-before) / float64(ops)
-		t.Rows = append(t.Rows, []string{"eventual", "lattice gossip", fmt.Sprint(lat), fmt.Sprintf("%.1f", msgs)})
+		msgs := float64(h.cl.Net.Stats().Sent-before) / float64(ops)
+		t.Rows = append(t.Rows, []string{"eventual", "compiled runtime, one replica acks", fmt.Sprint(total / simnet.Time(ops)), fmt.Sprintf("%.1f", msgs)})
 	}
 	// Causal: client session pins + vector-clock metadata — one replica
 	// write plus causal metadata fan-out (modeled as write + 2 async).
@@ -386,7 +402,9 @@ func RunE5(ops int) Table {
 		msgs := float64(net.Stats().Sent-before) / float64(ops)
 		t.Rows = append(t.Rows, []string{"serializable", "Paxos log", fmt.Sprint(lat), fmt.Sprintf("%.1f", msgs)})
 	}
-	t.Notes = "the compiler picks the cheapest tier the spec + CALM analysis permits (consistency.Select)"
+	t.Notes = "the compiler picks the cheapest tier the spec + CALM analysis permits (consistency.Select); " +
+		"eventual counts the request and its reply only: no replica forwards the merge (E4 sends each request to all f+1); " +
+		"causal is a modelled vector-clock fan-out, serializable a Paxos decision per op"
 	return t
 }
 
@@ -516,101 +534,40 @@ func RunE8(sizes []int) Table {
 		naiveT := time.Since(start)
 		t.Rows = append(t.Rows,
 			[]string{fmt.Sprint(n), "semi-naive", fmt.Sprint(dS), semiT.Round(time.Microsecond).String(),
-				fmt.Sprintf("%.1f×", float64(naiveT)/float64(max64(1, int64(semiT))))},
+				fmt.Sprintf("%.1f×", float64(naiveT)/float64(max(1, semiT)))},
 			[]string{fmt.Sprint(n), "naive", fmt.Sprint(dN), naiveT.Round(time.Microsecond).String(), "1.0×"},
 		)
 	}
 	return t
 }
 
-// --- E9: Anna-style KVS thread scaling ---
+// --- E9: Anna — coordination-free partitioning scales out ---
 
-// RunE9 compares the Anna architecture (coordination-free shards, each
-// owning its keys) with a global-lock store across worker counts. The
-// paper's claim is about *scaling shape* ("a KVS for any scale"): shards
-// scale with cores because no worker ever waits on another's keys, while a
-// global lock serializes everything.
-//
-// Scaling is measured in *virtual time* (per-op service cost, queueing at
-// whichever structure owns the data), because wall-clock parallel speedup
-// requires physical cores this test host may not have (DESIGN.md §5
-// substitution: single-core hosts simulate the multicore). A wall-clock
-// correctness/throughput row per store is also reported for reference.
-func RunE9(workers []int, opsPerWorker int) Table {
+// RunE9 runs the sharded COVID deployment at each shard count with a fixed
+// load per shard (contactsPerTick mirrored contacts per shard per tick) and
+// reports the cost of a committed tick and the base rows committed per
+// virtual second, relative to the first shard count. Anna's claim (Wu et
+// al., ICDE 2018) is that partitioned lattice state scales out; here it is
+// measured on the partitioned dataflow that serves requests, in virtual time
+// so that it does not depend on this host's cores.
+func RunE9(shardCounts []int, ticks int) Table {
 	t := Table{
 		ID:     "E9",
-		Title:  "Anna-style lattice KVS vs global-lock baseline: throughput scaling",
-		Header: []string{"workers", "store", "virtual-ops/sec", "scaling-vs-1worker", "wallclock-ops/sec"},
+		Title:  "Anna-style scale-out: compiled COVID deployment at a fixed load per shard",
+		Header: []string{"shards", "contacts/tick", "decrees/tick", "msgs/tick", "virtual-ms/tick", "rows/vsec", fmt.Sprintf("vs-%d-shard", shardCounts[0])},
 	}
-	const servicePerOpUs = 2.0 // per-op CPU cost at the owning structure
-	r := rand.New(rand.NewSource(9))
-	virtual := func(w int, anna bool) float64 {
-		totalOps := w * opsPerWorker
-		if !anna {
-			// One serial queue: makespan = totalOps * service.
-			return 1e6 / servicePerOpUs // ops/sec independent of workers
+	var base float64
+	for _, n := range shardCounts {
+		c := shardedTickCost(n, n*contactsPerTick, ticks, false)
+		if base == 0 {
+			base = c.rowsPerVSec
 		}
-		// Shards = workers; ops land by key hash; makespan = busiest shard.
-		busy := make([]float64, w)
-		for i := 0; i < totalOps; i++ {
-			busy[r.Intn(w)] += servicePerOpUs
-		}
-		maxBusy := 0.0
-		for _, b := range busy {
-			if b > maxBusy {
-				maxBusy = b
-			}
-		}
-		return float64(totalOps) / maxBusy * 1e6
+		t.Rows = append(t.Rows, []string{fmt.Sprint(n), fmt.Sprint(n * contactsPerTick),
+			fmt.Sprintf("%.2f", c.decrees), fmt.Sprintf("%.1f", c.msgs), fmt.Sprintf("%.2f", c.virtualMs),
+			fmt.Sprintf("%.0f", c.rowsPerVSec), fmt.Sprintf("%.1f×", c.rowsPerVSec/base)})
 	}
-	annaBaseV := virtual(1, true)
-	lockBaseV := virtual(1, false)
-	for _, w := range workers {
-		annaV := virtual(w, true)
-		lockV := virtual(w, false)
-		annaW := kvsThroughput(w, opsPerWorker, true)
-		lockW := kvsThroughput(w, opsPerWorker, false)
-		t.Rows = append(t.Rows,
-			[]string{fmt.Sprint(w), "anna(shards)", fmt.Sprintf("%.0f", annaV), fmt.Sprintf("%.1f×", annaV/annaBaseV), fmt.Sprintf("%.0f", annaW)},
-			[]string{fmt.Sprint(w), "locked-map", fmt.Sprintf("%.0f", lockV), fmt.Sprintf("%.1f×", lockV/lockBaseV), fmt.Sprintf("%.0f", lockW)},
-		)
-	}
-	t.Notes = fmt.Sprintf("virtual model: %.0fµs/op service; host has %d CPU(s), so wall-clock columns show no parallel speedup on 1 core", servicePerOpUs, runtime.NumCPU())
+	t.Notes = "every tick still pays the barrier protocol, so msgs/tick grow with the shards' exchange fan-out while virtual ms/tick stay near flat"
 	return t
-}
-
-func kvsThroughput(workers, ops int, anna bool) float64 {
-	var put func(k string, v kvs.Value)
-	var get func(k string) (kvs.Value, bool)
-	if anna {
-		s := kvs.NewStore(workers, 1)
-		defer s.Close()
-		put, get = s.Put, s.Get
-	} else {
-		s := kvs.NewLockedStore()
-		put, get = s.Put, s.Get
-	}
-	done := make(chan struct{})
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			r := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < ops; i++ {
-				key := fmt.Sprintf("w%d-k%d", w, r.Intn(256))
-				if i%5 == 0 {
-					put(key, kvs.NewValue(uint64(i), fmt.Sprintf("w%d", w), "v"))
-				} else {
-					get(key)
-				}
-			}
-			done <- struct{}{}
-		}(w)
-	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	elapsed := time.Since(start)
-	return float64(workers*ops) / elapsed.Seconds()
 }
 
 // --- E10: shopping cart seal placement ---
@@ -625,7 +582,6 @@ func RunE10(carts int) Table {
 	}
 	// Client-side sealing: merges only; zero coordination messages.
 	{
-		start := time.Now()
 		for i := 0; i < carts; i++ {
 			a := crdt.NewCart("a").AddItem("x", 1)
 			b := crdt.NewCart("b").AddItem("y", 2)
@@ -636,7 +592,6 @@ func RunE10(carts int) Table {
 				panic("seal checkout failed")
 			}
 		}
-		_ = start
 		t.Rows = append(t.Rows, []string{"seal-at-client", fmt.Sprint(carts), "0", "0µs (local merges only)"})
 	}
 	// Consensus checkout: one Paxos decision per cart.

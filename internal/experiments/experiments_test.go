@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // Smoke tests: every experiment runs at reduced scale and its table carries
-// the shape assertions EXPERIMENTS.md records.
+// the shape assertions DESIGN.md §4 records.
 
 func TestE1Runs(t *testing.T) {
 	tab := RunE1(50)
@@ -15,42 +16,48 @@ func TestE1Runs(t *testing.T) {
 	}
 }
 
+// TestE2CoordinationTax pins the price of coordination on the sharded
+// COVID deployment. Both mixes run the barrier protocol today, so their
+// decrees per tick are equal; once monotone ticks commit without it
+// (DESIGN.md §4, E2) the monotone row must drop to at most 1.1 decrees per
+// tick and this check flips to that. Deletes already cost more messages and
+// more virtual time per tick.
 func TestE2CoordinationTax(t *testing.T) {
-	tab := RunE2([]int{3}, 3)
-	mono := tab.Rows[0][1]
-	paxos := tab.Rows[0][2]
-	if mono >= paxos && len(mono) >= len(paxos) {
-		t.Fatalf("monotone (%s) should be cheaper than paxos (%s)", mono, paxos)
+	tab := RunE2(20)
+	mono, nonMono := tab.Rows[0], tab.Rows[1]
+	if num(t, mono[2]) != num(t, nonMono[2]) {
+		t.Fatalf("decrees/tick differ between mixes: %v vs %v", mono, nonMono)
 	}
-}
-
-func TestE3SpeedupShape(t *testing.T) {
-	tab := RunE3([]int{2000}, 50)
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %v", tab.Rows)
-	}
-	if !strings.HasSuffix(tab.Rows[1][4], "×") || tab.Rows[1][4] == "1.0×" {
-		t.Fatalf("synthesized speedup = %q", tab.Rows[1][4])
+	for _, col := range []int{3, 4} {
+		if num(t, mono[col]) >= num(t, nonMono[col]) {
+			t.Fatalf("monotone %s (%s) not below non-monotone (%s)", tab.Header[col], mono[col], nonMono[col])
+		}
 	}
 }
 
 func TestE4AvailabilityBoundary(t *testing.T) {
-	tab := RunE4(5)
-	if tab.Rows[2][3] != "100%" {
-		t.Fatalf("2 failed AZs: %v", tab.Rows[2])
-	}
-	if tab.Rows[3][3] != "0%" {
-		t.Fatalf("3 failed AZs: %v", tab.Rows[3])
+	tab := RunE4(10)
+	for failed, want := range []float64{100, 100, 100, 0} {
+		if got := num(t, tab.Rows[failed][3]); got != want {
+			t.Fatalf("%d failed AZs: availability %v%%, want %v%%: %v", failed, got, want, tab.Rows[failed])
+		}
 	}
 }
 
+// TestE5Ordering pins the spectrum's message cost, eventual < causal <
+// serializable, and that an eventual op completes before a serializable
+// one. Eventual vs causal latency is not pinned: the causal row is a model.
 func TestE5Ordering(t *testing.T) {
-	tab := RunE5(3)
-	if len(tab.Rows) != 3 {
+	tab := RunE5(5)
+	if len(tab.Rows) != 3 || tab.Rows[0][0] != "eventual" || tab.Rows[2][0] != "serializable" {
 		t.Fatalf("rows = %v", tab.Rows)
 	}
-	if tab.Rows[0][0] != "eventual" || tab.Rows[2][0] != "serializable" {
-		t.Fatalf("rows = %v", tab.Rows)
+	eventual, causal, serializable := tab.Rows[0], tab.Rows[1], tab.Rows[2]
+	if !(num(t, eventual[3]) < num(t, causal[3]) && num(t, causal[3]) < num(t, serializable[3])) {
+		t.Fatalf("msgs/op not ordered eventual < causal < serializable: %v", tab.Rows)
+	}
+	if num(t, eventual[2]) >= num(t, serializable[2]) {
+		t.Fatalf("eventual latency %s not below serializable %s", eventual[2], serializable[2])
 	}
 }
 
@@ -90,10 +97,12 @@ func TestE8SemiNaiveWins(t *testing.T) {
 	}
 }
 
+// TestE9ScalingColumns: at a fixed load per shard, 5 shards commit at
+// least 3× the base rows per virtual second that 1 shard does.
 func TestE9ScalingColumns(t *testing.T) {
-	tab := RunE9([]int{4}, 200)
-	if tab.Rows[0][3] == tab.Rows[1][3] {
-		t.Fatalf("anna and locked scaling identical: %v", tab.Rows)
+	tab := RunE9([]int{1, 5}, 20)
+	if one, five := num(t, tab.Rows[0][5]), num(t, tab.Rows[1][5]); five < 3*one {
+		t.Fatalf("rows/vsec at 5 shards %v < 3× 1 shard's %v: %v", five, one, tab.Rows)
 	}
 }
 
@@ -137,4 +146,14 @@ func TestE14FailoverColumns(t *testing.T) {
 			t.Fatalf("faulted mode %s has no recovery window: %v", row[0], row)
 		}
 	}
+}
+
+// num parses a numeric table cell, ignoring a unit suffix such as "×" or "%".
+func num(t *testing.T, cell string) float64 {
+	t.Helper()
+	f, err := strconv.ParseFloat(strings.TrimRight(cell, "×%µs"), 64)
+	if err != nil {
+		t.Fatalf("cell %q is not a number: %v", cell, err)
+	}
+	return f
 }

@@ -1,16 +1,15 @@
 // Package hydrolysis is the Hydro compiler (§2.2): it takes a HydroLogic
 // program and produces everything needed to run it — datalog rules for the
 // query facet, executable handler closures for the transducer runtime,
-// physical layouts from the Chestnut synthesizer, consistency-mechanism
-// choices from CALM analysis, an availability placement plan, and a target-
-// facet deployment plan. Each facet compiles independently and the results
-// compose, exactly the faceted-compilation structure §2.2 argues for.
+// consistency-mechanism choices from CALM analysis, an availability
+// placement plan, and a target-facet deployment plan. Each facet compiles
+// independently and the results compose, exactly the faceted-compilation
+// structure §2.2 argues for.
 package hydrolysis
 
 import (
 	"fmt"
 
-	"hydro/internal/chestnut"
 	"hydro/internal/consistency"
 	"hydro/internal/datalog"
 	"hydro/internal/hlang"
@@ -27,8 +26,6 @@ type Compiled struct {
 	Queries *datalog.Program
 	// Choices maps handler → consistency mechanism choice (§7.2).
 	Choices map[string]consistency.Choice
-	// Layouts maps table → synthesized physical design (§5).
-	Layouts map[string]chestnut.Design
 	// UDFs holds the user-supplied implementations.
 	UDFs map[string]UDF
 }
@@ -38,9 +35,6 @@ type Options struct {
 	// UDFs supplies implementations for declared UDFs. Missing UDFs
 	// compile to an error at build time, not call time.
 	UDFs map[string]UDF
-	// Workloads optionally supplies per-table workload profiles for the
-	// layout synthesizer; absent tables get a key-lookup-heavy default.
-	Workloads map[string]chestnut.Workload
 }
 
 // Compile parses, checks, analyzes and compiles a HydroLogic source text.
@@ -64,44 +58,13 @@ func CompileProgram(prog *hlang.Program, opts Options) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Compiled{
+	return &Compiled{
 		Program:  prog,
 		Analysis: analysis,
 		Queries:  rules,
 		Choices:  consistency.Select(prog, analysis),
-		Layouts:  map[string]chestnut.Design{},
 		UDFs:     opts.UDFs,
-	}
-	// Data-model facet: synthesize a layout per table.
-	for _, t := range prog.Tables {
-		w, ok := opts.Workloads[t.Name]
-		if !ok {
-			w = chestnut.Workload{
-				TableRows:    10000,
-				PointLookups: map[string]float64{t.Key[0]: 100},
-				Inserts:      10,
-			}
-		}
-		var nonKey []string
-		for _, f := range t.Fields {
-			if f.Name != t.Key[0] {
-				nonKey = append(nonKey, f.Name)
-			}
-		}
-		c.Layouts[t.Name] = chestnut.Best(t.Key[0], nonKey, w)
-	}
-	return c, nil
-}
-
-// LayoutReport renders the synthesized layouts one table a line, in the
-// program's declaration order (Layouts is a map: ranging over it would
-// reorder the report from run to run).
-func (c *Compiled) LayoutReport() string {
-	s := ""
-	for _, t := range c.Program.Tables {
-		s += fmt.Sprintf("%-14s %s\n", t.Name, c.Layouts[t.Name])
-	}
-	return s
+	}, nil
 }
 
 // PartitionEntry describes how one table scatters across shards (§5's

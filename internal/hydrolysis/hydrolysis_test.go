@@ -8,7 +8,6 @@ import (
 
 	"hydro/internal/datalog"
 	"hydro/internal/hlang"
-	"hydro/internal/storage"
 	"hydro/internal/transducer"
 )
 
@@ -46,13 +45,6 @@ func TestCompileCovidFacets(t *testing.T) {
 	c := compileCovid(t)
 	if c.Choices["vaccinate"].Mechanism.String() == "" {
 		t.Fatal("no consistency choice for vaccinate")
-	}
-	if len(c.Layouts) != 2 {
-		t.Fatalf("layouts = %v", c.Layouts)
-	}
-	// Key-lookup-heavy default workload should pick a keyed layout.
-	if c.Layouts["people"].Layout == storage.LayoutHeap {
-		t.Fatalf("people layout = %v", c.Layouts["people"])
 	}
 }
 

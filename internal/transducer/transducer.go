@@ -5,7 +5,7 @@
 // snapshot: effects are staged, never written mid-tick, and the query
 // fixpoint is maintained inside it from each tick's realized delta
 // (datalog.Incremental), so nothing is copied or re-derived per tick. A
-// runtime with no query program (the lifts, cluster, kvs) has nothing
+// runtime with no query program (the lifts, cluster) has nothing
 // derived and nothing to maintain. Sends are asynchronous merges
 // into mailboxes. A send to a handled or a remote ("node/mailbox") mailbox
 // may be delayed an unbounded (simulated) number of ticks, capturing
