@@ -2,7 +2,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: build test vet ci orphans datalog-serial datalog-one-store one-tick-path bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak tick-allocs
+.PHONY: build test vet ci smoke orphans datalog-serial datalog-one-store one-tick-path bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak tick-allocs
 
 build:
 	$(GO) build ./...
@@ -13,7 +13,19 @@ test:
 vet:
 	$(GO) vet ./...
 
-ci: build vet orphans datalog-serial datalog-one-store one-tick-path test bench-test
+ci: build vet orphans datalog-serial datalog-one-store one-tick-path test bench-test smoke
+
+# smoke runs every binary a reader is pointed at: the compiler on the COVID
+# program (its report must reach the metaconsistency check), the covidd
+# deployment demo, and each example. It fails on a non-zero exit.
+SMOKE_EXAMPLES = actors cart futures mpi quickstart
+smoke:
+	$(GO) run ./cmd/hydroc -covid | grep metaconsistency
+	$(GO) run ./cmd/covidd > /dev/null
+	@for ex in $(SMOKE_EXAMPLES); do \
+		echo "$(GO) run ./examples/$$ex"; \
+		$(GO) run ./examples/$$ex > /dev/null || exit 1; \
+	done
 
 # bench-test compiles and tests the nested bench/ module (own go.mod, so
 # `go build ./... && go test ./...` at the root never see it): a change to

@@ -72,8 +72,8 @@ func BenchmarkE5ConsistencySpectrum(b *testing.B) {
 	var serializable, eventual float64
 	for i := 0; i < b.N; i++ {
 		t := experiments.RunE5(5)
-		eventual = parseFloat(t.Rows[0][2])
-		serializable = parseFloat(t.Rows[2][2])
+		eventual = parseFloat(t.Row("eventual")[2])
+		serializable = parseFloat(t.Row("serializable")[2])
 	}
 	b.ReportMetric(serializable/eventual, "serializable/eventual")
 }

@@ -74,7 +74,14 @@ func main() {
 	fmt.Print(indent(c.Analysis.Report()))
 
 	fmt.Println("\n— C: consistency mechanisms (§7.2) —")
-	fmt.Print(indent(consistency.Report(c.Choices)))
+	fmt.Print(indent(consistency.Report(consistency.Select(c.Program, c.Analysis))))
+	issues := consistency.CheckMeta(c.Program, c.Analysis)
+	if len(issues) == 0 {
+		fmt.Println("  metaconsistency: no downgrade paths")
+	}
+	for _, m := range issues {
+		fmt.Println("  metaconsistency: " + m.String())
+	}
 
 	fmt.Println("\n— A: availability specs (§6) —")
 	for _, h := range prog.Handlers {

@@ -1,7 +1,7 @@
 // Command quickstart runs the paper's COVID-19 tracker (Fig 2/3) end to
 // end on a single transducer: it compiles the HydroLogic source, prints the
-// monotonicity analysis and facet choices the compiler made, then drives
-// the application and shows the resulting state and alerts.
+// monotonicity analysis and each handler's consistency mechanism, then
+// drives the application and shows the resulting state and alerts.
 package main
 
 import (
@@ -26,7 +26,7 @@ func main() {
 	fmt.Print(c.Analysis.Report())
 
 	fmt.Println("\n=== Consistency mechanism choices (§7.2) ===")
-	fmt.Print(consistency.Report(c.Choices))
+	fmt.Print(consistency.Report(consistency.Select(c.Program, c.Analysis)))
 
 	rt, err := c.Instantiate("node1", 42)
 	if err != nil {

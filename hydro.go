@@ -3,11 +3,10 @@
 // surface of the internal packages:
 //
 //   - Compile / MustCompile: HydroLogic source → compiled program
-//     (queries, handler closures, facet choices).
+//     (datalog queries, monotonicity analysis, handler closures).
 //   - Compiled.Instantiate: a runnable single-node transducer, its
 //     queries maintained across ticks and ready for a durability sink.
 //   - Analyze: the monotonicity/CALM typechecker on its own.
-//   - The lattice and CRDT algebra, for building monotone state directly.
 //
 // Quickstart:
 //

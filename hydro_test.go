@@ -116,7 +116,7 @@ func TestDistributedCovidConverges(t *testing.T) {
 func TestFacetReportsRoundTrip(t *testing.T) {
 	c := MustCompile(CovidSource, Options{UDFs: testUDFs()})
 	analysis := c.Analysis.Report()
-	mech := consistency.Report(c.Choices)
+	mech := consistency.Report(consistency.Select(c.Program, c.Analysis))
 	for _, want := range []string{"transitive", "vaccinate", "non-monotone"} {
 		if !strings.Contains(analysis, want) {
 			t.Fatalf("analysis report missing %q:\n%s", want, analysis)

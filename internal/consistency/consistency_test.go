@@ -7,163 +7,6 @@ import (
 	"hydro/internal/hlang"
 )
 
-func TestReadYourWrites(t *testing.T) {
-	ok := History{
-		{Client: "c1", Kind: Write, Key: "x", Value: "v1", Invoke: 1, Return: 2},
-		{Client: "c1", Kind: Read, Key: "x", Value: "v1", Invoke: 3, Return: 4},
-	}
-	if v := ok.CheckReadYourWrites(); len(v) != 0 {
-		t.Fatalf("false positive: %v", v)
-	}
-	bad := History{
-		{Client: "c1", Kind: Write, Key: "x", Value: "v1", Invoke: 1, Return: 2},
-		{Client: "c1", Kind: Write, Key: "x", Value: "v2", Invoke: 3, Return: 4},
-		{Client: "c1", Kind: Read, Key: "x", Value: "v1", Invoke: 5, Return: 6}, // stale own-write
-	}
-	if v := bad.CheckReadYourWrites(); len(v) == 0 {
-		t.Fatal("missed RYW violation")
-	}
-}
-
-func TestMonotonicReads(t *testing.T) {
-	bad := History{
-		{Client: "w", Kind: Write, Key: "x", Value: "v1", Invoke: 1, Return: 2},
-		{Client: "w", Kind: Write, Key: "x", Value: "v2", Invoke: 3, Return: 4},
-		{Client: "r", Kind: Read, Key: "x", Value: "v2", Invoke: 5, Return: 6},
-		{Client: "r", Kind: Read, Key: "x", Value: "v1", Invoke: 7, Return: 8}, // regress
-	}
-	if v := bad.CheckMonotonicReads(); len(v) != 1 {
-		t.Fatalf("violations = %v", v)
-	}
-	// Reading the same version twice is fine.
-	ok := History{
-		{Client: "w", Kind: Write, Key: "x", Value: "v1", Invoke: 1, Return: 2},
-		{Client: "r", Kind: Read, Key: "x", Value: "v1", Invoke: 3, Return: 4},
-		{Client: "r", Kind: Read, Key: "x", Value: "v1", Invoke: 5, Return: 6},
-	}
-	if v := ok.CheckMonotonicReads(); len(v) != 0 {
-		t.Fatalf("false positive: %v", v)
-	}
-}
-
-func TestMonotonicWritesAndWFR(t *testing.T) {
-	// Explicit install versions: the system serialized c1's write *before*
-	// the v2 it had already read — a WFR violation.
-	bad := History{
-		{Client: "w", Kind: Write, Key: "x", Value: "v1", Invoke: 1, Return: 2, Version: 1},
-		{Client: "w", Kind: Write, Key: "x", Value: "v2", Invoke: 3, Return: 4, Version: 3},
-		{Client: "c1", Kind: Read, Key: "x", Value: "v2", Invoke: 5, Return: 6},
-		{Client: "c1", Kind: Write, Key: "x", Value: "mine", Invoke: 7, Return: 8, Version: 2},
-	}
-	if v := bad.CheckWritesFollowReads(); len(v) == 0 {
-		t.Fatal("missed WFR violation")
-	}
-	okMW := History{
-		{Client: "c1", Kind: Write, Key: "x", Value: "a", Invoke: 1, Return: 2},
-		{Client: "c1", Kind: Write, Key: "x", Value: "b", Invoke: 3, Return: 4},
-	}
-	if v := okMW.CheckMonotonicWrites(); len(v) != 0 {
-		t.Fatalf("false positive MW: %v", v)
-	}
-	// The system reordered c1's own writes: MW violation.
-	badMW := History{
-		{Client: "c1", Kind: Write, Key: "x", Value: "a", Invoke: 1, Return: 2, Version: 2},
-		{Client: "c1", Kind: Write, Key: "x", Value: "b", Invoke: 3, Return: 4, Version: 1},
-	}
-	if v := badMW.CheckMonotonicWrites(); len(v) == 0 {
-		t.Fatal("missed MW violation")
-	}
-}
-
-func TestCausalBundle(t *testing.T) {
-	h := History{
-		{Client: "c1", Kind: Write, Key: "x", Value: "v1", Invoke: 1, Return: 2},
-		{Client: "c1", Kind: Read, Key: "x", Value: "v1", Invoke: 3, Return: 4},
-	}
-	if v := h.CheckCausal(); len(v) != 0 {
-		t.Fatalf("causal false positive: %v", v)
-	}
-}
-
-func TestLinearizableAccepts(t *testing.T) {
-	h := History{
-		{Client: "a", Kind: Write, Key: "x", Value: "v1", Invoke: 1, Return: 5},
-		{Client: "b", Kind: Read, Key: "x", Value: nil, Invoke: 2, Return: 3}, // overlaps: may order before write
-		{Client: "b", Kind: Read, Key: "x", Value: "v1", Invoke: 6, Return: 7},
-	}
-	if !h.CheckLinearizable("x") {
-		t.Fatal("valid history rejected")
-	}
-}
-
-func TestLinearizableRejectsStaleRead(t *testing.T) {
-	h := History{
-		{Client: "a", Kind: Write, Key: "x", Value: "v1", Invoke: 1, Return: 2},
-		{Client: "b", Kind: Read, Key: "x", Value: nil, Invoke: 3, Return: 4}, // strictly after write: stale
-	}
-	if h.CheckLinearizable("x") {
-		t.Fatal("stale read accepted as linearizable")
-	}
-}
-
-func TestLinearizableConcurrentWrites(t *testing.T) {
-	h := History{
-		{Client: "a", Kind: Write, Key: "x", Value: "va", Invoke: 1, Return: 10},
-		{Client: "b", Kind: Write, Key: "x", Value: "vb", Invoke: 1, Return: 10},
-		{Client: "c", Kind: Read, Key: "x", Value: "va", Invoke: 11, Return: 12},
-		{Client: "c", Kind: Read, Key: "x", Value: "vb", Invoke: 13, Return: 14},
-	}
-	// va then vb is a valid order only if vb serialized after va but reads
-	// come after both returns... read va then vb requires order va,vb with
-	// reads interleaved — but both writes returned by t=10, so reads at
-	// t>10 must see the final value; seeing va then vb is impossible if
-	// both writes precede both reads... actually write order (vb, va)
-	// would make reads va,va. Order (va,vb): reads after both see vb only.
-	if h.CheckLinearizable("x") {
-		t.Fatal("impossible interleaving accepted")
-	}
-}
-
-func TestSerializableAcyclic(t *testing.T) {
-	txns := []TxnRecord{
-		{ID: "t1", Writes: map[string]int{"x": 1}},
-		{ID: "t2", Reads: map[string]int{"x": 1}, Writes: map[string]int{"y": 1}},
-		{ID: "t3", Reads: map[string]int{"y": 1}},
-	}
-	ok, cyc := CheckSerializable(txns)
-	if !ok {
-		t.Fatalf("acyclic DSG flagged: %v", cyc)
-	}
-}
-
-func TestSerializableDetectsWriteSkew(t *testing.T) {
-	// Classic write skew: t1 reads x@0 writes y@1; t2 reads y@0 writes x@1.
-	txns := []TxnRecord{
-		{ID: "t1", Reads: map[string]int{"x": 0}, Writes: map[string]int{"y": 1}},
-		{ID: "t2", Reads: map[string]int{"y": 0}, Writes: map[string]int{"x": 1}},
-	}
-	ok, cyc := CheckSerializable(txns)
-	if ok {
-		t.Fatal("write skew accepted as serializable")
-	}
-	if len(cyc) < 2 {
-		t.Fatalf("counterexample cycle too short: %v", cyc)
-	}
-}
-
-func TestSerializableLostUpdate(t *testing.T) {
-	// Both read x@0 and both write x: versions 1 and 2. t1 rw→ t2 (read 0,
-	// next version 1 by t1... construct: t1 writes x@1, t2 writes x@2, both
-	// read x@0: t2 rw→ t1 (t2 read 0, t1 installed 1) and ww t1→t2.
-	txns := []TxnRecord{
-		{ID: "t1", Reads: map[string]int{"x": 0}, Writes: map[string]int{"x": 1}},
-		{ID: "t2", Reads: map[string]int{"x": 0}, Writes: map[string]int{"x": 2}},
-	}
-	if ok, _ := CheckSerializable(txns); ok {
-		t.Fatal("lost update accepted")
-	}
-}
-
 func TestMechanismSelection(t *testing.T) {
 	p, err := hlang.Parse(hlang.CovidSource)
 	if err != nil {
@@ -227,5 +70,57 @@ on append(id: int) consistency(causal) {
 	choices := Select(p, hlang.Analyze(p))
 	if choices["append"].Mechanism != MechLattice {
 		t.Fatalf("append: %+v", choices["append"])
+	}
+}
+
+func TestMechanismDeletedTableIsSharedState(t *testing.T) {
+	// close assigns a var only it touches, but it also deletes from item,
+	// which other handlers write or read through a query: serializing
+	// close locally would be unsound.
+	cases := map[string]string{
+		"written by another handler": `
+table item(id: int) key(id)
+var closed: int = 0
+on open(id: int) { merge item(id) }
+on close(id: int) consistency(serializable) {
+    closed := closed + 1
+    delete item(id)
+}
+`,
+		"read by another handler through queries": `
+table item(id: int) key(id)
+var closed: int = 0
+query live(id) :- item(id)
+query shown(id) :- live(id)
+on show(id: int) { send shown_out(i) :- shown(i), i == id }
+on close(id: int) consistency(serializable) {
+    closed := closed + 1
+    delete item(id)
+}
+`,
+	}
+	for name, src := range cases {
+		p, err := hlang.Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		c := Select(p, hlang.Analyze(p))["close"]
+		if c.Mechanism != MechCoordination || c.LocalOnly {
+			t.Fatalf("%s: close = %+v, want coordination, not local", name, c)
+		}
+	}
+
+	// A table only close itself touches stays handler-private.
+	src := `
+table item(id: int) key(id)
+on close(id: int) consistency(serializable) { delete item(id) }
+on ping(id: int) { reply "PONG" }
+`
+	p, err := hlang.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := Select(p, hlang.Analyze(p))["close"]; !c.LocalOnly {
+		t.Fatalf("close deletes from a table no other handler touches: %+v", c)
 	}
 }

@@ -1,3 +1,9 @@
+// Package consistency is the compiler's consistency facet (§7): Select
+// picks, per handler, the cheapest enforcement mechanism that the declared
+// spec plus the CALM analysis allow ("no enforcement", "lattice
+// encapsulation" or "coordination", §7.2), Report renders those choices,
+// and CheckMeta flags composition paths that silently weaken a declared
+// level. hydroc prints all three.
 package consistency
 
 import (
@@ -16,9 +22,10 @@ const (
 	// MechNone: no enforcement needed — CALM analysis proved the handler
 	// monotone, so any replica may act independently.
 	MechNone Mechanism = iota
-	// MechLattice: wrap state in lattice metadata (vector clocks / causal
-	// cells) for local, coordination-free enforcement (Cloudburst/
-	// Hydrocache style).
+	// MechLattice: the tier §7.2 fills by wrapping state in lattice
+	// metadata for local, coordination-free enforcement (Cloudburst/
+	// Hydrocache style). The runtime attaches no session metadata: the
+	// tier is a selection that nothing enforces yet.
 	MechLattice
 	// MechCoordination: serialize through a coordination protocol (Paxos
 	// log or 2PC) — the heavyweight fallback.
@@ -43,33 +50,18 @@ type Choice struct {
 	Mono      hlang.Monotonicity
 	Mechanism Mechanism
 	Why       string
-	// LocalOnly is set when a serializable handler's non-monotone state is
-	// touched by no other handler, so local serialization suffices (§7's
-	// vaccinate observation).
+	// LocalOnly is set when a serializable handler's non-monotone state —
+	// the vars it assigns and the tables it deletes from — is touched by
+	// no other handler, so local serialization suffices (§7's vaccinate
+	// observation).
 	LocalOnly bool
 }
 
 // Select picks an enforcement mechanism for every handler, given the
-// program and its monotonicity analysis. This is the decision procedure
-// Hydrolysis uses for the consistency facet.
+// program and its monotonicity analysis. Callers compute it on demand from
+// a compiled program's Program and Analysis; the runtime does not read it.
 func Select(p *hlang.Program, a *hlang.Analysis) map[string]Choice {
-	// Build var → set of handlers touching it, for the locality analysis.
-	varTouchers := map[string]map[string]bool{}
-	touch := func(v, h string) {
-		if varTouchers[v] == nil {
-			varTouchers[v] = map[string]bool{}
-		}
-		varTouchers[v][h] = true
-	}
-	for name, info := range a.Handlers {
-		for _, v := range info.WritesVars {
-			touch(v, name)
-		}
-		for _, v := range info.ReadsVars {
-			touch(v, name)
-		}
-	}
-
+	touchers := stateTouchers(p, a)
 	out := map[string]Choice{}
 	for _, h := range p.Handlers {
 		info := a.Handlers[h.Name]
@@ -88,30 +80,79 @@ func Select(p *hlang.Program, a *hlang.Analysis) map[string]Choice {
 			c.Why = "monotone handler: all operations reorderable, trivially serializable"
 		case level == hlang.Eventual:
 			c.Mechanism = MechLattice
-			c.Why = "non-monotone but eventual: lattice metadata resolves divergence"
+			c.Why = "non-monotone but eventual: lattice tier selected, not enforced (the runtime attaches no session metadata)"
 		case level == hlang.Causal:
 			c.Mechanism = MechLattice
-			c.Why = "causal: vector-clock encapsulation enforces session order locally"
+			c.Why = "causal: lattice tier selected, not enforced (the runtime attaches no session metadata)"
 		default: // serializable + non-monotone
 			c.Mechanism = MechCoordination
 			c.Why = "non-monotone serializable handler: coordination required"
-			// §7's refinement: if every var this handler reads or writes
-			// is private to it, serialization is local — no cross-handler
-			// coordination.
-			private := true
-			for _, v := range append(info.WritesVars, info.ReadsVars...) {
-				for other := range varTouchers[v] {
+			// §7's refinement: if no other handler touches the state this
+			// handler mutates non-monotonically, serialization is local.
+			state := nonMonotoneState(h)
+			private := len(state) > 0
+			for _, s := range state {
+				for other := range touchers[s] {
 					if other != h.Name {
 						private = false
 					}
 				}
 			}
-			if private && len(info.WritesVars) > 0 {
+			if private {
 				c.LocalOnly = true
 				c.Why = "serializable but state is handler-private: local serialization suffices (no distributed coordination)"
 			}
 		}
 		out[h.Name] = c
+	}
+	return out
+}
+
+// nonMonotoneState lists the vars h assigns and the tables it deletes from.
+// Monotone merges commute with everything, so they are not on the list.
+func nonMonotoneState(h *hlang.HandlerDecl) []string {
+	var out []string
+	for _, s := range h.Body {
+		switch st := s.(type) {
+		case *hlang.AssignStmt:
+			out = append(out, st.Var)
+		case *hlang.DeleteStmt:
+			out = append(out, st.Table)
+		}
+	}
+	return out
+}
+
+// stateTouchers maps every var and table to the handlers that touch it: a
+// handler touches what it writes, what it reads, and every table a query it
+// reads depends on, transitively through other queries.
+func stateTouchers(p *hlang.Program, a *hlang.Analysis) map[string]map[string]bool {
+	deps := map[string][]string{} // query → predicates its bodies read
+	for _, q := range p.Queries {
+		for _, b := range q.Body {
+			deps[q.Name] = append(deps[q.Name], b.Pred)
+		}
+	}
+	out := map[string]map[string]bool{}
+	for name, info := range a.Handlers {
+		var touch func(s string)
+		touch = func(s string) {
+			if out[s] == nil {
+				out[s] = map[string]bool{}
+			}
+			if out[s][name] {
+				return
+			}
+			out[s][name] = true
+			for _, d := range deps[s] {
+				touch(d)
+			}
+		}
+		for _, names := range [][]string{info.ReadsVars, info.WritesVars, info.ReadsTables, info.WritesTables} {
+			for _, s := range names {
+				touch(s)
+			}
+		}
 	}
 	return out
 }

@@ -7,17 +7,11 @@ import (
 	"hydro/internal/hlang"
 )
 
-// This file implements the two remaining §7 analyses:
-//
-//   - Metaconsistency (§7.2): a public API call may cross several internal
-//     handlers with different consistency specs. Composition paths are
-//     found by dataflow analysis over `send` targets; a path where a
-//     strong handler forwards work through a weaker one silently
-//     downgrades the guarantee the caller observes, so it is flagged.
-//   - Invariant confluence (§7.1): an application invariant needs no
-//     coordination if it is preserved by lattice merge of any two
-//     invariant-satisfying states. CheckInvariantConfluence bounded-checks
-//     this with randomized state pairs.
+// Metaconsistency (§7.2): a public API call may cross several internal
+// handlers with different consistency specs. Composition paths are found by
+// dataflow analysis over `send` targets; a path where a strong handler
+// forwards work through a weaker one silently downgrades the guarantee the
+// caller observes, so it is flagged.
 
 // levelRank orders consistency levels for comparison.
 func levelRank(l hlang.ConsistencyLevel) int {
@@ -105,47 +99,4 @@ func CheckMeta(p *hlang.Program, a *hlang.Analysis) []MetaIssue {
 		dfs(entry, []string{entry})
 	}
 	return issues
-}
-
-// MergeFn joins two opaque states (must be a lattice join over the state
-// representation).
-type MergeFn func(a, b any) any
-
-// Invariant is a predicate over one state.
-type Invariant func(state any) bool
-
-// ConfluenceResult reports a bounded invariant-confluence check.
-type ConfluenceResult struct {
-	Confluent bool
-	Trials    int
-	// Counterexample states (both satisfy the invariant; the merge does
-	// not) when Confluent is false.
-	Left, Right, Merged any
-}
-
-// CheckInvariantConfluence samples `trials` pairs of invariant-satisfying
-// states from gen and checks that their merge still satisfies the
-// invariant. Confluent invariants need no coordination (§7.1: "invariants
-// are a powerful way to specify what guarantees are necessary"); a
-// counterexample means Hydrolysis must coordinate the involved handlers.
-// gen is called with a trial index and must return a state; states failing
-// the invariant are skipped (rejection sampling).
-func CheckInvariantConfluence(gen func(i int) any, inv Invariant, merge MergeFn, trials int) ConfluenceResult {
-	res := ConfluenceResult{Confluent: true}
-	var pool []any
-	for i := 0; len(pool) < trials*2 && i < trials*20; i++ {
-		s := gen(i)
-		if inv(s) {
-			pool = append(pool, s)
-		}
-	}
-	for i := 0; i+1 < len(pool); i += 2 {
-		l, r := pool[i], pool[i+1]
-		m := merge(l, r)
-		res.Trials++
-		if !inv(m) {
-			return ConfluenceResult{Confluent: false, Trials: res.Trials, Left: l, Right: r, Merged: m}
-		}
-	}
-	return res
 }

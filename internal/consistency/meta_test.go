@@ -1,12 +1,10 @@
 package consistency
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
 	"hydro/internal/hlang"
-	"hydro/internal/lattice"
 )
 
 func TestCheckMetaFlagsDowngrade(t *testing.T) {
@@ -105,86 +103,5 @@ on b(id: int) { x := x + 1 }
 	}
 	if issues := CheckMeta(p, hlang.Analyze(p)); len(issues) != 0 {
 		t.Fatalf("eventual entry flagged: %v", issues)
-	}
-}
-
-// --- invariant confluence (§7.1) ---
-
-func TestGrowOnlySetInvariantConfluent(t *testing.T) {
-	// "Referential integrity over grow-only data": members ⊆ people. Both
-	// sets only grow, and merge is pointwise union, so the invariant is
-	// confluent — no coordination needed.
-	type state struct{ people, members lattice.Set[int] }
-	r := rand.New(rand.NewSource(1))
-	gen := func(i int) any {
-		p := lattice.NewSet[int]()
-		m := lattice.NewSet[int]()
-		for j := 0; j < r.Intn(6); j++ {
-			x := r.Intn(10)
-			p = p.Add(x)
-			if r.Intn(2) == 0 {
-				m = m.Add(x)
-			}
-		}
-		return state{people: p, members: m}
-	}
-	inv := func(s any) bool {
-		st := s.(state)
-		return st.members.LessEq(st.people)
-	}
-	merge := func(a, b any) any {
-		x, y := a.(state), b.(state)
-		return state{people: x.people.Merge(y.people), members: x.members.Merge(y.members)}
-	}
-	res := CheckInvariantConfluence(gen, inv, merge, 200)
-	if !res.Confluent {
-		t.Fatalf("grow-only referential integrity must be confluent: %+v", res)
-	}
-	if res.Trials < 100 {
-		t.Fatalf("too few trials: %d", res.Trials)
-	}
-}
-
-func TestNonNegativeBalanceNotConfluent(t *testing.T) {
-	// The classic: balance = credits - debits (two grow-only counters),
-	// invariant balance >= 0. Each state alone can satisfy it while the
-	// merge (pointwise max of both counters) violates it — so the paper's
-	// vaccinate-style decrement needs coordination.
-	type state struct {
-		credits, debits lattice.Map[string, lattice.Max[uint64]]
-	}
-	r := rand.New(rand.NewSource(2))
-	gen := func(i int) any {
-		c := lattice.NewMap[string, lattice.Max[uint64]]()
-		d := lattice.NewMap[string, lattice.Max[uint64]]()
-		c = c.Put("shared", lattice.NewMax(uint64(10)))
-		// Replica-local debits against the shared credit.
-		rep := []string{"r1", "r2"}[r.Intn(2)]
-		d = d.Put(rep, lattice.NewMax(uint64(r.Intn(11))))
-		return state{credits: c, debits: d}
-	}
-	balance := func(s state) int64 {
-		var c, d uint64
-		for _, k := range s.credits.Keys() {
-			v, _ := s.credits.Get(k)
-			c += v.V
-		}
-		for _, k := range s.debits.Keys() {
-			v, _ := s.debits.Get(k)
-			d += v.V
-		}
-		return int64(c) - int64(d)
-	}
-	inv := func(s any) bool { return balance(s.(state)) >= 0 }
-	merge := func(a, b any) any {
-		x, y := a.(state), b.(state)
-		return state{credits: x.credits.Merge(y.credits), debits: x.debits.Merge(y.debits)}
-	}
-	res := CheckInvariantConfluence(gen, inv, merge, 300)
-	if res.Confluent {
-		t.Fatal("non-negative balance with distributed debits must not be confluent")
-	}
-	if res.Left == nil || res.Merged == nil {
-		t.Fatal("counterexample not reported")
 	}
 }

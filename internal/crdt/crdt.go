@@ -4,17 +4,13 @@
 // merges converge without coordination because the state forms a
 // join-semilattice.
 //
-// Each type carries a replica ID for mutations that must be attributed
-// (counters, OR-Set dots). Merge never needs attribution.
+// The package holds what experiment E10 and examples/cart run: the G- and
+// PN-counters and the sealed shopping Cart built from them. Each type
+// carries a replica ID for mutations that must be attributed (counter
+// components). Merge never needs attribution.
 package crdt
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-
-	"hydro/internal/lattice"
-)
+import "hydro/internal/lattice"
 
 // GCounter is a grow-only counter: one Max component per replica, summed on
 // read. Increments commute, so replicas converge under any delivery order.
@@ -89,178 +85,3 @@ func (p PNCounter) LessEq(o PNCounter) bool { return p.Pos.LessEq(o.Pos) && p.Ne
 
 // Equal is componentwise equality.
 func (p PNCounter) Equal(o PNCounter) bool { return p.Pos.Equal(o.Pos) && p.Neg.Equal(o.Neg) }
-
-// GSet is a grow-only replicated set: a thin CRDT veneer over lattice.Set.
-type GSet[E comparable] struct {
-	S lattice.Set[E]
-}
-
-// NewGSet returns a set with the given elements.
-func NewGSet[E comparable](elems ...E) GSet[E] { return GSet[E]{S: lattice.NewSet(elems...)} }
-
-// Add returns the set with e included.
-func (g GSet[E]) Add(e E) GSet[E] { return GSet[E]{S: g.S.Add(e)} }
-
-// Contains reports membership.
-func (g GSet[E]) Contains(e E) bool { return g.S.Contains(e) }
-
-// Merge unions the two sets.
-func (g GSet[E]) Merge(o GSet[E]) GSet[E] { return GSet[E]{S: g.S.Merge(o.S)} }
-
-// LessEq is subset order.
-func (g GSet[E]) LessEq(o GSet[E]) bool { return g.S.LessEq(o.S) }
-
-// Equal is set equality.
-func (g GSet[E]) Equal(o GSet[E]) bool { return g.S.Equal(o.S) }
-
-// TwoPSet is a two-phase set: removal wins permanently (a removed element
-// can never be re-added). Both phases are grow-only sets.
-type TwoPSet[E comparable] struct {
-	Added, Removed lattice.Set[E]
-}
-
-// NewTwoPSet returns an empty two-phase set.
-func NewTwoPSet[E comparable]() TwoPSet[E] {
-	return TwoPSet[E]{Added: lattice.NewSet[E](), Removed: lattice.NewSet[E]()}
-}
-
-// Add includes e (ineffective if e was ever removed).
-func (t TwoPSet[E]) Add(e E) TwoPSet[E] {
-	return TwoPSet[E]{Added: t.Added.Add(e), Removed: t.Removed}
-}
-
-// Remove tombstones e permanently.
-func (t TwoPSet[E]) Remove(e E) TwoPSet[E] {
-	return TwoPSet[E]{Added: t.Added, Removed: t.Removed.Add(e)}
-}
-
-// Contains reports e added and never removed.
-func (t TwoPSet[E]) Contains(e E) bool { return t.Added.Contains(e) && !t.Removed.Contains(e) }
-
-// Merge unions both phases.
-func (t TwoPSet[E]) Merge(o TwoPSet[E]) TwoPSet[E] {
-	return TwoPSet[E]{Added: t.Added.Merge(o.Added), Removed: t.Removed.Merge(o.Removed)}
-}
-
-// LessEq is componentwise subset order.
-func (t TwoPSet[E]) LessEq(o TwoPSet[E]) bool {
-	return t.Added.LessEq(o.Added) && t.Removed.LessEq(o.Removed)
-}
-
-// Equal is componentwise equality.
-func (t TwoPSet[E]) Equal(o TwoPSet[E]) bool {
-	return t.Added.Equal(o.Added) && t.Removed.Equal(o.Removed)
-}
-
-// dot uniquely identifies one Add operation (replica, sequence).
-type dot struct {
-	Replica string
-	Seq     uint64
-}
-
-// tagged pairs an element with the dot that added it.
-type tagged[E comparable] struct {
-	Elem E
-	Dot  dot
-}
-
-// ORSet is an observed-remove set: Remove deletes only the add-dots it has
-// observed, so a concurrent re-Add survives (add-wins semantics). This is
-// the set CRDT that behaves like a sequential set under causal delivery.
-type ORSet[E comparable] struct {
-	Replica string
-	seq     uint64
-	adds    lattice.Set[tagged[E]]
-	removes lattice.Set[tagged[E]]
-}
-
-// NewORSet returns an empty OR-Set owned by replica.
-func NewORSet[E comparable](replica string) ORSet[E] {
-	return ORSet[E]{
-		Replica: replica,
-		adds:    lattice.NewSet[tagged[E]](),
-		removes: lattice.NewSet[tagged[E]](),
-	}
-}
-
-// Add inserts e under a fresh dot.
-func (s ORSet[E]) Add(e E) ORSet[E] {
-	next := s.seq + 1
-	return ORSet[E]{
-		Replica: s.Replica,
-		seq:     next,
-		adds:    s.adds.Add(tagged[E]{Elem: e, Dot: dot{Replica: s.Replica, Seq: next}}),
-		removes: s.removes,
-	}
-}
-
-// Remove tombstones every currently observed dot for e.
-func (s ORSet[E]) Remove(e E) ORSet[E] {
-	rm := s.removes
-	for _, t := range s.adds.Elems() {
-		if t.Elem == e {
-			rm = rm.Add(t)
-		}
-	}
-	return ORSet[E]{Replica: s.Replica, seq: s.seq, adds: s.adds, removes: rm}
-}
-
-// Contains reports whether some add-dot for e is not tombstoned.
-func (s ORSet[E]) Contains(e E) bool {
-	for _, t := range s.adds.Elems() {
-		if t.Elem == e && !s.removes.Contains(t) {
-			return true
-		}
-	}
-	return false
-}
-
-// Elems returns the live elements, deduplicated, in unspecified order.
-func (s ORSet[E]) Elems() []E {
-	seen := map[E]bool{}
-	var out []E
-	for _, t := range s.adds.Elems() {
-		if !s.removes.Contains(t) && !seen[t.Elem] {
-			seen[t.Elem] = true
-			out = append(out, t.Elem)
-		}
-	}
-	return out
-}
-
-// Merge unions add- and remove-dot sets. The receiver keeps its identity and
-// advances its sequence past anything it has seen from itself.
-func (s ORSet[E]) Merge(o ORSet[E]) ORSet[E] {
-	merged := ORSet[E]{
-		Replica: s.Replica,
-		seq:     s.seq,
-		adds:    s.adds.Merge(o.adds),
-		removes: s.removes.Merge(o.removes),
-	}
-	for _, t := range merged.adds.Elems() {
-		if t.Dot.Replica == s.Replica && t.Dot.Seq > merged.seq {
-			merged.seq = t.Dot.Seq
-		}
-	}
-	return merged
-}
-
-// LessEq is componentwise subset order on dot sets.
-func (s ORSet[E]) LessEq(o ORSet[E]) bool {
-	return s.adds.LessEq(o.adds) && s.removes.LessEq(o.removes)
-}
-
-// Equal is componentwise equality on dot sets.
-func (s ORSet[E]) Equal(o ORSet[E]) bool {
-	return s.adds.Equal(o.adds) && s.removes.Equal(o.removes)
-}
-
-// String renders live elements sorted, for stable test output.
-func (s ORSet[E]) String() string {
-	parts := make([]string, 0)
-	for _, e := range s.Elems() {
-		parts = append(parts, fmt.Sprint(e))
-	}
-	sort.Strings(parts)
-	return "{" + strings.Join(parts, ", ") + "}"
-}

@@ -8,20 +8,16 @@ import (
 	"hydro/internal/datalog"
 )
 
-// SyncPolicy picks the durability/throughput trade-off for changelog
-// appends (DESIGN.md §10 has the full decision table).
+// SyncPolicy is the type of the ignored Options.Sync.
+//
+// Deprecated: the changelog fsyncs after every appended record, so a
+// committed tick survives power loss (DESIGN.md §10).
 type SyncPolicy int
 
-const (
-	// SyncAlways fsyncs after every appended record: a committed tick
-	// survives power loss, at ~one disk flush per tick.
-	SyncAlways SyncPolicy = iota
-	// SyncNever leaves flushing to the OS page cache: a crash of the
-	// process loses nothing (the file is written), but power loss may lose
-	// the most recent ticks — the torn-tail repair turns that into a clean
-	// prefix, and the replay-position contract (seq) keeps it consistent.
-	SyncNever
-)
+// SyncAlways is SyncPolicy's one value, today's only behaviour.
+//
+// Deprecated: see SyncPolicy.
+const SyncAlways SyncPolicy = 0
 
 // Options configures a Store.
 type Options struct {
@@ -29,7 +25,9 @@ type Options struct {
 	Dir string
 	// FS overrides the file layer (fault injection, tests).
 	FS FS
-	// Sync is the changelog fsync policy.
+	// Deprecated: Sync is ignored. The changelog fsyncs after every
+	// appended record. The field stays until the benchmark module stops
+	// setting it.
 	Sync SyncPolicy
 	// SnapshotEveryRecords triggers a snapshot once this many records have
 	// been committed since the last one (0 = default 1024).
@@ -321,10 +319,8 @@ func (s *Store) Append(d *datalog.Delta) error {
 	if _, err := s.logf.Write(rec); err != nil {
 		return s.fail(err)
 	}
-	if s.opts.Sync == SyncAlways {
-		if err := s.logf.Sync(); err != nil {
-			return s.fail(err)
-		}
+	if err := s.logf.Sync(); err != nil {
+		return s.fail(err)
 	}
 	s.lastSeq++
 	s.logBytes += int64(len(rec))
@@ -351,10 +347,8 @@ func (s *Store) AbortLast() error {
 	if err := s.fs.Truncate(walName, s.lastRecStart); err != nil {
 		return s.fail(err)
 	}
-	if s.opts.Sync == SyncAlways {
-		if err := s.logf.Sync(); err != nil {
-			return s.fail(err)
-		}
+	if err := s.logf.Sync(); err != nil {
+		return s.fail(err)
 	}
 	s.logBytes = s.lastRecStart
 	s.lastSeq--

@@ -356,7 +356,7 @@ func TestDirFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(Options{FS: fs, Sync: SyncAlways})
+	s, err := Open(Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,7 @@ import (
 //
 // Sync/SyncDir are accounted as ops but do not model lost unsynced data:
 // the harness kills the process, not the power, so page-cache contents
-// survive. SyncNever vs SyncAlways therefore changes only call counts, not
-// harness outcomes — the torn-write coverage comes from the byte budget.
+// survive. The torn-write coverage comes from the byte budget.
 type FaultFS struct {
 	mu    sync.Mutex
 	files map[string]*fileData

@@ -44,17 +44,17 @@ func TestE4AvailabilityBoundary(t *testing.T) {
 	}
 }
 
-// TestE5Ordering pins the spectrum's message cost, eventual < causal <
-// serializable, and that an eventual op completes before a serializable
-// one. Eventual vs causal latency is not pinned: the causal row is a model.
+// TestE5Ordering pins the two tiers the system runs: an eventual op, acked
+// by one compiled runtime, sends fewer messages and completes sooner than a
+// serializable one, decided by Paxos. No causal row: nothing enforces it.
 func TestE5Ordering(t *testing.T) {
 	tab := RunE5(5)
-	if len(tab.Rows) != 3 || tab.Rows[0][0] != "eventual" || tab.Rows[2][0] != "serializable" {
-		t.Fatalf("rows = %v", tab.Rows)
+	eventual, serializable := tab.Row("eventual"), tab.Row("serializable")
+	if len(tab.Rows) != 2 || eventual == nil || serializable == nil {
+		t.Fatalf("rows = %v, want exactly eventual and serializable", tab.Rows)
 	}
-	eventual, causal, serializable := tab.Rows[0], tab.Rows[1], tab.Rows[2]
-	if !(num(t, eventual[3]) < num(t, causal[3]) && num(t, causal[3]) < num(t, serializable[3])) {
-		t.Fatalf("msgs/op not ordered eventual < causal < serializable: %v", tab.Rows)
+	if num(t, eventual[3]) >= num(t, serializable[3]) {
+		t.Fatalf("eventual msgs/op %s not below serializable %s", eventual[3], serializable[3])
 	}
 	if num(t, eventual[2]) >= num(t, serializable[2]) {
 		t.Fatalf("eventual latency %s not below serializable %s", eventual[2], serializable[2])

@@ -58,19 +58,20 @@ func compileAuction(t testing.TB) *Compiled {
 
 func TestAuctionFacets(t *testing.T) {
 	c := compileAuction(t)
+	choices := consistency.Select(c.Program, c.Analysis)
 	// bid merges only lattice state → monotone, no coordination.
-	if c.Choices["bid"].Mechanism != consistency.MechNone {
-		t.Fatalf("bid: %+v", c.Choices["bid"])
+	if choices["bid"].Mechanism != consistency.MechNone {
+		t.Fatalf("bid: %+v", choices["bid"])
 	}
-	// settle deletes and assigns → coordination; settled_count is private
-	// to settle, but the delete touches item which bid writes… the var
-	// analysis still finds settled_count private.
-	if c.Choices["settle"].Mechanism != consistency.MechCoordination {
-		t.Fatalf("settle: %+v", c.Choices["settle"])
+	// settle deletes and assigns → coordination. settled_count is private
+	// to settle, but the delete retracts item rows that list and bid write,
+	// so serializing settle locally would be unsound.
+	if s := choices["settle"]; s.Mechanism != consistency.MechCoordination || s.LocalOnly {
+		t.Fatalf("settle: %+v", s)
 	}
 	// watch reads an aggregate → non-monotone, causal → lattice tier.
-	if c.Choices["watch"].Mechanism != consistency.MechLattice {
-		t.Fatalf("watch: %+v", c.Choices["watch"])
+	if choices["watch"].Mechanism != consistency.MechLattice {
+		t.Fatalf("watch: %+v", choices["watch"])
 	}
 	// Partition plan: no hints, so key columns.
 	plan := c.PartitionPlan()

@@ -1,16 +1,16 @@
 // Package hydrolysis is the Hydro compiler (§2.2): it takes a HydroLogic
-// program and produces everything needed to run it — datalog rules for the
-// query facet, executable handler closures for the transducer runtime,
-// consistency-mechanism choices from CALM analysis, an availability
-// placement plan, and a target-facet deployment plan. Each facet compiles
-// independently and the results compose, exactly the faceted-compilation
-// structure §2.2 argues for.
+// program and produces what the runtime executes — datalog rules for the
+// query facet, the monotonicity analysis, and executable handler closures
+// for the transducer runtime — plus the partition plan the sharded
+// deployment places relations by. The report-only facets are computed on
+// demand from a Compiled program's Program and Analysis by their own
+// packages: the consistency choice and metaconsistency check
+// (package consistency) and the target-facet ILP (package target).
 package hydrolysis
 
 import (
 	"fmt"
 
-	"hydro/internal/consistency"
 	"hydro/internal/datalog"
 	"hydro/internal/hlang"
 )
@@ -24,8 +24,6 @@ type Compiled struct {
 	Analysis *hlang.Analysis
 	// Queries is the datalog program the runtime keeps at fixpoint.
 	Queries *datalog.Program
-	// Choices maps handler → consistency mechanism choice (§7.2).
-	Choices map[string]consistency.Choice
 	// UDFs holds the user-supplied implementations.
 	UDFs map[string]UDF
 }
@@ -62,7 +60,6 @@ func CompileProgram(prog *hlang.Program, opts Options) (*Compiled, error) {
 		Program:  prog,
 		Analysis: analysis,
 		Queries:  rules,
-		Choices:  consistency.Select(prog, analysis),
 		UDFs:     opts.UDFs,
 	}, nil
 }

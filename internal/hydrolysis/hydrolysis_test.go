@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"hydro/internal/consistency"
 	"hydro/internal/datalog"
 	"hydro/internal/hlang"
 	"hydro/internal/transducer"
@@ -43,8 +44,11 @@ func newCovidRuntime(t testing.TB, seed int64) *transducer.Runtime {
 
 func TestCompileCovidFacets(t *testing.T) {
 	c := compileCovid(t)
-	if c.Choices["vaccinate"].Mechanism.String() == "" {
-		t.Fatal("no consistency choice for vaccinate")
+	// vaccinate's only non-monotone state is vaccine_count, which no other
+	// handler touches; its merge into people commutes with everyone's.
+	v := consistency.Select(c.Program, c.Analysis)["vaccinate"]
+	if v.Mechanism != consistency.MechCoordination || !v.LocalOnly {
+		t.Fatalf("vaccinate: %+v", v)
 	}
 }
 

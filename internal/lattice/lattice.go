@@ -6,12 +6,14 @@
 // theorem), which is what the consistency facet exploits.
 //
 // The central abstraction is Value[T], a self-referential generic interface:
-// each lattice type merges with and compares against its own type. All
-// lattice values in this package are immutable: Merge returns a new value.
+// each lattice type merges with and compares against its own type. The
+// package holds the lattices the CRDTs of internal/crdt are built from (Max,
+// Map, LWW) and CheckLaws, the law oracle their tests run. All lattice
+// values in this package are immutable: Merge returns a new value.
 package lattice
 
 // Value is a join-semilattice element. Implementations must satisfy the
-// semilattice laws, checked by CheckLaws and the property tests:
+// semilattice laws, checked by CheckLaws:
 //
 //	Merge(a, Merge(b, c)) == Merge(Merge(a, b), c)   (associativity)
 //	Merge(a, b) == Merge(b, a)                       (commutativity)
@@ -26,60 +28,6 @@ type Value[T any] interface {
 	LessEq(other T) bool
 	// Equal reports semantic equality of two lattice values.
 	Equal(other T) bool
-}
-
-// Merge is the free function form of Value.Merge, convenient for folds.
-func Merge[T Value[T]](a, b T) T { return a.Merge(b) }
-
-// Join folds any number of values into their least upper bound, starting
-// from bottom.
-func Join[T Value[T]](bottom T, vs ...T) T {
-	acc := bottom
-	for _, v := range vs {
-		acc = acc.Merge(v)
-	}
-	return acc
-}
-
-// Comparable reports how two lattice elements relate: a < b, a == b, a > b,
-// or incomparable.
-type Ordering int
-
-// Orderings returned by Compare.
-const (
-	Less Ordering = iota
-	Equal
-	Greater
-	Incomparable
-)
-
-func (o Ordering) String() string {
-	switch o {
-	case Less:
-		return "less"
-	case Equal:
-		return "equal"
-	case Greater:
-		return "greater"
-	default:
-		return "incomparable"
-	}
-}
-
-// Compare classifies the relationship between a and b under the lattice
-// partial order.
-func Compare[T Value[T]](a, b T) Ordering {
-	le, ge := a.LessEq(b), b.LessEq(a)
-	switch {
-	case le && ge:
-		return Equal
-	case le:
-		return Less
-	case ge:
-		return Greater
-	default:
-		return Incomparable
-	}
 }
 
 // LawViolation describes a broken semilattice law, for CheckLaws.

@@ -19,50 +19,47 @@ func (m Max[E]) LessEq(o Max[E]) bool { return m.V <= o.V }
 // Equal reports value equality.
 func (m Max[E]) Equal(o Max[E]) bool { return m.V == o.V }
 
-// Min is the lattice of ordered values under minimum (the dual of Max).
-type Min[E cmp.Ordered] struct{ V E }
+// LWW is the last-writer-wins register lattice, ordered by (timestamp, tie)
+// with a deterministic tiebreak so that merge stays commutative even for
+// concurrent writes at the same timestamp.
+type LWW[E any] struct {
+	Stamp uint64
+	Tie   string // writer ID used to break timestamp ties deterministically
+	Val   E
+	eq    func(a, b E) bool
+}
 
-// NewMin returns a Min lattice element holding v.
-func NewMin[E cmp.Ordered](v E) Min[E] { return Min[E]{V: v} }
+// NewLWW returns an LWW register. eq compares payloads for Equal; it may be
+// nil for payload types where staleness alone defines equality.
+func NewLWW[E any](stamp uint64, tie string, val E, eq func(a, b E) bool) LWW[E] {
+	return LWW[E]{Stamp: stamp, Tie: tie, Val: val, eq: eq}
+}
 
-// Merge returns the smaller of the two values.
-func (m Min[E]) Merge(o Min[E]) Min[E] { return Min[E]{V: min(m.V, o.V)} }
+func (l LWW[E]) dominates(o LWW[E]) bool {
+	if l.Stamp != o.Stamp {
+		return l.Stamp > o.Stamp
+	}
+	return l.Tie >= o.Tie
+}
 
-// LessEq reports m.V >= o.V: smaller values are *later* in the Min lattice.
-func (m Min[E]) LessEq(o Min[E]) bool { return m.V >= o.V }
+// Merge keeps the write with the larger (stamp, tie) pair.
+func (l LWW[E]) Merge(o LWW[E]) LWW[E] {
+	if l.dominates(o) {
+		return l
+	}
+	return o
+}
 
-// Equal reports value equality.
-func (m Min[E]) Equal(o Min[E]) bool { return m.V == o.V }
+// LessEq reports that o's write dominates or equals l's.
+func (l LWW[E]) LessEq(o LWW[E]) bool { return o.dominates(l) }
 
-// Bool is the boolean or-lattice: false ⊑ true. It models one-way "flag"
-// state such as Person.covid in the running example — once true, always
-// true, hence monotonic.
-type Bool struct{ V bool }
-
-// True and False are the two elements of the Bool lattice.
-var (
-	True  = Bool{V: true}
-	False = Bool{V: false}
-)
-
-// Merge returns logical or.
-func (b Bool) Merge(o Bool) Bool { return Bool{V: b.V || o.V} }
-
-// LessEq reports b implies o (false ⊑ true).
-func (b Bool) LessEq(o Bool) bool { return !b.V || o.V }
-
-// Equal reports value equality.
-func (b Bool) Equal(o Bool) bool { return b.V == o.V }
-
-// BoolAnd is the boolean and-lattice: true ⊑ false. Useful for "all replicas
-// agree" conjunctions.
-type BoolAnd struct{ V bool }
-
-// Merge returns logical and.
-func (b BoolAnd) Merge(o BoolAnd) BoolAnd { return BoolAnd{V: b.V && o.V} }
-
-// LessEq reports o implies b (true ⊑ false).
-func (b BoolAnd) LessEq(o BoolAnd) bool { return b.V || !o.V }
-
-// Equal reports value equality.
-func (b BoolAnd) Equal(o BoolAnd) bool { return b.V == o.V }
+// Equal reports equal stamp and tiebreak (and payload when eq is provided).
+func (l LWW[E]) Equal(o LWW[E]) bool {
+	if l.Stamp != o.Stamp || l.Tie != o.Tie {
+		return false
+	}
+	if l.eq != nil {
+		return l.eq(l.Val, o.Val)
+	}
+	return true
+}
