@@ -93,12 +93,15 @@ tables:
 
 # fuzz is the generative smoke run CI executes on every PR: beyond the
 # committed seed corpus (which plain `go test` already replays), it spends
-# FUZZTIME mutating tick sequences of interleaved inserts/deletes against
-# the three-way incremental equivalence oracle.
+# FUZZTIME on each target: tick sequences of interleaved inserts/deletes
+# against the three-way incremental equivalence oracle, the same against the
+# sharded deployment, and snapshot images fed to recovery (refused or
+# re-encoded to themselves, never a panic).
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIncrementalEquivalence -fuzztime $(FUZZTIME) ./internal/datalog
 	$(GO) test -run '^$$' -fuzz FuzzShardedEquivalence -fuzztime $(FUZZTIME) ./internal/shard
+	$(GO) test -run '^$$' -fuzz FuzzSnapshotImage -fuzztime $(FUZZTIME) ./internal/durable
 
 # test-sharded is the distributed-dataflow gate: the sharded-vs-single-node
 # equivalence suite (SHARD_COUNTS picks the replica counts under test) plus

@@ -43,8 +43,8 @@ func main() {
 		fatal(err)
 	}
 	if info.HasSnapshot {
-		fmt.Printf("snapshot: seq %d, %d entries, %d bytes\n",
-			info.SnapshotSeq, info.SnapshotEntries, info.SnapshotBytes)
+		fmt.Printf("snapshot: seq %d, %d relations, %d rows, %d bytes\n",
+			info.SnapshotSeq, info.SnapshotRelations, info.SnapshotRows, info.SnapshotBytes)
 	} else {
 		fmt.Println("snapshot: none")
 	}

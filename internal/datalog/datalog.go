@@ -15,7 +15,6 @@ package datalog
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 )
@@ -297,48 +296,36 @@ func (r *Relation) Contains(t Tuple) bool {
 	return ok && len(t) == r.Arity && r.findRow(w) >= 0
 }
 
-// Tuples returns all tuples in a deterministic (sorted) order. Evaluation
-// never calls this on the hot path — it scans insertion order directly.
+// Tuples returns all tuples in a deterministic (sorted) order, decoded over
+// one backing array. Evaluation never calls this on the hot path — it scans
+// insertion order directly.
 func (r *Relation) Tuples() []Tuple {
-	out := r.appendTuples(nil)
-	sortTuples(out)
-	return out
-}
-
-// appendTuples appends the live tuples in insertion order, decoded over one
-// backing array.
-func (r *Relation) appendTuples(out []Tuple) []Tuple {
 	vals := make([]any, r.Len()*r.Arity)
-	out = slices.Grow(out, r.Len())
+	out := make([]Tuple, 0, r.Len())
 	for s, n := 0, r.slots(); s < n; s++ {
 		if r.live(s) {
 			out = append(out, r.dict.nextTuple(&vals, r.row(s)))
 		}
 	}
+	sortTuples(out)
 	return out
 }
 
-// bulkLoad appends pre-deduplicated tuples in order and builds the
-// membership table once — the snapshot-restore fast path. Callers guarantee
-// the tuples are distinct (snapshot contents are checksummed); arity is
-// still verified per tuple.
-func (r *Relation) bulkLoad(ts []Tuple) error {
-	for _, t := range ts {
-		if len(t) != r.Arity {
-			return fmt.Errorf("datalog: arity mismatch loading %v into %s/%d", t, r.Name, r.Arity)
+// bulkLoad adopts rows — encoded rows of r's dictionary, stride words each
+// — as the slab of an empty relation and builds membership once: the
+// snapshot-restore path. It reports false, leaving r unusable, if two rows
+// are equal.
+func (r *Relation) bulkLoad(rows []uint64) bool {
+	r.rows, r.dead, r.idx, r.counts = rows, 0, nil, nil
+	r.set.alloc(max(minCells, nextPow2(2*r.Len())))
+	for s, n := 0, r.slots(); s < n; s++ {
+		cell, dup := r.set.find(r, r.row(s))
+		if dup >= 0 {
+			return false
 		}
+		r.set.put(r, cell, s)
 	}
-	r.rows = slices.Grow(r.rows, len(ts)*r.stride)
-	for _, t := range ts {
-		if r.Arity == 0 {
-			r.rows = append(r.rows, 0)
-		}
-		r.rows = r.dict.encodeRow(r.rows, t)
-	}
-	r.idx = nil
-	r.counts = nil
-	r.set.build(r)
-	return nil
+	return true
 }
 
 // scan calls fn for every live tuple in insertion order; fn returning

@@ -318,17 +318,13 @@ func diffDatabases(label string, a, b *Database) error {
 }
 
 // checkCountingState pins where derivation counts live: for every head of
-// a counting (non-recursive monotone) component, State().Counts lists the
-// head relation's tuples in scan order, each with exactly the number of
+// a counting (non-recursive monotone) component, State() lists the head
+// relation's rows in scan order, each with exactly the number of
 // interpretive deriveRule bindings that produce it.
 func checkCountingState(p *Program, inc *Incremental) error {
 	st, err := inc.State()
 	if err != nil {
 		return err
-	}
-	entries := map[string][]CountEntry{}
-	for _, cs := range st.Counts {
-		entries[cs.Pred] = cs.Entries
 	}
 	comps, err := p.Components()
 	if err != nil {
@@ -345,21 +341,25 @@ func checkCountingState(p *Program, inc *Incremental) error {
 			}
 		}
 		for _, h := range c.Heads {
-			got, i := entries[h], 0
+			rs := stateRel(st, h)
+			rows, i := stateTuples(st, rs), 0
+			if len(rs.Counts) != len(rows) {
+				return fmt.Errorf("%s has %d rows but %d derivation counts", h, len(rows), len(rs.Counts))
+			}
 			inc.DB().Get(h).scan(func(t Tuple) bool {
 				switch n := want[fmt.Sprintf("%s%#v", h, t)]; {
-				case i >= len(got):
+				case i >= len(rows):
 					err = fmt.Errorf("%s%v carries no derivation count", h, t)
-				case !got[i].Tuple.Equal(t):
-					err = fmt.Errorf("count entry %d of %s is %v, scan order has %v", i, h, got[i].Tuple, t)
-				case got[i].Count != n:
-					err = fmt.Errorf("%s%v counted %d times, derived %d times", h, t, got[i].Count, n)
+				case !rows[i].Equal(t):
+					err = fmt.Errorf("counted row %d of %s is %v, scan order has %v", i, h, rows[i], t)
+				case rs.Counts[i] != n:
+					err = fmt.Errorf("%s%v counted %d times, derived %d times", h, t, rs.Counts[i], n)
 				}
 				i++
 				return err == nil
 			})
-			if err == nil && i < len(got) {
-				err = fmt.Errorf("%s has %d tuples but %d derivation counts", h, i, len(got))
+			if err == nil && i < len(rows) {
+				err = fmt.Errorf("%s has %d tuples but %d derivation counts", h, i, len(rows))
 			}
 			if err != nil {
 				return err
@@ -367,6 +367,17 @@ func checkCountingState(p *Program, inc *Incremental) error {
 		}
 	}
 	return nil
+}
+
+// stateTuples decodes a captured relation's rows through the state's values.
+func stateTuples(st *FixpointState, rs *RelationState) []Tuple {
+	d := newDict()
+	d.vals = st.Values
+	var out []Tuple
+	for i, stride := 0, max(rs.Arity, 1); i < len(rs.Rows); i += stride {
+		out = append(out, d.tuple(rs.Rows[i:][:rs.Arity]))
+	}
+	return out
 }
 
 // edbPreds are the base relations the random tick sequences mutate.

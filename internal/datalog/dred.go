@@ -50,8 +50,8 @@ type headRows struct {
 func (inc *Incremental) applyDRed(c *incComponent, d *Delta) int {
 	ensureHeadsPlanned(inc.db, c.plans)
 	headIdx := map[string]int32{}
-	rels := make([]*Relation, len(c.heads))
-	for k, h := range c.heads {
+	rels := make([]*Relation, len(c.Heads))
+	for k, h := range c.Heads {
 		headIdx[h] = int32(k)
 		rels[k] = inc.db.Get(h)
 	}
@@ -59,13 +59,13 @@ func (inc *Incremental) applyDRed(c *incComponent, d *Delta) int {
 	// Phase 1: over-delete to fixpoint. over is the "still visible" overlay:
 	// removed base inputs plus over-deleted heads, growing as the phase
 	// discovers more.
-	over := inc.deltaRelations(c.inputs, d.del)
-	overHeads := make([]*Relation, len(c.heads))
-	for k, h := range c.heads {
+	over := inc.deltaRelations(c.Inputs, d.del)
+	overHeads := make([]*Relation, len(c.Heads))
+	for k, h := range c.Heads {
 		overHeads[k] = over.Ensure(h, rels[k].Arity)
 	}
 	var deleted headRows // global discovery order = support-dependency order
-	inc.rounds.driveRounds(inc.db, c.plans, seedRows(c.inputs, d.del), over,
+	inc.rounds.driveRounds(inc.db, c.plans, seedRows(c.Inputs, d.del), over,
 		func(h string, rel *Relation, w []uint64) bool {
 			// deleteRow doubles as the dedup check: a row already tentative
 			// (or never part of the fixpoint) is absent from the relation,
@@ -128,7 +128,7 @@ func (inc *Incremental) applyDRed(c *incComponent, d *Delta) int {
 			changes++
 		}
 	}
-	for k, h := range c.heads {
+	for k, h := range c.Heads {
 		for l, i := inserted[h], 0; i < l.len(); i++ {
 			if overHeads[k].findRow(l.row(i)) >= 0 {
 				continue // present before the batch and present after: net zero

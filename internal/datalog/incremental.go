@@ -68,6 +68,21 @@ type DeltaOp struct {
 	T    Tuple
 }
 
+// Undo reverses realized changes in reverse application order: a rolled-back
+// insert is deleted, a rolled-back delete re-inserted. Contents are restored
+// exactly; a re-inserted row may land in a new slot, so scan order can differ
+// from a history that never applied the ops.
+func (db *Database) Undo(ops []DeltaOp) {
+	for i := len(ops) - 1; i >= 0; i-- {
+		op := ops[i]
+		if rel := db.Ensure(op.Pred, len(op.T)); op.Del {
+			rel.Insert(op.T)
+		} else {
+			rel.Delete(op.T)
+		}
+	}
+}
+
 // NewDelta returns an empty change batch.
 func NewDelta() *Delta {
 	return &Delta{added: map[string][]Tuple{}, removed: map[string][]Tuple{}}
@@ -194,15 +209,10 @@ func (d *Delta) encode(db *Database) error {
 	return nil
 }
 
-// incComponent classifies one evaluation component for maintenance.
+// incComponent is one evaluation component with its compiled plans.
 type incComponent struct {
-	plans     []*rulePlan
-	heads     []string // distinct head preds, first-appearance order
-	headSet   map[string]bool
-	inputs    []string // distinct non-head body preds, first-appearance order
-	inputSet  map[string]bool
-	recursive bool // some positive body literal reads a component head
-	nonMono   bool // some rule negates or aggregates
+	Component
+	plans []*rulePlan
 }
 
 // Incremental maintains a program's fixpoint across base-relation change
@@ -231,34 +241,7 @@ func newIncrementalCore(p *Program, db *Database) (*Incremental, error) {
 	}
 	inc := &Incremental{prog: p, db: db, idb: p.idbPreds()}
 	for _, plans := range p.prep.strata {
-		c := incComponent{plans: plans, headSet: map[string]bool{}, inputSet: map[string]bool{}}
-		for _, pl := range plans {
-			if !c.headSet[pl.r.Head.Pred] {
-				c.headSet[pl.r.Head.Pred] = true
-				c.heads = append(c.heads, pl.r.Head.Pred)
-			}
-			if pl.r.Agg != "" {
-				c.nonMono = true
-			}
-		}
-		for _, pl := range plans {
-			for _, l := range pl.r.Body {
-				if l.Negated {
-					c.nonMono = true
-				}
-				if c.headSet[l.Pred] {
-					if !l.Negated {
-						c.recursive = true
-					}
-					continue
-				}
-				if !c.inputSet[l.Pred] {
-					c.inputSet[l.Pred] = true
-					c.inputs = append(c.inputs, l.Pred)
-				}
-			}
-		}
-		inc.comps = append(inc.comps, c)
+		inc.comps = append(inc.comps, incComponent{Component: classify(plans), plans: plans})
 	}
 	return inc, nil
 }
@@ -320,7 +303,7 @@ func (inc *Incremental) Broken() bool { return inc.broken }
 // head per body binding); the rest run the normal component fixpoint.
 func (inc *Incremental) seed(c *incComponent) error {
 	ensureHeadsPlanned(inc.db, c.plans)
-	if c.recursive || c.nonMono {
+	if c.Recursive || c.NonMono {
 		_, err := evalStratumSemiNaive(inc.db, c.plans, &inc.rounds)
 		return err
 	}
@@ -409,7 +392,7 @@ func (inc *Incremental) validateDelta(d *Delta) error {
 
 // touchedBy reports whether the batch changes any of the component's inputs.
 func (c *incComponent) touchedBy(d *Delta) (hasAdd, hasDel bool) {
-	for _, in := range c.inputs {
+	for _, in := range c.Inputs {
 		if d.add[in].len() > 0 {
 			hasAdd = true
 		}
@@ -437,9 +420,9 @@ func (c *incComponent) dredReady() bool {
 // the component's inputs.
 func (inc *Incremental) applyComponent(c *incComponent, d *Delta, hasDel bool) (int, error) {
 	switch {
-	case c.nonMono:
+	case c.NonMono:
 		return inc.recompute(c, d)
-	case !c.recursive:
+	case !c.Recursive:
 		return inc.applyCounting(c, d)
 	case hasDel:
 		if inc.forceRecompute || !c.dredReady() {
@@ -462,8 +445,8 @@ func (inc *Incremental) applyComponent(c *incComponent, d *Delta, hasDel bool) (
 // ErrInconsistentDelta before the component mutates anything.
 func (inc *Incremental) applyCounting(c *incComponent, d *Delta) (int, error) {
 	view := preBatch{
-		over:       inc.deltaRelations(c.inputs, d.del),
-		hide:       inc.deltaRelations(c.inputs, d.add),
+		over:       inc.deltaRelations(c.Inputs, d.del),
+		hide:       inc.deltaRelations(c.Inputs, d.add),
 		positional: true,
 	}
 	acc := inc.db.Scratch() // per head, the batch's signed count changes in first-derived order
@@ -480,7 +463,7 @@ func (inc *Incremental) applyCounting(c *incComponent, d *Delta) (int, error) {
 	// state without mutating — a crossing below zero means the delta claims
 	// to retract derivations the component never recorded.
 	var err error
-	for _, h := range c.heads {
+	for _, h := range c.Heads {
 		rel := inc.db.Get(h)
 		acc.Get(h).scanCountRows(func(w []uint64, n int) {
 			if err == nil && rel.count(w)+n < 0 {
@@ -493,7 +476,7 @@ func (inc *Incremental) applyCounting(c *incComponent, d *Delta) (int, error) {
 	}
 	// Phase 2: commit.
 	changes := 0
-	for _, h := range c.heads {
+	for _, h := range c.Heads {
 		rel := inc.db.Get(h)
 		acc.Get(h).scanCountRows(func(w []uint64, n int) {
 			if n == 0 {
@@ -605,7 +588,7 @@ func (inc *Incremental) deltaRelations(preds []string, lists map[string]*rowList
 func (inc *Incremental) propagateInserts(c *incComponent, in *Delta, record func(pred string, w []uint64)) int {
 	ensureHeadsPlanned(inc.db, c.plans)
 	changes := 0
-	inc.rounds.driveRounds(inc.db, c.plans, seedRows(c.inputs, in.add), nil,
+	inc.rounds.driveRounds(inc.db, c.plans, seedRows(c.Inputs, in.add), nil,
 		func(h string, rel *Relation, w []uint64) bool {
 			if !rel.insertRow(w) {
 				return false
@@ -626,7 +609,7 @@ func (inc *Incremental) propagateInserts(c *incComponent, in *Delta, record func
 func (inc *Incremental) recompute(c *incComponent, out *Delta) (int, error) {
 	ensureHeadsPlanned(inc.db, c.plans)
 	old := map[string][]Tuple{}
-	for _, h := range c.heads {
+	for _, h := range c.Heads {
 		rel := inc.db.Get(h)
 		old[h] = rel.Tuples()
 		rel.Clear() // in place: the *Relation stays valid for holders of the pointer
@@ -637,7 +620,7 @@ func (inc *Incremental) recompute(c *incComponent, out *Delta) (int, error) {
 	changes := 0
 	dict := inc.db.dictionary()
 	var buf [8]uint64
-	for _, h := range c.heads {
+	for _, h := range c.Heads {
 		newT := inc.db.Get(h).Tuples() // sorted, as is old[h]
 		oldT := old[h]
 		i, j := 0, 0

@@ -1,150 +1,209 @@
 package datalog
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file is the serialization boundary of the incremental evaluator: a
-// FixpointState captures everything an Incremental needs beyond its compiled
-// program — the database (base relations plus the materialized fixpoint, in
-// insertion order) and the counted-derivation multiplicities of the
-// non-recursive monotone components — and RestoreIncremental rebuilds a
-// working evaluator from one without re-deriving anything. In the live
-// evaluator a count sits beside its tuple, in the head relation's slot
-// (Relation.addCount); CountsState is read off that relation in scan order
-// and restored onto it. The durable
-// layer (internal/durable) encodes FixpointStates into snapshot files and
-// replays changelog suffixes through Apply; keeping the state shape here
-// means the encoding never reaches into evaluator internals.
+// FixpointState is the evaluator's own representation — the dictionary
+// values its rows reference plus each relation's live slab rows and, on a
+// counting component's head, the derivation count beside each row
+// (Relation.addCount) — and RestoreIncremental adopts one without decoding
+// a row or re-deriving anything. The durable layer (internal/durable)
+// frames FixpointStates as snapshot files and replays changelog suffixes
+// through Apply; words stay opaque to it.
 //
-// Capture and restore both preserve insertion order (relations) and
-// first-seen order (counts), so a restored evaluator is byte-for-byte
-// equivalent to the one that was captured: identical scan orders, identical
-// future emission orders, identical subsequent snapshots.
+// Dictionary ids are renumbered densely in first-use order (relations by
+// name, rows in slot order), so a state depends only on the maintained
+// contents and their scan order, never on which values the dictionary
+// interned and forgot: two evaluators holding the same relations in the
+// same order capture identical states, and a restored evaluator captures
+// the state it was restored from.
 
-// RelationState is one relation's persisted form: tuples in insertion
-// (scan) order.
+// RelationState is one relation's persisted form: its live slab rows in
+// slot (scan) order, max(Arity, 1) words per row — an arity-0 row is one
+// zero word. Counts runs parallel to the rows and is non-nil exactly on the
+// heads of counting components.
 type RelationState struct {
 	Name   string
 	Arity  int
-	Tuples []Tuple
-}
-
-// CountEntry is one maintained derivation count (always positive: zero
-// counts are dropped from the live state).
-type CountEntry struct {
-	Tuple Tuple
-	Count int
-}
-
-// CountsState is the derivation-count table of one counting component's
-// head predicate, in first-seen order.
-type CountsState struct {
-	Pred    string
-	Entries []CountEntry
+	Rows   []uint64
+	Counts []int
 }
 
 // FixpointState is a point-in-time capture of an Incremental's maintained
-// state. Relations are listed in sorted-name order (deterministic bytes for
-// a fixed state), tuples within each in insertion order.
+// state. Relations are in name order; a row's dictionary word names
+// Values[id].
 type FixpointState struct {
+	Values    []any
 	Relations []RelationState
-	Counts    []CountsState
 }
 
-// State captures the maintained database and derivation counts. It fails on
-// a broken evaluator — persisting a half-applied batch would make the
-// corruption durable.
+// countingHeads returns the heads of the counting (non-recursive monotone)
+// components: the relations that carry derivation counts.
+func (inc *Incremental) countingHeads() map[string]bool {
+	heads := map[string]bool{}
+	for _, c := range inc.comps {
+		if !c.Recursive && !c.NonMono {
+			for _, h := range c.Heads {
+				heads[h] = true
+			}
+		}
+	}
+	return heads
+}
+
+// State captures the maintained database and derivation counts in one pass
+// over the slabs. It fails on a broken evaluator — persisting a half-applied
+// batch would make the corruption durable.
 func (inc *Incremental) State() (*FixpointState, error) {
 	if inc.broken {
 		return nil, fmt.Errorf("datalog: incremental evaluator unusable after earlier error")
 	}
+	d := inc.db.dictionary()
+	counting := inc.countingHeads()
+	renum := make([]uint64, len(d.vals)) // dictionary id → state id + 1
 	st := &FixpointState{}
-	// Relations in sorted-name order, each decoded once over one backing
-	// array; a counted relation's entries reuse those tuples, in the head
-	// relation's scan order — the order the counted tuples were first
-	// derived in.
 	for _, name := range inc.db.Names() {
-		rel := inc.db.Get(name)
-		rs := RelationState{Name: name, Arity: rel.Arity, Tuples: rel.appendTuples(make([]Tuple, 0, rel.Len()))}
-		st.Relations = append(st.Relations, rs)
-		if rel.counts == nil || len(rs.Tuples) == 0 {
-			continue
+		r := inc.db.Get(name)
+		rs := RelationState{Name: name, Arity: r.Arity, Rows: make([]uint64, 0, r.Len()*r.stride)}
+		if counting[name] {
+			rs.Counts = make([]int, 0, r.Len())
 		}
-		cs := CountsState{Pred: name, Entries: make([]CountEntry, 0, len(rs.Tuples))}
-		for s, n := 0, rel.slots(); s < n; s++ {
-			if rel.live(s) {
-				cs.Entries = append(cs.Entries, CountEntry{Tuple: rs.Tuples[len(cs.Entries)], Count: rel.counts[s]})
+		for s, n := 0, r.slots(); s < n; s++ {
+			if !r.live(s) {
+				continue
+			}
+			for _, w := range r.rows[s*r.stride:][:r.stride] {
+				if w&tagMask == tagDict {
+					id := w >> tagBits
+					if renum[id] == 0 {
+						st.Values = append(st.Values, d.vals[id])
+						renum[id] = uint64(len(st.Values))
+					}
+					w = (renum[id]-1)<<tagBits | tagDict
+				}
+				rs.Rows = append(rs.Rows, w)
+			}
+			if rs.Counts != nil {
+				rs.Counts = append(rs.Counts, r.counts[s])
 			}
 		}
-		st.Counts = append(st.Counts, cs)
+		st.Relations = append(st.Relations, rs)
 	}
 	return st, nil
 }
 
-// RestoreIncremental rebuilds an evaluator from a captured state: relations
-// are loaded into db (which must not already hold tuples for them), the
-// program is compiled and classified exactly as NewIncremental would, and
-// the derivation counts are adopted instead of re-seeding the fixpoint.
-// Restore is O(state) — no joins, no fixpoint — which is what makes
-// snapshot recovery beat cold recomputation.
+// RestoreIncremental rebuilds an evaluator from a captured state: the
+// values are interned into db's dictionary, the rows are copied into each
+// relation's slab with their dictionary words remapped, membership is
+// built once, and the program is compiled and classified exactly as
+// NewIncremental would, adopting the derivation counts instead of seeding
+// the fixpoint. Restore is O(state) — no joins, no fixpoint, no Tuple.
+//
+// A state that a correct State() cannot produce is rejected before any
+// relation of db changes (only the append-only dictionary may have grown),
+// so a failed restore leaves db as it found it.
 func RestoreIncremental(p *Program, db *Database, st *FixpointState) (*Incremental, error) {
-	for _, rs := range st.Relations {
-		rel := db.Ensure(rs.Name, rs.Arity)
-		if rel.Arity != rs.Arity {
-			return nil, fmt.Errorf("datalog: restore: relation %s has arity %d but state says %d", rs.Name, rel.Arity, rs.Arity)
-		}
-		if rel.Len() > 0 {
-			return nil, fmt.Errorf("datalog: restore: relation %s already holds tuples", rs.Name)
-		}
-		if err := rel.bulkLoad(rs.Tuples); err != nil {
-			return nil, err
-		}
-	}
 	inc, err := newIncrementalCore(p, db)
 	if err != nil {
 		return nil, err
 	}
-	counting := map[string]bool{}
-	for _, c := range inc.comps {
-		if !c.recursive && !c.nonMono {
-			for _, h := range c.heads {
-				counting[h] = true
-			}
-		}
+	rels, err := loadState(p, db, inc.countingHeads(), st)
+	if err != nil {
+		return nil, fmt.Errorf("datalog: restore: %w", err)
 	}
-	for _, cs := range st.Counts {
-		if !counting[cs.Pred] {
-			return nil, fmt.Errorf("datalog: restore: %s carries derivation counts but is not a counting component head", cs.Pred)
-		}
-		rel := inc.db.Get(cs.Pred)
-		for _, e := range cs.Entries {
-			if e.Count <= 0 {
-				return nil, fmt.Errorf("datalog: restore: non-positive derivation count %d for %s%v", e.Count, cs.Pred, e.Tuple)
-			}
-			var buf [8]uint64
-			w, ok := inc.db.dictionary().lookupRow(buf[:0], e.Tuple)
-			if rel == nil || !ok || len(w) != rel.Arity || rel.findRow(w) < 0 {
-				return nil, fmt.Errorf("datalog: restore: counted tuple %s%v is not in the restored fixpoint", cs.Pred, e.Tuple)
-			}
-			rel.addCount(w, e.Count)
-		}
-	}
-	// Every counting head's counts must cover its relation exactly: an
-	// uncounted tuple (or a count without a tuple, caught above) would
-	// corrupt every future zero-crossing decision.
-	for h := range counting {
-		rel := inc.db.Get(h)
-		if rel == nil {
-			continue
-		}
-		n := 0
-		rel.scanCountRows(func(_ []uint64, c int) {
-			if c > 0 {
-				n++
-			}
-		})
-		if rel.Len() != n {
-			return nil, fmt.Errorf("datalog: restore: %s has %d tuples but %d derivation counts", h, rel.Len(), n)
+	for _, r := range rels {
+		if old := db.Get(r.Name); old != nil {
+			*old = *r // keep the registered relation's identity
+		} else {
+			db.rels[r.Name] = r
+			db.names = nil
 		}
 	}
 	return inc, nil
+}
+
+// loadState validates st against p, db and the counting heads and builds
+// its relations, detached from db, in db's dictionary.
+func loadState(p *Program, db *Database, counting map[string]bool, st *FixpointState) ([]*Relation, error) {
+	arity := map[string]int{}
+	for _, r := range p.Rules {
+		arity[r.Head.Pred] = len(r.Head.Args)
+		for _, l := range r.Body {
+			arity[l.Pred] = len(l.Args)
+		}
+	}
+	d := db.dictionary()
+	words := make([]uint64, len(st.Values)) // state id → db word
+	for i, v := range st.Values {
+		if _, ok := inline(v); ok {
+			return nil, fmt.Errorf("dictionary value %d (%T %v) is encoded inline, not by id", i, v, v)
+		}
+		words[i] = d.encode(v)
+	}
+	seen := make([]bool, len(d.vals))
+	for i, w := range words {
+		if seen[w>>tagBits] {
+			return nil, fmt.Errorf("dictionary value %d (%v) is a duplicate", i, st.Values[i])
+		}
+		seen[w>>tagBits] = true
+	}
+	next := uint64(0) // the first state id no row has used yet
+	rels := make([]*Relation, len(st.Relations))
+	for i := range st.Relations {
+		rs := &st.Relations[i]
+		if i > 0 && rs.Name <= st.Relations[i-1].Name {
+			return nil, fmt.Errorf("relation %s is out of name order", rs.Name)
+		}
+		want, ok := arity[rs.Name]
+		if old := db.Get(rs.Name); old != nil {
+			if old.Len() > 0 {
+				return nil, fmt.Errorf("relation %s already holds tuples", rs.Name)
+			}
+			want, ok = old.Arity, true
+		}
+		if rs.Arity < 0 || ok && rs.Arity != want {
+			return nil, fmt.Errorf("relation %s has arity %d but state says %d", rs.Name, want, rs.Arity)
+		}
+		r := newRelation(d, rs.Name, rs.Arity)
+		if len(rs.Rows)%r.stride != 0 {
+			return nil, fmt.Errorf("relation %s: %d words is not a whole number of rows", rs.Name, len(rs.Rows))
+		}
+		n := len(rs.Rows) / r.stride
+		if counting[rs.Name] != (rs.Counts != nil) || rs.Counts != nil && len(rs.Counts) != n {
+			return nil, fmt.Errorf("relation %s has %d rows and %d derivation counts (counting component head: %v)",
+				rs.Name, n, len(rs.Counts), counting[rs.Name])
+		}
+		if slices.ContainsFunc(rs.Counts, func(c int) bool { return c <= 0 }) {
+			return nil, fmt.Errorf("relation %s has a non-positive derivation count", rs.Name)
+		}
+		rows := make([]uint64, len(rs.Rows))
+		for j, w := range rs.Rows {
+			switch tag := w & tagMask; {
+			case rs.Arity == 0 && w != 0, tag > tagDict, tag == tagBool && w>>tagBits > 1:
+				return nil, fmt.Errorf("relation %s: word %#x encodes no stored value", rs.Name, w)
+			case tag == tagDict:
+				id := w >> tagBits
+				if id > next || id >= uint64(len(words)) {
+					return nil, fmt.Errorf("relation %s: dictionary id %d is not among the %d values, or out of first-use order", rs.Name, id, len(words))
+				}
+				if id == next {
+					next++
+				}
+				w = words[id]
+			}
+			rows[j] = w
+		}
+		if !r.bulkLoad(rows) {
+			return nil, fmt.Errorf("relation %s holds a row twice", rs.Name)
+		}
+		r.counts = slices.Clone(rs.Counts)
+		rels[i] = r
+	}
+	if next != uint64(len(words)) {
+		return nil, fmt.Errorf("%d dictionary values are referenced by no row", uint64(len(words))-next)
+	}
+	return rels, nil
 }

@@ -3,6 +3,8 @@ package datalog
 import (
 	"errors"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -124,30 +126,17 @@ func TestStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st1.Relations) != len(st2.Relations) || len(st1.Counts) != len(st2.Counts) {
-		t.Fatalf("state shapes diverge: %d/%d relations, %d/%d counts",
-			len(st1.Relations), len(st2.Relations), len(st1.Counts), len(st2.Counts))
+	if len(st1.Relations) != len(st2.Relations) || !reflect.DeepEqual(st1.Values, st2.Values) {
+		t.Fatalf("state shapes diverge: %d/%d relations, values %v vs %v",
+			len(st1.Relations), len(st2.Relations), st1.Values, st2.Values)
 	}
 	for i := range st1.Relations {
 		a, b := st1.Relations[i], st2.Relations[i]
-		if a.Name != b.Name || a.Arity != b.Arity || len(a.Tuples) != len(b.Tuples) {
+		if a.Name != b.Name || a.Arity != b.Arity || !slices.Equal(a.Rows, b.Rows) {
 			t.Fatalf("relation state %s diverges", a.Name)
 		}
-		for j := range a.Tuples {
-			if !a.Tuples[j].Equal(b.Tuples[j]) {
-				t.Fatalf("relation %s tuple order diverges at %d: %v vs %v", a.Name, j, a.Tuples[j], b.Tuples[j])
-			}
-		}
-	}
-	for i := range st1.Counts {
-		a, b := st1.Counts[i], st2.Counts[i]
-		if a.Pred != b.Pred || len(a.Entries) != len(b.Entries) {
-			t.Fatalf("counts state %s diverges", a.Pred)
-		}
-		for j := range a.Entries {
-			if !a.Entries[j].Tuple.Equal(b.Entries[j].Tuple) || a.Entries[j].Count != b.Entries[j].Count {
-				t.Fatalf("counts %s entry %d diverges", a.Pred, j)
-			}
+		if (a.Counts == nil) != (b.Counts == nil) || !slices.Equal(a.Counts, b.Counts) {
+			t.Fatalf("counts state %s diverges", a.Name)
 		}
 	}
 }
@@ -208,7 +197,60 @@ func TestStateRoundTripRandomized(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsCorruptState: hand-corrupted states must be refused.
+// corruptStates are hand-corrupted variants of a good capture of
+// persistProgram over edge(a,b), attr(b,1): each is a state no correct
+// State() produces. Values is ["b", "a"] (first use: attr, then edge), and
+// reach_attr is the counting component's head.
+var corruptStates = map[string]func(st *FixpointState){
+	"relations out of name order": func(st *FixpointState) {
+		st.Relations[2], st.Relations[3] = st.Relations[3], st.Relations[2] // path, reach_attr
+	},
+	"arity mismatch": func(st *FixpointState) { stateRel(st, "edge").Arity = 1 },
+	"row length not a multiple of the arity": func(st *FixpointState) {
+		rs := stateRel(st, "edge")
+		rs.Rows = rs.Rows[:1]
+	},
+	"temp word": func(st *FixpointState) { stateRel(st, "edge").Rows[1] = tagTemp },
+	"dictionary id out of range": func(st *FixpointState) {
+		stateRel(st, "edge").Rows[1] = 7<<tagBits | tagDict
+	},
+	"dictionary ids out of first-use order": func(st *FixpointState) {
+		st.Values[0], st.Values[1] = st.Values[1], st.Values[0]
+		for i := range st.Relations {
+			for j, w := range st.Relations[i].Rows {
+				if w&tagMask == tagDict {
+					st.Relations[i].Rows[j] = w ^ 1<<tagBits
+				}
+			}
+		}
+	},
+	"inline-typed value":          func(st *FixpointState) { st.Values[0] = int64(5) },
+	"duplicate value":             func(st *FixpointState) { st.Values[1] = st.Values[0] },
+	"unreferenced value":          func(st *FixpointState) { st.Values = append(st.Values, "zz") },
+	"duplicate row":               func(st *FixpointState) { rs := stateRel(st, "edge"); rs.Rows = append(rs.Rows, rs.Rows...) },
+	"count for non-counting pred": func(st *FixpointState) { stateRel(st, "path").Counts = []int{1} },
+	"non-positive count":          func(st *FixpointState) { stateRel(st, "reach_attr").Counts[0] = 0 },
+	"count column longer than the rows": func(st *FixpointState) {
+		rs := stateRel(st, "reach_attr")
+		rs.Counts = append(rs.Counts, 1)
+	},
+	"uncounted fixpoint tuple": func(st *FixpointState) { stateRel(st, "reach_attr").Counts = nil },
+}
+
+// stateRel returns the named relation of st.
+func stateRel(st *FixpointState, name string) *RelationState {
+	for i := range st.Relations {
+		if st.Relations[i].Name == name {
+			return &st.Relations[i]
+		}
+	}
+	panic("no relation " + name)
+}
+
+// TestRestoreRejectsCorruptState: hand-corrupted states must be refused,
+// and a refused state changes no relation of the caller's database — a
+// runtime that hands its own tables to a failed recovery can still build an
+// evaluator over them.
 func TestRestoreRejectsCorruptState(t *testing.T) {
 	p := persistProgram(t)
 	db := NewDatabase()
@@ -222,28 +264,28 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := map[string]func(st *FixpointState){
-		"count for non-counting pred": func(st *FixpointState) {
-			st.Counts = append(st.Counts, CountsState{Pred: "path", Entries: []CountEntry{{Tuple: Tuple{"a", "b"}, Count: 1}}})
-		},
-		"non-positive count": func(st *FixpointState) {
-			st.Counts[0].Entries[0].Count = 0
-		},
-		"counted tuple missing from fixpoint": func(st *FixpointState) {
-			st.Counts[0].Entries[0].Tuple = Tuple{"zz", int64(9)}
-		},
-		"uncounted fixpoint tuple": func(st *FixpointState) {
-			st.Counts = nil
-		},
+	if !reflect.DeepEqual(good.Values, []any{"b", "a"}) {
+		t.Fatalf("Values = %v, want [b a]", good.Values)
 	}
-	for name, corrupt := range cases {
+	for name, corrupt := range corruptStates {
 		st, err := inc.State()
 		if err != nil {
 			t.Fatal(err)
 		}
 		corrupt(st)
-		if _, err := RestoreIncremental(p, NewDatabase(), st); err == nil {
+		db := NewDatabase()
+		db.Ensure("edge", 2)
+		if _, err := RestoreIncremental(p, db, st); err == nil {
 			t.Errorf("%s: restore must fail", name)
+			continue
+		}
+		for _, rel := range db.Names() {
+			if n := db.Get(rel).Len(); n > 0 {
+				t.Errorf("%s: failed restore left %d tuples in %s", name, n, rel)
+			}
+		}
+		if _, err := NewIncremental(p, db); err != nil {
+			t.Errorf("%s: NewIncremental after a failed restore: %v", name, err)
 		}
 	}
 	// The untouched capture still restores.

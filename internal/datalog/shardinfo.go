@@ -34,39 +34,45 @@ func (p *Program) Components() ([]Component, error) {
 	}
 	var out []Component
 	for _, plans := range p.prep.strata {
-		c := Component{}
-		headSet := map[string]bool{}
-		inputSet := map[string]bool{}
-		for _, pl := range plans {
-			c.Rules = append(c.Rules, pl.r)
-			if !headSet[pl.r.Head.Pred] {
-				headSet[pl.r.Head.Pred] = true
-				c.Heads = append(c.Heads, pl.r.Head.Pred)
-			}
-			if pl.r.Agg != "" {
-				c.NonMono = true
-			}
-		}
-		for _, pl := range plans {
-			for _, l := range pl.r.Body {
-				if l.Negated {
-					c.NonMono = true
-				}
-				if headSet[l.Pred] {
-					if !l.Negated {
-						c.Recursive = true
-					}
-					continue
-				}
-				if !inputSet[l.Pred] {
-					inputSet[l.Pred] = true
-					c.Inputs = append(c.Inputs, l.Pred)
-				}
-			}
-		}
-		out = append(out, c)
+		out = append(out, classify(plans))
 	}
 	return out, nil
+}
+
+// classify reads a component's heads, inputs, recursion and monotonicity
+// off its plans.
+func classify(plans []*rulePlan) Component {
+	c := Component{}
+	headSet := map[string]bool{}
+	inputSet := map[string]bool{}
+	for _, pl := range plans {
+		c.Rules = append(c.Rules, pl.r)
+		if !headSet[pl.r.Head.Pred] {
+			headSet[pl.r.Head.Pred] = true
+			c.Heads = append(c.Heads, pl.r.Head.Pred)
+		}
+		if pl.r.Agg != "" {
+			c.NonMono = true
+		}
+	}
+	for _, pl := range plans {
+		for _, l := range pl.r.Body {
+			if l.Negated {
+				c.NonMono = true
+			}
+			if headSet[l.Pred] {
+				if !l.Negated {
+					c.Recursive = true
+				}
+				continue
+			}
+			if !inputSet[l.Pred] {
+				inputSet[l.Pred] = true
+				c.Inputs = append(c.Inputs, l.Pred)
+			}
+		}
+	}
+	return c
 }
 
 // PartitionHints returns, per predicate, the partition column the compiled

@@ -8,13 +8,14 @@ import (
 	"hydro/internal/datalog"
 )
 
-// Binary value codec for changelog records and snapshot entries. Every
-// dynamic type the engine stores in tuples gets its own tag so values
-// round-trip to the exact Go type — datalog.Tuple equality is typed, so
-// decoding an int64 back as int would silently break joins. Integers use
+// Binary value codec for changelog tuples and a snapshot's dictionary
+// values. Every dynamic type the engine stores in tuples gets its own tag so
+// values round-trip to the exact Go type — datalog.Tuple equality is typed,
+// so decoding an int64 back as int would silently break joins. Integers use
 // varints (zigzag where signed), float64 is 8 fixed bytes, strings are
-// length-prefixed. The encoding is deterministic: one value, one byte
-// sequence.
+// length-prefixed. The encoding is canonical: one value, one byte sequence,
+// and the reader refuses any other (an overlong varint), so an image that
+// decodes re-encodes to itself.
 
 const (
 	tagString  byte = 1
@@ -58,26 +59,16 @@ func readValue(b []byte) (any, []byte, error) {
 	tag, b := b[0], b[1:]
 	switch tag {
 	case tagString:
-		n, sz := binary.Uvarint(b)
-		if sz <= 0 || uint64(len(b)-sz) < n {
-			return nil, nil, fmt.Errorf("durable: truncated string value")
-		}
-		return string(b[sz : sz+int(n)]), b[sz+int(n):], nil
+		return readString(b)
 	case tagInt64, tagInt:
-		v, sz := binary.Varint(b)
-		if sz <= 0 {
-			return nil, nil, fmt.Errorf("durable: truncated integer value")
-		}
+		u, rest, err := readUvarint(b)
+		v := int64(u>>1) ^ -int64(u&1) // zigzag, as binary.AppendVarint writes it
 		if tag == tagInt {
-			return int(v), b[sz:], nil
+			return int(v), rest, err
 		}
-		return v, b[sz:], nil
+		return v, rest, err
 	case tagUint64:
-		v, sz := binary.Uvarint(b)
-		if sz <= 0 {
-			return nil, nil, fmt.Errorf("durable: truncated unsigned value")
-		}
-		return v, b[sz:], nil
+		return readUvarint(b)
 	case tagFloat64:
 		if len(b) < 8 {
 			return nil, nil, fmt.Errorf("durable: truncated float value")
@@ -92,6 +83,16 @@ func readValue(b []byte) (any, []byte, error) {
 	}
 }
 
+// readUvarint decodes a uvarint the codec could have written: truncated and
+// overlong encodings are errors.
+func readUvarint(b []byte) (uint64, []byte, error) {
+	x, sz := binary.Uvarint(b)
+	if sz <= 0 || sz > 1 && b[sz-1] == 0 {
+		return 0, nil, fmt.Errorf("durable: malformed varint")
+	}
+	return x, b[sz:], nil
+}
+
 func appendTuple(b []byte, t datalog.Tuple) ([]byte, error) {
 	b = binary.AppendUvarint(b, uint64(len(t)))
 	var err error
@@ -104,76 +105,17 @@ func appendTuple(b []byte, t datalog.Tuple) ([]byte, error) {
 }
 
 func readTuple(b []byte) (datalog.Tuple, []byte, error) {
-	return readTupleAlloc(b, nil)
-}
-
-// readTupleAlloc decodes a tuple, taking its backing storage from arena
-// when non-nil — recovery decodes tens of thousands of tuples, and one
-// slab allocation per batch beats one slice header per tuple.
-func readTupleAlloc(b []byte, arena *tupleArena) (datalog.Tuple, []byte, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || n > uint64(len(b)) {
+	n, b, err := readUvarint(b)
+	if err != nil || n > uint64(len(b)) {
 		return nil, nil, fmt.Errorf("durable: truncated tuple header")
 	}
-	b = b[sz:]
-	var t datalog.Tuple
-	if arena != nil {
-		t = arena.take(int(n))
-	} else {
-		t = make(datalog.Tuple, n)
-	}
-	var err error
+	t := make(datalog.Tuple, n)
 	for i := range t {
-		if arena != nil && len(b) > 0 && b[0] == tagInt64 {
-			// Recovery's commonest value, boxed once per distinct integer.
-			v, sz := binary.Varint(b[1:])
-			if sz <= 0 {
-				return nil, nil, fmt.Errorf("durable: truncated integer value")
-			}
-			t[i], b = arena.box(v), b[1+sz:]
-			continue
-		}
 		if t[i], b, err = readValue(b); err != nil {
 			return nil, nil, err
 		}
 	}
 	return t, b, nil
-}
-
-// tupleArena hands out tuple backing storage from large slabs, and boxed
-// int64s from a small direct-mapped cache: a snapshot names the same few
-// thousand ids in every relation, and boxing each occurrence afresh was a
-// third of the decode's allocations.
-type tupleArena struct {
-	slab []any
-	ints [1024]struct {
-		v     int64
-		boxed any
-	}
-}
-
-func (a *tupleArena) box(v int64) any {
-	e := &a.ints[uint64(v)%uint64(len(a.ints))]
-	if e.boxed == nil || e.v != v {
-		e.v, e.boxed = v, v
-	}
-	return e.boxed
-}
-
-func (a *tupleArena) take(n int) datalog.Tuple {
-	if n == 0 {
-		return datalog.Tuple{}
-	}
-	if len(a.slab) < n {
-		size := 4096
-		if n > size {
-			size = n
-		}
-		a.slab = make([]any, size)
-	}
-	t := a.slab[:n:n]
-	a.slab = a.slab[n:]
-	return datalog.Tuple(t)
 }
 
 func appendString(b []byte, s string) []byte {
@@ -182,9 +124,9 @@ func appendString(b []byte, s string) []byte {
 }
 
 func readString(b []byte) (string, []byte, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || uint64(len(b)-sz) < n {
+	n, b, err := readUvarint(b)
+	if err != nil || uint64(len(b)) < n {
 		return "", nil, fmt.Errorf("durable: truncated string")
 	}
-	return string(b[sz : sz+int(n)]), b[sz+int(n):], nil
+	return string(b[:n]), b[n:], nil
 }

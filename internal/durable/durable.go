@@ -102,10 +102,10 @@ func Open(opts Options) (*Store, error) {
 	}
 
 	// Snapshot seq (the floor recovery replays from). The image is kept for
-	// Recover; only the seq entry is parsed here.
+	// Recover; only its checksum and fixed header are read here.
 	if data, err := fs.ReadFile(snapName); err == nil {
 		var derr error
-		if s.snapSeq, derr = snapSeqOf(data); derr != nil {
+		if s.snapSeq, _, derr = snapHeader(data); derr != nil {
 			// The snapshot was committed by rename after an fsync; a corrupt
 			// one means the directory is damaged, and the changelog may
 			// already have been truncated past its floor — refusing is the
@@ -205,7 +205,7 @@ func (s *Store) Recover(p *datalog.Program, db *datalog.Database) (*datalog.Incr
 	s.recovered = true
 	var inc *datalog.Incremental
 	if s.snapData != nil {
-		_, fx, derr := unstageBytes(s.snapData)
+		_, fx, derr := decodeSnapshot(s.snapData)
 		if derr != nil {
 			return nil, derr
 		}
@@ -251,21 +251,6 @@ func (s *Store) Recover(p *datalog.Program, db *datalog.Database) (*datalog.Incr
 // aborted tick leaves behind when the abort truncation was lost to a crash.
 var errTickRejected = errors.New("durable: logged tick rejected by evaluator")
 
-// undoOps reverses realized base mutations in reverse application order.
-// Contents and counts are restored exactly; a re-inserted row may land in a
-// different slot, so relation iteration order can differ from a history
-// that never staged the ops.
-func undoOps(db *datalog.Database, ops []datalog.DeltaOp) {
-	for i := len(ops) - 1; i >= 0; i-- {
-		op := ops[i]
-		if op.Del {
-			db.Ensure(op.Pred, len(op.T)).Insert(op.T)
-		} else if rel := db.Get(op.Pred); rel != nil {
-			rel.Delete(op.T)
-		}
-	}
-}
-
 // replayRecord re-applies one changelog record: base-relation mutations in
 // exact recorded order (every one must realize — the log and the state it
 // replays onto were produced by the same history), then the maintenance
@@ -291,7 +276,7 @@ func replayRecord(inc *datalog.Incremental, rec logRecord) error {
 		if n == 0 && !inc.Broken() {
 			// Clean pre-mutation rejection: put the base relations back so
 			// the caller can decide whether this record is droppable.
-			undoOps(db, rec.ops)
+			db.Undo(rec.ops)
 			return fmt.Errorf("replay seq %d: %w: %v", rec.seq, errTickRejected, err)
 		}
 		return fmt.Errorf("durable: replay seq %d: %w", rec.seq, err)
@@ -470,27 +455,30 @@ func (s *Store) Close() error {
 
 // Info summarizes a durability directory for operators (cmd/durtool).
 type Info struct {
-	SnapshotSeq     uint64
-	SnapshotBytes   int64
-	SnapshotEntries int
-	HasSnapshot     bool
-	LogBaseSeq      uint64
-	LogLastSeq      uint64
-	LogRecords      int
-	LogBytes        int64
-	TornBytes       int64 // trailing bytes a recovery would truncate
+	SnapshotSeq       uint64
+	SnapshotBytes     int64
+	SnapshotRelations int
+	SnapshotRows      int
+	HasSnapshot       bool
+	LogBaseSeq        uint64
+	LogLastSeq        uint64
+	LogRecords        int
+	LogBytes          int64
+	TornBytes         int64 // trailing bytes a recovery would truncate
 }
 
 // Inspect reads a durability directory without modifying it.
 func Inspect(fs FS) (*Info, error) {
 	info := &Info{}
 	if data, err := fs.ReadFile(snapName); err == nil {
-		var derr error
-		if info.SnapshotSeq, _, derr = unstageBytes(data); derr != nil {
+		seq, fx, derr := decodeSnapshot(data)
+		if derr != nil {
 			return nil, derr
 		}
-		if derr = forEachSnapEntry(data, func(_, _ []byte) error { info.SnapshotEntries++; return nil }); derr != nil {
-			return nil, derr
+		info.SnapshotSeq = seq
+		info.SnapshotRelations = len(fx.Relations)
+		for _, rs := range fx.Relations {
+			info.SnapshotRows += len(rs.Rows) / max(rs.Arity, 1)
 		}
 		info.HasSnapshot = true
 		info.SnapshotBytes = int64(len(data))

@@ -81,19 +81,16 @@ func encodeRecord(seq uint64, ops []datalog.DeltaOp) ([]byte, error) {
 
 func decodePayload(payload []byte) (logRecord, error) {
 	var rec logRecord
-	seq, sz := binary.Uvarint(payload)
-	if sz <= 0 {
+	seq, payload, err := readUvarint(payload)
+	if err != nil {
 		return rec, fmt.Errorf("durable: truncated record seq")
 	}
-	payload = payload[sz:]
-	n, sz := binary.Uvarint(payload)
-	if sz <= 0 || n > uint64(len(payload)) {
+	n, payload, err := readUvarint(payload)
+	if err != nil || n > uint64(len(payload)) {
 		return rec, fmt.Errorf("durable: truncated record op count")
 	}
-	payload = payload[sz:]
 	rec.seq = seq
 	rec.ops = make([]datalog.DeltaOp, 0, n)
-	var err error
 	for i := uint64(0); i < n; i++ {
 		if len(payload) == 0 {
 			return rec, fmt.Errorf("durable: truncated op")

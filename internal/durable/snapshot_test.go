@@ -2,31 +2,22 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"testing"
 
 	"hydro/internal/datalog"
 )
 
-// TestSnapshotDottedNamesGolden pins the snapshot format and its one
-// ordering trap. Relation headers sort "r/a" < "r/a.b" < "r/ab" but tuple
-// groups sort "t/a.b/" < "t/a/" < "t/ab/" ('.' < '/'), so a decoder that
-// walks headers and groups in step cannot read this image. The state also
-// holds an empty relation and one counted predicate (ab), and every value
-// type the codec tags. testdata/dotted.snap was written by the B+-tree
-// staged encoder this package had at 5e4cb1f; the image must not change.
+// TestSnapshotDottedNamesGolden pins the snapshot format byte for byte.
+// The state holds dotted names ("a" < "a.b" < "ab" is the name order the
+// relations are written in), an empty relation, an arity-0 relation holding
+// its one tuple, one counted predicate (ab), and every value type the codec
+// tags. testdata/dotted.snap was written by this package's HYSNAP2 encoder;
+// the image must not change.
 func TestSnapshotDottedNamesGolden(t *testing.T) {
-	x := datalog.V("x")
-	p, err := datalog.NewProgram(datalog.Rule{
-		Head: datalog.Atom{Pred: "ab", Args: []datalog.Term{x}},
-		Body: []datalog.Literal{
-			{Atom: datalog.Atom{Pred: "a", Args: []datalog.Term{x}}},
-			{Atom: datalog.Atom{Pred: "a.b", Args: []datalog.Term{x}}},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := dottedProgram(t)
 	fs := NewFaultFS()
 	s := openStore(t, fs)
 	db := datalog.NewDatabase()
@@ -37,7 +28,7 @@ func TestSnapshotDottedNamesGolden(t *testing.T) {
 	}
 	tick(t, s, inc, []datalog.DeltaOp{
 		ins("a", int64(1)), ins("a", "two"), ins("a", 3), ins("a", uint64(4)), ins("a", 5.5), ins("a", true),
-		ins("a.b", "two"), ins("a.b", int64(1)), ins("a.b", false), ins("a.b", 5.5),
+		ins("a.b", "two"), ins("a.b", int64(1)), ins("a.b", false), ins("a.b", 5.5), ins("flag"),
 	})
 	tick(t, s, inc, []datalog.DeltaOp{del("a", int64(1)), ins("a.b", 3), ins("other", "k", int64(-7))})
 	if err := s.Snapshot(inc); err != nil {
@@ -57,8 +48,8 @@ func TestSnapshotDottedNamesGolden(t *testing.T) {
 	if !bytes.Equal(img, golden) {
 		t.Fatalf("snapshot image (%d bytes) differs from testdata/dotted.snap (%d bytes)", len(img), len(golden))
 	}
-	if info, err := Inspect(fs); err != nil || info.SnapshotSeq != 2 || info.SnapshotEntries != 23 {
-		t.Fatalf("Inspect = %+v, %v; want seq 2, 23 entries", info, err)
+	if info, err := Inspect(fs); err != nil || info.SnapshotSeq != 2 || info.SnapshotRelations != 6 || info.SnapshotRows != 15 {
+		t.Fatalf("Inspect = %+v, %v; want seq 2, 6 relations, 15 rows", info, err)
 	}
 
 	s2 := openStore(t, fs)
@@ -70,4 +61,66 @@ func TestSnapshotDottedNamesGolden(t *testing.T) {
 	if got := stateImage(t, inc2, 2); !bytes.Equal(got, golden) {
 		t.Fatal("state recovered from the snapshot does not re-encode to the same image")
 	}
+}
+
+// dottedProgram is the golden image's program: ab(x) :- a(x), a.b(x), whose
+// head is a counting component's.
+func dottedProgram(t testing.TB) *datalog.Program {
+	x := datalog.V("x")
+	p, err := datalog.NewProgram(datalog.Rule{
+		Head: datalog.Atom{Pred: "ab", Args: []datalog.Term{x}},
+		Body: []datalog.Literal{
+			{Atom: datalog.Atom{Pred: "a", Args: []datalog.Term{x}}},
+			{Atom: datalog.Atom{Pred: "a.b", Args: []datalog.Term{x}}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// FuzzSnapshotImage recovers the golden image's program from any body —
+// the bytes between magic and CRC trailer, seq included — framed as a
+// valid image. Recover must refuse it or return an evaluator, never panic,
+// and a state it accepts must re-encode to the very same image: the
+// decoder takes exactly the images the encoder writes.
+func FuzzSnapshotImage(f *testing.F) {
+	golden, err := os.ReadFile("testdata/dotted.snap")
+	if err != nil {
+		f.Fatal(err)
+	}
+	body := golden[len(snapMagic) : len(golden)-4]
+	for n := range body {
+		f.Add(body[:n])
+	}
+	f.Add(body)
+	p := dottedProgram(f)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		img := append([]byte(snapMagic), body...)
+		img = binary.LittleEndian.AppendUint32(img, crc32.Checksum(img, crcTable))
+		fs := NewFaultFS()
+		w, err := fs.Create(snapName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(img); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(Options{FS: fs})
+		if err != nil {
+			return // a body too short to hold the seq
+		}
+		defer s.Close()
+		inc, err := s.Recover(p, datalog.NewDatabase())
+		if err != nil {
+			return
+		}
+		if got := stateImage(t, inc, s.SnapshotSeq()); !bytes.Equal(got, img) {
+			t.Fatalf("accepted image re-encodes differently:\n got %x\nwant %x", got, img)
+		}
+	})
 }

@@ -44,18 +44,6 @@ func newReplica(dep *Deployment, self int) *replica {
 	return r
 }
 
-// rollback undoes the current attempt's realized changes, newest first.
-func (r *replica) rollback() {
-	for i := len(r.undo) - 1; i >= 0; i-- {
-		op := r.undo[i]
-		if op.Del {
-			r.db.Get(op.Pred).Insert(op.T)
-		} else {
-			r.db.Get(op.Pred).Delete(op.T)
-		}
-	}
-}
-
 // clearStaging forgets the current attempt's staging — after a rollback,
 // or at commit, when the staged changes become the committed state.
 func (r *replica) clearStaging() {
@@ -136,7 +124,7 @@ func (r *replica) handleReq(from string, m req) {
 			r.reply(rsp{Tick: m.Tick, Att: m.Att, Kind: reqPrepare})
 			return
 		}
-		r.rollback()
+		r.db.Undo(r.undo) // the current attempt's realized changes, newest first
 		r.clearStaging()
 		r.curTick, r.curAtt = m.Tick, m.Att
 		r.reply(rsp{Tick: m.Tick, Att: m.Att, Kind: reqPrepare})

@@ -663,17 +663,8 @@ func (rt *Runtime) commitObservation(mailbox string, rows []datalog.Tuple) {
 func (rt *Runtime) rejectTick(delta *datalog.Delta, err error) {
 	// An admission rejection carries no delta: nothing reached the
 	// database yet, so there is nothing to undo.
-	var ops []datalog.DeltaOp
 	if delta != nil {
-		ops = delta.Ops()
-	}
-	for i := len(ops) - 1; i >= 0; i-- {
-		op := ops[i]
-		if op.Del {
-			rt.db.Ensure(op.Pred, len(op.T)).Insert(op.T)
-		} else if rel := rt.db.Get(op.Pred); rel != nil {
-			rel.Delete(op.T)
-		}
+		rt.db.Undo(delta.Ops())
 	}
 	rt.stats.Rejected++
 	rt.lastRejection = err
