@@ -77,13 +77,14 @@ datalog-one-store:
 		code ~ /(^|[^[:alnum:]_"])binding([{(),]|$$)|evalFilter\(/ && !(FILENAME ~ /eval\.go$$/ && fn ~ /^deriveRule\(/) \
 		{print FILENAME":"FNR": "$$0; bad=1} END{exit bad}' $(filter-out %/rule.go,$(DATALOG_SRC))
 
-# one-tick-path fails if a non-test file of internal/transducer or
-# internal/hydrolysis copies state or evaluates from scratch: .Clone(),
-# .Eval(, .EvalNaive( or datalog.Derive( (comments stripped, as above).
-# Handlers read the runtime database through compiled plans and the
-# fixpoint is maintained from deltas (DESIGN.md §8); copies and from-scratch
-# evaluation belong to oracles and experiments, not to the tick.
-TICK_SRC = $(filter-out %_test.go,$(wildcard internal/transducer/*.go internal/hydrolysis/*.go))
+# one-tick-path fails if a non-test file of internal/transducer,
+# internal/hydrolysis or internal/shard copies state or evaluates from
+# scratch: .Clone(), .Eval(, .EvalNaive( or datalog.Derive( (comments
+# stripped, as above). Handlers read the runtime database through compiled
+# plans, and the fixpoint — on one node or on every shard replica — is
+# maintained from deltas by datalog's one engine (DESIGN.md §8); copies and
+# from-scratch evaluation belong to oracles and experiments, not to the tick.
+TICK_SRC = $(filter-out %_test.go,$(wildcard internal/transducer/*.go internal/hydrolysis/*.go internal/shard/*.go))
 TICK_BANNED = \.Clone\(\)|\.Eval\(|\.EvalNaive\(|datalog\.Derive\(
 one-tick-path:
 	@! grep -nE '$(TICK_BANNED)' $(TICK_SRC) | sed 's,//.*,,' | grep -E '$(TICK_BANNED)'

@@ -202,6 +202,15 @@ func (r *Relation) count(w []uint64) int {
 	return 0
 }
 
+// scanRows calls fn for every live row, in insertion order.
+func (r *Relation) scanRows(fn func(w []uint64)) {
+	for s, n := 0, r.slots(); s < n; s++ {
+		if r.live(s) {
+			fn(r.row(s))
+		}
+	}
+}
+
 // scanCountRows calls fn for every live row and its count, in insertion
 // order; a relation that was never counted has none to report.
 func (r *Relation) scanCountRows(fn func(w []uint64, n int)) {
@@ -408,8 +417,8 @@ func NewDatabase() *Database { return &Database{rels: map[string]*Relation{}, di
 
 // Scratch returns an empty database sharing db's dictionary: the place for
 // delta, overlay and dedup relations that are joined or compared against
-// db's (Program.Drive's over) without re-encoding. Like everything in this
-// package it belongs to db's evaluator thread.
+// db's without re-encoding. Like everything in this package it belongs to
+// db's evaluator thread.
 func (db *Database) Scratch() *Database {
 	return &Database{rels: map[string]*Relation{}, dict: db.dictionary()}
 }
@@ -438,24 +447,6 @@ func (db *Database) Ensure(name string, arity int) *Relation {
 	db.rels[name] = r
 	db.names = nil
 	return r
-}
-
-// rehome returns o — a database whose relations are to be joined against
-// db's — encoded in db's dictionary: o itself when it already is (a Scratch
-// of db, or nil), else a re-encoded copy.
-func (db *Database) rehome(o *Database) *Database {
-	if o == nil || o.dictionary() == db.dictionary() {
-		return o
-	}
-	c := db.Scratch()
-	for name, rel := range o.rels {
-		cr := c.Ensure(name, rel.Arity)
-		rel.scan(func(t Tuple) bool {
-			cr.Insert(t)
-			return true
-		})
-	}
-	return c
 }
 
 // Get returns the named relation, or nil.

@@ -1,147 +1,19 @@
 package datalog
 
-// This file is the DRed (delete-and-rederive) maintenance path for
-// recursive monotone components: the classic three-phase algorithm that
-// makes deletions as cheap as inserts where the counting algebra is
-// unsound (cyclic self-support under recursion).
-//
-//  1. Over-delete: propagate the batch's deletions through the compiled
-//     delta-first plans to a fixpoint, tentatively deleting every head
-//     tuple with at least one derivation that used a deleted tuple. The
-//     non-delta body positions must read the PRE-batch view — a derivation
-//     both of whose body tuples were deleted is only found if the other
-//     one is still visible — so the plans run against an overlay database
-//     (preBatch in plan.go) holding the batch's removed inputs plus the
-//     tuples over-deleted so far: tuples only ever move from the relation
-//     into the overlay, keeping the joined view constant. The overlay is
-//     made of plain relations, so probing it is an index lookup per join
-//     step (a linear scan would make the phase quadratic in the cascade),
-//     and its membership table is the record of what was over-deleted.
-//  2. Re-derive: a tentatively deleted tuple survives if it has any
-//     derivation from tuples still alive. Candidates queue in discovery
-//     order, which is support-dependency order — a tuple over-deleted in
-//     round r can only be supported by tuples from rounds < r — so one
-//     ordered pass reinstates every directly-supported candidate with its
-//     reinstated predecessors already visible, and each rule's support
-//     plan (the body compiled with the head variables pre-bound, see
-//     plan.go) makes the check a selective existence query. Cross-rule
-//     stragglers (support arriving only through a tuple reinstated later
-//     in the queue) then propagate semi-naively — each reinstatement
-//     drives the delta-first plans once — so no pass ever restarts:
-//     both phases stay near-linear in the cascade.
-//  3. Insert: the batch's additions propagate with the ordinary semi-naive
-//     insert path against the post-deletion state.
-//
-// The emitted delta is exact and net: a tuple over-deleted but re-derived
-// (or re-inserted by phase 3) produces no record, so downstream counting
-// components keep their one-signed-change-per-tuple precondition.
-
-// headRows is a sequence of encoded head rows of mixed predicates — the
-// over-deleted candidates in discovery order: pred[k] indexes the
-// component's heads, and row k's words follow row k-1's in w.
-type headRows struct {
-	pred []int32
-	w    []uint64
-}
-
-// applyDRed folds a batch with deletions into a recursive monotone
-// component, reading input changes from d and recording net realized head
-// changes into it. It returns the number of realized set-level changes.
-func (inc *Incremental) applyDRed(c *incComponent, d *Delta) int {
-	ensureHeadsPlanned(inc.db, c.plans)
-	headIdx := map[string]int32{}
-	rels := make([]*Relation, len(c.Heads))
-	for k, h := range c.Heads {
-		headIdx[h] = int32(k)
-		rels[k] = inc.db.Get(h)
-	}
-
-	// Phase 1: over-delete to fixpoint. over is the "still visible" overlay:
-	// removed base inputs plus over-deleted heads, growing as the phase
-	// discovers more.
-	over := inc.deltaRelations(c.Inputs, d.del)
-	overHeads := make([]*Relation, len(c.Heads))
-	for k, h := range c.Heads {
-		overHeads[k] = over.Ensure(h, rels[k].Arity)
-	}
-	var deleted headRows // global discovery order = support-dependency order
-	inc.rounds.driveRounds(inc.db, c.plans, seedRows(c.Inputs, d.del), over,
-		func(h string, rel *Relation, w []uint64) bool {
-			// deleteRow doubles as the dedup check: a row already tentative
-			// (or never part of the fixpoint) is absent from the relation,
-			// since nothing re-inserts heads during this phase.
-			if !rel.deleteRow(w) {
-				return false
-			}
-			k := headIdx[h]
-			deleted.pred = append(deleted.pred, k)
-			deleted.w = append(deleted.w, w...)
-			overHeads[k].insertRow(w)
-			return true
-		})
-
-	// Phase 2: re-derive survivors from live support, in dependency order.
-	// Walking the deleted sequence means every candidate's support check
-	// already sees the candidates reinstated before it — including other
-	// heads of the same component — so direct support resolves in one
-	// ordered pass. After that, a candidate can only become derivable
-	// through a tuple reinstated later in the queue, so reinstatements
-	// propagate semi-naively: each one drives the delta-first plans once,
-	// and emitted heads that are still-dead candidates (over-deleted, and
-	// absent from the relation until this insert) are themselves
-	// reinstated. Near-linear in the cascade, with no full-candidate rescans.
-	frontier := map[string]*rowList{}
-	checker := newSupportChecker(inc.db, c)
-	off := 0
-	for _, k := range deleted.pred {
-		rel := rels[k]
-		w := deleted.w[off:][:rel.Arity]
-		off += rel.Arity
-		if checker.rederivable(rel.Name, w) {
-			rel.insertRow(w)
-			rowsOf(frontier, rel.Name, rel.Arity).add(w)
-		}
-	}
-	inc.rounds.driveRounds(inc.db, c.plans, frontier, nil,
-		func(h string, rel *Relation, w []uint64) bool {
-			return overHeads[headIdx[h]].findRow(w) >= 0 && rel.insertRow(w)
-		})
-
-	// Phase 3: propagate the batch's inserts, recording locally so the
-	// final emission can net them against the deletions.
-	inserted := map[string]*rowList{}
-	inc.propagateInserts(c, d, func(h string, w []uint64) { rowsOf(inserted, h, len(w)).add(w) })
-
-	// Net emission: an over-deleted tuple that neither phase 2 nor phase 3
-	// put back is a realized deletion; an inserted tuple that does not
-	// merely undo a tentative deletion is a realized insertion. Deletions
-	// replay the discovery queue (per-predicate order inside the output
-	// delta is the per-head discovery order).
-	changes := 0
-	off = 0
-	for _, k := range deleted.pred {
-		rel := rels[k]
-		w := deleted.w[off:][:rel.Arity]
-		off += rel.Arity
-		if rel.findRow(w) < 0 {
-			d.deleteRow(rel.Name, w)
-			changes++
-		}
-	}
-	for k, h := range c.Heads {
-		for l, i := inserted[h], 0; i < l.len(); i++ {
-			if overHeads[k].findRow(l.row(i)) >= 0 {
-				continue // present before the batch and present after: net zero
-			}
-			d.insertRow(h, l.row(i))
-			changes++
-		}
-	}
-	return changes
-}
+// This file holds DRed's (delete-and-rederive) support check. DRed
+// maintains deletions for recursive monotone components, where counting is
+// unsound (cyclic self-support), in three steps of a Tick (tick.go,
+// DESIGN.md §8): over-delete rounds, reading the pre-batch view through an
+// overlay (preBatch in plan.go), tentatively delete every head tuple with a
+// derivation that used a deleted one; once that is done everywhere, each
+// candidate with a derivation from live tuples left survives — each rule's
+// support plan (the body with the head variables pre-bound) makes that a
+// selective existence query; the survivors and the batch's additions seed
+// semi-naive insert rounds. A tuple over-deleted and put back leaves no
+// record in the delta.
 
 // supportChecker answers "does any derivation of this over-deleted tuple
-// survive in the current database?" for the candidates of one phase-2
+// survive in the current database?" for the candidates of one DRed
 // pass. Each support plan gets one reusable executor (rearmed per
 // candidate), and candidate binding runs off the metadata Prepare
 // precomputed — no per-candidate maps, closures or scratch allocation,

@@ -7,14 +7,15 @@ import (
 	"testing/quick"
 )
 
-// This file pins Program.Drive — the entry point shard replicas evaluate
-// through — against the interpretive reference: for every monotone
+// This file pins the maintenance engine's round — driveOnce, what every
+// insert and over-delete round of a Tick runs, on one node or on a shard
+// replica — against the interpretive reference: for every monotone
 // component of a random program, at every state on the way to its
-// fixpoint, the union over every (rule, body position) of the drive with
-// that literal's full extent as frontier is exactly one naive
-// immediate-consequence step (deriveRule per rule). With an overlay, part
-// of the state is moved out of the database into the overlay and the same
-// union must still equal the step over the whole state.
+// fixpoint, one round whose frontier is every body literal's full extent
+// derives exactly one naive immediate-consequence step (deriveRule per
+// rule). With an overlay, part of the state is moved out of the database
+// into the overlay and the same round must still equal the step over the
+// whole state.
 
 // sameTuples compares two relations' sorted contents.
 func sameTuples(got, want *Relation) error {
@@ -40,17 +41,25 @@ func headRel(out map[string]*Relation, r Rule) *Relation {
 	return head
 }
 
-// driveStep unions Drive over every (rule, position) of component ci into
-// one relation per head. db is what the non-driven literals read (plus ov);
-// each driven literal's frontier is its full extent in whole.
-func driveStep(p *Program, c Component, ci int, db, whole, ov *Database) map[string]*Relation {
+// driveStep runs one round of component ci, collected per head. db is
+// what the non-driven literals read (plus ov); each literal's frontier is
+// its full extent in whole, which shares db's dictionary.
+func driveStep(p *Program, ci int, db, whole, ov *Database) map[string]*Relation {
 	out := map[string]*Relation{}
-	for ri, r := range c.Rules {
-		head := headRel(out, r)
-		for pos, l := range r.Body {
-			p.Drive(db, ci, ri, pos, whole.Get(l.Pred).Tuples(), ov, func(t Tuple) { head.Insert(t) })
+	frontier := map[string]*rowList{}
+	for _, pl := range p.prep.strata[ci] {
+		headRel(out, pl.r)
+		for _, l := range pl.r.Body {
+			if frontier[l.Pred] == nil {
+				frontier[l.Pred] = &rowList{arity: len(l.Args)}
+				whole.Get(l.Pred).scanRows(frontier[l.Pred].add)
+			}
 		}
 	}
+	var b roundBufs
+	b.driveOnce(db, p.prep.strata[ci], frontier, preBatch{over: ov}, nil, 1, func(rel *Relation, w []uint64, _ int) {
+		out[rel.Name].Insert(rel.dict.tuple(w))
+	})
 	return out
 }
 
@@ -67,9 +76,10 @@ func naiveStep(c Component, db *Database) map[string]*Relation {
 }
 
 // splitState moves a random part of every relation the component reads
-// out of a clone of db and into an overlay.
+// out of a clone of db and into an overlay in the clone's dictionary.
 func splitState(r *rand.Rand, c Component, db *Database) (*Database, *Database) {
-	cut, ov := db.Clone(), NewDatabase()
+	cut := db.Clone()
+	ov := cut.Scratch()
 	for _, pred := range append(append([]string{}, c.Inputs...), c.Heads...) {
 		for _, t := range db.Get(pred).Tuples() {
 			if r.Intn(3) == 0 {
@@ -110,8 +120,8 @@ func checkDriveSteps(seed int64) error {
 			want := naiveStep(c, db)
 			cut, ov := splitState(r, c, db)
 			for label, got := range map[string]map[string]*Relation{
-				"plain":   driveStep(p, c, ci, db, db, nil),
-				"overlay": driveStep(p, c, ci, cut, db, ov),
+				"plain":   driveStep(p, ci, db, db, nil),
+				"overlay": driveStep(p, ci, cut, db, ov),
 			} {
 				for h := range want {
 					if err := sameTuples(got[h], want[h]); err != nil {

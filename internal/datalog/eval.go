@@ -175,11 +175,11 @@ func ensureHeadsPlanned(db *Database, plans []*rulePlan) {
 }
 
 // evalStratumSemiNaive computes the fixpoint of one stratum off compiled
-// plans: a full derivation per rule seeds the semi-naive rounds
-// (driveRounds), which re-derive each positive body literal from the
-// previous round's new rows until none is new. Aggregate rules run once
-// after the non-aggregate fixpoint (they depend only on lower strata plus
-// this stratum's final relations).
+// plans: a full derivation per rule seeds the semi-naive rounds, which
+// re-derive each positive body literal from the previous round's new rows
+// until none is new. Aggregate rules run once after the non-aggregate
+// fixpoint (they depend only on lower strata plus this stratum's final
+// relations).
 func evalStratumSemiNaive(db *Database, plans []*rulePlan, rounds *roundBufs) (int, error) {
 	ensureHeadsPlanned(db, plans)
 	derived := 0
@@ -200,13 +200,19 @@ func evalStratumSemiNaive(db *Database, plans []*rulePlan, rounds *roundBufs) (i
 			}
 		}
 	}
-	rounds.driveRounds(db, plans, seed, nil, func(_ string, rel *Relation, w []uint64) bool {
-		if !rel.insertRow(w) {
-			return false
+	rounds.rotate()
+	for frontier := seed; ; frontier = rounds.cur {
+		grew := derived
+		rounds.driveOnce(db, plans, frontier, preBatch{}, nil, 1, func(rel *Relation, w []uint64, _ int) {
+			if rel.insertRow(w) {
+				rowsOf(rounds.next, rel.Name, rel.Arity).add(w)
+				derived++
+			}
+		})
+		if rounds.rotate(); derived == grew {
+			break
 		}
-		derived++
-		return true
-	})
+	}
 	n, err := evalAggregatesPlanned(db, plans)
 	return derived + n, err
 }

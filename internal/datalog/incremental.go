@@ -16,25 +16,11 @@ var ErrInconsistentDelta = errors.New("datalog: delta inconsistent with retained
 // the fixpoint from a fresh snapshot on every transducer tick (O(database)
 // per tick), an Incremental retains the fixpoint in its database and folds
 // in each tick's base-relation delta (O(delta) amortized on monotone
-// workloads). The strategy is chosen per evaluation component (an
-// SCC-refined stratum, see plan.go):
-//
-//   - Non-recursive monotone components maintain a derivation count per
-//     head tuple (the classic counting algorithm), stored on the head
-//     relation itself (Relation.addCount): an insert or delete on an input
-//     enumerates exactly the derivations gained or lost, and a head tuple
-//     appears or disappears when its count crosses zero. Exactness comes
-//     from the positional old/new discipline — driving the delta through
-//     body position i joins positions before i against the post-batch
-//     state and positions after i against the pre-batch view (preBatch's
-//     counting policy in plan.go).
-//   - Recursive monotone components (e.g. transitive closure) propagate
-//     insert-only deltas with the compiled semi-naive plans. Counting is
-//     unsound under recursion (cyclic self-support), so a delta that
-//     deletes one of their inputs falls back to recomputing the component
-//     and diffing, which feeds precise deltas downstream.
-//   - Components containing negation or aggregates recompute whenever any
-//     input (including negated ones) changed, then diff.
+// workloads), one evaluation component (an SCC-refined stratum, see
+// plan.go) at a time, with the strategy tick.go's switch picks: derivation
+// counts on the head rows for non-recursive monotone components,
+// semi-naive insert rounds and DRed (dred.go) for recursive ones, and
+// recompute-and-diff for components with negation or aggregates.
 
 // Delta is a batch of realized set-level changes to base relations: every
 // recorded insert/delete must have actually changed membership, in the
@@ -324,45 +310,49 @@ func (inc *Incremental) seed(c *incComponent) error {
 // from the batch and appends its realized head changes to it, so later
 // components see the cascade.
 func (inc *Incremental) Apply(d *Delta) (int, error) {
-	if inc.broken {
-		return 0, fmt.Errorf("datalog: incremental evaluator unusable after earlier error")
+	t, err := inc.begin(d)
+	if err != nil {
+		return 0, err // pre-mutation, like every rejection begin makes
 	}
-	if err := d.encode(inc.db); err != nil {
-		return 0, err // pre-mutation, like every rejection below
-	}
-	for _, pred := range d.preds {
-		if inc.idb[pred] && (d.add[pred].len() > 0 || d.del[pred].len() > 0) {
-			// Nothing has been mutated yet: the prior fixpoint is intact, so
-			// the evaluator stays usable and the caller can drop the tick.
-			return 0, fmt.Errorf("%w: derived relation %s was mutated as a base relation", ErrInconsistentDelta, pred)
-		}
-	}
-	if err := inc.validateDelta(d); err != nil {
-		return 0, err // pre-mutation: prior fixpoint intact, evaluator usable
-	}
-	changes := 0
-	for i := range inc.comps {
-		c := &inc.comps[i]
-		add, del := c.touchedBy(d)
+	for ci := range inc.comps {
+		add, del := t.Touched(ci)
 		if !add && !del {
 			continue
 		}
-		n, err := inc.applyComponent(c, d, del)
-		if err != nil {
+		t.Start(ci, del)
+		if err := t.run(); err != nil {
 			// A consistency error raised before any component realized
 			// a change is pre-mutation by construction (each strategy
 			// validates before committing): the fixpoint is intact and
 			// the evaluator stays usable. Past that point the batch is
 			// half-applied and the evaluator must refuse further use.
-			if errors.Is(err, ErrInconsistentDelta) && changes == 0 {
+			if errors.Is(err, ErrInconsistentDelta) && t.changes == 0 {
 				return 0, err
 			}
 			inc.broken = true
-			return changes, err
+			return t.changes, err
 		}
-		changes += n
 	}
-	return changes, nil
+	t.close()
+	return t.changes, nil
+}
+
+// run steps the component in progress to its end with every emission
+// accepted on the spot: Apply's round loop.
+func (t *Tick) run() error {
+	accept := t.accept
+	for quiet := false; ; {
+		if err := t.drive(quiet, accept); err != nil {
+			return err
+		}
+		pending, err := t.settle()
+		if err != nil {
+			return err
+		}
+		if quiet = pending == 0; quiet && t.last() {
+			return nil
+		}
+	}
 }
 
 // validateDelta cross-checks a normalized batch against the database the
@@ -390,19 +380,6 @@ func (inc *Incremental) validateDelta(d *Delta) error {
 	return nil
 }
 
-// touchedBy reports whether the batch changes any of the component's inputs.
-func (c *incComponent) touchedBy(d *Delta) (hasAdd, hasDel bool) {
-	for _, in := range c.Inputs {
-		if d.add[in].len() > 0 {
-			hasAdd = true
-		}
-		if d.del[in].len() > 0 {
-			hasDel = true
-		}
-	}
-	return hasAdd, hasDel
-}
-
 // dredReady reports whether every rule in the component carries a compiled
 // support plan (always true for recursive monotone components; defensive).
 func (c *incComponent) dredReady() bool {
@@ -414,88 +391,6 @@ func (c *incComponent) dredReady() bool {
 	return true
 }
 
-// applyComponent folds the batch into one component with the maintenance
-// strategy its class calls for, reading input changes from d and recording
-// realized head changes into it. hasDel says whether d deletes from any of
-// the component's inputs.
-func (inc *Incremental) applyComponent(c *incComponent, d *Delta, hasDel bool) (int, error) {
-	switch {
-	case c.NonMono:
-		return inc.recompute(c, d)
-	case !c.Recursive:
-		return inc.applyCounting(c, d)
-	case hasDel:
-		if inc.forceRecompute || !c.dredReady() {
-			return inc.recompute(c, d)
-		}
-		return inc.applyDRed(c, d), nil
-	default:
-		return inc.propagateInserts(c, d, d.insertRow), nil
-	}
-}
-
-// applyCounting maintains a non-recursive monotone component exactly: each
-// (rule, body position) drives the batch's additions (+1) and removals (−1)
-// on that literal through the delta-first plan under the counting view, the
-// signed derivation counts accumulate per head tuple, and zero crossings
-// realize set-level changes (which extend the delta for downstream
-// components). The commit is two-phase: the accumulated deltas are
-// validated against the maintained counts first (a crossing below zero means
-// the batch contradicts retained state), so an inconsistent tick surfaces as
-// ErrInconsistentDelta before the component mutates anything.
-func (inc *Incremental) applyCounting(c *incComponent, d *Delta) (int, error) {
-	view := preBatch{
-		over:       inc.deltaRelations(c.Inputs, d.del),
-		hide:       inc.deltaRelations(c.Inputs, d.add),
-		positional: true,
-	}
-	acc := inc.db.Scratch() // per head, the batch's signed count changes in first-derived order
-	for _, pl := range c.plans {
-		a := acc.Ensure(pl.r.Head.Pred, len(pl.r.Head.Args))
-		gained := func(w []uint64) { a.addCount(w, 1) }
-		lost := func(w []uint64) { a.addCount(w, -1) }
-		for i, l := range pl.r.Body {
-			pl.runSegmented(inc.db, i, d.add[l.Pred], view, gained)
-			pl.runSegmented(inc.db, i, d.del[l.Pred], view, lost)
-		}
-	}
-	// Phase 1: validate every prospective count against the maintained
-	// state without mutating — a crossing below zero means the delta claims
-	// to retract derivations the component never recorded.
-	var err error
-	for _, h := range c.Heads {
-		rel := inc.db.Get(h)
-		acc.Get(h).scanCountRows(func(w []uint64, n int) {
-			if err == nil && rel.count(w)+n < 0 {
-				err = fmt.Errorf("%w: derivation count for %s%v would fall below zero", ErrInconsistentDelta, h, rel.dict.tuple(w))
-			}
-		})
-	}
-	if err != nil {
-		return 0, err
-	}
-	// Phase 2: commit.
-	changes := 0
-	for _, h := range c.Heads {
-		rel := inc.db.Get(h)
-		acc.Get(h).scanCountRows(func(w []uint64, n int) {
-			if n == 0 {
-				return
-			}
-			switch old, now := rel.addCount(w, n); {
-			case old == 0:
-				d.insertRow(h, w)
-				changes++
-			case now == 0:
-				rel.deleteRow(w) // keeps maintained counts bounded by the live fixpoint
-				d.deleteRow(h, w)
-				changes++
-			}
-		})
-	}
-	return changes, nil
-}
-
 // roundBufs is the word storage a sequence of semi-naive rounds reuses —
 // across rounds and, on an Incremental, across ticks: one drive's emitted
 // head rows, and per head predicate the rows accepted in the previous and
@@ -505,67 +400,46 @@ type roundBufs struct {
 	cur, next map[string]*rowList
 }
 
-// driveRounds is the shared semi-naive round skeleton behind evaluation,
-// insert propagation and both DRed phases: each round drives every
-// non-aggregate plan's positive body literals from the per-predicate delta
-// rows — seed in the first round, the rows accepted in the previous round
-// after it — the other literals also reading the pre-batch overlay when
-// over is non-nil, and accept decides, per emitted head row, whether the
-// row's consequence was realized and should drive the next round. A drive's
-// emissions are buffered and reach accept after it returns, so accept may
-// freely mutate relations and the overlay. Rounds repeat until no row is
-// accepted.
-func (b *roundBufs) driveRounds(db *Database, plans []*rulePlan, seed map[string]*rowList,
-	over *Database, accept func(h string, rel *Relation, w []uint64) bool) {
-	if b.cur == nil {
-		b.cur, b.next = map[string]*rowList{}, map[string]*rowList{}
-	}
-	view := preBatch{over: over}
-	for delta := seed; ; delta = b.cur {
-		accepted := false
-		for _, pl := range plans {
-			if pl.r.Agg != "" {
+// driveOnce is one semi-naive round over plans: each non-aggregate plan's
+// positive body literals are driven from the per-predicate frontier rows —
+// those filter keeps, when it is non-nil — the other literals read under
+// view, and every row a drive emits reaches emit, with multiplicity n,
+// after the drive returns, so emit may mutate relations and the view.
+func (b *roundBufs) driveOnce(db *Database, plans []*rulePlan, frontier map[string]*rowList, view preBatch,
+	filter func(ri int, l *rowList) *rowList, n int, emit func(rel *Relation, w []uint64, n int)) {
+	for ri, pl := range plans {
+		if pl.r.Agg != "" {
+			continue
+		}
+		rel := db.Get(pl.r.Head.Pred)
+		for i, l := range pl.r.Body {
+			rows := frontier[l.Pred]
+			if filter != nil {
+				rows = filter(ri, rows)
+			}
+			if l.Negated || rows.len() == 0 {
 				continue
 			}
-			h := pl.r.Head.Pred
-			rel := db.Get(h)
-			nd := rowsOf(b.next, h, rel.Arity)
-			for i, l := range pl.r.Body {
-				if l.Negated || delta[l.Pred].len() == 0 {
-					continue
-				}
-				b.emitted.reset(rel.Arity)
-				pl.runSegmented(db, i, delta[l.Pred], view, b.emitted.add)
-				_ = rel.touch(&b.emitted)
-				for k, n := 0, b.emitted.len(); k < n; k++ {
-					if w := b.emitted.row(k); accept(h, rel, w) {
-						nd.add(w)
-						accepted = true
-					}
-				}
+			b.emitted.reset(rel.Arity)
+			pl.runSegmented(db, i, rows, view, b.emitted.add)
+			_ = rel.touch(&b.emitted)
+			for k, m := 0, b.emitted.len(); k < m; k++ {
+				emit(rel, b.emitted.row(k), n)
 			}
-		}
-		b.cur, b.next = b.next, b.cur
-		for _, l := range b.next {
-			l.w = l.w[:0]
-		}
-		if !accepted {
-			return
 		}
 	}
 }
 
-// seedRows selects the given predicates' non-empty lists: a driveRounds
-// seed is restricted to a component's inputs, so that a recursive literal
-// does not also read the head changes the rounds themselves record.
-func seedRows(preds []string, lists map[string]*rowList) map[string]*rowList {
-	seed := map[string]*rowList{}
-	for _, pred := range preds {
-		if l := lists[pred]; l.len() > 0 {
-			seed[pred] = l
-		}
+// rotate makes the rows accepted in the last round the next frontier and
+// empties the lists the coming round accepts into.
+func (b *roundBufs) rotate() {
+	if b.cur == nil {
+		b.cur, b.next = map[string]*rowList{}, map[string]*rowList{}
 	}
-	return seed
+	b.cur, b.next = b.next, b.cur
+	for _, l := range b.next {
+		l.w = l.w[:0]
+	}
 }
 
 // deltaRelations wraps the given predicates' non-empty lists as a scratch
@@ -573,72 +447,10 @@ func seedRows(preds []string, lists map[string]*rowList) map[string]*rowList {
 // pre-batch view (preBatch) is joined against.
 func (inc *Incremental) deltaRelations(preds []string, lists map[string]*rowList) *Database {
 	view := inc.db.Scratch()
-	for pred, l := range seedRows(preds, lists) {
-		view.rels[pred] = adoptRows(view.dict, pred, l.arity, l.w)
-	}
-	return view
-}
-
-// propagateInserts folds an insert-only delta into a recursive monotone
-// component with the compiled semi-naive plans: the incoming additions seed
-// the rounds, and newly realized head rows keep driving the delta-first
-// join orders until quiescence. Every realized insert is handed to record
-// (the pure-insert path records straight into the batch; DRed defers
-// recording to net insertions against its over-deletions).
-func (inc *Incremental) propagateInserts(c *incComponent, in *Delta, record func(pred string, w []uint64)) int {
-	ensureHeadsPlanned(inc.db, c.plans)
-	changes := 0
-	inc.rounds.driveRounds(inc.db, c.plans, seedRows(c.Inputs, in.add), nil,
-		func(h string, rel *Relation, w []uint64) bool {
-			if !rel.insertRow(w) {
-				return false
-			}
-			record(h, w)
-			changes++
-			return true
-		})
-	return changes
-}
-
-// recompute is the fallback for components with negation or aggregates
-// (any input change): clear the component's derived relations in place,
-// re-run its fixpoint from the current inputs, and diff old against new so
-// downstream components still receive a precise delta. (It was also the
-// pre-DRed fallback for recursive deletions, retained behind
-// forceRecompute as the benchmark baseline.)
-func (inc *Incremental) recompute(c *incComponent, out *Delta) (int, error) {
-	ensureHeadsPlanned(inc.db, c.plans)
-	old := map[string][]Tuple{}
-	for _, h := range c.Heads {
-		rel := inc.db.Get(h)
-		old[h] = rel.Tuples()
-		rel.Clear() // in place: the *Relation stays valid for holders of the pointer
-	}
-	if _, err := evalStratumSemiNaive(inc.db, c.plans, &inc.rounds); err != nil {
-		return 0, err
-	}
-	changes := 0
-	dict := inc.db.dictionary()
-	var buf [8]uint64
-	for _, h := range c.Heads {
-		newT := inc.db.Get(h).Tuples() // sorted, as is old[h]
-		oldT := old[h]
-		i, j := 0, 0
-		for i < len(oldT) || j < len(newT) {
-			switch {
-			case i < len(oldT) && j < len(newT) && oldT[i].Equal(newT[j]):
-				i++
-				j++
-			case j >= len(newT) || (i < len(oldT) && tupleLess(oldT[i], newT[j])):
-				out.deleteRow(h, dict.encodeRow(buf[:0], oldT[i]))
-				changes++
-				i++
-			default:
-				out.insertRow(h, dict.encodeRow(buf[:0], newT[j]))
-				changes++
-				j++
-			}
+	for _, pred := range preds {
+		if l := lists[pred]; l.len() > 0 {
+			view.rels[pred] = adoptRows(view.dict, pred, l.arity, l.w)
 		}
 	}
-	return changes, nil
+	return view
 }

@@ -4,9 +4,8 @@ package datalog
 // needs to shard a program across replicas (internal/shard): the
 // evaluation-component structure in topological order, per-predicate
 // partition-column hints derived from the compiled plans' partition keys
-// (rulePlan.partCol), the tuple→shard hash, and Drive — the one entry point
-// through which a replica runs a rule on the plans Prepare compiled, so a
-// remote evaluator is the single-node kernel, not a copy of it.
+// (rulePlan.partCol) and the tuple→shard hash. A replica maintains its
+// shards with the single-node engine itself (Tick, tick.go).
 
 // Component describes one evaluation component (an SCC-refined stratum,
 // see plan.go) for external schedulers. Components returns them in
@@ -131,32 +130,4 @@ func ShardOf(t Tuple, col, n int) int {
 		h = hashTuple(t)
 	}
 	return int(h % uint64(n))
-}
-
-// Drive runs rule ri of component comp (Components order) with body literal
-// pos reading exactly the frontier tuples, in order, and every other literal
-// reading db — plus over's tuples for its predicate when over is non-nil:
-// the DRed pre-deletion view, tuples already removed from db that the
-// non-driven literals must still see while over-deletion propagates
-// (dred.go, phase 1) — on the delta-first join order Prepare compiled for
-// that position, and passes each derived head tuple to emit. It is one
-// serial semi-naive drive: the step Incremental's insert, over-delete and
-// re-derive rounds are made of, with the frontier supplied by the caller.
-// The program must be compiled (NewProgram, or a successful Components
-// call) and pos must name a positive literal of a non-aggregate rule;
-// frontier tuples have that literal's arity. over is only read, and indexed
-// on the columns the drive probes; callers change it between drives only.
-// An over made by db.Scratch() is joined in place; any other is re-encoded
-// into db's dictionary first, on every call.
-func (p *Program) Drive(db *Database, comp, ri, pos int, frontier []Tuple, over *Database, emit func(Tuple)) {
-	if len(frontier) == 0 {
-		return
-	}
-	d := db.dictionary()
-	delta := rowList{arity: len(frontier[0])}
-	for _, t := range frontier {
-		delta.addTuple(d, t)
-	}
-	p.prep.strata[comp][ri].runSegmented(db, pos, &delta, preBatch{over: db.rehome(over)},
-		func(w []uint64) { emit(d.tuple(w)) })
 }

@@ -234,7 +234,8 @@ func RunE2(ticks int) Table {
 			fmt.Sprintf("%.2f", c.decrees), fmt.Sprintf("%.1f", c.msgs), fmt.Sprintf("%.2f", c.virtualMs)})
 	}
 	t.Notes = "both mixes pay the same barrier protocol today (submit/attempt/commit decrees, a barrier per exchange round); " +
-		"deletes add DRed's rounds. CALM says the insert-only ticks need neither decrees nor barriers: this gap is what a coordination-free monotone path closes"
+		"deletes add DRed's over-delete rounds and one round that support-checks the candidates on every replica, never the closure's extent. " +
+		"CALM says the insert-only ticks need neither decrees nor barriers: this gap is what a coordination-free monotone path closes"
 	return t
 }
 

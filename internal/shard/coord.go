@@ -1,12 +1,16 @@
 package shard
 
 import (
+	"fmt"
+
 	"hydro/internal/datalog"
 )
 
 // Coordinator stages, in tick order. stDecide sits between the last
 // component and commit: the driver has collected every replica's final
 // ack and is waiting for its commit decree to land on the quorum log.
+// stFailed is terminal: a component's evaluation failed, so the tick can
+// never commit and every replica rolls its attempt back.
 type stage int
 
 const (
@@ -16,9 +20,9 @@ const (
 	stCompBegin
 	stRound
 	stApply
-	stRecompute
 	stDecide
 	stCommit
+	stFailed
 )
 
 // coord is the volatile BSP driver the acting leader runs for one attempt:
@@ -40,9 +44,10 @@ type coord struct {
 	seq     uint64 // progress counter; stale watchdogs are ignored
 	stg     stage
 	comp    int
-	phase   int
 	round   int
-	seedIn  bool
+	hasDel  bool // the tick deletes from the component's inputs somewhere
+	quiet   bool // the last round left nothing to drive anywhere
+	last    bool // every replica's component is in its last phase
 	tickOps []datalog.DeltaOp
 	routed  [][]datalog.DeltaOp
 	acks    map[int]rsp
@@ -73,11 +78,17 @@ func (c *coord) progress() {
 	c.armWatchdog()
 }
 
-func (c *coord) bcast(m req) {
-	m.Epoch = c.epoch
+// send tells every replica to run the current stage of the attempt: m,
+// changed per replica by per when it is non-nil.
+func (c *coord) send(m req, per func(i int, m *req)) {
+	m.Tick, m.Att, m.Epoch, m.Kind, m.Comp, m.Round = c.t, c.a, c.epoch, c.stg, c.comp, c.round
 	c.acks = map[int]rsp{}
-	for _, node := range c.dep().replicaNames {
-		c.dep().net.Send(c.name(), node, m)
+	for i, node := range c.dep().replicaNames {
+		mi := m
+		if per != nil {
+			per(i, &mi)
+		}
+		c.dep().net.Send(c.name(), node, mi)
 	}
 }
 
@@ -86,10 +97,10 @@ func (c *coord) watchdog(m watchdogMsg) {
 		return
 	}
 	switch c.stg {
-	case stCommit:
-		// Every replica finished the attempt and the commit is decreed;
-		// just re-push the broadcast.
-		c.bcast(req{Tick: c.t, Att: c.a, Kind: reqCommit})
+	case stCommit, stFailed:
+		// The attempt's outcome is settled (commit decreed, or evaluation
+		// failed); just re-push its broadcast until every replica acked.
+		c.send(req{}, nil)
 		c.progress()
 	case stDecide:
 		// Waiting on the quorum log; the consensus layer retries the decree
@@ -104,44 +115,30 @@ func (c *coord) watchdog(m watchdogMsg) {
 }
 
 func (c *coord) startAttempt() {
-	// Route the tick's base ops once per attempt: sharded predicates go to
-	// the owning replica, mirrored ones to everybody.
+	// Route the tick's base ops once per attempt.
 	c.routed = make([][]datalog.DeltaOp, c.dep().place.N)
 	for _, op := range c.tickOps {
-		if c.dep().place.Specs[op.Pred].Mirrored {
-			for i := range c.routed {
-				c.routed[i] = append(c.routed[i], op)
-			}
-			continue
-		}
-		d := c.dep().place.Owner(op.Pred, op.T)
-		c.routed[d] = append(c.routed[d], op)
+		route(c.dep().place, c.routed, op.Pred, op.T, op)
 	}
 	c.setStage(stPrepare)
-	c.bcast(req{Tick: c.t, Att: c.a, Kind: reqPrepare})
+	c.send(req{}, nil)
 	c.progress()
 }
 
 func (c *coord) collect(m rsp) {
-	if m.Tick != c.t || m.Att != c.a {
+	if m.Tick != c.t || m.Att != c.a || m.Kind != c.stg || m.Comp != c.comp || m.Round != c.round {
 		return
 	}
-	want := map[stage]reqKind{
-		stPrepare: reqPrepare, stOps: reqOps, stCompBegin: reqCompBegin,
-		stRound: reqRound, stApply: reqApply, stRecompute: reqRecompute,
-		stCommit: reqCommit,
-	}
-	if k, ok := want[c.stg]; !ok || m.Kind != k {
-		return
-	}
-	if c.stg >= stCompBegin && c.stg <= stRecompute && m.Comp != c.comp {
-		return
-	}
-	if (c.stg == stRound || c.stg == stApply) && (m.Phase != c.phase || m.Round != c.round) {
+	if m.Err != nil && c.stg != stFailed {
+		c.fail(m.Err)
 		return
 	}
 	c.acks[m.From] = m
 	if len(c.acks) < c.dep().place.N {
+		return
+	}
+	if c.stg == stFailed {
+		c.seq++ // every replica rolled back: nothing left to retry
 		return
 	}
 	c.progress()
@@ -149,90 +146,57 @@ func (c *coord) collect(m rsp) {
 }
 
 func (c *coord) advance() {
+	n := c.dep().place.N
 	switch c.stg {
 	case stPrepare:
 		c.setStage(stOps)
-		c.acks = map[int]rsp{}
-		for i, node := range c.dep().replicaNames {
-			c.dep().net.Send(c.name(), node, req{Tick: c.t, Att: c.a, Epoch: c.epoch, Kind: reqOps, Ops: c.routed[i]})
-		}
+		c.send(req{}, func(i int, m *req) { m.Ops = c.routed[i] })
 	case stOps:
 		c.comp = 0
 		c.beginComp()
 	case stCompBegin:
-		var hasAdd, hasDel bool
-		for i := 0; i < c.dep().place.N; i++ {
-			if c.acks[i].HasAdd {
-				hasAdd = true
-			}
-			if c.acks[i].HasDel {
-				hasDel = true
-			}
+		var hasAdd bool
+		c.hasDel = false
+		for i := 0; i < n; i++ {
+			hasAdd = hasAdd || c.acks[i].HasAdd
+			c.hasDel = c.hasDel || c.acks[i].HasDel
 		}
-		meta := c.dep().comps[c.comp]
-		switch {
-		case !hasAdd && !hasDel:
+		if !hasAdd && !c.hasDel {
 			c.comp++
 			c.beginComp()
-		case meta.nonMono:
-			c.setStage(stRecompute)
-			c.bcast(req{Tick: c.t, Att: c.a, Kind: reqRecompute, Comp: c.comp})
-		case hasDel:
-			c.phase, c.round, c.seedIn = phaseDelete, 0, false
-			c.startRound()
-		default:
-			c.phase, c.round, c.seedIn = phaseInsert, 0, true
-			c.startRound()
+			return
 		}
-	case stRecompute:
-		c.comp++
-		c.beginComp()
+		c.quiet = false
+		c.startRound()
 	case stRound:
 		// Per-replica barrier size: how many peers shipped it traffic.
-		expect := make([]int, c.dep().place.N)
-		for s := 0; s < c.dep().place.N; s++ {
+		expect := make([]int, n)
+		emitted := 0
+		c.last = true
+		for s := 0; s < n; s++ {
+			emitted += c.acks[s].Emitted
+			c.last = c.last && c.acks[s].Last
 			for d, sent := range c.acks[s].SentTo {
 				if sent {
 					expect[d]++
 				}
 			}
 		}
+		if emitted == 0 {
+			c.nextRound(true) // nothing to accept anywhere
+			return
+		}
 		c.setStage(stApply)
-		c.acks = map[int]rsp{}
-		for i, node := range c.dep().replicaNames {
-			c.dep().net.Send(c.name(), node, req{
-				Tick: c.t, Att: c.a, Epoch: c.epoch, Kind: reqApply,
-				Comp: c.comp, Phase: c.phase, Round: c.round, Expect: expect[i],
-			})
-		}
+		c.send(req{}, func(i int, m *req) { m.Expect = expect[i] })
 	case stApply:
-		total := 0
-		for i := 0; i < c.dep().place.N; i++ {
-			total += c.acks[i].Next
+		pending := 0
+		for i := 0; i < n; i++ {
+			pending += c.acks[i].Next
 		}
-		switch {
-		case c.phase == phaseRederive:
-			// Single pass; accepted insertions seed the insert rounds.
-			if total == 0 {
-				c.comp++
-				c.beginComp()
-				return
-			}
-			c.phase, c.round, c.seedIn = phaseInsert, 0, false
-			c.startRound()
-		case total > 0:
-			c.round++
-			c.startRound()
-		case c.phase == phaseDelete:
-			c.phase, c.round = phaseRederive, 0
-			c.startRound()
-		default: // phaseInsert quiesced
-			c.comp++
-			c.beginComp()
-		}
+		c.nextRound(pending == 0)
 	case stCommit:
 		allIn := true
-		for i := 0; i < c.dep().place.N; i++ {
+		for i := 0; i < n; i++ {
 			if c.acks[i].Committed < c.t {
 				allIn = false
 			}
@@ -245,8 +209,34 @@ func (c *coord) advance() {
 	}
 }
 
+// nextRound follows a round whose rows are all accepted: once nothing is
+// left to drive anywhere (quiet), a component in its last phase is done.
+func (c *coord) nextRound(quiet bool) {
+	if quiet && c.last {
+		c.comp++
+		c.beginComp()
+		return
+	}
+	c.round++
+	c.quiet = quiet
+	c.startRound()
+}
+
+// fail stops the deployment at this tick: a component's evaluation failed,
+// and would fail the same way on every retry, so every replica rolls the
+// attempt back and nothing more is driven — the driver stays installed,
+// so no later tick starts.
+func (c *coord) fail(err error) {
+	if c.dep().err == nil {
+		c.dep().err = fmt.Errorf("shard: tick %d: %w", c.t, err)
+	}
+	c.setStage(stFailed)
+	c.send(req{}, nil)
+	c.progress()
+}
+
 func (c *coord) beginComp() {
-	if c.comp >= len(c.dep().comps) {
+	if c.comp >= c.dep().comps {
 		// Every replica holds the fully staged attempt; seal the tick on
 		// the quorum log before telling anyone to commit, so a failover in
 		// the gap finalizes instead of re-driving.
@@ -255,23 +245,20 @@ func (c *coord) beginComp() {
 		c.progress()
 		return
 	}
+	c.round = 0
 	c.setStage(stCompBegin)
-	c.bcast(req{Tick: c.t, Att: c.a, Kind: reqCompBegin, Comp: c.comp})
+	c.send(req{}, nil)
 }
 
 // enterCommit broadcasts the decreed commit (called when the commit decree
 // applies, or by a recovered leader finalizing the last sealed tick).
 func (c *coord) enterCommit() {
 	c.setStage(stCommit)
-	c.bcast(req{Tick: c.t, Att: c.a, Kind: reqCommit})
+	c.send(req{}, nil)
 	c.progress()
 }
 
 func (c *coord) startRound() {
 	c.setStage(stRound)
-	c.bcast(req{
-		Tick: c.t, Att: c.a, Kind: reqRound,
-		Comp: c.comp, Phase: c.phase, Round: c.round,
-		SeedInputs: c.seedIn && c.round == 0,
-	})
+	c.send(req{HasDel: c.hasDel, Quiet: c.quiet}, nil)
 }

@@ -44,8 +44,9 @@ type Deployment struct {
 	name         string
 	net          *simnet.Network
 	place        *Placement
-	prog         *datalog.Program // replicas drive its compiled plans (datalog.Program.Drive)
-	comps        []*compMeta
+	prog         *datalog.Program // each replica maintains it with a datalog.Incremental of its own
+	comps        int              // evaluation components, driven in order
+	err          error            // the evaluation failure the deployment stopped at
 	arities      map[string]int
 	edb          map[string]int
 	replicas     []*replica
@@ -72,10 +73,6 @@ func Deploy(cl *cluster.Cluster, name string, prog *datalog.Program, edb map[str
 		return nil, err
 	}
 	comps, err := prog.Components()
-	if err != nil {
-		return nil, err
-	}
-	metas, err := buildCompMeta(comps, place)
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +107,7 @@ func Deploy(cl *cluster.Cluster, name string, prog *datalog.Program, edb map[str
 		net:          cl.Net,
 		place:        place,
 		prog:         prog,
-		comps:        metas,
+		comps:        len(comps),
 		arities:      arities,
 		edb:          edb,
 		replicaNames: machines,
@@ -123,7 +120,10 @@ func Deploy(cl *cluster.Cluster, name string, prog *datalog.Program, edb map[str
 		d.coordNames = append(d.coordNames, fmt.Sprintf("%s-coord%d", name, i))
 	}
 	for i := range machines {
-		r := newReplica(d, i)
+		r, err := newReplica(d, i)
+		if err != nil {
+			return nil, err
+		}
 		d.replicas = append(d.replicas, r)
 		cl.HostNode(machines[i], r.handle)
 	}
@@ -253,11 +253,14 @@ func (d *Deployment) CommittedTicks() uint64 {
 
 // Settle steps the network until every submitted tick has committed on
 // every replica, up to maxEvents deliveries. It reports whether the
-// deployment converged.
+// deployment converged; one stopped by Err never does.
 func (d *Deployment) Settle(maxEvents int) bool {
 	for i := 0; i < maxEvents; i++ {
 		if d.CommittedTicks() >= d.submitted {
 			return true
+		}
+		if d.err != nil {
+			return false
 		}
 		if !d.net.Step() {
 			return d.CommittedTicks() >= d.submitted
@@ -265,6 +268,12 @@ func (d *Deployment) Settle(maxEvents int) bool {
 	}
 	return d.CommittedTicks() >= d.submitted
 }
+
+// Err returns the evaluation failure the deployment stopped at, or nil. A
+// tick whose component fails to evaluate (an aggregate over a non-numeric
+// value, say) never commits: every replica rolls it back, and no later
+// tick is driven — the sharded twin of datalog.Incremental.Broken.
+func (d *Deployment) Err() error { return d.err }
 
 // Dump returns the converged global contents of every predicate: the
 // shard union for sharded relations, replica 0's copy for mirrored ones.

@@ -14,10 +14,13 @@ const (
 	StageCompBegin = int(stCompBegin)
 	StageRound     = int(stRound)
 	StageApply     = int(stApply)
-	StageRecompute = int(stRecompute)
 	StageDecide    = int(stDecide)
 	StageCommit    = int(stCommit)
 )
+
+// RowsExchanged returns how many rows the exchange rounds have shipped so
+// far, self-addressed ones included.
+func (d *Deployment) RowsExchanged() uint64 { return d.metrics.rows.Load() }
 
 // SetStageHook installs a callback fired on every driver stage transition
 // (node name, tick, attempt, stage). The hook runs inside the leader's

@@ -40,14 +40,14 @@ func newDeploymentOpts(t testing.TB, prog *datalog.Program, edb map[string]int, 
 // through commit.
 var failoverStages = []int{
 	shard.StagePrepare, shard.StageOps, shard.StageCompBegin, shard.StageRound,
-	shard.StageApply, shard.StageRecompute, shard.StageDecide, shard.StageCommit,
+	shard.StageApply, shard.StageDecide, shard.StageCommit,
 }
 
 func stageName(s int) string {
 	names := map[int]string{
 		shard.StageIdle: "idle", shard.StagePrepare: "prepare", shard.StageOps: "ops",
 		shard.StageCompBegin: "compBegin", shard.StageRound: "round", shard.StageApply: "apply",
-		shard.StageRecompute: "recompute", shard.StageDecide: "decide", shard.StageCommit: "commit",
+		shard.StageDecide: "decide", shard.StageCommit: "commit",
 	}
 	return names[s]
 }
@@ -73,7 +73,7 @@ func healAll(net *simnet.Network, dep *shard.Deployment, node string) {
 
 // failoverRules covers every driver stage: the linear TC layer drives
 // DRed rounds (stRound/stApply), and the negation layer makes its
-// component non-monotone (stRecompute).
+// component non-monotone (a recompute round).
 var failoverRules = append(append([]datalog.Rule{}, tcRules...), datalog.Rule{
 	Head: datalog.Atom{Pred: "dead", Args: []datalog.Term{datalog.V("x")}},
 	Body: []datalog.Literal{

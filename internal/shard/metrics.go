@@ -17,6 +17,7 @@ type ctlMetrics struct {
 	heartbeats    atomic.Uint64 // leader heartbeats sent
 	maxEpoch      atomic.Uint64 // highest epoch any coordinator has applied
 	lastChange    atomic.Int64  // virtual time the highest epoch was first applied
+	rows          atomic.Uint64 // rows shipped by exchange rounds, to self included
 }
 
 // noteLeaderChange records the first application time of each new epoch:

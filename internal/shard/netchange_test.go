@@ -23,7 +23,7 @@ func TestShardedChurnWithinTickShipsNothing(t *testing.T) {
 	ref := newOracle(t, prog, tcEDB)
 	evaluated := map[uint64]bool{} // ticks that reached a round, apply or recompute stage
 	dep.SetStageHook(func(_ string, tick, _ uint64, stg int) {
-		if stg == shard.StageRound || stg == shard.StageApply || stg == shard.StageRecompute {
+		if stg == shard.StageRound || stg == shard.StageApply {
 			evaluated[tick] = true
 		}
 	})

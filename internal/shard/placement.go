@@ -35,16 +35,18 @@ type Placement struct {
 	Preds []string
 }
 
-// Owner returns the replica owning tuple t of pred. For mirrored
-// predicates every replica holds the tuple; Owner then returns the
-// designated driver (whole-tuple hash), which callers use to pick one
-// replica when exactly one should act.
-func (p *Placement) Owner(pred string, t datalog.Tuple) int {
-	s := p.Specs[pred]
-	if s.Mirrored {
-		return datalog.ShardOf(t, -1, p.N)
+// route appends v to out[d] for each replica d holding pred's tuple t: its
+// owner (hash of the partition column mod N), or every replica for a
+// mirrored pred.
+func route[T any](p *Placement, out [][]T, pred string, t datalog.Tuple, v T) {
+	if s := p.Specs[pred]; !s.Mirrored {
+		d := datalog.ShardOf(t, s.Col, p.N)
+		out[d] = append(out[d], v)
+		return
 	}
-	return datalog.ShardOf(t, s.Col, p.N)
+	for d := range out {
+		out[d] = append(out[d], v)
+	}
 }
 
 // NewPlacement derives a placement for prog's predicates over n replicas.

@@ -5,10 +5,18 @@ import "hydro/internal/datalog"
 // Wire protocol. The elected coordinator leader sequences BSP ticks over N
 // replicas:
 //
-//	prepare → ops → per component: compBegin → (recompute |
-//	  phase rounds: round → xch* → apply) → … → decide → commit
+//	prepare → ops → per component: compBegin → (round → [xch* → apply])*
+//	  → … → decide → commit
 //
-// Every request and response carries (Tick, Att); a replica drops
+// A round is one round of the component's datalog.Tick on every replica;
+// its xch traffic is accepted at the apply barrier, skipped when no replica
+// emitted anything. The component ends after a round that leaves nothing
+// to drive anywhere, once its replicas report their last phase.
+//
+// A request's Kind is the coordinator stage it runs (stFailed: roll the
+// attempt back and fence it until the next prepare), and a response echoes
+// its request's header. Every request
+// and response carries (Tick, Att); a replica drops
 // anything that is not its current attempt, and the coordinator drops
 // stale acks — so a timed-out attempt can be restarted wholesale (Att+1)
 // without fencing individual messages. Attempt numbers are globally
@@ -21,70 +29,44 @@ import "hydro/internal/datalog"
 // log (every replica has fully staged the attempt by then), so resending
 // commit{t} until all ack is idempotent.
 
-type reqKind int
-
-const (
-	reqPrepare reqKind = iota
-	reqOps
-	reqCompBegin
-	reqRound
-	reqApply
-	reqRecompute
-	reqCommit
-)
-
-// DRed phases of a monotone component with deletions. Insert-only ticks
-// run phaseInsert alone, seeded from the input additions.
-const (
-	phaseDelete   = 1 // over-delete rounds (joins see the deletion overlay)
-	phaseRederive = 2 // one full immediate-consequence pass, insert-if-absent
-	phaseInsert   = 3 // semi-naive insert rounds
-)
-
 type req struct {
-	Tick, Att          uint64
-	Epoch              uint64 // leadership epoch of the sending coordinator
-	Kind               reqKind
-	Comp, Phase, Round int
-	Ops                []datalog.DeltaOp // reqOps: this replica's routed slice
-	Expect             int               // reqApply: xch messages to await
-	SeedInputs         bool              // reqRound r0: seed from input adds (no prior rederive)
+	Tick, Att   uint64
+	Epoch       uint64 // leadership epoch of the sending coordinator
+	Kind        stage
+	Comp, Round int
+	Ops         []datalog.DeltaOp // stOps: this replica's routed slice
+	HasDel      bool              // stRound 0: the tick deletes from the component's inputs somewhere
+	Quiet       bool              // stRound: the previous round left nothing to drive anywhere
+	Expect      int               // stApply: xch messages to await
 }
 
 type rsp struct {
-	From               int
-	Tick, Att          uint64
-	Kind               reqKind
-	Comp, Phase, Round int
-	HasAdd, HasDel     bool   // reqCompBegin: local input changes
-	SentTo             []bool // reqRound: which peers got an xch this round
-	Next               int    // reqApply: accepted tuples pending next round
-	Committed          uint64 // last committed tick
-}
-
-// xchItem is one shipped derivation (or retraction) for pred.
-type xchItem struct {
-	Pred string
-	Del  bool
-	T    datalog.Tuple
+	From           int
+	Tick, Att      uint64
+	Kind           stage
+	Comp, Round    int
+	HasAdd, HasDel bool   // stCompBegin: local input changes
+	SentTo         []bool // stRound: which peers got an xch this round
+	Emitted        int    // stRound: rows shipped, to self included
+	Last           bool   // stRound: a quiet round ends the component
+	Next           int    // stApply: accepted rows the next round drives
+	Err            error  // the component's evaluation failed: the tick cannot commit
+	Committed      uint64 // last committed tick
 }
 
 // xchMsg carries one round's emissions from one replica to one peer.
 // (Tick, Att) alone fences stale batches — attempts are globally unique —
 // but Epoch rides along as defense in depth and for fence accounting.
 type xchMsg struct {
-	Tick, Att          uint64
-	Epoch              uint64
-	Comp, Phase, Round int
-	From               int
-	Items              []xchItem
+	Tick, Att   uint64
+	Epoch       uint64
+	Comp, Round int
+	From        int
+	Items       []datalog.Change
 }
 
-// rkey identifies one exchange barrier.
-type rkey struct {
-	tick, att          uint64
-	comp, phase, round int
-}
+// rkey identifies one exchange barrier of the current attempt.
+type rkey struct{ comp, round int }
 
 type watchdogMsg struct{ Tick, Att, Seq uint64 }
 

@@ -8,19 +8,20 @@ import (
 )
 
 // replica is one shard server: it owns one hash-shard of every sharded
-// relation (plus a full copy of every mirrored one), runs its share of
-// each monotone component's drives through datalog.Program.Drive (the
-// single-node kernel's compiled plans), ships non-local emissions to the
-// owning replica, and recomputes mirrored non-monotone components
-// locally. What lives here is only what is distributed: routing,
-// designated-driver filtering, barriers, epoch/attempt fencing and the
-// undo log. All tick-attempt work is staged against that log; a
-// restarted attempt rolls the log back, so redelivered or retried
-// protocol traffic can never double-apply.
+// relation (plus a full copy of every mirrored one) and maintains them with
+// the single-node engine, a datalog.Tick, stepped one exchange round at a
+// time: what a round emits goes to the replica owning it, and what arrives
+// is accepted at the round's barrier in sender order. What lives here is
+// only what is distributed: routing, designated drivers, barriers and
+// epoch/attempt fencing. The tick's Abort is the undo log: a restarted
+// attempt rolls the staged one back, so redelivered or retried protocol
+// traffic can never double-apply.
 type replica struct {
 	dep  *Deployment
 	self int
 	db   *datalog.Database
+	inc  *datalog.Incremental
+	site datalog.Site // what this replica holds, for its ticks
 
 	committed       uint64 // last committed tick
 	curTick, curAtt uint64
@@ -28,86 +29,62 @@ type replica struct {
 	coordFrom       string // coordinator that prepared the current attempt (reply target)
 
 	// Staging for the current attempt.
-	undo       []datalog.DeltaOp // realized changes in application order
-	adds, dels *datalog.Database // net realized changes this tick, per pred
-	pend       map[string][]datalog.Tuple
-	inbox      map[rkey][]xchMsg
-	await      map[rkey]int // apply barriers waiting on more xch traffic
+	tick  *datalog.Tick // nil until the attempt's ops arrive
+	inbox map[rkey][]xchMsg
+	await map[rkey]req // apply barriers waiting on more xch traffic
 }
 
-func newReplica(dep *Deployment, self int) *replica {
-	r := &replica{dep: dep, self: self, db: datalog.NewDatabase(), coordFrom: dep.coordNames[0]}
+func newReplica(dep *Deployment, self int) (*replica, error) {
+	db := datalog.NewDatabase()
 	for pred, arity := range dep.arities {
-		r.db.Ensure(pred, arity)
+		db.Ensure(pred, arity)
+	}
+	inc, err := datalog.NewIncremental(dep.prog, db)
+	if err != nil {
+		return nil, err
+	}
+	r := &replica{dep: dep, self: self, db: db, inc: inc, coordFrom: dep.coordNames[0]}
+	r.site.Whole = func(pred string) bool { return dep.place.N == 1 || dep.place.Specs[pred].Mirrored }
+	if dep.place.N > 1 { // a row every replica holds is driven by its whole-tuple hash's replica
+		r.site.Mine = func(t datalog.Tuple) bool { return datalog.ShardOf(t, -1, dep.place.N) == self }
 	}
 	r.clearStaging()
-	return r
+	return r, nil
 }
 
 // clearStaging forgets the current attempt's staging — after a rollback,
 // or at commit, when the staged changes become the committed state.
 func (r *replica) clearStaging() {
-	r.undo = nil
-	r.adds = r.db.Scratch()
-	r.dels = r.db.Scratch() // the delete phase's overlay: joined against r.db in place
-	r.pend = map[string][]datalog.Tuple{}
+	r.tick = nil
 	r.inbox = map[rkey][]xchMsg{}
-	r.await = map[rkey]int{}
-}
-
-// record books one realized change: the undo log gets the exact op, and
-// the net per-pred change sets absorb churn (a delete of a tick-added
-// tuple, or an insert of a tick-deleted one, cancels instead of
-// accumulating).
-func (r *replica) record(del bool, pred string, t datalog.Tuple) {
-	r.undo = append(r.undo, datalog.DeltaOp{Del: del, Pred: pred, T: t})
-	gain, cancel := r.adds, r.dels
-	if del {
-		gain, cancel = r.dels, r.adds
-	}
-	if c := cancel.Get(pred); c != nil && c.Delete(t) {
-		return
-	}
-	gain.Ensure(pred, len(t)).Insert(t)
-}
-
-// nonEmpty reports whether net holds any tuple of pred.
-func nonEmpty(net *datalog.Database, pred string) bool {
-	rel := net.Get(pred)
-	return rel != nil && rel.Len() > 0
-}
-
-// seedFrontier is a round-0 frontier: the tick's net changes to inputs.
-func seedFrontier(net *datalog.Database, inputs []string) map[string][]datalog.Tuple {
-	pend := map[string][]datalog.Tuple{}
-	for _, in := range inputs {
-		if nonEmpty(net, in) {
-			pend[in] = net.Get(in).Tuples()
-		}
-	}
-	return pend
+	r.await = map[rkey]req{}
 }
 
 func (r *replica) name() string { return r.dep.replicaNames[r.self] }
 
-func (r *replica) reply(m rsp) {
-	m.From = r.self
-	m.Committed = r.committed
-	r.dep.net.Send(r.name(), r.coordFrom, m)
+// reply answers request m with a, which echoes m's header.
+func (r *replica) reply(m req, a rsp) {
+	a.From, a.Committed = r.self, r.committed
+	a.Tick, a.Att, a.Kind, a.Comp, a.Round = m.Tick, m.Att, m.Kind, m.Comp, m.Round
+	r.dep.net.Send(r.name(), r.coordFrom, a)
 }
 
 func (r *replica) handle(now simnet.Time, msg simnet.Message) {
 	switch m := msg.Payload.(type) {
 	case req:
 		r.handleReq(msg.From, m)
-	case xchMsg:
-		r.handleXch(m)
+	case xchMsg: // a peer's round batch, accepted at the round's barrier
+		if !r.stale(m.Epoch, m.Tick, m.Att) {
+			k := rkey{m.Comp, m.Round}
+			r.inbox[k] = append(r.inbox[k], m)
+			r.maybeApply(k)
+		}
 	}
 }
 
 func (r *replica) handleReq(from string, m req) {
 	switch m.Kind {
-	case reqPrepare:
+	case stPrepare, stFailed: // stFailed rolls the attempt back for good
 		// Epoch fence: a prepare from a deposed leader must not reset
 		// staging a newer leader set up. Prepare and commit are the only
 		// requests allowed to raise the epoch — both are safe entry points
@@ -121,14 +98,21 @@ func (r *replica) handleReq(from string, m req) {
 		if m.Tick <= r.committed {
 			// Already folded in; answer honestly so a finalizing leader's
 			// collect sees Committed.
-			r.reply(rsp{Tick: m.Tick, Att: m.Att, Kind: reqPrepare})
+			r.reply(m, rsp{})
 			return
 		}
-		r.db.Undo(r.undo) // the current attempt's realized changes, newest first
+		if r.tick != nil {
+			r.tick.Abort() // the current attempt's changes, newest first
+		}
 		r.clearStaging()
 		r.curTick, r.curAtt = m.Tick, m.Att
-		r.reply(rsp{Tick: m.Tick, Att: m.Att, Kind: reqPrepare})
-	case reqCommit:
+		if m.Kind == stFailed {
+			// No attempt is current: requests and batches of the failed one
+			// still in flight are stale, and a stray commit cannot seal it.
+			r.curTick = 0
+		}
+		r.reply(m, rsp{})
+	case stCommit:
 		if m.Epoch < r.curEpoch {
 			r.dep.metrics.fencedCommits.Add(1)
 			return
@@ -143,136 +127,82 @@ func (r *replica) handleReq(from string, m req) {
 			r.committed = m.Tick
 			r.clearStaging()
 		}
-		r.reply(rsp{Tick: m.Tick, Att: m.Att, Kind: reqCommit})
+		r.reply(m, rsp{})
 	default:
-		if m.Epoch != r.curEpoch {
-			if m.Epoch < r.curEpoch {
-				r.dep.metrics.fencedReqs.Add(1)
-			}
-			return // mid-attempt traffic never changes the epoch
-		}
-		if m.Tick != r.curTick || m.Att != r.curAtt || r.committed >= m.Tick {
-			return // stale attempt
+		if r.stale(m.Epoch, m.Tick, m.Att) {
+			return
 		}
 		switch m.Kind {
-		case reqOps:
-			r.applyBase(m.Ops)
-			r.reply(rsp{Tick: m.Tick, Att: m.Att, Kind: reqOps})
-		case reqCompBegin:
-			c := r.dep.comps[m.Comp]
-			var hasAdd, hasDel bool
-			for _, in := range c.inputs {
-				hasAdd = hasAdd || nonEmpty(r.adds, in)
-				hasDel = hasDel || nonEmpty(r.dels, in)
+		case stOps:
+			var err error
+			if r.tick == nil {
+				err = r.applyOps(m.Ops)
 			}
-			r.reply(rsp{Tick: m.Tick, Att: m.Att, Kind: reqCompBegin, Comp: m.Comp, HasAdd: hasAdd, HasDel: hasDel})
-		case reqRound:
+			r.reply(m, rsp{Err: err})
+		case stCompBegin:
+			add, del := r.tick.Touched(m.Comp)
+			r.reply(m, rsp{HasAdd: add, HasDel: del})
+		case stRound:
 			r.runRound(m)
-		case reqApply:
-			k := rkey{m.Tick, m.Att, m.Comp, m.Phase, m.Round}
-			r.await[k] = m.Expect
+		case stApply:
+			k := rkey{m.Comp, m.Round}
+			r.await[k] = m
 			r.maybeApply(k)
-		case reqRecompute:
-			r.recompute(m)
 		}
 	}
 }
 
-func (r *replica) applyBase(ops []datalog.DeltaOp) {
+// applyOps applies this replica's routed base ops (insert-if-absent,
+// delete-if-present; Submit validated them) and begins the tick's
+// maintenance from the realized ones.
+func (r *replica) applyOps(ops []datalog.DeltaOp) error {
+	d := datalog.NewDelta()
+	d.SetRecording(true) // the tick's Abort replays them backwards
 	for _, op := range ops {
 		rel := r.db.Get(op.Pred)
-		if rel == nil || len(op.T) != rel.Arity {
-			continue // Submit validates; defensive
-		}
 		if op.Del {
 			if rel.Delete(op.T) {
-				r.record(true, op.Pred, op.T)
+				d.Delete(op.Pred, op.T)
 			}
 		} else if rel.Insert(op.T) {
-			r.record(false, op.Pred, op.T)
+			d.Insert(op.Pred, op.T)
 		}
 	}
+	var err error
+	if r.tick, err = r.inc.Begin(d, r.site); err != nil {
+		r.db.Undo(d.Ops())
+	}
+	return err
 }
 
-// runRound drives one exchange round of a monotone component phase: the
-// current frontier (seeded from the tick's net input changes on round 0)
-// is pushed through every rule position by the datalog drive (over-delete
-// rounds with this tick's net deletions, r.dels, as the overlay), emissions are
-// grouped by owning replica, remote batches go out as xch messages, and the
-// local batch is stashed in the inbox so apply-time ordering treats self
+// runRound drives one exchange round of the component (starting it on
+// round 0) and ships what it emits: to the owner for a sharded head, to
+// every replica for a mirrored head or an over-deleted candidate. The
+// local batch is stashed in the inbox, so apply-time ordering treats self
 // like any peer.
 func (r *replica) runRound(m req) {
-	c := r.dep.comps[m.Comp]
 	if m.Round == 0 {
-		switch {
-		case m.Phase == phaseDelete:
-			r.pend = seedFrontier(r.dels, c.inputs)
-		case m.Phase == phaseInsert && m.SeedInputs:
-			r.pend = seedFrontier(r.adds, c.inputs)
-		}
-		// phaseInsert without SeedInputs keeps the pend the rederive
-		// apply left behind; phaseRederive ignores pend entirely.
+		r.tick.Start(m.Comp, m.HasDel)
 	}
-
-	batches := make([][]xchItem, r.dep.place.N)
-	emitted := r.db.Scratch() // per-pred dedup of this round's emissions
-	emit := func(pred string, del bool, t datalog.Tuple) {
-		if !emitted.Ensure(pred, len(t)).Insert(t) {
+	batches := make([][]datalog.Change, r.dep.place.N)
+	last, err := r.tick.Round(m.Quiet, func(c datalog.Change) {
+		if c.N != 0 {
+			route(r.dep.place, batches, c.Pred, c.T, c)
 			return
 		}
-		spec := r.dep.place.Specs[pred]
-		if spec.Mirrored {
-			// Local membership is authoritative for mirrored preds (all
-			// copies agree), so no-op traffic is filtered at the source.
-			rel := r.db.Get(pred)
-			if del == !rel.Contains(t) {
-				return
-			}
-			for d := range batches {
-				batches[d] = append(batches[d], xchItem{Pred: pred, Del: del, T: t})
-			}
-			return
+		for d := range batches { // a candidate: every replica checks it
+			batches[d] = append(batches[d], c)
 		}
-		d := r.dep.place.Owner(pred, t)
-		batches[d] = append(batches[d], xchItem{Pred: pred, Del: del, T: t})
-	}
-
-	// Over-deletion joins against the pre-deletion view: r.dels holds the
-	// input deletions that seeded the phase, and record grows it with every
-	// head the phase's apply barriers delete.
-	del := m.Phase == phaseDelete
-	var over *datalog.Database
-	if del {
-		over = r.dels
-	}
-	for ri, rule := range c.rules {
-		emitHead := func(h datalog.Tuple) { emit(rule.Head.Pred, del, h) }
-		if m.Phase == phaseRederive {
-			// One full immediate-consequence pass over the post-deletion
-			// state, driven through body position 0's local extent.
-			lit := rule.Body[0]
-			frontier := r.db.Get(lit.Pred).Tuples()
-			frontier = r.filterDriven(c, ri, 0, frontier)
-			r.dep.prog.Drive(r.db, m.Comp, ri, 0, frontier, nil, emitHead)
-			continue
-		}
-		for i := range rule.Body {
-			frontier := r.pend[rule.Body[i].Pred]
-			if len(frontier) == 0 {
-				continue
-			}
-			frontier = r.filterDriven(c, ri, i, frontier)
-			r.dep.prog.Drive(r.db, m.Comp, ri, i, frontier, over, emitHead)
-		}
-	}
-
-	k := rkey{m.Tick, m.Att, m.Comp, m.Phase, m.Round}
+	})
+	k := rkey{m.Comp, m.Round}
 	sentTo := make([]bool, r.dep.place.N)
+	emitted := 0
 	for d, items := range batches {
 		if len(items) == 0 {
 			continue
 		}
-		x := xchMsg{Tick: m.Tick, Att: m.Att, Epoch: r.curEpoch, Comp: m.Comp, Phase: m.Phase, Round: m.Round, From: r.self, Items: items}
+		emitted += len(items)
+		x := xchMsg{Tick: m.Tick, Att: m.Att, Epoch: r.curEpoch, Comp: m.Comp, Round: m.Round, From: r.self, Items: items}
 		if d == r.self {
 			r.inbox[k] = append(r.inbox[k], x)
 			continue
@@ -280,47 +210,25 @@ func (r *replica) runRound(m req) {
 		sentTo[d] = true
 		r.dep.net.Send(r.name(), r.dep.replicaNames[d], x)
 	}
-	r.reply(rsp{Tick: m.Tick, Att: m.Att, Kind: reqRound, Comp: m.Comp, Phase: m.Phase, Round: m.Round, SentTo: sentTo})
+	r.dep.metrics.rows.Add(uint64(emitted))
+	r.reply(m, rsp{SentTo: sentTo, Emitted: emitted, Last: last, Err: err})
 }
 
-// filterDriven drops frontier tuples this replica must not drive: when
-// every body literal of the rule is mirrored, every replica holds identical
-// state and only the tuple's designated driver acts.
-func (r *replica) filterDriven(c *compMeta, ri, pos int, frontier []datalog.Tuple) []datalog.Tuple {
-	if !c.designated[ri] {
-		return frontier
+// stale reports whether mid-attempt traffic is not for the current
+// attempt: an older or newer epoch (only prepare and commit change it), or
+// an attempt that is not staging.
+func (r *replica) stale(epoch, tick, att uint64) bool {
+	if epoch < r.curEpoch {
+		r.dep.metrics.fencedReqs.Add(1)
 	}
-	var out []datalog.Tuple
-	for _, t := range frontier {
-		if r.dep.place.Owner(c.rules[ri].Body[pos].Pred, t) == r.self {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-func (r *replica) handleXch(m xchMsg) {
-	if m.Epoch != r.curEpoch {
-		if m.Epoch < r.curEpoch {
-			r.dep.metrics.fencedReqs.Add(1)
-		}
-		return
-	}
-	if m.Tick != r.curTick || m.Att != r.curAtt || r.committed >= m.Tick {
-		return
-	}
-	k := rkey{m.Tick, m.Att, m.Comp, m.Phase, m.Round}
-	r.inbox[k] = append(r.inbox[k], m)
-	r.maybeApply(k)
+	return epoch != r.curEpoch || tick != r.curTick || att != r.curAtt || r.committed >= tick
 }
 
 // maybeApply completes an exchange barrier once every expected xch has
-// arrived: batches are applied in sender order (not arrival order), each
-// accepted change is recorded, and the accepted tuples become the next
-// round's frontier. The coordinator learns the frontier size and decides
-// whether another round follows.
+// arrived: batches are accepted in sender order (not arrival order), and
+// the coordinator learns how many accepted rows the next round drives.
 func (r *replica) maybeApply(k rkey) {
-	expect, ok := r.await[k]
+	m, ok := r.await[k]
 	if !ok {
 		return
 	}
@@ -330,74 +238,17 @@ func (r *replica) maybeApply(k rkey) {
 			got++
 		}
 	}
-	if got < expect {
+	if got < m.Expect {
 		return
 	}
 	delete(r.await, k)
 	batches := r.inbox[k]
 	delete(r.inbox, k)
 	sort.Slice(batches, func(i, j int) bool { return batches[i].From < batches[j].From })
-
-	next := map[string][]datalog.Tuple{}
-	for _, x := range batches {
-		for _, it := range x.Items {
-			rel := r.db.Get(it.Pred)
-			if rel == nil {
-				continue
-			}
-			var changed bool
-			if it.Del {
-				changed = rel.Delete(it.T)
-			} else {
-				changed = rel.Insert(it.T)
-			}
-			if !changed {
-				continue
-			}
-			r.record(it.Del, it.Pred, it.T)
-			next[it.Pred] = append(next[it.Pred], it.T)
-		}
+	arrived := make([][]datalog.Change, len(batches))
+	for i, x := range batches {
+		arrived[i] = x.Items
 	}
-	r.pend = next
-	n := 0
-	for _, ts := range next {
-		n += len(ts)
-	}
-	r.reply(rsp{Tick: k.tick, Att: k.att, Kind: reqApply, Comp: k.comp, Phase: k.phase, Round: k.round, Next: n})
-}
-
-// recompute re-evaluates a non-monotone component locally: its inputs are
-// fully mirrored, so clearing the heads and re-running the component's own
-// fixpoint on the replica database reproduces single-node semantics
-// (stratified negation, aggregates) exactly; the old-vs-new diff is
-// recorded so downstream components see precise deltas and the undo log
-// can roll the attempt back.
-func (r *replica) recompute(m req) {
-	c := r.dep.comps[m.Comp]
-	old := map[string]*datalog.Relation{}
-	for _, h := range c.heads {
-		rel := r.db.Get(h)
-		old[h] = rel.Clone()
-		rel.Clear()
-	}
-	if _, err := c.sub.Eval(r.db); err != nil {
-		// Unreachable for a component compiled at Deploy time; leave the
-		// heads cleared — the attempt will be rolled back on retry.
-		r.reply(rsp{Tick: m.Tick, Att: m.Att, Kind: reqRecompute, Comp: m.Comp})
-		return
-	}
-	for _, h := range c.heads {
-		rel := r.db.Get(h)
-		for _, t := range old[h].Tuples() {
-			if !rel.Contains(t) {
-				r.record(true, h, t)
-			}
-		}
-		for _, t := range rel.Tuples() {
-			if !old[h].Contains(t) {
-				r.record(false, h, t)
-			}
-		}
-	}
-	r.reply(rsp{Tick: m.Tick, Att: m.Att, Kind: reqRecompute, Comp: m.Comp})
+	next, err := r.tick.Accept(arrived...)
+	r.reply(m, rsp{Next: next, Err: err})
 }
