@@ -2,7 +2,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: build test vet ci smoke orphans datalog-serial datalog-one-store one-tick-path bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak tick-allocs
+.PHONY: build test vet ci smoke orphans datalog-serial datalog-one-store one-tick-path compiled-handlers bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak tick-allocs
 
 build:
 	$(GO) build ./...
@@ -13,7 +13,7 @@ test:
 vet:
 	$(GO) vet ./...
 
-ci: build vet orphans datalog-serial datalog-one-store one-tick-path test bench-test smoke
+ci: build vet orphans datalog-serial datalog-one-store one-tick-path compiled-handlers test bench-test smoke
 
 # smoke runs every binary a reader is pointed at: the compiler on the COVID
 # program (its report must reach the metaconsistency check), the covidd
@@ -89,6 +89,16 @@ TICK_BANNED = \.Clone\(\)|\.Eval\(|\.EvalNaive\(|datalog\.Derive\(
 one-tick-path:
 	@! grep -nE '$(TICK_BANNED)' $(TICK_SRC) | sed 's,//.*,,' | grep -E '$(TICK_BANNED)'
 
+# compiled-handlers fails if a non-test file outside internal/hydrolysis and
+# internal/transducer builds a runtime or registers a handler itself:
+# transducer.New( or .RegisterHandler( (comments stripped, as above). Every
+# handler the system runs is compiled from HydroLogic, Appendix A's actors,
+# futures and MPI collectives and the §7.1 cart included.
+HANDLER_SRC = $(shell find . -name '*.go' ! -name '*_test.go' ! -path './internal/hydrolysis/*' ! -path './internal/transducer/*' ! -path './.*')
+HANDLER_BANNED = transducer\.New\(|\.RegisterHandler\(
+compiled-handlers:
+	@! grep -nE '$(HANDLER_BANNED)' $(HANDLER_SRC) | sed 's,//.*,,' | grep -E '$(HANDLER_BANNED)'
+
 tables:
 	$(GO) run ./cmd/benchtab -quick
 
@@ -97,12 +107,14 @@ tables:
 # FUZZTIME on each target: tick sequences of interleaved inserts/deletes
 # against the three-way incremental equivalence oracle, the same against the
 # sharded deployment, and snapshot images fed to recovery (refused or
-# re-encoded to themselves, never a panic).
+# re-encoded to themselves, never a panic), and HydroLogic sources that
+# Parse never panics on and that Format then Parse returns unchanged.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIncrementalEquivalence -fuzztime $(FUZZTIME) ./internal/datalog
 	$(GO) test -run '^$$' -fuzz FuzzShardedEquivalence -fuzztime $(FUZZTIME) ./internal/shard
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotImage -fuzztime $(FUZZTIME) ./internal/durable
+	$(GO) test -run '^$$' -fuzz FuzzHLangRoundTrip -fuzztime $(FUZZTIME) ./internal/hlang
 
 # test-sharded is the distributed-dataflow gate: the sharded-vs-single-node
 # equivalence suite (SHARD_COUNTS picks the replica counts under test) plus

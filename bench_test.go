@@ -148,9 +148,9 @@ func BenchmarkE11Typecheck(b *testing.B) {
 	}
 }
 
-// BenchmarkE12LiftedRuntimes measures actor message throughput on the
-// transducer.
-func BenchmarkE12LiftedRuntimes(b *testing.B) {
+// BenchmarkE12ActorsAndFutures measures the compiled actor and futures
+// programs on the transducer.
+func BenchmarkE12ActorsAndFutures(b *testing.B) {
 	t := experiments.RunE12(500)
 	_ = t
 	b.ResetTimer()

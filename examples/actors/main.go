@@ -1,8 +1,10 @@
-// Command actors demonstrates Appendix A.1: the Actor model lifted onto the
-// HydroLogic transducer. A supervisor spawns workers, fans out tasks, and a
-// worker uses the tricky mid-method synchronous receive (m_pre / receive /
-// m_post) that the appendix highlights — state is preserved across the wait
-// by a continuation, and other messages buffer meanwhile.
+// Command actors demonstrates Appendix A.1: the Actor model as the
+// compiled HydroLogic program hlang.ActorsSource. A supervisor spawns one
+// worker per number (spawning is a merge into the actor table) and a query
+// sums the workers' squares. Then an approver does the mid-method
+// synchronous receive the appendix highlights: it parks its prepared
+// request as a waiting row, chatter to it buffers as inbox rows it has not
+// heard, and the decision resumes from the parked row.
 package main
 
 import (
@@ -10,63 +12,50 @@ import (
 	"math/rand"
 
 	"hydro/internal/datalog"
-	"hydro/internal/lift/actor"
+	"hydro/internal/hlang"
+	"hydro/internal/hydrolysis"
 	"hydro/internal/transducer"
 )
 
 func main() {
-	rt := transducer.New("node1", 7)
+	c, err := hydrolysis.Compile(hlang.ActorsSource, hydrolysis.Options{})
+	if err != nil {
+		panic(err)
+	}
+	rt, err := c.Instantiate("node1", 7)
+	if err != nil {
+		panic(err)
+	}
 	rt.SetDelay(func(r *rand.Rand) int { return 1 })
-	sys := actor.NewSystem(rt)
 
-	// A collector tallies squared numbers from workers.
-	total := 0
-	received := 0
-	collector := sys.Spawn(func(ctx *actor.Ctx, msg any) {
-		total += int(msg.(int64))
-		received++
-	})
-
-	// The supervisor spawns one worker per task — "spawning additional
-	// actors" is one of the three actor primitives.
-	supervisor := sys.Spawn(func(ctx *actor.Ctx, msg any) {
-		n := msg.(int64)
-		for i := int64(1); i <= n; i++ {
-			i := i
-			w := ctx.Spawn(func(wctx *actor.Ctx, m any) {
-				x := m.(int64)
-				wctx.Send(collector, x*x)
-				wctx.Stop()
-			})
-			ctx.Send(w, i)
-		}
-	})
-	sys.Send(supervisor, int64(5))
+	for i := int64(1); i <= 5; i++ {
+		rt.Inject("task", datalog.Tuple{fmt.Sprint("worker-", i), i})
+	}
 	rt.RunUntilIdle(50)
-	fmt.Printf("sum of squares 1..5 via actors: %d (from %d workers)\n", total, received)
+	fmt.Printf("sum of squares 1..5 via actors: %v (from %d workers)\n",
+		rt.Table("total").Tuples()[0][0], rt.Table("squares").Len())
 
-	// Mid-method receive: approver runs pre-work, blocks for a decision
-	// message, then completes with the preserved state.
-	outcome := ""
-	approver := sys.Spawn(func(ctx *actor.Ctx, msg any) {
-		request := msg.(string)
-		prepared := "prepared(" + request + ")"
-		fmt.Printf("approver: %s, now waiting for decision...\n", prepared)
-		ctx.Receive("decision", func(ctx *actor.Ctx, decision any) {
-			outcome = prepared + " -> " + decision.(string)
-		})
-	})
-	sys.Send(approver, "purchase-order-17")
+	rt.Inject("request", datalog.Tuple{"approver", "purchase-order-17"})
 	rt.RunUntilIdle(20)
+	fmt.Printf("approver: %s, now waiting for decision...\n", column(rt, "waiting"))
 
-	// These arrive while the approver is blocked and buffer.
-	sys.Send(approver, "unrelated-chatter")
+	// Chatter arrives while the approver is blocked and buffers.
+	rt.Inject("chat", datalog.Tuple{"approver", "unrelated-chatter"})
 	rt.RunUntilIdle(20)
-	fmt.Printf("outcome while waiting: %q (chatter buffered)\n", outcome)
+	fmt.Printf("outcome while waiting: %q (chatter buffered: %d in inbox, %d heard)\n",
+		column(rt, "outcome"), rt.Table("inbox").Len(), rt.Table("heard").Len())
 
-	// The decision arrives under the awaited key.
-	rt.Inject("actor", datalog.Tuple{string(approver), "decision", "APPROVED"})
+	rt.Inject("decide", datalog.Tuple{"approver", "APPROVED"})
 	rt.RunUntilIdle(20)
-	fmt.Printf("final outcome: %q\n", outcome)
-	fmt.Printf("messages delivered by the actor system: %d\n", sys.Delivered)
+	fmt.Printf("final outcome: %q (chatter heard: %d)\n", column(rt, "outcome"), rt.Table("heard").Len())
+	fmt.Printf("messages handled by the actor program: %d\n", rt.Stats().Handled)
+}
+
+// column returns the second column of a table's first row, "" when empty.
+func column(rt *transducer.Runtime, table string) any {
+	rows := rt.Table(table).Tuples()
+	if len(rows) == 0 {
+		return ""
+	}
+	return rows[0][1]
 }

@@ -1,59 +1,102 @@
-// Command cart demonstrates the Dynamo shopping-cart design of §7.1 and
-// the *seal placement* optimization: cart updates are coordination-free
-// CRDT merges across replicas; checkout needs agreement only on the final
-// manifest, and moving that decision to the (unreplicated) client makes the
-// whole lifecycle coordination-free — each replica checks out unilaterally
-// once its contents catch up to the sealed manifest.
+// Command cart demonstrates the Dynamo shopping cart of §7.1 and its seal
+// placement, running the compiled HydroLogic program hlang.CartSource on
+// four replicas hosted on a simulated cluster. Cart updates are
+// coordination-free merges, spread by anti-entropy; the client seals the
+// manifest unilaterally, and each replica checks out on its own once its
+// contents reach the sealed lines — a threshold on a growing count, so the
+// compiler picks no coordination for any handler.
 package main
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 
-	"hydro/internal/crdt"
+	"hydro/internal/cluster"
+	"hydro/internal/consistency"
+	"hydro/internal/hlang"
+	"hydro/internal/hydrolysis"
+	"hydro/internal/simnet"
+	"hydro/internal/transducer"
 )
 
 func main() {
-	// Three replicas of one user's cart, updated divergently (e.g. the
-	// user's phone and laptop hitting different datacenters).
-	r1 := crdt.NewCart("r1").AddItem("book", 1)
-	r2 := crdt.NewCart("r2").AddItem("pen", 2)
-	r2Early := r2                               // snapshot of r2's state before gossip, used below
-	r3 := crdt.NewCart("r3").AddItem("book", 1) // concurrent duplicate add
+	c, err := hydrolysis.Compile(hlang.CartSource, hydrolysis.Options{})
+	if err != nil {
+		panic(err)
+	}
+	topo := cluster.NewTopology(1, 1, 4, cluster.ClassSmall)
+	cl := cluster.New(topo, simnet.Config{Seed: 1, MinLatency: 50, MaxLatency: 500})
+	var r []*transducer.Runtime
+	for i, m := range topo.Machines {
+		rt, err := c.Instantiate(m.ID, int64(i+1))
+		if err != nil {
+			panic(err)
+		}
+		cl.Host(m.ID, rt)
+		r = append(r, rt)
+	}
+	cl.Net.AddNode("client", func(simnet.Time, simnet.Message) {})
+	// send delivers one client message and lets the cluster settle.
+	send := func(to *transducer.Runtime, box string, args ...any) {
+		cl.Net.Send("client", to.Name, transducer.Message{Mailbox: box, Payload: args, From: "client"})
+		cl.RunRounds(200, 10)
+	}
 
-	fmt.Println("replica manifests before any exchange:")
-	fmt.Printf("  r1: %q\n  r2: %q\n  r3: %q\n", r1.Manifest(), r2.Manifest(), r3.Manifest())
+	// Three replicas of one user's cart, updated divergently (the user's
+	// phone and laptop hitting different datacenters).
+	send(r[0], "add", "cart", "book", int64(1))
+	send(r[1], "add", "cart", "pen", int64(2))
+	send(r[2], "add", "cart", "book", int64(1)) // concurrent duplicate add
+	fmt.Println("replica contents before any exchange:")
+	for i := range r[:3] {
+		fmt.Printf("  r%d: %q\n", i+1, contents(r[i]))
+	}
 
-	// Anti-entropy gossip: merges in any order converge (ACI).
-	r1 = r1.Merge(r2).Merge(r3)
-	r2 = r2.Merge(r1)
-	r3 = r3.Merge(r2)
-	fmt.Printf("\nafter gossip, converged manifest: %q\n", r1.Manifest())
+	// The fourth replica lags: it hears only r2's state, before the
+	// anti-entropy among r1..r3, whose merges converge in any order.
+	send(r[1], "sync", r[3].Name)
+	for _, from := range r[:3] {
+		for _, to := range r[:3] {
+			if from != to {
+				send(from, "sync", to.Name)
+			}
+		}
+	}
+	fmt.Printf("\nafter gossip, converged contents: %q\n", contents(r[0]))
 
-	// The client seals unilaterally — no coordination round. The seal is
-	// itself lattice state (an LWW register), so it propagates by the same
-	// gossip as everything else.
-	client := r1.Seal(1000)
-	manifest, _ := client.Sealed()
-	fmt.Printf("\nclient seals the cart: manifest=%q (no replica coordination)\n", manifest)
+	// The client seals what it saw, unilaterally: each replica gets the
+	// manifest's lines and their count.
+	lines := r[0].Table("items").Tuples()
+	for _, rep := range r {
+		for _, l := range lines {
+			send(rep, "seal", l[0], l[1], l[2], int64(len(lines)))
+		}
+	}
+	fmt.Printf("client seals the cart: %d lines (no replica coordination)\n", len(lines))
 
-	// A lagging replica — one that saw only r2's updates plus the seal
-	// (message reordering delivered the checkout decision first) — cannot
-	// check out yet...
-	lagging := crdt.NewCart("r4").Merge(r2Early).Merge(sealOnly(client))
-	fmt.Printf("lagging replica checked out? %v (contents %q != manifest)\n",
-		lagging.CheckedOut(), lagging.Manifest())
+	checkout := func(rep *transducer.Runtime) bool {
+		send(rep, "checkout", "cart")
+		return len(rep.Drain("shipped")) > 0
+	}
+	fmt.Printf("lagging replica checked out? %v (contents %q)\n", checkout(r[3]), contents(r[3]))
+	send(r[0], "sync", r[3].Name)
+	fmt.Printf("after catching up:        %v (contents %q)\n", checkout(r[3]), contents(r[3]))
 
-	// ...until the remaining updates arrive; then checkout is local+free.
-	lagging = lagging.Merge(client)
-	fmt.Printf("after catching up:        %v (contents %q)\n",
-		lagging.CheckedOut(), lagging.Manifest())
-
-	fmt.Println("\ncoordination rounds used for the entire checkout: 0")
+	var mechs []string
+	for name, ch := range consistency.Select(c.Program, c.Analysis) {
+		mechs = append(mechs, fmt.Sprintf("%s=%s", name, ch.Mechanism))
+	}
+	sort.Strings(mechs)
+	fmt.Printf("\nmechanisms the compiler picks: %s\n", strings.Join(mechs, ", "))
 }
 
-// sealOnly extracts just the seal register, modeling a replica that heard
-// the seal before the cart contents (message reordering).
-func sealOnly(c *crdt.Cart) *crdt.Cart {
-	empty := crdt.NewCart("seal-carrier")
-	return empty.Merge(c.WithoutItems())
+// contents renders a replica's items as "item=qty;...".
+func contents(rt *transducer.Runtime) string {
+	var parts []string
+	for _, row := range rt.Table("items").Tuples() {
+		parts = append(parts, fmt.Sprintf("%s=%d", row[1], row[2]))
+	}
+	sort.Strings(parts)
+	return strings.Join(parts, ";")
 }

@@ -1,72 +1,51 @@
-// Command mpi demonstrates Appendix A.3: MPI collective communication
-// lifted into the Hydro substrate, including the "well-known optimizations"
-// (tree and ring schedules) the appendix says Hydrolysis could apply in
-// place of the naive specifications. It prints a cost comparison across
-// schedules — the E7 experiment in miniature.
+// Command mpi demonstrates Appendix A.3: MPI collectives as the compiled
+// HydroLogic program hlang.MPISource, hosted one rank per machine on a
+// simulated cluster. It gathers every rank's value at the root, then prints
+// the cost of bcast and allreduce under the naive, tree and ring schedules
+// — the "well-known optimizations" the appendix says Hydrolysis could apply
+// — which are data (each rank's child and succ rows), not program variants:
+// experiment E7 in miniature.
 package main
 
 import (
 	"fmt"
+	"sort"
 
-	"hydro/internal/lift/mpi"
+	"hydro/internal/cluster"
+	"hydro/internal/datalog"
+	"hydro/internal/experiments"
+	"hydro/internal/hlang"
+	"hydro/internal/hydrolysis"
 	"hydro/internal/simnet"
 )
 
 func main() {
-	const n = 16
-	sum := func(a, b any) any { return a.(int) + b.(int) }
-
-	// 10µs links plus 5µs per-send NIC occupancy: fanning 15 messages out
-	// of one root is not free, which is exactly why tree schedules win.
-	cfg := simnet.Config{Seed: 1, MinLatency: 10, MaxLatency: 10, SendOverhead: 5}
-	fmt.Printf("world size %d, 10µs links, 5µs send overhead\n\n", n)
-	fmt.Printf("%-10s %-7s %10s %12s\n", "collective", "algo", "messages", "virtual-time")
-	for _, algo := range []mpi.Algo{mpi.Naive, mpi.Tree, mpi.Ring} {
-		net := simnet.New(cfg)
-		w := mpi.NewWorld(net, n)
-		st := w.Bcast("b", 0, "payload", algo)
-		fmt.Printf("%-10s %-7s %10d %10dµs\n", "bcast", algo, st.Messages, st.Elapsed)
+	c, err := hydrolysis.Compile(hlang.MPISource, hydrolysis.Options{})
+	if err != nil {
+		panic(err)
 	}
-	for _, algo := range []mpi.Algo{mpi.Naive, mpi.Tree, mpi.Ring} {
-		net := simnet.New(cfg)
-		w := mpi.NewWorld(net, n)
-		for i := 0; i < n; i++ {
-			w.SetLocal(i, 1)
+	topo := cluster.NewTopology(1, 1, 4, cluster.ClassSmall)
+	cl := cluster.New(topo, simnet.Config{Seed: 2, MinLatency: 10, MaxLatency: 10})
+	root := topo.Machines[0].ID
+	for i, m := range topo.Machines {
+		rt, err := c.Instantiate(m.ID, int64(i+1))
+		if err != nil {
+			panic(err)
 		}
-		st := w.Allreduce("ar", sum, algo)
-		v, _ := w.Got("ar", n-1)
-		fmt.Printf("%-10s %-7s %10d %10dµs   (result %v)\n", "allreduce", algo, st.Messages, st.Elapsed, v)
+		cl.Host(m.ID, rt)
+		rt.Inject("join", datalog.Tuple{m.ID, root})
 	}
+	cl.Round(10)
+	for i, m := range topo.Machines {
+		cl.Runtime(m.ID).Inject("gather", datalog.Tuple{m.ID, int64(10 * (i + 1))})
+	}
+	cl.RunRounds(20, 10)
+	var gathered []string
+	for _, row := range cl.Runtime(root).Table("gathered").Tuples() {
+		gathered = append(gathered, fmt.Sprintf("%s=%v", row[0], row[1]))
+	}
+	sort.Strings(gathered)
+	fmt.Printf("gather at %s: %v (%d messages)\n\n", root, gathered, cl.Net.Stats().Sent)
 
-	// The one-to-all / all-to-one / all-to-all taxonomy, exercised once.
-	net := simnet.New(simnet.Config{Seed: 2, MinLatency: 10, MaxLatency: 10})
-	w := mpi.NewWorld(net, 4)
-	arr := []any{"a", "b", "c", "d"}
-	w.Scatter("s", 0, arr)
-	for i := 0; i < 4; i++ {
-		w.SetLocal(i, fmt.Sprintf("from-%d", i))
-	}
-	w.Gather("g", 0)
-	gathered, _ := w.Got("g", 0)
-	fmt.Printf("\nscatter [a b c d]: rank3 got %v\n", mustGot(w, "s", 3))
-	fmt.Printf("gather at rank0: %v\n", gathered)
-
-	rows := mpi.NewWorld(simnet.New(simnet.Config{Seed: 3, MinLatency: 10, MaxLatency: 10}), 3)
-	for i := 0; i < 3; i++ {
-		row := make([]any, 3)
-		for j := range row {
-			row[j] = fmt.Sprintf("%d→%d", i, j)
-		}
-		rows.SetLocal(i, row)
-	}
-	rows.Alltoall("a2a")
-	fmt.Printf("alltoall: rank1 column = %v\n", mustGot(rows, "a2a", 1))
-}
-
-func mustGot(w *mpi.World, op string, rank int) any {
-	v, ok := w.Got(op, rank)
-	if !ok {
-		panic("missing collective result")
-	}
-	return v
+	fmt.Print(experiments.RunE7([]int{16}).Render())
 }

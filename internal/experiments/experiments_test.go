@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
+
+	"hydro/internal/datalog"
+	"hydro/internal/transducer"
 )
 
 // Smoke tests: every experiment runs at reduced scale and its table carries
@@ -74,19 +78,140 @@ func TestE6GPUPlacement(t *testing.T) {
 	}
 }
 
+// TestE7TreeBeatsNaiveAtScale: every bcast schedule sends n-1 messages,
+// the root sends n-1 of them naive, 2 in a tree and 1 in a ring, and the
+// tree finishes first at n = 32 and 64.
 func TestE7TreeBeatsNaiveAtScale(t *testing.T) {
-	tab := RunE7([]int{32})
-	var naive, tree string
-	for _, row := range tab.Rows {
-		if row[0] == "bcast" && row[2] == "naive" {
-			naive = row[4]
+	tab := RunE7([]int{32, 64})
+	for _, n := range []int{32, 64} {
+		took := map[string]float64{}
+		for _, row := range tab.Rows {
+			if row[0] != "bcast" || row[1] != strconv.Itoa(n) {
+				continue
+			}
+			want := map[string]string{"naive": strconv.Itoa(n - 1), "tree": "2", "ring": "1"}[row[2]]
+			if row[3] != strconv.Itoa(n-1) || row[4] != want {
+				t.Errorf("n=%d %s: %s messages, %s from the root; want %d and %s", n, row[2], row[3], row[4], n-1, want)
+			}
+			took[row[2]] = num(t, row[5])
 		}
-		if row[0] == "bcast" && row[2] == "tree" {
-			tree = row[4]
+		if len(took) != 3 || took["tree"] >= took["naive"] {
+			t.Fatalf("n=%d: bcast virtual times %v, want tree < naive", n, took)
 		}
 	}
-	if naive == "" || tree == "" {
-		t.Fatalf("missing rows: %v", tab.Rows)
+}
+
+// TestMPIBcastAllSchedules: every rank receives the root's value under
+// each schedule.
+func TestMPIBcastAllSchedules(t *testing.T) {
+	for _, n := range []int{5, 8} {
+		for _, algo := range []string{"naive", "tree", "ring"} {
+			w := newMPIWorld(n, "bcast", algo)
+			if msgs, _, _ := w.bcast(); msgs != uint64(n-1) {
+				t.Errorf("n=%d %s: %d messages", n, algo, msgs)
+			}
+			for _, r := range w.ranks {
+				if got := w.cl.Runtime(r).Table("got").Tuples(); len(got) != 1 || got[0][0] != int64(1) {
+					t.Fatalf("n=%d %s: rank %s got %v", n, algo, r, got)
+				}
+			}
+		}
+	}
+}
+
+// TestMPIAllreduceNaiveAndRing: both schedules leave every rank holding
+// the world's sum, with every value crossing to each other rank once.
+func TestMPIAllreduceNaiveAndRing(t *testing.T) {
+	for _, algo := range []string{"naive", "ring"} {
+		w := newMPIWorld(6, "allreduce", algo)
+		if msgs, _, _ := w.allreduce(); msgs != 30 {
+			t.Errorf("%s: %d messages, want 30", algo, msgs)
+		}
+		for _, r := range w.ranks {
+			if got := w.cl.Runtime(r).Table("total").Tuples(); len(got) != 1 || got[0][0] != int64(6) {
+				t.Fatalf("%s: rank %s total %v", algo, r, got)
+			}
+		}
+	}
+}
+
+// TestMPIOneRankWorld: in a one-rank world every collective completes at
+// the root with no message sent.
+func TestMPIOneRankWorld(t *testing.T) {
+	for _, algo := range []string{"naive", "tree", "ring"} {
+		w := newMPIWorld(1, "bcast", algo)
+		rt := w.cl.Runtime(w.ranks[0])
+		if msgs, _, _ := w.bcast(); msgs != 0 || rows(rt, "got") != "[(1)]" {
+			t.Fatalf("%s bcast: %d messages, got %s", algo, msgs, rows(rt, "got"))
+		}
+		rt.Inject("gather", datalog.Tuple{w.ranks[0], int64(5)})
+		if msgs, _, _ := w.run(func(rt *transducer.Runtime) bool { return rt.Table("gathered").Len() == 1 }); msgs != 0 {
+			t.Fatalf("%s gather: %d messages", algo, msgs)
+		}
+	}
+	for _, algo := range []string{"naive", "ring"} {
+		w := newMPIWorld(1, "allreduce", algo)
+		if msgs, _, _ := w.allreduce(); msgs != 0 || rows(w.cl.Runtime(w.ranks[0]), "total") != "[(1)]" {
+			t.Fatalf("%s allreduce: %d messages, total %s", algo, msgs, rows(w.cl.Runtime(w.ranks[0]), "total"))
+		}
+	}
+}
+
+// TestMPIAllreduceScalingShape: naive and ring allreduce both send
+// n(n-1) messages; the naive fan-out finishes in time linear in its NIC
+// sends, the ring in n-1 hops of link latency, so the ring is the slower
+// and its time grows at least linearly from n = 4 to 16.
+func TestMPIAllreduceScalingShape(t *testing.T) {
+	took := map[string][]float64{}
+	for _, algo := range []string{"naive", "ring"} {
+		for _, n := range []int{4, 16} {
+			w := newMPIWorld(n, "allreduce", algo)
+			msgs, _, elapsed := w.allreduce()
+			if msgs != uint64(n*(n-1)) {
+				t.Fatalf("%s n=%d: %d messages, want %d", algo, n, msgs, n*(n-1))
+			}
+			for _, r := range w.ranks {
+				if got := rows(w.cl.Runtime(r), "total"); got != fmt.Sprintf("[(%d)]", n) {
+					t.Fatalf("%s n=%d: rank %s total %s", algo, n, r, got)
+				}
+			}
+			took[algo] = append(took[algo], float64(elapsed))
+		}
+	}
+	if took["ring"][1] <= took["naive"][1] || took["ring"][1] < 4*took["ring"][0] {
+		t.Fatalf("virtual µs at n=4,16: naive %v, ring %v", took["naive"], took["ring"])
+	}
+}
+
+// rows renders a relation's tuples in order.
+func rows(rt *transducer.Runtime, rel string) string {
+	return fmt.Sprint(rt.Table(rel).Tuples())
+}
+
+// TestMPIBcastTreeFasterThanRing: a ring takes n-1 hops, a tree log n.
+func TestMPIBcastTreeFasterThanRing(t *testing.T) {
+	_, _, tree := newMPIWorld(16, "bcast", "tree").bcast()
+	_, _, ring := newMPIWorld(16, "bcast", "ring").bcast()
+	if tree >= ring {
+		t.Fatalf("tree %dµs, ring %dµs", tree, ring)
+	}
+}
+
+// TestMPIGatherAtRoot: each rank's value reaches the root, and only the
+// root.
+func TestMPIGatherAtRoot(t *testing.T) {
+	w := newMPIWorld(4, "bcast", "naive")
+	for i, r := range w.ranks {
+		w.cl.Runtime(r).Inject("gather", datalog.Tuple{r, int64(10 * i)})
+	}
+	msgs, _, _ := w.run(func(rt *transducer.Runtime) bool { return rt.Name != w.ranks[0] || rt.Table("gathered").Len() == 4 })
+	if msgs != 3 {
+		t.Fatalf("%d messages, want 3", msgs)
+	}
+	for i, r := range w.ranks {
+		if got, want := w.cl.Runtime(r).Table("gathered").Len(), map[bool]int{true: 4, false: 1}[i == 0]; got != want {
+			t.Fatalf("rank %s holds %d gathered values, want %d", r, got, want)
+		}
 	}
 }
 
@@ -106,13 +231,32 @@ func TestE9ScalingColumns(t *testing.T) {
 	}
 }
 
+// TestE10ZeroCoordination: the compiled cart checks out on both replicas
+// with no replica-to-replica message, and its checkout costs fewer
+// messages than a Paxos decision (but some).
 func TestE10ZeroCoordination(t *testing.T) {
 	tab := RunE10(3)
-	if tab.Rows[0][2] != "0" {
-		t.Fatalf("seal-at-client coordination = %q", tab.Rows[0][2])
+	seal, paxos := tab.Row("seal-at-client"), tab.Row("consensus-checkout")
+	if seal == nil || paxos == nil {
+		t.Fatalf("rows: %v", tab.Rows)
 	}
-	if tab.Rows[1][2] == "0" {
-		t.Fatal("consensus checkout reported zero messages")
+	if seal[2] != "6/6" || seal[3] != "0" {
+		t.Fatalf("seal-at-client checked out %s with %s replica-to-replica messages", seal[2], seal[3])
+	}
+	if m := num(t, seal[4]); m <= 0 || m >= num(t, paxos[4]) {
+		t.Fatalf("msgs/checkout: seal %s, consensus %s", seal[4], paxos[4])
+	}
+}
+
+// TestE12PingPongAndFutures: a ping-pong round trip is 2 handled messages
+// and every future resolves to its UDF's value.
+func TestE12PingPongAndFutures(t *testing.T) {
+	tab := RunE12(40)
+	if got := tab.Row("actors"); got == nil || got[3] != "2.00 msgs/round trip" {
+		t.Fatalf("actors row %v", got)
+	}
+	if got := tab.Row("futures"); got == nil || got[3] != "40/40 resolved to f(x)" {
+		t.Fatalf("futures row %v", got)
 	}
 }
 

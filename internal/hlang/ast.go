@@ -39,10 +39,9 @@ func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 
 // Type is a HydroLogic value type. Lattice-ness is part of the type: a Bool
 // column merged with `merge` behaves as the or-lattice; MaxInt as the max
-// lattice; SetOf as the union lattice.
+// lattice. A grow-only set is a table keyed on all of its columns.
 type Type struct {
 	Kind TypeKind
-	Elem *Type // for SetOf
 }
 
 // TypeKind enumerates HydroLogic types.
@@ -55,7 +54,6 @@ const (
 	TString
 	TBool
 	TMaxInt // max-lattice integer
-	TSet    // grow-only set of Elem
 )
 
 func (t Type) String() string {
@@ -70,8 +68,6 @@ func (t Type) String() string {
 		return "bool"
 	case TMaxInt:
 		return "max<int>"
-	case TSet:
-		return "set<" + t.Elem.String() + ">"
 	}
 	return "?"
 }
@@ -81,7 +77,7 @@ func (t Type) String() string {
 // type error; bool merges as or.
 func (t Type) IsLattice() bool {
 	switch t.Kind {
-	case TBool, TMaxInt, TSet:
+	case TBool, TMaxInt:
 		return true
 	}
 	return false
@@ -240,10 +236,14 @@ type AssignStmt struct {
 
 // SendStmt asynchronously merges tuples into a mailbox. With a Query body it
 // sends one message per derived row (`send alert(p) :- transitive(pid, p)`);
-// without, it sends the single tuple of Args.
+// without, it sends the single tuple of Args. An addressed send
+// (`send bcast@c(v) :- child(c)`) names the node each row goes to: Dest is
+// a string variable bound by the body or a handler parameter, and the row
+// is sent to that node's Mailbox.
 type SendStmt struct {
 	At      Pos
 	Mailbox string
+	Dest    string // "" for a send to this node
 	Args    []QueryArg
 	Body    []BodyAtom // optional rule body
 	Filters []Expr
@@ -310,13 +310,13 @@ func (s *SendStmt) String() string {
 	for i, a := range s.Args {
 		parts[i] = a.String()
 	}
-	out := "send " + s.Mailbox + "(" + strings.Join(parts, ", ") + ")"
+	out := "send " + s.Mailbox
+	if s.Dest != "" {
+		out += "@" + s.Dest
+	}
+	out += "(" + strings.Join(parts, ", ") + ")"
 	if len(s.Body) > 0 {
-		bodyParts := make([]string, len(s.Body))
-		for i, b := range s.Body {
-			bodyParts[i] = b.String()
-		}
-		out += " :- " + strings.Join(bodyParts, ", ")
+		out += " :- " + formatBody(s.Body, s.Filters)
 	}
 	return out
 }

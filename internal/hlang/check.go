@@ -2,6 +2,7 @@ package hlang
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 )
 
@@ -284,11 +285,11 @@ func checkHandler(p *Program, h *HandlerDecl) error {
 			if tgt := p.Handler(st.Mailbox); tgt != nil && len(st.Args) != len(tgt.Params) {
 				return errAt(st.At, "%s: send to %q wants %d args, got %d", owner, st.Mailbox, len(tgt.Params), len(st.Args))
 			}
+			if len(st.Body) == 0 && len(st.Filters) > 0 {
+				return errAt(st.At, "%s: send rule has filters but no body atom", owner)
+			}
+			bound := maps.Clone(scope)
 			if len(st.Body) > 0 {
-				bound := map[string]bool{}
-				for prm := range scope {
-					bound[prm] = true
-				}
 				if err := checkBody(p, owner, st.Body, st.Filters, bound); err != nil {
 					return err
 				}
@@ -307,6 +308,9 @@ func checkHandler(p *Program, h *HandlerDecl) error {
 					}
 				}
 			}
+			if err := checkDest(p, h, st, bound); err != nil {
+				return err
+			}
 		case *ReplyStmt:
 			if err := checkExpr(st.Value); err != nil {
 				return err
@@ -315,6 +319,35 @@ func checkHandler(p *Program, h *HandlerDecl) error {
 		}
 	}
 	_ = replied // handlers may be fire-and-forget; no reply required
+	return nil
+}
+
+// checkDest checks an addressed send's destination: a variable the
+// handler's parameters or the send's rule body bind, holding a node name.
+func checkDest(p *Program, h *HandlerDecl, st *SendStmt, bound map[string]bool) error {
+	if st.Dest == "" {
+		return nil
+	}
+	if !bound[st.Dest] {
+		return errAt(st.At, "handler %s: send destination %q not bound by rule body or params", h.Name, st.Dest)
+	}
+	wrong := func(ty Type) error {
+		return errAt(st.At, "handler %s: send destination %q has type %s, want string", h.Name, st.Dest, ty)
+	}
+	for _, prm := range h.Params {
+		if prm.Name == st.Dest && prm.Type.Kind != TString {
+			return wrong(prm.Type)
+		}
+	}
+	for _, a := range st.Body {
+		if t := p.Table(a.Pred); t != nil {
+			for i, arg := range a.Args {
+				if arg.Var == st.Dest && t.Fields[i].Type.Kind != TString {
+					return wrong(t.Fields[i].Type)
+				}
+			}
+		}
+	}
 	return nil
 }
 

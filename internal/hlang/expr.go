@@ -3,6 +3,7 @@ package hlang
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // Expr is a HydroLogic expression.
@@ -55,11 +56,37 @@ func (*FieldRef) expr()  {}
 func (*BinExpr) expr()   {}
 func (*CallExpr) expr()  {}
 
-func (e *IntLit) String() string    { return strconv.FormatInt(e.V, 10) }
-func (e *FloatLit) String() string  { return strconv.FormatFloat(e.V, 'g', -1, 64) }
-func (e *StringLit) String() string { return strconv.Quote(e.V) }
-func (e *BoolLit) String() string   { return strconv.FormatBool(e.V) }
-func (e *VarRef) String() string    { return e.Name }
+func (e *IntLit) String() string { return strconv.FormatInt(e.V, 10) }
+func (e *FloatLit) String() string {
+	s := strconv.FormatFloat(e.V, 'f', -1, 64)
+	if !strings.Contains(s, ".") {
+		s += ".0" // still a float when reparsed
+	}
+	return s
+}
+
+// String quotes with the lexer's escapes: \" \\ \n \t, every other byte raw.
+func (e *StringLit) String() string {
+	var b strings.Builder
+	b.WriteByte('"')
+	for i := 0; i < len(e.V); i++ {
+		switch c := e.V[i]; c {
+		case '"', '\\':
+			b.WriteByte('\\')
+			b.WriteByte(c)
+		case '\n':
+			b.WriteString(`\n`)
+		case '\t':
+			b.WriteString(`\t`)
+		default:
+			b.WriteByte(c)
+		}
+	}
+	b.WriteByte('"')
+	return b.String()
+}
+func (e *BoolLit) String() string { return strconv.FormatBool(e.V) }
+func (e *VarRef) String() string  { return e.Name }
 func (e *FieldRef) String() string {
 	return fmt.Sprintf("%s[%s].%s", e.Table, e.Key, e.Field)
 }

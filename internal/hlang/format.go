@@ -3,6 +3,7 @@ package hlang
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -26,7 +27,7 @@ func Format(p *Program) string {
 	for _, v := range p.Vars {
 		fmt.Fprintf(&b, "var %s: %s", v.Name, v.Type)
 		if v.Init != nil {
-			fmt.Fprintf(&b, " = %s", formatExpr(v.Init))
+			fmt.Fprintf(&b, " = %s", v.Init)
 		}
 		b.WriteString("\n")
 	}
@@ -46,7 +47,7 @@ func Format(p *Program) string {
 			fmt.Fprintf(&b, " consistency(%s)", h.Consistency)
 		}
 		for _, r := range h.Requires {
-			fmt.Fprintf(&b, " require(%s)", formatExpr(r))
+			fmt.Fprintf(&b, " require(%s)", r)
 		}
 		b.WriteString(" {\n")
 		for _, s := range h.Body {
@@ -58,7 +59,11 @@ func Format(p *Program) string {
 		b.WriteString("availability {\n")
 		for _, name := range sortedKeys(p.Availability) {
 			s := p.Availability[name]
-			fmt.Fprintf(&b, "    %s domain=%s failures=%d\n", name, s.Domain, s.Failures)
+			fmt.Fprintf(&b, "    %s", name)
+			if s.Domain != "" {
+				fmt.Fprintf(&b, " domain=%s", s.Domain)
+			}
+			fmt.Fprintf(&b, " failures=%d\n", s.Failures)
 		}
 		b.WriteString("}\n")
 	}
@@ -68,10 +73,10 @@ func Format(p *Program) string {
 			s := p.Targets[name]
 			fmt.Fprintf(&b, "    %s", name)
 			if s.LatencyMs > 0 {
-				fmt.Fprintf(&b, " latency=%gms", s.LatencyMs)
+				fmt.Fprintf(&b, " latency=%sms", strconv.FormatFloat(s.LatencyMs, 'f', -1, 64))
 			}
 			if s.Cost > 0 {
-				fmt.Fprintf(&b, " cost=%g", s.Cost)
+				fmt.Fprintf(&b, " cost=%s", strconv.FormatFloat(s.Cost, 'f', -1, 64))
 			}
 			if s.Processor != "" {
 				fmt.Fprintf(&b, " processor=%s", s.Processor)
@@ -118,13 +123,7 @@ func formatBody(body []BodyAtom, filters []Expr) string {
 		parts = append(parts, a.String())
 	}
 	for _, f := range filters {
-		parts = append(parts, formatExpr(f))
+		parts = append(parts, f.String())
 	}
 	return strings.Join(parts, ", ")
-}
-
-// formatExpr renders expressions without the defensive outer parentheses
-// Expr.String adds, for declaration positions that reparse either way.
-func formatExpr(e Expr) string {
-	return e.String()
 }

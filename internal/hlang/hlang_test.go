@@ -1,6 +1,7 @@
 package hlang
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -340,5 +341,150 @@ func TestSendDataflowTracked(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("diagnosed sends = %v, want alert", d.SendsTo)
+	}
+}
+
+func TestAddressedSendParsesAndFormats(t *testing.T) {
+	src := `
+table child(rank: string) key(rank)
+on bcast(v: int) {
+    send bcast@c(v) :- child(c)
+}
+on poke(peer: string, v: int) {
+    send bcast@peer(v)
+}
+`
+	p, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fan := p.Handler("bcast").Body[0].(*SendStmt)
+	if fan.Mailbox != "bcast" || fan.Dest != "c" || len(fan.Args) != 1 || fan.Args[0].Var != "v" {
+		t.Fatalf("rule-driven addressed send parsed as %+v", fan)
+	}
+	if got := fan.String(); got != "send bcast@c(v) :- child(c)" {
+		t.Fatalf("String = %q", got)
+	}
+	if got := p.Handler("poke").Body[0].String(); got != "send bcast@peer(v)" {
+		t.Fatalf("String = %q", got)
+	}
+	p2, err := Parse(Format(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeroPos(p)
+	zeroPos(p2)
+	if !reflect.DeepEqual(p.Handlers, p2.Handlers) {
+		t.Fatalf("addressed sends changed across the round trip:\n%s", Format(p))
+	}
+	a := Analyze(p)
+	for _, h := range []string{"bcast", "poke"} {
+		if info := a.Handlers[h]; info.Mono != Monotone || len(info.SendsTo) != 1 || info.SendsTo[0] != "bcast" {
+			t.Fatalf("%s: %v, sends to %v", h, info.Mono, info.SendsTo)
+		}
+	}
+}
+
+func TestAddressedSendAndSetTypeErrors(t *testing.T) {
+	cases := []struct {
+		name, src, wantSubstr string
+	}{
+		{"unbound destination", "on h(x: int) { send b@d(x) }", `send destination "d" not bound`},
+		{"unbound destination in a rule", "table t(a: string)\non h(x: int) { send b@d(x) :- t(x) }", `send destination "d" not bound`},
+		{"integer parameter destination", "on h(d: int) { send b@d(1) }", `send destination "d" has type int, want string`},
+		{"integer column destination", "table t(n: int)\non h(x: int) { send b@n(x) :- t(n) }", `send destination "n" has type int, want string`},
+		{"destination is not a name", "on h(x: string) { send b@1(x) }", "expected identifier"},
+		{"set column", "table tags(id: int, s: set<string>) key(id)", "table keyed on all of its columns"},
+		{"set variable", "var s: set<int>", "table keyed on all of its columns"},
+		{"send rule without an atom", "on h(x: int) { send b(x) :- x > 0 }", "filters but no body atom"},
+		{"aggregate not last", "table t(a: int, b: int)\nquery q(count<a>, b) :- t(a, b)", "must be the last head argument"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Parse(c.src)
+			if err == nil || !strings.Contains(err.Error(), c.wantSubstr) {
+				t.Fatalf("error %v, want one containing %q", err, c.wantSubstr)
+			}
+		})
+	}
+}
+
+// TestThresholdMonotonicity: a count or max aggregate read only through
+// >= or > against a fixed bound, or a min one through <= or <, is a
+// monotone read; every other read of an aggregate, and every sum, is not.
+func TestThresholdMonotonicity(t *testing.T) {
+	const decls = `
+table manifest(cart: string, item: string) key(cart, item)
+table sealed(cart: string, lines: int, score: max<int>) key(cart)
+table bids(item: string, amt: int) key(item, amt)
+query lines(c, count<i>) :- manifest(c, i)
+query top(i, max<a>) :- bids(i, a)
+query low(i, min<a>) :- bids(i, a)
+query total(c, sum<a>) :- bids(c, a)
+query neg(c, count<i>) :- manifest(c, i), !sealed(c, _, _)
+query view(c, k) :- lines(c, k)
+`
+	cases := []struct {
+		name string
+		rule string
+		want Monotonicity
+	}{
+		{"count >= column", "query r(c) :- lines(c, k), sealed(c, n, _), k >= n", Monotone},
+		{"count > constant", "query r(c) :- lines(c, k), k > 2", Monotone},
+		{"bound on the left", "query r(c) :- lines(c, k), sealed(c, n, _), n <= k", Monotone},
+		{"max >= constant", "query r(i) :- top(i, a), a >= 100", Monotone},
+		{"min <= constant", "query r(i) :- low(i, a), a <= 5", Monotone},
+		{"min < column", "query r(i) :- low(i, a), sealed(i, n, _), a < n", Monotone},
+		{"count == bound", "query r(c) :- lines(c, k), sealed(c, n, _), k == n", NonMonotone},
+		{"count <= bound", "query r(c) :- lines(c, k), k <= 3", NonMonotone},
+		{"min >= bound", "query r(i) :- low(i, a), a >= 5", NonMonotone},
+		{"sum >= bound", "query r(c) :- total(c, s), s >= 10", NonMonotone},
+		{"value in the head", "query r(c, k) :- lines(c, k), k >= 1", NonMonotone},
+		{"value joined", "query r(c) :- lines(c, k), sealed(c, k, _), k >= 1", NonMonotone},
+		{"no threshold", "query r(c) :- lines(c, k)", NonMonotone},
+		{"lattice bound", "query r(c) :- lines(c, k), sealed(c, _, s), k >= s", NonMonotone},
+		{"derived bound", "query r(c) :- lines(c, k), view(c, n), k >= n", NonMonotone},
+		{"aggregate over negation", "query r(c) :- neg(c, k), k >= 1", NonMonotone},
+		{"non-aggregate view", "query r(c) :- view(c, k), k >= 1", NonMonotone},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p, err := Parse(decls + c.rule)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := Analyze(p).Queries["r"]; got.Mono != c.want {
+				t.Fatalf("r classified %v (%v), want %v", got.Mono, got.Reasons, c.want)
+			}
+			p2, err := Parse(Format(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := Analyze(p2).Queries["r"]; got.Mono != c.want {
+				t.Fatalf("after Format, r classified %v (%v), want %v", got.Mono, got.Reasons, c.want)
+			}
+		})
+	}
+
+	// A send rule reads through a threshold the same way; sending the
+	// value itself, or addressing the send with it, is a value read.
+	sends := []struct {
+		stmt string
+		want Monotonicity
+	}{
+		{"send ok(c) :- lines(c, k), sealed(c, n, _), k >= n", Monotone},
+		{"send ok(c) :- lines(c, k), k >= goal", NonMonotone},
+		{"send ok(c, k) :- lines(c, k), k >= 1", NonMonotone},
+		{"send ok(c) :- lines(c, k), k == 1", NonMonotone},
+		{"send ok@k(c) :- lines(c, k), k >= 1", NonMonotone},
+	}
+	for _, c := range sends {
+		p, err := Parse(decls + "on h(goal: int) {\n    " + c.stmt + "\n}")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := Analyze(p).Handlers["h"]; got.Mono != c.want {
+			t.Errorf("%s: classified %v (%v), want %v", c.stmt, got.Mono, got.Reasons, c.want)
+		}
 	}
 }

@@ -174,7 +174,7 @@ func lex(src string) ([]token, error) {
 				continue
 			}
 			switch c {
-			case '(', ')', '{', '}', '[', ']', ',', ':', '.', '=', '<', '>', '!', '+', '-', '*', '/':
+			case '(', ')', '{', '}', '[', ']', ',', ':', '.', '=', '<', '>', '!', '+', '-', '*', '/', '@':
 				emit(token{kind: tokPunct, text: string(c), pos: pos})
 				i++
 				col++

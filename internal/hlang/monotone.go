@@ -67,6 +67,10 @@ type HandlerInfo struct {
 type Analysis struct {
 	Queries  map[string]*QueryInfo
 	Handlers map[string]*HandlerInfo
+	// thresholds maps each query that is non-monotone only for its own
+	// count, max or min aggregate to that aggregate: a rule that reads it
+	// through a threshold (thresholdRead) stays monotone.
+	thresholds map[string]string
 }
 
 // CoordinationPoints returns the handler names that require coordination
@@ -87,45 +91,71 @@ func (a *Analysis) CoordinationPoints(p *Program) []string {
 //
 // Rules (Bloom/CALM discipline):
 //   - A query is monotone iff all its rules use only positive body atoms
-//     and no aggregation. (max/min/count are monotone as lattice morphisms,
-//     but reading their exact value is a non-monotone act unless consumed
-//     through a threshold; we take the conservative relational view.)
+//     over monotone predicates and no aggregation, with one exception: a
+//     count<…> or max<…> query read only through k >= b or k > b, or a
+//     min<…> one read only through k <= b or k < b, grows past a bound
+//     and never back (Conway et al., "Logic and Lattices for Distributed
+//     Programming", SoCC 2012). The bound b is a constant or a non-lattice
+//     column of a positive base-table atom. Any other read of an aggregate
+//     (==, the opposite comparison, the value in a head or a send) and
+//     every sum<…> read stays non-monotone.
 //   - merge statements into lattice-typed storage are monotone.
 //   - := assignment and delete are non-monotone.
 //   - send of monotone-derived tuples is monotone (asynchronous merge).
 //   - UDF calls are opaque: monotone per the paper's memoized-UDF
 //     semantics, since they cannot read program state.
 func Analyze(p *Program) *Analysis {
-	a := &Analysis{Queries: map[string]*QueryInfo{}, Handlers: map[string]*HandlerInfo{}}
+	a := &Analysis{Queries: map[string]*QueryInfo{}, Handlers: map[string]*HandlerInfo{}, thresholds: map[string]string{}}
 
-	// Per-rule reasons first, then propagate through query dependencies:
-	// a query depending on a non-monotone query is itself non-monotone.
-	queryReasons := map[string][]Reason{}
+	// Per-rule reasons first (local), then propagation through query
+	// dependencies (inherited): a query reading a non-monotone query, other
+	// than through a threshold, is itself non-monotone. A query with local
+	// reasons reports only those.
+	local := map[string][]Reason{}
+	aggKinds := map[string]map[string]bool{} // query → its rules' aggregates ("" for none)
+	negates := map[string]bool{}
 	for _, q := range p.Queries {
 		if q.Agg != "" {
-			queryReasons[q.Name] = append(queryReasons[q.Name],
+			local[q.Name] = append(local[q.Name],
 				Reason{At: q.Pos, What: fmt.Sprintf("aggregate %s<%s> is order-sensitive when read as a value", q.Agg, q.AggVar)})
 		}
 		for _, b := range q.Body {
 			if b.Negated {
-				queryReasons[q.Name] = append(queryReasons[q.Name],
+				negates[q.Name] = true
+				local[q.Name] = append(local[q.Name],
 					Reason{At: b.Pos, What: fmt.Sprintf("negation !%s retracts as %s grows", b.Pred, b.Pred)})
 			}
 		}
-		if _, ok := queryReasons[q.Name]; !ok {
-			queryReasons[q.Name] = queryReasons[q.Name] // ensure key exists
+		if aggKinds[q.Name] == nil {
+			aggKinds[q.Name] = map[string]bool{}
 		}
+		aggKinds[q.Name][q.Agg] = true
 	}
-	// Propagate: iterate to fixpoint over dependencies.
+	inherited := map[string][]Reason{}
+	nonMono := func(name string) bool { return len(local[name])+len(inherited[name]) > 0 }
+	// thresholdKind is the aggregate a threshold may read query name
+	// through: count, max or min, when that is its only non-monotone
+	// ingredient; "" otherwise.
+	thresholdKind := func(name string) string {
+		if len(aggKinds[name]) != 1 || negates[name] || len(inherited[name]) > 0 {
+			return ""
+		}
+		for k := range aggKinds[name] {
+			if k == "count" || k == "max" || k == "min" {
+				return k
+			}
+		}
+		return ""
+	}
 	for changed := true; changed; {
 		changed = false
 		for _, q := range p.Queries {
-			if len(queryReasons[q.Name]) > 0 {
+			if len(inherited[q.Name]) > 0 {
 				continue
 			}
 			for _, b := range q.Body {
-				if dep, ok := queryReasons[b.Pred]; ok && len(dep) > 0 {
-					queryReasons[q.Name] = append(queryReasons[q.Name],
+				if nonMono(b.Pred) && !thresholdRead(p, thresholdKind(b.Pred), b, q.Body, q.Filters, q.Head, "") {
+					inherited[q.Name] = append(inherited[q.Name],
 						Reason{At: b.Pos, What: fmt.Sprintf("depends on non-monotone query %q", b.Pred)})
 					changed = true
 					break
@@ -133,8 +163,16 @@ func Analyze(p *Program) *Analysis {
 			}
 		}
 	}
+	for name := range aggKinds {
+		if k := thresholdKind(name); k != "" {
+			a.thresholds[name] = k
+		}
+	}
 	for _, name := range p.QueryNames() {
-		info := &QueryInfo{Name: name, Mono: Monotone, Reasons: queryReasons[name]}
+		info := &QueryInfo{Name: name, Mono: Monotone, Reasons: local[name]}
+		if len(info.Reasons) == 0 {
+			info.Reasons = inherited[name]
+		}
 		if len(info.Reasons) > 0 {
 			info.Mono = NonMonotone
 		}
@@ -146,6 +184,96 @@ func Analyze(p *Program) *Analysis {
 		a.Handlers[h.Name] = info
 	}
 	return a
+}
+
+// thresholdRead reports whether body atom b reads a query whose aggregate
+// is kind ("" when it may not be read through a threshold) only through a
+// threshold. b's aggregate column must be a variable k that appears in no
+// other atom, head argument (out) or destination (dest), and in at least one
+// filter; every filter mentioning k must compare it with the aggregate's
+// growing direction (k >= bound or k > bound for count and max, k <= bound
+// or k < bound for min, either side) against a fixedBound.
+func thresholdRead(p *Program, kind string, b BodyAtom, body []BodyAtom, filters []Expr, out []QueryArg, dest string) bool {
+	if kind == "" || b.Negated || len(b.Args) == 0 {
+		return false
+	}
+	k := b.Args[len(b.Args)-1].Var
+	if k == "" || k == dest {
+		return false
+	}
+	for _, arg := range out {
+		if arg.Var == k {
+			return false
+		}
+	}
+	uses := 0
+	for _, atom := range body {
+		for _, arg := range atom.Args {
+			if arg.Var == k {
+				uses++
+			}
+		}
+	}
+	if uses != 1 {
+		return false
+	}
+	reads := 0
+	for _, f := range filters {
+		mentions := false
+		WalkExpr(f, func(e Expr) {
+			if v, ok := e.(*VarRef); ok && v.Name == k {
+				mentions = true
+			}
+		})
+		if !mentions {
+			continue
+		}
+		bin, ok := f.(*BinExpr)
+		if !ok {
+			return false
+		}
+		op, bound := bin.Op, bin.R
+		if v, ok := bin.R.(*VarRef); ok && v.Name == k {
+			op, bound = map[string]string{">=": "<=", ">": "<", "<=": ">=", "<": ">"}[op], bin.L
+		} else if v, ok := bin.L.(*VarRef); !ok || v.Name != k {
+			return false
+		}
+		grows := op == ">=" || op == ">"
+		if kind == "min" {
+			grows = op == "<=" || op == "<"
+		}
+		if !grows || !fixedBound(p, bound, body, k) {
+			return false
+		}
+		reads++
+	}
+	return reads > 0
+}
+
+// fixedBound reports whether e is a threshold's bound: a constant, or a
+// variable other than k bound by a positive base-table atom at a
+// non-lattice column.
+func fixedBound(p *Program, e Expr, body []BodyAtom, k string) bool {
+	switch x := e.(type) {
+	case *IntLit, *FloatLit, *StringLit, *BoolLit:
+		return true
+	case *VarRef:
+		if x.Name == k {
+			return false
+		}
+		for _, b := range body {
+			t := p.Table(b.Pred)
+			if t == nil || b.Negated {
+				continue
+			}
+			for i, arg := range b.Args {
+				if arg.Var == x.Name && !t.Fields[i].Type.IsLattice() {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 func analyzeHandler(p *Program, a *Analysis, h *HandlerDecl) *HandlerInfo {
@@ -201,7 +329,8 @@ func analyzeHandler(p *Program, a *Analysis, h *HandlerDecl) *HandlerInfo {
 				if b.Negated {
 					addReason(st.At, "send rule negates %s", b.Pred)
 				}
-				if q, ok := a.Queries[b.Pred]; ok && q.Mono == NonMonotone {
+				if q, ok := a.Queries[b.Pred]; ok && q.Mono == NonMonotone &&
+					!thresholdRead(p, a.thresholds[b.Pred], b, st.Body, st.Filters, st.Args, st.Dest) {
 					addReason(st.At, "send rule reads non-monotone query %q", b.Pred)
 				}
 				info.ReadsTables = appendUnique(info.ReadsTables, b.Pred)

@@ -162,17 +162,7 @@ func (p *parser) parseType() (Type, error) {
 		}
 		return Type{Kind: TMaxInt}, nil
 	case "set":
-		if _, err := p.expectPunct("<"); err != nil {
-			return Type{}, err
-		}
-		elem, err := p.parseType()
-		if err != nil {
-			return Type{}, err
-		}
-		if _, err := p.expectPunct(">"); err != nil {
-			return Type{}, err
-		}
-		return Type{Kind: TSet, Elem: &elem}, nil
+		return Type{}, errAt(t.pos, "set<...> is not a column type: declare a grow-only set as a table keyed on all of its columns")
 	}
 	return Type{}, errAt(t.pos, "unknown type %q", t.text)
 }
@@ -387,6 +377,7 @@ func (p *parser) queryRule() (*QueryRule, error) {
 	if _, err := p.expectPunct("("); err != nil {
 		return nil, err
 	}
+	aggAt := -1
 	for !p.atPunct(")") {
 		// Aggregate head argument: count<v>, sum<v>, max<v>, min<v>.
 		t := p.cur()
@@ -404,7 +395,7 @@ func (p *parser) queryRule() (*QueryRule, error) {
 			if q.Agg != "" {
 				return nil, errAt(t.pos, "multiple aggregates in one query head")
 			}
-			q.Agg, q.AggVar = agg, v.text
+			q.Agg, q.AggVar, aggAt = agg, v.text, len(q.Head)
 			q.Head = append(q.Head, QueryArg{Var: v.text})
 		} else {
 			a, err := p.queryArg()
@@ -416,6 +407,9 @@ func (p *parser) queryRule() (*QueryRule, error) {
 		if p.atPunct(",") {
 			p.next()
 		}
+	}
+	if q.Agg != "" && aggAt != len(q.Head)-1 {
+		return nil, errAt(p.cur().pos, "aggregate %s<%s> must be the last head argument", q.Agg, q.AggVar)
 	}
 	p.next() // )
 	if _, err := p.expectPunct(":-"); err != nil {
@@ -588,11 +582,18 @@ func (p *parser) stmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		args, err := p.queryArgs()
-		if err != nil {
+		s := &SendStmt{At: t.pos, Mailbox: box.text}
+		if p.atPunct("@") {
+			p.next()
+			dest, err := p.expectIdent()
+			if err != nil {
+				return nil, err
+			}
+			s.Dest = dest.text
+		}
+		if s.Args, err = p.queryArgs(); err != nil {
 			return nil, err
 		}
-		s := &SendStmt{At: t.pos, Mailbox: box.text, Args: args}
 		if p.atPunct(":-") {
 			p.next()
 			p.skipNewlines()

@@ -71,8 +71,6 @@ func zeroValue(t hlang.Type) any {
 		return ""
 	case hlang.TBool:
 		return false
-	case hlang.TSet:
-		return ""
 	}
 	return nil
 }
@@ -137,7 +135,8 @@ type env struct {
 // prepareSend compiles a rule-driven send statement once per handler: the
 // datalog rule is planned with the handler's parameters declared as
 // pre-bound variables (bound at Derive time, not substituted as constants
-// per message), so per-message work is pure plan execution.
+// per message), so per-message work is pure plan execution. An addressed
+// send's rule heads its rows with the destination node.
 func prepareSend(st *hlang.SendStmt, paramSet map[string]bool) (*datalog.PreparedRule, error) {
 	rule := datalog.Rule{Head: datalog.Atom{Pred: "__send"}}
 	usedParams := map[string]bool{}
@@ -148,7 +147,11 @@ func prepareSend(st *hlang.SendStmt, paramSet map[string]bool) (*datalog.Prepare
 		}
 		return argToTerm(a, &wildcards)
 	}
-	for _, a := range st.Args {
+	args := st.Args
+	if st.Dest != "" {
+		args = append([]hlang.QueryArg{{Var: st.Dest}}, args...)
+	}
+	for _, a := range args {
 		t, err := bindArg(a)
 		if err != nil {
 			return nil, err
@@ -304,7 +307,9 @@ func (e *env) exec(s hlang.Stmt) error {
 }
 
 // execSend handles both plain sends and rule-driven sends; the latter run
-// the plan compileHandler prepared.
+// the plan compileHandler prepared. An addressed send goes to mailbox
+// "node/box" of the node its destination names, the runtime's remote
+// routing.
 func (e *env) execSend(st *hlang.SendStmt) error {
 	if len(st.Body) == 0 {
 		row := make(datalog.Tuple, len(st.Args))
@@ -315,15 +320,42 @@ func (e *env) execSend(st *hlang.SendStmt) error {
 			}
 			row[i] = v
 		}
-		e.tx.Send(st.Mailbox, row)
+		box := st.Mailbox
+		if st.Dest != "" {
+			var err error
+			if box, err = address(e.params[st.Dest], box); err != nil {
+				return err
+			}
+		}
+		e.tx.Send(box, row)
 		return nil
 	}
 	rows, err := e.tx.DerivePrepared(e.sendPlans[st], e.params)
 	if err != nil {
 		return err
 	}
-	e.tx.SendAll(st.Mailbox, rows)
+	if st.Dest == "" {
+		e.tx.SendAll(st.Mailbox, rows)
+		return nil
+	}
+	for _, row := range rows {
+		box, err := address(row[0], st.Mailbox)
+		if err != nil {
+			return err
+		}
+		e.tx.Send(box, row[1:])
+	}
 	return nil
+}
+
+// address names mailbox box on node: the runtime routes "node/box" to that
+// node, or to its own mailbox when node is the runtime itself.
+func address(node any, box string) (string, error) {
+	name, ok := node.(string)
+	if !ok {
+		return "", fmt.Errorf("send destination %v is not a node name", node)
+	}
+	return name + "/" + box, nil
 }
 
 func (e *env) queryArgValue(a hlang.QueryArg) (any, error) {

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"hydro/internal/cluster"
-	"hydro/internal/crdt"
 	"hydro/internal/datalog"
 	"hydro/internal/hlang"
 	"hydro/internal/hydrolysis"
@@ -113,72 +112,89 @@ func TestCovidConfluenceUnderRandomDelays(t *testing.T) {
 	}
 }
 
-// TestCartGossipConfluence: shopping-cart CRDT replicas gossiping over the
-// simulated network with seed-random latencies must converge to the same
-// manifest in every delivery order, and a post-convergence client-side
-// seal checks out on every replica without coordination (§7.1).
+// TestCartGossipConfluence: the compiled cart (hlang.CartSource) on four
+// hosted replicas, updated on different replicas and spread by three
+// rounds of all-to-all anti-entropy over seed-random latencies and send
+// delays, must converge to the same items on every replica in every
+// delivery order; a client-side seal of those items then checks out on
+// every replica without coordination (§7.1).
 func TestCartGossipConfluence(t *testing.T) {
-	replicas := []string{"r1", "r2", "r3", "r4"}
-	adds := map[string][][2]any{
-		"r1": {{"book", int64(1)}, {"pen", int64(2)}},
-		"r2": {{"book", int64(1)}},
-		"r3": {{"mug", int64(3)}, {"pen", int64(1)}},
-		"r4": {},
+	c, err := hydrolysis.Compile(hlang.CartSource, hydrolysis.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	adds := []struct {
+		replica int
+		item    string
+		qty     int64
+	}{{0, "book", 1}, {0, "pen", 2}, {1, "book", 1}, {2, "mug", 3}, {2, "pen", 1}}
 	var baseline string
-	seeds := int64(12)
-	if testing.Short() {
-		seeds = 4
-	}
-	for seed := int64(0); seed < seeds; seed++ {
-		net := simnet.New(simnet.Config{Seed: seed, MinLatency: 50, MaxLatency: 900})
-		carts := map[string]*crdt.Cart{}
-		for _, r := range replicas {
-			name := r
-			carts[name] = crdt.NewCart(name)
-			for _, a := range adds[name] {
-				carts[name] = carts[name].AddItem(a[0].(string), a[1].(int64))
+	for seed := int64(0); seed < 12; seed++ {
+		topo := cluster.NewTopology(1, 1, 4, cluster.ClassSmall)
+		cl := cluster.New(topo, simnet.Config{Seed: seed, MinLatency: 50, MaxLatency: 900})
+		var replicas []*transducer.Runtime
+		for i, m := range topo.Machines {
+			rt, err := c.Instantiate(m.ID, seed*10+int64(i))
+			if err != nil {
+				t.Fatal(err)
 			}
-			net.AddNode(name, func(now simnet.Time, msg simnet.Message) {
-				switch p := msg.Payload.(type) {
-				case *crdt.Cart:
-					carts[name] = carts[name].Merge(p)
-				case string: // gossip timer: broadcast current state
-					for _, other := range replicas {
-						if other != name {
-							net.Send(name, other, carts[name])
-						}
+			cl.Host(m.ID, rt)
+			replicas = append(replicas, rt)
+		}
+		cl.Net.AddNode("client", func(now simnet.Time, msg simnet.Message) {})
+		send := func(to *transducer.Runtime, box string, args ...any) {
+			cl.Net.Send("client", to.Name, transducer.Message{Mailbox: box, Payload: args, From: "client"})
+		}
+		for _, a := range adds {
+			send(replicas[a.replica], "add", "cart", a.item, a.qty)
+		}
+		// Each round every replica pushes its items to every other; rounds
+		// are spaced beyond the maximum latency, arrival order within one
+		// is seed-random.
+		for round := 0; round < 3; round++ {
+			for _, from := range replicas {
+				for _, to := range replicas {
+					if from != to {
+						send(from, "sync", to.Name)
 					}
 				}
-			})
-		}
-		// Three all-to-all gossip rounds, spaced far beyond max latency so
-		// each round sees the previous one's merges; within a round,
-		// arrival order is seed-random.
-		for round := simnet.Time(1); round <= 3; round++ {
-			for _, r := range replicas {
-				net.After(r, round*10_000, "gossip")
 			}
+			cl.RunRounds(300, 10)
 		}
-		net.Drain(10_000)
-		manifest := carts["r1"].Manifest()
-		for _, r := range replicas {
-			if got := carts[r].Manifest(); got != manifest {
-				t.Fatalf("seed %d: replica %s manifest %q != %q", seed, r, got, manifest)
+		items := sortedRows(replicas[0], "items")
+		for _, rt := range replicas {
+			if got := sortedRows(rt, "items"); got != items {
+				t.Fatalf("seed %d: replica %s items %s != %s", seed, rt.Name, got, items)
 			}
 		}
 		if baseline == "" {
-			baseline = manifest
-		} else if manifest != baseline {
-			t.Fatalf("seed %d: converged manifest %q depends on delivery order (baseline %q)", seed, manifest, baseline)
+			baseline = items
+		} else if items != baseline {
+			t.Fatalf("seed %d: converged items %s depend on delivery order (baseline %s)", seed, items, baseline)
 		}
-		// Client-side seal: no replica coordination, every replica checks
-		// out once its contents reach the sealed manifest.
-		sealed := carts["r1"].Seal(1000)
-		for _, r := range replicas {
-			if merged := carts[r].Merge(sealed); !merged.CheckedOut() {
-				t.Fatalf("seed %d: replica %s failed to check out after seal", seed, r)
+		// Client-side seal: every replica checks out once its contents
+		// reach the sealed lines.
+		lines := replicas[0].Table("items").Tuples()
+		for _, rt := range replicas {
+			for _, l := range lines {
+				send(rt, "seal", l[0], l[1], l[2], int64(len(lines)))
+			}
+		}
+		cl.RunRounds(300, 10)
+		for _, rt := range replicas {
+			if rt.Table("ready").Len() != 1 {
+				t.Fatalf("seed %d: replica %s did not check out after the seal", seed, rt.Name)
 			}
 		}
 	}
+}
+
+// sortedRows renders a relation's tuples in sorted order.
+func sortedRows(rt *transducer.Runtime, rel string) string {
+	var out []string
+	for _, tup := range rt.Table(rel).Tuples() {
+		out = append(out, fmt.Sprint(tup))
+	}
+	sort.Strings(out)
+	return fmt.Sprint(out)
 }

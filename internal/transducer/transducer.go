@@ -5,10 +5,9 @@
 // snapshot: effects are staged, never written mid-tick, and the query
 // fixpoint is maintained inside it from each tick's realized delta
 // (datalog.Incremental), so nothing is copied or re-derived per tick. A
-// runtime with no query program (the lifts, cluster) has nothing
-// derived and nothing to maintain. Sends are asynchronous merges
-// into mailboxes. A send to a handled or a remote ("node/mailbox") mailbox
-// may be delayed an unbounded (simulated) number of ticks, capturing
+// runtime with no registered query program has nothing derived and nothing
+// to maintain. Sends are asynchronous merges into mailboxes. A send to a
+// handled or an addressed ("node/mailbox") mailbox may be delayed an unbounded (simulated) number of ticks, capturing
 // network non-determinism while keeping handler logic deterministic within
 // a tick. A send to a local mailbox no handler reads (a reply, an alert
 // fan-out) is an output nothing in the program can observe the timing of:
@@ -16,9 +15,7 @@
 // later delivery, to the runtime's observation sink (SetObservationSink),
 // which by default appends it to the mailbox.
 //
-// The runtime is deliberately agnostic to how handlers were produced: the
-// Hydrolysis compiler registers closures compiled from HydroLogic, and the
-// lifting runtimes (actors, futures, MPI) register hand-written ones.
+// Handlers are the closures the Hydrolysis compiler builds from HydroLogic.
 package transducer
 
 import (
@@ -323,7 +320,7 @@ func (rt *Runtime) Deliver(msg Message) {
 }
 
 // Drain removes and returns the contents of a mailbox (used to observe
-// response mailboxes and by lifting runtimes). Observation sends are in
+// response and observation mailboxes). Observation sends are in
 // their mailbox from the end of the tick that sent them, unless an
 // observation sink takes them (SetObservationSink).
 func (rt *Runtime) Drain(mailbox string) []Message {
@@ -464,10 +461,13 @@ func (rt *Runtime) RunUntilIdle(maxTicks int) int {
 	return maxTicks
 }
 
+// deliverLocalOrRemote files a matured send: one addressed to this node
+// ("name/mailbox") lands in its local mailbox, one addressed to another
+// node goes to Remote when a transport is plugged in.
 func (rt *Runtime) deliverLocalOrRemote(msg Message) {
-	if node, box, ok := splitAddr(msg.Mailbox); ok && node != rt.Name {
-		if rt.Remote != nil {
-			msg.Mailbox = box
+	if node, box, ok := splitAddr(msg.Mailbox); ok && (node == rt.Name || rt.Remote != nil) {
+		msg.Mailbox = box
+		if node != rt.Name {
 			rt.Remote(node, msg)
 			return
 		}

@@ -607,3 +607,24 @@ func TestTickTimings(t *testing.T) {
 		t.Fatal("Handles must report handler registration")
 	}
 }
+
+// TestSendAddressedToOwnNodeIsHandled: a send addressed "name/mailbox" to
+// the runtime's own name reaches its local handler, with or without a
+// transport plugged in, instead of stranding under the addressed name.
+func TestSendAddressedToOwnNodeIsHandled(t *testing.T) {
+	for _, withRemote := range []bool{false, true} {
+		rt := newTestRuntime()
+		if withRemote {
+			rt.Remote = func(node string, msg Message) { t.Fatalf("self send routed to %q", node) }
+		}
+		got := 0
+		rt.RegisterHandler("a", func(tx *Tx, msg Message) { tx.Send("n1/b", datalog.Tuple{"x"}) })
+		rt.RegisterHandler("b", func(tx *Tx, msg Message) { got++ })
+		rt.Inject("a", datalog.Tuple{})
+		rt.RunUntilIdle(10)
+		if got != 1 || len(rt.Peek("n1/b")) != 0 || rt.Stats().Handled != 2 {
+			t.Fatalf("remote=%v: b handled %d, %d stuck under n1/b, %d handled in all",
+				withRemote, got, len(rt.Peek("n1/b")), rt.Stats().Handled)
+		}
+	}
+}

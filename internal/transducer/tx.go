@@ -78,9 +78,6 @@ func truncated[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Msg returns the message being handled.
-func (tx *Tx) Msg() Message { return tx.msg }
-
 // Query returns the snapshot contents of a relation (table or compiled
 // query) as of the start of the tick, fixpoint included.
 func (tx *Tx) Query(name string) []datalog.Tuple {
