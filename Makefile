@@ -13,7 +13,8 @@ test:
 vet:
 	$(GO) vet ./...
 
-ci: build vet orphans datalog-serial datalog-one-store one-tick-path compiled-handlers test bench-test smoke
+# ci runs the steps of CI's tier-1 job in its order (go test without -race).
+ci: build vet orphans datalog-serial datalog-one-store one-tick-path compiled-handlers test bench-test fuzz tables smoke
 
 # smoke runs every binary a reader is pointed at: the compiler on the COVID
 # program (its report must reach the metaconsistency check), the covidd

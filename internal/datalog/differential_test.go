@@ -322,10 +322,7 @@ func diffDatabases(label string, a, b *Database) error {
 // relation's rows in scan order, each with exactly the number of
 // interpretive deriveRule bindings that produce it.
 func checkCountingState(p *Program, inc *Incremental) error {
-	st, err := inc.State()
-	if err != nil {
-		return err
-	}
+	st := inc.State()
 	comps, err := p.Components()
 	if err != nil {
 		return err

@@ -12,8 +12,12 @@ import (
 // interleaved base-relation inserts and deletes. After every tick the
 // maintained incremental fixpoint must equal both the compiled semi-naive
 // Eval and the interpretive EvalNaive run from scratch on the same base
-// data. The seed corpus under testdata/fuzz/ pins delete-heavy and
-// churn-heavy sequences; `make fuzz` runs a short generative smoke in CI.
+// data. A poison op makes a tick fail where a sum reads it: Apply must fail
+// exactly when Eval on the post-tick base data does, and once the tick's
+// base ops are undone the evaluator must match both again and keep
+// matching. The seed corpus under testdata/fuzz/ pins delete-heavy,
+// churn-heavy and poisoned sequences; `make fuzz` runs a short generative
+// smoke in CI.
 //
 // Op encoding (3 bytes per op, self-delimiting, any byte string is valid):
 //
@@ -25,7 +29,9 @@ import (
 //	        snapshot half of the durability path,
 //	        bit 5 crash-restarts instead: every base mutation since the
 //	        last committed tick is lost (as an unjournaled tail would be),
-//	        then the survivor round-trips through State/Restore.
+//	        then the survivor round-trips through State/Restore,
+//	bit 7 makes the op a poison insert instead: attr(byte 1, "oops"),
+//	        a non-numeric value any sum over attr fails on.
 //	bytes 1-2: tuple constants (inserts) or victim index (deletes).
 //
 // A tick also flushes every 4 ops, and once more at the end.
@@ -76,15 +82,26 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 		delta := NewDelta()
 		var tail []DeltaOp // realized base mutations since the last committed tick
 		flush := func() {
-			if _, err := inc.Apply(delta); err != nil {
-				t.Fatalf("Apply: %v", err)
+			_, err := inc.Apply(delta)
+			refC := edb.Clone()
+			if _, errC := p.Eval(refC); (err == nil) != (errC == nil) {
+				t.Fatalf("Apply: %v, but Eval on the same base data: %v", err, errC)
+			}
+			if err != nil {
+				// Apply rolled its derived changes back; the tick's base
+				// ops are the caller's to undo, on both sides.
+				inc.DB().Undo(delta.Ops())
+				edb.Undo(delta.Ops())
+				refC = edb.Clone()
+				if _, err := p.Eval(refC); err != nil {
+					t.Fatalf("Eval after the rejected tick's undo: %v", err)
+				}
+				if err := checkCountingState(p, inc); err != nil {
+					t.Fatalf("after a rejected tick: %v", err)
+				}
 			}
 			delta = NewDelta()
 			tail = nil
-			refC := edb.Clone()
-			if _, err := p.Eval(refC); err != nil {
-				t.Fatalf("Eval: %v", err)
-			}
 			if err := diffDatabases("incremental vs compiled", inc.DB(), refC); err != nil {
 				t.Fatal(err)
 			}
@@ -102,10 +119,7 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 		// restored instance must match the original exactly and then keep
 		// maintaining.
 		reopen := func() {
-			fx, err := inc.State()
-			if err != nil {
-				t.Fatalf("State: %v", err)
-			}
+			fx := inc.State()
 			restored, err := RestoreIncremental(p, NewDatabase(), fx)
 			if err != nil {
 				t.Fatalf("RestoreIncremental: %v", err)
@@ -138,8 +152,14 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 		for i := 0; i+2 < len(ops); i += 3 {
 			op, a, b := ops[i], ops[i+1], ops[i+2]
 			pred := edbPreds[int(op&3)%len(edbPreds)]
-			if op&4 == 0 {
-				tup := tupleOf(pred, a, b)
+			var tup Tuple // an insert's; nil for a delete
+			switch {
+			case op&0x80 != 0:
+				pred, tup = "attr", Tuple{constOf(a), "oops"}
+			case op&4 == 0:
+				tup = tupleOf(pred, a, b)
+			}
+			if tup != nil {
 				if edb.Get(pred).Insert(tup) {
 					if !inc.DB().Get(pred).Insert(tup) {
 						t.Fatalf("mirrored insert diverged on %s%v", pred, tup)

@@ -8,8 +8,8 @@ import (
 // ErrInconsistentDelta reports a change batch that contradicts the
 // maintained state — e.g. an insert whose tuple is not actually present in
 // the base relation, or a delete the caller never applied. Apply returns it
-// (wrapped with detail) *before* mutating anything, so the prior fixpoint
-// stays intact and a serving loop can reject the bad tick and keep running.
+// (wrapped with detail) and, like any failure, leaves the prior fixpoint
+// intact, so a serving loop can reject the bad tick and keep running.
 var ErrInconsistentDelta = errors.New("datalog: delta inconsistent with retained state")
 
 // This file is the cross-tick incremental evaluator: instead of re-running
@@ -29,15 +29,9 @@ var ErrInconsistentDelta = errors.New("datalog: delta inconsistent with retained
 // derived-relation changes it realizes, so downstream components see the
 // full cascade.
 type Delta struct {
-	added   map[string][]Tuple
-	removed map[string][]Tuple
-	preds   []string // first-touch order, for deterministic iteration
-	// ops, when recording is enabled, preserves every base change in exact
-	// application order — the per-pred added/removed lists lose the
-	// interleaving across predicates and across inserts vs deletes, which a
-	// write-ahead changelog (and a rollback) needs to replay faithfully.
-	ops    []DeltaOp
-	record bool
+	// ops is the batch in exact application order: what a write-ahead
+	// changelog journals and what a caller undoes after a rejection.
+	ops []DeltaOp
 
 	// add and del are Apply's working form, per predicate, in the maintained
 	// database's dictionary: the normalized base changes, then each
@@ -70,62 +64,23 @@ func (db *Database) Undo(ops []DeltaOp) {
 }
 
 // NewDelta returns an empty change batch.
-func NewDelta() *Delta {
-	return &Delta{added: map[string][]Tuple{}, removed: map[string][]Tuple{}}
-}
-
-// SetRecording toggles exact-order op capture (see Ops). The transducer
-// enables it so ticks can be journaled to a durable changelog and rolled
-// back when rejected; plain evaluator callers leave it off and pay nothing.
-func (d *Delta) SetRecording(on bool) { d.record = on }
+func NewDelta() *Delta { return &Delta{} }
 
 // Ops returns the recorded base changes in exact application order. The
 // slice is owned by the Delta: callers must not mutate it. The derived
 // cascade Apply realizes is not among them.
 func (d *Delta) Ops() []DeltaOp { return d.ops }
 
-func (d *Delta) touch(pred string) {
-	if _, ok := d.added[pred]; ok {
-		return
-	}
-	if _, ok := d.removed[pred]; ok {
-		return
-	}
-	d.preds = append(d.preds, pred)
-}
-
 // Insert records that t was inserted into rel (and was not present before).
-func (d *Delta) Insert(rel string, t Tuple) {
-	d.touch(rel)
-	d.added[rel] = append(d.added[rel], t)
-	if d.record {
-		d.ops = append(d.ops, DeltaOp{Pred: rel, T: t})
-	}
-}
+func (d *Delta) Insert(rel string, t Tuple) { d.ops = append(d.ops, DeltaOp{Pred: rel, T: t}) }
 
 // Delete records that t was deleted from rel (and was present before).
 func (d *Delta) Delete(rel string, t Tuple) {
-	d.touch(rel)
-	d.removed[rel] = append(d.removed[rel], t)
-	if d.record {
-		d.ops = append(d.ops, DeltaOp{Del: true, Pred: rel, T: t})
-	}
+	d.ops = append(d.ops, DeltaOp{Del: true, Pred: rel, T: t})
 }
 
 // Empty reports whether the batch contains no changes.
-func (d *Delta) Empty() bool {
-	for _, ts := range d.added {
-		if len(ts) > 0 {
-			return false
-		}
-	}
-	for _, ts := range d.removed {
-		if len(ts) > 0 {
-			return false
-		}
-	}
-	return true
-}
+func (d *Delta) Empty() bool { return len(d.ops) == 0 }
 
 // rowsOf returns (creating on first use) pred's list in m.
 func rowsOf(m map[string]*rowList, pred string, arity int) *rowList {
@@ -141,58 +96,62 @@ func rowsOf(m map[string]*rowList, pred string, arity int) *rowList {
 func (d *Delta) insertRow(pred string, w []uint64) { rowsOf(d.add, pred, len(w)).add(w) }
 func (d *Delta) deleteRow(pred string, w []uint64) { rowsOf(d.del, pred, len(w)).add(w) }
 
-// encode builds the working form from the reported base changes in db's
-// dictionary, netting out same-tuple churn (insert→delete→insert within
-// one batch) so that at most one signed change per tuple is left — the
-// precondition for the counting algebra and for old-view reconstruction.
-func (d *Delta) encode(db *Database) error {
+// encode builds the working form from the recorded ops in db's dictionary,
+// grouped per predicate, and returns the predicates in first-touch order.
+// It nets out same-tuple churn (insert→delete→insert within one batch) so
+// that at most one signed change per tuple is left — the precondition for
+// the counting algebra and for old-view reconstruction.
+func (d *Delta) encode(db *Database) ([]string, error) {
 	dict := db.dictionary()
 	d.add, d.del = map[string]*rowList{}, map[string]*rowList{}
-	for _, pred := range d.preds {
-		add, rem := d.added[pred], d.removed[pred]
-		first := add
-		if len(first) == 0 {
-			first = rem
+	var preds []string
+	for _, op := range d.ops {
+		l, other := d.add, d.del
+		if op.Del {
+			l, other = other, l
 		}
-		arity := len(first[0])
-		if rel := db.Get(pred); rel != nil {
-			arity = rel.Arity
-		}
-		for _, ts := range [2][]Tuple{add, rem} {
-			for _, t := range ts {
-				if len(t) != arity {
-					return fmt.Errorf("%w: %s%v does not have the relation's arity %d", ErrInconsistentDelta, pred, t, arity)
-				}
+		rows := l[op.Pred]
+		if rows == nil {
+			arity := len(op.T)
+			if rel := db.Get(op.Pred); rel != nil {
+				arity = rel.Arity
+			} else if o := other[op.Pred]; o != nil {
+				arity = o.arity
 			}
-		}
-		if len(add) == 0 || len(rem) == 0 {
-			// Realized changes on one side cannot repeat a tuple.
-			for _, t := range add {
-				rowsOf(d.add, pred, arity).addTuple(dict, t)
+			if other[op.Pred] == nil {
+				preds = append(preds, op.Pred)
 			}
-			for _, t := range rem {
-				rowsOf(d.del, pred, arity).addTuple(dict, t)
-			}
-			continue
+			rows = rowsOf(l, op.Pred, arity)
 		}
-		net := newRelation(dict, pred, arity)
-		var buf [8]uint64
-		for _, t := range add {
-			net.addCount(dict.encodeRow(buf[:0], t), 1)
+		if len(op.T) != rows.arity {
+			return nil, fmt.Errorf("%w: %s%v does not have the relation's arity %d", ErrInconsistentDelta, op.Pred, op.T, rows.arity)
 		}
-		for _, t := range rem {
-			net.addCount(dict.encodeRow(buf[:0], t), -1)
+		rows.addTuple(dict, op.T)
+	}
+	for _, pred := range preds {
+		add, del := d.add[pred], d.del[pred]
+		if add.len() == 0 || del.len() == 0 {
+			continue // realized changes on one side cannot repeat a tuple
 		}
+		net := newRelation(dict, pred, add.arity)
+		for i := 0; i < add.len(); i++ {
+			net.addCount(add.row(i), 1)
+		}
+		for i := 0; i < del.len(); i++ {
+			net.addCount(del.row(i), -1)
+		}
+		add.reset(add.arity)
+		del.reset(del.arity)
 		net.scanCountRows(func(w []uint64, n int) {
 			switch {
 			case n > 0:
-				d.insertRow(pred, w)
+				add.add(w)
 			case n < 0:
-				d.deleteRow(pred, w)
+				del.add(w)
 			}
 		})
 	}
-	return nil
+	return preds, nil
 }
 
 // incComponent is one evaluation component with its compiled plans.
@@ -210,8 +169,9 @@ type Incremental struct {
 	db     *Database
 	comps  []incComponent
 	idb    map[string]bool
-	broken bool
 	rounds roundBufs
+	// undo is the running Tick's undo log, reused across ticks like rounds.
+	undo rowLog
 	// forceRecompute disables the DRed path, restoring the historical
 	// recompute-and-diff fallback for recursive deletions — kept as the
 	// baseline the delete-heavy benchmarks and tests compare against.
@@ -277,13 +237,6 @@ func NewIncremental(p *Program, db *Database) (*Incremental, error) {
 // fixpoint of every derived relation.
 func (inc *Incremental) DB() *Database { return inc.db }
 
-// Broken reports whether an earlier Apply failed past the validation phase,
-// leaving the maintained fixpoint inconsistent. A rejected delta that was
-// caught pre-mutation (ErrInconsistentDelta with zero realized changes) does
-// NOT break the evaluator — callers distinguish a droppable bad tick from a
-// poisoned evaluator with this.
-func (inc *Incremental) Broken() bool { return inc.broken }
-
 // seed computes a component's initial fixpoint. Counting components
 // enumerate every derivation exactly once (the full join order emits one
 // head per body binding); the rest run the normal component fixpoint.
@@ -302,8 +255,10 @@ func (inc *Incremental) seed(c *incComponent) error {
 
 // Apply folds one batch of base-relation changes — already applied to the
 // database by the caller — into the maintained fixpoint. It returns the
-// number of derived-relation set changes realized. On error the evaluator
-// is marked broken (its state may be inconsistent) and refuses further use.
+// number of derived-relation set changes realized. A failed Apply rolls
+// back through the Tick's undo log: every derived row and derivation count
+// is as it was before the batch, and the evaluator stays usable. The base
+// ops are the caller's to undo (Database.Undo), as it applied them.
 //
 // Touched components are processed in strata order (topological: a
 // component only reads heads of earlier ones); each reads its input changes
@@ -312,7 +267,7 @@ func (inc *Incremental) seed(c *incComponent) error {
 func (inc *Incremental) Apply(d *Delta) (int, error) {
 	t, err := inc.begin(d)
 	if err != nil {
-		return 0, err // pre-mutation, like every rejection begin makes
+		return 0, err
 	}
 	for ci := range inc.comps {
 		add, del := t.Touched(ci)
@@ -321,16 +276,8 @@ func (inc *Incremental) Apply(d *Delta) (int, error) {
 		}
 		t.Start(ci, del)
 		if err := t.run(); err != nil {
-			// A consistency error raised before any component realized
-			// a change is pre-mutation by construction (each strategy
-			// validates before committing): the fixpoint is intact and
-			// the evaluator stays usable. Past that point the batch is
-			// half-applied and the evaluator must refuse further use.
-			if errors.Is(err, ErrInconsistentDelta) && t.changes == 0 {
-				return 0, err
-			}
-			inc.broken = true
-			return t.changes, err
+			t.rollback()
+			return 0, err
 		}
 	}
 	t.close()
@@ -355,16 +302,20 @@ func (t *Tick) run() error {
 	}
 }
 
-// validateDelta cross-checks a normalized batch against the database the
-// caller claims to have applied it to: every recorded insert must be
-// present and every recorded delete absent. It catches the realistic
-// corruption classes — a caller that recorded changes without applying
-// them, or applied them twice — before any maintenance state is touched.
-// (A caller that re-reports an unchanged tuple as "realized" is
-// undetectable here; the counting components catch that class when the
-// derivation counts would cross below zero, also before mutating.)
-func (inc *Incremental) validateDelta(d *Delta) error {
-	for _, pred := range d.preds {
+// validateDelta cross-checks a normalized batch, touching preds, against
+// the database the caller claims to have applied it to: no derived relation
+// changed, every recorded insert is present and every recorded delete
+// absent. It catches the realistic corruption classes — a caller that
+// recorded changes without applying them, or applied them twice — before
+// any maintenance state is touched. (A caller that re-reports an unchanged
+// tuple as "realized" is undetectable here; the counting components catch
+// that class when the derivation counts would cross below zero, also before
+// mutating.)
+func (inc *Incremental) validateDelta(d *Delta, preds []string) error {
+	for _, pred := range preds {
+		if inc.idb[pred] && (d.add[pred].len() > 0 || d.del[pred].len() > 0) {
+			return fmt.Errorf("%w: derived relation %s was mutated as a base relation", ErrInconsistentDelta, pred)
+		}
 		rel := inc.db.Get(pred)
 		for l, i := d.add[pred], 0; i < l.len(); i++ {
 			if rel == nil || rel.findRow(l.row(i)) < 0 {

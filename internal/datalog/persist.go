@@ -55,12 +55,8 @@ func (inc *Incremental) countingHeads() map[string]bool {
 }
 
 // State captures the maintained database and derivation counts in one pass
-// over the slabs. It fails on a broken evaluator — persisting a half-applied
-// batch would make the corruption durable.
-func (inc *Incremental) State() (*FixpointState, error) {
-	if inc.broken {
-		return nil, fmt.Errorf("datalog: incremental evaluator unusable after earlier error")
-	}
+// over the slabs.
+func (inc *Incremental) State() *FixpointState {
 	d := inc.db.dictionary()
 	counting := inc.countingHeads()
 	renum := make([]uint64, len(d.vals)) // dictionary id → state id + 1
@@ -92,7 +88,7 @@ func (inc *Incremental) State() (*FixpointState, error) {
 		}
 		st.Relations = append(st.Relations, rs)
 	}
-	return st, nil
+	return st
 }
 
 // RestoreIncremental rebuilds an evaluator from a captured state: the

@@ -70,10 +70,7 @@ func TestStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := inc.State()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := inc.State()
 	db2 := NewDatabase()
 	inc2, err := RestoreIncremental(p, db2, st)
 	if err != nil {
@@ -118,14 +115,8 @@ func TestStateRoundTrip(t *testing.T) {
 
 	// And the re-captured states must be structurally identical (orders
 	// included) — the byte-for-byte recovery guarantee rests on this.
-	st1, err := inc.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st2, err := inc2.State()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st1 := inc.State()
+	st2 := inc2.State()
 	if len(st1.Relations) != len(st2.Relations) || !reflect.DeepEqual(st1.Values, st2.Values) {
 		t.Fatalf("state shapes diverge: %d/%d relations, values %v vs %v",
 			len(st1.Relations), len(st2.Relations), st1.Values, st2.Values)
@@ -177,10 +168,7 @@ func TestStateRoundTripRandomized(t *testing.T) {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 			if tick == 3 { // close/reopen mid-sequence
-				st, err := inc.State()
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
+				st := inc.State()
 				inc, err = RestoreIncremental(p, NewDatabase(), st)
 				if err != nil {
 					t.Fatalf("seed %d: restore: %v", seed, err)
@@ -260,18 +248,12 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := inc.State()
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := inc.State()
 	if !reflect.DeepEqual(good.Values, []any{"b", "a"}) {
 		t.Fatalf("Values = %v, want [b a]", good.Values)
 	}
 	for name, corrupt := range corruptStates {
-		st, err := inc.State()
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := inc.State()
 		corrupt(st)
 		db := NewDatabase()
 		db.Ensure("edge", 2)

@@ -199,8 +199,14 @@ func evalFilter(f Filter, b binding) bool {
 }
 
 func compareValues(op CmpOp, l, r any) bool {
-	// Numeric comparisons coerce int/int64/float64; everything else
+	// Two integers compare in int64: a float64 holds integers exactly only
+	// up to 2^53. Other numeric pairs coerce to float64; everything else
 	// compares as strings for ordering and natively for (in)equality.
+	if li, ok := toInt(l); ok {
+		if ri, ok := toInt(r); ok {
+			return compareOrdered(op, li, ri)
+		}
+	}
 	lf, lNum := toFloat(l)
 	rf, rNum := toFloat(r)
 	if lNum && rNum {
@@ -232,6 +238,18 @@ func compareOrdered[T int64 | float64 | string](op CmpOp, l, r T) bool {
 		return l >= r
 	}
 	return false
+}
+
+// toInt reads v as an int64 when it is int64 or int, the integer kinds
+// handler expressions compare exactly too.
+func toInt(v any) (int64, bool) {
+	switch x := v.(type) {
+	case int64:
+		return x, true
+	case int:
+		return int64(x), true
+	}
+	return 0, false
 }
 
 func toFloat(v any) (float64, bool) {

@@ -60,8 +60,7 @@ type Tick struct {
 	inc     *Incremental
 	d       *Delta
 	site    Site
-	undo    *rowLog // nil on Apply's ticks, which never roll back
-	changes int     // realized derived-relation set changes
+	changes int // realized derived-relation set changes
 
 	// The component in progress.
 	c     *incComponent
@@ -71,34 +70,37 @@ type Tick struct {
 	check rowLog    // DRed: the candidates every replica over-deleted
 }
 
-// Begin starts folding d — base changes applied to the database and
-// recorded (Delta.SetRecording) — into the fixpoint a round at a time, on
-// the replica site describes. Unlike a failed Apply, which breaks the
-// evaluator, a Tick can be aborted.
+// Begin starts folding d — base changes applied to the database — into the
+// fixpoint a round at a time, on the replica site describes.
 func (inc *Incremental) Begin(d *Delta, site Site) (*Tick, error) {
 	t, err := inc.begin(d)
 	if err == nil {
-		t.site, t.undo = site, &rowLog{}
+		t.site = site
 	}
 	return t, err
 }
 
-// begin encodes and validates the batch; its rejections are pre-mutation.
+// maxKeptUndo bounds, in rows, the undo log a tick leaves for the next one
+// to reuse: the log of a burst (a bulk load, two large components joining)
+// is dropped rather than pinned for the evaluator's life. It sits above the
+// largest serving tick of the bench workloads (about 10 000 rows, in
+// covid-grow) and below covid-read's preload (96 000 rows in one tick).
+const maxKeptUndo = 1 << 14
+
+// begin encodes and validates the batch and empties the undo log; its
+// rejections are pre-mutation.
 func (inc *Incremental) begin(d *Delta) (*Tick, error) {
-	if inc.broken {
-		return nil, fmt.Errorf("datalog: incremental evaluator unusable after earlier error")
+	preds, err := d.encode(inc.db)
+	if err == nil {
+		err = inc.validateDelta(d, preds)
 	}
-	if err := d.encode(inc.db); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	for _, pred := range d.preds {
-		if inc.idb[pred] && (d.add[pred].len() > 0 || d.del[pred].len() > 0) {
-			return nil, fmt.Errorf("%w: derived relation %s was mutated as a base relation", ErrInconsistentDelta, pred)
-		}
+	if cap(inc.undo.n) > maxKeptUndo {
+		inc.undo = rowLog{}
 	}
-	if err := inc.validateDelta(d); err != nil {
-		return nil, err
-	}
+	inc.undo.reset()
 	return &Tick{inc: inc, d: d}, nil
 }
 
@@ -261,7 +263,7 @@ func (t *Tick) accept(rel *Relation, w []uint64, n int) {
 		if n == 0 {
 			t.check.add(rel, w, 0)
 		} else if rel.deleteRow(w) {
-			t.log(rel, w, -1)
+			t.inc.undo.add(rel, w, -1)
 			t.over.Get(rel.Name).insertRow(w)
 			rowsOf(next, rel.Name, rel.Arity).add(w)
 			if t.whole(rel.Name) {
@@ -272,7 +274,7 @@ func (t *Tick) accept(rel *Relation, w []uint64, n int) {
 		if !rel.insertRow(w) {
 			return
 		}
-		t.log(rel, w, 1)
+		t.inc.undo.add(rel, w, 1)
 		rowsOf(next, rel.Name, rel.Arity).add(w)
 		if t.over == nil || t.over.Get(rel.Name).findRow(w) < 0 {
 			t.realize(rel, w, 1) // not an over-deleted row coming back
@@ -355,7 +357,7 @@ func (t *Tick) commitCounts() error {
 			if n == 0 {
 				return
 			}
-			t.log(rel, w, n)
+			t.inc.undo.add(rel, w, n)
 			switch old, now := rel.addCount(w, n); {
 			case old == 0:
 				t.realize(rel, w, 1)
@@ -389,7 +391,7 @@ func (t *Tick) recompute() error {
 		diff := func(from, to *Relation, n int) {
 			from.scanRows(func(w []uint64) {
 				if to.findRow(w) < 0 {
-					t.log(rel, w, n)
+					t.inc.undo.add(rel, w, n)
 					t.realize(rel, w, n)
 				}
 			})
@@ -413,7 +415,7 @@ func (t *Tick) realize(rel *Relation, w []uint64, n int) {
 
 // rowLog is a sequence of encoded rows of mixed relations, each with a
 // multiplicity: row k is a row of rels[k], its words following row k−1's
-// in w. The undo log Abort reverses is one — a set insertion (n = 1) or
+// in w. The undo log rollback reverses is one — a set insertion (n = 1) or
 // deletion (n = −1), or a counted head row's count moving by n — and so
 // are DRed's candidates, in discovery order.
 type rowLog struct {
@@ -426,17 +428,20 @@ func (l *rowLog) add(rel *Relation, w []uint64, n int) {
 	l.rels, l.n, l.w = append(l.rels, rel), append(l.n, n), append(l.w, w...)
 }
 
-func (t *Tick) log(rel *Relation, w []uint64, n int) {
-	if t.undo != nil {
-		t.undo.add(rel, w, n)
-	}
+func (l *rowLog) reset() { l.rels, l.n, l.w = l.rels[:0], l.n[:0], l.w[:0] }
+
+// Abort rolls the batch back — its derived changes (rollback), then the
+// batch's recorded base ops — so the database holds what it held before
+// the batch, counts included.
+func (t *Tick) Abort() {
+	t.rollback()
+	t.inc.db.Undo(t.d.Ops())
 }
 
-// Abort rolls the batch back — every change the Tick made to a maintained
-// relation, newest first, then the batch's recorded base ops — so the
-// database holds what it held before the batch, counts included.
-func (t *Tick) Abort() {
-	u, end := t.undo, len(t.undo.w)
+// rollback reverses every change the Tick made to a maintained relation,
+// newest first, from the undo log.
+func (t *Tick) rollback() {
+	u, end := &t.inc.undo, len(t.inc.undo.w)
 	for i := len(u.rels) - 1; i >= 0; i-- {
 		rel, n := u.rels[i], u.n[i]
 		w := u.w[end-rel.Arity : end]
@@ -452,5 +457,4 @@ func (t *Tick) Abort() {
 			rel.insertRow(w)
 		}
 	}
-	t.inc.db.Undo(t.d.Ops())
 }

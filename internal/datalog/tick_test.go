@@ -59,7 +59,6 @@ func TestTickAbortRestoresFixpoint(t *testing.T) {
 			before := inc.DB().Clone()
 			for _, keep := range []bool{false, true} {
 				d := NewDelta()
-				d.SetRecording(true)
 				for _, op := range ops {
 					if rel := inc.DB().Get(op.Pred); op.Del && rel.Delete(op.T) {
 						d.Delete(op.Pred, op.T)

@@ -185,19 +185,13 @@ func (d *dict) nextTuple(backing *[]any, row []uint64) Tuple {
 	return t
 }
 
-// smallInt reports whether w is an inline integer that float64 represents
-// exactly, returning it: for two of those, integer comparison and
-// compareValues' float comparison agree.
+// smallInt reports whether w is an inline integer, returning it.
 func smallInt(w uint64) (int64, bool) {
-	if w&tagMask > tagInt {
-		return 0, false
-	}
-	x := int64(w) >> tagBits
-	return x, x >= -1<<53 && x <= 1<<53
+	return int64(w) >> tagBits, w&tagMask <= tagInt
 }
 
 // compareWords is compareValues on encoded operands, decoding only when the
-// integer fast path does not apply.
+// inline-integer fast path does not apply.
 func (d *dict) compareWords(op CmpOp, l, r uint64) bool {
 	a, okA := smallInt(l)
 	b, okB := smallInt(r)

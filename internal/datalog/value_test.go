@@ -184,3 +184,53 @@ func TestFloatIdentityIsBits(t *testing.T) {
 		t.Fatalf("relation holds %d tuples, want the two zeros", rel.Len())
 	}
 }
+
+// TestIntegerComparisonIsExact: integers past 2^53, which float64 cannot
+// tell apart, compare exactly — inline (2^53+1 vs 2^53) and dictionary
+// encoded (2^62+1 vs 2^62) — in filters and in max, under every evaluator.
+func TestIntegerComparisonIsExact(t *testing.T) {
+	p, err := NewProgram(
+		Rule{
+			Head:    Atom{Pred: "gt", Args: []Term{V("x"), V("y")}},
+			Body:    []Literal{{Atom: Atom{Pred: "n", Args: []Term{V("x"), V("y")}}}},
+			Filters: []Filter{{Op: OpGt, L: V("x"), R: V("y")}},
+		},
+		Rule{
+			Head:   Atom{Pred: "top", Args: []Term{V("k"), V("v")}},
+			Body:   []Literal{{Atom: Atom{Pred: "m", Args: []Term{V("k"), V("v")}}}},
+			Agg:    AggMax,
+			AggVar: "v",
+		},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDatabase()
+	for _, e := range []int64{1 << 53, 1 << 62} {
+		db.Ensure("n", 2).Insert(Tuple{e + 1, e})
+		db.Ensure("m", 2).Insert(Tuple{e, e})
+		db.Ensure("m", 2).Insert(Tuple{e, e + 1})
+	}
+	run := map[string]func(*Database) error{
+		"Eval":      func(db *Database) error { _, err := p.Eval(db); return err },
+		"EvalNaive": func(db *Database) error { _, err := p.EvalNaive(db); return err },
+		"Incremental": func(db *Database) error {
+			_, err := NewIncremental(p, db)
+			return err
+		},
+	}
+	for name, eval := range run {
+		out := db.Clone()
+		if err := eval(out); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, e := range []int64{1 << 53, 1 << 62} {
+			if !out.Get("gt").Contains(Tuple{e + 1, e}) {
+				t.Errorf("%s: filter %d > %d derived no row", name, e+1, e)
+			}
+			if !out.Get("top").Contains(Tuple{e, e + 1}) {
+				t.Errorf("%s: max over %d, %d = %v", name, e, e+1, out.Get("top").Tuples())
+			}
+		}
+	}
+}

@@ -81,7 +81,6 @@ func benchDir(b testing.TB) *FaultFS {
 	edges := benchEdges()
 	bulk, suffix := edges[:len(edges)-benchSuffixLen], edges[len(edges)-benchSuffixLen:]
 	d := datalog.NewDelta()
-	d.SetRecording(true)
 	for _, t := range bulk {
 		db.Get("edge").Insert(t)
 		d.Insert("edge", t)
@@ -97,7 +96,6 @@ func benchDir(b testing.TB) *FaultFS {
 	}
 	for _, t := range suffix {
 		d := datalog.NewDelta()
-		d.SetRecording(true)
 		db.Get("edge").Insert(t)
 		d.Insert("edge", t)
 		if err := s.Append(d); err != nil {
@@ -174,7 +172,6 @@ func BenchmarkSnapshotWrite(b *testing.B) {
 		b.Fatal(err)
 	}
 	d := datalog.NewDelta()
-	d.SetRecording(true)
 	for _, t := range benchEdges() {
 		db.Get("edge").Insert(t)
 		d.Insert("edge", t)
@@ -224,7 +221,6 @@ func BenchmarkAppendRecord(b *testing.B) {
 		b.Fatal(err)
 	}
 	d := datalog.NewDelta()
-	d.SetRecording(true)
 	d.Insert("edge", datalog.Tuple{int64(1), int64(2)})
 	d.Delete("edge", datalog.Tuple{int64(2), int64(3)})
 	b.ReportAllocs()

@@ -114,7 +114,6 @@ func runCrashSeed(t *testing.T, seed int64, ticks int) (fired [modeCount]int) {
 			// The record commits, the process dies before Apply: recovery
 			// must replay it.
 			d := datalog.NewDelta()
-			d.SetRecording(true)
 			db := inc.DB()
 			for _, m := range schedule[next] {
 				if m.Del {

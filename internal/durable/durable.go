@@ -227,11 +227,10 @@ func (s *Store) Recover(p *datalog.Program, db *datalog.Database) (*datalog.Incr
 				// then rejected, with the AbortLast truncation not making it
 				// to disk before the crash. Only the FINAL record can be in
 				// that state — the store refuses further appends until the
-				// abort completes — so a final record the evaluator cleanly
-				// rejects again (base ops realized, fixpoint intact) is
-				// truncated away like a torn tail. An earlier record failing,
-				// or any replay failure that poisons the evaluator, means
-				// real corruption and stays fatal.
+				// abort completes — so a final record the evaluator rejects
+				// again (its rollback leaves the fixpoint intact) is
+				// truncated away like a torn tail. An earlier record failing
+				// means real corruption and stays fatal.
 				if terr := s.fs.Truncate(walName, s.pendingStarts[i]); terr != nil {
 					return nil, s.fail(terr)
 				}
@@ -247,14 +246,15 @@ func (s *Store) Recover(p *datalog.Program, db *datalog.Database) (*datalog.Incr
 }
 
 // errTickRejected marks a logged record whose base ops realized but whose
-// maintenance pass the evaluator rejected pre-mutation — the shape an
-// aborted tick leaves behind when the abort truncation was lost to a crash.
+// maintenance pass the evaluator rejected — the shape an aborted tick
+// leaves behind when the abort truncation was lost to a crash.
 var errTickRejected = errors.New("durable: logged tick rejected by evaluator")
 
 // replayRecord re-applies one changelog record: base-relation mutations in
 // exact recorded order (every one must realize — the log and the state it
 // replays onto were produced by the same history), then the maintenance
-// pass.
+// pass. A rejected pass rolls its derived changes back, and the base
+// mutations are undone here, so the caller may drop the record.
 func replayRecord(inc *datalog.Incremental, rec logRecord) error {
 	d := datalog.NewDelta()
 	db := inc.DB()
@@ -272,31 +272,21 @@ func replayRecord(inc *datalog.Incremental, rec logRecord) error {
 			d.Insert(op.Pred, op.T)
 		}
 	}
-	if n, err := inc.Apply(d); err != nil {
-		if n == 0 && !inc.Broken() {
-			// Clean pre-mutation rejection: put the base relations back so
-			// the caller can decide whether this record is droppable.
-			db.Undo(rec.ops)
-			return fmt.Errorf("replay seq %d: %w: %v", rec.seq, errTickRejected, err)
-		}
-		return fmt.Errorf("durable: replay seq %d: %w", rec.seq, err)
+	if _, err := inc.Apply(d); err != nil {
+		db.Undo(rec.ops)
+		return fmt.Errorf("replay seq %d: %w: %v", rec.seq, errTickRejected, err)
 	}
 	return nil
 }
 
-// Append journals one tick's realized base-relation changes — the
-// append-before-apply half of the commit protocol. The delta must have
-// op recording enabled (datalog.Delta.SetRecording); an empty tick is legal
-// and still consumes a sequence number.
+// Append journals one tick's realized base-relation changes (Delta.Ops) —
+// the append-before-apply half of the commit protocol. An empty tick is
+// legal and still consumes a sequence number.
 func (s *Store) Append(d *datalog.Delta) error {
 	if s.failed != nil {
 		return s.failed
 	}
-	ops := d.Ops()
-	if len(ops) == 0 && !d.Empty() {
-		return fmt.Errorf("durable: delta has changes but no recorded ops (SetRecording not enabled)")
-	}
-	rec, err := encodeRecord(s.lastSeq+1, ops)
+	rec, err := encodeRecord(s.lastSeq+1, d.Ops())
 	if err != nil {
 		return s.fail(err)
 	}
@@ -373,12 +363,8 @@ func (s *Store) Snapshot(inc *datalog.Incremental) error {
 	if s.failed != nil {
 		return s.failed
 	}
-	fx, err := inc.State()
-	if err != nil {
-		return err
-	}
 	seq := s.lastSeq
-	img, err := encodeSnapshot(seq, fx)
+	img, err := encodeSnapshot(seq, inc.State())
 	if err != nil {
 		return err
 	}

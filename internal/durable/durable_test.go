@@ -51,7 +51,6 @@ func tick(t testing.TB, s *Store, inc *datalog.Incremental, muts []datalog.Delta
 
 func tickErr(s *Store, inc *datalog.Incremental, muts []datalog.DeltaOp) error {
 	d := datalog.NewDelta()
-	d.SetRecording(true)
 	db := inc.DB()
 	for _, m := range muts {
 		if m.Del {
@@ -75,10 +74,7 @@ func tickErr(s *Store, inc *datalog.Incremental, muts []datalog.DeltaOp) error {
 // instances can be compared byte for byte.
 func stateImage(t testing.TB, inc *datalog.Incremental, seq uint64) []byte {
 	t.Helper()
-	fx, err := inc.State()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fx := inc.State()
 	img, err := encodeSnapshot(seq, fx)
 	if err != nil {
 		t.Fatal(err)
@@ -481,7 +477,6 @@ func TestAbortLast(t *testing.T) {
 	// then pretend the maintenance pass rejected it.
 	db := inc.DB()
 	d := datalog.NewDelta()
-	d.SetRecording(true)
 	db.Get("edge").Insert(datalog.Tuple{int64(2), int64(3)})
 	d.Insert("edge", datalog.Tuple{int64(2), int64(3)})
 	if err := s.Append(d); err != nil {
@@ -529,7 +524,6 @@ func TestRecoverDropsAbortedFinalRecord(t *testing.T) {
 		// Ops that realize on replay but that Apply rejects pre-mutation
 		// (writing a derived relation as if it were base).
 		d := datalog.NewDelta()
-		d.SetRecording(true)
 		d.Insert("edge", datalog.Tuple{int64(8), int64(9)})
 		d.Insert("reach_attr", datalog.Tuple{int64(8), int64(77)})
 		return d
@@ -569,7 +563,6 @@ func TestRecoverDropsAbortedFinalRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := datalog.NewDelta()
-	good.SetRecording(true)
 	good.Insert("edge", datalog.Tuple{int64(5), int64(6)})
 	if err := s3.Append(good); err != nil {
 		t.Fatal(err)

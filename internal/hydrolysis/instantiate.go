@@ -207,15 +207,22 @@ func (c *Compiled) compileHandler(h *hlang.HandlerDecl) (transducer.Handler, err
 	}
 
 	return func(tx *transducer.Tx, msg transducer.Message) {
-		// A payload shorter than the parameter list aborts before any
-		// statement runs: a missing parameter is not a free variable.
+		// A payload shorter than the parameter list, or with a value not of
+		// its parameter's type, aborts before any statement runs: a missing
+		// parameter is not a free variable, and a mistyped one would be
+		// stored in a typed table.
 		if len(msg.Payload) < len(h.Params) {
 			tx.Abort()
 			return
 		}
 		params := map[string]any{}
 		for i, p := range h.Params {
-			params[p.Name] = msg.Payload[i]
+			v, ok := typed(p.Type, msg.Payload[i])
+			if !ok {
+				tx.Abort()
+				return
+			}
+			params[p.Name] = v
 		}
 		e := &env{c: c, tx: tx, params: params, sendPlans: sendPlans}
 		// require(...) invariants abort the whole invocation when false, and
@@ -483,6 +490,30 @@ func numeric(v any) (float64, bool) {
 	}
 	i, ok := integer(v)
 	return float64(i), ok
+}
+
+// typed converts v to HydroLogic type t's Go kind — int64 for int and
+// max<int>, float64 for float — and reports whether v has that type in a
+// kind the expression evaluator reads: an integer kind for int, an integer
+// kind or float64 for float.
+func typed(t hlang.Type, v any) (any, bool) {
+	switch t.Kind {
+	case hlang.TInt, hlang.TMaxInt:
+		if i, ok := integer(v); ok {
+			return i, true
+		}
+	case hlang.TFloat:
+		if f, ok := numeric(v); ok {
+			return f, true
+		}
+	case hlang.TString:
+		_, ok := v.(string)
+		return v, ok
+	case hlang.TBool:
+		_, ok := v.(bool)
+		return v, ok
+	}
+	return nil, false
 }
 
 func arith(op string, l, r any) (any, error) {

@@ -146,6 +146,36 @@ func TestShortPayloadAborts(t *testing.T) {
 	}
 }
 
+// TestMistypedPayloadAborts: an invocation whose payload value does not
+// have its parameter's declared type is aborted before any statement runs,
+// like a short payload: add_contact("x", "y") stores nothing in
+// contacts(a: int, b: int) and counts in Stats().Aborted. A Go int is an
+// int, stored as the int64 every other int is.
+func TestMistypedPayloadAborts(t *testing.T) {
+	rt := newCovidRuntime(t, 1)
+	rt.Inject("add_contact", datalog.Tuple{int64(1), int64(2)})
+	rt.RunUntilIdle(20)
+	rt.Drain("add_contact<response>")
+	before := fmt.Sprint(rt.Table("contacts").Tuples(), rt.Table("transitive").Tuples())
+	rt.Inject("add_contact", datalog.Tuple{"x", "y"})
+	rt.Inject("add_contact", datalog.Tuple{int64(3), 4.5})
+	rt.RunUntilIdle(20)
+	if got := rt.Stats().Aborted; got != 2 {
+		t.Fatalf("Aborted = %d, want 2", got)
+	}
+	if got := len(rt.Drain("add_contact<response>")); got != 0 {
+		t.Fatalf("aborted invocations replied %d times", got)
+	}
+	if after := fmt.Sprint(rt.Table("contacts").Tuples(), rt.Table("transitive").Tuples()); after != before {
+		t.Fatalf("mistyped payloads changed the tables\nbefore: %s\nafter:  %s", before, after)
+	}
+	rt.Inject("add_contact", datalog.Tuple{2, int64(3)})
+	rt.RunUntilIdle(20)
+	if got := rt.Stats().Aborted; got != 2 || !rt.Table("transitive").Contains(datalog.Tuple{int64(1), int64(3)}) {
+		t.Fatalf("a Go int payload: Aborted = %d, transitive = %v", got, rt.Table("transitive").Tuples())
+	}
+}
+
 // TestUnplannableSendFailsInstantiate: hlang.Check rejects a send argument
 // nothing binds, so only an unchecked AST reaches the planner with one; the
 // planner's refusal is an Instantiate error, not a per-message abort.

@@ -39,10 +39,11 @@
 //     mailbox listed in Config.SerialMailboxes cuts the batch in place:
 //     the pending prefix ticks first, then the request ticks alone — one
 //     message, one tick, exactly the serial schedule.
-//   - A rejected batch tick (the evaluator or durability sink refused it)
-//     rolls the whole batch back; the server then re-injects the batch's
-//     messages one per tick, so a poison request costs its own tick and
-//     its batchmates commit exactly as they would have serially.
+//   - A batch tick the evaluator rejects (a derived-relation write, an
+//     aggregate over a non-numeric value) or the durability sink refuses
+//     is rolled back whole by the runtime; the server then re-injects the
+//     batch's messages one per tick, so a poison request costs its own
+//     tick and its batchmates commit exactly as they would have serially.
 //
 // The runtime is single-threaded by design; the serve loop is the only
 // goroutine that touches it from New until Close. Register tables,

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -236,6 +237,99 @@ func TestServeRejectedBatchRetryIsolation(t *testing.T) {
 	m := s.Metrics()
 	if m.RejectedBatches != 1 || m.Retried != 3 || m.Failed != 1 {
 		t.Fatalf("rejected=%d retried=%d failed=%d, want 1/3/1", m.RejectedBatches, m.Retried, m.Failed)
+	}
+}
+
+// newSumRuntime is the graph fixture plus attr and a sum over what each
+// node reaches: total(x, sum v) :- path(x, y), attr(y, v). A put of a
+// non-numeric value fails the sum's component after path's committed.
+func newSumRuntime(t *testing.T) *transducer.Runtime {
+	t.Helper()
+	V := datalog.V
+	prog, err := datalog.NewProgram(append(tcProgram(t).Rules, datalog.Rule{
+		Head: datalog.Atom{Pred: "total", Args: []datalog.Term{V("x"), V("v")}},
+		Body: []datalog.Literal{
+			{Atom: datalog.Atom{Pred: "path", Args: []datalog.Term{V("x"), V("y")}}},
+			{Atom: datalog.Atom{Pred: "attr", Args: []datalog.Term{V("y"), V("v")}}},
+		},
+		Agg:    datalog.AggSum,
+		AggVar: "v",
+	})...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := transducer.New("srv", 1)
+	rt.SetDelay(fixedDelay)
+	rt.RegisterTable(transducer.TableSchema{Name: "edge", Arity: 2})
+	rt.RegisterTable(transducer.TableSchema{Name: "attr", Arity: 2})
+	if err := rt.RegisterQueriesIncremental(prog); err != nil {
+		t.Fatal(err)
+	}
+	for _, table := range []string{"edge", "attr"} {
+		rt.RegisterHandler("put_"+table, func(tx *transducer.Tx, msg transducer.Message) {
+			tx.MergeTuple(table, msg.Payload)
+			tx.Reply("ok")
+		})
+	}
+	return rt
+}
+
+// TestServePoisonEvaluationIsolated: a request whose write fails the
+// evaluator midway through its batch's maintenance — a sum over a
+// non-numeric value — resolves alone with Err, and its batchmates commit
+// exactly as they do served one per tick.
+func TestServePoisonEvaluationIsolated(t *testing.T) {
+	reqs := []Request{
+		{Mailbox: "put_edge", Payload: datalog.Tuple{int64(1), int64(2)}},
+		{Mailbox: "put_attr", Payload: datalog.Tuple{int64(2), int64(5)}},
+		{Mailbox: "put_attr", Payload: datalog.Tuple{int64(2), "oops"}},
+		{Mailbox: "put_edge", Payload: datalog.Tuple{int64(2), int64(3)}},
+		{Mailbox: "put_attr", Payload: datalog.Tuple{int64(3), int64(4)}},
+	}
+	const poison = 2
+	dump := func(s *Server) string {
+		var out string
+		if err := s.Sync(func(rt *transducer.Runtime) { out = canonicalState(rt, nil) }); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+
+	serial := New(newSumRuntime(t), Config{MaxBatch: 1, QueueDepth: 16})
+	defer serial.Close()
+	for i, req := range reqs {
+		p, err := serial.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := p.Wait(); (r.Err != nil) != (i == poison) {
+			t.Fatalf("serial request %d: Err = %v", i, r.Err)
+		}
+	}
+
+	batched := New(newSumRuntime(t), Config{MaxBatch: 8, MaxWait: 20 * time.Millisecond, QueueDepth: 16})
+	defer batched.Close()
+	release := holdLoop(t, batched)
+	ps := make([]*Pending, len(reqs))
+	for i, req := range reqs {
+		ps[i] = mustSubmit(t, batched, req.Mailbox, req.Payload)
+	}
+	release()
+	for i, p := range ps {
+		r := p.Wait()
+		if i == poison {
+			if r.Err == nil || !strings.Contains(r.Err.Error(), "non-numeric") || !r.Timing.Rejected {
+				t.Fatalf("poison request must fail alone with the sum's error, got %+v", r)
+			}
+		} else if r.Err != nil {
+			t.Fatalf("innocent batchmate %d failed: %v", i, r.Err)
+		}
+	}
+	if got, want := dump(batched), dump(serial); got != want {
+		t.Fatalf("batched state:\n%s\nwant the serial one:\n%s", got, want)
+	}
+	if m := batched.Metrics(); m.RejectedBatches != 1 || m.Retried != uint64(len(reqs)) || m.Failed != 1 {
+		t.Fatalf("rejected=%d retried=%d failed=%d, want 1/%d/1", m.RejectedBatches, m.Retried, m.Failed, len(reqs))
 	}
 }
 

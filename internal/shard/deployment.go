@@ -271,8 +271,8 @@ func (d *Deployment) Settle(maxEvents int) bool {
 
 // Err returns the evaluation failure the deployment stopped at, or nil. A
 // tick whose component fails to evaluate (an aggregate over a non-numeric
-// value, say) never commits: every replica rolls it back, and no later
-// tick is driven — the sharded twin of datalog.Incremental.Broken.
+// value, say) never commits: every replica rolls it back, as a single
+// node's Incremental.Apply does, and no later tick is driven.
 func (d *Deployment) Err() error { return d.err }
 
 // Dump returns the converged global contents of every predicate: the

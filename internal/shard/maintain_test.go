@@ -65,7 +65,8 @@ func failSumTick(t *testing.T, cl *cluster.Cluster, dep *shard.Deployment) (comm
 // rolls it back (the groups the bad row never touched included), the
 // deployment stops at that tick and says why through Err, and no watchdog
 // keeps restarting it. The single-node evaluator fails on the same ops and
-// reports it through Broken.
+// rolls back: once the caller undoes its base ops, it holds exactly what
+// the deployment committed.
 func TestShardedEvalErrorNeverCommits(t *testing.T) {
 	prog := sumProgram(t)
 	cl, dep := newDeployment(t, prog, tcEDB, 2, 31)
@@ -75,12 +76,16 @@ func TestShardedEvalErrorNeverCommits(t *testing.T) {
 	delta := datalog.NewDelta()
 	ref.inc.DB().Get("attr").Insert(sumBad[0].T)
 	delta.Insert("attr", sumBad[0].T)
-	if _, err := ref.inc.Apply(delta); err == nil || !ref.inc.Broken() {
-		t.Fatalf("single node: Apply = %v, Broken = %v; want a failure that breaks it", err, ref.inc.Broken())
+	if _, err := ref.inc.Apply(delta); err == nil || !strings.Contains(err.Error(), "non-numeric") {
+		t.Fatalf("single node: Apply = %v, want the sum's failure", err)
 	}
+	ref.inc.DB().Undo(delta.Ops())
 	committed, attempts := failSumTick(t, cl, dep)
 	if committed != want {
 		t.Fatalf("tick 1 diverged:\n%s\nwant:\n%s", committed, want)
+	}
+	if got := ref.dump(dep.Placement().Preds); got != committed {
+		t.Fatalf("single node after rollback:\n%s\nwant the deployment's committed state:\n%s", got, committed)
 	}
 	if err := dep.Err(); err == nil || !strings.Contains(err.Error(), "non-numeric") {
 		t.Fatalf("Err() = %v, want the sum's failure", err)

@@ -156,8 +156,7 @@ func (r *replica) handleReq(from string, m req) {
 // delete-if-present; Submit validated them) and begins the tick's
 // maintenance from the realized ones.
 func (r *replica) applyOps(ops []datalog.DeltaOp) error {
-	d := datalog.NewDelta()
-	d.SetRecording(true) // the tick's Abort replays them backwards
+	d := datalog.NewDelta() // its ops are what the tick's Abort replays backwards
 	for _, op := range ops {
 		rel := r.db.Get(op.Pred)
 		if op.Del {

@@ -91,7 +91,6 @@ func TestSinkCommittedPartialFailureNoDoubleSubmit(t *testing.T) {
 
 	stage := func(pred string, tuple datalog.Tuple) {
 		d := datalog.NewDelta()
-		d.SetRecording(true) // Ops() capture, as the incremental runtime enables it
 		d.Insert(pred, tuple)
 		if err := sink.Append(d); err != nil {
 			t.Fatal(err)
@@ -145,7 +144,6 @@ func sinkDropBadTick(t *testing.T, sink *shard.Sink) {
 		t.Fatal(err)
 	}
 	d := datalog.NewDelta()
-	d.SetRecording(true)
 	d.Insert("edge", datalog.Tuple{"b", "c"})
 	if err := sink.Append(d); err != nil {
 		t.Fatal(err)

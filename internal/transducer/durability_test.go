@@ -3,6 +3,7 @@ package transducer
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"hydro/internal/datalog"
@@ -167,6 +168,115 @@ func TestRejectedTickKeepsServing(t *testing.T) {
 	}
 }
 
+// sumQueries counts reach(x, v) :- edge(x, y), attr(y, v) and sums
+// total(x, sum v) :- reach(x, v): a non-numeric attr value that reaches
+// the sum fails the batch after the counting component committed its part.
+func sumQueries(t *testing.T) *datalog.Program {
+	t.Helper()
+	V := datalog.V
+	p, err := datalog.NewProgram(reachQueries(t).Rules[0], datalog.Rule{
+		Head:   datalog.Atom{Pred: "total", Args: []datalog.Term{V("x"), V("v")}},
+		Body:   []datalog.Literal{{Atom: datalog.Atom{Pred: "reach", Args: []datalog.Term{V("x"), V("v")}}}},
+		Agg:    datalog.AggSum,
+		AggVar: "v",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// dumpRuntime renders every table and derived relation, rows sorted.
+func dumpRuntime(rt *Runtime) string {
+	var b strings.Builder
+	for _, name := range rt.TableNames() {
+		fmt.Fprintln(&b, name, sortedRows(rt.Table(name).Tuples()))
+	}
+	return b.String()
+}
+
+// poisonTick runs one tick whose batch stages a good edge — its reach rows
+// commit in the counting component — and attr(2, "oops"), which the sum
+// after it fails on.
+func poisonTick(rt *Runtime) {
+	rt.RegisterHandler("poison", func(tx *Tx, msg Message) {
+		tx.MergeTuple("edge", datalog.Tuple{int64(3), int64(2)})
+		tx.MergeTuple("attr", datalog.Tuple{int64(2), "oops"})
+		tx.Send("never", datalog.Tuple{int64(1)})
+	})
+	rt.Inject("poison", datalog.Tuple{})
+	rt.Tick()
+}
+
+// TestPoisonTickRollsBack: a tick whose batch fails the evaluator midway —
+// a sum over a non-numeric value, after an earlier component realized
+// changes — is rejected like any other: every table and derived relation
+// holds its pre-tick contents, the journal never keeps it, nothing is
+// sent, and the next tick commits.
+func TestPoisonTickRollsBack(t *testing.T) {
+	rt, store := durableRuntime(t, durable.NewFaultFS(), sumQueries(t))
+	defer store.Close()
+	mutTick(t, rt, "edge", "ins", 1, 2)
+	mutTick(t, rt, "attr", "ins", 2, 7)
+	before := dumpRuntime(rt)
+	poisonTick(rt)
+	if got := rt.Stats().Rejected; got != 1 {
+		t.Fatalf("Rejected = %d, want 1", got)
+	}
+	if err := rt.LastRejection(); err == nil || !strings.Contains(err.Error(), "non-numeric") {
+		t.Fatalf("LastRejection = %v, want the sum's failure", err)
+	}
+	if after := dumpRuntime(rt); after != before {
+		t.Fatalf("rejected tick left changes:\n%s\nwant:\n%s", after, before)
+	}
+	if got := store.LastSeq(); got != 2 {
+		t.Fatalf("LastSeq = %d, want 2 (rejected tick's record aborted)", got)
+	}
+	if got := rt.Stats().Sent; got != 0 {
+		t.Fatalf("rejected tick leaked %d sends", got)
+	}
+	mutTick(t, rt, "attr", "ins", 2, 9)
+	if !rt.Table("total").Contains(datalog.Tuple{int64(1), int64(16)}) {
+		t.Fatalf("runtime stopped maintaining after the rejection: total = %v", rt.Table("total").Tuples())
+	}
+}
+
+// TestPoisonTickRecovers: the files a durable runtime leaves after a
+// poison tick boot again, to the last committed tick — also when the
+// process died before the rejected record's truncation reached the disk,
+// so recovery replays it, sees it rejected again and drops it.
+func TestPoisonTickRecovers(t *testing.T) {
+	for _, lostAbort := range []bool{false, true} {
+		fs := durable.NewFaultFS()
+		rt, store := durableRuntime(t, fs, sumQueries(t))
+		mutTick(t, rt, "edge", "ins", 1, 2)
+		mutTick(t, rt, "attr", "ins", 2, 7)
+		before := dumpRuntime(rt)
+		if lostAbort {
+			fs.CrashAfterOps(1) // the append's sync; the abort's truncate fails
+		}
+		poisonTick(rt)
+		if err := rt.LastRejection(); lostAbort && !strings.Contains(err.Error(), "abort also failed") {
+			t.Fatalf("LastRejection = %v, want the failed abort", err)
+		}
+		store.Close()
+		fs.Revive()
+
+		rt2, store2 := durableRuntime(t, fs, sumQueries(t))
+		if got := store2.LastSeq(); got != 2 {
+			t.Fatalf("lost abort %v: recovered LastSeq = %d, want 2", lostAbort, got)
+		}
+		if got := dumpRuntime(rt2); got != before {
+			t.Fatalf("lost abort %v: recovered\n%s\nwant the pre-poison state:\n%s", lostAbort, got, before)
+		}
+		mutTick(t, rt2, "attr", "ins", 2, 9)
+		if got := store2.LastSeq(); got != 3 {
+			t.Fatalf("lost abort %v: LastSeq after a recovered tick = %d, want 3", lostAbort, got)
+		}
+		store2.Close()
+	}
+}
+
 // TestDerivedWriteRejectsTick: a handler writing a derived relation is
 // rejected before anything reaches the journal or the fixpoint, and the
 // runtime keeps serving (this used to panic the node).
@@ -263,26 +373,31 @@ func (s *stubSink) Committed(inc *datalog.Incremental) error {
 }
 
 // TestDurabilityProtocolOrder pins the sink contract: append before apply,
-// committed after, nothing for no-effect ticks, and a registered query
-// program required to attach at all.
+// committed after, and nothing for no-effect ticks — before any query
+// program is registered (the runtime maintains the empty one) and after.
 func TestDurabilityProtocolOrder(t *testing.T) {
 	rt := New("n1", 1)
 	rt.SetDelay(fixedDelay)
 	rt.RegisterTable(TableSchema{Name: "edge", Arity: 2})
+	rt.RegisterHandler("add", func(tx *Tx, msg Message) { tx.MergeTuple("edge", msg.Payload) })
+	rt.RegisterHandler("noop", func(tx *Tx, msg Message) { tx.Assign("x", int64(1)) })
+	rt.RegisterVar("x", int64(0))
 	sink := &stubSink{}
-	if err := rt.SetDurability(sink); err == nil {
-		t.Fatal("SetDurability must require a registered query program")
+	if err := rt.SetDurability(sink); err != nil {
+		t.Fatal(err)
+	}
+	rt.Inject("add", datalog.Tuple{"z", "z"})
+	rt.Tick()
+	if got := fmt.Sprint(sink.calls); got != "[append committed]" {
+		t.Fatalf("tick without a query program drove sink calls %v, want [append committed]", sink.calls)
 	}
 	if err := rt.RegisterQueriesIncremental(tcQueries(t)); err != nil {
 		t.Fatal(err)
 	}
+	sink.calls = nil
 	if err := rt.SetDurability(sink); err != nil {
 		t.Fatal(err)
 	}
-
-	rt.RegisterHandler("add", func(tx *Tx, msg Message) { tx.MergeTuple("edge", msg.Payload) })
-	rt.RegisterHandler("noop", func(tx *Tx, msg Message) { tx.Assign("x", int64(1)) })
-	rt.RegisterVar("x", int64(0))
 
 	rt.Inject("add", datalog.Tuple{"a", "b"})
 	rt.Tick()

@@ -5,8 +5,8 @@
 // snapshot: effects are staged, never written mid-tick, and the query
 // fixpoint is maintained inside it from each tick's realized delta
 // (datalog.Incremental), so nothing is copied or re-derived per tick. A
-// runtime with no registered query program has nothing derived and nothing
-// to maintain. Sends are asynchronous merges into mailboxes. A send to a
+// runtime with no registered query program maintains the empty one, which
+// derives nothing. Sends are asynchronous merges into mailboxes. A send to a
 // handled or an addressed ("node/mailbox") mailbox may be delayed an unbounded (simulated) number of ticks, capturing
 // network non-determinism while keeping handler logic deterministic within
 // a tick. A send to a local mailbox no handler reads (a reply, an alert
@@ -105,10 +105,10 @@ type Runtime struct {
 	vars     map[string]any
 	schemas  map[string]TableSchema
 	handlers map[string]Handler
-	// inc, when a query program is registered, maintains its fixpoint
-	// across ticks inside db: end-of-tick effects propagate as deltas
-	// (RegisterQueriesIncremental). derived holds the program's head
-	// predicates.
+	// inc maintains the query program's fixpoint across ticks inside db,
+	// the empty program's until one is registered: end-of-tick effects
+	// propagate as deltas (RegisterQueriesIncremental). derived holds the
+	// program's head predicates.
 	inc     *datalog.Incremental
 	derived map[string]bool
 	// sink, when set, journals every effectful tick's delta before it is
@@ -127,9 +127,11 @@ type Runtime struct {
 	observe ObservationSink
 
 	// Per-tick buffers, reused across ticks and emptied as each ends: the
-	// staged effects, the sorted handled mailboxes, and one observation
-	// entry's messages on their way to observe.
+	// staged effects, the realized table changes, the sorted handled
+	// mailboxes, and one observation entry's messages on their way to
+	// observe.
 	eff    effects
+	delta  datalog.Delta
 	boxes  []string
 	obsBuf []Message
 
@@ -149,9 +151,10 @@ type pendingSend struct {
 	deliverAt uint64
 }
 
-// New returns a runtime seeded for deterministic send delays.
+// New returns a runtime seeded for deterministic send delays, maintaining
+// the empty query program.
 func New(name string, seed int64) *Runtime {
-	return &Runtime{
+	rt := &Runtime{
 		Name:      name,
 		db:        datalog.NewDatabase(),
 		vars:      map[string]any{},
@@ -162,6 +165,14 @@ func New(name string, seed int64) *Runtime {
 		delay:     DefaultDelay,
 		eff:       effects{assigns: map[string]any{}},
 	}
+	rt.clearQueries()
+	return rt
+}
+
+// clearQueries installs the empty query program, detaching the sink.
+func (rt *Runtime) clearQueries() {
+	rt.inc, _ = datalog.NewIncremental(&datalog.Program{}, rt.db) // nothing to compile or seed: cannot fail
+	rt.derived, rt.sink = nil, nil
 }
 
 // SetDelay overrides the send-delay distribution (tests use a fixed 1).
@@ -217,14 +228,15 @@ func (rt *Runtime) RegisterQueriesIncremental(p *datalog.Program) error {
 // directly into the runtime database, and the successor would reject them
 // as "derived but already holds base tuples". They are cleared in place, so
 // handles returned by Table stay valid, and the sink detaches (it journaled
-// the old evaluator's history).
+// the old evaluator's history). Until the new program installs, and for
+// good if it fails to, the runtime maintains the empty program.
 func (rt *Runtime) RecoverQueriesIncremental(p *datalog.Program, restore func(*datalog.Program, *datalog.Database) (*datalog.Incremental, error)) error {
 	for pred := range rt.derived {
 		if rel := rt.db.Get(pred); rel != nil {
 			rel.Clear()
 		}
 	}
-	rt.inc, rt.derived, rt.sink = nil, nil, nil
+	rt.clearQueries()
 	if p == nil {
 		return fmt.Errorf("transducer %s: no query program to register", rt.Name)
 	}
@@ -248,15 +260,11 @@ func (rt *Runtime) RecoverQueriesIncremental(p *datalog.Program, restore func(*d
 	return nil
 }
 
-// SetDurability attaches (or, with nil, detaches) the durability sink.
-// Durability journals the maintained fixpoint's input deltas, so it
-// requires a registered query program (an empty one will do);
-// re-registering queries detaches the sink, since its log describes the
+// SetDurability attaches (or, with nil, detaches) the durability sink,
+// which journals the maintained fixpoint's input deltas; it returns nil.
+// Re-registering queries detaches the sink, since its log describes the
 // previous evaluator's history.
 func (rt *Runtime) SetDurability(sink DurabilitySink) error {
-	if sink != nil && rt.inc == nil {
-		return fmt.Errorf("transducer %s: durability requires a registered query program", rt.Name)
-	}
 	rt.sink = sink
 	return nil
 }
@@ -438,6 +446,7 @@ func (rt *Runtime) Tick() int {
 	// 3. Apply effects atomically, then empty the buffers for the next tick.
 	rt.applyEffects(eff)
 	eff.reset()
+	rt.delta = datalog.Delta{}
 	rt.lastTimings = TickTimings{
 		Deliver:  t1.Sub(t0),
 		Handlers: t2.Sub(t1),
@@ -485,38 +494,32 @@ func splitAddr(addr string) (node, mailbox string, ok bool) {
 }
 
 // applyEffects commits the tick's staged mutations: table inserts, field
-// merges, and deletes first, then — with a query program registered — the
-// durability append and the fixpoint maintenance pass, then assigns and
-// sends (observation sends reach their sink here, the rest go in flight).
-// The realized table changes are collected as a recorded delta: the sink
-// journals exactly those ops, and a rejected tick is undone by replaying
-// them in reverse. A tick the evaluator or the sink refuses is rolled back
-// whole (mutations, assigns, and sends all dropped, so no observation sink
-// ever sees them) and the runtime keeps serving — a bad tick costs that
-// tick, not the node.
+// merges, and deletes first, then the durability append and the fixpoint
+// maintenance pass, then assigns and sends (observation sends reach their
+// sink here, the rest go in flight). The realized table changes are
+// collected as a delta: the sink journals exactly its ops, and a rejected
+// tick is undone by replaying them in reverse. A tick the evaluator or the
+// sink refuses is rolled back whole (a failed Apply rolls back what it
+// derived; mutations, assigns, and sends are dropped here, so no
+// observation sink ever sees them) and the runtime keeps serving — a bad
+// tick costs that tick, not the node.
 func (rt *Runtime) applyEffects(eff *effects) {
 	// Admission check before any mutation lands: a write into a derived
 	// relation would corrupt the maintained fixpoint (the compiler never
-	// emits one). Rejecting here, with the database still untouched, keeps
-	// the tick atomic with nothing to roll back.
+	// emits one). Rejecting here, with the delta still empty, keeps the
+	// tick atomic with nothing to roll back.
+	delta := &rt.delta
 	for _, ins := range eff.inserts {
 		if rt.derived[ins.table] {
-			rt.rejectTick(nil, fmt.Errorf("transducer %s: insert into derived relation %q", rt.Name, ins.table))
+			rt.rejectTick(delta, fmt.Errorf("transducer %s: insert into derived relation %q", rt.Name, ins.table))
 			return
 		}
 	}
 	for _, fm := range eff.fieldMerges {
 		if rt.derived[fm.table] {
-			rt.rejectTick(nil, fmt.Errorf("transducer %s: field merge into derived relation %q", rt.Name, fm.table))
+			rt.rejectTick(delta, fmt.Errorf("transducer %s: field merge into derived relation %q", rt.Name, fm.table))
 			return
 		}
-	}
-	// A tick that staged no table mutation records no delta: it has nothing
-	// to journal or maintain.
-	var delta *datalog.Delta
-	if rt.inc != nil && len(eff.inserts)+len(eff.fieldMerges)+len(eff.deletes) > 0 {
-		delta = datalog.NewDelta()
-		delta.SetRecording(true)
 	}
 	muts := uint64(0) // counted into stats only if the tick commits
 	for _, ins := range eff.inserts {
@@ -534,13 +537,13 @@ func (rt *Runtime) applyEffects(eff *effects) {
 			continue
 		}
 		if rel := rt.db.Get(del.table); rel != nil {
-			if rel.Delete(del.row) && delta != nil {
+			if rel.Delete(del.row) {
 				delta.Delete(del.table, del.row)
 			}
 		}
 		muts++
 	}
-	if delta != nil && !delta.Empty() {
+	if !delta.Empty() {
 		// Append-before-apply: the journaled record is the tick's commit
 		// point; the maintenance pass folds the realized changes into the
 		// fixpoint (ticks that realized no table changes skip both).
@@ -553,11 +556,6 @@ func (rt *Runtime) applyEffects(eff *effects) {
 		}
 		n, err := rt.inc.Apply(delta)
 		if err != nil {
-			if rt.inc.Broken() {
-				// The batch half-applied: the fixpoint is inconsistent and
-				// nothing can be rolled back in-process.
-				panic(fmt.Sprintf("transducer %s: incremental maintenance failed mid-batch: %v", rt.Name, err))
-			}
 			if rt.sink != nil {
 				if aerr := rt.sink.AbortLast(); aerr != nil {
 					// The log keeps a record the fixpoint rejected. That is
@@ -661,11 +659,7 @@ func (rt *Runtime) commitObservation(mailbox string, rows []datalog.Tuple) {
 // The runtime keeps serving; the rejection is visible in Stats.Rejected and
 // LastRejection.
 func (rt *Runtime) rejectTick(delta *datalog.Delta, err error) {
-	// An admission rejection carries no delta: nothing reached the
-	// database yet, so there is nothing to undo.
-	if delta != nil {
-		rt.db.Undo(delta.Ops())
-	}
+	rt.db.Undo(delta.Ops())
 	rt.stats.Rejected++
 	rt.lastRejection = err
 }
@@ -680,7 +674,7 @@ func (rt *Runtime) applyInsert(table string, row datalog.Tuple, delta *datalog.D
 	rel := rt.db.Ensure(table, len(row))
 	schema, ok := rt.schemas[table]
 	if !ok || len(schema.Key) == 0 {
-		if rel.Insert(row) && delta != nil {
+		if rel.Insert(row) {
 			delta.Insert(table, row)
 		}
 		return
@@ -691,7 +685,7 @@ func (rt *Runtime) applyInsert(table string, row datalog.Tuple, delta *datalog.D
 	}
 	existing := rel.Lookup(schema.Key, key)
 	if len(existing) == 0 {
-		if rel.Insert(row) && delta != nil {
+		if rel.Insert(row) {
 			delta.Insert(table, row)
 		}
 		return
@@ -711,10 +705,8 @@ func (rt *Runtime) applyInsert(table string, row datalog.Tuple, delta *datalog.D
 	if !merged.Equal(existing[0]) {
 		rel.Delete(existing[0])
 		rel.Insert(merged)
-		if delta != nil {
-			delta.Delete(table, existing[0])
-			delta.Insert(table, merged)
-		}
+		delta.Delete(table, existing[0])
+		delta.Insert(table, merged)
 	}
 }
 
@@ -737,7 +729,7 @@ func (rt *Runtime) applyFieldMerge(fm fieldMerge, delta *datalog.Delta) {
 		row := schema.Zero(fm.key)
 		updated := append(datalog.Tuple{}, row...)
 		updated[fm.col] = mergeFn(updated[fm.col], fm.value)
-		if rel.Insert(updated) && delta != nil {
+		if rel.Insert(updated) {
 			delta.Insert(fm.table, updated)
 		}
 		return
@@ -748,10 +740,8 @@ func (rt *Runtime) applyFieldMerge(fm fieldMerge, delta *datalog.Delta) {
 		if !updated.Equal(row) {
 			rel.Delete(row)
 			rel.Insert(updated)
-			if delta != nil {
-				delta.Delete(fm.table, row)
-				delta.Insert(fm.table, updated)
-			}
+			delta.Delete(fm.table, row)
+			delta.Insert(fm.table, updated)
 		}
 	}
 }
