@@ -14,7 +14,7 @@ vet:
 	$(GO) vet ./...
 
 # ci runs the steps of CI's tier-1 job in its order (go test without -race).
-ci: build vet orphans datalog-serial datalog-one-store one-tick-path compiled-handlers test bench-test fuzz tables smoke
+ci: build vet orphans datalog-serial datalog-one-store one-tick-path compiled-handlers test tick-allocs bench-test fuzz tables smoke
 
 # smoke runs every binary a reader is pointed at: the compiler on the COVID
 # program (its report must reach the metaconsistency check), the covidd

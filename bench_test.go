@@ -78,13 +78,6 @@ func BenchmarkE5ConsistencySpectrum(b *testing.B) {
 	b.ReportMetric(serializable/eventual, "serializable/eventual")
 }
 
-// BenchmarkE6DeploymentILP solves the Fig 3 deployment integer program.
-func BenchmarkE6DeploymentILP(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.RunE6()
-	}
-}
-
 // BenchmarkE7MPICollectives reports tree-vs-naive bcast completion at n=64.
 func BenchmarkE7MPICollectives(b *testing.B) {
 	var naive, tree float64

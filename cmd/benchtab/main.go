@@ -34,7 +34,6 @@ func main() {
 		{"E4", func() experiments.Table { return experiments.RunE4(40 / scale) }},
 		{"E5", func() experiments.Table { return experiments.RunE5(20/scale + 1) }},
 		{"E5b", func() experiments.Table { return experiments.RunE5Mechanisms() }},
-		{"E6", func() experiments.Table { return experiments.RunE6() }},
 		{"E7", func() experiments.Table { return experiments.RunE7([]int{4, 16, 64}) }},
 		{"E8", func() experiments.Table { return experiments.RunE8([]int{32, 64, 128}) }},
 		{"E9", func() experiments.Table { return experiments.RunE9([]int{1, 2, 3, 5}, 80/scale) }},

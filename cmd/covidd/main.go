@@ -32,24 +32,21 @@ func main() {
 	c := cluster.New(topo, simnet.Config{Seed: 42, MinLatency: 100, MaxLatency: 300, CrossDomainPenalty: 700})
 
 	// Availability facet: spread f+1 = 3 replicas across AZs.
-	spec := compiled.Program.AvailabilityFor("add_contact")
-	machines, err := topo.SpreadAcross(cluster.Domain(spec.Domain), spec.Failures+1)
+	machines, err := compiled.PlaceAvailable(topo, "add_contact")
 	if err != nil {
 		panic(err)
 	}
 	var rts []*transducer.Runtime
-	var ids []string
-	for i, m := range machines {
-		rt, err := compiled.Instantiate(m.ID, int64(i+1))
+	for i, id := range machines {
+		rt, err := compiled.Instantiate(id, int64(i+1))
 		if err != nil {
 			panic(err)
 		}
 		rt.SetDelay(func(r *rand.Rand) int { return 1 })
-		c.Host(m.ID, rt)
+		c.Host(id, rt)
 		rts = append(rts, rt)
-		ids = append(ids, m.ID)
 	}
-	fmt.Printf("deployed %d replicas across AZs: %v\n", len(ids), ids)
+	fmt.Printf("deployed %d replicas across AZs: %v\n", len(machines), machines)
 
 	// Clients write to their nearest replica; monotone handlers need no
 	// coordination, so each replica accepts writes independently and we
@@ -75,7 +72,7 @@ func main() {
 
 	fmt.Println("\ncontact counts per replica (converged):")
 	for i, rt := range rts {
-		fmt.Printf("  %s: %d contacts, %d people\n", ids[i], rt.Table("contacts").Len(), rt.Table("people").Len())
+		fmt.Printf("  %s: %d contacts, %d people\n", machines[i], rt.Table("contacts").Len(), rt.Table("people").Len())
 	}
 
 	// Fail an entire AZ: the service keeps answering.
@@ -84,9 +81,9 @@ func main() {
 	inject(1, "diagnosed", int64(1))
 	c.RunRounds(8, 500)
 	for i, rt := range rts {
-		if topo.Get(ids[i]).Up() {
+		if topo.Get(machines[i]).Up() {
 			fmt.Printf("  %s still serving: alerts pending = %d, diagnosed replies = %d\n",
-				ids[i], len(rt.Peek("alert")), len(rt.Drain(transducer.ResponseMailbox("diagnosed"))))
+				machines[i], len(rt.Peek("alert")), len(rt.Drain(transducer.ResponseMailbox("diagnosed"))))
 		}
 	}
 	fmt.Println("\nservice remained available through 1 AZ failure (spec tolerates 2)")

@@ -71,13 +71,13 @@ func TestDistributedCovidConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rts []*transducer.Runtime
-	for i, m := range machines {
-		rt, err := compiled.Instantiate(m.ID, int64(i+1))
+	for i, id := range machines {
+		rt, err := compiled.Instantiate(id, int64(i+1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		rt.SetDelay(func(r *rand.Rand) int { return 1 })
-		cl.Host(m.ID, rt)
+		cl.Host(id, rt)
 		rts = append(rts, rt)
 	}
 	// Replicated monotone writes (what Hydrolysis emits for MechNone).
@@ -99,7 +99,7 @@ func TestDistributedCovidConverges(t *testing.T) {
 	}
 
 	// Fail one AZ; survivors keep serving and deriving alerts.
-	cl.FailDomain(cluster.AZ, machines[0].AZ)
+	cl.FailDomain(cluster.AZ, topo.Get(machines[0]).AZ)
 	for _, rt := range rts[1:] {
 		rt.Inject("diagnosed", Tuple{int64(1)})
 	}

@@ -1,7 +1,8 @@
 // Package cluster simulates the cloud substrate of §6 and §9: machines with
-// nested failure domains (VM ⊂ rack ⊂ DC ⊂ AZ), per-class cost and speed,
-// fault injection, and hosting of transducer runtimes over the simulated
-// network. It is the stand-in for real cloud hardware (DESIGN.md §5).
+// nested failure domains (VM ⊂ rack ⊂ DC ⊂ AZ), the one replica-placement
+// rule (Topology.SpreadAcross), fault injection, and hosting of transducer
+// runtimes over the simulated network. It is the stand-in for real cloud
+// hardware (DESIGN.md §5).
 package cluster
 
 import (
@@ -23,26 +24,13 @@ const (
 	AZ   Domain = "az"
 )
 
-// MachineClass describes hardware capability and price (the target facet's
-// raw material, §9.1).
+// MachineClass names a machine's hardware class.
 type MachineClass struct {
 	Name string
-	// SpeedFactor divides compute latency: 2.0 runs handlers twice as fast
-	// as the baseline.
-	SpeedFactor float64
-	// CostPerHour in abstract units.
-	CostPerHour float64
-	// GPU reports accelerator availability (the likelihood handler's
-	// processor=gpu constraint).
-	GPU bool
 }
 
-// Standard machine classes used by the experiments.
-var (
-	ClassSmall = MachineClass{Name: "small", SpeedFactor: 1.0, CostPerHour: 0.10}
-	ClassLarge = MachineClass{Name: "large", SpeedFactor: 2.5, CostPerHour: 0.45}
-	ClassGPU   = MachineClass{Name: "gpu", SpeedFactor: 4.0, CostPerHour: 2.50, GPU: true}
-)
+// ClassSmall is the one class every topology is built from.
+var ClassSmall = MachineClass{Name: "small"}
 
 // Machine is one simulated host.
 type Machine struct {
@@ -102,12 +90,6 @@ func NewTopology(azs, racksPerAZ, machinesPerRack int, class MachineClass) *Topo
 	return t
 }
 
-// Add appends a machine (for heterogeneous clusters, e.g. a GPU pool).
-func (t *Topology) Add(m *Machine) {
-	m.up = true
-	t.Machines = append(t.Machines, m)
-}
-
 // Get returns the machine with the given ID, or nil.
 func (t *Topology) Get(id string) *Machine {
 	for _, m := range t.Machines {
@@ -133,32 +115,42 @@ func (t *Topology) DomainValues(d Domain) []string {
 	return out
 }
 
-// SpreadAcross picks n machines in n distinct instances of domain d,
-// preferring up machines. It errors when fewer than n distinct domains have
-// an available machine — the availability facet's feasibility check (§6).
-func (t *Topology) SpreadAcross(d Domain, n int) ([]*Machine, error) {
-	byDomain := map[string]*Machine{}
+// SpreadAcross is the replica-placement rule (§6): it picks n up machines
+// so that no instance of domain d holds more than ⌈n/k⌉ of them, k being the
+// number of d instances with an up machine. Losing one instance then takes
+// out the fewest replicas possible; for n ≤ k every pick sits in its own
+// instance. It walks the machines from the last one and takes each whose
+// instance is under the cap. That greedy pick is optimal because the
+// constraint is a partition matroid (Edmonds 1971), so no solver is needed.
+// The machine IDs come back sorted, the replica index order a deployment
+// uses. It errors when the up machines cannot hold n replicas under the cap.
+func (t *Topology) SpreadAcross(d Domain, n int) ([]string, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("cluster: need at least 1 replica, asked for %d", n)
+	}
+	live := map[string]int{} // d instance → picks so far
 	for _, m := range t.Machines {
-		if !m.up {
-			continue
-		}
-		key := m.DomainID(d)
-		if byDomain[key] == nil {
-			byDomain[key] = m
+		if m.up {
+			live[m.DomainID(d)] = 0
 		}
 	}
-	if len(byDomain) < n {
-		return nil, fmt.Errorf("cluster: need %d distinct %s domains, only %d available", n, d, len(byDomain))
+	if len(live) == 0 {
+		return nil, fmt.Errorf("cluster: no up machine to place %d replicas on", n)
 	}
-	keys := make([]string, 0, len(byDomain))
-	for k := range byDomain {
-		keys = append(keys, k)
+	limit := (n + len(live) - 1) / len(live)
+	var out []string
+	for i := len(t.Machines) - 1; i >= 0 && len(out) < n; i-- {
+		m := t.Machines[i]
+		if key := m.DomainID(d); m.up && live[key] < limit {
+			live[key]++
+			out = append(out, m.ID)
+		}
 	}
-	sort.Strings(keys)
-	out := make([]*Machine, n)
-	for i := 0; i < n; i++ {
-		out[i] = byDomain[keys[i]]
+	if len(out) < n {
+		return nil, fmt.Errorf("cluster: only %d of %d replicas fit on the up machines at %d per %s domain",
+			len(out), n, limit, d)
 	}
+	sort.Strings(out)
 	return out, nil
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"hydro/internal/datalog"
@@ -26,21 +27,50 @@ func TestTopologyShape(t *testing.T) {
 	}
 }
 
+// TestSpreadAcross pins the exact machines placement picks, so every
+// deployment keeps its replicas' IDs. 11 of 24 is the case a
+// branch-and-bound search exhausted its node budget on.
 func TestSpreadAcross(t *testing.T) {
-	topo := NewTopology(3, 2, 2, ClassSmall)
-	ms, err := topo.SpreadAcross(AZ, 3)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		azs, racks, machines, n int
+		down                    string // a machine failed before placing
+		want                    string
+	}{
+		{3, 2, 2, 1, "", "az3-r2-m2"},
+		{3, 2, 2, 2, "", "az2-r2-m2 az3-r2-m2"},
+		{3, 2, 2, 3, "", "az1-r2-m2 az2-r2-m2 az3-r2-m2"},
+		{3, 2, 2, 4, "", "az2-r2-m1 az2-r2-m2 az3-r2-m1 az3-r2-m2"},
+		{3, 2, 2, 5, "", "az1-r2-m2 az2-r2-m1 az2-r2-m2 az3-r2-m1 az3-r2-m2"},
+		{3, 2, 2, 6, "", "az1-r2-m1 az1-r2-m2 az2-r2-m1 az2-r2-m2 az3-r2-m1 az3-r2-m2"},
+		{3, 1, 1, 2, "", "az2-r1-m1 az3-r1-m1"},
+		{3, 1, 1, 3, "", "az1-r1-m1 az2-r1-m1 az3-r1-m1"},
+		{1, 1, 4, 1, "", "az1-r1-m4"},
+		{1, 1, 4, 2, "", "az1-r1-m3 az1-r1-m4"},
+		{1, 1, 4, 3, "", "az1-r1-m2 az1-r1-m3 az1-r1-m4"},
+		{1, 1, 4, 4, "", "az1-r1-m1 az1-r1-m2 az1-r1-m3 az1-r1-m4"},
+		{2, 2, 2, 3, "", "az1-r2-m2 az2-r2-m1 az2-r2-m2"},
+		{3, 2, 2, 2, "az1-r1-m1", "az2-r2-m2 az3-r2-m2"},
+		{3, 2, 2, 3, "az3-r2-m2", "az1-r2-m2 az2-r2-m2 az3-r2-m1"},
+		{3, 2, 2, 4, "az3-r2-m2", "az2-r2-m1 az2-r2-m2 az3-r1-m2 az3-r2-m1"},
+		{3, 2, 4, 10, "", "az1-r2-m3 az1-r2-m4 az2-r2-m1 az2-r2-m2 az2-r2-m3 az2-r2-m4 az3-r2-m1 az3-r2-m2 az3-r2-m3 az3-r2-m4"},
+		{3, 2, 4, 11, "", "az1-r2-m2 az1-r2-m3 az1-r2-m4 az2-r2-m1 az2-r2-m2 az2-r2-m3 az2-r2-m4 az3-r2-m1 az3-r2-m2 az3-r2-m3 az3-r2-m4"},
 	}
-	seen := map[string]bool{}
-	for _, m := range ms {
-		if seen[m.AZ] {
-			t.Fatal("two replicas share an AZ")
+	for _, tc := range cases {
+		topo := NewTopology(tc.azs, tc.racks, tc.machines, ClassSmall)
+		if tc.down != "" {
+			New(topo, simnet.DefaultConfig(1)).FailDomain(VM, tc.down)
 		}
-		seen[m.AZ] = true
+		got, err := topo.SpreadAcross(AZ, tc.n)
+		if err != nil || strings.Join(got, " ") != tc.want {
+			t.Errorf("(%d,%d,%d) n=%d down=%q: got %v, %v; want %s",
+				tc.azs, tc.racks, tc.machines, tc.n, tc.down, got, err, tc.want)
+		}
 	}
-	if _, err := topo.SpreadAcross(AZ, 4); err == nil {
-		t.Fatal("must fail when asking for more domains than exist")
+	topo := NewTopology(1, 1, 4, ClassSmall)
+	for _, n := range []int{0, 5} {
+		if got, err := topo.SpreadAcross(AZ, n); err == nil {
+			t.Errorf("n=%d on 4 machines: got %v, want an error", n, got)
+		}
 	}
 }
 
@@ -51,7 +81,7 @@ func TestSpreadSkipsDownMachines(t *testing.T) {
 	if _, err := topo.SpreadAcross(AZ, 2); err == nil {
 		t.Fatal("down AZ should be unavailable for placement")
 	}
-	if ms, err := topo.SpreadAcross(AZ, 1); err != nil || ms[0].AZ != "az2" {
+	if ms, err := topo.SpreadAcross(AZ, 1); err != nil || ms[0] != "az2-r1-m1" {
 		t.Fatalf("placement = %v, %v", ms, err)
 	}
 }
@@ -121,19 +151,5 @@ func TestFailDomainStopsTraffic(t *testing.T) {
 	c.RunRounds(6, 100)
 	if got != 1 {
 		t.Fatalf("recovered machine got %d messages, want 1", got)
-	}
-}
-
-func TestMachineClasses(t *testing.T) {
-	if !ClassGPU.GPU || ClassSmall.GPU {
-		t.Fatal("GPU flags wrong")
-	}
-	if ClassLarge.CostPerHour <= ClassSmall.CostPerHour {
-		t.Fatal("large must cost more than small")
-	}
-	topo := NewTopology(1, 1, 1, ClassSmall)
-	topo.Add(&Machine{ID: "gpu-1", VM: "gpu-1", Rack: "gpu-r", DC: "gpu-dc", AZ: "az9", Class: ClassGPU})
-	if m := topo.Get("gpu-1"); m == nil || !m.Up() || !m.Class.GPU {
-		t.Fatal("heterogeneous add broken")
 	}
 }

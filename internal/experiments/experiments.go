@@ -19,7 +19,6 @@ import (
 	"hydro/internal/hydrolysis"
 	"hydro/internal/shard"
 	"hydro/internal/simnet"
-	"hydro/internal/target"
 	"hydro/internal/transducer"
 )
 
@@ -275,17 +274,18 @@ type hostedCovid struct {
 
 func newHostedCovid(seed int64) *hostedCovid {
 	c := compileCovid()
-	spec := c.Program.AvailabilityFor("add_contact")
 	topo := cluster.NewTopology(3, 1, 1, cluster.ClassSmall)
 	h := &hostedCovid{
 		cl:      cluster.New(topo, simnet.Config{Seed: seed, MinLatency: 100, MaxLatency: 100}),
 		replied: map[uint64]simnet.Time{},
 	}
-	machines, err := topo.SpreadAcross(cluster.Domain(spec.Domain), spec.Failures+1)
-	if err != nil {
+	var err error
+	if h.replicas, err = c.PlaceAvailable(topo, "add_contact"); err != nil {
 		panic(err)
 	}
-	h.replicas = hostOn(h.cl, c, machines)
+	for i, id := range h.replicas {
+		h.cl.Host(id, instantiate(c, id, int64(i+1)))
+	}
 	// Tx.Reply routes a reply to client/add_contact<response>, with the
 	// request ID as its first value.
 	h.cl.Net.AddNode("client", func(now simnet.Time, msg simnet.Message) {
@@ -397,49 +397,6 @@ func RunE5(ops int) Table {
 		"eventual counts the request and its reply only: no replica forwards the merge (E4 sends each request to all f+1); " +
 		"serializable is a Paxos decision per op; no causal row: the runtime attaches no session metadata, " +
 		"so the lattice tier Select picks for causal handlers has no mechanism to measure"
-	return t
-}
-
-// --- E6: the §9.1 deployment ILP ---
-
-// RunE6 solves the Fig 3 target facet and returns the allocation table.
-func RunE6() Table {
-	p, err := hlang.Parse(hlang.CovidSource)
-	if err != nil {
-		panic(err)
-	}
-	classes := []cluster.MachineClass{cluster.ClassSmall, cluster.ClassLarge, cluster.ClassGPU}
-	loads := map[string]target.HandlerLoad{
-		"add_person":  {RatePerSec: 50, ServiceMs: 2},
-		"add_contact": {RatePerSec: 200, ServiceMs: 2},
-		"trace":       {RatePerSec: 10, ServiceMs: 20},
-		"diagnosed":   {RatePerSec: 5, ServiceMs: 20},
-		"likelihood":  {RatePerSec: 5, ServiceMs: 40},
-		"vaccinate":   {RatePerSec: 20, ServiceMs: 3},
-	}
-	plan, err := target.Solve(p, classes, loads, 8)
-	if err != nil {
-		panic(err)
-	}
-	t := Table{
-		ID:     "E6",
-		Title:  "Target facet: ILP deployment mapping for Fig 3 (§9.1)",
-		Header: []string{"handler", "machines", "modeled-latency", "cost/call", "spec-latency", "spec-cost"},
-	}
-	for _, name := range []string{"add_contact", "add_person", "diagnosed", "likelihood", "trace", "vaccinate"} {
-		a := plan.Allocations[name]
-		spec := p.TargetFor(name)
-		var parts []string
-		for c, n := range a.Counts {
-			parts = append(parts, fmt.Sprintf("%d×%s", n, c))
-		}
-		t.Rows = append(t.Rows, []string{
-			name, strings.Join(parts, "+"), fmt.Sprintf("%.1fms", a.LatencyMs),
-			fmt.Sprintf("%.6f", a.CostPerCall), fmt.Sprintf("%.0fms", spec.LatencyMs), fmt.Sprintf("%.2f", spec.Cost),
-		})
-	}
-	t.Notes = fmt.Sprintf("total %d machines, %.2f units/hour; likelihood forced onto GPU class by processor=gpu",
-		plan.Machines, plan.TotalHourly)
 	return t
 }
 
@@ -943,7 +900,7 @@ func RunE14(ticks int) Table {
 		}
 		topo := cluster.NewTopology(3, 2, 2, cluster.ClassSmall)
 		cl := cluster.New(topo, simnet.DefaultConfig(14))
-		machines, err := target.PlaceReplicas(topo, 3)
+		machines, err := topo.SpreadAcross(cluster.AZ, 3)
 		if err != nil {
 			panic(err)
 		}

@@ -65,19 +65,6 @@ func TestE5Ordering(t *testing.T) {
 	}
 }
 
-func TestE6GPUPlacement(t *testing.T) {
-	tab := RunE6()
-	found := false
-	for _, row := range tab.Rows {
-		if row[0] == "likelihood" && strings.Contains(row[1], "gpu") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("likelihood not on gpu: %v", tab.Rows)
-	}
-}
-
 // TestE7TreeBeatsNaiveAtScale: every bcast schedule sends n-1 messages,
 // the root sends n-1 of them naive, 2 in a tree and 1 in a ring, and the
 // tree finishes first at n = 32 and 64.

@@ -419,13 +419,19 @@ func (p *Program) AvailabilityFor(handler string) AvailSpec {
 	return AvailSpec{Domain: "vm", Failures: 1}
 }
 
-// TargetFor resolves the effective target spec for a handler.
+// TargetFor resolves the effective target spec for a handler: each field
+// the handler's line leaves unset (zero) comes from the default line.
 func (p *Program) TargetFor(handler string) TargetSpec {
-	if s, ok := p.Targets[handler]; ok {
-		return s
+	s := p.Targets["default"]
+	h := p.Targets[handler]
+	if h.LatencyMs != 0 {
+		s.LatencyMs = h.LatencyMs
 	}
-	if s, ok := p.Targets["default"]; ok {
-		return s
+	if h.Cost != 0 {
+		s.Cost = h.Cost
 	}
-	return TargetSpec{}
+	if h.Processor != "" {
+		s.Processor = h.Processor
+	}
+	return s
 }

@@ -57,8 +57,8 @@ func TestFacetResolution(t *testing.T) {
 		t.Fatalf("likelihood override = %+v", lk)
 	}
 	tgt := p.TargetFor("likelihood")
-	if tgt.Processor != "gpu" || tgt.Cost != 0.1 {
-		t.Fatalf("likelihood target = %+v", tgt)
+	if tgt.Processor != "gpu" || tgt.Cost != 0.1 || tgt.LatencyMs != 100 {
+		t.Fatalf("likelihood target = %+v, want its own processor and cost and the default latency", tgt)
 	}
 	if p.TargetFor("add_person").LatencyMs != 100 {
 		t.Fatalf("default latency = %v", p.TargetFor("add_person").LatencyMs)

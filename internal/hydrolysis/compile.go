@@ -2,10 +2,9 @@
 // program and produces what the runtime executes — datalog rules for the
 // query facet, the monotonicity analysis, and executable handler closures
 // for the transducer runtime — plus the partition plan the sharded
-// deployment places relations by. The report-only facets are computed on
-// demand from a Compiled program's Program and Analysis by their own
-// packages: the consistency choice and metaconsistency check
-// (package consistency) and the target-facet ILP (package target).
+// deployment places relations by. The consistency choice and
+// metaconsistency check are report-only, computed on demand from a
+// Compiled program's Program and Analysis by package consistency.
 package hydrolysis
 
 import (

@@ -1,0 +1,33 @@
+package hydrolysis
+
+import (
+	"strings"
+	"testing"
+
+	"hydro/internal/cluster"
+	"hydro/internal/simnet"
+)
+
+// TestPlaceAvailable: the COVID program's add_contact tolerates 2 AZ
+// failures, so it gets one machine in each of 3 AZs, and is refused — not
+// doubled up in one AZ — when fewer than 3 AZs have an up machine.
+// likelihood tolerates 1, so 2 AZs suffice.
+func TestPlaceAvailable(t *testing.T) {
+	c := compileCovid(t)
+	topo := cluster.NewTopology(3, 2, 2, cluster.ClassSmall)
+	got, err := c.PlaceAvailable(topo, "add_contact")
+	if err != nil || strings.Join(got, " ") != "az1-r2-m2 az2-r2-m2 az3-r2-m2" {
+		t.Fatalf("add_contact on 3 AZs: %v, %v", got, err)
+	}
+	cluster.New(topo, simnet.DefaultConfig(1)).FailDomain(cluster.AZ, "az1")
+	if got, err := c.PlaceAvailable(topo, "add_contact"); err == nil {
+		t.Fatalf("add_contact with 2 live AZs placed on %v, want a refusal", got)
+	}
+	got, err = c.PlaceAvailable(topo, "likelihood")
+	if err != nil || strings.Join(got, " ") != "az2-r2-m2 az3-r2-m2" {
+		t.Fatalf("likelihood on 2 live AZs: %v, %v", got, err)
+	}
+	if got, err := c.PlaceAvailable(cluster.NewTopology(2, 2, 2, cluster.ClassSmall), "add_contact"); err == nil {
+		t.Fatalf("add_contact on 2 AZs placed on %v, want a refusal", got)
+	}
+}

@@ -10,7 +10,6 @@ import (
 	"hydro/internal/datalog"
 	"hydro/internal/shard"
 	"hydro/internal/simnet"
-	"hydro/internal/target"
 	"hydro/internal/transducer"
 )
 
@@ -78,7 +77,7 @@ func TestFanoutEqualsSerial(t *testing.T) {
 
 			topo := cluster.NewTopology(3, 2, 2, cluster.ClassSmall)
 			cl := cluster.New(topo, simnet.DefaultConfig(int64(seed)))
-			machines, err := target.PlaceReplicas(topo, 2)
+			machines, err := topo.SpreadAcross(cluster.AZ, 2)
 			if err != nil {
 				t.Fatal(err)
 			}

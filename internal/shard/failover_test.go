@@ -9,7 +9,6 @@ import (
 	"hydro/internal/datalog"
 	"hydro/internal/shard"
 	"hydro/internal/simnet"
-	"hydro/internal/target"
 )
 
 // The failover chaos suite (DESIGN.md §13): kill or partition the acting
@@ -25,9 +24,9 @@ func newDeploymentOpts(t testing.TB, prog *datalog.Program, edb map[string]int, 
 	t.Helper()
 	topo := cluster.NewTopology(3, 2, 2, cluster.ClassSmall)
 	cl := cluster.New(topo, simnet.DefaultConfig(seed))
-	machines, err := target.PlaceReplicas(topo, n)
+	machines, err := topo.SpreadAcross(cluster.AZ, n)
 	if err != nil {
-		t.Fatalf("PlaceReplicas(%d): %v", n, err)
+		t.Fatalf("SpreadAcross(%d): %v", n, err)
 	}
 	dep, err := shard.Deploy(cl, fmt.Sprintf("dep%d", n), prog, edb, machines, opts)
 	if err != nil {

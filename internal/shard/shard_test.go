@@ -12,7 +12,6 @@ import (
 	"hydro/internal/datalog"
 	"hydro/internal/shard"
 	"hydro/internal/simnet"
-	"hydro/internal/target"
 )
 
 // settleBudget bounds one Settle call; healthy ticks need a few hundred
@@ -36,14 +35,14 @@ var tcRules = []datalog.Rule{
 var tcEDB = map[string]int{"edge": 2, "node": 1, "attr": 2}
 
 // newDeployment builds an n-replica deployment of prog on a fresh
-// simulated cluster, replicas placed by the deployment ILP.
+// simulated cluster, replicas placed by cluster.Topology.SpreadAcross.
 func newDeployment(t testing.TB, prog *datalog.Program, edb map[string]int, n int, seed int64) (*cluster.Cluster, *shard.Deployment) {
 	t.Helper()
 	topo := cluster.NewTopology(3, 2, 2, cluster.ClassSmall)
 	cl := cluster.New(topo, simnet.DefaultConfig(seed))
-	machines, err := target.PlaceReplicas(topo, n)
+	machines, err := topo.SpreadAcross(cluster.AZ, n)
 	if err != nil {
-		t.Fatalf("PlaceReplicas(%d): %v", n, err)
+		t.Fatalf("SpreadAcross(%d): %v", n, err)
 	}
 	dep, err := shard.Deploy(cl, fmt.Sprintf("dep%d", n), prog, edb, machines, shard.Options{})
 	if err != nil {

@@ -17,7 +17,6 @@ import (
 	"hydro/internal/hydrolysis"
 	"hydro/internal/shard"
 	"hydro/internal/simnet"
-	"hydro/internal/target"
 	"hydro/internal/transducer"
 )
 
@@ -337,8 +336,8 @@ func edgeDel(a, b int64) datalog.DeltaOp {
 }
 
 // TestShardedTCChaosFailRecoverReconverges: a 3-replica hash-partitioned
-// transitive-closure deployment (one replica per AZ, placed by the
-// deployment ILP) loses a whole AZ mid-tick — in-flight exchange traffic
+// transitive-closure deployment (one replica per AZ, placed by
+// SpreadAcross) loses a whole AZ mid-tick — in-flight exchange traffic
 // and coordinator requests with it — and again during a delete-heavy tick
 // whose DRed retractions cross shard boundaries. The coordinator's
 // attempt-retry protocol redelivers after each Recover, and the sharded
@@ -351,7 +350,7 @@ func TestShardedTCChaosFailRecoverReconverges(t *testing.T) {
 	}
 	topo := cluster.NewTopology(3, 2, 2, cluster.ClassSmall)
 	cl := cluster.New(topo, simnet.DefaultConfig(4242))
-	machines, err := target.PlaceReplicas(topo, 3)
+	machines, err := topo.SpreadAcross(cluster.AZ, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +439,7 @@ func TestShardedTCFlappingLinksChurn(t *testing.T) {
 	}
 	topo := cluster.NewTopology(3, 2, 2, cluster.ClassSmall)
 	cl := cluster.New(topo, simnet.DefaultConfig(777))
-	machines, err := target.PlaceReplicas(topo, 3)
+	machines, err := topo.SpreadAcross(cluster.AZ, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
