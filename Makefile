@@ -127,10 +127,12 @@ test-sharded:
 # test-failover is the replicated-control-plane gate (DESIGN.md §13): the
 # leader-kill/partition chaos suite at every coordinator stage, the 50-seed
 # randomized failover sweep against the single-coordinator oracle, the
-# epoch-fencing regression, and the 50-seed election-determinism sweep —
-# all under -race.
+# epoch-fencing regression, the 50-seed election-determinism sweep, and the
+# Paxos layer's own leader-crash, partition-heal and proposer-recovery
+# tests — all under -race.
+FAILOVER_TESTS = TestFailover|TestDeposed|TestCoordinator|TestElectionDeterminism|TestRepeatedLeaderCrashes|TestLeaderFailoverReproposesValue|TestSafetyAcrossPartitionAndHeal|TestRecoveredProposerResumesInFlightValue
 test-failover:
-	$(GO) test -race -run 'TestFailover|TestDeposed|TestCoordinator|TestElectionDeterminism' ./internal/shard ./internal/consensus
+	$(GO) test -race -run '$(FAILOVER_TESTS)' ./internal/shard ./internal/consensus
 
 # testbin compiles every package's test binary (without running it) into
 # the git-ignored $(TESTBIN_DIR) — use this instead of bare `go test -c`,

@@ -100,3 +100,35 @@ func TestRepeatedLeaderCrashes(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoveredProposerResumesInFlightValue: a node that goes down before
+// its value reaches an accept quorum loses its retry timer (simnet
+// discards the timers of a down node). Once it is back and asks a peer
+// for the decided log, it must drive the value again on its own, without
+// any new proposal to wake it.
+func TestRecoveredProposerResumesInFlightValue(t *testing.T) {
+	net := newNet(24)
+	g := NewGroup(net, 3, 24)
+	g.Propose("p0", "first")
+	net.Drain(100000)
+	g.Propose("p0", "second") // accepts leave p0 …
+	net.SetDown("p0", true)   // … and are dropped with its timer
+	net.Drain(100000)
+	for _, name := range g.Names() {
+		if n := len(g.Log(name)); n != 1 {
+			t.Fatalf("%s decided %d values while the proposer was down, want 1", name, n)
+		}
+	}
+	net.SetDown("p0", false)
+	g.Nodes["p0"].RequestLearn("p1")
+	net.Drain(100000)
+	log := agreeOnPrefix(t, g)
+	if len(log) != 2 || log[1] != "second" {
+		t.Fatalf("log = %v, want [first second]", log)
+	}
+	for _, name := range g.Names() {
+		if n := len(g.Log(name)); n != 2 {
+			t.Fatalf("%s decided %d values, want 2: %v", name, n, g.Log(name))
+		}
+	}
+}

@@ -540,15 +540,13 @@ func (n *Node) handle(now simnet.Time, msg simnet.Message) {
 			slots = append(slots, s)
 		}
 		sort.Ints(slots)
-		requeued := false
 		for _, s := range slots {
-			if n.noteDecided(s, m.Slots[s]) {
-				requeued = true
-			}
+			n.noteDecided(s, m.Slots[s])
 		}
-		if requeued {
-			n.kick()
-		}
+		// Kick even when nothing was displaced: a node asks to learn after
+		// it recovers, and simnet discarded the retry timer of the values
+		// it had in flight while it was down.
+		n.kick()
 		n.applyContiguous()
 	}
 }

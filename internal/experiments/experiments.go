@@ -158,7 +158,7 @@ const contactsPerTick = 4
 // tickCost is what committed ticks of the sharded COVID deployment cost,
 // averaged over the measured ticks.
 type tickCost struct {
-	decrees   float64 // submit + attempt + commit decrees per tick
+	decrees   float64 // submit + commit decrees per tick
 	msgs      float64 // simnet messages sent per tick
 	virtualMs float64 // virtual ms from Submit until Settle returns, per tick
 	// rowsPerVSec is base rows committed per virtual second.
@@ -214,8 +214,7 @@ func shardedTickCost(shards, perTick, ticks int, deletes bool) tickCost {
 			continue
 		}
 		m := dep.Metrics()
-		c.decrees += float64(m.SubmitDecrees + m.AttemptDecrees + m.CommitDecrees -
-			m0.SubmitDecrees - m0.AttemptDecrees - m0.CommitDecrees)
+		c.decrees += float64(m.SubmitDecrees + m.CommitDecrees - m0.SubmitDecrees - m0.CommitDecrees)
 		c.msgs += float64(cl.Net.Stats().Sent - sent0)
 		elapsed += float64(cl.Net.Now() - start)
 		rows += float64(len(ops))
@@ -248,7 +247,7 @@ func RunE2(ticks int) Table {
 		t.Rows = append(t.Rows, []string{mix.name, fmt.Sprint(contactsPerTick),
 			fmt.Sprintf("%.2f", c.decrees), fmt.Sprintf("%.1f", c.msgs), fmt.Sprintf("%.2f", c.virtualMs)})
 	}
-	t.Notes = "both mixes pay the same barrier protocol today (submit/attempt/commit decrees, a barrier per exchange round); " +
+	t.Notes = "both mixes pay the same barrier protocol today (submit and commit decrees, a barrier per exchange round); " +
 		"deletes add DRed's over-delete rounds and one round that support-checks the candidates on every replica, never the closure's extent. " +
 		"CALM says the insert-only ticks need neither decrees nor barriers: this gap is what a coordination-free monotone path closes"
 	return t
@@ -969,7 +968,7 @@ func RunE14(ticks int) Table {
 			faultedCell = fmt.Sprintf("%.1f", faulted)
 		}
 		t.Rows = append(t.Rows, []string{mode, fmt.Sprint(ticks),
-			fmt.Sprint(m.Elections), fmt.Sprint(m.Epoch), fmt.Sprint(m.AttemptDecrees),
+			fmt.Sprint(m.Elections), fmt.Sprint(m.Epoch), fmt.Sprint(m.Attempts),
 			fmt.Sprint(m.FencedReqs + m.FencedCommits),
 			fmt.Sprintf("%.1f", med), faultedCell})
 	}

@@ -21,16 +21,21 @@ func TestE1Runs(t *testing.T) {
 }
 
 // TestE2CoordinationTax pins the price of coordination on the sharded
-// COVID deployment. Both mixes run the barrier protocol today, so their
-// decrees per tick are equal; once monotone ticks commit without it
-// (DESIGN.md §4, E2) the monotone row must drop to at most 1.1 decrees per
-// tick and this check flips to that. Deletes already cost more messages and
-// more virtual time per tick.
+// COVID deployment. Both mixes run the barrier protocol today, so each
+// tick costs exactly its submit and commit decrees; once monotone ticks
+// commit without it (DESIGN.md §4, E2) the monotone row must drop to at
+// most 1.1 decrees per tick and this check flips to that. Deletes already
+// cost more messages and more virtual time per tick.
 func TestE2CoordinationTax(t *testing.T) {
 	tab := RunE2(20)
 	mono, nonMono := tab.Rows[0], tab.Rows[1]
 	if num(t, mono[2]) != num(t, nonMono[2]) {
 		t.Fatalf("decrees/tick differ between mixes: %v vs %v", mono, nonMono)
+	}
+	for _, row := range tab.Rows {
+		if row[2] != "2.00" {
+			t.Fatalf("%s: %s decrees/tick, want 2.00 (submit and commit)", row[0], row[2])
+		}
 	}
 	for _, col := range []int{3, 4} {
 		if num(t, mono[col]) >= num(t, nonMono[col]) {

@@ -25,17 +25,18 @@ const (
 	stFailed
 )
 
-// coord is the volatile BSP driver the acting leader runs for one attempt:
+// coord is the volatile BSP driver the acting leader runs for one tick:
 // broadcast a request, collect N acks, advance. It holds no durable truth —
-// tick admission, attempt numbers and commit decisions live on the
-// replicated control log (ctl.go); everything here is reconstructed after
-// failover by restarting the attempt from prepare. Failures are handled by
-// whole-attempt retry: a watchdog fires if the attempt stalls (replica
-// down, link partitioned), and the restart is itself a decree (attempt
-// bump), so a deposed leader's watchdog cannot fork the tick. Once every
+// tick admission and commit decisions live on the replicated control log
+// (ctl.go); everything here is reconstructed after failover by restarting
+// the attempt from prepare. Failures are handled by whole-attempt retry: a
+// watchdog fires if the attempt stalls (replica down, link partitioned) and
+// restarts it in place under a fresh attempt ID of the driver's epoch, so
+// a deposed leader's restarts are fenced at the replicas. Once every
 // replica has finished the attempt the driver proposes the commit decree
-// (stDecide); when it applies, the commit broadcast is the only remaining
-// step and is retried in place, idempotently.
+// (stDecide) and starts no further attempt of the tick; when the decree
+// applies, the commit broadcast is the only remaining step and is retried
+// in place, idempotently.
 type coord struct {
 	cn *coordNode
 
@@ -104,17 +105,24 @@ func (c *coord) watchdog(m watchdogMsg) {
 		c.progress()
 	case stDecide:
 		// Waiting on the quorum log; the consensus layer retries the decree
-		// itself, so just keep the watchdog alive.
+		// itself, and a second attempt could be sealed by this one's commit
+		// decree, so just keep the watchdog alive.
 		c.progress()
 	default:
-		// Genuinely stalled attempt: restart it through the log. The bump
-		// only takes effect if this leader's epoch is still current.
-		c.progress()
-		c.cn.proposeAttemptBump()
+		// Genuinely stalled attempt: restart it in place. The prepare of
+		// the fresh attempt ID resets every replica it reaches.
+		c.startAttempt()
 	}
 }
 
+// startAttempt (re)starts the tick from prepare under a fresh attempt ID:
+// the epoch in the high half, the leader's attempt count in the low half.
+// Each epoch has one leader, so IDs never repeat across leaders and grow
+// with the epoch.
 func (c *coord) startAttempt() {
+	c.cn.attSeq++
+	c.dep().metrics.attempts.Add(1)
+	c.a = c.epoch<<32 | c.cn.attSeq
 	// Route the tick's base ops once per attempt.
 	c.routed = make([][]datalog.DeltaOp, c.dep().place.N)
 	for _, op := range c.tickOps {

@@ -10,11 +10,14 @@ import (
 // transitions are decrees on a quorum-replicated Paxos log shared by all
 // coordinator nodes; every coordinator applies the same decree sequence
 // through ctlState.apply, so they agree on the epoch, the current leader,
-// the globally monotone attempt counter, the committed-tick frontier, and
-// the submitted-tick queue. Only the leader of the current epoch drives
-// the volatile BSP state machine (coord.go) — everything it needs beyond
-// the log is reconstructed by restarting the in-flight attempt from
-// prepare, which is exactly what a standby does after winning an election.
+// the committed-tick frontier, and the submitted-tick queue. Only the
+// leader of the current epoch drives the volatile BSP state machine
+// (coord.go), and it starts and restarts attempts itself: an attempt ID
+// carries the epoch (startAttempt), so it is unique across leaders, and the
+// replicas' epoch fence and exact-(tick, att) commit check order attempts
+// without a decree. Everything the driver needs beyond the log is
+// reconstructed by restarting the in-flight attempt from prepare, which is
+// exactly what a standby does after winning an election.
 
 // decreeSubmit appends one tick of base ops to the replicated queue. Seq
 // is the submission index; duplicates (the deployment proposes through
@@ -33,18 +36,13 @@ type decreeElect struct {
 	Leader int
 }
 
-// decreeAttempt starts attempt Att of tick Tick under Epoch. Applying it
-// bumps the global attempt counter; the epoch guard fences decrees from
-// deposed leaders that were still in flight when the election committed.
-type decreeAttempt struct {
-	Tick, Att, Epoch uint64
-}
-
-// decreeCommit seals tick Tick. The leader proposes it only after every
-// replica acked the attempt's final stage, so by the time it is on the
-// log all N replicas hold the fully staged attempt — a new leader that
-// finds a decreed-but-unbroadcast commit finalizes it instead of
-// re-driving the tick.
+// decreeCommit seals tick Tick with attempt Att. The leader proposes it
+// only after every replica acked the attempt's final stage, so by the time
+// it is on the log all N replicas hold the fully staged attempt — a new
+// leader that finds a decreed-but-unbroadcast commit finalizes it instead
+// of re-driving the tick. It applies on Epoch and Tick alone: a leader
+// proposes at most one commit per tick in its epoch, because it never
+// starts another attempt of a tick once it has proposed the tick's commit.
 type decreeCommit struct {
 	Tick, Att, Epoch uint64
 }
@@ -54,7 +52,6 @@ const (
 	applyStale = iota
 	applySubmitted
 	applyElected
-	applyAttemptStarted
 	applyCommitted
 )
 
@@ -66,14 +63,13 @@ const (
 type ctlState struct {
 	epoch         uint64 // current leadership epoch (starts at 1)
 	leader        int    // coordinator index holding epoch's lease
-	att           uint64 // globally monotone attempt counter
 	committed     uint64 // ticks sealed by commit decrees
 	lastCommitAtt uint64 // attempt that sealed tick `committed`
 	queue         [][]datalog.DeltaOp
 
-	submits, attempts, commits, elections uint64
-	stale                                 uint64 // decrees rejected by the guards
-	doubleCommits                         uint64 // commit decrees for an already-sealed tick (must stay 0)
+	submits, commits, elections uint64
+	stale                       uint64 // decrees rejected by the guards
+	doubleCommits               uint64 // commit decrees for an already-sealed tick (must stay 0)
 }
 
 func newCtlState() ctlState { return ctlState{epoch: 1} }
@@ -97,14 +93,6 @@ func (s *ctlState) apply(v any) int {
 		s.leader = d.Leader
 		s.elections++
 		return applyElected
-	case decreeAttempt:
-		if d.Epoch != s.epoch || d.Tick != s.committed+1 || d.Att <= s.att || d.Tick > uint64(len(s.queue)) {
-			s.stale++
-			return applyStale
-		}
-		s.att = d.Att
-		s.attempts++
-		return applyAttemptStarted
 	case decreeCommit:
 		if d.Epoch == s.epoch && d.Tick <= s.committed {
 			// A second commit of a sealed tick under the live epoch would be
@@ -113,7 +101,7 @@ func (s *ctlState) apply(v any) int {
 			s.doubleCommits++
 			return applyStale
 		}
-		if d.Epoch != s.epoch || d.Att != s.att || d.Tick != s.committed+1 {
+		if d.Epoch != s.epoch || d.Tick != s.committed+1 {
 			s.stale++
 			return applyStale
 		}
@@ -147,8 +135,7 @@ type coordNode struct {
 	st   ctlState
 	drv  *coord // non-nil only on the acting leader, while driving
 
-	attPending       bool          // an attempt decree of ours is in flight
-	attProposed      decreeAttempt // the exact decree attPending latches on
+	attSeq           uint64 // attempts this node started: the low half of an attempt ID
 	lastHB           simnet.Time
 	timerSeq         uint64
 	electProposedFor uint64 // highest epoch we already proposed an election for
@@ -208,8 +195,7 @@ func (cn *coordNode) tickTimer(now simnet.Time) {
 			cn.dep.metrics.heartbeats.Add(1)
 			cn.dep.net.Send(cn.name(), peer, hbMsg{Epoch: cn.st.epoch, Applied: cn.cons.Applied(), From: cn.idx})
 		}
-		// Belt and braces: if a decree went stale under us, make sure queued
-		// work is re-driven.
+		// Belt and braces: re-drive queued work if no transition did.
 		cn.maybeStartNext()
 		return
 	}
@@ -237,10 +223,14 @@ func (cn *coordNode) onHB(now simnet.Time, m hbMsg, from string) {
 
 // onRecover re-arms a coordinator whose timers simnet discarded while it
 // was down, and pulls the decree log forward before doing anything
-// leader-like: the node's own view may be epochs behind.
+// leader-like: the node's own view may be epochs behind. A driver waiting
+// in stDecide is kept: its commit decree may still land, and a second
+// attempt of the tick in the same epoch could then be sealed by the first
+// one's decree.
 func (cn *coordNode) onRecover(now simnet.Time) {
-	cn.drv = nil
-	cn.attPending = false
+	if cn.drv != nil && cn.drv.stg != stDecide {
+		cn.drv = nil
+	}
 	cn.electProposedFor = 0
 	cn.lastHB = now + cn.dep.retryAfter*recoverLagGrace
 	cn.armTimer()
@@ -268,17 +258,9 @@ func (cn *coordNode) applyDecree(v any) {
 		cn.dep.metrics.noteLeaderChange(cn.dep.net.Now(), cn.st.epoch)
 		// Whatever was being driven belongs to a dead epoch now.
 		cn.drv = nil
-		cn.attPending = false
 		cn.lastHB = cn.dep.net.Now()
 		if cn.isLeader() {
 			cn.recoverDrive()
-		}
-	case applyAttemptStarted:
-		if d, isAttempt := v.(decreeAttempt); isAttempt && d == cn.attProposed {
-			cn.attPending = false
-		}
-		if cn.isLeader() {
-			cn.startDrive()
 		}
 	case applyCommitted:
 		if cn.drv != nil && cn.drv.stg == stDecide && cn.drv.t == cn.st.committed {
@@ -286,15 +268,6 @@ func (cn *coordNode) applyDecree(v any) {
 		} else if cn.isLeader() && cn.drv == nil {
 			// Failover landed between decree and broadcast: finalize.
 			cn.finalizeCommit()
-		}
-	case applyStale:
-		if d, isAttempt := v.(decreeAttempt); isAttempt && d == cn.attProposed {
-			// OUR in-flight attempt proposal went stale; clear the latch so
-			// the next nudge can re-propose under the live state. A deposed
-			// leader's stale attempt must not release the latch — the current
-			// leader's own proposal may still be in flight, and dropping the
-			// latch early would double-propose and restart the whole attempt.
-			cn.attPending = false
 		}
 	}
 }
@@ -311,44 +284,20 @@ func (cn *coordNode) recoverDrive() {
 	cn.maybeStartNext()
 }
 
-// maybeStartNext proposes the next attempt when this node is the idle
-// leader and undispatched ticks remain. The attempt starts only when the
-// decree applies, so a deposed leader's proposal dies at the epoch guard.
+// maybeStartNext drives the next queued tick when this node is the idle
+// leader: tick st.committed+1 under a fresh attempt of epoch st.epoch. A
+// deposed leader that does not know it yet is fenced at the replicas, and
+// its commit decree at the epoch guard.
 func (cn *coordNode) maybeStartNext() {
-	if !cn.isLeader() || cn.drv != nil || cn.attPending {
+	if !cn.isLeader() || cn.drv != nil {
 		return
 	}
 	if uint64(len(cn.st.queue)) <= cn.st.committed {
 		return
 	}
-	cn.proposeAttempt()
-}
-
-// proposeAttempt latches attPending on the exact decree being proposed:
-// only that decree applying or going stale releases the latch, so a
-// deposed leader's stale attempts cannot unlatch a live proposal.
-func (cn *coordNode) proposeAttempt() {
-	cn.attPending = true
-	cn.attProposed = decreeAttempt{Tick: cn.st.committed + 1, Att: cn.st.att + 1, Epoch: cn.st.epoch}
-	cn.cons.Propose(cn.attProposed)
-}
-
-// proposeAttemptBump restarts a stalled attempt through the log — the
-// watchdog path. Same latch as maybeStartNext.
-func (cn *coordNode) proposeAttemptBump() {
-	if !cn.isLeader() || cn.attPending {
-		return
-	}
-	cn.proposeAttempt()
-}
-
-// startDrive installs a fresh BSP driver for the attempt the log just
-// started: tick st.committed+1, attempt st.att, epoch st.epoch.
-func (cn *coordNode) startDrive() {
 	cn.drv = &coord{
 		cn:      cn,
 		t:       cn.st.committed + 1,
-		a:       cn.st.att,
 		epoch:   cn.st.epoch,
 		tickOps: cn.st.queue[cn.st.committed],
 	}

@@ -36,10 +36,8 @@ type ControlState struct {
 	Applied       int
 	Epoch         uint64
 	Leader        int
-	Att           uint64
 	Committed     uint64
 	Queued        int
-	AttPending    bool
 	Driving       bool
 	DriveStage    int
 	Elections     uint64
@@ -55,10 +53,8 @@ func (d *Deployment) ControlStates() []ControlState {
 			Applied:       cn.cons.Applied(),
 			Epoch:         cn.st.epoch,
 			Leader:        cn.st.leader,
-			Att:           cn.st.att,
 			Committed:     cn.st.committed,
 			Queued:        len(cn.st.queue),
-			AttPending:    cn.attPending,
 			Driving:       cn.drv != nil,
 			DriveStage:    StageIdle,
 			Elections:     cn.st.elections,

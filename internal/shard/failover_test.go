@@ -290,9 +290,9 @@ func TestFailoverCommitFinalize(t *testing.T) {
 		m := dep.Metrics()
 		// The tick whose commit broadcast died with the leader was already
 		// sealed on the quorum log: the successor finalizes it, so every
-		// tick still costs exactly one attempt decree.
-		if m.AttemptDecrees != uint64(len(failoverTicks)) {
-			t.Fatalf("commit-finalize re-drove a sealed tick: %d attempt decrees for %d ticks", m.AttemptDecrees, len(failoverTicks))
+		// tick still costs exactly one attempt.
+		if m.Attempts != uint64(len(failoverTicks)) {
+			t.Fatalf("commit-finalize re-drove a sealed tick: %d attempts for %d ticks", m.Attempts, len(failoverTicks))
 		}
 		if m.Elections < 1 || m.DoubleCommits != 0 {
 			t.Fatalf("bad failover metrics: %+v", m)
@@ -301,6 +301,51 @@ func TestFailoverCommitFinalize(t *testing.T) {
 			t.Fatalf("diverged:\n%s\nwant:\n%s", got, want)
 		}
 	})
+}
+
+// TestFailoverLeaderPausedAtDecideResumes pauses the leader the instant
+// it enters stDecide on tick 2 (its commit decree not yet on the log) and
+// brings it back after 100 ms of virtual time, well before any standby's
+// election timeout. Still the leader, it must keep waiting for that
+// decree: a second attempt of the tick in the same epoch would be sealed
+// by the first attempt's decree, or double-committed by its own.
+func TestFailoverLeaderPausedAtDecideResumes(t *testing.T) {
+	prog, err := datalog.NewProgram(failoverRules...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, dep := newDeploymentOpts(t, prog, tcEDB, 3, 407, shard.Options{})
+	ref := newOracle(t, prog, tcEDB)
+	paused := ""
+	dep.SetStageHook(func(node string, tick, att uint64, stg int) {
+		if paused == "" && tick == 2 && stg == shard.StageDecide {
+			paused = node
+			dep.KillCoordinator(node)
+		}
+	})
+	for i, ops := range failoverTicks {
+		if err := dep.Submit(ops); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			cl.Net.RunUntil(cl.Net.Now() + 100_000)
+			if paused == "" {
+				t.Fatal("stDecide never fired on tick 2")
+			}
+			dep.RecoverCoordinator(paused)
+		}
+		if !dep.Settle(settleBudget) {
+			t.Fatalf("tick %d did not settle:\n%s", i, dep.DebugString())
+		}
+		ref.tick(t, ops)
+	}
+	m := dep.Metrics()
+	if m.Elections != 0 || m.DoubleCommits != 0 || m.Attempts != uint64(len(failoverTicks)) {
+		t.Fatalf("paused leader did not resume its attempt: %+v", m)
+	}
+	if got, want := dep.DumpString(), ref.dump(dep.Placement().Preds); got != want {
+		t.Fatalf("diverged:\n%s\nwant:\n%s", got, want)
+	}
 }
 
 // TestDeposedLeaderFenced delivers a deposed leader's stale commit
@@ -350,8 +395,8 @@ func TestDeposedLeaderFenced(t *testing.T) {
 	if m.Elections < 1 || m.Epoch < 2 {
 		t.Fatalf("no election after isolating the leader: %+v", m)
 	}
-	if m.AttemptDecrees != 2 {
-		t.Fatalf("sealed tick was re-driven: %d attempt decrees for 2 ticks", m.AttemptDecrees)
+	if m.Attempts != 2 {
+		t.Fatalf("sealed tick was re-driven: %d attempts for 2 ticks", m.Attempts)
 	}
 	settled := dep.DumpString()
 	if want := ref.dump(dep.Placement().Preds); settled != want {
@@ -439,7 +484,7 @@ func TestCoordinatorObservability(t *testing.T) {
 	if m.Heartbeats == 0 {
 		t.Fatal("no heartbeats in an idle healthy deployment")
 	}
-	if m.SubmitDecrees != 2 || m.CommitDecrees != 2 || m.AttemptDecrees != 2 || m.CommittedTicks != 2 {
+	if m.SubmitDecrees != 2 || m.CommitDecrees != 2 || m.Attempts != 2 || m.CommittedTicks != 2 {
 		t.Fatalf("decree accounting off: %+v", m)
 	}
 	if m.DoubleCommits != 0 {

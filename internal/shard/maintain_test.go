@@ -32,7 +32,7 @@ var (
 
 // failSumTick commits sumGood as tick 1, submits sumBad as tick 2 and then
 // sumGood again, and runs the simulation until it is idle. It returns
-// tick 1's dump and the attempt decrees made by the time tick 2 failed.
+// tick 1's dump and the attempts started by the time tick 2 failed.
 func failSumTick(t *testing.T, cl *cluster.Cluster, dep *shard.Deployment) (committed string, attempts uint64) {
 	t.Helper()
 	if err := dep.Submit(sumGood); err != nil || !dep.Settle(settleBudget) {
@@ -45,7 +45,7 @@ func failSumTick(t *testing.T, cl *cluster.Cluster, dep *shard.Deployment) (comm
 	if err := dep.Submit(sumGood); err != nil { // queued behind the failed tick: never driven
 		t.Fatal(err)
 	}
-	attempts = dep.Metrics().AttemptDecrees
+	attempts = dep.Metrics().Attempts
 	for i := 0; i < 50_000 && cl.Net.Step(); i++ {
 	}
 	if got := dep.CommittedTicks(); got != 1 {
@@ -90,8 +90,8 @@ func TestShardedEvalErrorNeverCommits(t *testing.T) {
 	if err := dep.Err(); err == nil || !strings.Contains(err.Error(), "non-numeric") {
 		t.Fatalf("Err() = %v, want the sum's failure", err)
 	}
-	if got := dep.Metrics().AttemptDecrees; got != attempts {
-		t.Fatalf("attempt decrees went %d → %d: the failed tick is being retried", attempts, got)
+	if got := dep.Metrics().Attempts; got != attempts {
+		t.Fatalf("attempts went %d → %d: the failed tick is being retried", attempts, got)
 	}
 }
 

@@ -15,6 +15,7 @@ type ctlMetrics struct {
 	fencedReqs    atomic.Uint64 // replica-side drops of stale-epoch requests/exchanges
 	fencedCommits atomic.Uint64 // replica-side drops of stale-epoch commits
 	heartbeats    atomic.Uint64 // leader heartbeats sent
+	attempts      atomic.Uint64 // attempts started by acting leaders, restarts included
 	maxEpoch      atomic.Uint64 // highest epoch any coordinator has applied
 	lastChange    atomic.Int64  // virtual time the highest epoch was first applied
 	rows          atomic.Uint64 // rows shipped by exchange rounds, to self included
@@ -45,7 +46,7 @@ type Metrics struct {
 	Elections        uint64      // elect decrees applied
 	LastLeaderChange simnet.Time // virtual time of the latest election
 	SubmitDecrees    uint64      // ticks admitted to the replicated queue
-	AttemptDecrees   uint64      // attempt starts/bumps on the log
+	Attempts         uint64      // attempts started by acting leaders, restarts included
 	CommitDecrees    uint64      // ticks sealed on the log
 	StaleDecrees     uint64      // decrees rejected by the state-machine guards
 	DoubleCommits    uint64      // commit decrees for an already-sealed tick (invariant: 0)
@@ -53,6 +54,9 @@ type Metrics struct {
 	FencedCommits    uint64      // stale-epoch commits dropped by replicas
 	Heartbeats       uint64      // leader heartbeats sent
 	CommittedTicks   uint64      // ticks committed on every data replica
+	// Deprecated: AttemptDecrees counted attempt decrees on the control
+	// log, which no longer exist; it always reads 0. Read Attempts.
+	AttemptDecrees uint64
 }
 
 // Metrics snapshots the control plane.
@@ -64,7 +68,7 @@ func (d *Deployment) Metrics() Metrics {
 		Elections:        st.elections,
 		LastLeaderChange: simnet.Time(d.metrics.lastChange.Load()),
 		SubmitDecrees:    st.submits,
-		AttemptDecrees:   st.attempts,
+		Attempts:         d.metrics.attempts.Load(),
 		CommitDecrees:    st.commits,
 		StaleDecrees:     st.stale,
 		DoubleCommits:    st.doubleCommits,

@@ -18,10 +18,11 @@ import "hydro/internal/datalog"
 // its request's header. Every request
 // and response carries (Tick, Att); a replica drops
 // anything that is not its current attempt, and the coordinator drops
-// stale acks — so a timed-out attempt can be restarted wholesale (Att+1)
-// without fencing individual messages. Attempt numbers are globally
-// monotone (bumped through the replicated control log, DESIGN.md §13), so
-// an (Tick, Att) pair is never reused across leaders. Requests also carry
+// stale acks — so a timed-out attempt can be restarted wholesale under a
+// fresh Att without fencing individual messages. An attempt ID is
+// epoch<<32 | n, n counted by the leader that starts it (DESIGN.md §13):
+// each epoch has one leader, so a (Tick, Att) pair is never reused across
+// leaders, and IDs grow with the epoch. Requests also carry
 // the leader's Epoch: replicas remember the highest epoch seen and drop
 // anything older, so a deposed leader's stale broadcasts are fenced even
 // when they race a new leader's traffic. Commit is the only stage retried

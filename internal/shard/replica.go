@@ -121,7 +121,7 @@ func (r *replica) handleReq(from string, m req) {
 		r.coordFrom = from
 		// Attempt fencing on commit: the commit decree names the exact
 		// attempt every replica fully staged; anything else (a stale
-		// leader's retry racing an attempt bump) must not seal partial
+		// leader's retry racing a restarted attempt) must not seal partial
 		// staging.
 		if r.committed < m.Tick && r.curTick == m.Tick && r.curAtt == m.Att {
 			r.committed = m.Tick
