@@ -2,7 +2,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: build test vet ci smoke orphans datalog-serial datalog-one-store one-tick-path compiled-handlers bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak tick-allocs
+.PHONY: build test vet fmt ci smoke orphans datalog-serial datalog-one-store one-tick-path compiled-handlers bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak tick-allocs
 
 build:
 	$(GO) build ./...
@@ -13,8 +13,13 @@ test:
 vet:
 	$(GO) vet ./...
 
+# fmt fails, listing each file, if a Go file (bench/ included) is not as
+# gofmt prints it.
+fmt:
+	@gofmt -l . | sed 's/^/unformatted: /' | (! grep .)
+
 # ci runs the steps of CI's tier-1 job in its order (go test without -race).
-ci: build vet orphans datalog-serial datalog-one-store one-tick-path compiled-handlers test tick-allocs bench-test fuzz tables smoke
+ci: build vet fmt orphans datalog-serial datalog-one-store one-tick-path compiled-handlers test tick-allocs bench-test fuzz tables smoke
 
 # smoke runs every binary a reader is pointed at: the compiler on the COVID
 # program (its report must reach the metaconsistency check), the covidd

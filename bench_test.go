@@ -1,17 +1,16 @@
-// Benchmarks regenerating every experiment in DESIGN.md §4. Each benchmark
-// wraps the corresponding experiments.RunE* table generator; custom metrics
-// expose the headline number of each table so `go test -bench` output reads
-// as the paper-shape summary. Full tables: `go run ./cmd/benchtab`.
+// Benchmarks that time the system directly: the compiled COVID program's
+// ticks, the analyzer, the compiler pipeline, semi-naive transitive closure
+// and a small-delta incremental tick. Experiment tables (DESIGN.md §4) hold
+// only numbers the code determines and are pinned by
+// internal/experiments' TestQuickTablesGolden; print them with
+// `go run ./cmd/benchtab`.
 package hydro
 
 import (
 	"math/rand"
-	"strconv"
-	"strings"
 	"testing"
 
 	"hydro/internal/datalog"
-	"hydro/internal/experiments"
 	"hydro/internal/transducer"
 )
 
@@ -43,92 +42,6 @@ func BenchmarkE1CovidEquivalence(b *testing.B) {
 	}
 }
 
-// BenchmarkE2CalmScaling reports the price of a delete on the sharded COVID
-// deployment: messages per committed tick of the non-monotone mix over the
-// monotone one, at 3 shards.
-func BenchmarkE2CalmScaling(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		t := experiments.RunE2(20)
-		ratio = parseFloat(t.Rows[1][3]) / parseFloat(t.Rows[0][3])
-	}
-	b.ReportMetric(ratio, "nonmono/mono-msgs")
-}
-
-// BenchmarkE4Availability reports availability with 2 of 3 AZs failed
-// under the f=2 spec (expected 100).
-func BenchmarkE4Availability(b *testing.B) {
-	var avail float64
-	for i := 0; i < b.N; i++ {
-		t := experiments.RunE4(10)
-		avail = parsePercent(t.Rows[2][3])
-	}
-	b.ReportMetric(avail, "%avail@2failed")
-}
-
-// BenchmarkE5ConsistencySpectrum reports the per-op virtual latency of the
-// serializable tier relative to eventual (one hosted compiled runtime acks).
-func BenchmarkE5ConsistencySpectrum(b *testing.B) {
-	var serializable, eventual float64
-	for i := 0; i < b.N; i++ {
-		t := experiments.RunE5(5)
-		eventual = parseFloat(t.Row("eventual")[2])
-		serializable = parseFloat(t.Row("serializable")[2])
-	}
-	b.ReportMetric(serializable/eventual, "serializable/eventual")
-}
-
-// BenchmarkE7MPICollectives reports tree-vs-naive bcast completion at n=64.
-func BenchmarkE7MPICollectives(b *testing.B) {
-	var naive, tree float64
-	for i := 0; i < b.N; i++ {
-		t := experiments.RunE7([]int{64})
-		for _, row := range t.Rows {
-			if row[0] == "bcast" && row[2] == "naive" {
-				naive = parseFloat(strings.TrimSuffix(row[4], "µs"))
-			}
-			if row[0] == "bcast" && row[2] == "tree" {
-				tree = parseFloat(strings.TrimSuffix(row[4], "µs"))
-			}
-		}
-	}
-	b.ReportMetric(naive/tree, "naive/tree")
-}
-
-// BenchmarkE8Differential reports the semi-naive speedup over naive
-// re-derivation for transitive closure.
-func BenchmarkE8Differential(b *testing.B) {
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		t := experiments.RunE8([]int{96})
-		speedup = parseRatio(t.Rows[0][4])
-	}
-	b.ReportMetric(speedup, "seminaive×")
-}
-
-// BenchmarkE9AnnaScaling reports how the sharded COVID deployment scales
-// out at a fixed load per shard: base rows committed per virtual second at 5
-// shards relative to 1.
-func BenchmarkE9AnnaScaling(b *testing.B) {
-	var scale float64
-	for i := 0; i < b.N; i++ {
-		t := experiments.RunE9([]int{1, 5}, 20)
-		scale = parseRatio(t.Rows[1][6])
-	}
-	b.ReportMetric(scale, "rows/vsec-5-vs-1-shard×")
-}
-
-// BenchmarkE10CartSealing reports consensus messages avoided per checkout
-// by client-side sealing.
-func BenchmarkE10CartSealing(b *testing.B) {
-	var msgs float64
-	for i := 0; i < b.N; i++ {
-		t := experiments.RunE10(5)
-		msgs = parseFloat(t.Rows[1][2]) / 5
-	}
-	b.ReportMetric(msgs, "consensus-msgs-avoided/checkout")
-}
-
 // BenchmarkE11Typecheck measures the analyzer over the COVID program.
 func BenchmarkE11Typecheck(b *testing.B) {
 	p, err := Parse(CovidSource)
@@ -138,17 +51,6 @@ func BenchmarkE11Typecheck(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Analyze(p)
-	}
-}
-
-// BenchmarkE12ActorsAndFutures measures the compiled actor and futures
-// programs on the transducer.
-func BenchmarkE12ActorsAndFutures(b *testing.B) {
-	t := experiments.RunE12(500)
-	_ = t
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		experiments.RunE12(200)
 	}
 }
 
@@ -197,7 +99,7 @@ func BenchmarkDatalogTC(b *testing.B) {
 
 // tickBenchRuntime builds a transducer with a transitive-closure query
 // over an edge table, prebuilt with 8 disjoint 64-node chains — the
-// small-delta/large-DB tick workload of E13.
+// small-delta/large-DB tick workload.
 func tickBenchRuntime(b *testing.B) *transducer.Runtime {
 	b.Helper()
 	rt := transducer.New("bench", 1)
@@ -249,28 +151,4 @@ func BenchmarkTickSmallDeltaIncremental(b *testing.B) {
 		rt.Inject("probe", datalog.Tuple{u})
 		rt.Tick()
 	}
-}
-
-// BenchmarkE13IncrementalTicks reports the amortized full/incremental tick
-// cost ratio from the E13 experiment table.
-func BenchmarkE13IncrementalTicks(b *testing.B) {
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		t := experiments.RunE13(6, 200)
-		speedup = parseRatio(t.Rows[1][4])
-	}
-	b.ReportMetric(speedup, "incremental×")
-}
-
-func parseFloat(s string) float64 {
-	f, _ := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	return f
-}
-
-func parseRatio(s string) float64 {
-	return parseFloat(strings.TrimSuffix(s, "×"))
-}
-
-func parsePercent(s string) float64 {
-	return parseFloat(strings.TrimSuffix(s, "%"))
 }

@@ -17,13 +17,9 @@ type Program struct {
 	prepErr  error
 }
 
-// NewProgram validates, bundles and compiles rules.
+// NewProgram bundles rules and compiles them (Prepare), which validates
+// each one (Rule.Validate).
 func NewProgram(rules ...Rule) (*Program, error) {
-	for _, r := range rules {
-		if err := r.Validate(); err != nil {
-			return nil, err
-		}
-	}
 	p := &Program{Rules: rules}
 	if err := p.Prepare(); err != nil {
 		return nil, err
@@ -436,10 +432,10 @@ func aggregate(kind AggKind, vals []any) (any, error) {
 		}
 		best := vals[0]
 		for _, v := range vals[1:] {
-			if kind == AggMax && compareValues(OpGt, v, best) {
+			if kind == AggMax && Compare(OpGt, v, best) {
 				best = v
 			}
-			if kind == AggMin && compareValues(OpLt, v, best) {
+			if kind == AggMin && Compare(OpLt, v, best) {
 				best = v
 			}
 		}

@@ -102,8 +102,10 @@ type rulePlan struct {
 	partCol []int
 }
 
-// validateWith is Rule.Validate extended with caller-provided pre-bound
-// variables (handler parameters in compiled send-rules).
+// validateWith is the range-restriction check (Rule.Validate) with
+// caller-provided pre-bound variables (handler parameters in compiled
+// send-rules). An aggregate rule's final head argument is the output slot,
+// filled by the aggregate rather than a body binding.
 func validateWith(r Rule, preBound []string) error {
 	bound := map[string]bool{}
 	for _, v := range preBound {

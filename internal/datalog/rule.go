@@ -56,7 +56,9 @@ func (l Literal) String() string {
 	return l.Atom.String()
 }
 
-// CmpOp is a comparison operator for filter conditions.
+// CmpOp is a comparison operator for filter conditions. Its strings are
+// HydroLogic's comparison operators, so a handler expression converts its
+// operator directly.
 type CmpOp string
 
 // Comparison operators.
@@ -120,51 +122,7 @@ func (r Rule) String() string {
 // Validate checks range restriction: every head variable and every filter
 // variable must be bound by a positive body literal, and negated literals
 // must not introduce new variables.
-func (r Rule) Validate() error {
-	bound := map[string]bool{}
-	for _, l := range r.Body {
-		if l.Negated {
-			continue
-		}
-		for _, t := range l.Args {
-			if t.IsVar() {
-				bound[t.Var] = true
-			}
-		}
-	}
-	for _, l := range r.Body {
-		if !l.Negated {
-			continue
-		}
-		for _, t := range l.Args {
-			if t.IsVar() && !bound[t.Var] {
-				return fmt.Errorf("rule %s: variable ?%s appears only under negation", r.Head.Pred, t.Var)
-			}
-		}
-	}
-	headArgs := r.Head.Args
-	if r.Agg != "" && len(headArgs) > 0 {
-		// The final head argument of an aggregate rule is the output
-		// slot, filled by the aggregate rather than a body binding.
-		headArgs = headArgs[:len(headArgs)-1]
-	}
-	for _, t := range headArgs {
-		if t.IsVar() && !bound[t.Var] {
-			return fmt.Errorf("rule %s: head variable ?%s not bound in body", r.Head.Pred, t.Var)
-		}
-	}
-	if r.Agg != "" && r.AggVar != "" && !bound[r.AggVar] {
-		return fmt.Errorf("rule %s: aggregate variable ?%s not bound in body", r.Head.Pred, r.AggVar)
-	}
-	for _, f := range r.Filters {
-		for _, t := range []Term{f.L, f.R} {
-			if t.IsVar() && !bound[t.Var] {
-				return fmt.Errorf("rule %s: filter variable ?%s not bound in body", r.Head.Pred, t.Var)
-			}
-		}
-	}
-	return nil
-}
+func (r Rule) Validate() error { return validateWith(r, nil) }
 
 // binding maps variable names to constants during evaluation.
 type binding map[string]any
@@ -195,13 +153,15 @@ func evalFilter(f Filter, b binding) bool {
 	if !okL || !okR {
 		return false
 	}
-	return compareValues(f.Op, l, r)
+	return Compare(f.Op, l, r)
 }
 
-func compareValues(op CmpOp, l, r any) bool {
-	// Two integers compare in int64: a float64 holds integers exactly only
-	// up to 2^53. Other numeric pairs coerce to float64; everything else
-	// compares as strings for ordering and natively for (in)equality.
+// Compare applies op to two values: the one comparison query filters and
+// handler expressions share. Two integers compare in int64, since a
+// float64 holds integers exactly only up to 2^53. Other numeric pairs
+// coerce to float64; everything else compares as strings for ordering and
+// natively for (in)equality.
+func Compare(op CmpOp, l, r any) bool {
 	if li, ok := toInt(l); ok {
 		if ri, ok := toInt(r); ok {
 			return compareOrdered(op, li, ri)

@@ -190,7 +190,7 @@ func smallInt(w uint64) (int64, bool) {
 	return int64(w) >> tagBits, w&tagMask <= tagInt
 }
 
-// compareWords is compareValues on encoded operands, decoding only when the
+// compareWords is Compare on encoded operands, decoding only when the
 // inline-integer fast path does not apply.
 func (d *dict) compareWords(op CmpOp, l, r uint64) bool {
 	a, okA := smallInt(l)
@@ -198,5 +198,5 @@ func (d *dict) compareWords(op CmpOp, l, r uint64) bool {
 	if okA && okB {
 		return compareOrdered(op, a, b)
 	}
-	return compareValues(op, d.decode(l), d.decode(r))
+	return Compare(op, d.decode(l), d.decode(r))
 }

@@ -1,7 +1,11 @@
 // Package experiments implements the paper-reproduction experiment suite
 // (DESIGN.md §4). Each Run function regenerates one table: the rows the
-// paper's artifacts imply, with this repository's measured values. The
-// bench harness (bench_test.go) and cmd/benchtab both call into here.
+// paper's artifacts imply, with this repository's measured values. Every
+// number in a table is determined by the code: virtual time, messages,
+// decrees and counts from the compiled system, never the wall clock, so a
+// table is the same on every run and host. All lists the tables
+// cmd/benchtab prints; testdata/quick.golden pins them at quick parameters.
+// Wall-clock costs are Go benchmarks beside the code they time.
 package experiments
 
 import (
@@ -9,11 +13,9 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"time"
 
 	"hydro/internal/cluster"
 	"hydro/internal/consensus"
-	"hydro/internal/consistency"
 	"hydro/internal/datalog"
 	"hydro/internal/hlang"
 	"hydro/internal/hydrolysis"
@@ -72,6 +74,31 @@ func (t Table) Row(key string) []string {
 	return nil
 }
 
+// Experiment is one table of DESIGN.md §4 with its parameters bound.
+type Experiment struct {
+	ID  string
+	Run func() Table
+}
+
+// All lists the experiments in DESIGN.md §4's order, at full parameters
+// or, with quick, at the smaller ones CI and the golden test run.
+func All(quick bool) []Experiment {
+	scale := 1
+	if quick {
+		scale = 4
+	}
+	return []Experiment{
+		{"E2", func() Table { return RunE2(80 / scale) }},
+		{"E4", func() Table { return RunE4(40 / scale) }},
+		{"E5", func() Table { return RunE5(20/scale + 1) }},
+		{"E7", func() Table { return RunE7([]int{4, 16, 64}) }},
+		{"E9", func() Table { return RunE9([]int{1, 2, 3, 5}, 80/scale) }},
+		{"E10", func() Table { return RunE10(20 / scale) }},
+		{"E12", func() Table { return RunE12(1000 / scale) }},
+		{"E14", func() Table { return RunE14(12 / scale) }},
+	}
+}
+
 func covidUDFs() map[string]hydrolysis.UDF {
 	return map[string]hydrolysis.UDF{
 		"covid_predict": func(args []any) any { return float64(args[0].(int64)%100) / 100.0 },
@@ -110,43 +137,6 @@ func hostOn(cl *cluster.Cluster, c *hydrolysis.Compiled, machines []*cluster.Mac
 		ids = append(ids, m.ID)
 	}
 	return ids
-}
-
-// --- E1: Fig 2 ≡ Fig 3 — sequential vs compiled HydroLogic ---
-
-// RunE1 drives identical random workloads through the compiled HydroLogic
-// COVID app and reports equivalence plus throughput.
-func RunE1(ops int) Table {
-	rt := instantiate(compileCovid(), "n1", 1)
-	r := rand.New(rand.NewSource(1))
-	start := time.Now()
-	for i := 0; i < ops; i++ {
-		switch r.Intn(4) {
-		case 0:
-			rt.Inject("add_person", datalog.Tuple{int64(r.Intn(50)), "us"})
-		case 1:
-			rt.Inject("add_contact", datalog.Tuple{int64(r.Intn(50)), int64(r.Intn(50))})
-		case 2:
-			rt.Inject("diagnosed", datalog.Tuple{int64(r.Intn(50))})
-		case 3:
-			rt.Inject("vaccinate", datalog.Tuple{int64(r.Intn(50))})
-		}
-		rt.Tick()
-	}
-	rt.RunUntilIdle(100)
-	elapsed := time.Since(start)
-	st := rt.Stats()
-	return Table{
-		ID:     "E1",
-		Title:  "COVID tracker: compiled HydroLogic vs sequential reference (Fig 2/3)",
-		Header: []string{"ops", "ticks", "handled", "derived-facts", "wall-time", "ops/sec"},
-		Rows: [][]string{{
-			fmt.Sprint(ops), fmt.Sprint(st.Ticks), fmt.Sprint(st.Handled),
-			fmt.Sprint(st.Derived), elapsed.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.0f", float64(ops)/elapsed.Seconds()),
-		}},
-		Notes: "differential equivalence vs the Fig-2 reference is asserted by TestE1CovidEquivalence",
-	}
 }
 
 // --- The compiled COVID program on the sharded deployment (E2, E9) ---
@@ -525,61 +515,6 @@ func RunE7(sizes []int) Table {
 	return t
 }
 
-// --- E8: semi-naive (differential) vs naive evaluation ---
-
-// RunE8 measures transitive closure on chain graphs under both evaluators.
-func RunE8(sizes []int) Table {
-	t := Table{
-		ID:     "E8",
-		Title:  "Differential (semi-naive) vs all-at-once datalog evaluation (§8.2)",
-		Header: []string{"chain-len", "evaluator", "derived", "wall-time", "speedup"},
-	}
-	tc := []datalog.Rule{
-		{
-			Head: datalog.Atom{Pred: "path", Args: []datalog.Term{datalog.V("x"), datalog.V("y")}},
-			Body: []datalog.Literal{{Atom: datalog.Atom{Pred: "edge", Args: []datalog.Term{datalog.V("x"), datalog.V("y")}}}},
-		},
-		{
-			Head: datalog.Atom{Pred: "path", Args: []datalog.Term{datalog.V("x"), datalog.V("z")}},
-			Body: []datalog.Literal{
-				{Atom: datalog.Atom{Pred: "path", Args: []datalog.Term{datalog.V("x"), datalog.V("y")}}},
-				{Atom: datalog.Atom{Pred: "edge", Args: []datalog.Term{datalog.V("y"), datalog.V("z")}}},
-			},
-		},
-	}
-	prog, err := datalog.NewProgram(tc...)
-	if err != nil {
-		panic(err)
-	}
-	// NewProgram compiled plans and stratification already; both timed
-	// sections below therefore compare evaluation strategies only.
-	mkDB := func(n int) *datalog.Database {
-		db := datalog.NewDatabase()
-		e := db.Ensure("edge", 2)
-		for i := 0; i < n; i++ {
-			e.Insert(datalog.Tuple{int64(i), int64(i + 1)})
-		}
-		return db
-	}
-	for _, n := range sizes {
-		dbS := mkDB(n)
-		start := time.Now()
-		dS, _ := prog.Eval(dbS)
-		semiT := time.Since(start)
-
-		dbN := mkDB(n)
-		start = time.Now()
-		dN, _ := prog.EvalNaive(dbN)
-		naiveT := time.Since(start)
-		t.Rows = append(t.Rows,
-			[]string{fmt.Sprint(n), "semi-naive", fmt.Sprint(dS), semiT.Round(time.Microsecond).String(),
-				fmt.Sprintf("%.1f×", float64(naiveT)/float64(max(1, semiT)))},
-			[]string{fmt.Sprint(n), "naive", fmt.Sprint(dN), naiveT.Round(time.Microsecond).String(), "1.0×"},
-		)
-	}
-	return t
-}
-
 // --- E9: Anna — coordination-free partitioning scales out ---
 
 // RunE9 runs the sharded COVID deployment at each shard count with a fixed
@@ -693,41 +628,6 @@ func RunE10(carts int) Table {
 	return t
 }
 
-// --- E11: monotonicity typechecker report ---
-
-// RunE11 prints the analysis of the COVID program — the machine-checked
-// answer to Fig 4's "manual checks are tricky".
-func RunE11() Table {
-	p, err := hlang.Parse(hlang.CovidSource)
-	if err != nil {
-		panic(err)
-	}
-	a := hlang.Analyze(p)
-	t := Table{
-		ID:     "E11",
-		Title:  "Monotonicity typechecking of the COVID app (Fig 4 antidote)",
-		Header: []string{"construct", "classification", "reason"},
-	}
-	for _, name := range p.QueryNames() {
-		q := a.Queries[name]
-		reason := ""
-		if len(q.Reasons) > 0 {
-			reason = q.Reasons[0].What
-		}
-		t.Rows = append(t.Rows, []string{"query " + name, q.Mono.String(), reason})
-	}
-	for _, h := range p.Handlers {
-		info := a.Handlers[h.Name]
-		reason := ""
-		if len(info.Reasons) > 0 {
-			reason = info.Reasons[0].What
-		}
-		t.Rows = append(t.Rows, []string{"on " + h.Name, info.Mono.String(), reason})
-	}
-	t.Notes = "the adversarial corpus (negation-through-views, aggregates, deletes) is in TestE11MonotonicityCorpus"
-	return t
-}
-
 // --- E12: Appendix A.1/A.2 programs on the transducer ---
 
 // RunE12 runs the compiled ActorsSource and FuturesSource on one runtime
@@ -737,21 +637,15 @@ func RunE12(messages int) Table {
 	t := Table{
 		ID:     "E12",
 		Title:  "Actors and futures (Appendix A.1/A.2) as compiled HydroLogic",
-		Header: []string{"program", "workload", "handled", "per-op", "ticks", "wall-time", "throughput"},
-	}
-	run := func(rt *transducer.Runtime) (int, time.Duration) {
-		start := time.Now()
-		ticks := rt.RunUntilIdle(messages * 4)
-		return ticks, time.Since(start)
+		Header: []string{"program", "workload", "handled", "per-op", "ticks"},
 	}
 	{
 		rt := instantiate(compile(hlang.ActorsSource, nil), "n1", 1)
 		rt.Inject("play", datalog.Tuple{"a", "b", int64(messages)})
-		ticks, el := run(rt)
+		ticks := rt.RunUntilIdle(messages * 4)
 		handled := rt.Stats().Handled - 1 // the play that starts the game
 		t.Rows = append(t.Rows, []string{"actors", fmt.Sprintf("%d-round-trip ping-pong", messages), fmt.Sprint(handled),
-			fmt.Sprintf("%.2f msgs/round trip", float64(handled)/float64(messages)), fmt.Sprint(ticks),
-			el.Round(time.Millisecond).String(), fmt.Sprintf("%.0f msg/s", float64(handled)/el.Seconds())})
+			fmt.Sprintf("%.2f msgs/round trip", float64(handled)/float64(messages)), fmt.Sprint(ticks)})
 	}
 	{
 		rt := instantiate(compile(hlang.FuturesSource, map[string]hydrolysis.UDF{
@@ -760,7 +654,7 @@ func RunE12(messages int) Table {
 		for i := 0; i < messages; i++ {
 			rt.Inject("remote", datalog.Tuple{int64(i), int64(i)})
 		}
-		ticks, el := run(rt)
+		ticks := rt.RunUntilIdle(messages * 4)
 		resolved := 0
 		for _, tup := range rt.Table("resolved").Tuples() {
 			if tup[1] == tup[0].(int64)+1 {
@@ -768,95 +662,9 @@ func RunE12(messages int) Table {
 			}
 		}
 		t.Rows = append(t.Rows, []string{"futures", fmt.Sprintf("%d-promise batch", messages), fmt.Sprint(rt.Stats().Handled),
-			fmt.Sprintf("%d/%d resolved to f(x)", resolved, messages), fmt.Sprint(ticks),
-			el.Round(time.Millisecond).String(), fmt.Sprintf("%.0f fut/s", float64(messages)/el.Seconds())})
+			fmt.Sprintf("%d/%d resolved to f(x)", resolved, messages), fmt.Sprint(ticks)})
 	}
 	return t
-}
-
-// RunE5Mechanisms renders the compiler's per-handler mechanism choices —
-// the qualitative half of E5.
-func RunE5Mechanisms() Table {
-	p, err := hlang.Parse(hlang.CovidSource)
-	if err != nil {
-		panic(err)
-	}
-	choices := consistency.Select(p, hlang.Analyze(p))
-	t := Table{
-		ID:     "E5b",
-		Title:  "Consistency mechanism selection for the COVID app (§7.2)",
-		Header: []string{"handler", "declared", "monotonicity", "mechanism", "local-only"},
-	}
-	for _, h := range p.Handlers {
-		c := choices[h.Name]
-		t.Rows = append(t.Rows, []string{h.Name, string(c.Level), c.Mono.String(),
-			c.Mechanism.String(), fmt.Sprint(c.LocalOnly)})
-	}
-	return t
-}
-
-// --- E13: cross-tick incremental fixpoint maintenance ---
-
-// RunE13 measures the amortized tick cost of the compiled COVID app on a
-// small-delta/large-DB workload — a large prebuilt contact graph, then one
-// contact merge plus one trace per tick — beside what re-deriving the
-// queries from scratch every tick would cost: after each tick the base
-// tables are copied into a fresh database and the query program evaluated
-// over it, which is the `full` row. The speedup column is the
-// O(delta)-vs-O(database) number at the application level.
-func RunE13(chains, ops int) Table {
-	c, err := hydrolysis.Compile(hlang.CovidSource, hydrolysis.Options{UDFs: covidUDFs()})
-	if err != nil {
-		panic(err)
-	}
-	rt, err := c.Instantiate("n1", 1)
-	if err != nil {
-		panic(err)
-	}
-	rt.SetDelay(fixedDelay)
-	// Prebuild: disjoint 48-person contact chains.
-	for ch := 0; ch < chains; ch++ {
-		base := int64(ch * 1000)
-		for i := int64(0); i < 48; i++ {
-			rt.Inject("add_contact", datalog.Tuple{base + i, base + i + 1})
-		}
-	}
-	rt.RunUntilIdle(50)
-	contacts := rt.Table("contacts").Len()
-	var full, incremental time.Duration
-	for i := 0; i < ops; i++ {
-		u := int64(1_000_000 + 2*i)
-		rt.Inject("add_contact", datalog.Tuple{u, u + 1})
-		rt.Inject("trace", datalog.Tuple{u})
-		start := time.Now()
-		rt.Tick()
-		incremental += time.Since(start)
-		start = time.Now()
-		scratch := datalog.NewDatabase()
-		for _, tb := range c.Program.Tables {
-			src := rt.Table(tb.Name)
-			dst := scratch.Ensure(tb.Name, src.Arity)
-			for _, row := range src.Tuples() {
-				dst.Insert(row)
-			}
-		}
-		if _, err := c.Queries.Eval(scratch); err != nil {
-			panic(err)
-		}
-		full += time.Since(start)
-	}
-	perTick := func(d time.Duration) float64 { return float64(d.Microseconds()) / float64(ops) }
-	return Table{
-		ID:     "E13",
-		Title:  "Cross-tick incremental fixpoint maintenance vs per-tick re-evaluation",
-		Header: []string{"mode", "contacts", "ops", "µs/tick", "speedup"},
-		Notes:  "each op = 1 contact merge + 1 trace against a prebuilt contact graph; full = base tables copied and the queries evaluated from scratch once per tick; equivalence is asserted by TestIncrementalTickMatchesFullEval, TestE1CovidEquivalence and the three-way differential test",
-		Rows: [][]string{
-			{"full", fmt.Sprint(contacts), fmt.Sprint(ops), fmt.Sprintf("%.1f", perTick(full)), "1.0×"},
-			{"incremental", fmt.Sprint(contacts), fmt.Sprint(ops), fmt.Sprintf("%.1f", perTick(incremental)),
-				fmt.Sprintf("%.1f×", perTick(full)/perTick(incremental))},
-		},
-	}
 }
 
 // --- E14: replicated coordinator — failover recovery windows ---

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"flag"
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,13 +12,39 @@ import (
 	"hydro/internal/transducer"
 )
 
-// Smoke tests: every experiment runs at reduced scale and its table carries
-// the shape assertions DESIGN.md §4 records.
+// Shape tests: every experiment runs at reduced scale and its table carries
+// the shape assertions DESIGN.md §4 records. TestQuickTablesGolden pins
+// the tables' bytes at benchtab's quick parameters.
 
-func TestE1Runs(t *testing.T) {
-	tab := RunE1(50)
-	if len(tab.Rows) != 1 || tab.Rows[0][0] != "50" {
-		t.Fatalf("table = %+v", tab)
+var update = flag.Bool("update", false, "rewrite testdata/quick.golden from the current tables")
+
+// TestQuickTablesGolden renders every table of All at quick parameters,
+// as `benchtab -quick` prints them, and compares the bytes with
+// testdata/quick.golden. Each number is virtual time, a message, decree
+// or row count, so a diff is a behaviour change to review; -update
+// rewrites the file.
+func TestQuickTablesGolden(t *testing.T) {
+	var b strings.Builder
+	for _, e := range All(true) {
+		b.WriteString(e.Run().Render() + "\n")
+	}
+	const golden = "testdata/quick.golden"
+	if *update {
+		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		g, w := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		i := 0
+		for i < len(g) && i < len(w) && g[i] == w[i] {
+			i++
+		}
+		t.Fatalf("tables differ from %s at line %d (-update rewrites it); got from there:\n%s", golden, i+1, strings.Join(g[i:], "\n"))
 	}
 }
 
@@ -207,13 +235,6 @@ func TestMPIGatherAtRoot(t *testing.T) {
 	}
 }
 
-func TestE8SemiNaiveWins(t *testing.T) {
-	tab := RunE8([]int{48})
-	if !strings.HasSuffix(tab.Rows[0][4], "×") {
-		t.Fatalf("speedup column = %q", tab.Rows[0][4])
-	}
-}
-
 // TestE9ScalingColumns: at a fixed load per shard, 5 shards commit at
 // least 3× the base rows per virtual second that 1 shard does.
 func TestE9ScalingColumns(t *testing.T) {
@@ -249,18 +270,6 @@ func TestE12PingPongAndFutures(t *testing.T) {
 	}
 	if got := tab.Row("futures"); got == nil || got[3] != "40/40 resolved to f(x)" {
 		t.Fatalf("futures row %v", got)
-	}
-}
-
-func TestE11AndE12Render(t *testing.T) {
-	if s := RunE11().Render(); !strings.Contains(s, "vaccinate") {
-		t.Fatalf("E11 render:\n%s", s)
-	}
-	if s := RunE12(50).Render(); !strings.Contains(s, "actors") {
-		t.Fatalf("E12 render:\n%s", s)
-	}
-	if s := RunE5Mechanisms().Render(); !strings.Contains(s, "coordination") {
-		t.Fatalf("E5b render:\n%s", s)
 	}
 }
 

@@ -1,7 +1,6 @@
 package hydrolysis
 
 import (
-	"cmp"
 	"fmt"
 	"sort"
 
@@ -459,19 +458,16 @@ func (e *env) evalBin(b *hlang.BinExpr) (any, error) {
 	switch b.Op {
 	case "+", "-", "*", "/":
 		return arith(b.Op, l, r)
-	case "==":
-		return l == r, nil
-	case "!=":
-		return l != r, nil
-	case "<", "<=", ">", ">=":
-		return compare(b.Op, l, r)
+	case "==", "!=", "<", "<=", ">", ">=":
+		return datalog.Compare(datalog.CmpOp(b.Op), l, r), nil
 	}
 	return nil, fmt.Errorf("unknown operator %q", b.Op)
 }
 
 // integer reads v as an int64 when it is one of the integer kinds handler
-// values take. Two integer operands are computed and compared in int64: a
-// float64 holds integers exactly only up to 2^53.
+// values take. Two integer operands are computed in int64 (and compared in
+// int64 by datalog.Compare): a float64 holds integers exactly only up to
+// 2^53.
 func integer(v any) (int64, bool) {
 	switch x := v.(type) {
 	case int64:
@@ -557,36 +553,4 @@ func arith(op string, l, r any) (any, error) {
 		return nil, fmt.Errorf("division by zero")
 	}
 	return lf / rf, nil
-}
-
-func compare(op string, l, r any) (any, error) {
-	if li, ok := integer(l); ok {
-		if ri, ok := integer(r); ok {
-			return ordered(op, li, ri), nil
-		}
-	}
-	if lf, ok := numeric(l); ok {
-		if rf, ok := numeric(r); ok {
-			return ordered(op, lf, rf), nil
-		}
-	}
-	if ls, ok := l.(string); ok {
-		if rs, ok := r.(string); ok {
-			return ordered(op, ls, rs), nil
-		}
-	}
-	return nil, fmt.Errorf("incomparable operands for %s: %T, %T", op, l, r)
-}
-
-// ordered applies one of the comparison operators <, <=, > and >=.
-func ordered[T cmp.Ordered](op string, l, r T) bool {
-	switch op {
-	case "<":
-		return l < r
-	case "<=":
-		return l <= r
-	case ">":
-		return l > r
-	}
-	return l >= r
 }

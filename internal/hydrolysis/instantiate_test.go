@@ -252,10 +252,53 @@ func TestHandlerArithmetic(t *testing.T) {
 	} {
 		eval := arith
 		if c.op[0] == '<' || c.op[0] == '>' {
-			eval = compare
+			eval = func(op string, l, r any) (any, error) { return datalog.Compare(datalog.CmpOp(op), l, r), nil }
 		}
 		if got, err := eval(c.op, c.l, c.r); got != c.want || (err != nil) != (c.want == nil) {
 			t.Errorf("%v %s %v = %v (%T), %v; want %v (%T)", c.l, c.op, c.r, got, got, err, c.want, c.want)
+		}
+	}
+}
+
+// TestGuardAgreesWithQueryFilter: a handler's require guard and a query's
+// filter are one comparison. For n = 1, each comparison below either keeps
+// the row in the query and lets the guarded handler reply, or does
+// neither; an int compares equal to the float 1.0, and an int against a
+// string compares as text rather than aborting the handler.
+func TestGuardAgreesWithQueryFilter(t *testing.T) {
+	for _, cmp := range []string{
+		"n == 1.0", "n != 1.0", "n <= 1.0", "n > 0.5",
+		`n < "zzz"`, `n >= "zzz"`, "n == 2", "n != 1",
+	} {
+		src := fmt.Sprintf(`
+table nums(n: int)
+
+query kept(n) :- nums(n), %[1]s
+
+on add(n: int) {
+    merge nums(n)
+}
+
+on guarded(n: int) require(%[1]s) {
+    reply "passed"
+}
+`, cmp)
+		c, err := Compile(src, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", cmp, err)
+		}
+		rt, err := c.Instantiate("n1", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.Inject("add", datalog.Tuple{int64(1)})
+		rt.RunUntilIdle(5)
+		rt.Inject("guarded", datalog.Tuple{int64(1)})
+		rt.RunUntilIdle(5)
+		filter := rt.Table("kept").Len() == 1
+		guard := len(rt.Drain("guarded<response>")) == 1
+		if filter != guard {
+			t.Errorf("%s: query filter kept n = 1: %v; handler guard passed: %v (Aborted %d)", cmp, filter, guard, rt.Stats().Aborted)
 		}
 	}
 }

@@ -69,7 +69,7 @@ func (c *coord) setStage(s stage) {
 }
 
 func (c *coord) armWatchdog() {
-	c.dep().net.After(c.name(), c.dep().retryAfter, watchdogMsg{Tick: c.t, Att: c.a, Seq: c.seq})
+	c.dep().net.After(c.name(), DefaultRetryAfter, watchdogMsg{Tick: c.t, Att: c.a, Seq: c.seq})
 }
 
 // progress marks forward motion of the current attempt and re-arms the

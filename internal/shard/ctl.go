@@ -114,14 +114,14 @@ func (s *ctlState) apply(v any) int {
 	return applyStale
 }
 
-// Control-plane timing, in multiples of the deployment's retryAfter: the
+// Control-plane timing, in multiples of DefaultRetryAfter: the
 // leader heartbeats faster than standbys give up on it, and election
 // timeouts carry a per-index spread so candidates rarely duel.
 const (
-	hbEveryNum      = 3 // heartbeat period = retryAfter * 3/4
+	hbEveryNum      = 3 // heartbeat period = DefaultRetryAfter * 3/4
 	hbEveryDen      = 4
-	electAfterMult  = 3 // election timeout = retryAfter * 3 (+ spread)
-	electSpreadDen  = 4 // per-index spread = idx * retryAfter / 4
+	electAfterMult  = 3 // election timeout = DefaultRetryAfter * 3 (+ spread)
+	electSpreadDen  = 4 // per-index spread = idx * DefaultRetryAfter / 4
 	recoverLagGrace = 1 // a recovered node waits one full timeout before electing
 )
 
@@ -146,11 +146,11 @@ func (cn *coordNode) name() string { return cn.dep.coordNames[cn.idx] }
 func (cn *coordNode) isLeader() bool { return cn.st.leader == cn.idx }
 
 func (cn *coordNode) hbEvery() simnet.Time {
-	return cn.dep.retryAfter * hbEveryNum / hbEveryDen
+	return DefaultRetryAfter * hbEveryNum / hbEveryDen
 }
 
 func (cn *coordNode) electAfter() simnet.Time {
-	return cn.dep.retryAfter*electAfterMult + simnet.Time(cn.idx)*cn.dep.retryAfter/electSpreadDen
+	return DefaultRetryAfter*electAfterMult + simnet.Time(cn.idx)*DefaultRetryAfter/electSpreadDen
 }
 
 func (cn *coordNode) armTimer() {
@@ -232,7 +232,7 @@ func (cn *coordNode) onRecover(now simnet.Time) {
 		cn.drv = nil
 	}
 	cn.electProposedFor = 0
-	cn.lastHB = now + cn.dep.retryAfter*recoverLagGrace
+	cn.lastHB = now + DefaultRetryAfter*recoverLagGrace
 	cn.armTimer()
 	for i, peer := range cn.dep.coordNames {
 		if i != cn.idx {

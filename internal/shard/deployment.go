@@ -13,10 +13,6 @@ import (
 
 // Options tunes a deployment.
 type Options struct {
-	// RetryAfter is the coordinator's stall watchdog: an attempt that makes
-	// no progress for this long (virtual time) is restarted. Zero uses a
-	// generous default.
-	RetryAfter simnet.Time
 	// Declared fixes partition columns for specific predicates (hlang
 	// `partition(col)` table annotations), overriding the compiled hints.
 	Declared map[string]int
@@ -27,9 +23,10 @@ type Options struct {
 	Coordinators int
 }
 
-// DefaultRetryAfter is far above one healthy barrier round-trip (sub-ms at
-// LAN latencies) so only genuine stalls — down replicas, cut links — trip
-// the attempt restart.
+// DefaultRetryAfter is the coordinator's stall watchdog: an attempt that
+// makes no progress for this long (virtual time) is restarted. It is far
+// above one healthy barrier round-trip (sub-ms at LAN latencies) so only
+// genuine stalls — down replicas, cut links — trip the restart.
 const DefaultRetryAfter simnet.Time = 1_000_000 // 1s virtual
 
 // DefaultCoordinators replicates the control plane three ways: one fault
@@ -54,7 +51,6 @@ type Deployment struct {
 	coordNames   []string
 	coords       []*coordNode
 	group        *consensus.Group
-	retryAfter   simnet.Time
 	submitted    uint64
 	metrics      ctlMetrics
 	stageHook    func(node string, tick, att uint64, stg int) // test injection point
@@ -111,10 +107,6 @@ func Deploy(cl *cluster.Cluster, name string, prog *datalog.Program, edb map[str
 		arities:      arities,
 		edb:          edb,
 		replicaNames: machines,
-		retryAfter:   opts.RetryAfter,
-	}
-	if d.retryAfter <= 0 {
-		d.retryAfter = DefaultRetryAfter
 	}
 	for i := 0; i < ncoord; i++ {
 		d.coordNames = append(d.coordNames, fmt.Sprintf("%s-coord%d", name, i))

@@ -24,8 +24,9 @@ type Sink struct {
 // NewSink returns a sink feeding dep.
 func NewSink(dep *Deployment) *Sink { return &Sink{dep: dep} }
 
-// Append stages the tick's base ops (copied: the runtime extends the same
-// slice with the derived cascade during Apply).
+// Append stages the tick's base ops. Delta.Ops holds base ops only; they
+// are copied because the sink keeps them past the call and the slice
+// belongs to the caller's Delta.
 func (s *Sink) Append(d *datalog.Delta) error {
 	ops := append([]datalog.DeltaOp(nil), d.Ops()...)
 	s.staged = append(s.staged, ops)
