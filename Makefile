@@ -133,9 +133,9 @@ test-sharded:
 # leader-kill/partition chaos suite at every coordinator stage, the 50-seed
 # randomized failover sweep against the single-coordinator oracle, the
 # epoch-fencing regression, the 50-seed election-determinism sweep, and the
-# Paxos layer's own leader-crash, partition-heal and proposer-recovery
-# tests — all under -race.
-FAILOVER_TESTS = TestFailover|TestDeposed|TestCoordinator|TestElectionDeterminism|TestRepeatedLeaderCrashes|TestLeaderFailoverReproposesValue|TestSafetyAcrossPartitionAndHeal|TestRecoveredProposerResumesInFlightValue
+# Paxos layer's own leader-crash, partition-heal, proposer-recovery and
+# learn-suffix tests — all under -race.
+FAILOVER_TESTS = TestFailover|TestDeposed|TestCoordinator|TestElectionDeterminism|TestRepeatedLeaderCrashes|TestLeaderFailoverReproposesValue|TestSafetyAcrossPartitionAndHeal|TestRecoveredProposerResumesInFlightValue|TestLearnReturnsSuffix
 test-failover:
 	$(GO) test -race -run '$(FAILOVER_TESTS)' ./internal/shard ./internal/consensus
 

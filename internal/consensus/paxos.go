@@ -7,8 +7,20 @@
 // The implementation is the classic collapsed-roles design: every node is
 // proposer, acceptor and learner. A node becomes leader by completing
 // phase 1 (prepare/promise) for a ballot; it then runs phase 2
-// (accept/accepted) per log slot. Timeouts with per-node randomized backoff
-// restore liveness after leader failure.
+// (accept/accepted) per log slot, one round per value, for as long as no
+// higher ballot appears. Timeouts with per-node randomized backoff restore
+// liveness after leader failure. Which node proposes is the host's choice:
+// every Propose on a node that is not leader starts phase 1, so a host that
+// wants the Multi-Paxos steady state proposes through one distinguished
+// node (Lamport, "Paxos Made Simple" §3), as the sharded control plane does.
+//
+// Phase 1 and catch-up cost the undecided tail, not the log: a prepare
+// carries the proposer's contiguous decided prefix and the promise holds
+// only accepted slots at or above it, the promise-quorum hole fill walks
+// from the applied prefix, and a learn request carries the asker's applied
+// prefix and is answered with the decided slots at or above it (Chandra,
+// Griesemer, Redstone, "Paxos Made Live", PODC 2007). The log itself is
+// kept whole.
 package consensus
 
 import (
@@ -67,10 +79,16 @@ type timeoutMsg struct {
 
 // learnReq asks a peer for its decided log — the catch-up path for a node
 // that recovered from a crash or partition and suspects it is behind.
-type learnReq struct{}
+// Applied is the asker's contiguous applied prefix: it holds every slot
+// below, so the responder answers with slots at or above it only. The zero
+// value asks for everything.
+type learnReq struct {
+	Applied int
+}
 
-// learnRsp carries the responder's decided slots. The map is a fresh copy:
-// the learner merges it into its own log without aliasing responder state.
+// learnRsp carries the responder's decided slots at or above the request's
+// Applied. The map is a fresh copy: the learner merges it into its own log
+// without aliasing responder state.
 type learnRsp struct {
 	Slots map[int]entry
 }
@@ -116,8 +134,9 @@ type Node struct {
 	rng   *rand.Rand
 
 	// Acceptor state.
-	promised Ballot
-	accepted map[int]acceptedVal
+	promised    Ballot
+	accepted    map[int]acceptedVal
+	maxAccepted int // highest slot in accepted, -1 when empty
 
 	// Proposer/leader state.
 	ballot      Ballot
@@ -134,6 +153,7 @@ type Node struct {
 	// Learner state.
 	log     map[int]entry
 	decided int // count of decided slots
+	maxSlot int // highest slot in log, -1 when empty
 
 	// OnDecide, when set, is invoked once per distinct command in slot
 	// order as the log becomes contiguous (state-machine application).
@@ -141,6 +161,14 @@ type Node struct {
 	OnDecide func(slot int, value any)
 	applied  int
 	seenIDs  map[string]bool
+
+	stats Stats
+}
+
+// Stats counts one node's protocol work.
+type Stats struct {
+	Phase1Rounds uint64 // phase-1 rounds this node started
+	Sends        uint64 // protocol messages this node sent, to itself included
 }
 
 // Group is a set of Paxos nodes sharing a network.
@@ -183,10 +211,12 @@ func newGroup(net *simnet.Network, names []string, seed int64) *Group {
 			net:         net,
 			rng:         rand.New(rand.NewSource(seed + int64(i))),
 			accepted:    map[int]acceptedVal{},
+			maxAccepted: -1,
 			phase1Votes: map[string]promiseMsg{},
 			inFlight:    map[int]entry{},
 			acceptVotes: map[int]map[string]bool{},
 			log:         map[int]entry{},
+			maxSlot:     -1,
 			seenIDs:     map[string]bool{},
 			backoffBase: 2000,
 		}
@@ -259,10 +289,14 @@ func (n *Node) Name() string { return n.name }
 // catch up.
 func (n *Node) Applied() int { return n.applied }
 
-// RequestLearn asks peer for its decided log (crash/partition catch-up).
-// The response merges into this node's log and drives OnDecide forward.
+// Stats returns the node's protocol counters.
+func (n *Node) Stats() Stats { return n.stats }
+
+// RequestLearn asks peer for the decided slots this node has not applied
+// (crash/partition catch-up). The response merges into this node's log and
+// drives OnDecide forward.
 func (n *Node) RequestLearn(peer string) {
-	n.net.Send(n.name, peer, learnReq{})
+	n.send(peer, learnReq{Applied: n.applied})
 }
 
 // DebugString renders the node's proposer/learner state for test
@@ -274,15 +308,16 @@ func (n *Node) DebugString() string {
 
 func (n *Node) majority() int { return len(n.peers)/2 + 1 }
 
+func (n *Node) send(to string, payload any) {
+	n.stats.Sends++
+	n.net.Send(n.name, to, payload)
+}
+
+// bcast sends to every peer, self included: self messages go through the
+// network too, keeping one code path (they get latency like any other).
 func (n *Node) bcast(payload any) {
 	for _, p := range n.peers {
-		if p == n.name {
-			// Deliver to self through the network too, keeping one code
-			// path (self messages get latency like any other).
-			n.net.Send(n.name, n.name, payload)
-			continue
-		}
-		n.net.Send(n.name, p, payload)
+		n.send(p, payload)
 	}
 }
 
@@ -304,6 +339,7 @@ func (n *Node) startPhase1() {
 	n.ballot = Ballot(round*int64(len(n.peers)) + int64(n.index))
 	n.phase1Votes = map[string]promiseMsg{}
 	n.leader = false
+	n.stats.Phase1Rounds++
 	n.bcast(prepareMsg{Ballot: n.ballot, Decided: n.applied})
 	n.armTimeout()
 }
@@ -350,18 +386,9 @@ func (n *Node) handle(now simnet.Time, msg simnet.Message) {
 			if m.Ballot != n.ballot {
 				n.leader = false
 			}
-			// A fresh map (a promise in flight must not see later accepts)
-			// of what the proposer does not hold decided: the log grows
-			// without bound, the undecided tail does not.
-			acc := map[int]acceptedVal{}
-			for s, av := range n.accepted {
-				if s >= m.Decided {
-					acc[s] = av
-				}
-			}
-			n.net.Send(n.name, msg.From, promiseMsg{Ballot: m.Ballot, Accepted: acc})
+			n.send(msg.From, promiseMsg{Ballot: m.Ballot, Accepted: n.acceptedFrom(m.Decided)})
 		} else {
-			n.net.Send(n.name, msg.From, nackMsg{Promised: n.promised})
+			n.send(msg.From, nackMsg{Promised: n.promised})
 		}
 	case promiseMsg:
 		if m.Ballot != n.ballot || n.leader {
@@ -437,13 +464,9 @@ func (n *Node) handle(now simnet.Time, msg simnet.Message) {
 		// majority, which intersects the quorum), so a no-op can take it.
 		// Without this, a slot abandoned by a dead proposer would block
 		// contiguous application forever.
-		maxKnown := n.nextSlot - 1
-		for s := range n.log {
-			if s > maxKnown {
-				maxKnown = s
-			}
-		}
-		for s := 0; s <= maxKnown; s++ {
+		// Slots below applied are all decided, so the walk starts there.
+		maxKnown := max(n.nextSlot-1, n.maxSlot)
+		for s := n.applied; s <= maxKnown; s++ {
 			if _, done := n.log[s]; done {
 				continue
 			}
@@ -461,9 +484,10 @@ func (n *Node) handle(now simnet.Time, msg simnet.Message) {
 		if m.Ballot >= n.promised {
 			n.promised = m.Ballot
 			n.accepted[m.Slot] = acceptedVal{Ballot: m.Ballot, Value: m.Value}
-			n.net.Send(n.name, msg.From, acceptedMsg{Ballot: m.Ballot, Slot: m.Slot, ID: m.Value.ID})
+			n.maxAccepted = max(n.maxAccepted, m.Slot)
+			n.send(msg.From, acceptedMsg{Ballot: m.Ballot, Slot: m.Slot, ID: m.Value.ID})
 		} else {
-			n.net.Send(n.name, msg.From, nackMsg{Promised: n.promised})
+			n.send(msg.From, nackMsg{Promised: n.promised})
 		}
 	case acceptedMsg:
 		if m.Ballot != n.ballot || !n.leader {
@@ -529,11 +553,13 @@ func (n *Node) handle(now simnet.Time, msg simnet.Message) {
 			n.startPhase1()
 		}
 	case learnReq:
-		slots := make(map[int]entry, len(n.log))
-		for s, e := range n.log {
-			slots[s] = e
+		slots := map[int]entry{}
+		for s := m.Applied; s <= n.maxSlot; s++ {
+			if e, ok := n.log[s]; ok {
+				slots[s] = e
+			}
 		}
-		n.net.Send(n.name, msg.From, learnRsp{Slots: slots})
+		n.send(msg.From, learnRsp{Slots: slots})
 	case learnRsp:
 		var slots []int
 		for s := range m.Slots {
@@ -589,6 +615,7 @@ func (n *Node) noteDecided(slot int, e entry) bool {
 	}
 	n.log[slot] = e
 	n.decided++
+	n.maxSlot = max(n.maxSlot, slot)
 	n.dropPending(e.ID)
 	if cur, busy := n.inFlight[slot]; busy {
 		delete(n.inFlight, slot)
@@ -612,4 +639,24 @@ func (n *Node) dropPending(id string) {
 		}
 	}
 	n.pending = kept
+}
+
+// acceptedFrom copies the accepted values at slots from decided up — what a
+// promise carries. It looks the slots up one by one rather than ranging the
+// map: the log grows without bound, the undecided tail does not. The walk
+// runs to maxAccepted and on through any slots still present beyond it, so
+// a value written into accepted without the accept path is reported too.
+// The copy is fresh: a promise in flight must not see later accepts.
+func (n *Node) acceptedFrom(decided int) map[int]acceptedVal {
+	acc := map[int]acceptedVal{}
+	for s := decided; ; s++ {
+		av, ok := n.accepted[s]
+		if !ok {
+			if s > n.maxAccepted {
+				return acc
+			}
+			continue
+		}
+		acc[s] = av
+	}
 }

@@ -146,9 +146,9 @@ func TestAcceptedVoteWithWrongIDNotCounted(t *testing.T) {
 // TestPromiseCarriesOnlyUndecidedSlots pins the size of a promise: an
 // acceptor answers a prepare with the accepted values at or above the
 // proposer's contiguous decided prefix, not with its whole accepted map —
-// which grows with the log (every coordinator of a sharded deployment runs
-// phase 1 per tick, so whole-map promises were 41 % of covid-sharded's
-// allocation).
+// which grows with the log (when every coordinator of a sharded deployment
+// still ran phase 1 per tick, whole-map promises were 41 % of
+// covid-sharded's allocation).
 func TestPromiseCarriesOnlyUndecidedSlots(t *testing.T) {
 	net := newNet(41)
 	g := NewGroup(net, 3, 41)
@@ -188,5 +188,50 @@ func TestPromiseCarriesOnlyUndecidedSlots(t *testing.T) {
 	// A proposer that holds nothing decided still gets everything.
 	if pm := prepare(0); len(pm.Accepted) != len(p1.accepted) {
 		t.Fatalf("promise to an empty proposer carries %d of %d accepted slots", len(pm.Accepted), len(p1.accepted))
+	}
+}
+
+// TestLearnReturnsSuffix pins catch-up to the asker's tail: a learn
+// request carrying the asker's applied prefix k is answered with the
+// decided slots at or above k only, and the zero request with every slot.
+func TestLearnReturnsSuffix(t *testing.T) {
+	net := newNet(43)
+	g := NewGroup(net, 3, 43)
+	const decided = 20
+	for i := 0; i < decided; i++ {
+		g.Propose("p0", i)
+	}
+	net.Drain(100000)
+	p0 := g.Nodes["p0"]
+	if len(p0.log) != decided {
+		t.Fatalf("setup: p0 decided %d slots, want %d", len(p0.log), decided)
+	}
+	var got []learnRsp
+	net.SetHandler("p1", func(_ simnet.Time, msg simnet.Message) {
+		if rsp, ok := msg.Payload.(learnRsp); ok {
+			got = append(got, rsp)
+		}
+	})
+	learn := func(req learnReq) map[int]entry {
+		got = nil
+		p0.handle(0, simnet.Message{From: "p1", To: "p0", Payload: req})
+		net.Drain(1000)
+		if len(got) != 1 {
+			t.Fatalf("learn request answered %d times, want 1", len(got))
+		}
+		return got[0].Slots
+	}
+	const k = 15
+	slots := learn(learnReq{Applied: k})
+	if len(slots) != decided-k {
+		t.Fatalf("learnReq{Applied: %d} answered %d slots, want %d", k, len(slots), decided-k)
+	}
+	for s := range slots {
+		if s < k {
+			t.Fatalf("learnReq{Applied: %d} answered slot %d", k, s)
+		}
+	}
+	if slots := learn(learnReq{}); len(slots) != decided {
+		t.Fatalf("learnReq{} answered %d of %d slots", len(slots), decided)
 	}
 }

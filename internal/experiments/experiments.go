@@ -149,6 +149,7 @@ const contactsPerTick = 4
 // averaged over the measured ticks.
 type tickCost struct {
 	decrees   float64 // submit + commit decrees per tick
+	phase1    float64 // Paxos phase-1 rounds the coordinators started, per tick
 	msgs      float64 // simnet messages sent per tick
 	virtualMs float64 // virtual ms from Submit until Settle returns, per tick
 	// rowsPerVSec is base rows committed per virtual second.
@@ -205,12 +206,14 @@ func shardedTickCost(shards, perTick, ticks int, deletes bool) tickCost {
 		}
 		m := dep.Metrics()
 		c.decrees += float64(m.SubmitDecrees + m.CommitDecrees - m0.SubmitDecrees - m0.CommitDecrees)
+		c.phase1 += float64(m.Phase1Rounds - m0.Phase1Rounds)
 		c.msgs += float64(cl.Net.Stats().Sent - sent0)
 		elapsed += float64(cl.Net.Now() - start)
 		rows += float64(len(ops))
 	}
 	n := float64(ticks)
 	c.decrees /= n
+	c.phase1 /= n
 	c.msgs /= n
 	c.virtualMs = elapsed / 1000 / n
 	c.rowsPerVSec = rows / (elapsed / 1e6)
@@ -227,7 +230,7 @@ func RunE2(ticks int) Table {
 	t := Table{
 		ID:     "E2",
 		Title:  "CALM: price of coordination per committed tick, compiled COVID on 3 shards",
-		Header: []string{"mix", "contacts/tick", "decrees/tick", "msgs/tick", "virtual-ms/tick"},
+		Header: []string{"mix", "contacts/tick", "decrees/tick", "msgs/tick", "virtual-ms/tick", "phase-1/tick"},
 	}
 	for _, mix := range []struct {
 		name    string
@@ -235,7 +238,8 @@ func RunE2(ticks int) Table {
 	}{{"monotone (inserts)", false}, {"non-monotone (mirrored deletes)", true}} {
 		c := shardedTickCost(shards, contactsPerTick, ticks, mix.deletes)
 		t.Rows = append(t.Rows, []string{mix.name, fmt.Sprint(contactsPerTick),
-			fmt.Sprintf("%.2f", c.decrees), fmt.Sprintf("%.1f", c.msgs), fmt.Sprintf("%.2f", c.virtualMs)})
+			fmt.Sprintf("%.2f", c.decrees), fmt.Sprintf("%.1f", c.msgs), fmt.Sprintf("%.2f", c.virtualMs),
+			fmt.Sprintf("%.2f", c.phase1)})
 	}
 	t.Notes = "both mixes pay the same barrier protocol today (submit and commit decrees, a barrier per exchange round); " +
 		"deletes add DRed's over-delete rounds and one round that support-checks the candidates on every replica, never the closure's extent. " +

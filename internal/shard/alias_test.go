@@ -8,7 +8,7 @@ import (
 )
 
 // Aliasing regressions at the deployment API: accessors return copies,
-// and Submit snapshots the caller's ops buffer.
+// and Submit snapshots the caller's ops and their tuples.
 
 func TestReplicasAndCoordinatorsReturnCopies(t *testing.T) {
 	prog, err := datalog.NewProgram(tcRules...)
@@ -64,6 +64,33 @@ func TestSubmitCopiesOps(t *testing.T) {
 	}
 	if got, want := dep.DumpString(), ref.dump(dep.Placement().Preds); got != want {
 		t.Fatalf("mutating the ops buffer changed the committed tick:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestSubmitCopiesTuples rewrites a value inside one of the caller's
+// tuples after Submit: the copy must reach the tuples, not only the ops
+// slice, because a tick can wait in a coordinator's inbox across an
+// election before it is proposed.
+func TestSubmitCopiesTuples(t *testing.T) {
+	prog, err := datalog.NewProgram(tcRules...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, dep := newDeployment(t, prog, tcEDB, 2, 14)
+	ref := newOracle(t, prog, tcEDB)
+
+	ops := []datalog.DeltaOp{ins("edge", "a", "b"), ins("edge", "b", "c")}
+	ref.tick(t, ops)
+	if err := dep.Submit(ops); err != nil {
+		t.Fatal(err)
+	}
+	ops[0].T[1] = "zz"
+	ops[1].T[0] = "yy"
+	if !dep.Settle(settleBudget) {
+		t.Fatal("tick did not settle")
+	}
+	if got, want := dep.DumpString(), ref.dump(dep.Placement().Preds); got != want {
+		t.Fatalf("mutating a submitted tuple changed the committed tick:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hydro/internal/datalog"
+	"hydro/internal/simnet"
 )
 
 // Coordinator stages, in tick order. stDecide sits between the last
@@ -42,7 +43,8 @@ type coord struct {
 
 	t, a    uint64
 	epoch   uint64
-	seq     uint64 // progress counter; stale watchdogs are ignored
+	due     simnet.Time // when the stall watchdog trips; 0 once nothing is left to retry
+	timerAt simnet.Time // when the pending watchdog timer fires; 0 if none
 	stg     stage
 	comp    int
 	round   int
@@ -68,22 +70,32 @@ func (c *coord) setStage(s stage) {
 	}
 }
 
-func (c *coord) armWatchdog() {
-	c.dep().net.After(c.name(), DefaultRetryAfter, watchdogMsg{Tick: c.t, Att: c.a, Seq: c.seq})
+// armWatchdog sets this coord's one watchdog timer; a timer set before it
+// is ignored if it still fires.
+func (c *coord) armWatchdog(after simnet.Time) {
+	c.timerAt = c.dep().net.Now() + after
+	c.dep().net.After(c.name(), after, watchdogMsg{drv: c, at: c.timerAt})
 }
 
-// progress marks forward motion of the current attempt and re-arms the
-// stall detector from now.
+// progress marks forward motion of the current attempt: the watchdog trips
+// DefaultRetryAfter from now. One timer is pending per coord, re-armed for
+// the rest of the period when it fires early, so superseded timers do not
+// pile up in the event queue a stage at a time.
 func (c *coord) progress() {
-	c.seq++
-	c.armWatchdog()
+	c.due = c.dep().net.Now() + DefaultRetryAfter
+	if c.timerAt == 0 {
+		c.armWatchdog(DefaultRetryAfter)
+	}
 }
 
 // send tells every replica to run the current stage of the attempt: m,
 // changed per replica by per when it is non-nil.
 func (c *coord) send(m req, per func(i int, m *req)) {
 	m.Tick, m.Att, m.Epoch, m.Kind, m.Comp, m.Round = c.t, c.a, c.epoch, c.stg, c.comp, c.round
-	c.acks = map[int]rsp{}
+	if c.acks == nil {
+		c.acks = make(map[int]rsp, c.dep().place.N)
+	}
+	clear(c.acks)
 	for i, node := range c.dep().replicaNames {
 		mi := m
 		if per != nil {
@@ -94,7 +106,15 @@ func (c *coord) send(m req, per func(i int, m *req)) {
 }
 
 func (c *coord) watchdog(m watchdogMsg) {
-	if m.Tick != c.t || m.Att != c.a || m.Seq != c.seq {
+	if m.at != c.timerAt {
+		return
+	}
+	c.timerAt = 0
+	if c.due == 0 {
+		return
+	}
+	if wait := c.due - c.dep().net.Now(); wait > 0 {
+		c.armWatchdog(wait)
 		return
 	}
 	switch c.stg {
@@ -146,7 +166,7 @@ func (c *coord) collect(m rsp) {
 		return
 	}
 	if c.stg == stFailed {
-		c.seq++ // every replica rolled back: nothing left to retry
+		c.due = 0 // every replica rolled back: nothing left to retry
 		return
 	}
 	c.progress()

@@ -20,9 +20,10 @@ import (
 // exactly what a standby does after winning an election.
 
 // decreeSubmit appends one tick of base ops to the replicated queue. Seq
-// is the submission index; duplicates (the deployment proposes through
-// every coordinator so a single crash cannot lose a tick) collapse because
-// only Seq == len(queue) applies.
+// is the submission index. The epoch's leader proposes it; a standby
+// proposes it behind its election, or when a tick has waited out an
+// election timeout in its inbox (coordNode.proposeInbox). The duplicates a
+// failover leaves collapse because only Seq == len(queue) applies.
 type decreeSubmit struct {
 	Seq uint64
 	Ops []datalog.DeltaOp
@@ -139,6 +140,19 @@ type coordNode struct {
 	lastHB           simnet.Time
 	timerSeq         uint64
 	electProposedFor uint64 // highest epoch we already proposed an election for
+
+	// inbox holds the submitted ticks the control log has not admitted
+	// yet, in Seq order. It is not on the log: every live coordinator gets
+	// each tick, so one crash cannot lose it.
+	inbox []inboxEntry
+}
+
+// inboxEntry is one submitted tick in a coordinator's inbox. last is when
+// this coordinator last proposed it, or when it arrived if never.
+type inboxEntry struct {
+	sub      decreeSubmit
+	last     simnet.Time
+	proposed bool
 }
 
 func (cn *coordNode) name() string { return cn.dep.coordNames[cn.idx] }
@@ -170,8 +184,8 @@ func (cn *coordNode) handle(now simnet.Time, msg simnet.Message) {
 	case recoverKickMsg:
 		cn.onRecover(now)
 	case watchdogMsg:
-		if cn.drv != nil {
-			cn.drv.watchdog(m)
+		if m.drv == cn.drv {
+			m.drv.watchdog(m)
 		}
 	case rsp:
 		if cn.drv != nil {
@@ -195,6 +209,9 @@ func (cn *coordNode) tickTimer(now simnet.Time) {
 			cn.dep.metrics.heartbeats.Add(1)
 			cn.dep.net.Send(cn.name(), peer, hbMsg{Epoch: cn.st.epoch, Applied: cn.cons.Applied(), From: cn.idx})
 		}
+		// The liveness retry: a tick still not admitted one heartbeat
+		// period after this leader proposed it is proposed again.
+		cn.proposeInbox(now - cn.hbEvery())
 		// Belt and braces: re-drive queued work if no transition did.
 		cn.maybeStartNext()
 		return
@@ -203,9 +220,52 @@ func (cn *coordNode) tickTimer(now simnet.Time) {
 		// The leader has been silent past the timeout: run for epoch+1.
 		// Propose once per target epoch — Paxos itself retries the decree —
 		// and re-run only if a later election moves the epoch past ours.
+		// The inbox goes right behind the election, in the same phase-2
+		// run, so the failover adds no round trip.
 		cn.electProposedFor = cn.st.epoch + 1
 		cn.cons.Propose(decreeElect{Epoch: cn.st.epoch + 1, Leader: cn.idx})
+		cn.proposeInbox(now)
+		return
 	}
+	// A leader that recovered before anyone ran against it never saw the
+	// ticks submitted while it was down, and its heartbeats hold the
+	// election off: a tick that has waited out an election timeout here is
+	// proposed by this standby.
+	cn.proposeInbox(now - cn.electAfter())
+}
+
+// offer puts a submitted tick in the inbox; the epoch's leader proposes it
+// at once.
+func (cn *coordNode) offer(sub decreeSubmit) {
+	cn.inbox = append(cn.inbox, inboxEntry{sub: sub, last: cn.dep.net.Now()})
+	if cn.isLeader() {
+		cn.proposeInbox(-1)
+	}
+}
+
+// proposeInbox proposes, in Seq order, each inbox entry last proposed (or
+// arrived) at or before due, and on the epoch's leader every entry it has
+// not proposed yet. The seq guard in ctlState.apply collapses whatever
+// duplicates this leaves on the log.
+func (cn *coordNode) proposeInbox(due simnet.Time) {
+	now, leader := cn.dep.net.Now(), cn.isLeader()
+	for i := range cn.inbox {
+		e := &cn.inbox[i]
+		if e.last > due && (e.proposed || !leader) {
+			continue
+		}
+		e.last, e.proposed = now, true
+		cn.cons.Propose(e.sub)
+	}
+}
+
+// trimInbox drops the entries the control log has admitted.
+func (cn *coordNode) trimInbox() {
+	i := 0
+	for i < len(cn.inbox) && cn.inbox[i].sub.Seq < uint64(len(cn.st.queue)) {
+		i++
+	}
+	cn.inbox = append(cn.inbox[:0], cn.inbox[i:]...)
 }
 
 func (cn *coordNode) onHB(now simnet.Time, m hbMsg, from string) {
@@ -231,6 +291,12 @@ func (cn *coordNode) onRecover(now simnet.Time) {
 	if cn.drv != nil && cn.drv.stg != stDecide {
 		cn.drv = nil
 	}
+	if cn.drv != nil {
+		// simnet discarded the kept coord's watchdog with the node's
+		// other timers, unless it falls due after the recovery; a fresh
+		// one supersedes it either way.
+		cn.drv.armWatchdog(DefaultRetryAfter)
+	}
 	cn.electProposedFor = 0
 	cn.lastHB = now + DefaultRetryAfter*recoverLagGrace
 	cn.armTimer()
@@ -253,6 +319,7 @@ func (cn *coordNode) onRecover(now simnet.Time) {
 func (cn *coordNode) applyDecree(v any) {
 	switch cn.st.apply(v) {
 	case applySubmitted:
+		cn.trimInbox()
 		cn.maybeStartNext()
 	case applyElected:
 		cn.dep.metrics.noteLeaderChange(cn.dep.net.Now(), cn.st.epoch)
@@ -260,6 +327,8 @@ func (cn *coordNode) applyDecree(v any) {
 		cn.drv = nil
 		cn.lastHB = cn.dep.net.Now()
 		if cn.isLeader() {
+			// Ticks that arrived after this node ran for the epoch.
+			cn.proposeInbox(-1)
 			cn.recoverDrive()
 		}
 	case applyCommitted:

@@ -192,10 +192,11 @@ func (d *Deployment) RecoverCoordinator(name string) {
 
 // Submit queues one tick of base-relation ops (applied owner-side with
 // insert-if-absent / delete-if-present semantics, so redundant ops are
-// no-ops). Admission is a decree on the replicated control log, proposed
-// through every live coordinator so no single crash can lose the tick —
-// the sequence guard in ctlState collapses the duplicates. The ops slice
-// is copied: callers may reuse their buffer.
+// no-ops). Admission is a decree on the replicated control log. The tick
+// goes into the inbox of every live coordinator, so no single crash can
+// lose it, and the epoch's leader proposes it (coordNode.offer); a standby
+// proposes its inbox only behind an election. The ops and their tuples are
+// copied: callers may reuse their buffers.
 func (d *Deployment) Submit(ops []datalog.DeltaOp) error {
 	for _, op := range ops {
 		ar, ok := d.edb[op.Pred]
@@ -217,13 +218,30 @@ func (d *Deployment) Submit(ops []datalog.DeltaOp) error {
 		// forever for a submission that exists only in this counter.
 		return fmt.Errorf("shard: no live coordinator to accept tick %d", d.submitted+1)
 	}
-	cp := append([]datalog.DeltaOp(nil), ops...)
-	seq := d.submitted
+	sub := decreeSubmit{Seq: d.submitted, Ops: copyOps(ops)}
 	d.submitted++
 	for _, cn := range live {
-		cn.cons.Propose(decreeSubmit{Seq: seq, Ops: cp})
+		cn.offer(sub)
 	}
 	return nil
+}
+
+// copyOps copies ops and every tuple they carry, the tuples into one
+// backing slice.
+func copyOps(ops []datalog.DeltaOp) []datalog.DeltaOp {
+	n := 0
+	for _, op := range ops {
+		n += len(op.T)
+	}
+	vals := make(datalog.Tuple, 0, n)
+	cp := make([]datalog.DeltaOp, len(ops))
+	for i, op := range ops {
+		lo := len(vals)
+		vals = append(vals, op.T...)
+		cp[i] = op
+		cp[i].T = vals[lo:len(vals):len(vals)]
+	}
+	return cp
 }
 
 // SubmittedTicks returns the number of ticks queued so far.

@@ -34,6 +34,7 @@ func (d *Deployment) SetStageHook(h func(node string, tick, att uint64, stg int)
 // assertions.
 type ControlState struct {
 	Applied       int
+	Decided       int // decided control-log slots, no-op fillers and duplicates included
 	Epoch         uint64
 	Leader        int
 	Committed     uint64
@@ -51,6 +52,7 @@ func (d *Deployment) ControlStates() []ControlState {
 	for i, cn := range d.coords {
 		cs := ControlState{
 			Applied:       cn.cons.Applied(),
+			Decided:       d.group.DecidedCount(cn.name()),
 			Epoch:         cn.st.epoch,
 			Leader:        cn.st.leader,
 			Committed:     cn.st.committed,

@@ -537,3 +537,210 @@ func TestSubmitFailsWithEveryCoordinatorDown(t *testing.T) {
 		t.Fatalf("tick did not settle after quorum recovery:\n%s", dep.DebugString())
 	}
 }
+
+// churnTick is tick i of a long fault-free run whose state stays bounded:
+// it inserts one edge of a 12-cycle on even laps and deletes it on odd
+// ones, so the closure is rebuilt and torn down forever and per-tick work
+// does not grow with the run.
+func churnTick(i int) []datalog.DeltaOp {
+	k := int64(i % 12)
+	op := ins("edge", k, (k+1)%12)
+	op.Del = (i/12)%2 == 1
+	return []datalog.DeltaOp{op}
+}
+
+// TestFailoverStableLeader is the propose-once gate: with no faults the
+// control plane runs phase 1 once, for the first decree, and every decree
+// takes exactly one slot on every coordinator — a submit and a commit per
+// tick, no election, no duplicate for the seq guard to drop.
+func TestFailoverStableLeader(t *testing.T) {
+	const ticks = 1000
+	prog, err := datalog.NewProgram(tcRules...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, dep := newDeploymentOpts(t, prog, tcEDB, 3, 61, shard.Options{})
+	ref := newOracle(t, prog, tcEDB)
+	for i := 0; i < ticks; i++ {
+		ops := churnTick(i)
+		if err := dep.Submit(ops); err != nil {
+			t.Fatal(err)
+		}
+		if !dep.Settle(settleBudget) {
+			t.Fatalf("tick %d did not settle:\n%s", i, dep.DebugString())
+		}
+		ref.tick(t, ops)
+	}
+	// Let the last decides reach the standbys.
+	cl.Net.RunUntil(cl.Net.Now() + shard.DefaultRetryAfter)
+	m := dep.Metrics()
+	if m.Phase1Rounds > 1 || m.Elections != 0 || m.StaleDecrees != 0 || m.DoubleCommits != 0 {
+		t.Fatalf("stable leader: %d phase-1 rounds, %d elections, %d stale decrees over %d ticks: %+v",
+			m.Phase1Rounds, m.Elections, m.StaleDecrees, ticks, m)
+	}
+	for i, cs := range dep.ControlStates() {
+		if cs.Decided != 2*ticks {
+			t.Fatalf("coordinator %d decided %d slots for %d ticks, want %d (a submit and a commit each)", i, cs.Decided, ticks, 2*ticks)
+		}
+	}
+	if got, want := dep.DumpString(), ref.dump(dep.Placement().Preds); got != want {
+		t.Fatalf("diverged:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// BenchmarkDeploymentTicks times fault-free ticks of churnTick on a
+// 3-shard, 3-coordinator deployment at two run lengths: with phase 1 and
+// catch-up bounded by the undecided tail, ns/tick stays flat as the run
+// grows.
+func BenchmarkDeploymentTicks(b *testing.B) {
+	for _, ticks := range []int{200, 1600} {
+		b.Run(fmt.Sprint(ticks), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				prog, err := datalog.NewProgram(tcRules...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				_, dep := newDeploymentOpts(b, prog, tcEDB, 3, 61, shard.Options{})
+				b.StartTimer()
+				for k := 0; k < ticks; k++ {
+					if err := dep.Submit(churnTick(k)); err != nil {
+						b.Fatal(err)
+					}
+					if !dep.Settle(settleBudget) {
+						b.Fatalf("tick %d did not settle", k)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ticks), "ns/tick")
+		})
+	}
+}
+
+// submitAndSettle submits every tick, settles, and checks the outcome the
+// inbox tests share: each tick committed exactly once, no double commit,
+// and the fixpoint of the single-node oracle.
+func submitAndSettle(t *testing.T, dep *shard.Deployment, prog *datalog.Program, ticks [][]datalog.DeltaOp) {
+	t.Helper()
+	ref := newOracle(t, prog, tcEDB)
+	for _, ops := range ticks {
+		ref.tick(t, ops)
+	}
+	if !dep.Settle(settleBudget) {
+		t.Fatalf("ticks did not settle:\n%s", dep.DebugString())
+	}
+	m := dep.Metrics()
+	n := uint64(len(ticks))
+	if m.SubmitDecrees != n || m.CommitDecrees != n || m.CommittedTicks != n || m.DoubleCommits != 0 {
+		t.Fatalf("want each of %d ticks admitted and committed once: %+v", n, m)
+	}
+	if got, want := dep.DumpString(), ref.dump(dep.Placement().Preds); got != want {
+		t.Fatalf("diverged:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestFailoverSubmitWhileLeaderDown submits every tick after the leader is
+// killed: only the standbys' inboxes hold them, and the winner of the
+// election proposes them behind its elect decree.
+func TestFailoverSubmitWhileLeaderDown(t *testing.T) {
+	prog, err := datalog.NewProgram(failoverRules...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, dep := newDeploymentOpts(t, prog, tcEDB, 3, 62, shard.Options{})
+	dep.KillCoordinator(dep.Leader())
+	for _, ops := range failoverTicks {
+		if err := dep.Submit(ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submitAndSettle(t, dep, prog, failoverTicks)
+	if m := dep.Metrics(); m.Elections != 1 {
+		t.Fatalf("want one election: %+v", m)
+	}
+}
+
+// TestFailoverSubmitThenFaultLeader is E14's pattern: a tick is submitted
+// and the leader is killed, or cut off, before anything is delivered, so
+// the leader's proposal never leaves it and the tick survives only in the
+// standbys' inboxes.
+func TestFailoverSubmitThenFaultLeader(t *testing.T) {
+	for _, partition := range []bool{false, true} {
+		t.Run(fmt.Sprintf("partition=%v", partition), func(t *testing.T) {
+			prog, err := datalog.NewProgram(failoverRules...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl, dep := newDeploymentOpts(t, prog, tcEDB, 3, 63, shard.Options{})
+			for i, ops := range failoverTicks {
+				if err := dep.Submit(ops); err != nil {
+					t.Fatal(err)
+				}
+				if i == 1 {
+					if partition {
+						isolate(cl.Net, dep, dep.Leader())
+					} else {
+						dep.KillCoordinator(dep.Leader())
+					}
+				}
+			}
+			submitAndSettle(t, dep, prog, failoverTicks)
+			if m := dep.Metrics(); m.Elections < 1 {
+				t.Fatalf("no election: %+v", m)
+			}
+		})
+	}
+}
+
+// TestFailoverLeaderBackBeforeElection kills the leader, submits a tick
+// only the standbys hear of, and brings the leader back before any
+// standby runs against it: its heartbeats hold the election off, so a
+// standby proposes the tick once it has waited out an election timeout.
+func TestFailoverLeaderBackBeforeElection(t *testing.T) {
+	prog, err := datalog.NewProgram(failoverRules...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, dep := newDeploymentOpts(t, prog, tcEDB, 3, 64, shard.Options{})
+	leader := dep.Leader()
+	dep.KillCoordinator(leader)
+	if err := dep.Submit(failoverTicks[0]); err != nil {
+		t.Fatal(err)
+	}
+	cl.Net.RunUntil(cl.Net.Now() + 100_000)
+	dep.RecoverCoordinator(leader)
+	submitAndSettle(t, dep, prog, failoverTicks[:1])
+	if m := dep.Metrics(); m.Elections != 0 || m.Leader != leader {
+		t.Fatalf("the recovered leader was replaced: %+v", m)
+	}
+}
+
+// TestFailoverLeaderReproposesStaleSubmit needs the leader's liveness
+// retry: tick 0 reaches only a standby and tick 1 only the leader, so the
+// leader's proposal of tick 1 lands first, fails the seq guard, and only
+// the leader still holds it once the standby's tick 0 is admitted.
+func TestFailoverLeaderReproposesStaleSubmit(t *testing.T) {
+	prog, err := datalog.NewProgram(failoverRules...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, dep := newDeploymentOpts(t, prog, tcEDB, 3, 65, shard.Options{})
+	coords := dep.Coordinators()
+	leader, a, b := coords[0], coords[1], coords[2]
+	dep.KillCoordinator(leader)
+	dep.KillCoordinator(b)
+	if err := dep.Submit(failoverTicks[0]); err != nil { // a's inbox only
+		t.Fatal(err)
+	}
+	dep.KillCoordinator(a)
+	dep.RecoverCoordinator(leader)
+	if err := dep.Submit(failoverTicks[1]); err != nil { // the leader's inbox only
+		t.Fatal(err)
+	}
+	dep.RecoverCoordinator(b)
+	dep.RecoverCoordinator(a)
+	submitAndSettle(t, dep, prog, failoverTicks[:2])
+	if m := dep.Metrics(); m.StaleDecrees == 0 || m.Leader != leader {
+		t.Fatalf("want tick 1 decreed out of order and re-proposed by the leader: %+v", m)
+	}
+}

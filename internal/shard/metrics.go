@@ -54,6 +54,8 @@ type Metrics struct {
 	FencedCommits    uint64      // stale-epoch commits dropped by replicas
 	Heartbeats       uint64      // leader heartbeats sent
 	CommittedTicks   uint64      // ticks committed on every data replica
+	Phase1Rounds     uint64      // Paxos phase-1 rounds the coordinators started
+	PaxosSends       uint64      // Paxos messages the coordinators sent
 	// Deprecated: AttemptDecrees counted attempt decrees on the control
 	// log, which no longer exist; it always reads 0. Read Attempts.
 	AttemptDecrees uint64
@@ -62,6 +64,12 @@ type Metrics struct {
 // Metrics snapshots the control plane.
 func (d *Deployment) Metrics() Metrics {
 	st := &d.view().st
+	var phase1, sends uint64
+	for _, cn := range d.coords {
+		cs := cn.cons.Stats()
+		phase1 += cs.Phase1Rounds
+		sends += cs.Sends
+	}
 	return Metrics{
 		Epoch:            st.epoch,
 		Leader:           d.coordNames[st.leader],
@@ -76,5 +84,7 @@ func (d *Deployment) Metrics() Metrics {
 		FencedCommits:    d.metrics.fencedCommits.Load(),
 		Heartbeats:       d.metrics.heartbeats.Load(),
 		CommittedTicks:   d.CommittedTicks(),
+		Phase1Rounds:     phase1,
+		PaxosSends:       sends,
 	}
 }

@@ -1,6 +1,9 @@
 package shard
 
-import "hydro/internal/datalog"
+import (
+	"hydro/internal/datalog"
+	"hydro/internal/simnet"
+)
 
 // Wire protocol. The elected coordinator leader sequences BSP ticks over N
 // replicas:
@@ -69,7 +72,13 @@ type xchMsg struct {
 // rkey identifies one exchange barrier of the current attempt.
 type rkey struct{ comp, round int }
 
-type watchdogMsg struct{ Tick, Att, Seq uint64 }
+// watchdogMsg is a coord's stall timer, set to fire at at; it acts only
+// while drv is still the coordinator's coord (coordNode.drv) and this is
+// its pending timer.
+type watchdogMsg struct {
+	drv *coord
+	at  simnet.Time
+}
 
 // hbMsg is a coordinator-to-coordinator heartbeat: the sender's view of
 // the leadership epoch and how many control-log slots it has applied.

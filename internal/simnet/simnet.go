@@ -9,7 +9,6 @@
 package simnet
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 )
@@ -65,18 +64,57 @@ type event struct {
 	timer bool // timer events fire even when links are partitioned
 }
 
+// eventHeap is a binary min-heap on (at, seq). It is container/heap's
+// algorithm written out for event, so no event is boxed into an interface
+// on its way in or out; seq is unique, so the pop order is fully
+// determined.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
+func (h *eventHeap) push(e event) {
+	q := append(*h, e)
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q.less(i, p) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+	*h = q
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	top := q[0]
+	q[0] = q[n]
+	q[n] = event{} // the backing array must not keep a delivered payload alive
+	q = q[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && q.less(r, m) {
+			m = r
+		}
+		if !q.less(m, i) {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q
+	return top
+}
+
 func (h eventHeap) Peek() (event, bool) {
 	if len(h) == 0 {
 		return event{}, false
@@ -188,7 +226,7 @@ func (n *Network) Send(from, to string, payload any) Time {
 	}
 	at := depart + n.latency(from, to)
 	n.seq++
-	heap.Push(&n.queue, event{
+	n.queue.push(event{
 		at:  at,
 		seq: n.seq,
 		msg: Message{From: from, To: to, Payload: payload, Sent: n.now, Deliver: at},
@@ -202,7 +240,7 @@ func (n *Network) Send(from, to string, payload any) Time {
 func (n *Network) After(node string, delay Time, payload any) {
 	n.seq++
 	at := n.now + delay
-	heap.Push(&n.queue, event{
+	n.queue.push(event{
 		at:    at,
 		seq:   n.seq,
 		msg:   Message{From: node, To: node, Payload: payload, Sent: n.now, Deliver: at},
@@ -217,14 +255,14 @@ func (n *Network) Step() bool {
 		if len(n.queue) == 0 {
 			return false
 		}
-		e := heap.Pop(&n.queue).(event)
+		e := n.queue.pop()
 		n.now = e.at
 		msg := e.msg
 		if n.down[msg.To] || (!e.timer && n.down[msg.From]) {
 			n.stats.Blocked++
 			continue
 		}
-		if !e.timer && n.cut[pairKey(msg.From, msg.To)] {
+		if !e.timer && len(n.cut) > 0 && n.cut[pairKey(msg.From, msg.To)] {
 			n.stats.Blocked++
 			continue
 		}
