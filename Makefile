@@ -33,12 +33,13 @@ smoke:
 		$(GO) run ./examples/$$ex > /dev/null || exit 1; \
 	done
 
-# bench-test compiles and tests the nested bench/ module (own go.mod, so
-# `go build ./... && go test ./...` at the root never see it): a change to
-# the shard/datalog/serve surface the end-to-end benchmark imports fails
-# here instead of at the next benchmark run.
+# bench-test vets, compiles and tests the nested bench/ module (own
+# go.mod, so `go vet ./...`, `go build ./...` and `go test ./...` at the
+# root never see it): a change to the shard/datalog/serve surface the
+# end-to-end benchmark imports fails here instead of at the next benchmark
+# run.
 bench-test:
-	cd bench && $(GO) test ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # orphans fails if an internal/ package is on no path from a cmd/, an
 # example, the public hydro API or the bench/ module (ROADMAP aim 2):

@@ -115,13 +115,14 @@ func (p *Program) Eval(db *Database) (int, error) {
 
 // EvalNaive runs the program with naive (all-at-once) iteration: every rule
 // re-derives from the full relations each round, walking rules
-// interpretively (map bindings, no plans). It is the baseline for
-// experiment E8 (differential vs all-at-once flows, §8.2) and the reference
-// implementation the differential property test checks Eval against.
+// interpretively (map bindings, no plans). It is the oracle the
+// differential tests check every plan-driven path against, and
+// BenchmarkEvalNaiveTCChain's baseline for BenchmarkEvalTCChain
+// (differential vs all-at-once flows, §8.2).
 func (p *Program) EvalNaive(db *Database) (int, error) {
-	// Stratification comes from the Prepare cache (so E8 times evaluation
-	// strategy, not per-call stratification); derivation itself stays
-	// interpretive.
+	// Stratification comes from the Prepare cache (so the benchmark pair
+	// times evaluation strategy, not per-call stratification); derivation
+	// itself stays interpretive.
 	if err := p.Prepare(); err != nil {
 		return 0, err
 	}

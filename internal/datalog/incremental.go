@@ -331,17 +331,6 @@ func (inc *Incremental) validateDelta(d *Delta, preds []string) error {
 	return nil
 }
 
-// dredReady reports whether every rule in the component carries a compiled
-// support plan (always true for recursive monotone components; defensive).
-func (c *incComponent) dredReady() bool {
-	for _, pl := range c.plans {
-		if pl.support == nil {
-			return false
-		}
-	}
-	return true
-}
-
 // roundBufs is the word storage a sequence of semi-naive rounds reuses —
 // across rounds and, on an Incremental, across ticks: one drive's emitted
 // head rows, and per head predicate the rows accepted in the previous and

@@ -15,8 +15,9 @@ import (
 // derivation counts it keeps ride the head relation's slots,
 // Relation.addCount) and the shard replicas' Drive all execute these plans.
 // The interpretive binding-map walk (deriveRule in eval.go, behind
-// EvalNaive) is the oracle only: the E8 baseline and the reference the
-// differential tests compare every plan-driven path against.
+// EvalNaive) is the oracle only: the reference the differential tests
+// compare every plan-driven path against, and BenchmarkEvalNaiveTCChain's
+// baseline.
 
 // A compiled term is a slot in the flat binding environment: variables
 // first, then one slot per constant, which newExec fills with the constant's
@@ -804,16 +805,19 @@ func (p *Program) Prepare() error {
 							firstPos[t.Var] = j
 							headVars = append(headVars, t.Var)
 						}
-						if sp, serr := compileRule(r, headVars, true); serr == nil {
-							pl.support = sp
-							pl.supportVars = headVars
-							pl.supportBindPos = make([]int, len(headVars))
-							for k, v := range headVars {
-								pl.supportBindPos[k] = firstPos[v]
-							}
-							pl.supportConsts = consts
-							pl.supportChecks = checks
+						sp, err := compileRule(r, headVars, true)
+						if err != nil {
+							p.prepErr = err
+							return
 						}
+						pl.support = sp
+						pl.supportVars = headVars
+						pl.supportBindPos = make([]int, len(headVars))
+						for k, v := range headVars {
+							pl.supportBindPos[k] = firstPos[v]
+						}
+						pl.supportConsts = consts
+						pl.supportChecks = checks
 					}
 					plans = append(plans, pl)
 				}

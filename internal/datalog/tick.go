@@ -30,7 +30,7 @@ func (inc *Incremental) strategy(c *incComponent, hasDel bool) phase {
 		return countPhase
 	case !hasDel:
 		return insertPhase
-	case inc.forceRecompute || !c.dredReady():
+	case inc.forceRecompute:
 		return recomputePhase
 	}
 	return overPhase

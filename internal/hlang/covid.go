@@ -2,8 +2,9 @@ package hlang
 
 // CovidSource is the paper's running example (Fig 2/Fig 3): a simplified
 // COVID-19 contact-tracing backend, written in this repository's
-// Datalog-flavored HydroLogic syntax. It is shared by tests, examples and
-// the E1 experiment.
+// Datalog-flavored HydroLogic syntax. It is shared by tests, the commands
+// and examples, the experiments that deploy it, and the end-to-end
+// benchmark.
 //
 // Handler-by-handler correspondence with Fig 3:
 //   - add_person / add_contact: monotonic merges (lines 7-14)

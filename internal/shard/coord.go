@@ -17,10 +17,8 @@ type stage int
 const (
 	stIdle stage = iota
 	stPrepare
-	stOps
 	stCompBegin
 	stRound
-	stApply
 	stDecide
 	stCommit
 	stFailed
@@ -50,9 +48,7 @@ type coord struct {
 	round   int
 	hasDel  bool // the tick deletes from the component's inputs somewhere
 	quiet   bool // the last round left nothing to drive anywhere
-	last    bool // every replica's component is in its last phase
 	tickOps []datalog.DeltaOp
-	routed  [][]datalog.DeltaOp
 	acks    map[int]rsp
 }
 
@@ -138,18 +134,18 @@ func (c *coord) watchdog(m watchdogMsg) {
 // startAttempt (re)starts the tick from prepare under a fresh attempt ID:
 // the epoch in the high half, the leader's attempt count in the low half.
 // Each epoch has one leader, so IDs never repeat across leaders and grow
-// with the epoch.
+// with the epoch. Each replica's prepare carries its routed slice of the
+// tick's base ops.
 func (c *coord) startAttempt() {
 	c.cn.attSeq++
 	c.dep().metrics.attempts.Add(1)
 	c.a = c.epoch<<32 | c.cn.attSeq
-	// Route the tick's base ops once per attempt.
-	c.routed = make([][]datalog.DeltaOp, c.dep().place.N)
+	routed := make([][]datalog.DeltaOp, c.dep().place.N)
 	for _, op := range c.tickOps {
-		route(c.dep().place, c.routed, op.Pred, op.T, op)
+		route(c.dep().place, routed, op.Pred, op.T, op)
 	}
 	c.setStage(stPrepare)
-	c.send(req{}, nil)
+	c.send(req{}, func(i int, m *req) { m.Ops = routed[i] })
 	c.progress()
 }
 
@@ -177,9 +173,6 @@ func (c *coord) advance() {
 	n := c.dep().place.N
 	switch c.stg {
 	case stPrepare:
-		c.setStage(stOps)
-		c.send(req{}, func(i int, m *req) { m.Ops = c.routed[i] })
-	case stOps:
 		c.comp = 0
 		c.beginComp()
 	case stCompBegin:
@@ -197,31 +190,21 @@ func (c *coord) advance() {
 		c.quiet = false
 		c.startRound()
 	case stRound:
-		// Per-replica barrier size: how many peers shipped it traffic.
-		expect := make([]int, n)
-		emitted := 0
-		c.last = true
-		for s := 0; s < n; s++ {
-			emitted += c.acks[s].Emitted
-			c.last = c.last && c.acks[s].Last
-			for d, sent := range c.acks[s].SentTo {
-				if sent {
-					expect[d]++
-				}
-			}
-		}
-		if emitted == 0 {
-			c.nextRound(true) // nothing to accept anywhere
-			return
-		}
-		c.setStage(stApply)
-		c.send(req{}, func(i int, m *req) { m.Expect = expect[i] })
-	case stApply:
-		pending := 0
+		// Every replica has accepted the round's batches: once nothing is
+		// left to drive anywhere, a component in its last phase is done.
+		last, pending := true, 0
 		for i := 0; i < n; i++ {
+			last = last && c.acks[i].Last
 			pending += c.acks[i].Next
 		}
-		c.nextRound(pending == 0)
+		if pending == 0 && last {
+			c.comp++
+			c.beginComp()
+			return
+		}
+		c.round++
+		c.quiet = pending == 0
+		c.startRound()
 	case stCommit:
 		allIn := true
 		for i := 0; i < n; i++ {
@@ -235,19 +218,6 @@ func (c *coord) advance() {
 		c.cn.drv = nil
 		c.cn.maybeStartNext()
 	}
-}
-
-// nextRound follows a round whose rows are all accepted: once nothing is
-// left to drive anywhere (quiet), a component in its last phase is done.
-func (c *coord) nextRound(quiet bool) {
-	if quiet && c.last {
-		c.comp++
-		c.beginComp()
-		return
-	}
-	c.round++
-	c.quiet = quiet
-	c.startRound()
 }
 
 // fail stops the deployment at this tick: a component's evaluation failed,

@@ -10,10 +10,8 @@ import "fmt"
 const (
 	StageIdle      = int(stIdle)
 	StagePrepare   = int(stPrepare)
-	StageOps       = int(stOps)
 	StageCompBegin = int(stCompBegin)
 	StageRound     = int(stRound)
-	StageApply     = int(stApply)
 	StageDecide    = int(stDecide)
 	StageCommit    = int(stCommit)
 )

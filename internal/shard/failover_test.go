@@ -38,14 +38,14 @@ func newDeploymentOpts(t testing.TB, prog *datalog.Program, edb map[string]int, 
 // failoverStages is the kill schedule: every driver stage from prepare
 // through commit.
 var failoverStages = []int{
-	shard.StagePrepare, shard.StageOps, shard.StageCompBegin, shard.StageRound,
-	shard.StageApply, shard.StageDecide, shard.StageCommit,
+	shard.StagePrepare, shard.StageCompBegin, shard.StageRound,
+	shard.StageDecide, shard.StageCommit,
 }
 
 func stageName(s int) string {
 	names := map[int]string{
-		shard.StageIdle: "idle", shard.StagePrepare: "prepare", shard.StageOps: "ops",
-		shard.StageCompBegin: "compBegin", shard.StageRound: "round", shard.StageApply: "apply",
+		shard.StageIdle: "idle", shard.StagePrepare: "prepare",
+		shard.StageCompBegin: "compBegin", shard.StageRound: "round",
 		shard.StageDecide: "decide", shard.StageCommit: "commit",
 	}
 	return names[s]
@@ -71,7 +71,7 @@ func healAll(net *simnet.Network, dep *shard.Deployment, node string) {
 }
 
 // failoverRules covers every driver stage: the linear TC layer drives
-// DRed rounds (stRound/stApply), and the negation layer makes its
+// DRed exchange rounds (stRound), and the negation layer makes its
 // component non-monotone (a recompute round).
 var failoverRules = append(append([]datalog.Rule{}, tcRules...), datalog.Rule{
 	Head: datalog.Atom{Pred: "dead", Args: []datalog.Term{datalog.V("x")}},
@@ -223,6 +223,17 @@ func TestFailoverLeaderKillEveryStage(t *testing.T) {
 			})
 		}
 	}
+	// The ops window: prepare carries each replica's routed ops, and the
+	// leader is faulted once every replica has applied them, before any
+	// prepare answer can reach it. The successor's prepare must roll those
+	// ops back before it applies its own.
+	for _, mode := range []string{"kill", "partition"} {
+		mode := mode
+		t.Run("ops-"+mode, func(t *testing.T) {
+			t.Parallel()
+			runInFlightFault(t, shard.StagePrepare, mode == "partition")
+		})
+	}
 }
 
 // TestFailoverChaos50Seeds is the randomized sweep: 50 seeds of random
@@ -345,6 +356,97 @@ func TestFailoverLeaderPausedAtDecideResumes(t *testing.T) {
 	}
 	if got, want := dep.DumpString(), ref.dump(dep.Placement().Preds); got != want {
 		t.Fatalf("diverged:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestFailoverMidExchange faults the leader while its replicas run an
+// exchange round without it: half a hop after its first round request of
+// tick 2 lands, every replica holds the request and no answer can have
+// reached the leader. The replicas still run the round, exchange their
+// batches, accept them and answer a leader that is gone; the successor
+// restarts the attempt over their staging.
+func TestFailoverMidExchange(t *testing.T) {
+	for _, partition := range []bool{false, true} {
+		mode := "kill"
+		if partition {
+			mode = "partition"
+		}
+		t.Run(mode, func(t *testing.T) {
+			runInFlightFault(t, shard.StageRound, partition)
+		})
+	}
+}
+
+// runInFlightFault faults the leader while its first request of `stage`
+// on tick 2 is with the replicas. Every hop takes exactly one hop time,
+// and a helper node's timer faults the leader a hop and a half after it
+// enters the stage: after every replica holds the request, before any
+// answer can reach the leader. Every tick must still settle to the
+// single-node incremental fixpoint, with one election and no double
+// commit.
+func runInFlightFault(t *testing.T, stage int, partition bool) {
+	t.Helper()
+	const hop = simnet.Time(100)
+	prog, err := datalog.NewProgram(failoverRules...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := cluster.NewTopology(3, 2, 2, cluster.ClassSmall)
+	cl := cluster.New(topo, simnet.Config{Seed: 408, MinLatency: hop, MaxLatency: hop})
+	machines, err := topo.SpreadAcross(cluster.AZ, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := shard.Deploy(cl, "dep3", prog, tcEDB, machines, shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newOracle(t, prog, tcEDB)
+
+	leader, faulted, moved := "", false, 0
+	cl.Net.AddNode("fault-timer", func(simnet.Time, simnet.Message) {
+		faulted = true
+		if partition {
+			isolate(cl.Net, dep, leader)
+		} else {
+			dep.KillCoordinator(leader)
+		}
+	})
+	dep.SetStageHook(func(node string, tick, _ uint64, stg int) {
+		switch {
+		case faulted:
+		case leader != "":
+			moved++ // the leader collected the stage's answers before the fault
+		case tick == 2 && stg == stage:
+			leader = node
+			cl.Net.After("fault-timer", hop+hop/2, nil)
+		}
+	})
+
+	for i, ops := range failoverTicks {
+		if err := dep.Submit(ops); err != nil {
+			t.Fatal(err)
+		}
+		if !dep.Settle(settleBudget) {
+			t.Fatalf("tick %d did not settle:\n%s", i, dep.DebugString())
+		}
+		ref.tick(t, ops)
+		if got, want := dep.DumpString(), ref.dump(dep.Placement().Preds); got != want {
+			t.Fatalf("tick %d diverged:\n%s\nwant:\n%s", i, got, want)
+		}
+		if err := dep.CheckMirrors(); err != nil {
+			t.Fatalf("tick %d: %v", i, err)
+		}
+		if m := dep.Metrics(); m.DoubleCommits != 0 {
+			t.Fatalf("tick %d: double commits: %+v", i, m)
+		}
+	}
+	if !faulted || moved != 0 {
+		t.Fatalf("fault missed the %s window: faulted=%v, %d stage moves before it", stageName(stage), faulted, moved)
+	}
+	m := dep.Metrics()
+	if m.Elections < 1 || m.CommittedTicks != uint64(len(failoverTicks)) {
+		t.Fatalf("want an election and every tick committed: %+v", m)
 	}
 }
 

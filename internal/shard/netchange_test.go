@@ -21,9 +21,9 @@ func TestShardedChurnWithinTickShipsNothing(t *testing.T) {
 	}
 	_, dep := newDeployment(t, prog, tcEDB, 3, 7)
 	ref := newOracle(t, prog, tcEDB)
-	evaluated := map[uint64]bool{} // ticks that reached a round, apply or recompute stage
+	evaluated := map[uint64]bool{} // ticks that reached an exchange round (recompute included)
 	dep.SetStageHook(func(_ string, tick, _ uint64, stg int) {
-		if stg == shard.StageRound || stg == shard.StageApply {
+		if stg == shard.StageRound {
 			evaluated[tick] = true
 		}
 	})

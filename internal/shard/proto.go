@@ -8,40 +8,42 @@ import (
 // Wire protocol. The elected coordinator leader sequences BSP ticks over N
 // replicas:
 //
-//	prepare → ops → per component: compBegin → (round → [xch* → apply])*
-//	  → … → decide → commit
+//	prepare → per component: compBegin → round* → … → decide → commit
 //
-// A round is one round of the component's datalog.Tick on every replica;
-// its xch traffic is accepted at the apply barrier, skipped when no replica
-// emitted anything. The component ends after a round that leaves nothing
-// to drive anywhere, once its replicas report their last phase.
+// Prepare resets a replica's staging and carries its routed ops, which it
+// applies before it begins the tick. A round is one round of the
+// component's datalog.Tick on every replica, and an all-to-all exchange:
+// each replica sends every peer exactly one xch batch per round, empty
+// ones included, and answers the round request itself once it holds N
+// batches (its own and one from each peer), accepted in sender order. The
+// component ends after a round that leaves nothing to drive anywhere, once
+// its replicas report their last phase.
 //
 // A request's Kind is the coordinator stage it runs (stFailed: roll the
 // attempt back and fence it until the next prepare), and a response echoes
-// its request's header. Every request
-// and response carries (Tick, Att); a replica drops
-// anything that is not its current attempt, and the coordinator drops
-// stale acks — so a timed-out attempt can be restarted wholesale under a
-// fresh Att without fencing individual messages. An attempt ID is
-// epoch<<32 | n, n counted by the leader that starts it (DESIGN.md §13):
-// each epoch has one leader, so a (Tick, Att) pair is never reused across
-// leaders, and IDs grow with the epoch. Requests also carry
-// the leader's Epoch: replicas remember the highest epoch seen and drop
-// anything older, so a deposed leader's stale broadcasts are fenced even
-// when they race a new leader's traffic. Commit is the only stage retried
-// in place: it is broadcast only after the commit decree is on the quorum
-// log (every replica has fully staged the attempt by then), so resending
-// commit{t} until all ack is idempotent.
+// its request's header. Every request and response carries (Tick, Att); a
+// replica drops anything that is not its current attempt, and the
+// coordinator drops stale acks — so a timed-out attempt can be restarted
+// wholesale under a fresh Att without fencing individual messages. An
+// attempt ID is epoch<<32 | n, n counted by the leader that starts it
+// (DESIGN.md §13): each epoch has one leader, so a (Tick, Att) pair is
+// never reused across leaders, and IDs grow with the epoch. Requests also
+// carry the leader's Epoch: replicas remember the highest epoch seen and
+// drop anything older, so a deposed leader's stale broadcasts are fenced
+// even when they race a new leader's traffic. Commit and stFailed are the
+// only stages retried in place: commit is broadcast only after the commit
+// decree is on the quorum log (every replica has fully staged the attempt
+// by then), and a rollback leaves nothing staged, so resending either
+// until all ack is idempotent. Any other stall restarts the attempt.
 
 type req struct {
 	Tick, Att   uint64
 	Epoch       uint64 // leadership epoch of the sending coordinator
 	Kind        stage
 	Comp, Round int
-	Ops         []datalog.DeltaOp // stOps: this replica's routed slice
+	Ops         []datalog.DeltaOp // stPrepare: this replica's routed slice
 	HasDel      bool              // stRound 0: the tick deletes from the component's inputs somewhere
 	Quiet       bool              // stRound: the previous round left nothing to drive anywhere
-	Expect      int               // stApply: xch messages to await
 }
 
 type rsp struct {
@@ -50,17 +52,16 @@ type rsp struct {
 	Kind           stage
 	Comp, Round    int
 	HasAdd, HasDel bool   // stCompBegin: local input changes
-	SentTo         []bool // stRound: which peers got an xch this round
-	Emitted        int    // stRound: rows shipped, to self included
 	Last           bool   // stRound: a quiet round ends the component
-	Next           int    // stApply: accepted rows the next round drives
+	Next           int    // stRound: accepted rows the next round drives
 	Err            error  // the component's evaluation failed: the tick cannot commit
 	Committed      uint64 // last committed tick
 }
 
-// xchMsg carries one round's emissions from one replica to one peer.
-// (Tick, Att) alone fences stale batches — attempts are globally unique —
-// but Epoch rides along as defense in depth and for fence accounting.
+// xchMsg carries one round's emissions, possibly none, from one replica to
+// one peer. (Tick, Att) alone fences stale batches — attempts are globally
+// unique — but Epoch rides along as defense in depth and for fence
+// accounting.
 type xchMsg struct {
 	Tick, Att   uint64
 	Epoch       uint64

@@ -11,11 +11,12 @@ import (
 // relation (plus a full copy of every mirrored one) and maintains them with
 // the single-node engine, a datalog.Tick, stepped one exchange round at a
 // time: what a round emits goes to the replica owning it, and what arrives
-// is accepted at the round's barrier in sender order. What lives here is
-// only what is distributed: routing, designated drivers, barriers and
-// epoch/attempt fencing. The tick's Abort is the undo log: a restarted
-// attempt rolls the staged one back, so redelivered or retried protocol
-// traffic can never double-apply.
+// is accepted at the round's barrier in sender order. Each replica sends
+// every peer one batch per round, so a replica closes its own barrier once
+// it holds N. What lives here is only what is distributed: routing,
+// designated drivers, barriers and epoch/attempt fencing. The tick's Abort
+// is the undo log: a restarted attempt rolls the staged one back, so
+// redelivered or retried protocol traffic can never double-apply.
 type replica struct {
 	dep  *Deployment
 	self int
@@ -29,9 +30,10 @@ type replica struct {
 	coordFrom       string // coordinator that prepared the current attempt (reply target)
 
 	// Staging for the current attempt.
-	tick  *datalog.Tick // nil until the attempt's ops arrive
-	inbox map[rkey][]xchMsg
-	await map[rkey]req // apply barriers waiting on more xch traffic
+	tick   *datalog.Tick     // nil until the attempt's ops are applied
+	inbox  map[rkey][]xchMsg // round batches by barrier, this replica's own included
+	driven *req              // the round driven here and not yet answered
+	last   bool              // driven's Round reported its component's last phase
 }
 
 func newReplica(dep *Deployment, self int) (*replica, error) {
@@ -55,9 +57,8 @@ func newReplica(dep *Deployment, self int) (*replica, error) {
 // clearStaging forgets the current attempt's staging — after a rollback,
 // or at commit, when the staged changes become the committed state.
 func (r *replica) clearStaging() {
-	r.tick = nil
+	r.tick, r.driven = nil, nil
 	r.inbox = map[rkey][]xchMsg{}
-	r.await = map[rkey]req{}
 }
 
 func (r *replica) name() string { return r.dep.replicaNames[r.self] }
@@ -77,7 +78,7 @@ func (r *replica) handle(now simnet.Time, msg simnet.Message) {
 		if !r.stale(m.Epoch, m.Tick, m.Att) {
 			k := rkey{m.Comp, m.Round}
 			r.inbox[k] = append(r.inbox[k], m)
-			r.maybeApply(k)
+			r.maybeAccept(k)
 		}
 	}
 }
@@ -106,12 +107,15 @@ func (r *replica) handleReq(from string, m req) {
 		}
 		r.clearStaging()
 		r.curTick, r.curAtt = m.Tick, m.Att
+		var err error
 		if m.Kind == stFailed {
 			// No attempt is current: requests and batches of the failed one
 			// still in flight are stale, and a stray commit cannot seal it.
 			r.curTick = 0
+		} else {
+			err = r.applyOps(m.Ops)
 		}
-		r.reply(m, rsp{})
+		r.reply(m, rsp{Err: err})
 	case stCommit:
 		if m.Epoch < r.curEpoch {
 			r.dep.metrics.fencedCommits.Add(1)
@@ -133,21 +137,11 @@ func (r *replica) handleReq(from string, m req) {
 			return
 		}
 		switch m.Kind {
-		case stOps:
-			var err error
-			if r.tick == nil {
-				err = r.applyOps(m.Ops)
-			}
-			r.reply(m, rsp{Err: err})
 		case stCompBegin:
 			add, del := r.tick.Touched(m.Comp)
 			r.reply(m, rsp{HasAdd: add, HasDel: del})
 		case stRound:
 			r.runRound(m)
-		case stApply:
-			k := rkey{m.Comp, m.Round}
-			r.await[k] = m
-			r.maybeApply(k)
 		}
 	}
 }
@@ -176,9 +170,9 @@ func (r *replica) applyOps(ops []datalog.DeltaOp) error {
 
 // runRound drives one exchange round of the component (starting it on
 // round 0) and ships what it emits: to the owner for a sharded head, to
-// every replica for a mirrored head or an over-deleted candidate. The
-// local batch is stashed in the inbox, so apply-time ordering treats self
-// like any peer.
+// every replica for a mirrored head or an over-deleted candidate. Every
+// peer gets exactly one batch, empty or not, and the local batch is
+// stashed in the inbox, so accept-time ordering treats self like any peer.
 func (r *replica) runRound(m req) {
 	if m.Round == 0 {
 		r.tick.Start(m.Comp, m.HasDel)
@@ -193,24 +187,22 @@ func (r *replica) runRound(m req) {
 			batches[d] = append(batches[d], c)
 		}
 	})
+	if err != nil {
+		r.reply(m, rsp{Err: err})
+		return
+	}
 	k := rkey{m.Comp, m.Round}
-	sentTo := make([]bool, r.dep.place.N)
-	emitted := 0
 	for d, items := range batches {
-		if len(items) == 0 {
-			continue
-		}
-		emitted += len(items)
+		r.dep.metrics.rows.Add(uint64(len(items)))
 		x := xchMsg{Tick: m.Tick, Att: m.Att, Epoch: r.curEpoch, Comp: m.Comp, Round: m.Round, From: r.self, Items: items}
 		if d == r.self {
 			r.inbox[k] = append(r.inbox[k], x)
-			continue
+		} else {
+			r.dep.net.Send(r.name(), r.dep.replicaNames[d], x)
 		}
-		sentTo[d] = true
-		r.dep.net.Send(r.name(), r.dep.replicaNames[d], x)
 	}
-	r.dep.metrics.rows.Add(uint64(emitted))
-	r.reply(m, rsp{SentTo: sentTo, Emitted: emitted, Last: last, Err: err})
+	r.driven, r.last = &m, last
+	r.maybeAccept(k)
 }
 
 // stale reports whether mid-attempt traffic is not for the current
@@ -223,24 +215,16 @@ func (r *replica) stale(epoch, tick, att uint64) bool {
 	return epoch != r.curEpoch || tick != r.curTick || att != r.curAtt || r.committed >= tick
 }
 
-// maybeApply completes an exchange barrier once every expected xch has
-// arrived: batches are accepted in sender order (not arrival order), and
-// the coordinator learns how many accepted rows the next round drives.
-func (r *replica) maybeApply(k rkey) {
-	m, ok := r.await[k]
-	if !ok {
+// maybeAccept closes the exchange barrier of the round driven here once
+// its N batches are in: they are accepted in sender order (not arrival
+// order), and the coordinator learns how many accepted rows the next round
+// drives.
+func (r *replica) maybeAccept(k rkey) {
+	if r.driven == nil || (rkey{r.driven.Comp, r.driven.Round}) != k || len(r.inbox[k]) < r.dep.place.N {
 		return
 	}
-	got := 0
-	for _, x := range r.inbox[k] {
-		if x.From != r.self {
-			got++
-		}
-	}
-	if got < m.Expect {
-		return
-	}
-	delete(r.await, k)
+	m := *r.driven
+	r.driven = nil
 	batches := r.inbox[k]
 	delete(r.inbox, k)
 	sort.Slice(batches, func(i, j int) bool { return batches[i].From < batches[j].From })
@@ -249,5 +233,5 @@ func (r *replica) maybeApply(k rkey) {
 		arrived[i] = x.Items
 	}
 	next, err := r.tick.Accept(arrived...)
-	r.reply(m, rsp{Next: next, Err: err})
+	r.reply(m, rsp{Last: r.last, Next: next, Err: err})
 }
