@@ -106,8 +106,12 @@ HANDLER_BANNED = transducer\.New\(|\.RegisterHandler\(
 compiled-handlers:
 	@! grep -nE '$(HANDLER_BANNED)' $(HANDLER_SRC) | sed 's,//.*,,' | grep -E '$(HANDLER_BANNED)'
 
+# tables prints every experiment table at -quick sizes, then replays the
+# pinned -quick tables (internal/experiments/testdata/quick.golden) on one
+# scheduler thread: their bytes must not depend on GOMAXPROCS.
 tables:
 	$(GO) run ./cmd/benchtab -quick
+	GOMAXPROCS=1 $(GO) test -count=1 -run '^TestQuickTablesGolden$$' ./internal/experiments
 
 # fuzz is the generative smoke run CI executes on every PR: beyond the
 # committed seed corpus (which plain `go test` already replays), it spends

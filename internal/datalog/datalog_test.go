@@ -3,6 +3,7 @@ package datalog
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -154,6 +155,93 @@ func TestUnstratifiableRejected(t *testing.T) {
 	}
 	if _, err := NewProgram(rules...); err == nil {
 		t.Fatal("unstratifiable program accepted")
+	}
+}
+
+// dbString prints every relation of db, name order, with its arity and its
+// tuples in Tuples order.
+func dbString(db *Database) string {
+	var b strings.Builder
+	for _, name := range db.Names() {
+		fmt.Fprintf(&b, "%s/%d %v\n", name, db.Get(name).Arity, db.Get(name).Tuples())
+	}
+	return b.String()
+}
+
+// TestPredicateAtTwoAritiesRejected pins that a predicate has one arity.
+// Rules that use one at two are refused at NewProgram; a database relation
+// stored at another arity than the rules read it at is refused by every
+// evaluator before it changes anything.
+func TestPredicateAtTwoAritiesRejected(t *testing.T) {
+	atom := func(pred string, vars ...string) Atom {
+		a := Atom{Pred: pred}
+		for _, v := range vars {
+			a.Args = append(a.Args, V(v))
+		}
+		return a
+	}
+	rule := func(head Atom, body ...Atom) Rule {
+		r := Rule{Head: head}
+		for _, b := range body {
+			r.Body = append(r.Body, Literal{Atom: b})
+		}
+		return r
+	}
+	// stored holds e/2 = {(1,2), (3,4)}.
+	stored := func() *Database {
+		db := NewDatabase()
+		e := db.Ensure("e", 2)
+		e.Insert(Tuple{int64(1), int64(2)})
+		e.Insert(Tuple{int64(3), int64(4)})
+		return db
+	}
+	cases := []struct {
+		name  string
+		rules []Rule
+	}{
+		{"head at two arities", []Rule{
+			rule(atom("p", "x"), atom("e", "x", "y")),
+			rule(atom("p", "x", "y"), atom("e", "x", "y")),
+		}},
+		{"body literal below the stored arity", []Rule{
+			rule(atom("p", "x"), atom("e", "x")),
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p, err := NewProgram(c.rules...)
+			if err != nil {
+				if !strings.Contains(err.Error(), "arity") {
+					t.Fatalf("NewProgram: %v, want an arity error", err)
+				}
+				return
+			}
+			// The program reads e/1: a state captured over e/1 is what
+			// RestoreIncremental is handed.
+			db1 := NewDatabase()
+			db1.Ensure("e", 1).Insert(Tuple{int64(1)})
+			inc, err := NewIncremental(p, db1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := inc.State()
+			evaluators := map[string]func(*Database) error{
+				"Eval":               func(db *Database) error { _, err := p.Eval(db); return err },
+				"EvalNaive":          func(db *Database) error { _, err := p.EvalNaive(db); return err },
+				"NewIncremental":     func(db *Database) error { _, err := NewIncremental(p, db); return err },
+				"RestoreIncremental": func(db *Database) error { _, err := RestoreIncremental(p, db, st); return err },
+			}
+			for name, run := range evaluators {
+				db := stored()
+				before := dbString(db)
+				if err := run(db); err == nil || !strings.Contains(err.Error(), "arity") {
+					t.Errorf("%s: %v, want an arity error", name, err)
+				}
+				if after := dbString(db); after != before {
+					t.Errorf("%s changed the database:\n%s\nwant\n%s", name, after, before)
+				}
+			}
+		})
 	}
 }
 

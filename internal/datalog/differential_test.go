@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -211,6 +213,103 @@ func TestDifferentialCompiledVsNaive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestComponentOrderProperty checks the component order as a property.
+// EvalNaive walks the same components as Eval, so the differential tests
+// need not see an ordering bug; here, over random programs with their rules
+// shuffled, every component reads only base relations, its own heads and
+// earlier components' heads, a negated literal or an aggregate rule reads
+// only earlier components, each component keeps program order, and the
+// naive fixpoint is the same under every order. Three unstratifiable
+// programs are refused at NewProgram.
+func TestComponentOrderProperty(t *testing.T) {
+	for seed := int64(0); seed < 100; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		rules := randRules(r)
+		edb := randEDB(r)
+		want := ""
+		for perm := 0; perm < 6; perm++ {
+			shuffled := slices.Clone(rules)
+			r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			p, err := NewProgram(shuffled...)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			comps, err := p.Components()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pos := map[string]int{}
+			for i, rl := range shuffled {
+				pos[rl.String()] = i
+			}
+			owner := map[string]int{} // head → its component
+			for i, c := range comps {
+				for _, h := range c.Heads {
+					owner[h] = i
+				}
+			}
+			nrules := 0
+			for i, c := range comps {
+				nrules += len(c.Rules)
+				for k, rl := range c.Rules {
+					if k > 0 && pos[rl.String()] < pos[c.Rules[k-1].String()] {
+						t.Errorf("seed %d: component %d is out of program order: %v", seed, i, c.Rules)
+					}
+					for _, l := range rl.Body {
+						o, derived := owner[l.Pred]
+						switch {
+						case !derived:
+						case o > i:
+							t.Errorf("seed %d: component %d rule %v reads %s of later component %d", seed, i, rl, l.Pred, o)
+						case o == i && (l.Negated || rl.Agg != ""):
+							t.Errorf("seed %d: component %d rule %v reads its own component under negation or aggregation", seed, i, rl)
+						}
+					}
+				}
+			}
+			if nrules != len(shuffled) {
+				t.Errorf("seed %d: components hold %d rules, program has %d", seed, nrules, len(shuffled))
+			}
+			db := edb.Clone()
+			if _, err := p.EvalNaive(db); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if got := dbString(db); perm == 0 {
+				want = got
+			} else if got != want {
+				t.Fatalf("seed %d: fixpoint depends on rule order:\n%s\nwant\n%s", seed, got, want)
+			}
+		}
+	}
+
+	lit := func(pred string, neg bool) Literal {
+		return Literal{Atom: Atom{Pred: pred, Args: []Term{V("x")}}, Negated: neg}
+	}
+	head := func(pred string) Atom { return Atom{Pred: pred, Args: []Term{V("x")}} }
+	unstratifiable := []struct {
+		name  string
+		rules []Rule
+	}{
+		{"self-negation", []Rule{
+			{Head: head("p"), Body: []Literal{lit("b", false), lit("p", true)}},
+		}},
+		{"aggregation through recursion", []Rule{
+			{Head: Atom{Pred: "p", Args: []Term{V("x"), V("n")}}, Body: []Literal{{Atom: Atom{Pred: "e", Args: []Term{V("x"), V("n")}}}}},
+			{Head: Atom{Pred: "p", Args: []Term{V("x"), V("n")}}, Body: []Literal{{Atom: Atom{Pred: "p", Args: []Term{V("x"), V("y")}}}}, Agg: AggCount, AggVar: "y"},
+		}},
+		{"3-cycle closed by one negated edge", []Rule{
+			{Head: head("a"), Body: []Literal{lit("b", false)}},
+			{Head: head("b"), Body: []Literal{lit("c", false)}},
+			{Head: head("c"), Body: []Literal{lit("base", false), lit("a", true)}},
+		}},
+	}
+	for _, c := range unstratifiable {
+		if _, err := NewProgram(c.rules...); err == nil || !strings.Contains(err.Error(), "not stratifiable") {
+			t.Errorf("%s: NewProgram: %v, want a stratification error", c.name, err)
+		}
 	}
 }
 

@@ -6,9 +6,10 @@ import (
 )
 
 // Program is a set of rules over a database. Evaluation computes the least
-// fixpoint of all rules, stratum by stratum. Rules are compiled to plans
-// (slot-numbered bindings, boundness-ordered joins, cached stratification)
-// once, on the first evaluation or an explicit Prepare call.
+// fixpoint of all rules, one evaluation component after another. Rules are
+// compiled once, on the first evaluation or an explicit Prepare call, into
+// the components and plans (slot-numbered bindings, boundness-ordered
+// joins) every evaluator walks.
 type Program struct {
 	Rules []Rule
 
@@ -27,78 +28,14 @@ func NewProgram(rules ...Rule) (*Program, error) {
 	return p, nil
 }
 
-// idbPreds returns the set of predicates defined by some rule head.
-func (p *Program) idbPreds() map[string]bool {
-	idb := map[string]bool{}
-	for _, r := range p.Rules {
-		idb[r.Head.Pred] = true
-	}
-	return idb
-}
-
-// Stratify partitions rules into strata such that negated or aggregated
-// dependencies always point to strictly lower strata. It returns an error
-// when negation/aggregation occurs through recursion (unstratifiable).
-// Evaluation uses the cached result inside Prepare; this method recomputes
-// and exists for diagnostics and tests.
-func (p *Program) Stratify() ([][]Rule, error) {
-	idb := p.idbPreds()
-	// stratum number per predicate, computed by the classic iterative
-	// lifting algorithm.
-	stratum := map[string]int{}
-	for pred := range idb {
-		stratum[pred] = 0
-	}
-	n := len(idb)
-	for iter := 0; iter <= n*n+1; iter++ {
-		changed := false
-		for _, r := range p.Rules {
-			h := r.Head.Pred
-			for _, l := range r.Body {
-				if !idb[l.Pred] {
-					continue
-				}
-				need := stratum[l.Pred]
-				if l.Negated || r.Agg != "" {
-					need++ // must be fully computed first
-				}
-				if stratum[h] < need {
-					stratum[h] = need
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-		if iter == n*n+1 {
-			return nil, fmt.Errorf("datalog: program is not stratifiable (negation or aggregation through recursion)")
-		}
-	}
-	maxS := 0
-	for _, s := range stratum {
-		if s > n {
-			return nil, fmt.Errorf("datalog: program is not stratifiable (negation or aggregation through recursion)")
-		}
-		if s > maxS {
-			maxS = s
-		}
-	}
-	out := make([][]Rule, maxS+1)
-	for _, r := range p.Rules {
-		s := stratum[r.Head.Pred]
-		out[s] = append(out[s], r)
-	}
-	return out, nil
-}
-
 // Eval runs the program to fixpoint over db using semi-naive (differential)
-// evaluation per stratum, executing compiled plans. It mutates db in place,
-// creating IDB relations as needed, and returns the number of derived
-// tuples. Evaluation components run one after another in strata order,
-// which is topological: a component only reads heads of earlier ones.
+// evaluation per component, executing compiled plans. It mutates db in
+// place, creating IDB relations as needed, and returns the number of
+// derived tuples. Components run one after another in the order Prepare
+// emits them, which is topological: a component only reads heads of
+// earlier ones.
 func (p *Program) Eval(db *Database) (int, error) {
-	if err := p.Prepare(); err != nil {
+	if err := p.prepareFor(db); err != nil {
 		return 0, err
 	}
 	derived := 0
@@ -120,10 +57,10 @@ func (p *Program) Eval(db *Database) (int, error) {
 // BenchmarkEvalNaiveTCChain's baseline for BenchmarkEvalTCChain
 // (differential vs all-at-once flows, §8.2).
 func (p *Program) EvalNaive(db *Database) (int, error) {
-	// Stratification comes from the Prepare cache (so the benchmark pair
-	// times evaluation strategy, not per-call stratification); derivation
-	// itself stays interpretive.
-	if err := p.Prepare(); err != nil {
+	// Components come from the Prepare cache (so the benchmark pair times
+	// evaluation strategy, not per-call analysis); derivation itself stays
+	// interpretive.
+	if err := p.prepareFor(db); err != nil {
 		return 0, err
 	}
 	derived := 0
@@ -171,12 +108,11 @@ func ensureHeadsPlanned(db *Database, plans []*rulePlan) {
 	}
 }
 
-// evalStratumSemiNaive computes the fixpoint of one stratum off compiled
+// evalStratumSemiNaive computes the fixpoint of one component off compiled
 // plans: a full derivation per rule seeds the semi-naive rounds, which
 // re-derive each positive body literal from the previous round's new rows
 // until none is new. Aggregate rules run once after the non-aggregate
-// fixpoint (they depend only on lower strata plus this stratum's final
-// relations).
+// fixpoint (they read only earlier components, whose relations are final).
 func evalStratumSemiNaive(db *Database, plans []*rulePlan, rounds *roundBufs) (int, error) {
 	ensureHeadsPlanned(db, plans)
 	derived := 0
@@ -351,7 +287,7 @@ func foldGroups(rel *Relation, kind AggKind, headPred string, g *groupTable) (in
 	return derived, nil
 }
 
-// evalAggregatesPlanned runs a stratum's aggregate rules once off compiled
+// evalAggregatesPlanned runs a component's aggregate rules once off compiled
 // plans, grouping by the non-aggregate head arguments.
 func evalAggregatesPlanned(db *Database, plans []*rulePlan) (int, error) {
 	derived := 0

@@ -178,16 +178,21 @@ type Incremental struct {
 	forceRecompute bool
 }
 
-// newIncrementalCore compiles p and classifies its evaluation components
-// without touching db — the shared front half of NewIncremental (which then
-// seeds the fixpoint) and RestoreIncremental (which adopts a persisted one).
+// newIncrementalCore compiles p, checks db's arities against it and
+// classifies its evaluation components without touching db — the shared
+// front half of NewIncremental (which then seeds the fixpoint) and
+// RestoreIncremental (which adopts a persisted one).
 func newIncrementalCore(p *Program, db *Database) (*Incremental, error) {
-	if err := p.Prepare(); err != nil {
+	if err := p.prepareFor(db); err != nil {
 		return nil, err
 	}
-	inc := &Incremental{prog: p, db: db, idb: p.idbPreds()}
+	inc := &Incremental{prog: p, db: db, idb: map[string]bool{}}
 	for _, plans := range p.prep.strata {
-		inc.comps = append(inc.comps, incComponent{Component: classify(plans), plans: plans})
+		c := incComponent{Component: classify(plans), plans: plans}
+		for _, h := range c.Heads {
+			inc.idb[h] = true
+		}
+		inc.comps = append(inc.comps, c)
 	}
 	return inc, nil
 }

@@ -124,13 +124,6 @@ func RestoreIncremental(p *Program, db *Database, st *FixpointState) (*Increment
 // loadState validates st against p, db and the counting heads and builds
 // its relations, detached from db, in db's dictionary.
 func loadState(p *Program, db *Database, counting map[string]bool, st *FixpointState) ([]*Relation, error) {
-	arity := map[string]int{}
-	for _, r := range p.Rules {
-		arity[r.Head.Pred] = len(r.Head.Args)
-		for _, l := range r.Body {
-			arity[l.Pred] = len(l.Args)
-		}
-	}
 	d := db.dictionary()
 	words := make([]uint64, len(st.Values)) // state id → db word
 	for i, v := range st.Values {
@@ -153,7 +146,7 @@ func loadState(p *Program, db *Database, counting map[string]bool, st *FixpointS
 		if i > 0 && rs.Name <= st.Relations[i-1].Name {
 			return nil, fmt.Errorf("relation %s is out of name order", rs.Name)
 		}
-		want, ok := arity[rs.Name]
+		want, ok := p.prep.arity[rs.Name]
 		if old := db.Get(rs.Name); old != nil {
 			if old.Len() > 0 {
 				return nil, fmt.Errorf("relation %s already holds tuples", rs.Name)

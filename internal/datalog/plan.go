@@ -7,10 +7,11 @@ import (
 // This file is the rule-compilation layer (the Hydrolysis access-path story
 // of §5.1 applied to the evaluator itself): a one-time Prepare step numbers
 // variables and constants into slots so bindings are a flat []uint64 of
-// encoded words instead of cloned maps, caches stratification, splits every
-// literal's columns into bound (probe) and free (bind) sets, greedily
-// reorders body literals by boundness, and pushes filters to the earliest
-// point they are evaluable. Eval, PreparedRule.Derive, the aggregate path,
+// encoded words instead of cloned maps, orders the rules into evaluation
+// components in one Tarjan pass (components), splits every literal's
+// columns into bound (probe) and free (bind) sets, greedily reorders body
+// literals by boundness, and pushes filters to the earliest point they are
+// evaluable. Eval, PreparedRule.Derive, the aggregate path,
 // every Incremental maintenance strategy (counting included — the
 // derivation counts it keeps ride the head relation's slots,
 // Relation.addCount) and the shard replicas' Drive all execute these plans.
@@ -660,173 +661,182 @@ func (e *planExec) walk(i int) {
 
 // prepared is the cached compilation of a whole program.
 type prepared struct {
-	// strata[i] holds the plans of evaluation component i, preserving rule
-	// order. Components refine the classic strata: each stratum is split
-	// into the strongly-connected components of its head-dependency graph,
-	// topologically ordered, so independent rule groups evaluate (and are
-	// incrementally maintained) separately.
+	// strata[i] holds the plans of evaluation component i, in rule order,
+	// in the order components emits them: a component reads only base
+	// relations, its own heads and earlier components' heads.
 	strata [][]*rulePlan
+	// arity is the one arity of every predicate the rules name.
+	arity map[string]int
 }
 
-// refineComponents splits one stratum's rules into the strongly-connected
-// components of the head-dependency graph restricted to this stratum's
-// heads, in topological (dependencies-first) order. Rule order inside a
-// component follows the original rule order, and the whole refinement is
-// deterministic, keeping evaluation reproducible.
-func refineComponents(rules []Rule) [][]Rule {
-	heads := map[string]bool{}
-	var preds []string
-	for _, r := range rules {
-		if !heads[r.Head.Pred] {
-			heads[r.Head.Pred] = true
-			preds = append(preds, r.Head.Pred)
+// components reads the rules once. It runs Tarjan's strongly connected
+// components algorithm over the head-dependency graph — an edge from each
+// rule head to every rule-defined predicate its body reads, negated or not
+// — visiting heads in first-appearance order, and returns the components
+// in emission order with each one's rules in program order. Tarjan emits a
+// component only after every component it reaches, so that order is
+// topological. The program is stratifiable exactly when no negated literal
+// and no aggregate rule reads its own component. The same walk records each
+// predicate's arity and rejects a predicate used at two.
+func components(rules []Rule) ([][]Rule, map[string]int, error) {
+	arity := map[string]int{}
+	use := func(a Atom) error {
+		if n, ok := arity[a.Pred]; ok && n != len(a.Args) {
+			return fmt.Errorf("datalog: predicate %s is used with arity %d and %d", a.Pred, n, len(a.Args))
 		}
+		arity[a.Pred] = len(a.Args)
+		return nil
 	}
-	// deps[H] lists the same-stratum preds H's rules read (H depends on
-	// them), in first-appearance order for determinism.
-	deps := map[string][]string{}
+	id := map[string]int{} // head → first-appearance number
+	var byHead [][]Rule    // each head's rules, program order
 	for _, r := range rules {
-		h := r.Head.Pred
+		if err := use(r.Head); err != nil {
+			return nil, nil, err
+		}
 		for _, l := range r.Body {
-			if !heads[l.Pred] {
-				continue
-			}
-			dup := false
-			for _, d := range deps[h] {
-				if d == l.Pred {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				deps[h] = append(deps[h], l.Pred)
+			if err := use(l.Atom); err != nil {
+				return nil, nil, err
 			}
 		}
+		h, ok := id[r.Head.Pred]
+		if !ok {
+			h = len(byHead)
+			id[r.Head.Pred] = h
+			byHead = append(byHead, nil)
+		}
+		byHead[h] = append(byHead[h], r)
 	}
-	// Tarjan over the dependency edges H→B pops each SCC only after every
-	// SCC it depends on has been popped: emission order is topological.
-	index := map[string]int{}
-	low := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
-	var order [][]string
-	next := 0
-	var strongconnect func(v string)
-	strongconnect = func(v string) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range deps[v] {
-			if _, seen := index[w]; !seen {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var comp []string
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp = append(comp, w)
-				if w == v {
-					break
-				}
-			}
-			order = append(order, comp)
-		}
-	}
-	for _, v := range preds {
-		if _, seen := index[v]; !seen {
-			strongconnect(v)
-		}
-	}
+	// index is a head's visit number, from 1 (0: unvisited); comp is its
+	// component, -1 while it is on the stack.
+	n := len(byHead)
+	index, low, comp := make([]int, n), make([]int, n), make([]int, n)
+	var stack []int
 	var out [][]Rule
-	for _, comp := range order {
-		inComp := map[string]bool{}
-		for _, pred := range comp {
-			inComp[pred] = true
-		}
-		var group []Rule
-		for _, r := range rules {
-			if inComp[r.Head.Pred] {
-				group = append(group, r)
+	next := 0
+	var visit func(v int)
+	visit = func(v int) {
+		next++
+		index[v], low[v], comp[v] = next, next, -1
+		stack = append(stack, v)
+		for _, r := range byHead[v] {
+			for _, l := range r.Body {
+				w, ok := id[l.Pred]
+				switch {
+				case !ok:
+				case index[w] == 0:
+					visit(w)
+					low[v] = min(low[v], low[w])
+				case comp[w] < 0:
+					low[v] = min(low[v], index[w])
+				}
 			}
 		}
-		out = append(out, group)
+		if low[v] != index[v] {
+			return
+		}
+		c := len(out)
+		for w := -1; w != v; {
+			w, stack = stack[len(stack)-1], stack[:len(stack)-1]
+			comp[w] = c
+		}
+		out = append(out, nil)
 	}
-	return out
+	for v := range n {
+		if index[v] == 0 {
+			visit(v)
+		}
+	}
+	for _, r := range rules {
+		c := comp[id[r.Head.Pred]]
+		for _, l := range r.Body {
+			if w, ok := id[l.Pred]; ok && comp[w] == c && (l.Negated || r.Agg != "") {
+				return nil, nil, fmt.Errorf("datalog: program is not stratifiable (negation or aggregation through recursion)")
+			}
+		}
+		out[c] = append(out[c], r)
+	}
+	return out, arity, nil
 }
 
-// Prepare compiles the program once: stratification, component refinement,
-// slot numbering, join orders, filter placement. It is idempotent and safe
-// for concurrent use; Eval and EvalNaive call it implicitly. Mutating Rules
+// Prepare compiles the program once: evaluation components, arities, slot
+// numbering, join orders, filter placement. It is idempotent and safe for
+// concurrent use; Eval and EvalNaive call it implicitly. Mutating Rules
 // after the first Prepare (or after NewProgram) is not supported.
 func (p *Program) Prepare() error {
 	p.prepOnce.Do(func() {
-		strata, err := p.Stratify()
+		comps, arity, err := components(p.Rules)
 		if err != nil {
 			p.prepErr = err
 			return
 		}
-		pr := &prepared{}
-		for _, stratum := range strata {
-			for _, rules := range refineComponents(stratum) {
-				var plans []*rulePlan
-				for _, r := range rules {
-					pl, err := compileRule(r, nil, false)
-					if err != nil {
-						p.prepErr = err
-						return
-					}
-					if r.Agg == "" {
-						// Support plan for DRed re-derivation: the body with
-						// the distinct head variables pre-bound, plus the
-						// precomputed candidate-binding metadata.
-						var headVars []string
-						firstPos := map[string]int{}
-						var consts []int
-						var checks [][2]int
-						for j, t := range r.Head.Args {
-							if !t.IsVar() {
-								consts = append(consts, j)
-								continue
-							}
-							if fp, ok := firstPos[t.Var]; ok {
-								checks = append(checks, [2]int{j, fp})
-								continue
-							}
-							firstPos[t.Var] = j
-							headVars = append(headVars, t.Var)
-						}
-						sp, err := compileRule(r, headVars, true)
-						if err != nil {
-							p.prepErr = err
-							return
-						}
-						pl.support = sp
-						pl.supportVars = headVars
-						pl.supportBindPos = make([]int, len(headVars))
-						for k, v := range headVars {
-							pl.supportBindPos[k] = firstPos[v]
-						}
-						pl.supportConsts = consts
-						pl.supportChecks = checks
-					}
-					plans = append(plans, pl)
+		pr := &prepared{arity: arity}
+		for _, rules := range comps {
+			plans := make([]*rulePlan, len(rules))
+			for i, r := range rules {
+				if plans[i], err = compileProgramRule(r); err != nil {
+					p.prepErr = err
+					return
 				}
-				pr.strata = append(pr.strata, plans)
 			}
+			pr.strata = append(pr.strata, plans)
 		}
 		p.prep = pr
 	})
 	return p.prepErr
+}
+
+// prepareFor compiles the program and rejects a relation of db whose arity
+// differs from the program's, before an evaluator changes anything.
+func (p *Program) prepareFor(db *Database) error {
+	if err := p.Prepare(); err != nil {
+		return err
+	}
+	for _, name := range db.Names() {
+		if want, ok := p.prep.arity[name]; ok && db.Get(name).Arity != want {
+			return fmt.Errorf("datalog: relation %s has arity %d but the program uses %d", name, db.Get(name).Arity, want)
+		}
+	}
+	return nil
+}
+
+// compileProgramRule compiles one program rule and, for a non-aggregate
+// rule, its support plan for DRed re-derivation: the body with the
+// distinct head variables pre-bound, plus the precomputed
+// candidate-binding metadata.
+func compileProgramRule(r Rule) (*rulePlan, error) {
+	pl, err := compileRule(r, nil, false)
+	if err != nil || r.Agg != "" {
+		return pl, err
+	}
+	var headVars []string
+	firstPos := map[string]int{}
+	var consts []int
+	var checks [][2]int
+	for j, t := range r.Head.Args {
+		if !t.IsVar() {
+			consts = append(consts, j)
+			continue
+		}
+		if fp, ok := firstPos[t.Var]; ok {
+			checks = append(checks, [2]int{j, fp})
+			continue
+		}
+		firstPos[t.Var] = j
+		headVars = append(headVars, t.Var)
+	}
+	sp, err := compileRule(r, headVars, true)
+	if err != nil {
+		return nil, err
+	}
+	pl.support = sp
+	pl.supportVars = headVars
+	pl.supportBindPos = make([]int, len(headVars))
+	for k, v := range headVars {
+		pl.supportBindPos[k] = firstPos[v]
+	}
+	pl.supportConsts = consts
+	pl.supportChecks = checks
+	return pl, nil
 }
 
 // PreparedRule is a single rule compiled once for repeated Derive calls,

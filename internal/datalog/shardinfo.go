@@ -7,10 +7,10 @@ package datalog
 // (rulePlan.partCol) and the tuple→shard hash. A replica maintains its
 // shards with the single-node engine itself (Tick, tick.go).
 
-// Component describes one evaluation component (an SCC-refined stratum,
-// see plan.go) for external schedulers. Components returns them in
-// topological order: a component only reads head predicates of earlier
-// components (plus base relations).
+// Component describes one evaluation component (a strongly connected
+// component of the head-dependency graph, see plan.go) for external
+// schedulers. Components returns them in topological order: a component
+// only reads head predicates of earlier components (plus base relations).
 type Component struct {
 	// Rules holds the component's rules in program order.
 	Rules []Rule

@@ -370,27 +370,32 @@ func RunE5(ops int) Table {
 	}
 	// Serializable: Paxos round per op.
 	{
-		net := simnet.New(simnet.Config{Seed: 53, MinLatency: 100, MaxLatency: 100})
-		g := consensus.NewGroup(net, 3, 53)
-		before := net.Stats().Sent
-		start := net.Now()
-		for i := 0; i < ops; i++ {
-			g.Propose("p0", i)
-			for steps := 0; g.DecidedCount("p0") <= i && steps < 100000; steps++ {
-				if !net.Step() {
-					break
-				}
-			}
-		}
-		lat := (net.Now() - start) / simnet.Time(ops)
-		msgs := float64(net.Stats().Sent-before) / float64(ops)
-		t.Rows = append(t.Rows, []string{"serializable", "Paxos log", fmt.Sprint(lat), fmt.Sprintf("%.1f", msgs)})
+		_, msgs, took := paxosLog(53, ops, func(i int) any { return i })
+		t.Rows = append(t.Rows, []string{"serializable", "Paxos log", fmt.Sprint(took / simnet.Time(ops)), fmt.Sprintf("%.1f", float64(msgs)/float64(ops))})
 	}
 	t.Notes = "the compiler picks the cheapest tier the spec + CALM analysis permits (consistency.Select); " +
 		"eventual counts the request and its reply only: no replica forwards the merge (E4 sends each request to all f+1); " +
 		"serializable is a Paxos decision per op; no causal row: the runtime attaches no session metadata, " +
 		"so the lattice tier Select picks for causal handlers has no mechanism to measure"
 	return t
+}
+
+// paxosLog runs n decisions through a 3-acceptor Paxos group on a 100 µs
+// fabric seeded with seed: it proposes value(i) through p0 and steps the
+// network until p0 has decided it. It returns how many values p0 decided,
+// the messages sent and the virtual time taken.
+func paxosLog(seed int64, n int, value func(i int) any) (decided int, msgs uint64, took simnet.Time) {
+	net := simnet.New(simnet.Config{Seed: seed, MinLatency: 100, MaxLatency: 100})
+	g := consensus.NewGroup(net, 3, seed)
+	for i := 0; i < n; i++ {
+		g.Propose("p0", value(i))
+		for steps := 0; g.DecidedCount("p0") <= i && steps < 100000; steps++ {
+			if !net.Step() {
+				break
+			}
+		}
+	}
+	return g.DecidedCount("p0"), net.Stats().Sent, net.Now()
 }
 
 // --- E7: MPI collectives, naive vs tree vs ring ---
@@ -612,20 +617,8 @@ func RunE10(carts int) Table {
 	}
 	// Consensus checkout: one Paxos decision per cart among 3 acceptors.
 	{
-		net := simnet.New(simnet.Config{Seed: 60, MinLatency: 100, MaxLatency: 100})
-		g := consensus.NewGroup(net, 3, 60)
-		before := net.Stats().Sent
-		startT := net.Now()
-		for i := 0; i < carts; i++ {
-			g.Propose("p0", fmt.Sprintf("checkout-%d", i))
-			for steps := 0; g.DecidedCount("p0") <= i && steps < 100000; steps++ {
-				if !net.Step() {
-					break
-				}
-			}
-		}
-		msgs := net.Stats().Sent - before
-		row("consensus-checkout", g.DecidedCount("p0"), carts, msgs, msgs, net.Now()-startT)
+		decided, msgs, took := paxosLog(60, carts, func(i int) any { return fmt.Sprintf("checkout-%d", i) })
+		row("consensus-checkout", decided, carts, msgs, msgs, took)
 	}
 	t.Notes = "seal-at-client: the client sends each replica every line of its seal and the replicas never talk; " +
 		"consensus: every message is between the 3 Paxos replicas"

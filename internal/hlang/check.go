@@ -386,48 +386,41 @@ func checkFacets(p *Program) error {
 	return nil
 }
 
-// checkStratified rejects negation or aggregation through query recursion,
-// mirroring the datalog stratifier at the language level so errors carry
-// source positions.
+// checkStratified rejects negation or aggregation through query recursion
+// at the language level, so the error names the atom: a negated atom, or
+// any atom of an aggregate query, must not read a query that reaches back
+// to the rule's own head.
 func checkStratified(p *Program) error {
-	queryNames := map[string]bool{}
+	reads := map[string][]string{} // query → the predicates its rules read
 	for _, q := range p.Queries {
-		queryNames[q.Name] = true
+		for _, a := range q.Body {
+			reads[q.Name] = append(reads[q.Name], a.Pred)
+		}
 	}
-	stratum := map[string]int{}
-	n := len(queryNames)
-	for iter := 0; iter <= n*n+1; iter++ {
-		changed := false
-		for _, q := range p.Queries {
-			for _, a := range q.Body {
-				if !queryNames[a.Pred] {
-					continue
-				}
-				need := stratum[a.Pred]
-				if a.Negated || q.Agg != "" {
-					need++
-				}
-				if stratum[q.Name] < need {
-					stratum[q.Name] = need
-					changed = true
-				}
+	// reaches reports whether from is target or reads it, directly or
+	// through other queries.
+	reaches := func(from, target string) bool {
+		seen := map[string]bool{}
+		stack := []string{from}
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if v == target {
+				return true
+			}
+			if !seen[v] {
+				seen[v] = true
+				stack = append(stack, reads[v]...)
 			}
 		}
-		if !changed {
-			break
-		}
-		if iter == n*n+1 || anyExceeds(stratum, n) {
-			return fmt.Errorf("queries are not stratifiable: negation or aggregation through recursion")
+		return false
+	}
+	for _, q := range p.Queries {
+		for _, a := range q.Body {
+			if (a.Negated || q.Agg != "") && reaches(a.Pred, q.Name) {
+				return errAt(a.Pos, "queries are not stratifiable: %s in query %s reaches back to it (negation or aggregation through recursion)", a, q.Name)
+			}
 		}
 	}
 	return nil
-}
-
-func anyExceeds(m map[string]int, n int) bool {
-	for _, v := range m {
-		if v > n {
-			return true
-		}
-	}
-	return false
 }

@@ -93,6 +93,7 @@ func TestParseErrors(t *testing.T) {
 		{"target unknown handler", "target { nope cost=1 }", `unknown handler "nope"`},
 		{"latency not duration", "on h(x: int) { reply 1 }\ntarget { h latency=5 }", "duration"},
 		{"unstratifiable", "table t(a: int)\nquery p(x) :- t(x), !q(x)\nquery q(x) :- t(x), !p(x)", "not stratifiable"},
+		{"unstratifiable names the atom", "table t(a: int)\nquery p(x) :- t(x), q(x)\nquery q(x) :- t(x), !p(x)", "3:21: queries are not stratifiable: !p(x) in query q"},
 		{"query clashes table", "table t(a: int)\nquery t(x) :- t(x)", "clashes with a table"},
 		{"send unbound", "table t(a: int)\non h(x: int) { send out(z) :- t(x) }", "not bound"},
 	}

@@ -82,9 +82,6 @@ func Deploy(cl *cluster.Cluster, name string, prog *datalog.Program, edb map[str
 			if _, isBase := edb[h]; isBase {
 				return nil, fmt.Errorf("shard: %s is both a base relation and a rule head", h)
 			}
-			if ar, ok := arities[h]; ok && ar != len(r.Head.Args) {
-				return nil, fmt.Errorf("shard: inconsistent arity for %s", h)
-			}
 			arities[h] = len(r.Head.Args)
 		}
 	}
