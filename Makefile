@@ -2,7 +2,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: build test vet fmt ci smoke orphans datalog-serial datalog-one-store one-tick-path compiled-handlers bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak tick-allocs
+.PHONY: build test vet fmt ci smoke orphans datalog-serial datalog-one-store one-tick-path compiled-handlers bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak tick-allocs lines
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,19 @@ fmt:
 
 # ci runs the steps of CI's tier-1 job in its order (go test without -race).
 ci: build vet fmt orphans datalog-serial datalog-one-store one-tick-path compiled-handlers test tick-allocs bench-test fuzz tables smoke
+
+# lines prints the line counts of the Go files a change is sized by:
+# non-test and test files outside bench/, and under it (hidden build
+# directories skipped).
+GO_FILES = $(shell find . -name '*.go' ! -path './.*')
+GO_MAIN = $(filter-out ./bench/%,$(GO_FILES))
+GO_BENCH = $(filter ./bench/%,$(GO_FILES))
+lines:
+	@printf '%-34s %7d\n' \
+		'non-test .go outside bench/:' $$(cat $(filter-out %_test.go,$(GO_MAIN)) | wc -l) \
+		'test .go outside bench/:' $$(cat $(filter %_test.go,$(GO_MAIN)) | wc -l) \
+		'non-test .go under bench/:' $$(cat $(filter-out %_test.go,$(GO_BENCH)) | wc -l) \
+		'test .go under bench/:' $$(cat $(filter %_test.go,$(GO_BENCH)) | wc -l)
 
 # smoke runs every binary a reader is pointed at: the compiler on the COVID
 # program (its report must reach the metaconsistency check), the covidd

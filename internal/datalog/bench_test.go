@@ -206,11 +206,13 @@ func BenchmarkIncrementalSmallDeltaTC(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalCountingJoin is the counting path's tick: the filtered
-// join view(x,z) :- r(x,y), s(y,z), x != z over 20 k rows a side (2 k join
-// keys, so every row meets ten or more partners), maintained by derivation
-// counts while each tick inserts four rows into either side and retracts
-// one. Both sides grow slowly, so compare runs at a fixed -benchtime Nx.
+// BenchmarkIncrementalCountingJoin is a non-recursive component's tick:
+// the filtered join view(x,z) :- r(x,y), s(y,z), x != z over 20 k rows a
+// side (2 k join keys, so every row meets ten or more partners), maintained
+// by semi-naive insert rounds and DRed while each tick inserts four rows
+// into either side and retracts one. Both sides grow slowly, so compare
+// runs at a fixed -benchtime Nx. The name is kept from when derivation
+// counts maintained this view, so that earlier runs stay comparable.
 func BenchmarkIncrementalCountingJoin(b *testing.B) {
 	p, err := NewProgram(Rule{
 		Head: Atom{Pred: "view", Args: []Term{V("x"), V("z")}},

@@ -9,7 +9,7 @@
 // column indexes (the access paths of §5.1) are open-addressed tables
 // maintained incrementally on both Insert and Delete. Relation is the
 // package's only hashed tuple store: delta batches, pre-batch overlays,
-// dedup sets and derivation counts are all relations. Rules execute as
+// dedup sets and signed change sums are all relations. Rules execute as
 // compiled plans over words (see plan.go); Tuple is the boundary type.
 package datalog
 
@@ -51,10 +51,9 @@ func (t Tuple) String() string {
 // dominate. Membership is an open-addressed table over all columns, and
 // column indexes over any column subset are built on first use and
 // maintained incrementally afterwards (index.go) — both enumerate in
-// insertion order, never hash order. A relation may also carry one signed
-// count per tuple (addCount): the derivation multiplicities of a counting
-// component's head, or a batch's accumulated signed changes on a scratch
-// relation. Tuple is the boundary type: Insert, Delete, Contains, Lookup and
+// insertion order, never hash order. A scratch relation may also carry one
+// signed count per tuple (addCount): a batch's or a round's summed signed
+// changes. Tuple is the boundary type: Insert, Delete, Contains, Lookup and
 // Tuples encode on the way in and decode on the way out.
 type Relation struct {
 	Name  string
@@ -173,10 +172,8 @@ func (r *Relation) appendRow(cell int, w []uint64) int {
 }
 
 // addCount adjusts the encoded row w's count by d, inserting it at count
-// zero first, and returns the count before and after. A maintained count
-// that returns to zero is dropped by deleting the tuple, so counts stay
-// bounded by the live relation and tombstone compaction carries them along.
-func (r *Relation) addCount(w []uint64, d int) (old, now int) {
+// zero first. Tombstone compaction carries counts along with their rows.
+func (r *Relation) addCount(w []uint64, d int) {
 	r.ensureSet()
 	if r.counts == nil {
 		r.counts = make([]int, r.slots(), cap(r.rows)/r.stride)
@@ -185,21 +182,7 @@ func (r *Relation) addCount(w []uint64, d int) (old, now int) {
 	if slot < 0 {
 		slot = r.appendRow(cell, w)
 	}
-	old = r.counts[slot]
-	r.counts[slot] = old + d
-	return old, old + d
-}
-
-// count returns the encoded row's count: zero when it is absent or was
-// never counted.
-func (r *Relation) count(w []uint64) int {
-	if r.counts == nil {
-		return 0
-	}
-	if slot := r.findRow(w); slot >= 0 {
-		return r.counts[slot]
-	}
-	return 0
+	r.counts[slot] += d
 }
 
 // scanRows calls fn for every live row, in insertion order.

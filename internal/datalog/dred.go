@@ -1,10 +1,10 @@
 package datalog
 
 // This file holds DRed's (delete-and-rederive) support check. DRed
-// maintains deletions for recursive monotone components, where counting is
-// unsound (cyclic self-support), in three steps of a Tick (tick.go,
-// DESIGN.md §8): over-delete rounds, reading the pre-batch view through an
-// overlay (preBatch in plan.go), tentatively delete every head tuple with a
+// maintains deletions for every monotone component, recursive or not, in
+// three steps of a Tick (tick.go, DESIGN.md §8): over-delete rounds,
+// reading the pre-batch view through an overlay (preBatch in plan.go),
+// tentatively delete every head tuple with a
 // derivation that used a deleted one; once that is done everywhere, each
 // candidate with a derivation from live tuples left survives — each rule's
 // support plan (the body with the head variables pre-bound) makes that a
@@ -33,7 +33,7 @@ func newSupportChecker(db *Database, c *incComponent) *supportChecker {
 	}
 	for i, pl := range c.plans {
 		if pl.support != nil {
-			sc.execs[i] = pl.support.newExec(db, pl.support.orders[0], -1, preBatch{}, stop)
+			sc.execs[i] = pl.support.newExec(db, pl.support.orders[0], preBatch{}, stop)
 		}
 	}
 	return sc

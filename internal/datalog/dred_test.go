@@ -115,8 +115,8 @@ func TestDRedRederivesFromAlternativeSupport(t *testing.T) {
 }
 
 // TestDRedDeltaExactness: the delta a DRed component emits must be exact —
-// a downstream counting component consuming it stays correct even when the
-// same batch deletes and re-inserts support (net-zero churn).
+// a downstream non-recursive component consuming it stays correct even
+// when the same batch deletes and re-inserts support (net-zero churn).
 func TestDRedDeltaExactness(t *testing.T) {
 	rules := append(tcRules(), Rule{
 		Head: Atom{Pred: "reach2", Args: []Term{V("x"), V("v")}},

@@ -6,21 +6,22 @@ import (
 )
 
 // ErrInconsistentDelta reports a change batch that contradicts the
-// maintained state — e.g. an insert whose tuple is not actually present in
-// the base relation, or a delete the caller never applied. Apply returns it
-// (wrapped with detail) and, like any failure, leaves the prior fixpoint
-// intact, so a serving loop can reject the bad tick and keep running.
+// database it claims to describe: an insert whose tuple is not in the base
+// relation, a delete still present, a tuple of the wrong arity, or a write
+// to a derived relation. Apply returns it (wrapped with detail) before
+// changing anything, so a serving loop can reject the bad tick and keep
+// running.
 var ErrInconsistentDelta = errors.New("datalog: delta inconsistent with retained state")
 
 // This file is the cross-tick incremental evaluator: instead of re-running
 // the fixpoint from a fresh snapshot on every transducer tick (O(database)
 // per tick), an Incremental retains the fixpoint in its database and folds
 // in each tick's base-relation delta (O(delta) amortized on monotone
-// workloads), one evaluation component (an SCC-refined stratum, see
-// plan.go) at a time, with the strategy tick.go's switch picks: derivation
-// counts on the head rows for non-recursive monotone components,
-// semi-naive insert rounds and DRed (dred.go) for recursive ones, and
-// recompute-and-diff for components with negation or aggregates.
+// workloads), one evaluation component (a strongly connected component of
+// the head-dependency graph, see plan.go) at a time, with the strategy
+// tick.go's switch picks: semi-naive insert rounds, preceded by DRed
+// (dred.go) when the batch deletes, for monotone components, recursive or
+// not, and recompute-and-diff for components with negation or aggregates.
 
 // Delta is a batch of realized set-level changes to base relations: every
 // recorded insert/delete must have actually changed membership, in the
@@ -100,7 +101,7 @@ func (d *Delta) deleteRow(pred string, w []uint64) { rowsOf(d.del, pred, len(w))
 // grouped per predicate, and returns the predicates in first-touch order.
 // It nets out same-tuple churn (insert→delete→insert within one batch) so
 // that at most one signed change per tuple is left — the precondition for
-// the counting algebra and for old-view reconstruction.
+// old-view reconstruction (preBatch).
 func (d *Delta) encode(db *Database) ([]string, error) {
 	dict := db.dictionary()
 	d.add, d.del = map[string]*rowList{}, map[string]*rowList{}
@@ -198,8 +199,8 @@ func newIncrementalCore(p *Program, db *Database) (*Incremental, error) {
 }
 
 // NewIncremental compiles p, classifies its evaluation components, and
-// seeds the fixpoint (with derivation counts where counting applies) into
-// db. Derived relations must not contain base tuples.
+// seeds the fixpoint into db. Derived relations must not contain base
+// tuples.
 func NewIncremental(p *Program, db *Database) (*Incremental, error) {
 	inc, err := newIncrementalCore(p, db)
 	if err != nil {
@@ -242,28 +243,18 @@ func NewIncremental(p *Program, db *Database) (*Incremental, error) {
 // fixpoint of every derived relation.
 func (inc *Incremental) DB() *Database { return inc.db }
 
-// seed computes a component's initial fixpoint. Counting components
-// enumerate every derivation exactly once (the full join order emits one
-// head per body binding); the rest run the normal component fixpoint.
+// seed computes a component's initial fixpoint.
 func (inc *Incremental) seed(c *incComponent) error {
-	ensureHeadsPlanned(inc.db, c.plans)
-	if c.Recursive || c.NonMono {
-		_, err := evalStratumSemiNaive(inc.db, c.plans, &inc.rounds)
-		return err
-	}
-	for _, pl := range c.plans {
-		rel := inc.db.Get(pl.r.Head.Pred)
-		pl.run(inc.db, nil, func(w []uint64) { rel.addCount(w, 1) })
-	}
-	return nil
+	_, err := evalStratumSemiNaive(inc.db, c.plans, &inc.rounds)
+	return err
 }
 
 // Apply folds one batch of base-relation changes — already applied to the
 // database by the caller — into the maintained fixpoint. It returns the
 // number of derived-relation set changes realized. A failed Apply rolls
-// back through the Tick's undo log: every derived row and derivation count
-// is as it was before the batch, and the evaluator stays usable. The base
-// ops are the caller's to undo (Database.Undo), as it applied them.
+// back through the Tick's undo log: every derived row is as it was before
+// the batch, and the evaluator stays usable. The base ops are the caller's
+// to undo (Database.Undo), as it applied them.
 //
 // Touched components are processed in strata order (topological: a
 // component only reads heads of earlier ones); each reads its input changes
@@ -297,11 +288,7 @@ func (t *Tick) run() error {
 		if err := t.drive(quiet, accept); err != nil {
 			return err
 		}
-		pending, err := t.settle()
-		if err != nil {
-			return err
-		}
-		if quiet = pending == 0; quiet && t.last() {
+		if quiet = t.settle() == 0; quiet && t.last() {
 			return nil
 		}
 	}
@@ -312,10 +299,11 @@ func (t *Tick) run() error {
 // changed, every recorded insert is present and every recorded delete
 // absent. It catches the realistic corruption classes — a caller that
 // recorded changes without applying them, or applied them twice — before
-// any maintenance state is touched. (A caller that re-reports an unchanged
-// tuple as "realized" is undetectable here; the counting components catch
-// that class when the derivation counts would cross below zero, also before
-// mutating.)
+// any maintenance state is touched. A caller that re-reports an unchanged
+// tuple as realized passes these checks, and needs no rejection: an insert
+// reported twice is inserted once, and a delete of a tuple that was never
+// there over-deletes what it would have supported, all of which DRed
+// re-derives.
 func (inc *Incremental) validateDelta(d *Delta, preds []string) error {
 	for _, pred := range preds {
 		if inc.idb[pred] && (d.add[pred].len() > 0 || d.del[pred].len() > 0) {

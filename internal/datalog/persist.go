@@ -1,16 +1,12 @@
 package datalog
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // This file is the serialization boundary of the incremental evaluator: a
 // FixpointState is the evaluator's own representation — the dictionary
-// values its rows reference plus each relation's live slab rows and, on a
-// counting component's head, the derivation count beside each row
-// (Relation.addCount) — and RestoreIncremental adopts one without decoding
-// a row or re-deriving anything. The durable layer (internal/durable)
+// values its rows reference plus each relation's live slab rows — and
+// RestoreIncremental adopts one without decoding a row or re-deriving
+// anything. The durable layer (internal/durable)
 // frames FixpointStates as snapshot files and replays changelog suffixes
 // through Apply; words stay opaque to it.
 //
@@ -23,13 +19,11 @@ import (
 
 // RelationState is one relation's persisted form: its live slab rows in
 // slot (scan) order, max(Arity, 1) words per row — an arity-0 row is one
-// zero word. Counts runs parallel to the rows and is non-nil exactly on the
-// heads of counting components.
+// zero word.
 type RelationState struct {
-	Name   string
-	Arity  int
-	Rows   []uint64
-	Counts []int
+	Name  string
+	Arity int
+	Rows  []uint64
 }
 
 // FixpointState is a point-in-time capture of an Incremental's maintained
@@ -40,33 +34,14 @@ type FixpointState struct {
 	Relations []RelationState
 }
 
-// countingHeads returns the heads of the counting (non-recursive monotone)
-// components: the relations that carry derivation counts.
-func (inc *Incremental) countingHeads() map[string]bool {
-	heads := map[string]bool{}
-	for _, c := range inc.comps {
-		if !c.Recursive && !c.NonMono {
-			for _, h := range c.Heads {
-				heads[h] = true
-			}
-		}
-	}
-	return heads
-}
-
-// State captures the maintained database and derivation counts in one pass
-// over the slabs.
+// State captures the maintained database in one pass over the slabs.
 func (inc *Incremental) State() *FixpointState {
 	d := inc.db.dictionary()
-	counting := inc.countingHeads()
 	renum := make([]uint64, len(d.vals)) // dictionary id → state id + 1
 	st := &FixpointState{}
 	for _, name := range inc.db.Names() {
 		r := inc.db.Get(name)
 		rs := RelationState{Name: name, Arity: r.Arity, Rows: make([]uint64, 0, r.Len()*r.stride)}
-		if counting[name] {
-			rs.Counts = make([]int, 0, r.Len())
-		}
 		for s, n := 0, r.slots(); s < n; s++ {
 			if !r.live(s) {
 				continue
@@ -82,9 +57,6 @@ func (inc *Incremental) State() *FixpointState {
 				}
 				rs.Rows = append(rs.Rows, w)
 			}
-			if rs.Counts != nil {
-				rs.Counts = append(rs.Counts, r.counts[s])
-			}
 		}
 		st.Relations = append(st.Relations, rs)
 	}
@@ -95,8 +67,8 @@ func (inc *Incremental) State() *FixpointState {
 // values are interned into db's dictionary, the rows are copied into each
 // relation's slab with their dictionary words remapped, membership is
 // built once, and the program is compiled and classified exactly as
-// NewIncremental would, adopting the derivation counts instead of seeding
-// the fixpoint. Restore is O(state) — no joins, no fixpoint, no Tuple.
+// NewIncremental would, adopting the fixpoint instead of seeding it.
+// Restore is O(state) — no joins, no fixpoint, no Tuple.
 //
 // A state that a correct State() cannot produce is rejected before any
 // relation of db changes (only the append-only dictionary may have grown),
@@ -106,7 +78,7 @@ func RestoreIncremental(p *Program, db *Database, st *FixpointState) (*Increment
 	if err != nil {
 		return nil, err
 	}
-	rels, err := loadState(p, db, inc.countingHeads(), st)
+	rels, err := loadState(p, db, st)
 	if err != nil {
 		return nil, fmt.Errorf("datalog: restore: %w", err)
 	}
@@ -121,9 +93,9 @@ func RestoreIncremental(p *Program, db *Database, st *FixpointState) (*Increment
 	return inc, nil
 }
 
-// loadState validates st against p, db and the counting heads and builds
-// its relations, detached from db, in db's dictionary.
-func loadState(p *Program, db *Database, counting map[string]bool, st *FixpointState) ([]*Relation, error) {
+// loadState validates st against p and db and builds its relations,
+// detached from db, in db's dictionary.
+func loadState(p *Program, db *Database, st *FixpointState) ([]*Relation, error) {
 	d := db.dictionary()
 	words := make([]uint64, len(st.Values)) // state id → db word
 	for i, v := range st.Values {
@@ -160,14 +132,6 @@ func loadState(p *Program, db *Database, counting map[string]bool, st *FixpointS
 		if len(rs.Rows)%r.stride != 0 {
 			return nil, fmt.Errorf("relation %s: %d words is not a whole number of rows", rs.Name, len(rs.Rows))
 		}
-		n := len(rs.Rows) / r.stride
-		if counting[rs.Name] != (rs.Counts != nil) || rs.Counts != nil && len(rs.Counts) != n {
-			return nil, fmt.Errorf("relation %s has %d rows and %d derivation counts (counting component head: %v)",
-				rs.Name, n, len(rs.Counts), counting[rs.Name])
-		}
-		if slices.ContainsFunc(rs.Counts, func(c int) bool { return c <= 0 }) {
-			return nil, fmt.Errorf("relation %s has a non-positive derivation count", rs.Name)
-		}
 		rows := make([]uint64, len(rs.Rows))
 		for j, w := range rs.Rows {
 			switch tag := w & tagMask; {
@@ -188,7 +152,6 @@ func loadState(p *Program, db *Database, counting map[string]bool, st *FixpointS
 		if !r.bulkLoad(rows) {
 			return nil, fmt.Errorf("relation %s holds a row twice", rs.Name)
 		}
-		r.counts = slices.Clone(rs.Counts)
 		rels[i] = r
 	}
 	if next != uint64(len(words)) {

@@ -8,9 +8,8 @@ import (
 	"testing"
 )
 
-// tcProgram is a two-component program: a recursive closure (semi-naive /
-// DRed maintenance) feeding a non-recursive join (counting maintenance) —
-// both persistence-relevant state classes.
+// persistProgram is a two-component program: a recursive closure feeding a
+// non-recursive join, both maintained by semi-naive rounds and DRed.
 func persistProgram(t testing.TB) *Program {
 	t.Helper()
 	p, err := NewProgram(
@@ -56,7 +55,7 @@ func TestStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Churn a little so counts have seen drops and re-adds.
+	// Churn a little so the slabs have seen drops and re-adds.
 	d := NewDelta()
 	edge.Delete(Tuple{int64(2), int64(3)})
 	d.Delete("edge", Tuple{int64(2), int64(3)})
@@ -81,7 +80,7 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 
 	// Both evaluators must track the same future ticks, including deletes
-	// that exercise the restored derivation counts and DRed.
+	// that exercise DRed over the restored relations.
 	mutate := func(e *Incremental, del bool, tup Tuple) {
 		d := NewDelta()
 		rel := e.DB().Get("edge")
@@ -125,9 +124,6 @@ func TestStateRoundTrip(t *testing.T) {
 		a, b := st1.Relations[i], st2.Relations[i]
 		if a.Name != b.Name || a.Arity != b.Arity || !slices.Equal(a.Rows, b.Rows) {
 			t.Fatalf("relation state %s diverges", a.Name)
-		}
-		if (a.Counts == nil) != (b.Counts == nil) || !slices.Equal(a.Counts, b.Counts) {
-			t.Fatalf("counts state %s diverges", a.Name)
 		}
 	}
 }
@@ -187,8 +183,7 @@ func TestStateRoundTripRandomized(t *testing.T) {
 
 // corruptStates are hand-corrupted variants of a good capture of
 // persistProgram over edge(a,b), attr(b,1): each is a state no correct
-// State() produces. Values is ["b", "a"] (first use: attr, then edge), and
-// reach_attr is the counting component's head.
+// State() produces. Values is ["b", "a"] (first use: attr, then edge).
 var corruptStates = map[string]func(st *FixpointState){
 	"relations out of name order": func(st *FixpointState) {
 		st.Relations[2], st.Relations[3] = st.Relations[3], st.Relations[2] // path, reach_attr
@@ -212,17 +207,10 @@ var corruptStates = map[string]func(st *FixpointState){
 			}
 		}
 	},
-	"inline-typed value":          func(st *FixpointState) { st.Values[0] = int64(5) },
-	"duplicate value":             func(st *FixpointState) { st.Values[1] = st.Values[0] },
-	"unreferenced value":          func(st *FixpointState) { st.Values = append(st.Values, "zz") },
-	"duplicate row":               func(st *FixpointState) { rs := stateRel(st, "edge"); rs.Rows = append(rs.Rows, rs.Rows...) },
-	"count for non-counting pred": func(st *FixpointState) { stateRel(st, "path").Counts = []int{1} },
-	"non-positive count":          func(st *FixpointState) { stateRel(st, "reach_attr").Counts[0] = 0 },
-	"count column longer than the rows": func(st *FixpointState) {
-		rs := stateRel(st, "reach_attr")
-		rs.Counts = append(rs.Counts, 1)
-	},
-	"uncounted fixpoint tuple": func(st *FixpointState) { stateRel(st, "reach_attr").Counts = nil },
+	"inline-typed value": func(st *FixpointState) { st.Values[0] = int64(5) },
+	"duplicate value":    func(st *FixpointState) { st.Values[1] = st.Values[0] },
+	"unreferenced value": func(st *FixpointState) { st.Values = append(st.Values, "zz") },
+	"duplicate row":      func(st *FixpointState) { rs := stateRel(st, "edge"); rs.Rows = append(rs.Rows, rs.Rows...) },
 }
 
 // stateRel returns the named relation of st.
@@ -311,18 +299,23 @@ func TestApplyRejectsInconsistentDelta(t *testing.T) {
 	})
 	t.Run("phantom delete breaks counts", func(t *testing.T) {
 		// A delete of a tuple that was never present passes the membership
-		// check (it is absent now) but would drive a derivation count of the
-		// counting component below zero: the two-phase commit must surface
-		// the error before mutating.
+		// check (it is absent now), and no derivation counts exist for it to
+		// break: DRed over-deletes only the rows the tuple supported — none
+		// here — so the fixpoint stays what Eval computes.
 		inc, db := setup()
 		d := NewDelta()
 		d.Delete("attr", Tuple{"b", int64(7)}) // never existed; joins with path(a,b)
-		_, err := inc.Apply(d)
-		if !errors.Is(err, ErrInconsistentDelta) {
-			t.Fatalf("want ErrInconsistentDelta, got %v", err)
+		if _, err := inc.Apply(d); err != nil {
+			t.Fatalf("Apply must accept the phantom delete: %v", err)
 		}
-		if !inc.DB().Get("reach_attr").Contains(Tuple{"a", int64(1)}) {
-			t.Fatal("prior fixpoint must stay intact")
+		ref := NewDatabase()
+		ref.Ensure("edge", 2).Insert(Tuple{"a", "b"})
+		ref.Ensure("attr", 2).Insert(Tuple{"b", int64(1)})
+		if _, err := inc.prog.Eval(ref); err != nil {
+			t.Fatal(err)
+		}
+		if err := diffDatabases("after the phantom delete", inc.DB(), ref); err != nil {
+			t.Fatal(err)
 		}
 		// Still serving: a good tick lands.
 		db.Get("edge").Insert(Tuple{"b", "c"})
@@ -332,7 +325,47 @@ func TestApplyRejectsInconsistentDelta(t *testing.T) {
 			t.Fatalf("evaluator must keep serving: %v", err)
 		}
 		if !inc.DB().Get("path").Contains(Tuple{"a", "c"}) {
-			t.Fatal("good tick after rejection must maintain the fixpoint")
+			t.Fatal("good tick after the phantom delete must maintain the fixpoint")
 		}
 	})
+}
+
+// TestInsertReportedTwice: a batch that reports one realized insert twice,
+// followed by a batch that deletes the tuple, leaves the fixpoint Eval
+// computes — no stale reach_attr row. No caller in this repository sends
+// such a batch: the transducer, the shard replicas' routed ops and
+// changelog replay record only realized changes. The test pins that the
+// maintenance engine cannot be corrupted by one.
+func TestInsertReportedTwice(t *testing.T) {
+	p := persistProgram(t)
+	db := NewDatabase()
+	db.Ensure("edge", 2).Insert(Tuple{"a", "b"})
+	attr := db.Ensure("attr", 2)
+	inc, err := NewIncremental(p, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := Tuple{"b", int64(2)}
+	attr.Insert(row)
+	d := NewDelta()
+	d.Insert("attr", row)
+	d.Insert("attr", row)
+	if _, err := inc.Apply(d); err != nil {
+		t.Fatal(err)
+	}
+	attr.Delete(row)
+	d = NewDelta()
+	d.Delete("attr", row)
+	if _, err := inc.Apply(d); err != nil {
+		t.Fatal(err)
+	}
+	ref := NewDatabase()
+	ref.Ensure("edge", 2).Insert(Tuple{"a", "b"})
+	ref.Ensure("attr", 2)
+	if _, err := p.Eval(ref); err != nil {
+		t.Fatal(err)
+	}
+	if err := diffDatabases("after the doubly reported insert and its delete", inc.DB(), ref); err != nil {
+		t.Fatal(err)
+	}
 }

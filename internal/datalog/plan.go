@@ -11,10 +11,9 @@ import (
 // components in one Tarjan pass (components), splits every literal's
 // columns into bound (probe) and free (bind) sets, greedily reorders body
 // literals by boundness, and pushes filters to the earliest point they are
-// evaluable. Eval, PreparedRule.Derive, the aggregate path,
-// every Incremental maintenance strategy (counting included — the
-// derivation counts it keeps ride the head relation's slots,
-// Relation.addCount) and the shard replicas' Drive all execute these plans.
+// evaluable. Eval, PreparedRule.Derive, the aggregate path, every
+// Incremental maintenance strategy and the shard replicas' Ticks all
+// execute these plans.
 // The interpretive binding-map walk (deriveRule in eval.go, behind
 // EvalNaive) is the oracle only: the reference the differential tests
 // compare every plan-driven path against, and BenchmarkEvalNaiveTCChain's
@@ -36,7 +35,6 @@ type filterPlan struct {
 // scheduled position in the join order.
 type litPlan struct {
 	pred    string
-	origIdx int // index in Rule.Body (delta substitution key)
 	negated bool
 
 	// Positive literals: probe columns (bound at this point) and free
@@ -254,7 +252,7 @@ func compileRule(r Rule, preBound []string, supportMode bool) (*rulePlan, error)
 
 		schedule := func(bi int) {
 			l := r.Body[bi]
-			lp := litPlan{pred: l.Pred, origIdx: bi, negated: l.Negated}
+			lp := litPlan{pred: l.Pred, negated: l.Negated}
 			if l.Negated {
 				lp.negArgs = make([]int, len(l.Args))
 				for j, t := range l.Args {
@@ -397,30 +395,21 @@ func compileRule(r Rule, preBound []string, supportMode bool) (*rulePlan, error)
 	return p, nil
 }
 
-// preBatch is what a run's positive non-delta literals read besides db —
-// tuples a batch already moved, put back (over) or taken out (hide) so the
-// literal joins against the state before the batch. Two policies share it:
-//
-//   - DRed over-deletion: every such literal reads db ∪ over (the batch's
-//     removed inputs plus the heads over-deleted so far).
-//   - Counting (positional): literals before the delta position read db as
-//     is, literals after it read db − hide ∪ over (hide = the batch's added
-//     tuples, over = its removed ones), so that summed over every position
-//     of every changed tuple each gained or lost derivation is enumerated
-//     exactly once.
-//
-// The delta position reads the delta verbatim and negated probes read db
-// (both policies run on monotone components only). The zero value reads db.
+// preBatch is what a run's positive non-delta literals read besides db
+// during DRed over-deletion: db ∪ over, where over holds the batch's
+// removed inputs plus the heads over-deleted so far, so each literal joins
+// against the state before the deletions. The delta position reads the
+// delta verbatim and negated probes read db (over-deletion runs on
+// monotone components only). The zero value reads db.
 type preBatch struct {
-	over, hide *Database
-	positional bool
+	over *Database
 }
 
 // run executes the standard join order against db with the leading slots
 // preset; emit receives each derived head row — a view into the executor's
 // row buffer, valid until it returns.
 func (p *rulePlan) run(db *Database, preset []uint64, emit func([]uint64)) {
-	e := p.newExec(db, p.orders[0], -1, preBatch{}, func(w []uint64) bool {
+	e := p.newExec(db, p.orders[0], preBatch{}, func(w []uint64) bool {
 		emit(w)
 		return true
 	})
@@ -441,7 +430,7 @@ func (p *rulePlan) runSegmented(db *Database, deltaIdx int, delta *rowList, view
 		return
 	}
 	order := p.orders[1+deltaIdx]
-	e := p.newExec(db, order, deltaIdx, view, func(w []uint64) bool {
+	e := p.newExec(db, order, view, func(w []uint64) bool {
 		emit(w)
 		return true
 	})
@@ -457,7 +446,7 @@ func (p *rulePlan) runSegmented(db *Database, deltaIdx int, delta *rowList, view
 		// The delta literal's constant columns must agree; step then binds
 		// and checks it exactly as it would a row found by index lookup.
 		if row := delta.row(i); projEqual(row, first.probePos, key) {
-			e.step(0, row, nil)
+			e.step(0, row)
 		}
 	}
 }
@@ -503,21 +492,20 @@ func (l *rowList) reset(arity int) {
 // recursive join walk. It is built once per run and reused across every
 // delta row the run drives.
 type planExec struct {
-	p        *rulePlan
-	db       *Database
-	dict     *dict
-	order    []litPlan
-	deltaIdx int
-	view     preBatch
-	env      []uint64
-	scratch  [][]uint64
-	head     []uint64
-	stopped  bool
-	emit     func([]uint64) bool
+	p       *rulePlan
+	db      *Database
+	dict    *dict
+	order   []litPlan
+	view    preBatch
+	env     []uint64
+	scratch [][]uint64
+	head    []uint64
+	stopped bool
+	emit    func([]uint64) bool
 }
 
-func (p *rulePlan) newExec(db *Database, order []litPlan, deltaIdx int, view preBatch, emit func([]uint64) bool) *planExec {
-	e := &planExec{p: p, db: db, dict: db.dictionary(), order: order, deltaIdx: deltaIdx, view: view, emit: emit}
+func (p *rulePlan) newExec(db *Database, order []litPlan, view preBatch, emit func([]uint64) bool) *planExec {
+	e := &planExec{p: p, db: db, dict: db.dictionary(), order: order, view: view, emit: emit}
 	// One allocation holds env, the head row and the per-position scratch
 	// for probe keys and negation probes.
 	n := p.nslots + len(p.head)
@@ -558,14 +546,11 @@ func (e *planExec) filtersPass(fs []filterPlan) bool {
 func (e *planExec) preFiltersPass() bool { return e.filtersPass(e.p.preFilters) }
 
 // step accepts one candidate row for the positive literal at position i —
-// hidden rows are skipped, free columns bind their slots, repeated
-// variables and the literal's filters must agree — and walks on. It reports
-// whether the enumeration that produced row should continue.
-func (e *planExec) step(i int, row []uint64, hide *Relation) bool {
+// free columns bind their slots, repeated variables and the literal's
+// filters must agree — and walks on. It reports whether the enumeration
+// that produced row should continue.
+func (e *planExec) step(i int, row []uint64) bool {
 	lp := &e.order[i]
-	if hide != nil && hide.findRow(row) >= 0 {
-		return true
-	}
 	for k, pos := range lp.freePos {
 		e.env[lp.freeSlots[k]] = row[pos]
 	}
@@ -612,20 +597,16 @@ func (e *planExec) walk(i int) {
 	// The literal's sources in enumeration order, by e.view's policy. The
 	// delta literal never gets here: runSegmented steps it directly.
 	var srcs [2]*Relation
-	var hide *Relation
 	n := 0
 	if rel := e.db.Get(lp.pred); rel != nil {
 		srcs[0], n = rel, 1
 	}
-	if v := &e.view; v.over != nil && (!v.positional || lp.origIdx > e.deltaIdx) {
+	if e.view.over != nil {
 		// An empty overlay is skipped, so its index is first built (and
 		// from then on maintained) only once a probe can hit it.
-		if o := v.over.Get(lp.pred); o != nil && o.Len() > 0 {
+		if o := e.view.over.Get(lp.pred); o != nil && o.Len() > 0 {
 			srcs[n] = o
 			n++
-		}
-		if v.hide != nil {
-			hide = v.hide.Get(lp.pred)
 		}
 	}
 	for k, slot := range lp.probeArgs {
@@ -635,14 +616,14 @@ func (e *planExec) walk(i int) {
 		switch {
 		case len(lp.probePos) == 0:
 			for s, end := 0, src.slots(); s < end; s++ {
-				if src.live(s) && !e.step(i, src.row(s), hide) {
+				if src.live(s) && !e.step(i, src.row(s)) {
 					return
 				}
 			}
 		case lp.allBound:
 			// Existence check: probePos covers every column in order, so
 			// key is the full row; the membership table answers directly.
-			if src.findRow(key) >= 0 && (hide == nil || hide.findRow(key) < 0) {
+			if src.findRow(key) >= 0 {
 				if e.filtersPass(lp.filters) {
 					e.walk(i + 1)
 				}
@@ -651,7 +632,7 @@ func (e *planExec) walk(i int) {
 		default:
 			ci := src.index(lp.probePos)
 			for s, last := ci.bucket(src, key); s >= 0; s = ci.after(s, last) {
-				if !e.step(i, src.row(s), hide) {
+				if !e.step(i, src.row(s)) {
 					return
 				}
 			}

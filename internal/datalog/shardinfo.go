@@ -19,8 +19,6 @@ type Component struct {
 	// Inputs lists the distinct non-head body predicates (including
 	// negated ones), first-appearance order.
 	Inputs []string
-	// Recursive reports a positive body literal reading a component head.
-	Recursive bool
 	// NonMono reports negation or aggregation anywhere in the component.
 	NonMono bool
 }
@@ -38,8 +36,8 @@ func (p *Program) Components() ([]Component, error) {
 	return out, nil
 }
 
-// classify reads a component's heads, inputs, recursion and monotonicity
-// off its plans.
+// classify reads a component's heads, inputs and monotonicity off its
+// plans.
 func classify(plans []*rulePlan) Component {
 	c := Component{}
 	headSet := map[string]bool{}
@@ -59,13 +57,7 @@ func classify(plans []*rulePlan) Component {
 			if l.Negated {
 				c.NonMono = true
 			}
-			if headSet[l.Pred] {
-				if !l.Negated {
-					c.Recursive = true
-				}
-				continue
-			}
-			if !inputSet[l.Pred] {
+			if !headSet[l.Pred] && !inputSet[l.Pred] {
 				inputSet[l.Pred] = true
 				c.Inputs = append(c.Inputs, l.Pred)
 			}

@@ -177,7 +177,7 @@ func TestStorageChurnMatchesModel(t *testing.T) {
 				if !rel.bulkLoad(rows) {
 					t.Fatalf("seed %d step %d: bulkLoad found a duplicate row", seed, step)
 				}
-				if counted { // counts do not survive a Clear; restore them as RestoreIncremental does
+				if counted { // counts do not survive a Clear or a bulkLoad; put them back
 					rel.counts = slices.Clone(m.counts)
 				}
 			}

@@ -1,11 +1,9 @@
 package datalog
 
-import "fmt"
-
 // This file is the one maintenance engine. A Tick folds a batch into the
 // fixpoint component by component, each in rounds: a round drives the
-// frontier through the compiled plans and emits head rows with a signed
-// multiplicity; the next round drives the emitted rows that were accepted.
+// frontier through the compiled plans and emits head rows with a sign; the
+// next round drives the emitted rows that were accepted.
 // Incremental.Apply accepts every emission on the spot; a shard replica
 // (internal/shard) ships each to its owner and accepts at a barrier.
 
@@ -13,21 +11,20 @@ import "fmt"
 type phase int
 
 const (
-	countPhase     phase = iota // non-recursive monotone: signed derivation counts, committed once all arrived
-	recomputePhase              // negation or aggregates: re-evaluate and diff, nothing to exchange
+	recomputePhase phase = iota // negation or aggregates: re-evaluate and diff, nothing to exchange
 	insertPhase                 // semi-naive rounds: insert if absent
 	overPhase                   // DRed over-delete rounds; then every replica checks every candidate
 )
 
 // strategy is the one switch from component c's class, and whether the
-// batch deletes from its inputs, to its maintenance, for both callers.
-// forceRecompute keeps recompute-and-diff as DRed's test baseline.
+// batch deletes from its inputs, to its maintenance, for both callers: a
+// monotone component, recursive or not, runs semi-naive insert rounds, and
+// DRed first when the batch deletes. forceRecompute keeps
+// recompute-and-diff as DRed's test baseline.
 func (inc *Incremental) strategy(c *incComponent, hasDel bool) phase {
 	switch {
 	case c.NonMono:
 		return recomputePhase
-	case !c.Recursive:
-		return countPhase
 	case !hasDel:
 		return insertPhase
 	case inc.forceRecompute:
@@ -36,9 +33,9 @@ func (inc *Incremental) strategy(c *incComponent, hasDel bool) phase {
 	return overPhase
 }
 
-// Change is one row a round emits or a replica accepts, with signed
-// multiplicity N: a derivation-count change, the sign of an insertion or
-// over-deletion, or 0 for a DRed candidate every replica checks.
+// Change is one row a round emits or a replica accepts: N is +1 for an
+// insertion, −1 for an over-deletion, or 0 for a DRed candidate every
+// replica checks.
 type Change struct {
 	Pred string
 	T    Tuple
@@ -65,7 +62,6 @@ type Tick struct {
 	// The component in progress.
 	c     *incComponent
 	phase phase
-	acc   *Database // counting: the batch's signed count changes per head
 	over  *Database // DRed: removed inputs, and per head the over-deleted candidates
 	check rowLog    // DRed: the candidates every replica over-deleted
 }
@@ -125,8 +121,6 @@ func (t *Tick) Start(ci int, hasDel bool) {
 	t.phase = t.inc.strategy(c, hasDel)
 	b.rotate() // an aborted tick may have left rows for a next round
 	switch t.phase {
-	case countPhase:
-		t.acc = db.Scratch()
 	case insertPhase:
 		t.load(b.next, t.d.add)
 	case overPhase:
@@ -158,11 +152,11 @@ func (t *Tick) Round(quiet bool, emit func(Change)) (last bool, err error) {
 	for _, h := range out.Names() {
 		rel, whole := t.inc.db.Get(h), t.whole(h)
 		out.Get(h).scanCountRows(func(w []uint64, n int) {
-			// Counts always ship; a set-level change ships unless its owner
-			// already holds it: a row held here is held by its owner, and a
-			// whole relation's deleted row is deleted everywhere.
+			// A change ships unless its owner already holds it: a row held
+			// here is held by its owner, and a whole relation's deleted row
+			// is deleted everywhere.
 			held := rel.findRow(w) >= 0
-			if n != 0 && (t.phase == countPhase || n > 0 && !held || n < 0 && (held || !whole)) {
+			if n > 0 && !held || n < 0 && (held || !whole) {
 				emit(Change{Pred: h, T: dict.tuple(w), N: n})
 			}
 		})
@@ -172,7 +166,7 @@ func (t *Tick) Round(quiet bool, emit func(Change)) (last bool, err error) {
 
 // Accept folds a round's arrived batches, in order, into the component in
 // progress and returns how many accepted rows the next round drives.
-func (t *Tick) Accept(batches ...[]Change) (pending int, err error) {
+func (t *Tick) Accept(batches ...[]Change) (pending int) {
 	var buf [8]uint64
 	for _, cs := range batches {
 		for _, c := range cs {
@@ -182,15 +176,12 @@ func (t *Tick) Accept(batches ...[]Change) (pending int, err error) {
 	return t.settle()
 }
 
-// settle ends a round's arrivals: a counting component commits its counts.
-func (t *Tick) settle() (pending int, err error) {
-	if t.phase == countPhase {
-		err = t.commitCounts()
-	}
+// settle ends a round's arrivals: it counts the rows the next round drives.
+func (t *Tick) settle() (pending int) {
 	for _, l := range t.inc.rounds.next {
 		pending += l.len()
 	}
-	return pending, err
+	return pending
 }
 
 // drive is a round's first half: after a quiet round it moves to the next
@@ -200,23 +191,6 @@ func (t *Tick) drive(quiet bool, emit func(rel *Relation, w []uint64, n int)) er
 	b.rotate()
 	frontier := b.cur
 	switch t.phase {
-	case countPhase:
-		// Positions before i join the post-batch state, positions after i
-		// the pre-batch view: each gained or lost derivation counts once.
-		view := preBatch{
-			over:       t.inc.deltaRelations(c.Inputs, t.d.del),
-			hide:       t.inc.deltaRelations(c.Inputs, t.d.add),
-			positional: true,
-		}
-		for ri, pl := range c.plans {
-			rel := db.Get(pl.r.Head.Pred)
-			gained := func(w []uint64) { emit(rel, w, 1) }
-			lost := func(w []uint64) { emit(rel, w, -1) }
-			for i, l := range pl.r.Body {
-				pl.runSegmented(db, i, t.soloRows(ri, t.d.add[l.Pred]), view, gained)
-				pl.runSegmented(db, i, t.soloRows(ri, t.d.del[l.Pred]), view, lost)
-			}
-		}
 	case recomputePhase:
 		return t.recompute()
 	case overPhase:
@@ -257,8 +231,6 @@ func (t *Tick) drive(quiet bool, emit func(rel *Relation, w []uint64, n int)) er
 func (t *Tick) accept(rel *Relation, w []uint64, n int) {
 	next := t.inc.rounds.next
 	switch t.phase {
-	case countPhase:
-		t.acc.Ensure(rel.Name, rel.Arity).addCount(w, n)
 	case overPhase:
 		if n == 0 {
 			t.check.add(rel, w, 0)
@@ -295,7 +267,7 @@ func (t *Tick) close() {
 			})
 		}
 	}
-	t.c, t.over, t.acc, t.check = nil, nil, nil, rowLog{}
+	t.c, t.over, t.check = nil, nil, rowLog{}
 }
 
 // load adds the batch's changes to the component's inputs, from lists, to
@@ -331,43 +303,6 @@ func (t *Tick) soloRows(ri int, l *rowList) *rowList {
 		}
 	}
 	return out
-}
-
-// commitCounts validates the summed count changes against the maintained
-// counts — a crossing below zero means the batch retracts derivations the
-// component never recorded — and only then commits them: a head row
-// appears or disappears where its count crosses zero.
-func (t *Tick) commitCounts() error {
-	db := t.inc.db
-	for _, h := range t.c.Heads {
-		var err error
-		rel := db.Get(h)
-		t.acc.Ensure(h, rel.Arity).scanCountRows(func(w []uint64, n int) {
-			if err == nil && rel.count(w)+n < 0 {
-				err = fmt.Errorf("%w: derivation count for %s%v would fall below zero", ErrInconsistentDelta, h, rel.dict.tuple(w))
-			}
-		})
-		if err != nil {
-			return err
-		}
-	}
-	for _, h := range t.c.Heads {
-		rel := db.Get(h)
-		t.acc.Get(h).scanCountRows(func(w []uint64, n int) {
-			if n == 0 {
-				return
-			}
-			t.inc.undo.add(rel, w, n)
-			switch old, now := rel.addCount(w, n); {
-			case old == 0:
-				t.realize(rel, w, 1)
-			case now == 0:
-				rel.deleteRow(w) // keeps maintained counts bounded by the live fixpoint
-				t.realize(rel, w, -1)
-			}
-		})
-	}
-	return nil
 }
 
 // recompute re-evaluates a component with negation or aggregates from its
@@ -414,10 +349,9 @@ func (t *Tick) realize(rel *Relation, w []uint64, n int) {
 }
 
 // rowLog is a sequence of encoded rows of mixed relations, each with a
-// multiplicity: row k is a row of rels[k], its words following row k−1's
-// in w. The undo log rollback reverses is one — a set insertion (n = 1) or
-// deletion (n = −1), or a counted head row's count moving by n — and so
-// are DRed's candidates, in discovery order.
+// sign: row k is a row of rels[k], its words following row k−1's in w. The
+// undo log rollback reverses is one — a set insertion (n = 1) or deletion
+// (n = −1) — and so are DRed's candidates, in discovery order.
 type rowLog struct {
 	rels []*Relation
 	n    []int
@@ -432,7 +366,7 @@ func (l *rowLog) reset() { l.rels, l.n, l.w = l.rels[:0], l.n[:0], l.w[:0] }
 
 // Abort rolls the batch back — its derived changes (rollback), then the
 // batch's recorded base ops — so the database holds what it held before
-// the batch, counts included.
+// the batch.
 func (t *Tick) Abort() {
 	t.rollback()
 	t.inc.db.Undo(t.d.Ops())
@@ -446,14 +380,9 @@ func (t *Tick) rollback() {
 		rel, n := u.rels[i], u.n[i]
 		w := u.w[end-rel.Arity : end]
 		end -= rel.Arity
-		switch {
-		case rel.counts != nil:
-			if _, now := rel.addCount(w, -n); now == 0 {
-				rel.deleteRow(w)
-			}
-		case n > 0:
+		if n > 0 {
 			rel.deleteRow(w)
-		default:
+		} else {
 			rel.insertRow(w)
 		}
 	}

@@ -21,19 +21,17 @@ func stepTick(inc *Incremental, d *Delta) (*Tick, error) {
 		for quiet, last := false, false; err == nil && !(quiet && last); {
 			var arrived []Change
 			if last, err = tk.Round(quiet, func(c Change) { arrived = append(arrived, c) }); err == nil {
-				var pending int
-				pending, err = tk.Accept(arrived)
-				quiet = pending == 0
+				quiet = tk.Accept(arrived) == 0
 			}
 		}
 	}
 	return tk, err
 }
 
-// TestTickAbortRestoresFixpoint: on random programs (counting, recursive
-// and non-monotone components) and delete-heavy batches, an aborted Tick
-// leaves the database — base rows, derived rows and derivation counts — as
-// it found it, and the same batch stepped again and kept equals Eval.
+// TestTickAbortRestoresFixpoint: on random programs (recursive,
+// non-recursive and non-monotone components) and delete-heavy batches, an
+// aborted Tick leaves the database — base rows and derived rows — as it
+// found it, and the same batch stepped again and kept equals Eval.
 func TestTickAbortRestoresFixpoint(t *testing.T) {
 	check := func(seed int64) error {
 		r := rand.New(rand.NewSource(seed))
@@ -75,9 +73,6 @@ func TestTickAbortRestoresFixpoint(t *testing.T) {
 					if err := diffDatabases("aborted vs before", inc.DB(), before); err != nil {
 						return fmt.Errorf("tick %d: %w", tick, err)
 					}
-					if err := checkCountingState(p, inc); err != nil {
-						return fmt.Errorf("tick %d, aborted: %w", tick, err)
-					}
 				}
 			}
 			for _, op := range ops {
@@ -92,9 +87,6 @@ func TestTickAbortRestoresFixpoint(t *testing.T) {
 				return err
 			}
 			if err := diffDatabases("stepped vs compiled", inc.DB(), ref); err != nil {
-				return fmt.Errorf("tick %d: %w", tick, err)
-			}
-			if err := checkCountingState(p, inc); err != nil {
 				return fmt.Errorf("tick %d: %w", tick, err)
 			}
 		}

@@ -11,7 +11,7 @@ import (
 )
 
 // testProgram is the persistence-relevant program pair: a recursive closure
-// (DRed-maintained) feeding a non-recursive join (counting-maintained).
+// feeding a non-recursive join.
 func testProgram(t testing.TB) *datalog.Program {
 	t.Helper()
 	p, err := datalog.NewProgram(

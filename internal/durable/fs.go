@@ -1,8 +1,8 @@
 // Package durable makes the engine's materialized state crash-safe: a
 // write-ahead changelog of realized base-relation deltas (length-prefixed,
 // CRC32C-checksummed records with torn-tail truncation on open) plus
-// periodic snapshots of the full incremental fixpoint — counted-derivation
-// state included — so recovery loads the latest snapshot, replays the
+// periodic snapshots of the full incremental fixpoint — base and derived
+// relations alike — so recovery loads the latest snapshot, replays the
 // changelog suffix through datalog.Incremental.Apply, and resumes
 // incremental maintenance instead of re-deriving from scratch (DESIGN.md
 // §10).

@@ -11,13 +11,13 @@ import (
 // A snapshot image frames a datalog.FixpointState — the evaluator's own
 // dictionary values and slab rows — with the seq it covers:
 //
-//	image    = magic "HYSNAP2\n" ‖ u64 LE seq ‖ values ‖ relation* ‖ u32 LE CRC32C
+//	image    = magic "HYSNAP3\n" ‖ u64 LE seq ‖ values ‖ relation* ‖ u32 LE CRC32C
 //	values   = uvarint n ‖ n × value (codec.go)
 //	relation = name ‖ uvarint arity ‖ uvarint rows ‖ rows × max(arity, 1) uvarint words
-//	           ‖ uvarint 0 | uvarint 1 ‖ rows × uvarint count
 //
-// Relations run in State() order up to the trailer; the 0 or 1 after the
-// words says whether a counts column follows. Words are opaque here: an
+// Relations run in State() order up to the trailer. An image of an older
+// format (HYSNAP2 carried a derivation-count column per relation) has
+// another magic and is refused, not misparsed. Words are opaque here: an
 // inline integer is its own word, a dictionary word names a value by its
 // dense first-use id, so a row costs about its words' varints. The file is
 // written to a temp name, fsynced, and renamed over the live snapshot —
@@ -28,7 +28,7 @@ import (
 const (
 	snapName    = "snapshot.snap"
 	snapTmpName = "snapshot.snap.tmp"
-	snapMagic   = "HYSNAP2\n"
+	snapMagic   = "HYSNAP3\n"
 	snapHdrLen  = len(snapMagic) + 8
 	// maxArity bounds a relation's arity, so that a damaged image cannot
 	// make the decoder allocate a column list of any size.
@@ -55,14 +55,6 @@ func encodeSnapshot(seq uint64, fx *datalog.FixpointState) ([]byte, error) {
 		b = binary.AppendUvarint(b, uint64(len(rs.Rows)/max(rs.Arity, 1)))
 		for _, w := range rs.Rows {
 			b = binary.AppendUvarint(b, w)
-		}
-		if rs.Counts == nil {
-			b = append(b, 0)
-			continue
-		}
-		b = append(b, 1)
-		for _, c := range rs.Counts {
-			b = binary.AppendUvarint(b, uint64(c))
 		}
 	}
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable)), nil
@@ -140,16 +132,6 @@ func decodeSnapshot(data []byte) (seq uint64, fx *datalog.FixpointState, err err
 		rs.Rows = make([]uint64, n*stride)
 		for i := range rs.Rows {
 			rs.Rows[i] = r.uvarint()
-		}
-		switch counted := r.uvarint(); {
-		case r.err != nil:
-		case counted == 1:
-			rs.Counts = make([]int, n)
-			for i := range rs.Counts {
-				rs.Counts[i] = int(r.uvarint())
-			}
-		case counted != 0:
-			r.err = fmt.Errorf("durable: snapshot: relation %s has counts flag %d", rs.Name, counted)
 		}
 		fx.Relations = append(fx.Relations, rs)
 	}

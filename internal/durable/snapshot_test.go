@@ -3,6 +3,7 @@ package durable
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"hash/crc32"
 	"os"
 	"testing"
@@ -13,8 +14,8 @@ import (
 // TestSnapshotDottedNamesGolden pins the snapshot format byte for byte.
 // The state holds dotted names ("a" < "a.b" < "ab" is the name order the
 // relations are written in), an empty relation, an arity-0 relation holding
-// its one tuple, one counted predicate (ab), and every value type the codec
-// tags. testdata/dotted.snap was written by this package's HYSNAP2 encoder;
+// its one tuple, one derived predicate (ab), and every value type the codec
+// tags. testdata/dotted.snap was written by this package's HYSNAP3 encoder;
 // the image must not change.
 func TestSnapshotDottedNamesGolden(t *testing.T) {
 	p := dottedProgram(t)
@@ -63,8 +64,7 @@ func TestSnapshotDottedNamesGolden(t *testing.T) {
 	}
 }
 
-// dottedProgram is the golden image's program: ab(x) :- a(x), a.b(x), whose
-// head is a counting component's.
+// dottedProgram is the golden image's program: ab(x) :- a(x), a.b(x).
 func dottedProgram(t testing.TB) *datalog.Program {
 	x := datalog.V("x")
 	p, err := datalog.NewProgram(datalog.Rule{
@@ -78,6 +78,43 @@ func dottedProgram(t testing.TB) *datalog.Program {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// hysnap2Dotted is the golden state as the HYSNAP2 encoder wrote it, with
+// a derivation-count flag after each relation's rows and ab's counts column.
+const hysnap2Dotted = "4859534e4150320a020000000000000004010374776f040405000000000000164001016b" +
+	"0161010503190b130a0003612e62010503080213190002616201030313190101010105656d" +
+	"70747902000004666c616700010000056f7468657202011bc8ffffffffffffffff0100d377ee06"
+
+// TestOlderSnapshotFormatRefused: an image of the previous format, whole
+// and with a valid CRC, is refused by its magic rather than misparsed.
+func TestOlderSnapshotFormatRefused(t *testing.T) {
+	img, err := hex.DecodeString(hysnap2Dotted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end := len(img) - 4; crc32.Checksum(img[:end], crcTable) != binary.LittleEndian.Uint32(img[end:]) {
+		t.Fatal("the HYSNAP2 image's CRC does not match")
+	}
+	fs := NewFaultFS()
+	w, err := fs.Create(snapName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(img); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(Options{FS: fs})
+	if err != nil {
+		return
+	}
+	defer s.Close()
+	if _, err := s.Recover(dottedProgram(t), datalog.NewDatabase()); err == nil {
+		t.Fatal("a HYSNAP2 image was recovered")
+	}
 }
 
 // FuzzSnapshotImage recovers the golden image's program from any body —
@@ -95,6 +132,18 @@ func FuzzSnapshotImage(f *testing.F) {
 		f.Add(body[:n])
 	}
 	f.Add(body)
+	// The same state in the HYSNAP2 layout, counts flags and column
+	// included: under the current magic it too must be refused or
+	// re-encode to itself.
+	old, err := hex.DecodeString(hysnap2Dotted)
+	if err != nil {
+		f.Fatal(err)
+	}
+	old = old[len(snapMagic) : len(old)-4]
+	for n := range old {
+		f.Add(old[:n])
+	}
+	f.Add(old)
 	p := dottedProgram(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		img := append([]byte(snapMagic), body...)

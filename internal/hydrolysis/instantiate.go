@@ -17,8 +17,8 @@ import (
 //
 // The query program is maintained across ticks: the fixpoint is kept inside
 // the runtime database and folded forward from each tick's realized effects
-// (inserts through counted derivations or semi-naive propagation, deletions
-// through DRed or per-component recompute). That holds for every query,
+// (inserts through semi-naive propagation, deletions through DRed or
+// per-component recompute). That holds for every query,
 // read by a handler or not — an unread one costs O(delta) per tick and is
 // visible through Runtime.Table — and for a program with no query at all,
 // whose empty rule set is still a maintained program, so any instantiated

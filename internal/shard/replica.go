@@ -232,6 +232,5 @@ func (r *replica) maybeAccept(k rkey) {
 	for i, x := range batches {
 		arrived[i] = x.Items
 	}
-	next, err := r.tick.Accept(arrived...)
-	r.reply(m, rsp{Last: r.last, Next: next, Err: err})
+	r.reply(m, rsp{Last: r.last, Next: r.tick.Accept(arrived...)})
 }

@@ -204,9 +204,9 @@ func (rt *Runtime) RegisterHandler(mailbox string, h Handler) { rt.handlers[mail
 
 // RegisterQueriesIncremental installs the query program: the fixpoint is
 // materialized into the runtime database once, then maintained from each
-// tick's applied effects as deltas (counted derivations for retractions,
-// semi-naive propagation for monotone inserts, per-component recompute
-// fallbacks — see datalog.Incremental), making amortized tick cost O(delta)
+// tick's applied effects as deltas (semi-naive propagation for monotone
+// inserts, DRed for their retractions, per-component recompute fallbacks
+// — see datalog.Incremental), making amortized tick cost O(delta)
 // on monotone workloads. Registered tables must not collide with derived
 // predicates, and handler effects must never write a derived relation.
 func (rt *Runtime) RegisterQueriesIncremental(p *datalog.Program) error {
