@@ -81,7 +81,8 @@ datalog-serial:
 # open-addressed tables of index.go, not Go maps), no []Tuple or []any field
 # in Relation, colIndex, planExec or the round buffers (roundBufs, rowList,
 # headRows) — so boxed rows cannot come back as a cache beside the slabs —
-# and the interpretive binding / evalFilter walk is referenced only where it
+# no []int field in Relation — a relation is a set, so no per-slot side
+# column (a count, a sign) rides beside its rows — and the interpretive binding / evalFilter walk is referenced only where it
 # is defined (rule.go) and by eval.go's deriveRule, the oracle the
 # differential tests compare the compiled plans against. Comments are
 # stripped first: the check reads declarations and call sites, not prose.
@@ -90,8 +91,10 @@ datalog-one-store:
 	@! grep -nE 'map\[uint64\]' $(DATALOG_SRC) | sed 's,//.*,,' | grep -F 'map[uint64]'
 	@awk '{code=$$0; sub(/\/\/.*/,"",code)} \
 		code ~ /^type (Relation|colIndex|planExec|roundBufs|rowList|headRows) struct/ {in_store=1} \
+		code ~ /^type Relation struct/ {in_rel=1} \
 		in_store && code ~ /\[\](Tuple|any)/ {print FILENAME":"FNR": boxed rows in a flat store: "$$0; bad=1} \
-		code ~ /^}/ {in_store=0} END{exit bad}' $(DATALOG_SRC)
+		in_rel && code ~ /\[\]int([^[:alnum:]_]|$$)/ {print FILENAME":"FNR": a per-slot side column in Relation: "$$0; bad=1} \
+		code ~ /^}/ {in_store=0; in_rel=0} END{exit bad}' $(DATALOG_SRC)
 	@awk '/^func /{fn=$$2} \
 		{code=$$0; sub(/\/\/.*/,"",code)} \
 		code ~ /(^|[^[:alnum:]_"])binding([{(),]|$$)|evalFilter\(/ && !(FILENAME ~ /eval\.go$$/ && fn ~ /^deriveRule\(/) \

@@ -211,8 +211,8 @@ func BenchmarkIncrementalSmallDeltaTC(b *testing.B) {
 // side (2 k join keys, so every row meets ten or more partners), maintained
 // by semi-naive insert rounds and DRed while each tick inserts four rows
 // into either side and retracts one. Both sides grow slowly, so compare
-// runs at a fixed -benchtime Nx. The name is kept from when derivation
-// counts maintained this view, so that earlier runs stay comparable.
+// runs at a fixed -benchtime Nx. No count is kept per view row; the name
+// only keeps earlier runs comparable.
 func BenchmarkIncrementalCountingJoin(b *testing.B) {
 	p, err := NewProgram(Rule{
 		Head: Atom{Pred: "view", Args: []Term{V("x"), V("z")}},

@@ -9,7 +9,7 @@
 // column indexes (the access paths of §5.1) are open-addressed tables
 // maintained incrementally on both Insert and Delete. Relation is the
 // package's only hashed tuple store: delta batches, pre-batch overlays,
-// dedup sets and signed change sums are all relations. Rules execute as
+// dedup sets and a batch's netting are all relations. Rules execute as
 // compiled plans over words (see plan.go); Tuple is the boundary type.
 package datalog
 
@@ -51,10 +51,10 @@ func (t Tuple) String() string {
 // dominate. Membership is an open-addressed table over all columns, and
 // column indexes over any column subset are built on first use and
 // maintained incrementally afterwards (index.go) — both enumerate in
-// insertion order, never hash order. A scratch relation may also carry one
-// signed count per tuple (addCount): a batch's or a round's summed signed
-// changes. Tuple is the boundary type: Insert, Delete, Contains, Lookup and
-// Tuples encode on the way in and decode on the way out.
+// insertion order, never hash order. A relation is a set and holds nothing
+// per row but the row: a sign or a multiplicity travels beside rows (Change,
+// rowLog), never in the slab. Tuple is the boundary type: Insert, Delete,
+// Contains, Lookup and Tuples encode on the way in and decode on the way out.
 type Relation struct {
 	Name  string
 	Arity int
@@ -65,7 +65,6 @@ type Relation struct {
 	dead   int
 	set    colIndex // membership: every column; cells nil after Clone/adopt (lazily rebuilt)
 	idx    []*colIndex
-	counts []int // per-tuple counts, parallel to slots; nil until the first addCount
 }
 
 // NewRelation returns an empty relation with a dictionary of its own. A
@@ -162,27 +161,10 @@ func (r *Relation) appendRow(cell int, w []uint64) int {
 		r.rows = append(r.rows, w...)
 	}
 	r.set.put(r, cell, slot)
-	if r.counts != nil {
-		r.counts = append(r.counts, 0)
-	}
 	for _, ci := range r.idx {
 		ci.add(r, slot)
 	}
 	return slot
-}
-
-// addCount adjusts the encoded row w's count by d, inserting it at count
-// zero first. Tombstone compaction carries counts along with their rows.
-func (r *Relation) addCount(w []uint64, d int) {
-	r.ensureSet()
-	if r.counts == nil {
-		r.counts = make([]int, r.slots(), cap(r.rows)/r.stride)
-	}
-	cell, slot := r.set.find(r, w)
-	if slot < 0 {
-		slot = r.appendRow(cell, w)
-	}
-	r.counts[slot] += d
 }
 
 // scanRows calls fn for every live row, in insertion order.
@@ -192,24 +174,6 @@ func (r *Relation) scanRows(fn func(w []uint64)) {
 			fn(r.row(s))
 		}
 	}
-}
-
-// scanCountRows calls fn for every live row and its count, in insertion
-// order; a relation that was never counted has none to report.
-func (r *Relation) scanCountRows(fn func(w []uint64, n int)) {
-	if r.counts == nil {
-		return
-	}
-	for s, n := 0, r.slots(); s < n; s++ {
-		if r.live(s) {
-			fn(r.row(s), r.counts[s])
-		}
-	}
-}
-
-// scanCounts is scanCountRows with each row decoded.
-func (r *Relation) scanCounts(fn func(t Tuple, n int)) {
-	r.scanCountRows(func(w []uint64, n int) { fn(r.dict.tuple(w), n) })
 }
 
 // Delete removes a tuple, returning true if it was present. Deletion is
@@ -250,14 +214,8 @@ func (r *Relation) maybeCompact() {
 		if !r.live(s) {
 			continue
 		}
-		if r.counts != nil {
-			r.counts[live] = r.counts[s]
-		}
 		copy(r.rows[live*r.stride:], r.rows[s*r.stride:][:r.stride])
 		live++
-	}
-	if r.counts != nil {
-		r.counts = r.counts[:live]
 	}
 	r.rows = r.rows[:live*r.stride]
 	r.dead = 0
@@ -278,7 +236,6 @@ func (r *Relation) Clear() {
 	r.dead = 0
 	r.set.cells = nil
 	r.idx = nil
-	r.counts = nil
 }
 
 // Contains reports membership of t.
@@ -308,7 +265,7 @@ func (r *Relation) Tuples() []Tuple {
 // snapshot-restore path. It reports false, leaving r unusable, if two rows
 // are equal.
 func (r *Relation) bulkLoad(rows []uint64) bool {
-	r.rows, r.dead, r.idx, r.counts = rows, 0, nil, nil
+	r.rows, r.dead, r.idx = rows, 0, nil
 	r.set.alloc(max(minCells, nextPow2(2*r.Len())))
 	for s, n := 0, r.slots(); s < n; s++ {
 		cell, dup := r.set.find(r, r.row(s))
@@ -318,16 +275,6 @@ func (r *Relation) bulkLoad(rows []uint64) bool {
 		r.set.put(r, cell, s)
 	}
 	return true
-}
-
-// scan calls fn for every live tuple in insertion order; fn returning
-// false stops the scan.
-func (r *Relation) scan(fn func(t Tuple) bool) {
-	for s, n := 0, r.slots(); s < n; s++ {
-		if r.live(s) && !fn(r.dict.tuple(r.row(s))) {
-			return
-		}
-	}
 }
 
 // Clone returns a copy sharing no mutable state but the (append-only)

@@ -511,7 +511,7 @@ func TestDifferentialThreeWayIncremental(t *testing.T) {
 }
 
 // TestIncrementalRejectsDerivedMutation: feeding a batch that claims to
-// have mutated a derived relation must error rather than corrupt counts —
+// have mutated a derived relation must error rather than corrupt the view —
 // and, because the error is raised before anything is mutated, the prior
 // fixpoint stays intact and the evaluator keeps serving good ticks
 // (graceful degradation: a serving loop rejects the bad tick and moves on).

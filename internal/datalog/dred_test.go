@@ -161,7 +161,7 @@ func TestDRedDeltaExactness(t *testing.T) {
 	if _, err := p.Eval(ref); err != nil {
 		t.Fatal(err)
 	}
-	if err := diffDatabases("dred+counting vs eval", inc.DB(), ref); err != nil {
+	if err := diffDatabases("dred vs eval", inc.DB(), ref); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -100,8 +100,8 @@ func (d *Delta) deleteRow(pred string, w []uint64) { rowsOf(d.del, pred, len(w))
 // encode builds the working form from the recorded ops in db's dictionary,
 // grouped per predicate, and returns the predicates in first-touch order.
 // It nets out same-tuple churn (insert→delete→insert within one batch) so
-// that at most one signed change per tuple is left — the precondition for
-// old-view reconstruction (preBatch).
+// that at most one change per tuple is left, on one side — the precondition
+// for old-view reconstruction (preBatch).
 func (d *Delta) encode(db *Database) ([]string, error) {
 	dict := db.dictionary()
 	d.add, d.del = map[string]*rowList{}, map[string]*rowList{}
@@ -134,23 +134,29 @@ func (d *Delta) encode(db *Database) ([]string, error) {
 		if add.len() == 0 || del.len() == 0 {
 			continue // realized changes on one side cannot repeat a tuple
 		}
-		net := newRelation(dict, pred, add.arity)
-		for i := 0; i < add.len(); i++ {
-			net.addCount(add.row(i), 1)
-		}
-		for i := 0; i < del.len(); i++ {
-			net.addCount(del.row(i), -1)
+		// Replay pred's ops in order: an op cancels the opposite pending
+		// one, or else becomes pending itself.
+		ins, rm := newRelation(dict, pred, add.arity), newRelation(dict, pred, add.arity)
+		i, j := 0, 0
+		for _, op := range d.ops {
+			switch {
+			case op.Pred != pred:
+			case op.Del:
+				if w := del.row(j); !ins.deleteRow(w) {
+					rm.insertRow(w)
+				}
+				j++
+			default:
+				if w := add.row(i); !rm.deleteRow(w) {
+					ins.insertRow(w)
+				}
+				i++
+			}
 		}
 		add.reset(add.arity)
 		del.reset(del.arity)
-		net.scanCountRows(func(w []uint64, n int) {
-			switch {
-			case n > 0:
-				add.add(w)
-			case n < 0:
-				del.add(w)
-			}
-		})
+		ins.scanRows(add.add)
+		rm.scanRows(del.add)
 	}
 	return preds, nil
 }

@@ -3,15 +3,13 @@ package datalog
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
 // storageModel is the plain reference a Relation is checked against: the
-// live tuples in insertion order, each with its count.
+// live tuples in insertion order.
 type storageModel struct {
-	rows   []Tuple
-	counts []int
+	rows []Tuple
 }
 
 func (m *storageModel) find(t Tuple) int {
@@ -25,40 +23,25 @@ func (m *storageModel) find(t Tuple) int {
 
 func (m *storageModel) remove(i int) {
 	m.rows = append(m.rows[:i:i], m.rows[i+1:]...)
-	m.counts = append(m.counts[:i:i], m.counts[i+1:]...)
 }
 
-// checkAgainst compares everything observable: Len, scan order, counts in
-// scan order, membership of every live tuple, and — per column and per
-// column pair, for sampled keys plus an absent one — the bucket in insertion
-// order.
-func (m *storageModel) checkAgainst(r *rand.Rand, rel *Relation, counted bool) error {
+// checkAgainst compares everything observable: Len, scan order, membership
+// of every live tuple, and — per column and per column pair, for sampled
+// keys plus an absent one — the bucket in insertion order.
+func (m *storageModel) checkAgainst(r *rand.Rand, rel *Relation) error {
 	if rel.Len() != len(m.rows) {
 		return fmt.Errorf("Len = %d, model has %d", rel.Len(), len(m.rows))
 	}
 	i := 0
 	var err error
-	rel.scan(func(t Tuple) bool {
-		if i >= len(m.rows) || !t.Equal(m.rows[i]) {
-			err = fmt.Errorf("scan position %d holds %v, model %v", i, t, m.rows[min(i, len(m.rows)-1)])
+	rel.scanRows(func(w []uint64) {
+		if t := rel.dict.tuple(w); err == nil && !t.Equal(m.rows[i]) {
+			err = fmt.Errorf("scan position %d holds %v, model %v", i, t, m.rows[i])
 		}
 		i++
-		return err == nil
 	})
 	if err != nil {
 		return err
-	}
-	if counted {
-		i = 0
-		rel.scanCounts(func(t Tuple, n int) {
-			if err == nil && (!t.Equal(m.rows[i]) || n != m.counts[i]) {
-				err = fmt.Errorf("count position %d is %v=%d, model %v=%d", i, t, n, m.rows[i], m.counts[i])
-			}
-			i++
-		})
-		if err != nil {
-			return err
-		}
 	}
 	for _, t := range m.rows {
 		if !rel.Contains(t) {
@@ -96,14 +79,13 @@ func (m *storageModel) checkAgainst(r *rand.Rand, rel *Relation, counted bool) e
 }
 
 // TestStorageChurnMatchesModel drives the row set and the column indexes
-// through insert / delete / re-insert / counted upsert churn — enough
+// through insert / delete / re-insert churn — enough
 // deletes to cross maybeCompact's threshold repeatedly and enough inserts to
 // grow every table several times — plus Clear, bulkLoad and Clone, checking
 // the relation against the model after every few steps.
 func TestStorageChurnMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		counted := seed%2 == 0
 		rel := NewDatabase().Ensure("t", 3)
 		m := &storageModel{}
 		randTuple := func() Tuple {
@@ -111,11 +93,10 @@ func TestStorageChurnMatchesModel(t *testing.T) {
 		}
 		check := func(step int, what string) {
 			t.Helper()
-			if err := m.checkAgainst(r, rel, counted); err != nil {
+			if err := m.checkAgainst(r, rel); err != nil {
 				t.Fatalf("seed %d step %d after %s: %v", seed, step, what, err)
 			}
 		}
-		var buf [8]uint64
 		compactions := 0
 		for step := 0; step < 3000; step++ {
 			what := "insert"
@@ -123,17 +104,10 @@ func TestStorageChurnMatchesModel(t *testing.T) {
 			case k < 45:
 				tu := randTuple()
 				i := m.find(tu)
-				if counted {
-					rel.addCount(rel.dict.encodeRow(buf[:0], tu), 1)
-					if i < 0 {
-						m.rows, m.counts = append(m.rows, tu), append(m.counts, 1)
-					} else {
-						m.counts[i]++
-					}
-				} else if rel.Insert(tu) != (i < 0) {
+				if rel.Insert(tu) != (i < 0) {
 					t.Fatalf("seed %d step %d: Insert(%v) reported %v with the model holding it at %d", seed, step, tu, i >= 0, i)
 				} else if i < 0 {
-					m.rows, m.counts = append(m.rows, tu), append(m.counts, 0)
+					m.rows = append(m.rows, tu)
 				}
 			case k < 90:
 				// Deletes outnumber what survives, in bursts, so tombstones
@@ -156,7 +130,7 @@ func TestStorageChurnMatchesModel(t *testing.T) {
 			case k < 91:
 				what = "clone"
 				c := rel.Clone()
-				if err := m.checkAgainst(r, c, false); err != nil {
+				if err := m.checkAgainst(r, c); err != nil {
 					t.Fatalf("seed %d step %d: clone: %v", seed, step, err)
 				}
 				// Mutating the clone must not show in rel (checked below).
@@ -176,9 +150,6 @@ func TestStorageChurnMatchesModel(t *testing.T) {
 				}
 				if !rel.bulkLoad(rows) {
 					t.Fatalf("seed %d step %d: bulkLoad found a duplicate row", seed, step)
-				}
-				if counted { // counts do not survive a Clear or a bulkLoad; put them back
-					rel.counts = slices.Clone(m.counts)
 				}
 			}
 			if step%25 == 0 || what != "insert" && what != "delete" {

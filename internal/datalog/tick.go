@@ -35,7 +35,8 @@ func (inc *Incremental) strategy(c *incComponent, hasDel bool) phase {
 
 // Change is one row a round emits or a replica accepts: N is +1 for an
 // insertion, −1 for an over-deletion, or 0 for a DRed candidate every
-// replica checks.
+// replica checks. It is a sign, never a count: a round emits a row once
+// however many rules or frontier rows derive it.
 type Change struct {
 	Pred string
 	T    Tuple
@@ -136,28 +137,30 @@ func (t *Tick) Start(ci int, hasDel bool) {
 // replica — ends the component.
 func (t *Tick) last() bool { return t.phase != overPhase }
 
-// Round drives one round and hands emit each change, summed per row; quiet
+// Round drives one round and hands emit each change, each row once; quiet
 // says the previous round left nothing to drive anywhere. It reports
 // whether a quiet round would now end the component.
 func (t *Tick) Round(quiet bool, emit func(Change)) (last bool, err error) {
 	dict := t.inc.db.dictionary()
 	out := t.inc.db.Scratch()
+	sign := 0 // every row a round emits with a sign has the same one
 	err = t.drive(quiet, func(rel *Relation, w []uint64, n int) {
 		if n == 0 {
 			emit(Change{Pred: rel.Name, T: dict.tuple(w)})
 			return
 		}
-		out.Ensure(rel.Name, rel.Arity).addCount(w, n)
+		sign = n
+		out.Ensure(rel.Name, rel.Arity).insertRow(w)
 	})
 	for _, h := range out.Names() {
 		rel, whole := t.inc.db.Get(h), t.whole(h)
-		out.Get(h).scanCountRows(func(w []uint64, n int) {
+		out.Get(h).scanRows(func(w []uint64) {
 			// A change ships unless its owner already holds it: a row held
 			// here is held by its owner, and a whole relation's deleted row
 			// is deleted everywhere.
 			held := rel.findRow(w) >= 0
-			if n > 0 && !held || n < 0 && (held || !whole) {
-				emit(Change{Pred: h, T: dict.tuple(w), N: n})
+			if sign > 0 && !held || sign < 0 && (held || !whole) {
+				emit(Change{Pred: h, T: dict.tuple(w), N: sign})
 			}
 		})
 	}
