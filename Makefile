@@ -2,7 +2,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: build test vet fmt ci smoke orphans datalog-serial datalog-one-store one-tick-path compiled-handlers bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak tick-allocs lines
+.PHONY: build test vet fmt ci smoke orphans datalog-serial datalog-one-store datalog-no-placement one-tick-path compiled-handlers bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak tick-allocs lines
 
 build:
 	$(GO) build ./...
@@ -19,7 +19,7 @@ fmt:
 	@gofmt -l . | sed 's/^/unformatted: /' | (! grep .)
 
 # ci runs the steps of CI's tier-1 job in its order (go test without -race).
-ci: build vet fmt orphans datalog-serial datalog-one-store one-tick-path compiled-handlers test tick-allocs bench-test fuzz tables smoke
+ci: build vet fmt orphans datalog-serial datalog-one-store datalog-no-placement one-tick-path compiled-handlers test tick-allocs bench-test fuzz tables smoke
 
 # lines prints the line counts of the Go files a change is sized by:
 # non-test and test files outside bench/, and under it (hidden build
@@ -99,6 +99,15 @@ datalog-one-store:
 		{code=$$0; sub(/\/\/.*/,"",code)} \
 		code ~ /(^|[^[:alnum:]_"])binding([{(),]|$$)|evalFilter\(/ && !(FILENAME ~ /eval\.go$$/ && fn ~ /^deriveRule\(/) \
 		{print FILENAME":"FNR": "$$0; bad=1} END{exit bad}' $(filter-out %/rule.go,$(DATALOG_SRC))
+
+# datalog-no-placement fails if a non-test file of internal/datalog names
+# ShardOf, PartitionHints, partCol or fnvOffset (comments stripped, as
+# above): which replica owns a row — the join-column vote and the FNV
+# value hash — is decided in internal/shard alone, and datalog knows of
+# sharding only Site and Components (DESIGN.md §11).
+PLACEMENT_BANNED = ShardOf|PartitionHints|partCol|fnvOffset
+datalog-no-placement:
+	@! grep -nE '$(PLACEMENT_BANNED)' $(DATALOG_SRC) | sed 's,//.*,,' | grep -E '$(PLACEMENT_BANNED)'
 
 # one-tick-path fails if a non-test file of internal/transducer,
 # internal/hydrolysis or internal/shard copies state or evaluates from

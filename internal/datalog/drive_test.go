@@ -154,50 +154,3 @@ func TestDriveEqualsNaiveStep(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestShardPlacementKeySelection pins rulePlan.partCol — what
-// PartitionHints derives shard placement from — on the transitive-closure
-// shape: the driven literal's first column that a later literal in the
-// delta-first order probes on, -1 when no join column exists (whole-tuple
-// hash fallback).
-func TestShardPlacementKeySelection(t *testing.T) {
-	p, err := NewProgram(
-		Rule{
-			Head: Atom{Pred: "path", Args: []Term{V("x"), V("y")}},
-			Body: []Literal{{Atom: Atom{Pred: "edge", Args: []Term{V("x"), V("y")}}}},
-		},
-		Rule{
-			Head: Atom{Pred: "path", Args: []Term{V("x"), V("z")}},
-			Body: []Literal{
-				{Atom: Atom{Pred: "path", Args: []Term{V("x"), V("y")}}},
-				{Atom: Atom{Pred: "edge", Args: []Term{V("y"), V("z")}}},
-			},
-		},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base, rec *rulePlan
-	for _, plans := range p.prep.strata {
-		for _, pl := range plans {
-			if len(pl.r.Body) == 1 {
-				base = pl
-			} else {
-				rec = pl
-			}
-		}
-	}
-	// Base rule edge(x,y): single literal, nothing downstream joins on the
-	// delta — whole-tuple fallback.
-	if got := base.partCol[0]; got != -1 {
-		t.Fatalf("base rule partCol = %d, want -1 (no join column)", got)
-	}
-	// Recursive rule, delta at path(x,y): edge is probed on y = column 1.
-	if got := rec.partCol[0]; got != 1 {
-		t.Fatalf("delta-at-path partCol = %d, want 1 (join on y)", got)
-	}
-	// Delta at edge(y,z): path is probed on y = column 0 of the edge literal.
-	if got := rec.partCol[1]; got != 0 {
-		t.Fatalf("delta-at-edge partCol = %d, want 0 (join on y)", got)
-	}
-}

@@ -2,7 +2,6 @@ package datalog
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
 )
@@ -10,74 +9,7 @@ import (
 // This file is the hashing and ordering half of the storage core: the word
 // hash and the open-addressed tables behind a relation's membership set and
 // the column indexes it builds on first probe — the "access path" machinery
-// of §5.1 in compiled form — plus the typed FNV-1a value hash ShardOf keeps
-// (a placement must not depend on a dictionary) and the deterministic tuple
-// order.
-
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-// hashByte folds one byte into an FNV-1a state.
-func hashByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime }
-
-// hashUint64 folds eight bytes into the state.
-func hashUint64(h uint64, v uint64) uint64 {
-	for i := 0; i < 64; i += 8 {
-		h = hashByte(h, byte(v>>i))
-	}
-	return h
-}
-
-// hashValue folds one tuple element, prefixed by a type tag so that 1,
-// "1", uint64(1) and 1.0 never collide. It hashes the Go value, not its
-// word, so it means the same in every process: ShardOf is its only user.
-func hashValue(h uint64, v any) uint64 {
-	switch x := v.(type) {
-	case string:
-		h = hashByte(h, 's')
-		for i := 0; i < len(x); i++ {
-			h = hashByte(h, x[i])
-		}
-		h = hashByte(h, 0xff)
-	case int:
-		h = hashByte(h, 'i')
-		h = hashUint64(h, uint64(int64(x)))
-	case int64:
-		h = hashByte(h, 'i')
-		h = hashUint64(h, uint64(x))
-	case uint64:
-		h = hashByte(h, 'u')
-		h = hashUint64(h, x)
-	case float64:
-		h = hashByte(h, 'f')
-		h = hashUint64(h, math.Float64bits(x))
-	case bool:
-		if x {
-			h = hashByte(h, 'T')
-		} else {
-			h = hashByte(h, 'F')
-		}
-	default:
-		h = hashByte(h, '?')
-		s := fmt.Sprint(x)
-		for i := 0; i < len(s); i++ {
-			h = hashByte(h, s[i])
-		}
-		h = hashByte(h, 0xff)
-	}
-	return h
-}
-
-// hashTuple hashes a full tuple.
-func hashTuple(t Tuple) uint64 {
-	h := fnvOffset
-	for _, v := range t {
-		h = hashValue(h, v)
-	}
-	return h
-}
+// of §5.1 in compiled form — plus the deterministic tuple order.
 
 const (
 	wordSeed uint64 = 0x2545f4914f6cdd1d

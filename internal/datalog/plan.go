@@ -92,14 +92,6 @@ type rulePlan struct {
 	supportBindPos []int
 	supportConsts  []int
 	supportChecks  [][2]int
-
-	// partCol[i] is the partition key of a delta driven through body
-	// literal i: the first column of literal i whose variable a later
-	// literal in the delta-first order probes on — the first bound join
-	// column, so tuples probing the same index buckets share a key. -1
-	// means no join column (cross products, single-literal bodies): hash
-	// the whole tuple. PartitionHints derives shard placement from it.
-	partCol []int
 }
 
 // validateWith is the range-restriction check (Rule.Validate) with
@@ -350,35 +342,6 @@ func compileRule(r Rule, preBound []string, supportMode bool) (*rulePlan, error)
 	for bi, l := range r.Body {
 		if !l.Negated {
 			p.orders[1+bi] = buildOrder(bi)
-		}
-	}
-
-	// Partition keys: for each delta-first order, find the first column the
-	// delta literal binds that a later literal probes on.
-	p.partCol = make([]int, len(r.Body))
-	for bi := range r.Body {
-		p.partCol[bi] = -1
-		order := p.orders[1+bi]
-		if order == nil {
-			continue
-		}
-		first := &order[0]
-		colOf := map[int]int{} // slot → delta-literal column binding it
-		for k, s := range first.freeSlots {
-			colOf[s] = first.freePos[k]
-		}
-		for li := 1; li < len(order) && p.partCol[bi] < 0; li++ {
-			lp := &order[li]
-			probes := lp.probeArgs
-			if lp.negated {
-				probes = lp.negArgs
-			}
-			for _, slot := range probes {
-				if c, ok := colOf[slot]; ok {
-					p.partCol[bi] = c
-					break
-				}
-			}
 		}
 	}
 

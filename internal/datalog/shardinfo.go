@@ -1,11 +1,10 @@
 package datalog
 
-// This file exports the compile-time metadata a distributed deployment
+// This file exports the compile-time structure a distributed deployment
 // needs to shard a program across replicas (internal/shard): the
-// evaluation-component structure in topological order, per-predicate
-// partition-column hints derived from the compiled plans' partition keys
-// (rulePlan.partCol) and the tuple→shard hash. A replica maintains its
-// shards with the single-node engine itself (Tick, tick.go).
+// evaluation components in topological order. Placement — which replica
+// owns a row — is decided in internal/shard alone; a replica maintains its
+// shards with the single-node engine itself (Tick and Site, tick.go).
 
 // Component describes one evaluation component (a strongly connected
 // component of the head-dependency graph, see plan.go) for external
@@ -64,62 +63,4 @@ func classify(plans []*rulePlan) Component {
 		}
 	}
 	return c
-}
-
-// PartitionHints returns, per predicate, the partition column the compiled
-// plans vote for: each (rule, delta position) pair contributes its
-// rulePlan.partCol — the first bound join column of the driven literal —
-// as a vote for the driven predicate, and the column with the most votes
-// wins (ties break toward the smaller column). Predicates no plan ever
-// drives through a join column are absent from the map.
-func (p *Program) PartitionHints() (map[string]int, error) {
-	if err := p.Prepare(); err != nil {
-		return nil, err
-	}
-	votes := map[string]map[int]int{}
-	for _, plans := range p.prep.strata {
-		for _, pl := range plans {
-			for i, l := range pl.r.Body {
-				if l.Negated {
-					continue
-				}
-				c := pl.partCol[i]
-				if c < 0 {
-					continue
-				}
-				v := votes[l.Pred]
-				if v == nil {
-					v = map[int]int{}
-					votes[l.Pred] = v
-				}
-				v[c]++
-			}
-		}
-	}
-	hints := make(map[string]int, len(votes))
-	for pred, v := range votes {
-		best, bestN := -1, -1
-		for col, n := range v {
-			if n > bestN || (n == bestN && col < best) {
-				best, bestN = col, n
-			}
-		}
-		hints[pred] = best
-	}
-	return hints, nil
-}
-
-// ShardOf maps a tuple to a shard in [0, n) by hashing column col (or the
-// whole tuple when col is out of range).
-func ShardOf(t Tuple, col, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	var h uint64
-	if col >= 0 && col < len(t) {
-		h = hashValue(fnvOffset, t[col])
-	} else {
-		h = hashTuple(t)
-	}
-	return int(h % uint64(n))
 }

@@ -10,9 +10,9 @@ import "math"
 // and are == (floats: the same bits, so NaN equals itself and 0.0 differs
 // from -0.0), and decode returns the Go value that went in. A word means
 // nothing outside its dictionary: changelog records, exchange payloads and
-// ShardOf decode first, and a snapshot leaves the process as words plus the
-// dictionary values they name, renumbered densely in first-use order
-// (persist.go).
+// shard placement decode first, and a snapshot leaves the process as words
+// plus the dictionary values they name, renumbered densely in first-use
+// order (persist.go).
 const (
 	tagInt64 uint64 = iota // int64 in the upper 61 bits
 	tagInt                 // int in the upper 61 bits

@@ -101,6 +101,17 @@ type TableDecl struct {
 // Arity returns the number of columns.
 func (t *TableDecl) Arity() int { return len(t.Fields) }
 
+// PartitionCol is the column a sharded deployment hashes the table's rows
+// on: the `partition(col)` hint, else the first key column (the paper:
+// "HydroLogic uses the class's unique id to partition by default"). The
+// checker rejects a hint that names no column.
+func (t *TableDecl) PartitionCol() int {
+	if t.Partition != "" {
+		return t.FieldIndex(t.Partition)
+	}
+	return t.FieldIndex(t.Key[0])
+}
+
 // FieldIndex returns the column index of name, or -1.
 func (t *TableDecl) FieldIndex(name string) int {
 	for i, f := range t.Fields {

@@ -73,13 +73,13 @@ func TestAuctionFacets(t *testing.T) {
 	if choices["watch"].Mechanism != consistency.MechLattice {
 		t.Fatalf("watch: %+v", choices["watch"])
 	}
-	// Partition plan: no hints, so key columns.
-	plan := c.PartitionPlan()
-	if plan["item"].Column != "id" || plan["item"].Hinted {
-		t.Fatalf("item partition = %+v", plan["item"])
+	// Partition columns: no hints, so the first key columns.
+	item, bids := c.Program.Table("item"), c.Program.Table("bids")
+	if item.Partition != "" || item.PartitionCol() != item.FieldIndex("id") {
+		t.Fatalf("item partition = %q, column %d", item.Partition, item.PartitionCol())
 	}
-	if plan["bids"].ColIdx != 0 {
-		t.Fatalf("bids partition = %+v", plan["bids"])
+	if bids.PartitionCol() != 0 {
+		t.Fatalf("bids partition column = %d", bids.PartitionCol())
 	}
 }
 

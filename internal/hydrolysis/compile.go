@@ -1,8 +1,7 @@
 // Package hydrolysis is the Hydro compiler (§2.2): it takes a HydroLogic
 // program and produces what the runtime executes — datalog rules for the
 // query facet, the monotonicity analysis, and executable handler closures
-// for the transducer runtime — plus the partition plan the sharded
-// deployment places relations by. The consistency choice and
+// for the transducer runtime. The consistency choice and
 // metaconsistency check are report-only, computed on demand from a
 // Compiled program's Program and Analysis by package consistency.
 package hydrolysis
@@ -61,38 +60,6 @@ func CompileProgram(prog *hlang.Program, opts Options) (*Compiled, error) {
 		Queries:  rules,
 		UDFs:     opts.UDFs,
 	}, nil
-}
-
-// PartitionEntry describes how one table scatters across shards (§5's
-// "declarations for data placement across nodes").
-type PartitionEntry struct {
-	Table string
-	// Column is the partition column: the declared hint, or the first key
-	// column when no hint was given (the paper: "HydroLogic uses the
-	// class's unique id to partition by default").
-	Column string
-	// Hinted reports whether the programmer supplied the column.
-	Hinted bool
-	// ColIdx is Column's index in the table schema.
-	ColIdx int
-}
-
-// PartitionPlan derives the sharding plan for every table. Shard routing is
-// hash(column value) mod nShards; InstantiateSharded places the sharded
-// deployment's relations by it.
-func (c *Compiled) PartitionPlan() map[string]PartitionEntry {
-	out := map[string]PartitionEntry{}
-	for _, t := range c.Program.Tables {
-		e := PartitionEntry{Table: t.Name}
-		if t.Partition != "" {
-			e.Column, e.Hinted = t.Partition, true
-		} else {
-			e.Column = t.Key[0]
-		}
-		e.ColIdx = t.FieldIndex(e.Column)
-		out[t.Name] = e
-	}
-	return out
 }
 
 // QueriesToDatalog lowers the program's query rules to the datalog engine's

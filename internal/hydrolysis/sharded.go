@@ -31,12 +31,11 @@ func (c *Compiled) PlaceAvailable(topo *cluster.Topology, handler string) ([]str
 // InstantiateSharded deploys the compiled program's query rules as a
 // distributed dataflow: n replicas are placed by the one placement rule,
 // cluster.Topology.SpreadAcross (no AZ holds more than ⌈n/#AZs⌉ of them),
-// every declared table becomes a hash-partitioned base relation using the
-// program's partition plan (the declared `partition(col)` hint, else the
-// table key) as the placement hint, and the query fixpoint is maintained
-// across the replicas by the shard coordinator. The returned deployment
-// accepts base ticks via Submit and converges to exactly the fixpoint a
-// single-node Instantiate would hold.
+// every declared table becomes a base relation hash-partitioned on its
+// PartitionCol (opts.Declared is filled from the tables), and the query
+// fixpoint is maintained across the replicas by the shard coordinator. The
+// returned deployment accepts base ticks via Submit and converges to
+// exactly the fixpoint a single-node Instantiate would hold.
 func (c *Compiled) InstantiateSharded(cl *cluster.Cluster, name string, n int, opts shard.Options) (*shard.Deployment, error) {
 	if c.Queries == nil {
 		return nil, fmt.Errorf("hydrolysis: program has no query rules to shard")
@@ -46,17 +45,10 @@ func (c *Compiled) InstantiateSharded(cl *cluster.Cluster, name string, n int, o
 		return nil, err
 	}
 	edb := map[string]int{}
-	declared := map[string]int{}
+	opts.Declared = map[string]int{}
 	for _, t := range c.Program.Tables {
 		edb[t.Name] = t.Arity()
-	}
-	for table, e := range c.PartitionPlan() {
-		if e.ColIdx >= 0 {
-			declared[table] = e.ColIdx
-		}
-	}
-	if opts.Declared == nil {
-		opts.Declared = declared
+		opts.Declared[t.Name] = t.PartitionCol()
 	}
 	return shard.Deploy(cl, name, c.Queries, edb, machines, opts)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hydro/internal/cluster"
+	"hydro/internal/shard"
 	"hydro/internal/simnet"
 )
 
@@ -29,5 +30,27 @@ func TestPlaceAvailable(t *testing.T) {
 	}
 	if got, err := c.PlaceAvailable(cluster.NewTopology(2, 2, 2, cluster.ClassSmall), "add_contact"); err == nil {
 		t.Fatalf("add_contact on 2 AZs placed on %v, want a refusal", got)
+	}
+}
+
+// TestPlacementCovidDeployed pins where compiled COVID's relations live
+// once InstantiateSharded deploys it: people on its partition(country)
+// hint (column 1), contacts on its first key column (0), and the derived
+// transitive on its join vote (column 1, the y that contacts(y, z)
+// reads). Nothing is mirrored: the closure is monotone and co-hashed.
+func TestPlacementCovidDeployed(t *testing.T) {
+	cl := cluster.New(cluster.NewTopology(3, 2, 2, cluster.ClassSmall), simnet.DefaultConfig(1))
+	dep, err := compileCovid(t).InstantiateSharded(cl, "covid", 3, shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := dep.Placement().Specs
+	for pred, col := range map[string]int{"people": 1, "contacts": 0, "transitive": 1} {
+		if s := specs[pred]; s.Mirrored || s.Col != col {
+			t.Errorf("%s placed %+v, want sharded on column %d", pred, s, col)
+		}
+	}
+	if len(specs) != 3 {
+		t.Errorf("placed %v, want people, contacts and transitive only", specs)
 	}
 }

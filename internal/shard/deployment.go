@@ -14,13 +14,9 @@ import (
 // Options tunes a deployment.
 type Options struct {
 	// Declared fixes partition columns for specific predicates (hlang
-	// `partition(col)` table annotations), overriding the compiled hints.
+	// `partition(col)` table annotations, else table keys), overriding the
+	// join votes.
 	Declared map[string]int
-	// Coordinators is the size of the replicated control plane (DESIGN.md
-	// §13). Zero uses DefaultCoordinators; 1 is the degenerate
-	// single-coordinator deployment (no failover — the oracle configuration
-	// in the chaos suite).
-	Coordinators int
 }
 
 // DefaultRetryAfter is the coordinator's stall watchdog: an attempt that
@@ -29,8 +25,8 @@ type Options struct {
 // genuine stalls — down replicas, cut links — trip the restart.
 const DefaultRetryAfter simnet.Time = 1_000_000 // 1s virtual
 
-// DefaultCoordinators replicates the control plane three ways: one fault
-// leaves a quorum.
+// DefaultCoordinators is the size of the replicated control plane
+// (DESIGN.md §13): three, so one fault leaves a quorum.
 const DefaultCoordinators = 3
 
 // Deployment is a datalog program running sharded across cluster-hosted
@@ -61,6 +57,11 @@ type Deployment struct {
 // arities; derived predicates are inferred from the rules and must not
 // overlap edb.
 func Deploy(cl *cluster.Cluster, name string, prog *datalog.Program, edb map[string]int, machines []string, opts Options) (*Deployment, error) {
+	return deploy(cl, name, prog, edb, machines, opts, DefaultCoordinators)
+}
+
+// deploy is Deploy with ncoord coordinators.
+func deploy(cl *cluster.Cluster, name string, prog *datalog.Program, edb map[string]int, machines []string, opts Options, ncoord int) (*Deployment, error) {
 	if len(machines) < 1 {
 		return nil, fmt.Errorf("shard: need at least one machine")
 	}
@@ -91,10 +92,6 @@ func Deploy(cl *cluster.Cluster, name string, prog *datalog.Program, edb map[str
 		}
 	}
 
-	ncoord := opts.Coordinators
-	if ncoord <= 0 {
-		ncoord = DefaultCoordinators
-	}
 	d := &Deployment{
 		name:         name,
 		net:          cl.Net,
@@ -135,13 +132,12 @@ func Deploy(cl *cluster.Cluster, name string, prog *datalog.Program, edb map[str
 }
 
 // ctlSeed derives the control plane's deterministic RNG seed from the
-// deployment name (FNV-1a), so same name + same simnet seed ⇒ same
-// election and backoff schedule.
+// deployment name (FNV-1a, the placement hash's), so same name + same
+// simnet seed ⇒ same election and backoff schedule.
 func ctlSeed(name string) int64 {
-	h := uint64(14695981039346656037)
+	h := fnvOffset
 	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
+		h = hashByte(h, name[i])
 	}
 	return int64(h & (1<<62 - 1))
 }

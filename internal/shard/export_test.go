@@ -1,6 +1,11 @@
 package shard
 
-import "fmt"
+import (
+	"fmt"
+
+	"hydro/internal/cluster"
+	"hydro/internal/datalog"
+)
 
 // Test-only exports: the chaos suites inject faults at exact protocol
 // positions via the stage hook and read internal control-plane state.
@@ -15,6 +20,12 @@ const (
 	StageDecide    = int(stDecide)
 	StageCommit    = int(stCommit)
 )
+
+// DeployOneCoordinator is Deploy with a single-coordinator control plane:
+// no failover, the never-failed oracle the chaos suite compares against.
+func DeployOneCoordinator(cl *cluster.Cluster, name string, prog *datalog.Program, edb map[string]int, machines []string, opts Options) (*Deployment, error) {
+	return deploy(cl, name, prog, edb, machines, opts, 1)
+}
 
 // RowsExchanged returns how many rows the exchange rounds have shipped so
 // far, self-addressed ones included.

@@ -17,24 +17,6 @@ import (
 // single-coordinator deployment and the single-node incremental oracle,
 // with zero double commits and zero lost ticks.
 
-// newDeploymentOpts is newDeployment with explicit shard.Options — the
-// chaos suite needs both the replicated default and the degenerate
-// Coordinators:1 oracle configuration.
-func newDeploymentOpts(t testing.TB, prog *datalog.Program, edb map[string]int, n int, seed int64, opts shard.Options) (*cluster.Cluster, *shard.Deployment) {
-	t.Helper()
-	topo := cluster.NewTopology(3, 2, 2, cluster.ClassSmall)
-	cl := cluster.New(topo, simnet.DefaultConfig(seed))
-	machines, err := topo.SpreadAcross(cluster.AZ, n)
-	if err != nil {
-		t.Fatalf("SpreadAcross(%d): %v", n, err)
-	}
-	dep, err := shard.Deploy(cl, fmt.Sprintf("dep%d", n), prog, edb, machines, opts)
-	if err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
-	return cl, dep
-}
-
 // failoverStages is the kill schedule: every driver stage from prepare
 // through commit.
 var failoverStages = []int{
@@ -107,8 +89,8 @@ func runFailoverScenario(t *testing.T, rules []datalog.Rule, ticks [][]datalog.D
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, dep := newDeploymentOpts(t, prog, tcEDB, n, seed, shard.Options{})
-	_, oracleDep := newDeploymentOpts(t, oprog, tcEDB, n, seed, shard.Options{Coordinators: 1})
+	cl, dep := newDeployment(t, prog, tcEDB, n, seed)
+	_, oracleDep := newDeploymentWith(t, shard.DeployOneCoordinator, oprog, tcEDB, n, seed)
 	ref := newOracle(t, prog, tcEDB)
 
 	faulted := ""
@@ -277,7 +259,7 @@ func TestFailoverCommitFinalize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, dep := newDeploymentOpts(t, prog, tcEDB, 3, 406, shard.Options{})
+		_, dep := newDeployment(t, prog, tcEDB, 3, 406)
 		killed := ""
 		dep.SetStageHook(func(node string, tick, att uint64, stg int) {
 			if killed == "" && tick == 2 && stg == shard.StageCommit {
@@ -325,7 +307,7 @@ func TestFailoverLeaderPausedAtDecideResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, dep := newDeploymentOpts(t, prog, tcEDB, 3, 407, shard.Options{})
+	cl, dep := newDeployment(t, prog, tcEDB, 3, 407)
 	ref := newOracle(t, prog, tcEDB)
 	paused := ""
 	dep.SetStageHook(func(node string, tick, att uint64, stg int) {
@@ -460,7 +442,7 @@ func TestDeposedLeaderFenced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, dep := newDeploymentOpts(t, prog, tcEDB, 3, 777, shard.Options{})
+	cl, dep := newDeployment(t, prog, tcEDB, 3, 777)
 	ref := newOracle(t, prog, tcEDB)
 
 	tick1 := []datalog.DeltaOp{ins("edge", "a", "b"), ins("edge", "b", "c")}
@@ -565,7 +547,7 @@ func TestCoordinatorObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, dep := newDeploymentOpts(t, prog, tcEDB, 3, 31, shard.Options{})
+	cl, dep := newDeployment(t, prog, tcEDB, 3, 31)
 	for _, ops := range failoverTicks[:2] {
 		if err := dep.Submit(ops); err != nil {
 			t.Fatal(err)
@@ -617,7 +599,7 @@ func TestSubmitFailsWithEveryCoordinatorDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, dep := newDeploymentOpts(t, prog, tcEDB, 2, 77, shard.Options{})
+	_, dep := newDeployment(t, prog, tcEDB, 2, 77)
 	coords := dep.Coordinators()
 	for _, c := range coords {
 		dep.KillCoordinator(c)
@@ -661,7 +643,7 @@ func TestFailoverStableLeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, dep := newDeploymentOpts(t, prog, tcEDB, 3, 61, shard.Options{})
+	cl, dep := newDeployment(t, prog, tcEDB, 3, 61)
 	ref := newOracle(t, prog, tcEDB)
 	for i := 0; i < ticks; i++ {
 		ops := churnTick(i)
@@ -703,7 +685,7 @@ func BenchmarkDeploymentTicks(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				_, dep := newDeploymentOpts(b, prog, tcEDB, 3, 61, shard.Options{})
+				_, dep := newDeployment(b, prog, tcEDB, 3, 61)
 				b.StartTimer()
 				for k := 0; k < ticks; k++ {
 					if err := dep.Submit(churnTick(k)); err != nil {
@@ -749,7 +731,7 @@ func TestFailoverSubmitWhileLeaderDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, dep := newDeploymentOpts(t, prog, tcEDB, 3, 62, shard.Options{})
+	_, dep := newDeployment(t, prog, tcEDB, 3, 62)
 	dep.KillCoordinator(dep.Leader())
 	for _, ops := range failoverTicks {
 		if err := dep.Submit(ops); err != nil {
@@ -773,7 +755,7 @@ func TestFailoverSubmitThenFaultLeader(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cl, dep := newDeploymentOpts(t, prog, tcEDB, 3, 63, shard.Options{})
+			cl, dep := newDeployment(t, prog, tcEDB, 3, 63)
 			for i, ops := range failoverTicks {
 				if err := dep.Submit(ops); err != nil {
 					t.Fatal(err)
@@ -803,7 +785,7 @@ func TestFailoverLeaderBackBeforeElection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, dep := newDeploymentOpts(t, prog, tcEDB, 3, 64, shard.Options{})
+	cl, dep := newDeployment(t, prog, tcEDB, 3, 64)
 	leader := dep.Leader()
 	dep.KillCoordinator(leader)
 	if err := dep.Submit(failoverTicks[0]); err != nil {
@@ -826,7 +808,7 @@ func TestFailoverLeaderReproposesStaleSubmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, dep := newDeploymentOpts(t, prog, tcEDB, 3, 65, shard.Options{})
+	_, dep := newDeployment(t, prog, tcEDB, 3, 65)
 	coords := dep.Coordinators()
 	leader, a, b := coords[0], coords[1], coords[2]
 	dep.KillCoordinator(leader)

@@ -10,6 +10,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"hydro/internal/datalog"
@@ -40,7 +41,7 @@ type Placement struct {
 // mirrored pred.
 func route[T any](p *Placement, out [][]T, pred string, t datalog.Tuple, v T) {
 	if s := p.Specs[pred]; !s.Mirrored {
-		d := datalog.ShardOf(t, s.Col, p.N)
+		d := shardOf(t, s.Col, p.N)
 		out[d] = append(out[d], v)
 		return
 	}
@@ -52,10 +53,10 @@ func route[T any](p *Placement, out [][]T, pred string, t datalog.Tuple, v T) {
 // NewPlacement derives a placement for prog's predicates over n replicas.
 // edb maps base predicates to arities; declared maps predicates to
 // partition columns fixed by the source program (hlang `partition(col)`
-// annotations) and takes precedence over the compiled plans' partition
-// hints for the initial column choice.
+// annotations, else the table key) and takes precedence over the join
+// votes (joinVotes) for the initial column choice.
 //
-// The analysis starts everything sharded (declared column, else hint
+// The analysis starts everything sharded (declared column, else voted
 // column, else whole-tuple) and mirrors predicates until every remaining
 // drive is local:
 //
@@ -80,10 +81,7 @@ func NewPlacement(prog *datalog.Program, edb map[string]int, n int, declared map
 	if err != nil {
 		return nil, err
 	}
-	hints, err := prog.PartitionHints()
-	if err != nil {
-		return nil, err
-	}
+	votes := joinVotes(comps)
 
 	specs := map[string]Spec{}
 	place := func(pred string) {
@@ -91,7 +89,7 @@ func NewPlacement(prog *datalog.Program, edb map[string]int, n int, declared map
 			return
 		}
 		col := -1
-		if c, ok := hints[pred]; ok {
+		if c, ok := votes[pred]; ok {
 			col = c
 		}
 		if c, ok := declared[pred]; ok {
@@ -188,4 +186,145 @@ func NewPlacement(prog *datalog.Program, edb map[string]int, n int, declared map
 	}
 	sort.Strings(preds)
 	return &Placement{N: n, Specs: specs, Preds: preds}, nil
+}
+
+// joinVotes returns, per predicate, the partition column its join
+// occurrences vote for: every positive body literal of every rule votes
+// for joinCol's column, the most votes win and ties go to the smaller
+// column. Rows that join then share an owner. Predicates with no vote are
+// absent.
+func joinVotes(comps []datalog.Component) map[string]int {
+	votes := map[string]map[int]int{}
+	for _, c := range comps {
+		for _, r := range c.Rules {
+			for i, l := range r.Body {
+				if l.Negated {
+					continue
+				}
+				col := joinCol(r.Body, i)
+				if col < 0 {
+					continue
+				}
+				if votes[l.Pred] == nil {
+					votes[l.Pred] = map[int]int{}
+				}
+				votes[l.Pred][col]++
+			}
+		}
+	}
+	out := make(map[string]int, len(votes))
+	for pred, v := range votes {
+		best, bestN := -1, -1
+		for col, n := range v {
+			if n > bestN || (n == bestN && col < best) {
+				best, bestN = col, n
+			}
+		}
+		out[pred] = best
+	}
+	return out
+}
+
+// joinCol is body literal i's vote. Taking the other literals in body
+// order, the first one that shares a variable with literal i decides: the
+// vote is literal i's column holding the first shared variable that
+// literal reads, in its own argument order. -1 means no other literal
+// shares a variable (a single-literal body, a cross product).
+func joinCol(body []datalog.Literal, i int) int {
+	for j, other := range body {
+		if j == i {
+			continue
+		}
+		for _, t := range other.Args {
+			if !t.IsVar() {
+				continue
+			}
+			for col, u := range body[i].Args {
+				if u.Var == t.Var {
+					return col
+				}
+			}
+		}
+	}
+	return -1
+}
+
+// shardOf maps a tuple to a shard in [0, n) by hashing column col (or the
+// whole tuple when col is out of range).
+func shardOf(t datalog.Tuple, col, n int) int {
+	if n <= 1 {
+		return 0
+	}
+	var h uint64
+	if col >= 0 && col < len(t) {
+		h = hashValue(fnvOffset, t[col])
+	} else {
+		h = hashTuple(t)
+	}
+	return int(h % uint64(n))
+}
+
+const (
+	fnvOffset uint64 = 14695981039346656037
+	fnvPrime  uint64 = 1099511628211
+)
+
+// hashByte folds one byte into an FNV-1a state.
+func hashByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime }
+
+// hashUint64 folds eight bytes into the state.
+func hashUint64(h uint64, v uint64) uint64 {
+	for i := 0; i < 64; i += 8 {
+		h = hashByte(h, byte(v>>i))
+	}
+	return h
+}
+
+// hashValue folds one tuple element, prefixed by a type tag so that 1,
+// "1", uint64(1) and 1.0 never collide. It hashes the Go value, not a
+// dictionary word, so it means the same in every process.
+func hashValue(h uint64, v any) uint64 {
+	switch x := v.(type) {
+	case string:
+		h = hashByte(h, 's')
+		for i := 0; i < len(x); i++ {
+			h = hashByte(h, x[i])
+		}
+		h = hashByte(h, 0xff)
+	case int:
+		h = hashByte(h, 'i')
+		h = hashUint64(h, uint64(int64(x)))
+	case int64:
+		h = hashByte(h, 'i')
+		h = hashUint64(h, uint64(x))
+	case uint64:
+		h = hashByte(h, 'u')
+		h = hashUint64(h, x)
+	case float64:
+		h = hashByte(h, 'f')
+		h = hashUint64(h, math.Float64bits(x))
+	case bool:
+		if x {
+			h = hashByte(h, 'T')
+		} else {
+			h = hashByte(h, 'F')
+		}
+	default:
+		h = hashByte(h, '?')
+		s := fmt.Sprint(x)
+		for i := 0; i < len(s); i++ {
+			h = hashByte(h, s[i])
+		}
+		h = hashByte(h, 0xff)
+	}
+	return h
+}
+
+// hashTuple hashes a full tuple.
+func hashTuple(t datalog.Tuple) uint64 {
+	h := fnvOffset
+	for _, v := range t {
+		h = hashValue(h, v)
+	}
+	return h
 }

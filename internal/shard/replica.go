@@ -48,7 +48,7 @@ func newReplica(dep *Deployment, self int) (*replica, error) {
 	r := &replica{dep: dep, self: self, db: db, inc: inc, coordFrom: dep.coordNames[0]}
 	r.site.Whole = func(pred string) bool { return dep.place.N == 1 || dep.place.Specs[pred].Mirrored }
 	if dep.place.N > 1 { // a row every replica holds is driven by its whole-tuple hash's replica
-		r.site.Mine = func(t datalog.Tuple) bool { return datalog.ShardOf(t, -1, dep.place.N) == self }
+		r.site.Mine = func(t datalog.Tuple) bool { return shardOf(t, -1, dep.place.N) == self }
 	}
 	r.clearStaging()
 	return r, nil

@@ -38,13 +38,21 @@ var tcEDB = map[string]int{"edge": 2, "node": 1, "attr": 2}
 // simulated cluster, replicas placed by cluster.Topology.SpreadAcross.
 func newDeployment(t testing.TB, prog *datalog.Program, edb map[string]int, n int, seed int64) (*cluster.Cluster, *shard.Deployment) {
 	t.Helper()
+	return newDeploymentWith(t, shard.Deploy, prog, edb, n, seed)
+}
+
+// newDeploymentWith is newDeployment through deploy: shard.Deploy, or the
+// chaos suite's shard.DeployOneCoordinator oracle.
+func newDeploymentWith(t testing.TB, deploy func(*cluster.Cluster, string, *datalog.Program, map[string]int, []string, shard.Options) (*shard.Deployment, error),
+	prog *datalog.Program, edb map[string]int, n int, seed int64) (*cluster.Cluster, *shard.Deployment) {
+	t.Helper()
 	topo := cluster.NewTopology(3, 2, 2, cluster.ClassSmall)
 	cl := cluster.New(topo, simnet.DefaultConfig(seed))
 	machines, err := topo.SpreadAcross(cluster.AZ, n)
 	if err != nil {
 		t.Fatalf("SpreadAcross(%d): %v", n, err)
 	}
-	dep, err := shard.Deploy(cl, fmt.Sprintf("dep%d", n), prog, edb, machines, shard.Options{})
+	dep, err := deploy(cl, fmt.Sprintf("dep%d", n), prog, edb, machines, shard.Options{})
 	if err != nil {
 		t.Fatalf("Deploy: %v", err)
 	}
@@ -442,5 +450,51 @@ func TestDeclaredPartitionHonored(t *testing.T) {
 	}
 	if s := pl.Specs["people"]; s.Mirrored || s.Col != 1 {
 		t.Fatalf("declared partition ignored: %+v", s)
+	}
+}
+
+// TestPlacementJoinVotes pins the join-column vote NewPlacement places
+// undeclared predicates by: a single-literal body votes for nothing (the
+// whole-tuple hash), the TC shape places edge on column 0 and path on
+// column 1 (both join on y), and in a three-literal body the first
+// co-literal in body order decides, not the planner's join order.
+func TestPlacementJoinVotes(t *testing.T) {
+	V := datalog.V
+	lit := func(pred string, args ...datalog.Term) datalog.Literal {
+		return datalog.Literal{Atom: datalog.Atom{Pred: pred, Args: args}}
+	}
+	place := func(edb map[string]int, rules ...datalog.Rule) map[string]shard.Spec {
+		t.Helper()
+		prog, err := datalog.NewProgram(rules...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := shard.NewPlacement(prog, edb, 4, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pl.Specs
+	}
+
+	copyRule := datalog.Rule{Head: datalog.Atom{Pred: "path", Args: []datalog.Term{V("x"), V("y")}}, Body: []datalog.Literal{lit("edge", V("x"), V("y"))}}
+	if s := place(tcEDB, copyRule); s["edge"].Col != -1 || s["path"].Col != -1 {
+		t.Fatalf("single-literal body: edge=%+v path=%+v, want column -1", s["edge"], s["path"])
+	}
+	if s := place(tcEDB, tcRules...); s["edge"].Col != 0 || s["path"].Col != 1 {
+		t.Fatalf("TC: edge=%+v path=%+v, want columns 0 and 1", s["edge"], s["path"])
+	}
+
+	// p(x,z) :- a(x,y), b(y,z), c(x,y). The planner drives a's delta into
+	// c first (both of c's columns are bound), which would vote for x;
+	// body order reaches b first, which reads y: column 1. Swapping b and
+	// c moves a's vote to x, column 0.
+	abc := map[string]int{"a": 2, "b": 2, "c": 2}
+	head := datalog.Atom{Pred: "p", Args: []datalog.Term{V("x"), V("z")}}
+	a, b, c := lit("a", V("x"), V("y")), lit("b", V("y"), V("z")), lit("c", V("x"), V("y"))
+	if s := place(abc, datalog.Rule{Head: head, Body: []datalog.Literal{a, b, c}}); s["a"].Col != 1 {
+		t.Fatalf("a(x,y), b(y,z), c(x,y): a=%+v, want column 1 (b's y)", s["a"])
+	}
+	if s := place(abc, datalog.Rule{Head: head, Body: []datalog.Literal{a, c, b}}); s["a"].Col != 0 {
+		t.Fatalf("a(x,y), c(x,y), b(y,z): a=%+v, want column 0 (c's x)", s["a"])
 	}
 }
