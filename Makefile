@@ -2,7 +2,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: build test vet fmt ci smoke orphans datalog-serial datalog-one-store datalog-no-placement one-tick-path compiled-handlers bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak tick-allocs lines
+.PHONY: build test vet fmt ci smoke orphans datalog-serial datalog-one-store datalog-no-placement durable-opaque-rows one-tick-path compiled-handlers bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak tick-allocs lines
 
 build:
 	$(GO) build ./...
@@ -19,7 +19,7 @@ fmt:
 	@gofmt -l . | sed 's/^/unformatted: /' | (! grep .)
 
 # ci runs the steps of CI's tier-1 job in its order (go test without -race).
-ci: build vet fmt orphans datalog-serial datalog-one-store datalog-no-placement one-tick-path compiled-handlers test tick-allocs bench-test fuzz tables smoke
+ci: build vet fmt orphans datalog-serial datalog-one-store datalog-no-placement durable-opaque-rows one-tick-path compiled-handlers test tick-allocs bench-test fuzz tables smoke
 
 # lines prints the line counts of the Go files a change is sized by:
 # non-test and test files outside bench/, and under it (hidden build
@@ -109,6 +109,16 @@ PLACEMENT_BANNED = ShardOf|PartitionHints|partCol|fnvOffset
 datalog-no-placement:
 	@! grep -nE '$(PLACEMENT_BANNED)' $(DATALOG_SRC) | sed 's,//.*,,' | grep -E '$(PLACEMENT_BANNED)'
 
+# durable-opaque-rows fails if a non-test file of internal/durable names
+# datalog.Tuple, datalog.DeltaOp, appendTuple or readTuple (comments
+# stripped, as above): how rows leave an evaluator is internal/datalog's
+# one Batch, and the durable layer frames batches without knowing what a
+# tuple is (DESIGN.md §10).
+DURABLE_SRC = $(filter-out %_test.go,$(wildcard internal/durable/*.go))
+DURABLE_BANNED = datalog\.Tuple|datalog\.DeltaOp|appendTuple|readTuple
+durable-opaque-rows:
+	@! grep -nE '$(DURABLE_BANNED)' $(DURABLE_SRC) | sed 's,//.*,,' | grep -E '$(DURABLE_BANNED)'
+
 # one-tick-path fails if a non-test file of internal/transducer,
 # internal/hydrolysis or internal/shard copies state or evaluates from
 # scratch: .Clone(), .Eval(, .EvalNaive( or datalog.Derive( (comments
@@ -142,14 +152,16 @@ tables:
 # committed seed corpus (which plain `go test` already replays), it spends
 # FUZZTIME on each target: tick sequences of interleaved inserts/deletes
 # against the three-way incremental equivalence oracle, the same against the
-# sharded deployment, and snapshot images fed to recovery (refused or
-# re-encoded to themselves, never a panic), and HydroLogic sources that
+# sharded deployment, snapshot images and changelog records fed to
+# recovery (refused or re-encoded to themselves, never a panic), and
+# HydroLogic sources that
 # Parse never panics on and that Format then Parse returns unchanged.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIncrementalEquivalence -fuzztime $(FUZZTIME) ./internal/datalog
 	$(GO) test -run '^$$' -fuzz FuzzShardedEquivalence -fuzztime $(FUZZTIME) ./internal/shard
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotImage -fuzztime $(FUZZTIME) ./internal/durable
+	$(GO) test -run '^$$' -fuzz FuzzChangelogImage -fuzztime $(FUZZTIME) ./internal/durable
 	$(GO) test -run '^$$' -fuzz FuzzHLangRoundTrip -fuzztime $(FUZZTIME) ./internal/hlang
 
 # test-sharded is the distributed-dataflow gate: the sharded-vs-single-node

@@ -56,12 +56,18 @@ type DeltaOp struct {
 func (db *Database) Undo(ops []DeltaOp) {
 	for i := len(ops) - 1; i >= 0; i-- {
 		op := ops[i]
-		if rel := db.Ensure(op.Pred, len(op.T)); op.Del {
-			rel.Insert(op.T)
-		} else {
-			rel.Delete(op.T)
-		}
+		op.Del = !op.Del
+		db.realize(op)
 	}
+}
+
+// realize applies op, reporting whether it changed membership.
+func (db *Database) realize(op DeltaOp) bool {
+	if op.Del {
+		rel := db.Get(op.Pred)
+		return rel != nil && rel.Delete(op.T)
+	}
+	return db.Ensure(op.Pred, len(op.T)).Insert(op.T)
 }
 
 // NewDelta returns an empty change batch.

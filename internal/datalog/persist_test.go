@@ -116,12 +116,12 @@ func TestStateRoundTrip(t *testing.T) {
 	// included) — the byte-for-byte recovery guarantee rests on this.
 	st1 := inc.State()
 	st2 := inc2.State()
-	if len(st1.Relations) != len(st2.Relations) || !reflect.DeepEqual(st1.Values, st2.Values) {
+	if len(st1.Runs) != len(st2.Runs) || !reflect.DeepEqual(st1.Values, st2.Values) {
 		t.Fatalf("state shapes diverge: %d/%d relations, values %v vs %v",
-			len(st1.Relations), len(st2.Relations), st1.Values, st2.Values)
+			len(st1.Runs), len(st2.Runs), st1.Values, st2.Values)
 	}
-	for i := range st1.Relations {
-		a, b := st1.Relations[i], st2.Relations[i]
+	for i := range st1.Runs {
+		a, b := st1.Runs[i], st2.Runs[i]
 		if a.Name != b.Name || a.Arity != b.Arity || !slices.Equal(a.Rows, b.Rows) {
 			t.Fatalf("relation state %s diverges", a.Name)
 		}
@@ -184,40 +184,40 @@ func TestStateRoundTripRandomized(t *testing.T) {
 // corruptStates are hand-corrupted variants of a good capture of
 // persistProgram over edge(a,b), attr(b,1): each is a state no correct
 // State() produces. Values is ["b", "a"] (first use: attr, then edge).
-var corruptStates = map[string]func(st *FixpointState){
-	"relations out of name order": func(st *FixpointState) {
-		st.Relations[2], st.Relations[3] = st.Relations[3], st.Relations[2] // path, reach_attr
+var corruptStates = map[string]func(st *Batch){
+	"relations out of name order": func(st *Batch) {
+		st.Runs[2], st.Runs[3] = st.Runs[3], st.Runs[2] // path, reach_attr
 	},
-	"arity mismatch": func(st *FixpointState) { stateRel(st, "edge").Arity = 1 },
-	"row length not a multiple of the arity": func(st *FixpointState) {
+	"arity mismatch": func(st *Batch) { stateRel(st, "edge").Arity = 1 },
+	"row length not a multiple of the arity": func(st *Batch) {
 		rs := stateRel(st, "edge")
 		rs.Rows = rs.Rows[:1]
 	},
-	"temp word": func(st *FixpointState) { stateRel(st, "edge").Rows[1] = tagTemp },
-	"dictionary id out of range": func(st *FixpointState) {
+	"temp word": func(st *Batch) { stateRel(st, "edge").Rows[1] = tagTemp },
+	"dictionary id out of range": func(st *Batch) {
 		stateRel(st, "edge").Rows[1] = 7<<tagBits | tagDict
 	},
-	"dictionary ids out of first-use order": func(st *FixpointState) {
+	"dictionary ids out of first-use order": func(st *Batch) {
 		st.Values[0], st.Values[1] = st.Values[1], st.Values[0]
-		for i := range st.Relations {
-			for j, w := range st.Relations[i].Rows {
+		for i := range st.Runs {
+			for j, w := range st.Runs[i].Rows {
 				if w&tagMask == tagDict {
-					st.Relations[i].Rows[j] = w ^ 1<<tagBits
+					st.Runs[i].Rows[j] = w ^ 1<<tagBits
 				}
 			}
 		}
 	},
-	"inline-typed value": func(st *FixpointState) { st.Values[0] = int64(5) },
-	"duplicate value":    func(st *FixpointState) { st.Values[1] = st.Values[0] },
-	"unreferenced value": func(st *FixpointState) { st.Values = append(st.Values, "zz") },
-	"duplicate row":      func(st *FixpointState) { rs := stateRel(st, "edge"); rs.Rows = append(rs.Rows, rs.Rows...) },
+	"inline-typed value": func(st *Batch) { st.Values[0] = int64(5) },
+	"duplicate value":    func(st *Batch) { st.Values[1] = st.Values[0] },
+	"unreferenced value": func(st *Batch) { st.Values = append(st.Values, "zz") },
+	"duplicate row":      func(st *Batch) { rs := stateRel(st, "edge"); rs.Rows = append(rs.Rows, rs.Rows...) },
 }
 
 // stateRel returns the named relation of st.
-func stateRel(st *FixpointState, name string) *RelationState {
-	for i := range st.Relations {
-		if st.Relations[i].Name == name {
-			return &st.Relations[i]
+func stateRel(st *Batch, name string) *Run {
+	for i := range st.Runs {
+		if st.Runs[i].Name == name {
+			return &st.Runs[i]
 		}
 	}
 	panic("no relation " + name)

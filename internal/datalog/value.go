@@ -9,10 +9,10 @@ import "math"
 // equal exactly when the values they came from have the same dynamic type
 // and are == (floats: the same bits, so NaN equals itself and 0.0 differs
 // from -0.0), and decode returns the Go value that went in. A word means
-// nothing outside its dictionary: changelog records, exchange payloads and
-// shard placement decode first, and a snapshot leaves the process as words
-// plus the dictionary values they name, renumbered densely in first-use
-// order (persist.go).
+// nothing outside its dictionary: a snapshot or a changelog record leaves
+// the process as a Batch, words plus the dictionary values they name
+// renumbered densely in first-use order (persist.go), and exchange payloads
+// and shard placement decode first.
 const (
 	tagInt64 uint64 = iota // int64 in the upper 61 bits
 	tagInt                 // int in the upper 61 bits

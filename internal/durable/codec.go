@@ -8,14 +8,20 @@ import (
 	"hydro/internal/datalog"
 )
 
-// Binary value codec for changelog tuples and a snapshot's dictionary
-// values. Every dynamic type the engine stores in tuples gets its own tag so
-// values round-trip to the exact Go type — datalog.Tuple equality is typed,
-// so decoding an int64 back as int would silently break joins. Integers use
-// varints (zigzag where signed), float64 is 8 fixed bytes, strings are
-// length-prefixed. The encoding is canonical: one value, one byte sequence,
-// and the reader refuses any other (an overlong varint), so an image that
-// decodes re-encodes to itself.
+// The row framing snapshot images and changelog records share: a
+// datalog.Batch, its values table and then its runs of word rows, up to the
+// end of the body holding it.
+//
+//	batch    = uvarint n ‖ n × value ‖ run*
+//	run      = [flag byte, in records only: 1 = deletes] ‖ name ‖ uvarint arity
+//	           ‖ uvarint rows ‖ rows × max(arity, 1) uvarint words
+//
+// Words are opaque here. Each value has its own tag, so that it round-trips
+// to the exact Go type (Tuple equality is typed: an int64 decoded as int
+// would break joins). Integers are varints (zigzag where signed), float64 is
+// 8 fixed bytes, strings are length-prefixed. The encoding is canonical —
+// the reader refuses an overlong varint or another flag byte — so a body
+// that decodes re-encodes to itself.
 
 const (
 	tagString  byte = 1
@@ -30,9 +36,7 @@ const (
 func appendValue(b []byte, v any) ([]byte, error) {
 	switch x := v.(type) {
 	case string:
-		b = append(b, tagString)
-		b = binary.AppendUvarint(b, uint64(len(x)))
-		return append(b, x...), nil
+		return appendString(append(b, tagString), x), nil
 	case int64:
 		return binary.AppendVarint(append(b, tagInt64), x), nil
 	case int:
@@ -48,7 +52,7 @@ func appendValue(b []byte, v any) ([]byte, error) {
 		}
 		return append(b, tagFalse), nil
 	default:
-		return nil, fmt.Errorf("durable: unsupported tuple value type %T", v)
+		return nil, fmt.Errorf("durable: unsupported value type %T", v)
 	}
 }
 
@@ -74,10 +78,8 @@ func readValue(b []byte) (any, []byte, error) {
 			return nil, nil, fmt.Errorf("durable: truncated float value")
 		}
 		return math.Float64frombits(binary.LittleEndian.Uint64(b)), b[8:], nil
-	case tagTrue:
-		return true, b, nil
-	case tagFalse:
-		return false, b, nil
+	case tagTrue, tagFalse:
+		return tag == tagTrue, b, nil
 	default:
 		return nil, nil, fmt.Errorf("durable: unknown value tag %d", tag)
 	}
@@ -93,31 +95,6 @@ func readUvarint(b []byte) (uint64, []byte, error) {
 	return x, b[sz:], nil
 }
 
-func appendTuple(b []byte, t datalog.Tuple) ([]byte, error) {
-	b = binary.AppendUvarint(b, uint64(len(t)))
-	var err error
-	for _, v := range t {
-		if b, err = appendValue(b, v); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
-}
-
-func readTuple(b []byte) (datalog.Tuple, []byte, error) {
-	n, b, err := readUvarint(b)
-	if err != nil || n > uint64(len(b)) {
-		return nil, nil, fmt.Errorf("durable: truncated tuple header")
-	}
-	t := make(datalog.Tuple, n)
-	for i := range t {
-		if t[i], b, err = readValue(b); err != nil {
-			return nil, nil, err
-		}
-	}
-	return t, b, nil
-}
-
 func appendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
@@ -129,4 +106,100 @@ func readString(b []byte) (string, []byte, error) {
 		return "", nil, fmt.Errorf("durable: truncated string")
 	}
 	return string(b[:n]), b[n:], nil
+}
+
+// maxArity bounds a relation's arity, so that a damaged body cannot make
+// the decoder allocate a column list of any size.
+const maxArity = 1 << 10
+
+// appendBatch appends bt's framing; flags writes each run's delete flag.
+func appendBatch(b []byte, bt *datalog.Batch, flags bool) ([]byte, error) {
+	b = binary.AppendUvarint(b, uint64(len(bt.Values)))
+	var err error
+	for _, v := range bt.Values {
+		if b, err = appendValue(b, v); err != nil {
+			return nil, err
+		}
+	}
+	for _, r := range bt.Runs {
+		if r.Arity > maxArity {
+			return nil, fmt.Errorf("durable: relation %s has arity %d, over %d", r.Name, r.Arity, maxArity)
+		}
+		if flags && r.Del {
+			b = append(b, 1)
+		} else if flags {
+			b = append(b, 0)
+		}
+		b = appendString(b, r.Name)
+		b = binary.AppendUvarint(b, uint64(r.Arity))
+		b = binary.AppendUvarint(b, uint64(len(r.Rows)/max(r.Arity, 1)))
+		for _, w := range r.Rows {
+			b = binary.AppendUvarint(b, w)
+		}
+	}
+	return b, nil
+}
+
+// reader decodes a body; after the first error every read returns zero.
+type reader struct {
+	b   []byte
+	err error
+}
+
+func (r *reader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	x, rest, err := readUvarint(r.b)
+	r.b, r.err = rest, err
+	return x
+}
+
+// length reads the number of elements that follow, each at least size
+// bytes long, so that no count can outrun the body.
+func (r *reader) length(size int) int {
+	n := r.uvarint()
+	if n > uint64(len(r.b)/size) {
+		r.err = fmt.Errorf("durable: %d elements of %d bytes overrun the body", n, size)
+		return 0
+	}
+	return int(n)
+}
+
+// readBatch decodes a whole body appendBatch wrote with the same flags.
+func readBatch(body []byte, flags bool) (*datalog.Batch, error) {
+	r := &reader{b: body}
+	bt := &datalog.Batch{Values: make([]any, r.length(1))}
+	for i := range bt.Values {
+		if r.err == nil {
+			bt.Values[i], r.b, r.err = readValue(r.b)
+		}
+	}
+	for r.err == nil && len(r.b) > 0 {
+		run := datalog.Run{}
+		if flags {
+			if r.b[0] > 1 {
+				return nil, fmt.Errorf("durable: run flag %d", r.b[0])
+			}
+			run.Del, r.b = r.b[0] == 1, r.b[1:]
+		}
+		if run.Name, r.b, r.err = readString(r.b); r.err != nil {
+			break
+		}
+		arity := r.uvarint()
+		if arity > maxArity {
+			return nil, fmt.Errorf("durable: relation %s has arity %d, over %d", run.Name, arity, maxArity)
+		}
+		run.Arity = int(arity)
+		stride := max(run.Arity, 1)
+		run.Rows = make([]uint64, r.length(stride)*stride)
+		for i := range run.Rows {
+			run.Rows[i] = r.uvarint()
+		}
+		bt.Runs = append(bt.Runs, run)
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	return bt, nil
 }

@@ -57,22 +57,20 @@ type Store struct {
 	logf    File
 	lastSeq uint64 // seq of the last appended record
 	snapSeq uint64 // seq covered by the live snapshot
-	// pending holds the replayable records found at open (with their file
-	// offsets), and snapData the live snapshot image, until Recover consumes
-	// them.
-	pending       []logRecord
-	pendingStarts []int64
-	snapData      []byte
-	recovered     bool
-	failed        error
+	// pending holds the replayable records found at open, and snapData the
+	// live snapshot image, until Recover consumes them.
+	pending   []logRecord
+	snapData  []byte
+	recovered bool
+	failed    error
 
 	// lastRecStart is the file offset of the last appended record while it
 	// is still abortable (-1 otherwise) — AbortLast's truncation point.
 	lastRecStart int64
 
 	recsSinceSnap int
-	logBytes      int64 // changelog bytes since last rotation (growth trigger)
-	buf           []byte
+	logBytes      int64  // changelog bytes since last rotation (growth trigger)
+	buf           []byte // the last record's encoding, reused by the next
 }
 
 // Open scans the durability directory, repairs a torn changelog tail, and
@@ -119,40 +117,32 @@ func Open(opts Options) (*Store, error) {
 
 	// Changelog: validate, repair the tail, queue the replayable suffix.
 	data, err := fs.ReadFile(walName)
-	switch {
-	case os.IsNotExist(err):
-		if err := s.writeFreshLog(walName, s.snapSeq); err != nil {
-			return nil, err
-		}
-	case err != nil:
+	if err != nil && !os.IsNotExist(err) {
 		return nil, err
-	default:
-		recs, starts, validLen, baseSeq, serr := scanLog(data)
-		if serr != nil {
-			return nil, serr
-		}
-		if validLen < int64(walHdrLen) {
-			// Torn header from a crash during initial creation.
-			if err := s.writeFreshLog(walName, s.snapSeq); err != nil {
-				return nil, err
-			}
-		} else {
-			if validLen < int64(len(data)) {
-				if err := fs.Truncate(walName, validLen); err != nil {
-					return nil, err
-				}
-			}
-			s.logBytes = validLen
-		}
-		s.lastSeq = baseSeq
-		for i, r := range recs {
-			if r.seq > s.snapSeq {
-				s.pending = append(s.pending, r)
-				s.pendingStarts = append(s.pendingStarts, starts[i])
-			}
-			s.lastSeq = r.seq
-		}
 	}
+	recs, validLen, baseSeq, err := scanLog(data)
+	if err != nil {
+		return nil, err
+	}
+	s.logBytes = validLen
+	switch {
+	case validLen < int64(walHdrLen):
+		// No log, or a torn header from a crash during its creation.
+		err = s.writeFreshLog(walName, s.snapSeq)
+	case validLen < int64(len(data)):
+		err = fs.Truncate(walName, validLen)
+	}
+	if err != nil {
+		return nil, err
+	}
+	s.lastSeq = baseSeq
+	for _, r := range recs {
+		if r.seq > s.snapSeq {
+			s.pending = append(s.pending, r)
+		}
+		s.lastSeq = r.seq
+	}
+	s.recsSinceSnap = len(s.pending)
 	if s.lastSeq < s.snapSeq {
 		// Crash between snapshot rename and log rotation can leave the log
 		// shorter than the snapshot: the snapshot is the truth.
@@ -167,22 +157,26 @@ func Open(opts Options) (*Store, error) {
 }
 
 // writeFreshLog creates name with just a header (synced).
-func (s *Store) writeFreshLog(name string, baseSeq uint64) error {
+func (s *Store) writeFreshLog(name string, baseSeq uint64) (err error) {
+	s.logf, err = s.createSynced(name, encodeLogHeader(baseSeq))
+	s.logBytes = int64(walHdrLen)
+	return err
+}
+
+// createSynced creates name holding data, fsynced, and returns it open.
+func (s *Store) createSynced(name string, data []byte) (File, error) {
 	f, err := s.fs.Create(name)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if _, err := f.Write(encodeLogHeader(baseSeq)); err != nil {
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
 		f.Close()
-		return err
+		return nil, err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	s.logf = f
-	s.logBytes = int64(walHdrLen)
-	return nil
+	return f, nil
 }
 
 // LastSeq returns the sequence number of the last durable tick: after
@@ -195,33 +189,32 @@ func (s *Store) SnapshotSeq() uint64 { return s.snapSeq }
 
 // Recover rebuilds the incremental evaluator: the live snapshot (if any) is
 // restored into db, and the changelog suffix past it is replayed through
-// Apply — base mutations re-applied in exact recorded order, maintenance
-// re-run per tick — leaving the evaluator mid-stream, ready for the next
-// tick, without re-deriving anything the snapshot already materialized.
+// Incremental.Replay — base mutations re-applied in exact recorded order,
+// maintenance re-run per tick — leaving the evaluator mid-stream, ready for
+// the next tick, without re-deriving anything the snapshot already
+// materialized.
 func (s *Store) Recover(p *datalog.Program, db *datalog.Database) (*datalog.Incremental, error) {
 	if s.recovered {
 		return nil, fmt.Errorf("durable: store already recovered")
 	}
 	s.recovered = true
 	var inc *datalog.Incremental
+	var err error
 	if s.snapData != nil {
-		_, fx, derr := decodeSnapshot(s.snapData)
-		if derr != nil {
-			return nil, derr
-		}
-		if inc, derr = datalog.RestoreIncremental(p, db, fx); derr != nil {
-			return nil, derr
+		var st *datalog.Batch
+		if _, st, err = decodeSnapshot(s.snapData); err == nil {
+			inc, err = datalog.RestoreIncremental(p, db, st)
 		}
 		s.snapData = nil
 	} else {
-		var err error
-		if inc, err = datalog.NewIncremental(p, db); err != nil {
-			return nil, err
-		}
+		inc, err = datalog.NewIncremental(p, db)
+	}
+	if err != nil {
+		return nil, err
 	}
 	for i, rec := range s.pending {
-		if err := replayRecord(inc, rec); err != nil {
-			if i == len(s.pending)-1 && errors.Is(err, errTickRejected) {
+		if err := inc.Replay(rec.batch); err != nil {
+			if i == len(s.pending)-1 && errors.Is(err, datalog.ErrRejected) {
 				// Append-before-apply leaves exactly one uncertain window: a
 				// record that reached the log but whose tick the evaluator
 				// then rejected, with the AbortLast truncation not making it
@@ -231,65 +224,33 @@ func (s *Store) Recover(p *datalog.Program, db *datalog.Database) (*datalog.Incr
 				// again (its rollback leaves the fixpoint intact) is
 				// truncated away like a torn tail. An earlier record failing
 				// means real corruption and stays fatal.
-				if terr := s.fs.Truncate(walName, s.pendingStarts[i]); terr != nil {
+				if terr := s.fs.Truncate(walName, rec.start); terr != nil {
 					return nil, s.fail(terr)
 				}
-				s.logBytes = s.pendingStarts[i]
+				s.logBytes = rec.start
 				s.lastSeq = rec.seq - 1
+				s.recsSinceSnap--
 				break
 			}
-			return nil, err
+			return nil, fmt.Errorf("durable: replay seq %d: %w", rec.seq, err)
 		}
 	}
-	s.pending, s.pendingStarts = nil, nil
+	s.pending = nil
 	return inc, nil
 }
 
-// errTickRejected marks a logged record whose base ops realized but whose
-// maintenance pass the evaluator rejected — the shape an aborted tick
-// leaves behind when the abort truncation was lost to a crash.
-var errTickRejected = errors.New("durable: logged tick rejected by evaluator")
-
-// replayRecord re-applies one changelog record: base-relation mutations in
-// exact recorded order (every one must realize — the log and the state it
-// replays onto were produced by the same history), then the maintenance
-// pass. A rejected pass rolls its derived changes back, and the base
-// mutations are undone here, so the caller may drop the record.
-func replayRecord(inc *datalog.Incremental, rec logRecord) error {
-	d := datalog.NewDelta()
-	db := inc.DB()
-	for _, op := range rec.ops {
-		if op.Del {
-			rel := db.Get(op.Pred)
-			if rel == nil || !rel.Delete(op.T) {
-				return fmt.Errorf("durable: replay seq %d: delete %s%v did not realize", rec.seq, op.Pred, op.T)
-			}
-			d.Delete(op.Pred, op.T)
-		} else {
-			if !db.Ensure(op.Pred, len(op.T)).Insert(op.T) {
-				return fmt.Errorf("durable: replay seq %d: insert %s%v did not realize", rec.seq, op.Pred, op.T)
-			}
-			d.Insert(op.Pred, op.T)
-		}
-	}
-	if _, err := inc.Apply(d); err != nil {
-		db.Undo(rec.ops)
-		return fmt.Errorf("replay seq %d: %w: %v", rec.seq, errTickRejected, err)
-	}
-	return nil
-}
-
-// Append journals one tick's realized base-relation changes (Delta.Ops) —
+// Append journals one tick's realized base-relation changes (Delta.Batch) —
 // the append-before-apply half of the commit protocol. An empty tick is
 // legal and still consumes a sequence number.
 func (s *Store) Append(d *datalog.Delta) error {
 	if s.failed != nil {
 		return s.failed
 	}
-	rec, err := encodeRecord(s.lastSeq+1, d.Ops())
+	rec, err := encodeRecord(s.buf, s.lastSeq+1, d.Batch())
 	if err != nil {
 		return s.fail(err)
 	}
+	s.buf = rec
 	start := s.logBytes
 	if _, err := s.logf.Write(rec); err != nil {
 		return s.fail(err)
@@ -368,16 +329,8 @@ func (s *Store) Snapshot(inc *datalog.Incremental) error {
 	if err != nil {
 		return err
 	}
-	f, err := s.fs.Create(snapTmpName)
+	f, err := s.createSynced(snapTmpName, img)
 	if err != nil {
-		return s.fail(err)
-	}
-	if _, err := f.Write(img); err != nil {
-		f.Close()
-		return s.fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
 		return s.fail(err)
 	}
 	if err := f.Close(); err != nil {
@@ -457,14 +410,14 @@ type Info struct {
 func Inspect(fs FS) (*Info, error) {
 	info := &Info{}
 	if data, err := fs.ReadFile(snapName); err == nil {
-		seq, fx, derr := decodeSnapshot(data)
+		seq, st, derr := decodeSnapshot(data)
 		if derr != nil {
 			return nil, derr
 		}
 		info.SnapshotSeq = seq
-		info.SnapshotRelations = len(fx.Relations)
-		for _, rs := range fx.Relations {
-			info.SnapshotRows += len(rs.Rows) / max(rs.Arity, 1)
+		info.SnapshotRelations = len(st.Runs)
+		for _, r := range st.Runs {
+			info.SnapshotRows += len(r.Rows) / max(r.Arity, 1)
 		}
 		info.HasSnapshot = true
 		info.SnapshotBytes = int64(len(data))
@@ -472,7 +425,7 @@ func Inspect(fs FS) (*Info, error) {
 		return nil, err
 	}
 	if data, err := fs.ReadFile(walName); err == nil {
-		recs, _, validLen, baseSeq, serr := scanLog(data)
+		recs, validLen, baseSeq, serr := scanLog(data)
 		if serr != nil {
 			return nil, serr
 		}

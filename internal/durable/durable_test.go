@@ -74,8 +74,7 @@ func tickErr(s *Store, inc *datalog.Incremental, muts []datalog.DeltaOp) error {
 // instances can be compared byte for byte.
 func stateImage(t testing.TB, inc *datalog.Incremental, seq uint64) []byte {
 	t.Helper()
-	fx := inc.State()
-	img, err := encodeSnapshot(seq, fx)
+	img, err := encodeSnapshot(seq, inc.State())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,16 +178,26 @@ func TestSnapshotAndRotation(t *testing.T) {
 }
 
 // TestTornTailTruncated: a crash mid-append leaves a partial record; reopen
-// truncates it away and recovers the prefix.
+// truncates it away and recovers the prefix. Every cut short of the second
+// record's length tears it.
 func TestTornTailTruncated(t *testing.T) {
-	for cut := int64(1); cut <= 24; cut += 4 {
+	second := []datalog.DeltaOp{ins("edge", int64(2), int64(3)), ins("attr", int64(2), int64(7))}
+	d := datalog.NewDelta()
+	for _, op := range second {
+		d.Insert(op.Pred, op.T)
+	}
+	rec, err := encodeRecord(nil, 2, d.Batch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := int64(1); cut < int64(len(rec)); cut++ {
 		fs := NewFaultFS()
 		s, inc := recoverStore(t, fs)
 		tick(t, s, inc, []datalog.DeltaOp{ins("edge", int64(1), int64(2))})
 		want := stateImage(t, inc, 1)
 
-		fs.CrashAfterBytes(cut) // the next record is longer than any cut here
-		err := tickErr(s, inc, []datalog.DeltaOp{ins("edge", int64(2), int64(3)), ins("attr", int64(2), int64(7))})
+		fs.CrashAfterBytes(cut)
+		err := tickErr(s, inc, second)
 		if !errors.Is(err, ErrCrashed) {
 			t.Fatalf("cut %d: tick err = %v, want ErrCrashed", cut, err)
 		}
@@ -321,27 +330,78 @@ func TestSnapshotThresholds(t *testing.T) {
 	s.Close()
 }
 
-// TestValueCodecRoundTrip: every supported dynamic type survives the tuple
-// codec with its exact Go type.
-func TestValueCodecRoundTrip(t *testing.T) {
-	in := datalog.Tuple{"s", "", int64(-9000), int(42), uint64(1 << 60), 3.5, true, false}
-	b, err := appendTuple(nil, in)
-	if err != nil {
+// TestSnapshotThresholdsAcrossReopen: the record threshold counts the
+// records a reopened store finds past its snapshot, less a rejected final
+// record that recovery drops.
+func TestSnapshotThresholdsAcrossReopen(t *testing.T) {
+	fs := NewFaultFS()
+	reopen := func() (*Store, *datalog.Incremental) {
+		s, err := Open(Options{FS: fs, SnapshotEveryRecords: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inc, err := s.Recover(testProgram(t), datalog.NewDatabase())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, inc
+	}
+	s, inc := reopen()
+	tick(t, s, inc, []datalog.DeltaOp{ins("edge", int64(0), int64(1))})
+	tick(t, s, inc, []datalog.DeltaOp{ins("edge", int64(1), int64(2))})
+	s.Close()
+	s, inc = reopen()
+	tick(t, s, inc, []datalog.DeltaOp{ins("edge", int64(2), int64(3))})
+	if s.SnapshotSeq() != 3 {
+		t.Fatalf("SnapshotSeq = %d, want 3: the records before the reopen count", s.SnapshotSeq())
+	}
+
+	// Seq 4 commits; seq 5 is a tick the evaluator rejects, whose abort is
+	// lost to a crash. Recovery drops it, so one record counts.
+	tick(t, s, inc, []datalog.DeltaOp{ins("edge", int64(3), int64(4))})
+	bad := datalog.NewDelta()
+	bad.Insert("reach_attr", datalog.Tuple{int64(8), int64(77)})
+	if err := s.Append(bad); err != nil {
 		t.Fatal(err)
 	}
-	out, rest, err := readTuple(b)
-	if err != nil || len(rest) != 0 {
-		t.Fatalf("readTuple: %v (rest %d)", err, len(rest))
+	s.Close()
+	s, inc = reopen()
+	defer s.Close()
+	tick(t, s, inc, []datalog.DeltaOp{ins("edge", int64(4), int64(5))})
+	if s.SnapshotSeq() != 3 {
+		t.Fatalf("SnapshotSeq = %d after seq 5, want 3: the dropped record counted", s.SnapshotSeq())
 	}
-	if len(out) != len(in) {
-		t.Fatalf("arity %d != %d", len(out), len(in))
+	tick(t, s, inc, []datalog.DeltaOp{ins("edge", int64(5), int64(6))})
+	if s.SnapshotSeq() != 6 {
+		t.Fatalf("SnapshotSeq = %d, want 6", s.SnapshotSeq())
 	}
-	for i := range in {
-		if out[i] != in[i] || fmt.Sprintf("%T", out[i]) != fmt.Sprintf("%T", in[i]) {
-			t.Fatalf("slot %d: %v (%T) != %v (%T)", i, out[i], out[i], in[i], in[i])
+}
+
+// TestValueCodecRoundTrip: every supported dynamic type survives the value
+// codec with its exact Go type.
+func TestValueCodecRoundTrip(t *testing.T) {
+	in := []any{"s", "", int64(-9000), int(42), uint64(1 << 60), 3.5, true, false}
+	var b []byte
+	for _, v := range in {
+		var err error
+		if b, err = appendValue(b, v); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if _, err := appendTuple(nil, datalog.Tuple{struct{}{}}); err == nil {
+	for i := range in {
+		out, rest, err := readValue(b)
+		if err != nil {
+			t.Fatalf("readValue %d: %v", i, err)
+		}
+		if out != in[i] || fmt.Sprintf("%T", out) != fmt.Sprintf("%T", in[i]) {
+			t.Fatalf("slot %d: %v (%T) != %v (%T)", i, out, out, in[i], in[i])
+		}
+		b = rest
+	}
+	if len(b) != 0 {
+		t.Fatalf("%d bytes left after the last value", len(b))
+	}
+	if _, err := appendValue(nil, struct{}{}); err == nil {
 		t.Fatal("unsupported type must be rejected")
 	}
 }
@@ -573,5 +633,34 @@ func TestRecoverDropsAbortedFinalRecord(t *testing.T) {
 	defer s4.Close()
 	if _, err := s4.Recover(testProgram(t), datalog.NewDatabase()); err == nil {
 		t.Fatal("recovery must fail on a non-final unappliable record")
+	}
+}
+
+// TestRecoverKeepsUnrealizedFinalRecord: a final record whose base change
+// does not realize on replay is corruption, not a lost abort. Recovery
+// fails, keeps the record, and leaves none of its changes applied.
+func TestRecoverKeepsUnrealizedFinalRecord(t *testing.T) {
+	fs := NewFaultFS()
+	s, inc := recoverStore(t, fs)
+	tick(t, s, inc, []datalog.DeltaOp{ins("edge", int64(1), int64(2))})
+	d := datalog.NewDelta()
+	d.Insert("edge", datalog.Tuple{int64(7), int64(8)})
+	d.Delete("edge", datalog.Tuple{int64(5), int64(6)}) // never present
+	if err := s.Append(d); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	s2 := openStore(t, fs)
+	defer s2.Close()
+	db := datalog.NewDatabase()
+	if _, err := s2.Recover(testProgram(t), db); err == nil || errors.Is(err, datalog.ErrRejected) {
+		t.Fatalf("Recover = %v, want a did-not-realize error", err)
+	}
+	if db.Get("edge").Contains(datalog.Tuple{int64(7), int64(8)}) {
+		t.Fatal("the refused record's insert was left applied")
+	}
+	if info, err := Inspect(fs); err != nil || info.LogRecords != 2 {
+		t.Fatalf("Inspect = %+v, %v; want the unrealized record kept", info, err)
 	}
 }

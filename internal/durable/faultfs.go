@@ -3,7 +3,6 @@ package durable
 import (
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 )
 
@@ -80,8 +79,8 @@ func (f *FaultFS) Crashed() bool {
 	return f.crashed
 }
 
-// Files returns a deep copy of the current "disk" (sorted names) so tests
-// can diff directory states byte for byte.
+// Files returns a deep copy of the current "disk" so tests can diff
+// directory states byte for byte.
 func (f *FaultFS) Files() map[string][]byte {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -90,18 +89,6 @@ func (f *FaultFS) Files() map[string][]byte {
 		out[k] = append([]byte(nil), v.buf...)
 	}
 	return out
-}
-
-// FileNames returns the sorted names present on the "disk".
-func (f *FaultFS) FileNames() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	names := make([]string, 0, len(f.files))
-	for k := range f.files {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Corrupt flips one byte of the named file (bit-rot injection for CRC
