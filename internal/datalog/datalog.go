@@ -15,7 +15,8 @@ package datalog
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -48,13 +49,14 @@ func (t Tuple) String() string {
 // Relation is a named set of tuples of fixed arity. Rows are encoded words
 // (value.go) in one pointer-free slab in insertion order, stride words per
 // slot; a deleted row leaves a tombstone that is compacted once tombstones
-// dominate. Membership is an open-addressed table over all columns, and
-// column indexes over any column subset are built on first use and
-// maintained incrementally afterwards (index.go) — both enumerate in
-// insertion order, never hash order. A relation is a set and holds nothing
-// per row but the row: a sign or a multiplicity travels beside rows (Change,
-// rowLog), never in the slab. Tuple is the boundary type: Insert, Delete,
-// Contains, Lookup and Tuples encode on the way in and decode on the way out.
+// dominate. Membership is an open-addressed table over all columns, built
+// with the relation; column indexes over any column subset are built on
+// first probe and maintained incrementally afterwards (index.go) — both
+// enumerate in insertion order, never hash order. A relation is a set and
+// holds nothing per row but the row: a sign or a multiplicity travels
+// beside rows (Change, rowLog), never in the slab. Tuple is the boundary
+// type: Insert, Delete, Contains, Lookup and Tuples encode on the way in
+// and decode on the way out.
 type Relation struct {
 	Name  string
 	Arity int
@@ -63,7 +65,7 @@ type Relation struct {
 	stride int      // words per slot: Arity, or 1 for arity 0 so a tombstone has a word to sit in
 	rows   []uint64 // the slab; slot s is rows[s*stride:][:Arity]
 	dead   int
-	set    colIndex // membership: every column; cells nil after Clone/adopt (lazily rebuilt)
+	set    colIndex // membership: every column
 	idx    []*colIndex
 }
 
@@ -73,17 +75,15 @@ type Relation struct {
 func NewRelation(name string, arity int) *Relation { return newRelation(newDict(), name, arity) }
 
 func newRelation(d *dict, name string, arity int) *Relation {
-	r := &Relation{Name: name, Arity: arity, dict: d, stride: max(arity, 1)}
-	r.set.pos = allCols(arity)
-	return r
+	return adoptRows(d, name, arity, nil)
 }
 
 // adoptRows returns a relation over rows — distinct encoded rows of d, which
-// the relation only reads. Membership and indexes are built if ever probed:
-// a pre-batch view (preBatch) is joined against, a seed is just scanned.
+// the relation only reads — with its membership built.
 func adoptRows(d *dict, name string, arity int, rows []uint64) *Relation {
-	r := newRelation(d, name, arity)
-	r.rows = rows[:len(rows):len(rows)]
+	r := &Relation{Name: name, Arity: arity, dict: d, stride: max(arity, 1), rows: rows[:len(rows):len(rows)]}
+	r.set.pos = allCols(arity)
+	r.set.build(r)
 	return r
 }
 
@@ -99,14 +99,6 @@ func (r *Relation) live(s int) bool { return r.rows[s*r.stride] != tombWord }
 // Len returns the number of live tuples.
 func (r *Relation) Len() int { return r.slots() - r.dead }
 
-// ensureSet builds the membership table on first use (a new, cleared,
-// cloned or adopted relation has none).
-func (r *Relation) ensureSet() {
-	if r.set.cells == nil {
-		r.set.build(r)
-	}
-}
-
 // touch loads the membership cell and the row each of l's rows will probe
 // first, and returns their xor (uninlined) so that the loads are not dead
 // code. They are independent of one another, so the processor overlaps
@@ -115,7 +107,6 @@ func (r *Relation) ensureSet() {
 //
 //go:noinline
 func (r *Relation) touch(l *rowList) (sink uint64) {
-	r.ensureSet()
 	for k, n := 0, l.len(); k < n; k++ {
 		if c := r.set.cells[hashWords(l.row(k))>>r.set.shift]; c != 0 {
 			sink ^= r.rows[int(c-1)*r.stride]
@@ -126,7 +117,6 @@ func (r *Relation) touch(l *rowList) (sink uint64) {
 
 // findRow returns the slot of the encoded row w, or -1.
 func (r *Relation) findRow(w []uint64) int {
-	r.ensureSet()
 	_, s := r.set.find(r, w)
 	return s
 }
@@ -143,7 +133,6 @@ func (r *Relation) Insert(t Tuple) bool {
 
 // insertRow adds the encoded row w (copied), returning true if it was new.
 func (r *Relation) insertRow(w []uint64) bool {
-	r.ensureSet()
 	cell, s := r.set.find(r, w)
 	if s >= 0 {
 		return false
@@ -187,7 +176,6 @@ func (r *Relation) Delete(t Tuple) bool {
 
 // deleteRow removes the encoded row w, returning true if it was present.
 func (r *Relation) deleteRow(w []uint64) bool {
-	r.ensureSet()
 	cell, slot := r.set.find(r, w)
 	if slot < 0 {
 		return false
@@ -227,14 +215,15 @@ func (r *Relation) maybeCompact() {
 
 // Clear removes every tuple in place, keeping the relation's identity (the
 // same *Relation stays registered in its database — callers holding the
-// pointer observe the emptied state). Indexes are dropped and rebuilt on
-// demand. The incremental evaluator's recompute path and the transducer's
-// query re-registration both clear derived relations this way so that no
-// reader of the database map is ever invalidated.
+// pointer observe the emptied state). Membership is emptied and column
+// indexes are dropped, to be built again on first probe. The incremental
+// evaluator's recompute path and the transducer's query re-registration
+// both clear derived relations this way so that no reader of the database
+// map is ever invalidated.
 func (r *Relation) Clear() {
 	r.rows = nil
 	r.dead = 0
-	r.set.cells = nil
+	r.set.build(r)
 	r.idx = nil
 }
 
@@ -278,8 +267,8 @@ func (r *Relation) bulkLoad(rows []uint64) bool {
 }
 
 // Clone returns a copy sharing no mutable state but the (append-only)
-// dictionary, so a clone joins against its source's database. The
-// membership table and indexes are rebuilt lazily on first use.
+// dictionary, so a clone joins against its source's database. Membership
+// is built for the copy; column indexes are built on first probe.
 func (r *Relation) Clone() *Relation {
 	rows := make([]uint64, 0, r.Len()*r.stride)
 	for s, n := 0, r.slots(); s < n; s++ {
@@ -337,9 +326,7 @@ func (r *Relation) Lookup(pos []int, vals []any) []Tuple {
 // any two of them join word against word.
 type Database struct {
 	rels map[string]*Relation
-	// names caches sorted relation names; invalidated by Ensure.
-	names []string
-	dict  *dict
+	dict *dict
 }
 
 // NewDatabase returns an empty database with a dictionary of its own.
@@ -350,58 +337,25 @@ func NewDatabase() *Database { return &Database{rels: map[string]*Relation{}, di
 // db's without re-encoding. Like everything in this package it belongs to
 // db's evaluator thread.
 func (db *Database) Scratch() *Database {
-	return &Database{rels: map[string]*Relation{}, dict: db.dictionary()}
-}
-
-// dictionary returns db's dictionary. A Database assembled from existing
-// relations (clones of one database's) adopts theirs.
-func (db *Database) dictionary() *dict {
-	if db.dict == nil {
-		for _, r := range db.rels {
-			db.dict = r.dict
-			break
-		}
-		if db.dict == nil {
-			db.dict = newDict()
-		}
-	}
-	return db.dict
+	return &Database{rels: map[string]*Relation{}, dict: db.dict}
 }
 
 // Ensure returns the relation, creating it with the given arity if missing.
+// Panics if it exists at another arity: like a row of the wrong length in
+// Insert, that is a caller bug, not a data error.
 func (db *Database) Ensure(name string, arity int) *Relation {
-	if r, ok := db.rels[name]; ok {
-		return r
+	r, ok := db.rels[name]
+	if !ok {
+		r = newRelation(db.dict, name, arity)
+		db.rels[name] = r
+	} else if r.Arity != arity {
+		panic(fmt.Sprintf("datalog: relation %s has arity %d, not %d", name, r.Arity, arity))
 	}
-	r := newRelation(db.dictionary(), name, arity)
-	db.rels[name] = r
-	db.names = nil
 	return r
 }
 
 // Get returns the named relation, or nil.
 func (db *Database) Get(name string) *Relation { return db.rels[name] }
 
-// remove deregisters a relation entirely — the incremental evaluator's
-// construction rollback uses it for relations it created itself, so a
-// failed NewIncremental leaves no phantom (possibly wrong-arity) entries
-// behind.
-func (db *Database) remove(name string) {
-	if _, ok := db.rels[name]; ok {
-		delete(db.rels, name)
-		db.names = nil
-	}
-}
-
 // Names returns relation names sorted.
-func (db *Database) Names() []string {
-	if db.names == nil {
-		out := make([]string, 0, len(db.rels))
-		for n := range db.rels {
-			out = append(out, n)
-		}
-		sort.Strings(out)
-		db.names = out
-	}
-	return db.names
-}
+func (db *Database) Names() []string { return slices.Sorted(maps.Keys(db.rels)) }

@@ -237,10 +237,7 @@ func TestComponentOrderProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			comps, err := p.Components()
-			if err != nil {
-				t.Fatal(err)
-			}
+			comps := p.Components()
 			pos := map[string]int{}
 			for i, rl := range shuffled {
 				pos[rl.String()] = i
@@ -325,7 +322,7 @@ func Derive(db *Database, r Rule) ([]Tuple, error) {
 		return nil, err
 	}
 	var out []Tuple
-	pl.run(db, nil, func(w []uint64) { out = append(out, db.dictionary().tuple(w)) })
+	pl.run(db, nil, func(w []uint64) { out = append(out, db.dict.tuple(w)) })
 	return out, nil
 }
 
@@ -554,7 +551,8 @@ func TestIncrementalRejectsDerivedMutation(t *testing.T) {
 // seeded before it must not stay materialized in the caller's database —
 // leftovers would be served as phantom base facts by whatever evaluator is
 // installed next, and would make a retried NewIncremental reject the
-// relation as "derived but already holds base tuples".
+// relation as "derived but already holds base tuples". Nor may the
+// relations the evaluator registered stay behind, inputs included.
 func TestIncrementalSeedFailureRollsBack(t *testing.T) {
 	p, err := NewProgram(
 		Rule{
@@ -574,6 +572,10 @@ func TestIncrementalSeedFailureRollsBack(t *testing.T) {
 			Agg:    AggSum,
 			AggVar: "v",
 		},
+		Rule{
+			Head: Atom{Pred: "seen", Args: []Term{V("x")}},
+			Body: []Literal{{Atom: Atom{Pred: "tag", Args: []Term{V("x")}}}},
+		},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -586,10 +588,13 @@ func TestIncrementalSeedFailureRollsBack(t *testing.T) {
 	if _, err := NewIncremental(p, db); err == nil {
 		t.Fatal("seeding must fail on sum over non-numeric value")
 	}
-	for _, pred := range []string{"path", "total"} {
-		// Seeding registered these relations itself, so rollback must
-		// deregister them entirely — a lingering empty entry would pin the
-		// arity for any retried program.
+	if got := db.Names(); !slices.Equal(got, []string{"attr", "edge"}) {
+		t.Fatalf("after a failed seed the database holds %v, want [attr edge]", got)
+	}
+	for _, pred := range []string{"path", "total", "seen", "tag"} {
+		// The evaluator registered these relations itself, so rollback
+		// must deregister them entirely — a lingering empty entry would
+		// pin the arity for any retried program.
 		if rel := db.Get(pred); rel != nil {
 			t.Fatalf("seed failure left phantom relation %s (%d tuples)", pred, rel.Len())
 		}
@@ -604,6 +609,73 @@ func TestIncrementalSeedFailureRollsBack(t *testing.T) {
 	}
 	if got := inc.DB().Get("path").Len(); got != 3 {
 		t.Fatalf("retried fixpoint wrong: path = %v", inc.DB().Get("path").Tuples())
+	}
+}
+
+// TestEnsureAtProgramArity: NewIncremental registers every relation the
+// program reads at the program's arity, so a relation absent at
+// construction cannot be created later at another arity — Ensure panics
+// naming both arities, before Apply could index rows of the wrong width —
+// and a delta op of the wrong length is an inconsistent delta.
+func TestEnsureAtProgramArity(t *testing.T) {
+	p, err := NewProgram(Rule{
+		Head: Atom{Pred: "ab", Args: []Term{V("x")}},
+		Body: []Literal{
+			{Atom: Atom{Pred: "a", Args: []Term{V("x")}}},
+			{Atom: Atom{Pred: "b", Args: []Term{V("x")}}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDatabase()
+	inc, err := NewIncremental(p, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Names(); !slices.Equal(got, []string{"a", "ab", "b"}) {
+		t.Fatalf("registered relations = %v, want [a ab b]", got)
+	}
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "relation a has arity 1, not 2") {
+				t.Fatalf("Ensure at another arity: recovered %q, want the arity panic", msg)
+			}
+		}()
+		db.Ensure("a", 2)
+	}()
+	d := NewDelta()
+	d.Insert("a", Tuple{int64(1), int64(2)})
+	if _, err := inc.Apply(d); !errors.Is(err, ErrInconsistentDelta) {
+		t.Fatalf("a delta op of the wrong length: Apply = %v, want ErrInconsistentDelta", err)
+	}
+	db.Get("a").Insert(Tuple{int64(1)})
+	db.Get("b").Insert(Tuple{int64(1)})
+	d = NewDelta()
+	d.Insert("a", Tuple{int64(1)})
+	d.Insert("b", Tuple{int64(1)})
+	if _, err := inc.Apply(d); err != nil || !db.Get("ab").Contains(Tuple{int64(1)}) {
+		t.Fatalf("Apply = %v, ab = %v; want ab(1)", err, db.Get("ab").Tuples())
+	}
+}
+
+// TestProgramNotMadeByNewProgramRefused: evaluators refuse a Program that
+// NewProgram did not compile instead of compiling it on first use.
+func TestProgramNotMadeByNewProgramRefused(t *testing.T) {
+	p := &Program{Rules: []Rule{{
+		Head: Atom{Pred: "q", Args: []Term{V("x")}},
+		Body: []Literal{{Atom: Atom{Pred: "e", Args: []Term{V("x")}}}},
+	}}}
+	db := NewDatabase()
+	if _, err := p.Eval(db); err == nil {
+		t.Error("Eval accepted a Program NewProgram did not make")
+	}
+	if _, err := NewIncremental(p, db); err == nil {
+		t.Error("NewIncremental accepted a Program NewProgram did not make")
+	}
+	if len(db.Names()) != 0 || p.Components() != nil {
+		t.Errorf("a refused Program registered %v and has components %v", db.Names(), p.Components())
 	}
 }
 

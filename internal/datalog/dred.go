@@ -15,7 +15,7 @@ package datalog
 // supportChecker answers "does any derivation of this over-deleted tuple
 // survive in the current database?" for the candidates of one DRed
 // pass. Each support plan gets one reusable executor (rearmed per
-// candidate), and candidate binding runs off the metadata Prepare
+// candidate), and candidate binding runs off the metadata NewProgram
 // precomputed — no per-candidate maps, closures or scratch allocation,
 // which matters when a cascade queues tens of thousands of candidates.
 type supportChecker struct {

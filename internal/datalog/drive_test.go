@@ -47,7 +47,7 @@ func headRel(out map[string]*Relation, r Rule) *Relation {
 func driveStep(p *Program, ci int, db, whole, ov *Database) map[string]*Relation {
 	out := map[string]*Relation{}
 	frontier := map[string]*rowList{}
-	for _, pl := range p.prep.strata[ci] {
+	for _, pl := range p.strata[ci] {
 		headRel(out, pl.r)
 		for _, l := range pl.r.Body {
 			if frontier[l.Pred] == nil {
@@ -57,7 +57,7 @@ func driveStep(p *Program, ci int, db, whole, ov *Database) map[string]*Relation
 		}
 	}
 	var b roundBufs
-	b.driveOnce(db, p.prep.strata[ci], frontier, preBatch{over: ov}, nil, 1, func(rel *Relation, w []uint64, _ int) {
+	b.driveOnce(db, p.strata[ci], frontier, preBatch{over: ov}, nil, 1, func(rel *Relation, w []uint64, _ int) {
 		out[rel.Name].Insert(rel.dict.tuple(w))
 	})
 	return out
@@ -98,12 +98,10 @@ func checkDriveSteps(seed int64) error {
 		return fmt.Errorf("program rejected: %w", err)
 	}
 	db := randEDB(r)
-	comps, err := p.Components()
-	if err != nil {
+	if _, err := p.register(db); err != nil {
 		return err
 	}
-	for ci, c := range comps {
-		ensureHeads(db, c.Rules)
+	for ci, c := range p.Components() {
 		if c.NonMono {
 			// Not driven (replicas recompute these); evaluate so later
 			// components see their inputs.

@@ -1,46 +1,58 @@
 package datalog
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Program is a set of rules over a database. Evaluation computes the least
-// fixpoint of all rules, one evaluation component after another. Rules are
-// compiled once, on the first evaluation or an explicit Prepare call, into
-// the components and plans (slot-numbered bindings, boundness-ordered
-// joins) every evaluator walks.
+// fixpoint of all rules, one evaluation component after another. NewProgram
+// compiles the rules into the components and plans (slot-numbered
+// bindings, boundness-ordered joins) every evaluator walks; a Program it
+// did not make is refused, and mutating Rules afterwards is not supported.
 type Program struct {
 	Rules []Rule
 
-	prepOnce sync.Once
-	prep     *prepared
-	prepErr  error
+	// strata[i] holds the plans of evaluation component i, in rule order,
+	// in the order components emits them: a component reads only base
+	// relations, its own heads and earlier components' heads.
+	strata [][]*rulePlan
+	// arity is the one arity of every predicate the rules name; nil in a
+	// Program NewProgram did not make.
+	arity map[string]int
 }
 
-// NewProgram bundles rules and compiles them (Prepare), which validates
-// each one (Rule.Validate).
+// NewProgram compiles rules, validating each one (Rule.Validate): their
+// evaluation components, arities, slot numbering, join orders and filter
+// placement.
 func NewProgram(rules ...Rule) (*Program, error) {
-	p := &Program{Rules: rules}
-	if err := p.Prepare(); err != nil {
+	comps, arity, err := components(rules)
+	if err != nil {
 		return nil, err
+	}
+	p := &Program{Rules: rules, arity: arity}
+	for _, rs := range comps {
+		plans := make([]*rulePlan, len(rs))
+		for i, r := range rs {
+			if plans[i], err = compileProgramRule(r); err != nil {
+				return nil, err
+			}
+		}
+		p.strata = append(p.strata, plans)
 	}
 	return p, nil
 }
 
 // Eval runs the program to fixpoint over db using semi-naive (differential)
 // evaluation per component, executing compiled plans. It mutates db in
-// place, creating IDB relations as needed, and returns the number of
-// derived tuples. Components run one after another in the order Prepare
-// emits them, which is topological: a component only reads heads of
-// earlier ones.
+// place, registering the program's relations first, and returns the number
+// of derived tuples. Components run one after another in the order
+// NewProgram emits them, which is topological: a component only reads
+// heads of earlier ones.
 func (p *Program) Eval(db *Database) (int, error) {
-	if err := p.prepareFor(db); err != nil {
+	if _, err := p.register(db); err != nil {
 		return 0, err
 	}
 	derived := 0
 	var rounds roundBufs
-	for _, plans := range p.prep.strata {
+	for _, plans := range p.strata {
 		n, err := evalStratumSemiNaive(db, plans, &rounds)
 		if err != nil {
 			return derived, err
@@ -57,19 +69,18 @@ func (p *Program) Eval(db *Database) (int, error) {
 // BenchmarkEvalNaiveTCChain's baseline for BenchmarkEvalTCChain
 // (differential vs all-at-once flows, §8.2).
 func (p *Program) EvalNaive(db *Database) (int, error) {
-	// Components come from the Prepare cache (so the benchmark pair times
+	// Components come from NewProgram (so the benchmark pair times
 	// evaluation strategy, not per-call analysis); derivation itself stays
 	// interpretive.
-	if err := p.prepareFor(db); err != nil {
+	if _, err := p.register(db); err != nil {
 		return 0, err
 	}
 	derived := 0
-	for _, plans := range p.prep.strata {
+	for _, plans := range p.strata {
 		rules := make([]Rule, len(plans))
 		for i, pl := range plans {
 			rules[i] = pl.r
 		}
-		ensureHeads(db, rules)
 		for {
 			changed := 0
 			for _, r := range rules {
@@ -96,25 +107,12 @@ func (p *Program) EvalNaive(db *Database) (int, error) {
 	return derived, nil
 }
 
-func ensureHeads(db *Database, rules []Rule) {
-	for _, r := range rules {
-		db.Ensure(r.Head.Pred, len(r.Head.Args))
-	}
-}
-
-func ensureHeadsPlanned(db *Database, plans []*rulePlan) {
-	for _, pl := range plans {
-		db.Ensure(pl.r.Head.Pred, len(pl.r.Head.Args))
-	}
-}
-
 // evalStratumSemiNaive computes the fixpoint of one component off compiled
 // plans: a full derivation per rule seeds the semi-naive rounds, which
 // re-derive each positive body literal from the previous round's new rows
 // until none is new. Aggregate rules run once after the non-aggregate
 // fixpoint (they read only earlier components, whose relations are final).
 func evalStratumSemiNaive(db *Database, plans []*rulePlan, rounds *roundBufs) (int, error) {
-	ensureHeadsPlanned(db, plans)
 	derived := 0
 	seed := map[string]*rowList{}
 	var out rowList // reused derivation buffer
@@ -180,12 +178,6 @@ func deriveRule(db *Database, r Rule) []Tuple {
 		}
 		l := r.Body[i]
 		rel := db.Get(l.Pred)
-		if rel == nil {
-			if l.Negated {
-				walk(i+1, b) // absent relation: negation trivially holds
-			}
-			return
-		}
 		if l.Negated {
 			// All args are bound (range restriction): membership test.
 			probe := make(Tuple, len(l.Args))
@@ -259,7 +251,6 @@ func newGroupTable(d *dict, arity int) *groupTable {
 
 func (g *groupTable) add(w []uint64) {
 	prefix := w[:len(w)-1]
-	g.groups.ensureSet()
 	cell, slot := g.groups.set.find(g.groups, prefix)
 	if slot < 0 {
 		slot = g.groups.appendRow(cell, prefix)
@@ -295,7 +286,7 @@ func evalAggregatesPlanned(db *Database, plans []*rulePlan) (int, error) {
 		if pl.r.Agg == "" {
 			continue
 		}
-		rel := db.Ensure(pl.r.Head.Pred, len(pl.r.Head.Args))
+		rel := db.Get(pl.r.Head.Pred)
 		g := newGroupTable(rel.dict, rel.Arity)
 		pl.run(db, nil, g.add)
 		n, err := foldGroups(rel, pl.r.Agg, pl.r.Head.Pred, g)
@@ -315,7 +306,7 @@ func evalAggregatesNaive(db *Database, rules []Rule) (int, error) {
 		if r.Agg == "" {
 			continue
 		}
-		rel := db.Ensure(r.Head.Pred, len(r.Head.Args))
+		rel := db.Get(r.Head.Pred)
 		// Build grouping rule: derive (groupVars..., aggVar) rows.
 		groupArgs := r.Head.Args[:len(r.Head.Args)-1]
 		probe := Rule{

@@ -109,7 +109,7 @@ func (d *Delta) deleteRow(pred string, w []uint64) { rowsOf(d.del, pred, len(w))
 // that at most one change per tuple is left, on one side — the precondition
 // for old-view reconstruction (preBatch).
 func (d *Delta) encode(db *Database) ([]string, error) {
-	dict := db.dictionary()
+	dict := db.dict
 	d.add, d.del = map[string]*rowList{}, map[string]*rowList{}
 	var preds []string
 	for _, op := range d.ops {
@@ -191,59 +191,52 @@ type Incremental struct {
 	forceRecompute bool
 }
 
-// newIncrementalCore compiles p, checks db's arities against it and
-// classifies its evaluation components without touching db — the shared
+// newIncrementalCore registers p's relations in db (checking their
+// arities first) and classifies p's evaluation components — the shared
 // front half of NewIncremental (which then seeds the fixpoint) and
-// RestoreIncremental (which adopts a persisted one).
-func newIncrementalCore(p *Program, db *Database) (*Incremental, error) {
-	if err := p.prepareFor(db); err != nil {
-		return nil, err
+// RestoreIncremental (which adopts a persisted one). It returns the names
+// it registered, for a failed constructor to remove.
+func newIncrementalCore(p *Program, db *Database) (*Incremental, []string, error) {
+	added, err := p.register(db)
+	if err != nil {
+		return nil, nil, err
 	}
 	inc := &Incremental{prog: p, db: db, idb: map[string]bool{}}
-	for _, plans := range p.prep.strata {
+	for _, plans := range p.strata {
 		c := incComponent{Component: classify(plans), plans: plans}
 		for _, h := range c.Heads {
 			inc.idb[h] = true
 		}
 		inc.comps = append(inc.comps, c)
 	}
-	return inc, nil
+	return inc, added, nil
 }
 
-// NewIncremental compiles p, classifies its evaluation components, and
-// seeds the fixpoint into db. Derived relations must not contain base
-// tuples.
+// NewIncremental registers p's relations in db and seeds the fixpoint into
+// it. Derived relations must not contain base tuples.
 func NewIncremental(p *Program, db *Database) (*Incremental, error) {
-	inc, err := newIncrementalCore(p, db)
+	for _, r := range p.Rules {
+		if rel := db.Get(r.Head.Pred); rel != nil && rel.Len() > 0 {
+			return nil, fmt.Errorf("datalog: incremental: relation %s is derived by rules but already holds base tuples", r.Head.Pred)
+		}
+	}
+	inc, added, err := newIncrementalCore(p, db)
 	if err != nil {
 		return nil, err
-	}
-	for pred := range inc.idb {
-		if r := db.Get(pred); r != nil && r.Len() > 0 {
-			return nil, fmt.Errorf("datalog: incremental: relation %s is derived by rules but already holds base tuples", pred)
-		}
-	}
-	preExisting := map[string]bool{}
-	for pred := range inc.idb {
-		if db.Get(pred) != nil {
-			preExisting[pred] = true
-		}
 	}
 	for i := range inc.comps {
 		if err := inc.seed(&inc.comps[i]); err != nil {
 			// Roll the partial materialization back: earlier components
 			// already seeded their fixpoints into db, and leaving them
 			// behind would serve the caller stale derived tuples as base
-			// facts. Relations seeding itself registered are deregistered
-			// (a retry may use a different arity); pre-existing ones were
-			// verified empty above, so clearing restores the pre-call
-			// state exactly.
+			// facts. Derived relations were verified empty above, so
+			// clearing them and removing what was registered restores the
+			// pre-call state exactly.
 			for pred := range inc.idb {
-				if !preExisting[pred] {
-					db.remove(pred)
-				} else if rel := db.Get(pred); rel != nil {
-					rel.Clear()
-				}
+				db.Get(pred).Clear()
+			}
+			for _, name := range added {
+				delete(db.rels, name)
 			}
 			return nil, err
 		}
@@ -324,12 +317,12 @@ func (inc *Incremental) validateDelta(d *Delta, preds []string) error {
 		rel := inc.db.Get(pred)
 		for l, i := d.add[pred], 0; i < l.len(); i++ {
 			if rel == nil || rel.findRow(l.row(i)) < 0 {
-				return fmt.Errorf("%w: recorded insert %s%v is not present in the base relation", ErrInconsistentDelta, pred, inc.db.dictionary().tuple(l.row(i)))
+				return fmt.Errorf("%w: recorded insert %s%v is not present in the base relation", ErrInconsistentDelta, pred, inc.db.dict.tuple(l.row(i)))
 			}
 		}
 		for l, i := d.del[pred], 0; i < l.len(); i++ {
 			if rel != nil && rel.findRow(l.row(i)) >= 0 {
-				return fmt.Errorf("%w: recorded delete %s%v is still present in the base relation", ErrInconsistentDelta, pred, inc.db.dictionary().tuple(l.row(i)))
+				return fmt.Errorf("%w: recorded delete %s%v is still present in the base relation", ErrInconsistentDelta, pred, inc.db.dict.tuple(l.row(i)))
 			}
 		}
 	}
@@ -388,8 +381,8 @@ func (b *roundBufs) rotate() {
 }
 
 // deltaRelations wraps the given predicates' non-empty lists as a scratch
-// database of relations that hash and index themselves only if probed — a
-// pre-batch view (preBatch) is joined against.
+// database of relations, membership built and column indexes built on
+// first probe — a pre-batch view (preBatch) is joined against.
 func (inc *Incremental) deltaRelations(preds []string, lists map[string]*rowList) *Database {
 	view := inc.db.Scratch()
 	for _, pred := range preds {

@@ -7,9 +7,10 @@ import (
 )
 
 // This file is the hashing and ordering half of the storage core: the word
-// hash and the open-addressed tables behind a relation's membership set and
-// the column indexes it builds on first probe — the "access path" machinery
-// of §5.1 in compiled form — plus the deterministic tuple order.
+// hash and the open-addressed tables behind a relation's membership set,
+// built with the relation, and the column indexes it builds on first probe
+// — the "access path" machinery of §5.1 in compiled form — plus the
+// deterministic tuple order.
 
 const (
 	wordSeed uint64 = 0x2545f4914f6cdd1d

@@ -3,6 +3,7 @@ package datalog
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // This file is how rows leave an evaluator and come back: a Batch, a
@@ -38,7 +39,7 @@ var ErrRejected = errors.New("datalog: replayed batch rejected by the evaluator"
 // State captures the maintained database in one pass over the slabs: each
 // relation's live rows in slot (scan) order.
 func (inc *Incremental) State() *Batch {
-	d := inc.db.dictionary()
+	d := inc.db.dict
 	renum := make([]uint64, len(d.vals)) // dictionary id → state id + 1
 	st := &Batch{}
 	for _, name := range inc.db.Names() {
@@ -121,12 +122,12 @@ func (b *Batch) delta(dict *dict) (*Delta, error) {
 // it in with Apply. A batch that fails is undone, base changes included;
 // Apply's rejection wraps ErrRejected.
 func (inc *Incremental) Replay(b *Batch) error {
-	d, err := b.delta(inc.db.dictionary())
+	d, err := b.delta(inc.db.dict)
 	if err != nil {
 		return err
 	}
 	for i, op := range d.ops {
-		if arity, ok := inc.prog.arityIn(inc.db, op.Pred); ok && arity != len(op.T) || !inc.db.realize(op) {
+		if r := inc.db.Get(op.Pred); r != nil && r.Arity != len(op.T) || !inc.db.realize(op) {
 			inc.db.Undo(d.ops[:i])
 			return fmt.Errorf("datalog: replay: change %+v did not realize", op)
 		}
@@ -138,49 +139,52 @@ func (inc *Incremental) Replay(b *Batch) error {
 	return nil
 }
 
-// arityIn returns the arity of db's relation name, else the program's.
-func (p *Program) arityIn(db *Database, name string) (int, bool) {
-	if r := db.Get(name); r != nil {
-		return r.Arity, true
-	}
-	a, ok := p.prep.arity[name]
-	return a, ok
-}
-
 // RestoreIncremental rebuilds an evaluator from a captured state: the
 // values are interned into db's dictionary, the rows are copied into each
 // relation's slab with their dictionary words remapped, membership is
-// built once, and the program is compiled and classified exactly as
-// NewIncremental would, adopting the fixpoint instead of seeding it.
-// Restore is O(state) — no joins, no fixpoint, no Tuple.
+// built once, and the program's relations are registered and its
+// components classified exactly as NewIncremental would, adopting the
+// fixpoint instead of seeding it. Restore is O(state) — no joins, no
+// fixpoint, no Tuple.
 //
-// A state that a correct State() cannot produce is rejected before any
-// relation of db changes (only the append-only dictionary may have grown),
-// so a failed restore leaves db as it found it.
+// A state that a correct State() cannot produce — one that lacks a
+// relation the program names and db does not hold, say — is rejected
+// before any relation of db changes (only the append-only dictionary may
+// have grown), and what was registered is removed, so a failed restore
+// leaves db as it found it.
 func RestoreIncremental(p *Program, db *Database, st *Batch) (*Incremental, error) {
-	inc, err := newIncrementalCore(p, db)
+	inc, added, err := newIncrementalCore(p, db)
 	if err != nil {
 		return nil, err
 	}
 	rels := make([]*Relation, len(st.Runs))
-	err = st.decode(db.dictionary(), func(i int, rows []uint64) error {
+	err = st.decode(db.dict, func(i int, rows []uint64) error {
 		rs := &st.Runs[i]
 		if rs.Del || i > 0 && rs.Name <= st.Runs[i-1].Name {
 			return fmt.Errorf("relation %s is a run of deletes or out of name order", rs.Name)
 		}
-		if old := db.Get(rs.Name); old != nil && old.Len() > 0 {
+		old := db.Get(rs.Name)
+		if old != nil && old.Len() > 0 {
 			return fmt.Errorf("relation %s already holds tuples", rs.Name)
 		}
-		if want, ok := p.arityIn(db, rs.Name); ok && rs.Arity != want {
-			return fmt.Errorf("relation %s has arity %d but state says %d", rs.Name, want, rs.Arity)
+		if old != nil && rs.Arity != old.Arity {
+			return fmt.Errorf("relation %s has arity %d but state says %d", rs.Name, old.Arity, rs.Arity)
 		}
-		rels[i] = newRelation(db.dictionary(), rs.Name, rs.Arity)
+		rels[i] = newRelation(db.dict, rs.Name, rs.Arity)
 		if !rels[i].bulkLoad(rows) {
 			return fmt.Errorf("relation %s holds a row twice", rs.Name)
 		}
 		return nil
 	})
+	for _, name := range added {
+		if err == nil && !slices.ContainsFunc(st.Runs, func(r Run) bool { return r.Name == name }) {
+			err = fmt.Errorf("the state has no relation %s, which the program names", name)
+		}
+	}
 	if err != nil {
+		for _, name := range added {
+			delete(db.rels, name)
+		}
 		return nil, fmt.Errorf("datalog: restore: %w", err)
 	}
 	for _, r := range rels {
@@ -188,7 +192,6 @@ func RestoreIncremental(p *Program, db *Database, st *Batch) (*Incremental, erro
 			*old = *r // keep the registered relation's identity
 		} else {
 			db.rels[r.Name] = r
-			db.names = nil
 		}
 	}
 	return inc, nil

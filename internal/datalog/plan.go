@@ -2,10 +2,12 @@ package datalog
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 )
 
 // This file is the rule-compilation layer (the Hydrolysis access-path story
-// of §5.1 applied to the evaluator itself): a one-time Prepare step numbers
+// of §5.1 applied to the evaluator itself): NewProgram, once, numbers
 // variables and constants into slots so bindings are a flat []uint64 of
 // encoded words instead of cloned maps, orders the rules into evaluation
 // components in one Tarjan pass (components), splits every literal's
@@ -79,7 +81,7 @@ type rulePlan struct {
 	// pre-bound (supportVars, in first-appearance order): binding a concrete
 	// head tuple and running it answers "does any derivation of this tuple
 	// survive in the current database?" — the DRed re-derivation check.
-	// Compiled in Prepare for every non-aggregate rule; nil otherwise.
+	// Compiled by NewProgram for every non-aggregate rule; nil otherwise.
 	// supportBindPos[k] is the head-arg position whose value binds
 	// supportVars[k]; supportConsts lists head positions holding constants
 	// (a candidate must match support.head's slot there) and supportChecks
@@ -468,7 +470,7 @@ type planExec struct {
 }
 
 func (p *rulePlan) newExec(db *Database, order []litPlan, view preBatch, emit func([]uint64) bool) *planExec {
-	e := &planExec{p: p, db: db, dict: db.dictionary(), order: order, view: view, emit: emit}
+	e := &planExec{p: p, db: db, dict: db.dict, order: order, view: view, emit: emit}
 	// One allocation holds env, the head row and the per-position scratch
 	// for probe keys and negation probes.
 	n := p.nslots + len(p.head)
@@ -603,16 +605,6 @@ func (e *planExec) walk(i int) {
 	}
 }
 
-// prepared is the cached compilation of a whole program.
-type prepared struct {
-	// strata[i] holds the plans of evaluation component i, in rule order,
-	// in the order components emits them: a component reads only base
-	// relations, its own heads and earlier components' heads.
-	strata [][]*rulePlan
-	// arity is the one arity of every predicate the rules name.
-	arity map[string]int
-}
-
 // components reads the rules once. It runs Tarjan's strongly connected
 // components algorithm over the head-dependency graph — an edge from each
 // rule head to every rule-defined predicate its body reads, negated or not
@@ -702,45 +694,26 @@ func components(rules []Rule) ([][]Rule, map[string]int, error) {
 	return out, arity, nil
 }
 
-// Prepare compiles the program once: evaluation components, arities, slot
-// numbering, join orders, filter placement. It is idempotent and safe for
-// concurrent use; Eval and EvalNaive call it implicitly. Mutating Rules
-// after the first Prepare (or after NewProgram) is not supported.
-func (p *Program) Prepare() error {
-	p.prepOnce.Do(func() {
-		comps, arity, err := components(p.Rules)
-		if err != nil {
-			p.prepErr = err
-			return
-		}
-		pr := &prepared{arity: arity}
-		for _, rules := range comps {
-			plans := make([]*rulePlan, len(rules))
-			for i, r := range rules {
-				if plans[i], err = compileProgramRule(r); err != nil {
-					p.prepErr = err
-					return
-				}
-			}
-			pr.strata = append(pr.strata, plans)
-		}
-		p.prep = pr
-	})
-	return p.prepErr
-}
-
-// prepareFor compiles the program and rejects a relation of db whose arity
-// differs from the program's, before an evaluator changes anything.
-func (p *Program) prepareFor(db *Database) error {
-	if err := p.Prepare(); err != nil {
-		return err
+// register checks db's relations against the program's arities and then
+// registers every predicate the program names, inputs included, at its
+// arity — so no relation an evaluator reads is missing or of another
+// arity. It returns the names it created, sorted.
+func (p *Program) register(db *Database) (added []string, err error) {
+	if p.arity == nil {
+		return nil, fmt.Errorf("datalog: program was not made by NewProgram")
 	}
 	for _, name := range db.Names() {
-		if want, ok := p.prep.arity[name]; ok && db.Get(name).Arity != want {
-			return fmt.Errorf("datalog: relation %s has arity %d but the program uses %d", name, db.Get(name).Arity, want)
+		if want, ok := p.arity[name]; ok && db.Get(name).Arity != want {
+			return nil, fmt.Errorf("datalog: relation %s has arity %d but the program uses %d", name, db.Get(name).Arity, want)
 		}
 	}
-	return nil
+	for _, name := range slices.Sorted(maps.Keys(p.arity)) {
+		if db.Get(name) == nil {
+			db.Ensure(name, p.arity[name])
+			added = append(added, name)
+		}
+	}
+	return added, nil
 }
 
 // compileProgramRule compiles one program rule and, for a non-aggregate
@@ -810,7 +783,7 @@ func PrepareRule(r Rule, boundVars ...string) (*PreparedRule, error) {
 // are decoded over one backing array; a bound value the database has never
 // stored is compared and handed back without being interned.
 func (pr *PreparedRule) Derive(db *Database, bound map[string]any) ([]Tuple, error) {
-	d := db.dictionary()
+	d := db.dict
 	d.resetTemps()
 	var buf [8]uint64
 	preset := buf[:0]

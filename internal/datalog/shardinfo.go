@@ -22,17 +22,14 @@ type Component struct {
 	NonMono bool
 }
 
-// Components compiles the program (if needed) and returns its evaluation
-// components in topological order.
-func (p *Program) Components() ([]Component, error) {
-	if err := p.Prepare(); err != nil {
-		return nil, err
-	}
+// Components returns the program's evaluation components in topological
+// order.
+func (p *Program) Components() []Component {
 	var out []Component
-	for _, plans := range p.prep.strata {
+	for _, plans := range p.strata {
 		out = append(out, classify(plans))
 	}
-	return out, nil
+	return out
 }
 
 // classify reads a component's heads, inputs and monotonicity off its

@@ -117,7 +117,6 @@ func (t *Tick) Touched(ci int) (add, del bool) {
 func (t *Tick) Start(ci int, hasDel bool) {
 	t.close()
 	db, c, b := t.inc.db, &t.inc.comps[ci], &t.inc.rounds
-	ensureHeadsPlanned(db, c.plans)
 	t.c = c
 	t.phase = t.inc.strategy(c, hasDel)
 	b.rotate() // an aborted tick may have left rows for a next round
@@ -141,7 +140,7 @@ func (t *Tick) last() bool { return t.phase != overPhase }
 // says the previous round left nothing to drive anywhere. It reports
 // whether a quiet round would now end the component.
 func (t *Tick) Round(quiet bool, emit func(Change)) (last bool, err error) {
-	dict := t.inc.db.dictionary()
+	dict := t.inc.db.dict
 	out := t.inc.db.Scratch()
 	sign := 0 // every row a round emits with a sign has the same one
 	err = t.drive(quiet, func(rel *Relation, w []uint64, n int) {
@@ -173,7 +172,7 @@ func (t *Tick) Accept(batches ...[]Change) (pending int) {
 	var buf [8]uint64
 	for _, cs := range batches {
 		for _, c := range cs {
-			t.accept(t.inc.db.Get(c.Pred), t.inc.db.dictionary().encodeRow(buf[:0], c.T), c.N)
+			t.accept(t.inc.db.Get(c.Pred), t.inc.db.dict.encodeRow(buf[:0], c.T), c.N)
 		}
 	}
 	return t.settle()
@@ -301,7 +300,7 @@ func (t *Tick) soloRows(ri int, l *rowList) *rowList {
 	}
 	out := &rowList{arity: l.arity}
 	for k := 0; k < l.len(); k++ {
-		if w := l.row(k); t.site.Mine(t.inc.db.dictionary().tuple(w)) {
+		if w := l.row(k); t.site.Mine(t.inc.db.dict.tuple(w)) {
 			out.add(w)
 		}
 	}

@@ -220,7 +220,7 @@ func TestDeltaNetsChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	sides := func(pred string) string {
-		dict := netted.dictionary()
+		dict := netted.dict
 		var add, del []Tuple
 		for l, i := d.add[pred], 0; i < l.len(); i++ {
 			add = append(add, dict.tuple(l.row(i)))

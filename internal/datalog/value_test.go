@@ -147,7 +147,7 @@ func TestDictionariesAreNotShared(t *testing.T) {
 	if _, ok := a.dict.lookup("pad"); ok {
 		t.Fatal("a value interned in one database is known to another")
 	}
-	if s := a.Scratch(); s.dictionary() != a.dict {
+	if s := a.Scratch(); s.dict != a.dict {
 		t.Fatal("Scratch does not share its database's dictionary")
 	}
 	if c := a.Get("t").Clone(); c.dict != a.dict || !c.Contains(Tuple{"x"}) {

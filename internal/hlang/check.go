@@ -223,7 +223,6 @@ func checkHandler(p *Program, h *HandlerDecl) error {
 			return err
 		}
 	}
-	replied := false
 	for _, s := range h.Body {
 		switch st := s.(type) {
 		case *MergeTupleStmt:
@@ -315,10 +314,8 @@ func checkHandler(p *Program, h *HandlerDecl) error {
 			if err := checkExpr(st.Value); err != nil {
 				return err
 			}
-			replied = true
 		}
 	}
-	_ = replied // handlers may be fire-and-forget; no reply required
 	return nil
 }
 

@@ -33,7 +33,6 @@ type metrics struct {
 	// runtime's TickTimings), for the tick-level breakdown underneath the
 	// per-request phases.
 	tickDeliverNs  atomic.Int64
-	tickSnapshotNs atomic.Int64
 	tickHandlersNs atomic.Int64
 	tickApplyNs    atomic.Int64
 	ticks          atomic.Uint64
@@ -75,7 +74,9 @@ type Metrics struct {
 	EvalBusyNs int64
 
 	// Cumulative runtime tick-phase time across batch and settle ticks.
-	TickDeliverNs  int64
+	TickDeliverNs int64
+	// Deprecated: TickSnapshotNs measured a per-tick state copy that no
+	// longer exists; it always reads 0.
 	TickSnapshotNs int64
 	TickHandlersNs int64
 	TickApplyNs    int64
@@ -101,7 +102,6 @@ func (m *metrics) snapshot() Metrics {
 		ClosedUnserved:  m.closedUnserved.Load(),
 		EvalBusyNs:      m.evalBusyNs.Load(),
 		TickDeliverNs:   m.tickDeliverNs.Load(),
-		TickSnapshotNs:  m.tickSnapshotNs.Load(),
 		TickHandlersNs:  m.tickHandlersNs.Load(),
 		TickApplyNs:     m.tickApplyNs.Load(),
 		Ticks:           m.ticks.Load(),

@@ -655,7 +655,6 @@ func (s *Server) tick() error {
 	s.rt.Tick()
 	tt := s.rt.LastTickTimings()
 	s.m.tickDeliverNs.Add(tt.Deliver.Nanoseconds())
-	s.m.tickSnapshotNs.Add(tt.Snapshot.Nanoseconds())
 	s.m.tickHandlersNs.Add(tt.Handlers.Nanoseconds())
 	s.m.tickApplyNs.Add(tt.Apply.Nanoseconds())
 	s.m.ticks.Add(1)

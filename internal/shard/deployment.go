@@ -69,10 +69,7 @@ func deploy(cl *cluster.Cluster, name string, prog *datalog.Program, edb map[str
 	if err != nil {
 		return nil, err
 	}
-	comps, err := prog.Components()
-	if err != nil {
-		return nil, err
-	}
+	comps := prog.Components()
 	arities := map[string]int{}
 	for pred, ar := range edb {
 		arities[pred] = ar

@@ -77,10 +77,7 @@ func NewPlacement(prog *datalog.Program, edb map[string]int, n int, declared map
 	if n < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 replica, got %d", n)
 	}
-	comps, err := prog.Components()
-	if err != nil {
-		return nil, err
-	}
+	comps := prog.Components()
 	votes := joinVotes(comps)
 
 	specs := map[string]Spec{}

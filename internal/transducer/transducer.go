@@ -171,7 +171,8 @@ func New(name string, seed int64) *Runtime {
 
 // clearQueries installs the empty query program, detaching the sink.
 func (rt *Runtime) clearQueries() {
-	rt.inc, _ = datalog.NewIncremental(&datalog.Program{}, rt.db) // nothing to compile or seed: cannot fail
+	p, _ := datalog.NewProgram()
+	rt.inc, _ = datalog.NewIncremental(p, rt.db) // nothing to compile or seed: cannot fail
 	rt.derived, rt.sink = nil, nil
 }
 
@@ -375,11 +376,7 @@ func (rt *Runtime) Idle() bool {
 // pass — the "eval" cost a serving front-end amortizes across a batch —
 // and committing sends).
 type TickTimings struct {
-	Deliver time.Duration
-	// Snapshot is always zero: handlers read the database and the scalar
-	// variables in place, so a tick copies nothing. It stays for readers
-	// of the phase breakdown.
-	Snapshot time.Duration
+	Deliver  time.Duration
 	Handlers time.Duration
 	Apply    time.Duration
 	Handled  int
@@ -673,7 +670,9 @@ func (rt *Runtime) rejectTick(delta *datalog.Delta, err error) {
 func (rt *Runtime) applyInsert(table string, row datalog.Tuple, delta *datalog.Delta) {
 	rel := rt.db.Ensure(table, len(row))
 	schema, ok := rt.schemas[table]
-	if !ok || len(schema.Key) == 0 {
+	// A key naming every column makes the upsert a set insert: a row with
+	// an equal key is an equal row, and merging it changes nothing.
+	if !ok || len(schema.Key) == 0 || len(schema.Key) == rel.Arity {
 		if rel.Insert(row) {
 			delta.Insert(table, row)
 		}
