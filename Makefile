@@ -154,9 +154,10 @@ tables:
 # FUZZTIME on each target: tick sequences of interleaved inserts/deletes
 # against the three-way incremental equivalence oracle, the same against the
 # sharded deployment, snapshot images and changelog records fed to
-# recovery (refused or re-encoded to themselves, never a panic), and
-# HydroLogic sources that
-# Parse never panics on and that Format then Parse returns unchanged.
+# recovery (refused or re-encoded to themselves, never a panic), crash
+# schedules (ticks, snapshots and crash windows) whose every recovery must
+# match a never-crashed oracle, and HydroLogic sources that Parse never
+# panics on and that Format then Parse returns unchanged.
 # Minimizing a new interesting input is capped at 2 s: Go's default of 60 s
 # would spend most of each target's budget minimizing instead of fuzzing.
 FUZZTIME ?= 20s
@@ -165,6 +166,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzShardedEquivalence -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/shard
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotImage -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/durable
 	$(GO) test -run '^$$' -fuzz FuzzChangelogImage -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/durable
+	$(GO) test -run '^$$' -fuzz FuzzCrashRecovery -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/durable
 	$(GO) test -run '^$$' -fuzz FuzzHLangRoundTrip -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/hlang
 
 # test-sharded is the distributed-dataflow gate: the sharded-vs-single-node
@@ -216,7 +218,7 @@ serve-bench:
 # suite: the batched≡serial equivalence sweep (admission order pinned), its
 # concurrent-submitter executed-order twin, the
 # fan-out-into-shard-deployment sweep, every server-shell test
-# (deadline/close/gauge regressions included) and the
+# (close/gauge regressions included) and the
 # batched-beats-per-message throughput gate, all under -race.
 SERVE_SEEDS ?= 60
 SERVE_REQS ?= 150

@@ -91,7 +91,7 @@ func BenchmarkDatalogTC(b *testing.B) {
 		for j := 0; j < 64; j++ {
 			e.Insert(datalog.Tuple{int64(j), int64(j + 1)})
 		}
-		if _, err := prog.Eval(db); err != nil {
+		if _, err := datalog.NewIncremental(prog, db); err != nil {
 			b.Fatal(err)
 		}
 	}

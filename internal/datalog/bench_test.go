@@ -108,7 +108,7 @@ func BenchmarkEvalTCChain(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				db := chainDB(n)
-				if _, err := p.Eval(db); err != nil {
+				if _, err := NewIncremental(p, db); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -144,7 +144,7 @@ func BenchmarkAggregateGrouping(b *testing.B) {
 		for j := 0; j < 1024; j++ {
 			e.Insert(Tuple{int64(j % 32), int64(j)})
 		}
-		if _, err := p.Eval(db); err != nil {
+		if _, err := NewIncremental(p, db); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -175,7 +175,7 @@ func BenchmarkFullEvalSmallDeltaTC(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		snap := db.Clone()
-		if _, err := p.Eval(snap); err != nil {
+		if _, err := NewIncremental(p, snap); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -339,7 +339,7 @@ func BenchmarkTickDeleteCascadeLarge(b *testing.B) { tickDeleteCascade(b, 384) }
 
 // TestDeleteCascadeMatchesEval checks what tickDeleteCascade only times:
 // after the mid-chain retract, and again after the restore, the maintained
-// database equals a from-scratch Eval and the realized change count is the
+// database equals a from-scratch seed (NewIncremental) and the realized change count is the
 // closure difference — the (n/2+1)·(n-n/2) paths that cross the edge.
 func TestDeleteCascadeMatchesEval(t *testing.T) {
 	const n = 64
@@ -348,7 +348,7 @@ func TestDeleteCascadeMatchesEval(t *testing.T) {
 	full, cut := chainDB(n), chainDB(n)
 	cut.Get("edge").Delete(mid)
 	for _, db := range []*Database{full, cut} {
-		if _, err := p.Eval(db); err != nil {
+		if _, err := NewIncremental(p, db); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -391,7 +391,7 @@ func TestDeleteCascadeMatchesEval(t *testing.T) {
 func BenchmarkDeriveAdHoc(b *testing.B) {
 	db := chainDB(64)
 	p := tcProgram(b)
-	if _, err := p.Eval(db); err != nil {
+	if _, err := NewIncremental(p, db); err != nil {
 		b.Fatal(err)
 	}
 	rule := Rule{
@@ -410,7 +410,7 @@ func BenchmarkDeriveAdHoc(b *testing.B) {
 func BenchmarkDerivePrepared(b *testing.B) {
 	db := chainDB(64)
 	p := tcProgram(b)
-	if _, err := p.Eval(db); err != nil {
+	if _, err := NewIncremental(p, db); err != nil {
 		b.Fatal(err)
 	}
 	pr, err := PrepareRule(Rule{

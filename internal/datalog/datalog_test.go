@@ -47,7 +47,7 @@ func tc() []Rule {
 func TestTransitiveClosure(t *testing.T) {
 	db := edgeDB([2]string{"a", "b"}, [2]string{"b", "c"}, [2]string{"c", "d"})
 	p := mustProgram(t, tc()...)
-	if _, err := p.Eval(db); err != nil {
+	if _, err := NewIncremental(p, db); err != nil {
 		t.Fatal(err)
 	}
 	path := db.Get("path")
@@ -65,7 +65,7 @@ func TestTransitiveClosure(t *testing.T) {
 func TestCyclicClosureTerminates(t *testing.T) {
 	db := edgeDB([2]string{"a", "b"}, [2]string{"b", "a"})
 	p := mustProgram(t, tc()...)
-	if _, err := p.Eval(db); err != nil {
+	if _, err := NewIncremental(p, db); err != nil {
 		t.Fatal(err)
 	}
 	if db.Get("path").Len() != 4 {
@@ -83,7 +83,7 @@ func TestSemiNaiveMatchesNaive(t *testing.T) {
 		}
 		db1, db2 := edgeDB(edges...), edgeDB(edges...)
 		p := mustProgram(t, tc()...)
-		if _, err := p.Eval(db1); err != nil {
+		if _, err := NewIncremental(p, db1); err != nil {
 			return false
 		}
 		if _, err := p.EvalNaive(db2); err != nil {
@@ -121,7 +121,7 @@ func TestStratifiedNegation(t *testing.T) {
 		n.Insert(Tuple{x})
 	}
 	p := mustProgram(t, rules...)
-	if _, err := p.Eval(db); err != nil {
+	if _, err := NewIncremental(p, db); err != nil {
 		t.Fatal(err)
 	}
 	un := db.Get("unreached")
@@ -226,7 +226,6 @@ func TestPredicateAtTwoAritiesRejected(t *testing.T) {
 			}
 			st := inc.State()
 			evaluators := map[string]func(*Database) error{
-				"Eval":               func(db *Database) error { _, err := p.Eval(db); return err },
 				"EvalNaive":          func(db *Database) error { _, err := p.EvalNaive(db); return err },
 				"NewIncremental":     func(db *Database) error { _, err := NewIncremental(p, db); return err },
 				"RestoreIncremental": func(db *Database) error { _, err := RestoreIncremental(p, db, st); return err },
@@ -250,7 +249,7 @@ func TestValidateRangeRestriction(t *testing.T) {
 		Head: Atom{Pred: "h", Args: []Term{V("x"), V("y")}},
 		Body: []Literal{{Atom: Atom{Pred: "b", Args: []Term{V("x")}}}},
 	}
-	if err := bad.Validate(); err == nil {
+	if _, err := NewProgram(bad); err == nil {
 		t.Fatal("unbound head variable accepted")
 	}
 	badNeg := Rule{
@@ -260,7 +259,7 @@ func TestValidateRangeRestriction(t *testing.T) {
 			{Atom: Atom{Pred: "c", Args: []Term{V("z")}}, Negated: true},
 		},
 	}
-	if err := badNeg.Validate(); err == nil {
+	if _, err := NewProgram(badNeg); err == nil {
 		t.Fatal("negation-only variable accepted")
 	}
 }
@@ -276,7 +275,7 @@ func TestFilters(t *testing.T) {
 		Body:    []Literal{{Atom: Atom{Pred: "num", Args: []Term{V("x")}}}},
 		Filters: []Filter{{Op: OpLt, L: V("x"), R: C(int64(3))}},
 	})
-	if _, err := p.Eval(db); err != nil {
+	if _, err := NewIncremental(p, db); err != nil {
 		t.Fatal(err)
 	}
 	if db.Get("small").Len() != 3 {
@@ -294,7 +293,7 @@ func TestJoinWithConstants(t *testing.T) {
 		Head: Atom{Pred: "go_fans", Args: []Term{V("p")}},
 		Body: []Literal{{Atom: Atom{Pred: "likes", Args: []Term{V("p"), C("go")}}}},
 	})
-	if _, err := p.Eval(db); err != nil {
+	if _, err := NewIncremental(p, db); err != nil {
 		t.Fatal(err)
 	}
 	if db.Get("go_fans").Len() != 2 {
@@ -320,7 +319,7 @@ func TestAggregates(t *testing.T) {
 		Rule{Head: Atom{Pred: "biggest", Args: []Term{V("r"), V("amt")}}, Body: body, Agg: AggMax, AggVar: "amt"},
 		Rule{Head: Atom{Pred: "smallest", Args: []Term{V("r"), V("amt")}}, Body: body, Agg: AggMin, AggVar: "amt"},
 	)
-	if _, err := p.Eval(db); err != nil {
+	if _, err := NewIncremental(p, db); err != nil {
 		t.Fatal(err)
 	}
 	if !db.Get("total").Contains(Tuple{"west", int64(15)}) {
@@ -348,7 +347,7 @@ func TestAggregateOverRecursion(t *testing.T) {
 	})
 	db := edgeDB([2]string{"a", "b"}, [2]string{"b", "c"})
 	p := mustProgram(t, rules...)
-	if _, err := p.Eval(db); err != nil {
+	if _, err := NewIncremental(p, db); err != nil {
 		t.Fatal(err)
 	}
 	if !db.Get("reach_count").Contains(Tuple{int64(2)}) {
@@ -452,10 +451,10 @@ func TestPositiveProgramMonotoneQuick(t *testing.T) {
 		p := mustProgram(t, tc()...)
 		small := edgeDB(base...)
 		big := edgeDB(append(append([][2]string{}, base...), extra...)...)
-		if _, err := p.Eval(small); err != nil {
+		if _, err := NewIncremental(p, small); err != nil {
 			return false
 		}
-		if _, err := p.Eval(big); err != nil {
+		if _, err := NewIncremental(p, big); err != nil {
 			return false
 		}
 		for _, tup := range small.Get("path").Tuples() {

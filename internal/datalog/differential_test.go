@@ -13,9 +13,9 @@ import (
 // This file is the differential property test guarding the compiled
 // evaluator: random small programs (chains, cycles, multi-way joins,
 // stratified negation, aggregates, filters) run through both the planned
-// semi-naive Eval and the interpretive naive EvalNaive, and the fixpoints
-// must be identical relation by relation. A planner or executor bug that
-// changes semantics, not just speed, fails here.
+// semi-naive seed of NewIncremental and the interpretive naive EvalNaive,
+// and the fixpoints must be identical relation by relation. A planner or
+// executor bug that changes semantics, not just speed, fails here.
 
 // randFact returns a random constant from a small mixed-type domain.
 func randConst(r *rand.Rand) any {
@@ -151,16 +151,25 @@ func randRules(r *rand.Rand) []Rule {
 }
 
 // runBoth evaluates the same program over clones of the same EDB with the
-// compiled and the naive evaluator and reports any divergence.
+// compiled plans (NewIncremental's seed) and the naive evaluator and
+// reports any divergence.
 func runBoth(rules []Rule, db *Database) error {
 	p, err := NewProgram(rules...)
 	if err != nil {
 		return fmt.Errorf("program rejected: %w", err)
 	}
 	dbC, dbN := db.Clone(), db.Clone()
-	nC, err := p.Eval(dbC)
-	if err != nil {
-		return fmt.Errorf("Eval: %w", err)
+	if _, err := NewIncremental(p, dbC); err != nil {
+		return fmt.Errorf("NewIncremental: %w", err)
+	}
+	// Heads start empty, so the derived relations' total size is the
+	// number of rows the seed derived.
+	nC, heads := 0, map[string]bool{}
+	for _, r := range rules {
+		if !heads[r.Head.Pred] {
+			heads[r.Head.Pred] = true
+			nC += dbC.Get(r.Head.Pred).Len()
+		}
 	}
 	nN, err := p.EvalNaive(dbN)
 	if err != nil {
@@ -216,13 +225,62 @@ func TestDifferentialCompiledVsNaive(t *testing.T) {
 	}
 }
 
+// TestDeltaLiteralConstants: a constant in the literal a round drives from
+// its delta filters the delta's rows (randRules puts constants only under
+// negation). lab spreads the label "a" along e. The seed's rounds drive the
+// recursive lab(x, "a") from lab rows of either label, and Apply drives it
+// from init and e changes; each must match EvalNaive on the same base data.
+func TestDeltaLiteralConstants(t *testing.T) {
+	p := mustProgram(t,
+		Rule{Head: Atom{Pred: "lab", Args: []Term{V("x"), V("l")}}, Body: []Literal{{Atom: Atom{Pred: "init", Args: []Term{V("x"), V("l")}}}}},
+		Rule{Head: Atom{Pred: "lab", Args: []Term{V("y"), C("a")}}, Body: []Literal{
+			{Atom: Atom{Pred: "lab", Args: []Term{V("x"), C("a")}}},
+			{Atom: Atom{Pred: "e", Args: []Term{V("x"), V("y")}}},
+		}},
+	)
+	edb := NewDatabase()
+	edb.Ensure("init", 2)
+	edb.Ensure("e", 2)
+	inc, err := NewIncremental(p, edb.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tick := range [][]DeltaOp{
+		{{Pred: "init", T: Tuple{int64(1), "a"}}, {Pred: "init", T: Tuple{int64(5), "b"}},
+			{Pred: "e", T: Tuple{int64(1), int64(2)}}, {Pred: "e", T: Tuple{int64(5), int64(6)}}},
+		{{Pred: "e", T: Tuple{int64(2), int64(3)}}, {Pred: "e", T: Tuple{int64(6), int64(7)}}},
+		{{Pred: "init", T: Tuple{int64(5), "b"}, Del: true}, {Pred: "init", T: Tuple{int64(1), "b"}}},
+	} {
+		for _, op := range tick {
+			edb.realize(op)
+			inc.DB().realize(op)
+		}
+		if _, err := inc.Apply(&Delta{ops: tick}); err != nil {
+			t.Fatal(err)
+		}
+		seeded, naive := edb.Clone(), edb.Clone()
+		if _, err := NewIncremental(p, seeded); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.EvalNaive(naive); err != nil {
+			t.Fatal(err)
+		}
+		if err := diffDatabases("seed vs naive", seeded, naive); err != nil {
+			t.Errorf("tick %d: %v", i, err)
+		}
+		if err := diffDatabases("Apply vs naive", inc.DB(), naive); err != nil {
+			t.Fatalf("tick %d: %v", i, err)
+		}
+	}
+}
+
 // TestComponentOrderProperty checks the component order as a property.
-// EvalNaive walks the same components as Eval, so the differential tests
-// need not see an ordering bug; here, over random programs with their rules
-// shuffled, every component reads only base relations, its own heads and
-// earlier components' heads, a negated literal or an aggregate rule reads
-// only earlier components, each component keeps program order, and the
-// naive fixpoint is the same under every order. Three unstratifiable
+// EvalNaive walks the same components as NewIncremental's seed, so the
+// differential tests need not see an ordering bug; here, over random
+// programs with their rules shuffled, every component reads only base
+// relations, its own heads and earlier components' heads, a negated literal
+// or an aggregate rule reads only earlier components, each component keeps
+// program order, and the naive fixpoint is the same under every order. Three unstratifiable
 // programs are refused at NewProgram.
 func TestComponentOrderProperty(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
@@ -337,7 +395,7 @@ func TestDifferentialPreparedDerive(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if _, err := p.Eval(db); err != nil {
+		if _, err := NewIncremental(p, db); err != nil {
 			return false
 		}
 		pivot := randConst(r)
@@ -431,7 +489,7 @@ func randEDBTuple(r *rand.Rand, pred string) Tuple {
 // TestDifferentialThreeWayIncremental is this PR's headline property: across
 // randomized tick sequences with interleaved inserts AND deletes, the
 // cross-tick incremental evaluator maintains exactly the fixpoint that both
-// the compiled semi-naive Eval and the interpretive EvalNaive compute from
+// the compiled semi-naive seed and the interpretive EvalNaive compute from
 // scratch on the same base data. The failing seed is printed for
 // reproduction.
 func TestDifferentialThreeWayIncremental(t *testing.T) {
@@ -482,8 +540,8 @@ func TestDifferentialThreeWayIncremental(t *testing.T) {
 				return false
 			}
 			refC := edb.Clone()
-			if _, err := p.Eval(refC); err != nil {
-				t.Logf("seed %d tick %d: Eval: %v", seed, tick, err)
+			if _, err := NewIncremental(p, refC); err != nil {
+				t.Logf("seed %d tick %d: NewIncremental: %v", seed, tick, err)
 				return false
 			}
 			if err := diffDatabases("incremental vs compiled", inc.DB(), refC); err != nil {
@@ -668,8 +726,8 @@ func TestProgramNotMadeByNewProgramRefused(t *testing.T) {
 		Body: []Literal{{Atom: Atom{Pred: "e", Args: []Term{V("x")}}}},
 	}}}
 	db := NewDatabase()
-	if _, err := p.Eval(db); err == nil {
-		t.Error("Eval accepted a Program NewProgram did not make")
+	if _, err := p.EvalNaive(db); err == nil {
+		t.Error("EvalNaive accepted a Program NewProgram did not make")
 	}
 	if _, err := NewIncremental(p, db); err == nil {
 		t.Error("NewIncremental accepted a Program NewProgram did not make")

@@ -45,7 +45,7 @@ func applyBase(t *testing.T, inc *Incremental, edb *Database, ins, del []Tuple) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Eval(ref); err != nil {
+	if _, err := NewIncremental(p, ref); err != nil {
 		t.Fatal(err)
 	}
 	if err := diffDatabases("dred vs eval", inc.DB(), ref); err != nil {
@@ -158,7 +158,7 @@ func TestDRedDeltaExactness(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := edb.Clone()
-	if _, err := p.Eval(ref); err != nil {
+	if _, err := NewIncremental(p, ref); err != nil {
 		t.Fatal(err)
 	}
 	if err := diffDatabases("dred vs eval", inc.DB(), ref); err != nil {

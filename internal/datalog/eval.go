@@ -19,9 +19,10 @@ type Program struct {
 	arity map[string]int
 }
 
-// NewProgram compiles rules, validating each one (Rule.Validate): their
-// evaluation components, arities, slot numbering, join orders and filter
-// placement.
+// NewProgram compiles rules, checking each one for range restriction (every
+// head, filter and aggregate variable bound by a positive body literal, and
+// no variable only under negation): their evaluation components, arities,
+// slot numbering, join orders and filter placement.
 func NewProgram(rules ...Rule) (*Program, error) {
 	comps, arity, err := components(rules)
 	if err != nil {
@@ -38,28 +39,6 @@ func NewProgram(rules ...Rule) (*Program, error) {
 		p.strata = append(p.strata, plans)
 	}
 	return p, nil
-}
-
-// Eval runs the program to fixpoint over db using semi-naive (differential)
-// evaluation per component, executing compiled plans. It mutates db in
-// place, registering the program's relations first, and returns the number
-// of derived tuples. Components run one after another in the order
-// NewProgram emits them, which is topological: a component only reads
-// heads of earlier ones.
-func (p *Program) Eval(db *Database) (int, error) {
-	if _, err := p.register(db); err != nil {
-		return 0, err
-	}
-	derived := 0
-	var rounds roundBufs
-	for _, plans := range p.strata {
-		n, err := evalStratumSemiNaive(db, plans, &rounds)
-		if err != nil {
-			return derived, err
-		}
-		derived += n
-	}
-	return derived, nil
 }
 
 // EvalNaive runs the program with naive (all-at-once) iteration: every rule
@@ -112,8 +91,9 @@ func (p *Program) EvalNaive(db *Database) (int, error) {
 // re-derive each positive body literal from the previous round's new rows
 // until none is new. Aggregate rules run once after the non-aggregate
 // fixpoint (they read only earlier components, whose relations are final).
-func evalStratumSemiNaive(db *Database, plans []*rulePlan, rounds *roundBufs) (int, error) {
-	derived := 0
+// It is the one from-scratch fixpoint: NewIncremental's seed and a
+// recomputed component's re-evaluation.
+func evalStratumSemiNaive(db *Database, plans []*rulePlan, rounds *roundBufs) error {
 	seed := map[string]*rowList{}
 	var out rowList // reused derivation buffer
 	for _, pl := range plans {
@@ -127,25 +107,23 @@ func evalStratumSemiNaive(db *Database, plans []*rulePlan, rounds *roundBufs) (i
 		for k, n := 0, out.len(); k < n; k++ {
 			if w := out.row(k); rel.insertRow(w) {
 				d.add(w)
-				derived++
 			}
 		}
 	}
 	rounds.rotate()
 	for frontier := seed; ; frontier = rounds.cur {
-		grew := derived
+		grew := false
 		rounds.driveOnce(db, plans, frontier, preBatch{}, nil, 1, func(rel *Relation, w []uint64, _ int) {
 			if rel.insertRow(w) {
 				rowsOf(rounds.next, rel.Name, rel.Arity).add(w)
-				derived++
+				grew = true
 			}
 		})
-		if rounds.rotate(); derived == grew {
+		if rounds.rotate(); !grew {
 			break
 		}
 	}
-	n, err := evalAggregatesPlanned(db, plans)
-	return derived + n, err
+	return evalAggregatesPlanned(db, plans)
 }
 
 // deriveRule is the interpretive evaluator kept as the naive baseline: it
@@ -169,7 +147,7 @@ func deriveRule(db *Database, r Rule) []Tuple {
 			for j, t := range r.Head.Args {
 				v, ok := b.resolve(t)
 				if !ok {
-					return // unbound head var (Validate prevents this)
+					return // unbound head var (NewProgram rejects this)
 				}
 				head[j] = v
 			}
@@ -280,8 +258,7 @@ func foldGroups(rel *Relation, kind AggKind, headPred string, g *groupTable) (in
 
 // evalAggregatesPlanned runs a component's aggregate rules once off compiled
 // plans, grouping by the non-aggregate head arguments.
-func evalAggregatesPlanned(db *Database, plans []*rulePlan) (int, error) {
-	derived := 0
+func evalAggregatesPlanned(db *Database, plans []*rulePlan) error {
 	for _, pl := range plans {
 		if pl.r.Agg == "" {
 			continue
@@ -289,13 +266,11 @@ func evalAggregatesPlanned(db *Database, plans []*rulePlan) (int, error) {
 		rel := db.Get(pl.r.Head.Pred)
 		g := newGroupTable(rel.dict, rel.Arity)
 		pl.run(db, nil, g.add)
-		n, err := foldGroups(rel, pl.r.Agg, pl.r.Head.Pred, g)
-		derived += n
-		if err != nil {
-			return derived, err
+		if _, err := foldGroups(rel, pl.r.Agg, pl.r.Head.Pred, g); err != nil {
+			return err
 		}
 	}
-	return derived, nil
+	return nil
 }
 
 // evalAggregatesNaive is the interpretive aggregate path used by EvalNaive:

@@ -11,9 +11,9 @@ import (
 // randRules) and a starting EDB, and the op bytes drive a tick sequence of
 // interleaved base-relation inserts and deletes. After every tick the
 // maintained incremental fixpoint must equal both the compiled semi-naive
-// Eval and the interpretive EvalNaive run from scratch on the same base
-// data. A poison op makes a tick fail where a sum reads it: Apply must fail
-// exactly when Eval on the post-tick base data does, and once the tick's
+// seed (NewIncremental) and the interpretive EvalNaive run from scratch on
+// the same base data. A poison op makes a tick fail where a sum reads it:
+// Apply must fail exactly when the seed on the post-tick base data does, and once the tick's
 // base ops are undone the evaluator must match both again and keep
 // matching. The seed corpus under testdata/fuzz/ pins delete-heavy,
 // churn-heavy and poisoned sequences; `make fuzz` runs a short generative
@@ -84,8 +84,8 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 		flush := func() {
 			_, err := inc.Apply(delta)
 			refC := edb.Clone()
-			if _, errC := p.Eval(refC); (err == nil) != (errC == nil) {
-				t.Fatalf("Apply: %v, but Eval on the same base data: %v", err, errC)
+			if _, errC := NewIncremental(p, refC); (err == nil) != (errC == nil) {
+				t.Fatalf("Apply: %v, but NewIncremental on the same base data: %v", err, errC)
 			}
 			if err != nil {
 				// Apply rolled its derived changes back; the tick's base
@@ -93,8 +93,8 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 				inc.DB().Undo(delta.Ops())
 				edb.Undo(delta.Ops())
 				refC = edb.Clone()
-				if _, err := p.Eval(refC); err != nil {
-					t.Fatalf("Eval after the rejected tick's undo: %v", err)
+				if _, err := NewIncremental(p, refC); err != nil {
+					t.Fatalf("NewIncremental after the rejected tick's undo: %v", err)
 				}
 			}
 			delta = NewDelta()

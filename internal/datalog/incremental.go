@@ -213,7 +213,10 @@ func newIncrementalCore(p *Program, db *Database) (*Incremental, []string, error
 }
 
 // NewIncremental registers p's relations in db and seeds the fixpoint into
-// it. Derived relations must not contain base tuples.
+// it: semi-naive evaluation off the compiled plans, one component after
+// another in the order NewProgram emits them (topological: a component
+// only reads heads of earlier ones). Derived relations must not contain
+// base tuples.
 func NewIncremental(p *Program, db *Database) (*Incremental, error) {
 	for _, r := range p.Rules {
 		if rel := db.Get(r.Head.Pred); rel != nil && rel.Len() > 0 {
@@ -225,7 +228,7 @@ func NewIncremental(p *Program, db *Database) (*Incremental, error) {
 		return nil, err
 	}
 	for i := range inc.comps {
-		if err := inc.seed(&inc.comps[i]); err != nil {
+		if err := evalStratumSemiNaive(db, inc.comps[i].plans, &inc.rounds); err != nil {
 			// Roll the partial materialization back: earlier components
 			// already seeded their fixpoints into db, and leaving them
 			// behind would serve the caller stale derived tuples as base
@@ -247,12 +250,6 @@ func NewIncremental(p *Program, db *Database) (*Incremental, error) {
 // DB returns the maintained database: base relations plus the current
 // fixpoint of every derived relation.
 func (inc *Incremental) DB() *Database { return inc.db }
-
-// seed computes a component's initial fixpoint.
-func (inc *Incremental) seed(c *incComponent) error {
-	_, err := evalStratumSemiNaive(inc.db, c.plans, &inc.rounds)
-	return err
-}
 
 // Apply folds one batch of base-relation changes — already applied to the
 // database by the caller — into the maintained fixpoint. It returns the

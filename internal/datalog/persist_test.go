@@ -130,7 +130,7 @@ func TestStateRoundTrip(t *testing.T) {
 
 // TestStateRoundTripRandomized: the three-way differential harness's
 // program shapes, with a capture/restore in the middle of a random tick
-// sequence — the restored evaluator must stay equivalent to scratch Eval.
+// sequence — the restored evaluator must stay equivalent to a from-scratch seed.
 func TestStateRoundTripRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -171,7 +171,7 @@ func TestStateRoundTripRandomized(t *testing.T) {
 				}
 			}
 			ref := edb.Clone()
-			if _, err := p.Eval(ref); err != nil {
+			if _, err := NewIncremental(p, ref); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 			if err := diffDatabases("restored incremental vs compiled", inc.DB(), ref); err != nil {
@@ -305,7 +305,7 @@ func TestApplyRejectsInconsistentDelta(t *testing.T) {
 		// A delete of a tuple that was never present passes the membership
 		// check (it is absent now), and no derivation counts exist for it to
 		// break: DRed over-deletes only the rows the tuple supported — none
-		// here — so the fixpoint stays what Eval computes.
+		// here — so the fixpoint stays what a from-scratch seed computes.
 		inc, db := setup()
 		d := NewDelta()
 		d.Delete("attr", Tuple{"b", int64(7)}) // never existed; joins with path(a,b)
@@ -315,7 +315,7 @@ func TestApplyRejectsInconsistentDelta(t *testing.T) {
 		ref := NewDatabase()
 		ref.Ensure("edge", 2).Insert(Tuple{"a", "b"})
 		ref.Ensure("attr", 2).Insert(Tuple{"b", int64(1)})
-		if _, err := inc.prog.Eval(ref); err != nil {
+		if _, err := NewIncremental(inc.prog, ref); err != nil {
 			t.Fatal(err)
 		}
 		if err := diffDatabases("after the phantom delete", inc.DB(), ref); err != nil {
@@ -335,8 +335,8 @@ func TestApplyRejectsInconsistentDelta(t *testing.T) {
 }
 
 // TestInsertReportedTwice: a batch that reports one realized insert twice,
-// followed by a batch that deletes the tuple, leaves the fixpoint Eval
-// computes — no stale reach_attr row. No caller in this repository sends
+// followed by a batch that deletes the tuple, leaves the fixpoint a
+// from-scratch seed computes — no stale reach_attr row. No caller in this repository sends
 // such a batch: the transducer, the shard replicas' routed ops and
 // changelog replay record only realized changes. The test pins that the
 // maintenance engine cannot be corrupted by one.
@@ -366,7 +366,7 @@ func TestInsertReportedTwice(t *testing.T) {
 	ref := NewDatabase()
 	ref.Ensure("edge", 2).Insert(Tuple{"a", "b"})
 	ref.Ensure("attr", 2)
-	if _, err := p.Eval(ref); err != nil {
+	if _, err := NewIncremental(p, ref); err != nil {
 		t.Fatal(err)
 	}
 	if err := diffDatabases("after the doubly reported insert and its delete", inc.DB(), ref); err != nil {

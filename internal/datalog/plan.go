@@ -13,9 +13,9 @@ import (
 // components in one Tarjan pass (components), splits every literal's
 // columns into bound (probe) and free (bind) sets, greedily reorders body
 // literals by boundness, and pushes filters to the earliest point they are
-// evaluable. Eval, PreparedRule.Derive, the aggregate path, every
-// Incremental maintenance strategy and the shard replicas' Ticks all
-// execute these plans.
+// evaluable. NewIncremental's from-scratch seed, PreparedRule.Derive, the
+// aggregate path, every Incremental maintenance strategy and the shard
+// replicas' Ticks all execute these plans.
 // The interpretive binding-map walk (deriveRule in eval.go, behind
 // EvalNaive) is the oracle only: the reference the differential tests
 // compare every plan-driven path against, and BenchmarkEvalNaiveTCChain's
@@ -96,8 +96,9 @@ type rulePlan struct {
 	supportChecks  [][2]int
 }
 
-// validateWith is the range-restriction check (Rule.Validate) with
-// caller-provided pre-bound variables (handler parameters in compiled
+// validateWith is the range-restriction check — every head, filter and
+// aggregate variable bound by a positive body literal, no variable only
+// under negation — with caller-provided pre-bound variables (handler parameters in compiled
 // send-rules). An aggregate rule's final head argument is the output slot,
 // filled by the aggregate rather than a body binding.
 func validateWith(r Rule, preBound []string) error {

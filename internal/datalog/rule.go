@@ -119,11 +119,6 @@ func (r Rule) String() string {
 	return r.Head.String() + " :- " + strings.Join(parts, ", ") + "."
 }
 
-// Validate checks range restriction: every head variable and every filter
-// variable must be bound by a positive body literal, and negated literals
-// must not introduce new variables.
-func (r Rule) Validate() error { return validateWith(r, nil) }
-
 // binding maps variable names to constants during evaluation.
 type binding map[string]any
 
@@ -146,7 +141,7 @@ func (b binding) resolve(t Term) (any, bool) {
 }
 
 // evalFilter applies a comparison under a binding. Unresolvable terms fail
-// closed (Validate rules that out for well-formed rules).
+// closed (NewProgram rules that out for well-formed rules).
 func evalFilter(f Filter, b binding) bool {
 	l, okL := b.resolve(f.L)
 	r, okR := b.resolve(f.R)

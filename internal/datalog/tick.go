@@ -317,7 +317,7 @@ func (t *Tick) recompute() error {
 		old[h] = db.Get(h).Clone()
 		db.Get(h).Clear()
 	}
-	_, err := evalStratumSemiNaive(db, t.c.plans, &t.inc.rounds)
+	err := evalStratumSemiNaive(db, t.c.plans, &t.inc.rounds)
 	for _, h := range t.c.Heads {
 		rel, was := db.Get(h), old[h]
 		if err != nil {

@@ -41,7 +41,8 @@ func watchTick(inc *Incremental, d *Delta, watch func(Change)) (*Tick, error) {
 // TestTickAbortRestoresFixpoint: on random programs (recursive,
 // non-recursive and non-monotone components) and delete-heavy batches, an
 // aborted Tick leaves the database — base rows and derived rows — as it
-// found it, and the same batch stepped again and kept equals Eval.
+// found it, and the same batch stepped again and kept equals a from-scratch
+// seed.
 func TestTickAbortRestoresFixpoint(t *testing.T) {
 	check := func(seed int64) error {
 		r := rand.New(rand.NewSource(seed))
@@ -93,7 +94,7 @@ func TestTickAbortRestoresFixpoint(t *testing.T) {
 				}
 			}
 			ref := edb.Clone()
-			if _, err := p.Eval(ref); err != nil {
+			if _, err := NewIncremental(p, ref); err != nil {
 				return err
 			}
 			if err := diffDatabases("stepped vs compiled", inc.DB(), ref); err != nil {
@@ -163,7 +164,7 @@ func TestRoundShipsEachRowOnce(t *testing.T) {
 // pattern — insert→delete→insert, delete→insert→delete, insert→delete and
 // delete→insert — beside attr, which only inserts. Netting leaves each
 // tuple's change on one side, or none, and Apply and the stepped Tick
-// each reach Eval's fixpoint.
+// each reach the from-scratch seed's fixpoint.
 func TestDeltaNetsChurn(t *testing.T) {
 	rules := append(tc(), Rule{
 		Head: Atom{Pred: "reach_attr", Args: []Term{V("x"), V("v")}},
@@ -210,7 +211,7 @@ func TestDeltaNetsChurn(t *testing.T) {
 	}
 	ref := base.Clone()
 	apply(ref)
-	if _, err := p.Eval(ref); err != nil {
+	if _, err := NewIncremental(p, ref); err != nil {
 		t.Fatal(err)
 	}
 

@@ -212,7 +212,6 @@ func TestIntegerComparisonIsExact(t *testing.T) {
 		db.Ensure("m", 2).Insert(Tuple{e, e + 1})
 	}
 	run := map[string]func(*Database) error{
-		"Eval":      func(db *Database) error { _, err := p.Eval(db); return err },
 		"EvalNaive": func(db *Database) error { _, err := p.EvalNaive(db); return err },
 		"Incremental": func(db *Database) error {
 			_, err := NewIncremental(p, db)

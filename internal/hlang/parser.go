@@ -68,11 +68,6 @@ func (p *parser) atPunct(s string) bool {
 	return t.kind == tokPunct && t.text == s
 }
 
-func (p *parser) atIdent(s string) bool {
-	t := p.cur()
-	return t.kind == tokIdent && t.text == s
-}
-
 func (p *parser) program() (*Program, error) {
 	prog := &Program{
 		Availability: map[string]AvailSpec{},

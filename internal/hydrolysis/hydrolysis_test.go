@@ -198,7 +198,7 @@ on add(n: int) { merge nums(n) }
 	rt.Tick() // queries evaluate against the snapshot including inserts
 	var got []datalog.Tuple
 	rt.RegisterHandler("probe", func(tx *transducer.Tx, msg transducer.Message) {
-		got = tx.Query("big")
+		got = tx.QueryWhere("big", nil, nil)
 	})
 	rt.Inject("probe", datalog.Tuple{})
 	rt.Tick()
@@ -244,7 +244,7 @@ on add(a: int, b: int) { merge edge(a, b) }
 	rt.Tick()
 	var got []datalog.Tuple
 	rt.RegisterHandler("probe", func(tx *transducer.Tx, msg transducer.Message) {
-		got = tx.Query("sources")
+		got = tx.QueryWhere("sources", nil, nil)
 	})
 	rt.Inject("probe", datalog.Tuple{})
 	rt.Tick()

@@ -417,7 +417,14 @@ func (e *env) eval(x hlang.Expr) (any, error) {
 			}
 			args[i] = val
 		}
-		return fn(args), nil
+		// The result enters tables as the declared type, as a parameter
+		// does; a result not of that type fails the invocation.
+		want := e.c.Program.UDF(v.Func).Result
+		res, ok := typed(want, fn(args))
+		if !ok {
+			return nil, fmt.Errorf("udf %s returned a value not of type %s", v.Func, want)
+		}
+		return res, nil
 	case *hlang.BinExpr:
 		return e.evalBin(v)
 	}

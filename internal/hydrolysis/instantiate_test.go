@@ -302,3 +302,58 @@ on guarded(n: int) require(%[1]s) {
 		}
 	}
 }
+
+// TestUDFResultIsTyped: a UDF's result enters tables as its declared type.
+// g returns a Go int for a udf declared `: int`; the row it merges into t
+// is the int64 5 that u holds too, so the join j sees it and a delete of
+// t(5) removes it. A result not of the declared type aborts the invocation
+// like a mistyped parameter.
+func TestUDFResultIsTyped(t *testing.T) {
+	c, err := Compile(`
+udf g(int) : int
+udf bad(int) : int
+
+table t(x: int)
+table u(x: int)
+
+query j(x) :- t(x), u(x)
+
+on put(a: int) {
+    merge t(g(a))
+    merge u(a)
+}
+
+on putbad(a: int) {
+    merge t(bad(a))
+}
+
+on del(a: int) {
+    delete t(a)
+}
+`, Options{UDFs: map[string]UDF{
+		"g":   func(args []any) any { return int(args[0].(int64)) },
+		"bad": func(args []any) any { return "five" },
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := c.Instantiate("n1", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Inject("put", datalog.Tuple{int64(5)})
+	rt.RunUntilIdle(5)
+	if !rt.Table("j").Contains(datalog.Tuple{int64(5)}) {
+		t.Fatalf("j = %v with t = %v and u = %v, want j(5)", rt.Table("j").Tuples(), rt.Table("t").Tuples(), rt.Table("u").Tuples())
+	}
+	rt.Inject("putbad", datalog.Tuple{int64(6)})
+	rt.RunUntilIdle(5)
+	if got := rt.Stats().Aborted; got != 1 {
+		t.Fatalf("a string result for an int udf: Aborted = %d, want 1", got)
+	}
+	rt.Inject("del", datalog.Tuple{int64(5)})
+	rt.RunUntilIdle(5)
+	if rt.Table("t").Len() != 0 || rt.Table("j").Len() != 0 {
+		t.Fatalf("after delete t(5): t = %v, j = %v, want both empty", rt.Table("t").Tuples(), rt.Table("j").Tuples())
+	}
+}

@@ -61,37 +61,9 @@ func TestServeSerialCutsBatch(t *testing.T) {
 	}
 }
 
-// TestServeDeadlineShed: a request whose enqueue age exceeds its deadline
-// is shed with ErrDeadlineExceeded before occupying a tick slot; fresh
-// batchmates are unaffected.
-func TestServeDeadlineShed(t *testing.T) {
-	s := New(newGraphRuntime(t, 1), Config{MaxBatch: 4, MaxWait: time.Millisecond, QueueDepth: 16})
-	defer s.Close()
-	release := holdLoop(t, s)
-	stale, err := s.Submit(Request{Mailbox: "add_edge", Payload: datalog.Tuple{int64(1), int64(2)}, Deadline: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := mustSubmit(t, s, "add_edge", datalog.Tuple{int64(2), int64(3)})
-	time.Sleep(5 * time.Millisecond) // let the stale request's deadline lapse in the queue
-	release()
-	if r := stale.Wait(); !errors.Is(r.Err, ErrDeadlineExceeded) || !r.Timing.Rejected {
-		t.Fatalf("stale request resp = %+v, want ErrDeadlineExceeded", r)
-	}
-	if r := fresh.Wait(); r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	if m := s.Metrics(); m.DeadlineShed != 1 {
-		t.Fatalf("DeadlineShed = %d, want 1", m.DeadlineShed)
-	}
-	if got := len(rt0Tuples(t, s, "edge")); got != 1 {
-		t.Fatalf("edge has %d rows, want only the fresh request's 1", got)
-	}
-}
-
 // TestServeGaugeNeverNegative is the regression for the queue-depth gauge
 // race: Submit used to increment after the channel send, so the loop's
-// decrement could land first and QueueDepth() could read negative. Hammer
+// decrement could land first and the gauge could read negative. Hammer
 // concurrent submitters against the dequeuing loop and sample the gauge
 // throughout (run under -race in CI).
 func TestServeGaugeNeverNegative(t *testing.T) {
@@ -112,7 +84,7 @@ func TestServeGaugeNeverNegative(t *testing.T) {
 				return
 			default:
 			}
-			if d := s.QueueDepth(); d < 0 {
+			if d := s.Metrics().QueueDepth; d < 0 {
 				t.Errorf("QueueDepth = %d, gauge went negative", d)
 				return
 			}
@@ -143,7 +115,7 @@ func TestServeGaugeNeverNegative(t *testing.T) {
 	}
 	close(stopSampling)
 	sampler.Wait()
-	if d := s.QueueDepth(); d != 0 {
+	if d := s.Metrics().QueueDepth; d != 0 {
 		t.Fatalf("drained gauge = %d, want 0", d)
 	}
 	// The gauge must have moved, and can exceed QueueDepth only by the

@@ -25,7 +25,6 @@ type metrics struct {
 	retried         atomic.Uint64 // messages re-injected one-per-tick after a rejected batch
 	failed          atomic.Uint64 // requests answered with a rejection error
 	unsettled       atomic.Uint64 // batches whose cascade did not quiesce within settleTicks
-	deadlineShed    atomic.Uint64 // admitted requests shed past their deadline before a tick slot
 	closedUnserved  atomic.Uint64 // admitted requests abandoned with ErrClosed at Shed-policy Close
 	evalBusyNs      atomic.Int64  // serve-loop time inside batch work (runWork)
 
@@ -60,8 +59,10 @@ type Metrics struct {
 	Retried         uint64
 	Failed          uint64
 	Unsettled       uint64
-	DeadlineShed    uint64 // admitted requests shed past their deadline
-	ClosedUnserved  uint64 // admitted requests abandoned at Shed-policy Close
+	// Deprecated: DeadlineShed counted requests shed past a per-request
+	// deadline, which no longer exists; it always reads 0.
+	DeadlineShed   uint64
+	ClosedUnserved uint64 // admitted requests abandoned at Shed-policy Close
 
 	// Deprecated: CollectWaitNs measured a two-stage serving pipeline that
 	// no longer exists; it always reads 0.
@@ -98,7 +99,6 @@ func (m *metrics) snapshot() Metrics {
 		Retried:         m.retried.Load(),
 		Failed:          m.failed.Load(),
 		Unsettled:       m.unsettled.Load(),
-		DeadlineShed:    m.deadlineShed.Load(),
 		ClosedUnserved:  m.closedUnserved.Load(),
 		EvalBusyNs:      m.evalBusyNs.Load(),
 		TickDeliverNs:   m.tickDeliverNs.Load(),

@@ -11,8 +11,7 @@
 // the batch.
 //
 // Serving is one loop: a single goroutine dequeues admitted requests in
-// admission order, sheds those whose enqueue age already exceeds their
-// deadline, cuts batches and runs each batch's tick inline, so the
+// admission order, cuts batches and runs each batch's tick inline, so the
 // executed order is the admission order, end to end. Backpressure runs
 // from the loop through the bounded admission queue to the submitter, who
 // either blocks (Block) or fails fast (Shed). Every response carries the
@@ -71,9 +70,6 @@ var (
 	// ErrNoHandler rejects requests addressed to a mailbox no handler
 	// consumes; admitting them would queue work no tick ever drains.
 	ErrNoHandler = errors.New("serve: no handler for mailbox")
-	// ErrDeadlineExceeded resolves a request shed because its enqueue age
-	// exceeded its deadline before it reached a tick slot.
-	ErrDeadlineExceeded = errors.New("serve: request deadline exceeded before service")
 )
 
 // Policy selects the backpressure behavior when the admission queue is
@@ -142,10 +138,6 @@ const settleTicks = 256
 type Request struct {
 	Mailbox string
 	Payload datalog.Tuple
-	// Deadline, when positive, bounds this request's enqueue age: if it
-	// has not reached a tick slot within Deadline of Submit it is shed
-	// with ErrDeadlineExceeded. Zero means no deadline.
-	Deadline time.Duration
 }
 
 // Response resolves one admitted request.
@@ -156,8 +148,8 @@ type Response struct {
 	// after the correlation ID), nil if the handler did not reply.
 	Reply datalog.Tuple
 	// Err is non-nil when the request's tick was rejected by the
-	// evaluator or durability sink, the request was shed past its
-	// deadline, or the server closed before serving it.
+	// evaluator or durability sink, or the server closed before serving
+	// it.
 	Err error
 	// Timing is the request's per-phase latency breakdown.
 	Timing RequestTiming
@@ -174,15 +166,10 @@ func (p *Pending) Done() <-chan Response { return p.ch }
 func (p *Pending) Wait() Response { return <-p.ch }
 
 type pendingReq struct {
-	req    Request
-	enq    time.Time
-	deq    time.Time // dequeued from the admission queue (batch deadline base)
-	deadAt time.Time // zero: no deadline
-	resp   chan Response
-}
-
-func (p *pendingReq) expired(now time.Time) bool {
-	return !p.deadAt.IsZero() && now.After(p.deadAt)
+	req  Request
+	enq  time.Time
+	deq  time.Time // dequeued from the admission queue (batch deadline base)
+	resp chan Response
 }
 
 type flushReason int
@@ -193,11 +180,6 @@ const (
 	flushSerial // a serializable request's singleton
 	flushCut    // the pending prefix a serializable request cuts
 	flushClose
-	// flushExpired and flushAbandoned are respond-only: the batch never
-	// reaches the runtime, every member resolves with an error
-	// (ErrDeadlineExceeded / ErrClosed).
-	flushExpired
-	flushAbandoned
 )
 
 // Server is the serving shell around one transducer runtime.
@@ -301,9 +283,6 @@ func (s *Server) Submit(req Request) (*Pending, error) {
 		return nil, ErrClosed
 	}
 	p := &pendingReq{req: req, enq: time.Now(), resp: make(chan Response, 1)}
-	if d := req.Deadline; d > 0 {
-		p.deadAt = p.enq.Add(d)
-	}
 	// The gauge increments before the send so a dequeue can never outrun
 	// it (the old after-send order let the loop's decrement land
 	// first, and QueueDepth could transiently read negative). The cost is
@@ -343,9 +322,6 @@ func (s *Server) Sync(fn func(rt *transducer.Runtime)) error {
 
 // Metrics snapshots the server's gauges and counters.
 func (s *Server) Metrics() Metrics { return s.m.snapshot() }
-
-// QueueDepth reads the admission-queue gauge.
-func (s *Server) QueueDepth() int { return int(s.m.queueDepth.Load()) }
 
 // Runtime returns the wrapped runtime. Only safe to use directly after
 // Close has returned (use Sync while the server is live).
@@ -392,7 +368,7 @@ func (s *Server) loop() {
 		default:
 		}
 		if len(batch) > 0 && time.Since(batch[0].deq) >= s.cfg.MaxWait {
-			s.cut(batch, flushDeadline)
+			s.runWork(batch, flushDeadline)
 			batch = batch[:0]
 			continue
 		}
@@ -423,53 +399,24 @@ func (s *Server) loop() {
 	}
 }
 
-// admit takes one dequeued request and returns the batch left pending. An
-// expired request is shed on the spot, a full batch is cut, and a
-// serializable request cuts the batch in place: the pending prefix ticks
-// first, then the request ticks alone — admission order is the executed
-// order.
+// admit takes one dequeued request and returns the batch left pending. A
+// full batch is cut, and a serializable request cuts the batch in place:
+// the pending prefix ticks first, then the request ticks alone — admission
+// order is the executed order.
 func (s *Server) admit(batch []*pendingReq, p *pendingReq) []*pendingReq {
 	s.m.gaugeDec()
 	p.deq = time.Now()
-	if p.expired(p.deq) {
-		s.runWork([]*pendingReq{p}, flushExpired)
-		return batch
-	}
 	if s.serial[p.req.Mailbox] {
-		s.cut(batch, flushCut)
+		s.runWork(batch, flushCut)
 		s.runWork([]*pendingReq{p}, flushSerial)
 		return batch[:0]
 	}
 	batch = append(batch, p)
 	if len(batch) >= s.cfg.MaxBatch {
-		s.cut(batch, flushSize)
+		s.runWork(batch, flushSize)
 		return batch[:0]
 	}
 	return batch
-}
-
-// cut runs a batch, first shedding the members whose deadline lapsed while
-// it was pending: they resolve with ErrDeadlineExceeded instead of
-// occupying tick slots.
-func (s *Server) cut(batch []*pendingReq, reason flushReason) {
-	now := time.Now()
-	live, dead := batch, []*pendingReq(nil)
-	for i, p := range batch {
-		if p.expired(now) {
-			// First expiry found: split the batch (rare path).
-			live = append([]*pendingReq(nil), batch[:i]...)
-			for _, q := range batch[i:] {
-				if q.expired(now) {
-					dead = append(dead, q)
-				} else {
-					live = append(live, q)
-				}
-			}
-			break
-		}
-	}
-	s.runWork(dead, flushExpired)
-	s.runWork(live, reason)
 }
 
 // drain settles the backlog after Close: the pending batch plus whatever
@@ -489,42 +436,33 @@ func (s *Server) drain(batch []*pendingReq) {
 		batch = append(batch, p)
 	}
 	if s.cfg.Policy == Block {
-		s.cut(batch, flushClose)
+		s.runWork(batch, flushClose)
 		return
 	}
-	s.runWork(batch, flushAbandoned)
+	for _, p := range batch {
+		s.m.closedUnserved.Add(1)
+		s.respondClosed(p)
+	}
 }
 
-// runWork runs one cut batch on the serve loop: a tick for a real batch,
-// an error response per member for a shed or abandoned one.
+// runWork runs one cut batch on the serve loop: its tick, then the fan-out
+// pump.
 func (s *Server) runWork(batch []*pendingReq, reason flushReason) {
 	if len(batch) == 0 {
 		return
 	}
 	t0 := time.Now()
-	switch reason {
-	case flushExpired:
-		for _, p := range batch {
-			s.m.deadlineShed.Add(1)
-			s.respondShed(p, ErrDeadlineExceeded)
-		}
-	case flushAbandoned:
-		for _, p := range batch {
-			s.m.closedUnserved.Add(1)
-			s.respondShed(p, ErrClosed)
-		}
-	default:
-		s.flush(batch, reason)
-		if s.cfg.FanoutPump != nil {
-			s.cfg.FanoutPump()
-		}
+	s.flush(batch, reason)
+	if s.cfg.FanoutPump != nil {
+		s.cfg.FanoutPump()
 	}
 	s.m.evalBusyNs.Add(time.Since(t0).Nanoseconds())
 }
 
-// respondShed resolves a request that never reached the runtime: no tick,
-// no message ID — just the admission phases it did traverse.
-func (s *Server) respondShed(p *pendingReq, err error) {
+// respondClosed resolves with ErrClosed a request that never reached the
+// runtime: no tick, no message ID — just the admission phases it did
+// traverse.
+func (s *Server) respondClosed(p *pendingReq) {
 	t := RequestTiming{
 		Mailbox:       p.req.Mailbox,
 		EnqueueUnixNs: p.enq.UnixNano(),
@@ -532,7 +470,7 @@ func (s *Server) respondShed(p *pendingReq, err error) {
 		Rejected:      true,
 	}
 	t.TotalNs = t.QueueNs
-	s.deliver(p, Response{Err: err, Timing: t})
+	s.deliver(p, Response{Err: ErrClosed, Timing: t})
 }
 
 // deliver resolves one request. Every admitted request passes through here

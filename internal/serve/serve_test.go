@@ -52,7 +52,7 @@ func newGraphRuntime(t testing.TB, seed int64) *transducer.Runtime {
 		tx.Reply("ok")
 	})
 	rt.RegisterHandler("count_paths", func(tx *transducer.Tx, msg transducer.Message) {
-		tx.Reply(int64(len(tx.Query("path"))))
+		tx.Reply(int64(len(tx.QueryWhere("path", nil, nil))))
 	})
 	rt.RegisterHandler("incr", func(tx *transducer.Tx, msg transducer.Message) {
 		tx.Assign("count", tx.ReadVar("count").(int64)+1)
@@ -155,7 +155,7 @@ func TestServeShedBackpressure(t *testing.T) {
 	release := holdLoop(t, s)
 	p1 := mustSubmit(t, s, "add_edge", datalog.Tuple{int64(1), int64(2)})
 	p2 := mustSubmit(t, s, "add_edge", datalog.Tuple{int64(2), int64(3)})
-	if got := s.QueueDepth(); got != 2 {
+	if got := s.Metrics().QueueDepth; got != 2 {
 		t.Fatalf("queue gauge = %d, want 2", got)
 	}
 	if _, err := s.Submit(Request{Mailbox: "add_edge", Payload: datalog.Tuple{int64(3), int64(4)}}); !errors.Is(err, ErrOverload) {
@@ -172,7 +172,7 @@ func TestServeShedBackpressure(t *testing.T) {
 	if m.Shed != 1 || m.Submitted != 2 || m.QueueHighWater != 3 {
 		t.Fatalf("shed=%d submitted=%d highwater=%d, want 1/2/3", m.Shed, m.Submitted, m.QueueHighWater)
 	}
-	if got := s.QueueDepth(); got != 0 {
+	if got := s.Metrics().QueueDepth; got != 0 {
 		t.Fatalf("drained queue gauge = %d, want 0", got)
 	}
 }

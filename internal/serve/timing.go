@@ -18,6 +18,6 @@ type RequestTiming struct {
 	EvalNs        int64 // batch tick + settle (shared across the batch)
 	RespondNs     int64 // settle end → response delivered
 	TotalNs       int64
-	Rejected      bool // rejected tick, deadline shed, or abandoned at Close
+	Rejected      bool // rejected tick, or abandoned at Close
 	Retried       bool // re-injected as a singleton after its batch tick was rejected
 }

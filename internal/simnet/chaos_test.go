@@ -207,7 +207,7 @@ func TestIncrementalDeleteChaosReconverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := refProg.Eval(refDB); err != nil {
+	if _, err := datalog.NewIncremental(refProg, refDB); err != nil {
 		t.Fatal(err)
 	}
 	wantPath := fmt.Sprint(refDB.Get("path").Tuples())

@@ -35,7 +35,7 @@ func TestMutationsDeferredToEndOfTick(t *testing.T) {
 	rt.RegisterHandler("add", func(tx *Tx, msg Message) {
 		tx.MergeTuple("people", datalog.Tuple{msg.Payload[0], false, false})
 		// Within the tick the snapshot must not show this tick's inserts.
-		sawDuringTick = len(tx.Query("people"))
+		sawDuringTick = len(tx.QueryWhere("people", nil, nil))
 	})
 	rt.Inject("add", datalog.Tuple{int64(1)})
 	rt.Inject("add", datalog.Tuple{int64(2)})
@@ -330,8 +330,8 @@ func sortedRows(rows []datalog.Tuple) []string {
 }
 
 // evalPath is the oracle of TestIncrementalTickMatchesFullEval: `path`
-// re-derived by a from-scratch datalog Eval over a copy of the runtime's
-// base tables.
+// re-derived by a from-scratch datalog seed (NewIncremental) over a copy
+// of the runtime's base tables.
 func evalPath(t *testing.T, rt *Runtime) []string {
 	t.Helper()
 	ref := datalog.NewDatabase()
@@ -342,7 +342,7 @@ func evalPath(t *testing.T, rt *Runtime) []string {
 			dst.Insert(row)
 		}
 	}
-	if _, err := tcQueries(t).Eval(ref); err != nil {
+	if _, err := datalog.NewIncremental(tcQueries(t), ref); err != nil {
 		t.Fatal(err)
 	}
 	if rel := ref.Get("path"); rel != nil {
@@ -354,7 +354,7 @@ func evalPath(t *testing.T, rt *Runtime) []string {
 // TestIncrementalTickMatchesFullEval runs a randomized op stream — edge
 // merges, edge deletes, keyed upserts, and query probes — through the
 // runtime and requires every probe result, and the maintained `path` at the
-// end, to equal a from-scratch Eval over the base tables as they stood when
+// end, to equal a from-scratch seed over the base tables as they stood when
 // the probing tick began (handlers read the start-of-tick state), and the
 // final base tables to equal a plain model of the op stream. The reference
 // is datalog.Eval, which the three-way differential test ties to EvalNaive:
@@ -379,7 +379,7 @@ func TestIncrementalTickMatchesFullEval(t *testing.T) {
 			tx.MergeField("people", []any{msg.Payload[0]}, 1, true)
 		})
 		rt.RegisterHandler("probe", func(tx *Tx, msg Message) {
-			probes = append(probes, sortedRows(tx.Query("path")))
+			probes = append(probes, sortedRows(tx.QueryWhere("path", nil, nil)))
 		})
 		probe := func() {
 			want = append(want, evalPath(t, rt))
@@ -414,11 +414,11 @@ func TestIncrementalTickMatchesFullEval(t *testing.T) {
 		}
 		for i := range want {
 			if fmt.Sprint(probes[i]) != fmt.Sprint(want[i]) {
-				t.Fatalf("seed %d probe %d: path diverges from Eval\neval: %v\nincr: %v", seed, i, want[i], probes[i])
+				t.Fatalf("seed %d probe %d: path diverges from the seed\nseed: %v\nincr: %v", seed, i, want[i], probes[i])
 			}
 		}
 		if got, ref := sortedRows(rt.Table("path").Tuples()), evalPath(t, rt); fmt.Sprint(got) != fmt.Sprint(ref) {
-			t.Fatalf("seed %d: final path diverges from Eval\neval: %v\nincr: %v", seed, ref, got)
+			t.Fatalf("seed %d: final path diverges from the seed\nseed: %v\nincr: %v", seed, ref, got)
 		}
 		for table, model := range map[string]map[string]bool{"edge": edges, "people": people} {
 			got := sortedRows(rt.Table(table).Tuples())

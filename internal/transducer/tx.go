@@ -78,17 +78,9 @@ func truncated[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Query returns the snapshot contents of a relation (table or compiled
-// query) as of the start of the tick, fixpoint included.
-func (tx *Tx) Query(name string) []datalog.Tuple {
-	rel := tx.rt.db.Get(name)
-	if rel == nil {
-		return nil
-	}
-	return rel.Tuples()
-}
-
-// QueryWhere returns snapshot tuples whose columns at pos equal vals.
+// QueryWhere returns the snapshot tuples of a relation (table or compiled
+// query, fixpoint included) as of the start of the tick whose columns at
+// pos equal vals; empty pos returns them all.
 func (tx *Tx) QueryWhere(name string, pos []int, vals []any) []datalog.Tuple {
 	rel := tx.rt.db.Get(name)
 	if rel == nil {
