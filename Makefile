@@ -226,8 +226,10 @@ serve-soak:
 	$(GO) test -race -run 'TestServe|TestBatched|TestConcurrentSubmitters|TestFanout' ./internal/serve -serve-seeds $(SERVE_SEEDS) -serve-reqs $(SERVE_REQS)
 
 # tick-allocs is the allocation budget of a warm fan-out tick: 64 messages
-# each sending 256 derived rows to an observation mailbox may allocate per
-# message beyond the derivations, never per row. Without -race, which
-# inflates allocation counts (the test skips itself under it).
+# each sending 256 derived rows to an observation mailbox. Each derivation
+# allocates a constant number of times and, beyond a constant, only its
+# flat payload array; the tick may allocate per message beyond the
+# derivations, never per row. Without -race, which inflates allocation
+# counts (the test skips itself under it).
 tick-allocs:
 	$(GO) test -count=1 -run '^TestWarmFanoutTickAllocs$$' -v ./internal/transducer

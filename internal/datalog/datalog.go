@@ -327,6 +327,9 @@ func (r *Relation) Lookup(pos []int, vals []any) []Tuple {
 type Database struct {
 	rels map[string]*Relation
 	dict *dict
+	// derived is PreparedRule.Derive's word buffer, reused by every call:
+	// like everything here it belongs to the database's evaluator thread.
+	derived rowList
 }
 
 // NewDatabase returns an empty database with a dictionary of its own.

@@ -44,8 +44,9 @@ func randEDB(r *rand.Rand) *Database {
 }
 
 // randRules builds a stratifiable random program in layers: a recursive
-// positive layer over the EDB, an optional negation layer over it, and an
-// optional aggregate layer on top.
+// positive layer over the EDB, an optional negation layer over it, an
+// optional aggregate layer on top, and an optional rule over layer 1 with a
+// constant in a positive literal.
 func randRules(r *rand.Rand) []Rule {
 	var rules []Rule
 
@@ -145,6 +146,23 @@ func randRules(r *rand.Rand) []Rule {
 			Body:   []Literal{{Atom: Atom{Pred: "attr", Args: []Term{V("x"), V("v")}}}},
 			Agg:    AggMax,
 			AggVar: "v",
+		})
+	}
+	// A constant in a positive body literal: it goes into probe keys and
+	// index lookups, and a delta row of that literal must match it.
+	switch c := C(randConst(r)); r.Intn(3) {
+	case 0:
+		rules = append(rules, Rule{
+			Head: Atom{Pred: "from", Args: []Term{V("y")}},
+			Body: []Literal{{Atom: Atom{Pred: "p1", Args: []Term{c, V("y")}}}},
+		})
+	case 1:
+		rules = append(rules, Rule{
+			Head: Atom{Pred: "into", Args: []Term{V("x"), V("y")}},
+			Body: []Literal{
+				{Atom: Atom{Pred: "p1", Args: []Term{V("x"), V("y")}}},
+				{Atom: Atom{Pred: "edge", Args: []Term{V("y"), c}}},
+			},
 		})
 	}
 	return rules
@@ -384,6 +402,15 @@ func Derive(db *Database, r Rule) ([]Tuple, error) {
 	return out, nil
 }
 
+// tuplesOf lists a derived set's rows.
+func tuplesOf(rows Rows) []Tuple {
+	out := make([]Tuple, rows.Len())
+	for i := range out {
+		out[i] = rows.Row(i)
+	}
+	return out
+}
+
 // TestDifferentialPreparedDerive checks that the prepared (pre-bound
 // parameter) derivation path agrees with per-call Derive on the same rule
 // with constants substituted.
@@ -417,12 +444,13 @@ func TestDifferentialPreparedDerive(t *testing.T) {
 			t.Logf("seed %d: PrepareRule: %v", seed, err)
 			return false
 		}
-		got, err := pr.Derive(db, map[string]any{"pid": pivot})
+		rows, err := pr.Derive(db, map[string]any{"pid": pivot})
 		if err != nil {
 			t.Logf("seed %d: prepared Derive: %v", seed, err)
 			return false
 		}
 		sortTuples(want)
+		got := tuplesOf(rows)
 		sortTuples(got)
 		if len(want) != len(got) {
 			t.Logf("seed %d: %v vs %v", seed, want, got)

@@ -780,10 +780,12 @@ func PrepareRule(r Rule, boundVars ...string) (*PreparedRule, error) {
 }
 
 // Derive evaluates the compiled rule against db. bound supplies values for
-// the declared boundVars (missing entries are an error). The result's rows
-// are decoded over one backing array; a bound value the database has never
+// the declared boundVars (missing entries are an error). The rule emits
+// into db's reused word buffer, and each row is decoded once, into one
+// payload array allocated per call: the rows travel on as message payloads,
+// so the array is never reused. A bound value the database has never
 // stored is compared and handed back without being interned.
-func (pr *PreparedRule) Derive(db *Database, bound map[string]any) ([]Tuple, error) {
+func (pr *PreparedRule) Derive(db *Database, bound map[string]any) (Rows, error) {
 	d := db.dict
 	d.resetTemps()
 	var buf [8]uint64
@@ -791,20 +793,41 @@ func (pr *PreparedRule) Derive(db *Database, bound map[string]any) ([]Tuple, err
 	for _, v := range pr.boundVars {
 		val, ok := bound[v]
 		if !ok {
-			return nil, fmt.Errorf("datalog: prepared rule %s: no binding for ?%s", pr.plan.r.Head.Pred, v)
+			return Rows{}, fmt.Errorf("datalog: prepared rule %s: no binding for ?%s", pr.plan.r.Head.Pred, v)
 		}
 		preset = append(preset, d.probe(val))
 	}
-	rows := rowList{arity: len(pr.plan.head)}
-	pr.plan.run(db, preset, rows.add)
-	n := rows.len()
+	words := &db.derived
+	words.reset(len(pr.plan.head))
+	pr.plan.run(db, preset, words.add)
+	n := words.len()
 	if n == 0 {
-		return nil, nil
+		return Rows{}, nil
 	}
-	out := make([]Tuple, n)
-	vals := make([]any, n*rows.arity)
-	for i := range out {
-		out[i] = d.nextTuple(&vals, rows.row(i))
+	vals := make([]any, n*words.arity)
+	if words.arity > 0 {
+		d.decodeRow(vals, words.w)
 	}
-	return out, nil
+	return NewRows(n, words.arity, vals), nil
+}
+
+// Rows is a derived set: n rows of one arity, flat in one payload array.
+// Row views share that array, so a row is a Tuple with no allocation of
+// its own; a row of arity 0 is counted, not stored.
+type Rows struct {
+	n, arity int
+	vals     []any
+}
+
+// NewRows wraps vals, which holds n rows of arity values each in row
+// order, as Rows.
+func NewRows(n, arity int, vals []any) Rows { return Rows{n: n, arity: arity, vals: vals} }
+
+// Len returns the number of rows.
+func (r Rows) Len() int { return r.n }
+
+// Row returns row i, a view into the payload array capped at its own end.
+func (r Rows) Row(i int) Tuple {
+	lo := i * r.arity
+	return Tuple(r.vals[lo : lo+r.arity : lo+r.arity])
 }

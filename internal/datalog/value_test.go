@@ -103,7 +103,7 @@ func TestProbeInternsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := pr.Derive(db, map[string]any{"k": "unseen"}); err != nil || len(got) != 0 {
+	if got, err := pr.Derive(db, map[string]any{"k": "unseen"}); err != nil || got.Len() != 0 {
 		t.Errorf("Derive bound to a never-stored string = %v, %v", got, err)
 	}
 	// A bound value that reaches the head comes back as it went in, still
@@ -120,13 +120,13 @@ func TestProbeInternsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := echo.Derive(db, map[string]any{"k": 2.5})
-	if err != nil || len(got) != 1 || !got[0].Equal(Tuple{2.5, int64(1)}) {
+	if err != nil || got.Len() != 1 || !got.Row(0).Equal(Tuple{2.5, int64(1)}) {
 		t.Errorf("Derive echoing a never-stored value = %v, %v; want [(2.5, 1)]", got, err)
 	}
 	if len(db.dict.vals) != size {
 		t.Errorf("reads grew the dictionary from %d to %d entries", size, len(db.dict.vals))
 	}
-	if got, err := pr.Derive(db, map[string]any{"k": "seen"}); err != nil || len(got) != 1 {
+	if got, err := pr.Derive(db, map[string]any{"k": "seen"}); err != nil || got.Len() != 1 {
 		t.Errorf("Derive bound to the stored string = %v, %v", got, err)
 	}
 }

@@ -409,6 +409,44 @@ func TestCartHandlersNeedNoCoordination(t *testing.T) {
 	}
 }
 
+// TestDerivedSendShapes: a derived send of arity 0 and an addressed one
+// commit one message per derived row, IDs in staging order and derivation
+// order within a send. An arity-0 row's payload is an empty Tuple, not
+// nil; an addressed row's payload drops its destination column.
+func TestDerivedSendShapes(t *testing.T) {
+	rt := newAppRuntime(t, `
+table peer(node: string, w: int) key(node)
+on join(p: string, w: int) {
+    merge peer(p, w)
+}
+on fan(v: int) {
+    send ping() :- peer(p, w)
+    send land@p(v, w) :- peer(p, w)
+    send done(v)
+}
+`, nil)
+	var log []string
+	rt.SetObservationSink(func(box string, msgs []transducer.Message) {
+		for _, m := range msgs {
+			log = append(log, fmt.Sprintf("%s#%d%#v", box, m.ID, m.Payload))
+		}
+	})
+	rt.Remote = func(node string, m transducer.Message) {
+		log = append(log, fmt.Sprintf("%s/%s#%d%#v", node, m.Mailbox, m.ID, m.Payload))
+	}
+	for i, p := range []string{"n3", "n2", "n4"} {
+		rt.Inject("join", datalog.Tuple{p, int64(10 + i)})
+	}
+	rt.RunUntilIdle(10)
+	rt.Inject("fan", datalog.Tuple{int64(7)})
+	rt.RunUntilIdle(10)
+	want := "[ping#5datalog.Tuple{} ping#6datalog.Tuple{} ping#7datalog.Tuple{} done#11datalog.Tuple{7} " +
+		"n3/land#8datalog.Tuple{7, 10} n2/land#9datalog.Tuple{7, 11} n4/land#10datalog.Tuple{7, 12}]"
+	if got := fmt.Sprint(log); got != want {
+		t.Fatalf("messages:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestAddressedSendRoutesByDestination: each derived row goes to the node
 // its destination column names; a row addressed to the runtime itself is
 // handled locally.

@@ -344,7 +344,8 @@ func (e *env) execSend(st *hlang.SendStmt) error {
 		e.tx.SendAll(st.Mailbox, rows)
 		return nil
 	}
-	for _, row := range rows {
+	for i := range rows.Len() {
+		row := rows.Row(i)
 		box, err := address(row[0], st.Mailbox)
 		if err != nil {
 			return err

@@ -9,8 +9,10 @@ import (
 
 // TestWarmFanoutTickAllocs is the allocation budget of a warm fan-out
 // tick: 64 trace-like messages, each deriving its id's 256 rows through a
-// prepared rule and sending them to an observation mailbox. Beyond what
-// the derivations allocate themselves, the tick may allocate per message,
+// prepared rule and sending them to an observation mailbox. Each
+// derivation allocates a constant number of times and, beyond a constant,
+// only its payload array: no word buffer grown afresh and no Tuple header
+// per row. Beyond the derivations, the tick may allocate per message,
 // never per row: no Message, in-flight entry or later delivery per row.
 // `make tick-allocs` runs it; -race inflates the counts, so it skips there.
 func TestWarmFanoutTickAllocs(t *testing.T) {
@@ -21,6 +23,11 @@ func TestWarmFanoutTickAllocs(t *testing.T) {
 	// The per-message budget covers each message's Tx and its mailbox's
 	// growth on Inject.
 	const perMessage, perMessageBytes = 2, 512
+	// A derivation of n rows of arity k (here 1) may allocate perDerive
+	// times whatever n, and n·k interface words plus perDeriveBytes: the
+	// plan executor, and the allocator's rounding of the payload array up
+	// to its size class.
+	const arity, perDerive, perDeriveBytes = 1, 8, 2048
 
 	rt := New("n1", 1)
 	rt.RegisterTable(TableSchema{Name: "reach", Arity: 2})
@@ -73,6 +80,10 @@ func TestWarmFanoutTickAllocs(t *testing.T) {
 	}
 	derive, got := testing.AllocsPerRun(20, deriveAll), testing.AllocsPerRun(20, tick)
 	t.Logf("tick: %.0f allocs; its %d derivations alone: %.0f", got, msgs, derive)
+	if derive > msgs*perDerive {
+		t.Fatalf("%d warm derivations of %d rows allocate %.0f times, over their budget of %d each",
+			msgs, rows, derive, perDerive)
+	}
 	if budget := derive + msgs*perMessage; got > budget {
 		t.Fatalf("warm fan-out tick allocates %.0f times, over its budget of %.0f (derivations %.0f + %d per message)",
 			got, budget, derive, perMessage)
@@ -80,6 +91,10 @@ func TestWarmFanoutTickAllocs(t *testing.T) {
 	// The same budget in bytes: a Message per row would be 1 MB a tick.
 	deriveBytes, gotBytes := bytesPerRun(20, deriveAll), bytesPerRun(20, tick)
 	t.Logf("tick: %.0f bytes; its derivations alone: %.0f", gotBytes, deriveBytes)
+	if budget := float64(msgs * (rows*arity*16 + perDeriveBytes)); deriveBytes > budget {
+		t.Fatalf("%d warm derivations of %d rows allocate %.0f bytes, over their budget of %.0f (16 B a value + %d each)",
+			msgs, rows, deriveBytes, budget, perDeriveBytes)
+	}
 	if budget := deriveBytes + msgs*perMessageBytes; gotBytes > budget {
 		t.Fatalf("warm fan-out tick allocates %.0f bytes, over its budget of %.0f (derivations %.0f + %d per message)",
 			gotBytes, budget, deriveBytes, perMessageBytes)

@@ -14,6 +14,19 @@ type sinkLog map[string][]Message
 
 func (l sinkLog) observe(box string, msgs []Message) { l[box] = append(l[box], msgs...) }
 
+// rowsOf flattens rows of one arity into a derived set.
+func rowsOf(rows ...datalog.Tuple) datalog.Rows {
+	var vals []any
+	for _, r := range rows {
+		vals = append(vals, r...)
+	}
+	arity := 0
+	if len(rows) > 0 {
+		arity = len(rows[0])
+	}
+	return datalog.NewRows(len(rows), arity, vals)
+}
+
 // TestObservationSendTiming pins which sends skip the delay: a send to a
 // local mailbox no handler reads (an output, a reply) is visible right
 // after the tick that committed it and draws no delay; a send to a handled
@@ -31,7 +44,7 @@ func TestObservationSendTiming(t *testing.T) {
 	}{
 		{
 			name:         "observation send",
-			send:         func(tx *Tx) { tx.SendAll("out", []datalog.Tuple{{int64(1)}, {int64(2)}}) },
+			send:         func(tx *Tx) { tx.SendAll("out", rowsOf(datalog.Tuple{int64(1)}, datalog.Tuple{int64(2)})) },
 			visible:      func(rt *Runtime, _ []Message) bool { return len(rt.Peek("out")) == 2 },
 			visibleAfter: 1,
 		},
@@ -157,11 +170,11 @@ func TestSendIDsFollowStagingOrder(t *testing.T) {
 	rt.RegisterHandler("pong", func(tx *Tx, msg Message) { delayed = append(delayed, msg) })
 	rt.RegisterHandler("go", func(tx *Tx, msg Message) {
 		tx.Send("out", datalog.Tuple{"a"})
-		tx.SendAll("out", []datalog.Tuple{{"b"}, {"c"}})
+		tx.SendAll("out", rowsOf(datalog.Tuple{"b"}, datalog.Tuple{"c"}))
 		tx.Send("pong", datalog.Tuple{"d"})
 		tx.Reply("e")
-		tx.SendAll("pong", []datalog.Tuple{{"f"}, {"g"}})
-		tx.SendAll("out", nil) // an empty derived set stages nothing
+		tx.SendAll("pong", rowsOf(datalog.Tuple{"f"}, datalog.Tuple{"g"}))
+		tx.SendAll("out", rowsOf()) // an empty derived set stages nothing
 	})
 	id := rt.Inject("go", datalog.Tuple{})
 	rt.RunUntilIdle(10)
@@ -201,5 +214,62 @@ func TestObservationSinkRemoval(t *testing.T) {
 	rt.Tick()
 	if got := rt.Drain("out"); len(log["out"]) != 1 || len(got) != 1 || got[0].Payload[0] != int64(2) {
 		t.Fatalf("sink removed: sink got %v, mailbox %v", log, got)
+	}
+}
+
+// TestDerivedPayloadsOutliveTheTick: a sink that keeps a tick's messages
+// sees the same payloads after the next tick and after more derivations on
+// the same database — the word buffer a derivation emits into is reused,
+// the payload array its rows decode into never is.
+func TestDerivedPayloadsOutliveTheTick(t *testing.T) {
+	rt := newTestRuntime()
+	rt.RegisterTable(TableSchema{Name: "reach", Arity: 2})
+	for id := int64(0); id < 3; id++ {
+		for p := int64(0); p < 4; p++ {
+			rt.Table("reach").Insert(datalog.Tuple{id, fmt.Sprintf("p%d.%d", id, p)})
+		}
+	}
+	pr, err := datalog.PrepareRule(datalog.Rule{
+		Head: datalog.Atom{Pred: "__send", Args: []datalog.Term{datalog.V("id"), datalog.V("p")}},
+		Body: []datalog.Literal{{Atom: datalog.Atom{Pred: "reach", Args: []datalog.Term{datalog.V("id"), datalog.V("p")}}}},
+	}, "id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.RegisterHandler("trace", func(tx *Tx, msg Message) {
+		rows, err := tx.DerivePrepared(pr, map[string]any{"id": msg.Payload[0]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx.SendAll("out", rows)
+	})
+	log := sinkLog{}
+	rt.SetObservationSink(log.observe)
+	rt.Inject("trace", datalog.Tuple{int64(0)})
+	rt.Tick()
+	kept := log["out"]
+	want := "[(0, p0.0) (0, p0.1) (0, p0.2) (0, p0.3)]"
+	payloads := func() string {
+		var ps []datalog.Tuple
+		for _, m := range kept {
+			ps = append(ps, m.Payload)
+		}
+		return fmt.Sprint(ps)
+	}
+	if got := payloads(); got != want {
+		t.Fatalf("tick 1 sent %s, want %s", got, want)
+	}
+	rt.Inject("trace", datalog.Tuple{int64(1)})
+	rt.Tick()
+	if got := payloads(); got != want {
+		t.Fatalf("after tick 2, tick 1's payloads read %s, want %s", got, want)
+	}
+	for id := int64(0); id < 3; id++ {
+		if _, err := pr.Derive(rt.db, map[string]any{"id": 2 - id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := payloads(); got != want {
+		t.Fatalf("after more derivations, tick 1's payloads read %s, want %s", got, want)
 	}
 }

@@ -593,17 +593,13 @@ func (rt *Runtime) applyEffects(eff *effects) {
 	// row draws its delay and goes in flight.
 	for i := range eff.sends {
 		s := &eff.sends[i]
-		rows := s.rows
-		if rows == nil {
-			rows = []datalog.Tuple{s.row}
-		}
 		if rt.observed(s.mailbox) {
-			rt.commitObservation(s.mailbox, rows)
+			rt.commitObservation(s.mailbox, s.rows)
 			continue
 		}
-		for _, row := range rows {
+		for j := range s.rows.Len() {
 			rt.inflight = append(rt.inflight, pendingSend{
-				msg:       rt.stamp(s.mailbox, row),
+				msg:       rt.stamp(s.mailbox, s.rows.Row(j)),
 				deliverAt: rt.stats.Ticks + uint64(rt.delay(rt.rng)),
 			})
 		}
@@ -630,18 +626,18 @@ func (rt *Runtime) stamp(mailbox string, payload datalog.Tuple) Message {
 
 // commitObservation hands one staged entry's rows to the observation sink,
 // or, with none installed, appends them to the mailbox, grown once.
-func (rt *Runtime) commitObservation(mailbox string, rows []datalog.Tuple) {
+func (rt *Runtime) commitObservation(mailbox string, rows datalog.Rows) {
 	if rt.observe == nil {
-		box := slices.Grow(rt.mailboxes[mailbox], len(rows))
-		for _, row := range rows {
-			box = append(box, rt.stamp(mailbox, row))
+		box := slices.Grow(rt.mailboxes[mailbox], rows.Len())
+		for i := range rows.Len() {
+			box = append(box, rt.stamp(mailbox, rows.Row(i)))
 		}
 		rt.mailboxes[mailbox] = box
 		return
 	}
 	buf := rt.obsBuf[:0]
-	for _, row := range rows {
-		buf = append(buf, rt.stamp(mailbox, row))
+	for i := range rows.Len() {
+		buf = append(buf, rt.stamp(mailbox, rows.Row(i)))
 	}
 	rt.observe(mailbox, buf)
 	clear(buf)

@@ -25,13 +25,12 @@ type fieldMerge struct {
 	value any
 }
 
-// sendEntry is one staged send: a single row (Send, Reply) or, when rows
-// is non-nil, one derived set (SendAll). Each row becomes one message at
-// commit.
+// sendEntry is one staged send: a derived set (SendAll), or a single row
+// (Send, Reply) wrapped as a one-row set. Each row becomes one message at
+// commit, its payload a view into the set's payload array.
 type sendEntry struct {
 	mailbox string
-	row     datalog.Tuple
-	rows    []datalog.Tuple
+	rows    datalog.Rows
 }
 
 // effects accumulates a tick's staged mutations across all handler
@@ -95,8 +94,9 @@ func (tx *Tx) ReadVar(name string) any { return tx.rt.vars[name] }
 
 // DerivePrepared evaluates a rule compiled once with datalog.PrepareRule
 // against the tick snapshot, binding the rule's declared variables from
-// bound — how compiled rule-driven sends read.
-func (tx *Tx) DerivePrepared(pr *datalog.PreparedRule, bound map[string]any) ([]datalog.Tuple, error) {
+// bound — how compiled rule-driven sends read. The rows stay one flat set
+// until SendAll's messages take them as payloads.
+func (tx *Tx) DerivePrepared(pr *datalog.PreparedRule, bound map[string]any) (datalog.Rows, error) {
 	return pr.Derive(tx.rt.db, bound)
 }
 
@@ -128,15 +128,15 @@ func (tx *Tx) Delete(table string, row datalog.Tuple) {
 // Send stages an asynchronous message. Mailbox may be "node/mailbox" to
 // address another transducer through the cluster transport.
 func (tx *Tx) Send(mailbox string, payload datalog.Tuple) {
-	tx.rt.eff.sends = append(tx.rt.eff.sends, sendEntry{mailbox: mailbox, row: payload})
+	tx.rt.eff.sends = append(tx.rt.eff.sends, sendEntry{mailbox: mailbox, rows: datalog.NewRows(1, len(payload), payload)})
 }
 
 // SendAll stages one message per row to mailbox, in row order: how a
 // rule-driven send stages its derived set, as one entry rather than one
-// per row. The runtime keeps rows until the tick ends; the tuples travel
-// on as the messages' payloads.
-func (tx *Tx) SendAll(mailbox string, rows []datalog.Tuple) {
-	if len(rows) == 0 {
+// per row. The runtime keeps rows until the tick ends; each message's
+// payload is its row's view into the set's payload array.
+func (tx *Tx) SendAll(mailbox string, rows datalog.Rows) {
+	if rows.Len() == 0 {
 		return
 	}
 	tx.rt.eff.sends = append(tx.rt.eff.sends, sendEntry{mailbox: mailbox, rows: rows})
