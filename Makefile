@@ -2,7 +2,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: build test vet fmt ci smoke orphans datalog-serial datalog-one-store datalog-no-placement durable-opaque-rows one-tick-path compiled-handlers bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak tick-allocs lines
+.PHONY: build test vet fmt ci smoke orphans datalog-serial datalog-one-store datalog-no-placement durable-opaque-rows one-tick-path one-lowering compiled-handlers bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak tick-allocs lines
 
 build:
 	$(GO) build ./...
@@ -19,7 +19,7 @@ fmt:
 	@gofmt -l . | sed 's/^/unformatted: /' | (! grep .)
 
 # ci runs the steps of CI's tier-1 job in its order (go test without -race).
-ci: build vet fmt orphans datalog-serial datalog-one-store datalog-no-placement durable-opaque-rows one-tick-path compiled-handlers test tick-allocs bench-test fuzz tables smoke
+ci: build vet fmt orphans datalog-serial datalog-one-store datalog-no-placement durable-opaque-rows one-tick-path one-lowering compiled-handlers test tick-allocs bench-test fuzz tables smoke
 
 # lines prints the line counts of the Go files a change is sized by:
 # non-test and test files outside bench/, and under it (hidden build
@@ -131,6 +131,18 @@ TICK_SRC = $(filter-out %_test.go,$(wildcard internal/transducer/*.go internal/h
 TICK_BANNED = \.Clone\(\)|\.Eval\(|\.EvalNaive\(|datalog\.Derive\(
 one-tick-path:
 	@! grep -nE '$(TICK_BANNED)' $(TICK_SRC) | sed 's,//.*,,' | grep -E '$(TICK_BANNED)'
+
+# one-lowering fails if more than one function in the non-test files of
+# internal/hydrolysis builds a datalog.Rule{ literal (comments stripped, as
+# above): query rules and rule-driven sends are lowered by one lowerRule,
+# at Compile, so a second lowering cannot drift from the first (DESIGN.md,
+# "Compiler wiring").
+HYDROLYSIS_SRC = $(filter-out %_test.go,$(wildcard internal/hydrolysis/*.go))
+one-lowering:
+	@awk '/^func /{fn=FILENAME": "$$0} \
+		{code=$$0; sub(/\/\/.*/,"",code)} \
+		code ~ /datalog\.Rule\{/ && !(fn in seen) {seen[fn]=1; n++; fns=fns"\n  "fn} \
+		END{if (n > 1) {print "datalog.Rule literals built in " n " functions:" fns; exit 1}}' $(HYDROLYSIS_SRC)
 
 # compiled-handlers fails if a non-test file outside internal/hydrolysis and
 # internal/transducer builds a runtime or registers a handler itself:

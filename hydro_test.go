@@ -52,9 +52,14 @@ func TestParseAndAnalyzePublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := Analyze(p)
-	if len(a.CoordinationPoints(p)) != 1 {
-		t.Fatalf("coordination points = %v", a.CoordinationPoints(p))
+	var coordinated []string
+	for name, c := range consistency.Select(p, Analyze(p)) {
+		if c.Mechanism == consistency.MechCoordination {
+			coordinated = append(coordinated, name)
+		}
+	}
+	if len(coordinated) != 1 || coordinated[0] != "vaccinate" {
+		t.Fatalf("coordinated handlers = %v, want [vaccinate]", coordinated)
 	}
 }
 

@@ -100,21 +100,6 @@ func (t *Topology) Get(id string) *Machine {
 	return nil
 }
 
-// DomainValues returns the distinct identifiers of a domain, sorted.
-func (t *Topology) DomainValues(d Domain) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, m := range t.Machines {
-		v := m.DomainID(d)
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // SpreadAcross is the replica-placement rule (§6): it picks n up machines
 // so that no instance of domain d holds more than ⌈n/k⌉ of them, k being the
 // number of d instances with an up machine. Losing one instance then takes

@@ -15,11 +15,12 @@ func TestTopologyShape(t *testing.T) {
 	if len(topo.Machines) != 24 {
 		t.Fatalf("machines = %d, want 24", len(topo.Machines))
 	}
-	if got := topo.DomainValues(AZ); len(got) != 3 {
-		t.Fatalf("AZs = %v", got)
+	azs, racks := map[string]bool{}, map[string]bool{}
+	for _, m := range topo.Machines {
+		azs[m.DomainID(AZ)], racks[m.DomainID(Rack)] = true, true
 	}
-	if got := topo.DomainValues(Rack); len(got) != 6 {
-		t.Fatalf("racks = %v", got)
+	if len(azs) != 3 || len(racks) != 6 {
+		t.Fatalf("%d AZs and %d racks, want 3 and 6", len(azs), len(racks))
 	}
 	m := topo.Get("az2-r1-m3")
 	if m == nil || m.AZ != "az2" || m.Rack != "az2-r1" || m.DomainID(DC) != "az2-dc" {

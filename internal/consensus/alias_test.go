@@ -49,26 +49,6 @@ func TestLogReturnsCopy(t *testing.T) {
 	}
 }
 
-func TestSlotsReturnsCopy(t *testing.T) {
-	g := decideThree(t)
-	slots := g.Slots("p0")
-	if len(slots) == 0 {
-		t.Fatal("no decided slots")
-	}
-	for s := range slots {
-		slots[s] = "corrupted"
-	}
-	delete(slots, 0)
-	for s, v := range g.Slots("p0") {
-		if v == "corrupted" {
-			t.Fatalf("Slots aliases internal state at slot %d", s)
-		}
-	}
-	if len(g.Slots("p0")) != 3 {
-		t.Fatal("deleting from the returned map changed node state")
-	}
-}
-
 // TestPromiseSnapshotNotAliased pins that an acceptor's promise carries a
 // snapshot of its accepted map: a promise in flight must not see values
 // the acceptor accepts after sending it.

@@ -254,18 +254,6 @@ func (g *Group) Log(node string) []any {
 	}
 }
 
-// Slots returns a copy of a node's raw decided log keyed by slot, including
-// no-op fillers and duplicate-ID slots — the replay-debugging view. Mutating
-// the returned map cannot touch node state.
-func (g *Group) Slots(node string) map[int]any {
-	n := g.Nodes[node]
-	out := make(map[int]any, len(n.log))
-	for s, e := range n.log {
-		out[s] = e.Value
-	}
-	return out
-}
-
 // DecidedCount returns the number of decided slots at a node.
 func (g *Group) DecidedCount(node string) int { return g.Nodes[node].decided }
 

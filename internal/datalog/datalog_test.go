@@ -283,6 +283,26 @@ func TestFilters(t *testing.T) {
 	}
 }
 
+// TestPreparedFilterOnBoundVariable: a filter that reads only pre-bound
+// variables is checked once, before the walk, and a failing one derives
+// nothing.
+func TestPreparedFilterOnBoundVariable(t *testing.T) {
+	pr, err := PrepareRule(Rule{
+		Head:    Atom{Pred: "out", Args: []Term{V("y")}},
+		Body:    []Literal{{Atom: Atom{Pred: "edge", Args: []Term{V("x"), V("y")}}}},
+		Filters: []Filter{{Op: OpGt, L: V("x"), R: C("b")}},
+	}, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := edgeDB([2]string{"a", "b"}, [2]string{"c", "d"})
+	for x, want := range map[string]int{"a": 0, "c": 1} {
+		if got, err := pr.Derive(db, map[string]any{"x": x}); err != nil || got.Len() != want {
+			t.Errorf("x = %s: derived %d rows (%v), want %d", x, got.Len(), err, want)
+		}
+	}
+}
+
 func TestJoinWithConstants(t *testing.T) {
 	db := NewDatabase()
 	likes := db.Ensure("likes", 2)

@@ -278,3 +278,63 @@ func TestDRedMatchesRecomputeFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// dredDeleteOne builds an incremental fixpoint of rules over base, deletes
+// one row of pred, and checks the result against a from-scratch fixpoint
+// of what is left.
+func dredDeleteOne(t *testing.T, rules []Rule, base map[string][]Tuple, pred string, gone Tuple) *Incremental {
+	t.Helper()
+	edb := NewDatabase()
+	for name, rows := range base {
+		rel := edb.Ensure(name, len(rows[0]))
+		for _, r := range rows {
+			rel.Insert(r)
+		}
+	}
+	inc, err := NewIncremental(mustProgram(t, rules...), edb.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	edb.Get(pred).Delete(gone)
+	inc.DB().Get(pred).Delete(gone)
+	d := NewDelta()
+	d.Delete(pred, gone)
+	if _, err := inc.Apply(d); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewIncremental(mustProgram(t, rules...), edb); err != nil {
+		t.Fatal(err)
+	}
+	if err := diffDatabases("dred vs eval", inc.DB(), edb); err != nil {
+		t.Fatal(err)
+	}
+	return inc
+}
+
+// TestDRedSupportMatchesHeadConstants: an over-deleted p(a, 1) may survive
+// only through a rule whose head constant is 1. p(x, 2) :- r(x) binds x
+// to a and finds r(a), but it derives p(a, 2), not p(a, 1).
+func TestDRedSupportMatchesHeadConstants(t *testing.T) {
+	rules := []Rule{
+		{Head: Atom{Pred: "p", Args: []Term{V("x"), C(int64(1))}}, Body: []Literal{{Atom: Atom{Pred: "q", Args: []Term{V("x")}}}}},
+		{Head: Atom{Pred: "p", Args: []Term{V("x"), C(int64(2))}}, Body: []Literal{{Atom: Atom{Pred: "r", Args: []Term{V("x")}}}}},
+	}
+	inc := dredDeleteOne(t, rules, map[string][]Tuple{"q": {{"a"}}, "r": {{"a"}}}, "q", Tuple{"a"})
+	if p := inc.DB().Get("p"); p.Contains(Tuple{"a", int64(1)}) || !p.Contains(Tuple{"a", int64(2)}) {
+		t.Fatalf("p = %v, want [(a, 2)]", p.Tuples())
+	}
+}
+
+// TestDRedSupportMatchesRepeatedHeadVariables: an over-deleted p(a, b) may
+// survive only through a rule whose head can take it. p(x, x) :- q(x)
+// binds x to a and finds q(a), but it derives p(a, a), not p(a, b).
+func TestDRedSupportMatchesRepeatedHeadVariables(t *testing.T) {
+	rules := []Rule{
+		{Head: Atom{Pred: "p", Args: []Term{V("x"), V("x")}}, Body: []Literal{{Atom: Atom{Pred: "q", Args: []Term{V("x")}}}}},
+		{Head: Atom{Pred: "p", Args: []Term{V("x"), V("y")}}, Body: []Literal{{Atom: Atom{Pred: "r", Args: []Term{V("x"), V("y")}}}}},
+	}
+	inc := dredDeleteOne(t, rules, map[string][]Tuple{"q": {{"a"}}, "r": {{"a", "b"}}}, "r", Tuple{"a", "b"})
+	if p := inc.DB().Get("p"); p.Contains(Tuple{"a", "b"}) || !p.Contains(Tuple{"a", "a"}) {
+		t.Fatalf("p = %v, want [(a, a)]", p.Tuples())
+	}
+}

@@ -185,7 +185,9 @@ func checkHandler(p *Program, h *HandlerDecl) error {
 	for _, prm := range h.Params {
 		scope[prm.Name] = true
 	}
-	checkExpr := func(e Expr) error {
+	// checkExpr checks e and reports an error at position at: its
+	// statement's, or the handler's for a require.
+	checkExpr := func(at Pos, e Expr) error {
 		var err error
 		WalkExpr(e, func(x Expr) {
 			if err != nil {
@@ -194,32 +196,34 @@ func checkHandler(p *Program, h *HandlerDecl) error {
 			switch v := x.(type) {
 			case *VarRef:
 				if !scope[v.Name] && p.Var(v.Name) == nil {
-					err = fmt.Errorf("%s: unknown name %q", owner, v.Name)
+					err = errAt(at, "%s: unknown name %q", owner, v.Name)
 				}
 			case *FieldRef:
 				t := p.Table(v.Table)
 				if t == nil {
-					err = fmt.Errorf("%s: unknown table %q", owner, v.Table)
+					err = errAt(at, "%s: unknown table %q", owner, v.Table)
 					return
 				}
 				if t.FieldIndex(v.Field) < 0 {
-					err = fmt.Errorf("%s: table %q has no column %q", owner, v.Table, v.Field)
+					err = errAt(at, "%s: table %q has no column %q", owner, v.Table, v.Field)
+					return
 				}
+				err = singleKey(at, owner, "field read", t)
 			case *CallExpr:
 				u := p.UDF(v.Func)
 				if u == nil {
-					err = fmt.Errorf("%s: unknown UDF %q", owner, v.Func)
+					err = errAt(at, "%s: unknown UDF %q", owner, v.Func)
 					return
 				}
 				if len(v.Args) != len(u.Params) {
-					err = fmt.Errorf("%s: UDF %q wants %d args, got %d", owner, v.Func, len(u.Params), len(v.Args))
+					err = errAt(at, "%s: UDF %q wants %d args, got %d", owner, v.Func, len(u.Params), len(v.Args))
 				}
 			}
 		})
 		return err
 	}
 	for _, r := range h.Requires {
-		if err := checkExpr(r); err != nil {
+		if err := checkExpr(h.Pos, r); err != nil {
 			return err
 		}
 	}
@@ -234,7 +238,7 @@ func checkHandler(p *Program, h *HandlerDecl) error {
 				return errAt(st.At, "%s: table %q wants %d columns, got %d", owner, st.Table, t.Arity(), len(st.Args))
 			}
 			for _, a := range st.Args {
-				if err := checkExpr(a); err != nil {
+				if err := checkExpr(st.At, a); err != nil {
 					return err
 				}
 			}
@@ -251,17 +255,20 @@ func checkHandler(p *Program, h *HandlerDecl) error {
 				return errAt(st.At, "%s: column %s.%s has non-lattice type %s; use := via a keyed update or declare a lattice type",
 					owner, st.Table, st.Field, t.Fields[fi].Type)
 			}
-			if err := checkExpr(st.Key); err != nil {
+			if err := singleKey(st.At, owner, "field merge", t); err != nil {
 				return err
 			}
-			if err := checkExpr(st.Value); err != nil {
+			if err := checkExpr(st.At, st.Key); err != nil {
+				return err
+			}
+			if err := checkExpr(st.At, st.Value); err != nil {
 				return err
 			}
 		case *AssignStmt:
 			if p.Var(st.Var) == nil {
 				return errAt(st.At, "%s: assignment to undeclared var %q", owner, st.Var)
 			}
-			if err := checkExpr(st.Value); err != nil {
+			if err := checkExpr(st.At, st.Value); err != nil {
 				return err
 			}
 		case *DeleteStmt:
@@ -273,7 +280,7 @@ func checkHandler(p *Program, h *HandlerDecl) error {
 				return errAt(st.At, "%s: delete from %q keys on %d columns, got %d", owner, st.Table, len(t.Key), len(st.Args))
 			}
 			for _, a := range st.Args {
-				if err := checkExpr(a); err != nil {
+				if err := checkExpr(st.At, a); err != nil {
 					return err
 				}
 			}
@@ -311,10 +318,19 @@ func checkHandler(p *Program, h *HandlerDecl) error {
 				return err
 			}
 		case *ReplyStmt:
-			if err := checkExpr(st.Value); err != nil {
+			if err := checkExpr(st.At, st.Value); err != nil {
 				return err
 			}
 		}
+	}
+	return nil
+}
+
+// singleKey refuses a field merge or read, t[k].f, on a table t keyed on
+// other than one column: a single [k] addresses one key column.
+func singleKey(at Pos, owner, what string, t *TableDecl) error {
+	if len(t.Key) != 1 {
+		return errAt(at, "%s: %s on table %q keyed on %d columns; t[k].f needs a single-column key", owner, what, t.Name, len(t.Key))
 	}
 	return nil
 }

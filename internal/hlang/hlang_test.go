@@ -211,9 +211,16 @@ func TestAnalyzeCovid(t *testing.T) {
 			}
 		}
 	}
-	cps := a.CoordinationPoints(p)
-	if len(cps) != 1 || cps[0] != "vaccinate" {
-		t.Fatalf("coordination points = %v, want [vaccinate]", cps)
+	// vaccinate is the one non-monotone handler, and it is serializable:
+	// the one handler that needs coordination.
+	var nonMono []string
+	for name, h := range a.Handlers {
+		if h.Mono == NonMonotone {
+			nonMono = append(nonMono, name)
+		}
+	}
+	if len(nonMono) != 1 || nonMono[0] != "vaccinate" || p.Handler("vaccinate").Consistency != Serializable {
+		t.Fatalf("non-monotone handlers = %v, want the serializable [vaccinate]", nonMono)
 	}
 }
 
@@ -487,5 +494,30 @@ query view(c, k) :- lines(c, k)
 		if got := Analyze(p).Handlers["h"]; got.Mono != c.want {
 			t.Errorf("%s: classified %v (%v), want %v", c.stmt, got.Mono, got.Reasons, c.want)
 		}
+	}
+}
+
+// TestCompositeKeyFieldAccessRejected: t[k].f names one key column, so
+// Check refuses a field merge or a field read on a table keyed on more,
+// at the statement's position (the handler's, for a require).
+func TestCompositeKeyFieldAccessRejected(t *testing.T) {
+	const decl = "table items(cart: string, item: string, qty: max<int>) key(cart, item)\n"
+	cases := []struct {
+		name, src, want string
+	}{
+		{"field merge", "on add(c: string) {\n    merge items[c].qty <- 3\n}",
+			`3:5: handler add: field merge on table "items" keyed on 2 columns`},
+		{"field read", "on get(c: string) {\n    reply 1\n    reply items[c].qty\n}",
+			`4:5: handler get: field read on table "items" keyed on 2 columns`},
+		{"field read in a require", "on get(c: string) require(items[c].qty > 0) {\n    reply 1\n}",
+			`2:1: handler get: field read on table "items" keyed on 2 columns`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Parse(decl + c.src)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("error %v, want one containing %q", err, c.want)
+			}
+		})
 	}
 }

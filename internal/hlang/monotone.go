@@ -10,7 +10,8 @@ import (
 // §8.2 ("we wish to go further, providing an explicit monotone type
 // modifier, and a compiler that can typecheck monotonicity") and the CALM
 // analysis that drives the consistency facet: monotone handlers need no
-// coordination; non-monotone ones are coordination points.
+// coordination, and consistency.Select gives every handler its mechanism
+// from this analysis and the handler's declared level.
 
 // Monotonicity classifies a query or handler.
 type Monotonicity int
@@ -71,20 +72,6 @@ type Analysis struct {
 	// count, max or min aggregate to that aggregate: a rule that reads it
 	// through a threshold (thresholdRead) stays monotone.
 	thresholds map[string]string
-}
-
-// CoordinationPoints returns the handler names that require coordination
-// (non-monotone or declared serializable), sorted.
-func (a *Analysis) CoordinationPoints(p *Program) []string {
-	var out []string
-	for name, h := range a.Handlers {
-		decl := p.Handler(name)
-		if h.Mono == NonMonotone || (decl != nil && decl.Consistency == Serializable) {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Analyze computes monotonicity for every query and handler.

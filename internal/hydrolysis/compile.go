@@ -1,13 +1,17 @@
-// Package hydrolysis is the Hydro compiler (§2.2): it takes a HydroLogic
-// program and produces what the runtime executes — datalog rules for the
-// query facet, the monotonicity analysis, and executable handler closures
-// for the transducer runtime. The consistency choice and
-// metaconsistency check are report-only, computed on demand from a
-// Compiled program's Program and Analysis by package consistency.
+// Package hydrolysis is the Hydro compiler (§2.2): it takes a checked
+// HydroLogic program and lowers it once — every query rule and every
+// rule-driven send through one lowering, lowerRule — into what the runtime
+// executes: the datalog program for the query facet, a prepared plan per
+// rule-driven send, the monotonicity analysis, and, per Instantiate,
+// handler closures for the transducer runtime that only look those plans
+// up. The consistency choice and metaconsistency check are report-only,
+// computed on demand from a Compiled program's Program and Analysis by
+// package consistency.
 package hydrolysis
 
 import (
 	"fmt"
+	"slices"
 
 	"hydro/internal/datalog"
 	"hydro/internal/hlang"
@@ -24,6 +28,10 @@ type Compiled struct {
 	Queries *datalog.Program
 	// UDFs holds the user-supplied implementations.
 	UDFs map[string]UDF
+
+	// sends holds the plan of every rule-driven send, made once by
+	// CompileProgram and shared by every instance.
+	sends map[*hlang.SendStmt]*datalog.PreparedRule
 }
 
 // Options configures compilation.
@@ -42,57 +50,125 @@ func Compile(src string, opts Options) (*Compiled, error) {
 	return CompileProgram(prog, opts)
 }
 
-// CompileProgram compiles an already-parsed program.
+// CompileProgram compiles a program hlang.Check accepted (hlang.Parse
+// checks what it parses): it lowers the query rules to the datalog
+// program and plans every rule-driven send, with the handler parameters
+// the send's rule names pre-bound (bound at Derive time, not substituted
+// as constants per message). A send the planner refuses fails here, not
+// at Instantiate or the first message.
 func CompileProgram(prog *hlang.Program, opts Options) (*Compiled, error) {
 	for _, u := range prog.UDFs {
 		if _, ok := opts.UDFs[u.Name]; !ok {
 			return nil, fmt.Errorf("hydrolysis: no implementation supplied for udf %q", u.Name)
 		}
 	}
-	analysis := hlang.Analyze(prog)
-	rules, err := QueriesToDatalog(prog)
-	if err != nil {
-		return nil, err
-	}
-	return &Compiled{
-		Program:  prog,
-		Analysis: analysis,
-		Queries:  rules,
-		UDFs:     opts.UDFs,
-	}, nil
-}
-
-// QueriesToDatalog lowers the program's query rules to the datalog engine's
-// rule form.
-func QueriesToDatalog(p *hlang.Program) (*datalog.Program, error) {
 	var rules []datalog.Rule
-	for _, q := range p.Queries {
-		r, err := queryToRule(q)
+	for _, q := range prog.Queries {
+		r, _, err := lowerRule(q.Name, q.Head, q.Body, q.Filters, nil)
 		if err != nil {
 			return nil, err
 		}
+		r.Agg, r.AggVar = datalog.AggKind(q.Agg), q.AggVar
 		rules = append(rules, r)
 	}
-	return datalog.NewProgram(rules...)
+	queries, err := datalog.NewProgram(rules...)
+	if err != nil {
+		return nil, err
+	}
+	c := &Compiled{
+		Program:  prog,
+		Analysis: hlang.Analyze(prog),
+		Queries:  queries,
+		UDFs:     opts.UDFs,
+		sends:    map[*hlang.SendStmt]*datalog.PreparedRule{},
+	}
+	for _, h := range prog.Handlers {
+		params := map[string]bool{}
+		for _, p := range h.Params {
+			params[p.Name] = true
+		}
+		for _, s := range h.Body {
+			st, ok := s.(*hlang.SendStmt)
+			if !ok || len(st.Body) == 0 {
+				continue
+			}
+			// An addressed send's rule heads its rows with the destination.
+			head := st.Args
+			if st.Dest != "" {
+				head = append([]hlang.QueryArg{{Var: st.Dest}}, head...)
+			}
+			r, bound, err := lowerRule("__send", head, st.Body, st.Filters, params)
+			if err == nil {
+				c.sends[st], err = datalog.PrepareRule(r, bound...)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("hydrolysis: handler %s: send %s: %w", h.Name, st.Mailbox, err)
+			}
+		}
+	}
+	return c, nil
 }
 
-// argToTerm lowers one rule argument. wildcards counts the wildcards of the
-// rule being lowered: each gets a fresh variable, numbered within its rule,
-// so the emitted rules are the same whatever was compiled before.
-func argToTerm(a hlang.QueryArg, wildcards *int) (datalog.Term, error) {
-	switch {
-	case a.Wildcard:
-		*wildcards++
-		return datalog.V(fmt.Sprintf("_w%d", *wildcards)), nil
-	case a.Var != "":
-		return datalog.V(a.Var), nil
-	default:
-		v, err := constExpr(a.Const)
-		if err != nil {
-			return datalog.Term{}, err
+// lowerRule lowers one rule, head pred(head) with body and filters, to the
+// datalog engine's form. Each wildcard gets a fresh variable numbered
+// within the rule, so the emitted rules are the same whatever was compiled
+// before. bound lists the names in params the rule mentions, sorted: the
+// handler parameters a send's plan takes per message.
+func lowerRule(pred string, head []hlang.QueryArg, body []hlang.BodyAtom, filters []hlang.Expr, params map[string]bool) (datalog.Rule, []string, error) {
+	var bound []string
+	var err error
+	wildcards := 0
+	variable := func(name string) datalog.Term {
+		if params[name] && !slices.Contains(bound, name) {
+			bound = append(bound, name)
 		}
-		return datalog.C(v), nil
+		return datalog.V(name)
 	}
+	constant := func(e hlang.Expr) datalog.Term {
+		v, cerr := constExpr(e)
+		if err == nil {
+			err = cerr
+		}
+		return datalog.C(v)
+	}
+	terms := func(args []hlang.QueryArg) []datalog.Term {
+		var out []datalog.Term
+		for _, a := range args {
+			switch {
+			case a.Wildcard:
+				wildcards++
+				out = append(out, datalog.V(fmt.Sprintf("_w%d", wildcards)))
+			case a.Var != "":
+				out = append(out, variable(a.Var))
+			default:
+				out = append(out, constant(a.Const))
+			}
+		}
+		return out
+	}
+	operand := func(x hlang.Expr) datalog.Term {
+		if v, ok := x.(*hlang.VarRef); ok {
+			return variable(v.Name)
+		}
+		return constant(x)
+	}
+	r := datalog.Rule{Head: datalog.Atom{Pred: pred, Args: terms(head)}}
+	for _, b := range body {
+		r.Body = append(r.Body, datalog.Literal{Atom: datalog.Atom{Pred: b.Pred, Args: terms(b.Args)}, Negated: b.Negated})
+	}
+	for _, f := range filters {
+		bin, ok := f.(*hlang.BinExpr)
+		if !ok {
+			return r, nil, fmt.Errorf("hydrolysis: rule filter %s must be a comparison", f)
+		}
+		op := datalog.CmpOp(bin.Op)
+		if !slices.Contains([]datalog.CmpOp{datalog.OpEq, datalog.OpNe, datalog.OpLt, datalog.OpLe, datalog.OpGt, datalog.OpGe}, op) {
+			return r, nil, fmt.Errorf("hydrolysis: unsupported filter operator %q", bin.Op)
+		}
+		r.Filters = append(r.Filters, datalog.Filter{Op: op, L: operand(bin.L), R: operand(bin.R)})
+	}
+	slices.Sort(bound)
+	return r, bound, err
 }
 
 func constExpr(e hlang.Expr) (any, error) {
@@ -107,83 +183,4 @@ func constExpr(e hlang.Expr) (any, error) {
 		return x.V, nil
 	}
 	return nil, fmt.Errorf("hydrolysis: expression %s is not a constant", e)
-}
-
-func queryToRule(q *hlang.QueryRule) (datalog.Rule, error) {
-	r := datalog.Rule{Head: datalog.Atom{Pred: q.Name}}
-	wildcards := 0
-	for _, a := range q.Head {
-		t, err := argToTerm(a, &wildcards)
-		if err != nil {
-			return r, err
-		}
-		r.Head.Args = append(r.Head.Args, t)
-	}
-	for _, b := range q.Body {
-		lit := datalog.Literal{Atom: datalog.Atom{Pred: b.Pred}, Negated: b.Negated}
-		for _, a := range b.Args {
-			t, err := argToTerm(a, &wildcards)
-			if err != nil {
-				return r, err
-			}
-			lit.Args = append(lit.Args, t)
-		}
-		r.Body = append(r.Body, lit)
-	}
-	for _, f := range q.Filters {
-		df, err := filterToDatalog(f)
-		if err != nil {
-			return r, err
-		}
-		r.Filters = append(r.Filters, df)
-	}
-	if q.Agg != "" {
-		r.Agg = datalog.AggKind(q.Agg)
-		r.AggVar = q.AggVar
-	}
-	return r, nil
-}
-
-// filterToDatalog lowers a comparison expression over rule variables.
-func filterToDatalog(e hlang.Expr) (datalog.Filter, error) {
-	bin, ok := e.(*hlang.BinExpr)
-	if !ok {
-		return datalog.Filter{}, fmt.Errorf("hydrolysis: query filter %s must be a comparison", e)
-	}
-	var op datalog.CmpOp
-	switch bin.Op {
-	case "==":
-		op = datalog.OpEq
-	case "!=":
-		op = datalog.OpNe
-	case "<":
-		op = datalog.OpLt
-	case "<=":
-		op = datalog.OpLe
-	case ">":
-		op = datalog.OpGt
-	case ">=":
-		op = datalog.OpGe
-	default:
-		return datalog.Filter{}, fmt.Errorf("hydrolysis: unsupported filter operator %q", bin.Op)
-	}
-	toTerm := func(x hlang.Expr) (datalog.Term, error) {
-		if v, ok := x.(*hlang.VarRef); ok {
-			return datalog.V(v.Name), nil
-		}
-		c, err := constExpr(x)
-		if err != nil {
-			return datalog.Term{}, err
-		}
-		return datalog.C(c), nil
-	}
-	l, err := toTerm(bin.L)
-	if err != nil {
-		return datalog.Filter{}, err
-	}
-	r, err := toTerm(bin.R)
-	if err != nil {
-		return datalog.Filter{}, err
-	}
-	return datalog.Filter{Op: op, L: l, R: r}, nil
 }

@@ -2,7 +2,6 @@ package hydrolysis
 
 import (
 	"fmt"
-	"sort"
 
 	"hydro/internal/datalog"
 	"hydro/internal/hlang"
@@ -22,17 +21,13 @@ import (
 // read by a handler or not — an unread one costs O(delta) per tick and is
 // visible through Runtime.Table — and for a program with no query at all,
 // whose empty rule set is still a maintained program, so any instantiated
-// runtime can be made durable or fanned out to shards. Everything a handler
-// needs planned (a rule-driven send) is planned here: a send the planner
-// refuses fails Instantiate, not the first message.
+// runtime can be made durable or fanned out to shards. Nothing is planned
+// here: every rule-driven send runs the plan CompileProgram made, shared by
+// every instance.
 func (c *Compiled) Instantiate(name string, seed int64) (*transducer.Runtime, error) {
 	rt := transducer.New(name, seed)
 	for _, t := range c.Program.Tables {
-		schema, err := tableSchema(t)
-		if err != nil {
-			return nil, err
-		}
-		rt.RegisterTable(schema)
+		rt.RegisterTable(tableSchema(t))
 	}
 	for _, v := range c.Program.Vars {
 		var init any
@@ -51,11 +46,7 @@ func (c *Compiled) Instantiate(name string, seed int64) (*transducer.Runtime, er
 		return nil, err
 	}
 	for _, h := range c.Program.Handlers {
-		handler, err := c.compileHandler(h)
-		if err != nil {
-			return nil, err
-		}
-		rt.RegisterHandler(h.Name, handler)
+		rt.RegisterHandler(h.Name, c.compileHandler(h))
 	}
 	return rt, nil
 }
@@ -74,7 +65,7 @@ func zeroValue(t hlang.Type) any {
 	return nil
 }
 
-func tableSchema(t *hlang.TableDecl) (transducer.TableSchema, error) {
+func tableSchema(t *hlang.TableDecl) transducer.TableSchema {
 	s := transducer.TableSchema{
 		Name:         t.Name,
 		Arity:        t.Arity(),
@@ -108,7 +99,7 @@ func tableSchema(t *hlang.TableDecl) (transducer.TableSchema, error) {
 		}
 		return row
 	}
-	return s, nil
+	return s
 }
 
 func toInt64(v any) int64 {
@@ -125,86 +116,15 @@ func toInt64(v any) int64 {
 
 // env is an expression-evaluation environment for one handler invocation.
 type env struct {
-	c         *Compiled
-	tx        *transducer.Tx
-	params    map[string]any
-	sendPlans map[*hlang.SendStmt]*datalog.PreparedRule
+	c      *Compiled
+	tx     *transducer.Tx
+	params map[string]any
 }
 
-// prepareSend compiles a rule-driven send statement once per handler: the
-// datalog rule is planned with the handler's parameters declared as
-// pre-bound variables (bound at Derive time, not substituted as constants
-// per message), so per-message work is pure plan execution. An addressed
-// send's rule heads its rows with the destination node.
-func prepareSend(st *hlang.SendStmt, paramSet map[string]bool) (*datalog.PreparedRule, error) {
-	rule := datalog.Rule{Head: datalog.Atom{Pred: "__send"}}
-	usedParams := map[string]bool{}
-	wildcards := 0
-	bindArg := func(a hlang.QueryArg) (datalog.Term, error) {
-		if a.Var != "" && paramSet[a.Var] {
-			usedParams[a.Var] = true
-		}
-		return argToTerm(a, &wildcards)
-	}
-	args := st.Args
-	if st.Dest != "" {
-		args = append([]hlang.QueryArg{{Var: st.Dest}}, args...)
-	}
-	for _, a := range args {
-		t, err := bindArg(a)
-		if err != nil {
-			return nil, err
-		}
-		rule.Head.Args = append(rule.Head.Args, t)
-	}
-	for _, b := range st.Body {
-		lit := datalog.Literal{Atom: datalog.Atom{Pred: b.Pred}, Negated: b.Negated}
-		for _, a := range b.Args {
-			t, err := bindArg(a)
-			if err != nil {
-				return nil, err
-			}
-			lit.Args = append(lit.Args, t)
-		}
-		rule.Body = append(rule.Body, lit)
-	}
-	for _, f := range st.Filters {
-		df, err := filterToDatalog(f)
-		if err != nil {
-			return nil, err
-		}
-		for _, term := range []datalog.Term{df.L, df.R} {
-			if term.IsVar() && paramSet[term.Var] {
-				usedParams[term.Var] = true
-			}
-		}
-		rule.Filters = append(rule.Filters, df)
-	}
-	var bound []string
-	for p := range usedParams {
-		bound = append(bound, p)
-	}
-	sort.Strings(bound)
-	return datalog.PrepareRule(rule, bound...)
-}
-
-func (c *Compiled) compileHandler(h *hlang.HandlerDecl) (transducer.Handler, error) {
-	// Compile rule-driven sends once per handler.
-	paramSet := map[string]bool{}
-	for _, p := range h.Params {
-		paramSet[p.Name] = true
-	}
-	sendPlans := map[*hlang.SendStmt]*datalog.PreparedRule{}
-	for _, s := range h.Body {
-		if st, ok := s.(*hlang.SendStmt); ok && len(st.Body) > 0 {
-			pr, err := prepareSend(st, paramSet)
-			if err != nil {
-				return nil, fmt.Errorf("hydrolysis: handler %s: send %s: %w", h.Name, st.Mailbox, err)
-			}
-			sendPlans[st] = pr
-		}
-	}
-
+// compileHandler returns h's handler closure. A field merge or read names a
+// single-column key (hlang.Check refuses any other), and a rule-driven send
+// runs its plan from c.sends.
+func (c *Compiled) compileHandler(h *hlang.HandlerDecl) transducer.Handler {
 	return func(tx *transducer.Tx, msg transducer.Message) {
 		// A payload shorter than the parameter list, or with a value not of
 		// its parameter's type, aborts before any statement runs: a missing
@@ -223,7 +143,7 @@ func (c *Compiled) compileHandler(h *hlang.HandlerDecl) (transducer.Handler, err
 			}
 			params[p.Name] = v
 		}
-		e := &env{c: c, tx: tx, params: params, sendPlans: sendPlans}
+		e := &env{c: c, tx: tx, params: params}
 		// require(...) invariants abort the whole invocation when false, and
 		// so does a statement that fails. An aborted invocation sends no
 		// reply: the runtime truncates everything it staged, replies
@@ -242,7 +162,7 @@ func (c *Compiled) compileHandler(h *hlang.HandlerDecl) (transducer.Handler, err
 				return
 			}
 		}
-	}, nil
+	}
 }
 
 func (e *env) exec(s hlang.Stmt) error {
@@ -266,11 +186,6 @@ func (e *env) exec(s hlang.Stmt) error {
 		val, err := e.eval(st.Value)
 		if err != nil {
 			return err
-		}
-		// Single-column keys use the key expression directly; composite
-		// keys are not addressable by a single [expr].
-		if len(t.Key) != 1 {
-			return fmt.Errorf("field merge on composite-key table %s", st.Table)
 		}
 		e.tx.MergeField(st.Table, []any{keyVal}, t.FieldIndex(st.Field), val)
 	case *hlang.AssignStmt:
@@ -313,7 +228,7 @@ func (e *env) exec(s hlang.Stmt) error {
 }
 
 // execSend handles both plain sends and rule-driven sends; the latter run
-// the plan compileHandler prepared. An addressed send goes to mailbox
+// the plan CompileProgram prepared. An addressed send goes to mailbox
 // "node/box" of the node its destination names, the runtime's remote
 // routing.
 func (e *env) execSend(st *hlang.SendStmt) error {
@@ -336,7 +251,7 @@ func (e *env) execSend(st *hlang.SendStmt) error {
 		e.tx.Send(box, row)
 		return nil
 	}
-	rows, err := e.tx.DerivePrepared(e.sendPlans[st], e.params)
+	rows, err := e.tx.DerivePrepared(e.c.sends[st], e.params)
 	if err != nil {
 		return err
 	}
@@ -396,9 +311,6 @@ func (e *env) eval(x hlang.Expr) (any, error) {
 		return nil, fmt.Errorf("unknown name %q", v.Name)
 	case *hlang.FieldRef:
 		t := e.c.Program.Table(v.Table)
-		if len(t.Key) != 1 {
-			return nil, fmt.Errorf("field read on composite-key table %s", v.Table)
-		}
 		key, err := e.eval(v.Key)
 		if err != nil {
 			return nil, err

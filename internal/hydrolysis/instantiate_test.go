@@ -176,10 +176,11 @@ func TestMistypedPayloadAborts(t *testing.T) {
 	}
 }
 
-// TestUnplannableSendFailsInstantiate: hlang.Check rejects a send argument
+// TestUnplannableSendFailsCompile: hlang.Check rejects a send argument
 // nothing binds, so only an unchecked AST reaches the planner with one; the
-// planner's refusal is an Instantiate error, not a per-message abort.
-func TestUnplannableSendFailsInstantiate(t *testing.T) {
+// planner's refusal is a CompileProgram error, not an Instantiate error or
+// a per-message abort.
+func TestUnplannableSendFailsCompile(t *testing.T) {
 	prog, err := hlang.ParseOnly(`
 table links(a: int, b: int) key(a, b)
 on fan(a: int) { send out(q) :- links(a, b) }
@@ -187,12 +188,8 @@ on fan(a: int) { send out(q) :- links(a, b) }
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := CompileProgram(prog, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Instantiate("n1", 1); err == nil {
-		t.Fatal("Instantiate accepted a send whose head variable no literal binds")
+	if _, err := CompileProgram(prog, Options{}); err == nil {
+		t.Fatal("CompileProgram accepted a send whose head variable no literal binds")
 	}
 }
 

@@ -2,6 +2,7 @@ package hydrolysis
 
 import (
 	"fmt"
+	"maps"
 
 	"hydro/internal/cluster"
 	"hydro/internal/shard"
@@ -32,7 +33,8 @@ func (c *Compiled) PlaceAvailable(topo *cluster.Topology, handler string) ([]str
 // distributed dataflow: n replicas are placed by the one placement rule,
 // cluster.Topology.SpreadAcross (no AZ holds more than ⌈n/#AZs⌉ of them),
 // every declared table becomes a base relation hash-partitioned on its
-// PartitionCol (opts.Declared is filled from the tables), and the query
+// PartitionCol unless opts.Declared names another column for it (the
+// caller's entries win), and the query
 // fixpoint is maintained across the replicas by the shard coordinator. The
 // returned deployment accepts base ticks via Submit and converges to
 // exactly the fixpoint a single-node Instantiate would hold.
@@ -45,10 +47,12 @@ func (c *Compiled) InstantiateSharded(cl *cluster.Cluster, name string, n int, o
 		return nil, err
 	}
 	edb := map[string]int{}
-	opts.Declared = map[string]int{}
+	declared := map[string]int{}
 	for _, t := range c.Program.Tables {
 		edb[t.Name] = t.Arity()
-		opts.Declared[t.Name] = t.PartitionCol()
+		declared[t.Name] = t.PartitionCol()
 	}
+	maps.Copy(declared, opts.Declared)
+	opts.Declared = declared
 	return shard.Deploy(cl, name, c.Queries, edb, machines, opts)
 }

@@ -54,3 +54,19 @@ func TestPlacementCovidDeployed(t *testing.T) {
 		t.Errorf("placed %v, want people, contacts and transitive only", specs)
 	}
 }
+
+// TestInstantiateShardedKeepsDeclared: the caller's opts.Declared entries
+// win over the tables' partition columns, and the tables fill in the rest.
+func TestInstantiateShardedKeepsDeclared(t *testing.T) {
+	cl := cluster.New(cluster.NewTopology(3, 2, 2, cluster.ClassSmall), simnet.DefaultConfig(1))
+	dep, err := compileCovid(t).InstantiateSharded(cl, "covid", 3, shard.Options{Declared: map[string]int{"people": 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := dep.Placement().Specs
+	for pred, col := range map[string]int{"people": 0, "contacts": 0} {
+		if s := specs[pred]; s.Mirrored || s.Col != col {
+			t.Errorf("%s placed %+v, want sharded on column %d", pred, s, col)
+		}
+	}
+}

@@ -21,10 +21,10 @@
 // Replies and outputs wait for no later tick. From New until the loop
 // exits the server is the runtime's observation sink
 // (transducer.Runtime.SetObservationSink): a reply lands in its batch's
-// reply table, and a DrainMailboxes output reaches OnDrain in a slice
-// borrowed for the call, at the end of the tick that sent it. A batch whose
-// handlers only reply and emit outputs costs exactly one tick; the loop
-// settles further ticks only for handler cascades.
+// reply table, and every other output reaches OnDrain (or is dropped) in a
+// slice borrowed for the call, at the end of the tick that sent it. A batch
+// whose handlers only reply and emit outputs costs exactly one tick; the
+// loop settles further ticks only for handler cascades.
 //
 // Batching is transparent for the monotone, payload-driven handlers the
 // compiler emits: the committed fixpoint after a batch is identical (as a
@@ -116,15 +116,17 @@ type Config struct {
 	// dep.Settle closure here, so the simulated cluster network drains as
 	// the serving node drives it.
 	FanoutPump func()
-	// DrainMailboxes are observation mailboxes (alert fan-outs, send-rule
-	// targets: local, no handler) taken as their sends commit, so they
-	// cannot grow without bound; their messages go to OnDrain when set,
-	// else are dropped.
+	// Deprecated: DrainMailboxes is ignored. Every committed observation
+	// that is not a reply goes to OnDrain, or is dropped when OnDrain is
+	// nil. The field stays until the benchmark module stops setting it.
 	DrainMailboxes []string
-	// OnDrain receives the messages one staged send committed to a
-	// DrainMailboxes mailbox, at the end of the tick that sent them (called
-	// from the serve loop; keep it fast). msgs is borrowed for the call:
-	// copy what must outlive it. The payload tuples are the receiver's.
+	// OnDrain receives the messages one staged send committed to an
+	// observation mailbox (a local one with no handler: alert fan-outs,
+	// send-rule targets) other than a response mailbox, at the end of the
+	// tick that sent them (called from the serve loop; keep it fast). When
+	// it is nil those messages are dropped, so no observation mailbox grows
+	// without bound. msgs is borrowed for the call: copy what must outlive
+	// it. The payload tuples are the receiver's.
 	OnDrain func(mailbox string, msgs []transducer.Message)
 }
 
@@ -199,11 +201,10 @@ type Server struct {
 	m        metrics
 	batchSeq uint64 // owned by the serve loop
 
-	// The observation sink's routes, owned by the serve loop: the response
-	// mailbox of every mailbox a batch has carried, and DrainMailboxes.
-	// replies is the batch being served's reply table, by message ID.
+	// The observation sink's reply route, owned by the serve loop: the
+	// response mailbox of every mailbox a batch has carried. replies is the
+	// batch being served's reply table, by message ID.
 	replyBoxes map[string]bool
-	drainBoxes map[string]bool
 	replies    map[uint64]datalog.Tuple
 }
 
@@ -231,14 +232,10 @@ func New(rt *transducer.Runtime, cfg Config) *Server {
 		done:   make(chan struct{}),
 
 		replyBoxes: map[string]bool{},
-		drainBoxes: map[string]bool{},
 		replies:    map[uint64]datalog.Tuple{},
 	}
 	for _, mb := range cfg.SerialMailboxes {
 		s.serial[mb] = true
-	}
-	for _, mb := range cfg.DrainMailboxes {
-		s.drainBoxes[mb] = true
 	}
 	rt.SetObservationSink(s.observe)
 	go s.loop()
@@ -246,8 +243,8 @@ func New(rt *transducer.Runtime, cfg Config) *Server {
 }
 
 // observe is the runtime's observation sink while the server owns it. A
-// reply lands in the batch's reply table, a DrainMailboxes message goes to
-// OnDrain, and any other observation to its mailbox.
+// reply lands in the batch's reply table; any other observation goes to
+// OnDrain, or is dropped when OnDrain is nil.
 func (s *Server) observe(box string, msgs []transducer.Message) {
 	switch {
 	case s.replyBoxes[box]:
@@ -259,14 +256,8 @@ func (s *Server) observe(box string, msgs []transducer.Message) {
 				s.replies[id] = m.Payload[1:]
 			}
 		}
-	case s.drainBoxes[box]:
-		if s.cfg.OnDrain != nil {
-			s.cfg.OnDrain(box, msgs)
-		}
-	default:
-		for _, m := range msgs {
-			s.rt.Deliver(m)
-		}
+	case s.cfg.OnDrain != nil:
+		s.cfg.OnDrain(box, msgs)
 	}
 }
 

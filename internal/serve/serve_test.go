@@ -424,6 +424,33 @@ func TestServeDrainMailboxes(t *testing.T) {
 	}
 }
 
+// TestServeUnlistedObservationReachesOnDrain: every committed observation
+// that is not a reply goes to OnDrain — no mailbox list names it — and
+// none stays behind in the runtime's mailboxes, where nothing drains it
+// while the server runs.
+func TestServeUnlistedObservationReachesOnDrain(t *testing.T) {
+	var boxes []string
+	s := New(newGraphRuntime(t, 1), Config{
+		MaxBatch: 4, MaxWait: time.Millisecond,
+		OnDrain: func(mailbox string, msgs []transducer.Message) {
+			for range msgs {
+				boxes = append(boxes, mailbox)
+			}
+		},
+	})
+	defer s.Close()
+	if r := mustSubmit(t, s, "fanout", datalog.Tuple{int64(7)}).Wait(); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	// OnDrain runs on the serve loop; synchronize before reading.
+	var got []string
+	var left int
+	s.Sync(func(rt *transducer.Runtime) { got, left = boxes, len(rt.Peek("alert")) })
+	if len(got) != 1 || got[0] != "alert" || left != 0 {
+		t.Fatalf("OnDrain saw %v with %d alerts left in the runtime, want [alert] and 0", got, left)
+	}
+}
+
 // TestServeReplyOnlyBatchOneTick: replies and observation outputs commit
 // in the tick that sent them, so a batch whose handlers only reply, read
 // and emit outputs costs exactly one tick — no settle tick delivers them.
