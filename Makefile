@@ -85,7 +85,10 @@ datalog-serial:
 # no []int field in Relation — a relation is a set, so no per-slot side
 # column (a count, a sign) rides beside its rows — and the interpretive binding / evalFilter walk is referenced only where it
 # is defined (rule.go) and by eval.go's deriveRule, the oracle the
-# differential tests compare the compiled plans against. Comments are
+# differential tests compare the compiled plans against. Nor does the plan
+# executor call back: planExec has no func-typed field and no rulePlan
+# method takes a func, so a run writes its head rows to a rowList (or stops
+# at the first) and no second output contract grows beside it. Comments are
 # stripped first: the check reads declarations and call sites, not prose.
 DATALOG_SRC = $(filter-out %_test.go,$(wildcard internal/datalog/*.go))
 datalog-one-store:
@@ -100,6 +103,12 @@ datalog-one-store:
 		{code=$$0; sub(/\/\/.*/,"",code)} \
 		code ~ /(^|[^[:alnum:]_"])binding([{(),]|$$)|evalFilter\(/ && !(FILENAME ~ /eval\.go$$/ && fn ~ /^deriveRule\(/) \
 		{print FILENAME":"FNR": "$$0; bad=1} END{exit bad}' $(filter-out %/rule.go,$(DATALOG_SRC))
+	@awk '{code=$$0; sub(/\/\/.*/,"",code)} \
+		code ~ /^type planExec struct/ {in_exec=1} \
+		in_exec && code ~ /func\(/ {print FILENAME":"FNR": a callback in the plan executor: "$$0; bad=1} \
+		code ~ /^}/ {in_exec=0} \
+		code ~ /^func \([[:alnum:]_]+ \*rulePlan\) [[:alnum:]_]+\(.*func\(/ {print FILENAME":"FNR": a rulePlan method takes a callback: "$$0; bad=1} \
+		END{exit bad}' $(DATALOG_SRC)
 
 # datalog-no-placement fails if a non-test file of internal/datalog names
 # ShardOf, PartitionHints, partCol or fnvOffset (comments stripped, as
@@ -239,9 +248,9 @@ serve-soak:
 
 # tick-allocs is the allocation budget of a warm fan-out tick: 64 messages
 # each sending 256 derived rows to an observation mailbox. Each derivation
-# allocates a constant number of times and, beyond a constant, only its
-# flat payload array; the tick may allocate per message beyond the
-# derivations, never per row. Without -race, which inflates allocation
+# allocates once, its flat payload array (the plan executor and the word
+# buffer belong to the database); the tick may allocate per message beyond
+# the derivations, never per row. Without -race, which inflates allocation
 # counts (the test skips itself under it).
 tick-allocs:
 	$(GO) test -count=1 -run '^TestWarmFanoutTickAllocs$$' -v ./internal/transducer

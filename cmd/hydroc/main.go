@@ -41,7 +41,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	prog, err := hlang.Parse(src)
+	// CompileProgram checks the program; -fmt, which stops before it, here.
+	prog, err := hlang.ParseOnly(src)
+	if err == nil && *format {
+		err = hlang.Check(prog)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "compile error: %v\n", err)
 		os.Exit(1)

@@ -327,9 +327,12 @@ func (r *Relation) Lookup(pos []int, vals []any) []Tuple {
 type Database struct {
 	rels map[string]*Relation
 	dict *dict
-	// derived is PreparedRule.Derive's word buffer, reused by every call:
-	// like everything here it belongs to the database's evaluator thread.
+	// derived is the word buffer PreparedRule.Derive and the aggregate
+	// rules write into, reused by every call, and execs holds one executor
+	// per plan run on the database: like everything here they belong to
+	// the database's evaluator thread.
 	derived rowList
+	execs   map[*rulePlan]*planExec
 }
 
 // NewDatabase returns an empty database with a dictionary of its own.

@@ -303,6 +303,37 @@ func TestPreparedFilterOnBoundVariable(t *testing.T) {
 	}
 }
 
+// TestPreparedRuleOnTwoDatabases: one plan derived alternately on two
+// databases whose dictionaries number the rule's constant "red"
+// differently returns each database's own rows — a plan's constants are
+// encoded in the dictionary of the database it runs on, as a compiled
+// program's send plans run on every instance.
+func TestPreparedRuleOnTwoDatabases(t *testing.T) {
+	pr, err := PrepareRule(Rule{
+		Head: Atom{Pred: "out", Args: []Term{V("y")}},
+		Body: []Literal{{Atom: Atom{Pred: "tag", Args: []Term{C("red"), V("y")}}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	redFirst, blueFirst := NewDatabase(), NewDatabase()
+	redFirst.Ensure("tag", 2).Insert(Tuple{"red", int64(1)})
+	redFirst.Ensure("tag", 2).Insert(Tuple{"blue", int64(2)})
+	blueFirst.Ensure("tag", 2).Insert(Tuple{"blue", int64(3)})
+	blueFirst.Ensure("tag", 2).Insert(Tuple{"red", int64(4)})
+	for round := 0; round < 2; round++ {
+		for _, c := range []struct {
+			db   *Database
+			want int64
+		}{{redFirst, 1}, {blueFirst, 4}} {
+			got, err := pr.Derive(c.db, nil)
+			if err != nil || got.Len() != 1 || got.Row(0)[0] != c.want {
+				t.Fatalf("round %d: derived %v (%v), want [(%d)]", round, tuplesOf(got), err, c.want)
+			}
+		}
+	}
+}
+
 func TestJoinWithConstants(t *testing.T) {
 	db := NewDatabase()
 	likes := db.Ensure("likes", 2)

@@ -397,8 +397,12 @@ func Derive(db *Database, r Rule) ([]Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
+	rows := rowList{arity: len(pl.head)}
+	pl.run(db, nil, &rows)
 	var out []Tuple
-	pl.run(db, nil, func(w []uint64) { out = append(out, db.dict.tuple(w)) })
+	for i := range rows.len() {
+		out = append(out, db.dict.tuple(rows.row(i)))
+	}
 	return out, nil
 }
 

@@ -103,7 +103,7 @@ func evalStratumSemiNaive(db *Database, plans []*rulePlan, rounds *roundBufs) er
 		rel := db.Get(pl.r.Head.Pred)
 		d := rowsOf(seed, pl.r.Head.Pred, rel.Arity)
 		out.reset(rel.Arity)
-		pl.run(db, nil, out.add)
+		pl.run(db, nil, &out)
 		for k, n := 0, out.len(); k < n; k++ {
 			if w := out.row(k); rel.insertRow(w) {
 				d.add(w)
@@ -223,10 +223,6 @@ type groupTable struct {
 	vals   []rowList
 }
 
-func newGroupTable(d *dict, arity int) *groupTable {
-	return &groupTable{groups: newRelation(d, "", arity-1)}
-}
-
 func (g *groupTable) add(w []uint64) {
 	prefix := w[:len(w)-1]
 	cell, slot := g.groups.set.find(g.groups, prefix)
@@ -237,8 +233,13 @@ func (g *groupTable) add(w []uint64) {
 	g.vals[slot].add(w[len(w)-1:])
 }
 
-// foldGroups folds each group with the aggregate and inserts head rows.
-func foldGroups(rel *Relation, kind AggKind, headPred string, g *groupTable) (int, error) {
+// foldGroups groups encoded (group..., value) rows by group prefix, folds
+// each group with the aggregate and inserts head rows.
+func foldGroups(rel *Relation, kind AggKind, headPred string, rows *rowList) (int, error) {
+	g := &groupTable{groups: newRelation(rel.dict, "", rel.Arity-1)}
+	for k, n := 0, rows.len(); k < n; k++ {
+		g.add(rows.row(k))
+	}
 	derived := 0
 	head := make([]uint64, rel.Arity)
 	for slot := range g.vals {
@@ -263,10 +264,10 @@ func evalAggregatesPlanned(db *Database, plans []*rulePlan) error {
 		if pl.r.Agg == "" {
 			continue
 		}
-		rel := db.Get(pl.r.Head.Pred)
-		g := newGroupTable(rel.dict, rel.Arity)
-		pl.run(db, nil, g.add)
-		if _, err := foldGroups(rel, pl.r.Agg, pl.r.Head.Pred, g); err != nil {
+		rel, rows := db.Get(pl.r.Head.Pred), &db.derived
+		rows.reset(rel.Arity)
+		pl.run(db, nil, rows)
+		if _, err := foldGroups(rel, pl.r.Agg, pl.r.Head.Pred, rows); err != nil {
 			return err
 		}
 	}
@@ -289,12 +290,11 @@ func evalAggregatesNaive(db *Database, rules []Rule) (int, error) {
 			Body:    r.Body,
 			Filters: r.Filters,
 		}
-		g := newGroupTable(rel.dict, rel.Arity)
-		var buf [8]uint64
+		rows := rowList{arity: rel.Arity}
 		for _, row := range deriveRule(db, probe) {
-			g.add(rel.dict.encodeRow(buf[:0], row))
+			rows.addTuple(rel.dict, row)
 		}
-		n, err := foldGroups(rel, r.Agg, r.Head.Pred, g)
+		n, err := foldGroups(rel, r.Agg, r.Head.Pred, &rows)
 		derived += n
 		if err != nil {
 			return derived, err

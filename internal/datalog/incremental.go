@@ -356,7 +356,7 @@ func (b *roundBufs) driveOnce(db *Database, plans []*rulePlan, frontier map[stri
 				continue
 			}
 			b.emitted.reset(rel.Arity)
-			pl.runSegmented(db, i, rows, view, b.emitted.add)
+			pl.runSegmented(db, i, rows, view, &b.emitted)
 			_ = rel.touch(&b.emitted)
 			for k, m := 0, b.emitted.len(); k < m; k++ {
 				emit(rel, b.emitted.row(k), n)

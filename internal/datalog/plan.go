@@ -14,17 +14,19 @@ import (
 // columns into bound (probe) and free (bind) sets, greedily reorders body
 // literals by boundness, and pushes filters to the earliest point they are
 // evaluable. NewIncremental's from-scratch seed, PreparedRule.Derive, the
-// aggregate path, every Incremental maintenance strategy and the shard
-// replicas' Ticks all execute these plans.
+// aggregate path, every Incremental maintenance strategy, DRed's support
+// check and the shard replicas' Ticks all execute these plans, through the
+// one executor a database keeps per plan (exec): a run writes encoded head
+// rows into the caller's rowList, or, given none, stops at the first.
 // The interpretive binding-map walk (deriveRule in eval.go, behind
 // EvalNaive) is the oracle only: the reference the differential tests
 // compare every plan-driven path against, and BenchmarkEvalNaiveTCChain's
 // baseline.
 
 // A compiled term is a slot in the flat binding environment: variables
-// first, then one slot per constant, which newExec fills with the constant's
-// word in the dictionary of the database the plan is about to run on (a plan
-// is compiled once and runs on many).
+// first, then one slot per constant, which each database's executor for the
+// plan (exec) fills once with the constant's word in that database's
+// dictionary (a plan is compiled once and runs on many databases).
 
 // filterPlan is a comparison compiled onto slots, scheduled at the earliest
 // plan position where both sides are bound.
@@ -78,19 +80,18 @@ type rulePlan struct {
 	head []int
 
 	// support is the rule's body compiled with the distinct head variables
-	// pre-bound (supportVars, in first-appearance order): binding a concrete
-	// head tuple and running it answers "does any derivation of this tuple
-	// survive in the current database?" — the DRed re-derivation check.
+	// pre-bound, in first-appearance order: binding a concrete head tuple
+	// and running it answers "does any derivation of this tuple survive in
+	// the current database?" — the DRed re-derivation check (rederivable).
 	// Compiled by NewProgram for every non-aggregate rule; nil otherwise.
-	// supportBindPos[k] is the head-arg position whose value binds
-	// supportVars[k]; supportConsts lists head positions holding constants
+	// supportBindPos[k] is the head-arg position whose value binds the k-th
+	// of those variables; supportConsts lists head positions holding constants
 	// (a candidate must match support.head's slot there) and supportChecks
 	// lists (pos, firstPos)
 	// pairs where a head variable repeats (the candidate's columns must
 	// agree) — precomputed so binding a candidate is straight array work,
 	// with no per-candidate map.
 	support        *rulePlan
-	supportVars    []string
 	supportBindPos []int
 	supportConsts  []int
 	supportChecks  [][2]int
@@ -371,40 +372,31 @@ type preBatch struct {
 	over *Database
 }
 
-// run executes the standard join order against db with the leading slots
-// preset; emit receives each derived head row — a view into the executor's
-// row buffer, valid until it returns.
-func (p *rulePlan) run(db *Database, preset []uint64, emit func([]uint64)) {
-	e := p.newExec(db, p.orders[0], preBatch{}, func(w []uint64) bool {
-		emit(w)
-		return true
-	})
+// run executes the standard join order on db with the leading slots
+// preset, appending each derived head row to out; with a nil out it stops
+// at the first row. It reports whether the rule derived a row.
+func (p *rulePlan) run(db *Database, preset []uint64, out *rowList) bool {
+	e := p.exec(db)
 	copy(e.env, preset)
-	if e.preFiltersPass() {
+	if e.start(p.orders[0], preBatch{}, out) {
 		e.walk(0)
 	}
+	return e.found
 }
 
 // runSegmented drives the delta-first order for body literal deltaIdx over
-// an explicit list of delta rows: for each row in order, it emits what the
-// rule derives with that literal bound to it and every other literal read
-// under view. deltaIdx must name a non-negated body literal (those have a
-// delta-first order); env and scratch are allocated once and reused across
-// rows.
-func (p *rulePlan) runSegmented(db *Database, deltaIdx int, delta *rowList, view preBatch, emit func([]uint64)) {
-	if delta.len() == 0 {
-		return
-	}
+// an explicit list of delta rows: for each row in order, it appends to out
+// what the rule derives with that literal bound to it and every other
+// literal read under view. deltaIdx must name a non-negated body literal
+// (those have a delta-first order).
+func (p *rulePlan) runSegmented(db *Database, deltaIdx int, delta *rowList, view preBatch, out *rowList) {
 	order := p.orders[1+deltaIdx]
-	e := p.newExec(db, order, view, func(w []uint64) bool {
-		emit(w)
-		return true
-	})
-	if !e.preFiltersPass() {
+	e := p.exec(db)
+	if delta.len() == 0 || !e.start(order, view, out) {
 		return
 	}
 	first := &order[0]
-	key := e.scratch[0]
+	key := e.scratch[0][:len(first.probeArgs)]
 	for k, slot := range first.probeArgs {
 		key[k] = e.env[slot] // constants only: no variable is bound yet
 	}
@@ -453,68 +445,86 @@ func (l *rowList) reset(arity int) {
 	l.w = l.w[:0]
 }
 
-// planExec is one execution of a compiled join order: the flat binding
-// environment, per-position probe scratch, the head row buffer and the
-// recursive join walk. It is built once per run and reused across every
-// delta row the run drives.
+// addFrom appends the row whose column j is env[slots[j]].
+func (l *rowList) addFrom(env []uint64, slots []int) {
+	if l.arity == 0 {
+		l.w = append(l.w, 0)
+	}
+	for _, s := range slots {
+		l.w = append(l.w, env[s])
+	}
+}
+
+// planExec runs one compiled plan on one database: the flat binding
+// environment, whose constant slots hold the plan's constants encoded once
+// in the database's dictionary, probe scratch for each position wide enough
+// for the literal any of the plan's join orders puts there, and the
+// recursive join walk. A Database keeps one per plan (exec), and every run
+// of the plan on it reuses it. That is safe because no run starts inside
+// another run's walk: the walk writes rows to a list and calls nothing
+// that runs a plan.
 type planExec struct {
 	p       *rulePlan
 	db      *Database
-	dict    *dict
-	order   []litPlan
-	view    preBatch
 	env     []uint64
 	scratch [][]uint64
-	head    []uint64
-	stopped bool
-	emit    func([]uint64) bool
+
+	// The run in progress: its join order and view, the list it writes head
+	// rows to (nil: stop at the first), and whether it derived one.
+	order []litPlan
+	view  preBatch
+	out   *rowList
+	found bool
 }
 
-func (p *rulePlan) newExec(db *Database, order []litPlan, view preBatch, emit func([]uint64) bool) *planExec {
-	e := &planExec{p: p, db: db, dict: db.dict, order: order, view: view, emit: emit}
-	// One allocation holds env, the head row and the per-position scratch
-	// for probe keys and negation probes.
-	n := p.nslots + len(p.head)
-	for i := range order {
-		n += len(order[i].probeArgs) + len(order[i].negArgs)
+// exec returns db's executor for p, made on first use. A slot beyond a
+// run's preset is always written by the literal that binds it before any
+// deeper position reads it, so what an earlier run left in env is never
+// observed.
+func (p *rulePlan) exec(db *Database) *planExec {
+	if e := db.execs[p]; e != nil {
+		return e
 	}
-	buf := make([]uint64, n)
-	e.env, buf = buf[:p.nslots:p.nslots], buf[p.nslots:]
+	e := &planExec{p: p, db: db, env: make([]uint64, p.nslots), scratch: make([][]uint64, len(p.r.Body))}
 	for k, c := range p.consts {
-		e.env[p.nslots-len(p.consts)+k] = e.dict.encode(c)
+		e.env[p.nslots-len(p.consts)+k] = db.dict.encode(c)
 	}
-	e.head, buf = buf[:len(p.head):len(p.head)], buf[len(p.head):]
-	e.scratch = make([][]uint64, len(order))
-	for i := range order {
-		k := len(order[i].probeArgs) + len(order[i].negArgs)
-		e.scratch[i], buf = buf[:k:k], buf[k:]
+	for _, order := range p.orders {
+		for i := range order {
+			if k := len(order[i].probeArgs) + len(order[i].negArgs); k > len(e.scratch[i]) {
+				e.scratch[i] = make([]uint64, k)
+			}
+		}
 	}
+	if db.execs == nil {
+		db.execs = map[*rulePlan]*planExec{}
+	}
+	db.execs[p] = e
 	return e
 }
 
-// rerun re-arms a finished executor for another run, the caller having
-// written fresh preset values into env — the DRed support checker amortizes
-// one executor across every candidate of a phase-2 pass this way. Only the
-// preset prefix and the stop flag need resetting: a slot beyond the preset
-// is always written by the literal that binds it before any deeper position
-// reads it, so stale values from the previous run are never observed.
-func (e *planExec) rerun() { e.stopped = false }
+// start readies e for a run of order under view into out, the caller
+// having preset env's leading slots, and reports whether the plan's
+// pre-filters (constants and preset slots only) pass.
+func (e *planExec) start(order []litPlan, view preBatch, out *rowList) bool {
+	e.order, e.view, e.out, e.found = order, view, out, false
+	return e.filtersPass(e.p.preFilters)
+}
 
 func (e *planExec) filtersPass(fs []filterPlan) bool {
 	for _, f := range fs {
-		if !e.dict.compareWords(f.op, e.env[f.l], e.env[f.r]) {
+		if !e.db.dict.compareWords(f.op, e.env[f.l], e.env[f.r]) {
 			return false
 		}
 	}
 	return true
 }
 
-func (e *planExec) preFiltersPass() bool { return e.filtersPass(e.p.preFilters) }
-
 // step accepts one candidate row for the positive literal at position i —
 // free columns bind their slots, repeated variables and the literal's
 // filters must agree — and walks on. It reports whether the enumeration
-// that produced row should continue.
+// that produced row should continue: always, unless the run only asks for
+// a first row and has it.
 func (e *planExec) step(i int, row []uint64) bool {
 	lp := &e.order[i]
 	for k, pos := range lp.freePos {
@@ -528,28 +538,23 @@ func (e *planExec) step(i int, row []uint64) bool {
 	if e.filtersPass(lp.filters) {
 		e.walk(i + 1)
 	}
-	return !e.stopped
+	return e.out != nil || !e.found
 }
 
-// walk recurses through the join order from position i, emitting head
-// rows at the leaves.
+// walk recurses through the join order from position i, writing head rows
+// at the leaves.
 func (e *planExec) walk(i int) {
-	if e.stopped {
-		return
-	}
 	if i == len(e.order) {
-		for j, slot := range e.p.head {
-			e.head[j] = e.env[slot]
-		}
-		if !e.emit(e.head) {
-			e.stopped = true
+		e.found = true
+		if e.out != nil {
+			e.out.addFrom(e.env, e.p.head)
 		}
 		return
 	}
 	lp := &e.order[i]
-	key := e.scratch[i]
 	if lp.negated {
 		if rel := e.db.Get(lp.pred); rel != nil {
+			key := e.scratch[i][:len(lp.negArgs)]
 			for j, slot := range lp.negArgs {
 				key[j] = e.env[slot]
 			}
@@ -575,6 +580,7 @@ func (e *planExec) walk(i int) {
 			n++
 		}
 	}
+	key := e.scratch[i][:len(lp.probeArgs)]
 	for k, slot := range lp.probeArgs {
 		key[k] = e.env[slot]
 	}
@@ -589,10 +595,9 @@ func (e *planExec) walk(i int) {
 		case lp.allBound:
 			// Existence check: probePos covers every column in order, so
 			// key is the full row; the membership table answers directly.
+			// The literal binds nothing, so no filter waits on it.
 			if src.findRow(key) >= 0 {
-				if e.filtersPass(lp.filters) {
-					e.walk(i + 1)
-				}
+				e.walk(i + 1)
 				return
 			}
 		default:
@@ -747,7 +752,6 @@ func compileProgramRule(r Rule) (*rulePlan, error) {
 		return nil, err
 	}
 	pl.support = sp
-	pl.supportVars = headVars
 	pl.supportBindPos = make([]int, len(headVars))
 	for k, v := range headVars {
 		pl.supportBindPos[k] = firstPos[v]
@@ -799,7 +803,7 @@ func (pr *PreparedRule) Derive(db *Database, bound map[string]any) (Rows, error)
 	}
 	words := &db.derived
 	words.reset(len(pr.plan.head))
-	pr.plan.run(db, preset, words.add)
+	pr.plan.run(db, preset, words)
 	n := words.len()
 	if n == 0 {
 		return Rows{}, nil

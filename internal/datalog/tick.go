@@ -213,10 +213,9 @@ func (t *Tick) drive(quiet bool, emit func(rel *Relation, w []uint64, n int)) er
 		// is accepted as it is found, one pass reinstates every directly
 		// supported candidate.
 		t.phase = insertPhase
-		checker := newSupportChecker(db, c)
 		for k, off := 0, 0; k < len(t.check.rels); k++ {
 			rel := t.check.rels[k]
-			if w := t.check.w[off : off+rel.Arity]; checker.rederivable(rel.Name, w) {
+			if w := t.check.w[off : off+rel.Arity]; rederivable(db, c.plans, rel.Name, w) {
 				emit(rel, w, 1)
 			}
 			off += rel.Arity

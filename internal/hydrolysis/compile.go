@@ -1,5 +1,5 @@
-// Package hydrolysis is the Hydro compiler (§2.2): it takes a checked
-// HydroLogic program and lowers it once — every query rule and every
+// Package hydrolysis is the Hydro compiler (§2.2): it checks a HydroLogic
+// program and lowers it once — every query rule and every
 // rule-driven send through one lowering, lowerRule — into what the runtime
 // executes: the datalog program for the query facet, a prepared plan per
 // rule-driven send, the monotonicity analysis, and, per Instantiate,
@@ -43,20 +43,23 @@ type Options struct {
 
 // Compile parses, checks, analyzes and compiles a HydroLogic source text.
 func Compile(src string, opts Options) (*Compiled, error) {
-	prog, err := hlang.Parse(src)
+	prog, err := hlang.ParseOnly(src) // CompileProgram checks it
 	if err != nil {
 		return nil, err
 	}
 	return CompileProgram(prog, opts)
 }
 
-// CompileProgram compiles a program hlang.Check accepted (hlang.Parse
-// checks what it parses): it lowers the query rules to the datalog
-// program and plans every rule-driven send, with the handler parameters
-// the send's rule names pre-bound (bound at Derive time, not substituted
-// as constants per message). A send the planner refuses fails here, not
-// at Instantiate or the first message.
+// CompileProgram checks prog (hlang.Check), then compiles it: it lowers
+// the query rules to the datalog program and plans every rule-driven send,
+// with the handler parameters the send's rule names pre-bound (bound at
+// Derive time, not substituted as constants per message). A program Check
+// refuses, or a send the planner refuses, fails here, not at Instantiate
+// or the first message.
 func CompileProgram(prog *hlang.Program, opts Options) (*Compiled, error) {
+	if err := hlang.Check(prog); err != nil {
+		return nil, err
+	}
 	for _, u := range prog.UDFs {
 		if _, ok := opts.UDFs[u.Name]; !ok {
 			return nil, fmt.Errorf("hydrolysis: no implementation supplied for udf %q", u.Name)

@@ -3,6 +3,7 @@ package hydrolysis
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -176,10 +177,10 @@ func TestMistypedPayloadAborts(t *testing.T) {
 	}
 }
 
-// TestUnplannableSendFailsCompile: hlang.Check rejects a send argument
-// nothing binds, so only an unchecked AST reaches the planner with one; the
-// planner's refusal is a CompileProgram error, not an Instantiate error or
-// a per-message abort.
+// TestUnplannableSendFailsCompile: a send argument nothing binds, in an
+// unchecked AST, is a CompileProgram error — hlang.Check, which
+// CompileProgram runs first, refuses it — not an Instantiate error or a
+// per-message abort.
 func TestUnplannableSendFailsCompile(t *testing.T) {
 	prog, err := hlang.ParseOnly(`
 table links(a: int, b: int) key(a, b)
@@ -190,6 +191,26 @@ on fan(a: int) { send out(q) :- links(a, b) }
 	}
 	if _, err := CompileProgram(prog, Options{}); err == nil {
 		t.Fatal("CompileProgram accepted a send whose head variable no literal binds")
+	}
+}
+
+// TestCompileProgramChecksItsProgram: CompileProgram refuses a program
+// hlang.Check refuses, so an unchecked AST with a field merge on a table
+// keyed on two columns fails to compile instead of panicking on its first
+// message.
+func TestCompileProgramChecksItsProgram(t *testing.T) {
+	prog, err := hlang.ParseOnly(`
+table items(cart: string, item: string, qty: max<int>) key(cart, item)
+on add(c: string) {
+    merge items[c].qty <- 3
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `field merge on table "items" keyed on 2 columns`
+	if _, err := CompileProgram(prog, Options{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("CompileProgram: error %v, want one containing %q", err, want)
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 // TestWarmFanoutTickAllocs is the allocation budget of a warm fan-out
 // tick: 64 trace-like messages, each deriving its id's 256 rows through a
 // prepared rule and sending them to an observation mailbox. Each
-// derivation allocates a constant number of times and, beyond a constant,
-// only its payload array: no word buffer grown afresh and no Tuple header
-// per row. Beyond the derivations, the tick may allocate per message,
+// derivation allocates once, its payload array: no executor, no word
+// buffer grown afresh and no Tuple header per row. Beyond the
+// derivations, the tick may allocate per message,
 // never per row: no Message, in-flight entry or later delivery per row.
 // `make tick-allocs` runs it; -race inflates the counts, so it skips there.
 func TestWarmFanoutTickAllocs(t *testing.T) {
@@ -24,10 +24,11 @@ func TestWarmFanoutTickAllocs(t *testing.T) {
 	// growth on Inject.
 	const perMessage, perMessageBytes = 2, 512
 	// A derivation of n rows of arity k (here 1) may allocate perDerive
-	// times whatever n, and n·k interface words plus perDeriveBytes: the
-	// plan executor, and the allocator's rounding of the payload array up
-	// to its size class.
-	const arity, perDerive, perDeriveBytes = 1, 8, 2048
+	// times whatever n — its payload array; the plan executor and the word
+	// buffer are the database's, made by the warm-up tick — and n·k
+	// interface words plus perDeriveBytes: the allocator's rounding of the
+	// payload array up to its size class.
+	const arity, perDerive, perDeriveBytes = 1, 1, 2048
 
 	rt := New("n1", 1)
 	rt.RegisterTable(TableSchema{Name: "reach", Arity: 2})
