@@ -36,11 +36,13 @@ lines:
 
 # smoke runs every binary a reader is pointed at: the compiler on the COVID
 # program (its report must reach the metaconsistency check), the covidd
-# deployment demo, and each example. It fails on a non-zero exit.
+# deployment demo, durtool on an empty temporary directory, and each
+# example. It fails on a non-zero exit.
 SMOKE_EXAMPLES = actors cart futures mpi quickstart
 smoke:
 	$(GO) run ./cmd/hydroc -covid | grep metaconsistency
 	$(GO) run ./cmd/covidd > /dev/null
+	dir=$$(mktemp -d) && $(GO) run ./cmd/durtool $$dir > /dev/null; status=$$?; rm -rf $$dir; exit $$status
 	@for ex in $(SMOKE_EXAMPLES); do \
 		echo "$(GO) run ./examples/$$ex"; \
 		$(GO) run ./examples/$$ex > /dev/null || exit 1; \
@@ -154,12 +156,14 @@ one-lowering:
 		END{if (n > 1) {print "datalog.Rule literals built in " n " functions:" fns; exit 1}}' $(HYDROLYSIS_SRC)
 
 # compiled-handlers fails if a non-test file outside internal/hydrolysis and
-# internal/transducer builds a runtime or registers a handler itself:
-# transducer.New( or .RegisterHandler( (comments stripped, as above). Every
-# handler the system runs is compiled from HydroLogic, Appendix A's actors,
-# futures and MPI collectives and the §7.1 cart included.
+# internal/transducer builds a runtime, registers a handler or marks one
+# serial itself: transducer.New(, .RegisterHandler( or .RegisterSerial(
+# (comments stripped, as above). Every handler the system runs is compiled
+# from HydroLogic, Appendix A's actors, futures and MPI collectives and the
+# §7.1 cart included, and which of them tick alone is the compiler's
+# consistency verdict, not a hand-written list.
 HANDLER_SRC = $(shell find . -name '*.go' ! -name '*_test.go' ! -path './internal/hydrolysis/*' ! -path './internal/transducer/*' ! -path './.*')
-HANDLER_BANNED = transducer\.New\(|\.RegisterHandler\(
+HANDLER_BANNED = transducer\.New\(|\.RegisterHandler\(|\.RegisterSerial\(
 compiled-handlers:
 	@! grep -nE '$(HANDLER_BANNED)' $(HANDLER_SRC) | sed 's,//.*,,' | grep -E '$(HANDLER_BANNED)'
 

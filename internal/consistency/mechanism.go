@@ -28,7 +28,8 @@ const (
 	// tier is a selection that nothing enforces yet.
 	MechLattice
 	// MechCoordination: serialize through a coordination protocol (Paxos
-	// log or 2PC) — the heavyweight fallback.
+	// log or 2PC) — the heavyweight fallback. A served runtime serializes
+	// such a handler locally: each of its messages ticks alone.
 	MechCoordination
 )
 
@@ -58,8 +59,11 @@ type Choice struct {
 }
 
 // Select picks an enforcement mechanism for every handler, given the
-// program and its monotonicity analysis. Callers compute it on demand from
-// a compiled program's Program and Analysis; the runtime does not read it.
+// program and its monotonicity analysis. The compiler obeys the
+// coordination verdict: hydrolysis.CompileProgram records every handler
+// given MechCoordination, Instantiate registers it on the runtime as one
+// whose messages tick alone, and a serving shell cuts its batches on it.
+// hydroc and the examples print the choices.
 func Select(p *hlang.Program, a *hlang.Analysis) map[string]Choice {
 	touchers := stateTouchers(p, a)
 	out := map[string]Choice{}

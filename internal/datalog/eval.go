@@ -313,22 +313,28 @@ func aggregate(kind AggKind, vals []any) (any, error) {
 		}
 		return int64(seen.Len()), nil
 	case AggSum:
-		var s float64
-		allInt := true
+		// Integers add exactly in int64; any other numeric value adds in
+		// float64, and a float64 term makes the sum a float64.
+		var n int64
+		var f float64
+		isFloat := false
 		for _, v := range vals {
-			f, ok := toFloat(v)
+			if i, ok := ToInt(v); ok {
+				n += i
+				continue
+			}
+			x, ok := ToFloat(v)
 			if !ok {
 				return nil, fmt.Errorf("sum over non-numeric value %v", v)
 			}
-			if _, isF := v.(float64); isF {
-				allInt = false
-			}
-			s += f
+			_, isF := v.(float64)
+			isFloat = isFloat || isF
+			f += x
 		}
-		if allInt {
-			return int64(s), nil
+		if isFloat {
+			return float64(n) + f, nil
 		}
-		return s, nil
+		return n + int64(f), nil
 	case AggMax, AggMin:
 		if len(vals) == 0 {
 			return nil, fmt.Errorf("%s over empty group", kind)

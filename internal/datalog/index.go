@@ -267,21 +267,25 @@ func sameCols(a, b []int) bool {
 }
 
 // typeRank orders Go value types for the deterministic tuple ordering used
-// by Relation.Tuples. The specific order is arbitrary but fixed.
+// by Relation.Tuples. The specific order is arbitrary but fixed; every kind
+// the value codec keeps distinct (int and int64 included) has its own rank,
+// so the order is a strict weak order on values.
 func typeRank(v any) int {
 	switch v.(type) {
 	case bool:
 		return 0
-	case int, int64:
+	case int:
 		return 1
-	case uint64:
+	case int64:
 		return 2
-	case float64:
+	case uint64:
 		return 3
-	case string:
+	case float64:
 		return 4
+	case string:
+		return 5
 	}
-	return 5
+	return 6
 }
 
 // valueLess is a deterministic total order on tuple elements: type rank
@@ -291,29 +295,21 @@ func valueLess(a, b any) bool {
 	if ra != rb {
 		return ra < rb
 	}
-	switch ra {
-	case 0:
-		return !a.(bool) && b.(bool)
-	case 1:
-		return asInt64(a) < asInt64(b)
-	case 2:
-		return a.(uint64) < b.(uint64)
-	case 3:
-		return a.(float64) < b.(float64)
-	case 4:
-		return a.(string) < b.(string)
+	switch x := a.(type) {
+	case bool:
+		return !x && b.(bool)
+	case int:
+		return x < b.(int)
+	case int64:
+		return x < b.(int64)
+	case uint64:
+		return x < b.(uint64)
+	case float64:
+		return x < b.(float64)
+	case string:
+		return x < b.(string)
 	}
 	return fmt.Sprint(a) < fmt.Sprint(b)
-}
-
-func asInt64(v any) int64 {
-	switch x := v.(type) {
-	case int:
-		return int64(x)
-	case int64:
-		return x
-	}
-	return 0
 }
 
 // tupleLess orders tuples elementwise under valueLess.

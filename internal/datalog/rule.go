@@ -157,13 +157,13 @@ func evalFilter(f Filter, b binding) bool {
 // coerce to float64; everything else compares as strings for ordering and
 // natively for (in)equality.
 func Compare(op CmpOp, l, r any) bool {
-	if li, ok := toInt(l); ok {
-		if ri, ok := toInt(r); ok {
+	if li, ok := ToInt(l); ok {
+		if ri, ok := ToInt(r); ok {
 			return compareOrdered(op, li, ri)
 		}
 	}
-	lf, lNum := toFloat(l)
-	rf, rNum := toFloat(r)
+	lf, lNum := ToFloat(l)
+	rf, rNum := ToFloat(r)
 	if lNum && rNum {
 		return compareOrdered(op, lf, rf)
 	}
@@ -195,9 +195,11 @@ func compareOrdered[T int64 | float64 | string](op CmpOp, l, r T) bool {
 	return false
 }
 
-// toInt reads v as an int64 when it is int64 or int, the integer kinds
-// handler expressions compare exactly too.
-func toInt(v any) (int64, bool) {
+// ToInt reads v as an int64 when it is int64 or int: the integer kinds,
+// which Compare, sum<…> and handler arithmetic compute with exactly in
+// int64 (a float64 holds integers exactly only up to 2^53). The one
+// integer reader of the number model.
+func ToInt(v any) (int64, bool) {
 	switch x := v.(type) {
 	case int64:
 		return x, true
@@ -207,7 +209,9 @@ func toInt(v any) (int64, bool) {
 	return 0, false
 }
 
-func toFloat(v any) (float64, bool) {
+// ToFloat reads v as a float64 when it is any numeric kind (int, int64,
+// uint64, float64): the path for operands that are not both integers.
+func ToFloat(v any) (float64, bool) {
 	switch x := v.(type) {
 	case int:
 		return float64(x), true

@@ -233,3 +233,62 @@ func TestIntegerComparisonIsExact(t *testing.T) {
 		}
 	}
 }
+
+// TestIntegerSumIsExact: sum<…> adds integers in int64, so sums past 2^53,
+// which float64 rounds, come out exact — inline (2^53 + 1) and dictionary
+// encoded (2^62 + 1) — under every evaluator; a float64 term makes the
+// sum a float64.
+func TestIntegerSumIsExact(t *testing.T) {
+	p, err := NewProgram(Rule{
+		Head:   Atom{Pred: "total", Args: []Term{V("k"), V("v")}},
+		Body:   []Literal{{Atom: Atom{Pred: "m", Args: []Term{V("k"), V("v")}}}},
+		Agg:    AggSum,
+		AggVar: "v",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDatabase()
+	for _, e := range []int64{1 << 53, 1 << 62} {
+		db.Ensure("m", 2).Insert(Tuple{e, e})
+		db.Ensure("m", 2).Insert(Tuple{e, int64(1)})
+	}
+	db.Ensure("m", 2).Insert(Tuple{int64(0), int64(1)})
+	db.Ensure("m", 2).Insert(Tuple{int64(0), 0.5})
+	run := map[string]func(*Database) error{
+		"EvalNaive": func(db *Database) error { _, err := p.EvalNaive(db); return err },
+		"Incremental": func(db *Database) error {
+			_, err := NewIncremental(p, db)
+			return err
+		},
+	}
+	for name, eval := range run {
+		out := db.Clone()
+		if err := eval(out); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := []Tuple{{int64(0), 1.5}, {int64(1 << 53), int64(1<<53 + 1)}, {int64(1 << 62), int64(1<<62 + 1)}}
+		if got := out.Get("total").Tuples(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: total = %#v, want %#v", name, got, want)
+		}
+	}
+}
+
+// TestTupleOrderIgnoresInsertionOrder: Tuples sorts under a strict weak
+// order, so one set inserted in two orders lists the same. int and int64
+// are distinct values (the codec keeps them apart), and the order ranks
+// them apart rather than treating (5, "c") and (int64(5), "a") as equal.
+func TestTupleOrderIgnoresInsertionOrder(t *testing.T) {
+	rows := []Tuple{{int64(4), "z"}, {5, "c"}, {int64(5), "b"}, {5, "a"}, {int64(6), "y"}}
+	fwd, rev := NewRelation("r", 2), NewRelation("r", 2)
+	for i := range rows {
+		fwd.Insert(rows[i])
+		rev.Insert(rows[len(rows)-1-i])
+	}
+	want := []Tuple{{5, "a"}, {5, "c"}, {int64(4), "z"}, {int64(5), "b"}, {int64(6), "y"}}
+	for name, rel := range map[string]*Relation{"forward": fwd, "reverse": rev} {
+		if got := rel.Tuples(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s insertion: Tuples = %#v, want %#v", name, got, want)
+		}
+	}
+}

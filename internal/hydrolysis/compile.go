@@ -2,17 +2,20 @@
 // program and lowers it once — every query rule and every
 // rule-driven send through one lowering, lowerRule — into what the runtime
 // executes: the datalog program for the query facet, a prepared plan per
-// rule-driven send, the monotonicity analysis, and, per Instantiate,
-// handler closures for the transducer runtime that only look those plans
-// up. The consistency choice and metaconsistency check are report-only,
-// computed on demand from a Compiled program's Program and Analysis by
-// package consistency.
+// rule-driven send, the monotonicity analysis, the handlers whose
+// consistency choice (consistency.Select) is coordination, and, per
+// Instantiate, handler closures for the transducer runtime that only look
+// those plans up. Instantiate registers each coordinated handler as one
+// whose messages tick alone (transducer.Runtime.RegisterSerial), and a
+// serving shell cuts its batches on that verdict. The metaconsistency
+// check stays report-only, computed on demand by package consistency.
 package hydrolysis
 
 import (
 	"fmt"
 	"slices"
 
+	"hydro/internal/consistency"
 	"hydro/internal/datalog"
 	"hydro/internal/hlang"
 )
@@ -32,6 +35,9 @@ type Compiled struct {
 	// sends holds the plan of every rule-driven send, made once by
 	// CompileProgram and shared by every instance.
 	sends map[*hlang.SendStmt]*datalog.PreparedRule
+	// serial names the handlers consistency.Select gives
+	// MechCoordination: each of their messages ticks alone.
+	serial map[string]bool
 }
 
 // Options configures compilation.
@@ -53,9 +59,9 @@ func Compile(src string, opts Options) (*Compiled, error) {
 // CompileProgram checks prog (hlang.Check), then compiles it: it lowers
 // the query rules to the datalog program and plans every rule-driven send,
 // with the handler parameters the send's rule names pre-bound (bound at
-// Derive time, not substituted as constants per message). A program Check
-// refuses, or a send the planner refuses, fails here, not at Instantiate
-// or the first message.
+// Derive time, not substituted as constants per message), and records the
+// handlers that need coordination. A program Check refuses, or a send the
+// planner refuses, fails here, not at Instantiate or the first message.
 func CompileProgram(prog *hlang.Program, opts Options) (*Compiled, error) {
 	if err := hlang.Check(prog); err != nil {
 		return nil, err
@@ -84,6 +90,10 @@ func CompileProgram(prog *hlang.Program, opts Options) (*Compiled, error) {
 		Queries:  queries,
 		UDFs:     opts.UDFs,
 		sends:    map[*hlang.SendStmt]*datalog.PreparedRule{},
+		serial:   map[string]bool{},
+	}
+	for name, ch := range consistency.Select(prog, c.Analysis) {
+		c.serial[name] = ch.Mechanism == consistency.MechCoordination
 	}
 	for _, h := range prog.Handlers {
 		params := map[string]bool{}

@@ -10,9 +10,11 @@ import (
 
 // Instantiate builds a runnable transducer for the compiled program: it
 // registers table schemas (with lattice merges for lattice-typed columns),
-// scalar variables, the query program, and one handler closure per `on`
-// declaration. The returned runtime is the "single node" of §3.1;
-// distributed deployments host several of these via the cluster package.
+// scalar variables, the query program, one handler closure per `on`
+// declaration, and, beside each handler that needs coordination, the
+// verdict that its messages tick alone. The returned runtime is the
+// "single node" of §3.1; distributed deployments host several of these
+// via the cluster package.
 //
 // The query program is maintained across ticks: the fixpoint is kept inside
 // the runtime database and folded forward from each tick's realized effects
@@ -47,6 +49,9 @@ func (c *Compiled) Instantiate(name string, seed int64) (*transducer.Runtime, er
 	}
 	for _, h := range c.Program.Handlers {
 		rt.RegisterHandler(h.Name, c.compileHandler(h))
+		if c.serial[h.Name] {
+			rt.RegisterSerial(h.Name)
+		}
 	}
 	return rt, nil
 }
@@ -80,11 +85,9 @@ func tableSchema(t *hlang.TableDecl) transducer.TableSchema {
 			s.LatticeMerge[i] = func(a, b any) any { return a.(bool) || b.(bool) }
 		case hlang.TMaxInt:
 			s.LatticeMerge[i] = func(a, b any) any {
-				x, y := toInt64(a), toInt64(b)
-				if x > y {
-					return x
-				}
-				return y
+				x, _ := datalog.ToInt(a)
+				y, _ := datalog.ToInt(b)
+				return max(x, y)
 			}
 		}
 	}
@@ -100,18 +103,6 @@ func tableSchema(t *hlang.TableDecl) transducer.TableSchema {
 		return row
 	}
 	return s
-}
-
-func toInt64(v any) int64 {
-	switch x := v.(type) {
-	case int64:
-		return x
-	case int:
-		return int64(x)
-	case float64:
-		return int64(x)
-	}
-	return 0
 }
 
 // env is an expression-evaluation environment for one handler invocation.
@@ -384,44 +375,22 @@ func (e *env) evalBin(b *hlang.BinExpr) (any, error) {
 	return nil, fmt.Errorf("unknown operator %q", b.Op)
 }
 
-// integer reads v as an int64 when it is one of the integer kinds handler
-// values take. Two integer operands are computed in int64 (and compared in
-// int64 by datalog.Compare): a float64 holds integers exactly only up to
-// 2^53.
-func integer(v any) (int64, bool) {
-	switch x := v.(type) {
-	case int64:
-		return x, true
-	case int:
-		return int64(x), true
-	}
-	return 0, false
-}
-
-// numeric reads v as a float64 when it is any numeric kind: the path for
-// mixed integer/float operands.
-func numeric(v any) (float64, bool) {
-	if x, ok := v.(float64); ok {
-		return x, true
-	}
-	i, ok := integer(v)
-	return float64(i), ok
-}
-
 // typed converts v to HydroLogic type t's Go kind — int64 for int and
 // max<int>, float64 for float — and reports whether v has that type in a
-// kind the expression evaluator reads: an integer kind for int, an integer
-// kind or float64 for float.
+// kind the expression evaluator reads: an integer kind (datalog.ToInt) for
+// int, an integer kind or float64 for float.
 func typed(t hlang.Type, v any) (any, bool) {
 	switch t.Kind {
 	case hlang.TInt, hlang.TMaxInt:
-		if i, ok := integer(v); ok {
+		if i, ok := datalog.ToInt(v); ok {
 			return i, true
 		}
 	case hlang.TFloat:
-		if f, ok := numeric(v); ok {
-			return f, true
+		if i, ok := datalog.ToInt(v); ok {
+			return float64(i), true
 		}
+		f, ok := v.(float64)
+		return f, ok
 	case hlang.TString:
 		_, ok := v.(string)
 		return v, ok
@@ -432,9 +401,12 @@ func typed(t hlang.Type, v any) (any, bool) {
 	return nil, false
 }
 
+// arith computes a handler's arithmetic in datalog's number model: two
+// integer operands in int64 (as datalog.Compare compares them), any other
+// numeric pair in float64, and + on two strings concatenates.
 func arith(op string, l, r any) (any, error) {
-	li, lok := integer(l)
-	ri, rok := integer(r)
+	li, lok := datalog.ToInt(l)
+	ri, rok := datalog.ToInt(r)
 	if lok && rok {
 		switch op {
 		case "+":
@@ -449,8 +421,8 @@ func arith(op string, l, r any) (any, error) {
 		}
 		return li / ri, nil // truncates toward zero
 	}
-	lf, lok := numeric(l)
-	rf, rok := numeric(r)
+	lf, lok := datalog.ToFloat(l)
+	rf, rok := datalog.ToFloat(r)
 	if !lok || !rok {
 		if op == "+" {
 			ls, lok := l.(string)

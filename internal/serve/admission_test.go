@@ -2,11 +2,15 @@ package serve
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"hydro/internal/datalog"
+	"hydro/internal/hlang"
+	"hydro/internal/hydrolysis"
 	"hydro/internal/transducer"
 )
 
@@ -15,10 +19,9 @@ import (
 // interleaved serializable traffic fragments the monotone batches, and
 // only the singletons count as serial flushes.
 func TestServeSerialCutsBatch(t *testing.T) {
-	s := New(newGraphRuntime(t, 1), Config{
-		MaxBatch: 4, MaxWait: 50 * time.Millisecond, QueueDepth: 16,
-		SerialMailboxes: []string{"incr"},
-	})
+	rt := newGraphRuntime(t, 1)
+	rt.RegisterSerial("incr")
+	s := New(rt, Config{MaxBatch: 4, MaxWait: 50 * time.Millisecond, QueueDepth: 16})
 	defer s.Close()
 	release := holdLoop(t, s)
 	// a, i, a, i, a, a: two serializable incrs interleaved into four adds.
@@ -251,5 +254,53 @@ func TestServeRetrySingletonTimingsAndDrainOnce(t *testing.T) {
 	}
 	if gotObs[0][0] == gotObs[1][0] {
 		t.Fatalf("obs double-delivered: %v", gotObs)
+	}
+}
+
+// TestServeCompiledSerialVerdict: the compiled COVID program served with
+// the zero Config keeps vaccinate's serial schedule, because the compiler
+// registers its coordination verdict on the runtime. 150 vaccinate
+// requests staged in one batch window against a stock of 100 tick one
+// at a time: 101 pass require(vaccine_count >= 0) and reply, the count
+// ends at -1, and the rest abort. Without consistency(serializable) the
+// handler needs no coordination, and no request ticks alone.
+func TestServeCompiledSerialVerdict(t *testing.T) {
+	const n = 150
+	serve := func(src string) (ok int, count any, m Metrics) {
+		c, err := hydrolysis.Compile(src, hydrolysis.Options{
+			UDFs: map[string]hydrolysis.UDF{"covid_predict": func([]any) any { return 0.0 }},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := c.Instantiate("srv", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := New(rt, Config{})
+		release := holdLoop(t, s)
+		ps := make([]*Pending, n)
+		for i := range ps {
+			ps[i] = mustSubmit(t, s, "vaccinate", datalog.Tuple{int64(i)})
+		}
+		release()
+		for _, p := range ps {
+			if r := p.Wait(); r.Err == nil && fmt.Sprint(r.Reply) == "(OK)" {
+				ok++
+			}
+		}
+		s.Close()
+		return ok, s.Runtime().Var("vaccine_count"), s.Metrics()
+	}
+	ok, count, m := serve(hlang.CovidSource)
+	if ok != 101 || count != int64(-1) || m.SerialFlushes != n {
+		t.Fatalf("serializable vaccinate: %d OK, vaccine_count %v, %d serial flushes; want 101, -1, %d", ok, count, m.SerialFlushes, n)
+	}
+	eventual := strings.Replace(hlang.CovidSource, " consistency(serializable)", "", 1)
+	if eventual == hlang.CovidSource {
+		t.Fatal("the COVID source no longer declares vaccinate serializable")
+	}
+	if _, _, m := serve(eventual); m.SerialFlushes != 0 {
+		t.Fatalf("eventual vaccinate: %d serial flushes, want 0", m.SerialFlushes)
 	}
 }

@@ -114,8 +114,7 @@ func BenchmarkServeSubmitPipeline(b *testing.B) {
 func BenchmarkServeCovid(b *testing.B) {
 	s := New(covidRuntime(b, 1, false), Config{
 		MaxBatch: 128, MaxWait: 500 * time.Microsecond, QueueDepth: 1024,
-		SerialMailboxes: []string{"vaccinate"},
-		DrainMailboxes:  []string{"alert", "trace_response"},
+		DrainMailboxes: []string{"alert", "trace_response"},
 	})
 	defer s.Close()
 	r := rand.New(rand.NewSource(1))

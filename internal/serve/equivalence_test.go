@@ -157,11 +157,10 @@ func TestBatchedEqualsSerialSweep(t *testing.T) {
 				rt.SetDelay(countLate(&late))
 			}
 			s := New(rt, Config{
-				MaxBatch:        1 + r.Intn(16),
-				MaxWait:         time.Duration(100+r.Intn(400)) * time.Microsecond,
-				QueueDepth:      64,
-				SerialMailboxes: []string{"vaccinate"},
-				DrainMailboxes:  []string{"alert", "trace_response"},
+				MaxBatch:       1 + r.Intn(16),
+				MaxWait:        time.Duration(100+r.Intn(400)) * time.Microsecond,
+				QueueDepth:     64,
+				DrainMailboxes: []string{"alert", "trace_response"},
 			})
 			ps := make([]*Pending, len(reqs))
 			for i, req := range reqs {
@@ -229,11 +228,10 @@ func TestConcurrentSubmittersEqualSerialSweep(t *testing.T) {
 				rt.SetDelay(countLate(&late))
 			}
 			s := New(rt, Config{
-				MaxBatch:        1 + r.Intn(16),
-				MaxWait:         time.Duration(100+r.Intn(400)) * time.Microsecond,
-				QueueDepth:      64,
-				SerialMailboxes: []string{"vaccinate"},
-				DrainMailboxes:  []string{"alert", "trace_response"},
+				MaxBatch:       1 + r.Intn(16),
+				MaxWait:        time.Duration(100+r.Intn(400)) * time.Microsecond,
+				QueueDepth:     64,
+				DrainMailboxes: []string{"alert", "trace_response"},
 			})
 			submitErrs := make([]error, len(reqs))
 			resps := make([]Response, len(reqs))

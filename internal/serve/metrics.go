@@ -20,7 +20,7 @@ type metrics struct {
 	batches         atomic.Uint64
 	sizeFlushes     atomic.Uint64 // batches flushed because they hit MaxBatch
 	deadlineFlushes atomic.Uint64 // batches flushed by the MaxWait deadline
-	serialFlushes   atomic.Uint64 // singleton batches forced by SerialMailboxes
+	serialFlushes   atomic.Uint64 // singletons of requests the runtime marks serial
 	rejectedBatches atomic.Uint64 // batch ticks the evaluator/sink refused
 	retried         atomic.Uint64 // messages re-injected one-per-tick after a rejected batch
 	failed          atomic.Uint64 // requests answered with a rejection error
@@ -39,8 +39,8 @@ type metrics struct {
 
 // Metrics is a point-in-time snapshot of the server's gauges and counters.
 // Every batch counts in Batches; SerialFlushes counts only the singletons
-// of SerialMailboxes requests, so the pending prefix such a request cuts
-// counts in Batches alone.
+// of requests whose handler must tick alone (transducer.Runtime.Serial),
+// so the pending prefix such a request cuts counts in Batches alone.
 type Metrics struct {
 	QueueDepth     int64 // current admission-queue gauge (attempts holding/seeking a slot)
 	QueueHighWater int64

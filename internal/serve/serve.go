@@ -20,9 +20,10 @@
 //
 // Replies and outputs wait for no later tick. From New until the loop
 // exits the server is the runtime's observation sink
-// (transducer.Runtime.SetObservationSink): a reply lands in its batch's
-// reply table, and every other output reaches OnDrain (or is dropped) in a
-// slice borrowed for the call, at the end of the tick that sent it. A batch
+// (transducer.Runtime.SetObservationSink): a message the runtime marks as
+// a reply (transducer.Message.Reply) lands in its batch's reply table, and
+// every other output reaches OnDrain (or is dropped) in a slice borrowed
+// for the call, at the end of the tick that sent it. A batch
 // whose handlers only reply and emit outputs costs exactly one tick; the
 // loop settles further ticks only for handler cascades.
 //
@@ -34,10 +35,12 @@
 // carve-outs keep that true at the edges:
 //
 //   - Serializable handlers (snapshot-read/assign cycles like the paper's
-//     vaccinate) are order-sensitive across messages, so a request to a
-//     mailbox listed in Config.SerialMailboxes cuts the batch in place:
-//     the pending prefix ticks first, then the request ticks alone — one
-//     message, one tick, exactly the serial schedule.
+//     vaccinate) are order-sensitive across messages. The compiler gives
+//     each non-monotone serializable handler coordination and registers it
+//     on the runtime (transducer.Runtime.Serial), so a request to its
+//     mailbox cuts the batch in place: the pending prefix ticks first,
+//     then the request ticks alone — one message, one tick, exactly the
+//     serial schedule. No configuration repeats the compiler's verdict.
 //   - A batch tick the evaluator rejects (a derived-relation write, an
 //     aggregate over a non-numeric value) or the durability sink refuses
 //     is rolled back whole by the runtime; the server then re-injects the
@@ -102,9 +105,10 @@ type Config struct {
 	// drains every admitted request before returning, Shed resolves the
 	// backlog not yet in a tick with ErrClosed (fail-fast shutdown).
 	Policy Policy
-	// SerialMailboxes lists mailboxes whose handlers are order-sensitive
-	// across messages (serializable handlers): each of their requests cuts
-	// the pending batch and ticks alone.
+	// Deprecated: SerialMailboxes is ignored. A request ticks alone when
+	// the runtime says its handler must (transducer.Runtime.Serial), the
+	// verdict the compiler registers. The field stays until the benchmark
+	// module stops setting it.
 	SerialMailboxes []string
 	// Deprecated: Lanes is ignored. Serializable requests always cut the
 	// batch in place, so the executed order is the admission order. The
@@ -122,8 +126,8 @@ type Config struct {
 	DrainMailboxes []string
 	// OnDrain receives the messages one staged send committed to an
 	// observation mailbox (a local one with no handler: alert fan-outs,
-	// send-rule targets) other than a response mailbox, at the end of the
-	// tick that sent them (called from the serve loop; keep it fast). When
+	// send-rule targets) other than a reply, at the end of the tick that
+	// sent them (called from the serve loop; keep it fast). When
 	// it is nil those messages are dropped, so no observation mailbox grows
 	// without bound. msgs is borrowed for the call: copy what must outlive
 	// it. The payload tuples are the receiver's.
@@ -186,9 +190,8 @@ const (
 
 // Server is the serving shell around one transducer runtime.
 type Server struct {
-	rt     *transducer.Runtime
-	cfg    Config
-	serial map[string]bool
+	rt  *transducer.Runtime
+	cfg Config
 
 	queue chan *pendingReq
 	ctrl  chan func()
@@ -201,11 +204,9 @@ type Server struct {
 	m        metrics
 	batchSeq uint64 // owned by the serve loop
 
-	// The observation sink's reply route, owned by the serve loop: the
-	// response mailbox of every mailbox a batch has carried. replies is the
-	// batch being served's reply table, by message ID.
-	replyBoxes map[string]bool
-	replies    map[uint64]datalog.Tuple
+	// replies is the reply table of the batch being served, by request
+	// message ID, filled by the observation sink on the serve loop.
+	replies map[uint64]datalog.Tuple
 }
 
 // New wraps a runtime in a serving shell and starts its serve loop. The
@@ -223,19 +224,13 @@ func New(rt *transducer.Runtime, cfg Config) *Server {
 		cfg.QueueDepth = 4 * cfg.MaxBatch
 	}
 	s := &Server{
-		rt:     rt,
-		cfg:    cfg,
-		serial: map[string]bool{},
-		queue:  make(chan *pendingReq, cfg.QueueDepth),
-		ctrl:   make(chan func()),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-
-		replyBoxes: map[string]bool{},
-		replies:    map[uint64]datalog.Tuple{},
-	}
-	for _, mb := range cfg.SerialMailboxes {
-		s.serial[mb] = true
+		rt:      rt,
+		cfg:     cfg,
+		queue:   make(chan *pendingReq, cfg.QueueDepth),
+		ctrl:    make(chan func()),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
+		replies: map[uint64]datalog.Tuple{},
 	}
 	rt.SetObservationSink(s.observe)
 	go s.loop()
@@ -243,19 +238,13 @@ func New(rt *transducer.Runtime, cfg Config) *Server {
 }
 
 // observe is the runtime's observation sink while the server owns it. A
-// reply lands in the batch's reply table; any other observation goes to
-// OnDrain, or is dropped when OnDrain is nil.
+// reply, which the runtime hands over alone, lands in the batch's reply
+// table under the request ID its payload leads with; any other
+// observation goes to OnDrain, or is dropped when OnDrain is nil.
 func (s *Server) observe(box string, msgs []transducer.Message) {
 	switch {
-	case s.replyBoxes[box]:
-		for _, m := range msgs {
-			if len(m.Payload) == 0 {
-				continue
-			}
-			if id, ok := m.Payload[0].(uint64); ok {
-				s.replies[id] = m.Payload[1:]
-			}
-		}
+	case msgs[0].Reply:
+		s.replies[msgs[0].Payload[0].(uint64)] = msgs[0].Payload[1:]
 	case s.cfg.OnDrain != nil:
 		s.cfg.OnDrain(box, msgs)
 	}
@@ -391,13 +380,13 @@ func (s *Server) loop() {
 }
 
 // admit takes one dequeued request and returns the batch left pending. A
-// full batch is cut, and a serializable request cuts the batch in place:
-// the pending prefix ticks first, then the request ticks alone — admission
-// order is the executed order.
+// full batch is cut, and a request the runtime says must tick alone cuts
+// the batch in place: the pending prefix ticks first, then the request
+// ticks alone — admission order is the executed order.
 func (s *Server) admit(batch []*pendingReq, p *pendingReq) []*pendingReq {
 	s.m.gaugeDec()
 	p.deq = time.Now()
-	if s.serial[p.req.Mailbox] {
+	if s.rt.Serial(p.req.Mailbox) {
 		s.runWork(batch, flushCut)
 		s.runWork([]*pendingReq{p}, flushSerial)
 		return batch[:0]
@@ -490,7 +479,6 @@ func (s *Server) flush(batch []*pendingReq, reason flushReason) {
 	inj := make([]transducer.Injection, len(batch))
 	for i, p := range batch {
 		inj[i] = transducer.Injection{Mailbox: p.req.Mailbox, Payload: p.req.Payload}
-		s.replyBoxes[transducer.ResponseMailbox(p.req.Mailbox)] = true
 	}
 	ids := s.rt.InjectBatch(inj)
 	evalStart := time.Now()

@@ -2,12 +2,14 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
 	"hydro/internal/datalog"
+	"hydro/internal/hydrolysis"
 	"hydro/internal/transducer"
 )
 
@@ -334,8 +336,8 @@ func TestServePoisonEvaluationIsolated(t *testing.T) {
 }
 
 // TestServeSerialMailboxes: non-monotone handlers lose updates when
-// batched (every invocation reads the same snapshot); listing their
-// mailbox in SerialMailboxes restores the serial schedule.
+// batched (every invocation reads the same snapshot); registering their
+// mailbox as serial on the runtime restores the serial schedule.
 func TestServeSerialMailboxes(t *testing.T) {
 	readCount := func(s *Server) int64 {
 		var v int64
@@ -359,12 +361,11 @@ func TestServeSerialMailboxes(t *testing.T) {
 	}
 	sB.Close()
 
-	// Serial: the mailbox is declared order-sensitive, so each request
-	// ticks alone and the counter is exact.
-	sS := New(newGraphRuntime(t, 1), Config{
-		MaxBatch: 8, MaxWait: 20 * time.Millisecond, QueueDepth: 16,
-		SerialMailboxes: []string{"incr"},
-	})
+	// Serial: the runtime marks the mailbox order-sensitive, so each
+	// request ticks alone and the counter is exact.
+	rtS := newGraphRuntime(t, 1)
+	rtS.RegisterSerial("incr")
+	sS := New(rtS, Config{MaxBatch: 8, MaxWait: 20 * time.Millisecond, QueueDepth: 16})
 	releaseS := holdLoop(t, sS)
 	s1 := mustSubmit(t, sS, "incr", datalog.Tuple{})
 	s2 := mustSubmit(t, sS, "incr", datalog.Tuple{})
@@ -567,5 +568,44 @@ func TestServeTimingPhasesSum(t *testing.T) {
 		if tt.TotalNs != tt.QueueNs+tt.FlushNs+tt.EvalNs+tt.RespondNs {
 			t.Fatalf("total != sum of phases: %+v", tt)
 		}
+	}
+}
+
+// TestServeCascadeReplyNotDrained: a reply from a handler a cascade
+// reached (a sends to b, b replies) is marked a reply by the runtime, so
+// it never reaches OnDrain, though no request was addressed to b; the
+// cascade's plain output does.
+func TestServeCascadeReplyNotDrained(t *testing.T) {
+	c, err := hydrolysis.Compile(`
+on a(x: int) {
+    send b(x)
+    send out(x)
+}
+on b(x: int) {
+    reply x
+}
+`, hydrolysis.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := c.Instantiate("srv", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var drained []string
+	s := New(rt, Config{OnDrain: func(box string, msgs []transducer.Message) {
+		for _, m := range msgs {
+			drained = append(drained, fmt.Sprint(box, m.Payload))
+		}
+	}})
+	if r := mustSubmit(t, s, "a", datalog.Tuple{int64(7)}).Wait(); r.Err != nil || r.Reply != nil {
+		t.Fatalf("a: reply %v, err %v; want neither", r.Reply, r.Err)
+	}
+	s.Close()
+	if !s.Runtime().Idle() {
+		t.Fatal("the cascade did not settle")
+	}
+	if got := fmt.Sprint(drained); got != "[out(7)]" {
+		t.Fatalf("OnDrain saw %s, want only [out(7)]", got)
 	}
 }

@@ -138,7 +138,7 @@ func (c *coord) watchdog(m watchdogMsg) {
 // tick's base ops.
 func (c *coord) startAttempt() {
 	c.cn.attSeq++
-	c.dep().metrics.attempts.Add(1)
+	c.dep().metrics.attempts++
 	c.a = c.epoch<<32 | c.cn.attSeq
 	routed := make([][]datalog.DeltaOp, c.dep().place.N)
 	for _, op := range c.tickOps {

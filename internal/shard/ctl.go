@@ -206,7 +206,7 @@ func (cn *coordNode) tickTimer(now simnet.Time) {
 			if i == cn.idx {
 				continue
 			}
-			cn.dep.metrics.heartbeats.Add(1)
+			cn.dep.metrics.heartbeats++
 			cn.dep.net.Send(cn.name(), peer, hbMsg{Epoch: cn.st.epoch, Applied: cn.cons.Applied(), From: cn.idx})
 		}
 		// The liveness retry: a tick still not admitted one heartbeat

@@ -29,7 +29,7 @@ func DeployOneCoordinator(cl *cluster.Cluster, name string, prog *datalog.Progra
 
 // RowsExchanged returns how many rows the exchange rounds have shipped so
 // far, self-addressed ones included.
-func (d *Deployment) RowsExchanged() uint64 { return d.metrics.rows.Load() }
+func (d *Deployment) RowsExchanged() uint64 { return d.metrics.rows }
 
 // SetStageHook installs a callback fired on every driver stage transition
 // (node name, tick, attempt, stage). The hook runs inside the leader's

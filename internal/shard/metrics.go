@@ -1,45 +1,34 @@
 package shard
 
-import (
-	"sync/atomic"
-
-	"hydro/internal/simnet"
-)
+import "hydro/internal/simnet"
 
 // ctlMetrics holds the control plane's observational counters — the ones
 // that are properties of message delivery rather than of the replicated
 // log (those live in ctlState, where they are deterministic and agreed).
-// Flat atomics in the internal/serve style: cheap to bump on the hot
-// path, snapshotted on demand.
+// Plain fields: the deployment runs on one goroutine, the one that drives
+// its simulated network.
 type ctlMetrics struct {
-	fencedReqs    atomic.Uint64 // replica-side drops of stale-epoch requests/exchanges
-	fencedCommits atomic.Uint64 // replica-side drops of stale-epoch commits
-	heartbeats    atomic.Uint64 // leader heartbeats sent
-	attempts      atomic.Uint64 // attempts started by acting leaders, restarts included
-	maxEpoch      atomic.Uint64 // highest epoch any coordinator has applied
-	lastChange    atomic.Int64  // virtual time the highest epoch was first applied
-	rows          atomic.Uint64 // rows shipped by exchange rounds, to self included
+	fencedReqs    uint64      // replica-side drops of stale-epoch requests/exchanges
+	fencedCommits uint64      // replica-side drops of stale-epoch commits
+	heartbeats    uint64      // leader heartbeats sent
+	attempts      uint64      // attempts started by acting leaders, restarts included
+	maxEpoch      uint64      // highest epoch any coordinator has applied
+	lastChange    simnet.Time // virtual time the highest epoch was first applied
+	rows          uint64      // rows shipped by exchange rounds, to self included
 }
 
 // noteLeaderChange records the first application time of each new epoch:
-// every coordinator applies the same elect decree, so a monotone
-// CAS-on-epoch keeps exactly one timestamp per election.
+// every coordinator applies the same elect decree, and only the first to
+// apply an epoch above the highest seen stamps it.
 func (m *ctlMetrics) noteLeaderChange(now simnet.Time, epoch uint64) {
-	for {
-		cur := m.maxEpoch.Load()
-		if epoch <= cur {
-			return
-		}
-		if m.maxEpoch.CompareAndSwap(cur, epoch) {
-			m.lastChange.Store(int64(now))
-			return
-		}
+	if epoch > m.maxEpoch {
+		m.maxEpoch, m.lastChange = epoch, now
 	}
 }
 
 // Metrics is a point-in-time snapshot of the replicated control plane,
 // read from the most-caught-up coordinator's replicated state plus the
-// delivery-side atomics. Rendered by `benchtab` (experiment E14).
+// delivery-side counters. Rendered by `benchtab` (experiment E14).
 type Metrics struct {
 	Epoch            uint64      // current leadership epoch
 	Leader           string      // node name holding the epoch's lease
@@ -74,15 +63,15 @@ func (d *Deployment) Metrics() Metrics {
 		Epoch:            st.epoch,
 		Leader:           d.coordNames[st.leader],
 		Elections:        st.elections,
-		LastLeaderChange: simnet.Time(d.metrics.lastChange.Load()),
+		LastLeaderChange: d.metrics.lastChange,
 		SubmitDecrees:    st.submits,
-		Attempts:         d.metrics.attempts.Load(),
+		Attempts:         d.metrics.attempts,
 		CommitDecrees:    st.commits,
 		StaleDecrees:     st.stale,
 		DoubleCommits:    st.doubleCommits,
-		FencedReqs:       d.metrics.fencedReqs.Load(),
-		FencedCommits:    d.metrics.fencedCommits.Load(),
-		Heartbeats:       d.metrics.heartbeats.Load(),
+		FencedReqs:       d.metrics.fencedReqs,
+		FencedCommits:    d.metrics.fencedCommits,
+		Heartbeats:       d.metrics.heartbeats,
 		CommittedTicks:   d.CommittedTicks(),
 		Phase1Rounds:     phase1,
 		PaxosSends:       sends,

@@ -91,7 +91,7 @@ func (r *replica) handleReq(from string, m req) {
 		// requests allowed to raise the epoch — both are safe entry points
 		// for a newly elected leader.
 		if m.Epoch < r.curEpoch {
-			r.dep.metrics.fencedReqs.Add(1)
+			r.dep.metrics.fencedReqs++
 			return
 		}
 		r.curEpoch = m.Epoch
@@ -118,7 +118,7 @@ func (r *replica) handleReq(from string, m req) {
 		r.reply(m, rsp{Err: err})
 	case stCommit:
 		if m.Epoch < r.curEpoch {
-			r.dep.metrics.fencedCommits.Add(1)
+			r.dep.metrics.fencedCommits++
 			return
 		}
 		r.curEpoch = m.Epoch
@@ -193,7 +193,7 @@ func (r *replica) runRound(m req) {
 	}
 	k := rkey{m.Comp, m.Round}
 	for d, items := range batches {
-		r.dep.metrics.rows.Add(uint64(len(items)))
+		r.dep.metrics.rows += uint64(len(items))
 		x := xchMsg{Tick: m.Tick, Att: m.Att, Epoch: r.curEpoch, Comp: m.Comp, Round: m.Round, From: r.self, Items: items}
 		if d == r.self {
 			r.inbox[k] = append(r.inbox[k], x)
@@ -210,7 +210,7 @@ func (r *replica) runRound(m req) {
 // an attempt that is not staging.
 func (r *replica) stale(epoch, tick, att uint64) bool {
 	if epoch < r.curEpoch {
-		r.dep.metrics.fencedReqs.Add(1)
+		r.dep.metrics.fencedReqs++
 	}
 	return epoch != r.curEpoch || tick != r.curTick || att != r.curAtt || r.committed >= tick
 }

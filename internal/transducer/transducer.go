@@ -36,6 +36,9 @@ type Message struct {
 	// (used by the cluster substrate).
 	ID   uint64
 	From string
+	// Reply marks a response Tx.Reply staged: its payload leads with the
+	// request's message ID.
+	Reply bool
 }
 
 // TableSchema registers a table with the runtime.
@@ -61,9 +64,10 @@ type Handler func(tx *Tx, msg Message)
 func ResponseMailbox(box string) string { return box + "<response>" }
 
 // ObservationSink receives the messages one staged send committed to an
-// observation mailbox: a local one with no handler. msgs is borrowed and
-// valid only during the call; its payload tuples are the receiver's to
-// keep.
+// observation mailbox: a local one with no handler. A reply is its own
+// staged send, so its one message arrives alone, marked Message.Reply.
+// msgs is borrowed and valid only during the call; its payload tuples are
+// the receiver's to keep.
 type ObservationSink func(mailbox string, msgs []Message)
 
 // DelayFn decides, per delayed send, how many ticks delivery is delayed
@@ -105,6 +109,9 @@ type Runtime struct {
 	vars     map[string]any
 	schemas  map[string]TableSchema
 	handlers map[string]Handler
+	// serial holds the handled mailboxes whose messages tick alone
+	// (RegisterSerial).
+	serial map[string]bool
 	// inc maintains the query program's fixpoint across ticks inside db,
 	// the empty program's until one is registered: end-of-tick effects
 	// propagate as deltas (RegisterQueriesIncremental). derived holds the
@@ -160,6 +167,7 @@ func New(name string, seed int64) *Runtime {
 		vars:      map[string]any{},
 		schemas:   map[string]TableSchema{},
 		handlers:  map[string]Handler{},
+		serial:    map[string]bool{},
 		mailboxes: map[string][]Message{},
 		rng:       rand.New(rand.NewSource(seed)),
 		delay:     DefaultDelay,
@@ -202,6 +210,17 @@ func (rt *Runtime) RegisterVar(name string, initial any) { rt.vars[name] = initi
 
 // RegisterHandler binds a mailbox to a handler.
 func (rt *Runtime) RegisterHandler(mailbox string, h Handler) { rt.handlers[mailbox] = h }
+
+// RegisterSerial records the compiler's verdict that mailbox's handler
+// needs coordination (consistency.MechCoordination: non-monotone and
+// declared serializable), so each of its messages must tick alone. The
+// runtime ticks whatever it is given; a serving shell reads the verdict
+// (Serial) and cuts its batches on it.
+func (rt *Runtime) RegisterSerial(mailbox string) { rt.serial[mailbox] = true }
+
+// Serial reports whether mailbox's messages must tick alone
+// (RegisterSerial).
+func (rt *Runtime) Serial(mailbox string) bool { return rt.serial[mailbox] }
 
 // RegisterQueriesIncremental installs the query program: the fixpoint is
 // materialized into the runtime database once, then maintained from each
@@ -594,12 +613,12 @@ func (rt *Runtime) applyEffects(eff *effects) {
 	for i := range eff.sends {
 		s := &eff.sends[i]
 		if rt.observed(s.mailbox) {
-			rt.commitObservation(s.mailbox, s.rows)
+			rt.commitObservation(s)
 			continue
 		}
 		for j := range s.rows.Len() {
 			rt.inflight = append(rt.inflight, pendingSend{
-				msg:       rt.stamp(s.mailbox, s.rows.Row(j)),
+				msg:       rt.stamp(s, j),
 				deliverAt: rt.stats.Ticks + uint64(rt.delay(rt.rng)),
 			})
 		}
@@ -616,30 +635,30 @@ func (rt *Runtime) observed(mailbox string) bool {
 	return !handled
 }
 
-// stamp makes a committed send's message: the next ID, this node as the
-// sender, counted in Stats.Sent.
-func (rt *Runtime) stamp(mailbox string, payload datalog.Tuple) Message {
+// stamp makes the message of row i of a committed send: the next ID, this
+// node as the sender, the entry's reply mark, counted in Stats.Sent.
+func (rt *Runtime) stamp(s *sendEntry, i int) Message {
 	rt.nextID++
 	rt.stats.Sent++
-	return Message{Mailbox: mailbox, Payload: payload, ID: rt.nextID, From: rt.Name}
+	return Message{Mailbox: s.mailbox, Payload: s.rows.Row(i), ID: rt.nextID, From: rt.Name, Reply: s.reply}
 }
 
 // commitObservation hands one staged entry's rows to the observation sink,
 // or, with none installed, appends them to the mailbox, grown once.
-func (rt *Runtime) commitObservation(mailbox string, rows datalog.Rows) {
+func (rt *Runtime) commitObservation(s *sendEntry) {
 	if rt.observe == nil {
-		box := slices.Grow(rt.mailboxes[mailbox], rows.Len())
-		for i := range rows.Len() {
-			box = append(box, rt.stamp(mailbox, rows.Row(i)))
+		box := slices.Grow(rt.mailboxes[s.mailbox], s.rows.Len())
+		for i := range s.rows.Len() {
+			box = append(box, rt.stamp(s, i))
 		}
-		rt.mailboxes[mailbox] = box
+		rt.mailboxes[s.mailbox] = box
 		return
 	}
 	buf := rt.obsBuf[:0]
-	for i := range rows.Len() {
-		buf = append(buf, rt.stamp(mailbox, rows.Row(i)))
+	for i := range s.rows.Len() {
+		buf = append(buf, rt.stamp(s, i))
 	}
-	rt.observe(mailbox, buf)
+	rt.observe(s.mailbox, buf)
 	clear(buf)
 	rt.obsBuf = buf[:0]
 }

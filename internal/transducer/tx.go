@@ -27,10 +27,12 @@ type fieldMerge struct {
 
 // sendEntry is one staged send: a derived set (SendAll), or a single row
 // (Send, Reply) wrapped as a one-row set. Each row becomes one message at
-// commit, its payload a view into the set's payload array.
+// commit, its payload a view into the set's payload array; reply marks
+// Reply's entries, and their messages (Message.Reply).
 type sendEntry struct {
 	mailbox string
 	rows    datalog.Rows
+	reply   bool
 }
 
 // effects accumulates a tick's staged mutations across all handler
@@ -151,7 +153,7 @@ func (tx *Tx) Reply(values ...any) {
 	if tx.msg.From != "" && tx.msg.From != "external" && tx.msg.From != tx.rt.Name {
 		box = tx.msg.From + "/" + box
 	}
-	tx.Send(box, payload)
+	tx.rt.eff.sends = append(tx.rt.eff.sends, sendEntry{mailbox: box, rows: datalog.NewRows(1, len(payload), payload), reply: true})
 }
 
 // Abort discards every effect this handler invocation has staged — used by
