@@ -2,7 +2,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: build test vet fmt ci smoke orphans datalog-serial datalog-one-store datalog-no-placement durable-opaque-rows one-tick-path one-lowering compiled-handlers bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak tick-allocs lines
+.PHONY: build test vet fmt ci smoke orphans datalog-serial datalog-one-store datalog-no-placement durable-opaque-rows one-keyed-merge one-tick-path one-lowering compiled-handlers bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak tick-allocs lines
 
 build:
 	$(GO) build ./...
@@ -19,7 +19,7 @@ fmt:
 	@gofmt -l . | sed 's/^/unformatted: /' | (! grep .)
 
 # ci runs the steps of CI's tier-1 job in its order (go test without -race).
-ci: build vet fmt orphans datalog-serial datalog-one-store datalog-no-placement durable-opaque-rows one-tick-path one-lowering compiled-handlers test tick-allocs bench-test fuzz tables smoke
+ci: build vet fmt orphans datalog-serial datalog-one-store datalog-no-placement durable-opaque-rows one-keyed-merge one-tick-path one-lowering compiled-handlers test tick-allocs bench-test fuzz tables smoke
 
 # lines prints the line counts of the Go files a change is sized by:
 # non-test and test files outside bench/, and under it (hidden build
@@ -37,12 +37,14 @@ lines:
 # smoke runs every binary a reader is pointed at: the compiler on the COVID
 # program (its report must reach the metaconsistency check), the covidd
 # deployment demo, durtool on an empty temporary directory, and each
-# example. It fails on a non-zero exit.
+# example. It fails on a non-zero exit, and if durtool, given a path that
+# does not exist, exits 0 or creates it.
 SMOKE_EXAMPLES = actors cart futures mpi quickstart
 smoke:
 	$(GO) run ./cmd/hydroc -covid | grep metaconsistency
 	$(GO) run ./cmd/covidd > /dev/null
 	dir=$$(mktemp -d) && $(GO) run ./cmd/durtool $$dir > /dev/null; status=$$?; rm -rf $$dir; exit $$status
+	dir=$$(mktemp -d) && ! $(GO) run ./cmd/durtool $$dir/missing 2> /dev/null && test ! -e $$dir/missing; status=$$?; rm -rf $$dir; exit $$status
 	@for ex in $(SMOKE_EXAMPLES); do \
 		echo "$(GO) run ./examples/$$ex"; \
 		$(GO) run ./examples/$$ex > /dev/null || exit 1; \
@@ -130,6 +132,17 @@ DURABLE_SRC = $(filter-out %_test.go,$(wildcard internal/durable/*.go))
 DURABLE_BANNED = datalog\.Tuple|datalog\.DeltaOp|appendTuple|readTuple
 durable-opaque-rows:
 	@! grep -nE '$(DURABLE_BANNED)' $(DURABLE_SRC) | sed 's,//.*,,' | grep -E '$(DURABLE_BANNED)'
+
+# one-keyed-merge fails if a non-test file of internal/transducer names
+# MergeField, fieldMerge or LatticeMerge (comments stripped, as above): a
+# handler's every table write is one staged row merged by its table's Join,
+# which the compiler builds from the column types (DESIGN.md, "Compiler
+# wiring"), so no second write path re-decides row creation or column
+# joins inside the runtime.
+TRANSDUCER_SRC = $(filter-out %_test.go,$(wildcard internal/transducer/*.go))
+MERGE_BANNED = MergeField|fieldMerge|LatticeMerge
+one-keyed-merge:
+	@! grep -nE '$(MERGE_BANNED)' $(TRANSDUCER_SRC) | sed 's,//.*,,' | grep -E '$(MERGE_BANNED)'
 
 # one-tick-path fails if a non-test file of internal/transducer,
 # internal/hydrolysis or internal/shard copies state or evaluates from

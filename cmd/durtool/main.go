@@ -7,7 +7,7 @@
 //
 //	durtool <dir>
 //
-// It writes nothing to the directory (a missing one is created empty).
+// It writes nothing: a path that is not an existing directory is an error.
 // Whether a node boots from the directory depends on the program it
 // journals: a deployment checks that with its own program through
 // durable.Open and Store.Recover.
@@ -27,7 +27,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: durtool <dir>")
 		os.Exit(2)
 	}
-	fs, err := durable.DirFS(flag.Arg(0))
+	dir := flag.Arg(0)
+	if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+		fatal(fmt.Errorf("%s is not an existing directory", dir))
+	}
+	fs, err := durable.DirFS(dir)
 	if err != nil {
 		fatal(err)
 	}

@@ -2,6 +2,7 @@ package hydrolysis
 
 import (
 	"fmt"
+	"slices"
 
 	"hydro/internal/datalog"
 	"hydro/internal/hlang"
@@ -9,7 +10,7 @@ import (
 )
 
 // Instantiate builds a runnable transducer for the compiled program: it
-// registers table schemas (with lattice merges for lattice-typed columns),
+// registers table schemas (each keyed table with its one Join, tableSchema),
 // scalar variables, the query program, one handler closure per `on`
 // declaration, and, beside each handler that needs coordination, the
 // verdict that its messages tick alone. The returned runtime is the
@@ -70,37 +71,36 @@ func zeroValue(t hlang.Type) any {
 	return nil
 }
 
+// tableSchema is t's schema with its one join, applied column by column: a
+// bool column joins with or, a max<int> column with max, the key stays,
+// and any other column keeps its first non-zero value. A new key joins
+// into the zero row, the bottom of every column, so a column no merge has
+// raised reads as a missing row does.
 func tableSchema(t *hlang.TableDecl) transducer.TableSchema {
-	s := transducer.TableSchema{
-		Name:         t.Name,
-		Arity:        t.Arity(),
-		LatticeMerge: map[int]func(a, b any) any{},
-	}
+	s := transducer.TableSchema{Name: t.Name, Arity: t.Arity()}
 	for _, k := range t.Key {
 		s.Key = append(s.Key, t.FieldIndex(k))
 	}
+	zero := make(datalog.Tuple, len(t.Fields))
 	for i, f := range t.Fields {
-		switch f.Type.Kind {
-		case hlang.TBool:
-			s.LatticeMerge[i] = func(a, b any) any { return a.(bool) || b.(bool) }
-		case hlang.TMaxInt:
-			s.LatticeMerge[i] = func(a, b any) any {
-				x, _ := datalog.ToInt(a)
-				y, _ := datalog.ToInt(b)
-				return max(x, y)
+		zero[i] = zeroValue(f.Type)
+	}
+	s.Join = func(old, staged datalog.Tuple) datalog.Tuple {
+		if old == nil {
+			old = zero
+		}
+		for i, f := range t.Fields {
+			switch a, b := old[i], staged[i]; {
+			case slices.Contains(s.Key, i):
+			case f.Type.Kind == hlang.TBool:
+				staged[i] = a.(bool) || b.(bool)
+			case f.Type.Kind == hlang.TMaxInt:
+				staged[i] = max(a.(int64), b.(int64))
+			case a != zero[i]:
+				staged[i] = a
 			}
 		}
-	}
-	fields := t.Fields
-	s.Zero = func(key []any) datalog.Tuple {
-		row := make(datalog.Tuple, len(fields))
-		for i, f := range fields {
-			row[i] = zeroValue(f.Type)
-		}
-		for ki, idx := range s.Key {
-			row[idx] = key[ki]
-		}
-		return row
+		return staged
 	}
 	return s
 }
@@ -159,26 +159,12 @@ func (c *Compiled) compileHandler(h *hlang.HandlerDecl) transducer.Handler {
 func (e *env) exec(s hlang.Stmt) error {
 	switch st := s.(type) {
 	case *hlang.MergeTupleStmt:
-		row := make(datalog.Tuple, len(st.Args))
-		for i, a := range st.Args {
-			v, err := e.eval(a)
-			if err != nil {
-				return err
-			}
-			row[i] = v
-		}
-		e.tx.MergeTuple(st.Table, row)
+		return e.merge(e.c.Program.Table(st.Table), st.Args)
 	case *hlang.MergeFieldStmt:
 		t := e.c.Program.Table(st.Table)
-		keyVal, err := e.eval(st.Key)
-		if err != nil {
-			return err
-		}
-		val, err := e.eval(st.Value)
-		if err != nil {
-			return err
-		}
-		e.tx.MergeField(st.Table, []any{keyVal}, t.FieldIndex(st.Field), val)
+		args := make([]hlang.Expr, t.Arity())
+		args[t.FieldIndex(t.Key[0])], args[t.FieldIndex(st.Field)] = st.Key, st.Value
+		return e.merge(t, args)
 	case *hlang.AssignStmt:
 		v, err := e.eval(st.Value)
 		if err != nil {
@@ -215,6 +201,30 @@ func (e *env) exec(s hlang.Stmt) error {
 	default:
 		return fmt.Errorf("hydrolysis: unknown statement %T", s)
 	}
+	return nil
+}
+
+// merge builds one row of table t from args, a column's zero value where
+// its arg is nil, types every value against its column as parameters and
+// UDF results are — a value not of its column's type fails the invocation
+// — and stages it: t(...) names every column, and a field merge
+// t[k].f <- v the key and f, so it is the zero row with k and v filled in.
+func (e *env) merge(t *hlang.TableDecl, args []hlang.Expr) error {
+	row := make(datalog.Tuple, len(args))
+	for i, f := range t.Fields {
+		v := zeroValue(f.Type)
+		if args[i] != nil {
+			var err error
+			if v, err = e.eval(args[i]); err != nil {
+				return err
+			}
+		}
+		var ok bool
+		if row[i], ok = typed(f.Type, v); !ok {
+			return fmt.Errorf("merge into %s: %v is not of %s's type %s", t.Name, v, f.Name, f.Type)
+		}
+	}
+	e.tx.MergeTuple(t.Name, row)
 	return nil
 }
 
@@ -378,19 +388,22 @@ func (e *env) evalBin(b *hlang.BinExpr) (any, error) {
 // typed converts v to HydroLogic type t's Go kind — int64 for int and
 // max<int>, float64 for float — and reports whether v has that type in a
 // kind the expression evaluator reads: an integer kind (datalog.ToInt) for
-// int, an integer kind or float64 for float.
+// int, an integer kind or float64 for float. A value already of its kind
+// is returned as it is, not boxed again.
 func typed(t hlang.Type, v any) (any, bool) {
 	switch t.Kind {
 	case hlang.TInt, hlang.TMaxInt:
-		if i, ok := datalog.ToInt(v); ok {
-			return i, true
+		if i, ok := v.(int); ok {
+			return int64(i), true
 		}
+		_, ok := v.(int64)
+		return v, ok
 	case hlang.TFloat:
 		if i, ok := datalog.ToInt(v); ok {
 			return float64(i), true
 		}
-		f, ok := v.(float64)
-		return f, ok
+		_, ok := v.(float64)
+		return v, ok
 	case hlang.TString:
 		_, ok := v.(string)
 		return v, ok

@@ -39,9 +39,6 @@ func (c *Compiled) PlaceAvailable(topo *cluster.Topology, handler string) ([]str
 // returned deployment accepts base ticks via Submit and converges to
 // exactly the fixpoint a single-node Instantiate would hold.
 func (c *Compiled) InstantiateSharded(cl *cluster.Cluster, name string, n int, opts shard.Options) (*shard.Deployment, error) {
-	if c.Queries == nil {
-		return nil, fmt.Errorf("hydrolysis: program has no query rules to shard")
-	}
 	machines, err := cl.Topo.SpreadAcross(cluster.AZ, n)
 	if err != nil {
 		return nil, err

@@ -41,18 +41,19 @@ type Message struct {
 	Reply bool
 }
 
-// TableSchema registers a table with the runtime.
+// TableSchema registers a table with the runtime. A table with a Key that
+// names fewer than all of its columns and a Join holds one row per key:
+// every write to it (Tx.MergeTuple) is a staged row joined into the key's
+// stored row. Any other table is a set, and a write is a set insert.
 type TableSchema struct {
 	Name  string
 	Arity int
-	// Key lists the key column indexes used by field merges.
+	// Key lists the key column indexes.
 	Key []int
-	// LatticeMerge maps a column index to its lattice join. Field merges
-	// are only valid on columns present here.
-	LatticeMerge map[int]func(a, b any) any
-	// Zero builds a fresh row for a key when a field merge targets a
-	// missing row; nil disables auto-creation.
-	Zero func(key []any) datalog.Tuple
+	// Join merges a staged row into the stored row old of its key, nil when
+	// the key has none, and returns the row the table then holds. It may
+	// build that row in staged, which the runtime hands over.
+	Join func(old, staged datalog.Tuple) datalog.Tuple
 }
 
 // Handler reacts to one message. It must confine all effects to the Tx; the
@@ -509,8 +510,8 @@ func splitAddr(addr string) (node, mailbox string, ok bool) {
 	return "", addr, false
 }
 
-// applyEffects commits the tick's staged mutations: table inserts, field
-// merges, and deletes first, then the durability append and the fixpoint
+// applyEffects commits the tick's staged mutations: table merges and
+// deletes first, then the durability append and the fixpoint
 // maintenance pass, then assigns and sends (observation sends reach their
 // sink here, the rest go in flight). The realized table changes are
 // collected as a delta: the sink journals exactly its ops, and a rejected
@@ -531,19 +532,9 @@ func (rt *Runtime) applyEffects(eff *effects) {
 			return
 		}
 	}
-	for _, fm := range eff.fieldMerges {
-		if rt.derived[fm.table] {
-			rt.rejectTick(delta, fmt.Errorf("transducer %s: field merge into derived relation %q", rt.Name, fm.table))
-			return
-		}
-	}
 	muts := uint64(0) // counted into stats only if the tick commits
 	for _, ins := range eff.inserts {
 		rt.applyInsert(ins.table, ins.row, delta)
-		muts++
-	}
-	for _, fm := range eff.fieldMerges {
-		rt.applyFieldMerge(fm, delta)
 		muts++
 	}
 	for _, del := range eff.deletes {
@@ -676,18 +667,18 @@ func (rt *Runtime) rejectTick(delta *datalog.Delta, err error) {
 	rt.lastRejection = err
 }
 
-// applyInsert inserts a tuple, honoring key-based merge semantics: when the
-// table declares key columns and a row with the same key exists, lattice
-// columns merge and zero-valued non-lattice columns adopt the new values
-// (first non-zero writer wins otherwise, deterministically). This gives
-// `merge table(...)` the upsert behavior the paper's data model implies
-// ("a table keyed on each person's pid").
+// applyInsert commits one staged row: a set insert, or, into a table of
+// one row per key (TableSchema), the one keyed merge — the key's stored row
+// old, if any, is replaced by Join(old, row), and a new key gets
+// Join(nil, row). A join that changes nothing records no delta op. This
+// gives `merge table(...)` and `merge table[k].f <- v` the upsert the
+// paper's data model implies ("a table keyed on each person's pid").
 func (rt *Runtime) applyInsert(table string, row datalog.Tuple, delta *datalog.Delta) {
 	rel := rt.db.Ensure(table, len(row))
-	schema, ok := rt.schemas[table]
+	schema := rt.schemas[table]
 	// A key naming every column makes the upsert a set insert: a row with
 	// an equal key is an equal row, and merging it changes nothing.
-	if !ok || len(schema.Key) == 0 || len(schema.Key) == rel.Arity {
+	if len(schema.Key) == 0 || len(schema.Key) == rel.Arity || schema.Join == nil {
 		if rel.Insert(row) {
 			delta.Insert(table, row)
 		}
@@ -699,63 +690,17 @@ func (rt *Runtime) applyInsert(table string, row datalog.Tuple, delta *datalog.D
 	}
 	existing := rel.Lookup(schema.Key, key)
 	if len(existing) == 0 {
+		row = schema.Join(nil, row)
 		if rel.Insert(row) {
 			delta.Insert(table, row)
 		}
 		return
 	}
-	var zero datalog.Tuple
-	if schema.Zero != nil {
-		zero = schema.Zero(key)
-	}
-	merged := append(datalog.Tuple{}, existing[0]...)
-	for i := range merged {
-		if mf, isLat := schema.LatticeMerge[i]; isLat {
-			merged[i] = mf(merged[i], row[i])
-		} else if zero != nil && merged[i] == zero[i] {
-			merged[i] = row[i]
-		}
-	}
-	if !merged.Equal(existing[0]) {
-		rel.Delete(existing[0])
+	old := existing[0]
+	if merged := schema.Join(old, row); !merged.Equal(old) {
+		rel.Delete(old)
 		rel.Insert(merged)
-		delta.Delete(table, existing[0])
+		delta.Delete(table, old)
 		delta.Insert(table, merged)
-	}
-}
-
-func (rt *Runtime) applyFieldMerge(fm fieldMerge, delta *datalog.Delta) {
-	schema, ok := rt.schemas[fm.table]
-	if !ok {
-		panic(fmt.Sprintf("transducer %s: field merge into unregistered table %q", rt.Name, fm.table))
-	}
-	mergeFn, ok := schema.LatticeMerge[fm.col]
-	if !ok {
-		panic(fmt.Sprintf("transducer %s: column %d of %q is not a lattice", rt.Name, fm.col, fm.table))
-	}
-	rel := rt.db.Ensure(fm.table, schema.Arity)
-	// Find the row by key columns.
-	rows := rel.Lookup(schema.Key, fm.key)
-	if len(rows) == 0 {
-		if schema.Zero == nil {
-			return // no row, no auto-create: merge is a no-op
-		}
-		row := schema.Zero(fm.key)
-		updated := append(datalog.Tuple{}, row...)
-		updated[fm.col] = mergeFn(updated[fm.col], fm.value)
-		if rel.Insert(updated) {
-			delta.Insert(fm.table, updated)
-		}
-		return
-	}
-	for _, row := range rows {
-		updated := append(datalog.Tuple{}, row...)
-		updated[fm.col] = mergeFn(updated[fm.col], fm.value)
-		if !updated.Equal(row) {
-			rel.Delete(row)
-			rel.Insert(updated)
-			delta.Delete(fm.table, row)
-			delta.Insert(fm.table, updated)
-		}
 	}
 }

@@ -18,16 +18,19 @@ func newTestRuntime() *Runtime {
 		Name:  "people",
 		Arity: 3, // pid, covid, vaccinated
 		Key:   []int{0},
-		LatticeMerge: map[int]func(a, b any) any{
-			1: orMerge,
-			2: orMerge,
-		},
-		Zero: func(key []any) datalog.Tuple { return datalog.Tuple{key[0], false, false} },
+		Join:  orJoin,
 	})
 	return rt
 }
 
-func orMerge(a, b any) any { return a.(bool) || b.(bool) }
+// orJoin is people's join: the bool columns or, and a new key's row is the
+// staged row itself, its join with (pid, false, false).
+func orJoin(old, staged datalog.Tuple) datalog.Tuple {
+	if old == nil {
+		return staged
+	}
+	return datalog.Tuple{old[0], old[1].(bool) || staged[1].(bool), old[2].(bool) || staged[2].(bool)}
+}
 
 func TestMutationsDeferredToEndOfTick(t *testing.T) {
 	rt := newTestRuntime()
@@ -51,7 +54,7 @@ func TestMutationsDeferredToEndOfTick(t *testing.T) {
 func TestFieldMergeMonotoneAndAutoCreate(t *testing.T) {
 	rt := newTestRuntime()
 	rt.RegisterHandler("diagnose", func(tx *Tx, msg Message) {
-		tx.MergeField("people", []any{msg.Payload[0]}, 1, true)
+		tx.MergeTuple("people", datalog.Tuple{msg.Payload[0], true, false})
 	})
 	// Auto-create: merging into a missing row materializes the zero row.
 	rt.Inject("diagnose", datalog.Tuple{int64(7)})
@@ -61,7 +64,7 @@ func TestFieldMergeMonotoneAndAutoCreate(t *testing.T) {
 	}
 	// Merging false over true must not regress (or-lattice).
 	rt.RegisterHandler("undiagnose", func(tx *Tx, msg Message) {
-		tx.MergeField("people", []any{msg.Payload[0]}, 1, false)
+		tx.MergeTuple("people", datalog.Tuple{msg.Payload[0], false, false})
 	})
 	rt.Inject("undiagnose", datalog.Tuple{int64(7)})
 	rt.Tick()
@@ -183,7 +186,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 			tx.Send("echo", msg.Payload)
 		})
 		rt.RegisterHandler("echo", func(tx *Tx, msg Message) {
-			tx.MergeField("people", []any{msg.Payload[0]}, 2, true)
+			tx.MergeTuple("people", datalog.Tuple{msg.Payload[0], false, true})
 		})
 		for i := int64(0); i < 10; i++ {
 			rt.Inject("add", datalog.Tuple{i})
@@ -365,9 +368,7 @@ func TestIncrementalTickMatchesFullEval(t *testing.T) {
 		rt.SetDelay(fixedDelay)
 		rt.RegisterTable(TableSchema{Name: "edge", Arity: 2})
 		rt.RegisterTable(TableSchema{
-			Name: "people", Arity: 3, Key: []int{0},
-			LatticeMerge: map[int]func(a, b any) any{1: orMerge, 2: orMerge},
-			Zero:         func(key []any) datalog.Tuple { return datalog.Tuple{key[0], false, false} },
+			Name: "people", Arity: 3, Key: []int{0}, Join: orJoin,
 		})
 		if err := rt.RegisterQueriesIncremental(tcQueries(t)); err != nil {
 			t.Fatal(err)
@@ -376,7 +377,7 @@ func TestIncrementalTickMatchesFullEval(t *testing.T) {
 		rt.RegisterHandler("add_edge", func(tx *Tx, msg Message) { tx.MergeTuple("edge", msg.Payload) })
 		rt.RegisterHandler("del_edge", func(tx *Tx, msg Message) { tx.Delete("edge", msg.Payload) })
 		rt.RegisterHandler("diagnose", func(tx *Tx, msg Message) {
-			tx.MergeField("people", []any{msg.Payload[0]}, 1, true)
+			tx.MergeTuple("people", datalog.Tuple{msg.Payload[0], true, false})
 		})
 		rt.RegisterHandler("probe", func(tx *Tx, msg Message) {
 			probes = append(probes, sortedRows(tx.QueryWhere("path", nil, nil)))

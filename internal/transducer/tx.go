@@ -18,13 +18,6 @@ type tableRow struct {
 	row   datalog.Tuple
 }
 
-type fieldMerge struct {
-	table string
-	key   []any
-	col   int
-	value any
-}
-
 // sendEntry is one staged send: a derived set (SendAll), or a single row
 // (Send, Reply) wrapped as a one-row set. Each row becomes one message at
 // commit, its payload a view into the set's payload array; reply marks
@@ -38,29 +31,27 @@ type sendEntry struct {
 // effects accumulates a tick's staged mutations across all handler
 // invocations. The runtime owns one and reuses it every tick (reset).
 type effects struct {
-	inserts     []tableRow
-	fieldMerges []fieldMerge
-	assigns     map[string]any
-	assignKeys  []string // insertion order, for truncate
-	deletes     []tableRow
-	sends       []sendEntry
+	inserts    []tableRow
+	assigns    map[string]any
+	assignKeys []string // insertion order, for truncate
+	deletes    []tableRow
+	sends      []sendEntry
 }
 
 // effectMark snapshots effect counts so an aborted handler's staged effects
 // can be discarded.
 type effectMark struct {
-	inserts, merges, assigns, deletes, sends int
+	inserts, assigns, deletes, sends int
 }
 
 func (e *effects) mark() effectMark {
-	return effectMark{len(e.inserts), len(e.fieldMerges), len(e.assignKeys), len(e.deletes), len(e.sends)}
+	return effectMark{len(e.inserts), len(e.assignKeys), len(e.deletes), len(e.sends)}
 }
 
 // truncate discards everything staged after m. The discarded tails are
 // cleared so the reused buffers retain no payload.
 func (e *effects) truncate(m effectMark) {
 	e.inserts = truncated(e.inserts, m.inserts)
-	e.fieldMerges = truncated(e.fieldMerges, m.merges)
 	for _, k := range e.assignKeys[m.assigns:] {
 		delete(e.assigns, k)
 	}
@@ -102,15 +93,13 @@ func (tx *Tx) DerivePrepared(pr *datalog.PreparedRule, bound map[string]any) (da
 	return pr.Derive(tx.rt.db, bound)
 }
 
-// MergeTuple stages a (monotonic) tuple insertion.
+// MergeTuple stages a (monotonic) merge of row into table: a set insert,
+// or, into a table of one row per key, the join of row into its key's row
+// (TableSchema.Join). The runtime keeps row, and the join may write into
+// it. A merge into one column is a row with every other non-key column at
+// its bottom.
 func (tx *Tx) MergeTuple(table string, row datalog.Tuple) {
 	tx.rt.eff.inserts = append(tx.rt.eff.inserts, tableRow{table: table, row: row})
-}
-
-// MergeField stages a (monotonic) lattice merge into one column of the row
-// identified by key.
-func (tx *Tx) MergeField(table string, key []any, col int, value any) {
-	tx.rt.eff.fieldMerges = append(tx.rt.eff.fieldMerges, fieldMerge{table: table, key: key, col: col, value: value})
 }
 
 // Assign stages a (non-monotonic) scalar overwrite.
