@@ -134,13 +134,14 @@ durable-opaque-rows:
 	@! grep -nE '$(DURABLE_BANNED)' $(DURABLE_SRC) | sed 's,//.*,,' | grep -E '$(DURABLE_BANNED)'
 
 # one-keyed-merge fails if a non-test file of internal/transducer names
-# MergeField, fieldMerge or LatticeMerge (comments stripped, as above): a
-# handler's every table write is one staged row merged by its table's Join,
-# which the compiler builds from the column types (DESIGN.md, "Compiler
-# wiring"), so no second write path re-decides row creation or column
-# joins inside the runtime.
+# MergeField, fieldMerge, LatticeMerge, assigns or assignKeys (comments
+# stripped, as above): a handler's every state write is one staged row
+# merged by its relation's Join — a table's, which the compiler builds from
+# the column types (DESIGN.md, "Compiler wiring"), or, for an assign, the
+# variable's VarRelation row — so no second write path re-decides row
+# creation or column joins, or keeps state the journal does not see.
 TRANSDUCER_SRC = $(filter-out %_test.go,$(wildcard internal/transducer/*.go))
-MERGE_BANNED = MergeField|fieldMerge|LatticeMerge
+MERGE_BANNED = MergeField|fieldMerge|LatticeMerge|assigns|assignKeys
 one-keyed-merge:
 	@! grep -nE '$(MERGE_BANNED)' $(TRANSDUCER_SRC) | sed 's,//.*,,' | grep -E '$(MERGE_BANNED)'
 

@@ -269,9 +269,6 @@ func (n *Node) Propose(value any) {
 // point for hosts that own the network handler themselves.
 func (n *Node) Handle(now simnet.Time, msg simnet.Message) { n.handle(now, msg) }
 
-// Name returns the node's network name.
-func (n *Node) Name() string { return n.name }
-
 // Applied returns how many contiguous log slots have been applied — a
 // cheap staleness signal two peers can compare to decide who needs to
 // catch up.

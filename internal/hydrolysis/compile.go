@@ -38,6 +38,8 @@ type Compiled struct {
 	// serial names the handlers consistency.Select gives
 	// MechCoordination: each of their messages ticks alone.
 	serial map[string]bool
+	// vars holds each variable's typed initial value, by Program.Vars.
+	vars []any
 }
 
 // Options configures compilation.
@@ -60,8 +62,8 @@ func Compile(src string, opts Options) (*Compiled, error) {
 // the query rules to the datalog program and plans every rule-driven send,
 // with the handler parameters the send's rule names pre-bound (bound at
 // Derive time, not substituted as constants per message), and records the
-// handlers that need coordination. A program Check refuses, or a send the
-// planner refuses, fails here, not at Instantiate or the first message.
+// handlers that need coordination. A program Check refuses, a mistyped var
+// initializer or an unplannable send fails here, not at Instantiate.
 func CompileProgram(prog *hlang.Program, opts Options) (*Compiled, error) {
 	if err := hlang.Check(prog); err != nil {
 		return nil, err
@@ -94,6 +96,19 @@ func CompileProgram(prog *hlang.Program, opts Options) (*Compiled, error) {
 	}
 	for name, ch := range consistency.Select(prog, c.Analysis) {
 		c.serial[name] = ch.Mechanism == consistency.MechCoordination
+	}
+	for _, v := range prog.Vars {
+		init := zeroValue(v.Type)
+		if v.Init != nil {
+			if init, err = constExpr(v.Init); err != nil {
+				return nil, err
+			}
+		}
+		init, ok := typed(v.Type, init)
+		if !ok {
+			return nil, fmt.Errorf("hydrolysis: var %s: initializer %s is not of type %s", v.Name, v.Init, v.Type)
+		}
+		c.vars = append(c.vars, init)
 	}
 	for _, h := range prog.Handlers {
 		params := map[string]bool{}

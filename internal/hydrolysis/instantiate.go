@@ -32,18 +32,8 @@ func (c *Compiled) Instantiate(name string, seed int64) (*transducer.Runtime, er
 	for _, t := range c.Program.Tables {
 		rt.RegisterTable(tableSchema(t))
 	}
-	for _, v := range c.Program.Vars {
-		var init any
-		if v.Init != nil {
-			val, err := constExpr(v.Init)
-			if err != nil {
-				return nil, fmt.Errorf("hydrolysis: var %s initializer: %w", v.Name, err)
-			}
-			init = val
-		} else {
-			init = zeroValue(v.Type)
-		}
-		rt.RegisterVar(v.Name, init)
+	for i, v := range c.Program.Vars {
+		rt.RegisterVar(v.Name, c.vars[i])
 	}
 	if err := rt.RegisterQueriesIncremental(c.Queries); err != nil {
 		return nil, err
@@ -166,7 +156,7 @@ func (e *env) exec(s hlang.Stmt) error {
 		args[t.FieldIndex(t.Key[0])], args[t.FieldIndex(st.Field)] = st.Key, st.Value
 		return e.merge(t, args)
 	case *hlang.AssignStmt:
-		v, err := e.eval(st.Value)
+		v, err := e.evalAs(st.Value, e.c.Program.Var(st.Var).Type)
 		if err != nil {
 			return err
 		}
@@ -174,18 +164,16 @@ func (e *env) exec(s hlang.Stmt) error {
 	case *hlang.DeleteStmt:
 		t := e.c.Program.Table(st.Table)
 		// Delete by key: find matching rows in the snapshot and stage
-		// deletions.
+		// deletions, each key value typed against its key column.
+		keyIdx := make([]int, len(st.Args))
 		keyVals := make([]any, len(st.Args))
 		for i, a := range st.Args {
-			v, err := e.eval(a)
+			keyIdx[i] = t.FieldIndex(t.Key[i])
+			v, err := e.evalAs(a, t.Fields[keyIdx[i]].Type)
 			if err != nil {
 				return err
 			}
 			keyVals[i] = v
-		}
-		var keyIdx []int
-		for _, k := range t.Key {
-			keyIdx = append(keyIdx, t.FieldIndex(k))
 		}
 		for _, row := range e.tx.QueryWhere(st.Table, keyIdx, keyVals) {
 			e.tx.Delete(st.Table, row)
@@ -205,27 +193,36 @@ func (e *env) exec(s hlang.Stmt) error {
 }
 
 // merge builds one row of table t from args, a column's zero value where
-// its arg is nil, types every value against its column as parameters and
-// UDF results are — a value not of its column's type fails the invocation
-// — and stages it: t(...) names every column, and a field merge
-// t[k].f <- v the key and f, so it is the zero row with k and v filled in.
+// its arg is nil, types every value against its column (evalAs), and stages
+// it: t(...) names every column, and a field merge t[k].f <- v the key and
+// f, so it is the zero row with k and v filled in.
 func (e *env) merge(t *hlang.TableDecl, args []hlang.Expr) error {
 	row := make(datalog.Tuple, len(args))
 	for i, f := range t.Fields {
-		v := zeroValue(f.Type)
+		row[i] = zeroValue(f.Type)
 		if args[i] != nil {
 			var err error
-			if v, err = e.eval(args[i]); err != nil {
-				return err
+			if row[i], err = e.evalAs(args[i], f.Type); err != nil {
+				return fmt.Errorf("merge into %s.%s: %w", t.Name, f.Name, err)
 			}
-		}
-		var ok bool
-		if row[i], ok = typed(f.Type, v); !ok {
-			return fmt.Errorf("merge into %s: %v is not of %s's type %s", t.Name, v, f.Name, f.Type)
 		}
 	}
 	e.tx.MergeTuple(t.Name, row)
 	return nil
+}
+
+// evalAs evaluates x as a value of type t for a column, a key or a variable,
+// typed as parameters are: a value not of t fails the invocation.
+func (e *env) evalAs(x hlang.Expr, t hlang.Type) (any, error) {
+	v, err := e.eval(x)
+	if err != nil {
+		return nil, err
+	}
+	tv, ok := typed(t, v)
+	if !ok {
+		return nil, fmt.Errorf("%v is not of type %s", v, t)
+	}
+	return tv, nil
 }
 
 // execSend handles both plain sends and rule-driven sends; the latter run
@@ -312,11 +309,12 @@ func (e *env) eval(x hlang.Expr) (any, error) {
 		return nil, fmt.Errorf("unknown name %q", v.Name)
 	case *hlang.FieldRef:
 		t := e.c.Program.Table(v.Table)
-		key, err := e.eval(v.Key)
+		k := t.FieldIndex(t.Key[0])
+		key, err := e.evalAs(v.Key, t.Fields[k].Type)
 		if err != nil {
 			return nil, err
 		}
-		rows := e.tx.QueryWhere(v.Table, []int{t.FieldIndex(t.Key[0])}, []any{key})
+		rows := e.tx.QueryWhere(v.Table, []int{k}, []any{key})
 		if len(rows) == 0 {
 			return zeroValue(t.Fields[t.FieldIndex(v.Field)].Type), nil
 		}

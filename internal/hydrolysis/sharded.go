@@ -6,6 +6,7 @@ import (
 
 	"hydro/internal/cluster"
 	"hydro/internal/shard"
+	"hydro/internal/transducer"
 )
 
 // PlaceAvailable picks the machines handler's availability facet asks for
@@ -32,9 +33,9 @@ func (c *Compiled) PlaceAvailable(topo *cluster.Topology, handler string) ([]str
 // InstantiateSharded deploys the compiled program's query rules as a
 // distributed dataflow: n replicas are placed by the one placement rule,
 // cluster.Topology.SpreadAcross (no AZ holds more than ⌈n/#AZs⌉ of them),
-// every declared table becomes a base relation hash-partitioned on its
-// PartitionCol unless opts.Declared names another column for it (the
-// caller's entries win), and the query
+// every declared table, and transducer.VarRelation, becomes a base relation,
+// a table hash-partitioned on its PartitionCol unless opts.Declared names
+// another column for it (the caller's entries win), and the query
 // fixpoint is maintained across the replicas by the shard coordinator. The
 // returned deployment accepts base ticks via Submit and converges to
 // exactly the fixpoint a single-node Instantiate would hold.
@@ -49,6 +50,7 @@ func (c *Compiled) InstantiateSharded(cl *cluster.Cluster, name string, n int, o
 		edb[t.Name] = t.Arity()
 		declared[t.Name] = t.PartitionCol()
 	}
+	edb[transducer.VarRelation] = 2
 	maps.Copy(declared, opts.Declared)
 	opts.Declared = declared
 	return shard.Deploy(cl, name, c.Queries, edb, machines, opts)

@@ -7,6 +7,7 @@ import (
 	"hydro/internal/cluster"
 	"hydro/internal/shard"
 	"hydro/internal/simnet"
+	"hydro/internal/transducer"
 )
 
 // TestPlaceAvailable: the COVID program's add_contact tolerates 2 AZ
@@ -37,7 +38,8 @@ func TestPlaceAvailable(t *testing.T) {
 // once InstantiateSharded deploys it: people on its partition(country)
 // hint (column 1), contacts on its first key column (0), and the derived
 // transitive on its join vote (column 1, the y that contacts(y, z)
-// reads). Nothing is mirrored: the closure is monotone and co-hashed.
+// reads), and the variables' relation on whole-tuple hash (column -1).
+// Nothing is mirrored: the closure is monotone and co-hashed.
 func TestPlacementCovidDeployed(t *testing.T) {
 	cl := cluster.New(cluster.NewTopology(3, 2, 2, cluster.ClassSmall), simnet.DefaultConfig(1))
 	dep, err := compileCovid(t).InstantiateSharded(cl, "covid", 3, shard.Options{})
@@ -45,13 +47,13 @@ func TestPlacementCovidDeployed(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := dep.Placement().Specs
-	for pred, col := range map[string]int{"people": 1, "contacts": 0, "transitive": 1} {
+	for pred, col := range map[string]int{"people": 1, "contacts": 0, "transitive": 1, transducer.VarRelation: -1} {
 		if s := specs[pred]; s.Mirrored || s.Col != col {
 			t.Errorf("%s placed %+v, want sharded on column %d", pred, s, col)
 		}
 	}
-	if len(specs) != 3 {
-		t.Errorf("placed %v, want people, contacts and transitive only", specs)
+	if len(specs) != 4 {
+		t.Errorf("placed %v, want people, contacts, transitive and %s only", specs, transducer.VarRelation)
 	}
 }
 

@@ -161,12 +161,9 @@ type Response struct {
 	Timing RequestTiming
 }
 
-// Pending is an admitted request's future response.
+// Pending is an admitted request's future response, delivered on a
+// buffered channel the serve loop never blocks on.
 type Pending struct{ ch chan Response }
-
-// Done returns the channel the response is delivered on (buffered: the
-// serve loop never blocks on it).
-func (p *Pending) Done() <-chan Response { return p.ch }
 
 // Wait blocks for the response.
 func (p *Pending) Wait() Response { return <-p.ch }

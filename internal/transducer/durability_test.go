@@ -362,12 +362,14 @@ func (s *stubSink) Committed(inc *datalog.Incremental) error {
 // TestDurabilityProtocolOrder pins the sink contract: append before apply,
 // committed after, and nothing for no-effect ticks — before any query
 // program is registered (the runtime maintains the empty one) and after.
+// An assign is a VarRelation row, so an assign-only tick is journaled.
 func TestDurabilityProtocolOrder(t *testing.T) {
 	rt := New("n1", 1)
 	rt.SetDelay(fixedDelay)
 	rt.RegisterTable(TableSchema{Name: "edge", Arity: 2})
 	rt.RegisterHandler("add", func(tx *Tx, msg Message) { tx.MergeTuple("edge", msg.Payload) })
-	rt.RegisterHandler("noop", func(tx *Tx, msg Message) { tx.Assign("x", int64(1)) })
+	rt.RegisterHandler("noop", func(tx *Tx, msg Message) {})
+	rt.RegisterHandler("set", func(tx *Tx, msg Message) { tx.Assign("x", int64(1)) })
 	rt.RegisterVar("x", int64(0))
 	sink := &stubSink{}
 	if err := rt.SetDurability(sink); err != nil {
@@ -399,7 +401,12 @@ func TestDurabilityProtocolOrder(t *testing.T) {
 	rt.Inject("noop", datalog.Tuple{int64(0)})
 	rt.Tick()
 	if len(sink.calls) != 0 {
-		t.Fatalf("no-table-effect tick drove sink calls %v", sink.calls)
+		t.Fatalf("no-effect tick drove sink calls %v", sink.calls)
+	}
+	rt.Inject("set", datalog.Tuple{int64(0)})
+	rt.Tick()
+	if got := fmt.Sprint(sink.calls); got != "[append committed]" {
+		t.Fatalf("assign-only tick drove sink calls %v, want [append committed]", sink.calls)
 	}
 	if rt.Var("x") != int64(1) {
 		t.Fatal("assign-only tick did not commit")

@@ -2,18 +2,20 @@
 // each tick's handlers read program state as it stood when the tick began
 // (newly arrived mailbox messages and the query fixpoint included) and all
 // mutations apply atomically at end of tick. The runtime database is that
-// snapshot: effects are staged, never written mid-tick, and the query
-// fixpoint is maintained inside it from each tick's realized delta
-// (datalog.Incremental), so nothing is copied or re-derived per tick. A
-// runtime with no registered query program maintains the empty one, which
-// derives nothing. Sends are asynchronous merges into mailboxes. A send to a
-// handled or an addressed ("node/mailbox") mailbox may be delayed an unbounded (simulated) number of ticks, capturing
-// network non-determinism while keeping handler logic deterministic within
-// a tick. A send to a local mailbox no handler reads (a reply, an alert
-// fan-out) is an output nothing in the program can observe the timing of:
-// it commits at the end of the tick that staged it, with no delay and no
-// later delivery, to the runtime's observation sink (SetObservationSink),
-// which by default appends it to the mailbox.
+// snapshot, variables included (each is a VarRelation row, so an assign is
+// journaled, recovered, rolled back and fanned out like any table write):
+// effects are staged, never written mid-tick, and the query fixpoint is
+// maintained inside it from each tick's realized delta (datalog.Incremental),
+// so nothing is copied or re-derived per tick. A runtime with no registered
+// query program maintains the empty one, which derives nothing. Sends are
+// asynchronous merges into mailboxes. A send to a handled or an addressed
+// ("node/mailbox") mailbox may be delayed an unbounded (simulated) number of
+// ticks, capturing network non-determinism while keeping handler logic
+// deterministic within a tick. A send to a local mailbox no handler reads (a
+// reply, an alert fan-out) is an output nothing in the program can observe
+// the timing of: it commits at the end of the tick that staged it, with no
+// delay and no later delivery, to the runtime's observation sink
+// (SetObservationSink), which by default appends it to the mailbox.
 //
 // Handlers are the closures the Hydrolysis compiler builds from HydroLogic.
 package transducer
@@ -40,6 +42,10 @@ type Message struct {
 	// request's message ID.
 	Reply bool
 }
+
+// VarRelation holds the scalar variables, one row (name, value) per assigned
+// variable keyed on the name, under a name no HydroLogic identifier takes.
+const VarRelation = "<vars>"
 
 // TableSchema registers a table with the runtime. A table with a Key that
 // names fewer than all of its columns and a Join holds one row per key:
@@ -83,7 +89,7 @@ type Stats struct {
 	Ticks     uint64
 	Handled   uint64 // messages processed
 	Derived   uint64 // datalog facts derived across ticks
-	Mutations uint64 // applied end-of-tick mutations
+	Mutations uint64 // applied end-of-tick merges (assigns included) and deletes
 	Sent      uint64 // messages committed by ticks, delayed or observed
 	Aborted   uint64 // handler invocations aborted by invariants
 	Rejected  uint64 // ticks rolled back after the evaluator or sink refused them
@@ -107,7 +113,7 @@ type Runtime struct {
 	Name string
 
 	db       *datalog.Database
-	vars     map[string]any
+	initial  map[string]any // each variable's value until its first assign
 	schemas  map[string]TableSchema
 	handlers map[string]Handler
 	// serial holds the handled mailboxes whose messages tick alone
@@ -165,15 +171,16 @@ func New(name string, seed int64) *Runtime {
 	rt := &Runtime{
 		Name:      name,
 		db:        datalog.NewDatabase(),
-		vars:      map[string]any{},
+		initial:   map[string]any{},
 		schemas:   map[string]TableSchema{},
 		handlers:  map[string]Handler{},
 		serial:    map[string]bool{},
 		mailboxes: map[string][]Message{},
 		rng:       rand.New(rand.NewSource(seed)),
 		delay:     DefaultDelay,
-		eff:       effects{assigns: map[string]any{}},
 	}
+	rt.RegisterTable(TableSchema{Name: VarRelation, Arity: 2, Key: []int{0},
+		Join: func(_, staged datalog.Tuple) datalog.Tuple { return staged }})
 	rt.clearQueries()
 	return rt
 }
@@ -207,7 +214,7 @@ func (rt *Runtime) RegisterTable(s TableSchema) {
 }
 
 // RegisterVar declares a scalar variable with an initial value.
-func (rt *Runtime) RegisterVar(name string, initial any) { rt.vars[name] = initial }
+func (rt *Runtime) RegisterVar(name string, initial any) { rt.initial[name] = initial }
 
 // RegisterHandler binds a mailbox to a handler.
 func (rt *Runtime) RegisterHandler(mailbox string, h Handler) { rt.handlers[mailbox] = h }
@@ -299,8 +306,14 @@ func (rt *Runtime) LastRejection() error { return rt.lastRejection }
 // Table exposes a table's current contents (between ticks).
 func (rt *Runtime) Table(name string) *datalog.Relation { return rt.db.Get(name) }
 
-// Var reads a scalar variable's current value (between ticks).
-func (rt *Runtime) Var(name string) any { return rt.vars[name] }
+// Var reads a scalar variable's current value (between ticks): its
+// VarRelation row's, or, before any assign, its initial value.
+func (rt *Runtime) Var(name string) any {
+	if rows := rt.db.Get(VarRelation).Lookup([]int{0}, []any{name}); len(rows) > 0 {
+		return rows[0][1]
+	}
+	return rt.initial[name]
+}
 
 // Inject places a message in a mailbox for the next tick (external input).
 func (rt *Runtime) Inject(mailbox string, payload datalog.Tuple) uint64 {
@@ -339,7 +352,7 @@ func (rt *Runtime) Handles(mailbox string) bool {
 }
 
 // TableNames lists every relation currently in the runtime database (base
-// tables and materialized derived relations), in sorted order.
+// tables, VarRelation and materialized derived relations), in sorted order.
 func (rt *Runtime) TableNames() []string { return rt.db.Names() }
 
 // Deliver places a fully-formed message into a mailbox (used by the cluster
@@ -429,8 +442,8 @@ func (rt *Runtime) Tick() int {
 
 	// 2. Handle every message in every handled mailbox, accumulating
 	//    deferred effects. The snapshot is the runtime itself: the database
-	//    (maintained fixpoint included) and the scalar variables change only
-	//    at end of tick, so handlers read both in place. Mailboxes are
+	//    (maintained fixpoint and variables included) changes only at end of
+	//    tick, so handlers read it in place. Mailboxes are
 	//    processed in sorted order for determinism.
 	boxes := rt.boxes[:0]
 	for name := range rt.mailboxes {
@@ -510,15 +523,15 @@ func splitAddr(addr string) (node, mailbox string, ok bool) {
 	return "", addr, false
 }
 
-// applyEffects commits the tick's staged mutations: table merges and
-// deletes first, then the durability append and the fixpoint
-// maintenance pass, then assigns and sends (observation sends reach their
-// sink here, the rest go in flight). The realized table changes are
+// applyEffects commits the tick's staged mutations: merges (assigns
+// included) and deletes first, in staging order, then the durability append
+// and the fixpoint maintenance pass, then sends (observation sends reach
+// their sink here, the rest go in flight). The realized changes are
 // collected as a delta: the sink journals exactly its ops, and a rejected
 // tick is undone by replaying them in reverse. A tick the evaluator or the
 // sink refuses is rolled back whole (a failed Apply rolls back what it
-// derived; mutations, assigns, and sends are dropped here, so no
-// observation sink ever sees them) and the runtime keeps serving — a bad
+// derived; mutations and sends are dropped here, so no observation sink
+// ever sees them) and the runtime keeps serving — a bad
 // tick costs that tick, not the node.
 func (rt *Runtime) applyEffects(eff *effects) {
 	// Admission check before any mutation lands: a write into a derived
@@ -586,18 +599,6 @@ func (rt *Runtime) applyEffects(eff *effects) {
 		}
 	}
 	rt.stats.Mutations += muts
-	// Deterministic order for assigns: sorted by var name; last staged
-	// value per name wins (conflicting assigns within a tick are a
-	// program race the analyzer flags, but the runtime stays deterministic).
-	var names []string
-	for name := range eff.assigns {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	for _, name := range names {
-		rt.vars[name] = eff.assigns[name]
-		rt.stats.Mutations++
-	}
 	// Sends take IDs in staging order, row by row. The observation test is
 	// made once per staged entry: an observed entry commits now, any other
 	// row draws its delay and goes in flight.
@@ -655,8 +656,8 @@ func (rt *Runtime) commitObservation(s *sendEntry) {
 }
 
 // rejectTick rolls back a tick whose effects the evaluator or the
-// durability sink refused: every realized table mutation is undone in
-// reverse application order, and the tick's assigns and sends are dropped.
+// durability sink refused: every realized mutation is undone in reverse
+// application order, and the tick's sends are dropped.
 // Contents and counts are restored exactly (relation iteration order may
 // differ — a deleted row re-inserted by the rollback lands in a new slot).
 // The runtime keeps serving; the rejection is visible in Stats.Rejected and

@@ -2,8 +2,8 @@ package transducer
 
 import "hydro/internal/datalog"
 
-// Tx is a handler's view of one tick: reads come from the runtime database
-// and scalar variables (which no tick mutates before its end), writes are
+// Tx is a handler's view of one tick: reads come from the runtime database,
+// variables included (no tick mutates it before its end), writes are
 // staged and applied at end of tick. This is what makes handler bodies
 // order-independent within a tick.
 type Tx struct {
@@ -31,31 +31,25 @@ type sendEntry struct {
 // effects accumulates a tick's staged mutations across all handler
 // invocations. The runtime owns one and reuses it every tick (reset).
 type effects struct {
-	inserts    []tableRow
-	assigns    map[string]any
-	assignKeys []string // insertion order, for truncate
-	deletes    []tableRow
-	sends      []sendEntry
+	inserts []tableRow
+	deletes []tableRow
+	sends   []sendEntry
 }
 
 // effectMark snapshots effect counts so an aborted handler's staged effects
 // can be discarded.
 type effectMark struct {
-	inserts, assigns, deletes, sends int
+	inserts, deletes, sends int
 }
 
 func (e *effects) mark() effectMark {
-	return effectMark{len(e.inserts), len(e.assignKeys), len(e.deletes), len(e.sends)}
+	return effectMark{len(e.inserts), len(e.deletes), len(e.sends)}
 }
 
 // truncate discards everything staged after m. The discarded tails are
 // cleared so the reused buffers retain no payload.
 func (e *effects) truncate(m effectMark) {
 	e.inserts = truncated(e.inserts, m.inserts)
-	for _, k := range e.assignKeys[m.assigns:] {
-		delete(e.assigns, k)
-	}
-	e.assignKeys = truncated(e.assignKeys, m.assigns)
 	e.deletes = truncated(e.deletes, m.deletes)
 	e.sends = truncated(e.sends, m.sends)
 }
@@ -82,8 +76,8 @@ func (tx *Tx) QueryWhere(name string, pos []int, vals []any) []datalog.Tuple {
 }
 
 // ReadVar reads a scalar variable as of the start of the tick: assigns are
-// staged, so the runtime's variables are read in place.
-func (tx *Tx) ReadVar(name string) any { return tx.rt.vars[name] }
+// staged, so its VarRelation row is read in place (Runtime.Var).
+func (tx *Tx) ReadVar(name string) any { return tx.rt.Var(name) }
 
 // DerivePrepared evaluates a rule compiled once with datalog.PrepareRule
 // against the tick snapshot, binding the rule's declared variables from
@@ -102,14 +96,9 @@ func (tx *Tx) MergeTuple(table string, row datalog.Tuple) {
 	tx.rt.eff.inserts = append(tx.rt.eff.inserts, tableRow{table: table, row: row})
 }
 
-// Assign stages a (non-monotonic) scalar overwrite.
-func (tx *Tx) Assign(name string, value any) {
-	eff := &tx.rt.eff
-	if _, ok := eff.assigns[name]; !ok {
-		eff.assignKeys = append(eff.assignKeys, name)
-	}
-	eff.assigns[name] = value
-}
+// Assign stages a (non-monotonic) scalar overwrite: the variable's
+// VarRelation row, whose Join keeps the last value staged.
+func (tx *Tx) Assign(name string, value any) { tx.MergeTuple(VarRelation, datalog.Tuple{name, value}) }
 
 // Delete stages a (non-monotonic) tuple removal.
 func (tx *Tx) Delete(table string, row datalog.Tuple) {
