@@ -92,8 +92,13 @@ datalog-serial:
 # differential tests compare the compiled plans against. Nor does the plan
 # executor call back: planExec has no func-typed field and no rulePlan
 # method takes a func, so a run writes its head rows to a rowList (or stops
-# at the first) and no second output contract grows beside it. Comments are
-# stripped first: the check reads declarations and call sites, not prose.
+# at the first) and no second output contract grows beside it. And in
+# plan.go a column-index bucket enumeration, a .bucket( call, is only in
+# planExec.walk: the one rule kernel enumerates probed rows, whether it
+# steps each on or writes its head rows through the last literal's emit
+# list, so no direct scan beside it (in Derive, say) becomes a second
+# kernel. Comments are stripped first: the check reads declarations and
+# call sites, not prose.
 DATALOG_SRC = $(filter-out %_test.go,$(wildcard internal/datalog/*.go))
 datalog-one-store:
 	@! grep -nE 'map\[uint64\]' $(DATALOG_SRC) | sed 's,//.*,,' | grep -F 'map[uint64]'
@@ -113,6 +118,10 @@ datalog-one-store:
 		code ~ /^}/ {in_exec=0} \
 		code ~ /^func \([[:alnum:]_]+ \*rulePlan\) [[:alnum:]_]+\(.*func\(/ {print FILENAME":"FNR": a rulePlan method takes a callback: "$$0; bad=1} \
 		END{exit bad}' $(DATALOG_SRC)
+	@awk '/^func /{fn=$$0} \
+		{code=$$0; sub(/\/\/.*/,"",code)} \
+		code ~ /\.bucket\(/ && fn !~ /^func \(e \*planExec\) walk\(/ \
+		{print FILENAME":"FNR": a bucket enumeration outside planExec.walk: "$$0; bad=1} END{exit bad}' internal/datalog/plan.go
 
 # datalog-no-placement fails if a non-test file of internal/datalog names
 # ShardOf, PartitionHints, partCol or fnvOffset (comments stripped, as

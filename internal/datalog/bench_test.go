@@ -407,26 +407,33 @@ func BenchmarkDeriveAdHoc(b *testing.B) {
 	}
 }
 
+// BenchmarkDerivePrepared derives path(0, y) off a chain of n edges: n rows
+// a call. rows=256 is covid-read's shape, whose handlers derive about 258
+// sends a request.
 func BenchmarkDerivePrepared(b *testing.B) {
-	db := chainDB(64)
-	p := tcProgram(b)
-	if _, err := NewIncremental(p, db); err != nil {
-		b.Fatal(err)
-	}
-	pr, err := PrepareRule(Rule{
-		Head: Atom{Pred: "__send", Args: []Term{V("y")}},
-		Body: []Literal{{Atom: Atom{Pred: "path", Args: []Term{V("pid"), V("y")}}}},
-	}, "pid")
-	if err != nil {
-		b.Fatal(err)
-	}
-	bound := map[string]any{"pid": int64(0)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pr.Derive(db, bound); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{64, 256} {
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			db := chainDB(n)
+			p := tcProgram(b)
+			if _, err := NewIncremental(p, db); err != nil {
+				b.Fatal(err)
+			}
+			pr, err := PrepareRule(Rule{
+				Head: Atom{Pred: "__send", Args: []Term{V("y")}},
+				Body: []Literal{{Atom: Atom{Pred: "path", Args: []Term{V("pid"), V("y")}}}},
+			}, "pid")
+			if err != nil {
+				b.Fatal(err)
+			}
+			bound := map[string]any{"pid": int64(0)}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := pr.Derive(db, bound); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

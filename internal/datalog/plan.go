@@ -17,7 +17,8 @@ import (
 // aggregate path, every Incremental maintenance strategy, DRed's support
 // check and the shard replicas' Ticks all execute these plans, through the
 // one executor a database keeps per plan (exec): a run writes encoded head
-// rows into the caller's rowList, or, given none, stops at the first.
+// rows into the caller's rowList, or, given none, stops at the first; a
+// qualifying last literal writes them through its emit list (litPlan).
 // The interpretive binding-map walk (deriveRule in eval.go, behind
 // EvalNaive) is the oracle only: the reference the differential tests
 // compare every plan-driven path against, and BenchmarkEvalNaiveTCChain's
@@ -61,6 +62,11 @@ type litPlan struct {
 
 	// Filters that become fully bound once this literal binds its slots.
 	filters []filterPlan
+	// emit is non-nil (empty for an arity-0 head) on the last literal of an
+	// order that is positive, not all bound, with no checkPos and no filter:
+	// head column j is env[emit[j]], or row column -1-emit[j] if negative.
+	// walk writes each row its probe finds as a head row, binding nothing.
+	emit []int
 }
 
 // rulePlan is a fully compiled rule: slot count, join orders, head builder.
@@ -359,6 +365,22 @@ func compileRule(r Rule, preBound []string, supportMode bool) (*rulePlan, error)
 	for i, t := range headArgs {
 		p.head[i] = term(t)
 	}
+	for _, order := range p.orders {
+		if len(order) == 0 {
+			continue
+		}
+		lp := &order[len(order)-1]
+		if lp.negated || lp.allBound || len(lp.checkPos)+len(lp.filters) > 0 {
+			continue
+		}
+		lp.emit = make([]int, len(p.head))
+		for j, slot := range p.head {
+			lp.emit[j] = slot
+			if k := slices.Index(lp.freeSlots, slot); k >= 0 {
+				lp.emit[j] = -1 - lp.freePos[k]
+			}
+		}
+	}
 	return p, nil
 }
 
@@ -445,13 +467,18 @@ func (l *rowList) reset(arity int) {
 	l.w = l.w[:0]
 }
 
-// addFrom appends the row whose column j is env[slots[j]].
-func (l *rowList) addFrom(env []uint64, slots []int) {
+// emit appends the row whose column j is env[from[j]], or, where from[j] <
+// 0, row[-1-from[j]].
+func (l *rowList) emit(env, row []uint64, from []int) {
 	if l.arity == 0 {
 		l.w = append(l.w, 0)
 	}
-	for _, s := range slots {
-		l.w = append(l.w, env[s])
+	for _, f := range from {
+		if f < 0 {
+			l.w = append(l.w, row[-1-f])
+		} else {
+			l.w = append(l.w, env[f])
+		}
 	}
 }
 
@@ -542,12 +569,13 @@ func (e *planExec) step(i int, row []uint64) bool {
 }
 
 // walk recurses through the join order from position i, writing head rows
-// at the leaves.
+// at the leaves, or straight from the rows a last literal's emit list
+// probes.
 func (e *planExec) walk(i int) {
 	if i == len(e.order) {
 		e.found = true
 		if e.out != nil {
-			e.out.addFrom(e.env, e.p.head)
+			e.out.emit(e.env, nil, e.p.head)
 		}
 		return
 	}
@@ -602,7 +630,18 @@ func (e *planExec) walk(i int) {
 			}
 		default:
 			ci := src.index(lp.probePos)
-			for s, last := ci.bucket(src, key); s >= 0; s = ci.after(s, last) {
+			s, last := ci.bucket(src, key)
+			if lp.emit != nil && s >= 0 {
+				e.found = true
+				if e.out == nil {
+					return
+				}
+				for ; s >= 0; s = ci.after(s, last) {
+					e.out.emit(e.env, src.row(s), lp.emit)
+				}
+				continue
+			}
+			for ; s >= 0; s = ci.after(s, last) {
 				if !e.step(i, src.row(s)) {
 					return
 				}

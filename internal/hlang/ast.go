@@ -83,6 +83,13 @@ func (t Type) IsLattice() bool {
 	return false
 }
 
+// holds reports whether a t can store a value of type v: the same kind, an
+// int as a max<int> and back, or an int widened to a float.
+func (t Type) holds(v Type) bool {
+	isInt := func(k TypeKind) bool { return k == TInt || k == TMaxInt }
+	return t.Kind == v.Kind || isInt(v.Kind) && (isInt(t.Kind) || t.Kind == TFloat)
+}
+
 // Field is a named, typed table column.
 type Field struct {
 	Name string
@@ -111,6 +118,9 @@ func (t *TableDecl) PartitionCol() int {
 	}
 	return t.FieldIndex(t.Key[0])
 }
+
+// keyField is the column a single-column key t[k] addresses.
+func (t *TableDecl) keyField() Field { return t.Fields[t.FieldIndex(t.Key[0])] }
 
 // FieldIndex returns the column index of name, or -1.
 func (t *TableDecl) FieldIndex(name string) int {

@@ -3,6 +3,7 @@ package hlang
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 )
 
@@ -185,6 +186,37 @@ func checkHandler(p *Program, h *HandlerDecl) error {
 	for _, prm := range h.Params {
 		scope[prm.Name] = true
 	}
+	// fits refuses x, stored as what of type want, if x is a literal, a
+	// parameter, a var or a field read, whose type Check knows, and want
+	// cannot hold it (an int widens to a float, as at run time). Any other
+	// expression is typed when it runs, and aborts the invocation then.
+	fits := func(at Pos, x Expr, want Type, what string) error {
+		got := Type{Kind: -1}
+		switch v := x.(type) {
+		case *IntLit:
+			got.Kind = TInt
+		case *FloatLit:
+			got.Kind = TFloat
+		case *StringLit:
+			got.Kind = TString
+		case *BoolLit:
+			got.Kind = TBool
+		case *VarRef:
+			if i := slices.IndexFunc(h.Params, func(f Field) bool { return f.Name == v.Name }); i >= 0 {
+				got = h.Params[i].Type
+			} else if d := p.Var(v.Name); d != nil {
+				got = d.Type
+			}
+		case *FieldRef:
+			if t := p.Table(v.Table); t != nil && t.FieldIndex(v.Field) >= 0 {
+				got = t.Fields[t.FieldIndex(v.Field)].Type
+			}
+		}
+		if got.Kind < 0 || want.holds(got) {
+			return nil
+		}
+		return errAt(at, "%s: %s has type %s, but %s has type %s", owner, x, got, what, want)
+	}
 	// checkExpr checks e and reports an error at position at: its
 	// statement's, or the handler's for a require.
 	checkExpr := func(at Pos, e Expr) error {
@@ -208,7 +240,9 @@ func checkHandler(p *Program, h *HandlerDecl) error {
 					err = errAt(at, "%s: table %q has no column %q", owner, v.Table, v.Field)
 					return
 				}
-				err = singleKey(at, owner, "field read", t)
+				if err = singleKey(at, owner, "field read", t); err == nil {
+					err = fits(at, v.Key, t.keyField().Type, "key of "+t.Name)
+				}
 			case *CallExpr:
 				u := p.UDF(v.Func)
 				if u == nil {
@@ -221,6 +255,13 @@ func checkHandler(p *Program, h *HandlerDecl) error {
 			}
 		})
 		return err
+	}
+	// checkValue checks x, a value stored as what, of type want.
+	checkValue := func(at Pos, x Expr, want Type, what string) error {
+		if err := checkExpr(at, x); err != nil {
+			return err
+		}
+		return fits(at, x, want, what)
 	}
 	for _, r := range h.Requires {
 		if err := checkExpr(h.Pos, r); err != nil {
@@ -237,8 +278,8 @@ func checkHandler(p *Program, h *HandlerDecl) error {
 			if len(st.Args) != t.Arity() {
 				return errAt(st.At, "%s: table %q wants %d columns, got %d", owner, st.Table, t.Arity(), len(st.Args))
 			}
-			for _, a := range st.Args {
-				if err := checkExpr(st.At, a); err != nil {
+			for i, a := range st.Args {
+				if err := checkValue(st.At, a, t.Fields[i].Type, "column "+t.Name+"."+t.Fields[i].Name); err != nil {
 					return err
 				}
 			}
@@ -258,17 +299,18 @@ func checkHandler(p *Program, h *HandlerDecl) error {
 			if err := singleKey(st.At, owner, "field merge", t); err != nil {
 				return err
 			}
-			if err := checkExpr(st.At, st.Key); err != nil {
+			if err := checkValue(st.At, st.Key, t.keyField().Type, "key of "+t.Name); err != nil {
 				return err
 			}
-			if err := checkExpr(st.At, st.Value); err != nil {
+			if err := checkValue(st.At, st.Value, t.Fields[fi].Type, "column "+t.Name+"."+st.Field); err != nil {
 				return err
 			}
 		case *AssignStmt:
-			if p.Var(st.Var) == nil {
+			v := p.Var(st.Var)
+			if v == nil {
 				return errAt(st.At, "%s: assignment to undeclared var %q", owner, st.Var)
 			}
-			if err := checkExpr(st.At, st.Value); err != nil {
+			if err := checkValue(st.At, st.Value, v.Type, "var "+st.Var); err != nil {
 				return err
 			}
 		case *DeleteStmt:
@@ -279,8 +321,8 @@ func checkHandler(p *Program, h *HandlerDecl) error {
 			if len(st.Args) != len(t.Key) {
 				return errAt(st.At, "%s: delete from %q keys on %d columns, got %d", owner, st.Table, len(t.Key), len(st.Args))
 			}
-			for _, a := range st.Args {
-				if err := checkExpr(st.At, a); err != nil {
+			for i, a := range st.Args {
+				if err := checkValue(st.At, a, t.Fields[t.FieldIndex(t.Key[i])].Type, "key of "+t.Name); err != nil {
 					return err
 				}
 			}

@@ -521,3 +521,43 @@ func TestCompositeKeyFieldAccessRejected(t *testing.T) {
 		})
 	}
 }
+
+// TestValuesTypedStatically: Check refuses, at the statement, a literal,
+// parameter, var or field read that the column, key or var it is stored
+// in could never hold, and accepts an int widened to a float. A value
+// Check cannot type, a sum or a UDF call, is left to the run-time check.
+func TestValuesTypedStatically(t *testing.T) {
+	const decl = "table t(k: int, v: float, ok: bool, hi: max<int>) key(k)\nvar n: int\nudf name(int) : string\n"
+	refused := []struct{ name, src, want string }{
+		{"assign a parameter", "on h(x: float) {\n    n := x\n}",
+			"5:5: handler h: x has type float, but var n has type int"},
+		{"assign a literal", "on h(x: int) { n := \"oops\" }", `var n has type int`},
+		{"assign a field read", "on h(x: int) { n := t[x].v }", "t[x].v has type float, but var n has type int"},
+		{"merge a column", "on h(x: string) { merge t(1, 2.5, x, 0) }", "x has type string, but column t.ok has type bool"},
+		{"merge a key column", "on h(x: float) { merge t(x, 2.5, true, 0) }", "x has type float, but column t.k has type int"},
+		{"field merge key", "on h(x: string) { merge t[x].ok <- true }", "x has type string, but key of t has type int"},
+		{"field merge value", "on h(x: int) { merge t[x].ok <- x }", "x has type int, but column t.ok has type bool"},
+		{"delete key", "on h(x: float) { delete t(x) }", "x has type float, but key of t has type int"},
+		{"field read key", "on h(x: bool) { reply t[x].v }", "x has type bool, but key of t has type int"},
+		{"field read as a key", "on h(x: int) { reply t[t[x].v].ok }", "t[x].v has type float, but key of t has type int"},
+	}
+	for _, c := range refused {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Parse(decl + c.src)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("error %v, want one containing %q", err, c.want)
+			}
+		})
+	}
+	for _, src := range []string{
+		"on h(x: int) { merge t(x, x, true, x) }",
+		"on h(x: int) { n := x + 0.5 }",
+		"on h(x: int) { merge t[n].hi <- n }",
+		"on h(x: int) { n := t[x].k }",
+		"on h(x: int) { n := name(x) }",
+	} {
+		if _, err := Parse(decl + src); err != nil {
+			t.Errorf("%s: %v", src, err)
+		}
+	}
+}

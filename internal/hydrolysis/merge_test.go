@@ -9,16 +9,17 @@ import (
 )
 
 // mistypedMergeSource merges an int into a bool column, once by field and
-// once by tuple; ok is a well-typed merge that replies.
+// once by tuple, as a sum, which hlang.Check does not type, so the value
+// reaches the run-time check; ok is a well-typed merge that replies.
 const mistypedMergeSource = `
 table t(k: int, b: bool) key(k)
 
 on field(k: int) {
-    merge t[k].b <- 5
+    merge t[k].b <- k + 4
 }
 
 on tuple(k: int) {
-    merge t(k, 5)
+    merge t(k, k + 4)
 }
 
 on ok(k: int) {
@@ -29,7 +30,7 @@ on ok(k: int) {
 
 // TestMistypedMergeAborts: a merged value not of its column's type aborts
 // the invocation, as a mistyped parameter does, instead of reaching the
-// column's join: merge t[k].b <- 5 and merge t(k, 5) into a bool column,
+// column's join: merge t[k].b <- k + 4 and merge t(k, k + 4) into a bool column,
 // each ticked twice (the second on a key the first would have created),
 // leave t empty and count four aborts.
 func TestMistypedMergeAborts(t *testing.T) {

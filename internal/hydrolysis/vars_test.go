@@ -110,18 +110,20 @@ func TestVarRowsReachShardedDeployment(t *testing.T) {
 	}
 }
 
+// typedVarsSource's mistyped values are sums, which hlang.Check does not
+// type, so they reach the run-time check.
 const typedVarsSource = `
 table t(k: float, v: int) key(k)
 table u(k: int, v: int) key(k)
 var n: int
 var f: float = 3
 
-on set_n(x: float) { n := x }
+on set_n(x: float) { n := x + 0 }
 on set_f(x: int) { f := x }
 on put(x: int) { merge t(x, 7) merge u(x, 7) }
 on read(x: int) { reply t[x].v }
 on drop_t(x: int) { delete t(x) }
-on drop_u(x: float) { delete u(x) }
+on drop_u(x: float) { delete u(x + 0) }
 `
 
 func typedVarsRuntime(t *testing.T) *transducer.Runtime {
