@@ -2,7 +2,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: build test vet fmt ci smoke orphans datalog-serial datalog-one-store datalog-no-placement durable-opaque-rows one-keyed-merge one-tick-path one-lowering compiled-handlers bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak tick-allocs lines
+.PHONY: build test vet fmt ci smoke orphans datalog-serial datalog-one-store datalog-no-placement durable-opaque-rows exchange-words one-keyed-merge one-tick-path one-lowering compiled-handlers bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak tick-allocs lines
 
 build:
 	$(GO) build ./...
@@ -19,7 +19,7 @@ fmt:
 	@gofmt -l . | sed 's/^/unformatted: /' | (! grep .)
 
 # ci runs the steps of CI's tier-1 job in its order (go test without -race).
-ci: build vet fmt orphans datalog-serial datalog-one-store datalog-no-placement durable-opaque-rows one-keyed-merge one-tick-path one-lowering compiled-handlers test tick-allocs bench-test fuzz tables smoke
+ci: build vet fmt orphans datalog-serial datalog-one-store datalog-no-placement durable-opaque-rows exchange-words one-keyed-merge one-tick-path one-lowering compiled-handlers test tick-allocs bench-test fuzz tables smoke
 
 # lines prints the line counts of the Go files a change is sized by:
 # non-test and test files outside bench/, and under it (hidden build
@@ -141,6 +141,18 @@ DURABLE_SRC = $(filter-out %_test.go,$(wildcard internal/durable/*.go))
 DURABLE_BANNED = datalog\.Tuple|datalog\.DeltaOp|appendTuple|readTuple
 durable-opaque-rows:
 	@! grep -nE '$(DURABLE_BANNED)' $(DURABLE_SRC) | sed 's,//.*,,' | grep -E '$(DURABLE_BANNED)'
+
+# exchange-words fails if non-test internal/shard/replica.go or proto.go
+# names datalog.Tuple or datalog.Change, or a non-test file of
+# internal/datalog names Change (comments stripped, as above): a shard
+# round's rows stay words from Tick.Round through routing to Tick.Accept,
+# shipped as datalog.Batch runs, so no row is decoded, boxed or re-encoded
+# between replicas (DESIGN.md §11).
+EXCHANGE_SRC = internal/shard/replica.go internal/shard/proto.go
+EXCHANGE_BANNED = datalog\.Tuple|datalog\.Change
+exchange-words:
+	@! grep -nE '$(EXCHANGE_BANNED)' $(EXCHANGE_SRC) | sed 's,//.*,,' | grep -E '$(EXCHANGE_BANNED)'
+	@! grep -nw 'Change' $(DATALOG_SRC) | sed 's,//.*,,' | grep -w 'Change'
 
 # one-keyed-merge fails if a non-test file of internal/transducer names
 # MergeField, fieldMerge, LatticeMerge, assigns or assignKeys (comments

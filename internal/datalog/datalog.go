@@ -54,7 +54,7 @@ func (t Tuple) String() string {
 // first probe and maintained incrementally afterwards (index.go) — both
 // enumerate in insertion order, never hash order. A relation is a set and
 // holds nothing per row but the row: a sign or a multiplicity travels
-// beside rows (Change, rowLog), never in the slab. Tuple is the boundary
+// beside rows (a Batch run's Del, rowLog), never in the slab. Tuple is the boundary
 // type: Insert, Delete, Contains, Lookup and Tuples encode on the way in
 // and decode on the way out.
 type Relation struct {
@@ -163,6 +163,18 @@ func (r *Relation) scanRows(fn func(w []uint64)) {
 			fn(r.row(s))
 		}
 	}
+}
+
+// reset empties r for reuse, keeping its slab's and membership table's
+// capacity, unless it holds over limit rows: then it reports false.
+func (r *Relation) reset(limit int) bool {
+	if r.Len() > limit {
+		return false
+	}
+	r.rows, r.dead, r.idx = r.rows[:0], 0, nil
+	clear(r.set.cells)
+	r.set.used = 0
+	return true
 }
 
 // Delete removes a tuple, returning true if it was present. Deletion is

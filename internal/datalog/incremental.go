@@ -185,6 +185,9 @@ type Incremental struct {
 	rounds roundBufs
 	// undo is the running Tick's undo log, reused across ticks like rounds.
 	undo rowLog
+	// A stepped Tick's exchange buffers, reused likewise (Round, Accept).
+	dedup             *Database
+	renum, based, row []uint64
 	// forceRecompute disables the DRed path, restoring the historical
 	// recompute-and-diff fallback for recursive deletions — kept as the
 	// baseline the delete-heavy benchmarks and tests compare against.
@@ -201,7 +204,7 @@ func newIncrementalCore(p *Program, db *Database) (*Incremental, []string, error
 	if err != nil {
 		return nil, nil, err
 	}
-	inc := &Incremental{prog: p, db: db, idb: map[string]bool{}}
+	inc := &Incremental{prog: p, db: db, idb: map[string]bool{}, dedup: db.Scratch()}
 	for _, plans := range p.strata {
 		c := incComponent{Component: classify(plans), plans: plans}
 		for _, h := range c.Heads {

@@ -50,20 +50,34 @@ func (inc *Incremental) State() *Batch {
 				continue
 			}
 			for _, w := range r.rows[s*r.stride:][:r.stride] {
-				if w&tagMask == tagDict {
-					id := w >> tagBits
-					if renum[id] == 0 {
-						st.Values = append(st.Values, d.vals[id])
-						renum[id] = uint64(len(st.Values))
-					}
-					w = (renum[id]-1)<<tagBits | tagDict
-				}
-				rs.Rows = append(rs.Rows, w)
+				rs.Rows = append(rs.Rows, d.batchWord(&st.Values, renum, w))
 			}
 		}
 		st.Runs = append(st.Runs, rs)
 	}
 	return st
+}
+
+// batchWord returns w as a word of a batch with values table vals, renumbered
+// in first-use order (renum: dictionary id → id in vals + 1).
+func (d *dict) batchWord(vals *[]any, renum []uint64, w uint64) uint64 {
+	if w&tagMask != tagDict {
+		return w
+	}
+	id := w >> tagBits
+	if renum[id] == 0 {
+		*vals = append(*vals, d.vals[id])
+		renum[id] = uint64(len(*vals))
+	}
+	return (renum[id]-1)<<tagBits | tagDict
+}
+
+// Len returns the number of rows b holds.
+func (b *Batch) Len() (n int) {
+	for _, r := range b.Runs {
+		n += len(r.Rows) / max(r.Arity, 1)
+	}
+	return n
 }
 
 // Batch captures the recorded ops in order: consecutive ops on one
@@ -72,22 +86,29 @@ func (inc *Incremental) State() *Batch {
 func (d *Delta) Batch() *Batch {
 	dict, b := newDict(), &Batch{}
 	for _, op := range d.ops {
-		next := Run{Name: op.Pred, Arity: len(op.T), Del: op.Del}
-		if n := len(b.Runs); n == 0 || !b.Runs[n-1].sameRelation(&next) {
-			b.Runs = append(b.Runs, next)
-		}
-		r := &b.Runs[len(b.Runs)-1]
-		if len(op.T) == 0 {
-			r.Rows = append(r.Rows, 0)
-		}
+		r := b.tail(Run{Name: op.Pred, Arity: len(op.T), Del: op.Del})
 		r.Rows = dict.encodeRow(r.Rows, op.T)
 	}
 	b.Values = dict.vals
 	return b
 }
 
+// tail returns the run a row of next's relation and sign goes on: the one b
+// ends with if it holds them, else a new one. An arity-0 row's word is
+// written.
+func (b *Batch) tail(next Run) *Run {
+	if n := len(b.Runs); n == 0 || !b.Runs[n-1].sameRelation(&next) {
+		b.Runs = append(b.Runs, next)
+	}
+	r := &b.Runs[len(b.Runs)-1]
+	if next.Arity == 0 {
+		r.Rows = append(r.Rows, 0)
+	}
+	return r
+}
+
 // sameRelation reports whether r and o carry one relation's rows with one
-// sign: Delta.Batch writes consecutive such ops as one run.
+// sign.
 func (r *Run) sameRelation(o *Run) bool {
 	return r.Name == o.Name && r.Arity == o.Arity && r.Del == o.Del
 }

@@ -13,9 +13,10 @@ import (
 // at the next barrier.
 func stepTick(inc *Incremental, d *Delta) (*Tick, error) { return watchTick(inc, d, nil) }
 
-// watchTick is stepTick handing watch, when non-nil, every change a round
-// emits.
-func watchTick(inc *Incremental, d *Delta, watch func(Change)) (*Tick, error) {
+// watchTick is stepTick handing watch, when non-nil, every row a round
+// ships — a candidate with n = 0 — decoded from its batches, which must be
+// captures Batch.Delta accepts.
+func watchTick(inc *Incremental, d *Delta, watch func(pred string, t Tuple, n int)) (*Tick, error) {
 	tk, err := inc.Begin(d, Site{})
 	for ci := 0; err == nil && ci < len(inc.comps); ci++ {
 		add, del := tk.Touched(ci)
@@ -24,15 +25,27 @@ func watchTick(inc *Incremental, d *Delta, watch func(Change)) (*Tick, error) {
 		}
 		tk.Start(ci, del)
 		for quiet, last := false, false; err == nil && !(quiet && last); {
-			var arrived []Change
-			if last, err = tk.Round(quiet, func(c Change) {
-				if watch != nil {
-					watch(c)
-				}
-				arrived = append(arrived, c)
-			}); err == nil {
-				quiet = tk.Accept(arrived) == 0
+			var rows [1]Batch
+			var cands Batch
+			if last, err = tk.Round(quiet, rows[:], &cands); err != nil {
+				break
 			}
+			for sign, b := range []*Batch{&cands, &rows[0]} {
+				shipped, derr := b.Delta()
+				if derr != nil {
+					return tk, derr
+				}
+				for _, op := range shipped.Ops() {
+					n := sign
+					if op.Del {
+						n = -1
+					}
+					if watch != nil {
+						watch(op.Pred, op.T, n)
+					}
+				}
+			}
+			quiet = tk.Accept(&cands, &rows[0]) == 0
 		}
 	}
 	return tk, err
@@ -144,7 +157,9 @@ func TestRoundShipsEachRowOnce(t *testing.T) {
 			}
 		}
 		var shipped []string
-		if _, err := watchTick(inc, d, func(c Change) { shipped = append(shipped, fmt.Sprint(c)) }); err != nil {
+		if _, err := watchTick(inc, d, func(pred string, t Tuple, n int) {
+			shipped = append(shipped, fmt.Sprintf("{%s %v %d}", pred, t, n))
+		}); err != nil {
 			t.Fatal(err)
 		}
 		want := []string{"{h (1) 1}"}

@@ -11,8 +11,8 @@ import "math"
 // from -0.0), and decode returns the Go value that went in. A word means
 // nothing outside its dictionary: a snapshot or a changelog record leaves
 // the process as a Batch, words plus the dictionary values they name
-// renumbered densely in first-use order (persist.go), and exchange payloads
-// and shard placement decode first.
+// renumbered densely in first-use order (persist.go), as a shard round's
+// batches are (tick.go); shard placement hashes words through Word.
 const (
 	tagInt64 uint64 = iota // int64 in the upper 61 bits
 	tagInt                 // int in the upper 61 bits
@@ -188,6 +188,19 @@ func (d *dict) nextTuple(backing *[]any, row []uint64) Tuple {
 // smallInt reports whether w is an inline integer, returning it.
 func smallInt(w uint64) (int64, bool) {
 	return int64(w) >> tagBits, w&tagMask <= tagInt
+}
+
+// Word returns what w holds, boxing no integer: an inline int or int64 as n
+// (isInt), else v, a bool or the value vals (a Batch's Values, or a Site
+// row's evaluator's) holds for a dictionary word.
+func Word(w uint64, vals []any) (v any, n int64, isInt bool) {
+	switch w & tagMask {
+	case tagInt64, tagInt:
+		return nil, int64(w) >> tagBits, true
+	case tagBool:
+		return w>>tagBits != 0, 0, false
+	}
+	return vals[w>>tagBits], 0, false
 }
 
 // compareWords is Compare on encoded operands, decoding only when the

@@ -329,8 +329,9 @@ func checkHandler(p *Program, h *HandlerDecl) error {
 		case *SendStmt:
 			// The mailbox may be a declared handler (internal call), or a
 			// free mailbox (external service) — both allowed; arity is
-			// checked when it is a known handler.
-			if tgt := p.Handler(st.Mailbox); tgt != nil && len(st.Args) != len(tgt.Params) {
+			// checked when it is a known handler, as a plain send's types are.
+			tgt := p.Handler(st.Mailbox)
+			if tgt != nil && len(st.Args) != len(tgt.Params) {
 				return errAt(st.At, "%s: send to %q wants %d args, got %d", owner, st.Mailbox, len(tgt.Params), len(st.Args))
 			}
 			if len(st.Body) == 0 && len(st.Filters) > 0 {
@@ -347,12 +348,21 @@ func checkHandler(p *Program, h *HandlerDecl) error {
 					}
 				}
 			} else {
-				for _, a := range st.Args {
+				for i, a := range st.Args {
 					if a.Wildcard {
 						return errAt(st.At, "%s: wildcard in a plain send", owner)
 					}
 					if a.Var != "" && !scope[a.Var] && p.Var(a.Var) == nil {
 						return errAt(st.At, "%s: unknown name %q in send", owner, a.Var)
+					}
+					if tgt != nil {
+						x := a.Const
+						if a.Var != "" {
+							x = &VarRef{Name: a.Var}
+						}
+						if err := fits(st.At, x, tgt.Params[i].Type, "parameter "+tgt.Name+"."+tgt.Params[i].Name); err != nil {
+							return err
+						}
 					}
 				}
 			}

@@ -524,8 +524,9 @@ func TestCompositeKeyFieldAccessRejected(t *testing.T) {
 
 // TestValuesTypedStatically: Check refuses, at the statement, a literal,
 // parameter, var or field read that the column, key or var it is stored
-// in could never hold, and accepts an int widened to a float. A value
-// Check cannot type, a sum or a UDF call, is left to the run-time check.
+// in, or the parameter of the handler a plain send hands it to, could
+// never hold, and accepts an int widened to a float. A value Check cannot
+// type, a sum or a UDF call, is left to the run-time check.
 func TestValuesTypedStatically(t *testing.T) {
 	const decl = "table t(k: int, v: float, ok: bool, hi: max<int>) key(k)\nvar n: int\nudf name(int) : string\n"
 	refused := []struct{ name, src, want string }{
@@ -540,6 +541,10 @@ func TestValuesTypedStatically(t *testing.T) {
 		{"delete key", "on h(x: float) { delete t(x) }", "x has type float, but key of t has type int"},
 		{"field read key", "on h(x: bool) { reply t[x].v }", "x has type bool, but key of t has type int"},
 		{"field read as a key", "on h(x: int) { reply t[t[x].v].ok }", "t[x].v has type float, but key of t has type int"},
+		{"send a parameter", "on g(y: float) {\n    send h(y)\n}\non h(x: int) { merge t(x, 1.0, true, 0) }",
+			"5:5: handler g: y has type float, but parameter h.x has type int"},
+		{"send a literal", "on g(y: int) { send h(\"oops\") }\non h(x: int) { n := x }", "but parameter h.x has type int"},
+		{"send a var", "on g(y: int) { send h(n) }\non h(x: bool) { reply x }", "n has type int, but parameter h.x has type bool"},
 	}
 	for _, c := range refused {
 		t.Run(c.name, func(t *testing.T) {
@@ -555,6 +560,8 @@ func TestValuesTypedStatically(t *testing.T) {
 		"on h(x: int) { merge t[n].hi <- n }",
 		"on h(x: int) { n := t[x].k }",
 		"on h(x: int) { n := name(x) }",
+		"on g(y: int) { send h(y, 2, n) }\non h(x: float, z: float, s: int) { merge t(s, x, true, 0) }",
+		"on g(y: int) { send out(2.5) }",
 	} {
 		if _, err := Parse(decl + src); err != nil {
 			t.Errorf("%s: %v", src, err)

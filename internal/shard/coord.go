@@ -142,7 +142,7 @@ func (c *coord) startAttempt() {
 	c.a = c.epoch<<32 | c.cn.attSeq
 	routed := make([][]datalog.DeltaOp, c.dep().place.N)
 	for _, op := range c.tickOps {
-		route(c.dep().place, routed, op.Pred, op.T, op)
+		c.dep().place.route(routed, op)
 	}
 	c.setStage(stPrepare)
 	c.send(req{}, func(i int, m *req) { m.Ops = routed[i] })

@@ -1,0 +1,150 @@
+package shard_test
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"hydro/internal/datalog"
+)
+
+// nonlinearTC is transitive closure joining path with itself, which
+// mirrors path: every row a round ships goes to every replica.
+func nonlinearTC(t *testing.T) *datalog.Program {
+	V := datalog.V
+	atom := func(p, a, b string) datalog.Literal {
+		return datalog.Literal{Atom: datalog.Atom{Pred: p, Args: []datalog.Term{V(a), V(b)}}}
+	}
+	prog, err := datalog.NewProgram(
+		datalog.Rule{Head: atom("path", "x", "y").Atom, Body: []datalog.Literal{atom("edge", "x", "y")}},
+		datalog.Rule{Head: atom("path", "x", "z").Atom, Body: []datalog.Literal{atom("path", "x", "y"), atom("path", "y", "z")}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// steppedShipped folds ops into inc through datalog's round API, as a lone
+// replica steps its tick, and returns how many rows its rounds ship.
+func steppedShipped(t *testing.T, inc *datalog.Incremental, comps int, ops []datalog.DeltaOp) (shipped uint64) {
+	t.Helper()
+	d := datalog.NewDelta()
+	for _, op := range ops {
+		rel := inc.DB().Get(op.Pred)
+		if op.Del {
+			if rel.Delete(op.T) {
+				d.Delete(op.Pred, op.T)
+			}
+		} else if rel.Insert(op.T) {
+			d.Insert(op.Pred, op.T)
+		}
+	}
+	tk, err := inc.Begin(d, datalog.Site{})
+	for ci := 0; err == nil && ci < comps; ci++ {
+		add, del := tk.Touched(ci)
+		if !add && !del {
+			continue
+		}
+		tk.Start(ci, del)
+		for quiet, last := false, false; err == nil && !(quiet && last); {
+			var rows [1]datalog.Batch
+			var cands datalog.Batch
+			if last, err = tk.Round(quiet, rows[:], &cands); err == nil {
+				shipped += uint64(rows[0].Len() + cands.Len())
+				quiet = tk.Accept(&cands, &rows[0]) == 0
+			}
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return shipped
+}
+
+// TestRowsShippedIsWhatTheExchangeDelivered: Metrics().RowsShipped counts
+// each row an exchange round hands a replica, the sender included. On one
+// replica that is what a lone stepped datalog.Tick ships for the same
+// batches. Nonlinear closure mirrors its one head, so on N replicas every
+// shipped row has N copies, N−1 of which the network delivers.
+func TestRowsShippedIsWhatTheExchangeDelivered(t *testing.T) {
+	var chain []datalog.DeltaOp
+	for i := int64(0); i < 30; i++ {
+		chain = append(chain, ins("edge", i, i+1))
+	}
+	ticks := [][]datalog.DeltaOp{chain, {del("edge", int64(15), int64(16))}, {ins("edge", int64(15), int64(16))}}
+
+	tc, err := datalog.NewProgram(tcRules...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, dep := newDeployment(t, tc, tcEDB, 1, 7)
+	ref := newOracle(t, tc, tcEDB)
+	for i, ops := range ticks {
+		before := dep.Metrics().RowsShipped
+		if err := dep.Submit(ops); err != nil || !dep.Settle(settleBudget) {
+			t.Fatalf("tick %d did not commit: %v", i, err)
+		}
+		if got, want := dep.Metrics().RowsShipped-before, steppedShipped(t, ref.inc, len(tc.Components()), ops); got != want || got == 0 {
+			t.Fatalf("tick %d: one replica shipped %d rows, a stepped tick %d", i, got, want)
+		}
+	}
+
+	for _, n := range []int{2, 3} {
+		_, dep := newDeployment(t, nonlinearTC(t), tcEDB, n, 7)
+		var delivered uint64
+		dep.CountDelivered(&delivered)
+		for i, ops := range ticks {
+			if err := dep.Submit(ops); err != nil || !dep.Settle(settleBudget) {
+				t.Fatalf("n=%d tick %d did not commit: %v", n, i, err)
+			}
+		}
+		if shipped := dep.Metrics().RowsShipped; shipped == 0 || shipped*uint64(n-1) != delivered*uint64(n) {
+			t.Fatalf("n=%d: %d rows shipped, %d delivered by the network", n, shipped, delivered)
+		}
+	}
+}
+
+// TestShardedDictionariesDisagree: a row leaves its replica as words whose
+// dictionary values travel in its batch's values table, and the receiver
+// rebases them into its own dictionary. So replicas that interned the same
+// strings in different orders still agree: three of them, each having
+// interned the node names in its own order before the first tick, converge
+// to the single-node fixpoint through a string chain's inserts, a cut
+// (DRed's candidates travel as their own batch) and its repair, with path
+// sharded (tcRules) and mirrored (nonlinear closure).
+func TestShardedDictionariesDisagree(t *testing.T) {
+	var names []any
+	for i := 0; i < 24; i++ {
+		names = append(names, fmt.Sprintf("n%02d", i))
+	}
+	var chain []datalog.DeltaOp
+	for i := 0; i+1 < len(names); i++ {
+		chain = append(chain, ins("edge", names[i], names[i+1]))
+	}
+	ticks := [][]datalog.DeltaOp{chain, {del("edge", "n10", "n11")}, {ins("edge", "n10", "n11"), del("edge", "n03", "n04")}}
+	tc, err := datalog.NewProgram(tcRules...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, prog := range []*datalog.Program{tc, nonlinearTC(t)} {
+		_, dep := newDeployment(t, prog, tcEDB, 3, 9)
+		for i := 0; i < 3; i++ {
+			order := slices.Clone(names)
+			if i%2 == 1 {
+				slices.Reverse(order)
+			}
+			dep.Intern(i, "edge", slices.Concat(order[8*i:], order[:8*i])...)
+		}
+		ref := newOracle(t, prog, tcEDB)
+		for i, ops := range ticks {
+			if err := dep.Submit(ops); err != nil || !dep.Settle(settleBudget) {
+				t.Fatalf("tick %d did not commit: %v", i, err)
+			}
+			ref.tick(t, ops)
+			if got, want := dep.DumpString(), ref.dump(dep.Placement().Preds); got != want {
+				t.Fatalf("tick %d diverged from single-node:\n%s\nwant:\n%s", i, got, want)
+			}
+		}
+	}
+}

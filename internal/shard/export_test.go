@@ -5,6 +5,7 @@ import (
 
 	"hydro/internal/cluster"
 	"hydro/internal/datalog"
+	"hydro/internal/simnet"
 )
 
 // Test-only exports: the chaos suites inject faults at exact protocol
@@ -27,9 +28,33 @@ func DeployOneCoordinator(cl *cluster.Cluster, name string, prog *datalog.Progra
 	return deploy(cl, name, prog, edb, machines, opts, 1)
 }
 
-// RowsExchanged returns how many rows the exchange rounds have shipped so
-// far, self-addressed ones included.
-func (d *Deployment) RowsExchanged() uint64 { return d.metrics.rows }
+// RowsExchanged returns Metrics().RowsShipped.
+func (d *Deployment) RowsExchanged() uint64 { return d.Metrics().RowsShipped }
+
+// CountDelivered adds to *n the rows of every exchange batch the network
+// delivers to a replica from a peer.
+func (d *Deployment) CountDelivered(n *uint64) {
+	for _, r := range d.replicas {
+		d.net.SetHandler(r.name(), func(now simnet.Time, msg simnet.Message) {
+			if x, ok := msg.Payload.(xchMsg); ok {
+				*n += uint64(x.Rows.Len() + x.Cands.Len())
+			}
+			r.handle(now, msg)
+		})
+	}
+}
+
+// Intern has replica i's dictionary intern vals, in order, by inserting
+// and deleting the tuple (v, v) of the binary base relation pred: the
+// relation ends as it was, and the dictionary keeps what it interned.
+func (d *Deployment) Intern(i int, pred string, vals ...any) {
+	rel := d.replicas[i].db.Get(pred)
+	for _, v := range vals {
+		if t := (datalog.Tuple{v, v}); rel.Insert(t) {
+			rel.Delete(t)
+		}
+	}
+}
 
 // SetStageHook installs a callback fired on every driver stage transition
 // (node name, tick, attempt, stage). The hook runs inside the leader's

@@ -14,7 +14,7 @@ type ctlMetrics struct {
 	attempts      uint64      // attempts started by acting leaders, restarts included
 	maxEpoch      uint64      // highest epoch any coordinator has applied
 	lastChange    simnet.Time // virtual time the highest epoch was first applied
-	rows          uint64      // rows shipped by exchange rounds, to self included
+	rows          uint64      // Metrics.RowsShipped
 }
 
 // noteLeaderChange records the first application time of each new epoch:
@@ -45,6 +45,7 @@ type Metrics struct {
 	CommittedTicks   uint64      // ticks committed on every data replica
 	Phase1Rounds     uint64      // Paxos phase-1 rounds the coordinators started
 	PaxosSends       uint64      // Paxos messages the coordinators sent
+	RowsShipped      uint64      // rows exchange rounds shipped, a copy per replica sent to, itself included
 	// Deprecated: AttemptDecrees counted attempt decrees on the control
 	// log, which no longer exist; it always reads 0. Read Attempts.
 	AttemptDecrees uint64
@@ -75,5 +76,6 @@ func (d *Deployment) Metrics() Metrics {
 		CommittedTicks:   d.CommittedTicks(),
 		Phase1Rounds:     phase1,
 		PaxosSends:       sends,
+		RowsShipped:      d.metrics.rows,
 	}
 }

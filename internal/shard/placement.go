@@ -36,17 +36,17 @@ type Placement struct {
 	Preds []string
 }
 
-// route appends v to out[d] for each replica d holding pred's tuple t: its
+// route appends op to out[d] for each replica d holding its tuple: its
 // owner (hash of the partition column mod N), or every replica for a
 // mirrored pred.
-func route[T any](p *Placement, out [][]T, pred string, t datalog.Tuple, v T) {
-	if s := p.Specs[pred]; !s.Mirrored {
-		d := shardOf(t, s.Col, p.N)
-		out[d] = append(out[d], v)
+func (p *Placement) route(out [][]datalog.DeltaOp, op datalog.DeltaOp) {
+	if s := p.Specs[op.Pred]; !s.Mirrored {
+		d := shardOf(op.T, s.Col, p.N)
+		out[d] = append(out[d], op)
 		return
 	}
 	for d := range out {
-		out[d] = append(out[d], v)
+		out[d] = append(out[d], op)
 	}
 }
 
@@ -249,14 +249,27 @@ func joinCol(body []datalog.Literal, i int) int {
 // shardOf maps a tuple to a shard in [0, n) by hashing column col (or the
 // whole tuple when col is out of range).
 func shardOf(t datalog.Tuple, col, n int) int {
+	return pick(len(t), col, n, func(h uint64, i int) uint64 { return hashValue(h, t[i]) })
+}
+
+// shardOfRow is shardOf on the words of the tuple, resolved through vals
+// (datalog.Word), without decoding it.
+func shardOfRow(w []uint64, vals []any, col, n int) int {
+	return pick(len(w), col, n, func(h uint64, i int) uint64 { return hashWord(h, w[i], vals) })
+}
+
+// pick maps a row of arity cols to [0, n), fold hashing in column col or,
+// when col is out of range, every column i.
+func pick(cols, col, n int, fold func(h uint64, i int) uint64) int {
 	if n <= 1 {
 		return 0
 	}
-	var h uint64
-	if col >= 0 && col < len(t) {
-		h = hashValue(fnvOffset, t[col])
-	} else {
-		h = hashTuple(t)
+	if col >= 0 && col < cols {
+		return int(fold(fnvOffset, col) % uint64(n))
+	}
+	h := fnvOffset
+	for i := 0; i < cols; i++ {
+		h = fold(h, i)
 	}
 	return int(h % uint64(n))
 }
@@ -289,11 +302,9 @@ func hashValue(h uint64, v any) uint64 {
 		}
 		h = hashByte(h, 0xff)
 	case int:
-		h = hashByte(h, 'i')
-		h = hashUint64(h, uint64(int64(x)))
+		h = hashInt(h, int64(x))
 	case int64:
-		h = hashByte(h, 'i')
-		h = hashUint64(h, uint64(x))
+		h = hashInt(h, x)
 	case uint64:
 		h = hashByte(h, 'u')
 		h = hashUint64(h, x)
@@ -317,11 +328,14 @@ func hashValue(h uint64, v any) uint64 {
 	return h
 }
 
-// hashTuple hashes a full tuple.
-func hashTuple(t datalog.Tuple) uint64 {
-	h := fnvOffset
-	for _, v := range t {
-		h = hashValue(h, v)
+// hashInt folds an int or int64: the two hash alike.
+func hashInt(h uint64, x int64) uint64 { return hashUint64(hashByte(h, 'i'), uint64(x)) }
+
+// hashWord folds word w as hashValue folds the value it holds.
+func hashWord(h, w uint64, vals []any) uint64 {
+	v, n, isInt := datalog.Word(w, vals)
+	if isInt {
+		return hashInt(h, n)
 	}
-	return h
+	return hashValue(h, v)
 }

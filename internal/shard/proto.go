@@ -59,15 +59,15 @@ type rsp struct {
 }
 
 // xchMsg carries one round's emissions, possibly none, from one replica to
-// one peer. (Tick, Att) alone fences stale batches — attempts are globally
-// unique — but Epoch rides along as defense in depth and for fence
-// accounting.
+// one peer as word batches: its signed rows and its DRed candidates.
+// (Tick, Att) alone fences stale batches — attempts are globally unique —
+// but Epoch rides along as defense in depth and for fence accounting.
 type xchMsg struct {
 	Tick, Att   uint64
 	Epoch       uint64
 	Comp, Round int
 	From        int
-	Items       []datalog.Change
+	Rows, Cands datalog.Batch
 }
 
 // rkey identifies one exchange barrier of the current attempt.

@@ -47,8 +47,14 @@ func newReplica(dep *Deployment, self int) (*replica, error) {
 	}
 	r := &replica{dep: dep, self: self, db: db, inc: inc, coordFrom: dep.coordNames[0]}
 	r.site.Whole = func(pred string) bool { return dep.place.N == 1 || dep.place.Specs[pred].Mirrored }
+	r.site.Owner = func(pred string, w []uint64, vals []any) int {
+		if s := dep.place.Specs[pred]; !s.Mirrored {
+			return shardOfRow(w, vals, s.Col, dep.place.N)
+		}
+		return -1
+	}
 	if dep.place.N > 1 { // a row every replica holds is driven by its whole-tuple hash's replica
-		r.site.Mine = func(t datalog.Tuple) bool { return shardOf(t, -1, dep.place.N) == self }
+		r.site.Mine = func(w []uint64, vals []any) bool { return shardOfRow(w, vals, -1, dep.place.N) == self }
 	}
 	r.clearStaging()
 	return r, nil
@@ -177,24 +183,16 @@ func (r *replica) runRound(m req) {
 	if m.Round == 0 {
 		r.tick.Start(m.Comp, m.HasDel)
 	}
-	batches := make([][]datalog.Change, r.dep.place.N)
-	last, err := r.tick.Round(m.Quiet, func(c datalog.Change) {
-		if c.N != 0 {
-			route(r.dep.place, batches, c.Pred, c.T, c)
-			return
-		}
-		for d := range batches { // a candidate: every replica checks it
-			batches[d] = append(batches[d], c)
-		}
-	})
+	out, cands := make([]datalog.Batch, r.dep.place.N), datalog.Batch{}
+	last, err := r.tick.Round(m.Quiet, out, &cands)
 	if err != nil {
 		r.reply(m, rsp{Err: err})
 		return
 	}
 	k := rkey{m.Comp, m.Round}
-	for d, items := range batches {
-		r.dep.metrics.rows += uint64(len(items))
-		x := xchMsg{Tick: m.Tick, Att: m.Att, Epoch: r.curEpoch, Comp: m.Comp, Round: m.Round, From: r.self, Items: items}
+	for d, b := range out {
+		r.dep.metrics.rows += uint64(b.Len() + cands.Len())
+		x := xchMsg{Tick: m.Tick, Att: m.Att, Epoch: r.curEpoch, Comp: m.Comp, Round: m.Round, From: r.self, Rows: b, Cands: cands}
 		if d == r.self {
 			r.inbox[k] = append(r.inbox[k], x)
 		} else {
@@ -228,9 +226,9 @@ func (r *replica) maybeAccept(k rkey) {
 	batches := r.inbox[k]
 	delete(r.inbox, k)
 	sort.Slice(batches, func(i, j int) bool { return batches[i].From < batches[j].From })
-	arrived := make([][]datalog.Change, len(batches))
-	for i, x := range batches {
-		arrived[i] = x.Items
+	next := 0
+	for _, x := range batches {
+		next = r.tick.Accept(&x.Cands, &x.Rows)
 	}
-	r.reply(m, rsp{Last: r.last, Next: r.tick.Accept(arrived...)})
+	r.reply(m, rsp{Last: r.last, Next: next})
 }
