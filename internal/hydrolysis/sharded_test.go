@@ -36,10 +36,10 @@ func TestPlaceAvailable(t *testing.T) {
 
 // TestPlacementCovidDeployed pins where compiled COVID's relations live
 // once InstantiateSharded deploys it: people on its partition(country)
-// hint (column 1), contacts on its first key column (0), and the derived
-// transitive on its join vote (column 1, the y that contacts(y, z)
-// reads), and the variables' relation on whole-tuple hash (column -1).
-// Nothing is mirrored: the closure is monotone and co-hashed.
+// hint (column 1), the variables' relation on whole-tuple hash (column
+// -1), and the closure decomposed: transitive on column 0, the x its
+// recursive rule carries (where trace and diagnosed bind it), and its base
+// input contacts mirrored, so each replica derives the rows it owns.
 func TestPlacementCovidDeployed(t *testing.T) {
 	cl := cluster.New(cluster.NewTopology(3, 2, 2, cluster.ClassSmall), simnet.DefaultConfig(1))
 	dep, err := compileCovid(t).InstantiateSharded(cl, "covid", 3, shard.Options{})
@@ -47,10 +47,13 @@ func TestPlacementCovidDeployed(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := dep.Placement().Specs
-	for pred, col := range map[string]int{"people": 1, "contacts": 0, "transitive": 1, transducer.VarRelation: -1} {
+	for pred, col := range map[string]int{"people": 1, "transitive": 0, transducer.VarRelation: -1} {
 		if s := specs[pred]; s.Mirrored || s.Col != col {
 			t.Errorf("%s placed %+v, want sharded on column %d", pred, s, col)
 		}
+	}
+	if s := specs["contacts"]; !s.Mirrored {
+		t.Errorf("contacts placed %+v, want mirrored", s)
 	}
 	if len(specs) != 4 {
 		t.Errorf("placed %v, want people, contacts, transitive and %s only", specs, transducer.VarRelation)
@@ -58,7 +61,8 @@ func TestPlacementCovidDeployed(t *testing.T) {
 }
 
 // TestInstantiateShardedKeepsDeclared: the caller's opts.Declared entries
-// win over the tables' partition columns, and the tables fill in the rest.
+// win over the tables' partition columns, and the tables fill in the rest;
+// contacts, the closure's base input, is mirrored whatever its column.
 func TestInstantiateShardedKeepsDeclared(t *testing.T) {
 	cl := cluster.New(cluster.NewTopology(3, 2, 2, cluster.ClassSmall), simnet.DefaultConfig(1))
 	dep, err := compileCovid(t).InstantiateSharded(cl, "covid", 3, shard.Options{Declared: map[string]int{"people": 0}})
@@ -66,9 +70,10 @@ func TestInstantiateShardedKeepsDeclared(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := dep.Placement().Specs
-	for pred, col := range map[string]int{"people": 0, "contacts": 0} {
-		if s := specs[pred]; s.Mirrored || s.Col != col {
-			t.Errorf("%s placed %+v, want sharded on column %d", pred, s, col)
-		}
+	if s := specs["people"]; s.Mirrored || s.Col != 0 {
+		t.Errorf("people placed %+v, want sharded on column 0", s)
+	}
+	if s := specs["contacts"]; !s.Mirrored {
+		t.Errorf("contacts placed %+v, want mirrored", s)
 	}
 }

@@ -2,10 +2,16 @@ package shard_test
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
+	"hydro/internal/cluster"
 	"hydro/internal/datalog"
+	"hydro/internal/hlang"
+	"hydro/internal/hydrolysis"
+	"hydro/internal/shard"
+	"hydro/internal/simnet"
 )
 
 // nonlinearTC is transitive closure joining path with itself, which
@@ -146,5 +152,43 @@ func TestShardedDictionariesDisagree(t *testing.T) {
 				t.Fatalf("tick %d diverged from single-node:\n%s\nwant:\n%s", i, got, want)
 			}
 		}
+	}
+}
+
+// TestShardedCovidShipsItsClosureOnce: compiled COVID's closure is
+// decomposable, so on 3 replicas each transitive row is derived on its
+// owner from the owner's own copy of contacts and ships only to itself,
+// and a contacts row's base derivation ships once to its owner: the rows
+// shipped over a seeded stream of symmetric zipf contacts are at most the
+// final transitive rows plus the contacts rows. An anchored placement
+// (transitive on column 1) ships about three times that.
+func TestShardedCovidShipsItsClosureOnce(t *testing.T) {
+	compiled, err := hydrolysis.Compile(hlang.CovidSource, hydrolysis.Options{
+		UDFs: map[string]hydrolysis.UDF{"covid_predict": func(args []any) any { return 0.5 }},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := cluster.New(cluster.NewTopology(3, 2, 2, cluster.ClassSmall), simnet.DefaultConfig(1))
+	dep, err := compiled.InstantiateSharded(cl, "covid", 3, shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(r, 1.1, 1, 199)
+	for i := 0; i < 120; i++ {
+		var ops []datalog.DeltaOp
+		for k := 0; k < 4; k++ {
+			a, b := int64(zipf.Uint64()), int64(zipf.Uint64())
+			ops = append(ops, ins("contacts", a, b), ins("contacts", b, a))
+		}
+		if err := dep.Submit(ops); err != nil || !dep.Settle(settleBudget) {
+			t.Fatalf("tick %d did not commit: %v", i, err)
+		}
+	}
+	dump := dep.Dump()
+	closure, contacts := uint64(len(dump["transitive"])), uint64(len(dump["contacts"]))
+	if shipped := dep.Metrics().RowsShipped; closure == 0 || shipped > closure+contacts {
+		t.Fatalf("shipped %d rows, want at most %d transitive + %d contacts", shipped, closure, contacts)
 	}
 }

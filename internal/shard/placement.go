@@ -19,8 +19,10 @@ import (
 // Spec is the placement of one predicate across the replica set.
 type Spec struct {
 	// Mirrored replicates the full relation on every replica. Non-monotone
-	// components (negation, aggregates) and predicates that defeat join
-	// locality are mirrored; everything else is sharded.
+	// components (negation, aggregates), the base inputs of a decomposable
+	// linear recursion (NewPlacement) and predicates that defeat join
+	// locality are mirrored; everything else is sharded. A mirrored base
+	// relation is stored N times, and each of its ops goes to every replica.
 	Mirrored bool
 	// Col is the hash-partition column for sharded predicates; out-of-range
 	// (-1) hashes the whole tuple.
@@ -60,6 +62,11 @@ func (p *Placement) route(out [][]datalog.DeltaOp, op datalog.DeltaOp) {
 // column, else whole-tuple) and mirrors predicates until every remaining
 // drive is local:
 //
+//   - a decomposable component (carriedCol: a linear recursion over base
+//     inputs) shards its head on the column its recursion carries and
+//     mirrors its inputs, declared columns overridden, so a replica derives
+//     the head rows it owns from its own copies (Wolfson & Silberschatz,
+//     SIGMOD 1988); each input is stored N times;
 //   - every predicate of a non-monotone component (heads and all body
 //     predicates, negated included) is mirrored — those components
 //     recompute locally from full copies;
@@ -72,7 +79,8 @@ func (p *Placement) route(out [][]datalog.DeltaOp, op datalog.DeltaOp) {
 //     it joins with is mirrored too.
 //
 // Mirroring only grows, so the loop reaches a fixpoint in at most one
-// pass per predicate.
+// pass per predicate. Rows are routed to their owners whatever the
+// placement, so a poor choice costs speed, never correctness.
 func NewPlacement(prog *datalog.Program, edb map[string]int, n int, declared map[string]int) (*Placement, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 replica, got %d", n)
@@ -114,6 +122,14 @@ func NewPlacement(prog *datalog.Program, edb map[string]int, n int, declared map
 		s.Mirrored = true
 		specs[pred] = s
 		return true
+	}
+	for _, c := range comps {
+		if k, ok := carriedCol(c, edb); ok {
+			specs[c.Heads[0]] = Spec{Col: k}
+			for _, in := range c.Inputs {
+				mirror(in)
+			}
+		}
 	}
 	for _, c := range comps {
 		if !c.NonMono {
@@ -183,6 +199,48 @@ func NewPlacement(prog *datalog.Program, edb map[string]int, n int, declared map
 	}
 	sort.Strings(preds)
 	return &Placement{N: n, Specs: specs, Preds: preds}, nil
+}
+
+// carriedCol reports whether c is decomposable — a monotone component
+// with one head H, only base inputs (edb), no body holding two H literals
+// and at least one recursive rule — and if so returns the first column
+// every recursive rule carries: its H literal holds there the variable its
+// head holds there.
+func carriedCol(c datalog.Component, edb map[string]int) (int, bool) {
+	if c.NonMono || len(c.Heads) != 1 {
+		return -1, false
+	}
+	for _, in := range c.Inputs {
+		if _, ok := edb[in]; !ok {
+			return -1, false
+		}
+	}
+	h, recursive := c.Heads[0], false
+	dropped := make([]bool, len(c.Rules[0].Head.Args)) // per H column: a recursive rule does not carry it
+	for _, r := range c.Rules {
+		var rec []datalog.Term // the H literal's arguments
+		for _, l := range r.Body {
+			if l.Pred == h {
+				if rec != nil {
+					return -1, false
+				}
+				rec = l.Args
+			}
+		}
+		if rec == nil {
+			continue
+		}
+		recursive = true
+		for k, t := range r.Head.Args {
+			dropped[k] = dropped[k] || !t.IsVar() || rec[k].Var != t.Var
+		}
+	}
+	for k, d := range dropped {
+		if recursive && !d {
+			return k, true
+		}
+	}
+	return -1, false
 }
 
 // joinVotes returns, per predicate, the partition column its join

@@ -113,15 +113,18 @@ func del(pred string, vals ...any) datalog.DeltaOp {
 // across shard boundaries, then deletions that retract closure tuples
 // owned by other replicas (cross-shard DRed traffic) — and requires
 // byte-identical dumps against the single-node incremental fixpoint after
-// every tick.
+// every tick. It runs two closures: over the base edge, which placement
+// decomposes (edge mirrored, path sharded on the x its recursion carries),
+// and over a derived link, which stays on the anchored placement (link and
+// path co-hashed on y), so derived rows cross between replicas.
 func TestShardedTCMatchesSingleNode(t *testing.T) {
-	prog, err := datalog.NewProgram(tcRules...)
-	if err != nil {
-		t.Fatal(err)
+	V := datalog.V
+	atom := func(p, a, b string) datalog.Atom { return datalog.Atom{Pred: p, Args: []datalog.Term{V(a), V(b)}} }
+	linkRules := []datalog.Rule{
+		{Head: atom("link", "x", "y"), Body: []datalog.Literal{{Atom: atom("edge", "x", "y")}}},
+		{Head: atom("path", "x", "y"), Body: []datalog.Literal{{Atom: atom("link", "x", "y")}}},
+		{Head: atom("path", "x", "z"), Body: []datalog.Literal{{Atom: atom("path", "x", "y")}, {Atom: atom("link", "y", "z")}}},
 	}
-	_, dep := newDeployment(t, prog, tcEDB, 3, 42)
-	ref := newOracle(t, prog, tcEDB)
-
 	ticks := [][]datalog.DeltaOp{
 		{ins("edge", "a", "b"), ins("edge", "b", "c"), ins("edge", "c", "d")},
 		{ins("edge", "d", "e"), ins("edge", "e", "f"), ins("edge", "f", "a")}, // closes a cycle
@@ -129,27 +132,47 @@ func TestShardedTCMatchesSingleNode(t *testing.T) {
 		{del("edge", "f", "a"), del("edge", "a", "b")},                        // delete-heavy
 		{ins("edge", "a", "b"), ins("edge", "c", "d")},                        // rebuild
 	}
-	for i, ops := range ticks {
-		if err := dep.Submit(ops); err != nil {
-			t.Fatalf("tick %d: Submit: %v", i, err)
+	for _, tc := range []struct {
+		name  string
+		rules []datalog.Rule
+		want  map[string]shard.Spec // a mirrored spec's column is not compared
+	}{
+		{"edge", tcRules, map[string]shard.Spec{"edge": {Mirrored: true}, "path": {Col: 0}}},
+		{"link", linkRules, map[string]shard.Spec{"link": {Col: 0}, "path": {Col: 1}}},
+	} {
+		prog, err := datalog.NewProgram(tc.rules...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !dep.Settle(settleBudget) {
-			t.Fatalf("tick %d did not settle", i)
+		_, dep := newDeployment(t, prog, tcEDB, 3, 42)
+		ref := newOracle(t, prog, tcEDB)
+		var crossed uint64
+		dep.CountDelivered(&crossed)
+		for i, ops := range ticks {
+			if err := dep.Submit(ops); err != nil {
+				t.Fatalf("%s tick %d: Submit: %v", tc.name, i, err)
+			}
+			if !dep.Settle(settleBudget) {
+				t.Fatalf("%s tick %d did not settle", tc.name, i)
+			}
+			ref.tick(t, ops)
+			want := ref.dump(dep.Placement().Preds)
+			if got := dep.DumpString(); got != want {
+				t.Fatalf("%s tick %d diverged:\nsharded:\n%s\nsingle-node:\n%s", tc.name, i, got, want)
+			}
+			if err := dep.CheckMirrors(); err != nil {
+				t.Fatalf("%s tick %d: %v", tc.name, i, err)
+			}
 		}
-		ref.tick(t, ops)
-		want := ref.dump(dep.Placement().Preds)
-		if got := dep.DumpString(); got != want {
-			t.Fatalf("tick %d diverged:\nsharded:\n%s\nsingle-node:\n%s", i, got, want)
+		for pred, want := range tc.want {
+			if s := dep.Placement().Specs[pred]; s.Mirrored != want.Mirrored || !s.Mirrored && s.Col != want.Col {
+				t.Fatalf("%s: %s placed %+v, want %+v", tc.name, pred, s, want)
+			}
 		}
-		if err := dep.CheckMirrors(); err != nil {
-			t.Fatalf("tick %d: %v", i, err)
-		}
-	}
-	// The TC shape must stay fully sharded — co-hashed joins, not
-	// mirrored fallback.
-	for _, pred := range []string{"edge", "path"} {
-		if dep.Placement().Specs[pred].Mirrored {
-			t.Fatalf("%s unexpectedly mirrored", pred)
+		// The exchange guard: over the derived link, closure rows cross
+		// between replicas.
+		if tc.name == "link" && crossed == 0 {
+			t.Fatalf("link: no row crossed between replicas")
 		}
 	}
 }
@@ -164,10 +187,11 @@ func randConst(r *rand.Rand) any {
 }
 
 // randShardRules mirrors the datalog package's randRules shapes: a
-// transitive closure with randomized recursion (linear closures stay
-// co-hashed across shards; nonlinear ones exercise the mirrored
-// fallback), optional joins and filters, optional stratified negation,
-// and an optional aggregate layer.
+// transitive closure with randomized recursion (linear closures are
+// decomposed: p1 sharded on the column its recursion carries, edge
+// mirrored; nonlinear ones exercise the mirrored fallback), optional joins
+// and filters, optional stratified negation, and an optional aggregate
+// layer.
 func randShardRules(r *rand.Rand) []datalog.Rule {
 	V, C := datalog.V, datalog.C
 	lit := func(pred string, args ...datalog.Term) datalog.Literal {
@@ -395,8 +419,9 @@ func TestShardedDeterminism50Seeds(t *testing.T) {
 }
 
 // TestPlacementTCStaysSharded pins the placement analysis: the linear TC
-// shape keeps both relations hash-partitioned on the join key, while a
-// program with negation mirrors the negated closure.
+// shape is decomposable, so path stays hash-partitioned on the x its
+// recursive rule carries and edge is mirrored, while a program with
+// negation mirrors the negated closure.
 func TestPlacementTCStaysSharded(t *testing.T) {
 	prog, err := datalog.NewProgram(tcRules...)
 	if err != nil {
@@ -406,12 +431,9 @@ func TestPlacementTCStaysSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Specs["edge"].Mirrored || pl.Specs["path"].Mirrored {
-		t.Fatalf("TC relations should stay sharded: %+v", pl.Specs)
-	}
-	if pl.Specs["edge"].Col != 0 || pl.Specs["path"].Col != 1 {
-		t.Fatalf("unexpected partition columns: edge=%d path=%d",
-			pl.Specs["edge"].Col, pl.Specs["path"].Col)
+	if !pl.Specs["edge"].Mirrored || pl.Specs["path"].Mirrored || pl.Specs["path"].Col != 0 {
+		t.Fatalf("TC: edge=%+v path=%+v, want edge mirrored and path sharded on column 0",
+			pl.Specs["edge"], pl.Specs["path"])
 	}
 
 	negRules := append(append([]datalog.Rule{}, tcRules...), datalog.Rule{
@@ -455,8 +477,8 @@ func TestDeclaredPartitionHonored(t *testing.T) {
 
 // TestPlacementJoinVotes pins the join-column vote NewPlacement places
 // undeclared predicates by: a single-literal body votes for nothing (the
-// whole-tuple hash), the TC shape places edge on column 0 and path on
-// column 1 (both join on y), and in a three-literal body the first
+// whole-tuple hash), the TC shape's decomposition overrides the vote (edge
+// mirrored, path on column 0), and in a three-literal body the first
 // co-literal in body order decides, not the planner's join order.
 func TestPlacementJoinVotes(t *testing.T) {
 	V := datalog.V
@@ -480,8 +502,8 @@ func TestPlacementJoinVotes(t *testing.T) {
 	if s := place(tcEDB, copyRule); s["edge"].Col != -1 || s["path"].Col != -1 {
 		t.Fatalf("single-literal body: edge=%+v path=%+v, want column -1", s["edge"], s["path"])
 	}
-	if s := place(tcEDB, tcRules...); s["edge"].Col != 0 || s["path"].Col != 1 {
-		t.Fatalf("TC: edge=%+v path=%+v, want columns 0 and 1", s["edge"], s["path"])
+	if s := place(tcEDB, tcRules...); !s["edge"].Mirrored || s["path"].Mirrored || s["path"].Col != 0 {
+		t.Fatalf("TC: edge=%+v path=%+v, want edge mirrored and path on column 0", s["edge"], s["path"])
 	}
 
 	// p(x,z) :- a(x,y), b(y,z), c(x,y). The planner drives a's delta into
@@ -496,5 +518,76 @@ func TestPlacementJoinVotes(t *testing.T) {
 	}
 	if s := place(abc, datalog.Rule{Head: head, Body: []datalog.Literal{a, c, b}}); s["a"].Col != 0 {
 		t.Fatalf("a(x,y), c(x,y), b(y,z): a=%+v, want column 0 (c's x)", s["a"])
+	}
+}
+
+// TestPlacementDecomposable pins NewPlacement's decomposition rule, which
+// shards a linear recursion's head on the column its recursive rules carry
+// and mirrors its base inputs, on a right-linear closure (the left-linear
+// one is TestPlacementTCStaysSharded's) and on one program per condition
+// that it must not decompose; those keep the anchored placement (a
+// mirrored spec keeps its voted column).
+func TestPlacementDecomposable(t *testing.T) {
+	V := datalog.V
+	lit := func(pred string, args ...string) datalog.Literal {
+		terms := make([]datalog.Term, len(args))
+		for i, a := range args {
+			terms[i] = V(a)
+		}
+		return datalog.Literal{Atom: datalog.Atom{Pred: pred, Args: terms}}
+	}
+	rule := func(head datalog.Literal, body ...datalog.Literal) datalog.Rule {
+		return datalog.Rule{Head: head.Atom, Body: body}
+	}
+	blocked := lit("blocked", "x", "y")
+	blocked.Negated = true
+	for _, tc := range []struct {
+		name  string
+		rules []datalog.Rule
+		want  map[string]shard.Spec
+	}{
+		{"right-linear", []datalog.Rule{
+			rule(lit("path", "x", "y"), lit("edge", "x", "y")),
+			rule(lit("path", "x", "z"), lit("edge", "x", "y"), lit("path", "y", "z")),
+		}, map[string]shard.Spec{"path": {Col: 1}, "edge": {Mirrored: true, Col: 1}}},
+		{"negated", []datalog.Rule{
+			rule(lit("path", "x", "y"), lit("edge", "x", "y"), blocked),
+			rule(lit("path", "x", "z"), lit("path", "x", "y"), lit("edge", "y", "z")),
+		}, map[string]shard.Spec{"path": {Mirrored: true, Col: 1}, "edge": {Mirrored: true, Col: 0}, "blocked": {Mirrored: true, Col: -1}}},
+		{"nonlinear", []datalog.Rule{
+			rule(lit("path", "x", "y"), lit("edge", "x", "y")),
+			rule(lit("path", "x", "z"), lit("path", "x", "y"), lit("path", "y", "z")),
+		}, map[string]shard.Spec{"path": {Mirrored: true, Col: 0}, "edge": {Col: -1}}},
+		{"same-generation", []datalog.Rule{
+			rule(lit("sg", "x", "y"), lit("flat", "x", "y")),
+			rule(lit("sg", "x", "y"), lit("up", "x", "a"), lit("sg", "a", "b"), lit("down", "b", "y")),
+		}, map[string]shard.Spec{"sg": {Col: 0}, "up": {Col: 1}, "down": {Mirrored: true, Col: 0}, "flat": {Col: -1}}},
+		{"derived-input", []datalog.Rule{
+			rule(lit("link", "x", "y"), lit("edge", "x", "y")),
+			rule(lit("path", "x", "y"), lit("link", "x", "y")),
+			rule(lit("path", "x", "z"), lit("path", "x", "y"), lit("link", "y", "z")),
+		}, map[string]shard.Spec{"path": {Col: 1}, "link": {Col: 0}, "edge": {Col: -1}}},
+		{"two-heads", []datalog.Rule{
+			rule(lit("odd", "x", "y"), lit("edge", "x", "y")),
+			rule(lit("odd", "x", "z"), lit("even", "x", "y"), lit("edge", "y", "z")),
+			rule(lit("even", "x", "z"), lit("odd", "x", "y"), lit("edge", "y", "z")),
+		}, map[string]shard.Spec{"odd": {Col: 1}, "even": {Col: 1}, "edge": {Col: 0}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog, err := datalog.NewProgram(tc.rules...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edb := map[string]int{"edge": 2, "blocked": 2, "flat": 2, "up": 2, "down": 2}
+			pl, err := shard.NewPlacement(prog, edb, 3, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pred, want := range tc.want {
+				if got := pl.Specs[pred]; got != want {
+					t.Errorf("%s placed %+v, want %+v", pred, got, want)
+				}
+			}
+		})
 	}
 }
