@@ -261,20 +261,16 @@ func (inc *Incremental) DB() *Database { return inc.db }
 // the batch, and the evaluator stays usable. The base ops are the caller's
 // to undo (Database.Undo), as it applied them.
 //
-// Touched components are processed in strata order (topological: a
-// component only reads heads of earlier ones); each reads its input changes
-// from the batch and appends its realized head changes to it, so later
-// components see the cascade.
+// The components the batch touches are processed in strata order
+// (topological: a component only reads heads of earlier ones), each found
+// by Tick.Next; each reads its input changes from the batch and appends its
+// realized head changes to it, so later components see the cascade.
 func (inc *Incremental) Apply(d *Delta) (int, error) {
 	t, err := inc.begin(d)
 	if err != nil {
 		return 0, err
 	}
-	for ci := range inc.comps {
-		add, del := t.Touched(ci)
-		if !add && !del {
-			continue
-		}
+	for ci, del := t.Next(0); ci < len(inc.comps); ci, del = t.Next(ci + 1) {
 		t.Start(ci, del)
 		if err := t.run(); err != nil {
 			t.rollback()

@@ -45,8 +45,9 @@ type Site struct {
 }
 
 // Tick is one batch's maintenance in progress. A caller stepping it
-// (Begin) runs, per component, Touched, Start, then Round and Accept until
-// a quiet round ends it; Abort rolls the whole batch back.
+// (Begin) asks Next which component to start, then runs Start, and Round
+// and Accept until a quiet round ends it, and asks Next again; Abort rolls
+// the whole batch back.
 type Tick struct {
 	inc     *Incremental
 	d       *Delta
@@ -56,8 +57,9 @@ type Tick struct {
 	// The component in progress.
 	c     *incComponent
 	phase phase
-	over  *Database // DRed: removed inputs, and per head the over-deleted candidates
-	check rowLog    // DRed: the candidates every replica over-deleted
+	over  *Database      // DRed: removed inputs, and per head the over-deleted candidates
+	gone  map[string]int // DRed: per head, the over-deleted rows no round has put back
+	check rowLog         // DRed: the candidates every replica over-deleted
 }
 
 // Begin starts folding d — base changes applied to the database — into the
@@ -94,15 +96,21 @@ func (inc *Incremental) begin(d *Delta) (*Tick, error) {
 	return &Tick{inc: inc, d: d}, nil
 }
 
-// Touched ends the component in progress and reports whether the batch —
-// its base changes and the head changes realized so far — adds to or
-// deletes from component ci's inputs.
-func (t *Tick) Touched(ci int) (add, del bool) {
-	t.close()
-	for _, in := range t.inc.comps[ci].Inputs {
-		add, del = add || t.d.add[in].len() > 0, del || t.d.del[in].len() > 0
+// Next reports the first component from ci on whose inputs the batch
+// changes — its base changes, the head changes realized so far and the
+// deletions that ending the component in progress realizes — and whether
+// it deletes from them; len(components) when there is none.
+func (t *Tick) Next(ci int) (int, bool) {
+	for ; ci < len(t.inc.comps); ci++ {
+		add, del := false, false
+		for _, in := range t.inc.comps[ci].Inputs {
+			add, del = add || t.d.add[in].len() > 0, del || t.d.del[in].len() > 0 || t.gone[in] > 0
+		}
+		if add || del {
+			return ci, del
+		}
 	}
-	return add, del
+	return ci, false
 }
 
 // Start begins component ci; hasDel says the batch deletes from its inputs
@@ -119,6 +127,7 @@ func (t *Tick) Start(ci int, hasDel bool) {
 	case overPhase:
 		t.load(b.next, t.d.del)
 		t.over = t.inc.deltaRelations(c.Inputs, t.d.del)
+		t.gone = map[string]int{}
 		for _, h := range c.Heads {
 			t.over.Ensure(h, db.Get(h).Arity)
 		}
@@ -291,6 +300,7 @@ func (t *Tick) accept(rel *Relation, w []uint64, n int) {
 			t.check.add(rel, w, 0)
 		} else if rel.deleteRow(w) {
 			t.inc.undo.add(rel, w, -1)
+			t.gone[rel.Name]++
 			t.over.Get(rel.Name).insertRow(w)
 			rowsOf(next, rel.Name, rel.Arity).add(w)
 			if t.whole(rel.Name) {
@@ -303,8 +313,10 @@ func (t *Tick) accept(rel *Relation, w []uint64, n int) {
 		}
 		t.inc.undo.add(rel, w, 1)
 		rowsOf(next, rel.Name, rel.Arity).add(w)
-		if t.over == nil || t.over.Get(rel.Name).findRow(w) < 0 {
-			t.realize(rel, w, 1) // not an over-deleted row coming back
+		if t.over != nil && t.over.Get(rel.Name).findRow(w) >= 0 {
+			t.gone[rel.Name]-- // an over-deleted row coming back
+		} else {
+			t.realize(rel, w, 1)
 		}
 	}
 }
@@ -322,7 +334,7 @@ func (t *Tick) close() {
 			})
 		}
 	}
-	t.c, t.over, t.check = nil, nil, rowLog{}
+	t.c, t.over, t.gone, t.check = nil, nil, nil, rowLog{}
 }
 
 // load adds the batch's changes to the component's inputs, from lists, to

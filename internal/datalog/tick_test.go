@@ -18,11 +18,7 @@ func stepTick(inc *Incremental, d *Delta) (*Tick, error) { return watchTick(inc,
 // captures Batch.Delta accepts.
 func watchTick(inc *Incremental, d *Delta, watch func(pred string, t Tuple, n int)) (*Tick, error) {
 	tk, err := inc.Begin(d, Site{})
-	for ci := 0; err == nil && ci < len(inc.comps); ci++ {
-		add, del := tk.Touched(ci)
-		if !add && !del {
-			continue
-		}
+	for ci, del := tk.Next(0); err == nil && ci < len(inc.comps); ci, del = tk.Next(ci + 1) {
 		tk.Start(ci, del)
 		for quiet, last := false, false; err == nil && !(quiet && last); {
 			var rows [1]Batch
@@ -273,5 +269,91 @@ func TestDeltaNetsChurn(t *testing.T) {
 		if err := diffDatabases(fmt.Sprintf("stepped=%v vs eval", stepped), inc.DB(), ref); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestTickNextNamesWhatStartFinds: on random programs and delete-heavy
+// batches, Next(0) before the first component and Next(c+1) at the end of
+// each stepped component c name the component, and the delete flag, that
+// the batch holds once Start (or, past the last component, close) has
+// realized the component in progress: every component Next skips has no
+// realized change on its inputs, the named one has some, and its flag is
+// whether its inputs lost rows. Next itself changes nothing.
+func TestTickNextNamesWhatStartFinds(t *testing.T) {
+	check := func(seed int64) error {
+		r := rand.New(rand.NewSource(seed))
+		p, err := NewProgram(randRules(r)...)
+		if err != nil {
+			return err
+		}
+		inc, err := NewIncremental(p, randEDB(r))
+		if err != nil {
+			return err
+		}
+		for tick := 0; tick < 6; tick++ {
+			d := NewDelta()
+			for op := 0; op < 1+r.Intn(4); op++ {
+				pred := edbPreds[r.Intn(len(edbPreds))]
+				rel := inc.DB().Get(pred)
+				if existing := rel.Tuples(); r.Intn(3) > 0 && len(existing) > 0 {
+					if tu := existing[r.Intn(len(existing))]; rel.Delete(tu) {
+						d.Delete(pred, tu)
+					}
+				} else if tu := randEDBTuple(r, pred); rel.Insert(tu) {
+					d.Insert(pred, tu)
+				}
+			}
+			tk, err := inc.Begin(d, Site{})
+			if err != nil {
+				return err
+			}
+			for from := 0; ; {
+				changes := tk.changes
+				ci, del := tk.Next(from)
+				if ci2, del2 := tk.Next(from); ci2 != ci || del2 != del || tk.changes != changes {
+					return fmt.Errorf("tick %d: Next(%d) is not read-only", tick, from)
+				}
+				if ci < len(inc.comps) {
+					tk.Start(ci, del)
+				} else {
+					tk.close()
+				}
+				for c := from; c < len(inc.comps) && c <= ci; c++ {
+					add, gone := false, false
+					for _, in := range inc.comps[c].Inputs {
+						add, gone = add || tk.d.add[in].len() > 0, gone || tk.d.del[in].len() > 0
+					}
+					if c < ci && (add || gone) {
+						return fmt.Errorf("tick %d: Next(%d) skips component %d, whose inputs changed", tick, from, c)
+					}
+					if c == ci && (!add && !gone || gone != del) {
+						return fmt.Errorf("tick %d: Next(%d) names component %d deleting %v; its inputs gained %v, lost %v", tick, from, c, del, add, gone)
+					}
+				}
+				if ci == len(inc.comps) {
+					break
+				}
+				for quiet, last := false, false; !(quiet && last); {
+					var rows [1]Batch
+					var cands Batch
+					if last, err = tk.Round(quiet, rows[:], &cands); err != nil {
+						return err
+					}
+					quiet = tk.Accept(&cands, &rows[0]) == 0
+				}
+				from = ci + 1
+			}
+		}
+		return nil
+	}
+	f := func(seed int64) bool {
+		err := check(seed)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+		}
+		return err == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -7,17 +7,18 @@ import (
 	"hydro/internal/simnet"
 )
 
-// Coordinator stages, in tick order. stDecide sits between the last
-// component and commit: the driver has collected every replica's final
-// ack and is waiting for its commit decree to land on the quorum log.
-// stFailed is terminal: a component's evaluation failed, so the tick can
-// never commit and every replica rolls its attempt back.
+// Coordinator stages, in tick order. Prepare's acks, and those of a
+// component's last round, name the component whose round 0 comes next
+// (nextComp). stDecide sits between the last component and commit: the
+// driver has collected every replica's final ack and is waiting for its
+// commit decree to land on the quorum log. stFailed is terminal: a
+// component's evaluation failed, so the tick can never commit and every
+// replica rolls its attempt back.
 type stage int
 
 const (
 	stIdle stage = iota
 	stPrepare
-	stCompBegin
 	stRound
 	stDecide
 	stCommit
@@ -173,22 +174,7 @@ func (c *coord) advance() {
 	n := c.dep().place.N
 	switch c.stg {
 	case stPrepare:
-		c.comp = 0
-		c.beginComp()
-	case stCompBegin:
-		var hasAdd bool
-		c.hasDel = false
-		for i := 0; i < n; i++ {
-			hasAdd = hasAdd || c.acks[i].HasAdd
-			c.hasDel = c.hasDel || c.acks[i].HasDel
-		}
-		if !hasAdd && !c.hasDel {
-			c.comp++
-			c.beginComp()
-			return
-		}
-		c.quiet = false
-		c.startRound()
+		c.nextComp()
 	case stRound:
 		// Every replica has accepted the round's batches: once nothing is
 		// left to drive anywhere, a component in its last phase is done.
@@ -198,8 +184,7 @@ func (c *coord) advance() {
 			pending += c.acks[i].Next
 		}
 		if pending == 0 && last {
-			c.comp++
-			c.beginComp()
+			c.nextComp()
 			return
 		}
 		c.round++
@@ -233,7 +218,17 @@ func (c *coord) fail(err error) {
 	c.progress()
 }
 
-func (c *coord) beginComp() {
+// nextComp starts the smallest component an ack names, deleting from its
+// inputs if a replica that names it deletes, or, when none is named, seals
+// the tick.
+func (c *coord) nextComp() {
+	c.comp, c.hasDel = c.dep().comps, false
+	for _, a := range c.acks {
+		if a.NextComp < c.comp {
+			c.comp, c.hasDel = a.NextComp, false
+		}
+		c.hasDel = c.hasDel || a.NextComp == c.comp && a.HasDel
+	}
 	if c.comp >= c.dep().comps {
 		// Every replica holds the fully staged attempt; seal the tick on
 		// the quorum log before telling anyone to commit, so a failover in
@@ -243,9 +238,8 @@ func (c *coord) beginComp() {
 		c.progress()
 		return
 	}
-	c.round = 0
-	c.setStage(stCompBegin)
-	c.send(req{}, nil)
+	c.round, c.quiet = 0, false
+	c.startRound()
 }
 
 // enterCommit broadcasts the decreed commit (called when the commit decree

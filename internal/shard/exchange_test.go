@@ -47,11 +47,7 @@ func steppedShipped(t *testing.T, inc *datalog.Incremental, comps int, ops []dat
 		}
 	}
 	tk, err := inc.Begin(d, datalog.Site{})
-	for ci := 0; err == nil && ci < comps; ci++ {
-		add, del := tk.Touched(ci)
-		if !add && !del {
-			continue
-		}
+	for ci, del := tk.Next(0); err == nil && ci < comps; ci, del = tk.Next(ci + 1) {
 		tk.Start(ci, del)
 		for quiet, last := false, false; err == nil && !(quiet && last); {
 			var rows [1]datalog.Batch

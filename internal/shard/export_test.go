@@ -14,12 +14,11 @@ import (
 // Coordinator stages, exported for the failover chaos suite's kill
 // schedule.
 const (
-	StageIdle      = int(stIdle)
-	StagePrepare   = int(stPrepare)
-	StageCompBegin = int(stCompBegin)
-	StageRound     = int(stRound)
-	StageDecide    = int(stDecide)
-	StageCommit    = int(stCommit)
+	StageIdle    = int(stIdle)
+	StagePrepare = int(stPrepare)
+	StageRound   = int(stRound)
+	StageDecide  = int(stDecide)
+	StageCommit  = int(stCommit)
 )
 
 // DeployOneCoordinator is Deploy with a single-coordinator control plane:
@@ -42,6 +41,34 @@ func (d *Deployment) CountDelivered(n *uint64) {
 			r.handle(now, msg)
 		})
 	}
+}
+
+// Request is a coordinator request as a replica received it.
+type Request struct {
+	Replica, Kind, Comp, Round int
+	HasDel                     bool
+}
+
+// WatchRequests hands watch every coordinator request the network
+// delivers to a replica.
+func (d *Deployment) WatchRequests(watch func(Request)) {
+	for _, r := range d.replicas {
+		d.net.SetHandler(r.name(), func(now simnet.Time, msg simnet.Message) {
+			if m, ok := msg.Payload.(req); ok {
+				watch(Request{Replica: r.self, Kind: int(m.Kind), Comp: m.Comp, Round: m.Round, HasDel: m.HasDel})
+			}
+			r.handle(now, msg)
+		})
+	}
+}
+
+// Owner returns the replica pred's base row t is routed to; −1 when every
+// replica holds pred.
+func (p *Placement) Owner(pred string, t datalog.Tuple) int {
+	if s := p.Specs[pred]; !s.Mirrored {
+		return shardOf(t, s.Col, p.N)
+	}
+	return -1
 }
 
 // Intern has replica i's dictionary intern vals, in order, by inserting

@@ -20,14 +20,12 @@ import (
 // failoverStages is the kill schedule: every driver stage from prepare
 // through commit.
 var failoverStages = []int{
-	shard.StagePrepare, shard.StageCompBegin, shard.StageRound,
-	shard.StageDecide, shard.StageCommit,
+	shard.StagePrepare, shard.StageRound, shard.StageDecide, shard.StageCommit,
 }
 
 func stageName(s int) string {
 	names := map[int]string{
-		shard.StageIdle: "idle", shard.StagePrepare: "prepare",
-		shard.StageCompBegin: "compBegin", shard.StageRound: "round",
+		shard.StageIdle: "idle", shard.StagePrepare: "prepare", shard.StageRound: "round",
 		shard.StageDecide: "decide", shard.StageCommit: "commit",
 	}
 	return names[s]

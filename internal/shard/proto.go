@@ -8,7 +8,7 @@ import (
 // Wire protocol. The elected coordinator leader sequences BSP ticks over N
 // replicas:
 //
-//	prepare → per component: compBegin → round* → … → decide → commit
+//	prepare → per touched component: round* → … → decide → commit
 //
 // Prepare resets a replica's staging and carries its routed ops, which it
 // applies before it begins the tick. A round is one round of the
@@ -17,7 +17,9 @@ import (
 // ones included, and answers the round request itself once it holds N
 // batches (its own and one from each peer), accepted in sender order. The
 // component ends after a round that leaves nothing to drive anywhere, once
-// its replicas report their last phase.
+// its replicas report their last phase. A prepare ack names the first
+// component the replica's batch touches, a round ack the first after its
+// own; the coordinator runs the smallest named, or decides the tick.
 //
 // A request's Kind is the coordinator stage it runs (stFailed: roll the
 // attempt back and fence it until the next prepare), and a response echoes
@@ -47,15 +49,16 @@ type req struct {
 }
 
 type rsp struct {
-	From           int
-	Tick, Att      uint64
-	Kind           stage
-	Comp, Round    int
-	HasAdd, HasDel bool   // stCompBegin: local input changes
-	Last           bool   // stRound: a quiet round ends the component
-	Next           int    // stRound: accepted rows the next round drives
-	Err            error  // the component's evaluation failed: the tick cannot commit
-	Committed      uint64 // last committed tick
+	From        int
+	Tick, Att   uint64
+	Kind        stage
+	Comp, Round int
+	NextComp    int    // stPrepare, stRound: the first later component the batch touches here (datalog.Tick.Next)
+	HasDel      bool   // stPrepare, stRound: the batch deletes from NextComp's inputs here
+	Last        bool   // stRound: a quiet round ends the component
+	Next        int    // stRound: accepted rows the next round drives
+	Err         error  // the component's evaluation failed: the tick cannot commit
+	Committed   uint64 // last committed tick
 }
 
 // xchMsg carries one round's emissions, possibly none, from one replica to

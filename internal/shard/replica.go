@@ -113,15 +113,15 @@ func (r *replica) handleReq(from string, m req) {
 		}
 		r.clearStaging()
 		r.curTick, r.curAtt = m.Tick, m.Att
-		var err error
+		var a rsp
 		if m.Kind == stFailed {
 			// No attempt is current: requests and batches of the failed one
 			// still in flight are stale, and a stray commit cannot seal it.
 			r.curTick = 0
-		} else {
-			err = r.applyOps(m.Ops)
+		} else if a.Err = r.applyOps(m.Ops); a.Err == nil {
+			a.NextComp, a.HasDel = r.tick.Next(0)
 		}
-		r.reply(m, rsp{Err: err})
+		r.reply(m, a)
 	case stCommit:
 		if m.Epoch < r.curEpoch {
 			r.dep.metrics.fencedCommits++
@@ -138,15 +138,8 @@ func (r *replica) handleReq(from string, m req) {
 			r.clearStaging()
 		}
 		r.reply(m, rsp{})
-	default:
-		if r.stale(m.Epoch, m.Tick, m.Att) {
-			return
-		}
-		switch m.Kind {
-		case stCompBegin:
-			add, del := r.tick.Touched(m.Comp)
-			r.reply(m, rsp{HasAdd: add, HasDel: del})
-		case stRound:
+	case stRound:
+		if !r.stale(m.Epoch, m.Tick, m.Att) {
 			r.runRound(m)
 		}
 	}
@@ -216,7 +209,7 @@ func (r *replica) stale(epoch, tick, att uint64) bool {
 // maybeAccept closes the exchange barrier of the round driven here once
 // its N batches are in: they are accepted in sender order (not arrival
 // order), and the coordinator learns how many accepted rows the next round
-// drives.
+// drives and which component comes next should this round end its own.
 func (r *replica) maybeAccept(k rkey) {
 	if r.driven == nil || (rkey{r.driven.Comp, r.driven.Round}) != k || len(r.inbox[k]) < r.dep.place.N {
 		return
@@ -230,5 +223,6 @@ func (r *replica) maybeAccept(k rkey) {
 	for _, x := range batches {
 		next = r.tick.Accept(&x.Cands, &x.Rows)
 	}
-	r.reply(m, rsp{Last: r.last, Next: next})
+	nc, del := r.tick.Next(m.Comp + 1)
+	r.reply(m, rsp{Last: r.last, Next: next, NextComp: nc, HasDel: del})
 }
