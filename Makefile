@@ -2,7 +2,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: build test vet fmt ci smoke orphans datalog-serial datalog-one-store datalog-no-placement durable-opaque-rows exchange-words one-keyed-merge one-tick-path one-lowering compiled-handlers bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak tick-allocs lines
+.PHONY: build test vet fmt ci smoke orphans datalog-serial datalog-one-store datalog-no-placement durable-opaque-rows exchange-words coordinator-commits one-keyed-merge one-tick-path one-lowering compiled-handlers bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak tick-allocs lines
 
 build:
 	$(GO) build ./...
@@ -19,7 +19,7 @@ fmt:
 	@gofmt -l . | sed 's/^/unformatted: /' | (! grep .)
 
 # ci runs the steps of CI's tier-1 job in its order (go test without -race).
-ci: build vet fmt orphans datalog-serial datalog-one-store datalog-no-placement durable-opaque-rows exchange-words one-keyed-merge one-tick-path one-lowering compiled-handlers test tick-allocs bench-test fuzz tables smoke
+ci: build vet fmt orphans datalog-serial datalog-one-store datalog-no-placement durable-opaque-rows exchange-words coordinator-commits one-keyed-merge one-tick-path one-lowering compiled-handlers test tick-allocs bench-test fuzz tables smoke
 
 # lines prints the line counts of the Go files a change is sized by:
 # non-test and test files outside bench/, and under it (hidden build
@@ -153,6 +153,22 @@ EXCHANGE_BANNED = datalog\.Tuple|datalog\.Change
 exchange-words:
 	@! grep -nE '$(EXCHANGE_BANNED)' $(EXCHANGE_SRC) | sed 's,//.*,,' | grep -E '$(EXCHANGE_BANNED)'
 	@! grep -nw 'Change' $(DATALOG_SRC) | sed 's,//.*,,' | grep -w 'Change'
+
+# coordinator-commits fails if non-test internal/shard/coord.go or ctl.go
+# names stRound, Quiet, NextComp or HasDel, or if proto.go's req or rsp
+# struct holds a Comp or Round field (comments stripped, as above): the
+# coordinator prepares, decides and commits a tick, and the replicas step
+# its rounds among themselves, choosing each next round and component from
+# the batches they accept (DESIGN.md §11), so round sequencing does not
+# grow back into the coordinator or its messages.
+COORD_SRC = internal/shard/coord.go internal/shard/ctl.go
+COORD_BANNED = stRound|Quiet|NextComp|HasDel
+coordinator-commits:
+	@! grep -nE '$(COORD_BANNED)' $(COORD_SRC) | sed 's,//.*,,' | grep -E '$(COORD_BANNED)'
+	@awk '{code=$$0; sub(/\/\/.*/,"",code)} \
+		code ~ /^type (req|rsp) struct/ {in_msg=1} \
+		in_msg && code ~ /(^|[^[:alnum:]_])(Comp|Round)([^[:alnum:]_]|$$)/ {print FILENAME":"FNR": round sequencing in a coordinator message: "$$0; bad=1} \
+		code ~ /^}/ {in_msg=0} END{exit bad}' internal/shard/proto.go
 
 # one-keyed-merge fails if a non-test file of internal/transducer names
 # MergeField, fieldMerge, LatticeMerge, assigns or assignKeys (comments

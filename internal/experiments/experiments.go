@@ -152,6 +152,7 @@ type tickCost struct {
 	phase1    float64 // Paxos phase-1 rounds the coordinators started, per tick
 	msgs      float64 // simnet messages sent per tick
 	virtualMs float64 // virtual ms from Submit until Settle returns, per tick
+	rounds    float64 // component exchange rounds per tick (Metrics.Rounds)
 	// rowsPerVSec is base rows committed per virtual second.
 	rowsPerVSec float64
 }
@@ -207,6 +208,7 @@ func shardedTickCost(shards, perTick, ticks int, deletes bool) tickCost {
 		m := dep.Metrics()
 		c.decrees += float64(m.SubmitDecrees + m.CommitDecrees - m0.SubmitDecrees - m0.CommitDecrees)
 		c.phase1 += float64(m.Phase1Rounds - m0.Phase1Rounds)
+		c.rounds += float64(m.Rounds - m0.Rounds)
 		c.msgs += float64(cl.Net.Stats().Sent - sent0)
 		elapsed += float64(cl.Net.Now() - start)
 		rows += float64(len(ops))
@@ -214,6 +216,7 @@ func shardedTickCost(shards, perTick, ticks int, deletes bool) tickCost {
 	n := float64(ticks)
 	c.decrees /= n
 	c.phase1 /= n
+	c.rounds /= n
 	c.msgs /= n
 	c.virtualMs = elapsed / 1000 / n
 	c.rowsPerVSec = rows / (elapsed / 1e6)
@@ -230,7 +233,7 @@ func RunE2(ticks int) Table {
 	t := Table{
 		ID:     "E2",
 		Title:  "CALM: price of coordination per committed tick, compiled COVID on 3 shards",
-		Header: []string{"mix", "contacts/tick", "decrees/tick", "msgs/tick", "virtual-ms/tick", "phase-1/tick"},
+		Header: []string{"mix", "contacts/tick", "decrees/tick", "msgs/tick", "virtual-ms/tick", "phase-1/tick", "rounds/tick"},
 	}
 	for _, mix := range []struct {
 		name    string
@@ -239,7 +242,7 @@ func RunE2(ticks int) Table {
 		c := shardedTickCost(shards, contactsPerTick, ticks, mix.deletes)
 		t.Rows = append(t.Rows, []string{mix.name, fmt.Sprint(contactsPerTick),
 			fmt.Sprintf("%.2f", c.decrees), fmt.Sprintf("%.1f", c.msgs), fmt.Sprintf("%.2f", c.virtualMs),
-			fmt.Sprintf("%.2f", c.phase1)})
+			fmt.Sprintf("%.2f", c.phase1), fmt.Sprintf("%.1f", c.rounds)})
 	}
 	t.Notes = "both mixes pay the same barrier protocol today (submit and commit decrees, a barrier per exchange round); " +
 		"deletes add DRed's over-delete rounds and one round that support-checks the candidates on every replica, never the closure's extent. " +
@@ -537,7 +540,7 @@ func RunE9(shardCounts []int, ticks int) Table {
 	t := Table{
 		ID:     "E9",
 		Title:  "Anna-style scale-out: compiled COVID deployment at a fixed load per shard",
-		Header: []string{"shards", "contacts/tick", "decrees/tick", "msgs/tick", "virtual-ms/tick", "rows/vsec", fmt.Sprintf("vs-%d-shard", shardCounts[0])},
+		Header: []string{"shards", "contacts/tick", "decrees/tick", "msgs/tick", "virtual-ms/tick", "rows/vsec", fmt.Sprintf("vs-%d-shard", shardCounts[0]), "rounds/tick"},
 	}
 	var base float64
 	for _, n := range shardCounts {
@@ -547,7 +550,7 @@ func RunE9(shardCounts []int, ticks int) Table {
 		}
 		t.Rows = append(t.Rows, []string{fmt.Sprint(n), fmt.Sprint(n * contactsPerTick),
 			fmt.Sprintf("%.2f", c.decrees), fmt.Sprintf("%.1f", c.msgs), fmt.Sprintf("%.2f", c.virtualMs),
-			fmt.Sprintf("%.0f", c.rowsPerVSec), fmt.Sprintf("%.1f×", c.rowsPerVSec/base)})
+			fmt.Sprintf("%.0f", c.rowsPerVSec), fmt.Sprintf("%.1f×", c.rowsPerVSec/base), fmt.Sprintf("%.1f", c.rounds)})
 	}
 	t.Notes = "every tick still pays the barrier protocol, so msgs/tick grow with the shards' exchange fan-out while virtual ms/tick stay near flat"
 	return t

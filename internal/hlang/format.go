@@ -123,7 +123,11 @@ func formatBody(body []BodyAtom, filters []Expr) string {
 		parts = append(parts, a.String())
 	}
 	for _, f := range filters {
-		parts = append(parts, f.String())
+		s := f.String()
+		if _, call := f.(*CallExpr); call {
+			s = "(" + s + ")" // bare, a call filter would reparse as an atom
+		}
+		parts = append(parts, s)
 	}
 	return strings.Join(parts, ", ")
 }

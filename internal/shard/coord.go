@@ -7,25 +7,22 @@ import (
 	"hydro/internal/simnet"
 )
 
-// Coordinator stages, in tick order. Prepare's acks, and those of a
-// component's last round, name the component whose round 0 comes next
-// (nextComp). stDecide sits between the last component and commit: the
-// driver has collected every replica's final ack and is waiting for its
-// commit decree to land on the quorum log. stFailed is terminal: a
-// component's evaluation failed, so the tick can never commit and every
-// replica rolls its attempt back.
+// Coordinator stages of two-phase commit, in tick order. In stPrepare the
+// replicas step the tick's rounds themselves and each acks once it has
+// staged the tick; in stDecide the commit decree is on its way to the
+// quorum log. stFailed is terminal: a component's evaluation failed, so the
+// tick can never commit and every replica rolls its attempt back.
 type stage int
 
 const (
 	stIdle stage = iota
 	stPrepare
-	stRound
 	stDecide
 	stCommit
 	stFailed
 )
 
-// coord is the volatile BSP driver the acting leader runs for one tick:
+// coord is the volatile commit driver the acting leader runs for one tick:
 // broadcast a request, collect N acks, advance. It holds no durable truth —
 // tick admission and commit decisions live on the replicated control log
 // (ctl.go); everything here is reconstructed after failover by restarting
@@ -45,10 +42,6 @@ type coord struct {
 	due     simnet.Time // when the stall watchdog trips; 0 once nothing is left to retry
 	timerAt simnet.Time // when the pending watchdog timer fires; 0 if none
 	stg     stage
-	comp    int
-	round   int
-	hasDel  bool // the tick deletes from the component's inputs somewhere
-	quiet   bool // the last round left nothing to drive anywhere
 	tickOps []datalog.DeltaOp
 	acks    map[int]rsp
 }
@@ -74,7 +67,8 @@ func (c *coord) armWatchdog(after simnet.Time) {
 	c.dep().net.After(c.name(), after, watchdogMsg{drv: c, at: c.timerAt})
 }
 
-// progress marks forward motion of the current attempt: the watchdog trips
+// progress marks forward motion of the current attempt — an ack, or a
+// replica's note that its rounds still close: the watchdog trips
 // DefaultRetryAfter from now. One timer is pending per coord, re-armed for
 // the rest of the period when it fires early, so superseded timers do not
 // pile up in the event queue a stage at a time.
@@ -85,20 +79,15 @@ func (c *coord) progress() {
 	}
 }
 
-// send tells every replica to run the current stage of the attempt: m,
-// changed per replica by per when it is non-nil.
-func (c *coord) send(m req, per func(i int, m *req)) {
-	m.Tick, m.Att, m.Epoch, m.Kind, m.Comp, m.Round = c.t, c.a, c.epoch, c.stg, c.comp, c.round
+// send tells every replica to run the current stage of the attempt.
+func (c *coord) send(m req) {
+	m.Tick, m.Att, m.Epoch, m.Kind = c.t, c.a, c.epoch, c.stg
 	if c.acks == nil {
 		c.acks = make(map[int]rsp, c.dep().place.N)
 	}
 	clear(c.acks)
-	for i, node := range c.dep().replicaNames {
-		mi := m
-		if per != nil {
-			per(i, &mi)
-		}
-		c.dep().net.Send(c.name(), node, mi)
+	for _, node := range c.dep().replicaNames {
+		c.dep().net.Send(c.name(), node, m)
 	}
 }
 
@@ -118,7 +107,7 @@ func (c *coord) watchdog(m watchdogMsg) {
 	case stCommit, stFailed:
 		// The attempt's outcome is settled (commit decreed, or evaluation
 		// failed); just re-push its broadcast until every replica acked.
-		c.send(req{}, nil)
+		c.send(req{})
 		c.progress()
 	case stDecide:
 		// Waiting on the quorum log; the consensus layer retries the decree
@@ -135,23 +124,19 @@ func (c *coord) watchdog(m watchdogMsg) {
 // startAttempt (re)starts the tick from prepare under a fresh attempt ID:
 // the epoch in the high half, the leader's attempt count in the low half.
 // Each epoch has one leader, so IDs never repeat across leaders and grow
-// with the epoch. Each replica's prepare carries its routed slice of the
-// tick's base ops.
+// with the epoch. The prepare carries the tick's base ops; each replica
+// applies those it holds.
 func (c *coord) startAttempt() {
 	c.cn.attSeq++
 	c.dep().metrics.attempts++
 	c.a = c.epoch<<32 | c.cn.attSeq
-	routed := make([][]datalog.DeltaOp, c.dep().place.N)
-	for _, op := range c.tickOps {
-		c.dep().place.route(routed, op)
-	}
 	c.setStage(stPrepare)
-	c.send(req{}, func(i int, m *req) { m.Ops = routed[i] })
+	c.send(req{Ops: c.tickOps})
 	c.progress()
 }
 
 func (c *coord) collect(m rsp) {
-	if m.Tick != c.t || m.Att != c.a || m.Kind != c.stg || m.Comp != c.comp || m.Round != c.round {
+	if m.Tick != c.t || m.Att != c.a || m.Kind != c.stg {
 		return
 	}
 	if m.Err != nil && c.stg != stFailed {
@@ -167,38 +152,18 @@ func (c *coord) collect(m rsp) {
 		return
 	}
 	c.progress()
-	c.advance()
-}
-
-func (c *coord) advance() {
-	n := c.dep().place.N
 	switch c.stg {
 	case stPrepare:
-		c.nextComp()
-	case stRound:
-		// Every replica has accepted the round's batches: once nothing is
-		// left to drive anywhere, a component in its last phase is done.
-		last, pending := true, 0
-		for i := 0; i < n; i++ {
-			last = last && c.acks[i].Last
-			pending += c.acks[i].Next
-		}
-		if pending == 0 && last {
-			c.nextComp()
-			return
-		}
-		c.round++
-		c.quiet = pending == 0
-		c.startRound()
+		// Every replica holds the fully staged attempt; seal the tick on
+		// the quorum log before telling anyone to commit, so a failover in
+		// the gap finalizes instead of re-driving.
+		c.setStage(stDecide)
+		c.cn.cons.Propose(decreeCommit{Tick: c.t, Att: c.a, Epoch: c.epoch})
 	case stCommit:
-		allIn := true
-		for i := 0; i < n; i++ {
+		for i := 0; i < c.dep().place.N; i++ {
 			if c.acks[i].Committed < c.t {
-				allIn = false
+				return // commit retry will re-collect
 			}
-		}
-		if !allIn {
-			return // commit retry will re-collect
 		}
 		c.cn.drv = nil
 		c.cn.maybeStartNext()
@@ -214,43 +179,14 @@ func (c *coord) fail(err error) {
 		c.dep().err = fmt.Errorf("shard: tick %d: %w", c.t, err)
 	}
 	c.setStage(stFailed)
-	c.send(req{}, nil)
+	c.send(req{})
 	c.progress()
-}
-
-// nextComp starts the smallest component an ack names, deleting from its
-// inputs if a replica that names it deletes, or, when none is named, seals
-// the tick.
-func (c *coord) nextComp() {
-	c.comp, c.hasDel = c.dep().comps, false
-	for _, a := range c.acks {
-		if a.NextComp < c.comp {
-			c.comp, c.hasDel = a.NextComp, false
-		}
-		c.hasDel = c.hasDel || a.NextComp == c.comp && a.HasDel
-	}
-	if c.comp >= c.dep().comps {
-		// Every replica holds the fully staged attempt; seal the tick on
-		// the quorum log before telling anyone to commit, so a failover in
-		// the gap finalizes instead of re-driving.
-		c.setStage(stDecide)
-		c.cn.cons.Propose(decreeCommit{Tick: c.t, Att: c.a, Epoch: c.epoch})
-		c.progress()
-		return
-	}
-	c.round, c.quiet = 0, false
-	c.startRound()
 }
 
 // enterCommit broadcasts the decreed commit (called when the commit decree
 // applies, or by a recovered leader finalizing the last sealed tick).
 func (c *coord) enterCommit() {
 	c.setStage(stCommit)
-	c.send(req{}, nil)
+	c.send(req{})
 	c.progress()
-}
-
-func (c *coord) startRound() {
-	c.setStage(stRound)
-	c.send(req{HasDel: c.hasDel, Quiet: c.quiet}, nil)
 }

@@ -11,11 +11,11 @@ import (
 // coordinator nodes; every coordinator applies the same decree sequence
 // through ctlState.apply, so they agree on the epoch, the current leader,
 // the committed-tick frontier, and the submitted-tick queue. Only the
-// leader of the current epoch drives the volatile BSP state machine
-// (coord.go), and it starts and restarts attempts itself: an attempt ID
-// carries the epoch (startAttempt), so it is unique across leaders, and the
-// replicas' epoch fence and exact-(tick, att) commit check order attempts
-// without a decree. Everything the driver needs beyond the log is
+// leader of the current epoch drives a tick's volatile commit (coord.go),
+// and it starts and restarts attempts itself: an attempt ID carries the
+// epoch (startAttempt), so it is unique across leaders, and the replicas'
+// epoch fence and exact-(tick, att) commit check order attempts without a
+// decree. Everything the driver needs beyond the log is
 // reconstructed by restarting the in-flight attempt from prepare, which is
 // exactly what a standby does after winning an election.
 
@@ -128,7 +128,7 @@ const (
 
 // coordNode is one replicated coordinator: a Paxos participant plus the
 // decree application logic, heartbeat/election duties, and — when it is
-// the leader of the current epoch — the volatile BSP driver.
+// the leader of the current epoch — the volatile commit driver.
 type coordNode struct {
 	dep  *Deployment
 	idx  int
@@ -190,6 +190,10 @@ func (cn *coordNode) handle(now simnet.Time, msg simnet.Message) {
 	case rsp:
 		if cn.drv != nil {
 			cn.drv.collect(m)
+		}
+	case noteMsg: // a replica's rounds of the attempt still close
+		if d := cn.drv; d != nil && d.t == m.Tick && d.a == m.Att && d.stg == stPrepare {
+			d.progress()
 		}
 	default:
 		if consensus.IsMessage(msg.Payload) {

@@ -49,7 +49,8 @@ type Deployment struct {
 	group        *consensus.Group
 	submitted    uint64
 	metrics      ctlMetrics
-	stageHook    func(node string, tick, att uint64, stg int) // test injection point
+	stageHook    func(node string, tick, att uint64, stg int)     // test injection point
+	roundHook    func(replica int, tick uint64, k rkey, del bool) // test observation point: each component round a replica steps
 }
 
 // Deploy hosts one replica of prog on each named machine of cl, sharding
@@ -111,7 +112,7 @@ func deploy(cl *cluster.Cluster, name string, prog *datalog.Program, edb map[str
 		cl.HostNode(machines[i], r.handle)
 	}
 	// The replicated control plane: one embedded Paxos participant per
-	// coordinator, multiplexed with the BSP protocol on the same node
+	// coordinator, multiplexed with the commit protocol on the same node
 	// (coordNode.handle routes by message type). Coordinators live outside
 	// the machine failure domains on purpose — the chaos suites fault them
 	// independently of the data plane.

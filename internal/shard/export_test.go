@@ -16,7 +16,6 @@ import (
 const (
 	StageIdle    = int(stIdle)
 	StagePrepare = int(stPrepare)
-	StageRound   = int(stRound)
 	StageDecide  = int(stDecide)
 	StageCommit  = int(stCommit)
 )
@@ -43,22 +42,33 @@ func (d *Deployment) CountDelivered(n *uint64) {
 	}
 }
 
-// Request is a coordinator request as a replica received it.
-type Request struct {
-	Replica, Kind, Comp, Round int
-	HasDel                     bool
+// Exchange is Received.Kind for a component round.
+const Exchange = -1
+
+// Received is what a replica did in tick Tick: receive a coordinator
+// request of stage Kind, or, with Kind Exchange, step round Round of
+// component Comp and send every replica its batch — round 0 starts the
+// component, deleting from its inputs if HasDel.
+type Received struct {
+	Replica, Kind int
+	Tick          uint64
+	Comp, Round   int
+	HasDel        bool
 }
 
-// WatchRequests hands watch every coordinator request the network
-// delivers to a replica.
-func (d *Deployment) WatchRequests(watch func(Request)) {
+// WatchReplicas hands watch every coordinator request the network
+// delivers to a replica, and every component round a replica steps.
+func (d *Deployment) WatchReplicas(watch func(Received)) {
 	for _, r := range d.replicas {
 		d.net.SetHandler(r.name(), func(now simnet.Time, msg simnet.Message) {
 			if m, ok := msg.Payload.(req); ok {
-				watch(Request{Replica: r.self, Kind: int(m.Kind), Comp: m.Comp, Round: m.Round, HasDel: m.HasDel})
+				watch(Received{Replica: r.self, Kind: int(m.Kind), Tick: m.Tick})
 			}
 			r.handle(now, msg)
 		})
+	}
+	d.roundHook = func(i int, tick uint64, k rkey, del bool) {
+		watch(Received{Replica: i, Kind: Exchange, Tick: tick, Comp: k.comp, Round: k.round, HasDel: del && k.round == 0})
 	}
 }
 

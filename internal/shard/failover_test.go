@@ -20,12 +20,12 @@ import (
 // failoverStages is the kill schedule: every driver stage from prepare
 // through commit.
 var failoverStages = []int{
-	shard.StagePrepare, shard.StageRound, shard.StageDecide, shard.StageCommit,
+	shard.StagePrepare, shard.StageDecide, shard.StageCommit,
 }
 
 func stageName(s int) string {
 	names := map[int]string{
-		shard.StageIdle: "idle", shard.StagePrepare: "prepare", shard.StageRound: "round",
+		shard.StageIdle: "idle", shard.StagePrepare: "prepare",
 		shard.StageDecide: "decide", shard.StageCommit: "commit",
 	}
 	return names[s]
@@ -50,9 +50,9 @@ func healAll(net *simnet.Network, dep *shard.Deployment, node string) {
 	}
 }
 
-// failoverRules covers every driver stage: the linear TC layer drives
-// DRed exchange rounds (stRound), and the negation layer makes its
-// component non-monotone (a recompute round).
+// failoverRules covers every kind of round the replicas step under a
+// driver stage: the linear TC layer runs DRed exchange rounds, and the
+// negation layer makes its component non-monotone (a recompute round).
 var failoverRules = append(append([]datalog.Rule{}, tcRules...), datalog.Rule{
 	Head: datalog.Atom{Pred: "dead", Args: []datalog.Term{datalog.V("x")}},
 	Body: []datalog.Literal{
@@ -211,7 +211,7 @@ func TestFailoverLeaderKillEveryStage(t *testing.T) {
 		mode := mode
 		t.Run("ops-"+mode, func(t *testing.T) {
 			t.Parallel()
-			runInFlightFault(t, shard.StagePrepare, mode == "partition")
+			runInFlightFault(t, shard.StagePrepare, 3, mode == "partition")
 		})
 	}
 }
@@ -339,12 +339,12 @@ func TestFailoverLeaderPausedAtDecideResumes(t *testing.T) {
 	}
 }
 
-// TestFailoverMidExchange faults the leader while its replicas run an
-// exchange round without it: half a hop after its first round request of
-// tick 2 lands, every replica holds the request and no answer can have
-// reached the leader. The replicas still run the round, exchange their
-// batches, accept them and answer a leader that is gone; the successor
-// restarts the attempt over their staging.
+// TestFailoverMidExchange faults the leader while its replicas run their
+// exchange rounds without it: half a hop after every replica holds its
+// peers' batches of tick 2's first round, and before any staged ack can
+// reach the leader. The replicas still step the tick's rounds, exchange
+// their batches, accept them and answer a leader that is gone; the
+// successor restarts the attempt over their staging.
 func TestFailoverMidExchange(t *testing.T) {
 	for _, partition := range []bool{false, true} {
 		mode := "kill"
@@ -352,19 +352,20 @@ func TestFailoverMidExchange(t *testing.T) {
 			mode = "partition"
 		}
 		t.Run(mode, func(t *testing.T) {
-			runInFlightFault(t, shard.StageRound, partition)
+			runInFlightFault(t, shard.StagePrepare, 5, partition)
 		})
 	}
 }
 
 // runInFlightFault faults the leader while its first request of `stage`
 // on tick 2 is with the replicas. Every hop takes exactly one hop time,
-// and a helper node's timer faults the leader a hop and a half after it
-// enters the stage: after every replica holds the request, before any
-// answer can reach the leader. Every tick must still settle to the
-// single-node incremental fixpoint, with one election and no double
-// commit.
-func runInFlightFault(t *testing.T, stage int, partition bool) {
+// and a helper node's timer faults the leader halfHops half hops after it
+// enters the stage: 3 is after every replica holds the request, and 5
+// after every replica holds its peers' batches of the tick's first round,
+// both before any answer can reach the leader. Every tick must still
+// settle to the single-node incremental fixpoint, with one election and no
+// double commit.
+func runInFlightFault(t *testing.T, stage, halfHops int, partition bool) {
 	t.Helper()
 	const hop = simnet.Time(100)
 	prog, err := datalog.NewProgram(failoverRules...)
@@ -399,7 +400,7 @@ func runInFlightFault(t *testing.T, stage int, partition bool) {
 			moved++ // the leader collected the stage's answers before the fault
 		case tick == 2 && stg == stage:
 			leader = node
-			cl.Net.After("fault-timer", hop+hop/2, nil)
+			cl.Net.After("fault-timer", simnet.Time(halfHops)*hop/2, nil)
 		}
 	})
 

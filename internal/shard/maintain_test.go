@@ -201,3 +201,49 @@ func TestShardedMirroredRecursionShipsNoKnownRows(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedLongTickCommitsInOneAttempt: unary reachability from one root
+// over a chain takes a round per link, so on 3 replicas at DefaultConfig
+// latencies the tick that adds the root, and the one that cuts the chain
+// at the root, each step their rounds for longer than the coordinator's
+// stall watchdog. Replicas whose rounds still close say so, so no such
+// tick is taken for a stall: each commits in one attempt and matches the
+// single-node oracle.
+func TestShardedLongTickCommitsInOneAttempt(t *testing.T) {
+	const links = 4000
+	prog, err := datalog.NewProgram(
+		rule(atom("reach", "x"), atom("root", "x")),
+		rule(atom("reach", "y"), atom("reach", "x"), atom("edge", "x", "y")),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edb := map[string]int{"root": 1, "edge": 2}
+	var chain []datalog.DeltaOp
+	for i := int64(0); i < links; i++ {
+		chain = append(chain, ins("edge", i, i+1))
+	}
+	ticks := [][]datalog.DeltaOp{chain, {ins("root", int64(0))}, {del("edge", int64(0), int64(1))}}
+	cl, dep := newDeployment(t, prog, edb, 3, 23)
+	ref := newOracle(t, prog, edb)
+	long := 0
+	for i, ops := range ticks {
+		start := cl.Net.Now()
+		if err := dep.Submit(ops); err != nil || !dep.Settle(settleBudget) {
+			t.Fatalf("tick %d did not commit: %v\n%s", i, err, dep.DebugString())
+		}
+		if cl.Net.Now()-start > shard.DefaultRetryAfter {
+			long++
+		}
+		ref.tick(t, ops)
+		if got, want := dep.DumpString(), ref.dump(dep.Placement().Preds); got != want {
+			t.Fatalf("tick %d diverged from the single-node oracle", i)
+		}
+	}
+	if long != 2 {
+		t.Fatalf("%d ticks outlasted the stall watchdog, want the root's and the cut's", long)
+	}
+	if m := dep.Metrics(); m.Attempts != uint64(len(ticks)) {
+		t.Fatalf("%d attempts for %d ticks: a long tick was restarted", m.Attempts, len(ticks))
+	}
+}

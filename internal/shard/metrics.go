@@ -15,6 +15,7 @@ type ctlMetrics struct {
 	maxEpoch      uint64      // highest epoch any coordinator has applied
 	lastChange    simnet.Time // virtual time the highest epoch was first applied
 	rows          uint64      // Metrics.RowsShipped
+	rounds        uint64      // Metrics.Rounds
 }
 
 // noteLeaderChange records the first application time of each new epoch:
@@ -46,6 +47,7 @@ type Metrics struct {
 	Phase1Rounds     uint64      // Paxos phase-1 rounds the coordinators started
 	PaxosSends       uint64      // Paxos messages the coordinators sent
 	RowsShipped      uint64      // rows exchange rounds shipped, a copy per replica sent to, itself included
+	Rounds           uint64      // component exchange rounds replica 0 closed, restarted attempts included
 	// Deprecated: AttemptDecrees counted attempt decrees on the control
 	// log, which no longer exist; it always reads 0. Read Attempts.
 	AttemptDecrees uint64
@@ -77,5 +79,6 @@ func (d *Deployment) Metrics() Metrics {
 		Phase1Rounds:     phase1,
 		PaxosSends:       sends,
 		RowsShipped:      d.metrics.rows,
+		Rounds:           d.metrics.rounds,
 	}
 }

@@ -10,7 +10,7 @@ import (
 // TestShardedChurnWithinTickShipsNothing pins the net-change bookkeeping
 // replicas keep per tick: a tuple inserted and retracted inside one tick,
 // and a present tuple retracted and re-inserted, cancel — no component
-// sees an input change, so the coordinator drives no exchange round and no
+// sees an input change, so the replicas step no component round and no
 // recompute for that tick, and the fixpoint is untouched. failoverRules
 // puts both a sharded recursive component (path) and a mirrored
 // non-monotone one (dead) downstream of the churned relations.
@@ -21,10 +21,10 @@ func TestShardedChurnWithinTickShipsNothing(t *testing.T) {
 	}
 	_, dep := newDeployment(t, prog, tcEDB, 3, 7)
 	ref := newOracle(t, prog, tcEDB)
-	evaluated := map[uint64]bool{} // ticks that reached an exchange round (recompute included)
-	dep.SetStageHook(func(_ string, tick, _ uint64, stg int) {
-		if stg == shard.StageRound {
-			evaluated[tick] = true
+	evaluated := map[uint64]bool{} // ticks that reached a component round (recompute included)
+	dep.WatchReplicas(func(q shard.Received) {
+		if q.Kind == shard.Exchange && q.Comp >= 0 {
+			evaluated[q.Tick] = true
 		}
 	})
 
@@ -55,6 +55,6 @@ func TestShardedChurnWithinTickShipsNothing(t *testing.T) {
 		t.Fatalf("ticks with real changes should drive evaluation stages: %v", evaluated)
 	}
 	if evaluated[2] {
-		t.Fatal("a tick whose ops cancel out drove an exchange round or a recompute")
+		t.Fatal("a tick whose ops cancel out ran a component round or a recompute")
 	}
 }

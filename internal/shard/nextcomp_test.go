@@ -9,22 +9,22 @@ import (
 	"hydro/internal/shard"
 )
 
-// A tick's protocol has no begin round: a replica's prepare ack names the
-// first component its batch touches, and the ack of a round that ends a
-// component the next, so each replica receives one prepare, the rounds of
-// the components some replica's batch touches, and one commit.
+// A tick's rounds are the replicas' own: each replica receives one prepare
+// and one commit from the coordinator and nothing else, and between them
+// steps the rounds of the components some replica's batch touches,
+// choosing each next round from the batches it accepted.
 
 // watchTicks submits ticks to dep one at a time, settling each and
 // comparing the dump with the single-node oracle's, and returns per tick
-// what tickRounds reads off the requests the replicas received.
+// what tickRounds reads off what the replicas received and stepped.
 func watchTicks(t *testing.T, dep *shard.Deployment, prog *datalog.Program, edb map[string]int, ticks [][]datalog.DeltaOp) []map[int]bool {
 	t.Helper()
-	var reqs []shard.Request
-	dep.WatchRequests(func(q shard.Request) { reqs = append(reqs, q) })
+	var seen []shard.Received
+	dep.WatchReplicas(func(q shard.Received) { seen = append(seen, q) })
 	ref := newOracle(t, prog, edb)
 	var out []map[int]bool
 	for i, ops := range ticks {
-		reqs = reqs[:0]
+		seen = seen[:0]
 		if err := dep.Submit(ops); err != nil || !dep.Settle(settleBudget) {
 			t.Fatalf("tick %d did not commit: %v\n%s", i, err, dep.DebugString())
 		}
@@ -32,19 +32,19 @@ func watchTicks(t *testing.T, dep *shard.Deployment, prog *datalog.Program, edb 
 		if got, want := dep.DumpString(), ref.dump(dep.Placement().Preds); got != want {
 			t.Fatalf("tick %d diverged:\n%s\nwant:\n%s", i, got, want)
 		}
-		out = append(out, tickRounds(t, len(dep.Replicas()), reqs))
+		out = append(out, tickRounds(t, len(dep.Replicas()), seen))
 	}
 	return out
 }
 
-// tickRounds checks the requests the replicas received in one tick: every
-// replica the same ones, a prepare first, a commit last and round requests
-// between, components ascending and each one's rounds numbered from 0. It
-// returns the delete flag of each started component's round 0.
-func tickRounds(t *testing.T, n int, reqs []shard.Request) map[int]bool {
+// tickRounds checks what the replicas received and stepped in one tick:
+// every replica the same, a prepare first, a commit last and component
+// rounds between, components ascending and each one's rounds numbered
+// from 0. It returns the delete flag of each started component's round 0.
+func tickRounds(t *testing.T, n int, seen []shard.Received) map[int]bool {
 	t.Helper()
-	seqs := make([][]shard.Request, n)
-	for _, q := range reqs {
+	seqs := make([][]shard.Received, n)
+	for _, q := range seen {
 		i := q.Replica
 		q.Replica = 0
 		seqs[i] = append(seqs[i], q)
@@ -56,22 +56,22 @@ func tickRounds(t *testing.T, n int, reqs []shard.Request) map[int]bool {
 	}
 	seq := seqs[0]
 	if len(seq) < 2 || seq[0].Kind != shard.StagePrepare || seq[len(seq)-1].Kind != shard.StageCommit {
-		t.Fatalf("requests %+v: want a prepare first and a commit last", seq)
+		t.Fatalf("received %+v: want a prepare first and a commit last", seq)
 	}
 	started, comp, round := map[int]bool{}, -1, 0
 	for _, q := range seq[1 : len(seq)-1] {
-		if q.Kind != shard.StageRound {
-			t.Fatalf("requests %+v: a request of kind %d within the tick, want round requests only", seq, q.Kind)
+		if q.Kind != shard.Exchange {
+			t.Fatalf("received %+v: a request of kind %d within the tick, want component rounds only", seq, q.Kind)
 		}
 		if q.Comp != comp {
 			if q.Comp < comp {
-				t.Fatalf("requests %+v: component %d after %d", seq, q.Comp, comp)
+				t.Fatalf("received %+v: component %d after %d", seq, q.Comp, comp)
 			}
 			comp, round = q.Comp, 0
 			started[comp] = q.HasDel
 		}
 		if q.Round != round {
-			t.Fatalf("requests %+v: component %d round %d, want %d", seq, comp, q.Round, round)
+			t.Fatalf("received %+v: component %d round %d, want %d", seq, comp, q.Round, round)
 		}
 		round++
 	}

@@ -38,20 +38,6 @@ type Placement struct {
 	Preds []string
 }
 
-// route appends op to out[d] for each replica d holding its tuple: its
-// owner (hash of the partition column mod N), or every replica for a
-// mirrored pred.
-func (p *Placement) route(out [][]datalog.DeltaOp, op datalog.DeltaOp) {
-	if s := p.Specs[op.Pred]; !s.Mirrored {
-		d := shardOf(op.T, s.Col, p.N)
-		out[d] = append(out[d], op)
-		return
-	}
-	for d := range out {
-		out[d] = append(out[d], op)
-	}
-}
-
 // NewPlacement derives a placement for prog's predicates over n replicas.
 // edb maps base predicates to arities; declared maps predicates to
 // partition columns fixed by the source program (hlang `partition(col)`

@@ -10,13 +10,11 @@ import (
 // replica is one shard server: it owns one hash-shard of every sharded
 // relation (plus a full copy of every mirrored one) and maintains them with
 // the single-node engine, a datalog.Tick, stepped one exchange round at a
-// time: what a round emits goes to the replica owning it, and what arrives
-// is accepted at the round's barrier in sender order. Each replica sends
-// every peer one batch per round, so a replica closes its own barrier once
-// it holds N. What lives here is only what is distributed: routing,
-// designated drivers, barriers and epoch/attempt fencing. The tick's Abort
-// is the undo log: a restarted attempt rolls the staged one back, so
-// redelivered or retried protocol traffic can never double-apply.
+// time: what a round emits goes to the replica owning it, and every replica
+// closes a round itself once it holds N batches, accepts them in sender
+// order and picks the next round from them as every replica does. The
+// tick's Abort is the undo log: a restarted attempt rolls the staged one
+// back, so redelivered or retried protocol traffic can never double-apply.
 type replica struct {
 	dep  *Deployment
 	self int
@@ -30,10 +28,14 @@ type replica struct {
 	coordFrom       string // coordinator that prepared the current attempt (reply target)
 
 	// Staging for the current attempt.
-	tick   *datalog.Tick     // nil until the attempt's ops are applied
-	inbox  map[rkey][]xchMsg // round batches by barrier, this replica's own included
-	driven *req              // the round driven here and not yet answered
-	last   bool              // driven's Round reported its component's last phase
+	tick     *datalog.Tick     // nil until the attempt's ops are applied
+	inbox    map[rkey][]xchMsg // round batches, this replica's own included; a later attempt's wait for its prepare
+	cur      rkey              // the round this replica sent its batch for last
+	stepping bool              // the attempt's staged ack is not sent yet
+	last     bool              // cur's component is in its last phase
+
+	noteAt simnet.Time // when the pending note timer fires; 0 if none
+	closed bool        // a round closed here since the prepare or the last note
 }
 
 func newReplica(dep *Deployment, self int) (*replica, error) {
@@ -45,7 +47,7 @@ func newReplica(dep *Deployment, self int) (*replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &replica{dep: dep, self: self, db: db, inc: inc, coordFrom: dep.coordNames[0]}
+	r := &replica{dep: dep, self: self, db: db, inc: inc, coordFrom: dep.coordNames[0], inbox: map[rkey][]xchMsg{}}
 	r.site.Whole = func(pred string) bool { return dep.place.N == 1 || dep.place.Specs[pred].Mirrored }
 	r.site.Owner = func(pred string, w []uint64, vals []any) int {
 		if s := dep.place.Specs[pred]; !s.Mirrored {
@@ -56,15 +58,7 @@ func newReplica(dep *Deployment, self int) (*replica, error) {
 	if dep.place.N > 1 { // a row every replica holds is driven by its whole-tuple hash's replica
 		r.site.Mine = func(w []uint64, vals []any) bool { return shardOfRow(w, vals, -1, dep.place.N) == self }
 	}
-	r.clearStaging()
 	return r, nil
-}
-
-// clearStaging forgets the current attempt's staging — after a rollback,
-// or at commit, when the staged changes become the committed state.
-func (r *replica) clearStaging() {
-	r.tick, r.driven = nil, nil
-	r.inbox = map[rkey][]xchMsg{}
 }
 
 func (r *replica) name() string { return r.dep.replicaNames[r.self] }
@@ -72,8 +66,15 @@ func (r *replica) name() string { return r.dep.replicaNames[r.self] }
 // reply answers request m with a, which echoes m's header.
 func (r *replica) reply(m req, a rsp) {
 	a.From, a.Committed = r.self, r.committed
-	a.Tick, a.Att, a.Kind, a.Comp, a.Round = m.Tick, m.Att, m.Kind, m.Comp, m.Round
+	a.Tick, a.Att, a.Kind = m.Tick, m.Att, m.Kind
 	r.dep.net.Send(r.name(), r.coordFrom, a)
+}
+
+// answer ends the attempt here with its prepare's answer: the staged ack,
+// or the evaluation failure err.
+func (r *replica) answer(err error) {
+	r.stepping = false
+	r.reply(req{Tick: r.curTick, Att: r.curAtt, Kind: stPrepare}, rsp{Err: err})
 }
 
 func (r *replica) handle(now simnet.Time, msg simnet.Message) {
@@ -81,10 +82,20 @@ func (r *replica) handle(now simnet.Time, msg simnet.Message) {
 	case req:
 		r.handleReq(msg.From, m)
 	case xchMsg: // a peer's round batch, accepted at the round's barrier
-		if !r.stale(m.Epoch, m.Tick, m.Att) {
-			k := rkey{m.Comp, m.Round}
+		if m.Epoch < r.curEpoch {
+			r.dep.metrics.fencedReqs++
+		} else if m.Att >= r.curAtt && m.Tick > r.committed {
+			k := rkey{m.Att, m.Comp, m.Round}
 			r.inbox[k] = append(r.inbox[k], m)
-			r.maybeAccept(k)
+			r.advance()
+		}
+	case noteMsg: // the note timer
+		if r.stepping {
+			if r.closed {
+				r.dep.net.Send(r.name(), r.coordFrom, noteMsg{Tick: r.curTick, Att: r.curAtt})
+			}
+			r.closed = false
+			r.armNote()
 		}
 	}
 }
@@ -108,20 +119,38 @@ func (r *replica) handleReq(from string, m req) {
 			r.reply(m, rsp{})
 			return
 		}
+		if m.Kind == stPrepare && m.Att <= r.curAtt {
+			return // a rollback overtook it: a replica can fail the attempt before every prepare lands
+		}
 		if r.tick != nil {
 			r.tick.Abort() // the current attempt's changes, newest first
 		}
-		r.clearStaging()
-		r.curTick, r.curAtt = m.Tick, m.Att
-		var a rsp
+		r.tick, r.stepping, r.curTick, r.curAtt = nil, false, m.Tick, m.Att
+		for k := range r.inbox {
+			if k.att != m.Att || m.Kind == stFailed {
+				delete(r.inbox, k)
+			}
+		}
 		if m.Kind == stFailed {
 			// No attempt is current: requests and batches of the failed one
 			// still in flight are stale, and a stray commit cannot seal it.
 			r.curTick = 0
-		} else if a.Err = r.applyOps(m.Ops); a.Err == nil {
-			a.NextComp, a.HasDel = r.tick.Next(0)
+			r.reply(m, rsp{})
+			return
 		}
-		r.reply(m, a)
+		whole, err := r.applyOps(m.Ops)
+		if err != nil {
+			r.reply(m, rsp{Err: err})
+			return
+		}
+		r.stepping, r.closed = true, false
+		r.armNote()
+		if next, del := r.tick.Next(0); whole {
+			r.begin(next, del)
+		} else {
+			r.step(rkey{m.Att, -1, 0}, false, false)
+		}
+		r.advance()
 	case stCommit:
 		if m.Epoch < r.curEpoch {
 			r.dep.metrics.fencedCommits++
@@ -134,23 +163,26 @@ func (r *replica) handleReq(from string, m req) {
 		// leader's retry racing a restarted attempt) must not seal partial
 		// staging.
 		if r.committed < m.Tick && r.curTick == m.Tick && r.curAtt == m.Att {
-			r.committed = m.Tick
-			r.clearStaging()
+			r.committed, r.tick = m.Tick, nil // the staged changes are the committed state
 		}
 		r.reply(m, rsp{})
-	case stRound:
-		if !r.stale(m.Epoch, m.Tick, m.Att) {
-			r.runRound(m)
-		}
 	}
 }
 
-// applyOps applies this replica's routed base ops (insert-if-absent,
-// delete-if-present; Submit validated them) and begins the tick's
-// maintenance from the realized ones.
-func (r *replica) applyOps(ops []datalog.DeltaOp) error {
+// applyOps applies the tick's base ops this replica holds, a mirrored
+// pred's and a sharded one's it owns (insert-if-absent, delete-if-present;
+// Submit validated them), and begins the tick's maintenance from the
+// realized ones. It reports whether every replica applies every op, and
+// so realizes the same changes.
+func (r *replica) applyOps(ops []datalog.DeltaOp) (whole bool, err error) {
 	d := datalog.NewDelta() // its ops are what the tick's Abort replays backwards
+	whole = true
 	for _, op := range ops {
+		if s := r.dep.place.Specs[op.Pred]; !s.Mirrored && r.dep.place.N > 1 {
+			if whole = false; shardOf(op.T, s.Col, r.dep.place.N) != r.self {
+				continue
+			}
+		}
 		rel := r.db.Get(op.Pred)
 		if op.Del {
 			if rel.Delete(op.T) {
@@ -160,69 +192,97 @@ func (r *replica) applyOps(ops []datalog.DeltaOp) error {
 			d.Insert(op.Pred, op.T)
 		}
 	}
-	var err error
 	if r.tick, err = r.inc.Begin(d, r.site); err != nil {
 		r.db.Undo(d.Ops())
 	}
-	return err
+	return whole, err
 }
 
-// runRound drives one exchange round of the component (starting it on
-// round 0) and ships what it emits: to the owner for a sharded head, to
-// every replica for a mirrored head or an over-deleted candidate. Every
-// peer gets exactly one batch, empty or not, and the local batch is
-// stashed in the inbox, so accept-time ordering treats self like any peer.
-func (r *replica) runRound(m req) {
-	if m.Round == 0 {
-		r.tick.Start(m.Comp, m.HasDel)
+// armNote sets the replica's note timer, unless one is pending; a timer
+// that fires beside a newer one sends at most a note more.
+func (r *replica) armNote() {
+	if now := r.dep.net.Now(); r.noteAt <= now {
+		r.noteAt = now + DefaultRetryAfter/4
+		r.dep.net.After(r.name(), DefaultRetryAfter/4, noteMsg{})
 	}
+}
+
+// begin runs round 0 of component c, deleting from its inputs if del, or,
+// past the last component, sends the staged ack.
+func (r *replica) begin(c int, del bool) {
+	if c < r.dep.comps {
+		r.step(rkey{r.curAtt, c, 0}, false, del)
+	} else {
+		r.answer(nil)
+	}
+}
+
+// step runs round k of the tick (round 0 starts the component; k.comp −1
+// only names the first one) and sends every replica one batch, its own to
+// the inbox: the signed rows that replica owns (a mirrored head's all go
+// to every replica), every DRed candidate, the rows shipped and what
+// Tick.Next reports after the round. quiet says the previous round shipped
+// no signed row anywhere.
+func (r *replica) step(k rkey, quiet, del bool) {
 	out, cands := make([]datalog.Batch, r.dep.place.N), datalog.Batch{}
-	last, err := r.tick.Round(m.Quiet, out, &cands)
-	if err != nil {
-		r.reply(m, rsp{Err: err})
-		return
+	if k.comp >= 0 {
+		if k.round == 0 {
+			r.tick.Start(k.comp, del)
+		}
+		if h := r.dep.roundHook; h != nil {
+			h(r.self, r.curTick, k, del)
+		}
+		var err error
+		if r.last, err = r.tick.Round(quiet, out, &cands); err != nil {
+			r.answer(err)
+			return
+		}
 	}
-	k := rkey{m.Comp, m.Round}
+	x := xchMsg{Tick: r.curTick, Att: r.curAtt, Epoch: r.curEpoch, Comp: k.comp, Round: k.round, From: r.self, Cands: cands}
+	x.Next, x.HasDel = r.tick.Next(k.comp + 1)
+	for _, b := range out {
+		x.Shipped += b.Len()
+	}
+	r.cur = k
 	for d, b := range out {
 		r.dep.metrics.rows += uint64(b.Len() + cands.Len())
-		x := xchMsg{Tick: m.Tick, Att: m.Att, Epoch: r.curEpoch, Comp: m.Comp, Round: m.Round, From: r.self, Rows: b, Cands: cands}
-		if d == r.self {
+		if x.Rows = b; d == r.self {
 			r.inbox[k] = append(r.inbox[k], x)
 		} else {
 			r.dep.net.Send(r.name(), r.dep.replicaNames[d], x)
 		}
 	}
-	r.driven, r.last = &m, last
-	r.maybeAccept(k)
 }
 
-// stale reports whether mid-attempt traffic is not for the current
-// attempt: an older or newer epoch (only prepare and commit change it), or
-// an attempt that is not staging.
-func (r *replica) stale(epoch, tick, att uint64) bool {
-	if epoch < r.curEpoch {
-		r.dep.metrics.fencedReqs++
+// advance closes this replica's current round while its N batches are in,
+// accepting them in sender order, and takes the next step they pick, the
+// same on every replica: another round of the component while a replica
+// shipped a signed row or its phase is not the last, else round 0 of the
+// smallest component a batch names, else the staged ack.
+func (r *replica) advance() {
+	for r.stepping && len(r.inbox[r.cur]) >= r.dep.place.N {
+		k, batches := r.cur, r.inbox[r.cur]
+		delete(r.inbox, k)
+		sort.Slice(batches, func(i, j int) bool { return batches[i].From < batches[j].From })
+		shipped, next, del := 0, r.dep.comps, false
+		for _, x := range batches {
+			if k.comp >= 0 {
+				r.tick.Accept(&x.Cands, &x.Rows)
+			}
+			shipped += x.Shipped
+			if x.Next < next {
+				next, del = x.Next, false
+			}
+			del = del || x.Next == next && x.HasDel
+		}
+		r.closed = true
+		if k.comp >= 0 && r.self == 0 {
+			r.dep.metrics.rounds++
+		}
+		if k.comp >= 0 && (shipped > 0 || !r.last) {
+			r.step(rkey{k.att, k.comp, k.round + 1}, shipped == 0, false)
+		} else {
+			r.begin(next, del)
+		}
 	}
-	return epoch != r.curEpoch || tick != r.curTick || att != r.curAtt || r.committed >= tick
-}
-
-// maybeAccept closes the exchange barrier of the round driven here once
-// its N batches are in: they are accepted in sender order (not arrival
-// order), and the coordinator learns how many accepted rows the next round
-// drives and which component comes next should this round end its own.
-func (r *replica) maybeAccept(k rkey) {
-	if r.driven == nil || (rkey{r.driven.Comp, r.driven.Round}) != k || len(r.inbox[k]) < r.dep.place.N {
-		return
-	}
-	m := *r.driven
-	r.driven = nil
-	batches := r.inbox[k]
-	delete(r.inbox, k)
-	sort.Slice(batches, func(i, j int) bool { return batches[i].From < batches[j].From })
-	next := 0
-	for _, x := range batches {
-		next = r.tick.Accept(&x.Cands, &x.Rows)
-	}
-	nc, del := r.tick.Next(m.Comp + 1)
-	r.reply(m, rsp{Last: r.last, Next: next, NextComp: nc, HasDel: del})
 }
