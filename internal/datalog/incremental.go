@@ -36,8 +36,8 @@ type Delta struct {
 
 	// add and del are Apply's working form, per predicate, in the maintained
 	// database's dictionary: the normalized base changes, then each
-	// component's realized head changes in realization order. Only later
-	// components read them.
+	// component's realized head changes that a later component reads, in
+	// realization order.
 	add, del map[string]*rowList
 }
 
@@ -182,6 +182,7 @@ type Incremental struct {
 	db     *Database
 	comps  []incComponent
 	idb    map[string]bool
+	read   map[string]bool // the predicates some component reads
 	rounds roundBufs
 	// undo is the running Tick's undo log, reused across ticks like rounds.
 	undo rowLog
@@ -204,11 +205,14 @@ func newIncrementalCore(p *Program, db *Database) (*Incremental, []string, error
 	if err != nil {
 		return nil, nil, err
 	}
-	inc := &Incremental{prog: p, db: db, idb: map[string]bool{}, dedup: db.Scratch()}
+	inc := &Incremental{prog: p, db: db, idb: map[string]bool{}, read: map[string]bool{}, dedup: db.Scratch()}
 	for _, plans := range p.strata {
 		c := incComponent{Component: classify(plans), plans: plans}
 		for _, h := range c.Heads {
 			inc.idb[h] = true
+		}
+		for _, in := range c.Inputs {
+			inc.read[in] = true
 		}
 		inc.comps = append(inc.comps, c)
 	}

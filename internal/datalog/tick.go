@@ -6,7 +6,8 @@ package datalog
 // next round drives the emitted rows that were accepted.
 // Incremental.Apply accepts every emission on the spot; a shard replica
 // (internal/shard) ships a round's rows as a Batch of words to their owners
-// and accepts at a barrier.
+// and accepts at a barrier, except in a local component, which it runs as
+// Apply does and keeps the rows it owns.
 
 // phase is where a component's maintenance stands; strategy picks the first.
 type phase int
@@ -42,20 +43,29 @@ type Site struct {
 	Mine  func(w []uint64, vals []any) bool             // this replica is row w's designated driver; nil: it is every row's
 	Owner func(pred string, w []uint64, vals []any) int // the replica pred's row w ships to; −1: every replica
 	Whole func(pred string) bool                        // this replica holds every row of pred
+	Self  int                                           // this replica, as Owner numbers it
+	// Local holds, per component in Components order, whether this replica
+	// derives every head row it owns from the rows it holds: such a
+	// component runs here alone (Tick.Local), with no round. nil: none is.
+	Local []bool
 }
 
 // Tick is one batch's maintenance in progress. A caller stepping it
-// (Begin) asks Next which component to start, then runs Start, and Round
-// and Accept until a quiet round ends it, and asks Next again; Abort rolls
-// the whole batch back.
+// (Begin) asks Next which component to start, runs the local components
+// before it (Local), then Start, and Round and Accept until a quiet round
+// ends it, and asks Next again, running the last local components before it
+// stops; Abort rolls the whole batch back.
 type Tick struct {
 	inc     *Incremental
 	d       *Delta
 	site    Site
 	changes int // realized derived-relation set changes
 
+	ran int // the local components below it have run (Local)
+
 	// The component in progress.
 	c     *incComponent
+	local bool // it runs here alone: every row driven, the owned emissions kept
 	phase phase
 	over  *Database      // DRed: removed inputs, and per head the over-deleted candidates
 	gone  map[string]int // DRed: per head, the over-deleted rows no round has put back
@@ -96,21 +106,50 @@ func (inc *Incremental) begin(d *Delta) (*Tick, error) {
 	return &Tick{inc: inc, d: d}, nil
 }
 
-// Next reports the first component from ci on whose inputs the batch
-// changes — its base changes, the head changes realized so far and the
-// deletions that ending the component in progress realizes — and whether
-// it deletes from them; len(components) when there is none.
+// Next reports the first component from ci that exchanges (is not
+// Site.Local) and that the batch touches, or that follows a local one the
+// batch touches, and whether the batch deletes from its inputs or from a
+// touched local one's; len(components) when there is none. A component is
+// touched when the batch changes its inputs: its base changes, the head
+// changes realized so far and the deletions that ending the component in
+// progress realizes.
 func (t *Tick) Next(ci int) (int, bool) {
+	after, ldel := false, false // a local component from ci is touched, and deleted from
 	for ; ci < len(t.inc.comps); ci++ {
-		add, del := false, false
-		for _, in := range t.inc.comps[ci].Inputs {
-			add, del = add || t.d.add[in].len() > 0, del || t.d.del[in].len() > 0 || t.gone[in] > 0
-		}
-		if add || del {
-			return ci, del
+		add, del := t.touches(ci)
+		if t.isLocal(ci) {
+			after, ldel = after || add || del, ldel || del
+		} else if add || del || after {
+			return ci, del || ldel
 		}
 	}
 	return ci, false
+}
+
+// touches reports whether the batch changes component ci's inputs, and
+// whether it deletes from them.
+func (t *Tick) touches(ci int) (add, del bool) {
+	for _, in := range t.inc.comps[ci].Inputs {
+		add, del = add || t.d.add[in].len() > 0, del || t.d.del[in].len() > 0 || t.gone[in] > 0
+	}
+	return add, del
+}
+
+func (t *Tick) isLocal(ci int) bool { return ci < len(t.site.Local) && t.site.Local[ci] }
+
+// Local runs each local component below ci that has not run and that the
+// batch touches to its fixpoint here, with Apply's loop: no round, no
+// shipped row, and DRed's candidates checked here.
+func (t *Tick) Local(ci int) error {
+	for ; t.ran < ci; t.ran++ {
+		if add, del := t.touches(t.ran); t.isLocal(t.ran) && (add || del) {
+			t.Start(t.ran, del)
+			if err := t.run(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Start begins component ci; hasDel says the batch deletes from its inputs
@@ -118,7 +157,7 @@ func (t *Tick) Next(ci int) (int, bool) {
 func (t *Tick) Start(ci int, hasDel bool) {
 	t.close()
 	db, c, b := t.inc.db, &t.inc.comps[ci], &t.inc.rounds
-	t.c = c
+	t.c, t.local = c, t.isLocal(ci)
 	t.phase = t.inc.strategy(c, hasDel)
 	b.rotate() // an aborted tick may have left rows for a next round
 	switch t.phase {
@@ -291,8 +330,14 @@ func (t *Tick) drive(quiet bool, emit func(rel *Relation, w []uint64, n int)) er
 	return nil
 }
 
-// accept is a round's second half, per arrived row.
+// accept is a round's second half, per arrived row; a local component's
+// rows arrive as they are emitted, and it keeps those this replica owns.
 func (t *Tick) accept(rel *Relation, w []uint64, n int) {
+	if t.local && t.site.Owner != nil {
+		if o := t.site.Owner(rel.Name, w, t.inc.db.dict.vals); o >= 0 && o != t.site.Self {
+			return
+		}
+	}
 	next := t.inc.rounds.next
 	switch t.phase {
 	case overPhase:
@@ -334,7 +379,7 @@ func (t *Tick) close() {
 			})
 		}
 	}
-	t.c, t.over, t.gone, t.check = nil, nil, nil, rowLog{}
+	t.c, t.local, t.over, t.gone, t.check = nil, false, nil, nil, rowLog{}
 }
 
 // load adds the batch's changes to the component's inputs, from lists, to
@@ -352,10 +397,11 @@ func (t *Tick) load(dst, lists map[string]*rowList) {
 func (t *Tick) whole(pred string) bool { return t.site.Whole == nil || t.site.Whole(pred) }
 
 // soloRows returns the rows of l that rule ri drives here: all of them,
-// unless every replica holds every body literal's relation and so would
-// derive the same rows, then those Site.Mine accepts.
+// unless the component exchanges and every replica holds every body
+// literal's relation and so would derive the same rows, then those
+// Site.Mine accepts.
 func (t *Tick) soloRows(ri int, l *rowList) *rowList {
-	if t.site.Mine == nil || l.len() == 0 {
+	if t.site.Mine == nil || t.local || l.len() == 0 {
 		return l
 	}
 	for _, lit := range t.c.plans[ri].r.Body {
@@ -404,12 +450,14 @@ func (t *Tick) recompute() error {
 	return err
 }
 
-// realize records a realized set change of a head row in the batch, where
-// later components read it.
+// realize counts a realized set change of a head row and records it in
+// the batch, where later components read it, if one does.
 func (t *Tick) realize(rel *Relation, w []uint64, n int) {
-	if n > 0 {
+	switch {
+	case !t.inc.read[rel.Name]:
+	case n > 0:
 		t.d.insertRow(rel.Name, w)
-	} else {
+	default:
 		t.d.deleteRow(rel.Name, w)
 	}
 	t.changes++

@@ -357,3 +357,53 @@ func TestTickNextNamesWhatStartFinds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestApplyRecordsOnlyReadHeads: Apply appends a realized head row to the
+// batch only when a component reads that head, and counts every one. In
+// closure path plus a source set from(x) :- path(x, y) that nothing reads,
+// an inserting and a deleting batch hold path's realized rows and none of
+// from's, and Apply returns both heads' set changes.
+func TestApplyRecordsOnlyReadHeads(t *testing.T) {
+	p, err := NewProgram(append(tcRules(), Rule{
+		Head: Atom{Pred: "from", Args: []Term{V("x")}},
+		Body: []Literal{{Atom: Atom{Pred: "path", Args: []Term{V("x"), V("y")}}}},
+	})...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDatabase()
+	db.Ensure("edge", 2)
+	inc, err := NewIncremental(p, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tc := range []struct {
+		op          DeltaOp
+		path, count int // path's realized rows; Apply's count, from's rows included
+	}{
+		{DeltaOp{Pred: "edge", T: Tuple{"a", "b"}}, 1, 2},
+		{DeltaOp{Pred: "edge", T: Tuple{"b", "c"}}, 2, 3},            // path (b,c) (a,c); from b
+		{DeltaOp{Del: true, Pred: "edge", T: Tuple{"a", "b"}}, 2, 3}, // path (a,b) (a,c); from a
+	} {
+		d := NewDelta()
+		if tc.op.Del {
+			db.Get("edge").Delete(tc.op.T)
+			d.Delete("edge", tc.op.T)
+		} else {
+			db.Get("edge").Insert(tc.op.T)
+			d.Insert("edge", tc.op.T)
+		}
+		n, err := inc.Apply(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lists := d.add
+		if tc.op.Del {
+			lists = d.del
+		}
+		if n != tc.count || lists["path"].len() != tc.path || lists["from"].len() != 0 {
+			t.Fatalf("batch %d: Apply counted %d, the batch holds %d path and %d from rows; want %d, %d and 0",
+				i, n, lists["path"].len(), lists["from"].len(), tc.count, tc.path)
+		}
+	}
+}

@@ -244,8 +244,8 @@ func RunE2(ticks int) Table {
 			fmt.Sprintf("%.2f", c.decrees), fmt.Sprintf("%.1f", c.msgs), fmt.Sprintf("%.2f", c.virtualMs),
 			fmt.Sprintf("%.2f", c.phase1), fmt.Sprintf("%.1f", c.rounds)})
 	}
-	t.Notes = "both mixes pay the same barrier protocol today (submit and commit decrees, a barrier per exchange round); " +
-		"deletes add DRed's over-delete rounds and one round that support-checks the candidates on every replica, never the closure's extent. " +
+	t.Notes = "both mixes pay the same barrier protocol today (submit and commit decrees, prepare, staged ack and commit); " +
+		"the closure is a local component, derived where its rows live, so neither mix steps an exchange round and a delete's DRed runs on each replica alone. " +
 		"CALM says the insert-only ticks need neither decrees nor barriers: this gap is what a coordination-free monotone path closes"
 	return t
 }
@@ -552,7 +552,8 @@ func RunE9(shardCounts []int, ticks int) Table {
 			fmt.Sprintf("%.2f", c.decrees), fmt.Sprintf("%.1f", c.msgs), fmt.Sprintf("%.2f", c.virtualMs),
 			fmt.Sprintf("%.0f", c.rowsPerVSec), fmt.Sprintf("%.1f×", c.rowsPerVSec/base), fmt.Sprintf("%.1f", c.rounds)})
 	}
-	t.Notes = "every tick still pays the barrier protocol, so msgs/tick grow with the shards' exchange fan-out while virtual ms/tick stay near flat"
+	t.Notes = "every tick still pays the barrier protocol, so msgs/tick grow by a prepare, staged ack, commit and its ack per added shard; " +
+		"the closure is a local component, so no tick steps an exchange round and virtual ms/tick stay near flat"
 	return t
 }
 

@@ -67,8 +67,9 @@ func steppedShipped(t *testing.T, inc *datalog.Incremental, comps int, ops []dat
 // TestRowsShippedIsWhatTheExchangeDelivered: Metrics().RowsShipped counts
 // each row an exchange round hands a replica, the sender included. On one
 // replica that is what a lone stepped datalog.Tick ships for the same
-// batches. Nonlinear closure mirrors its one head, so on N replicas every
-// shipped row has N copies, N−1 of which the network delivers.
+// batches of the closure over link, which exchanges. Nonlinear closure
+// mirrors its one head, so on N replicas every shipped row has N copies,
+// N−1 of which the network delivers.
 func TestRowsShippedIsWhatTheExchangeDelivered(t *testing.T) {
 	var chain []datalog.DeltaOp
 	for i := int64(0); i < 30; i++ {
@@ -76,7 +77,7 @@ func TestRowsShippedIsWhatTheExchangeDelivered(t *testing.T) {
 	}
 	ticks := [][]datalog.DeltaOp{chain, {del("edge", int64(15), int64(16))}, {ins("edge", int64(15), int64(16))}}
 
-	tc, err := datalog.NewProgram(tcRules...)
+	tc, err := datalog.NewProgram(linkRules...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,14 +152,10 @@ func TestShardedDictionariesDisagree(t *testing.T) {
 	}
 }
 
-// TestShardedCovidShipsItsClosureOnce: compiled COVID's closure is
-// decomposable, so on 3 replicas each transitive row is derived on its
-// owner from the owner's own copy of contacts and ships only to itself,
-// and a contacts row's base derivation ships once to its owner: the rows
-// shipped over a seeded stream of symmetric zipf contacts are at most the
-// final transitive rows plus the contacts rows. An anchored placement
-// (transitive on column 1) ships about three times that.
-func TestShardedCovidShipsItsClosureOnce(t *testing.T) {
+// covidDeployment deploys compiled COVID on n replicas of a fresh
+// simulated cluster and returns its query program too.
+func covidDeployment(t *testing.T, n int) (*datalog.Program, *shard.Deployment) {
+	t.Helper()
 	compiled, err := hydrolysis.Compile(hlang.CovidSource, hydrolysis.Options{
 		UDFs: map[string]hydrolysis.UDF{"covid_predict": func(args []any) any { return 0.5 }},
 	})
@@ -166,10 +163,19 @@ func TestShardedCovidShipsItsClosureOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := cluster.New(cluster.NewTopology(3, 2, 2, cluster.ClassSmall), simnet.DefaultConfig(1))
-	dep, err := compiled.InstantiateSharded(cl, "covid", 3, shard.Options{})
+	dep, err := compiled.InstantiateSharded(cl, "covid", n, shard.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return compiled.Queries, dep
+}
+
+// TestShardedCovidShipsItsClosureOnce: compiled COVID's closure is
+// decomposable and local, so on 3 replicas each transitive row is derived
+// on its owner from the owner's own copy of contacts: over a seeded stream
+// of symmetric zipf contacts no row is shipped at all.
+func TestShardedCovidShipsItsClosureOnce(t *testing.T) {
+	_, dep := covidDeployment(t, 3)
 	r := rand.New(rand.NewSource(1))
 	zipf := rand.NewZipf(r, 1.1, 1, 199)
 	for i := 0; i < 120; i++ {
@@ -182,9 +188,40 @@ func TestShardedCovidShipsItsClosureOnce(t *testing.T) {
 			t.Fatalf("tick %d did not commit: %v", i, err)
 		}
 	}
-	dump := dep.Dump()
-	closure, contacts := uint64(len(dump["transitive"])), uint64(len(dump["contacts"]))
-	if shipped := dep.Metrics().RowsShipped; closure == 0 || shipped > closure+contacts {
-		t.Fatalf("shipped %d rows, want at most %d transitive + %d contacts", shipped, closure, contacts)
+	if closure, shipped := len(dep.Dump()["transitive"]), dep.Metrics().RowsShipped; closure == 0 || shipped != 0 {
+		t.Fatalf("shipped %d rows for %d transitive rows, want none", shipped, closure)
+	}
+}
+
+// TestShardedLocalComponentShipsNothing: COVID's closure is a local
+// component, so at 3 shards a tick that inserts contacts, and one that
+// deletes one (DRed, its candidates checked where they live), step no
+// exchange round and ship no row, the deployment matches the single-node
+// fixpoint, and each replica holds only the closure rows it owns.
+func TestShardedLocalComponentShipsNothing(t *testing.T) {
+	prog, dep := covidDeployment(t, 3)
+	if !slices.Equal(dep.Placement().Local, []bool{true}) {
+		t.Fatalf("placement Local %v, want COVID's one component local", dep.Placement().Local)
+	}
+	var delivered uint64
+	dep.CountDelivered(&delivered)
+	ref := newOracle(t, prog, map[string]int{"contacts": 2})
+	for i, ops := range [][]datalog.DeltaOp{
+		{ins("contacts", int64(1), int64(2)), ins("contacts", int64(2), int64(3)), ins("contacts", int64(3), int64(4))},
+		{del("contacts", int64(2), int64(3)), ins("contacts", int64(4), int64(1))},
+	} {
+		if err := dep.Submit(ops); err != nil || !dep.Settle(settleBudget) {
+			t.Fatalf("tick %d did not commit: %v", i, err)
+		}
+		ref.tick(t, ops)
+		if got, want := dep.DumpString(), ref.dump(dep.Placement().Preds); got != want {
+			t.Fatalf("tick %d diverged from single-node:\n%s\nwant:\n%s", i, got, want)
+		}
+		if err := dep.CheckOwners(); err != nil {
+			t.Fatalf("tick %d: %v", i, err)
+		}
+	}
+	if m := dep.Metrics(); m.Rounds != 0 || m.RowsShipped != 0 || delivered != 0 {
+		t.Fatalf("%d rounds, %d rows shipped, %d delivered: want none", m.Rounds, m.RowsShipped, delivered)
 	}
 }

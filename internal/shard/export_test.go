@@ -81,6 +81,23 @@ func (p *Placement) Owner(pred string, t datalog.Tuple) int {
 	return -1
 }
 
+// CheckOwners verifies that every replica holds only the rows it owns of
+// each sharded predicate.
+func (d *Deployment) CheckOwners() error {
+	for _, pred := range d.place.Preds {
+		if s := d.place.Specs[pred]; !s.Mirrored {
+			for _, r := range d.replicas {
+				for _, t := range r.db.Get(pred).Tuples() {
+					if o := shardOf(t, s.Col, d.place.N); o != r.self {
+						return fmt.Errorf("shard: replica %d holds %s%v, which replica %d owns", r.self, pred, t, o)
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // Intern has replica i's dictionary intern vals, in order, by inserting
 // and deleting the tuple (v, v) of the binary base relation pred: the
 // relation ends as it was, and the dictionary keeps what it interned.

@@ -247,3 +247,51 @@ func TestShardedLongTickCommitsInOneAttempt(t *testing.T) {
 		t.Fatalf("%d attempts for %d ticks: a long tick was restarted", m.Attempts, len(ticks))
 	}
 }
+
+// TestShardedDRedTaxOnExchangingClosure pins the DRed tax where a closure
+// still exchanges: on 3 replicas of the closure over link, ticks that also
+// delete an edge and restore the one deleted the tick before cost more
+// exchange rounds and more virtual time than insert-only ticks of the same
+// inserts, their over-delete rounds and the round that support-checks the
+// candidates on every replica.
+func TestShardedDRedTaxOnExchangingClosure(t *testing.T) {
+	prog, err := datalog.NewProgram(linkRules...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost := func(deletes bool) (rounds uint64, elapsed int64) {
+		cl, dep := newDeployment(t, prog, tcEDB, 3, 5)
+		edge := func(k int, del bool) datalog.DeltaOp {
+			return datalog.DeltaOp{Del: del, Pred: "edge", T: datalog.Tuple{int64(k), int64(k + 1)}}
+		}
+		next, victim := 0, -1
+		for i := 0; i < 12; i++ {
+			var ops []datalog.DeltaOp
+			if deletes && i > 0 {
+				if victim >= 0 {
+					ops = append(ops, edge(victim, false))
+				}
+				victim = next - 2
+				ops = append(ops, edge(victim, true))
+			}
+			for j := 0; j < 2; j++ {
+				ops = append(ops, edge(next, false))
+				next++
+			}
+			r0, start := dep.Metrics().Rounds, cl.Net.Now()
+			if err := dep.Submit(ops); err != nil || !dep.Settle(settleBudget) {
+				t.Fatalf("tick %d did not commit: %v", i, err)
+			}
+			if i >= 6 {
+				rounds += dep.Metrics().Rounds - r0
+				elapsed += int64(cl.Net.Now() - start)
+			}
+		}
+		return rounds, elapsed
+	}
+	monoRounds, monoTime := cost(false)
+	delRounds, delTime := cost(true)
+	if monoRounds == 0 || delRounds <= monoRounds || delTime <= monoTime {
+		t.Fatalf("inserts: %d rounds in %d µs; with deletes: %d rounds in %d µs", monoRounds, monoTime, delRounds, delTime)
+	}
+}

@@ -106,14 +106,16 @@ func rule(head datalog.Atom, body ...datalog.Atom) datalog.Rule {
 	return r
 }
 
-// TestShardedTickIsPrepareRoundsCommit: one tick of transitive closure, a
-// one-component program, costs each of 1, 3 and 5 replicas one prepare,
-// the component's rounds and one commit, inserting and then deleting.
+// TestShardedTickIsPrepareRoundsCommit: one tick of transitive closure
+// over link, which exchanges, costs each of 1, 3 and 5 replicas one
+// prepare, the rounds of link's and path's components and one commit,
+// inserting and then deleting.
 func TestShardedTickIsPrepareRoundsCommit(t *testing.T) {
-	prog, err := datalog.NewProgram(tcRules...)
+	prog, err := datalog.NewProgram(linkRules...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	link, path := compOf(t, prog, "link"), compOf(t, prog, "path")
 	ticks := [][]datalog.DeltaOp{
 		{ins("edge", "a", "b"), ins("edge", "b", "c"), ins("edge", "c", "d")},
 		{del("edge", "b", "c"), ins("edge", "d", "a")},
@@ -122,7 +124,7 @@ func TestShardedTickIsPrepareRoundsCommit(t *testing.T) {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
 			_, dep := newDeployment(t, prog, tcEDB, n, 7)
 			got := watchTicks(t, dep, prog, tcEDB, ticks)
-			if want := []map[int]bool{{0: false}, {0: true}}; fmt.Sprint(got) != fmt.Sprint(want) {
+			if want := []map[int]bool{{link: false, path: false}, {link: true, path: true}}; fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("round-0 delete flags per tick %v, want %v", got, want)
 			}
 		})
@@ -156,17 +158,17 @@ func TestShardedTickSkipsUntouchedComponents(t *testing.T) {
 }
 
 // TestShardedRederivedDRedStartsDownstreamInsertOnly: cutting edge (b,c)
-// makes closure's DRed over-delete path(b,c) and path(a,c). When another
-// route re-derives both, the component downstream, which the tick's new
-// mark also touches, loses nothing and runs insert rounds only; when
-// path(b,c) is lost, it runs DRed.
+// makes the closure over link, which exchanges, over-delete path(b,c) and
+// path(a,c) by DRed. When another route re-derives both, the component
+// downstream, which the tick's new mark also touches, loses nothing and
+// runs insert rounds only; when path(b,c) is lost, it runs DRed.
 func TestShardedRederivedDRedStartsDownstreamInsertOnly(t *testing.T) {
-	prog, err := datalog.NewProgram(append(append([]datalog.Rule{}, tcRules...),
+	prog, err := datalog.NewProgram(append(append([]datalog.Rule{}, linkRules...),
 		rule(atom("out", "x", "y"), atom("path", "x", "y"), atom("mark", "x")))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path, out := compOf(t, prog, "path"), compOf(t, prog, "out")
+	link, path, out := compOf(t, prog, "link"), compOf(t, prog, "path"), compOf(t, prog, "out")
 	edb := map[string]int{"edge": 2, "mark": 1}
 	base := []datalog.DeltaOp{ins("edge", "a", "b"), ins("edge", "b", "c"), ins("edge", "a", "c"), ins("mark", "a"), ins("mark", "b")}
 	cut := []datalog.DeltaOp{del("edge", "b", "c"), ins("mark", "c")}
@@ -181,7 +183,7 @@ func TestShardedRederivedDRedStartsDownstreamInsertOnly(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			_, dep := newDeployment(t, prog, edb, 3, 13)
 			got := watchTicks(t, dep, prog, edb, [][]datalog.DeltaOp{tc.setup, cut})[1]
-			if want := map[int]bool{path: true, out: tc.lost}; fmt.Sprint(got) != fmt.Sprint(want) {
+			if want := map[int]bool{link: true, path: true, out: tc.lost}; fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("round-0 delete flags %v, want %v", got, want)
 			}
 		})

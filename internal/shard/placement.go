@@ -33,6 +33,12 @@ type Spec struct {
 type Placement struct {
 	N     int
 	Specs map[string]Spec
+	// Local holds, per component in Components order, whether a replica
+	// derives every head row it owns from its own copies: a decomposed
+	// component whose head is still sharded on its carried column and whose
+	// inputs are mirrored. A local component runs on each replica with no
+	// exchange round.
+	Local []bool
 	// Preds is every placed predicate, sorted — the deterministic
 	// iteration order for all per-predicate state in the engine.
 	Preds []string
@@ -179,12 +185,23 @@ func NewPlacement(prog *datalog.Program, edb map[string]int, n int, declared map
 		}
 	}
 
+	// A decomposed component stays local unless a reader mirrored its head:
+	// every replica then holds every row, not only those it owns.
+	local := make([]bool, len(comps))
+	for ci, c := range comps {
+		k, ok := carriedCol(c, edb)
+		local[ci] = ok && specs[c.Heads[0]] == Spec{Col: k}
+		for _, in := range c.Inputs {
+			local[ci] = local[ci] && specs[in].Mirrored
+		}
+	}
+
 	preds := make([]string, 0, len(specs))
 	for pred := range specs {
 		preds = append(preds, pred)
 	}
 	sort.Strings(preds)
-	return &Placement{N: n, Specs: specs, Preds: preds}, nil
+	return &Placement{N: n, Specs: specs, Local: local, Preds: preds}, nil
 }
 
 // carriedCol reports whether c is decomposable — a monotone component

@@ -20,7 +20,10 @@ import (
 // the last (quiet when none shipped), else round 0 of the smallest
 // component a batch names, deleting if a batch naming it deletes, else the
 // staged ack. A first round of no component carries Next(0), unless every
-// op is on a mirrored relation and every replica realizes the same changes.
+// op is on a mirrored relation and every replica realizes the same changes,
+// or no component exchanges. Next names no local component: a replica runs
+// those its tick touches alone before the next component it starts, or
+// before its staged ack.
 //
 // A request's Kind is the coordinator stage it runs (stFailed: roll the
 // attempt back and fence it until the next prepare), and a response echoes

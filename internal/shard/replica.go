@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"slices"
 	"sort"
 
 	"hydro/internal/datalog"
@@ -48,6 +49,7 @@ func newReplica(dep *Deployment, self int) (*replica, error) {
 		return nil, err
 	}
 	r := &replica{dep: dep, self: self, db: db, inc: inc, coordFrom: dep.coordNames[0], inbox: map[rkey][]xchMsg{}}
+	r.site.Self, r.site.Local = self, dep.place.Local
 	r.site.Whole = func(pred string) bool { return dep.place.N == 1 || dep.place.Specs[pred].Mirrored }
 	r.site.Owner = func(pred string, w []uint64, vals []any) int {
 		if s := dep.place.Specs[pred]; !s.Mirrored {
@@ -145,7 +147,9 @@ func (r *replica) handleReq(from string, m req) {
 		}
 		r.stepping, r.closed = true, false
 		r.armNote()
-		if next, del := r.tick.Next(0); whole {
+		// Every replica picks the same first component without a round when
+		// each realized the same base changes, or when none exchanges.
+		if next, del := r.tick.Next(0); whole || !slices.Contains(r.dep.place.Local, false) {
 			r.begin(next, del)
 		} else {
 			r.step(rkey{m.Att, -1, 0}, false, false)
@@ -207,10 +211,13 @@ func (r *replica) armNote() {
 	}
 }
 
-// begin runs round 0 of component c, deleting from its inputs if del, or,
-// past the last component, sends the staged ack.
+// begin runs this replica's local components below c that the tick
+// touches, then round 0 of component c, deleting from its inputs if del,
+// or, past the last component, sends the staged ack.
 func (r *replica) begin(c int, del bool) {
-	if c < r.dep.comps {
+	if err := r.tick.Local(c); err != nil {
+		r.answer(err)
+	} else if c < r.dep.comps {
 		r.step(rkey{r.curAtt, c, 0}, false, del)
 	} else {
 		r.answer(nil)

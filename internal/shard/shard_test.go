@@ -34,6 +34,19 @@ var tcRules = []datalog.Rule{
 
 var tcEDB = map[string]int{"edge": 2, "node": 1, "attr": 2}
 
+// linkRules is transitive closure over link, a copy of edge: a closure over
+// a derived input is not decomposed (link and path co-hashed on y), so its
+// derived rows cross between replicas in exchange rounds.
+var linkRules = func() []datalog.Rule {
+	V := datalog.V
+	atom := func(p, a, b string) datalog.Atom { return datalog.Atom{Pred: p, Args: []datalog.Term{V(a), V(b)}} }
+	return []datalog.Rule{
+		{Head: atom("link", "x", "y"), Body: []datalog.Literal{{Atom: atom("edge", "x", "y")}}},
+		{Head: atom("path", "x", "y"), Body: []datalog.Literal{{Atom: atom("link", "x", "y")}}},
+		{Head: atom("path", "x", "z"), Body: []datalog.Literal{{Atom: atom("path", "x", "y")}, {Atom: atom("link", "y", "z")}}},
+	}
+}()
+
 // newDeployment builds an n-replica deployment of prog on a fresh
 // simulated cluster, replicas placed by cluster.Topology.SpreadAcross.
 func newDeployment(t testing.TB, prog *datalog.Program, edb map[string]int, n int, seed int64) (*cluster.Cluster, *shard.Deployment) {
@@ -118,13 +131,6 @@ func del(pred string, vals ...any) datalog.DeltaOp {
 // and over a derived link, which stays on the anchored placement (link and
 // path co-hashed on y), so derived rows cross between replicas.
 func TestShardedTCMatchesSingleNode(t *testing.T) {
-	V := datalog.V
-	atom := func(p, a, b string) datalog.Atom { return datalog.Atom{Pred: p, Args: []datalog.Term{V(a), V(b)}} }
-	linkRules := []datalog.Rule{
-		{Head: atom("link", "x", "y"), Body: []datalog.Literal{{Atom: atom("edge", "x", "y")}}},
-		{Head: atom("path", "x", "y"), Body: []datalog.Literal{{Atom: atom("link", "x", "y")}}},
-		{Head: atom("path", "x", "z"), Body: []datalog.Literal{{Atom: atom("path", "x", "y")}, {Atom: atom("link", "y", "z")}}},
-	}
 	ticks := [][]datalog.DeltaOp{
 		{ins("edge", "a", "b"), ins("edge", "b", "c"), ins("edge", "c", "d")},
 		{ins("edge", "d", "e"), ins("edge", "e", "f"), ins("edge", "f", "a")}, // closes a cycle
@@ -586,6 +592,52 @@ func TestPlacementDecomposable(t *testing.T) {
 			for pred, want := range tc.want {
 				if got := pl.Specs[pred]; got != want {
 					t.Errorf("%s placed %+v, want %+v", pred, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestPlacementLocal pins which components NewPlacement marks local, per
+// component in Components order: a decomposed closure over base edge is,
+// on 3 replicas and on 1; a nonlinear closure, a closure over a derived
+// input and a decomposed closure that a negation reads (and so mirrors)
+// are not, nor is the negation.
+func TestPlacementLocal(t *testing.T) {
+	dead := datalog.Rule{
+		Head: datalog.Atom{Pred: "dead", Args: []datalog.Term{datalog.V("x")}},
+		Body: []datalog.Literal{
+			{Atom: datalog.Atom{Pred: "node", Args: []datalog.Term{datalog.V("x")}}},
+			{Atom: datalog.Atom{Pred: "path", Args: []datalog.Term{datalog.V("x"), datalog.V("x")}}, Negated: true},
+		},
+	}
+	for _, tc := range []struct {
+		name  string
+		rules []datalog.Rule
+		n     int
+		want  map[string]bool // per head, its component's Local
+	}{
+		{"decomposed", tcRules, 3, map[string]bool{"path": true}},
+		{"decomposed-one-replica", tcRules, 1, map[string]bool{"path": true}},
+		{"nonlinear", nonlinearTC(t).Rules, 3, map[string]bool{"path": false}},
+		{"derived-input", linkRules, 3, map[string]bool{"link": false, "path": false}},
+		{"mirrored-by-negation", append(append([]datalog.Rule{}, tcRules...), dead), 3, map[string]bool{"path": false, "dead": false}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog, err := datalog.NewProgram(tc.rules...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl, err := shard.NewPlacement(prog, tcEDB, tc.n, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(pl.Local) != len(prog.Components()) {
+				t.Fatalf("Local %v for %d components", pl.Local, len(prog.Components()))
+			}
+			for head, want := range tc.want {
+				if got := pl.Local[compOf(t, prog, head)]; got != want {
+					t.Errorf("%s's component local %v, want %v", head, got, want)
 				}
 			}
 		})
