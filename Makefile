@@ -2,7 +2,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: build test vet fmt ci smoke orphans datalog-serial datalog-one-store datalog-no-placement durable-opaque-rows exchange-words coordinator-commits one-keyed-merge one-tick-path one-lowering compiled-handlers bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak tick-allocs lines
+.PHONY: build test vet fmt ci smoke orphans datalog-serial datalog-one-store datalog-no-placement owner-computes durable-opaque-rows exchange-words coordinator-commits one-keyed-merge one-tick-path one-lowering compiled-handlers bench-test tables fuzz soak testbin test-sharded test-failover serve-bench serve-soak tick-allocs lines
 
 build:
 	$(GO) build ./...
@@ -19,7 +19,7 @@ fmt:
 	@gofmt -l . | sed 's/^/unformatted: /' | (! grep .)
 
 # ci runs the steps of CI's tier-1 job in its order (go test without -race).
-ci: build vet fmt orphans datalog-serial datalog-one-store datalog-no-placement durable-opaque-rows exchange-words coordinator-commits one-keyed-merge one-tick-path one-lowering compiled-handlers test tick-allocs bench-test fuzz tables smoke
+ci: build vet fmt orphans datalog-serial datalog-one-store datalog-no-placement owner-computes durable-opaque-rows exchange-words coordinator-commits one-keyed-merge one-tick-path one-lowering compiled-handlers test tick-allocs bench-test fuzz tables smoke
 
 # lines prints the line counts of the Go files a change is sized by:
 # non-test and test files outside bench/, and under it (hidden build
@@ -131,6 +131,21 @@ datalog-one-store:
 PLACEMENT_BANNED = ShardOf|PartitionHints|partCol|fnvOffset
 datalog-no-placement:
 	@! grep -nE '$(PLACEMENT_BANNED)' $(DATALOG_SRC) | sed 's,//.*,,' | grep -E '$(PLACEMENT_BANNED)'
+
+# owner-computes fails if a non-test file of internal/datalog names Mine
+# or soloRows, or if driveOnce's declaration takes a func(ri int filter
+# (comments stripped, as above): a shard replica decides which rows it
+# derives by one rule, owner computes — it drives every frontier row it
+# holds, and of a rule whose body it holds whole keeps the emissions
+# Site.Owner gives it — so no designated driver and no per-rule row filter
+# grow back beside it (DESIGN.md §11).
+OWNER_BANNED = Mine|soloRows
+owner-computes:
+	@! grep -nwE '$(OWNER_BANNED)' $(DATALOG_SRC) | sed 's,//.*,,' | grep -wE '$(OWNER_BANNED)'
+	@awk '{code=$$0; sub(/\/\/.*/,"",code)} \
+		code ~ /^func \(b \*roundBufs\) driveOnce\(/ {in_decl=1} \
+		in_decl && code ~ /func\(ri int/ {print FILENAME":"FNR": driveOnce takes a row filter: "$$0; bad=1} \
+		in_decl && code ~ /\{[[:space:]]*$$/ {in_decl=0} END{exit bad}' $(DATALOG_SRC)
 
 # durable-opaque-rows fails if a non-test file of internal/durable names
 # datalog.Tuple, datalog.DeltaOp, appendTuple or readTuple (comments

@@ -57,7 +57,7 @@ func driveStep(p *Program, ci int, db, whole, ov *Database) map[string]*Relation
 		}
 	}
 	var b roundBufs
-	b.driveOnce(db, p.strata[ci], frontier, preBatch{over: ov}, nil, 1, func(rel *Relation, w []uint64, _ int) {
+	b.driveOnce(db, p.strata[ci], frontier, preBatch{over: ov}, 1, func(rel *Relation, w []uint64, _, _ int) {
 		out[rel.Name].Insert(rel.dict.tuple(w))
 	})
 	return out

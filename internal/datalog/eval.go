@@ -113,7 +113,7 @@ func evalStratumSemiNaive(db *Database, plans []*rulePlan, rounds *roundBufs) er
 	rounds.rotate()
 	for frontier := seed; ; frontier = rounds.cur {
 		grew := false
-		rounds.driveOnce(db, plans, frontier, preBatch{}, nil, 1, func(rel *Relation, w []uint64, _ int) {
+		rounds.driveOnce(db, plans, frontier, preBatch{}, 1, func(rel *Relation, w []uint64, _, _ int) {
 			if rel.insertRow(w) {
 				rowsOf(rounds.next, rel.Name, rel.Arity).add(w)
 				grew = true

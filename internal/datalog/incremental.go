@@ -186,9 +186,11 @@ type Incremental struct {
 	rounds roundBufs
 	// undo is the running Tick's undo log, reused across ticks like rounds.
 	undo rowLog
-	// A stepped Tick's exchange buffers, reused likewise (Round, Accept).
-	dedup             *Database
+	// A stepped Tick's exchange buffers, reused likewise (Round, Accept,
+	// Next): kept holds the rows of dedup every replica emits alike.
+	dedup, kept       *Database
 	renum, based, row []uint64
+	may               map[string][2]bool
 	// forceRecompute disables the DRed path, restoring the historical
 	// recompute-and-diff fallback for recursive deletions — kept as the
 	// baseline the delete-heavy benchmarks and tests compare against.
@@ -205,7 +207,7 @@ func newIncrementalCore(p *Program, db *Database) (*Incremental, []string, error
 	if err != nil {
 		return nil, nil, err
 	}
-	inc := &Incremental{prog: p, db: db, idb: map[string]bool{}, read: map[string]bool{}, dedup: db.Scratch()}
+	inc := &Incremental{prog: p, db: db, idb: map[string]bool{}, read: map[string]bool{}, dedup: db.Scratch(), kept: db.Scratch(), may: map[string][2]bool{}}
 	for _, plans := range p.strata {
 		c := incComponent{Component: classify(plans), plans: plans}
 		for _, h := range c.Heads {
@@ -339,12 +341,12 @@ type roundBufs struct {
 }
 
 // driveOnce is one semi-naive round over plans: each non-aggregate plan's
-// positive body literals are driven from the per-predicate frontier rows —
-// those filter keeps, when it is non-nil — the other literals read under
-// view, and every row a drive emits reaches emit, with multiplicity n,
-// after the drive returns, so emit may mutate relations and the view.
+// positive body literals are driven from the per-predicate frontier rows,
+// the other literals read under view, and every row a drive emits reaches
+// emit, with multiplicity n and the index ri of its plan, after the drive
+// returns, so emit may mutate relations and the view.
 func (b *roundBufs) driveOnce(db *Database, plans []*rulePlan, frontier map[string]*rowList, view preBatch,
-	filter func(ri int, l *rowList) *rowList, n int, emit func(rel *Relation, w []uint64, n int)) {
+	n int, emit func(rel *Relation, w []uint64, n, ri int)) {
 	for ri, pl := range plans {
 		if pl.r.Agg != "" {
 			continue
@@ -352,9 +354,6 @@ func (b *roundBufs) driveOnce(db *Database, plans []*rulePlan, frontier map[stri
 		rel := db.Get(pl.r.Head.Pred)
 		for i, l := range pl.r.Body {
 			rows := frontier[l.Pred]
-			if filter != nil {
-				rows = filter(ri, rows)
-			}
 			if l.Negated || rows.len() == 0 {
 				continue
 			}
@@ -362,7 +361,7 @@ func (b *roundBufs) driveOnce(db *Database, plans []*rulePlan, frontier map[stri
 			pl.runSegmented(db, i, rows, view, &b.emitted)
 			_ = rel.touch(&b.emitted)
 			for k, m := 0, b.emitted.len(); k < m; k++ {
-				emit(rel, b.emitted.row(k), n)
+				emit(rel, b.emitted.row(k), n, ri)
 			}
 		}
 	}

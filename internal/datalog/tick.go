@@ -1,5 +1,7 @@
 package datalog
 
+import "slices"
+
 // This file is the one maintenance engine. A Tick folds a batch into the
 // fixpoint component by component, each in rounds: a round drives the
 // frontier through the compiled plans and emits head rows with a sign; the
@@ -7,7 +9,7 @@ package datalog
 // Incremental.Apply accepts every emission on the spot; a shard replica
 // (internal/shard) ships a round's rows as a Batch of words to their owners
 // and accepts at a barrier, except in a local component, which it runs as
-// Apply does and keeps the rows it owns.
+// Apply does.
 
 // phase is where a component's maintenance stands; strategy picks the first.
 type phase int
@@ -37,16 +39,16 @@ func (inc *Incremental) strategy(c *incComponent, hasDel bool) phase {
 
 // Site is what one shard replica (internal/shard) holds of a program
 // sharded across replicas. Apply runs with the zero Site: a single node
-// holds everything.
+// holds everything. Owner computes: of the rows of a rule whose body it
+// holds whole, a replica keeps those Owner gives it (every replica: −1).
 type Site struct {
 	// A row's words w are resolved through vals (Word).
-	Mine  func(w []uint64, vals []any) bool             // this replica is row w's designated driver; nil: it is every row's
 	Owner func(pred string, w []uint64, vals []any) int // the replica pred's row w ships to; −1: every replica
 	Whole func(pred string) bool                        // this replica holds every row of pred
 	Self  int                                           // this replica, as Owner numbers it
-	// Local holds, per component in Components order, whether this replica
-	// derives every head row it owns from the rows it holds: such a
-	// component runs here alone (Tick.Local), with no round. nil: none is.
+	// Local holds, per component in Components order, whether every
+	// derivation of a head row lies on the row's owner: such a component
+	// runs here alone (Tick.Local), with no round. nil: none is.
 	Local []bool
 }
 
@@ -64,12 +66,12 @@ type Tick struct {
 	ran int // the local components below it have run (Local)
 
 	// The component in progress.
-	c     *incComponent
-	local bool // it runs here alone: every row driven, the owned emissions kept
-	phase phase
-	over  *Database      // DRed: removed inputs, and per head the over-deleted candidates
-	gone  map[string]int // DRed: per head, the over-deleted rows no round has put back
-	check rowLog         // DRed: the candidates every replica over-deleted
+	c         *incComponent
+	wholeBody []bool // per rule: Site.Owner is set and this replica holds its whole body
+	phase     phase
+	over      *Database      // DRed: removed inputs, and per head the over-deleted candidates
+	gone      map[string]int // DRed: per head, the over-deleted rows no round has put back
+	check     rowLog         // DRed: the candidates every replica over-deleted
 }
 
 // Begin starts folding d — base changes applied to the database — into the
@@ -107,30 +109,35 @@ func (inc *Incremental) begin(d *Delta) (*Tick, error) {
 }
 
 // Next reports the first component from ci that exchanges (is not
-// Site.Local) and that the batch touches, or that follows a local one the
-// batch touches, and whether the batch deletes from its inputs or from a
-// touched local one's; len(components) when there is none. A component is
-// touched when the batch changes its inputs: its base changes, the head
-// changes realized so far and the deletions that ending the component in
-// progress realizes.
+// Site.Local) and that the batch touches, and whether the batch deletes from
+// its inputs; len(components) when there is none. The batch changes a
+// component's inputs by its base changes, the head changes realized so far,
+// the deletions that ending the component in progress realizes, and what a
+// touched local component from ci, not yet run, may do to its heads: add
+// rows if its inputs gain some, delete if they lose some, and both if it is
+// non-monotone.
 func (t *Tick) Next(ci int) (int, bool) {
-	after, ldel := false, false // a local component from ci is touched, and deleted from
+	may := t.inc.may
+	clear(may)
 	for ; ci < len(t.inc.comps); ci++ {
-		add, del := t.touches(ci)
-		if t.isLocal(ci) {
-			after, ldel = after || add || del, ldel || del
-		} else if add || del || after {
-			return ci, del || ldel
+		c := &t.inc.comps[ci]
+		if add, del := t.touches(ci, may); !t.isLocal(ci) && (add || del) {
+			return ci, del
+		} else if add || del {
+			for _, h := range c.Heads {
+				may[h] = [2]bool{add || c.NonMono, del || c.NonMono}
+			}
 		}
 	}
 	return ci, false
 }
 
 // touches reports whether the batch changes component ci's inputs, and
-// whether it deletes from them.
-func (t *Tick) touches(ci int) (add, del bool) {
+// whether it deletes from them, with may's guesses (per head: add, delete).
+func (t *Tick) touches(ci int, may map[string][2]bool) (add, del bool) {
 	for _, in := range t.inc.comps[ci].Inputs {
-		add, del = add || t.d.add[in].len() > 0, del || t.d.del[in].len() > 0 || t.gone[in] > 0
+		add = add || t.d.add[in].len() > 0 || may[in][0]
+		del = del || t.d.del[in].len() > 0 || t.gone[in] > 0 || may[in][1]
 	}
 	return add, del
 }
@@ -142,7 +149,7 @@ func (t *Tick) isLocal(ci int) bool { return ci < len(t.site.Local) && t.site.Lo
 // shipped row, and DRed's candidates checked here.
 func (t *Tick) Local(ci int) error {
 	for ; t.ran < ci; t.ran++ {
-		if add, del := t.touches(t.ran); t.isLocal(t.ran) && (add || del) {
+		if add, del := t.touches(t.ran, nil); t.isLocal(t.ran) && (add || del) {
 			t.Start(t.ran, del)
 			if err := t.run(); err != nil {
 				return err
@@ -157,7 +164,10 @@ func (t *Tick) Local(ci int) error {
 func (t *Tick) Start(ci int, hasDel bool) {
 	t.close()
 	db, c, b := t.inc.db, &t.inc.comps[ci], &t.inc.rounds
-	t.c, t.local = c, t.isLocal(ci)
+	t.c, t.wholeBody = c, t.wholeBody[:0]
+	for _, pl := range c.plans {
+		t.wholeBody = append(t.wholeBody, t.site.Owner != nil && !slices.ContainsFunc(pl.r.Body, func(l Literal) bool { return !t.whole(l.Pred) }))
+	}
 	t.phase = t.inc.strategy(c, hasDel)
 	b.rotate() // an aborted tick may have left rows for a next round
 	switch t.phase {
@@ -184,14 +194,15 @@ const maxKeptDedup = 1 << 11
 // Round drives one round and writes what it emits, each row once, to the
 // empty batches it is given: a signed row — every one with the round's
 // sign, in a run of deletes for −1 — to out[d] for the replica d
-// Site.Owner names (out[0] with no Owner, every batch for −1), sharing one
-// values table, and a DRed candidate, which every replica checks, to
-// cands. quiet says the previous round left nothing to drive anywhere. It
-// reports whether a quiet round would now end the component.
+// Site.Owner names (out[0] with no Owner, every batch for −1; its own alone
+// for a row every replica emits alike), sharing one values table, and a
+// DRed candidate, which every replica checks, to cands. quiet says the
+// previous round left nothing to drive anywhere. It reports whether a quiet
+// round would now end the component.
 func (t *Tick) Round(quiet bool, out []Batch, cands *Batch) (last bool, err error) {
 	inc, vals := t.inc, []any(nil)
 	sign := 0 // every row a round emits with a sign has the same one
-	err = t.drive(quiet, func(rel *Relation, w []uint64, n int) {
+	err = t.drive(quiet, func(rel *Relation, w []uint64, n, ri int) {
 		if n == 0 {
 			inc.ship(cands, &cands.Values, rel, false, w)
 			return
@@ -202,14 +213,24 @@ func (t *Tick) Round(quiet bool, out []Batch, cands *Batch) (last bool, err erro
 		if sign = n; n > 0 && rel.findRow(w) >= 0 || n < 0 && rel.findRow(w) < 0 && t.whole(rel.Name) {
 			return
 		}
+		// Every replica emits a row of a rule whose body it holds whole: the
+		// one that keeps it ships it to itself alone.
+		if t.alike(ri) {
+			if !t.owns(rel, w) {
+				return
+			}
+			inc.kept.Ensure(rel.Name, rel.Arity).insertRow(w)
+		}
 		inc.dedup.Ensure(rel.Name, rel.Arity).insertRow(w)
 	})
 	inc.unnumber(cands.Values)
 	for _, h := range inc.dedup.Names() {
-		rel, set := inc.db.Get(h), inc.dedup.Get(h)
+		rel, set, kept := inc.db.Get(h), inc.dedup.Get(h), inc.kept.Get(h)
 		set.scanRows(func(w []uint64) {
 			d := 0
-			if t.site.Owner != nil {
+			if kept != nil && kept.findRow(w) >= 0 {
+				d = t.site.Self
+			} else if t.site.Owner != nil {
 				d = t.site.Owner(h, w, inc.db.dict.vals)
 			}
 			for i := range out {
@@ -220,6 +241,9 @@ func (t *Tick) Round(quiet bool, out []Batch, cands *Batch) (last bool, err erro
 		})
 		if !set.reset(maxKeptDedup) {
 			delete(inc.dedup.rels, h)
+		}
+		if kept != nil && !kept.reset(maxKeptDedup) {
+			delete(inc.kept.rels, h)
 		}
 	}
 	inc.unnumber(vals)
@@ -272,7 +296,7 @@ func (t *Tick) Accept(cands, rows *Batch) (pending int) {
 						inc.row[j] = based[id]
 					}
 				}
-				t.accept(rel, inc.row, n)
+				t.accept(rel, inc.row, n, -1)
 			}
 		}
 		inc.based = based
@@ -290,7 +314,8 @@ func (t *Tick) settle() (pending int) {
 
 // drive is a round's first half: after a quiet round it moves to the next
 // phase; it drives the frontier, the rows accepted since the last drive.
-func (t *Tick) drive(quiet bool, emit func(rel *Relation, w []uint64, n int)) error {
+// emit gets each row with its rule, −1 for a DRed candidate.
+func (t *Tick) drive(quiet bool, emit func(rel *Relation, w []uint64, n, ri int)) error {
 	db, c, b := t.inc.db, t.c, &t.inc.rounds
 	b.rotate()
 	frontier := b.cur
@@ -303,10 +328,10 @@ func (t *Tick) drive(quiet bool, emit func(rel *Relation, w []uint64, n int)) er
 			// unless every replica over-deleted them itself.
 			for _, h := range c.Heads {
 				for l, k := frontier[h], 0; !t.whole(h) && k < l.len(); k++ {
-					emit(db.Get(h), l.row(k), 0)
+					emit(db.Get(h), l.row(k), 0, -1)
 				}
 			}
-			b.driveOnce(db, c.plans, frontier, preBatch{over: t.over}, t.soloRows, -1, emit)
+			b.driveOnce(db, c.plans, frontier, preBatch{over: t.over}, -1, emit)
 			return nil
 		}
 		// Over-deletion is done everywhere: the candidates with a derivation
@@ -318,25 +343,24 @@ func (t *Tick) drive(quiet bool, emit func(rel *Relation, w []uint64, n int)) er
 		for k, off := 0, 0; k < len(t.check.rels); k++ {
 			rel := t.check.rels[k]
 			if w := t.check.w[off : off+rel.Arity]; rederivable(db, c.plans, rel.Name, w) {
-				emit(rel, w, 1)
+				emit(rel, w, 1, -1)
 			}
 			off += rel.Arity
 		}
 		t.load(frontier, t.d.add)
-		b.driveOnce(db, c.plans, frontier, preBatch{}, t.soloRows, 1, emit)
+		b.driveOnce(db, c.plans, frontier, preBatch{}, 1, emit)
 	default:
-		b.driveOnce(db, c.plans, frontier, preBatch{}, t.soloRows, 1, emit)
+		b.driveOnce(db, c.plans, frontier, preBatch{}, 1, emit)
 	}
 	return nil
 }
 
-// accept is a round's second half, per arrived row; a local component's
-// rows arrive as they are emitted, and it keeps those this replica owns.
-func (t *Tick) accept(rel *Relation, w []uint64, n int) {
-	if t.local && t.site.Owner != nil {
-		if o := t.site.Owner(rel.Name, w, t.inc.db.dict.vals); o >= 0 && o != t.site.Self {
-			return
-		}
+// accept is a round's second half, per arrived row: a shipped one (ri −1)
+// or, in Apply's loop, one that rule ri emits, which this replica keeps
+// unless every replica emits it alike and it is not this one's.
+func (t *Tick) accept(rel *Relation, w []uint64, n, ri int) {
+	if t.alike(ri) && !t.owns(rel, w) {
+		return
 	}
 	next := t.inc.rounds.next
 	switch t.phase {
@@ -379,7 +403,7 @@ func (t *Tick) close() {
 			})
 		}
 	}
-	t.c, t.local, t.over, t.gone, t.check = nil, false, nil, nil, rowLog{}
+	t.c, t.over, t.gone, t.check = nil, nil, nil, rowLog{}
 }
 
 // load adds the batch's changes to the component's inputs, from lists, to
@@ -396,26 +420,14 @@ func (t *Tick) load(dst, lists map[string]*rowList) {
 // whole reports whether this replica holds every row of pred.
 func (t *Tick) whole(pred string) bool { return t.site.Whole == nil || t.site.Whole(pred) }
 
-// soloRows returns the rows of l that rule ri drives here: all of them,
-// unless the component exchanges and every replica holds every body
-// literal's relation and so would derive the same rows, then those
-// Site.Mine accepts.
-func (t *Tick) soloRows(ri int, l *rowList) *rowList {
-	if t.site.Mine == nil || t.local || l.len() == 0 {
-		return l
-	}
-	for _, lit := range t.c.plans[ri].r.Body {
-		if !t.whole(lit.Pred) {
-			return l
-		}
-	}
-	out, vals := &rowList{arity: l.arity}, t.inc.db.dict.vals
-	for k := 0; k < l.len(); k++ {
-		if w := l.row(k); t.site.Mine(w, vals) {
-			out.add(w)
-		}
-	}
-	return out
+// alike reports whether every replica derives rule ri's rows alike (−1: none).
+func (t *Tick) alike(ri int) bool { return ri >= 0 && t.wholeBody[ri] }
+
+// owns reports whether rel's row w is this replica's: it is its owner, or
+// every replica holds rel.
+func (t *Tick) owns(rel *Relation, w []uint64) bool {
+	o := t.site.Owner(rel.Name, w, t.inc.db.dict.vals)
+	return o < 0 || o == t.site.Self
 }
 
 // recompute re-evaluates a component with negation or aggregates from its

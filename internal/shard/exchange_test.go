@@ -67,9 +67,10 @@ func steppedShipped(t *testing.T, inc *datalog.Incremental, comps int, ops []dat
 // TestRowsShippedIsWhatTheExchangeDelivered: Metrics().RowsShipped counts
 // each row an exchange round hands a replica, the sender included. On one
 // replica that is what a lone stepped datalog.Tick ships for the same
-// batches of the closure over link, which exchanges. Nonlinear closure
-// mirrors its one head, so on N replicas every shipped row has N copies,
-// N−1 of which the network delivers.
+// batches of the closure over link, which exchanges. A copy of edge that a
+// self-join mirrors is derived from sharded edge rows and so exchanges,
+// and the self-join, whose body is all mirrored, is local: on N replicas
+// every shipped row has N copies, N−1 of which the network delivers.
 func TestRowsShippedIsWhatTheExchangeDelivered(t *testing.T) {
 	var chain []datalog.DeltaOp
 	for i := int64(0); i < 30; i++ {
@@ -93,8 +94,18 @@ func TestRowsShippedIsWhatTheExchangeDelivered(t *testing.T) {
 		}
 	}
 
+	copied, err := datalog.NewProgram(
+		rule(atom("copy", "x", "y"), atom("edge", "x", "y")),
+		rule(atom("hop2", "x", "z"), atom("copy", "x", "y"), atom("copy", "y", "z")),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, n := range []int{2, 3} {
-		_, dep := newDeployment(t, nonlinearTC(t), tcEDB, n, 7)
+		_, dep := newDeployment(t, copied, tcEDB, n, 7)
+		if !dep.Placement().Specs["copy"].Mirrored || !slices.Equal(dep.Placement().Local, []bool{false, true}) {
+			t.Fatalf("n=%d: placement %+v, local %v: want copy mirrored and exchanging, hop2 local", n, dep.Placement().Specs, dep.Placement().Local)
+		}
 		var delivered uint64
 		dep.CountDelivered(&delivered)
 		for i, ops := range ticks {

@@ -50,10 +50,11 @@ func healAll(net *simnet.Network, dep *shard.Deployment, node string) {
 	}
 }
 
-// failoverRules covers every kind of round the replicas step under a
-// driver stage: the linear TC layer runs DRed exchange rounds, and the
-// negation layer makes its component non-monotone (a recompute round).
-var failoverRules = append(append([]datalog.Rule{}, tcRules...), datalog.Rule{
+// failoverRules covers every kind of component the replicas run under a
+// driver stage: the closure over link runs DRed exchange rounds, and the
+// negation layer's component is non-monotone and local (a recompute on
+// each replica alone).
+var failoverRules = append(append([]datalog.Rule{}, linkRules...), datalog.Rule{
 	Head: datalog.Atom{Pred: "dead", Args: []datalog.Term{datalog.V("x")}},
 	Body: []datalog.Literal{
 		{Atom: datalog.Atom{Pred: "node", Args: []datalog.Term{datalog.V("x")}}},

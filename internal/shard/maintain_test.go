@@ -202,6 +202,41 @@ func TestShardedMirroredRecursionShipsNoKnownRows(t *testing.T) {
 	}
 }
 
+// TestShardedMirroredRecursionDerivesInPlace: nonlinear closure mirrors
+// path and keeps edge sharded, so on 3 replicas each edge's path row ships
+// from its owner to the other two, while the recursive rule, whose body is
+// all mirrored, runs on every replica and ships nothing: each tick, a
+// 40-edge chain, the cut of one edge and its return, delivers two rows per
+// edge op, the deployment matches the single-node fixpoint, and each
+// replica holds only the edge rows it owns.
+func TestShardedMirroredRecursionDerivesInPlace(t *testing.T) {
+	prog := nonlinearTC(t)
+	var chain []datalog.DeltaOp
+	for i := int64(0); i < 40; i++ {
+		chain = append(chain, ins("edge", i, i+1))
+	}
+	_, dep := newDeployment(t, prog, tcEDB, 3, 41)
+	var delivered uint64
+	dep.CountDelivered(&delivered)
+	ref := newOracle(t, prog, tcEDB)
+	for i, ops := range [][]datalog.DeltaOp{chain, {del("edge", int64(20), int64(21))}, {ins("edge", int64(20), int64(21))}} {
+		before := delivered
+		if err := dep.Submit(ops); err != nil || !dep.Settle(settleBudget) {
+			t.Fatalf("tick %d did not commit: %v", i, err)
+		}
+		ref.tick(t, ops)
+		if got, want := dep.DumpString(), ref.dump(dep.Placement().Preds); got != want {
+			t.Fatalf("tick %d diverged from single-node", i)
+		}
+		if err := dep.CheckOwners(); err != nil {
+			t.Fatalf("tick %d: %v", i, err)
+		}
+		if got := delivered - before; got != uint64(2*len(ops)) {
+			t.Fatalf("tick %d delivered %d rows for %d edge ops, want 2 each", i, got, len(ops))
+		}
+	}
+}
+
 // TestShardedLongTickCommitsInOneAttempt: unary reachability from one root
 // over a chain takes a round per link, so on 3 replicas at DefaultConfig
 // latencies the tick that adds the root, and the one that cuts the chain

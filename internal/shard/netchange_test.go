@@ -10,10 +10,10 @@ import (
 // TestShardedChurnWithinTickShipsNothing pins the net-change bookkeeping
 // replicas keep per tick: a tuple inserted and retracted inside one tick,
 // and a present tuple retracted and re-inserted, cancel — no component
-// sees an input change, so the replicas step no component round and no
-// recompute for that tick, and the fixpoint is untouched. failoverRules
-// puts both a sharded recursive component (path) and a mirrored
-// non-monotone one (dead) downstream of the churned relations.
+// sees an input change, so the replicas step no component round for that
+// tick, and the fixpoint is untouched. failoverRules
+// puts both an exchanging recursive component (path over link) and a
+// local non-monotone one (dead) downstream of the churned relations.
 func TestShardedChurnWithinTickShipsNothing(t *testing.T) {
 	prog, err := datalog.NewProgram(failoverRules...)
 	if err != nil {
@@ -21,7 +21,7 @@ func TestShardedChurnWithinTickShipsNothing(t *testing.T) {
 	}
 	_, dep := newDeployment(t, prog, tcEDB, 3, 7)
 	ref := newOracle(t, prog, tcEDB)
-	evaluated := map[uint64]bool{} // ticks that reached a component round (recompute included)
+	evaluated := map[uint64]bool{} // ticks that reached a component round
 	dep.WatchReplicas(func(q shard.Received) {
 		if q.Kind == shard.Exchange && q.Comp >= 0 {
 			evaluated[q.Tick] = true
@@ -55,6 +55,6 @@ func TestShardedChurnWithinTickShipsNothing(t *testing.T) {
 		t.Fatalf("ticks with real changes should drive evaluation stages: %v", evaluated)
 	}
 	if evaluated[2] {
-		t.Fatal("a tick whose ops cancel out ran a component round or a recompute")
+		t.Fatal("a tick whose ops cancel out ran a component round")
 	}
 }

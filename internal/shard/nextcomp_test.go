@@ -132,12 +132,13 @@ func TestShardedTickIsPrepareRoundsCommit(t *testing.T) {
 }
 
 // TestShardedTickSkipsUntouchedComponents: in a chain of three components
-// on 3 replicas, a tick that changes only the last one's base input runs
+// on 3 replicas, each of which exchanges (q's head is not on its join
+// variable), a tick that changes only the last one's base input runs
 // rounds of the last component alone.
 func TestShardedTickSkipsUntouchedComponents(t *testing.T) {
 	prog, err := datalog.NewProgram(
 		rule(atom("p", "x"), atom("a", "x")),
-		rule(atom("q", "x"), atom("p", "x"), atom("b", "x")),
+		rule(atom("q", "y"), atom("p", "x"), atom("b", "x", "y")),
 		rule(atom("r", "x", "y"), atom("q", "x"), atom("c", "x", "y")),
 	)
 	if err != nil {
@@ -146,10 +147,10 @@ func TestShardedTickSkipsUntouchedComponents(t *testing.T) {
 	if compOf(t, prog, "p") != 0 || compOf(t, prog, "q") != 1 || compOf(t, prog, "r") != 2 {
 		t.Fatalf("components %+v, want p, q, r", prog.Components())
 	}
-	edb := map[string]int{"a": 1, "b": 1, "c": 2}
+	edb := map[string]int{"a": 1, "b": 2, "c": 2}
 	_, dep := newDeployment(t, prog, edb, 3, 11)
 	got := watchTicks(t, dep, prog, edb, [][]datalog.DeltaOp{
-		{ins("a", 1), ins("a", 2), ins("b", 1), ins("b", 2), ins("c", 1, 10)},
+		{ins("a", 1), ins("a", 2), ins("b", 1, 1), ins("b", 2, 2), ins("c", 1, 10)},
 		{ins("c", 2, 20), ins("c", 1, 11), del("c", 1, 10)},
 	})
 	if want := []map[int]bool{{0: false, 1: false, 2: false}, {2: true}}; fmt.Sprint(got) != fmt.Sprint(want) {
@@ -161,10 +162,11 @@ func TestShardedTickSkipsUntouchedComponents(t *testing.T) {
 // makes the closure over link, which exchanges, over-delete path(b,c) and
 // path(a,c) by DRed. When another route re-derives both, the component
 // downstream, which the tick's new mark also touches, loses nothing and
-// runs insert rounds only; when path(b,c) is lost, it runs DRed.
+// runs insert rounds only; when path(b,c) is lost, it runs DRed. The mark
+// is on path's second column, which keeps path hashed there.
 func TestShardedRederivedDRedStartsDownstreamInsertOnly(t *testing.T) {
 	prog, err := datalog.NewProgram(append(append([]datalog.Rule{}, linkRules...),
-		rule(atom("out", "x", "y"), atom("path", "x", "y"), atom("mark", "x")))...)
+		rule(atom("out", "x", "y"), atom("path", "x", "y"), atom("mark", "y")))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,6 +189,62 @@ func TestShardedRederivedDRedStartsDownstreamInsertOnly(t *testing.T) {
 				t.Fatalf("round-0 delete flags %v, want %v", got, want)
 			}
 		})
+	}
+}
+
+// TestShardedLocalDeletesReachOnlyReaders: a tick that cuts an edge of
+// the local closure over edge, and adds a road to the closure over link, a
+// copy of road, which exchanges and reads nothing of path, starts link's
+// and reach's components insert-only: path's possible deletions reach only
+// the components that read it.
+func TestShardedLocalDeletesReachOnlyReaders(t *testing.T) {
+	prog, err := datalog.NewProgram(append(append([]datalog.Rule{}, tcRules...),
+		rule(atom("link", "x", "y"), atom("road", "x", "y")),
+		rule(atom("reach", "x", "y"), atom("link", "x", "y")),
+		rule(atom("reach", "x", "z"), atom("reach", "x", "y"), atom("link", "y", "z")))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, link, reach := compOf(t, prog, "path"), compOf(t, prog, "link"), compOf(t, prog, "reach")
+	edb := map[string]int{"edge": 2, "road": 2}
+	_, dep := newDeployment(t, prog, edb, 3, 19)
+	if pl := dep.Placement().Local; !pl[path] || pl[link] || pl[reach] || path > link {
+		t.Fatalf("components path %d, link %d, reach %d, local %v: want path local and first", path, link, reach, pl)
+	}
+	got := watchTicks(t, dep, prog, edb, [][]datalog.DeltaOp{
+		{ins("edge", "a", "b"), ins("edge", "b", "c"), ins("road", "a", "b")},
+		{del("edge", "b", "c"), ins("road", "b", "c")},
+	})[1]
+	if want := map[int]bool{link: false, reach: false}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("round-0 delete flags %v, want %v", got, want)
+	}
+}
+
+// TestShardedNegationInsertStartsReaderWithDRed: alive, node without dead,
+// is non-monotone and so local, and its reader seen, hashed on the column
+// alive does not bind, exchanges. A tick that only inserts into dead
+// deletes alive(1), so seen's component must start with DRed.
+func TestShardedNegationInsertStartsReaderWithDRed(t *testing.T) {
+	notDead := datalog.Literal{Atom: atom("dead", "x"), Negated: true}
+	prog, err := datalog.NewProgram(
+		datalog.Rule{Head: atom("alive", "x"), Body: []datalog.Literal{{Atom: atom("node", "x")}, notDead}},
+		rule(atom("seen", "y"), atom("alive", "x"), atom("e", "x", "y")),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alive, seen := compOf(t, prog, "alive"), compOf(t, prog, "seen")
+	edb := map[string]int{"node": 1, "dead": 1, "e": 2}
+	_, dep := newDeployment(t, prog, edb, 3, 23)
+	if pl := dep.Placement().Local; !pl[alive] || pl[seen] {
+		t.Fatalf("local %v: want alive's component local and seen's exchanging", pl)
+	}
+	got := watchTicks(t, dep, prog, edb, [][]datalog.DeltaOp{
+		{ins("node", 1), ins("node", 2), ins("e", 1, 10), ins("e", 2, 20)},
+		{ins("dead", 1)},
+	})[1]
+	if want := map[int]bool{seen: true}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("round-0 delete flags %v, want %v", got, want)
 	}
 }
 

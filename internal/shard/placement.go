@@ -1,8 +1,8 @@
 // Package shard runs a datalog program as a distributed deployment over
 // the simulated cluster: base relations are hash-partitioned by key across
 // N replicas, each replica evaluates its shard locally, and exchange
-// operators at evaluation-component boundaries ship derived (and DRed
-// retracted) tuples to the replica that owns them. A coordinator
+// rounds ship derived (and DRed retracted) tuples to the replica that owns
+// them, except where owner computes (Placement.Local). A coordinator
 // sequences one BSP tick at a time and retries whole attempts on timeout,
 // so the deployment converges to the exact single-node fixpoint even
 // across failures, partitions and redelivery (DESIGN.md §11).
@@ -11,6 +11,7 @@ package shard
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"hydro/internal/datalog"
@@ -33,11 +34,11 @@ type Spec struct {
 type Placement struct {
 	N     int
 	Specs map[string]Spec
-	// Local holds, per component in Components order, whether a replica
-	// derives every head row it owns from its own copies: a decomposed
-	// component whose head is still sharded on its carried column and whose
-	// inputs are mirrored. A local component runs on each replica with no
-	// exchange round.
+	// Local holds, per component in Components order, whether every
+	// derivation of a head row lies on the row's owner: in every rule, each
+	// sharded body literal holds the head's partition variable at its own
+	// partition column, and a mirrored head reads only mirrored relations.
+	// A local component runs on each replica with no exchange round.
 	Local []bool
 	// Preds is every placed predicate, sorted — the deterministic
 	// iteration order for all per-predicate state in the engine.
@@ -70,9 +71,10 @@ type Placement struct {
 //     of the literal cannot anchor co-literals, so any sharded co-literal
 //     it joins with is mirrored too.
 //
-// Mirroring only grows, so the loop reaches a fixpoint in at most one
-// pass per predicate. Rows are routed to their owners whatever the
-// placement, so a poor choice costs speed, never correctness.
+// Mirroring only grows, so the loop reaches a fixpoint in at most one pass
+// per predicate; then one rule, owner computes, marks local components.
+// Rows are routed to their owners whatever the placement, so a poor choice
+// costs speed, never correctness.
 func NewPlacement(prog *datalog.Program, edb map[string]int, n int, declared map[string]int) (*Placement, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 replica, got %d", n)
@@ -98,22 +100,15 @@ func NewPlacement(prog *datalog.Program, edb map[string]int, n int, declared map
 		place(pred)
 	}
 	for _, c := range comps {
-		for _, h := range c.Heads {
-			place(h)
-		}
-		for _, in := range c.Inputs {
-			place(in)
+		for _, pred := range slices.Concat(c.Heads, c.Inputs) {
+			place(pred)
 		}
 	}
 
-	mirror := func(pred string) bool {
+	mirror := func(pred string) bool { // reports whether pred was sharded
 		s := specs[pred]
-		if s.Mirrored {
-			return false
-		}
-		s.Mirrored = true
-		specs[pred] = s
-		return true
+		specs[pred] = Spec{Mirrored: true, Col: s.Col}
+		return !s.Mirrored
 	}
 	for _, c := range comps {
 		if k, ok := carriedCol(c, edb); ok {
@@ -124,14 +119,10 @@ func NewPlacement(prog *datalog.Program, edb map[string]int, n int, declared map
 		}
 	}
 	for _, c := range comps {
-		if !c.NonMono {
-			continue
-		}
-		for _, h := range c.Heads {
-			mirror(h)
-		}
-		for _, in := range c.Inputs {
-			mirror(in)
+		if c.NonMono {
+			for _, pred := range slices.Concat(c.Heads, c.Inputs) {
+				mirror(pred)
+			}
 		}
 	}
 
@@ -150,34 +141,17 @@ func NewPlacement(prog *datalog.Program, edb map[string]int, n int, declared map
 					// against local shards, so the sharded co-literals
 					// need only agree with each other — the first one's
 					// anchor becomes the requirement.
-					anchor := ""
-					fixed := false
-					if ds := specs[lit.Pred]; !ds.Mirrored {
-						fixed = true
-						if ds.Col >= 0 && ds.Col < len(lit.Args) && lit.Args[ds.Col].IsVar() {
-							anchor = lit.Args[ds.Col].Var
-						}
-					}
+					ds := specs[lit.Pred]
+					anchor, fixed := partVar(ds, lit.Args), !ds.Mirrored
 					for j, co := range r.Body {
-						if j == i {
+						if j == i || specs[co.Pred].Mirrored {
 							continue
 						}
-						cs := specs[co.Pred]
-						if cs.Mirrored {
-							continue
-						}
-						coVar := ""
-						if cs.Col >= 0 && cs.Col < len(co.Args) && co.Args[cs.Col].IsVar() {
-							coVar = co.Args[cs.Col].Var
-						}
+						coVar := partVar(specs[co.Pred], co.Args)
 						if !fixed && coVar != "" {
 							anchor, fixed = coVar, true
-							continue
-						}
-						if anchor == "" || coVar != anchor {
-							if mirror(co.Pred) {
-								changed = true
-							}
+						} else if anchor == "" || coVar != anchor {
+							changed = mirror(co.Pred) || changed
 						}
 					}
 				}
@@ -185,14 +159,20 @@ func NewPlacement(prog *datalog.Program, edb map[string]int, n int, declared map
 		}
 	}
 
-	// A decomposed component stays local unless a reader mirrored its head:
-	// every replica then holds every row, not only those it owns.
+	// Owner computes: a component is local when, in every rule, each sharded
+	// body literal holds the head's partition variable at its own partition
+	// column. A mirrored head, or one hashed whole, has none, so it may read
+	// only mirrored relations.
 	local := make([]bool, len(comps))
 	for ci, c := range comps {
-		k, ok := carriedCol(c, edb)
-		local[ci] = ok && specs[c.Heads[0]] == Spec{Col: k}
-		for _, in := range c.Inputs {
-			local[ci] = local[ci] && specs[in].Mirrored
+		local[ci] = true
+		for _, r := range c.Rules {
+			v := partVar(specs[r.Head.Pred], r.Head.Args)
+			for _, l := range r.Body {
+				if s := specs[l.Pred]; !s.Mirrored && (v == "" || partVar(s, l.Args) != v) {
+					local[ci] = false
+				}
+			}
 		}
 	}
 
@@ -202,6 +182,15 @@ func NewPlacement(prog *datalog.Program, edb map[string]int, n int, declared map
 	}
 	sort.Strings(preds)
 	return &Placement{N: n, Specs: specs, Local: local, Preds: preds}, nil
+}
+
+// partVar returns the variable args hold at s's partition column: "" if s
+// is mirrored or hashes the whole row, or args hold a constant there.
+func partVar(s Spec, args []datalog.Term) string {
+	if s.Mirrored || s.Col < 0 || s.Col >= len(args) || !args[s.Col].IsVar() {
+		return ""
+	}
+	return args[s.Col].Var
 }
 
 // carriedCol reports whether c is decomposable — a monotone component

@@ -23,7 +23,8 @@ import (
 // op is on a mirrored relation and every replica realizes the same changes,
 // or no component exchanges. Next names no local component: a replica runs
 // those its tick touches alone before the next component it starts, or
-// before its staged ack.
+// before its staged ack. A row that every replica derives alike crosses no
+// link: its owner keeps it.
 //
 // A request's Kind is the coordinator stage it runs (stFailed: roll the
 // attempt back and fence it until the next prepare), and a response echoes

@@ -57,9 +57,6 @@ func newReplica(dep *Deployment, self int) (*replica, error) {
 		}
 		return -1
 	}
-	if dep.place.N > 1 { // a row every replica holds is driven by its whole-tuple hash's replica
-		r.site.Mine = func(w []uint64, vals []any) bool { return shardOfRow(w, vals, -1, dep.place.N) == self }
-	}
 	return r, nil
 }
 
@@ -226,9 +223,10 @@ func (r *replica) begin(c int, del bool) {
 
 // step runs round k of the tick (round 0 starts the component; k.comp −1
 // only names the first one) and sends every replica one batch, its own to
-// the inbox: the signed rows that replica owns (a mirrored head's all go
-// to every replica), every DRed candidate, the rows shipped and what
-// Tick.Next reports after the round. quiet says the previous round shipped
+// the inbox: the signed rows that replica owns (a mirrored head's go to
+// every replica, and a row every replica derives alike only to itself),
+// every DRed candidate, the rows shipped and what Tick.Next reports after
+// the round. quiet says the previous round shipped
 // no signed row anywhere.
 func (r *replica) step(k rkey, quiet, del bool) {
 	out, cands := make([]datalog.Batch, r.dep.place.N), datalog.Batch{}

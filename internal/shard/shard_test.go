@@ -126,10 +126,13 @@ func del(pred string, vals ...any) datalog.DeltaOp {
 // across shard boundaries, then deletions that retract closure tuples
 // owned by other replicas (cross-shard DRed traffic) — and requires
 // byte-identical dumps against the single-node incremental fixpoint after
-// every tick. It runs two closures: over the base edge, which placement
-// decomposes (edge mirrored, path sharded on the x its recursion carries),
-// and over a derived link, which stays on the anchored placement (link and
-// path co-hashed on y), so derived rows cross between replicas.
+// every tick, each replica holding only the rows it owns. It runs three
+// closures: over the base edge, which placement decomposes (edge mirrored,
+// path sharded on the x its recursion carries); over a derived link, which
+// stays on the anchored placement (link and path co-hashed on y), so
+// derived rows cross between replicas; and hub, whose base rule reads only
+// mirrored edge, so every replica derives its rows and keeps those it
+// owns, while its recursion over link exchanges.
 func TestShardedTCMatchesSingleNode(t *testing.T) {
 	ticks := [][]datalog.DeltaOp{
 		{ins("edge", "a", "b"), ins("edge", "b", "c"), ins("edge", "c", "d")},
@@ -145,6 +148,11 @@ func TestShardedTCMatchesSingleNode(t *testing.T) {
 	}{
 		{"edge", tcRules, map[string]shard.Spec{"edge": {Mirrored: true}, "path": {Col: 0}}},
 		{"link", linkRules, map[string]shard.Spec{"link": {Col: 0}, "path": {Col: 1}}},
+		{"hub", append(append([]datalog.Rule{}, tcRules...),
+			rule(atom("link", "x", "y"), atom("edge", "x", "y")),
+			rule(atom("hub", "x", "y"), atom("edge", "x", "y")),
+			rule(atom("hub", "x", "z"), atom("hub", "x", "y"), atom("link", "y", "z"))),
+			map[string]shard.Spec{"edge": {Mirrored: true}, "link": {Col: 0}, "hub": {Col: 1}}},
 	} {
 		prog, err := datalog.NewProgram(tc.rules...)
 		if err != nil {
@@ -167,6 +175,9 @@ func TestShardedTCMatchesSingleNode(t *testing.T) {
 				t.Fatalf("%s tick %d diverged:\nsharded:\n%s\nsingle-node:\n%s", tc.name, i, got, want)
 			}
 			if err := dep.CheckMirrors(); err != nil {
+				t.Fatalf("%s tick %d: %v", tc.name, i, err)
+			}
+			if err := dep.CheckOwners(); err != nil {
 				t.Fatalf("%s tick %d: %v", tc.name, i, err)
 			}
 		}
@@ -424,6 +435,29 @@ func TestShardedDeterminism50Seeds(t *testing.T) {
 	}
 }
 
+// TestShardedRandomProgramsLocalAndExchanging: the programs
+// TestShardedDeterminism50Seeds draws place both local and exchanging
+// components, so the sweep runs both.
+func TestShardedRandomProgramsLocalAndExchanging(t *testing.T) {
+	kinds := map[bool]int{}
+	for seed := int64(0); seed < 50; seed++ {
+		prog, err := datalog.NewProgram(randShardRules(rand.New(rand.NewSource(seed)))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := shard.NewPlacement(prog, tcEDB, 3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, local := range pl.Local {
+			kinds[local]++
+		}
+	}
+	if kinds[true] == 0 || kinds[false] == 0 {
+		t.Fatalf("%d local and %d exchanging components over 50 seeds, want both", kinds[true], kinds[false])
+	}
+}
+
 // TestPlacementTCStaysSharded pins the placement analysis: the linear TC
 // shape is decomposable, so path stays hash-partitioned on the x its
 // recursive rule carries and edge is mirrored, while a program with
@@ -599,10 +633,15 @@ func TestPlacementDecomposable(t *testing.T) {
 }
 
 // TestPlacementLocal pins which components NewPlacement marks local, per
-// component in Components order: a decomposed closure over base edge is,
-// on 3 replicas and on 1; a nonlinear closure, a closure over a derived
-// input and a decomposed closure that a negation reads (and so mirrors)
-// are not, nor is the negation.
+// component in Components order: those where, in every rule, each sharded
+// body literal holds the head's partition variable at its own partition
+// column, and a mirrored head reads only mirrored relations. One program
+// per clause: a decomposed closure over base edge (on 3 replicas and on
+// 1), a negation, which mirrors the closure it reads, and an aggregate
+// (everything mirrored), a join over mirrored edge, a join anchored on the
+// head's column and one that is not, a mirrored head over a sharded body
+// (nonlinear closure), and a body literal on a column hash against one
+// hashed whole (Col −1).
 func TestPlacementLocal(t *testing.T) {
 	dead := datalog.Rule{
 		Head: datalog.Atom{Pred: "dead", Args: []datalog.Term{datalog.V("x")}},
@@ -611,24 +650,35 @@ func TestPlacementLocal(t *testing.T) {
 			{Atom: datalog.Atom{Pred: "path", Args: []datalog.Term{datalog.V("x"), datalog.V("x")}}, Negated: true},
 		},
 	}
+	best := datalog.Rule{Head: atom("best", "x", "v"), Body: []datalog.Literal{{Atom: atom("attr", "x", "v")}}, Agg: datalog.AggMax, AggVar: "v"}
+	sym := rule(atom("sym", "x", "y"), atom("edge", "x", "y"), atom("edge", "y", "x"))
+	p := rule(atom("p", "x"), atom("node", "x"))
+	copyEdge := []datalog.Rule{rule(atom("copy", "x", "y"), atom("edge", "x", "y"))}
 	for _, tc := range []struct {
-		name  string
-		rules []datalog.Rule
-		n     int
-		want  map[string]bool // per head, its component's Local
+		name     string
+		rules    []datalog.Rule
+		n        int
+		declared map[string]int
+		want     map[string]bool // per head, its component's Local
 	}{
-		{"decomposed", tcRules, 3, map[string]bool{"path": true}},
-		{"decomposed-one-replica", tcRules, 1, map[string]bool{"path": true}},
-		{"nonlinear", nonlinearTC(t).Rules, 3, map[string]bool{"path": false}},
-		{"derived-input", linkRules, 3, map[string]bool{"link": false, "path": false}},
-		{"mirrored-by-negation", append(append([]datalog.Rule{}, tcRules...), dead), 3, map[string]bool{"path": false, "dead": false}},
+		{"decomposed", tcRules, 3, nil, map[string]bool{"path": true}},
+		{"decomposed-one-replica", tcRules, 1, nil, map[string]bool{"path": true}},
+		{"mirrored-by-negation", append(append([]datalog.Rule{}, tcRules...), dead), 3, nil, map[string]bool{"path": true, "dead": true}},
+		{"aggregate", []datalog.Rule{best}, 3, nil, map[string]bool{"best": true}},
+		{"mirrored-join", append(append([]datalog.Rule{}, tcRules...), sym), 3, nil, map[string]bool{"path": true, "sym": true}},
+		{"anchored-join", []datalog.Rule{p, rule(atom("q", "x"), atom("p", "x"), atom("attr", "x", "v"))}, 3, map[string]int{"q": 0}, map[string]bool{"p": false, "q": true}},
+		{"unanchored-join", []datalog.Rule{p, rule(atom("q", "v"), atom("p", "x"), atom("attr", "x", "v"))}, 3, map[string]int{"q": 0}, map[string]bool{"p": false, "q": false}},
+		{"nonlinear", nonlinearTC(t).Rules, 3, nil, map[string]bool{"path": false}},
+		{"derived-input", linkRules, 3, nil, map[string]bool{"link": false, "path": false}},
+		{"column-hash", copyEdge, 3, map[string]int{"copy": 0, "edge": 0}, map[string]bool{"copy": true}},
+		{"whole-tuple-hash", copyEdge, 3, map[string]int{"copy": 0, "edge": -1}, map[string]bool{"copy": false}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prog, err := datalog.NewProgram(tc.rules...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pl, err := shard.NewPlacement(prog, tcEDB, tc.n, nil)
+			pl, err := shard.NewPlacement(prog, tcEDB, tc.n, tc.declared)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -637,7 +687,7 @@ func TestPlacementLocal(t *testing.T) {
 			}
 			for head, want := range tc.want {
 				if got := pl.Local[compOf(t, prog, head)]; got != want {
-					t.Errorf("%s's component local %v, want %v", head, got, want)
+					t.Errorf("%s's component local %v, want %v (placement %+v)", head, got, want, pl.Specs)
 				}
 			}
 		})
